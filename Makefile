@@ -59,15 +59,22 @@ bench:
 	GOMAXPROCS=4 go run ./cmd/paperbench -exp all -parallel 1 -intra 4 -checkpoints -json BENCH_pr10.json
 
 # Wall-time regression gate against the committed benchmark baseline:
-# re-runs every table in BENCH_pr8.json and fails on any >1.5x slowdown
+# re-runs every table in BENCH_pr10.json and fails on any >1.5x slowdown
 # (knobs: BASELINE/TOL/PARALLEL/INTRA). Opt-in — wall times are too
 # machine-dependent for `make check`.
 bench-gate:
 	sh scripts/bench_gate.sh
+
+# CPU-model kernel micro-benchmarks: ns per simulated instruction on the
+# three shapes of simbench's cpu.ns_per_instr probes (working set fits
+# the modeled L1 / L2 / neither), block kernel next to the replaced
+# per-instruction reference loop.
+bench-cpu:
+	go test -run '^$$' -bench 'Duration(Ref)?(L1|L2|Mem)$$' -benchtime 50x ./internal/cpu | grep -E 'ns/instr|^cpu:'
 
 # Conservative-parallel determinism smoke: -intra 1 vs -intra 4 tables
 # and chrome traces byte-identical. check.sh runs this too.
 intra-smoke:
 	sh scripts/intra_smoke.sh
 
-.PHONY: lint check bench bench-gate intra-smoke serve-smoke crash-smoke cluster-smoke chaos
+.PHONY: lint check bench bench-gate bench-cpu intra-smoke serve-smoke crash-smoke cluster-smoke chaos

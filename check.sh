@@ -20,6 +20,16 @@ sh scripts/lint_cache_smoke.sh
 go build ./...
 go test ./...
 
+# CPU-model kernel gates (DESIGN.md §4.1): the kernel and cachesim
+# benchmarks compile and execute once, the L1-hit probe is still inlined
+# into the memory pass (it sits at the edge of the inliner's budget, and
+# a non-inlined call per load/store gives the kernel's gain back), and
+# ten seconds of fuzzing find no segment on which the kernel and the
+# reference loop disagree.
+go test -run '^$' -bench 'Duration|Hit' -benchtime 1x ./internal/cpu ./internal/cachesim
+go build -gcflags=-m ./internal/cpu 2>&1 | grep -q 'inlining call to cachesim.(\*Cache).Hit'
+go test -run '^$' -fuzz FuzzDurationMatchesReference -fuzztime 10s ./internal/cpu
+
 # Race-mode pass over the full tree (cmd/ and examples/ included, not
 # just internal/): the sweep executor, the engines' shared memo caches,
 # the simserve worker pool, and now the parsim device-stepper lanes are
@@ -65,5 +75,5 @@ sh scripts/cluster_smoke.sh
 # Wall-time regression gating is deliberately NOT part of this tier-1
 # gate: wall clocks are machine- and load-dependent, so the benchmark
 # baseline comparison is opt-in via `make bench-gate` (per-table
-# tolerance against the committed BENCH_pr8.json; see
+# tolerance against the committed BENCH_pr10.json; see
 # scripts/bench_gate.sh).

@@ -39,9 +39,15 @@ type Cache struct {
 	slab     []line // backing store carved into per-set arrays on first touch
 	setMask  mem.Addr
 	lineBits uint
-	epoch    uint64 // generation stamp; lines from older epochs are invalid
+	stamp    uint64 // epoch<<epochShift | lineValid: the low tagbits of every live line
 
 	lruClock int64
+
+	// hint remembers, per low line-address bits, the way that line was
+	// last hit or filled in, so Hit can check one way instead of scanning
+	// the set. It is a lookup accelerator only: a stale or aliased entry
+	// costs a scan, never a wrong answer, because the tag is still compared.
+	hint [hintSlots]uint8
 
 	// Stats.
 	Hits       int64
@@ -73,6 +79,17 @@ const (
 	// maxTag bounds the packable line address: 46 tag bits cover 2^52
 	// bytes of simulated physical address space with 64-byte lines.
 	maxTag = 1<<(64-tagShift) - 1
+
+	// hintSlots sizes the way-hint table: twice the lines of the L1 the
+	// CPU model probes, so its resident lines rarely share a slot.
+	hintSlots = 1024
+)
+
+// Hit multiplies the access kind into the dirty bit, which needs
+// mem.Read == 0 and mem.Write == 1; anything else fails to compile here.
+var (
+	_ [0]struct{} = [mem.Read]struct{}{}
+	_ [1]struct{} = [mem.Write]struct{}{}
 )
 
 func (l *line) dirty() bool   { return l.tagbits&lineDirty != 0 }
@@ -80,7 +97,7 @@ func (l *line) tag() mem.Addr { return mem.Addr(l.tagbits >> tagShift) }
 
 // live reports whether the line is valid in the cache's current epoch.
 func (c *Cache) live(l *line) bool {
-	return l.tagbits&lineValid != 0 && l.tagbits>>epochShift&epochMask == c.epoch
+	return l.tagbits&(1<<tagShift-1)&^lineDirty == c.stamp
 }
 
 type set struct {
@@ -93,8 +110,8 @@ func New(cfg Config, parent memsys.Port) *Cache {
 	if cfg.LineSize <= 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
 		panic("cachesim: line size must be a positive power of two")
 	}
-	if cfg.Assoc <= 0 {
-		panic("cachesim: associativity must be positive")
+	if cfg.Assoc <= 0 || cfg.Assoc > 256 {
+		panic("cachesim: associativity must be in 1..256")
 	}
 	nLines := cfg.Size / cfg.LineSize
 	nSets := nLines / cfg.Assoc
@@ -124,7 +141,7 @@ func New(cfg Config, parent memsys.Port) *Cache {
 	// LLC has tens of thousands of sets, most of which a short simulation
 	// never references, and every system build constructs a fresh
 	// hierarchy.
-	c := &Cache{cfg: cfg, parent: parent, sets: make([]set, nSets), setMask: mem.Addr(nSets - 1)}
+	c := &Cache{cfg: cfg, parent: parent, sets: make([]set, nSets), setMask: mem.Addr(nSets - 1), stamp: lineValid}
 	for bits := cfg.LineSize; bits > 1; bits >>= 1 {
 		c.lineBits++
 	}
@@ -164,6 +181,31 @@ func (c *Cache) AccessOne(at vclock.Time, kind mem.AccessKind, addr mem.Addr) vc
 	return c.accessLine(at, kind, addr>>c.lineBits)
 }
 
+// Hit is an inlinable fast path for AccessOne: it looks only at the way
+// the line holding addr was last seen in (c.hint). If the line is there
+// it is touched exactly as AccessOne would touch it (hit count, LRU stamp,
+// dirty bit) and Hit reports true; the completion time would be
+// at+HitLatency. Otherwise — a miss, or a resident line whose hint was
+// overwritten by a line sharing its slot — Hit reports false and has
+// changed nothing, and the caller falls back to AccessOne.
+//
+//simlint:hotpath inlined into the CPU model's per-load/store loop
+func (c *Cache) Hit(kind mem.AccessKind, addr mem.Addr) bool {
+	lineAddr := addr >> c.lineBits
+	lines := c.sets[lineAddr&c.setMask].lines
+	way := int(c.hint[lineAddr%hintSlots])
+	if way >= len(lines) || lines[way].tagbits&^lineDirty != uint64(lineAddr)<<tagShift|c.stamp {
+		return false
+	}
+	c.Hits++
+	c.lruClock++
+	lines[way].lru = c.lruClock
+	// Branch-free dirty marking: loads and stores alternate at random, so
+	// a branch on kind would mispredict on the host.
+	lines[way].tagbits |= uint64(kind) * lineDirty
+	return true
+}
+
 func (c *Cache) accessLine(at vclock.Time, kind mem.AccessKind, lineAddr mem.Addr) vclock.Time {
 	s := &c.sets[lineAddr&c.setMask]
 	if s.lines == nil {
@@ -186,7 +228,7 @@ func (c *Cache) accessLine(at vclock.Time, kind mem.AccessKind, lineAddr mem.Add
 
 	// A hit must match address, epoch, and the valid bit in one compare;
 	// only the dirty bit may differ.
-	want := uint64(tag)<<tagShift | c.epoch<<epochShift | lineValid
+	want := uint64(tag)<<tagShift | c.stamp
 	for i := range s.lines {
 		l := &s.lines[i]
 		if l.tagbits&^lineDirty == want {
@@ -195,6 +237,7 @@ func (c *Cache) accessLine(at vclock.Time, kind mem.AccessKind, lineAddr mem.Add
 			if kind == mem.Write {
 				l.tagbits |= lineDirty
 			}
+			c.hint[lineAddr%hintSlots] = uint8(i)
 			return at.Add(c.cfg.HitLatency)
 		}
 	}
@@ -232,6 +275,7 @@ func (c *Cache) accessLine(at vclock.Time, kind mem.AccessKind, lineAddr mem.Add
 		tb |= lineDirty
 	}
 	*v = line{tagbits: tb, lru: c.lruClock}
+	c.hint[lineAddr%hintSlots] = uint8(victim)
 	return done
 }
 
@@ -277,8 +321,8 @@ var pool = struct {
 // back — the cache models timing only, and the caller is discarding the
 // whole simulated system. The cache must not be used after Recycle.
 func (c *Cache) Recycle() {
-	c.epoch++
-	if c.epoch > epochMask {
+	c.stamp += 1 << epochShift
+	if c.stamp>>epochShift > epochMask {
 		// Epoch exhausted: stale lines from 2^16 generations ago could
 		// alias the wrapped stamp, so retire this cache to the GC instead.
 		return

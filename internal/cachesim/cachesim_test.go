@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nexsim/internal/xrand"
+
 	"nexsim/internal/mem"
 	"nexsim/internal/memsys"
 	"nexsim/internal/vclock"
@@ -151,9 +153,10 @@ func TestMissRate(t *testing.T) {
 
 func TestBadGeometryPanics(t *testing.T) {
 	for _, cfg := range []Config{
-		{Size: 1024, LineSize: 60, Assoc: 2}, // line not power of two
-		{Size: 1024, LineSize: 64, Assoc: 0}, // zero assoc
-		{Size: 192, LineSize: 64, Assoc: 1},  // 3 sets
+		{Size: 1024, LineSize: 60, Assoc: 2},       // line not power of two
+		{Size: 1024, LineSize: 64, Assoc: 0},       // zero assoc
+		{Size: 192, LineSize: 64, Assoc: 1},        // 3 sets
+		{Size: 64 * 512, LineSize: 64, Assoc: 512}, // way index would not fit the hint table
 	} {
 		func() {
 			defer func() {
@@ -182,5 +185,107 @@ func TestLatencyProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// snapshot is everything about a cache a caller can observe.
+type snapshot struct{ hits, misses, evictions, writebacks, clock int64 }
+
+func observe(c *Cache) snapshot {
+	return snapshot{c.Hits, c.Misses, c.Evictions, c.Writebacks, c.lruClock}
+}
+
+// TestHitMatchesAccessOne drives two identical caches with one random
+// trace — one through AccessOne alone, one through Hit with AccessOne as
+// the fallback, the way the CPU model's memory pass does. They must stay
+// indistinguishable (stats, LRU clock, parent traffic and so dirty bits),
+// a true Hit must be exactly an AccessOne hit, and a false Hit must leave
+// the cache untouched.
+func TestHitMatchesAccessOne(t *testing.T) {
+	cfg := Config{Name: "hit", Size: 4096, LineSize: 64, Assoc: 4, HitLatency: 10 * vclock.Nanosecond}
+	refParent := &memsys.Counter{Inner: memsys.Fixed{Latency: 100 * vclock.Nanosecond}}
+	fastParent := &memsys.Counter{Inner: memsys.Fixed{Latency: 100 * vclock.Nanosecond}}
+	ref, fast := New(cfg, refParent), New(cfg, fastParent)
+	r := xrand.New(1)
+	probeHits := 0
+	for i := 0; i < 50_000; i++ {
+		// 96 hot lines in a 64-line cache, with a cold tail whose line
+		// addresses alias the hot lines' hint slots.
+		line := mem.Addr(r.Intn(96))
+		if r.Intn(8) == 0 {
+			line += mem.Addr(hintSlots * (1 + r.Intn(4)))
+		}
+		addr := line*64 + mem.Addr(r.Intn(64))
+		kind := mem.AccessKind(r.Intn(2))
+
+		want := ref.AccessOne(0, kind, addr)
+		before := observe(fast)
+		if fast.Hit(kind, addr) {
+			probeHits++
+			if want != vclock.Time(cfg.HitLatency) {
+				t.Fatalf("access %d: Hit reported a hit where AccessOne took %v", i, vclock.Duration(want))
+			}
+		} else {
+			if after := observe(fast); after != before {
+				t.Fatalf("access %d: a false Hit changed the cache: %+v -> %+v", i, before, after)
+			}
+			if got := fast.AccessOne(0, kind, addr); got != want {
+				t.Fatalf("access %d: fallback took %v, reference %v", i, vclock.Duration(got), vclock.Duration(want))
+			}
+		}
+		if a, b := observe(fast), observe(ref); a != b {
+			t.Fatalf("access %d: caches diverged: %+v vs %+v", i, a, b)
+		}
+		if *fastParent != *refParent {
+			t.Fatalf("access %d: parent traffic diverged: %+v vs %+v", i, *fastParent, *refParent)
+		}
+	}
+	if probeHits < int(ref.Hits)*9/10 {
+		t.Fatalf("the way hint found only %d of %d hits", probeHits, ref.Hits)
+	}
+}
+
+// TestHitSurvivesRecycle: a recycled cache keeps its hint table and its
+// old lines, but none of them may hit in the new epoch.
+func TestHitSurvivesRecycle(t *testing.T) {
+	cfg := Config{Name: "hit-recycle", Size: 1024, LineSize: 64, Assoc: 2, HitLatency: vclock.Nanosecond}
+	c := New(cfg, memsys.Fixed{})
+	for a := mem.Addr(0); a < 1024; a += 64 {
+		c.AccessOne(0, mem.Write, a)
+		if !c.Hit(mem.Read, a) {
+			t.Fatalf("line %#x not found right after its fill", a)
+		}
+	}
+	c.Recycle()
+	c2 := New(cfg, memsys.Fixed{})
+	if c2 != c {
+		t.Fatal("pool did not hand the recycled cache back")
+	}
+	for a := mem.Addr(0); a < 1024; a += 64 {
+		if c2.Hit(mem.Read, a) {
+			t.Fatalf("line %#x of the previous epoch hit after Recycle", a)
+		}
+	}
+	if c2.Hits != 0 || c2.Misses != 0 {
+		t.Fatalf("probing a recycled cache moved its stats: hits=%d misses=%d", c2.Hits, c2.Misses)
+	}
+	c2.AccessOne(0, mem.Read, 0x40)
+	if !c2.Hit(mem.Write, 0x40) || c2.Hits != 1 || c2.Misses != 1 {
+		t.Fatalf("recycled cache did not refill: hits=%d misses=%d", c2.Hits, c2.Misses)
+	}
+}
+
+// BenchmarkHit is the inlined probe on resident lines, the shape of the
+// CPU model's L1-hit path.
+func BenchmarkHit(b *testing.B) {
+	c := New(L1D, memsys.Fixed{})
+	for a := mem.Addr(0); a < 16<<10; a += 64 {
+		c.AccessOne(0, mem.Read, a)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !c.Hit(mem.AccessKind(i&1), mem.Addr(i*64)&(16<<10-1)) {
+			b.Fatal("resident line missed")
+		}
 	}
 }

@@ -14,6 +14,9 @@
 package cpu
 
 import (
+	"math"
+	"math/bits"
+
 	"nexsim/internal/cachesim"
 	"nexsim/internal/isa"
 	"nexsim/internal/mem"
@@ -125,6 +128,21 @@ type Model struct {
 	// serialize.
 	regReady [64]int64
 
+	// Block buffers of the Duration kernel: the PRNG draws, the latency of
+	// every instruction (sign bit set on a mispredicted branch; latencies
+	// are non-negative cycle counts, so the bit is free) and the block
+	// positions of the loads and stores.
+	xs     [blockLen]uint64
+	lats   [blockLen]int64
+	memIdx [blockLen]uint8
+
+	// latMemo caches memLat's hierarchy-latency → fp-cycle conversions.
+	latMemo [8]struct {
+		d   vclock.Duration
+		lat int64
+	}
+	memoN int
+
 	// Stats.
 	Instructions int64
 	Cycles       int64
@@ -159,36 +177,23 @@ func (m *Model) L1() *cachesim.Cache { return m.l1 }
 
 // Duration simulates the instruction stream of w and returns its modeled
 // execution time. This call burns host CPU proportional to w.Instr.
+//
+// The stream is simulated in blocks of blockLen instructions, each block
+// in three call-free passes (DESIGN.md §4.1): expand draws the PRNG stream
+// and classifies every instruction, memory sends the loads and stores
+// through the tag hierarchy in program order, retire runs the scoreboard
+// and the front end. Splitting is exact because neither the PRNG stream
+// nor the cache state ever depends on simulated time.
 func (m *Model) Duration(w isa.Work) vclock.Duration {
 	if w.Instr <= 0 {
 		return 0
 	}
 	cfg := m.cfg
 
-	const diceMax = 1 << 16
-	loadT := uint64(w.Mix.Load * diceMax)
-	storeT := loadT + uint64(w.Mix.Store*diceMax)
-	branchT := storeT + uint64(w.Mix.Branch*diceMax)
-	muldivT := branchT + uint64(w.Mix.MulDiv*diceMax)
-	predT := uint64(cfg.PredictAccuracy * diceMax)
-
-	ws := w.WorkingSet
-	if ws < 64 {
-		ws = 64
-	}
+	ws := max(w.WorkingSet, 64)
 	wsLines := uint64(ws / 64)
-	if wsLines == 0 {
-		wsLines = 1
-	}
 	// Locality: most accesses hit a hot subset that fits in L1.
-	hotLines := wsLines / 16
-	if hotLines > 256 {
-		hotLines = 256
-	}
-	if hotLines == 0 {
-		hotLines = 1
-	}
-	const hotFrac = 60293 // 92%
+	hotLines := min(max(wsLines/16, 1), 256)
 
 	// LLC residency behind the L2 tag model.
 	llcHit := 0.98
@@ -197,123 +202,209 @@ func (m *Model) Duration(w isa.Work) vclock.Duration {
 	}
 	m.back.llcHitP = uint64(llcHit * diceMax)
 
-	issueCost := int64(fp / cfg.IssueWidth)
-	aluLat := cfg.ALULat * fp
-	mulLat := cfg.MulDivLat * fp
-	minMemLat := cfg.L1Lat * fp
-	mispredFP := cfg.MispredictPenalty * fp
-	period := float64(cfg.Clock.Period())
-
-	// The tag arrays and the probabilistic backing never *read* the
-	// access timestamp — state evolution (LRU order, tags, dice) depends
-	// only on the access sequence, and the returned completion is the
-	// timestamp plus a chain of constant per-level durations. Memory
-	// accesses therefore issue at time 0 and the return value IS the
-	// latency, dropping the float64 time round-trip per access. The
-	// handful of distinct latency values a hierarchy can produce (L1
-	// hit, L2 hit, LLC, DRAM, ± writeback pacing) are memoized, so the
-	// remaining division runs once per distinct value instead of once
-	// per access. Both rewrites are cycle-exact: Time is integer
-	// picoseconds, so comp.Sub(at) == comp(0), and the memo stores the
-	// identical int64(float64(d)/period*fp) result it replaces.
-	var latMemo [8]struct {
-		d   vclock.Duration
-		lat int64
+	var k kernel
+	k.loadT = diceThreshold(w.Mix.Load)
+	k.storeT = min(k.loadT+diceThreshold(w.Mix.Store), diceMax)
+	k.branchT = min(k.storeT+diceThreshold(w.Mix.Branch), diceMax)
+	k.muldivT = min(k.branchT+diceThreshold(w.Mix.MulDiv), diceMax)
+	k.predT = diceThreshold(cfg.PredictAccuracy)
+	k.lines = [2]recip{newRecip(wsLines), newRecip(hotLines)}
+	alu, mul := cfg.ALULat*fp, cfg.MulDivLat*fp
+	hit := m.memLat(m.l1.Config().HitLatency)
+	k.classLat = [8]int64{alu, alu, mul, mul, alu | math.MinInt64, alu, hit, hit}
+	k.issueCost = int64(fp / cfg.IssueWidth)
+	// A mispredicted branch redirects the front end to issue+penalty, then
+	// consumes its own issue slot like every instruction.
+	if mp := cfg.MispredictPenalty * fp; k.issueCost > mp {
+		k.mispredStep = k.issueCost
+	} else {
+		k.mispredStep = mp + k.issueCost
 	}
-	memoN := 0
 
 	// Front-end position and retirement horizon, in fp cycles. The
 	// scoreboard is per-segment: each Duration call simulates an
 	// independent stretch of code.
 	m.regReady = [64]int64{}
-	front := int64(0)
-	maxRetire := int64(0)
-	x := w.Seed | 1
-
-	for i := int64(0); i < w.Instr; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		dice := x & (diceMax - 1)
-
-		// Two source registers and a destination, pseudo-random over the
-		// rename pool.
-		srcA := (x >> 17) & 63
-		srcB := (x >> 23) & 63
-		dst := (x >> 29) & 63
-
-		issue := front
-		if r := m.regReady[srcA]; r > issue {
-			issue = r
-		}
-		if r := m.regReady[srcB]; r > issue {
-			issue = r
-		}
-
-		var done int64
-		switch {
-		case dice < storeT: // load or store
-			var line uint64
-			if (x>>40)&(diceMax-1) < hotFrac {
-				line = (x >> 17) % hotLines
-			} else {
-				line = (x >> 17) % wsLines
-			}
-			kind := mem.Read
-			if dice >= loadT {
-				kind = mem.Write
-			}
-			d := vclock.Duration(m.l1.AccessOne(0, kind, mem.Addr(line*64)))
-			lat := int64(-1)
-			for j := 0; j < memoN; j++ {
-				if latMemo[j].d == d {
-					lat = latMemo[j].lat
-					break
-				}
-			}
-			if lat < 0 {
-				lat = int64(float64(d) / period * fp)
-				if memoN < len(latMemo) {
-					latMemo[memoN].d, latMemo[memoN].lat = d, lat
-					memoN++
-				}
-			}
-			if lat < minMemLat {
-				lat = minMemLat
-			}
-			done = issue + lat
-		case dice < branchT:
-			done = issue + aluLat
-			if (x>>24)&(diceMax-1) >= predT {
-				m.Mispredicts++
-				front = issue + mispredFP
-			}
-		case dice < muldivT:
-			done = issue + mulLat
-		default:
-			done = issue + aluLat
-		}
-
-		m.regReady[dst] = done
-		if done > maxRetire {
-			maxRetire = done
-		}
-		// Program-order front end: one issue slot consumed.
-		if issue+issueCost > front {
-			front = issue + issueCost
-		} else {
-			front += issueCost
-		}
+	k.x = w.Seed | 1
+	for left := w.Instr; left > 0; left -= blockLen {
+		n := int(min(left, blockLen))
+		m.memory(&k, m.expand(&k, n))
+		m.retire(&k, n)
 	}
 
-	total := maxRetire
-	if front > total {
-		total = front
-	}
-	cycles := total / fp
+	cycles := max(k.maxRetire, k.front) / fp
 	m.Instructions += w.Instr
 	m.Cycles += cycles
 	return cfg.Clock.CyclesDur(cycles)
+}
+
+const (
+	diceMax = 1 << 16
+	hotFrac = 60293 // 92% of memory operations go to the hot lines
+
+	// blockLen is the number of instructions per kernel block: 256, so a
+	// uint8 indexes the block buffers without a bounds check.
+	blockLen = 256
+)
+
+// diceThreshold converts an instruction-mix fraction into a 16-bit dice
+// threshold, saturating out-of-range (and NaN) fractions so the result
+// never depends on the platform's float→uint conversion of a negative or
+// oversized value.
+func diceThreshold(frac float64) uint64 {
+	v := frac * diceMax
+	if !(v > 0) {
+		return 0
+	}
+	if v >= diceMax {
+		return diceMax
+	}
+	return uint64(v)
+}
+
+// recip is an exact multiply-high replacement for n % d with a
+// loop-invariant d: q = mulhi(2n, m) >> s equals n/d for every n < 2^63.
+// For a power of two m is 2^63; otherwise m = ceil(2^(63+s)/d) with
+// 2^(s-1) < d < 2^s, whose rounding error e = m·d − 2^(63+s) < d keeps
+// n·e below 2^(63+s), so the product's floor cannot cross a multiple of d.
+type recip struct {
+	m, d uint64
+	s    uint
+}
+
+func newRecip(d uint64) recip {
+	t := uint(bits.Len64(d)) - 1
+	if d&(d-1) == 0 {
+		return recip{m: 1 << 63, d: d, s: t}
+	}
+	q, _ := bits.Div64(1<<t, 0, d)
+	return recip{m: q + 1, d: d, s: t + 1}
+}
+
+func (r *recip) mod(n uint64) uint64 {
+	hi, _ := bits.Mul64(n<<1, r.m)
+	return n - hi>>(r.s&63)*r.d
+}
+
+// kernel holds one Duration call's loop invariants and the PRNG and
+// front-end state carried from block to block.
+type kernel struct {
+	loadT, storeT, branchT, muldivT, predT uint64
+	lines                                  [2]recip // [0] whole working set, [1] hot subset
+	// classLat is indexed by class<<1 | predicted: the latency of an ALU,
+	// mul/div, branch (sign bit set when mispredicted) or L1-hit memory
+	// instruction.
+	classLat               [8]int64
+	issueCost, mispredStep int64
+	x                      uint64
+	front, maxRetire       int64
+}
+
+// expand draws the next n values of the PRNG stream into xs, prefills
+// lats with each instruction's class latency (an L1 hit for loads and
+// stores, with mispredicted branches flagged), and collects the block
+// positions of the memory operations in memIdx, returning how many there
+// are. Everything is arithmetic
+// on comparison sign bits: the instruction class is a coin flip per
+// instruction, so a branch on it would mispredict on the host.
+//
+//simlint:hotpath runs once per simulated instruction
+func (m *Model) expand(k *kernel, n int) int {
+	storeT, branchT, muldivT, predT := k.storeT, k.branchT, k.muldivT, k.predT
+	xs, lats := m.xs[:n], m.lats[:n]
+	x, nMem := k.x, 0
+	for i := range xs {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		xs[i] = x
+		dice := x & (diceMax - 1)
+		// Each term is 1 when dice is below the threshold, so the sum is
+		// the class: 0 ALU, 1 mul/div, 2 branch, 3 load or store.
+		isMem := (dice - storeT) >> 63
+		class := isMem + (dice-branchT)>>63 + (dice-muldivT)>>63
+		predicted := ((x>>24)&(diceMax-1) - predT) >> 63
+		lats[i] = k.classLat[(class<<1|predicted)&7]
+		m.memIdx[uint8(nMem)] = uint8(i)
+		nMem += int(isMem)
+	}
+	k.x = x
+	return nMem
+}
+
+// memory sends the block's loads and stores through the tag hierarchy in
+// program order. The common case, an L1 hit found through the cache's
+// way hint, is the inlined probe and nothing else (its latency is already
+// in lats); anything else takes the full lookup, which on a miss rewrites
+// the instruction's latency.
+//
+//simlint:hotpath runs once per simulated load or store
+func (m *Model) memory(k *kernel, nMem int) {
+	l1, loadT := m.l1, k.loadT
+	for _, i := range m.memIdx[:nMem] {
+		x := m.xs[i]
+		hot := ((x>>40)&(diceMax-1) - hotFrac) >> 63
+		addr := mem.Addr(k.lines[hot].mod(x>>17) * 64)
+		kind := mem.Read
+		if x&(diceMax-1) >= loadT {
+			kind = mem.Write
+		}
+		if l1.Hit(kind, addr) {
+			continue
+		}
+		m.lats[i] = m.memLat(vclock.Duration(l1.AccessOne(0, kind, addr)))
+	}
+}
+
+// memLat converts a hierarchy latency into fp cycles, floored at the
+// pipeline's minimum load-to-use latency. The tag arrays and the
+// probabilistic backing never read the access timestamp, so accesses
+// issue at time 0 and the returned completion time IS the latency; the
+// handful of distinct values a hierarchy can produce (L1 hit, L2 hit,
+// LLC, DRAM, ± writeback pacing) are memoized, so the float division runs
+// once per distinct value instead of once per miss.
+func (m *Model) memLat(d vclock.Duration) int64 {
+	for j := range m.latMemo[:m.memoN] {
+		if m.latMemo[j].d == d {
+			return m.latMemo[j].lat
+		}
+	}
+	lat := max(int64(float64(d)/float64(m.cfg.Clock.Period())*fp), m.cfg.L1Lat*fp)
+	if m.memoN < len(m.latMemo) {
+		m.latMemo[m.memoN].d, m.latMemo[m.memoN].lat = d, lat
+		m.memoN++
+	}
+	return lat
+}
+
+// retire runs the block through the register scoreboard and the
+// program-order front end. The mispredict is the only branch: every
+// other choice is a max().
+//
+//simlint:hotpath runs once per simulated instruction
+func (m *Model) retire(k *kernel, n int) {
+	front, maxRetire := k.front, k.maxRetire
+	issueCost, mispredStep := k.issueCost, k.mispredStep
+	lats := m.lats[:n]
+	for i, x := range m.xs[:n] {
+		// Two source registers and a destination, pseudo-random over the
+		// rename pool.
+		ready := max(m.regReady[(x>>17)&63], m.regReady[(x>>23)&63])
+		issue := max(front, ready)
+		// Program-order front end: one issue slot consumed (issue never
+		// trails front, so the slot always starts at issue).
+		front = issue + issueCost
+		lat := lats[i]
+		if lat < 0 {
+			lat &= math.MaxInt64
+			m.Mispredicts++
+			front = issue + mispredStep
+		}
+		done := issue + lat
+		m.regReady[(x>>29)&63] = done
+		maxRetire = max(maxRetire, done)
+	}
+	k.front, k.maxRetire = front, maxRetire
 }
 
 // IPC reports the cumulative modeled instructions per cycle.

@@ -90,11 +90,32 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func BenchmarkDuration1M(b *testing.B) {
-	m := New(Config{})
-	w := work(1_000_000, isa.DefaultMix, 1<<20)
+// durationShapes mirror the probe shapes of simbench's
+// cpu.ns_per_instr.{l1,l2,mem}: working sets that fit the modeled L1, fit
+// the modeled L2, and fit neither.
+var durationShapes = map[string]isa.Work{
+	"L1":  {Instr: 200_000, Mix: isa.DefaultMix, WorkingSet: 16 << 10, IPCNative: 1.5, Seed: 7},
+	"L2":  {Instr: 200_000, Mix: isa.MemHeavyMix, WorkingSet: 512 << 10, IPCNative: 1.5, Seed: 7},
+	"Mem": {Instr: 200_000, Mix: isa.ComputeMix, WorkingSet: 8 << 20, IPCNative: 1.5, Seed: 7},
+}
+
+func benchDuration(b *testing.B, shape string, run func(*Model, isa.Work) vclock.Duration) {
+	m, w := New(Config{}), durationShapes[shape]
+	run(m, w) // warm the tag arrays
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Duration(w)
+		run(m, w)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w.Instr), "ns/instr")
 }
+
+func BenchmarkDurationL1(b *testing.B)  { benchDuration(b, "L1", (*Model).Duration) }
+func BenchmarkDurationL2(b *testing.B)  { benchDuration(b, "L2", (*Model).Duration) }
+func BenchmarkDurationMem(b *testing.B) { benchDuration(b, "Mem", (*Model).Duration) }
+
+// The replaced per-instruction loop on the same shapes, for a same-process
+// comparison.
+func BenchmarkDurationRefL1(b *testing.B)  { benchDuration(b, "L1", refDuration) }
+func BenchmarkDurationRefL2(b *testing.B)  { benchDuration(b, "L2", refDuration) }
+func BenchmarkDurationRefMem(b *testing.B) { benchDuration(b, "Mem", refDuration) }

@@ -153,6 +153,10 @@ func warmPrefix(b workloads.Bench, cfg core.Config) ([]byte, error) {
 		if _, completed := psys.RunPrefix(b.Build(&psys.Ctx)); completed {
 			return nil, nil
 		}
+		// The prefix halted mid-program, so its threads are parked, not
+		// finished: reap them once the snapshot is taken, or every cold
+		// prefix leaks their goroutines and the heap they pin.
+		defer psys.Reap()
 		return psys.Checkpoint()
 	})
 	return blob, err

@@ -276,3 +276,42 @@ func TestBudgetAbortNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestWarmPrefixNoGoroutineLeak: a cold prefix-sharing sweep halts its
+// prefix system mid-program to snapshot it; the halted system's parked
+// thread goroutines must be reaped, not left behind with the heap they
+// pin, so repeated cold sweeps return to the starting goroutine count.
+func TestWarmPrefixNoGoroutineLeak(t *testing.T) {
+	oldCk := CheckpointsEnabled()
+	SetCheckpoints(true)
+	defer func() {
+		SetCheckpoints(oldCk)
+		ResetCheckpointStore()
+	}()
+	var family []Spec
+	for _, lat := range []int64{400, 100, 25} {
+		family = append(family, Spec{Bench: "protoacc-bench0", LinkLatencyNS: lat})
+	}
+	coldSweep := func() {
+		ResetCheckpointStore()
+		if _, err := RunSpecs(family); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coldSweep() // lazily-started machinery resident before the baseline
+	if ckptStore.Stats().Misses == 0 {
+		t.Fatal("sweep computed no prefix: the family does not exercise warmPrefix")
+	}
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		coldSweep()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked by cold prefix sweeps: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
