@@ -47,23 +47,12 @@ chaos:
 	go test -count=1 -race -run 'TestTransient|TestRetry|TestBudget|TestHedge|TestWAL' ./internal/simserve/
 
 # Micro-benchmark suite (LPN engine incremental-vs-reference, simbricks
-# channel) at a stable sampling time, a smoke pass over every other
-# registered benchmark, then the full paper experiment run with a JSON
-# report. BENCH_pr3.json is committed as the perf baseline for the
-# incremental enabled-set engine; BENCH_pr10.json is the current
-# wall-time baseline, recorded at -intra 4 (GOMAXPROCS pinned so the
-# stepper lanes are real on single-core CI) and consumed by bench-gate.
+# channel) at a stable sampling time, then a smoke pass over every other
+# registered benchmark. End-to-end performance is `bash bench/run.sh`
+# (BENCHMARK.json), the one baseline.
 bench:
 	go test -run xxx -bench . -benchtime 100ms ./internal/lpn/ ./internal/simbricks/
 	go test -run xxx -bench . -benchtime 1x ./...
-	GOMAXPROCS=4 go run ./cmd/paperbench -exp all -parallel 1 -intra 4 -checkpoints -json BENCH_pr10.json
-
-# Wall-time regression gate against the committed benchmark baseline:
-# re-runs every table in BENCH_pr10.json and fails on any >1.5x slowdown
-# (knobs: BASELINE/TOL/PARALLEL/INTRA). Opt-in — wall times are too
-# machine-dependent for `make check`.
-bench-gate:
-	sh scripts/bench_gate.sh
 
 # CPU-model kernel micro-benchmarks: ns per simulated instruction on the
 # three shapes of simbench's cpu.ns_per_instr probes (working set fits
@@ -72,9 +61,14 @@ bench-gate:
 bench-cpu:
 	go test -run '^$$' -bench 'Duration(Ref)?(L1|L2|Mem)$$' -benchtime 50x ./internal/cpu | grep -E 'ns/instr|^cpu:'
 
+# Simulated-thread switch cost: ns per engine → thread → engine round
+# trip (one Resume and the Yield that answers it), 0 allocs/op.
+bench-coro:
+	go test -run '^$$' -bench Switch -benchtime 1000000x -count 3 ./internal/coro | grep -E 'Benchmark|^cpu:'
+
 # Conservative-parallel determinism smoke: -intra 1 vs -intra 4 tables
 # and chrome traces byte-identical. check.sh runs this too.
 intra-smoke:
 	sh scripts/intra_smoke.sh
 
-.PHONY: lint check bench bench-gate bench-cpu intra-smoke serve-smoke crash-smoke cluster-smoke chaos
+.PHONY: lint check bench bench-cpu bench-coro intra-smoke serve-smoke crash-smoke cluster-smoke chaos

@@ -30,6 +30,11 @@ go test -run '^$' -bench 'Duration|Hit' -benchtime 1x ./internal/cpu ./internal/
 go build -gcflags=-m ./internal/cpu 2>&1 | grep -q 'inlining call to cachesim.(\*Cache).Hit'
 go test -run '^$' -fuzz FuzzDurationMatchesReference -fuzztime 10s ./internal/cpu
 
+# Simulated-thread switch (DESIGN.md §4): the benchmark compiles and
+# executes once; its zero-allocation and lifecycle tests (kill, panic,
+# cross-goroutine resume) run in the passes above and below.
+go test -run '^$' -bench Switch -benchtime 1x ./internal/coro
+
 # Race-mode pass over the full tree (cmd/ and examples/ included, not
 # just internal/): the sweep executor, the engines' shared memo caches,
 # the simserve worker pool, and now the parsim device-stepper lanes are
@@ -73,7 +78,5 @@ sh scripts/crash_smoke.sh
 sh scripts/cluster_smoke.sh
 
 # Wall-time regression gating is deliberately NOT part of this tier-1
-# gate: wall clocks are machine- and load-dependent, so the benchmark
-# baseline comparison is opt-in via `make bench-gate` (per-table
-# tolerance against the committed BENCH_pr10.json; see
-# scripts/bench_gate.sh).
+# gate: wall clocks are machine- and load-dependent. Performance is
+# measured by the standing benchmark, `bash bench/run.sh`.

@@ -10,8 +10,9 @@ import (
 // logical thread of control, and the sweep executor is the only
 // sanctioned axis of parallelism (across fully independent runs). A
 // goroutine or a racing select inside an engine reintroduces scheduler
-// nondeterminism. internal/coro's synchronous channel handshake is the
-// one annotated exception — control never runs concurrently there.
+// nondeterminism. Simulated threads need no exception: internal/coro
+// runs them as runtime coroutines (iter.Pull), which contain no `go`
+// statement and never run concurrently with the engine.
 var strayGoroutineChecker = &Checker{
 	ID:  "stray-goroutine",
 	Doc: "go statements / multi-clause selects outside internal/sweep",

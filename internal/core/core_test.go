@@ -2,9 +2,12 @@ package core_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"nexsim/internal/app"
 	"nexsim/internal/core"
+	"nexsim/internal/faults"
 	"nexsim/internal/interconnect"
 	"nexsim/internal/vclock"
 	"nexsim/internal/workloads"
@@ -141,5 +144,43 @@ func TestReferenceDeterminism(t *testing.T) {
 	b := runBench(t, "vta-matmul", core.HostReference, core.AccelRTL)
 	if a.SimTime != b.SimTime {
 		t.Fatalf("reference nondeterministic: %v vs %v", a.SimTime, b.SimTime)
+	}
+}
+
+// A panic in a thread body surfaces on the goroutine that called TryRun,
+// with its original value (an injected fault stays recognisable), and
+// Reap afterwards unwinds the threads the run left parked.
+func TestThreadPanicPropagatesAndReaps(t *testing.T) {
+	// No subtests: a finished subtest's goroutine exits asynchronously
+	// and would perturb the next one's count.
+	for _, host := range []core.HostKind{core.HostNEX, core.HostGem5, core.HostReference} {
+		before := runtime.NumGoroutine()
+		sys := core.Build(core.Config{Host: host, Accel: core.AccelDSim, Model: core.AccelJPEG, Seed: 1})
+		fault := &faults.Injected{Site: "thread-body", Op: faults.OpFail}
+		prog := app.Program{Name: "faulty", Main: func(e app.Env) {
+			e.Spawn("sleeper", func(e app.Env) { e.Park() })
+			e.Spawn("faulty", func(e app.Env) {
+				e.ComputeFor(vclock.Microsecond)
+				panic(fault)
+			})
+			e.Park()
+		}}
+		func() {
+			defer func() {
+				r := recover()
+				if r != any(fault) || !faults.IsInjected(r) {
+					t.Fatalf("%s: TryRun raised %v, want the thread's injected fault", host, r)
+				}
+			}()
+			sys.TryRun(prog)
+			t.Fatalf("%s: TryRun returned from a run whose thread panicked", host)
+		}()
+		if n := runtime.NumGoroutine(); n != before+2 {
+			t.Fatalf("%s: %d goroutines after the panic, want %d (main and sleeper parked)", host, n, before+2)
+		}
+		sys.Reap()
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("%s: %d goroutines after Reap, want %d", host, n, before)
+		}
 	}
 }

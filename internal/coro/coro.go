@@ -1,15 +1,17 @@
 // Package coro provides the deterministic coroutine machinery on which
 // host engines run simulated application threads.
 //
-// Each simulated thread is a goroutine that is *never* runnable at the
-// same time as the engine: control passes synchronously between the
-// engine's event loop and exactly one thread at a time through a
-// channel handshake. The result is a single logical thread of control,
-// so simulations are deterministic regardless of GOMAXPROCS.
+// Each simulated thread is a runtime coroutine (iter.Pull) that is
+// *never* runnable at the same time as the engine: Resume and Yield
+// switch directly between the engine's event loop and exactly one thread
+// at a time, on the same OS thread, without passing through the Go
+// scheduler. The result is a single logical thread of control, so
+// simulations are deterministic regardless of GOMAXPROCS.
 package coro
 
 import (
 	"fmt"
+	"iter"
 
 	"nexsim/internal/isa"
 	"nexsim/internal/vclock"
@@ -89,12 +91,16 @@ type Thread struct {
 	// Data is engine-private per-thread state.
 	Data any
 
-	fn      func()
-	req     chan Request
-	resume  chan struct{}
-	started bool
-	exited  bool
-	killed  bool
+	fn func()
+	// next/stop drive the coroutine and are nil until the first Resume;
+	// yield is the coroutine's side of the same switch.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// req carries the pending request across the switch, so the switch
+	// itself moves no data.
+	req    Request
+	exited bool
 
 	// Spawn handshake: the engine places the new thread here before
 	// resuming the spawner.
@@ -104,95 +110,84 @@ type Thread struct {
 // NewThread creates a thread that will run fn when first resumed. The
 // engine assigns IDs.
 func NewThread(id int, name string, fn func()) *Thread {
-	return &Thread{
-		ID:     id,
-		Name:   name,
-		fn:     fn,
-		req:    make(chan Request),
-		resume: make(chan struct{}),
-	}
+	return &Thread{ID: id, Name: name, fn: fn}
 }
 
 // Resume transfers control to the thread until its next request. It
 // panics if called on an exited thread — that is always an engine bug.
+// A panic in the thread body surfaces here, on the caller's goroutine,
+// with its original value, and leaves the thread exited.
+//
+//simlint:hotpath one call per NEX thread-epoch, trap and exacthost yield
 func (t *Thread) Resume() Request {
+	if t.exited || t.next == nil {
+		t.start()
+	}
+	t.next()
+	return t.req
+}
+
+// start is Resume's cold path: the exited check and the lazy creation of
+// the coroutine, so a thread that is never resumed costs no goroutine.
+func (t *Thread) start() {
 	if t.exited {
 		panic(fmt.Sprintf("coro: resume of exited thread %s", t.Name))
 	}
-	if !t.started {
-		t.started = true
-		// Synchronous handoff: the new goroutine blocks on t.resume until
-		// the engine yields to it, so engine and thread never run at once.
-		go t.run() //simlint:allow stray-goroutine deterministic channel handshake
-	}
-	t.resume <- struct{}{}
-	r := <-t.req
-	if r.Op == OpExit {
-		t.exited = true
-	}
-	return r
+	t.next, t.stop = iter.Pull(t.run)
 }
 
-func (t *Thread) run() {
+// run is the coroutine body. However fn ends — return, Kill unwind or a
+// real panic — the thread is exited before control is back in the
+// engine; only the kill sentinel is swallowed, any other panic value
+// travels on through iter.Pull and out of Resume.
+func (t *Thread) run(yield func(struct{}) bool) {
+	t.yield = yield
 	defer func() {
+		t.exited = true
+		t.req = Request{Op: OpExit}
 		if r := recover(); r != nil {
 			if _, ok := r.(killSentinel); !ok {
-				// A real panic in the thread body: crash the process, as an
-				// unrecovered goroutine panic always did.
 				panic(r)
 			}
 		}
-		t.req <- Request{Op: OpExit}
 	}()
-	<-t.resume
-	if t.killed {
-		panic(killSentinel{})
-	}
 	t.fn()
 }
 
 // Yield hands a request to the engine and blocks until resumed. It must
-// only be called from within the thread's own goroutine (i.e. from Env
+// only be called from within the thread's own coroutine (i.e. from Env
 // method implementations).
+//
+//simlint:hotpath the thread side of every Resume
 func (t *Thread) Yield(r Request) {
-	if t.killed {
-		// Unwinding from Kill: a deferred function in the thread body
-		// tried to yield again. Keep unwinding instead of handing the
-		// engine a request it will never process.
-		panic(killSentinel{})
-	}
-	t.req <- r
-	<-t.resume
-	if t.killed {
+	t.req = r
+	if !t.yield(struct{}{}) {
+		// Kill stopped the coroutine: unwind the body. yield keeps
+		// returning false from here on, so a deferred function that
+		// yields again keeps unwinding instead of handing the engine a
+		// request it will never process.
 		panic(killSentinel{})
 	}
 }
 
-// killSentinel is the panic value Kill injects into a parked thread's
-// goroutine to unwind it; run() recovers it (and only it).
+// killSentinel is the panic value that unwinds a killed thread's body;
+// run recovers it (and only it).
 type killSentinel struct{}
 
-// Kill force-terminates the thread: a started, not-yet-exited thread is
-// resumed one last time with the kill flag set, unwinds via a recovered
-// sentinel panic, and reports OpExit. Engines call it when abandoning a
-// run mid-flight (budget aborts) so no goroutine is left blocked on the
-// handshake channel. Must be called from the engine side, with the
-// thread parked in Yield/first-resume (the only states a non-running
-// thread can be in). Safe on exited or never-started threads.
+// Kill force-terminates the thread: stopping the coroutine makes the
+// Yield it is parked in return false, the body unwinds via a recovered
+// sentinel panic (deferred functions run) and the coroutine's goroutine
+// ends. Engines call it when abandoning a run mid-flight (budget
+// aborts) so no coroutine is left parked. Must be called from the engine
+// side, with the thread parked in Yield (the only state a started,
+// non-running thread can be in). Safe on exited or never-started
+// threads, which have no coroutine to unwind.
 func (t *Thread) Kill() {
 	if t.exited {
 		return
 	}
-	t.killed = true
-	if !t.started {
-		// No goroutine exists yet; nothing to unwind.
-		t.exited = true
-		return
-	}
-	t.resume <- struct{}{}
-	r := <-t.req
-	if r.Op != OpExit {
-		panic(fmt.Sprintf("coro: killed thread %s yielded %v instead of exiting", t.Name, r.Op))
+	if t.stop != nil {
+		t.stop()
 	}
 	t.exited = true
 }

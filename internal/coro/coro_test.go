@@ -1,6 +1,8 @@
 package coro
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"nexsim/internal/vclock"
@@ -172,3 +174,124 @@ func TestKillThreadWhoseDeferYields(t *testing.T) {
 }
 
 var th3ref *Thread
+
+// parkLoop returns a started thread parked in its first Yield; its body
+// yields OpPark forever.
+func parkLoop(tb testing.TB) *Thread {
+	var th *Thread
+	th = NewThread(0, "loop", func() {
+		for {
+			th.Yield(Request{Op: OpPark})
+		}
+	})
+	if r := th.Resume(); r.Op != OpPark {
+		tb.Fatalf("expected park, got %v", r.Op)
+	}
+	return th
+}
+
+// BenchmarkSwitch reports the cost of one engine → thread → engine round
+// trip (a Resume and the Yield that answers it).
+func BenchmarkSwitch(b *testing.B) {
+	th := parkLoop(b)
+	defer th.Kill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Resume()
+	}
+}
+
+func TestSwitchDoesNotAllocate(t *testing.T) {
+	th := parkLoop(t)
+	defer th.Kill()
+	if n := testing.AllocsPerRun(1000, func() { th.Resume() }); n != 0 {
+		t.Fatalf("Resume+Yield round trip allocates %v times, want 0", n)
+	}
+}
+
+func TestBodyPanicSurfacesAtResume(t *testing.T) {
+	boom := errors.New("boom")
+	var th *Thread
+	th = NewThread(0, "faulty", func() {
+		th.Yield(Request{Op: OpPark})
+		panic(boom)
+	})
+	th.Resume()
+	base := runtime.NumGoroutine() // includes the parked coroutine
+	func() {
+		defer func() {
+			if r := recover(); r != boom {
+				t.Fatalf("Resume re-raised %v, want the body's own panic value", r)
+			}
+		}()
+		th.Resume()
+		t.Fatal("Resume returned from a panicking body")
+	}()
+	if !th.Exited() {
+		t.Fatal("thread whose body panicked is not exited")
+	}
+	th.Kill() // what an engine's Reap does next: must be a no-op
+	if n := runtime.NumGoroutine(); n != base-1 {
+		t.Fatalf("%d goroutines after the panic, want %d (coroutine gone)", n, base-1)
+	}
+}
+
+func TestKillManyParkedThreadsLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	unwound := 0
+	threads := make([]*Thread, 64)
+	for i := range threads {
+		var th *Thread
+		th = NewThread(i, "parked", func() {
+			defer func() { unwound++ }()
+			th.Yield(Request{Op: OpPark})
+		})
+		threads[i] = th
+		th.Resume()
+	}
+	if n := runtime.NumGoroutine(); n != base+len(threads) {
+		t.Fatalf("%d goroutines with %d threads parked, want %d", n, len(threads), base+len(threads))
+	}
+	for _, th := range threads {
+		th.Kill()
+		th.Kill() // already killed: idempotent
+	}
+	if unwound != len(threads) {
+		t.Fatalf("%d of %d bodies unwound", unwound, len(threads))
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after Kill, want %d", n, base)
+	}
+}
+
+// A thread started on one goroutine and resumed from another after a
+// channel handoff: what RestoreCheckpoint → ResumeRun and the simserve
+// workers do with a whole engine.
+func TestResumeFromAnotherGoroutine(t *testing.T) {
+	steps := 0
+	var th *Thread
+	th = NewThread(0, "migrant", func() {
+		for i := 0; i < 3; i++ {
+			steps++
+			th.Yield(Request{Op: OpSleep, Dur: vclock.Duration(i)})
+		}
+	})
+	if r := th.Resume(); r.Dur != 0 {
+		t.Fatalf("first request = %+v", r)
+	}
+	handoff := make(chan *Thread)
+	done := make(chan []Request)
+	go func() {
+		th := <-handoff
+		done <- []Request{th.Resume(), th.Resume(), th.Resume()}
+	}()
+	handoff <- th
+	got := <-done
+	if got[0].Dur != 1 || got[1].Dur != 2 || got[2].Op != OpExit {
+		t.Fatalf("requests seen from the second goroutine = %+v", got)
+	}
+	if steps != 3 || !th.Exited() {
+		t.Fatalf("steps = %d, exited = %v", steps, th.Exited())
+	}
+}

@@ -15,6 +15,8 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"nexsim/internal/app"
 	"nexsim/internal/core"
@@ -32,8 +34,10 @@ type Bench struct {
 	Build func(ctx *core.Ctx) app.Program
 }
 
-// Catalog returns all named benchmarks.
-func Catalog() []Bench {
+// catalog builds the benchmark list and its name index once: ByName sits
+// on every Spec.Normalized, i.e. on every served request, and the list
+// never changes after start-up.
+var catalog = sync.OnceValues(func() ([]Bench, map[string]Bench) {
 	var all []Bench
 	all = append(all, VTABenches()...)
 	all = append(all, ProtoaccBenches()...)
@@ -49,15 +53,24 @@ func Catalog() []Bench {
 			return CPUInferenceProgram(VTAConfig{Network: "resnet50", Seed: 13, ChannelScale: 2}, ctx)
 		},
 	})
-	return all
+	byName := make(map[string]Bench, len(all))
+	for _, b := range all {
+		byName[b.Name] = b // names are unique (TestCatalogIntegrity)
+	}
+	return all, byName
+})
+
+// Catalog returns all named benchmarks, in a slice the caller owns.
+func Catalog() []Bench {
+	all, _ := catalog()
+	return slices.Clone(all)
 }
 
 // ByName finds a benchmark.
 func ByName(name string) (Bench, error) {
-	for _, b := range Catalog() {
-		if b.Name == name {
-			return b, nil
-		}
+	_, byName := catalog()
+	if b, ok := byName[name]; ok {
+		return b, nil
 	}
 	return Bench{}, fmt.Errorf("workloads: unknown benchmark %q", name)
 }

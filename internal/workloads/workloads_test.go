@@ -29,6 +29,32 @@ func TestCatalogIntegrity(t *testing.T) {
 	}
 }
 
+func TestCatalogBuiltOnce(t *testing.T) {
+	a, b := Catalog(), Catalog()
+	if len(a) != len(b) {
+		t.Fatalf("catalog sizes differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name || a[i].Model != b[i].Model ||
+			a[i].Devices != b[i].Devices || a[i].Threads != b[i].Threads {
+			t.Fatalf("entry %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+	// A caller reordering its copy must not reach the shared catalog.
+	last := a[len(a)-1].Name
+	a[0], a[len(a)-1] = a[len(a)-1], a[0]
+	if c := Catalog(); c[0].Name != b[0].Name || c[len(c)-1].Name != last {
+		t.Fatal("Catalog() handed out the shared slice")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ByName(last); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ByName allocates %v times per lookup, want 0", n)
+	}
+}
+
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("definitely-not-a-benchmark"); err == nil {
 		t.Fatal("unknown benchmark accepted")
