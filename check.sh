@@ -17,6 +17,11 @@ go run ./cmd/simlint
 # assert identical findings and a >=3x warm speedup (DESIGN.md §5.5).
 sh scripts/lint_cache_smoke.sh
 
+# No production source file over 900 lines (ROADMAP: "no 900-line
+# files"); a file that big is several concerns that want separate files.
+find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + |
+	awk '$2 != "total" && $1 > 900 { print "over 900 lines:", $2, $1; bad = 1 } END { exit bad }'
+
 go build ./...
 go test ./...
 
@@ -29,6 +34,13 @@ go test ./...
 go test -run '^$' -bench 'Duration|Hit' -benchtime 1x ./internal/cpu ./internal/cachesim
 go build -gcflags=-m ./internal/cpu 2>&1 | grep -q 'inlining call to cachesim.(\*Cache).Hit'
 go test -run '^$' -fuzz FuzzDurationMatchesReference -fuzztime 10s ./internal/cpu
+
+# Trust-boundary decoders (ROADMAP item 4a): ten seconds each of garbage
+# at the job API's submit decoder and at the hot-set promotion path must
+# produce errors, never a panic or an accepted entry its content address
+# does not vouch for.
+go test -run '^$' -fuzz FuzzDecodeSubmit -fuzztime 10s ./internal/jobapi
+go test -run '^$' -fuzz FuzzPromote -fuzztime 10s ./internal/simserve
 
 # Simulated-thread switch (DESIGN.md §4): the benchmark compiles and
 # executes once; its zero-allocation and lifecycle tests (kill, panic,

@@ -31,24 +31,9 @@ import (
 	"strings"
 	"time"
 
-	"nexsim/internal/cluster"
 	"nexsim/internal/experiments"
 	"nexsim/internal/sweep"
 )
-
-// serving pseudo-experiments: benchmarks of the serving tiers above the
-// engines (internal/simserve, internal/cluster) rather than paper
-// tables. They run last under -exp all so the engine tables keep their
-// paper order, and report through the same -json machinery.
-func servingExperiments() []experiments.Experiment {
-	return []experiments.Experiment{
-		{
-			ID:    "clustersweep",
-			Title: "Cluster: cached sweep through a 3-shard router vs direct simd",
-			Run:   cluster.BenchClusterSweep,
-		},
-	}
-}
 
 // jsonEntry is one experiment's record in the -json report. Parallel,
 // Intra and GoVersion record the run environment: wall times are only
@@ -87,7 +72,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, e := range append(experiments.All(), servingExperiments()...) {
+		for _, e := range experiments.All() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
 		}
 		return
@@ -150,19 +135,11 @@ func main() {
 	}
 
 	if *exp == "all" {
-		for _, e := range append(experiments.All(), servingExperiments()...) {
+		for _, e := range experiments.All() {
 			run(e)
 		}
 	} else {
 		e, err := experiments.ByID(*exp)
-		if err != nil {
-			for _, se := range servingExperiments() {
-				if se.ID == *exp {
-					e, err = se, nil
-					break
-				}
-			}
-		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

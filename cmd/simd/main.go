@@ -21,17 +21,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"nexsim/internal/jobapi"
 	"nexsim/internal/simserve"
 )
 
@@ -93,21 +90,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simd:", err)
-		os.Exit(1)
-	}
-	bound := ln.Addr().String()
-	if *portFile != "" {
-		if err := os.WriteFile(*portFile, []byte(bound), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "simd:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "simd: listening on %s (workers=%d queue=%d cache=%d)\n",
-		bound, srv.Workers(), *backlog, *cacheEntries)
-
 	handler := srv.Handler()
 	if *pprofOn {
 		// Keep the default mux out of it: mount the pprof handlers on an
@@ -121,34 +103,13 @@ func main() {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	httpSrv := &http.Server{Handler: handler}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintln(os.Stderr, "simd:", err)
-		os.Exit(1)
-	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "simd: %s — draining\n", got)
-	}
-
-	// Stop accepting connections, then drain in-flight simulations.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "simd: shutdown:", err)
-	}
-	srv.Close()
-	if *portFile != "" {
-		// Remove the advertisement so wrappers polling the file do not
-		// connect to a dead (or recycled) address after we exit.
-		if err := os.Remove(*portFile); err != nil && !os.IsNotExist(err) {
-			fmt.Fprintln(os.Stderr, "simd:", err)
-		}
-	}
-	fmt.Fprintln(os.Stderr, "simd: drained, exiting")
+	os.Exit(jobapi.Daemon{
+		Name:     "simd",
+		Addr:     *addr,
+		PortFile: *portFile,
+		Banner:   fmt.Sprintf(" (workers=%d queue=%d cache=%d)", srv.Workers(), *backlog, *cacheEntries),
+		Handler:  handler,
+		Drain:    *drainTimeout,
+		Close:    srv.Close, // drains queued and in-flight simulations
+	}.Run())
 }

@@ -20,19 +20,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"nexsim/internal/cluster"
+	"nexsim/internal/jobapi"
 )
 
 func main() {
@@ -57,7 +53,7 @@ func main() {
 		readmitOKs = flag.Int("readmit-oks", 2,
 			"consecutive probe successes before a down shard is re-admitted")
 		hotsetK = flag.Int("hotset-k", 8,
-			"hottest content addresses replicated to every shard each interval")
+			"hottest content addresses replicated to every shard each interval (0 = default of 8)")
 		hotsetInterval = flag.Duration("hotset-interval", 5*time.Second,
 			"period of the hot-set digest exchange")
 		tenantRate = flag.Float64("tenant-rate", 0,
@@ -106,48 +102,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simrouter:", err)
-		os.Exit(1)
-	}
-	bound := ln.Addr().String()
-	if *portFile != "" {
-		if err := os.WriteFile(*portFile, []byte(bound), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "simrouter:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "simrouter: listening on %s, routing to %d shards\n", bound, len(shards))
-
 	router.Start()
-	httpSrv := &http.Server{Handler: router.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintln(os.Stderr, "simrouter:", err)
-		os.Exit(1)
-	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "simrouter: %s — draining\n", got)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "simrouter: shutdown:", err)
-	}
-	router.Close()
-	if *portFile != "" {
-		if err := os.Remove(*portFile); err != nil && !os.IsNotExist(err) {
-			fmt.Fprintln(os.Stderr, "simrouter:", err)
-		}
-	}
-	fmt.Fprintln(os.Stderr, "simrouter: drained, exiting")
+	os.Exit(jobapi.Daemon{
+		Name:     "simrouter",
+		Addr:     *addr,
+		PortFile: *portFile,
+		Banner:   fmt.Sprintf(", routing to %d shards", len(shards)),
+		Handler:  router.Handler(),
+		Drain:    *drainTimeout,
+		Close:    router.Close,
+	}.Run())
 }
 
 // splitNonEmpty splits a comma list, dropping empty entries so trailing

@@ -108,9 +108,12 @@ func checkerByID(id string) *Checker {
 // exact files) that are exempt wholesale. These are the sites whose job
 // is the thing the checker forbids: wall-clock speed reporting for
 // nondet-time, the parallel sweep executor for stray-goroutine, and the
-// serving layer (internal/simserve, cmd/simd), which measures wall time
-// and juggles goroutines around the engines without feeding either back
-// into simulation state. Test
+// serving layer (internal/simserve, internal/cluster, the daemon loop in
+// internal/jobapi/daemon.go), which measures wall time and juggles
+// goroutines around the engines without feeding either back into
+// simulation state. The serving stack's other leaf packages
+// (internal/jobapi's wire format, internal/metrics, internal/lru) and
+// the cmd/simd and cmd/simrouter mains need no exemption. Test
 // files (*_test.go) are exempt from every checker and are not analyzed
 // at all.
 var defaultAllow = map[string][]string{
@@ -120,22 +123,17 @@ var defaultAllow = map[string][]string{
 		"examples/",                     // demos print sim-vs-wall comparisons
 		"internal/experiments/speed.go", // §6.3 speed tables measure wall clock
 		"internal/simserve/",            // serving metrics/timeouts are wall-clock by nature
-		"cmd/simd/",                     // daemon shutdown deadlines
 		"internal/cluster/",             // probe intervals, hedge timers, admission refill
-		"cmd/simrouter/",                // router shutdown deadlines
 	},
 	"nondet-rand": {
 		"internal/simserve/", // serving-side jitter/sampling, never simulation state
-		"cmd/simd/",
-		"internal/cluster/", // routing-side jitter, never simulation state
-		"cmd/simrouter/",
+		"internal/cluster/",  // routing-side jitter, never simulation state
 	},
 	"stray-goroutine": {
-		"internal/sweep/",    // the one sanctioned home of parallelism
-		"internal/simserve/", // request handling + waiting on pool jobs
-		"cmd/simd/",          // HTTP serve loop + signal-driven shutdown
-		"internal/cluster/",  // concurrent forwarding, probe + hot-set loops
-		"cmd/simrouter/",     // HTTP serve loop + signal-driven shutdown
+		"internal/sweep/",           // the one sanctioned home of parallelism
+		"internal/simserve/",        // request handling + waiting on pool jobs
+		"internal/cluster/",         // concurrent forwarding, probe + hot-set loops
+		"internal/jobapi/daemon.go", // simd/simrouter HTTP serve loop + signal-driven shutdown
 	},
 }
 

@@ -214,22 +214,17 @@ func TestAllowlistScope(t *testing.T) {
 			"examples/",
 			"internal/experiments/speed.go",
 			"internal/simserve/",
-			"cmd/simd/",
 			"internal/cluster/",
-			"cmd/simrouter/",
 		},
 		"nondet-rand": {
 			"internal/simserve/",
-			"cmd/simd/",
 			"internal/cluster/",
-			"cmd/simrouter/",
 		},
 		"stray-goroutine": {
 			"internal/sweep/",
 			"internal/simserve/",
-			"cmd/simd/",
 			"internal/cluster/",
-			"cmd/simrouter/",
+			"internal/jobapi/daemon.go",
 		},
 	}
 	if len(defaultAllow) != len(want) {
@@ -254,11 +249,14 @@ func TestAllowlistScope(t *testing.T) {
 		checker, file string
 		allowed       bool
 	}{
-		{"nondet-time", "internal/simserve/simserve.go", true},
-		{"nondet-time", "cmd/simd/main.go", true},
+		{"nondet-time", "internal/simserve/server.go", true},
+		{"nondet-time", "cmd/simd/main.go", false}, // the daemon loop moved to jobapi
 		{"nondet-rand", "internal/simserve/metrics.go", true},
-		{"stray-goroutine", "internal/simserve/simserve.go", true},
-		{"stray-goroutine", "cmd/simd/main.go", true},
+		{"stray-goroutine", "internal/simserve/server.go", true},
+		{"stray-goroutine", "internal/jobapi/daemon.go", true},
+		{"stray-goroutine", "internal/jobapi/jobapi.go", false}, // the wire format spawns nothing
+		{"stray-goroutine", "internal/metrics/metrics.go", false},
+		{"stray-goroutine", "cmd/simd/main.go", false},
 		{"stray-goroutine", "internal/sweep/pool.go", true},
 		{"nondet-time", "internal/simbricks/adapter.go", false}, // prefix-adjacent
 		{"nondet-time", "cmd/simlint/main.go", false},           // prefix-adjacent
@@ -266,7 +264,7 @@ func TestAllowlistScope(t *testing.T) {
 		{"nondet-rand", "internal/nex/nex.go", false},
 		{"stray-goroutine", "internal/core/sim.go", false},
 		{"map-order", "internal/simserve/metrics.go", false}, // no map-order exemptions anywhere
-		{"unchecked-error", "internal/simserve/simserve.go", false},
+		{"unchecked-error", "internal/simserve/server.go", false},
 		{"nondet-time", "internal/simserve/simserve_test.go", true}, // test files always exempt
 	}
 	for _, c := range cases {

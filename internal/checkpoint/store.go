@@ -1,8 +1,9 @@
 package checkpoint
 
 import (
-	"container/list"
 	"sync"
+
+	"nexsim/internal/lru"
 )
 
 // Store is a byte-budget-bounded, LRU-evicting, in-memory checkpoint
@@ -15,22 +16,17 @@ import (
 // ran to completion without reaching a snapshot point, so future
 // requests skip straight to a full run instead of re-probing.
 type Store struct {
-	mu      sync.Mutex
-	budget  int64 // max total blob bytes; <=0 means unbounded
-	used    int64
-	order   *list.List               // front = most recently used
-	entries map[string]*list.Element // key -> element whose Value is *entry
+	mu sync.Mutex
+	// mem is the memory tier: cost is blob bytes, so the budget bounds
+	// payload (header and key overhead is not counted); a blob larger
+	// than the whole budget is not cached at all.
+	mem     *lru.Cache[string, []byte]
 	flights map[string]*flight
 	// disk is the optional persistent tier (AttachDisk): puts write
 	// through, memory misses fall through and promote hits.
 	disk *DiskStore
 
-	hits, misses, evictions uint64
-}
-
-type entry struct {
-	key  string
-	blob []byte
+	hits, misses uint64
 }
 
 type flight struct {
@@ -39,14 +35,11 @@ type flight struct {
 	ok   bool
 }
 
-// NewStore returns a store bounded to budgetBytes of blob payload
-// (header and key overhead is not counted). budgetBytes <= 0 means
-// unbounded.
+// NewStore returns a store bounded to budgetBytes of blob payload.
+// budgetBytes <= 0 means unbounded.
 func NewStore(budgetBytes int64) *Store {
 	return &Store{
-		budget:  budgetBytes,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
+		mem:     lru.New[string, []byte](budgetBytes),
 		flights: make(map[string]*flight),
 	}
 }
@@ -65,22 +58,25 @@ func (s *Store) AttachDisk(d *DiskStore) {
 func (s *Store) Get(key string) (blob []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		if s.disk != nil {
-			if blob, ok := s.disk.Get(key); ok {
-				// Promote without re-writing disk (memPut, not put).
-				s.memPut(key, blob)
-				s.hits++
-				return blob, true
-			}
-		}
+	if blob, ok = s.lookup(key); !ok {
 		s.misses++
-		return nil, false
 	}
-	s.hits++
-	s.order.MoveToFront(el)
-	return el.Value.(*entry).blob, true
+	return blob, ok
+}
+
+// lookup reads memory, then disk; callers hold s.mu. A disk hit is
+// promoted into memory without being re-written to disk.
+func (s *Store) lookup(key string) ([]byte, bool) {
+	blob, ok := s.mem.Get(key)
+	if !ok && s.disk != nil {
+		if blob, ok = s.disk.Get(key); ok {
+			s.mem.Put(key, blob, int64(len(blob)))
+		}
+	}
+	if ok {
+		s.hits++
+	}
+	return blob, ok
 }
 
 // Put stores blob under key (nil records a negative entry) and evicts
@@ -100,35 +96,7 @@ func (s *Store) put(key string, blob []byte) {
 	if s.disk != nil {
 		_ = s.disk.Put(key, blob)
 	}
-	s.memPut(key, blob)
-}
-
-// memPut inserts into the memory tier only; callers hold s.mu.
-func (s *Store) memPut(key string, blob []byte) {
-	if s.budget > 0 && int64(len(blob)) > s.budget {
-		return
-	}
-	if el, ok := s.entries[key]; ok {
-		ent := el.Value.(*entry)
-		s.used += int64(len(blob)) - int64(len(ent.blob))
-		ent.blob = blob
-		s.order.MoveToFront(el)
-	} else {
-		el := s.order.PushFront(&entry{key: key, blob: blob})
-		s.entries[key] = el
-		s.used += int64(len(blob))
-	}
-	for s.budget > 0 && s.used > s.budget {
-		back := s.order.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*entry)
-		s.order.Remove(back)
-		delete(s.entries, ent.key)
-		s.used -= int64(len(ent.blob))
-		s.evictions++
-	}
+	s.mem.Put(key, blob, int64(len(blob)))
 }
 
 // GetOrCompute returns the blob for key, computing it at most once
@@ -144,20 +112,9 @@ func (s *Store) memPut(key string, blob []byte) {
 func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (blob []byte, mine bool, err error) {
 	for {
 		s.mu.Lock()
-		if el, ok := s.entries[key]; ok {
-			s.hits++
-			s.order.MoveToFront(el)
-			b := el.Value.(*entry).blob
+		if b, ok := s.lookup(key); ok {
 			s.mu.Unlock()
 			return b, false, nil
-		}
-		if s.disk != nil {
-			if b, ok := s.disk.Get(key); ok {
-				s.memPut(key, b)
-				s.hits++
-				s.mu.Unlock()
-				return b, false, nil
-			}
 		}
 		if f, ok := s.flights[key]; ok {
 			s.mu.Unlock()
@@ -207,11 +164,11 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StoreStats{
-		Entries:   len(s.entries),
-		UsedBytes: s.used,
+		Entries:   s.mem.Len(),
+		UsedBytes: s.mem.Used(),
 		Hits:      s.hits,
 		Misses:    s.misses,
-		Evictions: s.evictions,
+		Evictions: s.mem.Evictions(),
 	}
 	if s.disk != nil {
 		st.Disk = s.disk.Stats()

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"nexsim/internal/metrics"
 )
 
 // AdmissionConfig parameterizes per-tenant token-bucket admission
@@ -32,10 +34,12 @@ type AdmissionConfig struct {
 // share.
 const DefaultTenant = "anonymous"
 
-// bucket is one tenant's token bucket.
+// bucket is one tenant's token bucket and its spec counters.
 type bucket struct {
 	tokens float64
 	last   time.Time
+
+	admitted, rejected *metrics.Counter
 }
 
 // Admission is the router's tenant gate. A nil *Admission admits
@@ -46,9 +50,10 @@ type Admission struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	// Per-tenant counters (read by metrics.go).
-	admitted map[string]int64
-	rejected map[string]int64
+	// Per-tenant spec counters; a router that adopts the gate registers
+	// them on its /metrics page. A tenant's pair is created with its
+	// bucket, so both lines render from its first request on.
+	admitted, rejected *metrics.CounterVec
 }
 
 // NewAdmission builds the gate; returns nil (admit-all) when the rate
@@ -66,8 +71,8 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	return &Admission{
 		cfg:      cfg,
 		buckets:  map[string]*bucket{},
-		admitted: map[string]int64{},
-		rejected: map[string]int64{},
+		admitted: metrics.NewCounterVec("simrouter_tenant_admitted", "tenant"),
+		rejected: metrics.NewCounterVec("simrouter_tenant_rejected", "tenant"),
 	}
 }
 
@@ -98,7 +103,8 @@ func (a *Admission) Allow(tenant string, n int) (ok bool, retryAfterSec int) {
 	b := a.buckets[tenant]
 	now := a.cfg.Now()
 	if b == nil {
-		b = &bucket{tokens: depth, last: now}
+		b = &bucket{tokens: depth, last: now,
+			admitted: a.admitted.With(tenant), rejected: a.rejected.With(tenant)}
 		a.buckets[tenant] = b
 	}
 	b.tokens += now.Sub(b.last).Seconds() * rate
@@ -109,10 +115,10 @@ func (a *Admission) Allow(tenant string, n int) (ok bool, retryAfterSec int) {
 	need := float64(n)
 	if need <= b.tokens {
 		b.tokens -= need
-		a.admitted[tenant] += int64(n)
+		b.admitted.Add(int64(n))
 		return true, 0
 	}
-	a.rejected[tenant] += int64(n)
+	b.rejected.Add(int64(n))
 	// A request larger than the bucket can ever hold would never pass;
 	// quote the time to a full bucket (the best the tenant can do is
 	// split the batch).
@@ -125,22 +131,4 @@ func (a *Admission) Allow(tenant string, n int) (ok bool, retryAfterSec int) {
 		sec = 1
 	}
 	return false, sec
-}
-
-// counters snapshots per-tenant admitted/rejected spec counts.
-func (a *Admission) counters() (admitted, rejected map[string]int64) {
-	if a == nil {
-		return nil, nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	admitted = make(map[string]int64, len(a.admitted))
-	for k, v := range a.admitted {
-		admitted[k] = v
-	}
-	rejected = make(map[string]int64, len(a.rejected))
-	for k, v := range a.rejected {
-		rejected[k] = v
-	}
-	return admitted, rejected
 }

@@ -101,8 +101,8 @@ func TestAdmissionCounters(t *testing.T) {
 	a := newTestAdmission(clk, 1, 1, nil) // depth 1
 	a.Allow("", 1)                        // anonymous
 	a.Allow("", 1)                        // rejected
-	admitted, rejected := a.counters()
-	if admitted[DefaultTenant] != 1 || rejected[DefaultTenant] != 1 {
+	admitted, rejected := a.admitted.With(DefaultTenant).Load(), a.rejected.With(DefaultTenant).Load()
+	if admitted != 1 || rejected != 1 {
 		t.Fatalf("counters = %v / %v, want 1 admitted and 1 rejected for %q",
 			admitted, rejected, DefaultTenant)
 	}

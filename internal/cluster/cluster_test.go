@@ -2,17 +2,24 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nexsim/internal/core"
 	"nexsim/internal/experiments"
+	"nexsim/internal/jobapi"
 	"nexsim/internal/simserve"
 	"nexsim/internal/vclock"
 )
@@ -234,15 +241,13 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	marksDown, _, _ := lc.Router.Membership().counters()
+	marksDown := lc.Router.Membership().marksDown.Load()
 	if marksDown < 1 {
 		t.Fatalf("marksDown = %d, want >= 1", marksDown)
 	}
 
 	// ...the determinism probe saw no divergence...
-	lc.Router.mu.Lock()
-	mismatches := lc.Router.m.probeMismatches
-	lc.Router.mu.Unlock()
+	mismatches := lc.Router.m.probeMismatches.Load()
 	if mismatches != 0 {
 		t.Fatalf("probeMismatches = %d, want 0", mismatches)
 	}
@@ -261,7 +266,7 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	_, readmits, _ := lc.Router.Membership().counters()
+	readmits := lc.Router.Membership().readmits.Load()
 	if readmits < 1 {
 		t.Fatalf("readmits = %d, want >= 1", readmits)
 	}
@@ -400,5 +405,95 @@ func TestRouterMetricsRender(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics page missing %q", want)
 		}
+	}
+}
+
+// TestRouterMetricsPageGolden pins the /metrics surface of a fresh
+// one-shard router (plus one admitted tenant) against the page the
+// hand-written renderer produced before the registry replaced it
+// (testdata/metrics_fresh.golden, generated at that commit, lines
+// sorted): a dropped, renamed or relabelled metric fails here.
+func TestRouterMetricsPageGolden(t *testing.T) {
+	r, err := NewRouter(RouterConfig{
+		Shards:    []string{"shard-a:1"},
+		Admission: AdmissionConfig{RatePerSec: 1, BurstSec: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.adm.Allow("team-a", 1)
+
+	lines := strings.Split(strings.TrimSuffix(string(r.m.reg.Bytes()), "\n"), "\n")
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	want, err := os.ReadFile("testdata/metrics_fresh.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("fresh /metrics page (sorted) differs from the golden:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// A shard that refuses (429) or fails (500) a forward, or acknowledges a
+// hot-set push, answered on a healthy keep-alive connection; the router
+// must read the answer to EOF so net/http returns that connection to the
+// pool. Closing it unread costs one fresh TCP dial per refusal — exactly
+// when the cluster is overloaded.
+func TestRefusedForwardsReuseConnection(t *testing.T) {
+	var newConns, submitStatus atomic.Int64
+	submitStatus.Store(http.StatusTooManyRequests)
+	shard := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		switch {
+		case req.URL.Path == "/jobs":
+			jobapi.WriteError(w, int(submitStatus.Load()), "spec 0: job queue full (accepted 0 of 1 specs; resubmit the rest)")
+		case req.Method == http.MethodGet: // GET /jobs/{id}: a finished result to replicate
+			jobapi.WriteJSON(w, http.StatusOK, jobapi.JobPoll{ID: "hot", Status: jobapi.StatusDone, Result: json.RawMessage(`{"id":"hot"}`)})
+		default: // POST /cluster/hotset
+			jobapi.WriteJSON(w, http.StatusOK, map[string]int{"promoted": 1, "rejected": 0})
+		}
+	}))
+	shard.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			newConns.Add(1)
+		}
+	}
+	shard.Start()
+	defer shard.Close()
+	addr := strings.TrimPrefix(shard.URL, "http://")
+
+	r, err := NewRouter(RouterConfig{Shards: []string{addr}, FailThreshold: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	n, err := experiments.Spec{Bench: "npb-ep.8"}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := []specItem{{spec: n, id: "hot"}}
+	const rounds = 8
+	for i := 0; i < rounds; i++ {
+		if out := r.sendGroup(context.Background(), addr, group, true); !out.refused {
+			t.Fatalf("round %d: outcome %+v, want a refusal", i, out)
+		}
+	}
+	submitStatus.Store(http.StatusInternalServerError)
+	for i := 0; i < rounds; i++ {
+		if out := r.sendGroup(context.Background(), addr, group, true); out.err == nil || out.refused {
+			t.Fatalf("round %d: outcome %+v, want a hard failure", i, out)
+		}
+	}
+	r.hot.Note("hot")
+	for i := 0; i < rounds; i++ {
+		r.PushHotSet()
+	}
+	if got := r.m.hotsetPushes.Load(); got != rounds {
+		t.Fatalf("hotset pushes = %d, want %d", got, rounds)
+	}
+	if got := newConns.Load(); got != 1 {
+		t.Fatalf("%d refused forwards and %d hot-set rounds opened %d connections, want 1 (keep-alive reuse)",
+			2*rounds, rounds, got)
 	}
 }

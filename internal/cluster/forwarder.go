@@ -4,14 +4,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"io"
+	"iter"
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"nexsim/internal/experiments"
+	"nexsim/internal/jobapi"
 )
 
 // RouterConfig parameterizes the cluster router.
@@ -42,8 +43,7 @@ type RouterConfig struct {
 	Probe         func(shard string) bool // test override
 
 	// HotSetK is the number of hottest content addresses replicated to
-	// every shard each HotSetInterval (default 8; 0 disables the
-	// exchange loop — PushHotSet can still be driven manually).
+	// every shard each HotSetInterval (0 = default of 8).
 	HotSetK int
 	// HotSetInterval is the digest-exchange period (default 5s).
 	HotSetInterval time.Duration
@@ -91,10 +91,7 @@ type Router struct {
 	hot  *hotTracker
 
 	clients map[string]*http.Client // per-shard connection pools
-
-	mu       sync.Mutex
-	inflight map[string]int // outstanding sub-batches by shard
-	m        *routerMetrics
+	m       *routerMetrics
 
 	stop chan struct{}
 }
@@ -117,13 +114,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			ReadmitOKs:    cfg.ReadmitOKs,
 			Probe:         cfg.Probe,
 		}),
-		adm:      NewAdmission(cfg.Admission),
-		hot:      newHotTracker(),
-		clients:  make(map[string]*http.Client, len(cfg.Shards)),
-		inflight: make(map[string]int, len(cfg.Shards)),
-		m:        newRouterMetrics(),
-		stop:     make(chan struct{}),
+		adm:     NewAdmission(cfg.Admission),
+		hot:     newHotTracker(),
+		clients: make(map[string]*http.Client, len(cfg.Shards)),
+		stop:    make(chan struct{}),
 	}
+	r.m = newRouterMetrics(r)
 	for _, s := range cfg.Shards {
 		r.clients[s] = &http.Client{
 			Timeout: cfg.ForwardTimeout,
@@ -180,15 +176,6 @@ type itemResult struct {
 
 // --- HTTP surface ---
 
-// submitRequest mirrors the simserve POST /jobs body.
-type submitRequest struct {
-	Specs []experiments.Spec `json:"specs"`
-	Wait  bool               `json:"wait"`
-}
-
-// maxBatch mirrors the shard-side bound.
-const maxBatch = 4096
-
 // TenantHeader names the request header carrying the tenant identity
 // for admission control.
 const TenantHeader = "X-Tenant"
@@ -199,7 +186,7 @@ const TenantHeader = "X-Tenant"
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
-	mux.HandleFunc("GET /metrics", r.handleMetrics)
+	mux.Handle("GET /metrics", r.m.reg)
 	mux.HandleFunc("POST /jobs", r.handleSubmit)
 	mux.HandleFunc("GET /jobs/{id}", r.handleJob)
 	return mux
@@ -216,33 +203,15 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	r.renderMetrics(w)
-}
-
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	r.mu.Lock()
-	r.m.requestsTotal++
-	r.mu.Unlock()
-
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var sr submitRequest
-	if err := dec.Decode(&sr); err != nil {
-		r.countBad()
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
+	r.m.requestsTotal.Inc()
+	badRequest := func(msg string) {
+		r.m.badRequests.Inc()
+		jobapi.WriteError(w, http.StatusBadRequest, msg)
 	}
-	if len(sr.Specs) == 0 {
-		r.countBad()
-		writeError(w, http.StatusBadRequest, "no specs submitted")
-		return
-	}
-	if len(sr.Specs) > maxBatch {
-		r.countBad()
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d specs exceeds the %d-spec limit", len(sr.Specs), maxBatch))
+	sr, err := jobapi.DecodeSubmit(w, req)
+	if err != nil {
+		badRequest(err.Error())
 		return
 	}
 
@@ -250,11 +219,9 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	// work either.
 	tenant := req.Header.Get(TenantHeader)
 	if ok, retry := r.adm.Allow(tenant, len(sr.Specs)); !ok {
-		r.mu.Lock()
-		r.m.admissionRejects++
-		r.mu.Unlock()
+		r.m.admissionRejects.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusTooManyRequests,
+		jobapi.WriteError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant %q over admission quota; retry after %ds", tenantLabel(tenant), retry))
 		return
 	}
@@ -263,41 +230,33 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	for i, spec := range sr.Specs {
 		n, err := spec.Normalized()
 		if err != nil {
-			r.countBad()
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			badRequest(fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
 		id, err := n.ID()
 		if err != nil {
-			r.countBad()
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			badRequest(fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
 		items[i] = specItem{idx: i, spec: n, id: id}
 		r.hot.Note(id)
 	}
-	r.mu.Lock()
-	r.m.specsTotal += int64(len(items))
-	r.mu.Unlock()
+	r.m.specsTotal.Add(int64(len(items)))
 
 	results, err := r.routeItems(req.Context(), items, sr.Wait, nil)
 	if err != nil {
 		switch {
 		case errors.Is(err, errNoLiveShards):
-			r.mu.Lock()
-			r.m.noShards++
-			r.mu.Unlock()
-			writeError(w, http.StatusServiceUnavailable, "no live shards")
+			r.m.noShards.Inc()
+			jobapi.WriteError(w, http.StatusServiceUnavailable, "no live shards")
 		case errors.Is(err, errShed):
-			r.mu.Lock()
-			r.m.shedded++
-			r.mu.Unlock()
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(items[0].id)))
-			writeError(w, http.StatusTooManyRequests, "cluster at capacity; resubmit")
+			r.m.shedded.Inc()
+			w.Header().Set("Retry-After", strconv.Itoa(jobapi.RetryAfterSecs(items[0].id)))
+			jobapi.WriteError(w, http.StatusTooManyRequests, "cluster at capacity; resubmit")
 		case errors.Is(err, req.Context().Err()):
 			// Client went away; nothing to write.
 		default:
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("forwarding failed: %v", err))
+			jobapi.WriteError(w, http.StatusBadGateway, fmt.Sprintf("forwarding failed: %v", err))
 		}
 		return
 	}
@@ -307,24 +266,14 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		for i, res := range results {
 			raws[i] = res.result
 		}
-		writeJSON(w, http.StatusOK, struct {
-			Results []json.RawMessage `json:"results"`
-		}{raws})
+		jobapi.WriteJSON(w, http.StatusOK, jobapi.Results{Results: raws})
 		return
 	}
-	statuses := make([]jobStatus, len(results))
+	statuses := make([]jobapi.JobStatus, len(results))
 	for i, res := range results {
-		statuses[i] = jobStatus{ID: res.id, Status: res.status}
+		statuses[i] = jobapi.JobStatus{ID: res.id, Status: res.status}
 	}
-	writeJSON(w, http.StatusAccepted, struct {
-		Jobs []jobStatus `json:"jobs"`
-	}{statuses})
-}
-
-// jobStatus mirrors the shard-side async response entry.
-type jobStatus struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
+	jobapi.WriteJSON(w, http.StatusAccepted, jobapi.Accepted{Jobs: statuses})
 }
 
 func allFinished(results []itemResult) bool {
@@ -336,41 +285,53 @@ func allFinished(results []itemResult) bool {
 	return true
 }
 
-// handleJob resolves a poll by content address: the id's replicas in
-// preference order, so a result that landed on a hedge target is still
-// found after its home shard forgets it.
+// handleJob resolves a poll by content address: the first replica that
+// knows the id answers, so a result that landed on a hedge target is
+// still found after its home shard forgets it.
 func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	for _, shard := range r.ring.Order(id) {
-		if !r.mem.Live(shard) {
-			continue
-		}
-		resp, err := r.client(shard).Get(fmt.Sprintf("http://%s/jobs/%s", shard, id))
-		if err != nil {
-			r.mem.ReportFailure(shard)
-			continue
-		}
-		var body json.RawMessage
-		derr := json.NewDecoder(resp.Body).Decode(&body)
-		_ = resp.Body.Close()
-		if derr != nil || resp.StatusCode == http.StatusNotFound {
-			continue
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		body = append(body, '\n')
-		if _, err := w.Write(body); err != nil {
-			return
-		}
+	for code, body := range r.replicaAnswers(id) {
+		jobapi.WriteJSON(w, code, body)
 		return
 	}
-	writeError(w, http.StatusNotFound, "unknown job "+id)
+	jobapi.WriteError(w, http.StatusNotFound, "unknown job "+id)
 }
 
-func (r *Router) countBad() {
-	r.mu.Lock()
-	r.m.badRequests++
-	r.mu.Unlock()
+// replicaAnswers polls GET /jobs/{id} on id's live replicas in ring
+// preference order and yields every well-formed answer (status code,
+// JSON body) except "unknown job" — the one walk behind client polls
+// and the hot-set fetch.
+func (r *Router) replicaAnswers(id string) iter.Seq2[int, json.RawMessage] {
+	return func(yield func(int, json.RawMessage) bool) {
+		for _, shard := range r.ring.Order(id) {
+			if !r.mem.Live(shard) {
+				continue
+			}
+			resp, err := r.client(shard).Get(fmt.Sprintf("http://%s/jobs/%s", shard, id))
+			if err != nil {
+				r.mem.ReportFailure(shard)
+				continue
+			}
+			var body json.RawMessage
+			derr := json.NewDecoder(resp.Body).Decode(&body)
+			drainClose(resp)
+			if derr != nil || resp.StatusCode == http.StatusNotFound {
+				continue
+			}
+			if !yield(resp.StatusCode, body) {
+				return
+			}
+		}
+	}
+}
+
+// drainClose reads what is left of a response body before closing it.
+// net/http only returns a keep-alive connection to the pool once its
+// body has been read to EOF; closing early tears the connection down,
+// and under overload every refused forward would cost a fresh dial.
+func drainClose(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
 }
 
 // tenantLabel names the bucket a request was charged to.
@@ -381,27 +342,12 @@ func tenantLabel(tenant string) string {
 	return tenant
 }
 
-// retryAfterSecs derives a deterministic 1–3s Retry-After from a spec's
-// content address: synchronized clients that all hit a full cluster
-// with distinct specs spread their retries instead of re-stampeding in
-// unison, while the same spec always backs off identically (tests stay
-// byte-stable).
-func retryAfterSecs(id string) int {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(id)) // fnv Write cannot fail
-	return 1 + int(h.Sum64()%3)
-}
-
 // groupByShard buckets items onto their bounded-load placements,
 // excluding shards the caller has already failed over from. Group order
 // is deterministic (sorted by shard name).
 func (r *Router) groupByShard(items []specItem, exclude map[string]bool) (map[string][]specItem, error) {
 	live := func(s string) bool { return r.mem.Live(s) && !exclude[s] }
-	load := func(s string) int {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return r.inflight[s]
-	}
+	load := func(s string) int { return int(r.m.inflight.With(s).Load()) }
 	groups := map[string][]specItem{}
 	for _, it := range items {
 		shard, ok := r.ring.BoundedPick(it.id, r.cfg.LoadFactor, live, load)

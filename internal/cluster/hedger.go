@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"nexsim/internal/experiments"
+	"nexsim/internal/jobapi"
 )
 
 // Hedged forwarding, reusing simserve's hedging shape (PR 7) one level
@@ -78,7 +81,7 @@ func (r *Router) routeItems(ctx context.Context, items []specItem, wait bool, ex
 		if !ok {
 			// A shard answered with fewer entries than asked; treat the
 			// gap as still-queued rather than failing the batch.
-			res = itemResult{id: it.id, status: "queued"}
+			res = itemResult{id: it.id, status: jobapi.StatusQueued}
 		}
 		aligned[i] = res
 	}
@@ -121,7 +124,7 @@ func (r *Router) sendGroupHedged(ctx context.Context, shard string, group []spec
 			if hedgeLaunched {
 				hedgeOut := <-hedgeCh
 				if hedgeOut.err == nil {
-					r.noteHedgeWin()
+					r.m.hedgesWon.Inc()
 				}
 				return hedgeOut
 			}
@@ -131,9 +134,7 @@ func (r *Router) sendGroupHedged(ctx context.Context, shard string, group []spec
 			timerC = nil
 			hedgeLaunched = true
 			hedgeCh = make(chan groupOutcome, 1)
-			r.mu.Lock()
-			r.m.hedgesLaunched++
-			r.mu.Unlock()
+			r.m.hedgesLaunched.Inc()
 			go func() {
 				res, err := r.routeItems(ctx, group, wait, withExcluded(exclude, shard))
 				hedgeCh <- groupOutcome{results: res, err: err}
@@ -143,7 +144,7 @@ func (r *Router) sendGroupHedged(ctx context.Context, shard string, group []spec
 			hedgeCh = nil
 			hedgeLaunched = false
 			if out.err == nil {
-				r.noteHedgeWin()
+				r.m.hedgesWon.Inc()
 				go r.compareLate(primaryCh, out.results)
 				return out
 			}
@@ -164,9 +165,7 @@ func (r *Router) failover(ctx context.Context, shard string, group []specItem, w
 	if err != nil {
 		return groupOutcome{err: err, refused: out.refused}
 	}
-	r.mu.Lock()
-	r.m.failovers++
-	r.mu.Unlock()
+	r.m.failovers.Inc()
 	return groupOutcome{results: res}
 }
 
@@ -190,9 +189,7 @@ func (r *Router) compareLate(ch <-chan groupOutcome, winner []itemResult) {
 	defer timer.Stop()
 	select {
 	case out := <-ch:
-		r.mu.Lock()
-		r.m.hedgesWasted++
-		r.mu.Unlock()
+		r.m.hedgesWasted.Inc()
 		if out.err != nil {
 			return
 		}
@@ -217,53 +214,30 @@ func (r *Router) probeCompare(winner, loser []itemResult) {
 		if !ok || len(res.result) == 0 {
 			continue
 		}
-		r.mu.Lock()
-		r.m.probeCompares++
-		mismatch := !bytes.Equal(won.result, res.result)
-		if mismatch {
-			r.m.probeMismatches++
-		}
-		r.mu.Unlock()
-		if mismatch {
+		r.m.probeCompares.Inc()
+		if !bytes.Equal(won.result, res.result) {
+			r.m.probeMismatches.Inc()
 			r.mem.Quarantine(res.shard)
 		}
 	}
 }
 
-func (r *Router) noteHedgeWin() {
-	r.mu.Lock()
-	r.m.hedgesWon++
-	r.mu.Unlock()
-}
-
 // sendGroup performs one sub-batch POST to one shard and parses the
 // response into per-item outcomes.
 func (r *Router) sendGroup(ctx context.Context, shard string, group []specItem, wait bool) groupOutcome {
-	specs := make([]json.RawMessage, len(group))
+	sub := jobapi.SubmitRequest{Specs: make([]experiments.Spec, len(group)), Wait: wait}
 	for i, it := range group {
-		data, err := json.Marshal(it.spec)
-		if err != nil {
-			return groupOutcome{err: err}
-		}
-		specs[i] = data
+		sub.Specs[i] = it.spec
 	}
-	body, err := json.Marshal(struct {
-		Specs []json.RawMessage `json:"specs"`
-		Wait  bool              `json:"wait"`
-	}{specs, wait})
+	body, err := json.Marshal(sub)
 	if err != nil {
 		return groupOutcome{err: err}
 	}
 
-	r.mu.Lock()
-	r.inflight[shard]++
-	r.m.forwards[shard]++
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.inflight[shard]--
-		r.mu.Unlock()
-	}()
+	inflight := r.m.inflight.With(shard)
+	inflight.Inc()
+	defer inflight.Add(-1)
+	r.m.forwards.With(shard).Inc()
 
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"http://"+shard+"/jobs", bytes.NewReader(body))
@@ -277,41 +251,37 @@ func (r *Router) sendGroup(ctx context.Context, shard string, group []specItem, 
 			// The client went away; that is not evidence against the shard.
 			return groupOutcome{err: ctx.Err()}
 		}
-		r.noteForwardError(shard)
+		r.m.forwardErrors.With(shard).Inc()
 		r.mem.ReportFailure(shard)
 		return groupOutcome{err: fmt.Errorf("shard %s: %w", shard, err)}
 	}
-	defer func() { _ = resp.Body.Close() }()
+	defer drainClose(resp)
 
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var env struct {
-			Results []json.RawMessage `json:"results"`
-		}
+		var env jobapi.Results
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || len(env.Results) != len(group) {
-			r.noteForwardError(shard)
+			r.m.forwardErrors.With(shard).Inc()
 			return groupOutcome{err: fmt.Errorf("shard %s: malformed results (%v)", shard, err)}
 		}
 		r.mem.ReportSuccess(shard)
 		results := make([]itemResult, len(group))
 		for i, raw := range env.Results {
-			status := "done"
+			status := jobapi.StatusDone
 			var probe struct {
 				Error string `json:"error"`
 			}
 			if json.Unmarshal(raw, &probe) == nil && probe.Error != "" {
-				status = "failed"
+				status = jobapi.StatusFailed
 			}
 			results[i] = itemResult{id: group[i].id, status: status, result: raw, shard: shard}
 		}
 		return groupOutcome{results: results}
 
 	case http.StatusAccepted:
-		var env struct {
-			Jobs []jobStatus `json:"jobs"`
-		}
+		var env jobapi.Accepted
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || len(env.Jobs) != len(group) {
-			r.noteForwardError(shard)
+			r.m.forwardErrors.With(shard).Inc()
 			return groupOutcome{err: fmt.Errorf("shard %s: malformed job statuses (%v)", shard, err)}
 		}
 		r.mem.ReportSuccess(shard)
@@ -326,46 +296,8 @@ func (r *Router) sendGroup(ctx context.Context, shard string, group []specItem, 
 		return groupOutcome{err: fmt.Errorf("shard %s: queue full", shard), refused: true}
 
 	default:
-		r.noteForwardError(shard)
+		r.m.forwardErrors.With(shard).Inc()
 		r.mem.ReportFailure(shard)
 		return groupOutcome{err: fmt.Errorf("shard %s: HTTP %d", shard, resp.StatusCode)}
-	}
-}
-
-func (r *Router) noteForwardError(shard string) {
-	r.mu.Lock()
-	r.m.forwardErrors[shard]++
-	r.mu.Unlock()
-}
-
-// writeJSON / writeError mirror the shard-side response encoding so a
-// routed error body is indistinguishable from a direct one.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		return
-	}
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	data, err := json.Marshal(struct {
-		Error string `json:"error"`
-	}{msg})
-	if err != nil {
-		http.Error(w, msg, code)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		return
 	}
 }

@@ -3,11 +3,12 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
+
+	"nexsim/internal/jobapi"
 )
 
 // The replicated hot-set: consistent hashing gives each content address
@@ -75,20 +76,6 @@ func (h *hotTracker) Decay() {
 	}
 }
 
-// HotEntry is one pushed result on the /cluster/hotset wire: the
-// canonical JobResult bytes plus the content address and failure flag
-// the receiving shard re-verifies.
-type HotEntry struct {
-	ID     string          `json:"id"`
-	Failed bool            `json:"failed"`
-	Result json.RawMessage `json:"result"`
-}
-
-// hotsetPush is the POST /cluster/hotset body.
-type hotsetPush struct {
-	Entries []HotEntry `json:"entries"`
-}
-
 // hotsetLoop periodically replicates the hot set (stopped by Close).
 func (r *Router) hotsetLoop() {
 	ticker := time.NewTicker(r.cfg.HotSetInterval)
@@ -111,7 +98,7 @@ func (r *Router) hotsetLoop() {
 // the next exchange.
 func (r *Router) PushHotSet() {
 	ids := r.hot.TopK(r.cfg.HotSetK)
-	var entries []HotEntry
+	var entries []jobapi.HotEntry
 	for _, id := range ids {
 		if e, ok := r.fetchResult(id); ok {
 			entries = append(entries, e)
@@ -120,11 +107,10 @@ func (r *Router) PushHotSet() {
 	if len(entries) == 0 {
 		return
 	}
-	body, err := json.Marshal(hotsetPush{Entries: entries})
+	body, err := json.Marshal(jobapi.HotsetPush{Entries: entries})
 	if err != nil {
 		return
 	}
-	pushed := int64(0)
 	for _, shard := range r.ring.Shards() {
 		if !r.mem.Live(shard) {
 			continue
@@ -135,48 +121,28 @@ func (r *Router) PushHotSet() {
 			r.mem.ReportFailure(shard)
 			continue
 		}
-		_ = resp.Body.Close()
+		drainClose(resp)
 		if resp.StatusCode == http.StatusOK {
-			pushed++
+			r.m.hotsetPushes.Inc()
 		}
 	}
-	r.mu.Lock()
-	r.m.hotsetRounds++
-	r.m.hotsetEntries += int64(len(entries))
-	r.m.hotsetPushes += pushed
-	r.mu.Unlock()
+	r.m.hotsetRounds.Inc()
+	r.m.hotsetEntries.Add(int64(len(entries)))
 }
 
 // fetchResult resolves one content address to its finished result by
 // polling the address's replicas in preference order. ok is false while
 // the job is still running or when no replica knows it.
-func (r *Router) fetchResult(id string) (HotEntry, bool) {
-	for _, shard := range r.ring.Order(id) {
-		if !r.mem.Live(shard) {
+func (r *Router) fetchResult(id string) (jobapi.HotEntry, bool) {
+	for code, body := range r.replicaAnswers(id) {
+		var poll jobapi.JobPoll
+		if code != http.StatusOK || json.Unmarshal(body, &poll) != nil || len(poll.Result) == 0 {
 			continue
 		}
-		resp, err := r.client(shard).Get(fmt.Sprintf("http://%s/jobs/%s", shard, id))
-		if err != nil {
-			r.mem.ReportFailure(shard)
-			continue
-		}
-		var env struct {
-			ID     string          `json:"id"`
-			Status string          `json:"status"`
-			Result json.RawMessage `json:"result"`
-		}
-		derr := json.NewDecoder(resp.Body).Decode(&env)
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || derr != nil {
-			continue
-		}
-		switch env.Status {
-		case "done", "failed":
-			if len(env.Result) == 0 {
-				continue
-			}
-			return HotEntry{ID: id, Failed: env.Status == "failed", Result: env.Result}, true
+		switch poll.Status {
+		case jobapi.StatusDone, jobapi.StatusFailed:
+			return jobapi.HotEntry{ID: id, Failed: poll.Status == jobapi.StatusFailed, Result: poll.Result}, true
 		}
 	}
-	return HotEntry{}, false
+	return jobapi.HotEntry{}, false
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // In-process cluster harness: N simserve shards behind real loopback
-// listeners plus one router, all in one process. The churn tests and
-// the clustersweep bench use it to exercise the full HTTP forwarding
-// path — real sockets, real connection pools — without spawning
-// processes (that end-to-end variant is scripts/cluster_smoke.sh).
+// listeners plus one router, all in one process. The cluster tests use
+// it to exercise the full HTTP forwarding path — real sockets, real
+// connection pools — without spawning processes (that end-to-end
+// variant is scripts/cluster_smoke.sh).
 
 // LocalShard is one in-process simd: a simserve server behind a real
 // TCP listener. Stop abruptly severs the listener and every open
@@ -86,8 +86,7 @@ type LocalCluster struct {
 
 // NewLocal starts n shards (each configured from scfg, with ShardID
 // "shard0".."shardN-1") and a router over them. rcfg.Shards is filled
-// in from the listeners; set the rest of rcfg as the test or bench
-// needs. The router's background loops are started.
+// in from the listeners; set the rest of rcfg as the test needs. The router's background loops are started.
 func NewLocal(n int, scfg simserve.Config, rcfg RouterConfig) (*LocalCluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least one shard, got %d", n)

@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
+
+	"nexsim/internal/metrics"
 )
 
 // Shard liveness states. A shard starts Up (the static -shards list is
@@ -78,13 +78,10 @@ type Membership struct {
 	mu     sync.Mutex
 	health map[string]*shardHealth
 
-	// Lifecycle counters (read by metrics.go).
-	marksDown   int64
-	readmits    int64
-	quarantines int64
+	// Lifecycle counters; a router registers them on its /metrics page.
+	marksDown, readmits, quarantines *metrics.Counter
 
 	stop chan struct{}
-	done chan struct{}
 }
 
 // NewMembership builds the tracker with every shard initially up.
@@ -96,8 +93,12 @@ func NewMembership(cfg MembershipConfig) *Membership {
 		cfg:    cfg,
 		health: make(map[string]*shardHealth, len(cfg.Shards)),
 		client: &http.Client{Timeout: cfg.ProbeTimeout},
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+
+		marksDown:   metrics.NewCounter("simrouter_marks_down"),
+		readmits:    metrics.NewCounter("simrouter_readmits"),
+		quarantines: metrics.NewCounter("simrouter_quarantines"),
+
+		stop: make(chan struct{}),
 	}
 	for _, s := range cfg.Shards {
 		m.health[s] = &shardHealth{state: StateUp}
@@ -122,7 +123,6 @@ func (m *Membership) Close() {
 }
 
 func (m *Membership) probeLoop() {
-	defer close(m.done)
 	ticker := time.NewTicker(m.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {
@@ -155,8 +155,7 @@ func (m *Membership) probe(shard string) bool {
 	if err != nil {
 		return false
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
+	drainClose(resp)
 	return resp.StatusCode == http.StatusOK
 }
 
@@ -202,7 +201,7 @@ func (m *Membership) ReportSuccess(shard string) {
 			h.state = StateUp
 			h.consecOKs = 0
 			h.quarantined = false
-			m.readmits++
+			m.readmits.Inc()
 		}
 	}
 }
@@ -224,7 +223,7 @@ func (m *Membership) ReportFailure(shard string) {
 		if h.consecFails >= m.cfg.FailThreshold {
 			h.state = StateDown
 			h.consecFails = 0
-			m.marksDown++
+			m.marksDown.Inc()
 		}
 	case StateProbation:
 		h.state = StateDown
@@ -245,13 +244,13 @@ func (m *Membership) Quarantine(shard string) {
 		return
 	}
 	if h.state != StateDown {
-		m.marksDown++
+		m.marksDown.Inc()
 	}
 	h.state = StateDown
 	h.consecFails = 0
 	h.consecOKs = 0
 	h.quarantined = true
-	m.quarantines++
+	m.quarantines.Inc()
 }
 
 // State reports a shard's current liveness state (metrics).
@@ -265,25 +264,4 @@ func (m *Membership) State(shard string) string {
 		return h.state
 	}
 	return "unknown"
-}
-
-// counters snapshots the lifecycle counters for /metrics.
-func (m *Membership) counters() (marksDown, readmits, quarantines int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.marksDown, m.readmits, m.quarantines
-}
-
-// String summarizes states for logs.
-func (m *Membership) String() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := ""
-	for _, s := range m.cfg.Shards {
-		if out != "" {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%s", s, m.health[s].state)
-	}
-	return out
 }

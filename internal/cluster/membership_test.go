@@ -30,7 +30,7 @@ func TestMembershipMarkDownAfterConsecutiveFailures(t *testing.T) {
 	if m.Live("a") {
 		t.Fatal("shard still live after 3 consecutive failures")
 	}
-	marksDown, _, _ := m.counters()
+	marksDown := m.marksDown.Load()
 	if marksDown != 1 {
 		t.Fatalf("marksDown = %d, want 1", marksDown)
 	}
@@ -65,7 +65,7 @@ func TestMembershipReadmitThroughProbation(t *testing.T) {
 	if !m.Live("a") {
 		t.Fatalf("state = %s, want up after %d good probes", m.State("a"), 2)
 	}
-	_, readmits, _ := m.counters()
+	readmits := m.readmits.Load()
 	if readmits != 1 {
 		t.Fatalf("readmits = %d, want 1", readmits)
 	}
@@ -80,7 +80,7 @@ func TestQuarantineBypassesFailureThreshold(t *testing.T) {
 	if s := m.State("a"); s != "down (quarantined)" {
 		t.Fatalf("State = %q, want quarantined down", s)
 	}
-	marksDown, _, quarantines := m.counters()
+	marksDown, quarantines := m.marksDown.Load(), m.quarantines.Load()
 	if marksDown != 1 || quarantines != 1 {
 		t.Fatalf("marksDown=%d quarantines=%d, want 1 and 1", marksDown, quarantines)
 	}

@@ -1,121 +1,83 @@
 package cluster
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "nexsim/internal/metrics"
 
-// routerMetrics is the router's operational counter set, rendered as
-// plain text on /metrics in the same `name value` / `name{label} value`
-// format the shards use. All fields are guarded by the router lock;
-// per-shard and per-tenant maps render in sorted key order.
+// routerMetrics is the router's operational counter set, served on
+// /metrics by the registry in the same `name value` /
+// `name{label} value` format the shards use. Membership and Admission
+// own their counters (they exist without a router too); the router
+// registers them on its page.
 type routerMetrics struct {
-	requestsTotal int64 // POST /jobs requests handled
-	specsTotal    int64 // specs routed (batch members counted singly)
-	badRequests   int64 // malformed bodies / invalid specs
-	noShards      int64 // requests refused because no shard was live
-	shedded       int64 // requests refused 429 (shard backpressure exhausted)
+	reg *metrics.Registry
 
-	forwards      map[string]int64 // sub-batches sent, by shard
-	forwardErrors map[string]int64 // transport/5xx failures, by shard
-	failovers     int64            // groups re-routed after a dead/refusing shard
+	requestsTotal *metrics.Counter // POST /jobs requests handled
+	specsTotal    *metrics.Counter // specs routed (batch members counted singly)
+	badRequests   *metrics.Counter // malformed bodies / invalid specs
+	noShards      *metrics.Counter // requests refused because no shard was live
+	shedded       *metrics.Counter // requests refused 429 (shard backpressure exhausted)
+	failovers     *metrics.Counter // groups re-routed after a dead/refusing shard
 
-	hedgesLaunched  int64 // speculative duplicate sub-batches started
-	hedgesWon       int64 // hedges whose answer was served
-	hedgesWasted    int64 // duplicate answers that lost the race
-	probeCompares   int64 // duplicate answers byte-compared
-	probeMismatches int64 // determinism violations across shards
+	hedgesLaunched  *metrics.Counter // speculative duplicate sub-batches started
+	hedgesWon       *metrics.Counter // hedges whose answer was served
+	hedgesWasted    *metrics.Counter // duplicate answers that lost the race
+	probeCompares   *metrics.Counter // duplicate answers byte-compared
+	probeMismatches *metrics.Counter // determinism violations across shards
 
-	admissionRejects int64 // requests refused by the tenant gate
+	admissionRejects *metrics.Counter // requests refused by the tenant gate
 
-	hotsetRounds  int64 // digest exchanges that pushed at least one entry
-	hotsetEntries int64 // results included across all exchanges
-	hotsetPushes  int64 // successful per-shard pushes
+	hotsetRounds  *metrics.Counter // digest exchanges that pushed at least one entry
+	hotsetEntries *metrics.Counter // results included across all exchanges
+	hotsetPushes  *metrics.Counter // successful per-shard pushes
+
+	forwards      *metrics.CounterVec // sub-batches sent, by shard
+	forwardErrors *metrics.CounterVec // transport/5xx failures, by shard
+	inflight      *metrics.CounterVec // outstanding sub-batches, by shard (gauge; also the bounded-load signal)
 }
 
-func newRouterMetrics() *routerMetrics {
-	return &routerMetrics{
-		forwards:      map[string]int64{},
-		forwardErrors: map[string]int64{},
+// newRouterMetrics builds r's registry; registration order is page
+// order.
+func newRouterMetrics(r *Router) *routerMetrics {
+	reg := metrics.New()
+	m := &routerMetrics{
+		reg:              reg,
+		requestsTotal:    reg.Counter("simrouter_requests_total"),
+		specsTotal:       reg.Counter("simrouter_specs_total"),
+		badRequests:      reg.Counter("simrouter_bad_requests"),
+		noShards:         reg.Counter("simrouter_no_live_shards"),
+		shedded:          reg.Counter("simrouter_shed_429"),
+		failovers:        reg.Counter("simrouter_failovers"),
+		hedgesLaunched:   reg.Counter("simrouter_hedges_launched"),
+		hedgesWon:        reg.Counter("simrouter_hedges_won"),
+		hedgesWasted:     reg.Counter("simrouter_hedges_wasted"),
+		probeCompares:    reg.Counter("simrouter_probe_compares"),
+		probeMismatches:  reg.Counter("simrouter_probe_mismatches"),
+		admissionRejects: reg.Counter("simrouter_admission_rejects"),
+		hotsetRounds:     reg.Counter("simrouter_hotset_rounds"),
+		hotsetEntries:    reg.Counter("simrouter_hotset_entries"),
+		hotsetPushes:     reg.Counter("simrouter_hotset_pushes"),
 	}
-}
-
-// renderMetrics writes the router /metrics page: counters, membership
-// states, in-flight gauges, and per-tenant admission totals.
-func (r *Router) renderMetrics(w io.Writer) {
-	marksDown, readmits, quarantines := r.mem.counters()
-	admitted, rejected := r.adm.counters()
-
-	r.mu.Lock()
-	m := r.m
-	fmt.Fprintf(w, "simrouter_requests_total %d\n", m.requestsTotal)
-	fmt.Fprintf(w, "simrouter_specs_total %d\n", m.specsTotal)
-	fmt.Fprintf(w, "simrouter_bad_requests %d\n", m.badRequests)
-	fmt.Fprintf(w, "simrouter_no_live_shards %d\n", m.noShards)
-	fmt.Fprintf(w, "simrouter_shed_429 %d\n", m.shedded)
-	fmt.Fprintf(w, "simrouter_failovers %d\n", m.failovers)
-	fmt.Fprintf(w, "simrouter_hedges_launched %d\n", m.hedgesLaunched)
-	fmt.Fprintf(w, "simrouter_hedges_won %d\n", m.hedgesWon)
-	fmt.Fprintf(w, "simrouter_hedges_wasted %d\n", m.hedgesWasted)
-	fmt.Fprintf(w, "simrouter_probe_compares %d\n", m.probeCompares)
-	fmt.Fprintf(w, "simrouter_probe_mismatches %d\n", m.probeMismatches)
-	fmt.Fprintf(w, "simrouter_admission_rejects %d\n", m.admissionRejects)
-	fmt.Fprintf(w, "simrouter_hotset_rounds %d\n", m.hotsetRounds)
-	fmt.Fprintf(w, "simrouter_hotset_entries %d\n", m.hotsetEntries)
-	fmt.Fprintf(w, "simrouter_hotset_pushes %d\n", m.hotsetPushes)
-	forwards := make(map[string]int64, len(m.forwards))
-	for k, v := range m.forwards {
-		forwards[k] = v
-	}
-	forwardErrors := make(map[string]int64, len(m.forwardErrors))
-	for k, v := range m.forwardErrors {
-		forwardErrors[k] = v
-	}
-	inflight := make(map[string]int, len(r.inflight))
-	for k, v := range r.inflight {
-		inflight[k] = v
-	}
-	r.mu.Unlock()
-
-	fmt.Fprintf(w, "simrouter_marks_down %d\n", marksDown)
-	fmt.Fprintf(w, "simrouter_readmits %d\n", readmits)
-	fmt.Fprintf(w, "simrouter_quarantines %d\n", quarantines)
-
+	reg.Register(r.mem.marksDown, r.mem.readmits, r.mem.quarantines)
+	reg.Func(func(e *metrics.Encoder) {
+		for _, shard := range r.ring.Shards() {
+			up := int64(0)
+			if r.mem.Live(shard) {
+				up = 1
+			}
+			e.Int("simrouter_shard_up", up, "shard", shard)
+			e.Int("simrouter_shard_state", 1, "shard", shard, "state", r.mem.State(shard))
+		}
+	})
+	m.forwards = reg.CounterVec("simrouter_shard_forwards", "shard")
+	m.forwardErrors = reg.CounterVec("simrouter_shard_forward_errors", "shard")
+	m.inflight = reg.CounterVec("simrouter_shard_inflight", "shard")
 	for _, shard := range r.ring.Shards() {
-		up := 0
-		if r.mem.Live(shard) {
-			up = 1
-		}
-		fmt.Fprintf(w, "simrouter_shard_up{shard=%q} %d\n", shard, up)
-		fmt.Fprintf(w, "simrouter_shard_state{shard=%q,state=%q} 1\n", shard, r.mem.State(shard))
-		fmt.Fprintf(w, "simrouter_shard_forwards{shard=%q} %d\n", shard, forwards[shard])
-		fmt.Fprintf(w, "simrouter_shard_forward_errors{shard=%q} %d\n", shard, forwardErrors[shard])
-		fmt.Fprintf(w, "simrouter_shard_inflight{shard=%q} %d\n", shard, inflight[shard])
+		// Every shard renders from the start, not from its first forward.
+		m.forwards.With(shard)
+		m.forwardErrors.With(shard)
+		m.inflight.With(shard)
 	}
-
-	for _, tenant := range sortedTenants(admitted, rejected) {
-		fmt.Fprintf(w, "simrouter_tenant_admitted{tenant=%q} %d\n", tenant, admitted[tenant])
-		fmt.Fprintf(w, "simrouter_tenant_rejected{tenant=%q} %d\n", tenant, rejected[tenant])
+	if r.adm != nil {
+		reg.Register(r.adm.admitted, r.adm.rejected)
 	}
-}
-
-// sortedTenants merges the key sets of both counter maps, sorted.
-func sortedTenants(a, b map[string]int64) []string {
-	seen := map[string]bool{}
-	var tenants []string
-	for t := range a {
-		if !seen[t] {
-			seen[t] = true
-			tenants = append(tenants, t)
-		}
-	}
-	for t := range b {
-		if !seen[t] {
-			seen[t] = true
-			tenants = append(tenants, t)
-		}
-	}
-	sort.Strings(tenants)
-	return tenants
+	return m
 }

@@ -14,6 +14,7 @@ import (
 
 	"nexsim/internal/core"
 	"nexsim/internal/experiments"
+	"nexsim/internal/jobapi"
 	"nexsim/internal/vclock"
 )
 
@@ -70,7 +71,7 @@ func TestClientDisconnectCancelsQueuedJob(t *testing.T) {
 	// Wait until the job is queued, then hang up.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if st, _, ok := srv.lookup(id); ok && st == StatusQueued {
+		if st, _, ok := srv.lookup(id); ok && st == jobapi.StatusQueued {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -94,9 +95,7 @@ func TestClientDisconnectCancelsQueuedJob(t *testing.T) {
 	// Free the worker; the abandoned job must be skipped, not run.
 	close(block)
 	waitFor(t, 2*time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return srv.m.jobsCanceled == 1
+		return srv.m.jobsCanceled.Load() == 1
 	}, "abandoned job was never canceled at pickup")
 
 	if got := atomic.LoadInt64(&ran); got != 1 {
@@ -131,7 +130,7 @@ func TestAsyncSubmitRunsWithoutWaiters(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool {
 		st, _, ok := srv.lookup(id)
-		return ok && st == StatusDone
+		return ok && st == jobapi.StatusDone
 	}, "async job never completed")
 }
 
@@ -167,6 +166,13 @@ func TestRetryAfterJitterDeterministic(t *testing.T) {
 		}
 	}
 
+	retryAfterSecs := func(spec experiments.Spec) int {
+		id, err := spec.ID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jobapi.RetryAfterSecs(id)
+	}
 	refused := experiments.Spec{Bench: "npb-ep.8", Seed: 99}
 	want := retryAfterSecs(refused)
 	if want < 1 || want > 3 {
@@ -226,7 +232,7 @@ func TestPromoteVerifiesContentAddress(t *testing.T) {
 	if err := dst.Promote(id, false, result); err != nil {
 		t.Fatalf("valid promote rejected: %v", err)
 	}
-	if st, got, ok := dst.lookup(id); !ok || st != StatusDone || !bytes.Equal(got, result) {
+	if st, got, ok := dst.lookup(id); !ok || st != jobapi.StatusDone || !bytes.Equal(got, result) {
 		t.Fatalf("promoted result not served: ok=%v status=%s identical=%v", ok, st, bytes.Equal(got, result))
 	}
 	// Re-push of a cached entry is a duplicate, not an error.
@@ -267,12 +273,38 @@ func TestPromoteVerifiesContentAddress(t *testing.T) {
 		t.Fatal("promote accepted a failed flag contradicting the result")
 	}
 
-	dst.mu.Lock()
-	promoted, dups, rejected := dst.m.hotsetPromoted, dst.m.hotsetDuplicates, dst.m.hotsetRejected
-	dst.mu.Unlock()
+	promoted, dups, rejected := dst.m.hotsetPromoted.Load(), dst.m.hotsetDuplicates.Load(), dst.m.hotsetRejected.Load()
 	if promoted != 1 || dups != 1 || rejected != 4 {
 		t.Fatalf("hotset counters = %d/%d/%d, want 1 promoted, 1 duplicate, 4 rejected", promoted, dups, rejected)
 	}
+}
+
+// FuzzPromote: a hot-set push is bytes from a peer. Whatever they are,
+// Promote answers with an error or a verified promotion — never a panic
+// — and what it accepts is exactly what the content address vouches
+// for: the result served afterwards is byte-identical to the push.
+func FuzzPromote(f *testing.F) {
+	f.Fuzz(func(t *testing.T, id string, failed bool, result []byte) {
+		srv := New(Config{Workers: 1, Backlog: 1, CacheEntries: 4})
+		defer srv.Close()
+		if err := srv.Promote(id, failed, result); err != nil {
+			return
+		}
+		var jr JobResult
+		if err := json.Unmarshal(result, &jr); err != nil {
+			t.Fatalf("accepted undecodable bytes: %v", err)
+		}
+		if specID, err := jr.Spec.ID(); err != nil || specID != id {
+			t.Fatalf("accepted %q under address %q (%v)", specID, id, err)
+		}
+		if jr.ErrorKind == ErrorKindTransient || failed != (jr.Error != "") {
+			t.Fatalf("accepted failed=%v for result %s", failed, result)
+		}
+		st, got, ok := srv.lookup(id)
+		if !ok || !bytes.Equal(got, result) || (st == jobapi.StatusFailed) != failed {
+			t.Fatalf("promoted entry served as ok=%v status=%q identical=%v", ok, st, bytes.Equal(got, result))
+		}
+	})
 }
 
 // The POST /cluster/hotset endpoint promotes good entries and rejects
@@ -294,8 +326,8 @@ func TestHotsetEndpoint(t *testing.T) {
 
 	_, dstTS := newTestServer(t, Config{Workers: 1, Backlog: 4, Runner: runner})
 	push, err := json.Marshal(struct {
-		Entries []hotsetEntry `json:"entries"`
-	}{[]hotsetEntry{
+		Entries []jobapi.HotEntry `json:"entries"`
+	}{[]jobapi.HotEntry{
 		{ID: id, Failed: false, Result: result},
 		{ID: "bogus", Failed: false, Result: result},
 	}})
@@ -420,7 +452,7 @@ func TestWALReplayWithConcurrentSubmits(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, result, ok := srv3.lookup(id)
-		if !ok || st != StatusDone {
+		if !ok || st != jobapi.StatusDone {
 			t.Fatalf("seed %d: not recovered (ok=%v status=%s)", seed, ok, st)
 		}
 		var jr JobResult

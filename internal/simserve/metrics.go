@@ -1,143 +1,125 @@
 package simserve
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-
-	"nexsim/internal/checkpoint"
+	"nexsim/internal/experiments"
 	"nexsim/internal/faults"
+	"nexsim/internal/metrics"
 	"nexsim/internal/stats"
 )
 
-// metrics is the daemon's operational counter set, rendered as plain
-// text on /metrics (one `name value` or `name{label="..."} value` line
-// per metric, in stable order). All fields are guarded by the server's
-// lock; gauges (queue depth, busy workers) are sampled at render time.
-type metrics struct {
-	jobsSubmitted int64 // specs accepted onto the queue (fresh runs)
-	jobsCompleted int64
-	jobsFailed    int64
-	jobsCanceled  int64 // queued jobs skipped at pickup (all waiters gone)
-	jobsDeduped   int64 // submits coalesced onto an in-flight identical run
-	cacheHits     int64 // submits served from the result cache
-	cacheMisses   int64
+// serverMetrics is the daemon's operational counter set, served on
+// /metrics by the registry. Counters are atomic, so they are bumped
+// wherever the event happens, with or without the server lock; gauges
+// owned by other components (queue, cache, checkpoint store, fault
+// injector) are sampled at scrape time.
+type serverMetrics struct {
+	reg *metrics.Registry
 
-	// Cluster hot-set counters (POST /cluster/hotset).
-	hotsetPromoted   int64 // pushed results verified and cached
-	hotsetDuplicates int64 // pushes for results already cached here
-	hotsetRejected   int64 // pushes failing content-address verification
+	jobsSubmitted *metrics.Counter // specs accepted onto the queue (fresh runs)
+	jobsCompleted *metrics.Counter
+	jobsFailed    *metrics.Counter
+	jobsCanceled  *metrics.Counter // queued jobs skipped at pickup (all waiters gone)
+	jobsDeduped   *metrics.Counter // submits coalesced onto an in-flight identical run
+	cacheHits     *metrics.Counter // submits served from the result cache
+	cacheMisses   *metrics.Counter
 
-	workersBusy int64 // currently executing jobs (gauge)
+	workersBusy *metrics.Counter // currently executing jobs (gauge)
 
 	// Self-healing counters.
-	retriesTotal      int64 // transient failures re-attempted
-	transientFailures int64 // jobs answered with a transient failure (retries exhausted)
-	budgetAborts      int64 // attempts aborted by core.ErrBudgetExceeded
-	hedgesLaunched    int64 // speculative second attempts started
-	hedgesWon         int64 // hedges that published first
-	hedgesWasted      int64 // attempts finishing after another published
-	hedgeMismatches   int64 // hedge/primary byte mismatches (determinism violations)
+	retriesTotal      *metrics.Counter // transient failures re-attempted
+	transientFailures *metrics.Counter // jobs answered with a transient failure (retries exhausted)
+	budgetAborts      *metrics.Counter // attempts aborted by core.ErrBudgetExceeded
+	hedgesLaunched    *metrics.Counter // speculative second attempts started
+	hedgesWon         *metrics.Counter // hedges that published first
+	hedgesWasted      *metrics.Counter // attempts finishing after another published
+	hedgeMismatches   *metrics.Counter // hedge/primary byte mismatches (determinism violations)
+
+	// Cluster hot-set counters (POST /cluster/hotset).
+	hotsetPromoted   *metrics.Counter // pushed results verified and cached
+	hotsetDuplicates *metrics.Counter // pushes for results already cached here
+	hotsetRejected   *metrics.Counter // pushes failing content-address verification
 
 	// Crash-safety counters (StateDir servers).
-	walRecoveredResults int64 // done records replayed into the cache at Open
-	walRecoveredPending int64 // interrupted jobs resubmitted at Open
-	walPendingDropped   int64 // interrupted jobs that no longer fit the queue
-	walAppendErrors     int64 // journal writes that failed (results stay in memory)
+	walRecoveredResults *metrics.Counter // done records replayed into the cache at Open
+	walRecoveredPending *metrics.Counter // interrupted jobs resubmitted at Open
+	walPendingDropped   *metrics.Counter // interrupted jobs that no longer fit the queue
+	walAppendErrors     *metrics.Counter // journal writes that failed (results stay in memory)
 
-	// Per-benchmark wall-time histograms (milliseconds) for completed
-	// fresh runs; cache hits cost no engine time and are not recorded.
-	benchWall map[string]*stats.Histogram
-	benchRuns map[string]int64
+	// Per-benchmark run counts and wall-time histograms (milliseconds)
+	// for completed fresh runs; cache hits cost no engine time and are
+	// not recorded.
+	benchRuns *metrics.CounterVec
+	benchWall *metrics.HistogramVec
 }
 
 // wallBoundsMS are the histogram buckets: 0.25ms to ~8s, doubling.
 var wallBoundsMS = stats.GeometricBounds(0.25, 2, 16)
 
-func newMetrics() *metrics {
-	return &metrics{
-		benchWall: map[string]*stats.Histogram{},
-		benchRuns: map[string]int64{},
+// newMetrics builds s's registry; registration order is page order.
+func newMetrics(s *Server) *serverMetrics {
+	reg := metrics.New()
+	m := &serverMetrics{reg: reg}
+	if s.cfg.ShardID != "" {
+		reg.Func(func(e *metrics.Encoder) { e.Int("simserve_shard", 1, "id", s.cfg.ShardID) })
 	}
+	m.jobsSubmitted = reg.Counter("simserve_jobs_submitted")
+	m.jobsCompleted = reg.Counter("simserve_jobs_completed")
+	m.jobsFailed = reg.Counter("simserve_jobs_failed")
+	m.jobsCanceled = reg.Counter("simserve_jobs_canceled")
+	m.jobsDeduped = reg.Counter("simserve_jobs_deduped")
+	m.cacheHits = reg.Counter("simserve_cache_hits")
+	m.cacheMisses = reg.Counter("simserve_cache_misses")
+	reg.Func(func(e *metrics.Encoder) {
+		s.mu.Lock()
+		entries, evictions := s.cache.Len(), s.cache.Evictions()
+		s.mu.Unlock()
+		e.Int("simserve_cache_entries", int64(entries))
+		e.Int("simserve_cache_evictions", int64(evictions))
+		e.Int("simserve_queue_depth", int64(s.pool.Depth()))
+		e.Int("simserve_queue_capacity", int64(s.pool.Capacity()))
+		e.Int("simserve_workers", int64(s.pool.Workers()))
+	})
+	m.workersBusy = reg.Counter("simserve_workers_busy")
+	reg.Func(func(e *metrics.Encoder) {
+		ck := experiments.CheckpointStats()
+		e.Int("simserve_checkpoint_entries", int64(ck.Entries))
+		e.Int("simserve_checkpoint_bytes", ck.UsedBytes)
+		e.Int("simserve_checkpoint_hits", int64(ck.Hits))
+		e.Int("simserve_checkpoint_misses", int64(ck.Misses))
+		e.Int("simserve_checkpoint_evictions", int64(ck.Evictions))
+		e.Int("simserve_checkpoint_disk_hits", int64(ck.Disk.Hits))
+		e.Int("simserve_checkpoint_disk_misses", int64(ck.Disk.Misses))
+		e.Int("simserve_checkpoint_disk_corrupt", int64(ck.Disk.Corrupt))
+		e.Int("simserve_checkpoint_disk_puts", int64(ck.Disk.Puts))
+	})
+	m.retriesTotal = reg.Counter("simserve_retries_total")
+	m.transientFailures = reg.Counter("simserve_transient_failures")
+	m.budgetAborts = reg.Counter("simserve_budget_aborts")
+	m.hedgesLaunched = reg.Counter("simserve_hedges_launched")
+	m.hedgesWon = reg.Counter("simserve_hedges_won")
+	m.hedgesWasted = reg.Counter("simserve_hedges_wasted")
+	m.hedgeMismatches = reg.Counter("simserve_hedge_mismatches")
+	m.hotsetPromoted = reg.Counter("simserve_hotset_promoted")
+	m.hotsetDuplicates = reg.Counter("simserve_hotset_duplicates")
+	m.hotsetRejected = reg.Counter("simserve_hotset_rejected")
+	m.walRecoveredResults = reg.Counter("simserve_wal_recovered_results")
+	m.walRecoveredPending = reg.Counter("simserve_wal_recovered_pending")
+	m.walPendingDropped = reg.Counter("simserve_wal_pending_dropped")
+	m.walAppendErrors = reg.Counter("simserve_wal_append_errors")
+	reg.Func(func(e *metrics.Encoder) {
+		e.Int("simserve_faults_fired_total", faults.FiredTotal())
+		sites, counts := faults.FiredBySite()
+		for i, site := range sites {
+			e.Int("simserve_faults_fired", counts[i], "site", site)
+		}
+	})
+	m.benchRuns = reg.CounterVec("simserve_bench_runs", "bench")
+	m.benchWall = reg.HistogramVec("simserve_bench_wall_ms", "bench", wallBoundsMS)
+	return m
 }
 
 // observeRun records one completed fresh run of bench taking wallMS.
-func (m *metrics) observeRun(bench string, wallMS float64) {
-	h := m.benchWall[bench]
-	if h == nil {
-		h = stats.NewHistogram(wallBoundsMS...)
-		m.benchWall[bench] = h
-	}
-	h.Observe(wallMS)
-	m.benchRuns[bench]++
-}
-
-// render writes the metrics page. queueDepth/queueCap/workers are
-// sampled by the caller from the pool, cacheEntries/cacheEvictions from
-// the result cache, and ck from the prefix-checkpoint store.
-func (m *metrics) render(w io.Writer, shardID string, queueDepth, queueCap, workers int, cacheEntries int, cacheEvictions int64, ck checkpoint.StoreStats) {
-	if shardID != "" {
-		fmt.Fprintf(w, "simserve_shard{id=%q} 1\n", shardID)
-	}
-	fmt.Fprintf(w, "simserve_jobs_submitted %d\n", m.jobsSubmitted)
-	fmt.Fprintf(w, "simserve_jobs_completed %d\n", m.jobsCompleted)
-	fmt.Fprintf(w, "simserve_jobs_failed %d\n", m.jobsFailed)
-	fmt.Fprintf(w, "simserve_jobs_canceled %d\n", m.jobsCanceled)
-	fmt.Fprintf(w, "simserve_jobs_deduped %d\n", m.jobsDeduped)
-	fmt.Fprintf(w, "simserve_cache_hits %d\n", m.cacheHits)
-	fmt.Fprintf(w, "simserve_cache_misses %d\n", m.cacheMisses)
-	fmt.Fprintf(w, "simserve_cache_entries %d\n", cacheEntries)
-	fmt.Fprintf(w, "simserve_cache_evictions %d\n", cacheEvictions)
-	fmt.Fprintf(w, "simserve_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "simserve_queue_capacity %d\n", queueCap)
-	fmt.Fprintf(w, "simserve_workers %d\n", workers)
-	fmt.Fprintf(w, "simserve_workers_busy %d\n", m.workersBusy)
-	fmt.Fprintf(w, "simserve_checkpoint_entries %d\n", ck.Entries)
-	fmt.Fprintf(w, "simserve_checkpoint_bytes %d\n", ck.UsedBytes)
-	fmt.Fprintf(w, "simserve_checkpoint_hits %d\n", ck.Hits)
-	fmt.Fprintf(w, "simserve_checkpoint_misses %d\n", ck.Misses)
-	fmt.Fprintf(w, "simserve_checkpoint_evictions %d\n", ck.Evictions)
-	fmt.Fprintf(w, "simserve_checkpoint_disk_hits %d\n", ck.Disk.Hits)
-	fmt.Fprintf(w, "simserve_checkpoint_disk_misses %d\n", ck.Disk.Misses)
-	fmt.Fprintf(w, "simserve_checkpoint_disk_corrupt %d\n", ck.Disk.Corrupt)
-	fmt.Fprintf(w, "simserve_checkpoint_disk_puts %d\n", ck.Disk.Puts)
-	fmt.Fprintf(w, "simserve_retries_total %d\n", m.retriesTotal)
-	fmt.Fprintf(w, "simserve_transient_failures %d\n", m.transientFailures)
-	fmt.Fprintf(w, "simserve_budget_aborts %d\n", m.budgetAborts)
-	fmt.Fprintf(w, "simserve_hedges_launched %d\n", m.hedgesLaunched)
-	fmt.Fprintf(w, "simserve_hedges_won %d\n", m.hedgesWon)
-	fmt.Fprintf(w, "simserve_hedges_wasted %d\n", m.hedgesWasted)
-	fmt.Fprintf(w, "simserve_hedge_mismatches %d\n", m.hedgeMismatches)
-	fmt.Fprintf(w, "simserve_hotset_promoted %d\n", m.hotsetPromoted)
-	fmt.Fprintf(w, "simserve_hotset_duplicates %d\n", m.hotsetDuplicates)
-	fmt.Fprintf(w, "simserve_hotset_rejected %d\n", m.hotsetRejected)
-	fmt.Fprintf(w, "simserve_wal_recovered_results %d\n", m.walRecoveredResults)
-	fmt.Fprintf(w, "simserve_wal_recovered_pending %d\n", m.walRecoveredPending)
-	fmt.Fprintf(w, "simserve_wal_pending_dropped %d\n", m.walPendingDropped)
-	fmt.Fprintf(w, "simserve_wal_append_errors %d\n", m.walAppendErrors)
-	fmt.Fprintf(w, "simserve_faults_fired_total %d\n", faults.FiredTotal())
-	sites, counts := faults.FiredBySite()
-	for i, site := range sites {
-		fmt.Fprintf(w, "simserve_faults_fired{site=%q} %d\n", site, counts[i])
-	}
-
-	benches := make([]string, 0, len(m.benchWall))
-	for b := range m.benchWall {
-		benches = append(benches, b)
-	}
-	sort.Strings(benches)
-	for _, b := range benches {
-		fmt.Fprintf(w, "simserve_bench_runs{bench=%q} %d\n", b, m.benchRuns[b])
-		h := m.benchWall[b]
-		cum := h.Cumulative()
-		for i, bound := range h.Bounds() {
-			fmt.Fprintf(w, "simserve_bench_wall_ms_bucket{bench=%q,le=%q} %d\n",
-				b, strconv.FormatFloat(bound, 'g', -1, 64), cum[i])
-		}
-		fmt.Fprintf(w, "simserve_bench_wall_ms_bucket{bench=%q,le=\"+Inf\"} %d\n", b, cum[len(cum)-1])
-		fmt.Fprintf(w, "simserve_bench_wall_ms_sum{bench=%q} %s\n",
-			b, strconv.FormatFloat(h.Sum(), 'g', -1, 64))
-		fmt.Fprintf(w, "simserve_bench_wall_ms_count{bench=%q} %d\n", b, h.N())
-	}
+func (m *serverMetrics) observeRun(bench string, wallMS float64) {
+	m.benchRuns.With(bench).Inc()
+	m.benchWall.Observe(bench, wallMS)
 }

@@ -15,6 +15,7 @@ import (
 	"nexsim/internal/core"
 	"nexsim/internal/experiments"
 	"nexsim/internal/faults"
+	"nexsim/internal/jobapi"
 	"nexsim/internal/vclock"
 )
 
@@ -90,6 +91,66 @@ func TestTransientFailureRetriedNotCached(t *testing.T) {
 	}
 	if n := metricValue(t, page, "simserve_cache_entries"); n != 0 {
 		t.Errorf("cache_entries = %d, want 0", n)
+	}
+}
+
+// TestTransientAnswerStaysPollable: a client that was told to poll (async
+// submit → 202) must be able to collect a transient failure too. The
+// answer is served on GET /jobs/{id} without entering the result cache,
+// and a resubmit of the spec runs fresh and replaces it.
+func TestTransientAnswerStaysPollable(t *testing.T) {
+	var runs int64
+	_, ts := newTestServer(t, Config{
+		Workers: 1, Backlog: 4, MaxRetries: -1,
+		Runner: func(s experiments.Spec, attempt int) (core.Result, error) {
+			if atomic.AddInt64(&runs, 1) == 1 {
+				return core.Result{}, fmt.Errorf("chaos: %w", faults.ErrInjected)
+			}
+			return core.Result{SimTime: 4 * vclock.Microsecond}, nil
+		},
+	})
+	code, body := post(t, ts, `{"specs":[{"bench":"npb-ep.8"}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("async submit: status %d, body %s", code, body)
+	}
+	var env jobapi.Accepted
+	if err := json.Unmarshal(body, &env); err != nil || len(env.Jobs) != 1 {
+		t.Fatalf("bad 202 envelope %s: %v", body, err)
+	}
+	waitMetric(t, ts, "simserve_transient_failures", 1)
+
+	code, body = get(t, ts, "/jobs/"+env.Jobs[0].ID)
+	if code != http.StatusOK {
+		t.Fatalf("poll after a transient failure: status %d, body %s", code, body)
+	}
+	var poll jobapi.JobPoll
+	if err := json.Unmarshal(body, &poll); err != nil {
+		t.Fatal(err)
+	}
+	var jr JobResult
+	if err := json.Unmarshal(poll.Result, &jr); err != nil {
+		t.Fatal(err)
+	}
+	if poll.Status != jobapi.StatusFailed || jr.ErrorKind != ErrorKindTransient || jr.Error == "" {
+		t.Fatalf("polled answer = status %q, result %+v; want a failed transient", poll.Status, jr)
+	}
+	_, page := get(t, ts, "/metrics")
+	if n := metricValue(t, page, "simserve_cache_entries"); n != 0 {
+		t.Errorf("cache_entries = %d, want 0 (a pollable answer is not a cached result)", n)
+	}
+
+	// Resubmitting runs fresh (the stale answer is not a cache hit) and the
+	// poll now serves the new, successful result.
+	code, body = post(t, ts, `{"specs":[{"bench":"npb-ep.8"}],"wait":true}`)
+	if code != http.StatusOK {
+		t.Fatalf("resubmit: status %d, body %s", code, body)
+	}
+	if jr := waitResults(t, body)[0]; jr.Error != "" || atomic.LoadInt64(&runs) != 2 {
+		t.Fatalf("resubmit did not run fresh: %+v after %d runs", jr, runs)
+	}
+	_, body = get(t, ts, "/jobs/"+env.Jobs[0].ID)
+	if err := json.Unmarshal(body, &poll); err != nil || poll.Status != jobapi.StatusDone {
+		t.Fatalf("poll after the healed resubmit: %s (%v)", body, err)
 	}
 }
 
@@ -298,7 +359,7 @@ func TestWALPendingResubmittedAfterCrash(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if status, _, ok := srv2.lookup(id); ok && status == StatusDone {
+		if status, _, ok := srv2.lookup(id); ok && status == jobapi.StatusDone {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -309,9 +370,7 @@ func TestWALPendingResubmittedAfterCrash(t *testing.T) {
 	if n := atomic.LoadInt64(&ran); n != 1 {
 		t.Fatalf("recovered job ran %d times, want 1", n)
 	}
-	srv2.mu.Lock()
-	recovered := srv2.m.walRecoveredPending
-	srv2.mu.Unlock()
+	recovered := srv2.m.walRecoveredPending.Load()
 	if recovered != 1 {
 		t.Fatalf("wal_recovered_pending = %d, want 1", recovered)
 	}
@@ -365,7 +424,7 @@ func TestWALTornTailAndBadRecordsDropped(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	status, result, ok := srv.lookup(goodID)
-	if !ok || status != StatusDone || !bytes.Equal(result, goodData) {
+	if !ok || status != jobapi.StatusDone || !bytes.Equal(result, goodData) {
 		t.Fatalf("good record not recovered: ok=%v status=%q", ok, status)
 	}
 	if _, _, ok := srv.lookup("deadbeef"); ok {
@@ -390,9 +449,7 @@ func TestWALTornTailAndBadRecordsDropped(t *testing.T) {
 	if len(recs) != 2 || recs[0].id != goodID || recs[1].id != transID {
 		t.Fatalf("compacted journal has %d records, want good + transient", len(recs))
 	}
-	srv.mu.Lock()
-	recovered := srv.m.walRecoveredResults
-	srv.mu.Unlock()
+	recovered := srv.m.walRecoveredResults.Load()
 	if recovered != 1 {
 		t.Fatalf("wal_recovered_results = %d, want 1", recovered)
 	}

@@ -13,6 +13,8 @@ import (
 
 	"nexsim/internal/core"
 	"nexsim/internal/experiments"
+	"nexsim/internal/jobapi"
+	"nexsim/internal/lru"
 	"nexsim/internal/vclock"
 )
 
@@ -92,7 +94,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("async submit: status %d, body %s", code, resp)
 	}
 	var env struct {
-		Jobs []jobStatus `json:"jobs"`
+		Jobs []jobapi.JobStatus `json:"jobs"`
 	}
 	if err := json.Unmarshal(resp, &env); err != nil {
 		t.Fatal(err)
@@ -129,11 +131,11 @@ func TestEndToEnd(t *testing.T) {
 			if err := json.Unmarshal(out, &poll); err != nil {
 				t.Fatal(err)
 			}
-			if poll.Status == StatusDone {
+			if poll.Status == jobapi.StatusDone {
 				last = poll.Result
 				break
 			}
-			if poll.Status == StatusFailed {
+			if poll.Status == jobapi.StatusFailed {
 				t.Fatalf("job %s failed: %s", js.ID, poll.Result)
 			}
 			if time.Now().After(deadline) {
@@ -284,9 +286,7 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	// 1 fresh submit + (clients-1) split between dedup (in-flight) and
 	// cache hits (after completion).
-	srv.mu.Lock()
-	deduped, hits := srv.m.jobsDeduped, srv.m.cacheHits
-	srv.mu.Unlock()
+	deduped, hits := srv.m.jobsDeduped.Load(), srv.m.cacheHits.Load()
 	if deduped+hits != clients-1 {
 		t.Errorf("deduped(%d) + cache hits(%d) = %d, want %d", deduped, hits, deduped+hits, clients-1)
 	}
@@ -395,7 +395,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	status, result, ok := srv.lookup(id)
-	if !ok || status != StatusDone {
+	if !ok || status != jobapi.StatusDone {
 		t.Fatalf("drained job not in cache: ok=%v status=%q", ok, status)
 	}
 	var jr JobResult
@@ -446,21 +446,21 @@ func TestFailedJobCachedDeterministically(t *testing.T) {
 
 // TestLRUCacheEviction pins the cache bound.
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	c.put(&cacheEntry{id: "a", result: []byte("1")})
-	c.put(&cacheEntry{id: "b", result: []byte("2")})
-	if _, ok := c.get("a"); !ok { // touch a: b becomes LRU
+	c := lru.New[string, cacheEntry](2)
+	c.Put("a", cacheEntry{result: []byte("1")}, 1)
+	c.Put("b", cacheEntry{result: []byte("2")}, 1)
+	if _, ok := c.Get("a"); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.put(&cacheEntry{id: "c", result: []byte("3")})
-	if _, ok := c.get("b"); ok {
+	c.Put("c", cacheEntry{result: []byte("3")}, 1)
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("recently used a was evicted")
 	}
-	if c.len() != 2 || c.evictions != 1 {
-		t.Fatalf("len=%d evictions=%d, want 2/1", c.len(), c.evictions)
+	if c.Len() != 2 || c.Evictions() != 1 {
+		t.Fatalf("len=%d evictions=%d, want 2/1", c.Len(), c.Evictions())
 	}
 }
 
