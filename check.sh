@@ -22,6 +22,15 @@ sh scripts/lint_cache_smoke.sh
 find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + |
 	awk '$2 != "total" && $1 > 900 { print "over 900 lines:", $2, $1; bad = 1 } END { exit bad }'
 
+# One host kit (DESIGN.md §4): the stepper lanes belong to the device
+# complex, so only internal/hostkit imports parsim; and app.Env has one
+# implementation (a second SlipStream method under internal/ is a second
+# Env growing back in an engine).
+test -z "$(grep -rl '"nexsim/internal/parsim"' internal cmd --include='*.go' |
+	grep -v -e _test.go -e /testdata/ -e '^internal/hostkit/')"
+test "$(grep -rl '^func (.*) SlipStream(fn func())' internal --include='*.go' |
+	grep -v -e _test.go -e /testdata/ | wc -l)" -le 1
+
 go build ./...
 go test ./...
 

@@ -24,10 +24,10 @@ import (
 	"nexsim/internal/app"
 	"nexsim/internal/core"
 	"nexsim/internal/dsim"
+	"nexsim/internal/hostkit"
 	"nexsim/internal/lpn"
 	"nexsim/internal/lpnlang"
 	"nexsim/internal/mem"
-	"nexsim/internal/nex"
 	"nexsim/internal/vclock"
 	"nexsim/internal/xrand"
 )
@@ -204,7 +204,7 @@ func main() {
 		eng := sys.NEXEngine()
 		mmio := mem.Addr(0x9000_0000)
 		tb := sys.Ctx.Mem.Alloc("filter-taskbuf", 4096)
-		db := &nex.DeviceBinding{Device: dev, MMIOBase: mmio, MMIOSize: 0x1000}
+		db := &hostkit.Binding{Device: dev, MMIOBase: mmio, MMIOSize: 0x1000}
 		dev.SetHost(eng.HostFor(db))
 		eng.Attach(db)
 

@@ -74,16 +74,3 @@ type Host interface {
 	// hybrid synchronization delivers at interval boundaries).
 	RaiseIRQ(at vclock.Time, vector int)
 }
-
-// Binding couples a device with the fabric it is attached through; host
-// engines own the mapping from MMIO addresses to bindings.
-type Binding struct {
-	Device   Device
-	MMIOBase mem.Addr
-	MMIOSize uint64
-}
-
-// Contains reports whether addr falls in the binding's MMIO window.
-func (b *Binding) Contains(addr mem.Addr) bool {
-	return addr >= b.MMIOBase && uint64(addr) < uint64(b.MMIOBase)+b.MMIOSize
-}

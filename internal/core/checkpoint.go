@@ -59,17 +59,7 @@ func (s *System) RunPrefix(prog app.Program) (Result, bool) {
 	if !completed {
 		return Result{}, false
 	}
-	wall := time.Since(start) //simlint:allow nondet-time
-	res := Result{SimTime: r.SimTime, WallTime: wall,
-		Host: s.cfg.Host, Accel: s.cfg.Accel, NEXStats: r.Stats}
-	for _, d := range s.binds {
-		// RunPrefix never calls startCrew (only Run and ResumeRun do,
-		// and both defer stopCrew), so no lane can be live here. The
-		// open window the analysis reports is the flow-insensitive
-		// summary of advanceDevices' crew-not-nil branch.
-		res.Devices = append(res.Devices, d.Stats()) //simlint:allow lane-safety RunPrefix never starts a crew
-	}
-	return res, true
+	return must(s.finish(start, r.SimTime)), true
 }
 
 // Checkpoint serializes the halted system into a blob. Two systems that
@@ -158,16 +148,15 @@ func (s *System) RestoreCheckpoint(blob []byte, prog app.Program) error {
 
 // ResumeRun continues a halted (prefix-run or restored) system to
 // completion. The result matches what Run would have returned on a
-// straight-through execution, except WallTime covers only the resumed
-// portion.
-func (s *System) ResumeRun() Result {
+// straight-through execution, except that the wall-time fields cover
+// only the resumed portion. A budget abort panics (use TryResume for
+// the structured error).
+func (s *System) ResumeRun() Result { return must(s.TryResume()) }
+
+// TryResume is ResumeRun under TryRun's contract: a run that exceeds
+// its Budget is reaped and reported as an error wrapping
+// ErrBudgetExceeded.
+func (s *System) TryResume() (Result, error) {
 	start := time.Now() //simlint:allow nondet-time Result.WallTime is speed reporting, never simulation state
-	r := s.nexEng.ResumeRun()
-	wall := time.Since(start) //simlint:allow nondet-time
-	res := Result{SimTime: r.SimTime, WallTime: wall,
-		Host: s.cfg.Host, Accel: s.cfg.Accel, NEXStats: r.Stats}
-	for _, d := range s.binds {
-		res.Devices = append(res.Devices, d.Stats())
-	}
-	return res
+	return s.finish(start, s.nexEng.ResumeRun().SimTime)
 }

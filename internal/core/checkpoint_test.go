@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"nexsim/internal/checkpoint"
@@ -218,5 +220,53 @@ func TestCheckpointRefusals(t *testing.T) {
 	}
 	if _, err := sys.Checkpoint(); err == nil {
 		t.Fatal("reference host produced a checkpoint")
+	}
+}
+
+// TestResumedRunReportsWallSplit: a run forked from a checkpoint reports
+// the same wall-split fields a straight run does (they were dropped, so
+// every forked run fed the experiments' wall accounting zeros), and with
+// IntraParallel set it reports the stepper lanes ResumeRun started.
+func TestResumedRunReportsWallSplit(t *testing.T) {
+	const bench = "jpeg-mt.4"
+	blob := checkpointOf(t, bench, nil)
+
+	serial := resumeFrom(t, blob, bench, nil)
+	if serial.HostWall <= 0 || serial.HostWall != serial.WallTime {
+		t.Errorf("serial resume: HostWall %v, WallTime %v; want equal and > 0", serial.HostWall, serial.WallTime)
+	}
+	if serial.Intra != 1 || serial.DeviceWall != 0 {
+		t.Errorf("serial resume: Intra %d DeviceWall %v, want 1 and 0", serial.Intra, serial.DeviceWall)
+	}
+
+	par := resumeFrom(t, blob, bench, func(c *core.Config) { c.IntraParallel = 3 })
+	if par.HostWall <= 0 || par.Intra != 3 || par.DeviceWall <= 0 {
+		t.Errorf("intra-3 resume: HostWall %v Intra %d DeviceWall %v, want > 0, 3, > 0",
+			par.HostWall, par.Intra, par.DeviceWall)
+	}
+	sameRun(t, "intra-3 resume vs serial resume", par, serial)
+}
+
+// TestTryResumeBudget: a forked run that blows its Budget aborts under
+// TryRun's contract — the same structured error, engine reaped.
+func TestTryResumeBudget(t *testing.T) {
+	const bench = "jpeg-decode"
+	budget := func(c *core.Config) { c.Budget.MaxEpochs = 1 }
+	b, _ := workloads.ByName(bench)
+
+	sys, _, _ := buildSys(t, bench, budget)
+	_, straightErr := sys.TryRun(b.Build(&sys.Ctx))
+
+	sys, _, _ = buildSys(t, bench, budget)
+	if err := sys.RestoreCheckpoint(checkpointOf(t, bench, nil), b.Build(&sys.Ctx)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := sys.TryResume()
+	if !errors.Is(err, core.ErrBudgetExceeded) || !errors.Is(straightErr, core.ErrBudgetExceeded) {
+		t.Fatalf("TryResume err = %v, TryRun err = %v; want both ErrBudgetExceeded", err, straightErr)
+	}
+	const prefix = "nex/dsim run aborted after "
+	if !strings.HasPrefix(err.Error(), prefix) || !strings.HasPrefix(straightErr.Error(), prefix) {
+		t.Errorf("abort messages differ in form:\n resume: %v\n run:    %v", err, straightErr)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"nexsim/internal/dram"
 	"nexsim/internal/exacthost"
 	"nexsim/internal/faults"
+	"nexsim/internal/hostkit"
 	"nexsim/internal/interconnect"
 	"nexsim/internal/mem"
 	"nexsim/internal/memsys"
@@ -188,11 +189,22 @@ type System struct {
 	binds []accel.Device
 	// Channels holds the SimBricks channels when UseChannel is set.
 	Channels []*simbricks.Channel
-	runRef   func(prog app.Program) Result
-	nexEng   *nex.Engine
-	exactEng *exacthost.Engine
+	host     hostEngine
+	run      func(prog app.Program) vclock.Duration // host.Run, reduced to the simulated time
+	nexEng   *nex.Engine                            // == host under HostNEX, else nil
 	gem5CPU  *cpu.Model
 	caches   []*cachesim.Cache
+}
+
+// hostEngine is what a System needs of its host engine once it is
+// constructed; nex.Engine and exacthost.Engine both provide it. (Run is
+// not part of it only because the engines' Result types differ.)
+type hostEngine interface {
+	Attach(*hostkit.Binding)
+	HostFor(*hostkit.Binding) accel.Host
+	IntraStats() (lanes int, deviceWall time.Duration)
+	BudgetExceeded() bool
+	Reap()
 }
 
 // Result reports one completed run.
@@ -207,11 +219,13 @@ type Result struct {
 	// Intra is the effective intra-run worker count: 1 + the number of
 	// device stepper lanes that ran (1 = fully serial).
 	Intra int
-	// HostWall is wall time attributable to the host engine goroutine
-	// (WallTime minus time spent blocked joining steppers is not
-	// separable, so HostWall == WallTime); DeviceWall is the cumulative
-	// stepper busy time, which overlaps HostWall when Intra > 1 and is
-	// folded into WallTime when serial.
+	// HostWall is the wall time the host engine goroutine spent on the
+	// portion of the run this Result covers (the whole run, or the
+	// resumed part of a run forked from a checkpoint). It equals
+	// WallTime: the time the host spends blocked joining steppers cannot
+	// be told apart from the time it spends simulating. DeviceWall is the
+	// cumulative stepper busy time, which overlaps HostWall when Intra > 1
+	// and is zero when serial (device time is then part of HostWall).
 	HostWall   time.Duration
 	DeviceWall time.Duration
 }
@@ -257,18 +271,12 @@ func Build(cfg Config) *System {
 	fabricCfg := sys.fabricConfig()
 
 	// Build devices + bindings, then the host engine around them.
-	type binding struct {
-		dev     accel.Device
-		mmio    mem.Addr
-		taskBuf mem.Addr
-		dmaPort memsys.Port
-	}
 	// Register accesses traverse the same fabric as DMAs: a read stalls
 	// for the round trip, a write is posted.
 	mmioReadCost := 2*fabricCfg.LinkLatency + 50*vclock.Nanosecond
 	mmioWriteCost := fabricCfg.LinkLatency/4 + 60*vclock.Nanosecond
 
-	var binds []binding
+	var binds []*hostkit.Binding
 	for i := 0; i < cfg.Devices; i++ {
 		mmio := mem.Addr(0x8000_0000 + uint64(i)*0x1_0000)
 		tb := m.Alloc(fmt.Sprintf("taskbuf%d", i), 4096)
@@ -301,7 +309,10 @@ func Build(cfg Config) *System {
 			sys.Channels = append(sys.Channels, ch)
 			dev = simbricks.WrapDevice(dev, ch)
 		}
-		binds = append(binds, binding{dev: dev, mmio: mmio, taskBuf: tb.Base, dmaPort: fabric})
+		binds = append(binds, &hostkit.Binding{Device: dev, MMIOBase: mmio,
+			MMIOSize: 0x1_0000, DMAPort: fabric,
+			MMIOCost: mmioReadCost, MMIOWriteCost: mmioWriteCost})
+		sys.binds = append(sys.binds, dev)
 		sys.Ctx.MMIO = append(sys.Ctx.MMIO, mmio)
 		sys.Ctx.TaskBufs = append(sys.Ctx.TaskBufs, tb.Base)
 		sys.Ctx.Devices = append(sys.Ctx.Devices, dev)
@@ -328,23 +339,8 @@ func Build(cfg Config) *System {
 		ncfg.Faults = cfg.Faults
 		ncfg.Intra = intra
 		eng := nex.New(ncfg)
-		for _, b := range binds {
-			db := &nex.DeviceBinding{Device: b.dev, MMIOBase: b.mmio,
-				MMIOSize: 0x1_0000, DMAPort: b.dmaPort,
-				MMIOCost: mmioReadCost, MMIOWriteCost: mmioWriteCost}
-			setHost(b.dev, eng.HostFor(db))
-			eng.Attach(db)
-		}
-		sys.nexEng = eng
-		sys.runRef = func(prog app.Program) Result {
-			start := time.Now() //simlint:allow nondet-time Result.WallTime is speed reporting, never simulation state
-			r := eng.Run(prog)
-			wall := time.Since(start) //simlint:allow nondet-time
-			lanes, devWall := eng.IntraStats()
-			return Result{SimTime: r.SimTime, WallTime: wall,
-				Host: cfg.Host, Accel: cfg.Accel, NEXStats: r.Stats,
-				Intra: 1 + lanes, HostWall: wall, DeviceWall: devWall}
-		}
+		sys.host, sys.nexEng = eng, eng
+		sys.run = func(prog app.Program) vclock.Duration { return eng.Run(prog).SimTime }
 
 	case HostReference, HostGem5:
 		ecfg := exacthost.Config{
@@ -353,34 +349,17 @@ func Build(cfg Config) *System {
 			Intra: intra,
 		}
 		if cfg.Host == HostGem5 {
-			model := cpu.New(cpu.Config{Clock: cfg.Clock})
-			ecfg.Compute = model
-			sys.gem5CPU = model
+			sys.gem5CPU = cpu.New(cpu.Config{Clock: cfg.Clock})
+			ecfg.Compute = sys.gem5CPU
 		}
 		eng := exacthost.New(ecfg)
-		sys.exactEng = eng
-		for _, b := range binds {
-			db := &exacthost.DeviceBinding{Device: b.dev, MMIOBase: b.mmio,
-				MMIOSize: 0x1_0000, DMAPort: b.dmaPort,
-				MMIOCost: mmioReadCost, MMIOWriteCost: mmioWriteCost}
-			setHost(b.dev, eng.HostFor(db))
-			eng.Attach(db)
-		}
-		sys.runRef = func(prog app.Program) Result {
-			start := time.Now() //simlint:allow nondet-time Result.WallTime is speed reporting, never simulation state
-			r := eng.Run(prog)
-			wall := time.Since(start) //simlint:allow nondet-time
-			lanes, devWall := eng.IntraStats()
-			return Result{SimTime: r.SimTime, WallTime: wall,
-				Host: cfg.Host, Accel: cfg.Accel,
-				Intra: 1 + lanes, HostWall: wall, DeviceWall: devWall}
-		}
+		sys.host = eng
+		sys.run = func(prog app.Program) vclock.Duration { return eng.Run(prog).SimTime }
 	}
 
-	// Helper closure needs binds; keep them for stats.
-	sys.binds = make([]accel.Device, len(binds))
-	for i, b := range binds {
-		sys.binds[i] = b.dev
+	for _, b := range binds {
+		setHost(b.Device, sys.host.HostFor(b))
+		sys.host.Attach(b)
 	}
 	return sys
 }
@@ -417,8 +396,10 @@ func (s *System) fabricConfig() interconnect.Config {
 // Run executes the program on the assembled system. A budget abort
 // panics (use TryRun for the structured error); systems without a
 // Budget never abort.
-func (s *System) Run(prog app.Program) Result {
-	r, err := s.TryRun(prog)
+func (s *System) Run(prog app.Program) Result { return must(s.TryRun(prog)) }
+
+// must is the panicking variant of the Try entry points.
+func must(r Result, err error) Result {
 	if err != nil {
 		panic(err)
 	}
@@ -429,43 +410,44 @@ func (s *System) Run(prog app.Program) Result {
 // run exceeds its Budget. On abort every thread goroutine is reaped
 // (nothing leaks) and the partial Result is discarded.
 func (s *System) TryRun(prog app.Program) (Result, error) {
-	r := s.runRef(prog)
+	start := time.Now() //simlint:allow nondet-time Result.WallTime is speed reporting, never simulation state
+	return s.finish(start, s.run(prog))
+}
+
+// finish turns one completed engine entry point (Run, RunPrefix run to
+// the end, ResumeRun) that started at start into the System's Result,
+// or — when the engine aborted on its Budget — reaps the engine and
+// returns the structured error.
+func (s *System) finish(start time.Time, simTime vclock.Duration) (Result, error) {
+	wall := time.Since(start) //simlint:allow nondet-time
 	if s.BudgetExceeded() {
 		s.Reap()
 		return Result{}, fmt.Errorf("%s/%s run aborted after %v simulated: %w",
-			s.cfg.Host, s.cfg.Accel, r.SimTime, ErrBudgetExceeded)
+			s.cfg.Host, s.cfg.Accel, simTime, ErrBudgetExceeded)
+	}
+	lanes, devWall := s.host.IntraStats()
+	r := Result{SimTime: simTime, WallTime: wall, Host: s.cfg.Host, Accel: s.cfg.Accel,
+		Intra: 1 + lanes, HostWall: wall, DeviceWall: devWall}
+	if s.nexEng != nil {
+		r.NEXStats = s.nexEng.Stats
 	}
 	for _, d := range s.binds {
-		// Every runRef closure runs its engine's Run, which defers
-		// stopCrew: by the time it returns, all lanes are joined and
-		// shut down.
-		r.Devices = append(r.Devices, d.Stats()) //simlint:allow lane-safety runRef engines stop their crew before returning
+		// No lane is live here: Run and ResumeRun stop the device
+		// complex's stepper lanes before returning, and RunPrefix never
+		// starts them (the open window the analysis sees there is the
+		// flow-insensitive summary of Complex.Advance's parallel branch).
+		r.Devices = append(r.Devices, d.Stats()) //simlint:allow lane-safety engine entry points return with lanes stopped
 	}
 	return r, nil
 }
 
 // BudgetExceeded reports whether the engine aborted on its Budget.
-func (s *System) BudgetExceeded() bool {
-	if s.nexEng != nil {
-		return s.nexEng.BudgetExceeded()
-	}
-	if s.exactEng != nil {
-		return s.exactEng.BudgetExceeded()
-	}
-	return false
-}
+func (s *System) BudgetExceeded() bool { return s.host.BudgetExceeded() }
 
 // Reap force-terminates every live thread goroutine of an abandoned
 // run (budget aborts, injected-fault panics). Idempotent; the system
 // must not be Run again afterwards.
-func (s *System) Reap() {
-	if s.nexEng != nil {
-		s.nexEng.Reap()
-	}
-	if s.exactEng != nil {
-		s.exactEng.Reap()
-	}
-}
+func (s *System) Reap() { s.host.Reap() }
 
 func newDevice(model AccelModel, kind AccelKind, clk vclock.Hz) accel.Device {
 	switch model {

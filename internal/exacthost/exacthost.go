@@ -21,10 +21,9 @@ import (
 	"nexsim/internal/app"
 	"nexsim/internal/coro"
 	"nexsim/internal/eventq"
+	"nexsim/internal/hostkit"
 	"nexsim/internal/isa"
 	"nexsim/internal/mem"
-	"nexsim/internal/memsys"
-	"nexsim/internal/parsim"
 	"nexsim/internal/trace"
 	"nexsim/internal/vclock"
 )
@@ -44,21 +43,6 @@ type NativeModel struct {
 // Duration implements ComputeModel.
 func (m NativeModel) Duration(w isa.Work) vclock.Duration {
 	return w.NativeDuration(m.Clock)
-}
-
-// DeviceBinding attaches a device to the engine: its MMIO window and the
-// fabric its DMAs traverse.
-type DeviceBinding struct {
-	Device   accel.Device
-	MMIOBase mem.Addr
-	MMIOSize uint64
-	DMAPort  memsys.Port     // interconnect + caches + memory
-	MMIOCost vclock.Duration // CPU-side cost of one register read (round trip)
-	// MMIOWriteCost is the cost of a posted register write (the CPU does
-	// not wait for the device); default 120ns.
-	MMIOWriteCost vclock.Duration
-
-	idx int // position in Engine.devices, set by Attach
 }
 
 // Config parameterizes the engine.
@@ -95,8 +79,8 @@ type Engine struct {
 	cfg     Config
 	mem     *mem.Memory
 	evq     eventq.Queue
-	devices []*DeviceBinding
-	devTime vclock.Time // all devices advanced to at least this time
+	env     hostkit.EnvConfig // shared by every thread's Env
+	dev     *hostkit.Complex
 	live    int
 	irqWait map[int][]*coro.Thread // vector -> waiters
 	irqPend map[int]int            // vector -> undelivered (sticky) interrupts
@@ -113,11 +97,6 @@ type Engine struct {
 	wallStart time.Time
 	exceeded  bool
 
-	// Parallel intra-run state (nil/zero when serial).
-	crew     *parsim.Crew
-	devWall  time.Duration
-	ranLanes int
-
 	// Statistics.
 	Interactions int64
 	IRQs         int64
@@ -130,10 +109,7 @@ type tstate struct {
 	pending   bool // pending unpark
 	parked    bool
 	remaining vclock.Duration // unfinished compute (sliced out)
-	slip      bool            // inside a SlipStream region (fast-forward)
-	compress  []float64       // stack of CompressT factors
-	jumpt     int             // JumpT nesting depth
-	seedCtr   uint64
+	hostkit.Warp
 }
 
 func st(t *coro.Thread) *tstate { return t.Data.(*tstate) }
@@ -158,32 +134,29 @@ func New(cfg Config) *Engine {
 	if cfg.Slice == 0 {
 		cfg.Slice = 3 * vclock.Millisecond
 	}
-	return &Engine{
+	e := &Engine{
 		cfg:     cfg,
 		mem:     cfg.Memory,
 		irqWait: make(map[int][]*coro.Thread),
 		irqPend: make(map[int]int),
 	}
+	e.dev = hostkit.NewComplex(cfg.Memory, e.RaiseIRQ)
+	e.env = hostkit.EnvConfig{
+		Clock: cfg.Clock, Devices: e.dev, TaskAccessCost: cfg.TaskAccessCost,
+		Now: func(*coro.Thread) vclock.Time { return e.evq.Now() },
+	}
+	return e
 }
 
 // Mem returns the engine's simulated physical memory.
 func (e *Engine) Mem() *mem.Memory { return e.mem }
 
 // Attach registers a device binding. Must be called before Run.
-func (e *Engine) Attach(b *DeviceBinding) {
-	if b.MMIOCost == 0 {
-		b.MMIOCost = 850 * vclock.Nanosecond // ~PCIe round trip + core cost
-	}
-	if b.MMIOWriteCost == 0 {
-		b.MMIOWriteCost = 120 * vclock.Nanosecond // posted write
-	}
-	b.idx = len(e.devices)
-	e.devices = append(e.devices, b)
-}
+func (e *Engine) Attach(b *hostkit.Binding) { e.dev.Attach(b) }
 
 // HostFor returns the accel.Host through which a device bound by b
 // reaches this engine's memory system.
-func (e *Engine) HostFor(b *DeviceBinding) accel.Host { return &hostShim{e: e, b: b} }
+func (e *Engine) HostFor(b *hostkit.Binding) accel.Host { return e.dev.HostFor(b) }
 
 // Result summarizes a completed run.
 type Result struct {
@@ -195,18 +168,9 @@ type Result struct {
 // exceeded — check BudgetExceeded and Reap on abort) and returns the
 // simulated time.
 func (e *Engine) Run(prog app.Program) Result {
-	if e.cfg.Intra >= 2 && len(e.devices) > 0 && e.cfg.MaxSteps == 0 {
-		devs := make([]accel.Device, len(e.devices))
-		for i, b := range e.devices {
-			devs[i] = b.Device
-		}
-		e.crew = parsim.New(devs, e.cfg.Intra-1)
-		e.ranLanes = e.crew.Lanes()
-		defer func() {
-			e.devWall = e.crew.DeviceWall()
-			e.crew.Shutdown()
-			e.crew = nil
-		}()
+	if e.cfg.MaxSteps == 0 {
+		defer e.dev.Stop()
+		e.dev.Start(e.cfg.Intra)
 	}
 	main := e.newThread("main", prog.Main)
 	e.wakeAt(main, 0)
@@ -221,7 +185,7 @@ func (e *Engine) Run(prog app.Program) Result {
 // ran serially) and the cumulative wall time the steppers spent
 // advancing devices.
 func (e *Engine) IntraStats() (lanes int, deviceWall time.Duration) {
-	return e.ranLanes, e.devWall
+	return e.dev.IntraStats()
 }
 
 // overBudget reports whether the run blew its step or wall budget. The
@@ -255,11 +219,12 @@ func (e *Engine) Now() vclock.Time { return e.evq.Now() }
 func (e *Engine) newThread(name string, fn app.ThreadFunc) *coro.Thread {
 	id := e.nextTID
 	e.nextTID++
-	var th *coro.Thread
-	th = coro.NewThread(id, fmt.Sprintf("%s#%d", name, id), func() {
-		fn(&env{e: e, th: th})
+	s := &tstate{}
+	th := coro.NewThread(id, fmt.Sprintf("%s#%d", name, id), func() {
+		fn(hostkit.NewEnv(&e.env, s.th, &s.Warp))
 	})
-	th.Data = &tstate{th: th}
+	s.th = th
+	th.Data = s
 	e.threads = append(e.threads, th)
 	e.live++
 	return th
@@ -384,7 +349,7 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 
 		case coro.OpInteract:
 			e.Interactions++
-			e.advanceDevices(now)
+			e.dev.Advance(now)
 			cost := r.Interact(now)
 			if cost > 0 {
 				// The thread stalls on the interaction, holding its core
@@ -440,13 +405,13 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 			return
 
 		case coro.OpWarp:
-			e.handleWarp(s, r)
+			s.Handle(r)
 			continue
 
 		case coro.OpTick:
 			// Exact engine: tick points are ordinary interaction points
 			// with no extra cost.
-			e.advanceDevices(now)
+			e.dev.Advance(now)
 			continue
 
 		default:
@@ -456,11 +421,11 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 }
 
 func (e *Engine) computeDuration(s *tstate, w isa.Work) vclock.Duration {
-	if s.jumpt > 0 {
+	if s.JumpT > 0 {
 		return 0 // JumpT: outside virtual time
 	}
 	var d vclock.Duration
-	if s.slip {
+	if s.Slip {
 		// SlipStream: fast-forward the segment without detailed
 		// simulation, the way gem5 users checkpoint past setup phases
 		// with the KVM CPU (§8) — native-time accounting only.
@@ -468,31 +433,7 @@ func (e *Engine) computeDuration(s *tstate, w isa.Work) vclock.Duration {
 	} else {
 		d = e.cfg.Compute.Duration(w)
 	}
-	for _, f := range s.compress {
-		d = vclock.Duration(float64(d) / f)
-	}
-	return d
-}
-
-func (e *Engine) handleWarp(s *tstate, r coro.Request) {
-	switch r.Warp {
-	case coro.CompressT:
-		if r.Enter {
-			s.compress = append(s.compress, r.Factor)
-		} else {
-			s.compress = s.compress[:len(s.compress)-1]
-		}
-	case coro.JumpT:
-		if r.Enter {
-			s.jumpt++
-		} else {
-			s.jumpt--
-		}
-	case coro.SlipStream:
-		// Virtual time still flows normally, but detailed compute
-		// simulation is skipped (KVM-style fast-forward).
-		s.slip = r.Enter
-	}
+	return s.Scale(d)
 }
 
 func (e *Engine) unpark(target *coro.Thread, now vclock.Time) {
@@ -524,68 +465,6 @@ func (e *Engine) RaiseIRQ(at vclock.Time, vector int) {
 	e.wakeAt(th, wake)
 }
 
-// advanceDevices catches all devices up to time t. In parallel mode
-// devices that cannot raise interrupts are granted the horizon for
-// their stepper lane instead of advancing inline; IRQ-capable devices
-// keep the serial schedule (joined first so the inline Advance cannot
-// race a still-draining grant from before the driver enabled IRQs).
-func (e *Engine) advanceDevices(t vclock.Time) {
-	if t < e.devTime {
-		return
-	}
-	e.devTime = t
-	if e.crew == nil {
-		for _, b := range e.devices {
-			b.Device.Advance(t)
-		}
-		return
-	}
-	for i, b := range e.devices {
-		if parsim.MayRaiseIRQ(b.Device) {
-			e.crew.Join(i)
-			b.Device.Advance(t)
-		} else {
-			e.crew.Grant(i, t)
-		}
-	}
-}
-
-// joinDev quiesces one device's stepper lane before the host observes
-// the device (an MMIO access, a stats read). No-op when serial.
-func (e *Engine) joinDev(b *DeviceBinding) {
-	if e.crew != nil {
-		e.crew.Join(b.idx)
-	}
-}
-
-func (e *Engine) minDeviceNext() (vclock.Time, bool) {
-	best, any := vclock.Never, false
-	for _, b := range e.devices {
-		if at, ok := b.Device.NextEvent(); ok && at < best {
-			best, any = at, true
-		}
-	}
-	return best, any
-}
-
-// minInlineNext is minDeviceNext restricted to IRQ-capable devices (the
-// ones advanced inline on the serial schedule). Async-granted devices
-// are skipped: their steppers may be mid-advance, and their internal
-// events cannot affect the host before the next joined observation.
-func (e *Engine) minInlineNext() (vclock.Time, bool) {
-	best, any := vclock.Never, false
-	for i, b := range e.devices {
-		if !parsim.MayRaiseIRQ(b.Device) {
-			continue
-		}
-		e.crew.Join(i)
-		if at, ok := b.Device.NextEvent(); ok && at < best {
-			best, any = at, true
-		}
-	}
-	return best, any
-}
-
 // loop is the main event loop: interleave thread events with device
 // activity in exact time order.
 func (e *Engine) loop() {
@@ -595,12 +474,10 @@ func (e *Engine) loop() {
 			return
 		}
 		tNext, okT := e.evq.NextTime()
-		if e.crew == nil {
-			// Serial mode: no lanes exist, so unjoined device reads are
-			// single-threaded by construction.
-			dNext, okD := e.minDeviceNext() //simlint:allow lane-safety crew==nil in this branch
+		if !e.dev.Parallel() {
+			dNext, okD := e.dev.NextEvent()
 			if okD && (!okT || dNext < tNext) {
-				e.advanceDevices(dNext)
+				e.dev.Advance(dNext)
 				continue
 			}
 			if !okT {
@@ -613,13 +490,13 @@ func (e *Engine) loop() {
 		// interleave (their Advance can insert thread wakeups); the
 		// rest run ahead on their stepper lanes, bounded by the next
 		// thread event — the earliest time the host could observe them.
-		dNext, okD := e.minInlineNext()
+		dNext, okD := e.dev.NextInlineEvent()
 		if okD && (!okT || dNext < tNext) {
-			e.advanceDevices(dNext)
+			e.dev.Advance(dNext)
 			continue
 		}
 		if okT {
-			e.advanceDevices(tNext)
+			e.dev.Advance(tNext)
 			e.evq.Step()
 			continue
 		}
@@ -627,41 +504,14 @@ func (e *Engine) loop() {
 		// lives on the stepper lanes. Quiesce and re-check serially —
 		// either a lane still has internal events (advance through
 		// them) or the run is genuinely deadlocked, exactly as serial.
-		e.crew.JoinAll()
-		dNext, okD = e.minDeviceNext()
+		dNext, okD = e.dev.NextEvent()
 		if !okD {
 			panic("exacthost: deadlock — live threads but no pending events or device activity")
 		}
-		e.advanceDevices(dNext)
+		e.dev.Advance(dNext)
 	}
 }
 
 func (e *Engine) traceSpan(comp string, k trace.Kind, a, b vclock.Time) {
 	e.cfg.Trace.Add(trace.Span{Component: comp, Kind: k, Start: a, End: b})
 }
-
-// binding finds the device binding covering an MMIO address.
-func (e *Engine) binding(addr mem.Addr) *DeviceBinding {
-	for _, b := range e.devices {
-		if addr >= b.MMIOBase && uint64(addr) < uint64(b.MMIOBase)+b.MMIOSize {
-			return b
-		}
-	}
-	return nil
-}
-
-type hostShim struct {
-	e *Engine
-	b *DeviceBinding
-}
-
-func (h *hostShim) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size int) vclock.Time {
-	if h.b.DMAPort == nil {
-		return at
-	}
-	return h.b.DMAPort.Access(at, kind, addr, size)
-}
-
-func (h *hostShim) ZeroCostRead(addr mem.Addr, p []byte)  { h.e.mem.ReadAt(addr, p) }
-func (h *hostShim) ZeroCostWrite(addr mem.Addr, p []byte) { h.e.mem.WriteAt(addr, p) }
-func (h *hostShim) RaiseIRQ(at vclock.Time, vector int)   { h.e.RaiseIRQ(at, vector) }

@@ -3,8 +3,9 @@ package exacthost
 import (
 	"testing"
 
-	"nexsim/internal/accel"
+	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/app"
+	"nexsim/internal/hostkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -212,71 +213,12 @@ func TestNestedCompressT(t *testing.T) {
 	}
 }
 
-// fakeDevice processes one "task" per doorbell write: busy for Busy time,
-// then sets the status register and optionally raises an IRQ.
-type fakeDevice struct {
-	host    accel.Host
-	busy    vclock.Duration
-	irq     bool
-	doneAt  vclock.Time
-	pending bool
-	status  uint32
-	started int64
-	dma     int // bytes to DMA per task
-	dmaAddr mem.Addr
-}
-
-func (d *fakeDevice) Name() string { return "fake" }
-
-func (d *fakeDevice) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.Advance(at)
-	if off == 0 {
-		return d.status
-	}
-	return 0
-}
-
-func (d *fakeDevice) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
-	d.Advance(at)
-	if off == 0 { // doorbell
-		d.started++
-		d.status = 0
-		end := at.Add(d.busy)
-		if d.dma > 0 {
-			end = d.host.DMA(at, mem.Read, d.dmaAddr, d.dma).Add(d.busy)
-		}
-		d.doneAt = end
-		d.pending = true
-	}
-}
-
-func (d *fakeDevice) Advance(t vclock.Time) {
-	if d.pending && t >= d.doneAt {
-		d.pending = false
-		d.status = 1
-		if d.irq {
-			d.host.RaiseIRQ(d.doneAt, 5)
-		}
-	}
-}
-
-func (d *fakeDevice) NextEvent() (vclock.Time, bool) {
-	if d.pending {
-		return d.doneAt, true
-	}
-	return vclock.Never, false
-}
-
-func (d *fakeDevice) Stats() accel.DeviceStats {
-	return accel.DeviceStats{TasksStarted: d.started}
-}
-
 func TestDevicePolling(t *testing.T) {
 	e := New(Config{Cores: 4})
-	dev := &fakeDevice{busy: 10 * ms}
-	b := &DeviceBinding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096,
+	dev := &acceltest.Device{Busy: 10 * ms}
+	b := &hostkit.Binding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096,
 		MMIOCost: 1 * vclock.Microsecond}
-	dev.host = e.HostFor(b)
+	dev.Host = e.HostFor(b)
 	e.Attach(b)
 
 	res := e.Run(app.Program{Main: func(env app.Env) {
@@ -290,17 +232,17 @@ func TestDevicePolling(t *testing.T) {
 	if res.SimTime < 10*ms || res.SimTime > 12*ms {
 		t.Fatalf("SimTime = %v, want ~10-12ms", res.SimTime)
 	}
-	if dev.started != 1 {
-		t.Fatalf("device started %d tasks", dev.started)
+	if dev.Started != 1 {
+		t.Fatalf("device started %d tasks", dev.Started)
 	}
 }
 
 func TestDeviceIRQ(t *testing.T) {
 	e := New(Config{Cores: 4})
-	dev := &fakeDevice{busy: 10 * ms, irq: true}
-	b := &DeviceBinding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096,
+	dev := &acceltest.Device{Busy: 10 * ms, IRQ: 5}
+	b := &hostkit.Binding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096,
 		MMIOCost: 1 * vclock.Microsecond}
-	dev.host = e.HostFor(b)
+	dev.Host = e.HostFor(b)
 	e.Attach(b)
 
 	res := e.Run(app.Program{Main: func(env app.Env) {
@@ -413,10 +355,10 @@ func TestCFSWakePlacement(t *testing.T) {
 func TestStickyIRQExact(t *testing.T) {
 	// An interrupt raised before anyone waits must be latched.
 	e := New(Config{Cores: 2})
-	dev := &fakeDevice{busy: 1 * vclock.Microsecond, irq: true}
-	b := &DeviceBinding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096,
+	dev := &acceltest.Device{Busy: 1 * vclock.Microsecond, IRQ: 5}
+	b := &hostkit.Binding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096,
 		MMIOCost: 1 * vclock.Microsecond}
-	dev.host = e.HostFor(b)
+	dev.Host = e.HostFor(b)
 	e.Attach(b)
 	completed := false
 	e.Run(app.Program{Main: func(env app.Env) {

@@ -215,26 +215,24 @@ func executeRun(b workloads.Bench, cfg core.Config) (res core.Result, err error)
 				sys = core.Build(cfg)
 				prog := b.Build(&sys.Ctx)
 				if rerr := sys.RestoreCheckpoint(blob, prog); rerr == nil {
-					r := sys.ResumeRun()
-					if sys.BudgetExceeded() {
-						sys.Reap()
-						sys.Release()
-						return core.Result{}, fmt.Errorf("%s/%s run aborted after %v simulated: %w",
-							cfg.Host, cfg.Accel, r.SimTime, core.ErrBudgetExceeded)
-					}
-					sys.Release()
-					noteWall(r)
-					return r, nil
+					return finishRun(sys, sys.TryResume)
 				}
 				sys.Release() // fall back to a straight run on a fresh build
 			}
 		}
 	}
 	sys = core.Build(cfg)
-	r, rerr := sys.TryRun(b.Build(&sys.Ctx))
+	prog := b.Build(&sys.Ctx)
+	return finishRun(sys, func() (core.Result, error) { return sys.TryRun(prog) })
+}
+
+// finishRun runs a built system to its end (straight or resumed),
+// releases it, and records the wall split of a completed run.
+func finishRun(sys *core.System, run func() (core.Result, error)) (core.Result, error) {
+	r, err := run()
 	sys.Release()
-	if rerr != nil {
-		return core.Result{}, rerr
+	if err != nil {
+		return core.Result{}, err
 	}
 	noteWall(r)
 	return r, nil

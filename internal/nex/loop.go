@@ -6,7 +6,6 @@ import (
 	"nexsim/internal/faults"
 	"nexsim/internal/isa"
 	"nexsim/internal/mem"
-	"nexsim/internal/parsim"
 	"nexsim/internal/trace"
 	"nexsim/internal/vclock"
 )
@@ -34,11 +33,11 @@ func (e *Engine) loop() {
 				e.deliverIRQs(e.roundUp(e.now))
 				continue
 			}
-			devNext, okD := e.minDeviceNext()
+			devNext, okD := e.dev.NextEvent()
 			if !okD {
 				panic("nex: deadlock — live threads, no wakes, idle devices")
 			}
-			e.advanceDevices(devNext)
+			e.dev.Advance(devNext)
 			e.deliverIRQs(e.roundUp(devNext))
 			continue
 		}
@@ -58,7 +57,7 @@ func (e *Engine) loop() {
 			// their interval boundaries inside the gap.
 			if e.cfg.Mode == Hybrid {
 				for e.nextSync < start {
-					e.advanceDevices(e.nextSync)
+					e.dev.Advance(e.nextSync)
 					e.Stats.Syncs++
 					e.deliverIRQs(e.nextSync)
 					e.nextSync += vclock.Time(e.cfg.SyncInterval)
@@ -138,12 +137,12 @@ func (e *Engine) endEpoch(selected []*coro.Thread, start, end vclock.Time) {
 	// Epoch-boundary synchronization per mode (§3.1).
 	switch e.cfg.Mode {
 	case Eager:
-		e.advanceDevices(end)
+		e.dev.Advance(end)
 		e.Stats.Syncs++
 		e.deliverIRQs(end)
 	case Hybrid:
 		if end >= e.nextSync {
-			e.advanceDevices(end)
+			e.dev.Advance(end)
 			e.Stats.Syncs++
 			e.deliverIRQs(end)
 			for e.nextSync <= end {
@@ -258,19 +257,7 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 				s.vruntime += cost
 				continue
 			}
-			e.Stats.Traps++
-			cursor = e.dispatchFault(cursor)
-			e.advanceDevices(cursor)
-			cost := r.Interact(cursor)
-			e.traceSpan(th.Name, trace.MMIO, cursor, cursor.Add(cost))
-			// The trapping thread resumes at the epoch boundary (or when
-			// the interaction completes, if later) — the paper's
-			// mid-epoch trap inaccuracy (§3.2).
-			wake := end
-			if c := cursor.Add(cost); c > wake {
-				wake = c
-			}
-			e.setWake(s, wake)
+			e.trap(th, cursor, end, r)
 			return false
 
 		case coro.OpPark:
@@ -321,9 +308,9 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			return false
 
 		case coro.OpWarp:
-			wasSlip := s.slip
-			e.handleWarp(s, r)
-			if wasSlip && !s.slip {
+			wasSlip := s.Slip
+			s.Handle(r)
+			if wasSlip && !s.Slip {
 				// Exiting SlipStream resets the epoch duration and forces
 				// an immediate reschedule (§3.4): end this thread's slot
 				// and truncate the (large) epoch at its cursor.
@@ -334,14 +321,7 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			}
 
 		case coro.OpTick:
-			e.Stats.Traps++
-			cursor = e.dispatchFault(cursor)
-			e.advanceDevices(cursor)
-			wake := end
-			if cursor > wake {
-				wake = cursor
-			}
-			e.setWake(s, wake)
+			e.trap(th, cursor, end, r)
 			return false
 		}
 	}
@@ -360,44 +340,29 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 func (e *Engine) deviceTouch(r coro.Request) bool {
 	switch r.Op {
 	case coro.OpTick:
-		return len(e.devices) > 0
+		return e.dev.Len() > 0
 	case coro.OpInteract:
-		return !r.Light && e.binding(mem.Addr(r.Addr)) != nil
+		return !r.Light && e.dev.Lookup(mem.Addr(r.Addr)) != nil
 	}
 	return false
 }
 
-// resumePending processes the halt-point request, completing the slot
-// that was interrupted by the prefix halt. The request is always a
-// device-bound trap (see deviceTouch), so the slot ends right after it —
-// exactly the two `return` paths of runThreadEpoch.
-func (e *Engine) resumePending(th *coro.Thread, end vclock.Time, r coro.Request) {
-	s := st(th)
-	cursor := s.cursor
-	switch r.Op {
-	case coro.OpInteract:
-		e.Stats.Traps++
-		cursor = e.dispatchFault(cursor)
-		e.advanceDevices(cursor)
+// trap resolves a device-bound trap — a trapping interaction or a tick
+// synchronization point (see deviceTouch) — at its exact virtual time
+// and ends the thread's slot: the trapping thread resumes at the epoch
+// boundary, or when the interaction completes, if later — the paper's
+// mid-epoch trap inaccuracy (§3.2). ResumeRun completes the halt-point
+// request of a prefix halt through the same path.
+func (e *Engine) trap(th *coro.Thread, cursor, end vclock.Time, r coro.Request) {
+	e.Stats.Traps++
+	cursor = e.dispatchFault(cursor)
+	e.dev.Advance(cursor)
+	if r.Op == coro.OpInteract {
 		cost := r.Interact(cursor)
 		e.traceSpan(th.Name, trace.MMIO, cursor, cursor.Add(cost))
-		wake := end
-		if c := cursor.Add(cost); c > wake {
-			wake = c
-		}
-		e.setWake(s, wake)
-	case coro.OpTick:
-		e.Stats.Traps++
-		cursor = e.dispatchFault(cursor)
-		e.advanceDevices(cursor)
-		wake := end
-		if cursor > wake {
-			wake = cursor
-		}
-		e.setWake(s, wake)
-	default:
-		panic("nex: resume of a non-device halt request")
+		cursor = cursor.Add(cost)
 	}
+	e.setWake(st(th), max(end, cursor))
 }
 
 // dispatchFault crosses the device.dispatch injection site at a
@@ -419,7 +384,7 @@ func (e *Engine) dispatchFault(cursor vclock.Time) vclock.Time {
 // segment: calibration bias, underprovisioning interference, per-epoch
 // refill loss, and any active CompressT/JumpT warps.
 func (e *Engine) scaledDuration(s *tstate, w isa.Work) vclock.Duration {
-	if s.jumpt > 0 {
+	if s.JumpT > 0 {
 		return 0
 	}
 	d := w.NativeDuration(e.cfg.Clock)
@@ -439,82 +404,7 @@ func (e *Engine) scaledDuration(s *tstate, w isa.Work) vclock.Duration {
 		ep := float64(e.cfg.Epoch)
 		f *= ep / (ep - r)
 	}
-	d = vclock.Duration(float64(d) * f)
-	for _, c := range s.compress {
-		d = vclock.Duration(float64(d) / c)
-	}
-	return d
-}
-
-func (e *Engine) handleWarp(s *tstate, r coro.Request) {
-	switch r.Warp {
-	case coro.CompressT:
-		if r.Enter {
-			s.compress = append(s.compress, r.Factor)
-		} else {
-			s.compress = s.compress[:len(s.compress)-1]
-		}
-	case coro.JumpT:
-		if r.Enter {
-			s.jumpt++
-		} else {
-			s.jumpt--
-		}
-	case coro.SlipStream:
-		s.slip = r.Enter
-	}
-}
-
-// advanceDevices catches the accelerator complex (including the
-// dedicated DMA simulator, which our synchronous fabric models in
-// lock-step) up to time t. In parallel intra-run mode devices that
-// cannot raise interrupts are granted the horizon for their stepper
-// lane — the host thread keeps executing epochs while they catch up —
-// and are only waited for when the host next observes them (an MMIO
-// access joins the lane in env.MMIORead/MMIOWrite). IRQ-capable
-// devices keep the serial schedule: their Advance appends to e.pending,
-// which the host consumes at delivery boundaries.
-func (e *Engine) advanceDevices(t vclock.Time) {
-	if t < e.devTime {
-		return
-	}
-	e.devTime = t
-	if e.crew == nil {
-		for _, b := range e.devices {
-			b.Device.Advance(t)
-		}
-		return
-	}
-	for i, b := range e.devices {
-		if parsim.MayRaiseIRQ(b.Device) {
-			e.crew.Join(i)
-			b.Device.Advance(t)
-		} else {
-			e.crew.Grant(i, t)
-		}
-	}
-}
-
-// joinDev quiesces one device's stepper lane before the host observes
-// the device. No-op when serial.
-func (e *Engine) joinDev(b *DeviceBinding) {
-	if e.crew != nil {
-		e.crew.Join(b.idx)
-	}
-}
-
-func (e *Engine) minDeviceNext() (vclock.Time, bool) {
-	if e.crew != nil {
-		// NextEvent on a mid-advance device is a race; quiesce first.
-		e.crew.JoinAll()
-	}
-	best, any := vclock.Never, false
-	for _, b := range e.devices {
-		if at, ok := b.Device.NextEvent(); ok && at < best {
-			best, any = at, true
-		}
-	}
-	return best, any
+	return s.Scale(vclock.Duration(float64(d) * f))
 }
 
 // deliverIRQs wakes WaitIRQ threads for pending interrupts; they become
@@ -550,22 +440,4 @@ func (e *Engine) deliverIRQs(boundary vclock.Time) {
 
 func (e *Engine) traceSpan(comp string, k trace.Kind, a, b vclock.Time) {
 	e.cfg.Trace.Add(trace.Span{Component: comp, Kind: k, Start: a, End: b})
-}
-
-type hostShim struct {
-	e *Engine
-	b *DeviceBinding
-}
-
-func (h *hostShim) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size int) vclock.Time {
-	if h.b.DMAPort == nil {
-		return at
-	}
-	return h.b.DMAPort.Access(at, kind, addr, size)
-}
-
-func (h *hostShim) ZeroCostRead(addr mem.Addr, p []byte)  { h.e.mem.ReadAt(addr, p) }
-func (h *hostShim) ZeroCostWrite(addr mem.Addr, p []byte) { h.e.mem.WriteAt(addr, p) }
-func (h *hostShim) RaiseIRQ(at vclock.Time, vector int) {
-	h.e.pending = append(h.e.pending, pendingIRQ{at: at, vector: vector})
 }

@@ -36,9 +36,8 @@ import (
 	"nexsim/internal/app"
 	"nexsim/internal/coro"
 	"nexsim/internal/faults"
+	"nexsim/internal/hostkit"
 	"nexsim/internal/mem"
-	"nexsim/internal/memsys"
-	"nexsim/internal/parsim"
 	"nexsim/internal/trace"
 	"nexsim/internal/vclock"
 	"nexsim/internal/xrand"
@@ -78,19 +77,6 @@ type Policy interface {
 	// Select returns up to vcores threads from runnable (which is in
 	// thread-creation order) to execute in the coming epoch.
 	Select(epoch int64, runnable []*coro.Thread, vcores int) []*coro.Thread
-}
-
-// DeviceBinding attaches an accelerator simulator to NEX.
-type DeviceBinding struct {
-	Device   accel.Device
-	MMIOBase mem.Addr
-	MMIOSize uint64
-	DMAPort  memsys.Port
-	MMIOCost vclock.Duration
-	// MMIOWriteCost is the cost of a posted register write; default 120ns.
-	MMIOWriteCost vclock.Duration
-
-	idx int // position in Engine.devices, set by Attach
 }
 
 // Config parameterizes a NEX engine.
@@ -197,10 +183,12 @@ func (s Stats) ModeledWall(epoch vclock.Duration) vclock.Duration {
 
 // Engine is one NEX orchestrator instance.
 type Engine struct {
-	cfg     Config
-	mem     *mem.Memory      //simlint:transient wiring; memory content is checkpointed by core.System
-	devices []*DeviceBinding //simlint:transient wiring; each device snapshots its own section
-	devTime vclock.Time
+	cfg Config
+	mem *mem.Memory       //simlint:transient wiring; memory content is checkpointed by core.System
+	env hostkit.EnvConfig //simlint:transient wiring shared by every thread's Env, derived from cfg in New
+	// dev is the device complex; of its state only the time it was last
+	// advanced to is snapshotted (each device snapshots its own section).
+	dev *hostkit.Complex
 
 	threads []*coro.Thread
 	live    int
@@ -250,11 +238,6 @@ type Engine struct {
 	wallStart time.Time //simlint:transient watchdog wall anchor, never simulation state
 	exceeded  bool      //simlint:transient watchdog latch, never simulation state
 
-	// Parallel intra-run state (nil/zero when serial).
-	crew     *parsim.Crew  //simlint:transient per-run lanes; Run builds and shuts them down
-	devWall  time.Duration //simlint:transient wall-time attribution of the last run
-	ranLanes int           //simlint:transient lane count of the last run
-
 	Stats Stats
 }
 
@@ -282,10 +265,7 @@ type tstate struct {
 	pending  bool
 	deficit  vclock.Duration // remaining virtual time of current segment
 	vruntime vclock.Duration
-	compress []float64
-	jumpt    int
-	slip     bool
-	seedCtr  uint64
+	hostkit.Warp
 	exited   bool
 	inActive bool        // present in Engine.active (possibly stale)
 	cursor   vclock.Time // thread-local virtual time (for Env.Now)
@@ -316,9 +296,6 @@ func New(cfg Config) *Engine {
 	if cfg.Policy == nil {
 		cfg.Policy = NewFairPolicy()
 	}
-	if cfg.Epoch == 0 {
-		cfg.Epoch = 1 * vclock.Microsecond
-	}
 	if fp, ok := cfg.Policy.(*FairPolicy); ok {
 		fp.SetEpoch(cfg.Epoch)
 	}
@@ -341,6 +318,19 @@ func New(cfg Config) *Engine {
 		irqWait: make(map[int][]*coro.Thread),
 		rng:     rng,
 	}
+	// Interrupt policy: a raised interrupt stays pending until the next
+	// delivery boundary (deliverIRQs).
+	e.dev = hostkit.NewComplex(cfg.Memory, func(at vclock.Time, vector int) {
+		e.pending = append(e.pending, pendingIRQ{at: at, vector: vector})
+	})
+	// gettimeofday-style queries return the thread's epoch-relative
+	// virtual time, matching the paper's LD_PRELOAD interposition of
+	// clock_gettime (§3.2).
+	e.env = hostkit.EnvConfig{
+		Clock: cfg.Clock, Devices: e.dev, TaskAccessCost: cfg.TaskAccessCost,
+		LightTasks: cfg.TickMode,
+		Now:        func(th *coro.Thread) vclock.Time { return st(th).cursor },
+	}
 	// Systematic calibration bias: the δ calibration constant is close
 	// but not perfect, so native-time accounting carries a small
 	// engine-wide multiplicative error.
@@ -358,28 +348,21 @@ func New(cfg Config) *Engine {
 func (e *Engine) Mem() *mem.Memory { return e.mem }
 
 // Attach registers a device binding; must precede Run.
-func (e *Engine) Attach(b *DeviceBinding) {
-	if b.MMIOCost == 0 {
-		b.MMIOCost = 850 * vclock.Nanosecond
-	}
-	if b.MMIOWriteCost == 0 {
-		b.MMIOWriteCost = 120 * vclock.Nanosecond
-	}
-	b.idx = len(e.devices)
-	e.devices = append(e.devices, b)
+func (e *Engine) Attach(b *hostkit.Binding) {
+	e.dev.Attach(b)
 	// The NEX runtime protects the device's MMIO window so that any
 	// faulting access first catches the accelerator complex up — the
 	// mprotect/ptrace mechanism of §3.2 on the simulated substrate.
 	r := e.mem.RegionAt(b.MMIOBase)
 	if r != nil {
 		e.mem.Protect(r, func(kind mem.AccessKind, addr mem.Addr, size int) {
-			e.advanceDevices(e.now)
+			e.dev.Advance(e.now)
 		})
 	}
 }
 
 // HostFor returns the accel.Host for a binding.
-func (e *Engine) HostFor(b *DeviceBinding) accel.Host { return &hostShim{e: e, b: b} }
+func (e *Engine) HostFor(b *hostkit.Binding) accel.Host { return e.dev.HostFor(b) }
 
 // Result summarizes a run.
 type Result struct {
@@ -394,43 +377,18 @@ func (e *Engine) Run(prog app.Program) Result {
 	main := e.newThread("main", prog.Main)
 	e.setWake(st(main), 0)
 	e.nextSync = vclock.Time(e.cfg.SyncInterval)
-	defer e.stopCrew()
-	e.startCrew()
+	defer e.dev.Stop()
+	e.dev.Start(e.cfg.Intra)
 	e.startWatchdog()
 	e.loop()
 	return e.result()
-}
-
-// startCrew spawns the stepper lanes for parallel intra-run mode; no-op
-// when serial.
-func (e *Engine) startCrew() {
-	if e.cfg.Intra < 2 || len(e.devices) == 0 || e.crew != nil {
-		return
-	}
-	devs := make([]accel.Device, len(e.devices))
-	for i, b := range e.devices {
-		devs[i] = b.Device
-	}
-	e.crew = parsim.New(devs, e.cfg.Intra-1)
-	e.ranLanes = e.crew.Lanes()
-}
-
-// stopCrew quiesces and terminates the stepper lanes, folding their
-// busy time into the run's device-wall statistic.
-func (e *Engine) stopCrew() {
-	if e.crew == nil {
-		return
-	}
-	e.devWall += e.crew.DeviceWall()
-	e.crew.Shutdown()
-	e.crew = nil
 }
 
 // IntraStats reports the stepper-lane count of the last Run (0 when it
 // ran serially) and the cumulative wall time the steppers spent
 // advancing devices.
 func (e *Engine) IntraStats() (lanes int, deviceWall time.Duration) {
-	return e.ranLanes, e.devWall
+	return e.dev.IntraStats()
 }
 
 // startWatchdog anchors the wall-clock budget at run (or resume) start.
@@ -486,11 +444,12 @@ func (e *Engine) lastActivity() vclock.Time {
 func (e *Engine) newThread(name string, fn app.ThreadFunc) *coro.Thread {
 	id := e.nextTID
 	e.nextTID++
-	var th *coro.Thread
-	th = coro.NewThread(id, fmt.Sprintf("%s#%d", name, id), func() {
-		fn(&env{e: e, th: th})
+	s := &tstate{wakeAt: vclock.Never, inActive: true}
+	th := coro.NewThread(id, fmt.Sprintf("%s#%d", name, id), func() {
+		fn(hostkit.NewEnv(&e.env, s.th, &s.Warp))
 	})
-	th.Data = &tstate{th: th, wakeAt: vclock.Never, inActive: true}
+	s.th = th
+	th.Data = s
 	e.threads = append(e.threads, th)
 	// New threads have the highest ID so far, so appending keeps the
 	// active list in creation order.
@@ -564,14 +523,15 @@ func (e *Engine) maybeCompact() {
 	e.inactiveN = 0
 }
 
-// epochEnd returns the end of the epoch starting at e.now, honoring
-// SlipStream when every runnable thread is inside a SlipStream region.
+// epochLen returns the duration of the epoch the selected threads are
+// about to run: SlipEpoch when every one of them is inside a SlipStream
+// region, Epoch otherwise.
 func (e *Engine) epochLen(selected []*coro.Thread) vclock.Duration {
 	if len(selected) == 0 {
 		return e.cfg.Epoch
 	}
 	for _, th := range selected {
-		if !st(th).slip {
+		if !st(th).Slip {
 			return e.cfg.Epoch
 		}
 	}

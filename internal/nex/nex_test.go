@@ -4,8 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"nexsim/internal/accel"
+	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/app"
+	"nexsim/internal/hostkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -237,73 +238,18 @@ func TestSlipStreamReducesEpochs(t *testing.T) {
 	}
 }
 
-// trapDevice counts register accesses and completes tasks after a fixed
-// busy time; used to test trap quantization and sync modes.
-type trapDevice struct {
-	host    accel.Host
-	busy    vclock.Duration
-	now     vclock.Time
-	doneAt  vclock.Time
-	pending bool
-	status  uint32
-	irq     bool
-	reads   int
-}
-
-func (d *trapDevice) Name() string { return "trapdev" }
-
-func (d *trapDevice) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.Advance(at)
-	d.reads++
-	return d.status
-}
-
-func (d *trapDevice) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
-	d.Advance(at)
-	d.status = 0
-	d.pending = true
-	d.doneAt = maxT(at, d.now).Add(d.busy)
-}
-
-func (d *trapDevice) Advance(t vclock.Time) {
-	if t > d.now {
-		d.now = t
-	}
-	if d.pending && d.now >= d.doneAt {
-		d.pending = false
-		d.status = 1
-		if d.irq {
-			d.host.RaiseIRQ(d.doneAt, 3)
-		}
-	}
-}
-
-func (d *trapDevice) NextEvent() (vclock.Time, bool) {
-	if d.pending {
-		return d.doneAt, true
-	}
-	return vclock.Never, false
-}
-
-func (d *trapDevice) Stats() accel.DeviceStats { return accel.DeviceStats{} }
-
-func maxT(a, b vclock.Time) vclock.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func attach(e *Engine, d *trapDevice) {
-	b := &DeviceBinding{Device: d, MMIOBase: 0x8000_0000, MMIOSize: 4096,
+// attach binds the shared fake device (tasks complete after a fixed busy
+// time; used to test trap quantization and sync modes) at 0x8000_0000.
+func attach(e *Engine, d *acceltest.Device) {
+	b := &hostkit.Binding{Device: d, MMIOBase: 0x8000_0000, MMIOSize: 4096,
 		MMIOCost: 850 * vclock.Nanosecond}
-	d.host = e.HostFor(b)
+	d.Host = e.HostFor(b)
 	e.Attach(b)
 }
 
 func TestTrapQuantization(t *testing.T) {
 	e := newExact(t, exactCfg())
-	dev := &trapDevice{busy: 20 * us}
+	dev := &acceltest.Device{Busy: 20 * us}
 	attach(e, dev)
 	res := e.Run(app.Program{Main: func(env app.Env) {
 		env.MMIOWrite(0x8000_0000, 1)
@@ -329,7 +275,7 @@ func TestHybridDeliversIRQs(t *testing.T) {
 	e := newExact(t, Config{Epoch: 1 * us, Mode: Hybrid, SyncInterval: 10 * us,
 		CalSigma: -1, RefillLoss: -1})
 	e.calBias = 1.0
-	dev := &trapDevice{busy: 33 * us, irq: true}
+	dev := &acceltest.Device{Busy: 33 * us, IRQ: 3}
 	attach(e, dev)
 	res := e.Run(app.Program{Main: func(env app.Env) {
 		env.MMIOWrite(0x8000_0000, 1)
@@ -351,7 +297,7 @@ func TestHybridDeliversIRQs(t *testing.T) {
 func TestEagerSyncsEveryEpoch(t *testing.T) {
 	e := newExact(t, Config{Epoch: 1 * us, Mode: Eager, CalSigma: -1, RefillLoss: -1})
 	e.calBias = 1.0
-	dev := &trapDevice{busy: 5 * us}
+	dev := &acceltest.Device{Busy: 5 * us}
 	attach(e, dev)
 	res := e.Run(app.Program{Main: func(env app.Env) {
 		env.ComputeFor(10 * us)
@@ -468,7 +414,7 @@ func TestStickyIRQNoLostWakeup(t *testing.T) {
 	e := newExact(t, Config{Epoch: 1 * us, Mode: Hybrid, SyncInterval: 5 * us,
 		CalSigma: -1, RefillLoss: -1})
 	e.calBias = 1.0
-	dev := &trapDevice{busy: 3 * us, irq: true}
+	dev := &acceltest.Device{Busy: 3 * us, IRQ: 3}
 	attach(e, dev)
 	completed := false
 	e.Run(app.Program{Main: func(env app.Env) {
@@ -491,7 +437,7 @@ func TestEagerModeMatchesLazyAccuracy(t *testing.T) {
 	run := func(mode SyncMode) vclock.Duration {
 		e := newExact(t, Config{Epoch: 1 * us, Mode: mode, CalSigma: -1, RefillLoss: -1})
 		e.calBias = 1.0
-		dev := &trapDevice{busy: 10 * us}
+		dev := &acceltest.Device{Busy: 10 * us}
 		attach(e, dev)
 		return e.Run(app.Program{Main: func(env app.Env) {
 			env.MMIOWrite(0x8000_0000, 1)

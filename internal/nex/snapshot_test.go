@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/app"
 	"nexsim/internal/checkpoint"
 	"nexsim/internal/mem"
@@ -48,9 +49,9 @@ func snapProg(taskbuf mem.Addr, rounds int) app.Program {
 }
 
 // snapRig builds an engine + device + task buffer for snapshot tests.
-func snapRig(cfg Config) (*Engine, *trapDevice, mem.Addr) {
+func snapRig(cfg Config) (*Engine, *acceltest.Device, mem.Addr) {
 	e := New(cfg)
-	dev := &trapDevice{busy: 20 * us}
+	dev := &acceltest.Device{Busy: 20 * us}
 	attach(e, dev)
 	region := e.Mem().Alloc("taskbuf", 4096)
 	return e, dev, region.Base
@@ -69,7 +70,7 @@ func TestRunPrefixHaltsBeforeDeviceTouch(t *testing.T) {
 	if !e.Halted() {
 		t.Fatal("engine not halted")
 	}
-	if dev.reads != 0 || dev.pending {
+	if dev.Reads != 0 || dev.Pending {
 		t.Fatal("device was touched before the halt")
 	}
 }
@@ -108,8 +109,8 @@ func TestPrefixResumeMatchesStraightRun(t *testing.T) {
 		if got != want {
 			t.Errorf("mode %v: resumed run diverged:\n got  %+v\n want %+v", mode, got, want)
 		}
-		if devA.reads != devB.reads {
-			t.Errorf("mode %v: device reads %d != %d", mode, devB.reads, devA.reads)
+		if devA.Reads != devB.Reads {
+			t.Errorf("mode %v: device reads %d != %d", mode, devB.Reads, devA.Reads)
 		}
 	}
 }
@@ -149,8 +150,8 @@ func TestRestoreMatchesStraightRun(t *testing.T) {
 		if got != want {
 			t.Errorf("mode %v: restored run diverged:\n got  %+v\n want %+v", mode, got, want)
 		}
-		if devA.reads != devC.reads {
-			t.Errorf("mode %v: device reads %d != %d", mode, devC.reads, devA.reads)
+		if devA.Reads != devC.Reads {
+			t.Errorf("mode %v: device reads %d != %d", mode, devC.Reads, devA.Reads)
 		}
 		// The restored memory image must match the straight run's.
 		var a, c [64]byte
