@@ -61,6 +61,13 @@ bench:
 bench-cpu:
 	go test -run '^$$' -bench 'Duration(Ref)?(L1|L2|Mem)$$' -benchtime 50x ./internal/cpu | grep -E 'ns/instr|^cpu:'
 
+# DMA-path micro-benchmarks: ns per simulated line of 4 KB PCIe DMAs
+# streaming into a cold and into a warm LLC, way-major cache next to the
+# set-major reference it replaced, and ns per page of the functional
+# memory behind them.
+bench-dma:
+	go test -run '^$$' -bench 'DMAStream|PageTouch' -benchtime 20x -count 3 ./internal/cachesim ./internal/mem | grep -E 'Benchmark|^cpu:'
+
 # Simulated-thread switch cost: ns per engine → thread → engine round
 # trip (one Resume and the Yield that answers it), 0 allocs/op.
 bench-coro:
@@ -71,4 +78,4 @@ bench-coro:
 intra-smoke:
 	sh scripts/intra_smoke.sh
 
-.PHONY: lint check bench bench-cpu bench-coro intra-smoke serve-smoke crash-smoke cluster-smoke chaos
+.PHONY: lint check bench bench-cpu bench-dma bench-coro intra-smoke serve-smoke crash-smoke cluster-smoke chaos

@@ -44,6 +44,12 @@ go test -run '^$' -bench 'Duration|Hit' -benchtime 1x ./internal/cpu ./internal/
 go build -gcflags=-m ./internal/cpu 2>&1 | grep -q 'inlining call to cachesim.(\*Cache).Hit'
 go test -run '^$' -fuzz FuzzDurationMatchesReference -fuzztime 10s ./internal/cpu
 
+# DMA-path gates (DESIGN.md §4.2): the stream and page benchmarks compile
+# and execute once, and ten seconds of fuzzing find no operation sequence
+# on which the way-major cache and the set-major reference disagree.
+go test -run '^$' -bench 'DMAStream|PageTouch' -benchtime 1x ./internal/cachesim ./internal/mem
+go test -run '^$' -fuzz FuzzCacheMatchesReference -fuzztime 10s ./internal/cachesim
+
 # Trust-boundary decoders (ROADMAP item 4a): ten seconds each of garbage
 # at the job API's submit decoder and at the hot-set promotion path must
 # produce errors, never a panic or an accepted entry its content address

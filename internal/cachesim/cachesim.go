@@ -31,22 +31,34 @@ type Config struct {
 }
 
 // Cache is a single cache level backed by a parent Port.
+//
+// Line state is laid out way-major: way w of set s is plane[w*stride+s],
+// so consecutive line addresses (consecutive sets) sit next to each
+// other in host memory — a streaming DMA walks the plane sequentially,
+// four simulated lines per host cache line. fill[s] counts the live ways
+// of set s, and those are always the prefix [0,fill[s]): a miss fills
+// the first dead way before it ever evicts, and Flush and Recycle — the
+// only invalidations — empty whole sets. So a lookup scans fill[s] ways,
+// a cold miss writes its way without reading it, and the part of the
+// plane belonging to ways nobody has filled is never touched (nor made
+// resident by the host).
 type Cache struct {
 	cfg    Config
 	parent memsys.Port
 
-	sets     []set
-	slab     []line // backing store carved into per-set arrays on first touch
+	plane    []entry  // meaningful only below fill
+	fill     []uint16 // per set: ways [0,fill) are live
+	stride   mem.Addr // plane pitch: set count plus a pad, see stridePad
 	setMask  mem.Addr
 	lineBits uint
-	stamp    uint64 // epoch<<epochShift | lineValid: the low tagbits of every live line
 
 	lruClock int64
 
 	// hint remembers, per low line-address bits, the way that line was
 	// last hit or filled in, so Hit can check one way instead of scanning
 	// the set. It is a lookup accelerator only: a stale or aliased entry
-	// costs a scan, never a wrong answer, because the tag is still compared.
+	// costs a scan, never a wrong answer, because the way is still checked
+	// against the fill count and the tag compared.
 	hint [hintSlots]uint8
 
 	// Stats.
@@ -56,29 +68,24 @@ type Cache struct {
 	Writebacks int64
 }
 
-// line packs the tag, a recycling epoch, and the valid/dirty flags into
-// one word so a set's line array is 16 bytes per way: streaming workloads
-// touch every set of a large LLC once per run, so the footprint of this
-// struct is the dominant allocation of a whole simulation. The epoch lets
-// Recycle invalidate every line in O(1) — a line is live only when its
-// stamped epoch equals the cache's current one — so a pooled hierarchy
-// restarts cold without zeroing megabytes of slab.
-type line struct {
-	tagbits uint64 // lineAddr<<18 | epoch<<2 | dirty<<1 | valid
-	lru     int64  // higher = more recent
+// entry is one way of one set. Tag and LRU stamp share a host cache
+// line: a probe that hits reads the one and writes the other.
+type entry struct {
+	tag mem.Addr // lineAddr | dirty
+	lru int64    // higher = more recent
 }
 
 const (
-	lineValid = 1 << 0
-	lineDirty = 1 << 1
+	// lineDirty is the top bit of a tag word; the line address has the
+	// rest, which covers any address with lines of two bytes or more.
+	lineDirty = 1 << 63
+	maxTag    = lineDirty - 1
 
-	epochShift = 2
-	epochBits  = 16
-	epochMask  = 1<<epochBits - 1
-	tagShift   = epochShift + epochBits
-	// maxTag bounds the packable line address: 46 tag bits cover 2^52
-	// bytes of simulated physical address space with 64-byte lines.
-	maxTag = 1<<(64-tagShift) - 1
+	// stridePad keeps the ways of one set out of a single host cache set:
+	// with a power-of-two pitch, the 16 ways of an L2 set would sit exactly
+	// 16 KB apart and evict each other from the host's L1 on every scan.
+	// One host cache line of padding staggers them.
+	stridePad = 4
 
 	// hintSlots sizes the way-hint table: twice the lines of the L1 the
 	// CPU model probes, so its resident lines rarely share a slot.
@@ -91,18 +98,6 @@ var (
 	_ [0]struct{} = [mem.Read]struct{}{}
 	_ [1]struct{} = [mem.Write]struct{}{}
 )
-
-func (l *line) dirty() bool   { return l.tagbits&lineDirty != 0 }
-func (l *line) tag() mem.Addr { return mem.Addr(l.tagbits >> tagShift) }
-
-// live reports whether the line is valid in the cache's current epoch.
-func (c *Cache) live(l *line) bool {
-	return l.tagbits&(1<<tagShift-1)&^lineDirty == c.stamp
-}
-
-type set struct {
-	lines []line
-}
 
 // New builds a cache level. It panics on malformed geometry so
 // misconfigurations fail at construction, not mid-simulation.
@@ -125,9 +120,8 @@ func New(cfg Config, parent memsys.Port) *Cache {
 		cfg.Pace = 2 * vclock.Nanosecond
 	}
 	// Reuse a recycled cache of identical geometry when one is pooled:
-	// behaviorally indistinguishable from a fresh build (every line is
-	// invalid in the new epoch, stats are zero), but the slab and set
-	// arrays come for free.
+	// behaviorally indistinguishable from a fresh build (every set is
+	// empty, stats are zero), but the plane comes for free.
 	pool.Lock()
 	if list := pool.m[cfg]; len(list) > 0 {
 		c := list[len(list)-1]
@@ -137,11 +131,11 @@ func New(cfg Config, parent memsys.Port) *Cache {
 		return c
 	}
 	pool.Unlock()
-	// Line arrays are allocated lazily on first touch of a set: a large
-	// LLC has tens of thousands of sets, most of which a short simulation
-	// never references, and every system build constructs a fresh
-	// hierarchy.
-	c := &Cache{cfg: cfg, parent: parent, sets: make([]set, nSets), setMask: mem.Addr(nSets - 1), stamp: lineValid}
+	// The plane is allocated whole but only ever touched below each set's
+	// fill count, so the host backs just the ways a run reaches.
+	stride := nSets + stridePad
+	c := &Cache{cfg: cfg, parent: parent, stride: mem.Addr(stride), setMask: mem.Addr(nSets - 1),
+		plane: make([]entry, cfg.Assoc*stride), fill: make([]uint16, nSets)}
 	for bits := cfg.LineSize; bits > 1; bits >>= 1 {
 		c.lineBits++
 	}
@@ -192,89 +186,66 @@ func (c *Cache) AccessOne(at vclock.Time, kind mem.AccessKind, addr mem.Addr) vc
 //simlint:hotpath inlined into the CPU model's per-load/store loop
 func (c *Cache) Hit(kind mem.AccessKind, addr mem.Addr) bool {
 	lineAddr := addr >> c.lineBits
-	lines := c.sets[lineAddr&c.setMask].lines
-	way := int(c.hint[lineAddr%hintSlots])
-	if way >= len(lines) || lines[way].tagbits&^lineDirty != uint64(lineAddr)<<tagShift|c.stamp {
+	set := lineAddr & c.setMask
+	way := c.hint[lineAddr%hintSlots]
+	w := &c.plane[mem.Addr(way)*c.stride+set]
+	if uint16(way) >= c.fill[set] || w.tag&^lineDirty != lineAddr {
 		return false
 	}
 	c.Hits++
 	c.lruClock++
-	lines[way].lru = c.lruClock
+	w.lru = c.lruClock
 	// Branch-free dirty marking: loads and stores alternate at random, so
 	// a branch on kind would mispredict on the host.
-	lines[way].tagbits |= uint64(kind) * lineDirty
+	w.tag |= mem.Addr(kind) * lineDirty
 	return true
 }
 
+//simlint:hotpath once per line of every DMA and every CPU-model miss
 func (c *Cache) accessLine(at vclock.Time, kind mem.AccessKind, lineAddr mem.Addr) vclock.Time {
-	s := &c.sets[lineAddr&c.setMask]
-	if s.lines == nil {
-		// Carve the set's line array from a chunked slab: lazy (a short
-		// simulation touching few sets allocates little) without paying
-		// one allocation per set when a streaming workload sweeps the
-		// whole index space.
-		if len(c.slab) < c.cfg.Assoc {
-			n := 1024 * c.cfg.Assoc
-			if max := len(c.sets) * c.cfg.Assoc; n > max {
-				n = max
-			}
-			c.slab = make([]line, n)
-		}
-		s.lines = c.slab[:c.cfg.Assoc:c.cfg.Assoc]
-		c.slab = c.slab[c.cfg.Assoc:]
-	}
-	tag := lineAddr // full line address as tag (set bits redundant but harmless)
+	set := lineAddr & c.setMask
+	n := mem.Addr(c.fill[set])
 	c.lruClock++
 
-	// A hit must match address, epoch, and the valid bit in one compare;
-	// only the dirty bit may differ.
-	want := uint64(tag)<<tagShift | c.stamp
-	for i := range s.lines {
-		l := &s.lines[i]
-		if l.tagbits&^lineDirty == want {
+	// Only the dirty bit may differ between a live way and the line.
+	for way, i := mem.Addr(0), set; way < n; way, i = way+1, i+c.stride {
+		if w := &c.plane[i]; w.tag&^lineDirty == lineAddr {
 			c.Hits++
-			l.lru = c.lruClock
-			if kind == mem.Write {
-				l.tagbits |= lineDirty
-			}
-			c.hint[lineAddr%hintSlots] = uint8(i)
+			w.lru = c.lruClock
+			w.tag |= mem.Addr(kind) * lineDirty
+			c.hint[lineAddr%hintSlots] = uint8(way)
 			return at.Add(c.cfg.HitLatency)
 		}
 	}
 
-	// Miss: fetch the line from the parent (after the tag check), evict
-	// the LRU victim, writing it back first if dirty.
+	// Miss: fetch the line from the parent (after the tag check) into the
+	// first dead way, or, with the set full, over the LRU victim, writing
+	// that back first if dirty.
 	c.Misses++
-	victim := 0
-	for i := range s.lines {
-		if !c.live(&s.lines[i]) {
-			victim = i
-			break
-		}
-		if s.lines[i].lru < s.lines[victim].lru {
-			victim = i
-		}
+	if lineAddr > maxTag {
+		panic("cachesim: line address exceeds packed tag range")
 	}
 	fetchStart := at.Add(c.cfg.HitLatency)
-	v := &s.lines[victim]
-	if c.live(v) {
+	victim := n
+	if int(n) < c.cfg.Assoc {
+		c.fill[set] = uint16(n + 1)
+	} else {
+		victim = 0
+		for way := mem.Addr(1); way < n; way++ {
+			if c.plane[way*c.stride+set].lru < c.plane[victim*c.stride+set].lru {
+				victim = way
+			}
+		}
 		c.Evictions++
-		if v.dirty() {
+		if old := c.plane[victim*c.stride+set].tag; old&lineDirty != 0 {
 			c.Writebacks++
 			// The writeback occupies the parent but does not delay the
 			// demand fetch's completion beyond the parent's own queueing.
-			c.parent.Access(fetchStart, mem.Write, v.tag()<<c.lineBits, c.cfg.LineSize)
+			c.parent.Access(fetchStart, mem.Write, old&^lineDirty<<c.lineBits, c.cfg.LineSize)
 		}
 	}
 	done := c.parent.Access(fetchStart, mem.Read, lineAddr<<c.lineBits, c.cfg.LineSize)
-	if tag > maxTag {
-		panic("cachesim: line address exceeds packed tag range")
-	}
-	tb := want
-	if kind == mem.Write {
-		tb |= lineDirty
-	}
-	*v = line{tagbits: tb, lru: c.lruClock}
+	c.plane[victim*c.stride+set] = entry{tag: lineAddr | mem.Addr(kind)*lineDirty, lru: c.lruClock}
 	c.hint[lineAddr%hintSlots] = uint8(victim)
 	return done
 }
@@ -292,25 +263,24 @@ func (c *Cache) MissRate() float64 {
 // returns the completion time of the last writeback.
 func (c *Cache) Flush(at vclock.Time) vclock.Time {
 	done := at
-	for si := range c.sets {
-		for li := range c.sets[si].lines {
-			l := &c.sets[si].lines[li]
-			if c.live(l) && l.dirty() {
+	for set, n := range c.fill {
+		for i := mem.Addr(set); n > 0; n, i = n-1, i+c.stride {
+			if tag := c.plane[i].tag; tag&lineDirty != 0 {
 				c.Writebacks++
-				if d := c.parent.Access(at, mem.Write, l.tag()<<c.lineBits, c.cfg.LineSize); d > done {
+				if d := c.parent.Access(at, mem.Write, tag&^lineDirty<<c.lineBits, c.cfg.LineSize); d > done {
 					done = d
 				}
 			}
-			l.tagbits = 0
 		}
+		c.fill[set] = 0
 	}
 	return done
 }
 
 // pool holds recycled caches per configuration. Building a hierarchy for
-// every sweep point allocates (and zeroes) megabytes of line slab; a
-// recycled cache reuses its slab and set arrays, made cold again by the
-// epoch bump, so repeated Build/Release cycles stop paying that cost.
+// every sweep point allocates (and zeroes) megabytes of plane; a
+// recycled cache reuses it, made cold again by clearing the fill
+// counts, so repeated Build/Release cycles stop paying that cost.
 var pool = struct {
 	sync.Mutex
 	m map[Config][]*Cache
@@ -321,12 +291,7 @@ var pool = struct {
 // back — the cache models timing only, and the caller is discarding the
 // whole simulated system. The cache must not be used after Recycle.
 func (c *Cache) Recycle() {
-	c.stamp += 1 << epochShift
-	if c.stamp>>epochShift > epochMask {
-		// Epoch exhausted: stale lines from 2^16 generations ago could
-		// alias the wrapped stamp, so retire this cache to the GC instead.
-		return
-	}
+	clear(c.fill)
 	c.parent = nil
 	c.lruClock = 0
 	c.Hits, c.Misses, c.Evictions, c.Writebacks = 0, 0, 0, 0

@@ -364,16 +364,20 @@ func Build(cfg Config) *System {
 	return sys
 }
 
-// Release returns the system's pooled resources (the cache hierarchy)
-// for reuse by a future Build. Call it once, after the last Run result
-// has been extracted; the system must not be used afterwards. Releasing
-// is purely an allocation optimization — a Build that reuses recycled
-// parts is behaviorally identical to a fresh one.
+// Release returns the system's pooled resources — the cache hierarchy
+// and the pages of the simulated memory — for reuse by a future Build.
+// Call it once, last: after the final Run result, CPU-model counter and
+// checkpoint blob have been extracted and after Reap, because Ctx.Mem
+// reads as all zeros from here on and its old pages may already belong
+// to another system (every caller in experiments and bench releases
+// last). Releasing is purely an allocation optimization — a Build that
+// reuses recycled parts is behaviorally identical to a fresh one.
 func (s *System) Release() {
 	for _, c := range s.caches {
 		c.Recycle()
 	}
 	s.caches = nil
+	s.Ctx.Mem.Release()
 }
 
 // CPUModel returns the gem5-style CPU model (nil for other hosts).

@@ -9,6 +9,7 @@ import (
 	"nexsim/internal/core"
 	"nexsim/internal/faults"
 	"nexsim/internal/interconnect"
+	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 	"nexsim/internal/workloads"
 )
@@ -181,6 +182,59 @@ func TestThreadPanicPropagatesAndReaps(t *testing.T) {
 		sys.Reap()
 		if n := runtime.NumGoroutine(); n != before {
 			t.Fatalf("%s: %d goroutines after Reap, want %d", host, n, before)
+		}
+	}
+}
+
+// pageAllocs counts the heap allocations of the 4 KB size class so far:
+// mem's pages, and next to nothing else in a run.
+func pageAllocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for _, c := range ms.BySize {
+		if c.Size == 4096 {
+			return c.Mallocs
+		}
+	}
+	panic("no 4096-byte size class")
+}
+
+// TestReleaseRecyclesPages: Release hands the simulated memory's pages to
+// the next Build, so from the second Build → Run → Release cycle on a
+// sweep allocates (almost) no page memory, and the recycled pages change
+// nothing about the run.
+func TestReleaseRecyclesPages(t *testing.T) {
+	b, err := workloads.ByName("vta-resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Whatever earlier tests released goes to a memory that keeps it, so
+	// the first cycle starts from an empty free list.
+	hoard := mem.New(0)
+	for p := mem.Addr(0); p < 8192; p++ {
+		hoard.WriteAt(p*mem.PageSize, []byte{1})
+	}
+	var first core.Result
+	for i := 0; i < 5; i++ {
+		before := pageAllocs()
+		sys := core.Build(core.Config{Host: core.HostNEX, Accel: core.AccelDSim, Model: b.Model, Devices: b.Devices, Cores: 16, Seed: 42})
+		r := sys.Run(b.Build(&sys.Ctx))
+		sys.Release()
+		sys.Release() // a second Release is a no-op
+		pages := pageAllocs() - before
+		t.Logf("cycle %d: %d fresh 4 KB allocations", i, pages)
+		if i == 0 {
+			first = r
+			if pages < 512 {
+				t.Fatalf("the workload touches only %d pages; the bound below would prove nothing", pages)
+			}
+			continue
+		}
+		if pages*4096 >= 1<<20 {
+			t.Errorf("cycle %d allocated %d fresh pages (%d KB), want < 1 MB: pages are not recycled", i, pages, pages*4)
+		}
+		if r.SimTime != first.SimTime {
+			t.Errorf("cycle %d on recycled pages simulated %v, the first %v", i, r.SimTime, first.SimTime)
 		}
 	}
 }

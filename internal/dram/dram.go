@@ -41,6 +41,11 @@ type Controller struct {
 	bankFree []vclock.Time
 	chanFree vclock.Time
 
+	// Channel time of a xferSize-byte transfer: nearly every request is
+	// one cache line, so the float division runs once, not per request.
+	xferSize int
+	xfer     vclock.Duration
+
 	// Stats.
 	RowHits   int64
 	RowMisses int64
@@ -104,12 +109,15 @@ func (c *Controller) Access(at vclock.Time, kind mem.AccessKind, addr mem.Addr, 
 	c.openRow[bank] = row
 
 	// Data transfer serializes on the channel.
-	xfer := vclock.Duration(float64(size) / c.cfg.BytesPerNs * float64(vclock.Nanosecond))
+	if size != c.xferSize {
+		c.xferSize = size
+		c.xfer = vclock.Duration(float64(size) / c.cfg.BytesPerNs * float64(vclock.Nanosecond))
+	}
 	xferStart := start.Add(access)
 	if c.chanFree > xferStart {
 		xferStart = c.chanFree
 	}
-	done := xferStart.Add(xfer)
+	done := xferStart.Add(c.xfer)
 	c.chanFree = done
 	c.bankFree[bank] = start.Add(access)
 	_ = kind // reads and writes share timing in this model

@@ -65,6 +65,11 @@ type Fabric struct {
 	busy vclock.Time // link serialization point
 	tlb  *iotlb      // optional I/O address translation (EnableIOTLB)
 
+	// Wire time of a wireSize-byte payload: a DMA is a run of equal
+	// TLPs, so the float division runs once per size, not per TLP.
+	wireSize int
+	wire     vclock.Duration
+
 	// Stats.
 	Reads, Writes int64
 	Bytes         int64
@@ -112,13 +117,12 @@ func (f *Fabric) Access(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size
 	// slot and traverses the link.
 	remaining := size
 	segAddr := addr
-	t := at
 	for remaining > 0 {
 		seg := remaining
 		if f.cfg.MaxPayload > 0 && seg > f.cfg.MaxPayload {
 			seg = f.cfg.MaxPayload
 		}
-		d := f.accessSeg(t, kind, segAddr, seg)
+		d := f.accessSeg(at, kind, segAddr, seg)
 		if d > done {
 			done = d
 		}
@@ -142,18 +146,18 @@ func (f *Fabric) accessSeg(at vclock.Time, kind mem.AccessKind, addr mem.Addr, s
 		start = admitted
 	}
 	// Wire time for the payload, serialized on the link.
-	var wire vclock.Duration
-	if f.cfg.BytesPerNs > 0 {
-		wire = vclock.Duration(float64(size) / f.cfg.BytesPerNs * float64(vclock.Nanosecond))
+	if size != f.wireSize && f.cfg.BytesPerNs > 0 {
+		f.wireSize = size
+		f.wire = vclock.Duration(float64(size) / f.cfg.BytesPerNs * float64(vclock.Nanosecond))
 	}
 	if f.busy > start {
 		start = f.busy
 	}
-	f.busy = start.Add(wire)
+	f.busy = start.Add(f.wire)
 
 	// Request traverses the link, is served by the target, response
 	// traverses back.
-	arrive := start.Add(wire + f.cfg.LinkLatency)
+	arrive := start.Add(f.wire + f.cfg.LinkLatency)
 	served := f.target.Access(arrive, kind, addr, size)
 	done := served.Add(f.cfg.LinkLatency)
 	if win != nil {

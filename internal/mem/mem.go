@@ -66,9 +66,16 @@ func (r *Region) Contains(addr Addr, size int) bool {
 // exactly the determinism bug, and `go test -race` surfaces it).
 type Memory struct {
 	pages   map[Addr][]byte // keyed by page base
+	owned   [][]byte        // every page in pages, in allocation order, for Release
 	regions []*Region       // sorted by Base
 	next    Addr            // bump allocator for Alloc
 	mu      *sync.RWMutex   // nil unless SetConcurrent was called
+
+	// The page the serial path touched last: DMAs and task-buffer
+	// accesses walk a page at a time, so most lookups skip the map.
+	// Unused once mu is armed.
+	lastBase Addr
+	last     []byte
 }
 
 // SetConcurrent arms the page-table lock for cross-goroutine use. The
@@ -94,8 +101,7 @@ func (m *Memory) Alloc(name string, size uint64) *Region {
 	rounded := (size + PageSize - 1) / PageSize * PageSize
 	r := &Region{Name: name, Base: m.next, Size: rounded}
 	m.next += Addr(rounded)
-	m.regions = append(m.regions, r)
-	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Base < m.regions[j].Base })
+	m.regions = append(m.regions, r) // next only grows, so regions stays sorted by Base
 	return r
 }
 
@@ -120,6 +126,7 @@ func (m *Memory) RegionAt(addr Addr) *Region {
 	return nil
 }
 
+//simlint:hotpath once per page-sized piece of every functional access
 func (m *Memory) page(addr Addr) []byte {
 	base := addr &^ (PageSize - 1)
 	if m.mu != nil {
@@ -132,18 +139,67 @@ func (m *Memory) page(addr Addr) []byte {
 		m.mu.Lock()
 		p, ok = m.pages[base]
 		if !ok {
-			p = make([]byte, PageSize)
-			m.pages[base] = p
+			p = m.newPage(base)
 		}
 		m.mu.Unlock()
 		return p
 	}
+	if m.last != nil && m.lastBase == base {
+		return m.last
+	}
 	p, ok := m.pages[base]
 	if !ok {
-		p = make([]byte, PageSize)
-		m.pages[base] = p
+		p = m.newPage(base)
 	}
+	m.lastBase, m.last = base, p
 	return p
+}
+
+// freePages recycles the pages of released memories: a simulation
+// touches tens of megabytes of pages, and allocating, zeroing and
+// garbage-collecting them afresh for every run of a sweep costs more
+// than the accesses themselves. Pages are zeroed when they are taken,
+// so a recycled page is indistinguishable from a fresh one.
+var freePages struct {
+	sync.Mutex
+	list [][]byte
+}
+
+// maxFreePages bounds the free list (16 MB): the evaluation's largest
+// system touches about 2,500 pages, so a sweep that builds one system
+// after another never allocates; anything beyond the bound goes to the GC.
+const maxFreePages = 4096
+
+// newPage maps a zeroed page at base, from the free list when it has one.
+func (m *Memory) newPage(base Addr) []byte {
+	var p []byte
+	freePages.Lock()
+	if n := len(freePages.list); n > 0 {
+		p, freePages.list[n-1] = freePages.list[n-1], nil
+		freePages.list = freePages.list[:n-1]
+	}
+	freePages.Unlock()
+	if p == nil {
+		p = make([]byte, PageSize)
+	} else {
+		clear(p)
+	}
+	m.pages[base] = p
+	m.owned = append(m.owned, p)
+	return p
+}
+
+// Release hands the memory's pages to the free list for a later New and
+// leaves the memory empty: every address reads as zero again. Call it
+// when the simulated system is discarded and nothing accesses the memory
+// any more; a second call is a no-op.
+func (m *Memory) Release() {
+	freePages.Lock()
+	room := maxFreePages - len(freePages.list)
+	freePages.list = append(freePages.list, m.owned[:min(room, len(m.owned))]...)
+	freePages.Unlock()
+	clear(m.pages)
+	m.owned, m.last = nil, nil
 }
 
 // ReadAt copies len(buf) bytes at addr into buf without triggering

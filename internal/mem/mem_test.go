@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -158,4 +159,153 @@ func TestAllocZeroPanics(t *testing.T) {
 		}
 	}()
 	New(0).Alloc("zero", 0)
+}
+
+// The bump allocator appends regions in ascending order, which is what
+// RegionAt's binary search relies on now that Alloc no longer sorts.
+func TestRegionAtManyRegions(t *testing.T) {
+	m := New(0x4000)
+	var regions []*Region
+	for i, pages := range []uint64{1, 3, 1, 7, 2, 1} {
+		regions = append(regions, m.Alloc(string(rune('a'+i)), pages*PageSize))
+	}
+	for _, r := range regions { // first, middle and last alike
+		for _, a := range []Addr{r.Base, r.Base + Addr(r.Size/2), r.Base + Addr(r.Size) - 1} {
+			if got := m.RegionAt(a); got != r {
+				t.Errorf("RegionAt(%#x) = %v, want %v", uint64(a), got, r)
+			}
+		}
+	}
+	last := regions[len(regions)-1]
+	for _, a := range []Addr{0, 0x3fff, last.Base + Addr(last.Size), 1 << 40} {
+		if got := m.RegionAt(a); got != nil {
+			t.Errorf("RegionAt(%#x) = %v, want nil outside every region", uint64(a), got)
+		}
+	}
+}
+
+// drainFreeList empties the package's page free list, so a test sees
+// only the pages it released itself.
+func drainFreeList() {
+	freePages.Lock()
+	freePages.list = nil
+	freePages.Unlock()
+}
+
+func freeListLen() int {
+	freePages.Lock()
+	defer freePages.Unlock()
+	return len(freePages.list)
+}
+
+// A released memory's pages come back through New zeroed: no byte of a
+// previous life is readable, wherever it was written.
+func TestReleaseRecyclesZeroedPages(t *testing.T) {
+	drainFreeList()
+	first := New(0)
+	ones := bytes.Repeat([]byte{0xff}, 3*PageSize)
+	first.WriteAt(0x10_0000, ones)                            // three whole pages
+	first.WriteAt(0x20_0000+PageSize-1, []byte{0xaa})         // the last byte of a page
+	first.WriteAt(0x30_0000+PageSize-3, []byte("straddling")) // across a page boundary
+	const touched = 3 + 1 + 2
+	first.Release()
+	if got := freeListLen(); got != touched {
+		t.Fatalf("free list holds %d pages after Release, want %d", got, touched)
+	}
+	buf := make([]byte, 3*PageSize)
+	second := New(0)
+	for _, base := range []Addr{0x10_0000, 0x20_0000, 0x30_0000, 0x77_0000} {
+		second.ReadAt(base, buf)
+		if !bytes.Equal(buf, make([]byte, len(buf))) {
+			t.Fatalf("recycled pages at %#x do not read as zeros", uint64(base))
+		}
+	}
+	if got := freeListLen(); got != 0 {
+		t.Fatalf("free list holds %d pages: New did not draw on it", got)
+	}
+}
+
+func TestReleaseTwiceIsNoOp(t *testing.T) {
+	drainFreeList()
+	m := New(0)
+	m.WriteU64(0x1000, 1)
+	m.WriteU64(0x9000, 2)
+	m.Release()
+	m.Release()
+	if got := freeListLen(); got != 2 {
+		t.Fatalf("free list holds %d pages after a double Release, want 2 (no page twice)", got)
+	}
+	if got := m.ReadU64(0x9000); got != 0 {
+		t.Fatalf("a released memory reads %#x where it once wrote, want 0", got)
+	}
+	a, b := New(0), New(0)
+	a.WriteU64(0, 0x1111)
+	b.WriteU64(0, 0x2222)
+	if a.ReadU64(0) != 0x1111 || b.ReadU64(0) != 0x2222 {
+		t.Fatal("two memories share a recycled page")
+	}
+}
+
+func TestFreeListBounded(t *testing.T) {
+	drainFreeList()
+	defer drainFreeList()
+	// Ten times the bound, released in rounds that each hold more pages
+	// than the list may keep.
+	const perRound = maxFreePages + maxFreePages/4
+	for released := 0; released < 10*maxFreePages; released += perRound {
+		m := New(0)
+		for p := 0; p < perRound; p++ {
+			m.WriteAt(Addr(p)*PageSize, []byte{1})
+		}
+		m.Release()
+		if got := freeListLen(); got != maxFreePages {
+			t.Fatalf("free list holds %d pages after a %d-page Release, want the bound %d", got, perRound, maxFreePages)
+		}
+	}
+}
+
+// Under SetConcurrent the last-page memo must stay out of the way: two
+// goroutines ping-ponging between their own pages would otherwise hand
+// each other's page back (and race on the memo; run with -race).
+func TestConcurrentBypassesPageMemo(t *testing.T) {
+	m := New(0)
+	m.SetConcurrent()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			base := Addr(g) * 16 * PageSize
+			for i := 0; i < 2000; i++ {
+				a := base + Addr(i%16)*PageSize + Addr(i)
+				m.WriteU32(a, uint32(g<<16|i))
+				if got := m.ReadU32(a); got != uint32(g<<16|i) {
+					t.Errorf("goroutine %d read %#x at %#x, wrote %#x", g, got, uint64(a), g<<16|i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if m.last != nil {
+		t.Fatal("the concurrent path used the serial path's page memo")
+	}
+}
+
+// BenchmarkPageTouch is the functional side of a DMA stream: 4 KB copies
+// walking 8 MB of a fresh memory (every page mapped once), then the
+// memory released, as one system of a sweep does.
+func BenchmarkPageTouch(b *testing.B) {
+	const span = 8 << 20
+	buf := make([]byte, PageSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := New(0)
+		for a := Addr(0); a < span; a += PageSize {
+			m.WriteAt(a+64, buf) // unaligned: two pages per copy, the second one new
+			m.ReadAt(a+64, buf)
+		}
+		m.Release()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(span/PageSize), "ns/page")
 }
