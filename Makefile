@@ -68,6 +68,13 @@ bench-cpu:
 bench-dma:
 	go test -run '^$$' -bench 'DMAStream|PageTouch' -benchtime 20x -count 3 ./internal/cachesim ./internal/mem | grep -E 'Benchmark|^cpu:'
 
+# Functional-track micro-benchmarks: ns per page of staging the
+# resnet50-x2 operand set by mapping blobs next to the WriteAt staging it
+# replaced, and the cost of one plan key over mapped (page sums looked up)
+# and over written (pages hashed in place) operands.
+bench-func:
+	go test -run '^$$' -bench 'StageOperands|PlanKey' -benchtime 200x -count 3 ./internal/workloads ./internal/accel/vta | grep -E 'Benchmark|^cpu:'
+
 # Simulated-thread switch cost: ns per engine → thread → engine round
 # trip (one Resume and the Yield that answers it), 0 allocs/op.
 bench-coro:
@@ -78,4 +85,4 @@ bench-coro:
 intra-smoke:
 	sh scripts/intra_smoke.sh
 
-.PHONY: lint check bench bench-cpu bench-dma bench-coro intra-smoke serve-smoke crash-smoke cluster-smoke chaos
+.PHONY: lint check bench bench-cpu bench-dma bench-func bench-coro intra-smoke serve-smoke crash-smoke cluster-smoke chaos

@@ -50,6 +50,16 @@ go test -run '^$' -fuzz FuzzDurationMatchesReference -fuzztime 10s ./internal/cp
 go test -run '^$' -bench 'DMAStream|PageTouch' -benchtime 1x ./internal/cachesim ./internal/mem
 go test -run '^$' -fuzz FuzzCacheMatchesReference -fuzztime 10s ./internal/cachesim
 
+# Functional-track gates (DESIGN.md §4.3): the staging and plan-key
+# benchmarks compile and execute once (PlanKey fails if a key sums its
+# operand pages more than once), ten seconds of fuzzing find no op
+# sequence on which the page-mapped, copy-on-write memory and the flat
+# byte-map reference disagree, and mem.Hash stays the accelerators' only
+# content hash (each used to carry its own fnv64).
+go test -run '^$' -bench 'StageOperands|PlanKey' -benchtime 1x ./internal/workloads ./internal/accel/vta
+go test -run '^$' -fuzz FuzzMemoryMatchesReference -fuzztime 10s ./internal/mem
+test -z "$(grep -rl '^func fnv64' internal/accel --include='*.go' | grep -v _test.go)"
+
 # Trust-boundary decoders (ROADMAP item 4a): ten seconds each of garbage
 # at the job API's submit decoder and at the hot-set promotion path must
 # produce errors, never a panic or an accepted entry its content address

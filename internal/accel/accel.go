@@ -69,6 +69,12 @@ type Host interface {
 	ZeroCostRead(addr mem.Addr, p []byte)
 	ZeroCostWrite(addr mem.Addr, p []byte)
 
+	// ZeroCostSum fingerprints the whole pages of host memory overlapping
+	// [addr, addr+n) (mem.Memory.Sum) without moving them: what a
+	// functional track keys its memo on in place of a bulk input's bytes,
+	// so that a memo hit reads none of them (DESIGN.md §4.3).
+	ZeroCostSum(addr mem.Addr, n int) uint64
+
 	// RaiseIRQ delivers an interrupt from the device at virtual time at.
 	// Delivery timing at the software level is host-policy (e.g. NEX
 	// hybrid synchronization delivers at interval boundaries).

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"nexsim/internal/accel"
+	"nexsim/internal/mem"
 )
 
 // DecodeStats captures content-dependent quantities the performance
@@ -57,20 +60,33 @@ type decodeResult struct {
 	err   error
 }
 
-func fnv64(data []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // Decode parses and decodes a baseline JFIF bitstream. Results are
 // memoized per bitstream; callers must treat the returned image and
 // stats as immutable.
 func Decode(data []byte) (*Image, *DecodeStats, error) {
-	key := fnv64(data) ^ uint64(len(data))<<48
+	return decodeKeyed(mem.Hash(uint64(len(data)), data), func() []byte { return data })
+}
+
+// streamKey is the decodeCache key of the bitstream desc names in host
+// memory: the content sums of the pages it lies in plus its offset and
+// length within them — a superset of its bytes that costs none of them.
+func streamKey(h accel.Host, desc Desc) uint64 {
+	return mem.Mix(h.ZeroCostSum(desc.Src, int(desc.SrcLen)), uint64(desc.Src&(mem.PageSize-1))<<32|uint64(desc.SrcLen))
+}
+
+// decodeAt is the devices' functional track: the memoized decode of the
+// bitstream desc names. A hit does not read the stream.
+func decodeAt(h accel.Host, desc Desc) (*Image, *DecodeStats, error) {
+	return decodeKeyed(streamKey(h, desc), func() []byte {
+		bitstream := make([]byte, desc.SrcLen)
+		h.ZeroCostRead(desc.Src, bitstream)
+		return bitstream
+	})
+}
+
+// decodeKeyed returns the decode memoized under key, fetching the stream
+// and decoding it on first sight.
+func decodeKeyed(key uint64, stream func() []byte) (*Image, *DecodeStats, error) {
 	decodeCache.Lock()
 	r, ok := decodeCache.m[key]
 	decodeCache.Unlock()
@@ -79,7 +95,7 @@ func Decode(data []byte) (*Image, *DecodeStats, error) {
 	}
 	// Decode outside the lock; concurrent workers may decode the same
 	// stream once each, but the result is identical and immutable.
-	img, stats, err := decodeUncached(data)
+	img, stats, err := decodeUncached(stream())
 	decodeCache.Lock()
 	decodeCache.m[key] = &decodeResult{img: img, stats: stats, err: err}
 	decodeCache.Unlock()

@@ -224,9 +224,7 @@ func (d *Device) startTask(at vclock.Time, descAddr mem.Addr) {
 	desc := decodeDesc(descBytes)
 
 	// Functional decode of the full bitstream.
-	bitstream := make([]byte, desc.SrcLen)
-	d.Host.ZeroCostRead(desc.Src, bitstream)
-	img, stats, err := Decode(bitstream)
+	img, stats, err := decodeAt(d.Host, desc)
 
 	var rows []rowInfo
 	if err != nil {
@@ -237,7 +235,7 @@ func (d *Device) startTask(at vclock.Time, descAddr mem.Addr) {
 		rec.WriteDMA("OUT", desc.Dst, nil)
 		rows = []rowInfo{{bits: int64(desc.SrcLen) * 8, blocks: 1, inBytes: int64(desc.SrcLen), outBytes: 1}}
 	} else {
-		rows = d.planRows(rec, desc, img, stats, bitstream)
+		rows = d.planRows(rec, desc, img, stats)
 	}
 
 	d.planned = append(d.planned, rows)
@@ -247,7 +245,7 @@ func (d *Device) startTask(at vclock.Time, descAddr mem.Addr) {
 
 // planRows splits the decode into MCU-row work items and records their
 // DMAs in pipeline order.
-func (d *Device) planRows(rec *dsim.Recorder, desc Desc, img *Image, stats *DecodeStats, bitstream []byte) []rowInfo {
+func (d *Device) planRows(rec *dsim.Recorder, desc Desc, img *Image, stats *DecodeStats) []rowInfo {
 	// Derive MCU geometry from the stats.
 	mcuPxH := 8
 	if stats.BlocksPerMCU >= 6 {
@@ -259,7 +257,7 @@ func (d *Device) planRows(rec *dsim.Recorder, desc Desc, img *Image, stats *Deco
 
 	// The bitstream region is fetched in per-row spans proportional to
 	// each row's bit count (header bytes ride with the first row).
-	total := int64(len(bitstream))
+	total := int64(desc.SrcLen)
 	var rows []rowInfo
 	srcOff := int64(0)
 	dstOff := int64(0)

@@ -21,9 +21,10 @@ func (h *devHost) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size i
 	h.dmas++
 	return at.Add(h.lat)
 }
-func (h *devHost) ZeroCostRead(addr mem.Addr, p []byte)  { h.mem.ReadAt(addr, p) }
-func (h *devHost) ZeroCostWrite(addr mem.Addr, p []byte) { h.mem.WriteAt(addr, p) }
-func (h *devHost) RaiseIRQ(at vclock.Time, v int)        { h.irqs = append(h.irqs, at) }
+func (h *devHost) ZeroCostRead(addr mem.Addr, p []byte)    { h.mem.ReadAt(addr, p) }
+func (h *devHost) ZeroCostWrite(addr mem.Addr, p []byte)   { h.mem.WriteAt(addr, p) }
+func (h *devHost) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.mem.Sum(addr, n) }
+func (h *devHost) RaiseIRQ(at vclock.Time, v int)          { h.irqs = append(h.irqs, at) }
 
 // stage writes a test image's bitstream + descriptor into memory and
 // returns the descriptor address and expected pixels.

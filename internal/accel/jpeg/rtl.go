@@ -245,9 +245,7 @@ func (d *RTLDevice) startTask(at vclock.Time, descAddr mem.Addr) {
 	d.host.ZeroCostRead(descAddr, descBytes[:])
 	desc := decodeDesc(descBytes[:])
 
-	bitstream := make([]byte, desc.SrcLen)
-	d.host.ZeroCostRead(desc.Src, bitstream)
-	img, stats, err := Decode(bitstream)
+	img, stats, err := decodeAt(d.host, desc)
 
 	var rows []rtlRow
 	if err != nil {
@@ -258,7 +256,7 @@ func (d *RTLDevice) startTask(at vclock.Time, descAddr mem.Addr) {
 			src: desc.Src, dst: desc.Dst, last: true,
 		}}
 	} else {
-		rows = planRTLRows(desc, img, stats, bitstream)
+		rows = planRTLRows(desc, img, stats)
 	}
 	d.rowsLeft = append(d.rowsLeft, len(rows))
 	d.fetchQ = append(d.fetchQ, rows...)
@@ -269,7 +267,7 @@ func (d *RTLDevice) startTask(at vclock.Time, descAddr mem.Addr) {
 
 // planRTLRows mirrors Device.planRows but carries addresses and output
 // data on each row (the RTL pipeline issues its own DMAs).
-func planRTLRows(desc Desc, img *Image, stats *DecodeStats, bitstream []byte) []rtlRow {
+func planRTLRows(desc Desc, img *Image, stats *DecodeStats) []rtlRow {
 	mcuPxH := 8
 	if stats.BlocksPerMCU >= 6 {
 		mcuPxH = 16
@@ -277,7 +275,7 @@ func planRTLRows(desc Desc, img *Image, stats *DecodeStats, bitstream []byte) []
 	mcusX := intCeil(stats.Width, mcuPxH)
 	mcusY := intCeil(stats.Height, mcuPxH)
 
-	total := int64(len(bitstream))
+	total := int64(desc.SrcLen)
 	var rows []rtlRow
 	srcOff := int64(0)
 	dstOff := int64(0)

@@ -116,7 +116,6 @@ type Device struct {
 	submitTime  map[int64]vclock.Time
 
 	extraDMABytes int64
-	scratch       []byte // reusable plan-hash buffer
 }
 
 // TaskSpan is one task's lifetime.
@@ -352,8 +351,7 @@ func (d *Device) startTask(at vclock.Time, descAddr mem.Addr) {
 		panic(fmt.Sprintf("protoacc: unregistered schema %d", desc.Schema))
 	}
 
-	plan, scratch := cachedPlan(d.Host, desc.Root, desc.Out, schema, d.scratch)
-	d.scratch = scratch
+	plan := cachedPlan(d.Host, desc.Root, desc.Out, schema)
 
 	// Table entries: the descriptor pseudo-node chains to the root
 	// message node; message nodes chain to their submessages.

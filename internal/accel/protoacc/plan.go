@@ -4,14 +4,16 @@ import (
 	"encoding/binary"
 	"sync"
 
+	"nexsim/internal/accel"
 	"nexsim/internal/mem"
 )
 
 // planCache memoizes the entire task plan per (root address, schema,
 // object graph content) hash. The node table and the wire output are
 // pure functions of those inputs — the blocks embed every submessage and
-// data pointer, so hashing the root address plus all fetched bytes pins
-// the full layout — and the same staged batches are serialized by the
+// data pointer, so hashing the root address, the blocks and the content
+// sums of the pages the byte arrays lie in pins the full layout without
+// reading one payload byte — and the same staged batches are serialized by the
 // LPN model, the RTL-style model, repeated harness runs, and every point
 // of a latency sweep; memoizing removes redundant host compute without
 // affecting any simulated timing. Cached plans are shared read-only.
@@ -20,42 +22,15 @@ var planCache = struct {
 	m map[uint64]*taskPlan
 }{m: make(map[uint64]*taskPlan)}
 
-func fnv64(h uint64, data []byte) uint64 {
-	if h == 0 {
-		h = 14695981039346656037
-	}
-	// Word-chunked FNV: the value is a process-local memo key, never
-	// serialized or compared across runs.
-	for len(data) >= 8 {
-		h ^= binary.LittleEndian.Uint64(data)
-		h *= 1099511628211
-		data = data[8:]
-	}
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func fnvU64(h, v uint64) uint64 {
-	if h == 0 {
-		h = 14695981039346656037
-	}
-	h ^= v
-	h *= 1099511628211
-	return h
-}
-
 // descFP fingerprints a schema's wire-relevant structure (field numbers
 // and kinds, recursively): block bytes alone do not determine the wire
 // encoding.
 func descFP(d *MessageDesc) uint64 {
-	h := fnvU64(0, uint64(len(d.Fields)))
+	h := mem.Mix(0, uint64(len(d.Fields)))
 	for _, f := range d.Fields {
-		h = fnvU64(h, uint64(f.Number)<<8|uint64(f.Kind))
+		h = mem.Mix(h, uint64(f.Number)<<8|uint64(f.Kind))
 		if f.Sub != nil {
-			h = fnvU64(h, descFP(f.Sub))
+			h = mem.Mix(h, descFP(f.Sub))
 		}
 	}
 	return h
@@ -86,25 +61,10 @@ type taskPlan struct {
 	out   []byte // u32 length + wire bytes
 }
 
-// zeroCostReader is the slice of accel.Host the plan cache needs.
-type zeroCostReader interface {
-	ZeroCostRead(addr mem.Addr, p []byte)
-}
-
 // cachedPlan returns the (shared, read-only) plan for the layout rooted
-// at root, building and caching it on first sight. scratch is the
-// caller's reusable hash buffer, returned possibly grown.
-func cachedPlan(host zeroCostReader, root, outAddr mem.Addr,
-	schema *MessageDesc, scratch []byte) (*taskPlan, []byte) {
-
-	readS := func(addr mem.Addr, size int, buf []byte) []byte {
-		if cap(buf) < size {
-			buf = make([]byte, size+size/2+64)
-		}
-		host.ZeroCostRead(addr, buf[:size])
-		return buf
-	}
-	key, scratch := hashPlan(readS, root, schema, scratch)
+// at root, building and caching it on first sight.
+func cachedPlan(host accel.Host, root, outAddr mem.Addr, schema *MessageDesc) *taskPlan {
+	key := planKey(host, root, schema)
 	planCache.Lock()
 	plan, hit := planCache.m[key]
 	planCache.Unlock()
@@ -120,57 +80,45 @@ func cachedPlan(host zeroCostReader, root, outAddr mem.Addr,
 		planCache.m[key] = plan
 		planCache.Unlock()
 	}
-	return plan, scratch
+	return plan
 }
 
-// hashPlan computes the plan-cache key for the layout rooted at root: the
-// root address, the schema fingerprint, and every block and data byte the
-// plan walk would fetch, hashed in walk order. It reads through scratch
-// so a cache hit allocates nothing proportional to the message.
-func hashPlan(read func(addr mem.Addr, size int, scratch []byte) []byte,
-	root mem.Addr, schema *MessageDesc, scratch []byte) (uint64, []byte) {
-
-	key := fnvU64(descFP(schema), uint64(root))
+// planKey computes the plan-cache key for the layout rooted at root: the
+// root address, the schema fingerprint, every block the plan walk would
+// fetch, byte for byte in walk order, and for every byte array the
+// content sum of the pages it overlaps — the block holds its address and
+// length, so together they cover a superset of the array's bytes.
+func planKey(host accel.Host, root mem.Addr, schema *MessageDesc) uint64 {
+	key := mem.Mix(descFP(schema), uint64(root))
 	var visit func(addr mem.Addr, desc *MessageDesc)
 	visit = func(addr mem.Addr, desc *MessageDesc) {
-		blockLen := 16 * len(desc.Fields)
-		scratch = read(addr, blockLen, scratch)
-		key = fnv64(key, scratch[:blockLen])
+		block := make([]byte, 16*len(desc.Fields))
+		host.ZeroCostRead(addr, block)
+		key = mem.Hash(key, block)
 		type subref struct {
 			addr mem.Addr
 			desc *MessageDesc
 		}
-		type dataref struct {
-			addr mem.Addr
-			size int
-		}
 		var subs []subref
-		var datas []dataref
 		for i, f := range desc.Fields {
-			tag := binary.LittleEndian.Uint64(scratch[16*i:])
+			tag := binary.LittleEndian.Uint64(block[16*i:])
 			if tag&(1<<63) == 0 {
 				continue
 			}
-			val := binary.LittleEndian.Uint64(scratch[16*i+8:])
+			val := binary.LittleEndian.Uint64(block[16*i+8:])
 			switch f.Kind {
 			case KindBytes:
-				datas = append(datas, dataref{mem.Addr(val & (1<<40 - 1)), int(val >> 40)})
+				key = mem.Mix(key, host.ZeroCostSum(mem.Addr(val&(1<<40-1)), int(val>>40)))
 			case KindMessage:
 				subs = append(subs, subref{mem.Addr(val), f.Sub})
 			}
-		}
-		// The block bytes are fully consumed above, so the scratch can be
-		// reused for the data payloads and the child blocks.
-		for _, d := range datas {
-			scratch = read(d.addr, d.size, scratch)
-			key = fnv64(key, scratch[:d.size])
 		}
 		for _, s := range subs {
 			visit(s.addr, s.desc)
 		}
 	}
 	visit(root, schema)
-	return key, scratch
+	return key
 }
 
 // buildPlan walks the Store memory layout (via readObj/readData, so the

@@ -267,45 +267,55 @@ type MemLayout struct {
 	DataLen  int64 // out-of-line byte-array payload
 }
 
-// Store writes the message tree into memory starting at base and
-// returns its layout. The slot layout per message: for each field, 16
-// bytes (tag word + value/pointer word).
-func Store(m *mem.Memory, base mem.Addr, msg *Message) MemLayout {
+// Image flattens the message tree into the bytes Store places at base.
+// The slot layout per message: for each field, 16 bytes (tag word +
+// value/pointer word). Pointers are absolute, so the image is a pure
+// function of the (message, base) pair and of nothing else.
+func Image(base mem.Addr, msg *Message) ([]byte, MemLayout) {
 	lay := MemLayout{Root: base}
-	next := base
-	var place func(msg *Message) mem.Addr
-	place = func(msg *Message) mem.Addr {
-		at := next
-		next += mem.Addr(16 * len(msg.Desc.Fields))
+	var img []byte
+	alloc := func(n int) int {
+		at := len(img)
+		img = append(img, make([]byte, n)...)
+		return at
+	}
+	put := func(off int, v uint64) { binary.LittleEndian.PutUint64(img[off:], v) }
+	var place func(msg *Message) int
+	place = func(msg *Message) int {
+		at := alloc(16 * len(msg.Desc.Fields))
 		for i, f := range msg.Desc.Fields {
 			v := &msg.Values[i]
-			slot := at + mem.Addr(16*i)
-			tag := uint64(f.Number)<<8 | uint64(f.Kind)
 			if !v.Set {
-				m.WriteU64(slot, 0)
-				continue
+				continue // the slot stays zero
 			}
+			slot := at + 16*i
 			lay.Fields++
-			m.WriteU64(slot, tag|1<<63)
+			put(slot, uint64(f.Number)<<8|uint64(f.Kind)|1<<63)
 			switch f.Kind {
 			case KindBytes:
-				ptr := next
-				next += mem.Addr((len(v.Bytes)+15)/16*16 + 16)
-				m.WriteU64(slot+8, uint64(ptr)|uint64(len(v.Bytes))<<40)
-				m.WriteAt(ptr, v.Bytes)
+				ptr := alloc((len(v.Bytes)+15)/16*16 + 16)
+				put(slot+8, uint64(base)+uint64(ptr)|uint64(len(v.Bytes))<<40)
+				copy(img[ptr:], v.Bytes)
 				lay.Pointers++
 				lay.DataLen += int64(len(v.Bytes))
 			case KindMessage:
-				sub := place(v.Msg)
-				m.WriteU64(slot+8, uint64(sub))
+				put(slot+8, uint64(base)+uint64(place(v.Msg)))
 				lay.Pointers++
 			default:
-				m.WriteU64(slot+8, v.Int)
+				put(slot+8, v.Int)
 			}
 		}
 		return at
 	}
 	place(msg)
-	lay.Total = int(next - base)
+	lay.Total = len(img)
+	return img, lay
+}
+
+// Store writes the message tree's Image into memory starting at base and
+// returns its layout.
+func Store(m *mem.Memory, base mem.Addr, msg *Message) MemLayout {
+	img, lay := Image(base, msg)
+	m.WriteAt(base, img)
 	return lay
 }

@@ -52,8 +52,6 @@ type RTLDevice struct {
 	// TaskLatency mirrors the DSim device's per-task latency log.
 	TaskLatency []TaskSpan
 	submitTime  map[int64]vclock.Time
-
-	scratch []byte // reusable plan-hash buffer
 }
 
 type rtlObj struct {
@@ -351,8 +349,7 @@ func (d *RTLDevice) startTask(at vclock.Time, descAddr mem.Addr) {
 		panic(fmt.Sprintf("protoacc-rtl: unregistered schema %d", desc.Schema))
 	}
 
-	plan, scratch := cachedPlan(d.host, desc.Root, desc.Out, schema, d.scratch)
-	d.scratch = scratch
+	plan := cachedPlan(d.host, desc.Root, desc.Out, schema)
 
 	total := int64(len(plan.nodes)) + 1
 	for _, n := range plan.nodes {

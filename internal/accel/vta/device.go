@@ -40,8 +40,6 @@ type Device struct {
 	nextTask int64
 	stats    accel.DeviceStats
 	busyAt   vclock.Time
-
-	scratch planScratch // reusable plan-hash buffers
 }
 
 type modState struct {
@@ -109,8 +107,7 @@ func (d *Device) startTask(at vclock.Time, descAddr mem.Addr) {
 	fetchDone := d.host.DMA(at, mem.Read, desc.Prog, int(desc.Count)*InstrSize)
 	d.stats.DMABytes += int64(DescSize + int(desc.Count)*InstrSize)
 
-	plan, scratch, err := cachedPlan(d.host, desc, d.scratch)
-	d.scratch = scratch
+	plan, err := cachedPlan(d.host, desc)
 	if err != nil {
 		panic("vta: " + err.Error())
 	}

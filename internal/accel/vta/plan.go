@@ -1,10 +1,13 @@
 package vta
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
+	"nexsim/internal/accel"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -85,12 +88,6 @@ func instrCycles(i *Instr) int64 {
 	}
 }
 
-// zeroCostReader is the slice of the host interface the plan cache
-// needs.
-type zeroCostReader interface {
-	ZeroCostRead(addr mem.Addr, p []byte)
-}
-
 // vtaPlan is a memoized master copy of the per-module op lists for one
 // (program bytes, input data) pair — program bytes include the DRAM
 // placement, so the DMA address plan is pinned by the key. Masters carry
@@ -110,52 +107,60 @@ var fullPlanCache = struct {
 	m map[uint64]*vtaPlan
 }{m: make(map[uint64]*vtaPlan)}
 
-// planScratch holds the reusable buffers for the plan-cache hash pass.
-type planScratch struct {
-	prog, data []byte
+// loadRowBytes returns the size of one row a LOAD moves.
+func loadRowBytes(i *Instr) int {
+	if i.Buf == BufAcc {
+		return 4 * int(i.Cols)
+	}
+	return int(i.Cols)
 }
 
-func grown(buf []byte, n int) []byte {
-	if cap(buf) < n {
-		return make([]byte, n+n/2+64)
+// planKey is the fullPlanCache key of desc: the exact program bytes —
+// which hold every LOAD's address, shape and stride — plus the content
+// sums of the pages the LOADs' spans overlap, a superset of the bytes the
+// plan depends on that costs no operand byte to compute. The spans of a
+// tiled schedule overlap and abut (every K-chunk re-reads most of B), so
+// they are merged first and each page is summed once.
+func planKey(host accel.Host, desc Desc) (uint64, error) {
+	prog := make([]byte, int(desc.Count)*InstrSize)
+	host.ZeroCostRead(desc.Prog, prog)
+	key := mem.Hash(0, prog)
+	type pages struct{ lo, hi mem.Addr }
+	var spans []pages
+	for idx := 0; idx < int(desc.Count); idx++ {
+		i, err := DecodeInstr(prog[idx*InstrSize : (idx+1)*InstrSize])
+		if err != nil {
+			return 0, err
+		}
+		rowBytes := loadRowBytes(&i)
+		if i.Op != OpLoad || i.Rows == 0 || rowBytes == 0 {
+			continue
+		}
+		stride := int(i.Stride)
+		if stride == 0 {
+			stride = rowBytes
+		}
+		lo, n := mem.Addr(i.DRAM), (int(i.Rows)-1)*stride+rowBytes
+		spans = append(spans, pages{lo &^ (mem.PageSize - 1), (lo + mem.Addr(n) + mem.PageSize - 1) &^ (mem.PageSize - 1)})
 	}
-	return buf[:cap(buf)]
+	slices.SortFunc(spans, func(a, b pages) int { return cmp.Compare(a.lo, b.lo) })
+	for j := 0; j < len(spans); {
+		run := spans[j]
+		for j++; j < len(spans) && spans[j].lo <= run.hi; j++ {
+			run.hi = max(run.hi, spans[j].hi)
+		}
+		key = mem.Mix(key, host.ZeroCostSum(run.lo, int(run.hi-run.lo)))
+	}
+	return key, nil
 }
 
 // cachedPlan returns the (shared, read-only) master plan for desc,
-// building and caching it on first sight. The hash pass reads the
-// program and every LOAD payload through scratch, so a cache hit
-// allocates nothing proportional to the task.
-func cachedPlan(host zeroCostReader, desc Desc, s planScratch) (*vtaPlan, planScratch, error) {
-	progLen := int(desc.Count) * InstrSize
-	s.prog = grown(s.prog, progLen)
-	host.ZeroCostRead(desc.Prog, s.prog[:progLen])
-	key := fnv64(0, s.prog[:progLen])
-	for idx := 0; idx < int(desc.Count); idx++ {
-		i, err := DecodeInstr(s.prog[idx*InstrSize : (idx+1)*InstrSize])
-		if err != nil {
-			return nil, s, err
-		}
-		if i.Op != OpLoad {
-			continue
-		}
-		elemSize := 1
-		if i.Buf == BufAcc {
-			elemSize = 4
-		}
-		rowBytes := int(i.Cols) * elemSize
-		if i.Stride == 0 || int(i.Stride) == rowBytes {
-			n := int(i.Rows) * rowBytes
-			s.data = grown(s.data, n)
-			host.ZeroCostRead(mem.Addr(i.DRAM), s.data[:n])
-			key = fnv64(key, s.data[:n])
-		} else {
-			s.data = grown(s.data, rowBytes)
-			for r := 0; r < int(i.Rows); r++ {
-				host.ZeroCostRead(mem.Addr(i.DRAM)+mem.Addr(r*int(i.Stride)), s.data[:rowBytes])
-				key = fnv64(key, s.data[:rowBytes])
-			}
-		}
+// building and caching it on first sight; a hit reads the program and no
+// operand byte.
+func cachedPlan(host accel.Host, desc Desc) (*vtaPlan, error) {
+	key, err := planKey(host, desc)
+	if err != nil {
+		return nil, err
 	}
 	fullPlanCache.Lock()
 	plan, hit := fullPlanCache.m[key]
@@ -168,14 +173,14 @@ func cachedPlan(host zeroCostReader, desc Desc, s planScratch) (*vtaPlan, planSc
 		}
 		loads, computes, stores, err := buildPlan(read, desc, 0)
 		if err != nil {
-			return nil, s, err
+			return nil, err
 		}
 		plan = &vtaPlan{loads: loads, computes: computes, stores: stores}
 		fullPlanCache.Lock()
 		fullPlanCache.m[key] = plan
 		fullPlanCache.Unlock()
 	}
-	return plan, s, nil
+	return plan, nil
 }
 
 // appendStamped copies master ops onto dst, assigning the task id and
@@ -203,26 +208,6 @@ var planCache = struct {
 	m map[uint64][][]byte
 }{m: make(map[uint64][][]byte)}
 
-func fnv64(h uint64, data []byte) uint64 {
-	if h == 0 {
-		h = 14695981039346656037
-	}
-	// Mix eight bytes per multiply. The value is a process-local memo
-	// key — never serialized or compared across runs — so word-chunked
-	// FNV (different from canonical byte-at-a-time FNV-1a) is fine, and
-	// it makes hashing megabytes of LOAD payloads cheap.
-	for len(data) >= 8 {
-		h ^= binary.LittleEndian.Uint64(data)
-		h *= 1099511628211
-		data = data[8:]
-	}
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // buildPlan decodes and functionally executes an instruction stream,
 // returning per-module op lists. read is the functional memory access
 // (the caller decides whether it is recorded as a DMA trace); it must
@@ -249,8 +234,8 @@ func buildPlan(read func(addr mem.Addr, size int) []byte,
 	sawFinish := false
 	for idx := 0; idx < int(desc.Count); idx++ {
 		ib := progBytes[idx*InstrSize : (idx+1)*InstrSize]
-		key = fnv64(key, ib[:8])
-		key = fnv64(key, ib[16:])
+		key = mem.Hash(key, ib[:8])
+		key = mem.Hash(key, ib[16:])
 		i, derr := DecodeInstr(ib)
 		if derr != nil {
 			return nil, nil, nil, derr
@@ -258,11 +243,7 @@ func buildPlan(read func(addr mem.Addr, size int) []byte,
 		d := decoded{instr: i}
 		switch i.Op {
 		case OpLoad:
-			elemSize := 1
-			if i.Buf == BufAcc {
-				elemSize = 4
-			}
-			rowBytes := int(i.Cols) * elemSize
+			rowBytes := loadRowBytes(&i)
 			var data []byte
 			if i.Stride == 0 || int(i.Stride) == rowBytes {
 				data = read(mem.Addr(i.DRAM), int(i.Rows)*rowBytes)
@@ -277,7 +258,7 @@ func buildPlan(read func(addr mem.Addr, size int) []byte,
 				}
 			}
 			d.data = data
-			key = fnv64(key, data)
+			key = mem.Hash(key, data)
 		case OpFinish:
 			sawFinish = true
 		}

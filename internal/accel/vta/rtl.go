@@ -29,8 +29,6 @@ type RTLDevice struct {
 	nextTask int64
 	stats    accel.DeviceStats
 	busyAt   vclock.Time
-
-	scratch planScratch // reusable plan-hash buffers
 }
 
 type rtlMod struct {
@@ -105,8 +103,7 @@ func (d *RTLDevice) startTask(at vclock.Time, descAddr mem.Addr) {
 	fetchDone := d.host.DMA(at, mem.Read, desc.Prog, int(desc.Count)*InstrSize)
 	d.stats.DMABytes += int64(DescSize + int(desc.Count)*InstrSize)
 
-	plan, scratch, err := cachedPlan(d.host, desc, d.scratch)
-	d.scratch = scratch
+	plan, err := cachedPlan(d.host, desc)
 	if err != nil {
 		panic("vta-rtl: " + err.Error())
 	}

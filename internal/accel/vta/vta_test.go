@@ -20,9 +20,10 @@ func (h *devHost) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size i
 	h.dmas++
 	return at.Add(h.lat)
 }
-func (h *devHost) ZeroCostRead(addr mem.Addr, p []byte)  { h.mem.ReadAt(addr, p) }
-func (h *devHost) ZeroCostWrite(addr mem.Addr, p []byte) { h.mem.WriteAt(addr, p) }
-func (h *devHost) RaiseIRQ(at vclock.Time, v int)        { h.irqs = append(h.irqs, at) }
+func (h *devHost) ZeroCostRead(addr mem.Addr, p []byte)    { h.mem.ReadAt(addr, p) }
+func (h *devHost) ZeroCostWrite(addr mem.Addr, p []byte)   { h.mem.WriteAt(addr, p) }
+func (h *devHost) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.mem.Sum(addr, n) }
+func (h *devHost) RaiseIRQ(at vclock.Time, v int)          { h.irqs = append(h.irqs, at) }
 
 func TestInstrEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []Instr{
@@ -64,10 +65,18 @@ func randI8(rng *xrand.Stream, n int) []int8 {
 	return out
 }
 
-// runGemm compiles and runs a GEMM on the given device, returning C.
+// runGemm stages the operands, then compiles and runs a GEMM on the given
+// device, returning C.
 func runGemm(t *testing.T, dev accel.Device, h *devHost, task GemmTask, a, b []int8, bias []int32) []int8 {
 	t.Helper()
 	StoreOperands(h.mem, task, a, b, bias)
+	return launchGemm(t, dev, h, task)
+}
+
+// launchGemm compiles and runs a GEMM over whatever operands are staged
+// in h.mem, on a device that has run nothing yet, and returns C.
+func launchGemm(t *testing.T, dev accel.Device, h *devHost, task GemmTask) []int8 {
+	t.Helper()
 	prog, err := Compile(task)
 	if err != nil {
 		t.Fatal(err)

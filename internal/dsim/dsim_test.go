@@ -23,9 +23,10 @@ func (h *testHost) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size 
 	h.dmas = append(h.dmas, done)
 	return done
 }
-func (h *testHost) ZeroCostRead(addr mem.Addr, p []byte)  { h.mem.ReadAt(addr, p) }
-func (h *testHost) ZeroCostWrite(addr mem.Addr, p []byte) { h.mem.WriteAt(addr, p) }
-func (h *testHost) RaiseIRQ(at vclock.Time, v int)        { h.irqs = append(h.irqs, at) }
+func (h *testHost) ZeroCostRead(addr mem.Addr, p []byte)    { h.mem.ReadAt(addr, p) }
+func (h *testHost) ZeroCostWrite(addr mem.Addr, p []byte)   { h.mem.WriteAt(addr, p) }
+func (h *testHost) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.mem.Sum(addr, n) }
+func (h *testHost) RaiseIRQ(at vclock.Time, v int)          { h.irqs = append(h.irqs, at) }
 
 // copyDev is a toy DSim accelerator: on doorbell it reads n bytes from
 // src, XORs them with 0x5A, and writes them to dst. The LPN models

@@ -107,9 +107,10 @@ func (h *hostShim) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size 
 	return h.b.DMAPort.Access(at, kind, addr, size)
 }
 
-func (h *hostShim) ZeroCostRead(addr mem.Addr, p []byte)  { h.c.mem.ReadAt(addr, p) }
-func (h *hostShim) ZeroCostWrite(addr mem.Addr, p []byte) { h.c.mem.WriteAt(addr, p) }
-func (h *hostShim) RaiseIRQ(at vclock.Time, vector int)   { h.c.raise(at, vector) }
+func (h *hostShim) ZeroCostRead(addr mem.Addr, p []byte)    { h.c.mem.ReadAt(addr, p) }
+func (h *hostShim) ZeroCostWrite(addr mem.Addr, p []byte)   { h.c.mem.WriteAt(addr, p) }
+func (h *hostShim) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.c.mem.Sum(addr, n) }
+func (h *hostShim) RaiseIRQ(at vclock.Time, vector int)     { h.c.raise(at, vector) }
 
 // Time returns the time the complex was last advanced to.
 func (c *Complex) Time() vclock.Time { return c.time }

@@ -6,6 +6,11 @@
 // and task-buffer regions so that application accesses to them fault into
 // the runtime, mirroring the paper's mprotect()+ptrace trap mechanism
 // (§3.2) on a simulated substrate.
+//
+// Bulk inputs that many simulated systems share (operand matrices,
+// message images, bitstreams) are staged as immutable Blobs that a
+// Memory maps copy-on-write, and identified to the devices' plan memos
+// by page content sums (Sum) instead of by their bytes (DESIGN.md §4.3).
 package mem
 
 import (
@@ -65,18 +70,41 @@ func (r *Region) Contains(addr Addr, size int) bool {
 // remain a contract violation (the data race they would constitute is
 // exactly the determinism bug, and `go test -race` surfaces it).
 type Memory struct {
-	pages   map[Addr][]byte // keyed by page base
-	owned   [][]byte        // every page in pages, in allocation order, for Release
-	regions []*Region       // sorted by Base
-	next    Addr            // bump allocator for Alloc
-	mu      *sync.RWMutex   // nil unless SetConcurrent was called
+	pages   map[Addr]entry // keyed by page base
+	owned   [][]byte       // every private page ever mapped, in allocation order, for Release
+	regions []*Region      // sorted by Base
+	next    Addr           // bump allocator for Alloc
+	mu      *sync.RWMutex  // nil unless SetConcurrent was called
+	stats   Stats
 
 	// The page the serial path touched last: DMAs and task-buffer
-	// accesses walk a page at a time, so most lookups skip the map.
-	// Unused once mu is armed.
-	lastBase Addr
-	last     []byte
+	// accesses walk a page at a time, so most lookups skip the map. A
+	// write may use it only when it holds a private page. Unused once mu
+	// is armed.
+	lastBase    Addr
+	last        []byte
+	lastPrivate bool
 }
+
+// entry is one mapped page: private to the memory (blob == nil), or
+// page idx of a Blob, read in place and replaced by a private copy on the
+// first write to it.
+type entry struct {
+	data []byte
+	blob *Blob
+	idx  int
+}
+
+// Stats counts a memory's pages since New: Private pages were taken
+// zeroed from the allocator or the free list, Aliased pages were mapped
+// from Blobs, and Unshared of those were copied because something wrote
+// to them. Observability only; read it while nothing accesses the memory.
+type Stats struct {
+	Private, Aliased, Unshared int
+}
+
+// Stats returns the page counts.
+func (m *Memory) Stats() Stats { return m.stats }
 
 // SetConcurrent arms the page-table lock for cross-goroutine use. The
 // serial path keeps its zero-overhead lookups when this is never
@@ -89,7 +117,7 @@ func (m *Memory) SetConcurrent() {
 
 // New returns an empty memory whose allocator starts at base.
 func New(base Addr) *Memory {
-	return &Memory{pages: make(map[Addr][]byte), next: base}
+	return &Memory{pages: make(map[Addr]entry), next: base}
 }
 
 // Alloc reserves a new named region of at least size bytes, rounded up to
@@ -126,33 +154,57 @@ func (m *Memory) RegionAt(addr Addr) *Region {
 	return nil
 }
 
-//simlint:hotpath once per page-sized piece of every functional access
-func (m *Memory) page(addr Addr) []byte {
-	base := addr &^ (PageSize - 1)
+// lookup reads base's page-table entry, under the read lock when armed.
+func (m *Memory) lookup(base Addr) (entry, bool) {
 	if m.mu != nil {
 		m.mu.RLock()
-		p, ok := m.pages[base]
-		m.mu.RUnlock()
-		if ok {
-			return p
-		}
-		m.mu.Lock()
-		p, ok = m.pages[base]
-		if !ok {
-			p = m.newPage(base)
-		}
-		m.mu.Unlock()
-		return p
 	}
-	if m.last != nil && m.lastBase == base {
+	e, ok := m.pages[base]
+	if m.mu != nil {
+		m.mu.RUnlock()
+	}
+	return e, ok
+}
+
+// page returns the page holding addr: for a read whatever is mapped there,
+// for a write a private page.
+//
+//simlint:hotpath once per page-sized piece of every functional access
+func (m *Memory) page(addr Addr, write bool) []byte {
+	base := addr &^ (PageSize - 1)
+	if m.mu != nil {
+		e, ok := m.lookup(base)
+		if !ok || write && e.blob != nil {
+			m.mu.Lock()
+			e = m.fault(base, write)
+			m.mu.Unlock()
+		}
+		return e.data
+	}
+	if m.last != nil && m.lastBase == base && (m.lastPrivate || !write) {
 		return m.last
 	}
-	p, ok := m.pages[base]
-	if !ok {
-		p = m.newPage(base)
+	e := m.fault(base, write)
+	m.lastBase, m.last, m.lastPrivate = base, e.data, e.blob == nil
+	return e.data
+}
+
+// fault looks base up past the memo and the read lock: an untouched
+// address gets a zeroed private page, and a write to an aliased page
+// replaces it by a private copy (the copy-on-write; the Blob and every
+// other memory mapping it keep the original). Callers hold mu for writing
+// when it is armed.
+func (m *Memory) fault(base Addr, write bool) entry {
+	e, ok := m.pages[base]
+	if ok && (e.blob == nil || !write) {
+		return e
 	}
-	m.lastBase, m.last = base, p
-	return p
+	p := m.newPage(base)
+	if ok {
+		copy(p, e.data)
+		m.stats.Unshared++
+	}
+	return entry{data: p}
 }
 
 // freePages recycles the pages of released memories: a simulation
@@ -184,29 +236,31 @@ func (m *Memory) newPage(base Addr) []byte {
 	} else {
 		clear(p)
 	}
-	m.pages[base] = p
+	m.pages[base] = entry{data: p}
 	m.owned = append(m.owned, p)
+	m.stats.Private++
 	return p
 }
 
-// Release hands the memory's pages to the free list for a later New and
-// leaves the memory empty: every address reads as zero again. Call it
-// when the simulated system is discarded and nothing accesses the memory
-// any more; a second call is a no-op.
+// Release hands the memory's private pages to the free list for a later
+// New, drops its aliases (a Blob's pages are never pooled) and leaves the
+// memory empty: every address reads as zero again. Call it when the
+// simulated system is discarded and nothing accesses the memory any more;
+// a second call is a no-op.
 func (m *Memory) Release() {
 	freePages.Lock()
 	room := maxFreePages - len(freePages.list)
 	freePages.list = append(freePages.list, m.owned[:min(room, len(m.owned))]...)
 	freePages.Unlock()
 	clear(m.pages)
-	m.owned, m.last = nil, nil
+	m.owned, m.last, m.lastPrivate = nil, nil, false
 }
 
 // ReadAt copies len(buf) bytes at addr into buf without triggering
 // protection (a "zero-cost" functional access in DSim terms, §5).
 func (m *Memory) ReadAt(addr Addr, buf []byte) {
 	for len(buf) > 0 {
-		p := m.page(addr)
+		p := m.page(addr, false)
 		off := int(addr & (PageSize - 1))
 		n := copy(buf, p[off:])
 		buf = buf[n:]
@@ -217,12 +271,120 @@ func (m *Memory) ReadAt(addr Addr, buf []byte) {
 // WriteAt copies buf to addr without triggering protection.
 func (m *Memory) WriteAt(addr Addr, buf []byte) {
 	for len(buf) > 0 {
-		p := m.page(addr)
+		p := m.page(addr, true)
 		off := int(addr & (PageSize - 1))
 		n := copy(p[off:], buf)
 		buf = buf[n:]
 		addr += Addr(n)
 	}
+}
+
+// Blob is an immutable byte image, zero-padded to whole pages, that any
+// number of memories map copy-on-write. NewBlob copies its input and
+// nothing outside this package can reach the copy, so a Blob's bytes —
+// and the page sums derived from them once — hold for the process's life
+// however many systems, goroutines and runs share it.
+type Blob struct {
+	data []byte
+	size int
+	once sync.Once
+	sums []uint64 // Hash(0, page) per page, filled by once
+}
+
+// NewBlob returns a Blob holding a copy of p.
+func NewBlob(p []byte) *Blob {
+	b := &Blob{data: make([]byte, (len(p)+PageSize-1)&^(PageSize-1)), size: len(p)}
+	copy(b.data, p)
+	return b
+}
+
+// Len returns the length of the image NewBlob copied, without padding.
+func (b *Blob) Len() int { return b.size }
+
+func (b *Blob) sum(idx int) uint64 {
+	b.once.Do(func() {
+		b.sums = make([]uint64, len(b.data)/PageSize)
+		for i := range b.sums {
+			b.sums[i] = Hash(0, b.data[i*PageSize:(i+1)*PageSize])
+		}
+	})
+	return b.sums[idx]
+}
+
+// Map makes b's pages the contents of [addr, addr+pages), replacing
+// whatever was there, without copying them: reads see b's bytes in place
+// and the first write to a page gives this memory its own copy of it.
+// addr must be page-aligned.
+func (m *Memory) Map(addr Addr, b *Blob) {
+	if addr&(PageSize-1) != 0 {
+		panic(fmt.Sprintf("mem: Map at unaligned address %#x", uint64(addr)))
+	}
+	if m.mu != nil {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	pages := len(b.data) / PageSize
+	for i := 0; i < pages; i++ {
+		m.pages[addr+Addr(i*PageSize)] = entry{data: b.data[i*PageSize : (i+1)*PageSize : (i+1)*PageSize], blob: b, idx: i}
+	}
+	m.stats.Aliased += pages
+	m.last, m.lastPrivate = nil, false
+}
+
+// zeroSum is the content sum of a page nothing was written to.
+var zeroSum = Hash(0, make([]byte, PageSize))
+
+// Sum fingerprints the contents of the whole pages overlapping
+// [addr, addr+n): equal page contents give equal sums, however the pages
+// came to hold them. An aliased page answers from its Blob's cached sums
+// and an untouched one from a constant; only a private page is hashed, in
+// place. Like any read, it must not overlap a concurrent write.
+//
+//simlint:hotpath once per page of every span a device's plan key covers
+func (m *Memory) Sum(addr Addr, n int) uint64 {
+	var h uint64
+	for base, end := addr&^(PageSize-1), addr+Addr(n); base < end; base += PageSize {
+		e, ok := m.lookup(base)
+		switch {
+		case !ok:
+			h = Mix(h, zeroSum)
+		case e.blob != nil:
+			h = Mix(h, e.blob.sum(e.idx))
+		default:
+			h = Mix(h, Hash(0, e.data))
+		}
+	}
+	return h
+}
+
+const (
+	fnvBasis = 14695981039346656037
+	fnvPrime = 1099511628211
+)
+
+// Mix folds one word into the running hash h; zero starts a new hash.
+// It is an FNV-1a step followed by a fold of the high half into the low:
+// a multiply alone only ever carries a difference upwards, so differences
+// in the top bytes of two successive words could cancel each other.
+func Mix(h, v uint64) uint64 {
+	if h == 0 {
+		h = fnvBasis
+	}
+	h = (h ^ v) * fnvPrime
+	return h ^ h>>32
+}
+
+// Hash folds p into the running hash h, a word at a time. It is the
+// tree's one content hash for process-local memo keys: never serialized
+// or compared across processes, so it owes nothing to canonical FNV.
+func Hash(h uint64, p []byte) uint64 {
+	for ; len(p) >= 8; p = p[8:] {
+		h = Mix(h, binary.LittleEndian.Uint64(p))
+	}
+	for _, c := range p {
+		h = Mix(h, uint64(c))
+	}
+	return h
 }
 
 // ReadFaulting is ReadAt through the protection layer: if the access

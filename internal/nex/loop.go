@@ -438,6 +438,19 @@ func (e *Engine) deliverIRQs(boundary vclock.Time) {
 	e.pending = remaining
 }
 
+// traceSpan records one span on a traced run. The nil test comes before
+// the Span is built: an untraced run otherwise pays for constructing the
+// value once per thread-epoch only for Add to drop it.
 func (e *Engine) traceSpan(comp string, k trace.Kind, a, b vclock.Time) {
+	if e.cfg.Trace != nil {
+		e.addSpan(comp, k, a, b)
+	}
+}
+
+// addSpan is kept out of line so that traceSpan — the guard — stays
+// inside the inliner's budget at its once-per-thread-epoch call sites.
+//
+//go:noinline
+func (e *Engine) addSpan(comp string, k trace.Kind, a, b vclock.Time) {
 	e.cfg.Trace.Add(trace.Span{Component: comp, Kind: k, Start: a, End: b})
 }

@@ -15,9 +15,10 @@ type benchHost struct{ buf [64 << 10]byte }
 func (h *benchHost) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size int) vclock.Time {
 	return at.Add(100)
 }
-func (h *benchHost) ZeroCostRead(addr mem.Addr, p []byte)  { copy(p, h.buf[:]) }
-func (h *benchHost) ZeroCostWrite(addr mem.Addr, p []byte) { copy(h.buf[:], p) }
-func (h *benchHost) RaiseIRQ(at vclock.Time, vector int)   {}
+func (h *benchHost) ZeroCostRead(addr mem.Addr, p []byte)    { copy(p, h.buf[:]) }
+func (h *benchHost) ZeroCostWrite(addr mem.Addr, p []byte)   { copy(h.buf[:], p) }
+func (h *benchHost) ZeroCostSum(addr mem.Addr, n int) uint64 { return 0 }
+func (h *benchHost) RaiseIRQ(at vclock.Time, vector int)     {}
 
 // BenchmarkChannelRegAccess measures the 2-message register round trip —
 // the most frequent channel interaction (doorbells and status polls).

@@ -39,6 +39,8 @@ const (
 	msgZeroCostRead
 	msgZeroCostReadResp
 	msgZeroCostWrite
+	msgZeroCostSum
+	msgZeroCostSumResp
 	msgIRQ
 )
 
@@ -252,6 +254,15 @@ func (a *hostAdapter) ZeroCostWrite(addr mem.Addr, p []byte) {
 		chunk = chunk[n:]
 		addr += mem.Addr(n)
 	}
+}
+
+// ZeroCostSum implements accel.Host: the span goes out and the sum comes
+// back, one message each, however many pages the span covers.
+func (a *hostAdapter) ZeroCostSum(addr mem.Addr, n int) uint64 {
+	_, raddr, aux, _ := a.ch.roundTrip(msgZeroCostSum, 0, uint64(addr), uint64(n), nil)
+	sum := a.h.ZeroCostSum(mem.Addr(raddr), int(aux))
+	_, _, rsum, _ := a.ch.roundTrip(msgZeroCostSumResp, 0, 0, sum, nil)
+	return rsum
 }
 
 // RaiseIRQ implements accel.Host (MSI-X issue message).

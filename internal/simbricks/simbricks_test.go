@@ -50,9 +50,10 @@ func (h *recHost) DMA(at vclock.Time, k mem.AccessKind, a mem.Addr, s int) vcloc
 	h.dmas++
 	return at.Add(100 * vclock.Nanosecond)
 }
-func (h *recHost) ZeroCostRead(a mem.Addr, p []byte)  { h.mem.ReadAt(a, p) }
-func (h *recHost) ZeroCostWrite(a mem.Addr, p []byte) { h.mem.WriteAt(a, p) }
-func (h *recHost) RaiseIRQ(at vclock.Time, v int)     { h.irqs++ }
+func (h *recHost) ZeroCostRead(a mem.Addr, p []byte)       { h.mem.ReadAt(a, p) }
+func (h *recHost) ZeroCostWrite(a mem.Addr, p []byte)      { h.mem.WriteAt(a, p) }
+func (h *recHost) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.mem.Sum(addr, n) }
+func (h *recHost) RaiseIRQ(at vclock.Time, v int)          { h.irqs++ }
 
 func TestChannelTransparency(t *testing.T) {
 	inner := &echoDevice{regs: make(map[mem.Addr]uint32)}
@@ -127,5 +128,21 @@ func TestLargeZeroCostChunks(t *testing.T) {
 	host.mem.ReadAt(0x80000, back)
 	if !bytes.Equal(back, big) {
 		t.Fatal("chunked zero-cost write corrupted")
+	}
+}
+
+// A sum crosses the channel as one request and one response whatever the
+// span's size, and arrives as the host computed it.
+func TestZeroCostSumIsTwoMessages(t *testing.T) {
+	ch := NewChannel(0)
+	host := &recHost{mem: mem.New(0)}
+	host.mem.WriteAt(0x10000, bytes.Repeat([]byte{0xa5}, 100<<10))
+	ha := &hostAdapter{h: host, ch: ch}
+	before := ch.Msgs
+	if got, want := ha.ZeroCostSum(0x10000+17, 90<<10), host.mem.Sum(0x10000+17, 90<<10); got != want {
+		t.Fatalf("sum through the channel = %#x, the host's = %#x", got, want)
+	}
+	if ch.Msgs != before+2 {
+		t.Fatalf("a 90 KB sum took %d messages, want 2", ch.Msgs-before)
 	}
 }

@@ -152,8 +152,8 @@ var corpusCache = struct {
 }{m: map[JPEGConfig][]corpusEntry{}}
 
 type corpusEntry struct {
-	data []byte
-	w, h int
+	stream *mem.Blob // the encoded image, mapped by every run that stages it
+	w, h   int
 }
 
 // stageJPEGCorpus synthesizes, encodes and stores the image corpus into
@@ -180,7 +180,7 @@ func stageJPEGCorpus(e app.Env, cfg JPEGConfig, ctx *core.Ctx) []jpegImage {
 				restart = 2 + rng.Intn(6) // some images carry DRI/RSTn markers
 			}
 			data := jpeg.EncodeRestart(img, 75+rng.Intn(18), sub, restart)
-			entries = append(entries, corpusEntry{data: data, w: w, h: h})
+			entries = append(entries, corpusEntry{stream: mem.NewBlob(data), w: w, h: h})
 		}
 		corpusCache.Lock()
 		corpusCache.m[key] = entries
@@ -191,11 +191,11 @@ func stageJPEGCorpus(e app.Env, cfg JPEGConfig, ctx *core.Ctx) []jpegImage {
 	var corpus []jpegImage
 	for _, en := range entries {
 		src := next
-		next += mem.Addr(len(en.data)+4095) &^ 4095
-		e.Mem().WriteAt(src, en.data)
+		next += mem.Addr(en.stream.Len()+4095) &^ 4095
+		e.Mem().Map(src, en.stream)
 		dst := next
 		next += mem.Addr(en.w*en.h*3+4095) &^ 4095
-		corpus = append(corpus, jpegImage{src: src, srcLen: len(en.data), dst: dst, w: en.w, h: en.h})
+		corpus = append(corpus, jpegImage{src: src, srcLen: en.stream.Len(), dst: dst, w: en.w, h: en.h})
 	}
 	return corpus
 }

@@ -242,38 +242,10 @@ func runInference(e app.Env, cfg VTAConfig, ctx *core.Ctx, proc int, layers []La
 	drv.ProgArena = progArena
 	dataBase := arena
 
-	tasks := make([]vta.GemmTask, 0, len(layers)+1)
-	if cfg.Network == "matmul" {
-		tasks = append(tasks, vta.GemmTask{M: 192, N: 128, K: 384, Shift: 7})
-	} else {
-		for _, l := range layers {
-			m, n, k := gemmOf(l, cfg.SpatialScale, cfg.ChannelScale)
-			tasks = append(tasks, vta.GemmTask{M: m, N: n, K: k, Shift: 7, ReLU: true})
-		}
-	}
+	tasks := gemmTasks(cfg, layers)
 
 	// Setup: stage operands (fast-forwarded, as with gem5 checkpoints).
-	e.SlipStream(func() {
-		off := dataBase
-		for i := range tasks {
-			t := &tasks[i]
-			t.A = off
-			off += mem.Addr(t.M*t.K+4095) &^ 4095
-			t.B = off
-			off += mem.Addr(t.N*t.K+4095) &^ 4095
-			t.C = off
-			off += mem.Addr(t.M*t.N+4095) &^ 4095
-			// Operand blocks are derived per *shape*, not per layer:
-			// synthetic weights carry no timing information, and
-			// shape-keyed blocks let repeated layers (ResNet's stacked
-			// blocks) reuse one generated block and one functional
-			// interpretation in the device's plan memo.
-			a := randI8(rng.Derive(fmt.Sprintf("a%dx%d", t.M, t.K)), t.M*t.K)
-			b := randI8(rng.Derive(fmt.Sprintf("b%dx%d", t.N, t.K)), t.N*t.K)
-			e.Mem().WriteAt(t.A, a)
-			e.Mem().WriteAt(t.B, b)
-		}
-	})
+	e.SlipStream(func() { stageOperands(e.Mem(), rng, dataBase, tasks) })
 
 	for i, t := range tasks {
 		// im2col + quantization + layout transform on the CPU: ~8
@@ -298,18 +270,54 @@ func runInference(e app.Env, cfg VTAConfig, ctx *core.Ctx, proc int, layers []La
 	e.ComputeFor(20 * vclock.Microsecond)
 }
 
+// gemmTasks lowers the network (or the single large GEMM of the matmul
+// benchmark, Fig. 4's accelerator-bound case) to the tasks one inference
+// launches; stageOperands gives them their buffers.
+func gemmTasks(cfg VTAConfig, layers []Layer) []vta.GemmTask {
+	if cfg.Network == "matmul" {
+		return []vta.GemmTask{{M: 192, N: 128, K: 384, Shift: 7}}
+	}
+	tasks := make([]vta.GemmTask, 0, len(layers))
+	for _, l := range layers {
+		m, n, k := gemmOf(l, cfg.SpatialScale, cfg.ChannelScale)
+		tasks = append(tasks, vta.GemmTask{M: m, N: n, K: k, Shift: 7, ReLU: true})
+	}
+	return tasks
+}
+
+// stageOperands lays the tasks' A, B and C buffers out from base, each
+// rounded up to whole pages, and maps the A and B operand blobs there.
+func stageOperands(m *mem.Memory, rng *xrand.Stream, base mem.Addr, tasks []vta.GemmTask) {
+	off := base
+	for i := range tasks {
+		t := &tasks[i]
+		t.A = off
+		off += mem.Addr(t.M*t.K+4095) &^ 4095
+		t.B = off
+		off += mem.Addr(t.N*t.K+4095) &^ 4095
+		t.C = off
+		off += mem.Addr(t.M*t.N+4095) &^ 4095
+		// Operand blocks are derived per *shape*, not per layer:
+		// synthetic weights carry no timing information, and
+		// shape-keyed blocks let repeated layers (ResNet's stacked
+		// blocks) reuse one generated block and one functional
+		// interpretation in the device's plan memo.
+		m.Map(t.A, randI8(rng.Derive(fmt.Sprintf("a%dx%d", t.M, t.K)), t.M*t.K))
+		m.Map(t.B, randI8(rng.Derive(fmt.Sprintf("b%dx%d", t.N, t.K)), t.N*t.K))
+	}
+}
+
 // randI8Memo caches generated operand blocks across runs, already in the
-// byte layout StoreOperands would produce. The output of randI8 is a
-// pure function of (stream state, n); the same operands are regenerated
-// by every repeated run, checkpoint replay, and engine comparison of a
-// workload, and callers treat the result as read-only (it is copied into
-// simulated memory). Bounded so pathological sweeps cannot grow it
-// without limit.
+// byte layout StoreOperands would produce, as blobs that every run maps
+// instead of copying. The output of randI8 is a pure function of (stream
+// state, n); the same operands are regenerated by every repeated run,
+// checkpoint replay, and engine comparison of a workload. Bounded so
+// pathological sweeps cannot grow it without limit.
 var randI8Memo = struct {
 	sync.Mutex
-	m     map[randI8Key][]byte
+	m     map[randI8Key]*mem.Blob
 	bytes int
-}{m: make(map[randI8Key][]byte)}
+}{m: make(map[randI8Key]*mem.Blob)}
 
 type randI8Key struct {
 	state uint64
@@ -320,7 +328,7 @@ const randI8MemoMax = 64 << 20
 
 // randI8 fills n bytes from a throwaway derived stream. Callers must not
 // reuse rng afterwards: on a memo hit the stream is not advanced.
-func randI8(rng *xrand.Stream, n int) []byte {
+func randI8(rng *xrand.Stream, n int) *mem.Blob {
 	key := randI8Key{state: rng.State(), n: n}
 	randI8Memo.Lock()
 	out, ok := randI8Memo.m[key]
@@ -328,12 +336,13 @@ func randI8(rng *xrand.Stream, n int) []byte {
 	if ok {
 		return out
 	}
-	out = make([]byte, n)
-	for i := range out {
+	buf := make([]byte, n)
+	for i := range buf {
 		// byte(x) for x in [-128,127] has the same bit pattern as the
 		// int8 the functional core will reinterpret it as.
-		out[i] = byte(rng.Intn(256) - 128)
+		buf[i] = byte(rng.Intn(256) - 128)
 	}
+	out = mem.NewBlob(buf)
 	randI8Memo.Lock()
 	if randI8Memo.bytes+n <= randI8MemoMax {
 		randI8Memo.m[key] = out
