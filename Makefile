@@ -63,10 +63,11 @@ bench-cpu:
 
 # DMA-path micro-benchmarks: ns per simulated line of 4 KB PCIe DMAs
 # streaming into a cold and into a warm LLC, way-major cache next to the
-# set-major reference it replaced, and ns per page of the functional
-# memory behind them.
+# set-major reference it replaced, ns per page of the functional memory
+# behind them, and what one build/run/release of the eight-device bench
+# allocates (B/op) with the cache and page pools warm.
 bench-dma:
-	go test -run '^$$' -bench 'DMAStream|PageTouch' -benchtime 20x -count 3 ./internal/cachesim ./internal/mem | grep -E 'Benchmark|^cpu:'
+	go test -run '^$$' -bench 'DMAStream|PageTouch|BuildRelease' -benchtime 20x -count 3 ./internal/cachesim ./internal/mem ./internal/core | grep -E 'Benchmark|^cpu:'
 
 # Functional-track micro-benchmarks: ns per page of staging the
 # resnet50-x2 operand set by mapping blobs next to the WriteAt staging it

@@ -45,10 +45,14 @@ go build -gcflags=-m ./internal/cpu 2>&1 | grep -q 'inlining call to cachesim.(\
 go test -run '^$' -fuzz FuzzDurationMatchesReference -fuzztime 10s ./internal/cpu
 
 # DMA-path gates (DESIGN.md §4.2): the stream and page benchmarks compile
-# and execute once, and ten seconds of fuzzing find no operation sequence
-# on which the way-major cache and the set-major reference disagree.
+# and execute once, ten seconds of fuzzing find no operation sequence
+# on which the way-major cache (its plane growing mid-trace) and the
+# set-major reference disagree, and released systems retain a bounded
+# heap — the footprint test on its own, then one build/run/release of the
+# eight-device bench with its B/op.
 go test -run '^$' -bench 'DMAStream|PageTouch' -benchtime 1x ./internal/cachesim ./internal/mem
 go test -run '^$' -fuzz FuzzCacheMatchesReference -fuzztime 10s ./internal/cachesim
+go test -count=1 -run TestReleasedSystemsRetainBoundedHeap -bench BuildRelease -benchtime 1x ./internal/core
 
 # Functional-track gates (DESIGN.md §4.3): the staging and plan-key
 # benchmarks compile and execute once (PlanKey fails if a key sums its

@@ -54,14 +54,14 @@ func Compile(t GemmTask) ([]Instr, error) {
 		return compileChunked(t, kc, chunks)
 	}
 
-	var prog []Instr
+	tiles := t.M / tileRows
+	prog := make([]Instr, 0, 1+tiles*(2+tileTail(t))+drainLen(tiles))
 	// Weights stay resident for the whole task.
 	prog = append(prog, Instr{
 		Op: OpLoad, Buf: BufWeight, SRAMBase: 0,
 		DRAM: uint64(t.B), Rows: uint16(t.N), Cols: uint16(t.K),
 	})
 
-	tiles := t.M / tileRows
 	for ti := 0; ti < tiles; ti++ {
 		half := uint32(ti % 2)
 		inBase := half * uint32(tileRows*t.K)
@@ -124,18 +124,36 @@ func Compile(t GemmTask) ([]Instr, error) {
 		})
 	}
 
-	// Drain outstanding store→compute tokens so FINISH orders after the
-	// final stores: stores pushed `tiles` tokens and the GEMMs of tiles
-	// 2..n-1 consumed tiles-2 of them.
-	outstanding := tiles
-	if outstanding > 2 {
-		outstanding = 2
+	return appendDrain(prog, tiles), nil
+}
+
+// tileTail counts the instructions a tile carries besides its operand
+// loads and GEMMs: the bias load, the ALU passes and the store.
+func tileTail(t GemmTask) int {
+	n := 1
+	if t.Bias != 0 {
+		n++
 	}
-	for i := 0; i < outstanding; i++ {
+	if t.Shift > 0 {
+		n++
+	}
+	if t.ReLU {
+		n++
+	}
+	return n
+}
+
+// drainLen is how many instructions appendDrain appends.
+func drainLen(tiles int) int { return min(tiles, 2) + 1 }
+
+// appendDrain ends a program: it drains the outstanding store→compute
+// tokens so FINISH orders after the final stores — stores pushed `tiles`
+// tokens and the GEMMs of tiles 2..n-1 consumed tiles-2 of them.
+func appendDrain(prog []Instr, tiles int) []Instr {
+	for i := 0; i < min(tiles, 2); i++ {
 		prog = append(prog, Instr{Op: OpAlu, Alu: AluAdd, UseImm: true, Len: 0, PopNext: true})
 	}
-	prog = append(prog, Instr{Op: OpFinish})
-	return prog, nil
+	return append(prog, Instr{Op: OpFinish})
 }
 
 // compileChunked emits the K-streaming schedule: per output tile, the K
@@ -144,7 +162,7 @@ func Compile(t GemmTask) ([]Instr, error) {
 func compileChunked(t GemmTask, kc, chunks int) ([]Instr, error) {
 	tiles := t.M / tileRows
 	groups := tiles * chunks
-	var prog []Instr
+	prog := make([]Instr, 0, tiles*(3*chunks+tileTail(t))+drainLen(tiles))
 	g := 0
 	for ti := 0; ti < tiles; ti++ {
 		accBase := uint32(ti%2) * uint32(tileRows*t.N)
@@ -215,15 +233,7 @@ func compileChunked(t GemmTask, kc, chunks int) ([]Instr, error) {
 			PushPrev: true,
 		})
 	}
-	outstanding := tiles
-	if outstanding > 2 {
-		outstanding = 2
-	}
-	for i := 0; i < outstanding; i++ {
-		prog = append(prog, Instr{Op: OpAlu, Alu: AluAdd, UseImm: true, Len: 0, PopNext: true})
-	}
-	prog = append(prog, Instr{Op: OpFinish})
-	return prog, nil
+	return appendDrain(prog, tiles), nil
 }
 
 // StoreOperands writes A, B (and bias) into simulated memory in the

@@ -35,7 +35,7 @@ type Device struct {
 	mods [3]modState // load, compute, store
 
 	// Dependency queues carry completion timestamps.
-	ld2cmp, cmp2ld, cmp2st, st2cmp []vclock.Time
+	ld2cmp, cmp2ld, cmp2st, st2cmp queue[vclock.Time]
 
 	nextTask int64
 	stats    accel.DeviceStats
@@ -43,7 +43,7 @@ type Device struct {
 }
 
 type modState struct {
-	ops  []planOp
+	ops  queue[planOp]
 	free vclock.Time // module available from
 }
 
@@ -113,39 +113,39 @@ func (d *Device) startTask(at vclock.Time, descAddr mem.Addr) {
 	}
 	// Copies of the master ops are stamped with this task's id and
 	// gated on the instruction fetch; the shared master stays untouched.
-	d.mods[0].ops = appendStamped(d.mods[0].ops, plan.loads, task, fetchDone)
-	d.mods[1].ops = appendStamped(d.mods[1].ops, plan.computes, task, fetchDone)
-	d.mods[2].ops = appendStamped(d.mods[2].ops, plan.stores, task, fetchDone)
+	appendStamped(&d.mods[0].ops, plan.loads, task, fetchDone)
+	appendStamped(&d.mods[1].ops, plan.computes, task, fetchDone)
+	appendStamped(&d.mods[2].ops, plan.stores, task, fetchDone)
 }
 
 // depsReady returns the earliest time the op's dependency pops are
 // satisfied, or (Never, false) if a required token has not been pushed.
 func (d *Device) depsReady(module int, op *planOp) (vclock.Time, bool) {
 	t := op.minStart
-	need := func(q []vclock.Time) bool {
-		if len(q) == 0 {
+	need := func(q *queue[vclock.Time]) bool {
+		if q.len() == 0 {
 			return false
 		}
-		if q[0] > t {
-			t = q[0]
+		if pushed := *q.front(); pushed > t {
+			t = pushed
 		}
 		return true
 	}
 	i := &op.instr
 	switch module {
 	case 0: // load: next = compute
-		if i.PopNext && !need(d.cmp2ld) {
+		if i.PopNext && !need(&d.cmp2ld) {
 			return vclock.Never, false
 		}
 	case 1: // compute: prev = load, next = store
-		if i.PopPrev && !need(d.ld2cmp) {
+		if i.PopPrev && !need(&d.ld2cmp) {
 			return vclock.Never, false
 		}
-		if i.PopNext && !need(d.st2cmp) {
+		if i.PopNext && !need(&d.st2cmp) {
 			return vclock.Never, false
 		}
 	case 2: // store: prev = compute
-		if i.PopPrev && !need(d.cmp2st) {
+		if i.PopPrev && !need(&d.cmp2st) {
 			return vclock.Never, false
 		}
 	}
@@ -155,10 +155,10 @@ func (d *Device) depsReady(module int, op *planOp) (vclock.Time, bool) {
 // nextStart computes when module m's next op could start.
 func (d *Device) nextStart(m int) (vclock.Time, bool) {
 	ms := &d.mods[m]
-	if len(ms.ops) == 0 {
+	if ms.ops.len() == 0 {
 		return vclock.Never, false
 	}
-	t, ok := d.depsReady(m, &ms.ops[0])
+	t, ok := d.depsReady(m, ms.ops.front())
 	if !ok {
 		return vclock.Never, false
 	}
@@ -171,26 +171,26 @@ func (d *Device) nextStart(m int) (vclock.Time, bool) {
 // execute runs module m's next op starting at time start.
 func (d *Device) execute(m int, start vclock.Time) {
 	ms := &d.mods[m]
-	op := ms.ops[0]
-	ms.ops = ms.ops[1:]
+	op := *ms.ops.front()
+	ms.ops.pop()
 	i := &op.instr
 
 	// Consume dependency tokens.
 	switch m {
 	case 0:
 		if i.PopNext {
-			d.cmp2ld = d.cmp2ld[1:]
+			d.cmp2ld.pop()
 		}
 	case 1:
 		if i.PopPrev {
-			d.ld2cmp = d.ld2cmp[1:]
+			d.ld2cmp.pop()
 		}
 		if i.PopNext {
-			d.st2cmp = d.st2cmp[1:]
+			d.st2cmp.pop()
 		}
 	case 2:
 		if i.PopPrev {
-			d.cmp2st = d.cmp2st[1:]
+			d.cmp2st.pop()
 		}
 	}
 
@@ -212,18 +212,18 @@ func (d *Device) execute(m int, start vclock.Time) {
 	switch m {
 	case 0:
 		if i.PushNext {
-			d.ld2cmp = append(d.ld2cmp, finish)
+			d.ld2cmp.push(finish)
 		}
 	case 1:
 		if i.PushPrev {
-			d.cmp2ld = append(d.cmp2ld, finish)
+			d.cmp2ld.push(finish)
 		}
 		if i.PushNext {
-			d.cmp2st = append(d.cmp2st, finish)
+			d.cmp2st.push(finish)
 		}
 	case 2:
 		if i.PushPrev {
-			d.st2cmp = append(d.st2cmp, finish)
+			d.st2cmp.push(finish)
 		}
 	}
 

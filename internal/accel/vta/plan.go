@@ -183,18 +183,17 @@ func cachedPlan(host accel.Host, desc Desc) (*vtaPlan, error) {
 	return plan, nil
 }
 
-// appendStamped copies master ops onto dst, assigning the task id and
+// appendStamped copies master ops onto q, assigning the task id and
 // gating each copy on the instruction-fetch completion time.
-func appendStamped(dst, ops []planOp, task int64, fetchDone vclock.Time) []planOp {
-	base := len(dst)
-	dst = append(dst, ops...)
-	for i := base; i < len(dst); i++ {
-		dst[i].task = task
-		if dst[i].minStart < fetchDone {
-			dst[i].minStart = fetchDone
+func appendStamped(q *queue[planOp], ops []planOp, task int64, fetchDone vclock.Time) {
+	q.push(ops...)
+	for i := len(q.items) - len(ops); i < len(q.items); i++ {
+		op := &q.items[i]
+		op.task = task
+		if op.minStart < fetchDone {
+			op.minStart = fetchDone
 		}
 	}
-	return dst
 }
 
 // planCache memoizes the functionality track's store payloads per

@@ -32,7 +32,7 @@ type RTLDevice struct {
 }
 
 type rtlMod struct {
-	ops       []planOp
+	ops       queue[planOp]
 	cur       *planOp
 	busyUntil int64
 }
@@ -56,7 +56,7 @@ func (d *RTLDevice) cyclesAt(t vclock.Time) int64 { return d.clk.Cycles(t.Sub(0)
 
 func (d *RTLDevice) busy() bool {
 	for m := range d.mods {
-		if d.mods[m].cur != nil || len(d.mods[m].ops) > 0 {
+		if d.mods[m].cur != nil || d.mods[m].ops.len() > 0 {
 			return true
 		}
 	}
@@ -109,9 +109,9 @@ func (d *RTLDevice) startTask(at vclock.Time, descAddr mem.Addr) {
 	}
 	// Copies of the master ops are stamped with this task's id and
 	// gated on the instruction fetch; the shared master stays untouched.
-	d.mods[0].ops = appendStamped(d.mods[0].ops, plan.loads, task, fetchDone)
-	d.mods[1].ops = appendStamped(d.mods[1].ops, plan.computes, task, fetchDone)
-	d.mods[2].ops = appendStamped(d.mods[2].ops, plan.stores, task, fetchDone)
+	appendStamped(&d.mods[0].ops, plan.loads, task, fetchDone)
+	appendStamped(&d.mods[1].ops, plan.computes, task, fetchDone)
+	appendStamped(&d.mods[2].ops, plan.stores, task, fetchDone)
 	if c := d.cyclesAt(at); d.cycle < c {
 		d.cycle = c
 	}
@@ -177,13 +177,13 @@ func (d *RTLDevice) step() {
 			}
 		}
 		// Issue.
-		if ms.cur == nil && len(ms.ops) > 0 {
-			op := &ms.ops[0]
+		if ms.cur == nil && ms.ops.len() > 0 {
+			op := ms.ops.front()
 			if d.cyclesAt(op.minStart) > d.cycle || !d.depsAvailable(m, op) {
 				continue
 			}
-			cur := ms.ops[0]
-			ms.ops = ms.ops[1:]
+			cur := *op
+			ms.ops.pop()
 			i := &cur.instr
 			switch m {
 			case 0:
@@ -240,8 +240,8 @@ func (d *RTLDevice) Advance(t vclock.Time) {
 				if ms.busyUntil < next {
 					next = ms.busyUntil
 				}
-			} else if len(ms.ops) > 0 {
-				op := &ms.ops[0]
+			} else if ms.ops.len() > 0 {
+				op := ms.ops.front()
 				if !d.depsAvailable(m, op) {
 					continue // unblocks only at another module's completion
 				}
@@ -274,8 +274,8 @@ func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
 			if ms.busyUntil < next {
 				next = ms.busyUntil
 			}
-		} else if len(ms.ops) > 0 {
-			c := d.cyclesAt(ms.ops[0].minStart)
+		} else if ms.ops.len() > 0 {
+			c := d.cyclesAt(ms.ops.front().minStart)
 			if c < d.cycle {
 				c = d.cycle
 			}

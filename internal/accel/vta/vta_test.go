@@ -236,6 +236,56 @@ func TestCompileRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// TestCompileSizesProgramExactly: both schedules know their instruction
+// count up front and allocate the program once.
+func TestCompileSizesProgramExactly(t *testing.T) {
+	for _, k := range []int{48, 4096} { // resident weights, K-streaming
+		for _, m := range []int{16, 64} {
+			for opts := 0; opts < 8; opts++ {
+				task := GemmTask{M: m, N: 64, K: k, A: 0x10_0000, B: 0x20_0000, C: 0x30_0000,
+					Shift: uint8(opts & 1), ReLU: opts&2 != 0}
+				if opts&4 != 0 {
+					task.Bias = 0x28_0000
+				}
+				prog, err := Compile(task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(prog) != cap(prog) {
+					t.Errorf("%+v: %d instructions in a program sized for %d", task, len(prog), cap(prog))
+				}
+			}
+		}
+	}
+}
+
+// TestQueueReusesItsArray: draining a queue, or pushing onto one whose
+// head has moved on, does not allocate, and order survives the slide.
+func TestQueueReusesItsArray(t *testing.T) {
+	var q queue[int]
+	q.push(1, 2, 3, 4)
+	q.pop()
+	q.pop()
+	q.push(5, 6) // full: slides 3, 4 down
+	if cap(q.items) != 4 {
+		t.Fatalf("pushing 2 onto 2 live items of capacity 4 grew it to %d", cap(q.items))
+	}
+	for want := 3; want <= 6; want++ {
+		if q.len() != 7-want || *q.front() != want {
+			t.Fatalf("len %d front %d, want len %d front %d", q.len(), *q.front(), 7-want, want)
+		}
+		q.pop()
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		q.push(7, 8, 9)
+		q.pop()
+		q.pop()
+		q.pop()
+	}); allocs != 0 || q.len() != 0 {
+		t.Fatalf("a drained queue allocated %v times per refill, len %d", allocs, q.len())
+	}
+}
+
 func TestCoreAluOps(t *testing.T) {
 	c := NewCore()
 	for i := 0; i < 8; i++ {

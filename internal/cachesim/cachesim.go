@@ -10,7 +10,9 @@
 package cachesim
 
 import (
+	"slices"
 	"sync"
+	"unsafe"
 
 	"nexsim/internal/mem"
 	"nexsim/internal/memsys"
@@ -38,15 +40,20 @@ type Config struct {
 // four simulated lines per host cache line. fill[s] counts the live ways
 // of set s, and those are always the prefix [0,fill[s]): a miss fills
 // the first dead way before it ever evicts, and Flush and Recycle — the
-// only invalidations — empty whole sets. So a lookup scans fill[s] ways,
-// a cold miss writes its way without reading it, and the part of the
-// plane belonging to ways nobody has filled is never touched (nor made
-// resident by the host).
+// only invalidations — empty whole sets. So a lookup scans fill[s] ways
+// and a cold miss writes its way without reading it.
+//
+// The plane holds only as many ways as the deepest set has needed: it
+// starts one way deep and grow doubles its way count when a miss wants a
+// way beyond it, so a cache costs memory in proportion to what a run
+// touches, not to the capacity it models. Ways are never given back — a
+// recycled cache keeps its plane, and a way hint always names a way the
+// plane has.
 type Cache struct {
 	cfg    Config
 	parent memsys.Port
 
-	plane    []entry  // meaningful only below fill
+	plane    []entry  // ways [0, len/stride), meaningful only below fill
 	fill     []uint16 // per set: ways [0,fill) are live
 	stride   mem.Addr // plane pitch: set count plus a pad, see stridePad
 	setMask  mem.Addr
@@ -126,16 +133,15 @@ func New(cfg Config, parent memsys.Port) *Cache {
 	if list := pool.m[cfg]; len(list) > 0 {
 		c := list[len(list)-1]
 		pool.m[cfg] = list[:len(list)-1]
+		pool.bytes -= c.bytes()
 		pool.Unlock()
 		c.parent = parent
 		return c
 	}
 	pool.Unlock()
-	// The plane is allocated whole but only ever touched below each set's
-	// fill count, so the host backs just the ways a run reaches.
 	stride := nSets + stridePad
 	c := &Cache{cfg: cfg, parent: parent, stride: mem.Addr(stride), setMask: mem.Addr(nSets - 1),
-		plane: make([]entry, cfg.Assoc*stride), fill: make([]uint16, nSets)}
+		plane: make([]entry, stride), fill: make([]uint16, nSets)}
 	for bits := cfg.LineSize; bits > 1; bits >>= 1 {
 		c.lineBits++
 	}
@@ -229,6 +235,9 @@ func (c *Cache) accessLine(at vclock.Time, kind mem.AccessKind, lineAddr mem.Add
 	victim := n
 	if int(n) < c.cfg.Assoc {
 		c.fill[set] = uint16(n + 1)
+		if int(n*c.stride+set) >= len(c.plane) {
+			c.grow()
+		}
 	} else {
 		victim = 0
 		for way := mem.Addr(1); way < n; way++ {
@@ -248,6 +257,16 @@ func (c *Cache) accessLine(at vclock.Time, kind mem.AccessKind, lineAddr mem.Add
 	c.plane[victim*c.stride+set] = entry{tag: lineAddr | mem.Addr(kind)*lineDirty, lru: c.lruClock}
 	c.hint[lineAddr%hintSlots] = uint8(victim)
 	return done
+}
+
+// grow doubles the plane's way count, up to the associativity. The plane
+// is way-major, so the ways it had are a prefix of the new one and every
+// index stays what it was.
+func (c *Cache) grow() {
+	ways := min(2*len(c.plane)/int(c.stride), c.cfg.Assoc)
+	plane := make([]entry, ways*int(c.stride))
+	copy(plane, c.plane)
+	c.plane = plane
 }
 
 // MissRate returns misses/(hits+misses), or 0 with no traffic.
@@ -278,26 +297,56 @@ func (c *Cache) Flush(at vclock.Time) vclock.Time {
 }
 
 // pool holds recycled caches per configuration. Building a hierarchy for
-// every sweep point allocates (and zeroes) megabytes of plane; a
-// recycled cache reuses it, made cold again by clearing the fill
-// counts, so repeated Build/Release cycles stop paying that cost.
+// every sweep point allocates (and zeroes) megabytes of plane; a recycled
+// cache reuses the plane it grew, made cold again by clearing the fill
+// counts, so repeated Build/Release cycles stop paying that cost. The
+// pool retains at most poolMaxBytes: a process that once built a system
+// of many devices, or drove a few caches to their full depth, does not
+// hold that memory for the rest of its life.
 var pool = struct {
 	sync.Mutex
-	m map[Config][]*Cache
+	m     map[Config][]*Cache
+	bytes int // sum of bytes() over m
 }{m: make(map[Config][]*Cache)}
 
+// poolMaxBytes covers the hierarchies of the largest catalogued system
+// (eight devices' LLCs at the depth a run drives them to, sixteen cores'
+// L1 and L2) several times over, and is four LLC planes at full depth.
+const poolMaxBytes = 32 << 20
+
+// bytes is the memory the cache's per-set state holds.
+func (c *Cache) bytes() int {
+	return len(c.plane)*int(unsafe.Sizeof(entry{})) + len(c.fill)*int(unsafe.Sizeof(c.fill[0]))
+}
+
 // Recycle resets the cache to its just-built state (no live lines, zero
-// stats) and returns it to the construction pool. Nothing is written
-// back — the cache models timing only, and the caller is discarding the
-// whole simulated system. The cache must not be used after Recycle.
+// stats) and returns it to the construction pool, which then drops its
+// largest caches until it is within poolMaxBytes again. Nothing is
+// written back — the cache models timing only, and the caller is
+// discarding the whole simulated system. The cache must not be used
+// after Recycle.
 func (c *Cache) Recycle() {
 	clear(c.fill)
 	c.parent = nil
 	c.lruClock = 0
 	c.Hits, c.Misses, c.Evictions, c.Writebacks = 0, 0, 0, 0
 	pool.Lock()
+	defer pool.Unlock()
 	pool.m[c.cfg] = append(pool.m[c.cfg], c)
-	pool.Unlock()
+	pool.bytes += c.bytes()
+	for pool.bytes > poolMaxBytes {
+		var cfg Config
+		at, most := 0, -1
+		for k, list := range pool.m {
+			for i, p := range list {
+				if b := p.bytes(); b > most {
+					cfg, at, most = k, i, b
+				}
+			}
+		}
+		pool.m[cfg] = slices.Delete(pool.m[cfg], at, at+1)
+		pool.bytes -= most
+	}
 }
 
 // Typical level configurations used across the evaluation, loosely

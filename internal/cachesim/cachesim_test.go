@@ -3,6 +3,7 @@ package cachesim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nexsim/internal/xrand"
 
@@ -273,6 +274,128 @@ func TestHitSurvivesRecycle(t *testing.T) {
 	if !c2.Hit(mem.Write, 0x40) || c2.Hits != 1 || c2.Misses != 1 {
 		t.Fatalf("recycled cache did not refill: hits=%d misses=%d", c2.Hits, c2.Misses)
 	}
+}
+
+// ways is how many ways deep c's plane is.
+func ways(c *Cache) int { return len(c.plane) / int(c.stride) }
+
+// TestPlaneGrowsWithDepth: the plane is as deep as the deepest set has
+// needed (to the next doubling), not as deep as the cache is associative,
+// and growing it loses no line.
+func TestPlaneGrowsWithDepth(t *testing.T) {
+	forget(LLC)
+	c := New(LLC, memsys.Fixed{})
+	defer c.Recycle()
+	const waySpan = 2 << 20 // the LLC's sets × its line size: what one way covers
+	for a := mem.Addr(0); a < waySpan; a += 4096 {
+		c.Access(0, mem.Read, a, 4096) // a 2 MB cold stream: every set one deep
+	}
+	if ways(c) != 1 || c.Misses != waySpan/64 {
+		t.Fatalf("after a 2 MB cold stream: %d ways, %d misses; want 1 way, %d misses", ways(c), c.Misses, waySpan/64)
+	}
+	for depth, want := range []int{1, 2, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16, 16, 16, 16, 16} {
+		c.AccessOne(0, mem.Write, 0x40+mem.Addr(depth)*waySpan) // one set, ever deeper
+		if ways(c) != want {
+			t.Fatalf("deepest set %d deep: %d ways, want %d", depth+1, ways(c), want)
+		}
+	}
+	hits := c.Hits
+	for depth := 0; depth < 16; depth++ {
+		if !c.Hit(mem.Read, 0x40+mem.Addr(depth)*waySpan) {
+			c.AccessOne(0, mem.Read, 0x40+mem.Addr(depth)*waySpan)
+		}
+	}
+	for a := mem.Addr(128); a < waySpan; a += 64 {
+		c.AccessOne(0, mem.Read, a)
+	}
+	if want := hits + 16 + waySpan/64 - 2; c.Hits != want || c.Evictions != 0 {
+		t.Fatalf("after growing to 16 ways: %d hits, %d evictions; want %d, 0: growth lost lines", c.Hits, c.Evictions, want)
+	}
+}
+
+// TestWayPitchIsNotAPowerOfTwo is the host-cache guard of the CPU model's
+// L1 and L2 (stridePad): however deep the plane has grown, the ways of
+// one set lie one pitch apart, and a power-of-two pitch would put all of
+// them into one set of the host's own L1.
+func TestWayPitchIsNotAPowerOfTwo(t *testing.T) {
+	for _, cfg := range []Config{L1D, L2, LLC} {
+		c := New(cfg, memsys.Fixed{})
+		sets := mem.Addr(cfg.Size / cfg.LineSize / cfg.Assoc)
+		for way := mem.Addr(0); way < mem.Addr(cfg.Assoc); way++ {
+			c.AccessOne(0, mem.Read, way*sets*mem.Addr(cfg.LineSize))
+		}
+		pitch := len(c.plane) / cfg.Assoc * int(unsafe.Sizeof(entry{}))
+		if ways(c) != cfg.Assoc || pitch&(pitch-1) == 0 || pitch%64 != 0 {
+			t.Errorf("%s at full depth: %d ways %d bytes apart, want %d ways a whole number of host lines but no power of two apart",
+				cfg.Name, ways(c), pitch, cfg.Assoc)
+		}
+		c.Recycle()
+	}
+	forget(LLC)
+}
+
+// TestRecycleKeepsCapacity: a recycled cache comes back with the plane it
+// grew and is cold all the same.
+func TestRecycleKeepsCapacity(t *testing.T) {
+	cfg := Config{Name: "keep", Size: 8 << 10, LineSize: 64, Assoc: 8, HitLatency: vclock.Nanosecond}
+	c := New(cfg, memsys.Fixed{})
+	for i := mem.Addr(0); i < 5; i++ {
+		c.AccessOne(0, mem.Write, i*1024) // 16 sets: one set, five deep
+	}
+	if ways(c) != 8 {
+		t.Fatalf("five deep: %d ways, want 8", ways(c))
+	}
+	c.Recycle()
+	c2 := New(cfg, memsys.Fixed{Latency: 50 * vclock.Nanosecond})
+	if c2 != c || ways(c2) != 8 {
+		t.Fatalf("recycled cache came back as %p with %d ways, want %p with 8", c2, ways(c2), c)
+	}
+	if observe(c2) != (snapshot{}) {
+		t.Fatalf("recycled cache is not cold: %+v", observe(c2))
+	}
+	if c2.Hit(mem.Read, 0) {
+		t.Fatal("a line of the previous life hit")
+	}
+	if d := c2.AccessOne(0, mem.Read, 0); d != vclock.Time(51*vclock.Nanosecond) || c2.Misses != 1 {
+		t.Fatalf("first access of a recycled cache: done at %v with %d misses, want a 51ns miss", vclock.Duration(d), c2.Misses)
+	}
+}
+
+// TestPoolBoundedInBytes: recycling more plane than poolMaxBytes drops
+// the largest caches first, and the pool's byte count stays exact.
+func TestPoolBoundedInBytes(t *testing.T) {
+	small := New(Config{Name: "bound-small", Size: 1024, LineSize: 64, Assoc: 2, HitLatency: vclock.Nanosecond}, memsys.Fixed{})
+	small.Recycle()
+	var llcs []*Cache
+	for range poolMaxBytes/(LLC.Size/LLC.LineSize*int(unsafe.Sizeof(entry{}))) + 1 {
+		c := New(LLC, memsys.Fixed{})
+		for depth := mem.Addr(0); depth < 16; depth++ {
+			c.AccessOne(0, mem.Read, depth*(2<<20))
+		}
+		llcs = append(llcs, c)
+	}
+	for _, c := range llcs {
+		c.Recycle()
+	}
+	pool.Lock()
+	sum, kept := 0, len(pool.m[llcs[0].cfg])
+	for _, list := range pool.m {
+		for _, c := range list {
+			sum += c.bytes()
+		}
+	}
+	bytes := pool.bytes
+	pool.Unlock()
+	if bytes != sum || bytes > poolMaxBytes {
+		t.Fatalf("pool counts %d bytes and holds %d, bound %d", bytes, sum, poolMaxBytes)
+	}
+	if kept >= len(llcs) || kept == 0 {
+		t.Fatalf("pool kept %d of %d full-depth LLCs: want some dropped, not all", kept, len(llcs))
+	}
+	if c := New(small.cfg, memsys.Fixed{}); c != small {
+		t.Fatal("the pool dropped a 1 KB cache while it held 8 MB ones")
+	}
+	forget(LLC)
 }
 
 // BenchmarkHit is the inlined probe on resident lines, the shape of the

@@ -36,13 +36,30 @@ func (p *logPort) Access(at vclock.Time, kind mem.AccessKind, addr mem.Addr, siz
 
 // diffGeometries are the shapes the differential test and the fuzzer
 // drive: direct-mapped, the L1's and the LLC's associativity, the widest
-// legal set, and a line size other than 64.
+// legal set, a line size other than 64, and one with sets enough that
+// they deepen slowly — its plane is still growing hundreds of operations
+// into a trace.
 var diffGeometries = []Config{
 	{Name: "diff-1way", Size: 1 << 10, LineSize: 64, Assoc: 1, HitLatency: 3 * vclock.Nanosecond},
 	{Name: "diff-8way", Size: 4 << 10, LineSize: 64, Assoc: 8, HitLatency: 1333 * vclock.Picosecond},
 	{Name: "diff-16way", Size: 8 << 10, LineSize: 64, Assoc: 16, HitLatency: 5 * vclock.Nanosecond, Pace: 500 * vclock.Picosecond},
 	{Name: "diff-256way", Size: 32 << 10, LineSize: 64, Assoc: 256, HitLatency: 10 * vclock.Nanosecond},
 	{Name: "diff-128B", Size: 2 << 10, LineSize: 128, Assoc: 4, HitLatency: 2 * vclock.Nanosecond},
+	{Name: "diff-grow", Size: 64 << 10, LineSize: 64, Assoc: 16, HitLatency: 4 * vclock.Nanosecond},
+}
+
+// forget empties the construction pool of cfg's caches, so that the next
+// New builds one whose plane has yet to grow.
+func forget(cfg Config) {
+	if cfg.Pace == 0 {
+		cfg.Pace = 2 * vclock.Nanosecond
+	}
+	pool.Lock()
+	defer pool.Unlock()
+	for _, c := range pool.m[cfg] {
+		pool.bytes -= c.bytes()
+	}
+	delete(pool.m, cfg)
 }
 
 // pooledRefs is the reference's construction pool across runDiff calls,
@@ -50,8 +67,10 @@ var diffGeometries = []Config{
 var pooledRefs = refPool{}
 
 // runDiff decodes ops into a sequence of cache operations — the first
-// byte picks the geometry, every following four bytes are one operation
-// — and applies it to a Cache and a refCache. After every operation the
+// byte picks the geometry and, by its top bit, whether the Cache is built
+// new (one way deep, growing as the trace deepens its sets) or may come
+// grown from the pool; every following four bytes are one operation —
+// and applies it to a Cache and a refCache. After every operation the
 // returned time, the four counters, the LRU clock and the parent's
 // request log must be equal. Both caches end recycled, so the next call
 // with the same geometry starts from pooled ones.
@@ -59,7 +78,10 @@ func runDiff(t testing.TB, ops []byte) (evictions, writebacks int64) {
 	if len(ops) == 0 {
 		return 0, 0
 	}
-	cfg := diffGeometries[int(ops[0])%len(diffGeometries)]
+	cfg := diffGeometries[int(ops[0]&0x7f)%len(diffGeometries)]
+	if ops[0]&0x80 != 0 {
+		forget(cfg)
+	}
 	lines := mem.Addr(cfg.Size / cfg.LineSize)
 	gotParent, wantParent := &logPort{}, &logPort{}
 	got, want := New(cfg, gotParent), pooledRefs.newRef(cfg, wantParent)
@@ -128,7 +150,8 @@ func runDiff(t testing.TB, ops []byte) (evictions, writebacks int64) {
 // layout: long random operation sequences on every geometry — single
 // lines, multi-line requests, the Hit probe with its AccessOne fallback,
 // flushes, and recycling through the pool — must leave Cache and the
-// set-major refCache indistinguishable after every operation.
+// set-major refCache indistinguishable after every operation. Every
+// other round starts from a cache that has yet to grow.
 func TestCacheMatchesReference(t *testing.T) {
 	r := xrand.New(0xcac4e)
 	for g := range diffGeometries {
@@ -137,7 +160,7 @@ func TestCacheMatchesReference(t *testing.T) {
 			for i := range ops {
 				ops[i] = byte(r.Uint64())
 			}
-			ops[0] = byte(g)
+			ops[0] = byte(g | round%2<<7)
 			for i := 1; i < len(ops); i += 4 {
 				// Flush and Recycle once in a few thousand operations, not
 				// once in 128: sets must get the time to fill up.

@@ -275,3 +275,57 @@ func TestOperandsStagedWithoutCopy(t *testing.T) {
 		}
 	}
 }
+
+// buildRunRelease is one sweep point: a system built, run and released.
+func buildRunRelease(tb testing.TB, b workloads.Bench) {
+	tb.Helper()
+	sys := core.Build(core.Config{Host: core.HostNEX, Accel: core.AccelDSim, Model: b.Model, Devices: b.Devices, Cores: 16, Seed: 42})
+	sys.Run(b.Build(&sys.Ctx))
+	sys.Release()
+}
+
+// TestReleasedSystemsRetainBoundedHeap: what released systems leave
+// behind is sized by what their runs touched and bounded whatever they
+// were — the eight LLCs of vta-resnet18-mp8 used to stay pooled at their
+// full 8.4 MB each (73 MB retained), and a system of a hundred devices
+// held 830 MB for the life of the process. The second bound is the first
+// plus the 32 MB the cache pool may keep.
+func TestReleasedSystemsRetainBoundedHeap(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	b, err := workloads.ByName("vta-resnet18-mp8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := heap()
+	for i := 0; i < 3; i++ {
+		buildRunRelease(t, b)
+	}
+	if grew := heap() - base; grew > 32<<20 {
+		t.Errorf("three released runs of %s retain %d MB, want at most 32", b.Name, grew>>20)
+	}
+	core.Build(core.Config{Host: core.HostNEX, Model: core.AccelVTA, Devices: 100, Cores: 16, Seed: 42}).Release()
+	if grew := heap() - base; grew > 64<<20 {
+		t.Errorf("a released system of 100 devices retains %d MB, want at most 64", grew>>20)
+	}
+}
+
+// BenchmarkBuildRelease is the memory cost of one sweep point on the
+// eight-device bench: B/op is what a build, a run and a release allocate
+// with the pools warm.
+func BenchmarkBuildRelease(b *testing.B) {
+	bench, err := workloads.ByName("vta-resnet18-mp8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	buildRunRelease(b, bench)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildRunRelease(b, bench)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"nexsim/internal/core"
@@ -117,6 +118,16 @@ func defaultFabricName(model core.AccelModel) string {
 	return "pcie"
 }
 
+// Upper bounds on the fields that size a system. A spec arrives from the
+// wire, and core.Build allocates an LLC, a DRAM controller, a fabric, a
+// task buffer and an MMIO window per device and the engines a scheduling
+// slot per core, so these may not be whatever an int holds. The catalog
+// needs 8 devices and 16 cores.
+const (
+	MaxDevices = 64
+	MaxCores   = 256
+)
+
 // Normalized validates s and returns a copy with every defaulted field
 // made explicit — the canonical form that ID() hashes and RunSpec
 // executes. The zero-valued and the explicit-default spelling of the
@@ -156,18 +167,22 @@ func (s Spec) Normalized() (Spec, error) {
 	if _, ok := fabricProfiles[s.Fabric]; !ok {
 		return Spec{}, fmt.Errorf("experiments: unknown fabric %q (want pcie or onchip)", s.Fabric)
 	}
+	const unbounded = math.MaxInt64
 	for _, f := range []struct {
-		name string
-		v    int64
+		name   string
+		v, max int64
 	}{
-		{"cores", int64(s.Cores)}, {"devices", int64(s.Devices)},
-		{"clock_mhz", s.ClockMHz}, {"accel_clock_mhz", s.AccelClockMHz},
-		{"epoch_ns", s.EpochNS}, {"virtual_cores", int64(s.VirtualCores)},
-		{"physical_cores", int64(s.PhysicalCores)}, {"sync_interval_ns", s.SyncIntervalNS},
-		{"link_latency_ns", s.LinkLatencyNS},
+		{"cores", int64(s.Cores), MaxCores}, {"devices", int64(s.Devices), MaxDevices},
+		{"clock_mhz", s.ClockMHz, unbounded}, {"accel_clock_mhz", s.AccelClockMHz, unbounded},
+		{"epoch_ns", s.EpochNS, unbounded}, {"virtual_cores", int64(s.VirtualCores), MaxCores},
+		{"physical_cores", int64(s.PhysicalCores), MaxCores}, {"sync_interval_ns", s.SyncIntervalNS, unbounded},
+		{"link_latency_ns", s.LinkLatencyNS, unbounded},
 	} {
 		if f.v < 0 {
 			return Spec{}, fmt.Errorf("experiments: spec field %s must not be negative", f.name)
+		}
+		if f.v > f.max {
+			return Spec{}, fmt.Errorf("experiments: spec field %s must not exceed %d", f.name, f.max)
 		}
 	}
 	if s.Cores == 0 {

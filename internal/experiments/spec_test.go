@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"nexsim/internal/core"
@@ -42,6 +43,11 @@ func TestSpecValidation(t *testing.T) {
 		{Bench: "jpeg-decode", SyncMode: "sometimes"},
 		{Bench: "jpeg-decode", DMATarget: "l3"},
 		{Bench: "jpeg-decode", Cores: -1},
+		{Bench: "vta-matmul", Devices: 200},
+		{Bench: "vta-matmul", Devices: 1 << 30},
+		{Bench: "npb-ep.8", Cores: MaxCores + 1},
+		{Bench: "npb-ep.8", VirtualCores: 1 << 20},
+		{Bench: "npb-ep.8", PhysicalCores: 1 << 20},
 	}
 	for _, s := range bad {
 		if _, err := s.Normalized(); err == nil {
@@ -53,6 +59,13 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := RunSpecs([]Spec{{Bench: "jpeg-decode"}, {Bench: "nope"}}); err == nil {
 		t.Error("RunSpecs accepted a batch with an invalid spec")
+	}
+	// The error names the field, and the limits themselves are legal.
+	if _, err := (Spec{Bench: "vta-matmul", Devices: 200}).Normalized(); err == nil || !strings.Contains(err.Error(), "devices") {
+		t.Errorf("devices: 200 rejected with %v, want an error naming the field", err)
+	}
+	if _, err := (Spec{Bench: "vta-matmul", Devices: MaxDevices, Cores: MaxCores, VirtualCores: MaxCores, PhysicalCores: MaxCores}).Normalized(); err != nil {
+		t.Errorf("spec at the limits rejected: %v", err)
 	}
 }
 

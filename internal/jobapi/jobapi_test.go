@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"nexsim/internal/experiments"
 )
 
 func decode(body string) (SubmitRequest, error) {
@@ -38,7 +40,8 @@ func TestDecodeSubmitErrors(t *testing.T) {
 }
 
 // FuzzDecodeSubmit: whatever arrives on POST /jobs, decoding returns a
-// request within the documented limits or an error — never a panic.
+// request within the documented limits or an error — never a panic — and
+// no spec of it normalizes to a system beyond the spec limits.
 func FuzzDecodeSubmit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := decode(string(body))
@@ -50,6 +53,12 @@ func FuzzDecodeSubmit(f *testing.F) {
 		}
 		if _, err := json.Marshal(req); err != nil {
 			t.Fatalf("accepted request does not re-encode: %v", err)
+		}
+		for _, s := range req.Specs {
+			n, err := s.Normalized()
+			if err == nil && (n.Devices > experiments.MaxDevices || max(n.Cores, n.VirtualCores, n.PhysicalCores) > experiments.MaxCores) {
+				t.Fatalf("spec normalized to %d devices, %d/%d/%d cores", n.Devices, n.Cores, n.VirtualCores, n.PhysicalCores)
+			}
 		}
 	})
 }

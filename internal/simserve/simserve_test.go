@@ -473,6 +473,9 @@ func TestBadRequests(t *testing.T) {
 		`{"specs":[{"bench":"no-such-bench"}]}`,
 		`{"specs":[{"bench":"npb-ep.8","host":"qemu"}]}`,
 		`{"specs":[{"bench":"npb-ep.8","bogus_field":1}]}`,
+		`{"specs":[{"bench":"vta-matmul","devices":200}],"wait":true}`,
+		`{"specs":[{"bench":"vta-matmul","devices":1073741824}]}`,
+		`{"specs":[{"bench":"npb-ep.8","virtual_cores":100000}]}`,
 	}
 	for _, body := range cases {
 		if code, resp := post(t, ts, body); code != http.StatusBadRequest {
