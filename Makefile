@@ -81,9 +81,15 @@ bench-func:
 bench-coro:
 	go test -run '^$$' -bench Switch -benchtime 1000000x -count 3 ./internal/coro | grep -E 'Benchmark|^cpu:'
 
+# Serving-path micro-benchmark: one wait=true submit of a hot spec at
+# the router's handler over live loopback shards, answered from the edge
+# cache next to forwarded to a shard-cache hit (ns/op, allocs/op).
+bench-serve:
+	go test -run '^$$' -bench RouterSubmit -benchtime 2000x -count 3 ./internal/cluster | grep -E 'Benchmark|^cpu:'
+
 # Conservative-parallel determinism smoke: -intra 1 vs -intra 4 tables
 # and chrome traces byte-identical. check.sh runs this too.
 intra-smoke:
 	sh scripts/intra_smoke.sh
 
-.PHONY: lint check bench bench-cpu bench-dma bench-func bench-coro intra-smoke serve-smoke crash-smoke cluster-smoke chaos
+.PHONY: lint check bench bench-cpu bench-dma bench-func bench-coro bench-serve intra-smoke serve-smoke crash-smoke cluster-smoke chaos

@@ -65,11 +65,20 @@ go test -run '^$' -fuzz FuzzMemoryMatchesReference -fuzztime 10s ./internal/mem
 test -z "$(grep -rl '^func fnv64' internal/accel --include='*.go' | grep -v _test.go)"
 
 # Trust-boundary decoders (ROADMAP item 4a): ten seconds each of garbage
-# at the job API's submit decoder and at the hot-set promotion path must
-# produce errors, never a panic or an accepted entry its content address
-# does not vouch for.
+# at the job API's submit decoder, at the hot-set promotion path and at
+# the router's edge-cache admission (both behind the one
+# jobapi.VerifyResult) must produce errors, never a panic or an accepted
+# entry its content address does not vouch for.
 go test -run '^$' -fuzz FuzzDecodeSubmit -fuzztime 10s ./internal/jobapi
 go test -run '^$' -fuzz FuzzPromote -fuzztime 10s ./internal/simserve
+go test -run '^$' -fuzz FuzzEdgeAdmit -fuzztime 10s ./internal/cluster
+
+# Serving-path gates (DESIGN.md §11): the router-submit benchmark compiles
+# and executes once on both paths (answered from the edge cache,
+# forwarded to a shard-cache hit), and one verifier decides what may
+# enter a cache that did not compute it.
+go test -run '^$' -bench RouterSubmit -benchtime 1x ./internal/cluster
+test -z "$(grep -rn 'func verifyPromotion' internal --include='*.go')"
 
 # Simulated-thread switch (DESIGN.md §4): the benchmark compiles and
 # executes once; its zero-allocation and lifecycle tests (kill, panic,

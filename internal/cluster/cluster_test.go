@@ -107,7 +107,8 @@ func shardAddrs(lc *LocalCluster) []string {
 // The core cluster invariant end to end: a sweep routed across three
 // shards returns byte-identical results to a single direct simd, and a
 // repeat of the sweep is served from the shard caches without re-running
-// any engine.
+// any engine — and, once the router has seen it twice, without reaching
+// a shard.
 func TestRoutedSweepMatchesDirectAndHitsCache(t *testing.T) {
 	specs := make([]experiments.Spec, 4)
 	for i := range specs {
@@ -142,24 +143,27 @@ func TestRoutedSweepMatchesDirectAndHitsCache(t *testing.T) {
 		}
 	}
 
-	// Second pass: all cache hits, no new engine work anywhere.
+	// Repeat passes: no new engine work anywhere. The second sighting is
+	// still forwarded (shard cache hits) and admits the results to the
+	// router's edge cache; the third never reaches a shard.
 	submittedBefore := scrapeCounter(t, "simserve_jobs_submitted", shardAddrs(lc)...)
-	hitsBefore := scrapeCounter(t, "simserve_cache_hits", shardAddrs(lc)...)
-	code, _, body = postJobs(t, lc.RouterAddr, "", specs, true)
-	if code != http.StatusOK {
-		t.Fatalf("routed repeat: HTTP %d: %s", code, body)
-	}
-	again := decodeResults(t, body)
-	for i := range want {
-		if !bytes.Equal(want[i], again[i]) {
-			t.Fatalf("spec %d: cached routed result differs from direct", i)
+	for pass, wantEdgeHits := range []int64{0, int64(len(specs))} {
+		code, _, body = postJobs(t, lc.RouterAddr, "", specs, true)
+		if code != http.StatusOK {
+			t.Fatalf("routed repeat %d: HTTP %d: %s", pass, code, body)
 		}
-	}
-	if after := scrapeCounter(t, "simserve_jobs_submitted", shardAddrs(lc)...); after != submittedBefore {
-		t.Fatalf("repeat sweep ran %d fresh jobs, want 0", after-submittedBefore)
-	}
-	if after := scrapeCounter(t, "simserve_cache_hits", shardAddrs(lc)...); after != hitsBefore+int64(len(specs)) {
-		t.Fatalf("repeat sweep hit cache %d times, want %d", after-hitsBefore, len(specs))
+		again := decodeResults(t, body)
+		for i := range want {
+			if !bytes.Equal(want[i], again[i]) {
+				t.Fatalf("repeat %d, spec %d: cached routed result differs from direct", pass, i)
+			}
+		}
+		if after := scrapeCounter(t, "simserve_jobs_submitted", shardAddrs(lc)...); after != submittedBefore {
+			t.Fatalf("repeat sweep %d ran %d fresh jobs, want 0", pass, after-submittedBefore)
+		}
+		if hits := scrapeCounter(t, "simrouter_edge_hits", lc.RouterAddr); hits != wantEdgeHits {
+			t.Fatalf("repeat sweep %d: router edge hits = %d, want %d", pass, hits, wantEdgeHits)
+		}
 	}
 }
 
@@ -219,7 +223,7 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 		t.Fatalf("batch did not complete after shard death: HTTP %d: %s", r.code, r.body)
 	}
 	results := decodeResults(t, r.body)
-	var jr simserve.JobResult
+	var jr jobapi.JobResult
 	if err := json.Unmarshal(results[0], &jr); err != nil {
 		t.Fatal(err)
 	}

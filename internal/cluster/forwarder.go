@@ -51,6 +51,11 @@ type RouterConfig struct {
 	// Admission is the per-tenant token-bucket gate (zero RatePerSec
 	// admits everything).
 	Admission AdmissionConfig
+
+	// EdgeCacheBytes bounds the router's own result cache (edge.go) in
+	// result bytes: 0 = default of 32 MB, < 0 = off (every request is
+	// forwarded).
+	EdgeCacheBytes int64
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -69,6 +74,9 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.HotSetInterval <= 0 {
 		c.HotSetInterval = 5 * time.Second
 	}
+	if c.EdgeCacheBytes == 0 {
+		c.EdgeCacheBytes = 32 << 20
+	}
 	return c
 }
 
@@ -80,15 +88,16 @@ var (
 )
 
 // Router is the stateless cluster front end: it owns no simulation
-// state, only soft state (liveness, hotness, in-flight counts) that any
-// replacement router rebuilds from traffic. Losing a router loses
-// nothing but open connections.
+// state, only soft state (liveness, hotness, in-flight counts, verified
+// copies of hot results) that any replacement router rebuilds from
+// traffic. Losing a router loses nothing but open connections.
 type Router struct {
 	cfg  RouterConfig
 	ring *Ring
 	mem  *Membership
 	adm  *Admission
 	hot  *hotTracker
+	edge *edgeCache // nil when EdgeCacheBytes < 0
 
 	clients map[string]*http.Client // per-shard connection pools
 	m       *routerMetrics
@@ -116,6 +125,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}),
 		adm:     NewAdmission(cfg.Admission),
 		hot:     newHotTracker(),
+		edge:    newEdgeCache(cfg.EdgeCacheBytes),
 		clients: make(map[string]*http.Client, len(cfg.Shards)),
 		stop:    make(chan struct{}),
 	}
@@ -140,8 +150,10 @@ func (r *Router) Start() {
 	go r.hotsetLoop()
 }
 
-// Close stops the background loops. In-flight forwards complete on
-// their own contexts.
+// Close stops the background loops and drops the pooled keep-alive
+// connections to the shards (each holds a read and a write goroutine
+// until its peer hangs up). In-flight forwards complete on their own
+// contexts.
 func (r *Router) Close() {
 	select {
 	case <-r.stop:
@@ -149,6 +161,9 @@ func (r *Router) Close() {
 		close(r.stop)
 	}
 	r.mem.Close()
+	for _, c := range r.clients {
+		c.CloseIdleConnections()
+	}
 }
 
 // Membership exposes the liveness tracker (smoke tooling and tests).
@@ -159,11 +174,13 @@ func (r *Router) Membership() *Membership { return r.mem }
 func (r *Router) client(shard string) *http.Client { return r.clients[shard] }
 
 // specItem is one routed spec: its position in the client's batch, its
-// normalized form, and its content address (the placement key).
+// normalized form, its content address (the placement key), and the hot
+// tracker's count of that address (the edge cache's admission signal).
 type specItem struct {
 	idx  int
 	spec experiments.Spec
 	id   string
+	seen float64
 }
 
 // itemResult is the routed outcome for one spec.
@@ -238,12 +255,20 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			badRequest(fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
-		items[i] = specItem{idx: i, spec: n, id: id}
-		r.hot.Note(id)
+		items[i] = specItem{idx: i, spec: n, id: id, seen: r.hot.Note(id)}
 	}
 	r.m.specsTotal.Add(int64(len(items)))
 
-	results, err := r.routeItems(req.Context(), items, sr.Wait, nil)
+	// Answer what the edge cache knows; only the rest crosses to a shard.
+	results := make([]itemResult, len(items))
+	rest := items
+	if sr.Wait {
+		rest = r.edgeFill(items, results)
+	}
+	var routed []itemResult
+	if len(rest) > 0 {
+		routed, err = r.routeItems(req.Context(), rest, sr.Wait, nil)
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, errNoLiveShards):
@@ -259,6 +284,13 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			jobapi.WriteError(w, http.StatusBadGateway, fmt.Sprintf("forwarding failed: %v", err))
 		}
 		return
+	}
+	for j, res := range routed {
+		it := rest[j]
+		results[it.idx] = res
+		if len(res.result) > 0 {
+			r.edge.admit(it.id, it.seen, res.status == jobapi.StatusFailed, res.result)
+		}
 	}
 
 	if sr.Wait && allFinished(results) {
@@ -276,6 +308,24 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	jobapi.WriteJSON(w, http.StatusAccepted, jobapi.Accepted{Jobs: statuses})
 }
 
+// edgeFill answers the items the edge cache holds into results (by batch
+// position) and returns the items still to forward — all of them when
+// the cache is off.
+func (r *Router) edgeFill(items []specItem, results []itemResult) []specItem {
+	if r.edge == nil {
+		return items
+	}
+	var rest []specItem
+	for _, it := range items {
+		if e, ok := r.edge.get(it.id); ok {
+			results[it.idx] = itemResult{id: it.id, status: e.status(), result: e.result}
+		} else {
+			rest = append(rest, it)
+		}
+	}
+	return rest
+}
+
 func allFinished(results []itemResult) bool {
 	for _, res := range results {
 		if len(res.result) == 0 {
@@ -285,11 +335,16 @@ func allFinished(results []itemResult) bool {
 	return true
 }
 
-// handleJob resolves a poll by content address: the first replica that
-// knows the id answers, so a result that landed on a hedge target is
-// still found after its home shard forgets it.
+// handleJob resolves a poll by content address: the edge cache if it
+// holds the id, else the first replica that knows it answers, so a
+// result that landed on a hedge target is still found after its home
+// shard forgets it.
 func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
+	if e, ok := r.edge.get(id); ok {
+		jobapi.WriteJSON(w, http.StatusOK, jobapi.JobPoll{ID: id, Status: e.status(), Result: e.result})
+		return
+	}
 	for code, body := range r.replicaAnswers(id) {
 		jobapi.WriteJSON(w, code, body)
 		return

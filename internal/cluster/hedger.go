@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"nexsim/internal/experiments"
@@ -30,43 +31,46 @@ type groupOutcome struct {
 	refused bool
 }
 
-// routeItems forwards items to their shards (grouped, concurrently) and
-// returns outcomes aligned with items. exclude carries shards already
-// failed over from on this path.
+// routeItems forwards items to their shards (grouped; several groups
+// concurrently, a single one — every single-spec request — on the
+// caller's goroutine) and returns outcomes aligned with items. exclude
+// carries shards already failed over from on this path.
 func (r *Router) routeItems(ctx context.Context, items []specItem, wait bool, exclude map[string]bool) ([]itemResult, error) {
 	groups, err := r.groupByShard(items, exclude)
 	if err != nil {
 		return nil, err
 	}
-	type groupRes struct {
-		shard string
-		out   groupOutcome
-	}
 	shards := sortedShardKeys(groups)
-	ch := make(chan groupRes, len(shards))
-	for _, shard := range shards {
-		go func(shard string, group []specItem) {
-			out := r.sendGroupHedged(ctx, shard, group, wait, exclude)
-			ch <- groupRes{shard: shard, out: out}
-		}(shard, groups[shard])
+	outs := make([]groupOutcome, len(shards))
+	if len(shards) == 1 {
+		outs[0] = r.sendGroupHedged(ctx, shards[0], groups[shards[0]], wait, exclude)
+	} else {
+		var wg sync.WaitGroup
+		for i, shard := range shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[i] = r.sendGroupHedged(ctx, shard, groups[shard], wait, exclude)
+			}()
+		}
+		wg.Wait()
 	}
 	byIdx := make(map[int]itemResult, len(items))
 	var firstErr error
 	refused := false
-	for range shards {
-		gr := <-ch
-		if gr.out.err != nil {
+	for g, out := range outs {
+		if out.err != nil {
 			if firstErr == nil {
-				firstErr = gr.out.err
+				firstErr = out.err
 			}
-			refused = refused || gr.out.refused
+			refused = refused || out.refused
 			continue
 		}
 		// Group outcomes are always aligned with the group's item order
 		// (sendGroup builds them positionally; routeItems returns
 		// aligned), so map back by position.
-		for i, res := range gr.out.results {
-			byIdx[groups[gr.shard][i].idx] = res
+		for i, res := range out.results {
+			byIdx[groups[shards[g]][i].idx] = res
 		}
 	}
 	if firstErr != nil {
@@ -97,16 +101,24 @@ func (r *Router) routeItems(ctx context.Context, items []specItem, wait bool, ex
 //     next replicas and race; first success answers the client
 //   - both sides answer → byte-compare overlapping results (determinism
 //     probe); a mismatch counts and quarantines the losing shard
+//
+// With hedging off (or wait=false) no duplicate can ever launch, so the
+// attempt runs on the caller's goroutine.
 func (r *Router) sendGroupHedged(ctx context.Context, shard string, group []specItem, wait bool, exclude map[string]bool) groupOutcome {
+	if r.cfg.HedgeAfter <= 0 || !wait {
+		out := r.sendGroup(ctx, shard, group, wait)
+		if out.err == nil || ctx.Err() != nil {
+			return out
+		}
+		return r.failover(ctx, shard, group, wait, exclude, out)
+	}
+
 	primaryCh := make(chan groupOutcome, 1)
 	go func() { primaryCh <- r.sendGroup(ctx, shard, group, wait) }()
 
-	var timerC <-chan time.Time
-	if r.cfg.HedgeAfter > 0 && wait {
-		timer := time.NewTimer(r.cfg.HedgeAfter)
-		defer timer.Stop()
-		timerC = timer.C
-	}
+	timer := time.NewTimer(r.cfg.HedgeAfter)
+	defer timer.Stop()
+	timerC := timer.C
 
 	var hedgeCh chan groupOutcome
 	hedgeLaunched := false
@@ -201,7 +213,9 @@ func (r *Router) compareLate(ch <-chan groupOutcome, winner []itemResult) {
 // probeCompare verifies replica answers byte for byte: for every
 // content address both sides finished, the result bytes must match.
 // A divergence is a broken determinism invariant on some shard —
-// counted, and the loser's serving shard is quarantined.
+// counted, the loser's serving shard is quarantined, and the edge cache
+// is flushed: the router cannot know which side was wrong, so every
+// copy it holds is suspect.
 func (r *Router) probeCompare(winner, loser []itemResult) {
 	byID := make(map[string]itemResult, len(winner))
 	for _, res := range winner {
@@ -218,6 +232,7 @@ func (r *Router) probeCompare(winner, loser []itemResult) {
 		if !bytes.Equal(won.result, res.result) {
 			r.m.probeMismatches.Inc()
 			r.mem.Quarantine(res.shard)
+			r.edge.flush()
 		}
 	}
 }

@@ -34,11 +34,14 @@ func newHotTracker() *hotTracker {
 	return &hotTracker{counts: map[string]float64{}}
 }
 
-// Note records one submission of the given content address.
-func (h *hotTracker) Note(id string) {
+// Note records one submission of the given content address and returns
+// its decayed count, this submission included — the edge cache's
+// admission signal.
+func (h *hotTracker) Note(id string) float64 {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.counts[id]++
-	h.mu.Unlock()
+	return h.counts[id]
 }
 
 // TopK returns the k hottest addresses, hottest first; count ties break
@@ -130,10 +133,14 @@ func (r *Router) PushHotSet() {
 	r.m.hotsetEntries.Add(int64(len(entries)))
 }
 
-// fetchResult resolves one content address to its finished result by
-// polling the address's replicas in preference order. ok is false while
-// the job is still running or when no replica knows it.
+// fetchResult resolves one content address to its finished result: from
+// the edge cache, else by polling the address's replicas in preference
+// order. ok is false while the job is still running or when no replica
+// knows it.
 func (r *Router) fetchResult(id string) (jobapi.HotEntry, bool) {
+	if e, ok := r.edge.get(id); ok {
+		return jobapi.HotEntry{ID: id, Failed: e.failed, Result: e.result}, true
+	}
 	for code, body := range r.replicaAnswers(id) {
 		var poll jobapi.JobPoll
 		if code != http.StatusOK || json.Unmarshal(body, &poll) != nil || len(poll.Result) == 0 {

@@ -4,9 +4,9 @@ import "nexsim/internal/metrics"
 
 // routerMetrics is the router's operational counter set, served on
 // /metrics by the registry in the same `name value` /
-// `name{label} value` format the shards use. Membership and Admission
-// own their counters (they exist without a router too); the router
-// registers them on its page.
+// `name{label} value` format the shards use. Membership, Admission and
+// the edge cache own their counters (they exist without a router too);
+// the router registers them on its page.
 type routerMetrics struct {
 	reg *metrics.Registry
 
@@ -78,6 +78,9 @@ func newRouterMetrics(r *Router) *routerMetrics {
 	}
 	if r.adm != nil {
 		reg.Register(r.adm.admitted, r.adm.rejected)
+	}
+	if r.edge != nil {
+		r.edge.register(reg)
 	}
 	return m
 }

@@ -75,6 +75,13 @@ func (c *Cache[K, V]) Remove(key K) {
 	}
 }
 
+// Clear drops every entry (none counted as an eviction).
+func (c *Cache[K, V]) Clear() {
+	c.order.Init()
+	clear(c.items)
+	c.used = 0
+}
+
 // Len reports the number of entries.
 func (c *Cache[K, V]) Len() int { return len(c.items) }
 

@@ -76,4 +76,12 @@ func TestUnboundedAndRemove(t *testing.T) {
 	if _, ok := c.Get(7); ok || c.Len() != 999 || c.Used() != 999<<40 || c.Evictions() != 0 {
 		t.Fatalf("after Remove: len=%d used=%d evictions=%d", c.Len(), c.Used(), c.Evictions())
 	}
+	c.Clear()
+	if _, ok := c.Get(8); ok || c.Len() != 0 || c.Used() != 0 || c.Evictions() != 0 {
+		t.Fatalf("after Clear: len=%d used=%d evictions=%d", c.Len(), c.Used(), c.Evictions())
+	}
+	c.Put(8, 8, 1) // a cleared cache is a working cache
+	if v, ok := c.Get(8); !ok || v != 8 || c.Len() != 1 || c.Used() != 1 {
+		t.Fatalf("Put after Clear: v=%d ok=%v len=%d used=%d", v, ok, c.Len(), c.Used())
+	}
 }

@@ -245,7 +245,7 @@ func TestPromoteVerifiesContentAddress(t *testing.T) {
 		t.Fatal("promote accepted a result under the wrong content address")
 	}
 	// Tampered bytes: the claimed id no longer matches the embedded spec.
-	var jr JobResult
+	var jr jobapi.JobResult
 	if err := json.Unmarshal(result, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestPromoteVerifiesContentAddress(t *testing.T) {
 	// Transient failures are never cacheable.
 	jr.Spec.Seed = 5
 	jr.Error = "injected"
-	jr.ErrorKind = ErrorKindTransient
+	jr.ErrorKind = jobapi.ErrorKindTransient
 	transient, err := json.Marshal(jr)
 	if err != nil {
 		t.Fatal(err)
@@ -290,14 +290,14 @@ func FuzzPromote(f *testing.F) {
 		if err := srv.Promote(id, failed, result); err != nil {
 			return
 		}
-		var jr JobResult
+		var jr jobapi.JobResult
 		if err := json.Unmarshal(result, &jr); err != nil {
 			t.Fatalf("accepted undecodable bytes: %v", err)
 		}
 		if specID, err := jr.Spec.ID(); err != nil || specID != id {
 			t.Fatalf("accepted %q under address %q (%v)", specID, id, err)
 		}
-		if jr.ErrorKind == ErrorKindTransient || failed != (jr.Error != "") {
+		if jr.ErrorKind == jobapi.ErrorKindTransient || failed != (jr.Error != "") {
 			t.Fatalf("accepted failed=%v for result %s", failed, result)
 		}
 		st, got, ok := srv.lookup(id)
@@ -455,7 +455,7 @@ func TestWALReplayWithConcurrentSubmits(t *testing.T) {
 		if !ok || st != jobapi.StatusDone {
 			t.Fatalf("seed %d: not recovered (ok=%v status=%s)", seed, ok, st)
 		}
-		var jr JobResult
+		var jr jobapi.JobResult
 		if err := json.Unmarshal(result, &jr); err != nil {
 			t.Fatal(err)
 		}

@@ -20,10 +20,10 @@ import (
 )
 
 // waitResults decodes a wait=true response envelope.
-func waitResults(t *testing.T, body []byte) []JobResult {
+func waitResults(t *testing.T, body []byte) []jobapi.JobResult {
 	t.Helper()
 	var env struct {
-		Results []JobResult `json:"results"`
+		Results []jobapi.JobResult `json:"results"`
 	}
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("bad wait envelope %s: %v", body, err)
@@ -66,7 +66,7 @@ func TestTransientFailureRetriedNotCached(t *testing.T) {
 		t.Fatalf("submit: status %d, body %s", code, first)
 	}
 	jr := waitResults(t, first)[0]
-	if jr.ErrorKind != ErrorKindTransient || jr.Error == "" {
+	if jr.ErrorKind != jobapi.ErrorKindTransient || jr.Error == "" {
 		t.Fatalf("transient failure misclassified: %+v", jr)
 	}
 	if jr.Attempt != 1 {
@@ -127,11 +127,11 @@ func TestTransientAnswerStaysPollable(t *testing.T) {
 	if err := json.Unmarshal(body, &poll); err != nil {
 		t.Fatal(err)
 	}
-	var jr JobResult
+	var jr jobapi.JobResult
 	if err := json.Unmarshal(poll.Result, &jr); err != nil {
 		t.Fatal(err)
 	}
-	if poll.Status != jobapi.StatusFailed || jr.ErrorKind != ErrorKindTransient || jr.Error == "" {
+	if poll.Status != jobapi.StatusFailed || jr.ErrorKind != jobapi.ErrorKindTransient || jr.Error == "" {
 		t.Fatalf("polled answer = status %q, result %+v; want a failed transient", poll.Status, jr)
 	}
 	_, page := get(t, ts, "/metrics")
@@ -211,7 +211,7 @@ func TestBudgetAbortTransient(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("submit: status %d", code)
 	}
-	if jr := waitResults(t, body)[0]; jr.ErrorKind != ErrorKindTransient {
+	if jr := waitResults(t, body)[0]; jr.ErrorKind != jobapi.ErrorKindTransient {
 		t.Fatalf("budget abort misclassified: %+v", jr)
 	}
 	_, page := get(t, ts, "/metrics")
@@ -392,9 +392,9 @@ func TestWALTornTailAndBadRecordsDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jr := JobResult{ID: id, Spec: n, SimTimePS: 55000, SimTime: "55ns"}
+		jr := jobapi.JobResult{ID: id, Spec: n, SimTimePS: 55000, SimTime: "55ns"}
 		if kind != "" {
-			jr = JobResult{ID: id, Spec: n, Error: "chaos", ErrorKind: kind}
+			jr = jobapi.JobResult{ID: id, Spec: n, Error: "chaos", ErrorKind: kind}
 		}
 		data, err := json.Marshal(jr)
 		if err != nil {
@@ -405,7 +405,7 @@ func TestWALTornTailAndBadRecordsDropped(t *testing.T) {
 
 	goodID, goodData := mkDone(11, "")
 	_, mismatchData := mkDone(12, "")
-	transID, transData := mkDone(13, ErrorKindTransient)
+	transID, transData := mkDone(13, jobapi.ErrorKindTransient)
 	var buf bytes.Buffer
 	appendRecord(&buf, walDone, donePayload(goodID, false, goodData))
 	// Checksummed but content-address-mismatched: id does not equal the

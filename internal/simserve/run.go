@@ -135,13 +135,13 @@ func (s *Server) launchHedge(j *job) {
 // marshalResult renders one attempt's outcome into canonical JobResult
 // bytes plus its caching classification.
 func (s *Server) marshalResult(j *job, res core.Result, err error, attempt int) (data []byte, failed, transient bool) {
-	jr := JobResult{ID: j.id, Spec: j.spec}
+	jr := jobapi.JobResult{ID: j.id, Spec: j.spec}
 	if err != nil {
 		jr.Error = err.Error()
-		jr.ErrorKind = ErrorKindDeterministic
+		jr.ErrorKind = jobapi.ErrorKindDeterministic
 		jr.Attempt = attempt
 		if transientErr(err) {
-			jr.ErrorKind = ErrorKindTransient
+			jr.ErrorKind = jobapi.ErrorKindTransient
 			transient = true
 		}
 		if errors.Is(err, core.ErrBudgetExceeded) {
@@ -155,7 +155,7 @@ func (s *Server) marshalResult(j *job, res core.Result, err error, attempt int) 
 	}
 	out, merr := json.Marshal(jr)
 	if merr != nil {
-		jr = JobResult{ID: j.id, Spec: j.spec, Error: merr.Error(), ErrorKind: ErrorKindDeterministic}
+		jr = jobapi.JobResult{ID: j.id, Spec: j.spec, Error: merr.Error(), ErrorKind: jobapi.ErrorKindDeterministic}
 		out, _ = json.Marshal(jr)
 	}
 	return out, jr.Error != "", transient

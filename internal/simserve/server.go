@@ -33,13 +33,11 @@ import (
 	"sync"
 	"time"
 
-	"nexsim/internal/accel"
 	"nexsim/internal/core"
 	"nexsim/internal/experiments"
 	"nexsim/internal/faults"
 	"nexsim/internal/jobapi"
 	"nexsim/internal/lru"
-	"nexsim/internal/nex"
 	"nexsim/internal/sweep"
 )
 
@@ -135,35 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// JobResult is the canonical, fully deterministic record of one
-// completed run — the bytes the cache stores and every response
-// carries. Wall-clock time is deliberately absent (it varies run to
-// run and would break cached-vs-fresh byte identity); serving-side
-// wall times feed the /metrics histograms instead.
-type JobResult struct {
-	ID        string              `json:"id"`
-	Spec      experiments.Spec    `json:"spec"`
-	SimTimePS int64               `json:"sim_time_ps"`
-	SimTime   string              `json:"sim_time"`
-	NEXStats  nex.Stats           `json:"nex_stats"`
-	Devices   []accel.DeviceStats `json:"devices,omitempty"`
-	Error     string              `json:"error,omitempty"`
-	// ErrorKind classifies a failure: deterministic failures (bad spec,
-	// engine panic) are cached forever — same spec, same failure —
-	// while transient ones (injected fault, budget abort) were already
-	// retried, are never cached, and may succeed on resubmit.
-	ErrorKind string `json:"error_kind,omitempty"`
-	// Attempt records which run attempt produced this result (0 unless
-	// transient failures forced retries).
-	Attempt int `json:"attempt,omitempty"`
-}
-
-// ErrorKind values.
-const (
-	ErrorKindDeterministic = "deterministic"
-	ErrorKindTransient     = "transient"
-)
 
 // transientErr reports whether a run failure is transient: injected
 // chaos or a budget abort, where a retry (or a resubmit) can
@@ -295,9 +264,9 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.mu.Lock()
 	for _, r := range rec.results {
-		var jr JobResult
+		var jr jobapi.JobResult
 		_ = json.Unmarshal(r.result, &jr) // verified by openWAL
-		if jr.ErrorKind == ErrorKindTransient {
+		if jr.ErrorKind == jobapi.ErrorKindTransient {
 			// Answered but not cacheable; keep it out of the cache on
 			// replay too.
 			continue
@@ -429,7 +398,7 @@ func (s *Server) keepJobs(jobs []*job) {
 // facts. With StateDir set the promotion journals like a local run, so
 // a restarted shard keeps its pushed hot set.
 func (s *Server) Promote(id string, failed bool, result []byte) error {
-	if err := verifyPromotion(id, failed, result); err != nil {
+	if err := jobapi.VerifyResult(id, failed, result); err != nil {
 		s.m.hotsetRejected.Inc()
 		return err
 	}
@@ -444,26 +413,6 @@ func (s *Server) Promote(id string, failed bool, result []byte) error {
 	s.m.hotsetPromoted.Inc()
 	if werr := s.wal.appendDone(id, failed, result); werr != nil {
 		s.m.walAppendErrors.Inc()
-	}
-	return nil
-}
-
-// verifyPromotion checks a pushed result against the claims made about
-// it: the bytes decode, the embedded spec hashes to id, the failure is
-// not transient, and the failed flag matches the result.
-func verifyPromotion(id string, failed bool, result []byte) error {
-	var jr JobResult
-	if err := json.Unmarshal(result, &jr); err != nil {
-		return fmt.Errorf("simserve: promote: %w", err)
-	}
-	if specID, err := jr.Spec.ID(); err != nil || specID != id {
-		return fmt.Errorf("simserve: promote: content address mismatch for %s", id)
-	}
-	if jr.ErrorKind == ErrorKindTransient {
-		return fmt.Errorf("simserve: promote: transient failures are not cacheable")
-	}
-	if failed != (jr.Error != "") {
-		return fmt.Errorf("simserve: promote: failed flag disagrees with result for %s", id)
 	}
 	return nil
 }

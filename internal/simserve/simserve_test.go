@@ -115,7 +115,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Poll to completion.
-	results := make([]JobResult, 2)
+	results := make([]jobapi.JobResult, 2)
 	for i, js := range env.Jobs {
 		var last []byte
 		deadline := time.Now().Add(30 * time.Second)
@@ -398,7 +398,7 @@ func TestGracefulDrain(t *testing.T) {
 	if !ok || status != jobapi.StatusDone {
 		t.Fatalf("drained job not in cache: ok=%v status=%q", ok, status)
 	}
-	var jr JobResult
+	var jr jobapi.JobResult
 	if err := json.Unmarshal(result, &jr); err != nil {
 		t.Fatal(err)
 	}

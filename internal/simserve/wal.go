@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"nexsim/internal/experiments"
+	"nexsim/internal/jobapi"
 )
 
 // Write-ahead journal for crash-safe serving: every accepted job
@@ -183,7 +184,7 @@ func openWAL(dir string) (*wal, walRecovery, error) {
 	for _, r := range recs {
 		switch r.kind {
 		case walDone:
-			var jr JobResult
+			var jr jobapi.JobResult
 			if err := json.Unmarshal(r.result, &jr); err != nil {
 				rec.dropped++
 				continue

@@ -10,9 +10,11 @@
 #      spec on the shard that already holds its result — zero new engine
 #      runs, all cache hits, proved by the shards' own counters.
 #   3. The cluster survives a shard lost mid-run: after kill -9 on the
-#      busiest shard, an in-flight batch still completes via hedged
-#      failover, the dead shard is marked down by health probes, and the
-#      duplicate-answer determinism probe records zero mismatches.
+#      busiest shard, an in-flight batch of fresh specs still completes
+#      via hedged failover, the sweep the router has seen twice is
+#      answered byte-identically from its edge cache (no forward, so no
+#      failover), the dead shard is marked down by health probes, and
+#      the duplicate-answer determinism probe records zero mismatches.
 #   4. A restarted shard is re-admitted through probation automatically.
 #
 # Run as `make cluster-smoke`.
@@ -163,9 +165,12 @@ case "$VICTIM_ADDR" in
 *) fail "could not identify the busiest shard (got '$VICTIM_ADDR')" ;;
 esac
 
+# Fresh specs (the router has never seen them, so its edge cache cannot
+# answer): with 24 of them the victim is home to some.
+FRESH_SEEDS="7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30"
 BATCH='{"specs":['
 sep=''
-for seed in $SEEDS; do
+for seed in $FRESH_SEEDS; do
     BATCH="$BATCH$sep{\"bench\":\"npb-ep.8\",\"seed\":$seed,\"epoch_ns\":1000}"
     sep=','
 done
@@ -176,6 +181,7 @@ curl -fsS -X POST -H 'Content-Type: application/json' -d "$BATCH" \
 echo "cluster-smoke: kill -9 $VICTIM_SID ($VICTIM_ADDR) with a batch in flight"
 kill -9 "$VICTIM_PID"
 wait "$VICTIM_PID" 2>/dev/null || true
+
 # Submit immediately: the router has not yet probed the corpse, so the
 # victim's sub-batch is forwarded, fails, and must fail over or hedge.
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$BATCH" \
@@ -190,6 +196,26 @@ HEDGES_WON="$(router_metric simrouter_hedges_won)"
 [ $((${FAILOVERS:-0} + ${HEDGES_WON:-0})) -ge 1 ] ||
     fail "batch completed but neither failover nor hedge fired (failovers=$FAILOVERS hedges_won=$HEDGES_WON)"
 echo "cluster-smoke: batch completed via hedged failover (failovers=$FAILOVERS hedges_won=$HEDGES_WON)"
+
+# The sweep both passes sent is hot at the router (seen twice, results
+# admitted to its edge cache), and the victim — the shard with the most
+# forwards — is home to part of it. The router answers all of it alone:
+# byte-identical, no forward to fail over from — whether or not the
+# probes have marked the corpse down yet.
+for seed in $SEEDS; do
+    spec_body "$seed" | curl -fsS -X POST -H 'Content-Type: application/json' \
+        -d @- "http://$ROUTER_ADDR/jobs" >"$TMPDIR_SMOKE/pass3_$seed.json" ||
+        fail "hot seed $seed not answered with its home shard dead" "$TMPDIR_SMOKE/router.log"
+    cmp -s "$TMPDIR_SMOKE/pass1_$seed.json" "$TMPDIR_SMOKE/pass3_$seed.json" ||
+        fail "edge-cached result for seed $seed differs from the first pass" \
+            "$TMPDIR_SMOKE/pass1_$seed.json" "$TMPDIR_SMOKE/pass3_$seed.json"
+done
+[ "$(router_metric simrouter_failovers)" -eq "${FAILOVERS:-0}" ] ||
+    fail "answering the hot sweep moved simrouter_failovers $FAILOVERS -> $(router_metric simrouter_failovers)"
+EDGE_HITS="$(router_metric simrouter_edge_hits)"
+[ "${EDGE_HITS:-0}" -ge 6 ] ||
+    fail "hot sweep answered with simrouter_edge_hits=$EDGE_HITS, want >= 6"
+echo "cluster-smoke: hot sweep answered from the edge cache with its home shard dead (edge_hits=$EDGE_HITS, no failover)"
 
 # Health probes must mark the corpse down within a few intervals.
 i=0
