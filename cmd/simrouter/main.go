@@ -10,7 +10,6 @@
 //
 //	simrouter -addr 127.0.0.1:9000 -shards 127.0.0.1:8081,127.0.0.1:8082,127.0.0.1:8083
 //	simrouter -shards ... -hedge-after 500ms -tenant-rate 50 -tenant-weights team-a=4,team-b=1
-//	simrouter -shards ... -edge-cache-mb 256
 //
 // Endpoints mirror simd exactly — POST /jobs, GET /jobs/{id},
 // /healthz, /metrics — so clients are oblivious to whether they talk
@@ -58,9 +57,6 @@ func main() {
 			"hottest content addresses replicated to every shard each interval (0 = default of 8)")
 		hotsetInterval = flag.Duration("hotset-interval", 5*time.Second,
 			"period of the hot-set digest exchange")
-		edgeCacheMB = flag.Int64("edge-cache-mb", 0,
-			"byte budget of the router's own verified result cache, in MB:\n"+
-				"hot results are answered without crossing to a shard (0 = default of 32; < 0 = off)")
 		tenantRate = flag.Float64("tenant-rate", 0,
 			"admission tokens (specs) per second per unit tenant weight (0 = no gate)")
 		tenantBurst = flag.Float64("tenant-burst", 0,
@@ -96,7 +92,6 @@ func main() {
 		ReadmitOKs:     *readmitOKs,
 		HotSetK:        *hotsetK,
 		HotSetInterval: *hotsetInterval,
-		EdgeCacheBytes: *edgeCacheMB << 20,
 		Admission: cluster.AdmissionConfig{
 			RatePerSec: *tenantRate,
 			BurstSec:   *tenantBurst,

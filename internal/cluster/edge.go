@@ -19,15 +19,22 @@ import (
 // An entry enters only when the hot tracker has counted its address at
 // least edgeMinSeen times — one-off cold specs never cost memory — and
 // it passes jobapi.VerifyResult, the verification a shard applies to a
-// pushed hot entry. Nothing invalidates an entry, because a content
-// address cannot change its answer; a determinism-probe mismatch flushes
-// everything, because the router cannot know which side was wrong. It is
-// soft state like the rest of the router: a replacement rebuilds it from
-// traffic.
+// pushed hot entry. The count is the tracker's decayed one (halved every
+// HotSetInterval), so admission needs two sightings inside one decay
+// interval: an address resubmitted about once per interval reads 1, 1.5,
+// 1.75, … and stays forwarded. Nothing invalidates an entry, because a
+// content address cannot change its answer; a determinism-probe mismatch
+// flushes everything, because the router cannot know which side was
+// wrong. It is soft state like the rest of the router: a replacement
+// rebuilds it from traffic.
 
-// edgeMinSeen is the hot-tracker count (this submission included) from
-// which a forwarded result is admitted.
-const edgeMinSeen = 2
+const (
+	// edgeMinSeen is the hot-tracker count (this submission included)
+	// from which a forwarded result is admitted.
+	edgeMinSeen = 2
+	// edgeBudget bounds the cache in result bytes.
+	edgeBudget = 32 << 20
+)
 
 // edgeEntry is one cached result: canonical JobResult bytes and whether
 // they record a (deterministic) failure.
@@ -44,11 +51,11 @@ func (e edgeEntry) status() string {
 }
 
 // edgeCache is a byte-bounded LRU of verified results keyed by content
-// address. A nil *edgeCache is the disabled cache: every lookup misses
-// and nothing is admitted.
+// address.
 type edgeCache struct {
 	mu  sync.Mutex
 	lru *lru.Cache[string, edgeEntry]
+	gen uint64 // bumped by every flush; see admit
 
 	lookups  *metrics.Counter // addresses looked up
 	hits     *metrics.Counter // lookups answered
@@ -56,12 +63,8 @@ type edgeCache struct {
 	flushes  *metrics.Counter // whole-cache flushes (probe mismatches)
 }
 
-// newEdgeCache returns a cache bounded to budget result bytes, or nil
-// (disabled) when budget < 0.
+// newEdgeCache returns a cache bounded to budget result bytes.
 func newEdgeCache(budget int64) *edgeCache {
-	if budget < 0 {
-		return nil
-	}
 	return &edgeCache{
 		lru:      lru.New[string, edgeEntry](budget),
 		lookups:  metrics.NewCounter("simrouter_edge_lookups"),
@@ -84,11 +87,9 @@ func (c *edgeCache) register(reg *metrics.Registry) {
 	})
 }
 
-// get looks id up, refreshing its LRU position.
+// get answers a client request for id: counted, and a hit refreshes the
+// entry's LRU position.
 func (c *edgeCache) get(id string) (edgeEntry, bool) {
-	if c == nil {
-		return edgeEntry{}, false
-	}
 	c.lookups.Inc()
 	c.mu.Lock()
 	e, ok := c.lru.Get(id)
@@ -99,15 +100,33 @@ func (c *edgeCache) get(id string) (edgeEntry, bool) {
 	return e, ok
 }
 
+// peek looks id up for the router's own use (the hot-set exchange):
+// neither counted as a lookup nor a refresh of the LRU position.
+func (c *edgeCache) peek(id string) (edgeEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Peek(id)
+}
+
+// generation names the current flush epoch. A caller reads it before it
+// forwards and hands it back to admit with what the shard answered.
+func (c *edgeCache) generation() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
+}
+
 // admit offers a finished result a shard answered for id, which the hot
-// tracker has counted seen times. It costs its result bytes against the
-// budget.
-func (c *edgeCache) admit(id string, seen float64, failed bool, result json.RawMessage) {
-	if c == nil || !(seen >= edgeMinSeen) { // a NaN count admits nothing either
+// tracker has counted seen times; gen is the generation read before the
+// forward. A flush since then drops the offer: the answer may come from
+// the shard the flush was about, and a cached copy is never probed again.
+// An admitted entry costs its result bytes against the budget.
+func (c *edgeCache) admit(id string, seen float64, failed bool, result json.RawMessage, gen uint64) {
+	if !(seen >= edgeMinSeen) { // a NaN count admits nothing either
 		return
 	}
 	c.mu.Lock()
-	_, cached := c.lru.Get(id)
+	_, cached := c.lru.Peek(id)
 	c.mu.Unlock()
 	if cached {
 		return // a concurrent submitter of the same address got here first
@@ -117,17 +136,17 @@ func (c *edgeCache) admit(id string, seen float64, failed bool, result json.RawM
 		return
 	}
 	c.mu.Lock()
-	c.lru.Put(id, edgeEntry{result: result, failed: failed}, int64(len(result)))
+	if c.gen == gen {
+		c.lru.Put(id, edgeEntry{result: result, failed: failed}, int64(len(result)))
+	}
 	c.mu.Unlock()
 }
 
-// flush empties the cache.
+// flush empties the cache and starts a new generation.
 func (c *edgeCache) flush() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.lru.Clear()
+	c.gen++
 	c.mu.Unlock()
 	c.flushes.Inc()
 }

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,10 +127,9 @@ func (r *Router) edgeEntries() int {
 }
 
 // Every routed answer is byte-identical to the direct-shard answer for
-// the same content address — cache on, off, cold, warm, after a flush,
-// by submit and by poll. With the cache off the router forwards request
-// for request as the parent did (the shard counters say so); with it on
-// the repeat sweeps never reach a shard.
+// the same content address — cold, warm, after a flush, by submit and by
+// poll — and once admitted the repeat sweeps never reach a shard (the
+// shard counters say so).
 func TestEdgeRoutedDirectCachedBytesIdentical(t *testing.T) {
 	specs := goldenSpecs()
 	direct := &LocalShard{Server: simserve.New(simserve.Config{})}
@@ -143,74 +143,51 @@ func TestEdgeRoutedDirectCachedBytesIdentical(t *testing.T) {
 	}
 	want := decodeResults(t, body)
 
-	for _, tc := range []struct {
-		name  string
-		bytes int64
-		on    bool
-	}{{"on", 0, true}, {"off", -1, false}} {
-		t.Run(tc.name, func(t *testing.T) {
-			lc, err := NewLocal(3, simserve.Config{}, RouterConfig{HotSetInterval: time.Hour, EdgeCacheBytes: tc.bytes})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer lc.Close()
-			n := int64(len(specs))
-			check := func(pass string, got []json.RawMessage) {
-				t.Helper()
-				for i := range want {
-					if !bytes.Equal(want[i], got[i]) {
-						t.Fatalf("%s, spec %d: routed bytes differ from direct\n direct: %s\n routed: %s", pass, i, want[i], got[i])
-					}
-				}
-			}
-			sweep := func(pass string, wantDelta shardCounters, wantEdgeHits int64) {
-				t.Helper()
-				before := shardsNow(t, lc)
-				edgeBefore := scrapeCounter(t, "simrouter_edge_hits", lc.RouterAddr)
-				check(pass, routed(t, lc, specs))
-				if d := shardsNow(t, lc).minus(before); d != wantDelta {
-					t.Fatalf("%s: shard counters moved by %+v, want %+v", pass, d, wantDelta)
-				}
-				if d := scrapeCounter(t, "simrouter_edge_hits", lc.RouterAddr) - edgeBefore; d != wantEdgeHits {
-					t.Fatalf("%s: edge hits moved by %d, want %d", pass, d, wantEdgeHits)
-				}
-			}
-
-			// First sighting runs the engines; the second is forwarded too
-			// (and is what admits the results); from the third on the
-			// router answers alone — unless its cache is off.
-			sweep("cold", shardCounters{submitted: n, misses: n}, 0)
-			sweep("second sighting", shardCounters{hits: n}, 0)
-			if tc.on {
-				sweep("cached", shardCounters{}, n)
-			} else {
-				sweep("cache off", shardCounters{hits: n}, 0)
-			}
-			// One spec at a time, and by poll.
-			for i, spec := range specs {
-				if got := routed(t, lc, []experiments.Spec{spec})[0]; !bytes.Equal(got, want[i]) {
-					t.Fatalf("single submit of spec %d differs from direct", i)
-				}
-				id := specID(t, spec)
-				_, viaRouter := getBody(t, "http://"+lc.RouterAddr+"/jobs/"+id)
-				_, viaShard := getBody(t, "http://"+NewRing(shardAddrs(lc), 0).Order(id)[0]+"/jobs/"+id)
-				if !bytes.Equal(viaRouter, viaShard) {
-					t.Fatalf("poll of spec %d: router answered\n%s\nhome shard answered\n%s", i, viaRouter, viaShard)
-				}
-			}
-			if !tc.on {
-				_, page := getBody(t, "http://"+lc.RouterAddr+"/metrics")
-				if strings.Contains(string(page), "simrouter_edge_") {
-					t.Fatalf("a router with its cache off renders edge metrics:\n%s", page)
-				}
-				return
-			}
-			// A flush costs one forwarded pass, never a different byte.
-			lc.Router.edge.flush()
-			sweep("after flush", shardCounters{hits: n}, 0)
-			sweep("re-admitted", shardCounters{}, n)
-		})
+	lc, err := NewLocal(3, simserve.Config{}, RouterConfig{HotSetInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer lc.Close()
+	n := int64(len(specs))
+	sweep := func(pass string, wantDelta shardCounters, wantEdgeHits int64) {
+		t.Helper()
+		before := shardsNow(t, lc)
+		edgeBefore := scrapeCounter(t, "simrouter_edge_hits", lc.RouterAddr)
+		got := routed(t, lc, specs)
+		for i := range want {
+			if !bytes.Equal(want[i], got[i]) {
+				t.Fatalf("%s, spec %d: routed bytes differ from direct\n direct: %s\n routed: %s", pass, i, want[i], got[i])
+			}
+		}
+		if d := shardsNow(t, lc).minus(before); d != wantDelta {
+			t.Fatalf("%s: shard counters moved by %+v, want %+v", pass, d, wantDelta)
+		}
+		if d := scrapeCounter(t, "simrouter_edge_hits", lc.RouterAddr) - edgeBefore; d != wantEdgeHits {
+			t.Fatalf("%s: edge hits moved by %d, want %d", pass, d, wantEdgeHits)
+		}
+	}
+
+	// First sighting runs the engines; the second is forwarded too (and is
+	// what admits the results); from the third on the router answers alone.
+	sweep("cold", shardCounters{submitted: n, misses: n}, 0)
+	sweep("second sighting", shardCounters{hits: n}, 0)
+	sweep("cached", shardCounters{}, n)
+	// One spec at a time, and by poll.
+	for i, spec := range specs {
+		if got := routed(t, lc, []experiments.Spec{spec})[0]; !bytes.Equal(got, want[i]) {
+			t.Fatalf("single submit of spec %d differs from direct", i)
+		}
+		id := specID(t, spec)
+		_, viaRouter := getBody(t, "http://"+lc.RouterAddr+"/jobs/"+id)
+		_, viaShard := getBody(t, "http://"+NewRing(shardAddrs(lc), 0).Order(id)[0]+"/jobs/"+id)
+		if !bytes.Equal(viaRouter, viaShard) {
+			t.Fatalf("poll of spec %d: router answered\n%s\nhome shard answered\n%s", i, viaRouter, viaShard)
+		}
+	}
+	// A flush costs one forwarded pass, never a different byte.
+	lc.Router.edge.flush()
+	sweep("after flush", shardCounters{hits: n}, 0)
+	sweep("re-admitted", shardCounters{}, n)
 }
 
 // A partly cached sweep returns results in spec order and forwards
@@ -298,12 +275,12 @@ func TestEdgeByteBudgetEvictsLRU(t *testing.T) {
 	idC, c := mkResult(t, 3)
 	budget := int64(len(a) + len(b) + len(c)/2)
 	e := newEdgeCache(budget)
-	e.admit(idA, 2, false, a)
-	e.admit(idB, 2, false, b)
+	e.admit(idA, 2, false, a, 0)
+	e.admit(idB, 2, false, b, 0)
 	if _, ok := e.get(idA); !ok { // touch a: b is now the coldest
 		t.Fatal("a not cached")
 	}
-	e.admit(idC, 2, false, c)
+	e.admit(idC, 2, false, c, 0)
 	if _, ok := e.get(idB); ok {
 		t.Fatal("b survived although it was least recently used")
 	}
@@ -317,7 +294,7 @@ func TestEdgeByteBudgetEvictsLRU(t *testing.T) {
 	}
 	// An entry larger than the whole budget is not cached and evicts nothing.
 	small := newEdgeCache(int64(len(a) - 1))
-	small.admit(idA, 2, false, a)
+	small.admit(idA, 2, false, a, 0)
 	if small.lru.Len() != 0 || small.lru.Used() != 0 {
 		t.Fatal("an entry over the whole budget was cached")
 	}
@@ -393,16 +370,16 @@ func TestEdgeRejectsForgedResults(t *testing.T) {
 		{"empty", id, false, nil},
 	} {
 		before := e.rejected.Load()
-		e.admit(forged.id, 2, forged.failed, forged.result)
+		e.admit(forged.id, 2, forged.failed, forged.result, 0)
 		if e.lru.Len() != 0 || e.rejected.Load() != before+1 {
 			t.Fatalf("%s: entries=%d rejected=%d, want 0 entries and one more rejection", forged.name, e.lru.Len(), e.rejected.Load()-before)
 		}
 	}
-	e.admit(id, 1, false, good)
+	e.admit(id, 1, false, good, 0)
 	if e.lru.Len() != 0 || e.rejected.Load() != 6 {
 		t.Fatal("a result seen once was admitted or counted as rejected")
 	}
-	e.admit(id, 2, true, failed)
+	e.admit(id, 2, true, failed, 0)
 	if got, ok := e.get(id); !ok || !got.failed || got.status() != jobapi.StatusFailed || !bytes.Equal(got.result, failed) {
 		t.Fatalf("deterministic failure not cached as a failure: %+v, %v", got, ok)
 	}
@@ -474,6 +451,61 @@ func TestEdgeProbeMismatchFlushes(t *testing.T) {
 	}
 	if n := lc.Router.edgeEntries(); n != 3 {
 		t.Fatalf("edge entries after the forwarded pass = %d, want 3 (re-admitted)", n)
+	}
+}
+
+// A flush that lands while a shard is answering keeps that answer out:
+// it may come from the very shard the mismatch was about, and a cached
+// copy is never forwarded — so never probed — again. The next sighting,
+// forwarded in the new generation, is admitted as usual.
+func TestEdgeFlushDuringForwardDropsAnswer(t *testing.T) {
+	id, good := mkResult(t, 5)
+	e := newEdgeCache(1 << 20)
+	gen := e.generation()
+	e.flush()
+	e.admit(id, 2, false, good, gen)
+	if e.lru.Len() != 0 || e.rejected.Load() != 0 {
+		t.Fatalf("an answer forwarded before a flush was admitted after it (entries=%d rejected=%d)", e.lru.Len(), e.rejected.Load())
+	}
+	e.admit(id, 2, false, good, e.generation())
+	if _, ok := e.get(id); !ok {
+		t.Fatal("an answer forwarded after the flush was not admitted")
+	}
+
+	// End to end: the flush happens inside the shard's handler, i.e.
+	// strictly between handleSubmit's forward and its admit.
+	var flushing atomic.Pointer[edgeCache]
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if c := flushing.Load(); c != nil {
+			c.flush()
+		}
+		jobapi.WriteJSON(w, http.StatusOK, jobapi.Results{Results: []json.RawMessage{good}})
+	}))
+	defer shard.Close()
+	r, err := NewRouter(RouterConfig{Shards: []string{strings.TrimPrefix(shard.URL, "http://")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+	submit := func() {
+		t.Helper()
+		code, _, body := postJobs(t, strings.TrimPrefix(front.URL, "http://"), "", seedSpecs(5), true)
+		if code != http.StatusOK {
+			t.Fatalf("HTTP %d: %s", code, body)
+		}
+	}
+	submit()
+	flushing.Store(r.edge)
+	submit() // second sighting: admissible, but flushed mid-forward
+	if n := r.edgeEntries(); n != 0 {
+		t.Fatalf("edge entries = %d after a flush during the forward, want 0", n)
+	}
+	flushing.Store(nil)
+	submit()
+	if n, rej := r.edgeEntries(), r.edge.rejected.Load(); n != 1 || rej != 0 {
+		t.Fatalf("edge entries=%d rejected=%d after the next forwarded sighting, want 1 and 0", n, rej)
 	}
 }
 
@@ -553,8 +585,8 @@ func TestEdgeAdmissionGateComesFirst(t *testing.T) {
 
 // With its home shard dead a cached id is still answered — by submit, by
 // poll and to the hot-set exchange — byte-identically and without a
-// failover; an uncached id fails over on the caller's goroutine (the
-// un-hedged path) and is answered too.
+// failover; an uncached id fails over and is answered too. The hot-set
+// exchange's lookup is the router's own: it is not a counted request.
 func TestEdgeAnswersWithHomeShardDead(t *testing.T) {
 	lc, err := NewLocal(3, simserve.Config{Runner: seedRunner}, RouterConfig{
 		HotSetInterval: time.Hour,
@@ -590,8 +622,12 @@ func TestEdgeAnswersWithHomeShardDead(t *testing.T) {
 	if _, got := getBody(t, "http://"+lc.RouterAddr+"/jobs/"+hotID); !bytes.Equal(got, wantPoll) {
 		t.Fatalf("poll of the cached id with its home shard dead: %s, want %s", got, wantPoll)
 	}
+	lookups, hits := lc.Router.edge.lookups.Load(), lc.Router.edge.hits.Load()
 	if e, ok := lc.Router.fetchResult(hotID); !ok || !bytes.Equal(e.Result, want) || e.Failed {
 		t.Fatalf("hot-set fetch of the cached id: %+v, %v", e, ok)
+	}
+	if l, h := lc.Router.edge.lookups.Load(), lc.Router.edge.hits.Load(); l != lookups || h != hits {
+		t.Fatalf("hot-set fetch moved the client counters: lookups %d→%d, hits %d→%d", lookups, l, hits, h)
 	}
 	if n := lc.Router.m.failovers.Load(); n != 0 {
 		t.Fatalf("failovers = %d after answering from the cache, want 0", n)
@@ -680,8 +716,8 @@ func FuzzEdgeAdmit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id string, failed bool, seen float64, result []byte) {
 		budget := int64(len(good) + 64) // room for one result: a second valid one evicts the first
 		e := newEdgeCache(budget)
-		e.admit(goodID, 2, false, good)
-		e.admit(id, seen, failed, result)
+		e.admit(goodID, 2, false, good, 0)
+		e.admit(id, seen, failed, result, 0)
 		if used := e.lru.Used(); used > budget || used < 0 {
 			t.Fatalf("used %d bytes of a %d-byte budget", used, budget)
 		}
@@ -710,14 +746,14 @@ func FuzzEdgeAdmit(f *testing.F) {
 
 // BenchmarkRouterSubmit measures one wait=true submit of a hot spec at
 // the router's handler (no client socket) over live loopback shards:
-// answered from the edge cache, and forwarded to a shard-cache hit (the
-// only path before the edge cache, and still the path of a first or
-// second sighting).
+// answered from the edge cache, and forwarded to a shard-cache hit and
+// offered for admission (the path of a second sighting; before the edge
+// cache every hit paid the forward).
 func BenchmarkRouterSubmit(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		bytes int64
-	}{{"edge-hit", 0}, {"forwarded-hit", -1}} {
+		name string
+		edge bool
+	}{{"edge-hit", true}, {"forwarded-hit", false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			var addrs []string
 			for i := 0; i < 3; i++ {
@@ -726,11 +762,14 @@ func BenchmarkRouterSubmit(b *testing.B) {
 				defer func() { ts.Close(); srv.Close() }()
 				addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
 			}
-			r, err := NewRouter(RouterConfig{Shards: addrs, EdgeCacheBytes: bc.bytes})
+			r, err := NewRouter(RouterConfig{Shards: addrs})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer r.Close()
+			if !bc.edge {
+				r.edge = newEdgeCache(1) // no result fits: every submit is forwarded
+			}
 			h := r.Handler()
 			body, err := json.Marshal(jobapi.SubmitRequest{Specs: seedSpecs(1), Wait: true})
 			if err != nil {
@@ -744,15 +783,15 @@ func BenchmarkRouterSubmit(b *testing.B) {
 				}
 			}
 			submit()
-			submit() // second sighting: admitted (when the cache is on)
+			submit() // second sighting: admitted, when it fits
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				submit()
 			}
 			b.StopTimer()
-			if hits := r.edge != nil && r.edge.hits.Load() == int64(b.N); hits != (bc.bytes >= 0) {
-				b.Fatalf("edge hits do not match the case: cache on=%v", bc.bytes >= 0)
+			if hits := r.edge.hits.Load() == int64(b.N); hits != bc.edge {
+				b.Fatalf("edge hits = %d over %d submits, edge case = %v", r.edge.hits.Load(), b.N, bc.edge)
 			}
 		})
 	}

@@ -51,11 +51,6 @@ type RouterConfig struct {
 	// Admission is the per-tenant token-bucket gate (zero RatePerSec
 	// admits everything).
 	Admission AdmissionConfig
-
-	// EdgeCacheBytes bounds the router's own result cache (edge.go) in
-	// result bytes: 0 = default of 32 MB, < 0 = off (every request is
-	// forwarded).
-	EdgeCacheBytes int64
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -73,9 +68,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.HotSetInterval <= 0 {
 		c.HotSetInterval = 5 * time.Second
-	}
-	if c.EdgeCacheBytes == 0 {
-		c.EdgeCacheBytes = 32 << 20
 	}
 	return c
 }
@@ -97,7 +89,7 @@ type Router struct {
 	mem  *Membership
 	adm  *Admission
 	hot  *hotTracker
-	edge *edgeCache // nil when EdgeCacheBytes < 0
+	edge *edgeCache
 
 	clients map[string]*http.Client // per-shard connection pools
 	m       *routerMetrics
@@ -125,7 +117,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}),
 		adm:     NewAdmission(cfg.Admission),
 		hot:     newHotTracker(),
-		edge:    newEdgeCache(cfg.EdgeCacheBytes),
+		edge:    newEdgeCache(edgeBudget),
 		clients: make(map[string]*http.Client, len(cfg.Shards)),
 		stop:    make(chan struct{}),
 	}
@@ -260,6 +252,9 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	r.m.specsTotal.Add(int64(len(items)))
 
 	// Answer what the edge cache knows; only the rest crosses to a shard.
+	// The generation is read before the forward so that a flush landing
+	// while a shard answers keeps that answer out of the cache.
+	gen := r.edge.generation()
 	results := make([]itemResult, len(items))
 	rest := items
 	if sr.Wait {
@@ -289,7 +284,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		it := rest[j]
 		results[it.idx] = res
 		if len(res.result) > 0 {
-			r.edge.admit(it.id, it.seen, res.status == jobapi.StatusFailed, res.result)
+			r.edge.admit(it.id, it.seen, res.status == jobapi.StatusFailed, res.result, gen)
 		}
 	}
 
@@ -309,12 +304,8 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 }
 
 // edgeFill answers the items the edge cache holds into results (by batch
-// position) and returns the items still to forward — all of them when
-// the cache is off.
+// position) and returns the items still to forward.
 func (r *Router) edgeFill(items []specItem, results []itemResult) []specItem {
-	if r.edge == nil {
-		return items
-	}
 	var rest []specItem
 	for _, it := range items {
 		if e, ok := r.edge.get(it.id); ok {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"nexsim/internal/experiments"
@@ -31,46 +30,43 @@ type groupOutcome struct {
 	refused bool
 }
 
-// routeItems forwards items to their shards (grouped; several groups
-// concurrently, a single one — every single-spec request — on the
-// caller's goroutine) and returns outcomes aligned with items. exclude
-// carries shards already failed over from on this path.
+// routeItems forwards items to their shards (grouped, concurrently) and
+// returns outcomes aligned with items. exclude carries shards already
+// failed over from on this path.
 func (r *Router) routeItems(ctx context.Context, items []specItem, wait bool, exclude map[string]bool) ([]itemResult, error) {
 	groups, err := r.groupByShard(items, exclude)
 	if err != nil {
 		return nil, err
 	}
+	type groupRes struct {
+		shard string
+		out   groupOutcome
+	}
 	shards := sortedShardKeys(groups)
-	outs := make([]groupOutcome, len(shards))
-	if len(shards) == 1 {
-		outs[0] = r.sendGroupHedged(ctx, shards[0], groups[shards[0]], wait, exclude)
-	} else {
-		var wg sync.WaitGroup
-		for i, shard := range shards {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				outs[i] = r.sendGroupHedged(ctx, shard, groups[shard], wait, exclude)
-			}()
-		}
-		wg.Wait()
+	ch := make(chan groupRes, len(shards))
+	for _, shard := range shards {
+		go func(shard string, group []specItem) {
+			out := r.sendGroupHedged(ctx, shard, group, wait, exclude)
+			ch <- groupRes{shard: shard, out: out}
+		}(shard, groups[shard])
 	}
 	byIdx := make(map[int]itemResult, len(items))
 	var firstErr error
 	refused := false
-	for g, out := range outs {
-		if out.err != nil {
+	for range shards {
+		gr := <-ch
+		if gr.out.err != nil {
 			if firstErr == nil {
-				firstErr = out.err
+				firstErr = gr.out.err
 			}
-			refused = refused || out.refused
+			refused = refused || gr.out.refused
 			continue
 		}
 		// Group outcomes are always aligned with the group's item order
 		// (sendGroup builds them positionally; routeItems returns
 		// aligned), so map back by position.
-		for i, res := range out.results {
-			byIdx[groups[shards[g]][i].idx] = res
+		for i, res := range gr.out.results {
+			byIdx[groups[gr.shard][i].idx] = res
 		}
 	}
 	if firstErr != nil {
@@ -101,24 +97,16 @@ func (r *Router) routeItems(ctx context.Context, items []specItem, wait bool, ex
 //     next replicas and race; first success answers the client
 //   - both sides answer → byte-compare overlapping results (determinism
 //     probe); a mismatch counts and quarantines the losing shard
-//
-// With hedging off (or wait=false) no duplicate can ever launch, so the
-// attempt runs on the caller's goroutine.
 func (r *Router) sendGroupHedged(ctx context.Context, shard string, group []specItem, wait bool, exclude map[string]bool) groupOutcome {
-	if r.cfg.HedgeAfter <= 0 || !wait {
-		out := r.sendGroup(ctx, shard, group, wait)
-		if out.err == nil || ctx.Err() != nil {
-			return out
-		}
-		return r.failover(ctx, shard, group, wait, exclude, out)
-	}
-
 	primaryCh := make(chan groupOutcome, 1)
 	go func() { primaryCh <- r.sendGroup(ctx, shard, group, wait) }()
 
-	timer := time.NewTimer(r.cfg.HedgeAfter)
-	defer timer.Stop()
-	timerC := timer.C
+	var timerC <-chan time.Time
+	if r.cfg.HedgeAfter > 0 && wait {
+		timer := time.NewTimer(r.cfg.HedgeAfter)
+		defer timer.Stop()
+		timerC = timer.C
+	}
 
 	var hedgeCh chan groupOutcome
 	hedgeLaunched := false

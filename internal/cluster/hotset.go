@@ -138,7 +138,7 @@ func (r *Router) PushHotSet() {
 // order. ok is false while the job is still running or when no replica
 // knows it.
 func (r *Router) fetchResult(id string) (jobapi.HotEntry, bool) {
-	if e, ok := r.edge.get(id); ok {
+	if e, ok := r.edge.peek(id); ok {
 		return jobapi.HotEntry{ID: id, Failed: e.failed, Result: e.result}, true
 	}
 	for code, body := range r.replicaAnswers(id) {

@@ -79,8 +79,6 @@ func newRouterMetrics(r *Router) *routerMetrics {
 	if r.adm != nil {
 		reg.Register(r.adm.admitted, r.adm.rejected)
 	}
-	if r.edge != nil {
-		r.edge.register(reg)
-	}
+	r.edge.register(reg)
 	return m
 }

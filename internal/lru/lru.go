@@ -42,6 +42,15 @@ func (c *Cache[K, V]) Get(key K) (v V, ok bool) {
 	return el.Value.(*item[K, V]).val, true
 }
 
+// Peek returns the value under key without touching the recency order.
+func (c *Cache[K, V]) Peek(key K) (v V, ok bool) {
+	el, ok := c.items[key]
+	if !ok {
+		return v, false
+	}
+	return el.Value.(*item[K, V]).val, true
+}
+
 // Put inserts or replaces the entry under key as the most recently used
 // one, then evicts from the cold end until the budget holds. An entry
 // costing more than the whole budget is not cached at all (whatever was

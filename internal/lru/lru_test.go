@@ -11,6 +11,12 @@ func TestCountBound(t *testing.T) {
 	if v, ok := c.Get("a"); !ok || v != 1 { // touch a: b becomes coldest
 		t.Fatalf("Get(a) = %d, %v", v, ok)
 	}
+	if v, ok := c.Peek("b"); !ok || v != 2 { // a peek does not warm b
+		t.Fatalf("Peek(b) = %d, %v", v, ok)
+	}
+	if _, ok := c.Peek("zz"); ok {
+		t.Fatal("Peek found an absent key")
+	}
 	c.Put("c", 3, 1)
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")

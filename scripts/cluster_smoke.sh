@@ -87,10 +87,13 @@ ADDR1="$(cat "$TMPDIR_SMOKE/s1.addr")"
 ADDR2="$(cat "$TMPDIR_SMOKE/s2.addr")"
 
 # Aggressive probe/hedge timings so mark-down and re-admit are visible
-# within the smoke's patience instead of the production defaults.
+# within the smoke's patience instead of the production defaults. The
+# hot-set interval is long instead: the edge cache admits on the hot
+# tracker's decayed count, so a decay tick between a seed's two sightings
+# would leave it forwarded, and step 3 counts on both passes admitting.
 "$TMPDIR_SMOKE/simrouter" -addr 127.0.0.1:0 \
     -shards "$ADDR0,$ADDR1,$ADDR2" \
-    -hedge-after 100ms -probe-interval 200ms \
+    -hedge-after 100ms -probe-interval 200ms -hotset-interval 1h \
     -fail-threshold 2 -readmit-oks 2 \
     -portfile "$TMPDIR_SMOKE/router.addr" 2>"$TMPDIR_SMOKE/router.log" &
 ROUTER_PID=$!
@@ -150,7 +153,10 @@ HITS2="$(shards_sum simserve_cache_hits)"
     fail "second pass ran new engine jobs: submitted $SUB1 -> $SUB2"
 [ $((HITS2 - HITS1)) -ge 6 ] ||
     fail "second pass hit the shard caches only $((HITS2 - HITS1)) times, want >= 6"
-echo "cluster-smoke: second pass all cache hits ($((HITS2 - HITS1)) hits, 0 new runs)"
+EDGE_ENTRIES="$(router_metric simrouter_edge_entries)"
+[ "${EDGE_ENTRIES:-0}" -ge 6 ] ||
+    fail "second pass admitted $EDGE_ENTRIES results to the router's edge cache, want >= 6"
+echo "cluster-smoke: second pass all cache hits ($((HITS2 - HITS1)) hits, 0 new runs, $EDGE_ENTRIES admitted at the router)"
 
 # --- 3. kill -9 the busiest shard mid-batch --------------------------
 VICTIM_ADDR="$(curl -fsS "http://$ROUTER_ADDR/metrics" |
