@@ -6,6 +6,12 @@
 // functional model, couples the two with dsim.Base, and simulates the
 // full stack with the sketched accelerator actually doing the work.
 //
+// It doubles as the device kit's tutorial (internal/accel/devkit,
+// DESIGN.md §4.4): the device below is a descriptor layout, a functional
+// model in Doorbell and an LPN, nothing else — the register bank, task
+// lifecycle, statistics and interrupt gating come with dsim.Base, and
+// the software side is the kit's Driver.
+//
 // The sketch: a 3x3 convolution engine with a line-buffer loader, four
 // parallel MAC lanes, and a writeback unit, fed by descriptor + doorbell
 // like the other devices. Running it end to end answers whether the
@@ -20,7 +26,7 @@ import (
 	"fmt"
 	"time"
 
-	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/app"
 	"nexsim/internal/core"
 	"nexsim/internal/dsim"
@@ -37,15 +43,16 @@ import (
 // filterDesc is the task descriptor: src (8) | dst (8) | w (4) | h (4).
 const filterDescSize = 24
 
+// filterIRQ is the completion vector (unused here: the driver polls).
+const filterIRQ = 13
+
 // filterDevice is a DSim model sketched entirely with lpnlang: it
 // convolves an RGB raster with a fixed 3x3 kernel.
 type filterDevice struct {
 	dsim.Base
-	completed uint32
 
 	taskQ      *lpn.Place
-	rowPlans   []rowPlan
-	planHead   int
+	rowPlans   devkit.Queue[rowPlan]
 	tokScratch []lpn.Token // reused by dispatch; consumed synchronously
 }
 
@@ -79,11 +86,8 @@ func newFilterDevice(clk vclock.Hz, lanes int64) *filterDevice {
 	// Dispatch one token per image row (attrs: [rowBytes, lastRow]).
 	b.Stage("dispatch", descResp, rowQ, b.Cycles(2),
 		lpnlang.OutTokens(func(f *lpn.Firing, done vclock.Time) []lpn.Token {
-			plan := d.rowPlans[d.planHead]
-			d.planHead++
-			if d.planHead == len(d.rowPlans) {
-				d.rowPlans, d.planHead = d.rowPlans[:0], 0
-			}
+			plan := *d.rowPlans.Front()
+			d.rowPlans.Pop()
 			out := d.tokScratch[:0]
 			for i := 0; i < plan.rows; i++ {
 				last := int64(0)
@@ -109,34 +113,23 @@ func newFilterDevice(clk vclock.Hz, lanes int64) *filterDevice {
 	b.Stage("store", convolved, nil, b.CyclesAttr(4, 0, 0),
 		lpnlang.Effect(d.EmitDMA(tagOut, stored)))
 
-	// Completion: the last row of a task bumps the status counter.
+	// Completion: the last row of a task completes it.
 	b.Stage("finish", stored, nil, nil,
 		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
 			if f.Tok(0).Attrs[1] == 1 {
-				d.completed++
-				d.TaskCompleted(f.Time)
+				d.Complete(f.Time)
 			}
 		}))
 
-	d.Init("filter2d", nil, b.MustBuild())
+	d.Init("filter2d", filterIRQ, d, b.MustBuild())
 	return d
 }
 
-func (d *filterDevice) SetHost(h accel.Host) { d.Host = h }
-
-func (d *filterDevice) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.Advance(at)
-	return d.completed
-}
-
-func (d *filterDevice) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
-	d.Advance(at)
-	if off != 0 {
-		return
-	}
-	d.TaskStarted(at)
+// Doorbell implements devkit.Model: the functional track of one task.
+func (d *filterDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
+	d.Start(at)
 	rec := d.Recorder()
-	descBytes := rec.ReadDMA(tagDesc, mem.Addr(v), filterDescSize)
+	descBytes := rec.ReadDMA(tagDesc, descAddr, filterDescSize)
 	src := mem.Addr(binary.LittleEndian.Uint64(descBytes[0:]))
 	dst := mem.Addr(binary.LittleEndian.Uint64(descBytes[8:]))
 	w := int(binary.LittleEndian.Uint32(descBytes[16:]))
@@ -179,7 +172,7 @@ func (d *filterDevice) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
 		rec.WriteDMA(tagOut, dst+mem.Addr(y*rowBytes), out)
 	}
 
-	d.rowPlans = append(d.rowPlans, rowPlan{rows: h, rowBytes: int64(rowBytes)})
+	d.rowPlans.Push(rowPlan{rows: h, rowBytes: int64(rowBytes)})
 	d.Net.Inject(d.taskQ, lpn.Tok(at, int64(h)))
 }
 
@@ -208,6 +201,7 @@ func main() {
 		dev.SetHost(eng.HostFor(db))
 		eng.Attach(db)
 
+		drv := devkit.NewDriver(mmio, tb.Base, 1, filterDescSize, filterIRQ)
 		start := time.Now()
 		res := sys.Run(app.Program{Main: func(e app.Env) {
 			rng := xrand.New(1)
@@ -224,10 +218,8 @@ func main() {
 				binary.LittleEndian.PutUint64(desc[8:], uint64(dst))
 				binary.LittleEndian.PutUint32(desc[16:], imgW)
 				binary.LittleEndian.PutUint32(desc[20:], imgH)
-				e.TaskWrite(tb.Base, desc[:])
-				e.MMIOWrite(mmio, uint32(tb.Base))
-				for e.MMIORead(mmio) != uint32(i+1) {
-				}
+				drv.Doorbell(e, drv.Post(e, desc[:]))
+				drv.WaitAll(e, 0)
 			}
 		}})
 		return res.SimTime, time.Since(start)

@@ -3,9 +3,9 @@ package jpeg
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 )
 
@@ -42,17 +42,18 @@ type Decoder struct {
 	stats   DecodeStats
 }
 
-// decodeCache memoizes functional decodes process-wide. The decode is a
+// decodeMemo memoizes functional decodes process-wide. The decode is a
 // pure function of the bitstream, and both the DSim and RTL-style models
 // (and repeated harness runs) decode identical corpora; caching removes
 // this substrate cost from wall-clock comparisons without touching
 // timing (see DESIGN.md §1). Cached images and stats are shared
-// read-only. The mutex makes the cache safe under the parallel sweep
-// executor, which runs independent simulations on concurrent workers.
-var decodeCache = struct {
-	sync.Mutex
-	m map[uint64]*decodeResult
-}{m: map[uint64]*decodeResult{}}
+// read-only.
+var decodeMemo = devkit.NewMemo[uint64](func(r *decodeResult) int64 {
+	if r.err != nil {
+		return 64
+	}
+	return int64(len(r.img.Pix) + 8*len(r.stats.MCUBits))
+})
 
 type decodeResult struct {
 	img   *Image
@@ -67,7 +68,7 @@ func Decode(data []byte) (*Image, *DecodeStats, error) {
 	return decodeKeyed(mem.Hash(uint64(len(data)), data), func() []byte { return data })
 }
 
-// streamKey is the decodeCache key of the bitstream desc names in host
+// streamKey is the decodeMemo key of the bitstream desc names in host
 // memory: the content sums of the pages it lies in plus its offset and
 // length within them — a superset of its bytes that costs none of them.
 func streamKey(h accel.Host, desc Desc) uint64 {
@@ -87,19 +88,11 @@ func decodeAt(h accel.Host, desc Desc) (*Image, *DecodeStats, error) {
 // decodeKeyed returns the decode memoized under key, fetching the stream
 // and decoding it on first sight.
 func decodeKeyed(key uint64, stream func() []byte) (*Image, *DecodeStats, error) {
-	decodeCache.Lock()
-	r, ok := decodeCache.m[key]
-	decodeCache.Unlock()
-	if ok {
-		return r.img, r.stats, r.err
-	}
-	// Decode outside the lock; concurrent workers may decode the same
-	// stream once each, but the result is identical and immutable.
-	img, stats, err := decodeUncached(stream())
-	decodeCache.Lock()
-	decodeCache.m[key] = &decodeResult{img: img, stats: stats, err: err}
-	decodeCache.Unlock()
-	return img, stats, err
+	r := decodeMemo.Get(key, func() *decodeResult {
+		img, stats, err := decodeUncached(stream())
+		return &decodeResult{img: img, stats: stats, err: err}
+	})
+	return r.img, r.stats, r.err
 }
 
 // decodeUncached is the actual decoder.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/dsim"
 	"nexsim/internal/lpn"
 	"nexsim/internal/lpnlang"
@@ -11,12 +12,12 @@ import (
 	"nexsim/internal/vclock"
 )
 
-// Register map (byte offsets from the device's MMIO base).
+// Register map: the device kit's.
 const (
-	RegDoorbell  = 0x00 // W: physical address of a task descriptor
-	RegStatus    = 0x04 // R: count of completed tasks (monotonic)
-	RegBusy      = 0x08 // R: tasks in flight
-	RegIRQEnable = 0x0c // W: 1 = raise IRQVector on task completion
+	RegDoorbell  = devkit.RegDoorbell
+	RegStatus    = devkit.RegStatus
+	RegBusy      = devkit.RegBusy
+	RegIRQEnable = devkit.RegIRQEnable
 )
 
 // IRQVector is the interrupt vector the decoder raises on completion.
@@ -50,13 +51,18 @@ func decodeDesc(b []byte) Desc {
 	}
 }
 
-// rowInfo is the per-MCU-row work descriptor shared by both performance
-// models.
-type rowInfo struct {
+// row is the per-MCU-row work item shared by both performance models:
+// how much work the row is, and where its bytes live.
+type row struct {
 	bits     int64 // entropy-coded bits in this row of MCUs
 	blocks   int64 // 8x8 blocks
 	inBytes  int64 // bitstream bytes fetched
 	outBytes int64 // decoded RGB bytes written
+
+	src     mem.Addr // bitstream span
+	dst     mem.Addr // output span
+	outData []byte   // decoded pixels (nil for a malformed stream)
+	last    bool     // final row of its task
 }
 
 // Timing parameters of the modeled decoder core (at the device clock):
@@ -74,22 +80,12 @@ const (
 // Device is the DSim model of the JPEG decoder.
 type Device struct {
 	dsim.Base
-	clk vclock.Hz
-
-	completed  uint32
-	inFlight   uint32
-	irqEnabled bool
 
 	taskQ    *lpn.Place
 	descResp *lpn.Place
 
-	// FIFO of planned tasks, consumed by the dispatch stage. Head
-	// cursors (not slice re-slicing) keep the backing arrays reusable
-	// across tasks.
-	planned     [][]rowInfo
-	plannedHead int
-	rowsLeft    []int // rows remaining per in-flight task, FIFO
-	rowsHead    int
+	planned  devkit.Queue[[]row] // planned tasks, consumed by the dispatch stage
+	rowsLeft devkit.Queue[int]   // rows remaining per in-flight task
 
 	// tokScratch is reused by the dispatch stage's OutFunc; the engine
 	// consumes the returned slice synchronously.
@@ -102,7 +98,7 @@ type Device struct {
 // NewDevice builds a DSim JPEG decoder clocked at clk (the paper runs
 // accelerators at 2GHz). Wire it to a host with SetHost before use.
 func NewDevice(clk vclock.Hz) *Device {
-	d := &Device{clk: clk}
+	d := &Device{}
 	b := lpnlang.NewBuilder("jpegdec", clk)
 
 	d.taskQ = b.Queue("tasks", 0)
@@ -122,12 +118,8 @@ func NewDevice(clk vclock.Hz) *Device {
 	// Dispatch: expand the task into per-row tokens.
 	b.Stage("dispatch", d.descResp, rowQ, b.Cycles(4),
 		lpnlang.OutTokens(func(f *lpn.Firing, done vclock.Time) []lpn.Token {
-			rows := d.planned[d.plannedHead]
-			d.planned[d.plannedHead] = nil
-			d.plannedHead++
-			if d.plannedHead == len(d.planned) {
-				d.planned, d.plannedHead = d.planned[:0], 0
-			}
+			rows := *d.planned.Front()
+			d.planned.Pop()
 			out := d.tokScratch[:0]
 			for _, r := range rows {
 				out = append(out, lpn.Tok(done, r.bits, r.blocks, r.outBytes, r.inBytes))
@@ -163,102 +155,65 @@ func NewDevice(clk vclock.Hz) *Device {
 			d.rowDone(f.Time)
 		}))
 
-	d.Init("jpeg", nil, b.MustBuild())
+	d.Init("jpeg", IRQVector, d, b.MustBuild())
 	return d
 }
 
-// SetHost wires the device to its host engine.
-func (d *Device) SetHost(h accel.Host) { d.Host = h }
-
 func (d *Device) rowDone(at vclock.Time) {
-	d.rowsLeft[d.rowsHead]--
-	if d.rowsLeft[d.rowsHead] > 0 {
+	left := d.rowsLeft.Front()
+	if *left--; *left > 0 {
 		return
 	}
-	d.rowsHead++
-	if d.rowsHead == len(d.rowsLeft) {
-		d.rowsLeft, d.rowsHead = d.rowsLeft[:0], 0
-	}
-	d.completed++
-	d.inFlight--
-	d.TaskCompleted(at)
-	if d.irqEnabled {
-		d.Host.RaiseIRQ(at, IRQVector)
-	}
+	d.rowsLeft.Pop()
+	d.Complete(at)
 }
 
-// RegRead implements accel.Device.
-func (d *Device) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.Advance(at)
-	switch off {
-	case RegStatus:
-		return d.completed
-	case RegBusy:
-		return d.inFlight
-	default:
-		return 0
-	}
-}
-
-// RegWrite implements accel.Device.
-func (d *Device) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
-	d.Advance(at)
-	switch off {
-	case RegDoorbell:
-		d.startTask(at, mem.Addr(v))
-	case RegIRQEnable:
-		d.irqEnabled = v != 0
-	}
-}
-
-// startTask runs the functionality track for the task and plans the
-// performance track's tokens (paper §4.3: functional-first with
-// zero-cost DMA, then LPN replay).
-func (d *Device) startTask(at vclock.Time, descAddr mem.Addr) {
-	d.TaskStarted(at)
-	d.inFlight++
+// Doorbell implements devkit.Model: it runs the functionality track for
+// the task and plans the performance track's tokens (paper §4.3:
+// functional-first with zero-cost DMA, then LPN replay).
+func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
+	d.Start(at)
 	rec := d.Recorder()
 
 	// Descriptor fetch (recorded under DESC; replayed by the desc stage).
-	descBytes := rec.ReadDMA("DESC", descAddr, DescSize)
-	desc := decodeDesc(descBytes)
-
-	// Functional decode of the full bitstream.
-	img, stats, err := decodeAt(d.Host, desc)
-
-	var rows []rowInfo
-	if err != nil {
-		// A malformed bitstream: the hardware signals completion with no
-		// output after scanning the input once.
+	desc := decodeDesc(rec.ReadDMA("DESC", descAddr, DescSize))
+	rows, ok := taskRows(d.Host, desc)
+	if !ok {
 		d.DecodeErrors++
-		rec.ReadDMA("BITS", desc.Src, int(desc.SrcLen))
-		rec.WriteDMA("OUT", desc.Dst, nil)
-		rows = []rowInfo{{bits: int64(desc.SrcLen) * 8, blocks: 1, inBytes: int64(desc.SrcLen), outBytes: 1}}
-	} else {
-		rows = d.planRows(rec, desc, img, stats)
+	}
+	// Record the rows' DMAs in pipeline order.
+	for i := range rows {
+		rec.ReadDMA("BITS", rows[i].src, int(rows[i].inBytes))
+		rec.WriteDMA("OUT", rows[i].dst, rows[i].outData)
 	}
 
-	d.planned = append(d.planned, rows)
-	d.rowsLeft = append(d.rowsLeft, len(rows))
+	d.planned.Push(rows)
+	d.rowsLeft.Push(len(rows))
 	d.Net.Inject(d.taskQ, lpn.Tok(at, int64(len(rows))))
 }
 
-// planRows splits the decode into MCU-row work items and records their
-// DMAs in pipeline order.
-func (d *Device) planRows(rec *dsim.Recorder, desc Desc, img *Image, stats *DecodeStats) []rowInfo {
-	// Derive MCU geometry from the stats.
-	mcuPxH := 8
-	if stats.BlocksPerMCU >= 6 {
-		mcuPxH = 16
+// taskRows is both models' functional track: the memoized decode of the
+// bitstream desc names, split into MCU-row work items. ok is false for a
+// malformed bitstream, which the hardware signals completion for with no
+// output after scanning the input once.
+func taskRows(h accel.Host, desc Desc) (rows []row, ok bool) {
+	img, stats, err := decodeAt(h, desc)
+	if err != nil {
+		return []row{{bits: int64(desc.SrcLen) * 8, blocks: 1, inBytes: int64(desc.SrcLen), outBytes: 1,
+			src: desc.Src, dst: desc.Dst, last: true}}, false
 	}
-	mcuPxW := mcuPxH // 4:2:0 and 4:4:4 are symmetric here
-	mcusX := intCeil(stats.Width, mcuPxW)
-	mcusY := intCeil(stats.Height, mcuPxH)
+
+	// Derive MCU geometry from the stats.
+	mcuPx := 8 // 4:2:0 and 4:4:4 MCUs are square
+	if stats.BlocksPerMCU >= 6 {
+		mcuPx = 16
+	}
+	mcusX := intCeil(stats.Width, mcuPx)
+	mcusY := intCeil(stats.Height, mcuPx)
 
 	// The bitstream region is fetched in per-row spans proportional to
 	// each row's bit count (header bytes ride with the first row).
 	total := int64(desc.SrcLen)
-	var rows []rowInfo
 	srcOff := int64(0)
 	dstOff := int64(0)
 	for ry := 0; ry < mcusY; ry++ {
@@ -276,29 +231,25 @@ func (d *Device) planRows(rec *dsim.Recorder, desc Desc, img *Image, stats *Deco
 		if inBytes <= 0 {
 			inBytes = 1
 		}
-		rowPxH := mcuPxH
-		if (ry+1)*mcuPxH > stats.Height {
-			rowPxH = stats.Height - ry*mcuPxH
+		rowPxH := mcuPx
+		if (ry+1)*mcuPx > stats.Height {
+			rowPxH = stats.Height - ry*mcuPx
 		}
 		outBytes := int64(stats.Width * rowPxH * 3)
-		rec.ReadDMA("BITS", desc.Src+mem.Addr(srcOff), int(inBytes))
-		rec.WriteDMA("OUT", desc.Dst+mem.Addr(dstOff),
-			img.Pix[dstOff:dstOff+outBytes])
-		rows = append(rows, rowInfo{
+		rows = append(rows, row{
 			bits:     bits,
 			blocks:   int64(mcusX * stats.BlocksPerMCU),
 			inBytes:  inBytes,
 			outBytes: outBytes,
+			src:      desc.Src + mem.Addr(srcOff),
+			dst:      desc.Dst + mem.Addr(dstOff),
+			outData:  img.Pix[dstOff : dstOff+outBytes],
+			last:     ry == mcusY-1,
 		})
 		srcOff += inBytes
 		dstOff += outBytes
 	}
-	return rows
+	return rows, true
 }
 
 func intCeil(a, b int) int { return (a + b - 1) / b }
-
-// MayRaiseIRQ reports whether an Advance may deliver an interrupt to the
-// host (parsim's async-grant eligibility predicate): only once the
-// driver has enabled interrupts via the IRQ-enable register.
-func (d *Device) MayRaiseIRQ() bool { return d.irqEnabled }

@@ -1,76 +1,24 @@
 package jpeg
 
 import (
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/app"
 	"nexsim/internal/mem"
-	"nexsim/internal/vclock"
 )
 
-// Driver is the software driver for the JPEG decoder, written against
-// app.Env so the same code runs unmodified under every host engine. Per
-// the paper (§3.2), the driver's descriptor writes go through the
-// protected task buffer (trapping into the NEX runtime) and doorbells
-// through MMIO.
-type Driver struct {
-	MMIOBase mem.Addr
-	TaskBuf  mem.Addr // base of the descriptor ring
-	Slots    int      // descriptor ring size
-
-	slot      int
-	submitted uint32
-}
+// Driver is the software driver for the JPEG decoder: the kit's driver
+// plus the descriptor codec.
+type Driver struct{ devkit.Driver }
 
 // NewDriver builds a driver over a device's MMIO window and a task
 // buffer region.
 func NewDriver(mmio mem.Addr, taskBuf mem.Addr, slots int) *Driver {
-	if slots <= 0 {
-		slots = 16
-	}
-	return &Driver{MMIOBase: mmio, TaskBuf: taskBuf, Slots: slots}
-}
-
-// EnableIRQ turns on completion interrupts.
-func (dr *Driver) EnableIRQ(e app.Env) {
-	e.MMIOWrite(dr.MMIOBase+RegIRQEnable, 1)
+	return &Driver{devkit.NewDriver(mmio, taskBuf, slots, DescSize, IRQVector)}
 }
 
 // Submit writes a descriptor into the next ring slot and rings the
 // doorbell. It does not wait for completion.
 func (dr *Driver) Submit(e app.Env, d Desc) {
-	descAddr := dr.TaskBuf + mem.Addr(dr.slot*DescSize)
-	dr.slot = (dr.slot + 1) % dr.Slots
 	b := EncodeDesc(d)
-	e.TaskWrite(descAddr, b[:])
-	// No explicit tick: the doorbell MMIO below is itself the
-	// synchronization point that flushes the descriptor write.
-	e.MMIOWrite(dr.MMIOBase+RegDoorbell, uint32(descAddr))
-	dr.submitted++
-}
-
-// Completed reads the device's completion counter.
-func (dr *Driver) Completed(e app.Env) uint32 {
-	return e.MMIORead(dr.MMIOBase + RegStatus)
-}
-
-// Submitted reports how many tasks this driver has issued.
-func (dr *Driver) Submitted() uint32 { return dr.submitted }
-
-// WaitAll polls the status register until every submitted task has
-// completed, sleeping poll between checks.
-func (dr *Driver) WaitAll(e app.Env, poll vclock.Duration) {
-	for dr.Completed(e) < dr.submitted {
-		if poll > 0 {
-			e.Sleep(poll)
-		}
-		// poll <= 0 spins on the status register (the common driver
-		// behaviour); each read costs the MMIO round trip.
-	}
-}
-
-// WaitAllIRQ blocks on completion interrupts until every submitted task
-// has completed. The device must have IRQs enabled.
-func (dr *Driver) WaitAllIRQ(e app.Env) {
-	for dr.Completed(e) < dr.submitted {
-		e.WaitIRQ(IRQVector)
-	}
+	dr.Doorbell(e, dr.Post(e, b[:]))
 }

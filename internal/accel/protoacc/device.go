@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/dsim"
 	"nexsim/internal/lpn"
 	"nexsim/internal/lpnlang"
@@ -12,12 +12,13 @@ import (
 	"nexsim/internal/vclock"
 )
 
-// Register map (byte offsets).
+// Register map (byte offsets): the device kit's four, then the
+// descriptor ring's.
 const (
-	RegDoorbell  = 0x00 // W: physical address of a single task descriptor
-	RegStatus    = 0x04 // R: completed-task counter
-	RegBusy      = 0x08 // R: tasks in flight
-	RegIRQEnable = 0x0c
+	RegDoorbell  = devkit.RegDoorbell
+	RegStatus    = devkit.RegStatus
+	RegBusy      = devkit.RegBusy
+	RegIRQEnable = devkit.RegIRQEnable
 	RegRingBase  = 0x10 // W: descriptor ring base address
 	RegRingSize  = 0x14 // W: descriptor ring capacity (slots)
 	RegBatch     = 0x18 // W: launch the next N ring descriptors
@@ -67,6 +68,30 @@ const (
 	dispatchCycles   = 2
 )
 
+// ring is the descriptor ring behind both models' three ring registers.
+type ring struct {
+	base      mem.Addr
+	size, idx int
+}
+
+// write handles a write to a ring register. A batch write is the
+// asynchronous launch: the CPU queued v descriptors in the ring and one
+// doorbell starts them all (Protoacc's batch protocol) — at most the
+// ring's worth, and none on a ring whose size was never set.
+func (r *ring) write(off mem.Addr, v uint32, launch func(desc mem.Addr)) {
+	switch off {
+	case RegRingBase:
+		r.base = mem.Addr(v)
+	case RegRingSize:
+		r.size = int(v)
+	case RegBatch:
+		for n := min(int64(v), int64(r.size)); n > 0; n-- {
+			launch(r.base + mem.Addr(r.idx*DescSize))
+			r.idx = (r.idx + 1) % r.size
+		}
+	}
+}
+
 // nodeRec is one memory block in the device's fetch table (a task
 // descriptor or a message block). Node-token attribute 0 indexes this
 // table.
@@ -92,15 +117,8 @@ type Device struct {
 	dsim.Base
 	clk vclock.Hz
 
-	completed  uint32
-	inFlight   uint32
-	irqEnabled bool
-
 	schemas map[uint32]*MessageDesc
-
-	ringBase mem.Addr
-	ringSize int
-	ringIdx  int
+	ring    ring
 
 	nodeQ  *lpn.Place
 	storeQ *lpn.Place
@@ -114,8 +132,6 @@ type Device struct {
 	// latency analysis (§6.8).
 	TaskLatency []TaskSpan
 	submitTime  map[int64]vclock.Time
-
-	extraDMABytes int64
 }
 
 // TaskSpan is one task's lifetime.
@@ -159,8 +175,7 @@ func NewDevice(clk vclock.Hz) *Device {
 		func(f *lpn.Firing) vclock.Duration {
 			t := f.Tok(0)
 			rec := d.nodeTab[t.Attrs[0]]
-			comp := d.Host.DMA(f.Time, mem.Read, rec.addr, rec.size)
-			d.extraDMABytes += int64(rec.size)
+			comp := d.DMA(f.Time, mem.Read, rec.addr, rec.size, nil)
 			return comp.Sub(f.Time) + d.clk.CyclesDur(descFetchCycles)
 		},
 		lpnlang.Servers(objFetchUnits),
@@ -206,8 +221,7 @@ func NewDevice(clk vclock.Hz) *Device {
 	b.Stage("loadData", dataQ, nil,
 		func(f *lpn.Firing) vclock.Duration {
 			t := f.Tok(0)
-			comp := d.Host.DMA(f.Time, mem.Read, mem.Addr(t.Attrs[2]), int(t.Attrs[1]))
-			d.extraDMABytes += t.Attrs[1]
+			comp := d.DMA(f.Time, mem.Read, mem.Addr(t.Attrs[2]), int(t.Attrs[1]), nil)
 			return comp.Sub(f.Time) + d.clk.CyclesDur(4)
 		},
 		lpnlang.Servers(objFetchUnits),
@@ -239,9 +253,7 @@ func NewDevice(clk vclock.Hz) *Device {
 			task := t.Attrs[3]
 			out := d.outTab[task]
 			delete(d.outTab, task)
-			comp := d.Host.DMA(f.Time, mem.Write, out.addr, len(out.data))
-			d.extraDMABytes += int64(len(out.data))
-			d.Host.ZeroCostWrite(out.addr, out.data)
+			comp := d.DMA(f.Time, mem.Write, out.addr, len(out.data), out.data)
 			d.Net.Inject(storeDone, lpn.Tok(comp, t.Attrs[0], 0, 0, task))
 		}))
 
@@ -251,19 +263,8 @@ func NewDevice(clk vclock.Hz) *Device {
 			d.taskDone(f.Tok(0).Attrs[3], f.Time)
 		}))
 
-	d.Init("protoacc", nil, b.MustBuild())
+	d.Init("protoacc", IRQVector, d, b.MustBuild())
 	return d
-}
-
-// SetHost wires the device to its host engine.
-func (d *Device) SetHost(h accel.Host) { d.Host = h }
-
-// Stats implements accel.Device, including the bytes moved by the
-// addressed DMA effects.
-func (d *Device) Stats() accel.DeviceStats {
-	s := d.Base.Stats()
-	s.DMABytes += d.extraDMABytes
-	return s
 }
 
 // RegisterSchema makes a message type available to the device under id
@@ -284,61 +285,26 @@ func (d *Device) workDone(task int64, at vclock.Time) {
 }
 
 func (d *Device) taskDone(task int64, at vclock.Time) {
-	d.completed++
-	d.inFlight--
-	d.TaskCompleted(at)
 	d.TaskLatency = append(d.TaskLatency, TaskSpan{Submit: d.submitTime[task], Done: at})
 	delete(d.submitTime, task)
-	if d.irqEnabled {
-		d.Host.RaiseIRQ(at, IRQVector)
-	}
+	d.Complete(at)
 }
 
-// RegRead implements accel.Device.
-func (d *Device) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.Advance(at)
-	switch off {
-	case RegStatus:
-		return d.completed
-	case RegBusy:
-		return d.inFlight
-	default:
-		return 0
-	}
+// WriteReg implements devkit.ExtraRegs: the descriptor ring.
+func (d *Device) WriteReg(at vclock.Time, off mem.Addr, v uint32) {
+	d.ring.write(off, v, func(desc mem.Addr) { d.Doorbell(at, desc) })
 }
 
-// RegWrite implements accel.Device.
-func (d *Device) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
-	d.Advance(at)
-	switch off {
-	case RegDoorbell:
-		d.startTask(at, mem.Addr(v))
-	case RegIRQEnable:
-		d.irqEnabled = v != 0
-	case RegRingBase:
-		d.ringBase = mem.Addr(v)
-	case RegRingSize:
-		d.ringSize = int(v)
-	case RegBatch:
-		// Asynchronous batch launch: the CPU queued v descriptors in the
-		// ring; one doorbell starts them all (Protoacc's batch protocol).
-		for i := uint32(0); i < v; i++ {
-			d.startTask(at, d.ringBase+mem.Addr(d.ringIdx*DescSize))
-			d.ringIdx = (d.ringIdx + 1) % d.ringSize
-		}
-	}
-}
-
-// startTask runs the functionality track (walk the object graph,
-// serialize) and plans the performance track's addressed DMA chain.
-func (d *Device) startTask(at vclock.Time, descAddr mem.Addr) {
-	d.TaskStarted(at)
-	if d.inFlight == 0 {
+// Doorbell implements devkit.Model: it runs the functionality track
+// (walk the object graph, serialize) and plans the performance track's
+// addressed DMA chain.
+func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
+	if d.Idle() {
 		// No in-flight tokens reference the fetch table when the device
 		// is idle; truncate in place so it does not grow across tasks.
 		d.nodeTab = d.nodeTab[:0]
 	}
-	d.inFlight++
+	d.Start(at)
 	task := d.nextTask
 	d.nextTask++
 	d.submitTime[task] = at
@@ -375,8 +341,3 @@ func (d *Device) startTask(at vclock.Time, descAddr mem.Addr) {
 	// is discovered by chasing pointers.
 	d.Net.Inject(d.nodeQ, lpn.Tok(at, int64(base-1), 0, 0, task))
 }
-
-// MayRaiseIRQ reports whether an Advance may deliver an interrupt to the
-// host (parsim's async-grant eligibility predicate): only once the
-// driver has enabled interrupts via the IRQ-enable register.
-func (d *Device) MayRaiseIRQ() bool { return d.irqEnabled }

@@ -1,9 +1,9 @@
 package protoacc
 
 import (
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/app"
 	"nexsim/internal/mem"
-	"nexsim/internal/vclock"
 )
 
 // Driver is the asynchronous Protoacc software driver: the CPU
@@ -13,55 +13,41 @@ import (
 // paper added — our Store layout already uses physical addresses, so the
 // translation is the Store step itself.
 type Driver struct {
-	MMIOBase mem.Addr
-	TaskBuf  mem.Addr
-	Slots    int
+	devkit.Driver
 
 	// BatchSize is how many descriptors are queued per doorbell
 	// (default 8). Larger batches amortize the MMIO/trap cost — the
 	// asynchronous usage the paper describes.
 	BatchSize int
 
-	slot      int
-	queued    uint32
-	submitted uint32
-	inited    bool
+	queued uint32
+	inited bool
 }
 
-// NewDriver builds a driver.
+// NewDriver builds a driver (64 ring slots by default). Its waits launch
+// a partial batch first.
 func NewDriver(mmio mem.Addr, taskBuf mem.Addr, slots int) *Driver {
 	if slots <= 0 {
 		slots = 64
 	}
-	return &Driver{MMIOBase: mmio, TaskBuf: taskBuf, Slots: slots, BatchSize: 8}
-}
-
-// init programs the descriptor ring registers once.
-func (dr *Driver) init(e app.Env) {
-	if dr.inited {
-		return
-	}
-	dr.inited = true
-	e.MMIOWrite(dr.MMIOBase+RegRingBase, uint32(dr.TaskBuf))
-	e.MMIOWrite(dr.MMIOBase+RegRingSize, uint32(dr.Slots))
-}
-
-// EnableIRQ turns on completion interrupts.
-func (dr *Driver) EnableIRQ(e app.Env) {
-	e.MMIOWrite(dr.MMIOBase+RegIRQEnable, 1)
+	dr := &Driver{Driver: devkit.NewDriver(mmio, taskBuf, slots, DescSize, IRQVector), BatchSize: 8}
+	dr.OnWait = dr.Flush
+	return dr
 }
 
 // Submit queues one serialization task; every BatchSize tasks a single
-// doorbell launches the batch. Call Flush (or WaitAll) to launch a
+// doorbell launches the batch. Call Flush (or a wait) to launch a
 // partial batch.
 func (dr *Driver) Submit(e app.Env, d Desc) {
-	dr.init(e)
-	descAddr := dr.TaskBuf + mem.Addr(dr.slot*DescSize)
-	dr.slot = (dr.slot + 1) % dr.Slots
+	if !dr.inited {
+		// Program the descriptor ring registers once.
+		dr.inited = true
+		e.MMIOWrite(dr.MMIOBase+RegRingBase, uint32(dr.TaskBuf))
+		e.MMIOWrite(dr.MMIOBase+RegRingSize, uint32(dr.Slots))
+	}
 	b := EncodeDesc(d)
-	e.TaskWrite(descAddr, b[:])
+	dr.Post(e, b[:])
 	dr.queued++
-	dr.submitted++
 	if int(dr.queued) >= dr.BatchSize {
 		dr.Flush(e)
 	}
@@ -74,33 +60,4 @@ func (dr *Driver) Flush(e app.Env) {
 	}
 	e.MMIOWrite(dr.MMIOBase+RegBatch, dr.queued)
 	dr.queued = 0
-}
-
-// Completed reads the completion counter.
-func (dr *Driver) Completed(e app.Env) uint32 {
-	return e.MMIORead(dr.MMIOBase + RegStatus)
-}
-
-// Submitted reports issued tasks.
-func (dr *Driver) Submitted() uint32 { return dr.submitted }
-
-// WaitAll flushes pending submissions and polls until everything
-// completes.
-func (dr *Driver) WaitAll(e app.Env, poll vclock.Duration) {
-	dr.Flush(e)
-	for dr.Completed(e) < dr.submitted {
-		if poll > 0 {
-			e.Sleep(poll)
-		}
-		// poll <= 0 spins on the status register (the common driver
-		// behaviour); each read costs the MMIO round trip.
-	}
-}
-
-// WaitAllIRQ flushes and waits on completion interrupts.
-func (dr *Driver) WaitAllIRQ(e app.Env) {
-	dr.Flush(e)
-	for dr.Completed(e) < dr.submitted {
-		e.WaitIRQ(IRQVector)
-	}
 }

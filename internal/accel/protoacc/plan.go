@@ -2,13 +2,14 @@ package protoacc
 
 import (
 	"encoding/binary"
-	"sync"
+	"unsafe"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 )
 
-// planCache memoizes the entire task plan per (root address, schema,
+// planMemo memoizes the entire task plan per (root address, schema,
 // object graph content) hash. The node table and the wire output are
 // pure functions of those inputs — the blocks embed every submessage and
 // data pointer, so hashing the root address, the blocks and the content
@@ -17,10 +18,14 @@ import (
 // LPN model, the RTL-style model, repeated harness runs, and every point
 // of a latency sweep; memoizing removes redundant host compute without
 // affecting any simulated timing. Cached plans are shared read-only.
-var planCache = struct {
-	sync.Mutex
-	m map[uint64]*taskPlan
-}{m: make(map[uint64]*taskPlan)}
+var planMemo = devkit.NewMemo[uint64](func(p *taskPlan) int64 {
+	cost := int64(len(p.out))
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		cost += int64(unsafe.Sizeof(*n)) + int64(len(n.fields))*int64(unsafe.Sizeof(planField{})) + 8*int64(len(n.children))
+	}
+	return cost
+})
 
 // descFP fingerprints a schema's wire-relevant structure (field numbers
 // and kinds, recursively): block bytes alone do not determine the wire
@@ -64,26 +69,18 @@ type taskPlan struct {
 // cachedPlan returns the (shared, read-only) plan for the layout rooted
 // at root, building and caching it on first sight.
 func cachedPlan(host accel.Host, root, outAddr mem.Addr, schema *MessageDesc) *taskPlan {
-	key := planKey(host, root, schema)
-	planCache.Lock()
-	plan, hit := planCache.m[key]
-	planCache.Unlock()
-	if !hit {
+	return planMemo.Get(planKey(host, root, schema), func() *taskPlan {
 		read := func(addr mem.Addr, size int) []byte {
 			buf := make([]byte, size)
 			host.ZeroCostRead(addr, buf)
 			return buf
 		}
 		p := buildPlan(read, read, root, outAddr, schema)
-		plan = &p
-		planCache.Lock()
-		planCache.m[key] = plan
-		planCache.Unlock()
-	}
-	return plan
+		return &p
+	})
 }
 
-// planKey computes the plan-cache key for the layout rooted at root: the
+// planKey computes the plan-memo key for the layout rooted at root: the
 // root address, the schema fingerprint, every block the plan walk would
 // fetch, byte for byte in walk order, and for every byte array the
 // content sum of the pages it overlaps — the block holds its address and

@@ -3,7 +3,7 @@ package protoacc
 import (
 	"fmt"
 
-	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -13,41 +13,28 @@ import (
 // explicit simulation step; register semantics, DMA sequence and output
 // bytes are identical to the DSim model.
 type RTLDevice struct {
-	name string
-	clk  vclock.Hz
-	host accel.Host
-
-	cycle int64
-
-	completed  uint32
-	inFlight   uint32
-	irqEnabled bool
+	devkit.Bank
+	devkit.Clock
 
 	schemas map[uint32]*MessageDesc
+	ring    ring
 
 	// Pipeline state. nodeTab holds every block; objQ indexes the
 	// currently fetchable ones (pointer chasing releases children).
 	nodeTab  []rtlObj
-	objQ     []int
+	objQ     devkit.Queue[int]
 	objCur   [objFetchUnits]*rtlObj
 	objBusy  [objFetchUnits]int64
-	fieldQ   []rtlField
+	fieldQ   devkit.Queue[rtlField]
 	fieldCur [fieldUnits]*rtlField
 	fieldBsy [fieldUnits]int64
-	storeQ   []rtlStore
+	storeQ   devkit.Queue[rtlStore]
 	storeCur *rtlStore
 	storeBsy int64
-
-	ringBase mem.Addr
-	ringSize int
-	ringIdx  int
 
 	remaining map[int64]int64
 	outOf     map[int64]rtlStore
 	nextTask  int64
-
-	stats     accel.DeviceStats
-	busyStart vclock.Time
 
 	// TaskLatency mirrors the DSim device's per-task latency log.
 	TaskLatency []TaskSpan
@@ -67,7 +54,6 @@ type rtlField struct {
 	encBytes  int64
 	dataBytes int64
 	dataAddr  mem.Addr
-	dataDone  int64 // cycle the LOAD_DATA response arrived (set when issued)
 }
 
 type rtlStore struct {
@@ -78,18 +64,16 @@ type rtlStore struct {
 
 // NewRTLDevice builds the cycle-level serializer model.
 func NewRTLDevice(clk vclock.Hz) *RTLDevice {
-	return &RTLDevice{
-		name:       "protoacc-rtl",
-		clk:        clk,
+	d := &RTLDevice{
 		schemas:    make(map[uint32]*MessageDesc),
 		remaining:  make(map[int64]int64),
 		outOf:      make(map[int64]rtlStore),
 		submitTime: make(map[int64]vclock.Time),
 	}
+	d.Bank.Init("protoacc-rtl", IRQVector, d)
+	d.Clock.Init(clk, d)
+	return d
 }
-
-// SetHost wires the device to its host engine.
-func (d *RTLDevice) SetHost(h accel.Host) { d.host = h }
 
 // RegisterSchema mirrors Device.RegisterSchema.
 func (d *RTLDevice) RegisterSchema(id uint32, desc *MessageDesc) { d.schemas[id] = desc }
@@ -97,17 +81,9 @@ func (d *RTLDevice) RegisterSchema(id uint32, desc *MessageDesc) { d.schemas[id]
 // Latencies returns the per-task latency log.
 func (d *RTLDevice) Latencies() []TaskSpan { return d.TaskLatency }
 
-// Name implements accel.Device.
-func (d *RTLDevice) Name() string { return d.name }
-
-// Stats implements accel.Device.
-func (d *RTLDevice) Stats() accel.DeviceStats { return d.stats }
-
-func (d *RTLDevice) timeAt(c int64) vclock.Time   { return vclock.Time(0).Add(d.clk.CyclesDur(c)) }
-func (d *RTLDevice) cyclesAt(t vclock.Time) int64 { return d.clk.Cycles(t.Sub(0)) }
-
-func (d *RTLDevice) busy() bool {
-	if len(d.objQ) > 0 || len(d.fieldQ) > 0 || len(d.storeQ) > 0 || d.storeCur != nil {
+// Busy implements devkit.Pipeline.
+func (d *RTLDevice) Busy() bool {
+	if d.objQ.Len() > 0 || d.fieldQ.Len() > 0 || d.storeQ.Len() > 0 || d.storeCur != nil {
 		return true
 	}
 	for i := range d.objCur {
@@ -123,139 +99,93 @@ func (d *RTLDevice) busy() bool {
 	return false
 }
 
-// Advance implements accel.Device.
-//
-// Between unit events step() is a pure no-op: completions fire at a
-// unit's busy-until cycle and an idle unit with queued work issues in
-// the same step it went idle. Jumping straight to the nearest
-// busy-until when no idle unit has work is therefore cycle-exact and
-// skips the dead stepping in between.
-func (d *RTLDevice) Advance(t vclock.Time) {
-	target := d.cyclesAt(t)
-	for d.cycle <= target {
-		if !d.busy() {
-			d.cycle = target + 1
-			return
-		}
-		next := int64(1 << 62)
-		use := func(c int64) {
-			if c < next {
-				next = c
-			}
-		}
-		for i := range d.objCur {
-			if d.objCur[i] != nil {
-				use(d.objBusy[i])
-			} else if len(d.objQ) > 0 {
-				use(d.cycle)
-			}
-		}
-		for i := range d.fieldCur {
-			if d.fieldCur[i] != nil {
-				use(d.fieldBsy[i])
-			} else if len(d.fieldQ) > 0 {
-				use(d.cycle)
-			}
-		}
-		if d.storeCur != nil {
-			use(d.storeBsy)
-		} else if len(d.storeQ) > 0 {
-			use(d.cycle)
-		}
-		if next > d.cycle {
-			if next > target {
-				d.cycle = target + 1
-				return
-			}
-			d.cycle = next
-		}
-		d.step()
-		d.cycle++
-	}
-}
-
-// NextEvent implements accel.Device.
-func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
-	if !d.busy() {
-		return vclock.Never, false
-	}
+// NextStep implements devkit.Pipeline: the nearest busy-until cycle, or
+// now if an idle unit has queued work.
+func (d *RTLDevice) NextStep() int64 {
 	next := int64(1 << 62)
-	use := func(c int64) {
-		if c < next {
-			next = c
-		}
-	}
 	for i := range d.objCur {
 		if d.objCur[i] != nil {
-			use(d.objBusy[i])
+			next = min(next, d.objBusy[i])
+		} else if d.objQ.Len() > 0 {
+			next = min(next, d.Cycle)
 		}
 	}
 	for i := range d.fieldCur {
 		if d.fieldCur[i] != nil {
-			use(d.fieldBsy[i])
+			next = min(next, d.fieldBsy[i])
+		} else if d.fieldQ.Len() > 0 {
+			next = min(next, d.Cycle)
 		}
 	}
 	if d.storeCur != nil {
-		use(d.storeBsy)
+		next = min(next, d.storeBsy)
+	} else if d.storeQ.Len() > 0 {
+		next = min(next, d.Cycle)
 	}
-	if len(d.objQ) > 0 || len(d.fieldQ) > 0 || len(d.storeQ) > 0 {
-		use(d.cycle)
-	}
-	if next < d.cycle {
-		next = d.cycle
-	}
-	return d.timeAt(next), true
+	return next
 }
 
-// step advances all pipeline units one clock cycle.
-func (d *RTLDevice) step() {
-	now := d.timeAt(d.cycle)
-
-	// Store unit.
-	if d.storeCur != nil && d.cycle >= d.storeBsy {
-		s := d.storeCur
-		d.storeCur = nil
-		done := d.host.DMA(now, mem.Write, s.addr, len(s.data))
-		d.stats.DMABytes += int64(len(s.data))
-		d.host.ZeroCostWrite(s.addr, s.data)
-		d.completed++
-		d.inFlight--
-		d.stats.TasksCompleted++
-		d.TaskLatency = append(d.TaskLatency, TaskSpan{Submit: d.submitTime[s.task], Done: done})
-		delete(d.submitTime, s.task)
-		if d.inFlight == 0 {
-			d.stats.BusyTime += done.Sub(d.busyStart)
-		}
-		if d.irqEnabled {
-			d.host.RaiseIRQ(done, IRQVector)
+// NextEvent implements accel.Device. Unlike NextStep it counts queued
+// work as an event now whether or not a unit is idle to take it.
+func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
+	if !d.Busy() {
+		return vclock.Never, false
+	}
+	next := int64(1 << 62)
+	for i := range d.objCur {
+		if d.objCur[i] != nil {
+			next = min(next, d.objBusy[i])
 		}
 	}
-	if d.storeCur == nil && len(d.storeQ) > 0 {
-		s := d.storeQ[0]
-		d.storeQ = d.storeQ[1:]
+	for i := range d.fieldCur {
+		if d.fieldCur[i] != nil {
+			next = min(next, d.fieldBsy[i])
+		}
+	}
+	if d.storeCur != nil {
+		next = min(next, d.storeBsy)
+	}
+	if d.objQ.Len() > 0 || d.fieldQ.Len() > 0 || d.storeQ.Len() > 0 {
+		next = min(next, d.Cycle)
+	}
+	return d.TimeAt(max(next, d.Cycle)), true
+}
+
+// Step implements devkit.Pipeline: all units advance one clock cycle.
+func (d *RTLDevice) Step() {
+	now := d.TimeAt(d.Cycle)
+
+	// Store unit.
+	if d.storeCur != nil && d.Cycle >= d.storeBsy {
+		s := d.storeCur
+		d.storeCur = nil
+		done := d.DMA(now, mem.Write, s.addr, len(s.data), s.data)
+		d.TaskLatency = append(d.TaskLatency, TaskSpan{Submit: d.submitTime[s.task], Done: done})
+		delete(d.submitTime, s.task)
+		d.Complete(done)
+	}
+	if d.storeCur == nil && d.storeQ.Len() > 0 {
+		s := *d.storeQ.Front()
+		d.storeQ.Pop()
 		d.storeCur = &s
-		d.storeBsy = d.cycle + 4 + int64(len(s.data))/outWriteBytesCyc
+		d.storeBsy = d.Cycle + 4 + int64(len(s.data))/outWriteBytesCyc
 	}
 
 	// Field units.
 	for i := range d.fieldCur {
-		if d.fieldCur[i] != nil && d.cycle >= d.fieldBsy[i] {
+		if d.fieldCur[i] != nil && d.Cycle >= d.fieldBsy[i] {
 			f := d.fieldCur[i]
 			d.fieldCur[i] = nil
-			d.workDone(f.task, d.cycle)
+			d.workDone(f.task)
 		}
-		if d.fieldCur[i] == nil && len(d.fieldQ) > 0 {
-			f := d.fieldQ[0]
-			d.fieldQ = d.fieldQ[1:]
+		if d.fieldCur[i] == nil && d.fieldQ.Len() > 0 {
+			f := *d.fieldQ.Front()
+			d.fieldQ.Pop()
 			d.fieldCur[i] = &f
-			busy := d.cycle + scalarBaseCycles + f.encBytes
+			busy := d.Cycle + scalarBaseCycles + f.encBytes
 			if f.dataBytes > 0 {
-				comp := d.host.DMA(now, mem.Read, f.dataAddr, int(f.dataBytes))
-				d.stats.DMABytes += f.dataBytes
-				busy = d.cycle + scalarBaseCycles + f.dataBytes/dataCopyBytesCyc
-				if c := d.cyclesAt(comp); c > busy {
-					busy = c
-				}
+				comp := d.DMA(now, mem.Read, f.dataAddr, int(f.dataBytes), nil)
+				busy = max(d.Cycle+scalarBaseCycles+f.dataBytes/dataCopyBytesCyc, d.CyclesAt(comp))
 			}
 			d.fieldBsy[i] = busy
 		}
@@ -264,92 +194,54 @@ func (d *RTLDevice) step() {
 	// Object fetch units: completing a block releases its fields and
 	// its submessage children (pointer chasing).
 	for i := range d.objCur {
-		if d.objCur[i] != nil && d.cycle >= d.objBusy[i] {
+		if d.objCur[i] != nil && d.Cycle >= d.objBusy[i] {
 			o := d.objCur[i]
 			d.objCur[i] = nil
-			d.fieldQ = append(d.fieldQ, o.fields...)
-			d.objQ = append(d.objQ, o.children...)
-			d.workDone(o.task, d.cycle)
+			d.fieldQ.Push(o.fields...)
+			d.objQ.Push(o.children...)
+			d.workDone(o.task)
 		}
-		if d.objCur[i] == nil && len(d.objQ) > 0 {
-			idx := d.objQ[0]
-			d.objQ = d.objQ[1:]
-			o := d.nodeTab[idx]
+		if d.objCur[i] == nil && d.objQ.Len() > 0 {
+			o := d.nodeTab[*d.objQ.Front()]
+			d.objQ.Pop()
 			d.objCur[i] = &o
-			comp := d.host.DMA(now, mem.Read, o.addr, o.size)
-			d.stats.DMABytes += int64(o.size)
-			busy := d.cycle + descFetchCycles
-			if c := d.cyclesAt(comp); c > busy {
-				busy = c
-			}
-			d.objBusy[i] = busy
+			comp := d.DMA(now, mem.Read, o.addr, o.size, nil)
+			d.objBusy[i] = max(d.Cycle+descFetchCycles, d.CyclesAt(comp))
 		}
 	}
 }
 
-func (d *RTLDevice) workDone(task, cycle int64) {
+func (d *RTLDevice) workDone(task int64) {
 	d.remaining[task]--
 	if d.remaining[task] > 0 {
 		return
 	}
 	delete(d.remaining, task)
-	s := d.outOf[task]
+	d.storeQ.Push(d.outOf[task])
 	delete(d.outOf, task)
-	d.storeQ = append(d.storeQ, s)
 }
 
-// RegRead implements accel.Device.
-func (d *RTLDevice) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.Advance(at)
-	switch off {
-	case RegStatus:
-		return d.completed
-	case RegBusy:
-		return d.inFlight
-	default:
-		return 0
-	}
+// WriteReg implements devkit.ExtraRegs: the descriptor ring.
+func (d *RTLDevice) WriteReg(at vclock.Time, off mem.Addr, v uint32) {
+	d.ring.write(off, v, func(desc mem.Addr) { d.Doorbell(at, desc) })
 }
 
-// RegWrite implements accel.Device.
-func (d *RTLDevice) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
-	d.Advance(at)
-	switch off {
-	case RegDoorbell:
-		d.startTask(at, mem.Addr(v))
-	case RegIRQEnable:
-		d.irqEnabled = v != 0
-	case RegRingBase:
-		d.ringBase = mem.Addr(v)
-	case RegRingSize:
-		d.ringSize = int(v)
-	case RegBatch:
-		for i := uint32(0); i < v; i++ {
-			d.startTask(at, d.ringBase+mem.Addr(d.ringIdx*DescSize))
-			d.ringIdx = (d.ringIdx + 1) % d.ringSize
-		}
-	}
-}
-
-func (d *RTLDevice) startTask(at vclock.Time, descAddr mem.Addr) {
-	d.stats.TasksStarted++
-	if d.inFlight == 0 {
-		d.busyStart = at
-	}
-	d.inFlight++
+// Doorbell implements devkit.Model.
+func (d *RTLDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
+	d.Start(at)
 	task := d.nextTask
 	d.nextTask++
 	d.submitTime[task] = at
 
 	var descBytes [DescSize]byte
-	d.host.ZeroCostRead(descAddr, descBytes[:])
+	d.Host.ZeroCostRead(descAddr, descBytes[:])
 	desc := decodeDesc(descBytes[:])
 	schema := d.schemas[desc.Schema]
 	if schema == nil {
 		panic(fmt.Sprintf("protoacc-rtl: unregistered schema %d", desc.Schema))
 	}
 
-	plan := cachedPlan(d.host, desc.Root, desc.Out, schema)
+	plan := cachedPlan(d.Host, desc.Root, desc.Out, schema)
 
 	total := int64(len(plan.nodes)) + 1
 	for _, n := range plan.nodes {
@@ -376,13 +268,5 @@ func (d *RTLDevice) startTask(at vclock.Time, descAddr mem.Addr) {
 		}
 		d.nodeTab = append(d.nodeTab, o)
 	}
-	d.objQ = append(d.objQ, base-1)
-	if c := d.cyclesAt(at); d.cycle < c {
-		d.cycle = c
-	}
+	d.objQ.Push(base - 1)
 }
-
-// MayRaiseIRQ reports whether an Advance may deliver an interrupt to the
-// host (parsim's async-grant eligibility predicate): only once the
-// driver has enabled interrupts via the IRQ-enable register.
-func (d *RTLDevice) MayRaiseIRQ() bool { return d.irqEnabled }

@@ -1,17 +1,17 @@
 package vta
 
 import (
-	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
 
-// Register map.
+// Register map: the device kit's.
 const (
-	RegDoorbell  = 0x00
-	RegStatus    = 0x04
-	RegBusy      = 0x08
-	RegIRQEnable = 0x0c
+	RegDoorbell  = devkit.RegDoorbell
+	RegStatus    = devkit.RegStatus
+	RegBusy      = devkit.RegBusy
+	RegIRQEnable = devkit.RegIRQEnable
 )
 
 // IRQVector is the completion interrupt vector.
@@ -23,110 +23,67 @@ const IRQVector = 11
 // tokens exactly as the LPN transitions would — the paper's lpnlang
 // similarly compiles LPNs into specialized C++ simulators (§4.1).
 type Device struct {
-	name string
-	clk  vclock.Hz
-	host accel.Host
-	now  vclock.Time
-
-	completed  uint32
-	inFlight   uint32
-	irqEnabled bool
+	devkit.Bank
+	clk vclock.Hz
+	now vclock.Time
 
 	mods [3]modState // load, compute, store
 
 	// Dependency queues carry completion timestamps.
-	ld2cmp, cmp2ld, cmp2st, st2cmp queue[vclock.Time]
-
-	nextTask int64
-	stats    accel.DeviceStats
-	busyAt   vclock.Time
+	ld2cmp, cmp2ld, cmp2st, st2cmp devkit.Queue[vclock.Time]
 }
 
 type modState struct {
-	ops  queue[planOp]
+	ops  devkit.Queue[planOp]
 	free vclock.Time // module available from
 }
 
 // NewDevice builds the DSim VTA at clock clk.
 func NewDevice(clk vclock.Hz) *Device {
-	return &Device{name: "vta", clk: clk}
+	d := &Device{clk: clk}
+	d.Init("vta", IRQVector, d)
+	return d
 }
-
-// SetHost wires the device.
-func (d *Device) SetHost(h accel.Host) { d.host = h }
-
-// Name implements accel.Device.
-func (d *Device) Name() string { return d.name }
-
-// Stats implements accel.Device.
-func (d *Device) Stats() accel.DeviceStats { return d.stats }
 
 // Now returns the device-local time.
 func (d *Device) Now() vclock.Time { return d.now }
 
-// RegRead implements accel.Device.
-func (d *Device) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.Advance(at)
-	switch off {
-	case RegStatus:
-		return d.completed
-	case RegBusy:
-		return d.inFlight
-	default:
-		return 0
-	}
+// Doorbell implements devkit.Model.
+func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
+	d.Start(at)
+	plan, fetchDone := fetchTask(&d.Bank, at, descAddr)
+	appendGated(&d.mods[0].ops, plan.loads, fetchDone)
+	appendGated(&d.mods[1].ops, plan.computes, fetchDone)
+	appendGated(&d.mods[2].ops, plan.stores, fetchDone)
 }
 
-// RegWrite implements accel.Device.
-func (d *Device) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
-	d.Advance(at)
-	switch off {
-	case RegDoorbell:
-		d.startTask(at, mem.Addr(v))
-	case RegIRQEnable:
-		d.irqEnabled = v != 0
-	}
-}
-
-func (d *Device) startTask(at vclock.Time, descAddr mem.Addr) {
-	d.stats.TasksStarted++
-	if d.inFlight == 0 {
-		d.busyAt = at
-	}
-	d.inFlight++
-	task := d.nextTask
-	d.nextTask++
-
+// fetchTask is the start of a task on either model: the timed fetch of
+// the descriptor and the instruction stream — all of the task's ops
+// start after the fetch response — and the memoized master plan.
+func fetchTask(b *devkit.Bank, at vclock.Time, descAddr mem.Addr) (*vtaPlan, vclock.Time) {
 	var descB [DescSize]byte
-	d.host.ZeroCostRead(descAddr, descB[:])
+	b.Host.ZeroCostRead(descAddr, descB[:])
 	desc := decodeDesc(descB[:])
 
-	// Timed fetch of descriptor + instruction stream; all of the task's
-	// ops start after the fetch response.
-	d.host.DMA(at, mem.Read, descAddr, DescSize)
-	fetchDone := d.host.DMA(at, mem.Read, desc.Prog, int(desc.Count)*InstrSize)
-	d.stats.DMABytes += int64(DescSize + int(desc.Count)*InstrSize)
+	b.DMA(at, mem.Read, descAddr, DescSize, nil)
+	fetchDone := b.DMA(at, mem.Read, desc.Prog, int(desc.Count)*InstrSize, nil)
 
-	plan, err := cachedPlan(d.host, desc)
+	plan, err := cachedPlan(b.Host, desc)
 	if err != nil {
-		panic("vta: " + err.Error())
+		panic(b.Name() + ": " + err.Error())
 	}
-	// Copies of the master ops are stamped with this task's id and
-	// gated on the instruction fetch; the shared master stays untouched.
-	appendStamped(&d.mods[0].ops, plan.loads, task, fetchDone)
-	appendStamped(&d.mods[1].ops, plan.computes, task, fetchDone)
-	appendStamped(&d.mods[2].ops, plan.stores, task, fetchDone)
+	return plan, fetchDone
 }
 
 // depsReady returns the earliest time the op's dependency pops are
 // satisfied, or (Never, false) if a required token has not been pushed.
 func (d *Device) depsReady(module int, op *planOp) (vclock.Time, bool) {
 	t := op.minStart
-	need := func(q *queue[vclock.Time]) bool {
-		if q.len() == 0 {
+	need := func(q *devkit.Queue[vclock.Time]) bool {
+		if q.Len() == 0 {
 			return false
 		}
-		if pushed := *q.front(); pushed > t {
+		if pushed := *q.Front(); pushed > t {
 			t = pushed
 		}
 		return true
@@ -155,10 +112,10 @@ func (d *Device) depsReady(module int, op *planOp) (vclock.Time, bool) {
 // nextStart computes when module m's next op could start.
 func (d *Device) nextStart(m int) (vclock.Time, bool) {
 	ms := &d.mods[m]
-	if ms.ops.len() == 0 {
+	if ms.ops.Len() == 0 {
 		return vclock.Never, false
 	}
-	t, ok := d.depsReady(m, ms.ops.front())
+	t, ok := d.depsReady(m, ms.ops.Front())
 	if !ok {
 		return vclock.Never, false
 	}
@@ -171,72 +128,57 @@ func (d *Device) nextStart(m int) (vclock.Time, bool) {
 // execute runs module m's next op starting at time start.
 func (d *Device) execute(m int, start vclock.Time) {
 	ms := &d.mods[m]
-	op := *ms.ops.front()
-	ms.ops.pop()
+	op := *ms.ops.Front()
+	ms.ops.Pop()
 	i := &op.instr
 
 	// Consume dependency tokens.
 	switch m {
 	case 0:
 		if i.PopNext {
-			d.cmp2ld.pop()
+			d.cmp2ld.Pop()
 		}
 	case 1:
 		if i.PopPrev {
-			d.ld2cmp.pop()
+			d.ld2cmp.Pop()
 		}
 		if i.PopNext {
-			d.st2cmp.pop()
+			d.st2cmp.Pop()
 		}
 	case 2:
 		if i.PopPrev {
-			d.cmp2st.pop()
+			d.cmp2st.Pop()
 		}
 	}
 
 	finish := start.Add(d.clk.CyclesDur(op.cycles))
 	for _, dma := range op.dmas {
-		comp := d.host.DMA(start, dma.kind, dma.addr, dma.size)
-		d.stats.DMABytes += int64(dma.size)
-		if dma.kind == mem.Write && dma.data != nil {
-			d.host.ZeroCostWrite(dma.addr, dma.data)
-		}
-		if comp > finish {
-			finish = comp
-		}
+		finish = max(finish, d.DMA(start, dma.kind, dma.addr, dma.size, dma.data))
 	}
 	ms.free = finish
-	d.stats.HostSteps++
+	d.CountSteps(1)
 
 	// Push dependency tokens.
 	switch m {
 	case 0:
 		if i.PushNext {
-			d.ld2cmp.push(finish)
+			d.ld2cmp.Push(finish)
 		}
 	case 1:
 		if i.PushPrev {
-			d.cmp2ld.push(finish)
+			d.cmp2ld.Push(finish)
 		}
 		if i.PushNext {
-			d.cmp2st.push(finish)
+			d.cmp2st.Push(finish)
 		}
 	case 2:
 		if i.PushPrev {
-			d.st2cmp.push(finish)
+			d.st2cmp.Push(finish)
 		}
 	}
 
 	if op.finish {
-		d.completed++
-		d.inFlight--
-		d.stats.TasksCompleted++
-		if d.inFlight == 0 {
-			d.stats.BusyTime += finish.Sub(d.busyAt)
-		}
-		if d.irqEnabled {
-			d.host.RaiseIRQ(finish, IRQVector)
-		}
+		d.Complete(finish)
 	}
 }
 
@@ -270,8 +212,3 @@ func (d *Device) NextEvent() (vclock.Time, bool) {
 	}
 	return best, any
 }
-
-// MayRaiseIRQ reports whether an Advance may deliver an interrupt to the
-// host (parsim's async-grant eligibility predicate): only once the
-// driver has enabled interrupts via the IRQ-enable register.
-func (d *Device) MayRaiseIRQ() bool { return d.irqEnabled }

@@ -1,39 +1,26 @@
 package vta
 
 import (
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/app"
 	"nexsim/internal/mem"
-	"nexsim/internal/vclock"
 )
 
 // Driver is the TVM-runtime-like software driver: it JITs GEMM tasks to
-// instruction streams in DRAM and launches them through the task buffer
-// and MMIO doorbell.
+// instruction streams in DRAM and launches them through the kit driver's
+// task buffer and MMIO doorbell.
 type Driver struct {
-	MMIOBase mem.Addr
-	TaskBuf  mem.Addr
-	Slots    int
+	devkit.Driver
 
 	// ProgArena is the DRAM region instruction streams are written to.
 	ProgArena mem.Addr
-
-	slot      int
 	progOff   mem.Addr
-	submitted uint32
 }
 
 // NewDriver builds a driver; progArena must be large enough for all
 // instruction streams launched.
 func NewDriver(mmio, taskBuf, progArena mem.Addr, slots int) *Driver {
-	if slots <= 0 {
-		slots = 16
-	}
-	return &Driver{MMIOBase: mmio, TaskBuf: taskBuf, ProgArena: progArena, Slots: slots}
-}
-
-// EnableIRQ turns on completion interrupts.
-func (dr *Driver) EnableIRQ(e app.Env) {
-	e.MMIOWrite(dr.MMIOBase+RegIRQEnable, 1)
+	return &Driver{Driver: devkit.NewDriver(mmio, taskBuf, slots, DescSize, IRQVector), ProgArena: progArena}
 }
 
 // Launch writes a compiled program into the arena and rings the
@@ -43,36 +30,6 @@ func (dr *Driver) Launch(e app.Env, prog []Instr) {
 	dr.progOff += mem.Addr(len(prog) * InstrSize)
 	WriteProgram(e.Mem(), progAddr, prog)
 
-	descAddr := dr.TaskBuf + mem.Addr(dr.slot*DescSize)
-	dr.slot = (dr.slot + 1) % dr.Slots
 	b := EncodeDesc(Desc{Prog: progAddr, Count: uint32(len(prog))})
-	e.TaskWrite(descAddr, b[:])
-	e.MMIOWrite(dr.MMIOBase+RegDoorbell, uint32(descAddr))
-	dr.submitted++
-}
-
-// Completed reads the completion counter.
-func (dr *Driver) Completed(e app.Env) uint32 {
-	return e.MMIORead(dr.MMIOBase + RegStatus)
-}
-
-// Submitted reports launched tasks.
-func (dr *Driver) Submitted() uint32 { return dr.submitted }
-
-// WaitAll polls until all launched tasks complete.
-func (dr *Driver) WaitAll(e app.Env, poll vclock.Duration) {
-	for dr.Completed(e) < dr.submitted {
-		if poll > 0 {
-			e.Sleep(poll)
-		}
-		// poll <= 0 spins on the status register (the common driver
-		// behaviour); each read costs the MMIO round trip.
-	}
-}
-
-// WaitAllIRQ waits on completion interrupts.
-func (dr *Driver) WaitAllIRQ(e app.Env) {
-	for dr.Completed(e) < dr.submitted {
-		e.WaitIRQ(IRQVector)
-	}
+	dr.Doorbell(e, dr.Post(e, b[:]))
 }

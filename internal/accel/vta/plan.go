@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
+	"unsafe"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -61,7 +62,6 @@ type planOp struct {
 	instr    Instr
 	cycles   int64
 	dmas     []dmaOp
-	task     int64
 	finish   bool        // OpFinish: completes the task
 	minStart vclock.Time // earliest start (instruction fetch completion)
 }
@@ -90,22 +90,31 @@ func instrCycles(i *Instr) int64 {
 
 // vtaPlan is a memoized master copy of the per-module op lists for one
 // (program bytes, input data) pair — program bytes include the DRAM
-// placement, so the DMA address plan is pinned by the key. Masters carry
-// task id 0 and no fetch gate; callers append value copies and stamp
-// those (appendStamped), never the master.
+// placement, so the DMA address plan is pinned by the key — or the error
+// that pair fails to decode or execute with. Masters carry no fetch
+// gate; callers append value copies and gate those (appendGated), never
+// the master.
 type vtaPlan struct {
 	loads, computes, stores []planOp
+	err                     error
 }
 
-// fullPlanCache memoizes assembled plans. Distinct from planCache below:
-// planCache shares functional interpretation across *placements* (its
-// key skips DRAM fields), while this cache shares the whole decoded op
+// fullPlanMemo memoizes assembled plans. Distinct from payloadMemo below:
+// payloadMemo shares functional interpretation across *placements* (its
+// key skips DRAM fields), while this memo shares the whole decoded op
 // list when placement also matches — the common case for repeated runs,
-// checkpoint replays, and sweep points over one staged workload.
-var fullPlanCache = struct {
-	sync.Mutex
-	m map[uint64]*vtaPlan
-}{m: make(map[uint64]*vtaPlan)}
+// checkpoint replays, and sweep points over one staged workload. Store
+// payloads are payloadMemo's bytes; a plan weighs its op lists.
+var fullPlanMemo = devkit.NewMemo[uint64](func(p *vtaPlan) int64 {
+	cost := int64(0)
+	for _, ops := range [][]planOp{p.loads, p.computes, p.stores} {
+		cost += int64(len(ops)) * int64(unsafe.Sizeof(planOp{}))
+		for i := range ops {
+			cost += int64(len(ops[i].dmas)) * int64(unsafe.Sizeof(dmaOp{}))
+		}
+	}
+	return cost
+})
 
 // loadRowBytes returns the size of one row a LOAD moves.
 func loadRowBytes(i *Instr) int {
@@ -115,7 +124,7 @@ func loadRowBytes(i *Instr) int {
 	return int(i.Cols)
 }
 
-// planKey is the fullPlanCache key of desc: the exact program bytes —
+// planKey is the fullPlanMemo key of desc: the exact program bytes —
 // which hold every LOAD's address, shape and stride — plus the content
 // sums of the pages the LOADs' spans overlap, a superset of the bytes the
 // plan depends on that costs no operand byte to compute. The spans of a
@@ -162,50 +171,46 @@ func cachedPlan(host accel.Host, desc Desc) (*vtaPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	fullPlanCache.Lock()
-	plan, hit := fullPlanCache.m[key]
-	fullPlanCache.Unlock()
-	if !hit {
+	plan := fullPlanMemo.Get(key, func() *vtaPlan {
 		read := func(addr mem.Addr, size int) []byte {
 			buf := make([]byte, size)
 			host.ZeroCostRead(addr, buf)
 			return buf
 		}
-		loads, computes, stores, err := buildPlan(read, desc, 0)
-		if err != nil {
-			return nil, err
-		}
-		plan = &vtaPlan{loads: loads, computes: computes, stores: stores}
-		fullPlanCache.Lock()
-		fullPlanCache.m[key] = plan
-		fullPlanCache.Unlock()
-	}
-	return plan, nil
+		loads, computes, stores, err := buildPlan(read, desc)
+		return &vtaPlan{loads: loads, computes: computes, stores: stores, err: err}
+	})
+	return plan, plan.err
 }
 
-// appendStamped copies master ops onto q, assigning the task id and
-// gating each copy on the instruction-fetch completion time.
-func appendStamped(q *queue[planOp], ops []planOp, task int64, fetchDone vclock.Time) {
-	q.push(ops...)
-	for i := len(q.items) - len(ops); i < len(q.items); i++ {
-		op := &q.items[i]
-		op.task = task
-		if op.minStart < fetchDone {
-			op.minStart = fetchDone
-		}
+// appendGated copies master ops onto q, gating each copy on the
+// instruction-fetch completion time.
+func appendGated(q *devkit.Queue[planOp], ops []planOp, fetchDone vclock.Time) {
+	for i, queued := 0, q.Push(ops...); i < len(queued); i++ {
+		queued[i].minStart = max(queued[i].minStart, fetchDone)
 	}
 }
 
-// planCache memoizes the functionality track's store payloads per
+// payloadMemo memoizes the functionality track's store payloads per
 // (program, input data) pair. The computed results are a pure function
 // of those inputs, and the same task streams are executed by the DSim
 // model, the RTL-style model, and repeated harness runs; memoizing
 // removes redundant host compute without affecting any simulated timing
 // (DESIGN.md §1). Cached payloads are shared read-only.
-var planCache = struct {
-	sync.Mutex
-	m map[uint64][][]byte
-}{m: make(map[uint64][][]byte)}
+var payloadMemo = devkit.NewMemo[uint64](func(p *storePayloads) int64 {
+	cost := int64(0)
+	for _, out := range p.out {
+		cost += int64(len(out))
+	}
+	return cost
+})
+
+// storePayloads is one interpretation's STORE payloads in program order,
+// or the error the functional core rejected the program with.
+type storePayloads struct {
+	out [][]byte
+	err error
+}
 
 // buildPlan decodes and functionally executes an instruction stream,
 // returning per-module op lists. read is the functional memory access
@@ -213,7 +218,7 @@ var planCache = struct {
 // return a fresh buffer the plan may retain. The functional core is
 // only allocated when the (program, data) pair has not run before.
 func buildPlan(read func(addr mem.Addr, size int) []byte,
-	desc Desc, task int64) (loads, computes, stores []planOp, err error) {
+	desc Desc) (loads, computes, stores []planOp, err error) {
 
 	progBytes := read(desc.Prog, int(desc.Count)*InstrSize)
 
@@ -267,56 +272,48 @@ func buildPlan(read func(addr mem.Addr, size int) []byte,
 		return nil, nil, nil, fmt.Errorf("vta: program lacks FINISH")
 	}
 
-	// Pass 2: produce store payloads — from the cache when this exact
+	// Pass 2: produce store payloads — from the memo when this exact
 	// (program, data) pair has run before, else by interpreting.
-	planCache.Lock()
-	cached, hit := planCache.m[key]
-	planCache.Unlock()
-	var payloads [][]byte
-	if hit {
-		payloads = cached
-	} else {
+	payloads := payloadMemo.Get(key, func() *storePayloads {
+		var out [][]byte
 		core := NewCore()
 		for idx := range ins {
 			i := &ins[idx].instr
+			var err error
 			switch i.Op {
 			case OpLoad:
-				if err := core.LoadBytes(i, ins[idx].data); err != nil {
-					return nil, nil, nil, err
-				}
+				err = core.LoadBytes(i, ins[idx].data)
 			case OpGemm:
-				if err := core.Gemm(i); err != nil {
-					return nil, nil, nil, err
-				}
+				err = core.Gemm(i)
 			case OpAlu:
-				if err := core.Alu(i); err != nil {
-					return nil, nil, nil, err
-				}
+				err = core.Alu(i)
 			case OpStore:
-				out, serr := core.StoreBytes(i)
-				if serr != nil {
-					return nil, nil, nil, serr
-				}
-				payloads = append(payloads, out)
+				var payload []byte
+				payload, err = core.StoreBytes(i)
+				out = append(out, payload)
+			}
+			if err != nil {
+				return &storePayloads{err: err}
 			}
 		}
-		planCache.Lock()
-		planCache.m[key] = payloads
-		planCache.Unlock()
+		return &storePayloads{out: out}
+	})
+	if payloads.err != nil {
+		return nil, nil, nil, payloads.err
 	}
 
 	// Assemble per-module op lists.
 	storeIdx := 0
 	for idx := range ins {
 		i := ins[idx].instr
-		op := planOp{instr: i, cycles: instrCycles(&i), task: task, dmas: ins[idx].dmas}
+		op := planOp{instr: i, cycles: instrCycles(&i), dmas: ins[idx].dmas}
 		switch i.Op {
 		case OpLoad:
 			loads = append(loads, op)
 		case OpGemm, OpAlu:
 			computes = append(computes, op)
 		case OpStore:
-			out := payloads[storeIdx]
+			out := payloads.out[storeIdx]
 			storeIdx++
 			rowBytes := int(i.Cols)
 			if i.Stride == 0 || int(i.Stride) == rowBytes {

@@ -1,7 +1,7 @@
 package vta
 
 import (
-	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -11,110 +11,46 @@ import (
 // exactly; the difference is that every busy clock cycle is an explicit
 // simulation step.
 type RTLDevice struct {
-	name string
-	clk  vclock.Hz
-	host accel.Host
-
-	cycle int64
-
-	completed  uint32
-	inFlight   uint32
-	irqEnabled bool
+	devkit.Bank
+	devkit.Clock
 
 	mods [3]rtlMod
 	// Dependency queues: counts of available tokens (RTL queues carry no
 	// timestamps; availability is implicit in cycle order).
 	ld2cmp, cmp2ld, cmp2st, st2cmp int
-
-	nextTask int64
-	stats    accel.DeviceStats
-	busyAt   vclock.Time
 }
 
 type rtlMod struct {
-	ops       queue[planOp]
+	ops       devkit.Queue[planOp]
 	cur       *planOp
 	busyUntil int64
 }
 
 // NewRTLDevice builds the cycle-level VTA model.
 func NewRTLDevice(clk vclock.Hz) *RTLDevice {
-	return &RTLDevice{name: "vta-rtl", clk: clk}
+	d := &RTLDevice{}
+	d.Bank.Init("vta-rtl", IRQVector, d)
+	d.Clock.Init(clk, d)
+	return d
 }
 
-// SetHost wires the device.
-func (d *RTLDevice) SetHost(h accel.Host) { d.host = h }
-
-// Name implements accel.Device.
-func (d *RTLDevice) Name() string { return d.name }
-
-// Stats implements accel.Device.
-func (d *RTLDevice) Stats() accel.DeviceStats { return d.stats }
-
-func (d *RTLDevice) timeAt(c int64) vclock.Time   { return vclock.Time(0).Add(d.clk.CyclesDur(c)) }
-func (d *RTLDevice) cyclesAt(t vclock.Time) int64 { return d.clk.Cycles(t.Sub(0)) }
-
-func (d *RTLDevice) busy() bool {
+// Busy implements devkit.Pipeline.
+func (d *RTLDevice) Busy() bool {
 	for m := range d.mods {
-		if d.mods[m].cur != nil || d.mods[m].ops.len() > 0 {
+		if d.mods[m].cur != nil || d.mods[m].ops.Len() > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// RegRead implements accel.Device.
-func (d *RTLDevice) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.Advance(at)
-	switch off {
-	case RegStatus:
-		return d.completed
-	case RegBusy:
-		return d.inFlight
-	default:
-		return 0
-	}
-}
-
-// RegWrite implements accel.Device.
-func (d *RTLDevice) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
-	d.Advance(at)
-	switch off {
-	case RegDoorbell:
-		d.startTask(at, mem.Addr(v))
-	case RegIRQEnable:
-		d.irqEnabled = v != 0
-	}
-}
-
-func (d *RTLDevice) startTask(at vclock.Time, descAddr mem.Addr) {
-	d.stats.TasksStarted++
-	if d.inFlight == 0 {
-		d.busyAt = at
-	}
-	d.inFlight++
-	task := d.nextTask
-	d.nextTask++
-
-	var descB [DescSize]byte
-	d.host.ZeroCostRead(descAddr, descB[:])
-	desc := decodeDesc(descB[:])
-	d.host.DMA(at, mem.Read, descAddr, DescSize)
-	fetchDone := d.host.DMA(at, mem.Read, desc.Prog, int(desc.Count)*InstrSize)
-	d.stats.DMABytes += int64(DescSize + int(desc.Count)*InstrSize)
-
-	plan, err := cachedPlan(d.host, desc)
-	if err != nil {
-		panic("vta-rtl: " + err.Error())
-	}
-	// Copies of the master ops are stamped with this task's id and
-	// gated on the instruction fetch; the shared master stays untouched.
-	appendStamped(&d.mods[0].ops, plan.loads, task, fetchDone)
-	appendStamped(&d.mods[1].ops, plan.computes, task, fetchDone)
-	appendStamped(&d.mods[2].ops, plan.stores, task, fetchDone)
-	if c := d.cyclesAt(at); d.cycle < c {
-		d.cycle = c
-	}
+// Doorbell implements devkit.Model.
+func (d *RTLDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
+	d.Start(at)
+	plan, fetchDone := fetchTask(&d.Bank, at, descAddr)
+	appendGated(&d.mods[0].ops, plan.loads, fetchDone)
+	appendGated(&d.mods[1].ops, plan.computes, fetchDone)
+	appendGated(&d.mods[2].ops, plan.stores, fetchDone)
 }
 
 // depsAvailable reports whether module m's next op can pop its tokens.
@@ -136,13 +72,14 @@ func (d *RTLDevice) depsAvailable(m int, op *planOp) bool {
 	}
 }
 
-// step advances every module one clock cycle.
-func (d *RTLDevice) step() {
-	now := d.timeAt(d.cycle)
+// Step implements devkit.Pipeline: every module advances one clock
+// cycle.
+func (d *RTLDevice) Step() {
+	now := d.TimeAt(d.Cycle)
 	for m := range d.mods {
 		ms := &d.mods[m]
 		// Complete.
-		if ms.cur != nil && d.cycle >= ms.busyUntil {
+		if ms.cur != nil && d.Cycle >= ms.busyUntil {
 			op := ms.cur
 			ms.cur = nil
 			i := &op.instr
@@ -164,26 +101,17 @@ func (d *RTLDevice) step() {
 				}
 			}
 			if op.finish {
-				done := d.timeAt(d.cycle)
-				d.completed++
-				d.inFlight--
-				d.stats.TasksCompleted++
-				if d.inFlight == 0 {
-					d.stats.BusyTime += done.Sub(d.busyAt)
-				}
-				if d.irqEnabled {
-					d.host.RaiseIRQ(done, IRQVector)
-				}
+				d.Complete(now)
 			}
 		}
 		// Issue.
-		if ms.cur == nil && ms.ops.len() > 0 {
-			op := ms.ops.front()
-			if d.cyclesAt(op.minStart) > d.cycle || !d.depsAvailable(m, op) {
+		if ms.cur == nil && ms.ops.Len() > 0 {
+			op := ms.ops.Front()
+			if d.CyclesAt(op.minStart) > d.Cycle || !d.depsAvailable(m, op) {
 				continue
 			}
 			cur := *op
-			ms.ops.pop()
+			ms.ops.Pop()
 			i := &cur.instr
 			switch m {
 			case 0:
@@ -202,16 +130,9 @@ func (d *RTLDevice) step() {
 					d.cmp2st--
 				}
 			}
-			busy := d.cycle + cur.cycles
+			busy := d.Cycle + cur.cycles
 			for _, dma := range cur.dmas {
-				comp := d.host.DMA(now, dma.kind, dma.addr, dma.size)
-				d.stats.DMABytes += int64(dma.size)
-				if dma.kind == mem.Write && dma.data != nil {
-					d.host.ZeroCostWrite(dma.addr, dma.data)
-				}
-				if c := d.cyclesAt(comp); c > busy {
-					busy = c
-				}
+				busy = max(busy, d.CyclesAt(d.DMA(now, dma.kind, dma.addr, dma.size, dma.data)))
 			}
 			ms.busyUntil = busy
 			ms.cur = &cur
@@ -219,78 +140,41 @@ func (d *RTLDevice) step() {
 	}
 }
 
-// Advance implements accel.Device.
-//
-// Between module events step() is a pure no-op: completions fire at a
-// module's busyUntil, issues need an idle module whose head op is past
-// minStart with its dependency tokens available, and tokens only change
-// at those same events. Jumping straight to the nearest such cycle is
-// therefore cycle-exact and skips the dead stepping in between.
-func (d *RTLDevice) Advance(t vclock.Time) {
-	target := d.cyclesAt(t)
-	for d.cycle <= target {
-		if !d.busy() {
-			d.cycle = target + 1
-			return
-		}
-		next := int64(1 << 62)
-		for m := range d.mods {
-			ms := &d.mods[m]
-			if ms.cur != nil {
-				if ms.busyUntil < next {
-					next = ms.busyUntil
-				}
-			} else if ms.ops.len() > 0 {
-				op := ms.ops.front()
-				if !d.depsAvailable(m, op) {
-					continue // unblocks only at another module's completion
-				}
-				if c := d.cyclesAt(op.minStart); c < next {
-					next = c
-				}
+// NextStep implements devkit.Pipeline: completions fire at a module's
+// busyUntil, issues need an idle module whose head op is past minStart
+// with its dependency tokens available, and tokens only change at those
+// same events.
+func (d *RTLDevice) NextStep() int64 {
+	next := int64(1 << 62)
+	for m := range d.mods {
+		ms := &d.mods[m]
+		if ms.cur != nil {
+			next = min(next, ms.busyUntil)
+		} else if ms.ops.Len() > 0 {
+			op := ms.ops.Front()
+			if !d.depsAvailable(m, op) {
+				continue // unblocks only at another module's completion
 			}
+			next = min(next, d.CyclesAt(op.minStart))
 		}
-		if next > d.cycle {
-			if next > target {
-				d.cycle = target + 1
-				return
-			}
-			d.cycle = next
-		}
-		d.step()
-		d.cycle++
 	}
+	return next
 }
 
-// NextEvent implements accel.Device.
+// NextEvent implements accel.Device. Unlike NextStep it does not ask
+// whether a waiting op's dependency tokens are there.
 func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
-	if !d.busy() {
+	if !d.Busy() {
 		return vclock.Never, false
 	}
 	next := int64(1 << 62)
 	for m := range d.mods {
 		ms := &d.mods[m]
 		if ms.cur != nil {
-			if ms.busyUntil < next {
-				next = ms.busyUntil
-			}
-		} else if ms.ops.len() > 0 {
-			c := d.cyclesAt(ms.ops.front().minStart)
-			if c < d.cycle {
-				c = d.cycle
-			}
-			if c < next {
-				next = c
-			}
+			next = min(next, ms.busyUntil)
+		} else if ms.ops.Len() > 0 {
+			next = min(next, max(d.CyclesAt(ms.ops.Front().minStart), d.Cycle))
 		}
 	}
-	if next < d.cycle {
-		next = d.cycle
-	}
-	return d.timeAt(next), true
+	return d.TimeAt(max(next, d.Cycle)), true
 }
-
-// MayRaiseIRQ reports whether an Advance may deliver an interrupt to the
-// host (parsim's async-grant eligibility predicate): only once the
-// driver has enabled interrupts via the IRQ-enable register.
-func (d *RTLDevice) MayRaiseIRQ() bool { return d.irqEnabled }

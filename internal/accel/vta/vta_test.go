@@ -259,33 +259,6 @@ func TestCompileSizesProgramExactly(t *testing.T) {
 	}
 }
 
-// TestQueueReusesItsArray: draining a queue, or pushing onto one whose
-// head has moved on, does not allocate, and order survives the slide.
-func TestQueueReusesItsArray(t *testing.T) {
-	var q queue[int]
-	q.push(1, 2, 3, 4)
-	q.pop()
-	q.pop()
-	q.push(5, 6) // full: slides 3, 4 down
-	if cap(q.items) != 4 {
-		t.Fatalf("pushing 2 onto 2 live items of capacity 4 grew it to %d", cap(q.items))
-	}
-	for want := 3; want <= 6; want++ {
-		if q.len() != 7-want || *q.front() != want {
-			t.Fatalf("len %d front %d, want len %d front %d", q.len(), *q.front(), 7-want, want)
-		}
-		q.pop()
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		q.push(7, 8, 9)
-		q.pop()
-		q.pop()
-		q.pop()
-	}); allocs != 0 || q.len() != 0 {
-		t.Fatalf("a drained queue allocated %v times per refill, len %d", allocs, q.len())
-	}
-}
-
 func TestCoreAluOps(t *testing.T) {
 	c := NewCore()
 	for i := 0; i < 8; i++ {

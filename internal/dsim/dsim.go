@@ -12,13 +12,14 @@
 // RTL simulation: same register semantics, same DMA sequence per tag,
 // same results in memory — only the timestamps are computed from the LPN
 // rather than from gate-level state. Accelerator models embed Base and
-// provide their register frontend, functional model, and LPN.
+// provide their descriptor codec, functional model, and LPN; the
+// register frontend and task lifecycle are the device kit's.
 package dsim
 
 import (
 	"fmt"
 
-	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/lpn"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
@@ -40,29 +41,27 @@ type dmaQueue struct {
 	head int
 }
 
-// Base is the common machinery of a DSim device. Accelerator models embed
-// it and implement RegRead/RegWrite on top (the paper's adapter base
-// class with RegRead/RegWrite/ExecuteEvent/DmaComplete callbacks, §A.2).
+// Base is the common machinery of a DSim device (the paper's adapter
+// base class with RegRead/RegWrite/ExecuteEvent/DmaComplete callbacks,
+// §A.2): the kit's register bank and task lifecycle plus the LPN and the
+// tagged DMA FIFOs. Accelerator models embed it and implement
+// devkit.Model's Doorbell on top.
 type Base struct {
-	DevName string
-	Host    accel.Host //simlint:transient wiring to the owning engine, re-established at construction
-	Net     *lpn.Net
+	devkit.Bank
+	Net *lpn.Net
 
 	queues map[string]*dmaQueue
 	// freeBufs recycles write-payload buffers: a payload is dead once its
 	// DMA is replayed, so WriteDMA reuses it for a later recording.
 	freeBufs [][]byte //simlint:transient recycling pool; contents dead between recordings
 	now      vclock.Time
-
-	stats     accel.DeviceStats
-	busyStart vclock.Time
-	inFlight  int
 }
 
-// Init prepares the base; call once after the LPN is built.
-func (b *Base) Init(name string, host accel.Host, net *lpn.Net) {
-	b.DevName = name
-	b.Host = host
+// Init prepares the base: the device's name and completion vector, the
+// model whose Doorbell the registers drive (the device embedding this
+// Base), and its LPN. Call once after the LPN is built.
+func (b *Base) Init(name string, vector int, model devkit.Model, net *lpn.Net) {
+	b.Bank.Init(name, vector, model)
 	b.Net = net
 	b.queues = make(map[string]*dmaQueue)
 }
@@ -96,9 +95,6 @@ func (b *Base) recycle(buf []byte) {
 	}
 }
 
-// Name implements accel.Device.
-func (b *Base) Name() string { return b.DevName }
-
 // Now returns the device's local virtual time.
 func (b *Base) Now() vclock.Time { return b.now }
 
@@ -109,36 +105,12 @@ func (b *Base) Advance(t vclock.Time) {
 		return
 	}
 	b.now = t
-	fired := b.Net.Advance(t)
-	b.stats.HostSteps += int64(fired)
+	b.CountSteps(int64(b.Net.Advance(t)))
 }
 
 // NextEvent implements accel.Device.
 func (b *Base) NextEvent() (vclock.Time, bool) {
 	return b.Net.NextEvent()
-}
-
-// Stats implements accel.Device.
-func (b *Base) Stats() accel.DeviceStats { return b.stats }
-
-// TaskStarted performs start-of-task bookkeeping; at is the doorbell
-// time.
-func (b *Base) TaskStarted(at vclock.Time) {
-	b.stats.TasksStarted++
-	if b.inFlight == 0 {
-		b.busyStart = at
-	}
-	b.inFlight++
-}
-
-// TaskCompleted performs end-of-task bookkeeping; at is the completion
-// timestamp from the LPN.
-func (b *Base) TaskCompleted(at vclock.Time) {
-	b.stats.TasksCompleted++
-	b.inFlight--
-	if b.inFlight == 0 {
-		b.stats.BusyTime += at.Sub(b.busyStart)
-	}
 }
 
 // Recorder is the functional track's view of host memory: reads happen
@@ -182,7 +154,7 @@ func (b *Base) pop(tag string) DMARec {
 	q := b.queues[tag]
 	if q == nil || q.head >= len(q.recs) {
 		panic(fmt.Sprintf("dsim %s: LPN emitted DMA for tag %q but the functional track recorded none — "+
-			"performance and functionality tracks disagree", b.DevName, tag))
+			"performance and functionality tracks disagree", b.Name(), tag))
 	}
 	rec := q.recs[q.head]
 	q.recs[q.head] = DMARec{} // release the payload reference
@@ -197,6 +169,16 @@ func (b *Base) pop(tag string) DMARec {
 	return rec
 }
 
+// replay issues tag's next recorded DMA at time at and returns its
+// completion; a write's payload lands in host memory and its buffer
+// returns to the pool.
+func (b *Base) replay(tag string, at vclock.Time) vclock.Time {
+	rec := b.pop(tag)
+	comp := b.DMA(at, rec.Kind, rec.Addr, rec.Size, rec.Data)
+	b.recycle(rec.Data)
+	return comp
+}
+
 // EmitDMA returns an LPN effect that replays the next recorded DMA of
 // tag when its transition fires. The DMA's timing is simulated by the
 // host (interconnect + caches); if resp is non-nil, a token carrying the
@@ -205,13 +187,7 @@ func (b *Base) pop(tag string) DMARec {
 // timing of later DMAs that depend on responses to earlier ones").
 func (b *Base) EmitDMA(tag string, resp *lpn.Place) lpn.EffectFunc {
 	return func(f *lpn.Firing, done vclock.Time) {
-		rec := b.pop(tag)
-		comp := b.Host.DMA(f.Time, rec.Kind, rec.Addr, rec.Size)
-		b.stats.DMABytes += int64(rec.Size)
-		if rec.Kind == mem.Write && rec.Data != nil {
-			b.Host.ZeroCostWrite(rec.Addr, rec.Data)
-			b.recycle(rec.Data)
-		}
+		comp := b.replay(tag, f.Time)
 		if resp != nil {
 			t := lpn.Tok(comp)
 			if len(f.In) > 0 && len(f.In[0]) > 0 {
@@ -228,16 +204,7 @@ func (b *Base) EmitDMABatch(tag string, n int, resp *lpn.Place) lpn.EffectFunc {
 	return func(f *lpn.Firing, done vclock.Time) {
 		var last vclock.Time
 		for i := 0; i < n; i++ {
-			rec := b.pop(tag)
-			comp := b.Host.DMA(f.Time, rec.Kind, rec.Addr, rec.Size)
-			b.stats.DMABytes += int64(rec.Size)
-			if rec.Kind == mem.Write && rec.Data != nil {
-				b.Host.ZeroCostWrite(rec.Addr, rec.Data)
-				b.recycle(rec.Data)
-			}
-			if comp > last {
-				last = comp
-			}
+			last = max(last, b.replay(tag, f.Time))
 		}
 		if resp != nil {
 			b.Net.Inject(resp, lpn.Tok(last))

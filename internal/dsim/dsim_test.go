@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/lpn"
 	"nexsim/internal/lpnlang"
 	"nexsim/internal/mem"
@@ -60,27 +61,30 @@ func newCopyDev(h *testHost) *copyDev {
 	b.Stage("finish", d.storeDone, nil, nil,
 		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
 			d.doneReg = 1
-			d.TaskCompleted(f.Time)
-			d.Host.RaiseIRQ(f.Time, 1)
+			d.Complete(f.Time)
 		}))
-	d.Init("copydev", h, b.MustBuild())
+	d.initOn(h, "copydev", b.MustBuild())
 	return d
 }
 
-func (d *copyDev) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.Advance(at)
-	return d.doneReg
+// initOn wires the device to h with completion interrupts (vector 1) on.
+func (d *copyDev) initOn(h *testHost, name string, net *lpn.Net) {
+	d.Init(name, 1, d, net)
+	d.SetHost(h)
+	d.RegWrite(0, devkit.RegIRQEnable, 1)
 }
 
-// RegWrite(0) = doorbell with packed (src>>?); use fixed layout for test:
-// regs: 0 doorbell(n), 4 src, 8 dst — written before doorbell.
+// Doorbell implements devkit.Model; the tests launch tasks through start,
+// which takes the task a descriptor would name.
+func (d *copyDev) Doorbell(at vclock.Time, desc mem.Addr) {}
+
 type copyTask struct {
 	src, dst mem.Addr
 	n        int
 }
 
 func (d *copyDev) start(at vclock.Time, t copyTask) {
-	d.TaskStarted(at)
+	d.Start(at)
 	d.doneReg = 0
 	// Functional track first: compute results, record DMAs.
 	rec := d.Recorder()
@@ -93,8 +97,6 @@ func (d *copyDev) start(at vclock.Time, t copyTask) {
 	// Then hand the task to the performance track.
 	d.Net.Inject(d.inTasks, lpn.Tok(at, int64(t.n)))
 }
-
-func (d *copyDev) RegWrite(at vclock.Time, off mem.Addr, v uint32) {}
 
 func setup(lat vclock.Duration) (*testHost, *copyDev) {
 	h := &testHost{mem: mem.New(0), lat: lat}
@@ -214,7 +216,7 @@ func TestTrackMismatchPanics(t *testing.T) {
 	b := lpnlang.NewBuilder("bad", 1*vclock.GHz)
 	in := b.Queue("in", 0)
 	b.Stage("rogue", in, nil, b.Cycles(1), lpnlang.Effect(d.EmitDMA("GHOST", nil)))
-	d.Init("bad", h, b.MustBuild())
+	d.initOn(h, "bad", b.MustBuild())
 	d.Net.Inject(in, lpn.Tok(0))
 	defer func() {
 		if recover() == nil {
@@ -245,7 +247,7 @@ func TestEmitDMABatch(t *testing.T) {
 	in := b.Queue("in", 0)
 	resp := b.Queue("resp", 0)
 	b.Stage("burst", in, nil, b.Cycles(1), lpnlang.Effect(d.EmitDMABatch("BURST", 3, resp)))
-	d.Init("batch", h, b.MustBuild())
+	d.initOn(h, "batch", b.MustBuild())
 
 	rec := d.Recorder()
 	h.mem.WriteAt(0x100, []byte{1, 2, 3, 4})
@@ -278,7 +280,7 @@ func TestPendingCount(t *testing.T) {
 	b := lpnlang.NewBuilder("p", 1*vclock.GHz)
 	in := b.Queue("in", 0)
 	b.Stage("s", in, nil, b.Cycles(1), lpnlang.Effect(d.EmitDMA("T", nil)))
-	d.Init("p", h, b.MustBuild())
+	d.initOn(h, "p", b.MustBuild())
 	rec := d.Recorder()
 	rec.ReadDMA("T", 0, 8)
 	rec.ReadDMA("T", 8, 8)

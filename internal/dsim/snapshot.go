@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/checkpoint"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
@@ -19,15 +21,16 @@ import (
 
 // SnapshotTo serializes the device's dynamic state.
 func (b *Base) SnapshotTo(enc *checkpoint.Encoder) {
-	enc.String(b.DevName)
+	life := b.Bank.Lifecycle()
+	enc.String(b.Name())
 	enc.I64(int64(b.now))
-	enc.I64(int64(b.busyStart))
-	enc.Int(b.inFlight)
-	enc.I64(b.stats.TasksStarted)
-	enc.I64(b.stats.TasksCompleted)
-	enc.I64(int64(b.stats.BusyTime))
-	enc.I64(b.stats.DMABytes)
-	enc.I64(b.stats.HostSteps)
+	enc.I64(int64(life.BusyStart))
+	enc.Int(life.InFlight)
+	enc.I64(life.Stats.TasksStarted)
+	enc.I64(life.Stats.TasksCompleted)
+	enc.I64(int64(life.Stats.BusyTime))
+	enc.I64(life.Stats.DMABytes)
+	enc.I64(life.Stats.HostSteps)
 
 	tags := make([]string, 0, len(b.queues))
 	for tag, q := range b.queues {
@@ -73,11 +76,11 @@ func (b *Base) RestoreFrom(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if name != b.DevName {
-		return fmt.Errorf("dsim: restore of device %q into %q", name, b.DevName)
+	if name != b.Name() {
+		return fmt.Errorf("dsim: restore of device %q into %q", name, b.Name())
 	}
 	if inFlight < 0 || nTags < 0 || nTags > 1<<16 {
-		return fmt.Errorf("%w: dsim %s: inFlight %d, %d tags", checkpoint.ErrCorrupt, b.DevName, inFlight, nTags)
+		return fmt.Errorf("%w: dsim %s: inFlight %d, %d tags", checkpoint.ErrCorrupt, b.Name(), inFlight, nTags)
 	}
 	queues := make(map[string]*dmaQueue, nTags)
 	prevTag := ""
@@ -88,11 +91,11 @@ func (b *Base) RestoreFrom(dec *checkpoint.Decoder) error {
 			return err
 		}
 		if i > 0 && tag <= prevTag {
-			return fmt.Errorf("%w: dsim %s: queue tags out of order", checkpoint.ErrCorrupt, b.DevName)
+			return fmt.Errorf("%w: dsim %s: queue tags out of order", checkpoint.ErrCorrupt, b.Name())
 		}
 		prevTag = tag
 		if nRecs <= 0 || nRecs > 1<<24 {
-			return fmt.Errorf("%w: dsim %s: %d records for tag %q", checkpoint.ErrCorrupt, b.DevName, nRecs, tag)
+			return fmt.Errorf("%w: dsim %s: %d records for tag %q", checkpoint.ErrCorrupt, b.Name(), nRecs, tag)
 		}
 		recs := make([]DMARec, nRecs)
 		for j := range recs {
@@ -113,13 +116,10 @@ func (b *Base) RestoreFrom(dec *checkpoint.Decoder) error {
 	}
 
 	b.now = now
-	b.busyStart = busyStart
-	b.inFlight = inFlight
-	b.stats.TasksStarted = stats[0]
-	b.stats.TasksCompleted = stats[1]
-	b.stats.BusyTime = vclock.Duration(stats[2])
-	b.stats.DMABytes = stats[3]
-	b.stats.HostSteps = stats[4]
+	b.Bank.SetLifecycle(devkit.Lifecycle{BusyStart: busyStart, InFlight: inFlight, Stats: accel.DeviceStats{
+		TasksStarted: stats[0], TasksCompleted: stats[1], BusyTime: vclock.Duration(stats[2]),
+		DMABytes: stats[3], HostSteps: stats[4],
+	}})
 	b.queues = queues
 	return nil
 }

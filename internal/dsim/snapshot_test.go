@@ -121,7 +121,6 @@ func TestSnapshotDropsDrainedQueues(t *testing.T) {
 	// Device 1: one full task drained, then a fresh recording.
 	d1.start(0, copyTask{src: src, dst: 0x2000, n: 4})
 	d1.Advance(vclock.Time(vclock.Microsecond))
-	d1.stats = d1.Stats() // keep as-is; stats must match device 2's below
 	d1r := d1.Recorder()
 	d1r.WriteDMA("STORE", 0x3000, []byte{9, 9})
 
@@ -132,7 +131,7 @@ func TestSnapshotDropsDrainedQueues(t *testing.T) {
 	d2r := d2.Recorder()
 	d2r.WriteDMA("STORE", 0x3000, []byte{9, 9})
 	d2.now = d1.now
-	d2.stats = d1.stats
+	d2.SetLifecycle(d1.Lifecycle())
 	d2.Net.RestoreFrom(mustDec(t, encodeNet(d1)))
 
 	e1, e2 := checkpoint.NewEncoder(), checkpoint.NewEncoder()
@@ -168,7 +167,7 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 
 	// Wrong device: different name.
 	_, other := setup(0)
-	other.DevName = "otherdev"
+	other.Bank.Init("otherdev", 1, other)
 	if err := other.RestoreFrom(mustDec(t, blob)); err == nil {
 		t.Fatal("restore accepted mismatched device name")
 	}

@@ -2,8 +2,8 @@ package workloads
 
 import (
 	"fmt"
-	"sync"
 
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/accel/jpeg"
 	"nexsim/internal/app"
 	"nexsim/internal/core"
@@ -141,15 +141,17 @@ func JPEGProgram(cfg JPEGConfig, ctx *core.Ctx) app.Program {
 	}
 }
 
-// corpusCache memoizes the synthesized + encoded corpora per config:
+// corpusMemo memoizes the synthesized + encoded corpora per config:
 // corpus generation is deterministic per seed and re-staged by every
 // engine run of the same benchmark (DESIGN.md §1's substrate-cost note).
-// The mutex makes it safe under the parallel sweep executor; entries are
-// immutable once stored.
-var corpusCache = struct {
-	sync.Mutex
-	m map[JPEGConfig][]corpusEntry
-}{m: map[JPEGConfig][]corpusEntry{}}
+// Entries are immutable once stored.
+var corpusMemo = devkit.NewMemo[JPEGConfig](func(entries []corpusEntry) int64 {
+	cost := int64(0)
+	for _, en := range entries {
+		cost += int64(en.stream.Len())
+	}
+	return cost
+})
 
 type corpusEntry struct {
 	stream *mem.Blob // the encoded image, mapped by every run that stages it
@@ -161,10 +163,7 @@ type corpusEntry struct {
 func stageJPEGCorpus(e app.Env, cfg JPEGConfig, ctx *core.Ctx) []jpegImage {
 	key := cfg
 	key.Compress, key.ProbeRealistic, key.UseIRQ = 0, false, false
-	corpusCache.Lock()
-	entries, ok := corpusCache.m[key]
-	corpusCache.Unlock()
-	if !ok {
+	entries := corpusMemo.Get(key, func() (entries []corpusEntry) {
 		rng := xrand.New(cfg.Seed | 1)
 		for i := 0; i < cfg.Images; i++ {
 			w := cfg.MinSize + rng.Intn(cfg.MaxSize-cfg.MinSize+1)
@@ -182,10 +181,8 @@ func stageJPEGCorpus(e app.Env, cfg JPEGConfig, ctx *core.Ctx) []jpegImage {
 			data := jpeg.EncodeRestart(img, 75+rng.Intn(18), sub, restart)
 			entries = append(entries, corpusEntry{stream: mem.NewBlob(data), w: w, h: h})
 		}
-		corpusCache.Lock()
-		corpusCache.m[key] = entries
-		corpusCache.Unlock()
-	}
+		return entries
+	})
 
 	next := ctx.Arena
 	var corpus []jpegImage

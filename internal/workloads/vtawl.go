@@ -2,8 +2,8 @@ package workloads
 
 import (
 	"fmt"
-	"sync"
 
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/accel/vta"
 	"nexsim/internal/app"
 	"nexsim/internal/core"
@@ -311,45 +311,26 @@ func stageOperands(m *mem.Memory, rng *xrand.Stream, base mem.Addr, tasks []vta.
 // byte layout StoreOperands would produce, as blobs that every run maps
 // instead of copying. The output of randI8 is a pure function of (stream
 // state, n); the same operands are regenerated by every repeated run,
-// checkpoint replay, and engine comparison of a workload. Bounded so
-// pathological sweeps cannot grow it without limit.
-var randI8Memo = struct {
-	sync.Mutex
-	m     map[randI8Key]*mem.Blob
-	bytes int
-}{m: make(map[randI8Key]*mem.Blob)}
+// checkpoint replay, and engine comparison of a workload.
+var randI8Memo = devkit.NewMemo[randI8Key](func(b *mem.Blob) int64 { return int64(b.Len()) })
 
 type randI8Key struct {
 	state uint64
 	n     int
 }
 
-const randI8MemoMax = 64 << 20
-
 // randI8 fills n bytes from a throwaway derived stream. Callers must not
 // reuse rng afterwards: on a memo hit the stream is not advanced.
 func randI8(rng *xrand.Stream, n int) *mem.Blob {
-	key := randI8Key{state: rng.State(), n: n}
-	randI8Memo.Lock()
-	out, ok := randI8Memo.m[key]
-	randI8Memo.Unlock()
-	if ok {
-		return out
-	}
-	buf := make([]byte, n)
-	for i := range buf {
-		// byte(x) for x in [-128,127] has the same bit pattern as the
-		// int8 the functional core will reinterpret it as.
-		buf[i] = byte(rng.Intn(256) - 128)
-	}
-	out = mem.NewBlob(buf)
-	randI8Memo.Lock()
-	if randI8Memo.bytes+n <= randI8MemoMax {
-		randI8Memo.m[key] = out
-		randI8Memo.bytes += n
-	}
-	randI8Memo.Unlock()
-	return out
+	return randI8Memo.Get(randI8Key{state: rng.State(), n: n}, func() *mem.Blob {
+		buf := make([]byte, n)
+		for i := range buf {
+			// byte(x) for x in [-128,127] has the same bit pattern as the
+			// int8 the functional core will reinterpret it as.
+			buf[i] = byte(rng.Intn(256) - 128)
+		}
+		return mem.NewBlob(buf)
+	})
 }
 
 // CPUInferenceProgram is the CPU-only fallback (the paper's Q1/Q2
