@@ -43,6 +43,16 @@ import (
 // filterDesc is the task descriptor: src (8) | dst (8) | w (4) | h (4).
 const filterDescSize = 24
 
+// encodeFilterDesc is the driver's half of the descriptor codec.
+func encodeFilterDesc(src, dst mem.Addr, w, h int) [filterDescSize]byte {
+	var desc [filterDescSize]byte
+	binary.LittleEndian.PutUint64(desc[0:], uint64(src))
+	binary.LittleEndian.PutUint64(desc[8:], uint64(dst))
+	binary.LittleEndian.PutUint32(desc[16:], uint32(w))
+	binary.LittleEndian.PutUint32(desc[20:], uint32(h))
+	return desc
+}
+
 // filterIRQ is the completion vector (unused here: the driver polls).
 const filterIRQ = 13
 
@@ -213,11 +223,7 @@ func main() {
 			e.Mem().WriteAt(src, raster)
 			for i := 0; i < images; i++ {
 				dst := src + mem.Addr(1+i)<<20
-				var desc [filterDescSize]byte
-				binary.LittleEndian.PutUint64(desc[0:], uint64(src))
-				binary.LittleEndian.PutUint64(desc[8:], uint64(dst))
-				binary.LittleEndian.PutUint32(desc[16:], imgW)
-				binary.LittleEndian.PutUint32(desc[20:], imgH)
+				desc := encodeFilterDesc(src, dst, imgW, imgH)
 				drv.Doorbell(e, drv.Post(e, desc[:]))
 				drv.WaitAll(e, 0)
 			}

@@ -195,15 +195,43 @@ func TestBatchOfTasks(t *testing.T) {
 	}
 }
 
-func TestIRQOnCompletion(t *testing.T) {
-	h := &devHost{mem: mem.New(0), lat: 20 * vclock.Nanosecond}
-	dev := NewDevice(2 * vclock.GHz)
-	dev.SetHost(h)
-	descAddr, _, _ := stageTask(h, dev)
-	dev.RegWrite(0, RegIRQEnable, 1)
-	dev.RegWrite(0, RegDoorbell, uint32(descAddr))
-	drain(dev)
-	if len(h.irqs) != 1 {
-		t.Fatalf("irqs = %d", len(h.irqs))
+// TestBatchRespectsTheRing: a batch doorbell launches descriptors that
+// are in the ring — none while the ring size is unset (it used to divide
+// by zero), and at most the ring's worth however large the count.
+func TestBatchRespectsTheRing(t *testing.T) {
+	for name, mk := range map[string]func() protoDevice{
+		"dsim": func() protoDevice { return NewDevice(2 * vclock.GHz) },
+		"rtl":  func() protoDevice { return NewRTLDevice(2 * vclock.GHz) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			h := &devHost{mem: mem.New(0), lat: 20 * vclock.Nanosecond}
+			dev := mk()
+			dev.(interface{ SetHost(accel.Host) }).SetHost(h)
+			d := testDesc()
+			dev.RegisterSchema(1, d)
+			const slots, ringBase = 4, 0x1000
+			for i := 0; i < slots; i++ {
+				base := mem.Addr(0x10000 + i*0x4000)
+				Store(h.mem, base, fillMessage(d))
+				b := EncodeDesc(Desc{Root: base, Out: mem.Addr(0x100000 + i*0x1000), Schema: 1})
+				h.mem.WriteAt(mem.Addr(ringBase+i*DescSize), b[:])
+			}
+
+			dev.RegWrite(0, RegRingBase, ringBase)
+			dev.RegWrite(0, RegBatch, 2) // ring size not written yet
+			if s := dev.Stats(); s.TasksStarted != 0 {
+				t.Fatalf("a batch on an unset ring started %d tasks", s.TasksStarted)
+			}
+
+			dev.RegWrite(0, RegRingSize, slots)
+			dev.RegWrite(0, RegBatch, slots+3)
+			if s := dev.Stats(); s.TasksStarted != slots {
+				t.Fatalf("a batch of %d on a ring of %d started %d tasks", slots+3, slots, s.TasksStarted)
+			}
+			drain(dev)
+			if got := dev.RegRead(vclock.Time(1)<<40, RegStatus); got != slots {
+				t.Fatalf("completed = %d, want %d", got, slots)
+			}
+		})
 	}
 }

@@ -286,18 +286,6 @@ func TestCoreAluOps(t *testing.T) {
 	}
 }
 
-func TestIRQRaised(t *testing.T) {
-	task, a, b, bias := gemmCase(6, 16, 16, 16, false, false)
-	h := &devHost{mem: mem.New(0), lat: 10 * vclock.Nanosecond}
-	dev := NewDevice(2 * vclock.GHz)
-	dev.SetHost(h)
-	dev.RegWrite(0, RegIRQEnable, 1)
-	runGemm(t, dev, h, task, a, b, bias)
-	if len(h.irqs) != 1 {
-		t.Fatalf("irqs = %d", len(h.irqs))
-	}
-}
-
 func TestChunkedGemmMatchesReference(t *testing.T) {
 	// K=4096 with N=64 exceeds the double-buffered weight SRAM
 	// (2*64*4096 = 512KB > 256KB), forcing the K-streaming schedule.
