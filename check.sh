@@ -31,6 +31,19 @@ test -z "$(grep -rl '"nexsim/internal/parsim"' internal cmd --include='*.go' |
 test "$(grep -rl '^func (.*) SlipStream(fn func())' internal --include='*.go' |
 	grep -v -e _test.go -e /testdata/ | wc -l)" -le 1
 
+# One device kit (DESIGN.md §4.4): the register switch and the IRQ
+# predicate each exist in exactly one production file (acceltest's
+# scripted fake is test scaffolding), no model or workload guards a memo
+# of its own with a mutex, and the kit stays a leaf that only the device
+# side of the tree imports.
+test "$(grep -rl 'case RegStatus:' internal examples --include='*.go' |
+	grep -v -e _test.go -e /testdata/ -e /acceltest/ | wc -l)" -eq 1
+test "$(grep -rlE '^func \(.*\) MayRaiseIRQ' internal examples --include='*.go' |
+	grep -v -e _test.go -e /testdata/ -e /acceltest/ | wc -l)" -eq 1
+test -z "$(grep -rl 'sync\.Mutex' internal/accel/jpeg internal/accel/vta internal/accel/protoacc internal/workloads --include='*.go')"
+test -z "$(grep -rl '"nexsim/internal/accel/devkit"' . --include='*.go' |
+	grep -v -e '^\./internal/accel/' -e '^\./internal/dsim/' -e '^\./internal/workloads/' -e '^\./examples/')"
+
 go build ./...
 go test ./...
 
@@ -94,6 +107,11 @@ go test -run '^$' -bench Switch -benchtime 1x ./internal/coro
 # TestIntraByteIdentity, TestRepeatedRunByteIdentical) run under race
 # here too.
 go test -race ./...
+
+# Kit conformance under race (DESIGN.md §4.4): the one table over all six
+# device models and the sketch device, and the shared memo's concurrent
+# getters, uncached.
+go test -race -count=1 -run 'KitConformance|Memo' ./internal/accel/devkit ./examples/sketch-accel
 
 # Conservative-parallel determinism smoke: table4 and a multi-device
 # chrome trace must be byte-identical between -intra 1 and -intra 4
