@@ -12,14 +12,6 @@ import (
 	"nexsim/internal/vclock"
 )
 
-// Register map: the device kit's.
-const (
-	RegDoorbell  = devkit.RegDoorbell
-	RegStatus    = devkit.RegStatus
-	RegBusy      = devkit.RegBusy
-	RegIRQEnable = devkit.RegIRQEnable
-)
-
 // IRQVector is the interrupt vector the decoder raises on completion.
 const IRQVector = 7
 

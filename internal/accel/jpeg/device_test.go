@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -47,8 +48,8 @@ func stage(h *devHost, seed uint64) (mem.Addr, *Image, Desc) {
 
 func runTask(t *testing.T, dev accel.Device, h *devHost, descAddr mem.Addr) vclock.Time {
 	t.Helper()
-	dev.RegWrite(0, RegIRQEnable, 1)
-	dev.RegWrite(0, RegDoorbell, uint32(descAddr))
+	dev.RegWrite(0, devkit.RegIRQEnable, 1)
+	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 	// Drive the device to completion through NextEvent.
 	for i := 0; i < 1_000_000; i++ {
 		at, ok := dev.NextEvent()
@@ -57,7 +58,7 @@ func runTask(t *testing.T, dev accel.Device, h *devHost, descAddr mem.Addr) vclo
 		}
 		dev.Advance(at)
 	}
-	if got := dev.RegRead(vclock.Time(1)<<40, RegStatus); got != 1 {
+	if got := dev.RegRead(vclock.Time(1)<<40, devkit.RegStatus); got != 1 {
 		t.Fatalf("status = %d, want 1 completed", got)
 	}
 	if len(h.irqs) != 1 {
@@ -136,7 +137,7 @@ func TestPipeliningAcrossTasks(t *testing.T) {
 
 	// One task alone.
 	descAddr, _, _ := stage(h, 31)
-	dev.RegWrite(0, RegDoorbell, uint32(descAddr))
+	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 	for {
 		at, ok := dev.NextEvent()
 		if !ok {
@@ -151,8 +152,8 @@ func TestPipeliningAcrossTasks(t *testing.T) {
 	dev2 := NewDevice(2 * vclock.GHz)
 	dev2.SetHost(h2)
 	da, _, _ := stage(h2, 31)
-	dev2.RegWrite(0, RegDoorbell, uint32(da))
-	dev2.RegWrite(0, RegDoorbell, uint32(da))
+	dev2.RegWrite(0, devkit.RegDoorbell, uint32(da))
+	dev2.RegWrite(0, devkit.RegDoorbell, uint32(da))
 	for {
 		at, ok := dev2.NextEvent()
 		if !ok {
@@ -164,7 +165,7 @@ func TestPipeliningAcrossTasks(t *testing.T) {
 	if both >= single*2 {
 		t.Fatalf("no pipelining: 2 tasks %v vs single %v", both, single)
 	}
-	if dev2.RegRead(both, RegStatus) != 2 {
+	if dev2.RegRead(both, devkit.RegStatus) != 2 {
 		t.Fatal("second task did not complete")
 	}
 }
@@ -178,7 +179,7 @@ func TestMalformedBitstream(t *testing.T) {
 	descAddr := mem.Addr(0x1000)
 	b := EncodeDesc(Desc{Src: src, SrcLen: 4, Dst: 0x40000})
 	h.mem.WriteAt(descAddr, b[:])
-	dev.RegWrite(0, RegDoorbell, uint32(descAddr))
+	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 	for {
 		at, ok := dev.NextEvent()
 		if !ok {
@@ -189,7 +190,7 @@ func TestMalformedBitstream(t *testing.T) {
 	if dev.DecodeErrors != 1 {
 		t.Fatalf("DecodeErrors = %d", dev.DecodeErrors)
 	}
-	if dev.RegRead(dev.Now(), RegStatus) != 1 {
+	if dev.RegRead(dev.Now(), devkit.RegStatus) != 1 {
 		t.Fatal("malformed task did not complete")
 	}
 }

@@ -92,6 +92,62 @@ func (r *ring) write(off mem.Addr, v uint32, launch func(desc mem.Addr)) {
 	}
 }
 
+// frontend is what both models keep in front of their pipelines: the
+// registered schemas, the descriptor ring, task numbering and the
+// per-task latency log.
+type frontend struct {
+	schemas  map[uint32]*MessageDesc
+	ring     ring
+	nextTask int64
+
+	// TaskLatency records per-task (submit, complete) pairs for tail
+	// latency analysis (§6.8).
+	TaskLatency []TaskSpan
+	submitTime  map[int64]vclock.Time
+}
+
+func newFrontend() frontend {
+	return frontend{schemas: make(map[uint32]*MessageDesc), submitTime: make(map[int64]vclock.Time)}
+}
+
+// TaskSpan is one task's lifetime.
+type TaskSpan struct {
+	Submit, Done vclock.Time
+}
+
+// RegisterSchema makes a message type available to the device under id
+// (standing in for Protoacc's descriptor-table pointers).
+func (f *frontend) RegisterSchema(id uint32, desc *MessageDesc) { f.schemas[id] = desc }
+
+// Latencies returns the per-task latency log (for §6.8 tail analysis).
+func (f *frontend) Latencies() []TaskSpan { return f.TaskLatency }
+
+// begin starts the task whose descriptor sits at descAddr on device b:
+// it numbers the task, logs its submit time and runs the functionality
+// track — the memoized plan of the object graph walk and its wire bytes.
+func (f *frontend) begin(b *devkit.Bank, at vclock.Time, descAddr mem.Addr) (task int64, desc Desc, plan *taskPlan) {
+	b.Start(at)
+	task = f.nextTask
+	f.nextTask++
+	f.submitTime[task] = at
+
+	var descBytes [DescSize]byte
+	b.Host.ZeroCostRead(descAddr, descBytes[:])
+	desc = decodeDesc(descBytes[:])
+	schema := f.schemas[desc.Schema]
+	if schema == nil {
+		panic(fmt.Sprintf("%s: unregistered schema %d", b.Name(), desc.Schema))
+	}
+	return task, desc, cachedPlan(b.Host, desc.Root, desc.Out, schema)
+}
+
+// finish logs task's latency and completes it on device b.
+func (f *frontend) finish(b *devkit.Bank, task int64, at vclock.Time) {
+	f.TaskLatency = append(f.TaskLatency, TaskSpan{Submit: f.submitTime[task], Done: at})
+	delete(f.submitTime, task)
+	b.Complete(at)
+}
+
 // nodeRec is one memory block in the device's fetch table (a task
 // descriptor or a message block). Node-token attribute 0 indexes this
 // table.
@@ -115,10 +171,8 @@ type outRec struct {
 // Protoacc memory-latency bound (§6.4).
 type Device struct {
 	dsim.Base
+	frontend
 	clk vclock.Hz
-
-	schemas map[uint32]*MessageDesc
-	ring    ring
 
 	nodeQ  *lpn.Place
 	storeQ *lpn.Place
@@ -126,30 +180,15 @@ type Device struct {
 	nodeTab   []nodeRec
 	outTab    map[int64]outRec
 	remaining map[int64]int64 // taskID -> outstanding nodes+fields
-	nextTask  int64
-
-	// TaskLatency records per-task (submit, complete) pairs for tail
-	// latency analysis (§6.8).
-	TaskLatency []TaskSpan
-	submitTime  map[int64]vclock.Time
 }
-
-// TaskSpan is one task's lifetime.
-type TaskSpan struct {
-	Submit, Done vclock.Time
-}
-
-// Latencies returns the per-task latency log (for §6.8 tail analysis).
-func (d *Device) Latencies() []TaskSpan { return d.TaskLatency }
 
 // NewDevice builds the DSim Protoacc model at clock clk.
 func NewDevice(clk vclock.Hz) *Device {
 	d := &Device{
-		clk:        clk,
-		schemas:    make(map[uint32]*MessageDesc),
-		outTab:     make(map[int64]outRec),
-		remaining:  make(map[int64]int64),
-		submitTime: make(map[int64]vclock.Time),
+		frontend:  newFrontend(),
+		clk:       clk,
+		outTab:    make(map[int64]outRec),
+		remaining: make(map[int64]int64),
 	}
 	b := lpnlang.NewBuilder("protoacc", clk)
 
@@ -260,17 +299,11 @@ func NewDevice(clk vclock.Hz) *Device {
 	// Task completion.
 	b.Stage("finish", storeDone, nil, nil,
 		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
-			d.taskDone(f.Tok(0).Attrs[3], f.Time)
+			d.finish(&d.Bank, f.Tok(0).Attrs[3], f.Time)
 		}))
 
 	d.Init("protoacc", IRQVector, d, b.MustBuild())
 	return d
-}
-
-// RegisterSchema makes a message type available to the device under id
-// (standing in for Protoacc's descriptor-table pointers).
-func (d *Device) RegisterSchema(id uint32, desc *MessageDesc) {
-	d.schemas[id] = desc
 }
 
 // workDone decrements a task's outstanding node+field count; at zero the
@@ -282,12 +315,6 @@ func (d *Device) workDone(task int64, at vclock.Time) {
 	}
 	delete(d.remaining, task)
 	d.Net.Inject(d.storeQ, lpn.Tok(at, int64(len(d.outTab[task].data)), 0, 0, task))
-}
-
-func (d *Device) taskDone(task int64, at vclock.Time) {
-	d.TaskLatency = append(d.TaskLatency, TaskSpan{Submit: d.submitTime[task], Done: at})
-	delete(d.submitTime, task)
-	d.Complete(at)
 }
 
 // WriteReg implements devkit.ExtraRegs: the descriptor ring.
@@ -304,20 +331,7 @@ func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
 		// is idle; truncate in place so it does not grow across tasks.
 		d.nodeTab = d.nodeTab[:0]
 	}
-	d.Start(at)
-	task := d.nextTask
-	d.nextTask++
-	d.submitTime[task] = at
-
-	var descBytes [DescSize]byte
-	d.Host.ZeroCostRead(descAddr, descBytes[:])
-	desc := decodeDesc(descBytes[:])
-	schema := d.schemas[desc.Schema]
-	if schema == nil {
-		panic(fmt.Sprintf("protoacc: unregistered schema %d", desc.Schema))
-	}
-
-	plan := cachedPlan(d.Host, desc.Root, desc.Out, schema)
+	task, desc, plan := d.begin(&d.Bank, at, descAddr)
 
 	// Table entries: the descriptor pseudo-node chains to the root
 	// message node; message nodes chain to their submessages.

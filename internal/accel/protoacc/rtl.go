@@ -1,8 +1,6 @@
 package protoacc
 
 import (
-	"fmt"
-
 	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
@@ -15,9 +13,7 @@ import (
 type RTLDevice struct {
 	devkit.Bank
 	devkit.Clock
-
-	schemas map[uint32]*MessageDesc
-	ring    ring
+	frontend
 
 	// Pipeline state. nodeTab holds every block; objQ indexes the
 	// currently fetchable ones (pointer chasing releases children).
@@ -34,11 +30,6 @@ type RTLDevice struct {
 
 	remaining map[int64]int64
 	outOf     map[int64]rtlStore
-	nextTask  int64
-
-	// TaskLatency mirrors the DSim device's per-task latency log.
-	TaskLatency []TaskSpan
-	submitTime  map[int64]vclock.Time
 }
 
 type rtlObj struct {
@@ -65,21 +56,14 @@ type rtlStore struct {
 // NewRTLDevice builds the cycle-level serializer model.
 func NewRTLDevice(clk vclock.Hz) *RTLDevice {
 	d := &RTLDevice{
-		schemas:    make(map[uint32]*MessageDesc),
-		remaining:  make(map[int64]int64),
-		outOf:      make(map[int64]rtlStore),
-		submitTime: make(map[int64]vclock.Time),
+		frontend:  newFrontend(),
+		remaining: make(map[int64]int64),
+		outOf:     make(map[int64]rtlStore),
 	}
 	d.Bank.Init("protoacc-rtl", IRQVector, d)
 	d.Clock.Init(clk, d)
 	return d
 }
-
-// RegisterSchema mirrors Device.RegisterSchema.
-func (d *RTLDevice) RegisterSchema(id uint32, desc *MessageDesc) { d.schemas[id] = desc }
-
-// Latencies returns the per-task latency log.
-func (d *RTLDevice) Latencies() []TaskSpan { return d.TaskLatency }
 
 // Busy implements devkit.Pipeline.
 func (d *RTLDevice) Busy() bool {
@@ -99,56 +83,49 @@ func (d *RTLDevice) Busy() bool {
 	return false
 }
 
-// NextStep implements devkit.Pipeline: the nearest busy-until cycle, or
-// now if an idle unit has queued work.
-func (d *RTLDevice) NextStep() int64 {
+// nextCycle is the cycle of the next unit event: the nearest busy-until,
+// or now if there is queued work — counted, when needIdle is set, only
+// for a unit kind that has an idle unit to take it.
+func (d *RTLDevice) nextCycle(needIdle bool) int64 {
 	next := int64(1 << 62)
+	objIdle, fieldIdle, storeIdle := !needIdle, !needIdle, !needIdle
 	for i := range d.objCur {
 		if d.objCur[i] != nil {
 			next = min(next, d.objBusy[i])
-		} else if d.objQ.Len() > 0 {
-			next = min(next, d.Cycle)
+		} else {
+			objIdle = true
 		}
 	}
 	for i := range d.fieldCur {
 		if d.fieldCur[i] != nil {
 			next = min(next, d.fieldBsy[i])
-		} else if d.fieldQ.Len() > 0 {
-			next = min(next, d.Cycle)
+		} else {
+			fieldIdle = true
 		}
 	}
 	if d.storeCur != nil {
 		next = min(next, d.storeBsy)
-	} else if d.storeQ.Len() > 0 {
+	} else {
+		storeIdle = true
+	}
+	if objIdle && d.objQ.Len() > 0 || fieldIdle && d.fieldQ.Len() > 0 || storeIdle && d.storeQ.Len() > 0 {
 		next = min(next, d.Cycle)
 	}
 	return next
 }
 
+// NextStep implements devkit.Pipeline: queued work issues only when a
+// unit is idle to take it.
+func (d *RTLDevice) NextStep() int64 { return d.nextCycle(true) }
+
 // NextEvent implements accel.Device. Unlike NextStep it counts queued
-// work as an event now whether or not a unit is idle to take it.
+// work as an event now whether or not a unit is idle to take it
+// (devices.golden pins the hosts' schedules to that answer).
 func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
 	if !d.Busy() {
 		return vclock.Never, false
 	}
-	next := int64(1 << 62)
-	for i := range d.objCur {
-		if d.objCur[i] != nil {
-			next = min(next, d.objBusy[i])
-		}
-	}
-	for i := range d.fieldCur {
-		if d.fieldCur[i] != nil {
-			next = min(next, d.fieldBsy[i])
-		}
-	}
-	if d.storeCur != nil {
-		next = min(next, d.storeBsy)
-	}
-	if d.objQ.Len() > 0 || d.fieldQ.Len() > 0 || d.storeQ.Len() > 0 {
-		next = min(next, d.Cycle)
-	}
-	return d.TimeAt(max(next, d.Cycle)), true
+	return d.TimeAt(max(d.nextCycle(false), d.Cycle)), true
 }
 
 // Step implements devkit.Pipeline: all units advance one clock cycle.
@@ -159,10 +136,7 @@ func (d *RTLDevice) Step() {
 	if d.storeCur != nil && d.Cycle >= d.storeBsy {
 		s := d.storeCur
 		d.storeCur = nil
-		done := d.DMA(now, mem.Write, s.addr, len(s.data), s.data)
-		d.TaskLatency = append(d.TaskLatency, TaskSpan{Submit: d.submitTime[s.task], Done: done})
-		delete(d.submitTime, s.task)
-		d.Complete(done)
+		d.finish(&d.Bank, s.task, d.DMA(now, mem.Write, s.addr, len(s.data), s.data))
 	}
 	if d.storeCur == nil && d.storeQ.Len() > 0 {
 		s := *d.storeQ.Front()
@@ -228,20 +202,7 @@ func (d *RTLDevice) WriteReg(at vclock.Time, off mem.Addr, v uint32) {
 
 // Doorbell implements devkit.Model.
 func (d *RTLDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
-	d.Start(at)
-	task := d.nextTask
-	d.nextTask++
-	d.submitTime[task] = at
-
-	var descBytes [DescSize]byte
-	d.Host.ZeroCostRead(descAddr, descBytes[:])
-	desc := decodeDesc(descBytes[:])
-	schema := d.schemas[desc.Schema]
-	if schema == nil {
-		panic(fmt.Sprintf("protoacc-rtl: unregistered schema %d", desc.Schema))
-	}
-
-	plan := cachedPlan(d.Host, desc.Root, desc.Out, schema)
+	task, desc, plan := d.begin(&d.Bank, at, descAddr)
 
 	total := int64(len(plan.nodes)) + 1
 	for _, n := range plan.nodes {

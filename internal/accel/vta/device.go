@@ -6,14 +6,6 @@ import (
 	"nexsim/internal/vclock"
 )
 
-// Register map: the device kit's.
-const (
-	RegDoorbell  = devkit.RegDoorbell
-	RegStatus    = devkit.RegStatus
-	RegBusy      = devkit.RegBusy
-	RegIRQEnable = devkit.RegIRQEnable
-)
-
 // IRQVector is the completion interrupt vector.
 const IRQVector = 11
 
@@ -50,17 +42,15 @@ func (d *Device) Now() vclock.Time { return d.now }
 
 // Doorbell implements devkit.Model.
 func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
-	d.Start(at)
-	plan, fetchDone := fetchTask(&d.Bank, at, descAddr)
-	appendGated(&d.mods[0].ops, plan.loads, fetchDone)
-	appendGated(&d.mods[1].ops, plan.computes, fetchDone)
-	appendGated(&d.mods[2].ops, plan.stores, fetchDone)
+	startTask(&d.Bank, at, descAddr, &d.mods[0].ops, &d.mods[1].ops, &d.mods[2].ops)
 }
 
-// fetchTask is the start of a task on either model: the timed fetch of
-// the descriptor and the instruction stream — all of the task's ops
-// start after the fetch response — and the memoized master plan.
-func fetchTask(b *devkit.Bank, at vclock.Time, descAddr mem.Addr) (*vtaPlan, vclock.Time) {
+// startTask is a doorbell on either model: the timed fetch of the
+// descriptor and the instruction stream, then the memoized master plan's
+// ops appended to the three module queues, each copy gated on the fetch
+// response.
+func startTask(b *devkit.Bank, at vclock.Time, descAddr mem.Addr, loads, computes, stores *devkit.Queue[planOp]) {
+	b.Start(at)
 	var descB [DescSize]byte
 	b.Host.ZeroCostRead(descAddr, descB[:])
 	desc := decodeDesc(descB[:])
@@ -72,7 +62,9 @@ func fetchTask(b *devkit.Bank, at vclock.Time, descAddr mem.Addr) (*vtaPlan, vcl
 	if err != nil {
 		panic(b.Name() + ": " + err.Error())
 	}
-	return plan, fetchDone
+	appendGated(loads, plan.loads, fetchDone)
+	appendGated(computes, plan.computes, fetchDone)
+	appendGated(stores, plan.stores, fetchDone)
 }
 
 // depsReady returns the earliest time the op's dependency pops are

@@ -46,11 +46,7 @@ func (d *RTLDevice) Busy() bool {
 
 // Doorbell implements devkit.Model.
 func (d *RTLDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
-	d.Start(at)
-	plan, fetchDone := fetchTask(&d.Bank, at, descAddr)
-	appendGated(&d.mods[0].ops, plan.loads, fetchDone)
-	appendGated(&d.mods[1].ops, plan.computes, fetchDone)
-	appendGated(&d.mods[2].ops, plan.stores, fetchDone)
+	startTask(&d.Bank, at, descAddr, &d.mods[0].ops, &d.mods[1].ops, &d.mods[2].ops)
 }
 
 // depsAvailable reports whether module m's next op can pop its tokens.
@@ -140,41 +136,33 @@ func (d *RTLDevice) Step() {
 	}
 }
 
-// NextStep implements devkit.Pipeline: completions fire at a module's
-// busyUntil, issues need an idle module whose head op is past minStart
-// with its dependency tokens available, and tokens only change at those
-// same events.
-func (d *RTLDevice) NextStep() int64 {
+// nextCycle is the cycle of the next module event: a completion at a
+// module's busyUntil, or an idle module's head op reaching minStart —
+// counted, when needDeps is set, only if its dependency tokens are there
+// (it unblocks at another module's completion otherwise).
+func (d *RTLDevice) nextCycle(needDeps bool) int64 {
 	next := int64(1 << 62)
 	for m := range d.mods {
 		ms := &d.mods[m]
 		if ms.cur != nil {
 			next = min(next, ms.busyUntil)
-		} else if ms.ops.Len() > 0 {
-			op := ms.ops.Front()
-			if !d.depsAvailable(m, op) {
-				continue // unblocks only at another module's completion
-			}
-			next = min(next, d.CyclesAt(op.minStart))
+		} else if ms.ops.Len() > 0 && (!needDeps || d.depsAvailable(m, ms.ops.Front())) {
+			next = min(next, d.CyclesAt(ms.ops.Front().minStart))
 		}
 	}
 	return next
 }
 
+// NextStep implements devkit.Pipeline: tokens only change at module
+// events, so an op whose tokens are missing cannot issue before one.
+func (d *RTLDevice) NextStep() int64 { return d.nextCycle(true) }
+
 // NextEvent implements accel.Device. Unlike NextStep it does not ask
-// whether a waiting op's dependency tokens are there.
+// whether a waiting op's dependency tokens are there (devices.golden
+// pins the hosts' schedules to that answer).
 func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
 	if !d.Busy() {
 		return vclock.Never, false
 	}
-	next := int64(1 << 62)
-	for m := range d.mods {
-		ms := &d.mods[m]
-		if ms.cur != nil {
-			next = min(next, ms.busyUntil)
-		} else if ms.ops.Len() > 0 {
-			next = min(next, max(d.CyclesAt(ms.ops.Front().minStart), d.Cycle))
-		}
-	}
-	return d.TimeAt(max(next, d.Cycle)), true
+	return d.TimeAt(max(d.nextCycle(false), d.Cycle)), true
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 	"nexsim/internal/xrand"
@@ -87,7 +88,7 @@ func launchGemm(t *testing.T, dev accel.Device, h *devHost, task GemmTask) []int
 	db := EncodeDesc(Desc{Prog: progAddr, Count: uint32(len(prog))})
 	h.mem.WriteAt(descAddr, db[:])
 
-	dev.RegWrite(0, RegDoorbell, uint32(descAddr))
+	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 	for i := 0; ; i++ {
 		at, ok := dev.NextEvent()
 		if !ok {
@@ -98,7 +99,7 @@ func launchGemm(t *testing.T, dev accel.Device, h *devHost, task GemmTask) []int
 		}
 		dev.Advance(at)
 	}
-	if got := dev.RegRead(vclock.Time(1)<<40, RegStatus); got != 1 {
+	if got := dev.RegRead(vclock.Time(1)<<40, devkit.RegStatus); got != 1 {
 		t.Fatalf("status = %d", got)
 	}
 	out := make([]byte, task.M*task.N)
