@@ -8,9 +8,9 @@ import (
 
 // MemoBudget bounds every Memo: 64 MB of values, evicted least recently
 // used. After `paperbench -exp all` the repository's eight memos hold
-// under 22 MB between them (the largest 8.4 MB) and the catalog is
-// closed, so the budget binds in no workload; it exists so that an
-// unforeseen sweep cannot grow a process without limit.
+// 20 MB between them (the largest 6.9 MB) and the catalog is closed, so
+// the budget binds in no workload; it exists so that an unforeseen sweep
+// cannot grow a process without limit.
 const MemoBudget = 64 << 20
 
 // Memo is a process-wide memo of a pure function: decoded images, task
@@ -42,12 +42,13 @@ func (m *Memo[K, V]) Get(key K, build func() V) V {
 		return v
 	}
 	built := build()
+	cost := m.cost(built)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if v, ok := m.c.Get(key); ok {
 		return v
 	}
-	m.c.Put(key, built, m.cost(built))
+	m.c.Put(key, built, cost)
 	return built
 }
 
