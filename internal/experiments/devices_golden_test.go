@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"os"
 	"testing"
 
 	"nexsim/internal/core"
@@ -49,24 +48,5 @@ func TestDevicesGolden(t *testing.T) {
 				j, d.TasksStarted, d.TasksCompleted, int64(d.BusyTime), d.DMABytes, d.HostSteps)
 		}
 	}
-	const path = "testdata/devices.golden"
-	if *updateDevicesGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("devices.golden line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("devices.golden: got %d lines, want %d", len(gl), len(wl))
-	}
+	diffGolden(t, "testdata/devices.golden", got.Bytes(), *updateDevicesGolden)
 }
