@@ -11,29 +11,25 @@ import (
 
 	"nexsim/internal/core"
 	"nexsim/internal/experiments"
-	"nexsim/internal/nex"
-	"nexsim/internal/vclock"
 	"nexsim/internal/workloads"
 )
 
-// runOnce executes one benchmark under one combination.
-func runOnce(b *testing.B, name string, host core.HostKind, acc core.AccelKind, ncfg nex.Config) {
+// runOnce executes one spec and reports its simulated time.
+func runOnce(b *testing.B, spec experiments.Spec) {
 	b.Helper()
-	bench, err := workloads.ByName(name)
+	res, err := experiments.RunSpec(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.Config{
-		Host: host, Accel: acc, Model: bench.Model, Devices: bench.Devices,
-		Cores: 16, Seed: 42,
-	}
-	cfg.NEX = ncfg
-	sys := core.Build(cfg)
-	res := sys.Run(bench.Build(&sys.Ctx))
 	if res.SimTime <= 0 {
-		b.Fatalf("%s on %v+%v produced no simulated time", name, host, acc)
+		b.Fatalf("%+v produced no simulated time", spec)
 	}
 	b.ReportMetric(res.SimTime.Seconds()*1e3, "simulated-ms")
+}
+
+// on names a bench under one host/accelerator engine pair.
+func on(bench, host, accel string) experiments.Spec {
+	return experiments.Spec{Bench: bench, Host: host, Accel: accel}
 }
 
 // --- Table 1 / Figure 4: the four simulator combinations on a
@@ -41,25 +37,25 @@ func runOnce(b *testing.B, name string, host core.HostKind, acc core.AccelKind, 
 
 func BenchmarkTable1_Gem5RTL_JPEG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "jpeg-decode", core.HostGem5, core.AccelRTL, nex.Config{})
+		runOnce(b, on("jpeg-decode", "gem5", "rtl"))
 	}
 }
 
 func BenchmarkTable1_Gem5DSim_JPEG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "jpeg-decode", core.HostGem5, core.AccelDSim, nex.Config{})
+		runOnce(b, on("jpeg-decode", "gem5", "dsim"))
 	}
 }
 
 func BenchmarkTable1_NEXRTL_JPEG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "jpeg-decode", core.HostNEX, core.AccelRTL, nex.Config{})
+		runOnce(b, on("jpeg-decode", "nex", "rtl"))
 	}
 }
 
 func BenchmarkTable1_NEXDSim_JPEG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "jpeg-decode", core.HostNEX, core.AccelDSim, nex.Config{})
+		runOnce(b, on("jpeg-decode", "nex", "dsim"))
 	}
 }
 
@@ -67,37 +63,37 @@ func BenchmarkTable1_NEXDSim_JPEG(b *testing.B) {
 
 func BenchmarkFig3_VTAResnet18_Gem5RTL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "vta-resnet18", core.HostGem5, core.AccelRTL, nex.Config{})
+		runOnce(b, on("vta-resnet18", "gem5", "rtl"))
 	}
 }
 
 func BenchmarkFig3_VTAResnet18_NEXDSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "vta-resnet18", core.HostNEX, core.AccelDSim, nex.Config{})
+		runOnce(b, on("vta-resnet18", "nex", "dsim"))
 	}
 }
 
 func BenchmarkFig3_Protoacc0_Gem5RTL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "protoacc-bench0", core.HostGem5, core.AccelRTL, nex.Config{})
+		runOnce(b, on("protoacc-bench0", "gem5", "rtl"))
 	}
 }
 
 func BenchmarkFig3_Protoacc0_NEXDSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "protoacc-bench0", core.HostNEX, core.AccelDSim, nex.Config{})
+		runOnce(b, on("protoacc-bench0", "nex", "dsim"))
 	}
 }
 
 func BenchmarkFig3_JPEGmt8_Gem5RTL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "jpeg-mt.8", core.HostGem5, core.AccelRTL, nex.Config{})
+		runOnce(b, on("jpeg-mt.8", "gem5", "rtl"))
 	}
 }
 
 func BenchmarkFig3_JPEGmt8_NEXDSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "jpeg-mt.8", core.HostNEX, core.AccelDSim, nex.Config{})
+		runOnce(b, on("jpeg-mt.8", "nex", "dsim"))
 	}
 }
 
@@ -106,36 +102,29 @@ func BenchmarkFig3_JPEGmt8_NEXDSim(b *testing.B) {
 
 func BenchmarkTable3_Reference_VTA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "vta-resnet18", core.HostReference, core.AccelRTL, nex.Config{})
+		runOnce(b, on("vta-resnet18", "reference", "rtl"))
 	}
 }
 
 // --- Table 4: NEX on an NPB kernel per epoch-duration extreme. ---
 
-func benchNPB(b *testing.B, epoch vclock.Duration, threads int) {
-	b.Helper()
+func BenchmarkTable4_CG16_Epoch500ns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := core.Config{Host: core.HostNEX, Cores: 16, Seed: 42}
-		cfg.NEX = nex.Config{Epoch: epoch, VirtualCores: 16}
-		sys := core.Build(cfg)
-		res := sys.Run(workloads.NPBProgram("cg", threads, sys.Ctx.Clock))
-		if res.SimTime <= 0 {
-			b.Fatal("no simulated time")
-		}
+		runOnce(b, experiments.Spec{Bench: "npb-cg.16", EpochNS: 500, VirtualCores: 16})
 	}
 }
 
-func BenchmarkTable4_CG16_Epoch500ns(b *testing.B) { benchNPB(b, 500*vclock.Nanosecond, 16) }
-func BenchmarkTable4_CG16_Epoch4us(b *testing.B)   { benchNPB(b, 4*vclock.Microsecond, 16) }
+func BenchmarkTable4_CG16_Epoch4us(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		runOnce(b, experiments.Spec{Bench: "npb-cg.16", EpochNS: 4000, VirtualCores: 16})
+	}
+}
 
 // --- §6.6: oversubscription / complementary scheduling. ---
 
 func BenchmarkCompSched_LU16on4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := core.Config{Host: core.HostNEX, Cores: 16, Seed: 42}
-		cfg.NEX = nex.Config{Epoch: 1 * vclock.Microsecond, VirtualCores: 4}
-		sys := core.Build(cfg)
-		sys.Run(workloads.NPBProgram("lu", 16, sys.Ctx.Clock))
+		runOnce(b, experiments.Spec{Bench: "npb-lu.16", EpochNS: 1000, VirtualCores: 4})
 	}
 }
 
@@ -143,47 +132,29 @@ func BenchmarkCompSched_LU16on4(b *testing.B) {
 
 func BenchmarkHybrid_JPEG_1us(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runOnce(b, "jpeg-decode", core.HostNEX, core.AccelDSim, nex.Config{
-			Mode: nex.Hybrid, SyncInterval: 1 * vclock.Microsecond,
-		})
+		runOnce(b, experiments.Spec{Bench: "jpeg-decode", SyncMode: "hybrid", SyncIntervalNS: 1000})
 	}
 }
 
 // --- §6.4 / §A.2 use-case sweeps (full experiment as one iteration). ---
 
-func BenchmarkWhatIf(b *testing.B) {
+// runExperiment renders one whole experiment per iteration.
+func runExperiment(b *testing.B, e experiments.Experiment) {
+	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if err := experiments.WhatIf(io.Discard); err != nil {
+		if _, err := e.Run(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkVTASweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := experiments.VTASweep(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkProtoSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := experiments.ProtoSweep(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkWhatIf(b *testing.B)     { runExperiment(b, experiments.WhatIf) }
+func BenchmarkVTASweep(b *testing.B)   { runExperiment(b, experiments.VTASweep) }
+func BenchmarkProtoSweep(b *testing.B) { runExperiment(b, experiments.ProtoSweep) }
 
 func BenchmarkTightVsChannel_VTAMatmul(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench, _ := workloads.ByName("vta-matmul")
-		sys := core.Build(core.Config{
-			Host: core.HostNEX, Accel: core.AccelDSim,
-			Model: bench.Model, Devices: bench.Devices, Cores: 16, Seed: 42,
-			UseChannel: true,
-		})
-		sys.Run(bench.Build(&sys.Ctx))
+		runOnce(b, experiments.Spec{Bench: "vta-matmul", UseChannel: true})
 	}
 }
 
@@ -250,19 +221,11 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 func BenchmarkVTASweep_Serial(b *testing.B) {
 	experiments.SetParallelism(1)
 	defer experiments.SetParallelism(1)
-	for i := 0; i < b.N; i++ {
-		if err := experiments.VTASweep(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runExperiment(b, experiments.VTASweep)
 }
 
 func BenchmarkVTASweep_Parallel4(b *testing.B) {
 	experiments.SetParallelism(4)
 	defer experiments.SetParallelism(1)
-	for i := 0; i < b.N; i++ {
-		if err := experiments.VTASweep(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runExperiment(b, experiments.VTASweep)
 }

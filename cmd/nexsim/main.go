@@ -23,9 +23,9 @@ import (
 	"time"
 
 	"nexsim/internal/core"
+	"nexsim/internal/experiments"
 	"nexsim/internal/sweep"
 	"nexsim/internal/trace"
-	"nexsim/internal/vclock"
 	"nexsim/internal/workloads"
 )
 
@@ -38,7 +38,7 @@ func main() {
 		showTrace = flag.Bool("trace", false, "print the coarse-grained execution trace summary")
 		chrome    = flag.String("chrome-trace", "", "write the trace as Chrome trace-event JSON to this file")
 		list      = flag.Bool("list", false, "list benchmarks")
-		seed      = flag.Uint64("seed", 42, "simulation seed")
+		seed      = flag.Uint64("seed", 42, "simulation seed (0 selects the default, 42)")
 		seeds     = flag.Int("seeds", 1, "run this many consecutive seeds (starting at -seed)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"workers for the -seeds sweep (1 = serial)")
@@ -62,72 +62,43 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nexsim: -bench is required (try -list)")
 		os.Exit(2)
 	}
-	b, err := workloads.ByName(*benchName)
+	spec := experiments.Spec{Bench: *benchName, Host: *hostName, Accel: *accName,
+		Seed: *seed, EpochNS: int64(*epoch / time.Nanosecond)}
+	n, err := spec.Normalized()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	var host core.HostKind
-	switch *hostName {
-	case "nex":
-		host = core.HostNEX
-	case "gem5":
-		host = core.HostGem5
-	case "reference":
-		host = core.HostReference
-	default:
-		fmt.Fprintf(os.Stderr, "nexsim: unknown host %q\n", *hostName)
-		os.Exit(2)
-	}
-	var acc core.AccelKind
-	switch *accName {
-	case "dsim":
-		acc = core.AccelDSim
-	case "rtl":
-		acc = core.AccelRTL
-	default:
-		fmt.Fprintf(os.Stderr, "nexsim: unknown accelerator engine %q\n", *accName)
-		os.Exit(2)
-	}
-
 	// A single run has one inter-run worker; only the -seeds sweep fans
 	// across -parallel. The clamp keeps workers×intra within GOMAXPROCS.
-	sweepWorkers := 1
+	workers := 1
 	if *seeds > 1 {
-		sweepWorkers = sweep.New(*parallel).Workers()
+		workers = sweep.New(*parallel).Workers()
 	}
-	cfg := core.Config{
-		Host: host, Accel: acc, Model: b.Model, Devices: b.Devices,
-		Cores: 16, Seed: *seed,
-		IntraParallel: sweep.ClampIntra(sweepWorkers, *intra, 0),
-	}
-	if *epoch > 0 {
-		cfg.NEX.Epoch = vclock.FromStd(*epoch)
-	}
+	experiments.SetParallelism(workers)
+	experiments.SetIntra(sweep.ClampIntra(workers, *intra, 0))
 
 	if *seeds > 1 {
-		// Seed sweep: each run builds its own system, so the runs are
-		// independent and fan across the sweep executor's workers.
-		jobs := make([]func() core.Result, *seeds)
-		for i := range jobs {
-			scfg := cfg
-			scfg.Seed = *seed + uint64(i)
-			jobs[i] = func() core.Result {
-				sys := core.Build(scfg)
-				return sys.Run(b.Build(&sys.Ctx))
-			}
+		// Seed sweep: independent runs, fanned across the sweep executor.
+		specs := make([]experiments.Spec, *seeds)
+		for i := range specs {
+			specs[i] = n
+			specs[i].Seed = n.Seed + uint64(i)
 		}
 		start := time.Now()
-		res := sweep.Map(sweep.New(*parallel), jobs)
+		res, err := experiments.RunSpecs(specs)
 		wall := time.Since(start)
-		fmt.Printf("benchmark:   %s\n", b.Name)
-		fmt.Printf("combination: %v+%v\n", host, acc)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Printf("benchmark:   %s\n", n.Bench)
+		fmt.Printf("combination: %s+%s\n", n.Host, n.Accel)
 		fmt.Printf("%-8s %14s\n", "seed", "simulated")
 		for i, r := range res {
-			fmt.Printf("%-8d %14v\n", *seed+uint64(i), r.SimTime)
+			fmt.Printf("%-8d %14v\n", specs[i].Seed, r.SimTime)
 		}
-		workers := sweep.New(*parallel).Workers()
 		noun := "workers"
 		if workers == 1 {
 			noun = "worker"
@@ -137,24 +108,27 @@ func main() {
 		return
 	}
 
+	// The traced run attaches a recorder to the configuration the spec
+	// lowers to, so it builds its system here rather than through RunSpec.
+	b, cfg, err := experiments.Lower(n)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var rec *trace.Recorder
 	if *showTrace || *chrome != "" {
 		rec = trace.New()
 		cfg.Trace = rec
 	}
-
 	sys := core.Build(cfg)
-	prog := b.Build(&sys.Ctx)
-	start := time.Now()
-	r := sys.Run(prog)
-	wall := time.Since(start)
+	r := sys.Run(b.Build(&sys.Ctx))
 
 	fmt.Printf("benchmark:       %s\n", b.Name)
-	fmt.Printf("combination:     %v+%v\n", host, acc)
+	fmt.Printf("combination:     %v+%v\n", r.Host, r.Accel)
 	fmt.Printf("simulated time:  %v\n", r.SimTime)
-	fmt.Printf("wall-clock time: %v\n", wall.Round(time.Microsecond))
+	fmt.Printf("wall-clock time: %v\n", r.WallTime.Round(time.Microsecond))
 	fmt.Printf("slowdown:        %.1fx\n", r.Slowdown())
-	if host == core.HostNEX {
+	if r.Host == core.HostNEX {
 		s := r.NEXStats
 		fmt.Printf("nex: epochs=%d thread-epochs=%d traps=%d syncs=%d irqs=%d idle-jumps=%d\n",
 			s.Epochs, s.ThreadEpochs, s.Traps, s.Syncs, s.IRQs, s.IdleJumps)

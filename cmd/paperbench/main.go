@@ -38,10 +38,13 @@ import (
 // jsonEntry is one experiment's record in the -json report. Parallel,
 // Intra and GoVersion record the run environment: wall times are only
 // comparable across reports taken at the same worker/intra counts and
-// toolchain. HostWallMS is the summed wall time of the experiment's
-// simulation runs; DeviceWallMS is the time accelerator stepper lanes
-// spent advancing concurrently with those runs (0 at -intra 1), so the
-// pair attributes where the time went.
+// toolchain. HostWallMS and DeviceWallMS are the experiments.WallSplit
+// the experiment's Run returned: the summed wall time of every
+// simulation it executed — all 20 experiments run through the one
+// executor, and a wall-time experiment's warm-up and second measured run
+// count too, so at -parallel 1 it approaches WallMS — and the time
+// accelerator stepper lanes spent advancing concurrently with those runs
+// (0 at -intra 1).
 type jsonEntry struct {
 	ID           string  `json:"id"`
 	Title        string  `json:"title"`
@@ -107,11 +110,9 @@ func main() {
 		// (the last non-empty line, where every experiment prints its
 		// summary statistic or final row).
 		var buf bytes.Buffer
-		experiments.TakeWallSplit() // reset the split accumulator
 		start := time.Now()
-		err := e.Run(&buf)
+		split, err := e.Run(&buf)
 		wall := time.Since(start)
-		hostWall, devWall := experiments.TakeWallSplit()
 		if _, werr := os.Stdout.Write(buf.Bytes()); werr != nil {
 			fmt.Fprintln(os.Stderr, werr)
 			os.Exit(1)
@@ -128,8 +129,8 @@ func main() {
 			Headline:     lastLine(buf.String()),
 			Parallel:     *parallel,
 			Intra:        effIntra,
-			HostWallMS:   float64(hostWall) / float64(time.Millisecond),
-			DeviceWallMS: float64(devWall) / float64(time.Millisecond),
+			HostWallMS:   float64(split.Host) / float64(time.Millisecond),
+			DeviceWallMS: float64(split.Device) / float64(time.Millisecond),
 			GoVersion:    runtime.Version(),
 		})
 	}

@@ -143,6 +143,11 @@ func (s *System) RestoreCheckpoint(blob []byte, prog app.Program) error {
 	if !dec.Done() {
 		return fmt.Errorf("%w: %d trailing bytes after restore", checkpoint.ErrCorrupt, dec.Remaining())
 	}
+	// Re-clocking the devices crossed each channel once; that traffic is
+	// the restore's, and the resumed run reports what a straight run does.
+	for _, ch := range s.Channels {
+		ch.Msgs, ch.Bytes = 0, 0
+	}
 	return nil
 }
 

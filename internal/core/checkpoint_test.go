@@ -75,6 +75,9 @@ func sameRun(t *testing.T, label string, got, want core.Result) {
 	if got.NEXStats != want.NEXStats {
 		t.Errorf("%s: NEXStats diverged:\n got  %+v\n want %+v", label, got.NEXStats, want.NEXStats)
 	}
+	if got.ChannelMsgs != want.ChannelMsgs {
+		t.Errorf("%s: ChannelMsgs %d, want %d", label, got.ChannelMsgs, want.ChannelMsgs)
+	}
 	if len(got.Devices) != len(want.Devices) {
 		t.Fatalf("%s: %d device stats, want %d", label, len(got.Devices), len(want.Devices))
 	}

@@ -228,6 +228,14 @@ type Result struct {
 	// and is zero when serial (device time is then part of HostWall).
 	HostWall   time.Duration
 	DeviceWall time.Duration
+
+	// TaskLatency is the first device's per-task latency log when the
+	// model keeps one (Protoacc, §6.8) — the device's own slice, not a
+	// copy. ChannelMsgs is the message count summed over the SimBricks
+	// channels of a UseChannel run. Both are read-outs for the table
+	// renderers and enter no content address or encoded result.
+	TaskLatency []protoacc.TaskSpan
+	ChannelMsgs int64
 }
 
 // Slowdown is WallTime / SimTime.
@@ -441,6 +449,14 @@ func (s *System) finish(start time.Time, simTime vclock.Duration) (Result, error
 		// starts them (the open window the analysis sees there is the
 		// flow-insensitive summary of Complex.Advance's parallel branch).
 		r.Devices = append(r.Devices, d.Stats()) //simlint:allow lane-safety engine entry points return with lanes stopped
+	}
+	if len(s.binds) > 0 {
+		if l, ok := unwrap(s.binds[0]).(interface{ Latencies() []protoacc.TaskSpan }); ok {
+			r.TaskLatency = l.Latencies()
+		}
+	}
+	for _, ch := range s.Channels {
+		r.ChannelMsgs += ch.Msgs
 	}
 	return r, nil
 }

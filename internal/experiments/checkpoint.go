@@ -7,6 +7,7 @@ import (
 	"nexsim/internal/checkpoint"
 	"nexsim/internal/core"
 	"nexsim/internal/faults"
+	"nexsim/internal/sweep"
 	"nexsim/internal/vclock"
 	"nexsim/internal/workloads"
 )
@@ -162,6 +163,27 @@ func warmPrefix(b workloads.Bench, cfg core.Config) ([]byte, error) {
 	return blob, err
 }
 
+// warmPrefixes is the sweep planner's warm phase: it runs every
+// multi-member group's shared prefix first (one snapshot per group,
+// fanned across the worker pool), so the per-spec jobs all fork from warm
+// blobs instead of racing to produce them.
+func warmPrefixes(pool *sweep.Executor, norm []Spec) {
+	var leaders []Spec
+	for _, g := range PrefixGroups(norm) {
+		if len(g) >= 2 {
+			leaders = append(leaders, norm[g[0]])
+		}
+	}
+	sweep.Run(pool, len(leaders), func(i int) {
+		// A warm failure is not fatal: the per-spec jobs fall back to
+		// straight runs.
+		if b, cfg, err := Lower(leaders[i]); err == nil {
+			applyRobustness(&cfg, leaders[i], 0, 0)
+			_, _ = warmPrefix(b, cfg)
+		}
+	})
+}
+
 // executeRun is the chokepoint every experiment simulation goes
 // through: fork from the shared prefix when one is already cached, run
 // straight through otherwise. Prefixes are only *computed* by the sweep
@@ -226,16 +248,12 @@ func executeRun(b workloads.Bench, cfg core.Config) (res core.Result, err error)
 	return finishRun(sys, func() (core.Result, error) { return sys.TryRun(prog) })
 }
 
-// finishRun runs a built system to its end (straight or resumed),
-// releases it, and records the wall split of a completed run.
+// finishRun runs a built system to its end (straight or resumed) and
+// releases it.
 func finishRun(sys *core.System, run func() (core.Result, error)) (core.Result, error) {
 	r, err := run()
 	sys.Release()
-	if err != nil {
-		return core.Result{}, err
-	}
-	noteWall(r)
-	return r, nil
+	return r, err
 }
 
 // PrefixGroups partitions normalized specs into groups that share one
@@ -246,9 +264,8 @@ func PrefixGroups(norm []Spec) [][]int {
 	var order []string
 	groups := make(map[string][]int)
 	for i, n := range norm {
-		b, cfg := buildNormalized(n)
 		key := fmt.Sprintf("solo|%d", i)
-		if prefixShareable(b, cfg) {
+		if b, cfg, err := Lower(n); err == nil && prefixShareable(b, cfg) {
 			key = prefixKey(b.Name, cfg)
 		}
 		if _, seen := groups[key]; !seen {

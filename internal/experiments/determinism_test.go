@@ -21,7 +21,7 @@ func TestRepeatedRunByteIdentical(t *testing.T) {
 	render := func(workers int) []byte {
 		SetParallelism(workers)
 		var buf bytes.Buffer
-		if err := exp.Run(&buf); err != nil {
+		if _, err := exp.Run(&buf); err != nil {
 			t.Fatalf("run with %d workers: %v", workers, err)
 		}
 		return buf.Bytes()

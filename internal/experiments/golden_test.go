@@ -37,8 +37,15 @@ func TestTablesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&got, "==== %s ====\n", id)
-		if err := e.Run(&got); err != nil {
+		split, err := e.Run(&got)
+		if err != nil {
 			t.Fatalf("%s: %v", id, err)
+		}
+		// Every run goes through the executor, so every experiment has a
+		// wall split (six of these used to build their systems themselves
+		// and reported none).
+		if split.Host <= 0 {
+			t.Errorf("%s: executor reported host wall %v, want > 0", id, split.Host)
 		}
 	}
 	diffGolden(t, "testdata/tables.golden", got.Bytes(), *updateGolden)

@@ -3,125 +3,95 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"nexsim/internal/core"
 	"nexsim/internal/nex"
 	"nexsim/internal/stats"
 	"nexsim/internal/vclock"
-	"nexsim/internal/workloads"
 )
 
 // npbSuite is the kernel set used for the NEX configuration studies.
 var npbSuite = []string{"ep", "cg", "mg", "ft", "is", "bt", "sp", "lu"}
 
-// npbRes is the result of one NPB job: either a native baseline (stats
-// zero) or a NEX run.
-type npbRes struct {
-	sim vclock.Duration
-	st  nex.Stats
+// npb names the catalog's NPB kernels at a thread count.
+func npb(threads int) []string {
+	names := make([]string, len(npbSuite))
+	for i, k := range npbSuite {
+		names[i] = fmt.Sprintf("npb-%s.%d", k, threads)
+	}
+	return names
 }
 
-// runNPB executes one NPB kernel under NEX with the given parameters and
-// returns (simulated time, wall time, stats).
-func runNPB(kernel string, threads int, ncfg nex.Config, seed uint64) (vclock.Duration, time.Duration, nex.Stats) {
-	cfg := core.Config{Host: core.HostNEX, Cores: 16, Seed: seed, IntraParallel: intra}
-	cfg.NEX = ncfg
-	sys := core.Build(cfg)
-	prog := workloads.NPBProgram(kernel, threads, sys.Ctx.Clock)
-	r := sys.Run(prog)
-	return r.SimTime, r.WallTime, r.NEXStats
-}
-
-// npbNative runs the same kernel on the exact-time reference engine with
-// the given core count — the bare-metal ground truth.
-func npbNative(kernel string, threads, cores int) vclock.Duration {
-	cfg := core.Config{Host: core.HostReference, Cores: cores, Seed: 42, IntraParallel: intra}
-	sys := core.Build(cfg)
-	prog := workloads.NPBProgram(kernel, threads, sys.Ctx.Clock)
-	return sys.Run(prog).SimTime
-}
+var (
+	table4EpochsNS = []int64{500, 1000, 2000, 4000}
+	table4Threads  = []int{1, 8, 16}
+)
 
 // Table4 sweeps the epoch duration and thread count over the NPB suite:
 // slowdown falls with larger epochs, accuracy is best near 1us and
 // degrades both below (pipeline-refill loss) and above (cross-epoch
 // synchronization skew).
-func Table4(w io.Writer) error {
-	epochs := []vclock.Duration{
-		500 * vclock.Nanosecond, 1 * vclock.Microsecond,
-		2 * vclock.Microsecond, 4 * vclock.Microsecond,
-	}
-	threads := []int{1, 8, 16}
-
-	// Enumerate: one native baseline per (thread count, kernel) — shared
-	// across the epoch sweep — then one NEX run per (thread, epoch,
-	// kernel) cell.
-	var jobs []func() npbRes
-	for _, t := range threads {
-		t := t
-		for _, k := range npbSuite {
-			k := k
-			jobs = append(jobs, func() npbRes { return npbRes{sim: npbNative(k, t, 16)} })
+var Table4 = Experiment{
+	ID: "table4", Title: "Table 4: NEX error and slowdown vs epoch duration",
+	// One native baseline per (thread count, kernel) — the bare-metal
+	// ground truth, shared across the epoch sweep — then one NEX run per
+	// (thread, epoch, kernel) cell.
+	Specs: func() []Spec {
+		var specs []Spec
+		for _, t := range table4Threads {
+			specs = append(specs, cross(npb(t), reference)...)
 		}
-	}
-	for _, t := range threads {
-		t := t
-		for _, e := range epochs {
-			e := e
-			for _, k := range npbSuite {
-				k := k
-				jobs = append(jobs, func() npbRes {
-					sim, _, st := runNPB(k, t, nex.Config{Epoch: e, VirtualCores: 16}, 42)
-					return npbRes{sim: sim, st: st}
-				})
+		for _, t := range table4Threads {
+			for _, e := range table4EpochsNS {
+				specs = append(specs, cross(npb(t), Spec{EpochNS: e, VirtualCores: 16})...)
 			}
 		}
-	}
-	res := runJobs(jobs)
-	nat := res[:len(threads)*len(npbSuite)]
-	sims := res[len(threads)*len(npbSuite):]
+		return specs
+	},
+	Render: func(w io.Writer, res []core.Result) error {
+		epochs, threads, kernels := table4EpochsNS, table4Threads, len(npbSuite)
+		nat, sims := res[:len(threads)*kernels], res[len(threads)*kernels:]
 
-	fmt.Fprintf(w, "%-10s %-8s", "metric", "threads")
-	for _, e := range epochs {
-		fmt.Fprintf(w, " %10s", fmtDur(e))
-	}
-	fmt.Fprintln(w)
+		fmt.Fprintf(w, "%-10s %-8s", "metric", "threads")
+		for _, e := range epochs {
+			fmt.Fprintf(w, " %10s", fmtDur(vclock.Duration(e)*vclock.Nanosecond))
+		}
+		fmt.Fprintln(w)
 
-	type cell struct {
-		slow float64
-		err  float64
-	}
-	grid := make(map[int]map[vclock.Duration]cell)
-	for ti, t := range threads {
-		grid[t] = make(map[vclock.Duration]cell)
-		for ei, e := range epochs {
-			var errs, slows []float64
-			for ki := range npbSuite {
-				native := nat[ti*len(npbSuite)+ki].sim
-				r := sims[(ti*len(epochs)+ei)*len(npbSuite)+ki]
-				errs = append(errs, stats.RelErr(r.sim, native))
-				slows = append(slows, modeledSlowdown(r.st, e, r.sim))
+		// slow[ti][ei] / errs[ti][ei]: suite averages per cell.
+		slow := make([][]float64, len(threads))
+		errs := make([][]float64, len(threads))
+		for ti := range threads {
+			for ei, e := range epochs {
+				var es, ss []float64
+				for ki := 0; ki < kernels; ki++ {
+					native := nat[ti*kernels+ki].SimTime
+					r := sims[(ti*len(epochs)+ei)*kernels+ki]
+					es = append(es, stats.RelErr(r.SimTime, native))
+					ss = append(ss, modeledSlowdown(r.NEXStats, vclock.Duration(e)*vclock.Nanosecond, r.SimTime))
+				}
+				slow[ti] = append(slow[ti], stats.Summarize(ss).Avg)
+				errs[ti] = append(errs[ti], stats.Summarize(es).Avg)
 			}
-			grid[t][e] = cell{slow: stats.Summarize(slows).Avg, err: stats.Summarize(errs).Avg}
 		}
-	}
-	for _, t := range threads {
-		fmt.Fprintf(w, "%-10s %-8d", "slowdown", t)
-		for _, e := range epochs {
-			fmt.Fprintf(w, " %9.1fx", grid[t][e].slow)
+		for ti, t := range threads {
+			fmt.Fprintf(w, "%-10s %-8d", "slowdown", t)
+			for _, s := range slow[ti] {
+				fmt.Fprintf(w, " %9.1fx", s)
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
-	}
-	for _, t := range threads {
-		fmt.Fprintf(w, "%-10s %-8d", "avg error", t)
-		for _, e := range epochs {
-			fmt.Fprintf(w, " %9.1f%%", grid[t][e].err*100)
+		for ti, t := range threads {
+			fmt.Fprintf(w, "%-10s %-8d", "avg error", t)
+			for _, e := range errs[ti] {
+				fmt.Fprintf(w, " %9.1f%%", e*100)
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w, "(slowdown is modeled from epoch/round counts with the real"+
-		" system's per-epoch costs — see EXPERIMENTS.md; error is measured)")
-	return nil
+		fmt.Fprintln(w, "(slowdown is modeled from epoch/round counts with the real"+
+			" system's per-epoch costs — see EXPERIMENTS.md; error is measured)")
+		return nil
+	},
 }
 
 // modeledSlowdown converts the engine's measured event counters into
@@ -129,112 +99,105 @@ func Table4(w io.Writer) error {
 // baseline overhead from per-epoch kernel crossings); see
 // nex.Stats.ModeledWall.
 func modeledSlowdown(st nex.Stats, epoch vclock.Duration, sim vclock.Duration) float64 {
+	st.Syncs = 0 // syncs are reported separately (Hybrid experiment)
+	return modeledSlowdownSync(st, epoch, sim)
+}
+
+// modeledSlowdownSync includes the periodic-sync cost.
+func modeledSlowdownSync(st nex.Stats, epoch vclock.Duration, sim vclock.Duration) float64 {
 	if sim <= 0 {
 		return 0
 	}
-	st.Syncs = 0 // syncs are reported separately (Hybrid experiment)
 	return float64(st.ModeledWall(epoch)) / float64(sim)
 }
+
+var underprovPhys = []int{16, 4, 1}
 
 // Underprovision evaluates 16 virtual cores on 1, 4 and 16 physical
 // cores (§6.6): fewer physical cores degrade accuracy (and, on the real
 // system, speed — we report the epoch-round count that drives it).
-func Underprovision(w io.Writer) error {
-	physList := []int{16, 4, 1}
-
-	// Enumerate: one native baseline per kernel (independent of the
-	// physical-core sweep), then one NEX run per (phys, kernel).
-	var jobs []func() npbRes
-	for _, k := range npbSuite {
-		k := k
-		jobs = append(jobs, func() npbRes { return npbRes{sim: npbNative(k, 16, 16)} })
-	}
-	for _, phys := range physList {
-		phys := phys
-		for _, k := range npbSuite {
-			k := k
-			jobs = append(jobs, func() npbRes {
-				sim, _, st := runNPB(k, 16, nex.Config{
-					Epoch: 1 * vclock.Microsecond, VirtualCores: 16, PhysicalCores: phys,
-				}, 42)
-				return npbRes{sim: sim, st: st}
-			})
+var Underprovision = Experiment{
+	ID: "underprov", Title: "§6.6: underprovisioned physical cores",
+	// One native baseline per kernel (independent of the physical-core
+	// sweep), then one NEX run per (phys, kernel).
+	Specs: func() []Spec {
+		specs := cross(npb(16), reference)
+		for _, phys := range underprovPhys {
+			specs = append(specs, cross(npb(16),
+				Spec{EpochNS: 1000, VirtualCores: 16, PhysicalCores: phys})...)
 		}
-	}
-	res := runJobs(jobs)
-	nat := res[:len(npbSuite)]
-	sims := res[len(npbSuite):]
-
-	fmt.Fprintf(w, "%-10s %10s %10s %14s\n", "physcores", "avg err", "max err", "rounds/epochs")
-	for pi, phys := range physList {
-		var errs []float64
-		var rounds, epochs int64
-		for ki := range npbSuite {
-			r := sims[pi*len(npbSuite)+ki]
-			errs = append(errs, stats.RelErr(r.sim, nat[ki].sim))
-			rounds += r.st.Rounds
-			epochs += r.st.Epochs
+		return specs
+	},
+	Render: func(w io.Writer, res []core.Result) error {
+		nat, sims := res[:len(npbSuite)], res[len(npbSuite):]
+		fmt.Fprintf(w, "%-10s %10s %10s %14s\n", "physcores", "avg err", "max err", "rounds/epochs")
+		for pi, phys := range underprovPhys {
+			var errs []float64
+			var rounds, epochs int64
+			for ki := range npbSuite {
+				r := sims[pi*len(npbSuite)+ki]
+				errs = append(errs, stats.RelErr(r.SimTime, nat[ki].SimTime))
+				rounds += r.NEXStats.Rounds
+				epochs += r.NEXStats.Epochs
+			}
+			s := stats.Summarize(errs)
+			fmt.Fprintf(w, "%-10d %9.1f%% %9.1f%% %13.1fx\n",
+				phys, s.Avg*100, s.Max*100, float64(rounds)/float64(epochs))
 		}
-		s := stats.Summarize(errs)
-		fmt.Fprintf(w, "%-10d %9.1f%% %9.1f%% %13.1fx\n",
-			phys, s.Avg*100, s.Max*100, float64(rounds)/float64(epochs))
-	}
-	return nil
+		return nil
+	},
+}
+
+// compSchedConfigs are the oversubscribed (threads, cores) points.
+var compSchedConfigs = []struct{ threads, cores int }{
+	{2, 1}, {4, 2}, {8, 4}, {16, 4},
 }
 
 // CompSched evaluates the complementary scheduling policy in
 // oversubscribed configurations against native Linux-like scheduling
 // (the reference engine's CFS), highlighting the SP/LU divergence of
 // §A.1.
-func CompSched(w io.Writer) error {
-	configs := []struct{ threads, cores int }{
-		{2, 1}, {4, 2}, {8, 4}, {16, 4},
-	}
-
-	// Enumerate: a (native, NEX) pair per (kernel, config) cell.
-	var jobs []func() npbRes
-	for _, k := range npbSuite {
-		k := k
-		for _, c := range configs {
-			c := c
-			jobs = append(jobs,
-				func() npbRes { return npbRes{sim: npbNative(k, c.threads, c.cores)} },
-				func() npbRes {
-					sim, _, st := runNPB(k, c.threads, nex.Config{
-						Epoch: 1 * vclock.Microsecond, VirtualCores: c.cores,
-					}, 42)
-					return npbRes{sim: sim, st: st}
-				})
+var CompSched = Experiment{
+	ID: "compsched", Title: "§6.6/§A.1: complementary scheduling accuracy",
+	// Config-major: per (threads, cores) point, a (native, NEX) pair per
+	// kernel.
+	Specs: func() []Spec {
+		var specs []Spec
+		for _, c := range compSchedConfigs {
+			specs = append(specs, cross(npb(c.threads),
+				Spec{Host: "reference", Cores: c.cores},
+				Spec{EpochNS: 1000, VirtualCores: c.cores})...)
 		}
-	}
-	res := runJobs(jobs)
-
-	fmt.Fprintf(w, "%-8s", "kernel")
-	for _, c := range configs {
-		fmt.Fprintf(w, " %10s", fmt.Sprintf("%dT/%dC", c.threads, c.cores))
-	}
-	fmt.Fprintln(w)
-
-	var others, spLu []float64
-	for ki, k := range npbSuite {
-		fmt.Fprintf(w, "%-8s", k)
-		for ci := range configs {
-			off := (ki*len(configs) + ci) * 2
-			e := stats.RelErr(res[off+1].sim, res[off].sim)
-			if k == "sp" || k == "lu" {
-				spLu = append(spLu, e)
-			} else {
-				others = append(others, e)
-			}
-			fmt.Fprintf(w, " %9.1f%%", e*100)
+		return specs
+	},
+	Render: func(w io.Writer, res []core.Result) error {
+		fmt.Fprintf(w, "%-8s", "kernel")
+		for _, c := range compSchedConfigs {
+			fmt.Fprintf(w, " %10s", fmt.Sprintf("%dT/%dC", c.threads, c.cores))
 		}
 		fmt.Fprintln(w)
-	}
-	so, sl := stats.Summarize(others), stats.Summarize(spLu)
-	fmt.Fprintf(w, "all but SP/LU: avg %.1f%%, max %.1f%%\n", so.Avg*100, so.Max*100)
-	fmt.Fprintf(w, "SP and LU:     avg %.1f%%, max %.1f%% (complementary policy diverges from CFS)\n",
-		sl.Avg*100, sl.Max*100)
-	return nil
+
+		var others, spLu []float64
+		for ki, k := range npbSuite {
+			fmt.Fprintf(w, "%-8s", k)
+			for ci := range compSchedConfigs {
+				off := (ci*len(npbSuite) + ki) * 2
+				e := stats.RelErr(res[off+1].SimTime, res[off].SimTime)
+				if k == "sp" || k == "lu" {
+					spLu = append(spLu, e)
+				} else {
+					others = append(others, e)
+				}
+				fmt.Fprintf(w, " %9.1f%%", e*100)
+			}
+			fmt.Fprintln(w)
+		}
+		so, sl := stats.Summarize(others), stats.Summarize(spLu)
+		fmt.Fprintf(w, "all but SP/LU: avg %.1f%%, max %.1f%%\n", so.Avg*100, so.Max*100)
+		fmt.Fprintf(w, "SP and LU:     avg %.1f%%, max %.1f%% (complementary policy diverges from CFS)\n",
+			sl.Avg*100, sl.Max*100)
+		return nil
+	},
 }
 
 // Hybrid measures the cost of hybrid synchronization at 10us and 1us
@@ -243,74 +206,35 @@ func CompSched(w io.Writer) error {
 // system's cost structure (per-epoch scheduling plus a per-sync global
 // pause + simulator message exchange), the same method as Table 4's
 // slowdown column.
-func Hybrid(w io.Writer) error {
-	type variant struct {
-		mode nex.SyncMode
-		intv vclock.Duration
-	}
-	variants := []variant{
-		{nex.Lazy, 0},
-		{nex.Hybrid, 10 * vclock.Microsecond},
-		{nex.Hybrid, 1 * vclock.Microsecond},
-	}
-	benches := []string{"jpeg-decode", "vta-resnet18", "protoacc-bench0"}
-
-	// Enumerate: one run per (benchmark, variant).
-	var jobs []func() core.Result
-	for _, name := range benches {
-		b := benchByName(name)
-		for _, v := range variants {
-			v := v
-			jobs = append(jobs, func() core.Result {
-				return run(b, core.HostNEX, core.AccelDSim, runOpts{
-					nexMode: v.mode, nexSyncInt: v.intv})
-			})
+var Hybrid = Experiment{
+	ID: "hybrid", Title: "§6.7: hybrid synchronization overhead",
+	Specs: func() []Spec {
+		return cross(familyBenches,
+			Spec{SyncMode: "lazy"},
+			Spec{SyncMode: "hybrid", SyncIntervalNS: 10_000},
+			Spec{SyncMode: "hybrid", SyncIntervalNS: 1_000})
+	},
+	Render: func(w io.Writer, res []core.Result) error {
+		fmt.Fprintf(w, "%-16s %12s %16s %16s\n",
+			"benchmark", "lazy slowdown", "hybrid 10us", "hybrid 1us")
+		var r10, r1 []float64
+		for bi, name := range familyBenches {
+			var slows [3]float64
+			for vi := range slows {
+				r := res[bi*len(slows)+vi]
+				slows[vi] = modeledSlowdownSync(r.NEXStats, 1*vclock.Microsecond, r.SimTime)
+			}
+			f10 := slows[1] / slows[0]
+			f1 := slows[2] / slows[0]
+			r10 = append(r10, f10)
+			r1 = append(r1, f1)
+			fmt.Fprintf(w, "%-16s %12.1fx %10.1fx %.2fx %9.1fx %.2fx\n",
+				name, slows[0], slows[1], f10, slows[2], f1)
 		}
-	}
-	res := runJobs(jobs)
-
-	fmt.Fprintf(w, "%-16s %12s %16s %16s\n",
-		"benchmark", "lazy slowdown", "hybrid 10us", "hybrid 1us")
-	var r10, r1 []float64
-	for bi, name := range benches {
-		slows := make([]float64, len(variants))
-		for vi := range variants {
-			r := res[bi*len(variants)+vi]
-			slows[vi] = modeledSlowdownSync(r.NEXStats, 1*vclock.Microsecond, r.SimTime)
-		}
-		f10 := slows[1] / slows[0]
-		f1 := slows[2] / slows[0]
-		r10 = append(r10, f10)
-		r1 = append(r1, f1)
-		fmt.Fprintf(w, "%-16s %12.1fx %10.1fx %.2fx %9.1fx %.2fx\n",
-			name, slows[0], slows[1], f10, slows[2], f1)
-	}
-	s10, s1 := stats.Summarize(r10), stats.Summarize(r1)
-	fmt.Fprintf(w, "hybrid@10us: avg %.2fx (max %.2fx); hybrid@1us: avg %.2fx (max %.2fx)\n",
-		s10.Avg, s10.Max, s1.Avg, s1.Max)
-	fmt.Fprintln(w, "(slowdowns modeled from measured epoch/sync counts; see EXPERIMENTS.md)")
-	return nil
-}
-
-// modeledSlowdownSync includes the periodic-sync cost (see
-// nex.Stats.ModeledWall).
-func modeledSlowdownSync(st nex.Stats, epoch vclock.Duration, sim vclock.Duration) float64 {
-	if sim <= 0 {
-		return 0
-	}
-	return float64(st.ModeledWall(epoch)) / float64(sim)
-}
-
-func median3(xs []time.Duration) time.Duration {
-	a, b, c := xs[0], xs[1], xs[2]
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
+		s10, s1 := stats.Summarize(r10), stats.Summarize(r1)
+		fmt.Fprintf(w, "hybrid@10us: avg %.2fx (max %.2fx); hybrid@1us: avg %.2fx (max %.2fx)\n",
+			s10.Avg, s10.Max, s1.Avg, s1.Max)
+		fmt.Fprintln(w, "(slowdowns modeled from measured epoch/sync counts; see EXPERIMENTS.md)")
+		return nil
+	},
 }

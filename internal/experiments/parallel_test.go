@@ -32,11 +32,11 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 			}
 			var serial, par bytes.Buffer
 			SetParallelism(1)
-			if err := exp.Run(&serial); err != nil {
+			if _, err := exp.Run(&serial); err != nil {
 				t.Fatalf("serial run: %v", err)
 			}
 			SetParallelism(4)
-			if err := exp.Run(&par); err != nil {
+			if _, err := exp.Run(&par); err != nil {
 				t.Fatalf("parallel run: %v", err)
 			}
 			if !bytes.Equal(serial.Bytes(), par.Bytes()) {
@@ -67,11 +67,11 @@ func TestIntraOutputByteIdentical(t *testing.T) {
 			}
 			var serial, par bytes.Buffer
 			SetIntra(1)
-			if err := exp.Run(&serial); err != nil {
+			if _, err := exp.Run(&serial); err != nil {
 				t.Fatalf("serial run: %v", err)
 			}
 			SetIntra(3)
-			if err := exp.Run(&par); err != nil {
+			if _, err := exp.Run(&par); err != nil {
 				t.Fatalf("intra run: %v", err)
 			}
 			if !bytes.Equal(serial.Bytes(), par.Bytes()) {

@@ -53,6 +53,9 @@ type Spec struct {
 	LinkLatencyNS int64  `json:"link_latency_ns,omitempty"` // fabric one-way latency
 	DMATarget     string `json:"dma_target,omitempty"`      // "llc" | "l2" (default "llc")
 	UseChannel    bool   `json:"use_channel,omitempty"`
+	// IOTLBEntries translates every accelerator DMA through a per-device
+	// I/O TLB of this many entries (§7 future work); 0 = no IOTLB.
+	IOTLBEntries int `json:"iotlb_entries,omitempty"`
 
 	// Robustness overrides. MaxEpochs bounds the host engine (NEX epochs
 	// or exact-host steps; 0 = unbounded) — an over-budget run aborts
@@ -120,12 +123,14 @@ func defaultFabricName(model core.AccelModel) string {
 
 // Upper bounds on the fields that size a system. A spec arrives from the
 // wire, and core.Build allocates an LLC, a DRAM controller, a fabric, a
-// task buffer and an MMIO window per device and the engines a scheduling
-// slot per core, so these may not be whatever an int holds. The catalog
-// needs 8 devices and 16 cores.
+// task buffer, an MMIO window and (when asked) an I/O TLB per device and
+// the engines a scheduling slot per core, so these may not be whatever an
+// int holds. The catalog needs 8 devices and 16 cores; the IOTLB study
+// 64 entries (a miss on a full TLB scans it for the LRU victim).
 const (
-	MaxDevices = 64
-	MaxCores   = 256
+	MaxDevices      = 64
+	MaxCores        = 256
+	MaxIOTLBEntries = 4096
 )
 
 // Normalized validates s and returns a copy with every defaulted field
@@ -176,7 +181,7 @@ func (s Spec) Normalized() (Spec, error) {
 		{"clock_mhz", s.ClockMHz, unbounded}, {"accel_clock_mhz", s.AccelClockMHz, unbounded},
 		{"epoch_ns", s.EpochNS, unbounded}, {"virtual_cores", int64(s.VirtualCores), MaxCores},
 		{"physical_cores", int64(s.PhysicalCores), MaxCores}, {"sync_interval_ns", s.SyncIntervalNS, unbounded},
-		{"link_latency_ns", s.LinkLatencyNS, unbounded},
+		{"link_latency_ns", s.LinkLatencyNS, unbounded}, {"iotlb_entries", int64(s.IOTLBEntries), MaxIOTLBEntries},
 	} {
 		if f.v < 0 {
 			return Spec{}, fmt.Errorf("experiments: spec field %s must not be negative", f.name)
@@ -294,8 +299,7 @@ func (s Spec) ID() (string, error) {
 }
 
 // RunSpec executes one spec to completion and returns the engine
-// result. It is the structured twin of the table experiments' internal
-// run helper: the daemon submits Specs over HTTP, experiments enumerate
+// result. The daemon submits Specs over HTTP, experiments enumerate
 // them in code, and both execute through this one path.
 func RunSpec(s Spec) (core.Result, error) { return RunSpecAttempt(s, 0, 0) }
 
@@ -310,7 +314,15 @@ func RunSpecAttempt(s Spec, attempt int, wall time.Duration) (core.Result, error
 	if err != nil {
 		return core.Result{}, err
 	}
-	b, cfg := buildNormalized(n)
+	return runNormalized(n, attempt, wall)
+}
+
+// runNormalized assembles and runs one already-normalized spec.
+func runNormalized(n Spec, attempt int, wall time.Duration) (core.Result, error) {
+	b, cfg, err := Lower(n)
+	if err != nil {
+		return core.Result{}, err
+	}
 	applyRobustness(&cfg, n, attempt, wall)
 	return executeRun(b, cfg)
 }
@@ -319,6 +331,16 @@ func RunSpecAttempt(s Spec, attempt int, wall time.Duration) (core.Result, error
 // sweep executor (respecting SetParallelism, like every experiment),
 // and returns results in spec order.
 func RunSpecs(specs []Spec) ([]core.Result, error) {
+	norm, err := normalizeAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	res, _ := execute(norm, false)
+	return res, nil
+}
+
+// normalizeAll normalizes every spec, naming the first invalid one.
+func normalizeAll(specs []Spec) ([]Spec, error) {
 	norm := make([]Spec, len(specs))
 	for i, s := range specs {
 		n, err := s.Normalized()
@@ -327,39 +349,18 @@ func RunSpecs(specs []Spec) ([]core.Result, error) {
 		}
 		norm[i] = n
 	}
-	if CheckpointsEnabled() {
-		// Prefix-sharing plan: warm every multi-member group's shared
-		// prefix first (one snapshot per group, fanned across the worker
-		// pool), so the per-spec jobs below all fork from warm blobs
-		// instead of racing to produce them.
-		var warm []func() struct{}
-		for _, g := range PrefixGroups(norm) {
-			if len(g) < 2 {
-				continue
-			}
-			b, cfg := buildNormalized(norm[g[0]])
-			applyRobustness(&cfg, norm[g[0]], 0, 0)
-			warm = append(warm, func() struct{} {
-				// A warm failure is not fatal: the per-spec jobs fall
-				// back to straight runs.
-				_, _ = warmPrefix(b, cfg)
-				return struct{}{}
-			})
-		}
-		runJobs(warm)
-	}
-	jobs := make([]func() core.Result, len(norm))
-	for i := range norm {
-		n := norm[i]
-		jobs[i] = func() core.Result { return runNormalized(n) }
-	}
-	return runJobs(jobs), nil
+	return norm, nil
 }
 
-// buildNormalized translates one already-normalized spec into the bench
-// and engine configuration it runs.
-func buildNormalized(n Spec) (workloads.Bench, core.Config) {
-	b := benchByName(n.Bench)
+// Lower translates one already-normalized spec (Spec.Normalized) into
+// the bench and engine configuration it runs — the one place a Spec
+// becomes a core.Config. The only error is a bench the catalog does not
+// name, which a normalized spec cannot carry.
+func Lower(n Spec) (workloads.Bench, core.Config, error) {
+	b, err := workloads.ByName(n.Bench)
+	if err != nil {
+		return workloads.Bench{}, core.Config{}, err
+	}
 	cfg := core.Config{
 		Host:       hostKinds[n.Host],
 		Accel:      accelKinds[n.Accel],
@@ -383,24 +384,13 @@ func buildNormalized(n Spec) (workloads.Bench, core.Config) {
 		fab := profile.WithLatency(lat)
 		cfg.Fabric = &fab
 	}
+	if n.IOTLBEntries > 0 {
+		cfg.IOTLB = &interconnect.IOTLBConfig{Entries: n.IOTLBEntries}
+	}
 	cfg.NEX.Epoch = vclock.Duration(n.EpochNS) * vclock.Nanosecond
 	cfg.NEX.VirtualCores = n.VirtualCores
 	cfg.NEX.PhysicalCores = n.PhysicalCores
 	cfg.NEX.Mode = syncModes[n.SyncMode]
 	cfg.NEX.SyncInterval = vclock.Duration(n.SyncIntervalNS) * vclock.Nanosecond
-	return b, cfg
-}
-
-// runNormalized assembles and runs one already-normalized spec. It
-// panics on a run error (injected fault or budget abort): the sweep
-// paths that use it (RunSpecs, tables) run fault-free plans, where
-// executeRun cannot fail.
-func runNormalized(n Spec) core.Result {
-	b, cfg := buildNormalized(n)
-	applyRobustness(&cfg, n, 0, 0)
-	r, err := executeRun(b, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
+	return b, cfg, nil
 }

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"nexsim/internal/core"
-	"nexsim/internal/vclock"
 )
 
 func TestSpecNormalizedFillsDefaults(t *testing.T) {
@@ -48,6 +45,9 @@ func TestSpecValidation(t *testing.T) {
 		{Bench: "npb-ep.8", Cores: MaxCores + 1},
 		{Bench: "npb-ep.8", VirtualCores: 1 << 20},
 		{Bench: "npb-ep.8", PhysicalCores: 1 << 20},
+		{Bench: "jpeg-decode", IOTLBEntries: -1},
+		{Bench: "jpeg-decode", IOTLBEntries: MaxIOTLBEntries + 1},
+		{Bench: "jpeg-decode", IOTLBEntries: 1 << 30},
 	}
 	for _, s := range bad {
 		if _, err := s.Normalized(); err == nil {
@@ -64,7 +64,7 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := (Spec{Bench: "vta-matmul", Devices: 200}).Normalized(); err == nil || !strings.Contains(err.Error(), "devices") {
 		t.Errorf("devices: 200 rejected with %v, want an error naming the field", err)
 	}
-	if _, err := (Spec{Bench: "vta-matmul", Devices: MaxDevices, Cores: MaxCores, VirtualCores: MaxCores, PhysicalCores: MaxCores}).Normalized(); err != nil {
+	if _, err := (Spec{Bench: "vta-matmul", Devices: MaxDevices, Cores: MaxCores, VirtualCores: MaxCores, PhysicalCores: MaxCores, IOTLBEntries: MaxIOTLBEntries}).Normalized(); err != nil {
 		t.Errorf("spec at the limits rejected: %v", err)
 	}
 }
@@ -105,9 +105,44 @@ func TestSpecIDCanonical(t *testing.T) {
 	}
 }
 
+// TestSpecIOTLBEntries: the IOTLB axis is absent from the canonical
+// encoding when off — the bytes an existing spec hashed to before the
+// field existed are the bytes it hashes to now — and part of the address,
+// the prefix group's late-binding half and the run when on.
+func TestSpecIOTLBEntries(t *testing.T) {
+	const want = `{"bench":"jpeg-decode","host":"nex","accel":"dsim","cores":16,"devices":1,"seed":42,` +
+		`"clock_mhz":3000,"accel_clock_mhz":2000,"sync_mode":"lazy","fabric":"pcie","link_latency_ns":400,"dma_target":"llc"}`
+	off := Spec{Bench: "jpeg-decode"}
+	got, err := off.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("canonical JSON of an IOTLB-less spec moved:\n got: %s\nwant: %s", got, want)
+	}
+	on := Spec{Bench: "jpeg-decode", IOTLBEntries: 8}
+	idOff, _ := off.ID()
+	idOn, err := on.ID()
+	if err != nil || idOn == idOff {
+		t.Fatalf("iotlb_entries: 8 did not change the content address (%v)", err)
+	}
+	nOff, _ := off.Normalized()
+	nOn, _ := on.Normalized()
+	if g := PrefixGroups([]Spec{nOff, nOn}); len(g) != 1 {
+		t.Errorf("IOTLB on/off split the prefix group: %v", g)
+	}
+	res, err := RunSpecs([]Spec{off, on})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[1].SimTime <= res[0].SimTime {
+		t.Errorf("an 8-entry IOTLB did not lengthen jpeg-decode: %v vs %v", res[1].SimTime, res[0].SimTime)
+	}
+}
+
 // TestRunSpecDeterministic locks the property that makes
 // content-addressed result caching sound: the same spec yields the
-// same result, and matches the legacy run() path it replaces.
+// same result.
 func TestRunSpecDeterministic(t *testing.T) {
 	spec := Spec{Bench: "npb-cg.8", EpochNS: 1000}
 	r1, err := RunSpec(spec)
@@ -121,11 +156,6 @@ func TestRunSpecDeterministic(t *testing.T) {
 	if r1.SimTime != r2.SimTime || r1.NEXStats != r2.NEXStats {
 		t.Fatalf("RunSpec not deterministic: %v/%v vs %v/%v",
 			r1.SimTime, r1.NEXStats, r2.SimTime, r2.NEXStats)
-	}
-	legacy := run(benchByName("npb-cg.8"), core.HostNEX, core.AccelDSim,
-		runOpts{nexEpoch: 1000 * vclock.Nanosecond})
-	if r1.SimTime != legacy.SimTime {
-		t.Fatalf("RunSpec (%v) diverges from legacy run path (%v)", r1.SimTime, legacy.SimTime)
 	}
 }
 

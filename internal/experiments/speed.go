@@ -7,7 +7,6 @@ import (
 
 	"nexsim/internal/core"
 	"nexsim/internal/stats"
-	"nexsim/internal/workloads"
 )
 
 // speedBenches are the benchmarks measured for Fig. 3 (one per workload
@@ -21,62 +20,34 @@ var speedBenches = []string{
 }
 
 // combos of Table 1 / Fig. 4 in paper order (slow to fast).
-var combos = []struct {
-	name string
-	host core.HostKind
-	acc  core.AccelKind
-}{
-	{"gem5+RTL", core.HostGem5, core.AccelRTL},
-	{"gem5+DSim", core.HostGem5, core.AccelDSim},
-	{"NEX+RTL", core.HostNEX, core.AccelRTL},
-	{"NEX+DSim", core.HostNEX, core.AccelDSim},
-}
-
-// runWall executes the benchmark once to warm process-wide caches
-// (memoized functional tracks, staged corpora), then twice measured,
-// returning the run with the smaller wall time (the standard
-// noise-resistant estimator; simulated time is identical across
-// repetitions by determinism).
-func runWall(b workloads.Bench, host core.HostKind, acc core.AccelKind, o runOpts) core.Result {
-	run(b, host, acc, o) // warmup
-	r1 := run(b, host, acc, o)
-	r2 := run(b, host, acc, o)
-	if r2.WallTime < r1.WallTime {
-		return r2
-	}
-	return r1
-}
+var (
+	combos     = []Spec{gem5RTL, gem5DSim, nexRTL, nexDSim}
+	comboNames = []string{"gem5+RTL", "gem5+DSim", "NEX+RTL", "NEX+DSim"}
+)
 
 // Fig3 measures total simulation time per benchmark for the baseline and
 // NEX+DSim, reporting the speedup (the paper's headline 6x-879x result;
 // our substrate compresses the range — see EXPERIMENTS.md — but the
 // ordering and compute-vs-DMA shape hold).
-func Fig3(w io.Writer) error {
-	// Enumerate: two jobs per benchmark, baseline and NEX+DSim.
-	var jobs []func() core.Result
-	for _, name := range speedBenches {
-		b := benchByName(name)
-		jobs = append(jobs,
-			func() core.Result { return runWall(b, core.HostGem5, core.AccelRTL, runOpts{}) },
-			func() core.Result { return runWall(b, core.HostNEX, core.AccelDSim, runOpts{}) })
-	}
-	res := runJobs(jobs)
-
-	// Render in enumeration order.
-	fmt.Fprintf(w, "%-20s %12s %14s %14s %9s\n",
-		"benchmark", "simulated", "gem5+RTL wall", "NEX+DSim wall", "speedup")
-	var speedups []float64
-	for i, name := range speedBenches {
-		slow, fast := res[2*i], res[2*i+1]
-		sp := float64(slow.WallTime) / float64(fast.WallTime)
-		speedups = append(speedups, sp)
-		fmt.Fprintf(w, "%-20s %12s %14s %14s %8.1fx\n",
-			name, fmtDur(fast.SimTime), fmtWall(slow.WallTime), fmtWall(fast.WallTime), sp)
-	}
-	s := stats.Summarize(speedups)
-	fmt.Fprintf(w, "speedup range: %.1fx - %.1fx (geo mean %.1fx)\n",
-		s.Min, s.Max, stats.GeoMean(speedups))
-	return nil
+var Fig3 = Experiment{
+	ID: "fig3", Title: "Figure 3: simulation time and NEX+DSim speedup over gem5+RTL", Wall: true,
+	Specs: func() []Spec { return cross(speedBenches, gem5RTL, nexDSim) },
+	Render: func(w io.Writer, res []core.Result) error {
+		fmt.Fprintf(w, "%-20s %12s %14s %14s %9s\n",
+			"benchmark", "simulated", "gem5+RTL wall", "NEX+DSim wall", "speedup")
+		var speedups []float64
+		for i, name := range speedBenches {
+			slow, fast := res[2*i], res[2*i+1]
+			sp := float64(slow.WallTime) / float64(fast.WallTime)
+			speedups = append(speedups, sp)
+			fmt.Fprintf(w, "%-20s %12s %14s %14s %8.1fx\n",
+				name, fmtDur(fast.SimTime), fmtWall(slow.WallTime), fmtWall(fast.WallTime), sp)
+		}
+		s := stats.Summarize(speedups)
+		fmt.Fprintf(w, "speedup range: %.1fx - %.1fx (geo mean %.1fx)\n",
+			s.Min, s.Max, stats.GeoMean(speedups))
+		return nil
+	},
 }
 
 // fig4Benches is the Fig. 4/5 subset (one per family + the
@@ -87,68 +58,52 @@ var fig4Benches = []string{
 }
 
 // Fig4 breaks the speedup down across the four simulator combinations.
-func Fig4(w io.Writer) error {
-	var jobs []func() core.Result
-	for _, name := range fig4Benches {
-		b := benchByName(name)
-		for _, c := range combos {
-			c := c
-			jobs = append(jobs, func() core.Result { return runWall(b, c.host, c.acc, runOpts{}) })
+var Fig4 = Experiment{
+	ID: "fig4", Title: "Figure 4: speedup breakdown across simulator combinations", Wall: true,
+	Specs: func() []Spec { return cross(fig4Benches, combos...) },
+	Render: func(w io.Writer, res []core.Result) error {
+		fmt.Fprintf(w, "%-18s", "benchmark")
+		for _, name := range comboNames {
+			fmt.Fprintf(w, " %14s", name)
 		}
-	}
-	res := runJobs(jobs)
-
-	fmt.Fprintf(w, "%-18s", "benchmark")
-	for _, c := range combos {
-		fmt.Fprintf(w, " %14s", c.name)
-	}
-	fmt.Fprintf(w, " | speedups vs gem5+RTL\n")
-	for bi, name := range fig4Benches {
-		walls := make([]time.Duration, len(combos))
-		for ci := range combos {
-			walls[ci] = res[bi*len(combos)+ci].WallTime
+		fmt.Fprintf(w, " | speedups vs gem5+RTL\n")
+		for bi, name := range fig4Benches {
+			runs := res[bi*len(combos):][:len(combos)]
+			fmt.Fprintf(w, "%-18s", name)
+			for _, r := range runs {
+				fmt.Fprintf(w, " %14s", fmtWall(r.WallTime))
+			}
+			fmt.Fprintf(w, " |")
+			for i, r := range runs[1:] {
+				fmt.Fprintf(w, " %s=%.1fx", comboNames[i+1], float64(runs[0].WallTime)/float64(r.WallTime))
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintf(w, "%-18s", name)
-		for _, wl := range walls {
-			fmt.Fprintf(w, " %14s", fmtWall(wl))
-		}
-		fmt.Fprintf(w, " |")
-		for i := 1; i < len(combos); i++ {
-			fmt.Fprintf(w, " %s=%.1fx", combos[i].name, float64(walls[0])/float64(walls[i]))
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+		return nil
+	},
 }
 
 // Fig5 reports each combination's simulated-time error relative to the
 // gem5+RTL baseline.
-func Fig5(w io.Writer) error {
-	var jobs []func() core.Result
-	for _, name := range fig4Benches {
-		b := benchByName(name)
-		for _, c := range combos {
-			c := c
-			jobs = append(jobs, func() core.Result { return run(b, c.host, c.acc, runOpts{}) })
-		}
-	}
-	res := runJobs(jobs)
-
-	fmt.Fprintf(w, "%-18s", "benchmark")
-	for _, c := range combos[1:] {
-		fmt.Fprintf(w, " %12s", c.name)
-	}
-	fmt.Fprintln(w)
-	for bi, name := range fig4Benches {
-		base := res[bi*len(combos)] // combos[0] is the gem5+RTL baseline
-		fmt.Fprintf(w, "%-18s", name)
-		for ci := 1; ci < len(combos); ci++ {
-			r := res[bi*len(combos)+ci]
-			fmt.Fprintf(w, " %11.1f%%", 100*stats.RelErr(r.SimTime, base.SimTime))
+var Fig5 = Experiment{
+	ID: "fig5", Title: "Figure 5: simulated-time error relative to gem5+RTL",
+	Specs: func() []Spec { return cross(fig4Benches, combos...) },
+	Render: func(w io.Writer, res []core.Result) error {
+		fmt.Fprintf(w, "%-18s", "benchmark")
+		for _, name := range comboNames[1:] {
+			fmt.Fprintf(w, " %12s", name)
 		}
 		fmt.Fprintln(w)
-	}
-	return nil
+		for bi, name := range fig4Benches {
+			runs := res[bi*len(combos):][:len(combos)] // runs[0] is the gem5+RTL baseline
+			fmt.Fprintf(w, "%-18s", name)
+			for _, r := range runs[1:] {
+				fmt.Fprintf(w, " %11.1f%%", 100*stats.RelErr(r.SimTime, runs[0].SimTime))
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
+	},
 }
 
 // table1Benches: the single-accelerator JPEG and VTA applications the
@@ -160,43 +115,40 @@ var table1Benches = []string{"jpeg-decode", "vta-resnet18", "vta-matmul"}
 // slowdowns differ from the paper's (its baseline is real silicon; ours
 // is a discrete-event substrate), but the column ordering — each mode
 // strictly faster than the one to its left — is the claim.
-func Table1(w io.Writer) error {
-	var jobs []func() core.Result
-	for _, c := range combos {
-		c := c
-		for _, name := range table1Benches {
-			b := benchByName(name)
-			jobs = append(jobs, func() core.Result { return runWall(b, c.host, c.acc, runOpts{}) })
+var Table1 = Experiment{
+	ID: "table1", Title: "Table 1: simulation-mode comparison (slowdown ranges)", Wall: true,
+	Specs: func() []Spec { return cross(table1Benches, combos...) },
+	Render: func(w io.Writer, res []core.Result) error {
+		fmt.Fprintf(w, "%-12s", "combo")
+		fmt.Fprintf(w, " %22s %22s\n", "slowdown range", "wall-time range")
+		for ci, name := range comboNames {
+			minS, maxS := 1e18, 0.0
+			var minW, maxW time.Duration
+			for bi := range table1Benches {
+				r := res[bi*len(combos)+ci]
+				s := r.Slowdown()
+				if s < minS {
+					minS = s
+				}
+				if s > maxS {
+					maxS = s
+				}
+				if bi == 0 || r.WallTime < minW {
+					minW = r.WallTime
+				}
+				if r.WallTime > maxW {
+					maxW = r.WallTime
+				}
+			}
+			fmt.Fprintf(w, "%-12s %9.0fx - %9.0fx %10s - %9s\n",
+				name, minS, maxS, fmtWall(minW), fmtWall(maxW))
 		}
-	}
-	res := runJobs(jobs)
-
-	fmt.Fprintf(w, "%-12s", "combo")
-	fmt.Fprintf(w, " %22s %22s\n", "slowdown range", "wall-time range")
-	for ci, c := range combos {
-		minS, maxS := 1e18, 0.0
-		var minW, maxW time.Duration
-		for i := range table1Benches {
-			r := res[ci*len(table1Benches)+i]
-			s := r.Slowdown()
-			if s < minS {
-				minS = s
-			}
-			if s > maxS {
-				maxS = s
-			}
-			if i == 0 || r.WallTime < minW {
-				minW = r.WallTime
-			}
-			if r.WallTime > maxW {
-				maxW = r.WallTime
-			}
-		}
-		fmt.Fprintf(w, "%-12s %9.0fx - %9.0fx %10s - %9s\n",
-			c.name, minS, maxS, fmtWall(minW), fmtWall(maxW))
-	}
-	return nil
+		return nil
+	},
 }
+
+// tightBenches are TightVsChan's rows.
+var tightBenches = []string{"vta-resnet18", "vta-matmul", "vta-yolov3-tiny", "jpeg-decode"}
 
 // TightVsChan compares the tight in-process NEX+DSim integration with
 // the SimBricks-channel composition (§A.2: tight is 1.6x faster on
@@ -205,48 +157,23 @@ func Table1(w io.Writer) error {
 // (poll + cacheline ping-pong, ~600ns), so the ratio is modeled from the
 // measured message count with that per-message cost; the raw measured
 // walls are shown for transparency.
-func TightVsChan(w io.Writer) error {
-	const perMsg = 600 * time.Nanosecond
-	benches := []string{"vta-resnet18", "vta-matmul", "vta-yolov3-tiny", "jpeg-decode"}
-
-	type row struct {
-		tight    core.Result
-		chanWall time.Duration
-		msgs     int64
-	}
-	var jobs []func() row
-	for _, name := range benches {
-		b := benchByName(name)
-		jobs = append(jobs, func() row {
-			tight := runWall(b, core.HostNEX, core.AccelDSim, runOpts{})
-			// Channel run, capturing message counts.
-			cfg := core.Config{Host: core.HostNEX, Accel: core.AccelDSim,
-				Model: b.Model, Devices: b.Devices, Cores: 16, Seed: 42, UseChannel: true,
-				IntraParallel: intra}
-			sys := core.Build(cfg)
-			start := time.Now()
-			sys.Run(b.Build(&sys.Ctx))
-			chanWall := time.Since(start)
-			var msgs int64
-			for _, ch := range sys.Channels {
-				msgs += ch.Msgs
-			}
-			return row{tight: tight, chanWall: chanWall, msgs: msgs}
-		})
-	}
-	rows := runJobs(jobs)
-
-	fmt.Fprintf(w, "%-18s %12s %12s %10s %8s\n",
-		"benchmark", "tight wall", "chan wall", "messages", "modeled")
-	var ratios []float64
-	for i, name := range benches {
-		r := rows[i]
-		ratio := float64(r.tight.WallTime+time.Duration(r.msgs)*perMsg) / float64(r.tight.WallTime)
-		ratios = append(ratios, ratio)
-		fmt.Fprintf(w, "%-18s %12s %12s %10d %7.2fx\n",
-			name, fmtWall(r.tight.WallTime), fmtWall(r.chanWall), r.msgs, ratio)
-	}
-	fmt.Fprintf(w, "channel overhead (modeled from message counts): avg %.2fx, max %.2fx\n",
-		stats.Summarize(ratios).Avg, stats.Summarize(ratios).Max)
-	return nil
+var TightVsChan = Experiment{
+	ID: "tightvschan", Title: "§A.2: tight integration vs SimBricks channel", Wall: true,
+	Specs: func() []Spec { return cross(tightBenches, nexDSim, Spec{UseChannel: true}) },
+	Render: func(w io.Writer, res []core.Result) error {
+		const perMsg = 600 * time.Nanosecond
+		fmt.Fprintf(w, "%-18s %12s %12s %10s %8s\n",
+			"benchmark", "tight wall", "chan wall", "messages", "modeled")
+		var ratios []float64
+		for i, name := range tightBenches {
+			tight, ch := res[2*i], res[2*i+1]
+			ratio := float64(tight.WallTime+time.Duration(ch.ChannelMsgs)*perMsg) / float64(tight.WallTime)
+			ratios = append(ratios, ratio)
+			fmt.Fprintf(w, "%-18s %12s %12s %10d %7.2fx\n",
+				name, fmtWall(tight.WallTime), fmtWall(ch.WallTime), ch.ChannelMsgs, ratio)
+		}
+		fmt.Fprintf(w, "channel overhead (modeled from message counts): avg %.2fx, max %.2fx\n",
+			stats.Summarize(ratios).Avg, stats.Summarize(ratios).Max)
+		return nil
+	},
 }

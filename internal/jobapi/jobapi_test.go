@@ -56,8 +56,10 @@ func FuzzDecodeSubmit(f *testing.F) {
 		}
 		for _, s := range req.Specs {
 			n, err := s.Normalized()
-			if err == nil && (n.Devices > experiments.MaxDevices || max(n.Cores, n.VirtualCores, n.PhysicalCores) > experiments.MaxCores) {
-				t.Fatalf("spec normalized to %d devices, %d/%d/%d cores", n.Devices, n.Cores, n.VirtualCores, n.PhysicalCores)
+			if err == nil && (n.Devices > experiments.MaxDevices || max(n.Cores, n.VirtualCores, n.PhysicalCores) > experiments.MaxCores ||
+				n.IOTLBEntries > experiments.MaxIOTLBEntries) {
+				t.Fatalf("spec normalized to %d devices, %d/%d/%d cores, %d IOTLB entries",
+					n.Devices, n.Cores, n.VirtualCores, n.PhysicalCores, n.IOTLBEntries)
 			}
 		}
 	})

@@ -62,11 +62,21 @@ func JPEGBenches() []Bench {
 			Build:   func(ctx *core.Ctx) app.Program { return JPEGProgram(cfg, ctx) },
 		}
 	}
+	filter := JPEGConfig{Images: 32, Threads: 8, FilterPasses: 16, Seed: 777}
+	compress, probe := filter, filter
+	compress.Compress = 10
+	probe.ProbeRealistic = true
 	return []Bench{
 		mk("jpeg-decode", JPEGConfig{Images: 20, Threads: 1, Seed: 101}),
 		mk("jpeg-mt.2", JPEGConfig{Images: 20, Threads: 2, Seed: 102}),
 		mk("jpeg-mt.4", JPEGConfig{Images: 20, Threads: 4, Seed: 103}),
 		mk("jpeg-mt.8", JPEGConfig{Images: 20, Threads: 8, Seed: 104}),
+		// §6.4's what-if application: eight decoders whose heavy
+		// matrix_filter_2d dominates, as is, under a hypothetical 10x
+		// CompressT offload, and under the JumpT-probed realistic bound.
+		mk("jpeg-filter.8", filter),
+		mk("jpeg-filter.8-compress", compress),
+		mk("jpeg-filter.8-probe", probe),
 	}
 }
 

@@ -114,7 +114,6 @@ type VTAConfig struct {
 	ChannelScale int // divide Cin/Cout (default 4)
 	Processes    int // independent inference processes (multi-VTA runs)
 	Seed         uint64
-	UseIRQ       bool
 }
 
 func (c VTAConfig) withDefaults() VTAConfig {
@@ -234,9 +233,6 @@ func runInference(e app.Env, cfg VTAConfig, ctx *core.Ctx, proc int, layers []La
 	// Per-process arena slice.
 	arena := ctx.Arena + mem.Addr(proc)*(8<<20)
 	drv := vta.NewDriver(ctx.MMIO[proc], ctx.TaskBufs[proc], arena, 16)
-	if cfg.UseIRQ {
-		drv.EnableIRQ(e)
-	}
 	progArena := arena + 4<<20
 
 	drv.ProgArena = progArena
@@ -259,11 +255,7 @@ func runInference(e app.Env, cfg VTAConfig, ctx *core.Ctx, proc int, layers []La
 			panic("workloads: " + err.Error())
 		}
 		drv.Launch(e, prog)
-		if cfg.UseIRQ {
-			drv.WaitAllIRQ(e)
-		} else {
-			drv.WaitAll(e, 0)
-		}
+		drv.WaitAll(e, 0)
 	}
 
 	// Classifier head / NMS on the CPU.

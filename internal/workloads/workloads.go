@@ -42,7 +42,11 @@ var catalog = sync.OnceValues(func() ([]Bench, map[string]Bench) {
 	all = append(all, VTABenches()...)
 	all = append(all, ProtoaccBenches()...)
 	all = append(all, JPEGBenches()...)
-	all = append(all, NPBBenches(8)...)
+	// The thread counts the NEX configuration studies sweep (Table 4,
+	// §6.6): a count is part of the name, not a spec axis.
+	for _, threads := range []int{1, 2, 4, 8, 16} {
+		all = append(all, NPBBenches(threads)...)
+	}
 	all = append(all, CPUOnlyBenches()...)
 	all = append(all, Bench{
 		// CPU companion of vta-resnet50-x2: the §6.4 sweep's baseline
