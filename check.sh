@@ -44,6 +44,14 @@ test -z "$(grep -rl 'sync\.Mutex' internal/accel/jpeg internal/accel/vta interna
 test -z "$(grep -rl '"nexsim/internal/accel/devkit"' . --include='*.go' |
 	grep -v -e '^\./internal/accel/' -e '^\./internal/dsim/' -e '^\./internal/workloads/' -e '^\./examples/')"
 
+# One run path (DESIGN.md §3): inside internal/experiments a Spec becomes
+# a core.Config in one place (Lower, spec.go), a Config becomes a System
+# in one file (the executor's chokepoint and the prefix warm-up,
+# checkpoint.go), and the intra-run worker count is set once.
+test -z "$(grep -l 'core\.Config{' internal/experiments/*.go | grep -v -e _test.go -e '/spec\.go$')"
+test -z "$(grep -l 'core\.Build(' internal/experiments/*.go | grep -v -e _test.go -e '/checkpoint\.go$')"
+test "$(ls internal/experiments/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -c 'IntraParallel')" -eq 1
+
 go build ./...
 go test ./...
 
@@ -77,7 +85,7 @@ go test -run '^$' -bench 'StageOperands|PlanKey' -benchtime 1x ./internal/worklo
 go test -run '^$' -fuzz FuzzMemoryMatchesReference -fuzztime 10s ./internal/mem
 test -z "$(grep -rl '^func fnv64' internal/accel --include='*.go' | grep -v _test.go)"
 
-# Trust-boundary decoders (ROADMAP item 4a): ten seconds each of garbage
+# Trust-boundary decoders (DESIGN.md §6, §11): ten seconds each of garbage
 # at the job API's submit decoder, at the hot-set promotion path and at
 # the router's edge-cache admission (both behind the one
 # jobapi.VerifyResult) must produce errors, never a panic or an accepted

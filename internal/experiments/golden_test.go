@@ -14,38 +14,29 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/tables.golden and testdata/ids.golden from this binary")
 
-// goldenExps are the experiments whose every printed byte is simulated
-// (no wall-clock column): all of All() except table1, fig3, fig4,
-// tightvschan and ablation-dsim.
-var goldenExps = []string{
-	"table3", "fig5", "cpuonly", "table4", "underprov", "compsched", "hybrid",
-	"tail", "whatif", "vtasweep", "protosweep", "ablation-tick", "ablation-sync",
-	"ablation-iotlb", "seedsweep",
-}
-
-// TestTablesGolden pins every deterministic table of the evaluation.
-// testdata/tables.golden was generated at the commit before the
-// experiments were ported onto the one Spec run path, so a port that
-// moves a simulated time, a counter or a column fails here.
+// TestTablesGolden pins every table whose every printed byte is simulated
+// — the 15 experiments of All() that are not Wall. testdata/tables.golden
+// was generated at the commit before the experiments were ported onto the
+// one Spec run path, so a port that moves a simulated time, a counter or
+// a column fails here.
 func TestTablesGolden(t *testing.T) {
 	defer SetParallelism(Parallelism())
 	SetParallelism(2)
 	var got bytes.Buffer
-	for _, id := range goldenExps {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
+	for _, e := range All() {
+		if e.Wall {
+			continue
 		}
-		fmt.Fprintf(&got, "==== %s ====\n", id)
+		fmt.Fprintf(&got, "==== %s ====\n", e.ID)
 		split, err := e.Run(&got)
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatalf("%s: %v", e.ID, err)
 		}
 		// Every run goes through the executor, so every experiment has a
 		// wall split (six of these used to build their systems themselves
 		// and reported none).
 		if split.Host <= 0 {
-			t.Errorf("%s: executor reported host wall %v, want > 0", id, split.Host)
+			t.Errorf("%s: executor reported host wall %v, want > 0", e.ID, split.Host)
 		}
 	}
 	diffGolden(t, "testdata/tables.golden", got.Bytes(), *updateGolden)
