@@ -1,6 +1,7 @@
 package vta
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -12,6 +13,8 @@ type Core struct {
 	Input  []int8  // InputBufSize
 	Weight []int8  // WeightBufSize
 	Acc    []int32 // AccBufSize
+
+	pack []int64 // Gemm's scratch: one packed pair of weight rows
 }
 
 // NewCore allocates the SRAMs.
@@ -26,29 +29,26 @@ func NewCore() *Core {
 // LoadBytes fills a buffer region from raw DRAM bytes (the data of a
 // LOAD DMA). For BufAcc the data is int32 little-endian.
 func (c *Core) LoadBytes(i *Instr, data []byte) error {
-	n := int(i.Rows) * int(i.Cols)
+	base, n := int(i.SRAMBase), int(i.Rows)*int(i.Cols)
 	switch i.Buf {
 	case BufInput:
-		if int(i.SRAMBase)+n > len(c.Input) {
+		if base+n > len(c.Input) {
 			return fmt.Errorf("vta: input load out of range")
 		}
-		for j := 0; j < n; j++ {
-			c.Input[int(i.SRAMBase)+j] = int8(data[j])
-		}
+		loadI8(c.Input[base:base+n], data)
 	case BufWeight:
-		if int(i.SRAMBase)+n > len(c.Weight) {
+		if base+n > len(c.Weight) {
 			return fmt.Errorf("vta: weight load out of range")
 		}
-		for j := 0; j < n; j++ {
-			c.Weight[int(i.SRAMBase)+j] = int8(data[j])
-		}
+		loadI8(c.Weight[base:base+n], data)
 	case BufAcc:
-		if int(i.SRAMBase)+n > len(c.Acc) {
+		if base+n > len(c.Acc) {
 			return fmt.Errorf("vta: acc load out of range")
 		}
-		for j := 0; j < n; j++ {
-			c.Acc[int(i.SRAMBase)+j] = int32(uint32(data[4*j]) |
-				uint32(data[4*j+1])<<8 | uint32(data[4*j+2])<<16 | uint32(data[4*j+3])<<24)
+		acc := c.Acc[base : base+n]
+		data = data[:4*n]
+		for j := range acc {
+			acc[j] = int32(binary.LittleEndian.Uint32(data[4*j:]))
 		}
 	default:
 		return fmt.Errorf("vta: bad load buffer %d", i.Buf)
@@ -56,7 +56,19 @@ func (c *Core) LoadBytes(i *Instr, data []byte) error {
 	return nil
 }
 
-// Gemm executes acc[M][N] += in[M][K] * wgt[N][K].
+func loadI8(dst []int8, data []byte) {
+	data = data[:len(dst)]
+	for j := range dst {
+		dst[j] = int8(data[j])
+	}
+}
+
+// Gemm executes acc[M][N] += in[M][K] * wgt[N][K], two weight rows and
+// four input rows at a time: packRows folds a pair of weight rows into one
+// int64 per K-step, dot4 multiplies it by four input rows, and each 64-bit
+// sum splits exactly into its two column sums (|a·w| ≤ 2^14 and K ≤ 65535
+// keep both below 2^30; DESIGN.md §4.3). Column sums are added to Acc with
+// int32 wraparound, which no summation order changes.
 func (c *Core) Gemm(i *Instr) error {
 	m, n, k := int(i.M), int(i.N), int(i.K)
 	if int(i.InBase)+m*k > len(c.Input) ||
@@ -64,37 +76,69 @@ func (c *Core) Gemm(i *Instr) error {
 		int(i.AccBase)+m*n > len(c.Acc) {
 		return fmt.Errorf("vta: gemm operand out of range")
 	}
+	in := c.Input[int(i.InBase):][:m*k]
+	wgt := c.Weight[int(i.WgtBase):][:n*k]
+	acc := c.Acc[int(i.AccBase):][:m*n]
 	if i.ResetAcc {
-		for j := 0; j < m*n; j++ {
-			c.Acc[int(i.AccBase)+j] = 0
-		}
+		clear(acc)
 	}
-	for mi := 0; mi < m; mi++ {
-		inRow := c.Input[int(i.InBase)+mi*k : int(i.InBase)+mi*k+k]
-		accRow := c.Acc[int(i.AccBase)+mi*n:]
-		for ni := 0; ni < n; ni++ {
-			wgtRow := c.Weight[int(i.WgtBase)+ni*k : int(i.WgtBase)+ni*k+k : int(i.WgtBase)+ni*k+k]
-			var s0, s1, s2, s3 int32
-			ki := 0
-			for ; ki+8 <= k; ki += 8 {
-				w := wgtRow[ki : ki+8 : ki+8]
-				r := inRow[ki : ki+8 : ki+8]
-				s0 += int32(r[0])*int32(w[0]) + int32(r[4])*int32(w[4])
-				s1 += int32(r[1])*int32(w[1]) + int32(r[5])*int32(w[5])
-				s2 += int32(r[2])*int32(w[2]) + int32(r[6])*int32(w[6])
-				s3 += int32(r[3])*int32(w[3]) + int32(r[7])*int32(w[7])
+	if cap(c.pack) < k {
+		c.pack = make([]int64, k)
+	}
+	pack := c.pack[:k]
+	for ni := 0; ni < n; ni += 2 {
+		// An odd last row pairs with itself; its high sums are dropped.
+		packRows(pack, wgt[ni*k:][:k], wgt[min(ni+1, n-1)*k:][:k])
+		for mi := 0; mi < m; mi += 4 {
+			// Rows past the last repeat it; their sums are dropped.
+			row := func(r int) []int8 { return in[min(mi+r, m-1)*k:][:k] }
+			var sums [4]int64
+			sums[0], sums[1], sums[2], sums[3] = dot4(row(0), row(1), row(2), row(3), pack)
+			for r, s := range sums[:min(4, m-mi)] {
+				out := acc[(mi+r)*n+ni:]
+				lo := int32(s)
+				out[0] += lo
+				if ni+1 < n {
+					out[1] += int32((s - int64(lo)) >> 32)
+				}
 			}
-			sum := s0 + s1 + s2 + s3
-			for ; ki < k; ki++ {
-				sum += int32(inRow[ki]) * int32(wgtRow[ki])
-			}
-			accRow[ni] += sum
 		}
 	}
 	return nil
 }
 
-// Alu executes a vector operation over the accumulator buffer.
+// packRows writes int64(w0[k]) + int64(w1[k])<<32 for every K-step: one
+// multiply by it is two MACs.
+//
+//simlint:hotpath once per pair of weight rows of every GEMM instruction
+func packRows(pack []int64, w0, w1 []int8) {
+	w0, w1 = w0[:len(pack)], w1[:len(pack)]
+	for k := range pack {
+		pack[k] = int64(w0[k]) + int64(w1[k])<<32
+	}
+}
+
+// dot4 returns the packed dot products of four input rows with one packed
+// pair of weight rows. It stays out of line: inlined into Gemm's loop nest
+// its accumulators live on the stack and every MAC waits on a
+// store-forward.
+//
+//simlint:hotpath the int8 MACs of the functional track, eight per step
+//go:noinline
+func dot4(r0, r1, r2, r3 []int8, pack []int64) (s0, s1, s2, s3 int64) {
+	r1, r2, r3, pack = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)], pack[:len(r0)]
+	for k, a := range r0 {
+		p := pack[k]
+		s0 += int64(a) * p
+		s1 += int64(r1[k]) * p
+		s2 += int64(r2[k]) * p
+		s3 += int64(r3[k]) * p
+	}
+	return s0, s1, s2, s3
+}
+
+// Alu executes a vector operation over the accumulator buffer, in
+// ascending element order (source and destination may overlap).
 func (c *Core) Alu(i *Instr) error {
 	n := int(i.Len)
 	dst := int(i.AccBase)
@@ -105,30 +149,49 @@ func (c *Core) Alu(i *Instr) error {
 	if !i.UseImm && src+n > len(c.Acc) {
 		return fmt.Errorf("vta: alu src out of range")
 	}
-	for j := 0; j < n; j++ {
-		a := c.Acc[dst+j]
-		b := i.Imm
-		if !i.UseImm {
-			b = c.Acc[src+j]
+	if n == 0 {
+		return nil
+	}
+	d, imm := c.Acc[dst:dst+n], i.Imm
+	var s []int32
+	if !i.UseImm {
+		s = c.Acc[src : src+n]
+	}
+	switch {
+	case i.Alu == AluAdd && i.UseImm:
+		for j := range d {
+			d[j] += imm
 		}
-		switch i.Alu {
-		case AluAdd:
-			a += b
-		case AluMax:
-			if b > a {
-				a = b
-			}
-		case AluMin:
-			if b < a {
-				a = b
-			}
-		case AluShr:
-			sh := uint(b & 31)
-			a >>= sh
-		default:
-			return fmt.Errorf("vta: bad alu op %d", i.Alu)
+	case i.Alu == AluAdd:
+		for j := range d {
+			d[j] += s[j]
 		}
-		c.Acc[dst+j] = a
+	case i.Alu == AluMax && i.UseImm:
+		for j := range d {
+			d[j] = max(d[j], imm)
+		}
+	case i.Alu == AluMax:
+		for j := range d {
+			d[j] = max(d[j], s[j])
+		}
+	case i.Alu == AluMin && i.UseImm:
+		for j := range d {
+			d[j] = min(d[j], imm)
+		}
+	case i.Alu == AluMin:
+		for j := range d {
+			d[j] = min(d[j], s[j])
+		}
+	case i.Alu == AluShr && i.UseImm:
+		for j := range d {
+			d[j] >>= uint(imm & 31)
+		}
+	case i.Alu == AluShr:
+		for j := range d {
+			d[j] >>= uint(s[j] & 31)
+		}
+	default:
+		return fmt.Errorf("vta: bad alu op %d", i.Alu)
 	}
 	return nil
 }
@@ -137,20 +200,13 @@ func (c *Core) Alu(i *Instr) error {
 // right shift and saturation) and returns the DRAM bytes of the STORE
 // DMA.
 func (c *Core) StoreBytes(i *Instr) ([]byte, error) {
-	n := int(i.Rows) * int(i.Cols)
-	if int(i.SRAMBase)+n > len(c.Acc) {
+	base, n := int(i.SRAMBase), int(i.Rows)*int(i.Cols)
+	if base+n > len(c.Acc) {
 		return nil, fmt.Errorf("vta: store out of range")
 	}
 	out := make([]byte, n)
-	for j := 0; j < n; j++ {
-		v := c.Acc[int(i.SRAMBase)+j] >> uint(i.Shift)
-		if v > 127 {
-			v = 127
-		}
-		if v < -128 {
-			v = -128
-		}
-		out[j] = byte(int8(v))
+	for j, v := range c.Acc[base : base+n] {
+		out[j] = byte(max(-128, min(127, v>>uint(i.Shift))))
 	}
 	return out, nil
 }

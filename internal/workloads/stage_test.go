@@ -42,6 +42,26 @@ func TestStageOperandsMapsDeterministically(t *testing.T) {
 	}
 }
 
+// randI8 draws the bytes it drew when it called Intn(256) - 128 per
+// element, so no operand blob, page sum or plan-memo key moved with the
+// division-free form.
+func TestRandI8MatchesIntnDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 13, 1 << 63, ^uint64(0)} {
+		for _, n := range []int{0, 1, 255, 4096, 16*147 + 1} {
+			m := mem.New(0)
+			m.Map(0x1000, randI8(xrand.New(seed).Derive("a16x147"), n))
+			got := make([]byte, n)
+			m.ReadAt(0x1000, got)
+			rng := xrand.New(seed).Derive("a16x147")
+			for i, b := range got {
+				if want := byte(rng.Intn(256) - 128); b != want {
+					t.Fatalf("seed %d, %d bytes: byte %d = %#x, Intn(256)-128 gives %#x", seed, n, i, b, want)
+				}
+			}
+		}
+	}
+}
+
 // benchStageOperands times staging the resnet50-x2 operand set into a
 // fresh memory and releasing it, as every system of a sweep and every
 // journal-replay restore does.

@@ -317,9 +317,10 @@ func randI8(rng *xrand.Stream, n int) *mem.Blob {
 	return randI8Memo.Get(randI8Key{state: rng.State(), n: n}, func() *mem.Blob {
 		buf := make([]byte, n)
 		for i := range buf {
-			// byte(x) for x in [-128,127] has the same bit pattern as the
-			// int8 the functional core will reinterpret it as.
-			buf[i] = byte(rng.Intn(256) - 128)
+			// byte(rng.Intn(256) - 128) with no modulus to fold: x mod 256
+			// − 128 is x's low byte with the top bit flipped, and that byte
+			// has the bit pattern of the int8 the functional core reads.
+			buf[i] = byte(rng.Uint64()) ^ 0x80
 		}
 		return mem.NewBlob(buf)
 	})
