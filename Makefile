@@ -71,10 +71,12 @@ bench-dma:
 
 # Functional-track micro-benchmarks: ns per page of staging the
 # resnet50-x2 operand set by mapping blobs next to the WriteAt staging it
-# replaced, and the cost of one plan key over mapped (page sums looked up)
-# and over written (pages hashed in place) operands.
+# replaced, the cost of one plan key over mapped (page sums looked up)
+# and over written (pages hashed in place) operands, and ns per int8 MAC
+# of vta.Core's GEMM kernel next to the loop it replaced on the five
+# shapes a cold NEX+DSim pass spends the most GEMM time in.
 bench-func:
-	go test -run '^$$' -bench 'StageOperands|PlanKey' -benchtime 200x -count 3 ./internal/workloads ./internal/accel/vta | grep -E 'Benchmark|^cpu:'
+	go test -run '^$$' -bench 'StageOperands|PlanKey|Gemm' -benchtime 200x -count 3 ./internal/workloads ./internal/accel/vta | grep -E 'Benchmark|^cpu:'
 
 # Simulated-thread switch cost: ns per engine → thread → engine round
 # trip (one Resume and the Yield that answers it), 0 allocs/op.
