@@ -40,11 +40,11 @@ cluster-smoke:
 # Chaos gate: the deterministic fault matrix (every injection site ×
 # {fail, delay} under fixed seeds), the budget watchdog tests (abort
 # without goroutine leaks), and the simserve self-healing tests (retry,
-# hedge, WAL recovery), all under the race detector.
+# WAL recovery), all under the race detector.
 chaos:
 	go test -count=1 -race ./internal/faults/
 	go test -count=1 -race -run 'TestFault|TestBudget' ./internal/experiments/
-	go test -count=1 -race -run 'TestTransient|TestRetry|TestBudget|TestHedge|TestWAL' ./internal/simserve/
+	go test -count=1 -race -run 'TestTransient|TestRetry|TestBudget|TestWAL' ./internal/simserve/
 
 # Micro-benchmark suite (LPN engine incremental-vs-reference, simbricks
 # channel) at a stable sampling time, then a smoke pass over every other

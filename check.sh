@@ -52,6 +52,14 @@ test -z "$(grep -l 'core\.Config{' internal/experiments/*.go | grep -v -e _test.
 test -z "$(grep -l 'core\.Build(' internal/experiments/*.go | grep -v -e _test.go -e '/checkpoint\.go$')"
 test "$(ls internal/experiments/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -c 'IntraParallel')" -eq 1
 
+# One way to serve a job (DESIGN.md §6, §7): checkpoint forking is a
+# library mechanism no command or server switches on, and the router is
+# the only hedger (a shard that races a job against itself would be a
+# second one).
+test -z "$(grep -rl 'SetCheckpoints(' cmd internal/simserve)"
+test -z "$(grep -rlE 'HedgeAfter|hedge-after' internal cmd scripts examples bench |
+	grep -v -e '^internal/cluster/' -e '^cmd/simrouter/' -e '^scripts/cluster_smoke\.sh$')"
+
 go build ./...
 go test ./...
 
@@ -129,13 +137,6 @@ go test -race -count=1 -run 'KitConformance|Memo' ./internal/accel/devkit ./exam
 # chrome trace must be byte-identical between -intra 1 and -intra 4
 # (GOMAXPROCS pinned so stepper lanes are real on single-core CI).
 sh scripts/intra_smoke.sh
-
-# Checkpoint determinism smoke: the same experiment with and without
-# -checkpoints must print byte-identical output (forked runs restore
-# engine snapshots; any snapshot/replay drift shows up as a byte diff).
-# Its final case re-runs with -checkpoints -intra 2, proving snapshots
-# compose with parallel intra-run mode.
-sh scripts/ckpt_smoke.sh
 
 # End-to-end serving smoke: simd on an ephemeral port, a cheap job
 # submitted twice, byte-identical cache hit on the resubmit (verified

@@ -65,8 +65,6 @@ func main() {
 			"workers for each experiment's simulation jobs (1 = serial)")
 		jsonPath = flag.String("json", "",
 			"write per-experiment wall time and headline metrics to this file as a JSON array")
-		checkpoints = flag.Bool("checkpoints", false,
-			"fork sweep points from shared prefix snapshots (same tables, less wall time)")
 		intra = flag.Int("intra", 1,
 			"intra-run workers per simulation (host + N-1 device steppers; 1 = serial schedule)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -82,7 +80,6 @@ func main() {
 	}
 
 	experiments.SetParallelism(*parallel)
-	experiments.SetCheckpoints(*checkpoints)
 	effIntra := sweep.ClampIntra(*parallel, *intra, 0)
 	if effIntra != *intra {
 		fmt.Fprintf(os.Stderr, "paperbench: clamped -intra %d to %d (-parallel %d on %d procs)\n",

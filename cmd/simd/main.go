@@ -6,7 +6,12 @@
 //
 //	simd -addr 127.0.0.1:8080
 //	simd -addr 127.0.0.1:0 -portfile /tmp/simd.addr   # ephemeral port
-//	simd -intra 2 -pprof                              # parallel intra-run mode + profiling
+//	simd -state-dir /var/lib/simd                     # journal results, recover them on restart
+//	simd -workers 1 -intra 2 -pprof                   # parallel intra-run mode + profiling
+//
+// -intra is clamped so that workers × intra stays within GOMAXPROCS; a
+// clamped request is reported on stderr, and the listening banner shows
+// the effective value.
 //
 // Endpoints:
 //
@@ -26,10 +31,12 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"runtime"
 	"time"
 
 	"nexsim/internal/jobapi"
 	"nexsim/internal/simserve"
+	"nexsim/internal/sweep"
 )
 
 func main() {
@@ -48,19 +55,14 @@ func main() {
 			"cap on connection draining during shutdown")
 		portFile = flag.String("portfile", "",
 			"write the bound host:port to this file once listening (for scripts)")
-		checkpoints = flag.Bool("checkpoints", false,
-			"fork sweep jobs from cached prefix snapshots (byte-identical results)")
 		stateDir = flag.String("state-dir", "",
-			"crash-safe persistence directory: results journal to a WAL and prefix\n"+
-				"checkpoints to disk, and a restarted daemon recovers both (empty = in-memory)")
+			"crash-safe persistence directory: results journal to a WAL, and a\n"+
+				"restarted daemon recovers them (empty = in-memory)")
 		runBudget = flag.Duration("run-budget", 0,
 			"per-attempt wall budget; an over-budget run aborts with a structured\n"+
 				"transient error instead of wedging its worker (0 = none)")
 		retries = flag.Int("retries", 0,
 			"max retries of a transiently-failed run (0 = default of 2, negative = off)")
-		hedgeAfter = flag.Duration("hedge-after", 0,
-			"launch a second identical attempt for jobs still running after this long;\n"+
-				"the first published result wins (0 = off)")
 		shardID = flag.String("shard-id", "",
 			"name of this daemon within a simrouter cluster; operational identity\n"+
 				"only (surfaces on /metrics), never part of a spec or result")
@@ -78,16 +80,19 @@ func main() {
 		Backlog:      *backlog,
 		CacheEntries: *cacheEntries,
 		WaitTimeout:  *waitTimeout,
-		Checkpoints:  *checkpoints,
 		StateDir:     *stateDir,
 		RunBudget:    *runBudget,
 		MaxRetries:   *retries,
-		HedgeAfter:   *hedgeAfter,
 		ShardID:      *shardID,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simd:", err)
 		os.Exit(1)
+	}
+	effIntra := sweep.ClampIntra(srv.Workers(), *intra, 0)
+	if effIntra != *intra {
+		fmt.Fprintf(os.Stderr, "simd: clamped -intra %d to %d (-workers %d on %d procs)\n",
+			*intra, effIntra, srv.Workers(), runtime.GOMAXPROCS(0))
 	}
 
 	handler := srv.Handler()
@@ -107,7 +112,7 @@ func main() {
 		Name:     "simd",
 		Addr:     *addr,
 		PortFile: *portFile,
-		Banner:   fmt.Sprintf(" (workers=%d queue=%d cache=%d)", srv.Workers(), *backlog, *cacheEntries),
+		Banner:   fmt.Sprintf(" (workers=%d intra=%d queue=%d cache=%d)", srv.Workers(), effIntra, *backlog, *cacheEntries),
 		Handler:  handler,
 		Drain:    *drainTimeout,
 		Close:    srv.Close, // drains queued and in-flight simulations

@@ -271,3 +271,40 @@ func TestGetOrComputeConcurrentError(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStoreConcurrentGetPutRace hammers the LRU from many goroutines;
+// run under -race this pins down the locking discipline around
+// eviction and single-flight publication.
+func TestStoreConcurrentGetPutRace(t *testing.T) {
+	s := NewStore(1 << 10) // small enough to force constant eviction
+	const workers = 8
+	const iters = 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				key := fmt.Sprintf("k%d", (w*7+i)%32)
+				switch i % 3 {
+				case 0:
+					s.Put(key, bytes.Repeat([]byte{byte(i)}, 64))
+				case 1:
+					if blob, ok := s.Get(key); ok && len(blob) != 0 && len(blob) != 1 && len(blob) != 64 {
+						t.Errorf("blob len %d", len(blob))
+						return
+					}
+				default:
+					_, _, _ = s.GetOrCompute(key, func() ([]byte, error) {
+						return []byte{byte(i)}, nil
+					})
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.UsedBytes > 1<<10 {
+		t.Fatalf("budget exceeded after churn: %d bytes", st.UsedBytes)
+	}
+}

@@ -17,14 +17,11 @@ import (
 // requests skip straight to a full run instead of re-probing.
 type Store struct {
 	mu sync.Mutex
-	// mem is the memory tier: cost is blob bytes, so the budget bounds
+	// mem holds the blobs: cost is blob bytes, so the budget bounds
 	// payload (header and key overhead is not counted); a blob larger
 	// than the whole budget is not cached at all.
 	mem     *lru.Cache[string, []byte]
 	flights map[string]*flight
-	// disk is the optional persistent tier (AttachDisk): puts write
-	// through, memory misses fall through and promote hits.
-	disk *DiskStore
 
 	hits, misses uint64
 }
@@ -44,15 +41,6 @@ func NewStore(budgetBytes int64) *Store {
 	}
 }
 
-// AttachDisk adds a persistent tier: every Put also lands on disk
-// (atomically), and a memory miss falls through to disk, promoting a
-// hit back into memory. Attach before concurrent use; a nil d detaches.
-func (s *Store) AttachDisk(d *DiskStore) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.disk = d
-}
-
 // Get returns the blob stored under key. ok distinguishes "no entry"
 // from a stored negative (nil blob, ok=true) entry.
 func (s *Store) Get(key string) (blob []byte, ok bool) {
@@ -64,15 +52,9 @@ func (s *Store) Get(key string) (blob []byte, ok bool) {
 	return blob, ok
 }
 
-// lookup reads memory, then disk; callers hold s.mu. A disk hit is
-// promoted into memory without being re-written to disk.
+// lookup reads the store and counts a hit; callers hold s.mu.
 func (s *Store) lookup(key string) ([]byte, bool) {
 	blob, ok := s.mem.Get(key)
-	if !ok && s.disk != nil {
-		if blob, ok = s.disk.Get(key); ok {
-			s.mem.Put(key, blob, int64(len(blob)))
-		}
-	}
 	if ok {
 		s.hits++
 	}
@@ -85,17 +67,6 @@ func (s *Store) lookup(key string) ([]byte, bool) {
 func (s *Store) Put(key string, blob []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.put(key, blob)
-}
-
-// put is Put without locking; callers hold s.mu. The disk tier sees
-// every put, including blobs too large for the memory budget — disk
-// write errors are deliberately swallowed (the tier is an optimization,
-// and the Stats counters surface persistent trouble).
-func (s *Store) put(key string, blob []byte) {
-	if s.disk != nil {
-		_ = s.disk.Put(key, blob)
-	}
 	s.mem.Put(key, blob, int64(len(blob)))
 }
 
@@ -136,7 +107,7 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (blob [
 		s.mu.Lock()
 		delete(s.flights, key)
 		if cerr == nil {
-			s.put(key, b)
+			s.mem.Put(key, b, int64(len(b)))
 			f.blob, f.ok = b, true
 		}
 		s.mu.Unlock()
@@ -148,30 +119,24 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (blob [
 	}
 }
 
-// StoreStats is a point-in-time snapshot of store counters. The Disk
-// fields stay zero until AttachDisk.
+// StoreStats is a point-in-time snapshot of store counters.
 type StoreStats struct {
 	Entries   int
 	UsedBytes int64
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Disk      DiskStats
 }
 
 // Stats returns current counters.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := StoreStats{
+	return StoreStats{
 		Entries:   s.mem.Len(),
 		UsedBytes: s.mem.Used(),
 		Hits:      s.hits,
 		Misses:    s.misses,
 		Evictions: s.mem.Evictions(),
 	}
-	if s.disk != nil {
-		st.Disk = s.disk.Stats()
-	}
-	return st
 }

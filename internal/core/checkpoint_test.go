@@ -188,8 +188,9 @@ func TestRestoreCorruptBlob(t *testing.T) {
 // TestRestoreBitFlippedBlob sweeps single-bit flips across the blob:
 // every attempt must return normally (error or not) — a panic anywhere
 // fails the test. Flips in payload bytes may decode "successfully" into
-// different-but-well-formed state; that is acceptable (integrity is the
-// disk tier's checksum job), crashing is not.
+// different-but-well-formed state; that is acceptable (blobs only come
+// from the process's own in-memory store, so integrity is not the
+// decoder's job), crashing is not.
 func TestRestoreBitFlippedBlob(t *testing.T) {
 	blob := checkpointOf(t, "vta-resnet18", nil)
 	// Stride through the blob so the test stays fast on large snapshots.

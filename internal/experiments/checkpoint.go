@@ -26,12 +26,13 @@ const defaultHostClock = 3 * vclock.GHz
 // straight-through runs (the engine-level differential tests pin this),
 // so enabling checkpoints changes wall-clock time only.
 
-// checkpointsOn gates the prefix-sharing planner. Like parallelism, it
-// is set before experiments run (cmd/paperbench -checkpoints, simserve
-// config), never while one is running.
+// checkpointsOn gates the prefix-sharing planner. No command or server
+// turns it on: it is a library mechanism kept for the sweep planner the
+// benchmark measures (DESIGN.md §7). Like parallelism, it is set before
+// experiments run, never while one is running.
 var checkpointsOn = false
 
-// ckptStore caches prefix blobs across runs and requests,
+// ckptStore caches prefix blobs across runs and sweeps,
 // content-addressed by the normalized prefix key. 256MB bounds the
 // resident blobs; least-recently-forked prefixes evict first.
 var ckptStore = checkpoint.NewStore(256 << 20)
@@ -43,27 +44,11 @@ func SetCheckpoints(on bool) { checkpointsOn = on }
 // CheckpointsEnabled reports whether the prefix-sharing planner is on.
 func CheckpointsEnabled() bool { return checkpointsOn }
 
-// CheckpointStats reports the prefix store's hit/miss/eviction counters
-// (exposed by simserve's /metrics).
+// CheckpointStats reports the prefix store's hit/miss/eviction counters.
 func CheckpointStats() checkpoint.StoreStats { return ckptStore.Stats() }
 
-// ResetCheckpointStore drops every cached prefix (tests). Any attached
-// disk tier is dropped with it.
+// ResetCheckpointStore drops every cached prefix (tests).
 func ResetCheckpointStore() { ckptStore = checkpoint.NewStore(256 << 20) }
-
-// SetCheckpointDisk attaches a persistent tier under dir to the prefix
-// store: warmed prefixes are written through to disk and survive
-// process restarts (simd -state-dir), where a fresh daemon's memory
-// misses fall through to the recovered blobs. Set before experiments
-// run, like SetCheckpoints.
-func SetCheckpointDisk(dir string) error {
-	d, err := checkpoint.NewDiskStore(dir)
-	if err != nil {
-		return err
-	}
-	ckptStore.AttachDisk(d)
-	return nil
-}
 
 // chaosSleep implements an OpDelay fault at a host-side site (store
 // access, pool worker pickup), where there is no virtual clock to

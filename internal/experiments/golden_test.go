@@ -19,27 +19,54 @@ var updateGolden = flag.Bool("update-golden", false,
 // was generated at the commit before the experiments were ported onto the
 // one Spec run path, so a port that moves a simulated time, a counter or
 // a column fails here.
+//
+// The same tables are then produced a second way — sweep points forked
+// from shared prefix checkpoints, with two intra-run lanes — and must
+// match the same golden byte for byte: snapshot/replay drift and lane
+// scheduling both show up as a diff here.
 func TestTablesGolden(t *testing.T) {
 	defer SetParallelism(Parallelism())
+	defer SetIntra(Intra())
+	defer SetCheckpoints(CheckpointsEnabled())
+	defer ResetCheckpointStore()
 	SetParallelism(2)
-	var got bytes.Buffer
-	for _, e := range All() {
-		if e.Wall {
-			continue
-		}
-		fmt.Fprintf(&got, "==== %s ====\n", e.ID)
-		split, err := e.Run(&got)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		// Every run goes through the executor, so every experiment has a
-		// wall split (six of these used to build their systems themselves
-		// and reported none).
-		if split.Host <= 0 {
-			t.Errorf("%s: executor reported host wall %v, want > 0", e.ID, split.Host)
-		}
+	for _, c := range []struct {
+		name   string
+		forked bool
+		intra  int
+	}{
+		{"straight", false, 1},
+		{"forked-intra2", true, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ResetCheckpointStore()
+			SetCheckpoints(c.forked)
+			SetIntra(c.intra)
+			var got bytes.Buffer
+			for _, e := range All() {
+				if e.Wall {
+					continue
+				}
+				fmt.Fprintf(&got, "==== %s ====\n", e.ID)
+				split, err := e.Run(&got)
+				if err != nil {
+					t.Fatalf("%s: %v", e.ID, err)
+				}
+				// Every run goes through the executor, so every experiment
+				// has a wall split (six of these used to build their systems
+				// themselves and reported none).
+				if split.Host <= 0 {
+					t.Errorf("%s: executor reported host wall %v, want > 0", e.ID, split.Host)
+				}
+			}
+			if c.forked && CheckpointStats().Hits == 0 {
+				t.Error("no run forked from a checkpoint: the forked pass checked nothing")
+			}
+			// Only the straight pass rewrites the golden; the forked pass
+			// is compared against what it wrote.
+			diffGolden(t, "testdata/tables.golden", got.Bytes(), *updateGolden && !c.forked)
+		})
 	}
-	diffGolden(t, "testdata/tables.golden", got.Bytes(), *updateGolden)
 }
 
 // TestIDsGolden pins the content address of every spec the catalog could

@@ -1,7 +1,6 @@
 package simserve
 
 import (
-	"nexsim/internal/experiments"
 	"nexsim/internal/faults"
 	"nexsim/internal/metrics"
 	"nexsim/internal/stats"
@@ -10,8 +9,8 @@ import (
 // serverMetrics is the daemon's operational counter set, served on
 // /metrics by the registry. Counters are atomic, so they are bumped
 // wherever the event happens, with or without the server lock; gauges
-// owned by other components (queue, cache, checkpoint store, fault
-// injector) are sampled at scrape time.
+// owned by other components (queue, cache, fault injector) are sampled
+// at scrape time.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -29,10 +28,6 @@ type serverMetrics struct {
 	retriesTotal      *metrics.Counter // transient failures re-attempted
 	transientFailures *metrics.Counter // jobs answered with a transient failure (retries exhausted)
 	budgetAborts      *metrics.Counter // attempts aborted by core.ErrBudgetExceeded
-	hedgesLaunched    *metrics.Counter // speculative second attempts started
-	hedgesWon         *metrics.Counter // hedges that published first
-	hedgesWasted      *metrics.Counter // attempts finishing after another published
-	hedgeMismatches   *metrics.Counter // hedge/primary byte mismatches (determinism violations)
 
 	// Cluster hot-set counters (POST /cluster/hotset).
 	hotsetPromoted   *metrics.Counter // pushed results verified and cached
@@ -80,25 +75,9 @@ func newMetrics(s *Server) *serverMetrics {
 		e.Int("simserve_workers", int64(s.pool.Workers()))
 	})
 	m.workersBusy = reg.Counter("simserve_workers_busy")
-	reg.Func(func(e *metrics.Encoder) {
-		ck := experiments.CheckpointStats()
-		e.Int("simserve_checkpoint_entries", int64(ck.Entries))
-		e.Int("simserve_checkpoint_bytes", ck.UsedBytes)
-		e.Int("simserve_checkpoint_hits", int64(ck.Hits))
-		e.Int("simserve_checkpoint_misses", int64(ck.Misses))
-		e.Int("simserve_checkpoint_evictions", int64(ck.Evictions))
-		e.Int("simserve_checkpoint_disk_hits", int64(ck.Disk.Hits))
-		e.Int("simserve_checkpoint_disk_misses", int64(ck.Disk.Misses))
-		e.Int("simserve_checkpoint_disk_corrupt", int64(ck.Disk.Corrupt))
-		e.Int("simserve_checkpoint_disk_puts", int64(ck.Disk.Puts))
-	})
 	m.retriesTotal = reg.Counter("simserve_retries_total")
 	m.transientFailures = reg.Counter("simserve_transient_failures")
 	m.budgetAborts = reg.Counter("simserve_budget_aborts")
-	m.hedgesLaunched = reg.Counter("simserve_hedges_launched")
-	m.hedgesWon = reg.Counter("simserve_hedges_won")
-	m.hedgesWasted = reg.Counter("simserve_hedges_wasted")
-	m.hedgeMismatches = reg.Counter("simserve_hedge_mismatches")
 	m.hotsetPromoted = reg.Counter("simserve_hotset_promoted")
 	m.hotsetDuplicates = reg.Counter("simserve_hotset_duplicates")
 	m.hotsetRejected = reg.Counter("simserve_hotset_rejected")

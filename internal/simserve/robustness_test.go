@@ -32,7 +32,7 @@ func waitResults(t *testing.T, body []byte) []jobapi.JobResult {
 }
 
 // waitMetric polls /metrics until name reaches want (background
-// publishes — hedge losers, drained primaries — land asynchronously).
+// publishes — drained primaries — land asynchronously).
 func waitMetric(t *testing.T, ts *httptest.Server, name string, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -218,74 +218,6 @@ func TestBudgetAbortTransient(t *testing.T) {
 	if n := metricValue(t, page, "simserve_budget_aborts"); n != 2 {
 		t.Errorf("budget_aborts = %d, want 2 (attempt + retry)", n)
 	}
-}
-
-// TestHedgeWinsStragglingPrimary: the hedge path end to end — a stuck
-// primary is raced by a hedge, the hedge's result answers the client,
-// and the late primary's identical bytes are counted wasted, not a
-// mismatch.
-func TestHedgeWinsStragglingPrimary(t *testing.T) {
-	var calls int64
-	primaryGate := make(chan struct{})
-	_, ts := newTestServer(t, Config{
-		Workers: 2, Backlog: 4, HedgeAfter: 5 * time.Millisecond,
-		Runner: func(s experiments.Spec, attempt int) (core.Result, error) {
-			if atomic.AddInt64(&calls, 1) == 1 {
-				<-primaryGate // straggling primary
-			}
-			return core.Result{SimTime: 9 * vclock.Microsecond}, nil
-		},
-	})
-	code, body := post(t, ts, `{"specs":[{"bench":"npb-ep.8"}],"wait":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("submit: status %d, body %s", code, body)
-	}
-	if jr := waitResults(t, body)[0]; vclock.Duration(jr.SimTimePS) != 9*vclock.Microsecond {
-		t.Fatalf("hedged answer wrong: %+v", jr)
-	}
-	close(primaryGate) // primary finishes late, loses the publish race
-	waitMetric(t, ts, "simserve_hedges_wasted", 1)
-	_, page := get(t, ts, "/metrics")
-	if n := metricValue(t, page, "simserve_hedges_launched"); n != 1 {
-		t.Errorf("hedges_launched = %d, want 1", n)
-	}
-	if n := metricValue(t, page, "simserve_hedges_won"); n != 1 {
-		t.Errorf("hedges_won = %d, want 1", n)
-	}
-	if n := metricValue(t, page, "simserve_hedge_mismatches"); n != 0 {
-		t.Errorf("hedge_mismatches = %d, want 0 (identical results)", n)
-	}
-	if n := metricValue(t, page, "simserve_jobs_completed"); n != 1 {
-		t.Errorf("jobs_completed = %d, want 1 (one job, two attempts)", n)
-	}
-}
-
-// TestHedgeMismatchDetected: a runner that breaks determinism (the
-// primary and its hedge return different results) is caught by the
-// losing side's byte comparison and surfaced as a metric.
-func TestHedgeMismatchDetected(t *testing.T) {
-	var calls int64
-	primaryGate := make(chan struct{})
-	_, ts := newTestServer(t, Config{
-		Workers: 2, Backlog: 4, HedgeAfter: 5 * time.Millisecond,
-		Runner: func(s experiments.Spec, attempt int) (core.Result, error) {
-			if atomic.AddInt64(&calls, 1) == 1 {
-				<-primaryGate
-				return core.Result{SimTime: 111 * vclock.Microsecond}, nil
-			}
-			return core.Result{SimTime: 222 * vclock.Microsecond}, nil
-		},
-	})
-	code, body := post(t, ts, `{"specs":[{"bench":"npb-ep.8"}],"wait":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("submit: status %d", code)
-	}
-	// The hedge published first; its result is the answer.
-	if jr := waitResults(t, body)[0]; vclock.Duration(jr.SimTimePS) != 222*vclock.Microsecond {
-		t.Fatalf("expected hedge's result, got %+v", jr)
-	}
-	close(primaryGate)
-	waitMetric(t, ts, "simserve_hedge_mismatches", 1)
 }
 
 // TestWALRecoveryServesCache: results answered before a shutdown are

@@ -1,7 +1,6 @@
 package simserve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,8 +16,6 @@ import (
 
 // run executes one fresh job on a pool worker: attempt, retry
 // transients with deterministic backoff, and publish the final result.
-// When hedging is configured, a straggling primary gets a second
-// identical attempt racing it; the first published result wins.
 //
 // A job every waiter abandoned while it sat in the queue is skipped
 // here instead of executed: the queue slot was already freed by the
@@ -40,24 +37,19 @@ func (s *Server) run(j *job) {
 	s.m.workersBusy.Inc()
 	s.mu.Unlock()
 
-	if s.cfg.HedgeAfter > 0 {
-		timer := time.AfterFunc(s.cfg.HedgeAfter, func() { s.launchHedge(j) })
-		defer timer.Stop()
-	}
-
 	start := time.Now()
 	res, err, attempt := s.runWithRetries(j)
 	wallMS := float64(time.Since(start)) / float64(time.Millisecond)
 
 	s.m.workersBusy.Add(-1)
 	data, failed, transient := s.marshalResult(j, res, err, attempt)
-	s.publish(j, data, failed, transient, wallMS, false)
+	s.publish(j, data, failed, transient, wallMS)
 }
 
-// runWithRetries drives the primary attempt chain: transient failures
-// back off (doubling, capped, spec-jittered) and re-run with the next
-// attempt number — which matters, because Attempts-windowed injected
-// faults expire and budget luck differs, so a retry can genuinely heal.
+// runWithRetries drives the attempt chain: transient failures back off
+// (doubling, capped, spec-jittered) and re-run with the next attempt
+// number — which matters, because Attempts-windowed injected faults
+// expire and budget luck differs, so a retry can genuinely heal.
 // Deterministic outcomes return immediately: re-running them buys
 // nothing.
 func (s *Server) runWithRetries(j *job) (core.Result, error, int) {
@@ -70,13 +62,6 @@ func (s *Server) runWithRetries(j *job) (core.Result, error, int) {
 		s.m.retriesTotal.Inc()
 		if errors.Is(err, core.ErrBudgetExceeded) {
 			s.m.budgetAborts.Inc()
-		}
-		s.mu.Lock()
-		published := j.published
-		s.mu.Unlock()
-		if published {
-			// A hedge already answered; stop burning the worker.
-			return res, err, attempt
 		}
 		time.Sleep(retryBackoff(j.id, attempt, s.cfg.RetryBackoff))
 		attempt++
@@ -100,36 +85,6 @@ func retryBackoff(id string, attempt int, base time.Duration) time.Duration {
 	st := xrand.New(h.Sum64()).Derive(fmt.Sprintf("backoff-%d", attempt))
 	f := 0.75 + 0.5*st.Float64()
 	return time.Duration(float64(d) * f)
-}
-
-// launchHedge submits a second identical attempt for a straggling job.
-// The hedge re-runs attempt 0 — by determinism it must produce the
-// same bytes the primary's attempt 0 would, so whichever publishes
-// first is correct. Hedges only ever publish conclusive results: a
-// transient failure is the retry chain's business, so a hedge that
-// draws one quietly discards it.
-func (s *Server) launchHedge(j *job) {
-	s.mu.Lock()
-	if j.published || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.m.hedgesLaunched.Inc()
-	s.mu.Unlock()
-	err := s.pool.TrySubmit(func() {
-		start := time.Now()
-		res, rerr := s.safeRun(j.spec, 0)
-		wallMS := float64(time.Since(start)) / float64(time.Millisecond)
-		if rerr != nil && transientErr(rerr) {
-			return
-		}
-		data, failed, transient := s.marshalResult(j, res, rerr, 0)
-		s.publish(j, data, failed, transient, wallMS, true)
-	})
-	if err != nil {
-		// No capacity for speculation: the primary still owns the job.
-		s.m.hedgesLaunched.Add(-1)
-	}
 }
 
 // marshalResult renders one attempt's outcome into canonical JobResult
@@ -161,24 +116,11 @@ func (s *Server) marshalResult(j *job, res core.Result, err error, attempt int) 
 	return out, jr.Error != "", transient
 }
 
-// publish installs a finished attempt's bytes as the job's result —
-// exactly once. The losing side of a hedge race lands here too: its
-// bytes are compared against the published ones, and a difference is a
-// determinism violation surfaced on /metrics rather than swallowed.
-// Transient failures are answered — and stay pollable for whoever was
-// told to poll — but never cached: the next submit of the same spec
-// runs fresh.
-func (s *Server) publish(j *job, data []byte, failed, transient bool, wallMS float64, hedge bool) {
+// publish installs a finished job's bytes as its result. Transient
+// failures are answered — and stay pollable for whoever was told to
+// poll — but never cached: the next submit of the same spec runs fresh.
+func (s *Server) publish(j *job, data []byte, failed, transient bool, wallMS float64) {
 	s.mu.Lock()
-	if j.published {
-		if !bytes.Equal(data, j.result) {
-			s.m.hedgeMismatches.Inc()
-		}
-		s.m.hedgesWasted.Inc()
-		s.mu.Unlock()
-		return
-	}
-	j.published = true
 	j.result = data
 	j.failed = failed
 	e := cacheEntry{result: data, failed: failed}
@@ -199,9 +141,6 @@ func (s *Server) publish(j *job, data []byte, failed, transient bool, wallMS flo
 	}
 	delete(s.jobs, j.id)
 	s.m.observeRun(j.spec.Bench, wallMS)
-	if hedge {
-		s.m.hedgesWon.Inc()
-	}
 	s.mu.Unlock()
 	close(j.done)
 }

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -60,12 +59,6 @@ type Config struct {
 	// WaitTimeout caps how long a wait=true submit blocks before
 	// degrading to a 202 + poll response (default 60s).
 	WaitTimeout time.Duration
-	// Checkpoints enables checkpointed sweep execution: jobs whose
-	// normalized prefix matches an earlier run fork from its cached
-	// engine snapshot instead of re-simulating the prefix. Results are
-	// byte-identical either way; the prefix store's counters surface on
-	// /metrics.
-	Checkpoints bool
 	// MaxRetries caps how many times a transiently-failed run (injected
 	// fault, budget abort) is re-attempted before its failure is
 	// returned. Default 2; negative disables retries. Deterministic
@@ -76,11 +69,6 @@ type Config struct {
 	// deterministically from the spec's content address — the same spec
 	// backs off the same way every time.
 	RetryBackoff time.Duration
-	// HedgeAfter, when > 0, launches a second identical attempt for any
-	// job still unpublished after this long. The first published result
-	// wins; the loser is byte-compared against it (a mismatch is a
-	// determinism violation, counted on /metrics). 0 disables hedging.
-	HedgeAfter time.Duration
 	// RunBudget is the per-attempt wall budget handed to the engine
 	// watchdogs (0 = none): an over-budget run aborts with
 	// core.ErrBudgetExceeded (transient — retried, never cached) instead
@@ -88,8 +76,7 @@ type Config struct {
 	RunBudget time.Duration
 	// StateDir enables crash-safe persistence: answered results and
 	// pending jobs journal to StateDir/results.wal (replayed on Open so
-	// a killed daemon recovers its cache and re-runs in-flight work),
-	// and prefix checkpoints write through to StateDir/checkpoints.
+	// a killed daemon recovers its cache and re-runs in-flight work).
 	// Empty means fully in-memory.
 	StateDir string
 	// ShardID names this daemon within a simrouter cluster. It is
@@ -150,17 +137,14 @@ var (
 
 // job is one in-flight or just-completed run. done is closed after
 // result/failed/status are final; until then those fields are guarded
-// by the server lock. published flips exactly once — whichever of the
-// primary attempt chain or a hedge finishes first wins; the loser's
-// bytes are compared, not stored.
+// by the server lock.
 type job struct {
-	id        string
-	spec      experiments.Spec // normalized
-	done      chan struct{}
-	status    string
-	result    []byte
-	failed    bool
-	published bool
+	id     string
+	spec   experiments.Spec // normalized
+	done   chan struct{}
+	status string
+	result []byte
+	failed bool
 	// keep pins the job to completion regardless of waiters: async
 	// submits (the client holds the id and will poll) and WAL-recovered
 	// work. waiters counts wait=true requests currently blocked on the
@@ -229,14 +213,10 @@ func New(cfg Config) *Server {
 // were queued or running when the process died are resubmitted.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Checkpoints {
-		// Process-wide, like the executor's parallelism: set before any
-		// job runs, never while one is running.
-		experiments.SetCheckpoints(true)
-	}
 	if cfg.Intra > 1 {
-		// Process-wide for the same reason; clamped so the pool's workers
-		// and each run's stepper lanes share the machine.
+		// Process-wide, like the executor's parallelism: set before any
+		// job runs, never while one is running; clamped so the pool's
+		// workers and each run's stepper lanes share the machine.
 		experiments.SetIntra(sweep.ClampIntra(cfg.Workers, cfg.Intra, 0))
 	}
 	s := &Server{
@@ -252,11 +232,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("simserve: state dir: %w", err)
-	}
-	if cfg.Checkpoints {
-		if err := experiments.SetCheckpointDisk(filepath.Join(cfg.StateDir, "checkpoints")); err != nil {
-			return nil, err
-		}
 	}
 	w, rec, err := openWAL(cfg.StateDir)
 	if err != nil {

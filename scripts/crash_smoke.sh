@@ -33,7 +33,7 @@ PORTFILE="$TMPDIR_SMOKE/addr"
 start_simd() {
     : >"$PORTFILE"
     GOMAXPROCS=4 "$TMPDIR_SMOKE/simd" -addr 127.0.0.1:0 -portfile "$PORTFILE" \
-        -state-dir "$STATEDIR" -checkpoints -workers 2 -intra 2 \
+        -state-dir "$STATEDIR" -workers 2 -intra 2 \
         2>>"$TMPDIR_SMOKE/simd.log" &
     SIMD_PID=$!
     i=0
