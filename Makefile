@@ -1,19 +1,13 @@
 # lint is the style/determinism gate: gofmt, go vet, and the simlint
 # static-analysis suite (internal/analysis; see DESIGN.md §5). simlint
-# exits nonzero on any finding, so `make check` cannot pass with one.
-# The findings cache in .lintcache makes reruns on an unchanged tree
-# near-instant; lint-cold bypasses it (authoritative full analysis).
+# exits nonzero on any finding.
 lint:
-	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt -l:"; echo "$$fmt"; exit 1; fi
-	go vet ./...
-	go run ./cmd/simlint -json -cache-dir .lintcache
-
-lint-cold:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt -l:"; echo "$$fmt"; exit 1; fi
 	go vet ./...
 	go run ./cmd/simlint -json
 
-check: lint
+# check is the full gate; check.sh starts with the same three lint steps.
+check:
 	sh check.sh
 
 # End-to-end smoke test of the simd daemon: ephemeral port, cheap job

@@ -1,8 +1,7 @@
 #!/bin/sh
 # check.sh — the repository's tier-1 gate plus the style/determinism
-# lints and the race-mode concurrency checks. `make check` runs this
-# (after `make lint`, whose steps the first three lines mirror so that
-# running check.sh directly enforces the same bar).
+# lints and the race-mode concurrency checks. `make check` runs this;
+# its first three lines are `make lint`'s steps.
 set -eux
 
 # Style/determinism gate: gofmt-clean tree, vet-clean, and zero simlint
@@ -12,10 +11,6 @@ set -eux
 test -z "$(gofmt -l .)"
 go vet ./...
 go run ./cmd/simlint
-
-# Findings-cache gate: cold-populate a fresh cache, warm-replay it,
-# assert identical findings and a >=3x warm speedup (DESIGN.md §5.5).
-sh scripts/lint_cache_smoke.sh
 
 # No production source file over 900 lines (ROADMAP: "no 900-line
 # files"); a file that big is several concerns that want separate files.

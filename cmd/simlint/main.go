@@ -1,32 +1,18 @@
 // Command simlint runs the repository's determinism/correctness
-// static-analysis suite (internal/analysis) over the whole module.
+// static-analysis suite (internal/analysis) over the whole module: it
+// loads and type-checks every non-test package from source, runs the
+// checkers, and prints the findings.
 //
 // Usage:
 //
 //	simlint [-dir .] [-c checker,checker] [-json] [-list]
-//	        [-cache-dir DIR] [-baseline FILE] [-write-baseline FILE]
 //
-// When -dir points inside a testdata directory, simlint analyzes the
-// fixture corpus instead of the module: a single fixture package, or —
-// when the directory only contains fixture packages — every one of
-// them, sharing one type-checked module so each dependency loads
-// exactly once:
-//
-//	simlint -dir internal/analysis/testdata/src/maporder
-//	simlint -dir internal/analysis/testdata/src
-//
-// -cache-dir enables the on-disk findings cache (module mode only):
-// warm runs skip type-checking entirely and replay stored findings,
-// keyed by file content hashes. `make lint` uses it; `make lint-cold`
-// bypasses it.
-//
-// -baseline suppresses known findings listed in FILE (one Key per
-// line, as written by -write-baseline), so the suite can be adopted
-// incrementally on a tree with accepted debt. Baselined findings are
-// reported to stderr as a count but do not affect the exit status.
+// -dir names any directory inside the module; the module root is the
+// nearest go.mod above it.
 //
 // Exit status: 0 when clean, 1 when findings were reported, 2 on a tool
-// or load error. `make lint` runs it alongside gofmt and go vet.
+// or load error. check.sh and `make lint` run it alongside gofmt and
+// go vet.
 package main
 
 import (
@@ -42,13 +28,10 @@ import (
 
 func main() {
 	var (
-		dir           = flag.String("dir", ".", "directory inside the module to lint (the module root is discovered from it)")
-		checkers      = flag.String("c", "", "comma-separated checker IDs to run (default: all)")
-		jsonOut       = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		list          = flag.Bool("list", false, "list available checkers and exit")
-		cacheDir      = flag.String("cache-dir", "", "findings cache directory (module mode only; empty disables caching)")
-		baseline      = flag.String("baseline", "", "suppress findings whose keys appear in this file")
-		writeBaseline = flag.String("write-baseline", "", "write current finding keys to this file and exit 0")
+		dir      = flag.String("dir", ".", "directory inside the module to lint (the module root is discovered from it)")
+		checkers = flag.String("c", "", "comma-separated checker IDs to run (default: all)")
+		jsonOut  = flag.Bool("json", false, "emit findings as a JSON array on stdout")
+		list     = flag.Bool("list", false, "list available checkers and exit")
 	)
 	flag.Parse()
 
@@ -67,53 +50,9 @@ func main() {
 	if *checkers != "" {
 		names = strings.Split(*checkers, ",")
 	}
-
-	var findings []analysis.Finding
-	switch {
-	case fixtureDir(*dir):
-		findings, err = analysis.AnalyzeFixtureTree(root, *dir, names)
-	case *cacheDir != "":
-		var cache *analysis.Cache
-		cache, err = analysis.OpenCache(*cacheDir)
-		if err == nil {
-			var warm bool
-			findings, warm, err = analysis.AnalyzeModuleCached(root, names, cache)
-			if err == nil && warm {
-				fmt.Fprintln(os.Stderr, "simlint: warm cache")
-			}
-		}
-	default:
-		findings, err = analysis.AnalyzeModule(root, names)
-	}
+	findings, err := analysis.AnalyzeModule(root, names)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *writeBaseline != "" {
-		if err := writeBaselineFile(*writeBaseline, findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "simlint: wrote %d key(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-	if *baseline != "" {
-		known, err := readBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		var kept []analysis.Finding
-		suppressed := 0
-		for _, f := range findings {
-			if known[f.Key()] {
-				suppressed++
-				continue
-			}
-			kept = append(kept, f)
-		}
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "simlint: %d baselined finding(s) suppressed\n", suppressed)
-		}
-		findings = kept
 	}
 
 	if *jsonOut {
@@ -142,51 +81,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "simlint:", err)
 	os.Exit(2)
-}
-
-// readBaseline loads one finding key per line; blank lines and
-// #-comments are skipped.
-func readBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	keys := map[string]bool{}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		keys[line] = true
-	}
-	return keys, nil
-}
-
-// writeBaselineFile records the keys of the current findings, sorted as
-// reported, so reruns diff cleanly.
-func writeBaselineFile(path string, findings []analysis.Finding) error {
-	var b strings.Builder
-	b.WriteString("# simlint baseline: accepted findings by key (file:line:col:checker).\n")
-	b.WriteString("# Regenerate with: simlint -write-baseline " + filepath.Base(path) + "\n")
-	for _, f := range findings {
-		b.WriteString(f.Key())
-		b.WriteByte('\n')
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// fixtureDir reports whether dir lies inside a testdata tree.
-func fixtureDir(dir string) bool {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return false
-	}
-	for _, part := range strings.Split(filepath.ToSlash(abs), "/") {
-		if part == "testdata" {
-			return true
-		}
-	}
-	return false
 }
 
 // findModuleRoot walks up from dir to the nearest go.mod.

@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -56,12 +55,6 @@ type Finding struct {
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Checker, f.Message)
-}
-
-// Key is the finding's stable identity for baseline comparison: position
-// plus checker, without the message text (messages may be reworded).
-func (f Finding) Key() string {
-	return fmt.Sprintf("%s:%d:%d:%s", f.File, f.Line, f.Col, f.Checker)
 }
 
 // Checker is one named analysis pass. Exactly one of Run (local,
@@ -201,9 +194,9 @@ func (p *Pass) Report(pos token.Pos, msg, fix string) {
 
 // ModulePass is the whole-program context handed to a global checker's
 // RunModule. Scope is the set of packages findings may be reported in
-// (the full module in a normal run, a single fixture package in fixture
-// mode); the checker may *read* any loaded package — the call graph
-// spans them all — but must anchor findings inside Scope.
+// (the full module in a simlint run, a single fixture package in the
+// golden tests); the checker may *read* any loaded package — the call
+// graph spans them all — but must anchor findings inside Scope.
 type ModulePass struct {
 	Checker *Checker
 	Module  *Module
@@ -312,112 +305,15 @@ func AnalyzePackage(m *Module, pkg *Package, checkers []*Checker) []Finding {
 // AnalyzeModule loads the module rooted at root and runs the named
 // checkers (all when names is empty) over every package.
 func AnalyzeModule(root string, names []string) ([]Finding, error) {
+	checkers, err := resolveCheckers(names)
+	if err != nil {
+		return nil, err
+	}
 	m, err := LoadModule(root)
 	if err != nil {
 		return nil, err
 	}
-	checkers, err := resolveCheckers(names)
-	if err != nil {
-		return nil, err
-	}
 	return AnalyzeScope(m, m.Pkgs, checkers), nil
-}
-
-// AnalyzeFixtureDir analyzes the single package in dir (typically a
-// testdata fixture, which the module walk deliberately skips) against
-// the named checkers. root must be the surrounding module so the
-// fixture's module-internal imports resolve. Pass a non-nil *Module to
-// reuse an already-loaded module (and its type-checked dependencies)
-// across several fixture dirs; pass nil to load a fresh one.
-func AnalyzeFixtureDir(root, dir string, names []string) ([]Finding, error) {
-	m, err := NewModule(root)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeFixtureDirIn(m, dir, names)
-}
-
-// AnalyzeFixtureDirIn is AnalyzeFixtureDir against an existing module
-// loader, so a multi-fixture run type-checks each dependency package
-// exactly once (the caching importer is shared).
-func AnalyzeFixtureDirIn(m *Module, dir string, names []string) ([]Finding, error) {
-	checkers, err := resolveCheckers(names)
-	if err != nil {
-		return nil, err
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	// A unique synthetic import path per fixture dir: the loader caches
-	// by import path, and a shared module may host many fixtures.
-	ip := "fixture/" + filepath.ToSlash(mustRel(m.Root, abs))
-	pkg, err := m.LoadExtraDir(abs, ip)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeScope(m, []*Package{pkg}, checkers), nil
-}
-
-// AnalyzeFixtureTree analyzes every fixture package directly under dir
-// (or dir itself, when it holds Go files) against the named checkers.
-// All fixtures share one module loader, so each module-internal
-// dependency is parsed and type-checked exactly once for the whole
-// tree rather than once per fixture.
-func AnalyzeFixtureTree(root, dir string, names []string) ([]Finding, error) {
-	dirs, err := fixturePackageDirs(dir)
-	if err != nil {
-		return nil, err
-	}
-	m, err := NewModule(root)
-	if err != nil {
-		return nil, err
-	}
-	var all []Finding
-	for _, d := range dirs {
-		fs, err := AnalyzeFixtureDirIn(m, d, names)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", d, err)
-		}
-		all = append(all, fs...)
-	}
-	sortFindings(all)
-	return all, nil
-}
-
-// fixturePackageDirs returns dir itself if it holds Go files, otherwise
-// its immediate subdirectories that do (sorted).
-func fixturePackageDirs(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var subs []string
-	for _, e := range ents {
-		if e.IsDir() {
-			subs = append(subs, filepath.Join(dir, e.Name()))
-		} else if strings.HasSuffix(e.Name(), ".go") {
-			return []string{dir}, nil
-		}
-	}
-	var dirs []string
-	for _, s := range subs {
-		sub, err := os.ReadDir(s)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range sub {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				dirs = append(dirs, s)
-				break
-			}
-		}
-	}
-	sort.Strings(dirs)
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("no Go fixture packages under %s", dir)
-	}
-	return dirs, nil
 }
 
 func resolveCheckers(names []string) ([]*Checker, error) {

@@ -191,13 +191,10 @@ func TestSuppression(t *testing.T) {
 
 // TestCommittedTreeClean asserts the repository itself is finding-free:
 // every determinism rule the suite enforces holds on the committed code.
+// It runs the suite the way simlint does, once over every package.
 func TestCommittedTreeClean(t *testing.T) {
 	m := testModule(t)
-	var findings []Finding
-	for _, pkg := range m.Pkgs {
-		findings = append(findings, AnalyzePackage(m, pkg, nil)...)
-	}
-	for _, f := range findings {
+	for _, f := range AnalyzeScope(m, m.Pkgs, nil) {
 		t.Errorf("committed tree has finding: %s", f)
 	}
 }

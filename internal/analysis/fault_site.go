@@ -53,7 +53,7 @@ func runFaultSite(p *ModulePass) {
 	}
 
 	// Rules 2 and 3 anchor on the faults package's own declarations, so
-	// they only run when it is in scope (skipped in fixture mode).
+	// they only run when it is in scope (skipped for a fixture package).
 	if p.InScope(faultsPkg) {
 		checkSitesRegistry(p, faultsPkg, sites)
 		checkSitesExercised(p, faultsPkg, sites)
