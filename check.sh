@@ -26,6 +26,10 @@ test -z "$(grep -rl '"nexsim/internal/parsim"' internal cmd --include='*.go' |
 test "$(grep -rl '^func (.*) SlipStream(fn func())' internal --include='*.go' |
 	grep -v -e _test.go -e /testdata/ | wc -l)" -le 1
 
+# One device schedule (DESIGN.md §10): the exact host's loop does not
+# branch on whether stepper lanes exist, so nothing can ask.
+test -z "$(grep -rn 'func (c \*Complex) Parallel\|dev\.Parallel()' internal --include='*.go' | grep -v _test.go)"
+
 # One device kit (DESIGN.md §4.4): the register switch and the IRQ
 # predicate each exist in exactly one production file (acceltest's
 # scripted fake is test scaffolding), no model or workload guards a memo

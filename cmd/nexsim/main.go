@@ -43,7 +43,8 @@ func main() {
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"workers for the -seeds sweep (1 = serial)")
 		intra = flag.Int("intra", 1,
-			"intra-run workers (host + N-1 device steppers; results byte-identical)")
+			"intra-run workers: N-1 lanes catch polling devices up; the schedule\n"+
+				"and the results are the same at every N")
 	)
 	flag.Parse()
 

@@ -66,7 +66,8 @@ func main() {
 		jsonPath = flag.String("json", "",
 			"write per-experiment wall time and headline metrics to this file as a JSON array")
 		intra = flag.Int("intra", 1,
-			"intra-run workers per simulation (host + N-1 device steppers; 1 = serial schedule)")
+			"intra-run workers per simulation: N-1 lanes catch polling devices up;\n"+
+				"the schedule and the results are the same at every N")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)

@@ -67,8 +67,9 @@ func main() {
 			"name of this daemon within a simrouter cluster; operational identity\n"+
 				"only (surfaces on /metrics), never part of a spec or result")
 		intra = flag.Int("intra", 1,
-			"intra-run workers per simulation (host + N-1 device steppers; results\n"+
-				"stay byte-identical, so cached entries are shared across settings)")
+			"intra-run workers per simulation: N-1 lanes catch polling devices up;\n"+
+				"the schedule and the results are the same at every N, so cached\n"+
+				"entries are shared across settings")
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof profiling endpoints under /debug/pprof/")
 	)

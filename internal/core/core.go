@@ -128,11 +128,10 @@ type Config struct {
 	UseChannel bool
 
 	// IntraParallel is the intra-run worker count (DESIGN.md §10): with
-	// N >= 2, accelerator engines advance on up to N-1 stepper
-	// goroutines under conservative lookahead while the host engine
-	// runs on its own goroutine, synchronizing at deterministic
-	// barriers. Every table, trace, and checkpoint is byte-identical to
-	// the serial schedule. 0 or 1 = serial (the default).
+	// N >= 2, the catch-up of polling devices moves onto up to N-1
+	// stepper goroutines while the host engine runs on its own. The
+	// schedule, and so every table, trace and checkpoint, is the same at
+	// every N. 0 or 1 = no lanes (the default).
 	IntraParallel int
 
 	// Budget bounds the run (watchdog): a run that exceeds it aborts
@@ -444,11 +443,7 @@ func (s *System) finish(start time.Time, simTime vclock.Duration) (Result, error
 		r.NEXStats = s.nexEng.Stats
 	}
 	for _, d := range s.binds {
-		// No lane is live here: Run and ResumeRun stop the device
-		// complex's stepper lanes before returning, and RunPrefix never
-		// starts them (the open window the analysis sees there is the
-		// flow-insensitive summary of Complex.Advance's parallel branch).
-		r.Devices = append(r.Devices, d.Stats()) //simlint:allow lane-safety engine entry points return with lanes stopped
+		r.Devices = append(r.Devices, d.Stats())
 	}
 	if len(s.binds) > 0 {
 		if l, ok := unwrap(s.binds[0]).(interface{ Latencies() []protoacc.TaskSpan }); ok {

@@ -66,11 +66,9 @@ type Config struct {
 	// caller must Reap it.
 	MaxSteps int64
 	MaxWall  time.Duration
-	// Intra >= 2 runs devices on up to Intra-1 stepper goroutines under
-	// conservative lookahead (DESIGN.md §10); results stay byte-identical
-	// to serial. Ignored (serial) when MaxSteps > 0: the serial loop
-	// counts device-advance iterations against the step budget, and the
-	// parallel loop must abort at the identical point.
+	// Intra >= 2 moves the catch-up of polling devices onto up to
+	// Intra-1 stepper goroutines (DESIGN.md §10). The schedule, the step
+	// count and the results are the same at every Intra.
 	Intra int
 }
 
@@ -168,10 +166,8 @@ type Result struct {
 // exceeded — check BudgetExceeded and Reap on abort) and returns the
 // simulated time.
 func (e *Engine) Run(prog app.Program) Result {
-	if e.cfg.MaxSteps == 0 {
-		defer e.dev.Stop()
-		e.dev.Start(e.cfg.Intra)
-	}
+	defer e.dev.Stop()
+	e.dev.Start(e.cfg.Intra)
 	main := e.newThread("main", prog.Main)
 	e.wakeAt(main, 0)
 	if e.cfg.MaxWall > 0 {
@@ -182,7 +178,7 @@ func (e *Engine) Run(prog app.Program) Result {
 }
 
 // IntraStats reports the stepper-lane count of the last Run (0 when it
-// ran serially) and the cumulative wall time the steppers spent
+// had none) and the cumulative wall time the steppers spent
 // advancing devices.
 func (e *Engine) IntraStats() (lanes int, deviceWall time.Duration) {
 	return e.dev.IntraStats()
@@ -465,8 +461,12 @@ func (e *Engine) RaiseIRQ(at vclock.Time, vector int) {
 	e.wakeAt(th, wake)
 }
 
-// loop is the main event loop: interleave thread events with device
-// activity in exact time order.
+// loop is the main event loop. Devices that may raise interrupts are
+// interleaved with thread events in exact time order: their Advance can
+// insert thread wakeups. Polling devices are caught up lazily — to the
+// next thread event before it runs, the earliest time the host could
+// observe them (inline at intra 1, on a stepper lane otherwise) — so
+// their internal events never pass through this loop.
 func (e *Engine) loop() {
 	for e.live > 0 {
 		if e.overBudget() {
@@ -474,22 +474,6 @@ func (e *Engine) loop() {
 			return
 		}
 		tNext, okT := e.evq.NextTime()
-		if !e.dev.Parallel() {
-			dNext, okD := e.dev.NextEvent()
-			if okD && (!okT || dNext < tNext) {
-				e.dev.Advance(dNext)
-				continue
-			}
-			if !okT {
-				panic("exacthost: deadlock — live threads but no pending events or device activity")
-			}
-			e.evq.Step()
-			continue
-		}
-		// Parallel: IRQ-capable devices keep the exact serial
-		// interleave (their Advance can insert thread wakeups); the
-		// rest run ahead on their stepper lanes, bounded by the next
-		// thread event — the earliest time the host could observe them.
 		dNext, okD := e.dev.NextInlineEvent()
 		if okD && (!okT || dNext < tNext) {
 			e.dev.Advance(dNext)
@@ -500,10 +484,9 @@ func (e *Engine) loop() {
 			e.evq.Step()
 			continue
 		}
-		// No thread events, no inline device events: whatever remains
-		// lives on the stepper lanes. Quiesce and re-check serially —
-		// either a lane still has internal events (advance through
-		// them) or the run is genuinely deadlocked, exactly as serial.
+		// No thread events, no interrupt-capable device events: only a
+		// polling device can still act. Advance through its next event,
+		// or the run is deadlocked.
 		dNext, okD = e.dev.NextEvent()
 		if !okD {
 			panic("exacthost: deadlock — live threads but no pending events or device activity")

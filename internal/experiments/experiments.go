@@ -40,16 +40,16 @@ func Parallelism() int { return parallelism }
 
 // intra is the intra-run worker count Lower sets on every configuration
 // the experiments launch: 1 (the default) keeps each run
-// single-threaded, >= 2 lets one run's host and device engines execute
-// concurrently. Results are byte-identical either way (the
-// conservative-parallel contract, DESIGN.md §10), which is also why
-// intra is deliberately NOT part of Spec: it is an execution knob, not
-// part of a run's identity, so content addresses and cached results are
-// shared across intra settings.
+// single-threaded, >= 2 moves the catch-up of polling devices onto
+// stepper lanes. The schedule and the results are the same at every
+// intra (the conservative-parallel contract, DESIGN.md §10), which is
+// also why intra is deliberately NOT part of Spec: it is an execution
+// knob, not part of a run's identity, so content addresses and cached
+// results are shared across intra settings.
 var intra = 1
 
 // SetIntra sets the intra-run worker count for subsequently launched
-// simulations. n <= 1 selects the serial schedule. Not safe to call
+// simulations. n <= 1 runs without stepper lanes. Not safe to call
 // while an experiment is running.
 func SetIntra(n int) {
 	if n < 1 {

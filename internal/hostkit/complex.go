@@ -52,7 +52,7 @@ type Complex struct {
 	binds []*Binding
 	time  vclock.Time // every device has been advanced (or granted) to at least this
 
-	// Parallel intra-run state (nil/zero when serial).
+	// Stepper-lane state (nil/zero without lanes).
 	crew  *parsim.Crew
 	lanes int
 	wall  time.Duration
@@ -117,37 +117,31 @@ func (c *Complex) Time() vclock.Time { return c.time }
 
 // Advance catches the complex (including the dedicated DMA simulator,
 // which the synchronous fabric models in lock-step) up to time t; a
-// stale t is a no-op. In parallel intra-run mode devices that cannot
-// raise interrupts are granted the horizon for their stepper lane — the
-// host keeps executing while they catch up — and are only waited for
-// when the host next observes them (Join, NextEvent). IRQ-capable
-// devices keep the serial schedule, because their Advance calls the
-// engine's RaiseIRQ policy; they are joined first so the inline Advance
-// cannot race a still-draining grant from before the driver enabled
-// IRQs.
+// stale t is a no-op. Devices are advanced inline, except that with
+// stepper lanes live a device that cannot raise interrupts is granted
+// the horizon on its lane — the host keeps executing while it catches
+// up — and is only waited for when the host next observes it (Join,
+// NextEvent). IRQ-capable devices stay inline, because their Advance
+// calls the engine's RaiseIRQ policy; they are joined first so the
+// inline Advance cannot race a still-draining grant from before the
+// driver enabled IRQs.
 func (c *Complex) Advance(t vclock.Time) {
 	if t < c.time {
 		return
 	}
 	c.time = t
-	if c.crew == nil {
-		for _, b := range c.binds {
-			b.Device.Advance(t)
-		}
-		return
-	}
 	for i, b := range c.binds {
-		if parsim.MayRaiseIRQ(b.Device) {
-			c.crew.Join(i)
-			b.Device.Advance(t)
-		} else {
+		if c.crew != nil && !parsim.MayRaiseIRQ(b.Device) {
 			c.crew.Grant(i, t)
+			continue
 		}
+		c.Join(b)
+		b.Device.Advance(t)
 	}
 }
 
 // Join quiesces one device's stepper lane before the host observes the
-// device (an MMIO access). No-op when serial.
+// device (an MMIO access). No-op without lanes.
 func (c *Complex) Join(b *Binding) {
 	if c.crew != nil {
 		c.crew.Join(b.idx)
@@ -170,18 +164,17 @@ func (c *Complex) NextEvent() (vclock.Time, bool) {
 	return best, any
 }
 
-// NextInlineEvent is NextEvent restricted to the devices a parallel run
-// advances inline (the IRQ-capable ones). Async-granted devices are
-// skipped: their steppers may be mid-advance, and their internal events
-// cannot affect the host before the next joined observation. Only
-// meaningful while Parallel.
+// NextInlineEvent is NextEvent restricted to the devices that may raise
+// interrupts. Polling devices are skipped: their internal events cannot
+// affect the host before it next observes them, and their steppers may
+// be mid-advance.
 func (c *Complex) NextInlineEvent() (vclock.Time, bool) {
 	best, any := vclock.Never, false
-	for i, b := range c.binds {
+	for _, b := range c.binds {
 		if !parsim.MayRaiseIRQ(b.Device) {
 			continue
 		}
-		c.crew.Join(i)
+		c.Join(b)
 		if at, ok := b.Device.NextEvent(); ok && at < best {
 			best, any = at, true
 		}
@@ -189,10 +182,9 @@ func (c *Complex) NextInlineEvent() (vclock.Time, bool) {
 	return best, any
 }
 
-// Start spawns the stepper lanes for parallel intra-run mode: with
-// intra >= 2, devices advance on up to intra-1 goroutines under
-// conservative lookahead. No-op when serial, without devices, or when
-// already started.
+// Start spawns the stepper lanes: with intra >= 2, the catch-up of
+// polling devices moves onto up to intra-1 goroutines. No-op at intra 1,
+// without devices, or when already started.
 func (c *Complex) Start(intra int) {
 	if intra < 2 || len(c.binds) == 0 || c.crew != nil {
 		return
@@ -204,9 +196,6 @@ func (c *Complex) Start(intra int) {
 	c.crew = parsim.New(devs, intra-1)
 	c.lanes = c.crew.Lanes()
 }
-
-// Parallel reports whether stepper lanes are live.
-func (c *Complex) Parallel() bool { return c.crew != nil }
 
 // Stop quiesces and terminates the stepper lanes, folding their busy
 // time into the device-wall statistic. Idempotent.

@@ -150,14 +150,14 @@ func TestSerialAndParallelDriveDevicesIdentically(t *testing.T) {
 	}
 
 	par := mk()
-	par.Start(1) // serial request: no lanes
-	if par.Parallel() {
-		t.Fatal("Start(1) started lanes")
+	par.Start(1) // intra 1: no lanes
+	if lanes, _ := par.IntraStats(); lanes != 0 {
+		t.Fatalf("Start(1) started %d lanes", lanes)
 	}
 	par.Start(3)
-	par.Start(3) // already started: no-op
-	if !par.Parallel() {
-		t.Fatal("Start(3) did not start lanes")
+	par.Start(4) // already started: no-op
+	if lanes, _ := par.IntraStats(); lanes != 2 {
+		t.Fatalf("Start(3) started %d lanes, want 2", lanes)
 	}
 	script(par, func() {
 		// The IRQ-capable device is advanced inline: its Advance has
@@ -168,9 +168,6 @@ func TestSerialAndParallelDriveDevicesIdentically(t *testing.T) {
 		}
 	})
 	par.Stop()
-	if par.Parallel() {
-		t.Fatal("Stop left lanes live")
-	}
 	lanes, wall := par.IntraStats()
 	if lanes != 2 {
 		t.Errorf("lanes = %d, want 2 (intra 3 = host + 2 steppers)", lanes)
@@ -194,8 +191,8 @@ func TestSerialAndParallelDriveDevicesIdentically(t *testing.T) {
 func TestStartWithoutDevicesStaysSerial(t *testing.T) {
 	r := newRig()
 	r.Start(4)
-	if r.Parallel() {
-		t.Fatal("a complex without devices started lanes")
+	if lanes, _ := r.IntraStats(); lanes != 0 {
+		t.Fatalf("a complex without devices started %d lanes", lanes)
 	}
 	if _, ok := r.NextEvent(); ok {
 		t.Fatal("an empty complex reported a device event")
@@ -203,16 +200,18 @@ func TestStartWithoutDevicesStaysSerial(t *testing.T) {
 }
 
 func TestNextInlineEventSkipsLaneDevices(t *testing.T) {
-	r := newRig(&acceltest.Device{Busy: 2 * us}, &acceltest.Device{Busy: 7 * us, IRQ: 4})
-	r.Start(2)
-	defer r.Stop()
-	for _, d := range r.devs {
-		d.RegWrite(0, 0, 1)
-	}
-	if at, ok := r.NextInlineEvent(); !ok || at != vclock.Time(7*us) {
-		t.Errorf("NextInlineEvent = %v, %v; want the IRQ-capable device's 7us", at, ok)
-	}
-	if at, ok := r.NextEvent(); !ok || at != vclock.Time(2*us) {
-		t.Errorf("NextEvent = %v, %v; want the lane device's 2us", at, ok)
+	for _, intra := range []int{1, 2} {
+		r := newRig(&acceltest.Device{Busy: 2 * us}, &acceltest.Device{Busy: 7 * us, IRQ: 4})
+		r.Start(intra)
+		for _, d := range r.devs {
+			d.RegWrite(0, 0, 1)
+		}
+		if at, ok := r.NextInlineEvent(); !ok || at != vclock.Time(7*us) {
+			t.Errorf("intra %d: NextInlineEvent = %v, %v; want the IRQ-capable device's 7us", intra, at, ok)
+		}
+		if at, ok := r.NextEvent(); !ok || at != vclock.Time(2*us) {
+			t.Errorf("intra %d: NextEvent = %v, %v; want the polling device's 2us", intra, at, ok)
+		}
+		r.Stop()
 	}
 }

@@ -1,27 +1,25 @@
-// Package parsim runs accelerator engines on their own goroutines under
-// conservative lookahead (core.Config.IntraParallel, DESIGN.md §10).
+// Package parsim moves the catch-up of polling accelerator engines onto
+// their own goroutines (core.Config.IntraParallel, DESIGN.md §10).
 //
-// The host engine grants each device a horizon — the earliest virtual
-// time at which the host could next interact with it — and the device's
-// stepper goroutine advances toward that horizon while the host keeps
-// simulating. The host joins (waits for the stepper to reach its grant)
-// before every observation of device state: an MMIO access, a NextEvent
-// query, a checkpoint snapshot, or run teardown. Because a device's
-// timing state is private in this codebase (each DMA port owns its LLC
-// slice and DRAM channel — see core.Build) and devices in polling mode
-// cannot raise interrupts, nothing the stepper does between grant and
-// join is observable by the host, so the interleaving of host and
-// device work cannot affect simulated state: every table, trace and
-// checkpoint is byte-identical to the serial schedule. Devices whose
-// driver has enabled interrupts report MayRaiseIRQ()==true and are
-// advanced inline on the host goroutine instead (the serial schedule),
-// which preserves byte-identity trivially.
+// The host engines catch a polling device up lazily: to the earliest
+// virtual time at which the host could next observe it, and whenever it
+// does. With `-intra N` those catch-ups are grants to N-1 stepper
+// goroutines instead of inline Advance calls: the device's stepper
+// advances toward its horizon while the host keeps simulating, and the
+// host joins (waits for the stepper to reach its grant) before every
+// observation of device state: an MMIO access, a NextEvent query, a
+// checkpoint snapshot, or run teardown. Because a device's timing state
+// is private in this codebase (each DMA port owns its LLC slice and DRAM
+// channel — see core.Build) and devices in polling mode cannot raise
+// interrupts, nothing the stepper does between grant and join is
+// observable by the host. The schedule is the same at every N, and so
+// is every table, trace and checkpoint. Devices whose driver has enabled
+// interrupts report MayRaiseIRQ()==true and are advanced inline on the
+// host goroutine at every N.
 //
 // Grants compose: Advance(t1); Advance(t2 >= t1) is by the accel.Device
-// contract equivalent to Advance(t2), so the host may coarsen or split
-// horizons freely — parallel mode grants the same non-decreasing
-// per-device target sequence the serial loop would, just from another
-// goroutine.
+// contract equivalent to Advance(t2), so a stepper may coalesce the
+// non-decreasing targets it was granted.
 package parsim
 
 import (
@@ -35,8 +33,8 @@ import (
 
 // IRQCapable is the optional device predicate consulted before an
 // asynchronous grant: a device that may raise an interrupt before the
-// horizon must be advanced inline so delivery happens at the serial
-// point. Devices that do not implement it are conservatively treated as
+// horizon must be advanced inline so delivery happens at its exact
+// time. Devices that do not implement it are conservatively treated as
 // capable.
 type IRQCapable interface {
 	MayRaiseIRQ() bool
@@ -44,7 +42,7 @@ type IRQCapable interface {
 
 // MayRaiseIRQ reports whether dev could raise an interrupt during an
 // advance, unwrapping adapters. Unknown devices report true (inline
-// advance, serial schedule).
+// advance).
 func MayRaiseIRQ(dev accel.Device) bool {
 	for {
 		if c, ok := dev.(IRQCapable); ok {

@@ -57,7 +57,7 @@ func (x *Executor) Workers() int { return x.workers }
 //	intra' = max(1, min(intra, budget/workers))
 //
 // budget <= 0 selects runtime.GOMAXPROCS(0). The clamp never raises a
-// request, so -intra 1 (the serial schedule) always stays serial.
+// request, so -intra 1 always runs without lanes.
 func ClampIntra(workers, intra, budget int) int {
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)

@@ -1,10 +1,10 @@
 #!/bin/sh
 # intra_smoke.sh — conservative-parallel determinism smoke: the same
 # experiment table and the same chrome trace must be byte-identical
-# between -intra 1 (serial schedule) and -intra 4 (host + device
-# stepper goroutines). Any horizon bug — a device advanced past an
-# observation point, a grant reordering completions — shows up as a
-# byte diff here before it can corrupt a real run. GOMAXPROCS is pinned
+# between -intra 1 (polling devices caught up inline) and -intra 4
+# (caught up on device stepper goroutines). Any horizon bug — a device
+# advanced past an observation point, a grant reordering completions —
+# shows up as a byte diff here before it can corrupt a real run. GOMAXPROCS is pinned
 # above 1 so the stepper lanes are real even on single-core CI (the
 # sweep.ClampIntra budget would otherwise keep the run serial and the
 # comparison vacuous). Run as part of check.sh.
