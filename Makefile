@@ -83,9 +83,4 @@ bench-coro:
 bench-serve:
 	go test -run '^$$' -bench RouterSubmit -benchtime 2000x -count 3 ./internal/cluster | grep -E 'Benchmark|^cpu:'
 
-# Conservative-parallel determinism smoke: -intra 1 vs -intra 4 tables
-# and chrome traces byte-identical. check.sh runs this too.
-intra-smoke:
-	sh scripts/intra_smoke.sh
-
-.PHONY: lint check bench bench-cpu bench-dma bench-func bench-coro bench-serve intra-smoke serve-smoke crash-smoke cluster-smoke chaos
+.PHONY: lint check bench bench-cpu bench-dma bench-func bench-coro bench-serve serve-smoke crash-smoke cluster-smoke chaos

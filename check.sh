@@ -43,6 +43,11 @@ test -z "$(grep -rl 'sync\.Mutex' internal/accel/jpeg internal/accel/vta interna
 test -z "$(grep -rl '"nexsim/internal/accel/devkit"' . --include='*.go' |
 	grep -v -e '^\./internal/accel/' -e '^\./internal/dsim/' -e '^\./internal/workloads/' -e '^\./examples/')"
 
+# Test scaffolding stays out of production: acceltest imports testing, so
+# only _test.go files and examples/ may import it.
+test -z "$(grep -rl '"nexsim/internal/accel/acceltest"' . --include='*.go' |
+	grep -v -e '_test\.go$' -e '^\./examples/')"
+
 # One run path (DESIGN.md §3): inside internal/experiments a Spec becomes
 # a core.Config in one place (Lower, spec.go), a Config becomes a System
 # in one file (the executor's chokepoint and the prefix warm-up,
@@ -58,6 +63,11 @@ test "$(ls internal/experiments/*.go | grep -v _test.go | xargs cat | grep -v '^
 test -z "$(grep -rl 'SetCheckpoints(' cmd internal/simserve)"
 test -z "$(grep -rlE 'HedgeAfter|hedge-after' internal cmd scripts examples bench |
 	grep -v -e '^internal/cluster/' -e '^cmd/simrouter/' -e '^scripts/cluster_smoke\.sh$')"
+
+# One way to run a simulation (DESIGN.md §10): intra-run stepper lanes
+# are a library mechanism no command or server switches on, so nothing
+# needs a clamp between them and the worker count.
+test -z "$(grep -rlE 'SetIntra\(|ClampIntra|"intra"' cmd internal/simserve internal/sweep)"
 
 go build ./...
 go test ./...
@@ -132,11 +142,6 @@ go test -race ./...
 # getters, uncached.
 go test -race -count=1 -run 'KitConformance|Memo' ./internal/accel/devkit ./examples/sketch-accel
 
-# Conservative-parallel determinism smoke: table4 and a multi-device
-# chrome trace must be byte-identical between -intra 1 and -intra 4
-# (GOMAXPROCS pinned so stepper lanes are real on single-core CI).
-sh scripts/intra_smoke.sh
-
 # End-to-end serving smoke: simd on an ephemeral port, a cheap job
 # submitted twice, byte-identical cache hit on the resubmit (verified
 # against /metrics), graceful SIGTERM drain and portfile removal.
@@ -145,8 +150,7 @@ sh scripts/serve_smoke.sh
 # Crash-safety smoke: simd with -state-dir answers a job, dies by
 # SIGKILL, restarts on the same state directory, and must serve the
 # same spec byte-identically from its recovered journal without
-# re-running the engine. The daemon runs with -intra 2, so recovery is
-# exercised with device stepper lanes live.
+# re-running the engine.
 sh scripts/crash_smoke.sh
 
 # Cluster smoke: three simd shards behind simrouter over real sockets.

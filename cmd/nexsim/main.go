@@ -42,9 +42,6 @@ func main() {
 		seeds     = flag.Int("seeds", 1, "run this many consecutive seeds (starting at -seed)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"workers for the -seeds sweep (1 = serial)")
-		intra = flag.Int("intra", 1,
-			"intra-run workers: N-1 lanes catch polling devices up; the schedule\n"+
-				"and the results are the same at every N")
 	)
 	flag.Parse()
 
@@ -71,14 +68,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	// A single run has one inter-run worker; only the -seeds sweep fans
-	// across -parallel. The clamp keeps workers×intra within GOMAXPROCS.
+	// A single run has one worker; only the -seeds sweep fans across
+	// -parallel.
 	workers := 1
 	if *seeds > 1 {
 		workers = sweep.New(*parallel).Workers()
 	}
 	experiments.SetParallelism(workers)
-	experiments.SetIntra(sweep.ClampIntra(workers, *intra, 0))
 
 	if *seeds > 1 {
 		// Seed sweep: independent runs, fanned across the sweep executor.

@@ -11,13 +11,9 @@
 //
 // -parallel N fans each experiment's independent simulation runs across
 // N workers (default GOMAXPROCS; 1 reproduces the historical serial
-// harness). -intra N additionally runs each simulation's accelerator
-// engines on up to N-1 stepper goroutines alongside the host engine
-// (conservative parallel co-simulation, DESIGN.md §10). Tables are
-// byte-identical at any worker or intra count: experiments enumerate
-// jobs first, render from order-preserved results, and the intra
-// schedule is conservative (observation implies quiesce). The intra
-// request is clamped so parallel×intra stays within GOMAXPROCS.
+// harness). Each simulation runs on one goroutine. Tables are
+// byte-identical at any worker count: experiments enumerate jobs first
+// and render from order-preserved results.
 package main
 
 import (
@@ -32,29 +28,23 @@ import (
 	"time"
 
 	"nexsim/internal/experiments"
-	"nexsim/internal/sweep"
 )
 
-// jsonEntry is one experiment's record in the -json report. Parallel,
-// Intra and GoVersion record the run environment: wall times are only
-// comparable across reports taken at the same worker/intra counts and
-// toolchain. HostWallMS and DeviceWallMS are the experiments.WallSplit
-// the experiment's Run returned: the summed wall time of every
-// simulation it executed — all 20 experiments run through the one
-// executor, and a wall-time experiment's warm-up and second measured run
-// count too, so at -parallel 1 it approaches WallMS — and the time
-// accelerator stepper lanes spent advancing concurrently with those runs
-// (0 at -intra 1).
+// jsonEntry is one experiment's record in the -json report. Parallel
+// and GoVersion record the run environment: wall times are only
+// comparable across reports taken at the same worker count and
+// toolchain. HostWallMS is what the experiment's Run returned: the
+// summed wall time of every simulation it executed — all 20 experiments
+// run through the one executor, and a wall-time experiment's warm-up and
+// second measured run count too, so at -parallel 1 it approaches WallMS.
 type jsonEntry struct {
-	ID           string  `json:"id"`
-	Title        string  `json:"title"`
-	WallMS       float64 `json:"wall_ms"`
-	Headline     string  `json:"headline"`
-	Parallel     int     `json:"parallel"`
-	Intra        int     `json:"intra"`
-	HostWallMS   float64 `json:"host_wall_ms"`
-	DeviceWallMS float64 `json:"device_wall_ms"`
-	GoVersion    string  `json:"go_version"`
+	ID         string  `json:"id"`
+	Title      string  `json:"title"`
+	WallMS     float64 `json:"wall_ms"`
+	Headline   string  `json:"headline"`
+	Parallel   int     `json:"parallel"`
+	HostWallMS float64 `json:"host_wall_ms"`
+	GoVersion  string  `json:"go_version"`
 }
 
 func main() {
@@ -65,9 +55,6 @@ func main() {
 			"workers for each experiment's simulation jobs (1 = serial)")
 		jsonPath = flag.String("json", "",
 			"write per-experiment wall time and headline metrics to this file as a JSON array")
-		intra = flag.Int("intra", 1,
-			"intra-run workers per simulation: N-1 lanes catch polling devices up;\n"+
-				"the schedule and the results are the same at every N")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -81,12 +68,6 @@ func main() {
 	}
 
 	experiments.SetParallelism(*parallel)
-	effIntra := sweep.ClampIntra(*parallel, *intra, 0)
-	if effIntra != *intra {
-		fmt.Fprintf(os.Stderr, "paperbench: clamped -intra %d to %d (-parallel %d on %d procs)\n",
-			*intra, effIntra, *parallel, runtime.GOMAXPROCS(0))
-	}
-	experiments.SetIntra(effIntra)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -109,7 +90,7 @@ func main() {
 		// summary statistic or final row).
 		var buf bytes.Buffer
 		start := time.Now()
-		split, err := e.Run(&buf)
+		host, err := e.Run(&buf)
 		wall := time.Since(start)
 		if _, werr := os.Stdout.Write(buf.Bytes()); werr != nil {
 			fmt.Fprintln(os.Stderr, werr)
@@ -121,15 +102,13 @@ func main() {
 		}
 		fmt.Printf("(%s in %s)\n\n", e.ID, wall.Round(time.Millisecond))
 		report = append(report, jsonEntry{
-			ID:           e.ID,
-			Title:        e.Title,
-			WallMS:       float64(wall) / float64(time.Millisecond),
-			Headline:     lastLine(buf.String()),
-			Parallel:     *parallel,
-			Intra:        effIntra,
-			HostWallMS:   float64(split.Host) / float64(time.Millisecond),
-			DeviceWallMS: float64(split.Device) / float64(time.Millisecond),
-			GoVersion:    runtime.Version(),
+			ID:         e.ID,
+			Title:      e.Title,
+			WallMS:     float64(wall) / float64(time.Millisecond),
+			Headline:   lastLine(buf.String()),
+			Parallel:   *parallel,
+			HostWallMS: float64(host) / float64(time.Millisecond),
+			GoVersion:  runtime.Version(),
 		})
 	}
 

@@ -7,11 +7,7 @@
 //	simd -addr 127.0.0.1:8080
 //	simd -addr 127.0.0.1:0 -portfile /tmp/simd.addr   # ephemeral port
 //	simd -state-dir /var/lib/simd                     # journal results, recover them on restart
-//	simd -workers 1 -intra 2 -pprof                   # parallel intra-run mode + profiling
-//
-// -intra is clamped so that workers × intra stays within GOMAXPROCS; a
-// clamped request is reported on stderr, and the listening banner shows
-// the effective value.
+//	simd -workers 1 -pprof                            # one worker + profiling
 //
 // Endpoints:
 //
@@ -31,12 +27,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"time"
 
 	"nexsim/internal/jobapi"
 	"nexsim/internal/simserve"
-	"nexsim/internal/sweep"
 )
 
 func main() {
@@ -66,10 +60,6 @@ func main() {
 		shardID = flag.String("shard-id", "",
 			"name of this daemon within a simrouter cluster; operational identity\n"+
 				"only (surfaces on /metrics), never part of a spec or result")
-		intra = flag.Int("intra", 1,
-			"intra-run workers per simulation: N-1 lanes catch polling devices up;\n"+
-				"the schedule and the results are the same at every N, so cached\n"+
-				"entries are shared across settings")
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof profiling endpoints under /debug/pprof/")
 	)
@@ -77,7 +67,6 @@ func main() {
 
 	srv, err := simserve.Open(simserve.Config{
 		Workers:      *workers,
-		Intra:        *intra,
 		Backlog:      *backlog,
 		CacheEntries: *cacheEntries,
 		WaitTimeout:  *waitTimeout,
@@ -89,11 +78,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simd:", err)
 		os.Exit(1)
-	}
-	effIntra := sweep.ClampIntra(srv.Workers(), *intra, 0)
-	if effIntra != *intra {
-		fmt.Fprintf(os.Stderr, "simd: clamped -intra %d to %d (-workers %d on %d procs)\n",
-			*intra, effIntra, srv.Workers(), runtime.GOMAXPROCS(0))
 	}
 
 	handler := srv.Handler()
@@ -113,7 +97,7 @@ func main() {
 		Name:     "simd",
 		Addr:     *addr,
 		PortFile: *portFile,
-		Banner:   fmt.Sprintf(" (workers=%d intra=%d queue=%d cache=%d)", srv.Workers(), effIntra, *backlog, *cacheEntries),
+		Banner:   fmt.Sprintf(" (workers=%d queue=%d cache=%d)", srv.Workers(), *backlog, *cacheEntries),
 		Handler:  handler,
 		Drain:    *drainTimeout,
 		Close:    srv.Close, // drains queued and in-flight simulations

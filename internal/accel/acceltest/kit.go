@@ -10,10 +10,11 @@ import (
 )
 
 // Host is a fixed-latency accel.Host over a real memory that logs the
-// interrupts it is handed.
+// DMAs it completes and the interrupts it is handed.
 type Host struct {
 	Mem  *mem.Memory
 	Lat  vclock.Duration
+	DMAs []vclock.Time // completion times, in issue order
 	IRQs []IRQ
 }
 
@@ -24,7 +25,9 @@ type IRQ struct {
 }
 
 func (h *Host) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size int) vclock.Time {
-	return at.Add(h.Lat)
+	done := at.Add(h.Lat)
+	h.DMAs = append(h.DMAs, done)
+	return done
 }
 func (h *Host) ZeroCostRead(addr mem.Addr, p []byte)    { h.Mem.ReadAt(addr, p) }
 func (h *Host) ZeroCostWrite(addr mem.Addr, p []byte)   { h.Mem.WriteAt(addr, p) }

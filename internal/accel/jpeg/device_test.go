@@ -5,31 +5,15 @@ import (
 	"testing"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
 
-// devHost is a fixed-latency accel.Host over a real memory.
-type devHost struct {
-	mem  *mem.Memory
-	lat  vclock.Duration
-	irqs []vclock.Time
-	dmas int
-}
-
-func (h *devHost) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size int) vclock.Time {
-	h.dmas++
-	return at.Add(h.lat)
-}
-func (h *devHost) ZeroCostRead(addr mem.Addr, p []byte)    { h.mem.ReadAt(addr, p) }
-func (h *devHost) ZeroCostWrite(addr mem.Addr, p []byte)   { h.mem.WriteAt(addr, p) }
-func (h *devHost) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.mem.Sum(addr, n) }
-func (h *devHost) RaiseIRQ(at vclock.Time, v int)          { h.irqs = append(h.irqs, at) }
-
 // stage writes a test image's bitstream + descriptor into memory and
 // returns the descriptor address and expected pixels.
-func stage(h *devHost, seed uint64) (mem.Addr, *Image, Desc) {
+func stage(h *acceltest.Host, seed uint64) (mem.Addr, *Image, Desc) {
 	img := synthImage(48, 32, seed)
 	data := Encode(img, 85, Sub420)
 	want, _, err := Decode(data)
@@ -39,14 +23,14 @@ func stage(h *devHost, seed uint64) (mem.Addr, *Image, Desc) {
 	src := mem.Addr(0x10000)
 	dst := mem.Addr(0x40000)
 	descAddr := mem.Addr(0x1000)
-	h.mem.WriteAt(src, data)
+	h.Mem.WriteAt(src, data)
 	desc := Desc{Src: src, SrcLen: uint32(len(data)), Dst: dst}
 	b := EncodeDesc(desc)
-	h.mem.WriteAt(descAddr, b[:])
+	h.Mem.WriteAt(descAddr, b[:])
 	return descAddr, want, desc
 }
 
-func runTask(t *testing.T, dev accel.Device, h *devHost, descAddr mem.Addr) vclock.Time {
+func runTask(t *testing.T, dev accel.Device, h *acceltest.Host, descAddr mem.Addr) vclock.Time {
 	t.Helper()
 	dev.RegWrite(0, devkit.RegIRQEnable, 1)
 	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
@@ -61,35 +45,35 @@ func runTask(t *testing.T, dev accel.Device, h *devHost, descAddr mem.Addr) vclo
 	if got := dev.RegRead(vclock.Time(1)<<40, devkit.RegStatus); got != 1 {
 		t.Fatalf("status = %d, want 1 completed", got)
 	}
-	if len(h.irqs) != 1 {
-		t.Fatalf("irqs = %d", len(h.irqs))
+	if len(h.IRQs) != 1 {
+		t.Fatalf("irqs = %d", len(h.IRQs))
 	}
-	return h.irqs[0]
+	return h.IRQs[0].At
 }
 
 func TestDSimDeviceDecodesCorrectly(t *testing.T) {
-	h := &devHost{mem: mem.New(0), lat: 400 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 400 * vclock.Nanosecond}
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	descAddr, want, desc := stage(h, 11)
 	runTask(t, dev, h, descAddr)
 
 	got := make([]byte, len(want.Pix))
-	h.mem.ReadAt(desc.Dst, got)
+	h.Mem.ReadAt(desc.Dst, got)
 	if !bytes.Equal(got, want.Pix) {
 		t.Fatal("device output differs from functional decode")
 	}
 }
 
 func TestRTLDeviceDecodesCorrectly(t *testing.T) {
-	h := &devHost{mem: mem.New(0), lat: 400 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 400 * vclock.Nanosecond}
 	dev := NewRTLDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	descAddr, want, desc := stage(h, 11)
 	runTask(t, dev, h, descAddr)
 
 	got := make([]byte, len(want.Pix))
-	h.mem.ReadAt(desc.Dst, got)
+	h.Mem.ReadAt(desc.Dst, got)
 	if !bytes.Equal(got, want.Pix) {
 		t.Fatal("RTL output differs from functional decode")
 	}
@@ -100,7 +84,7 @@ func TestDSimIndistinguishableFromRTL(t *testing.T) {
 	// and completion times within a modest relative envelope (the LPN
 	// abstracts microarchitectural detail but models the same pipeline).
 	run := func(mk func() accel.Device) (vclock.Time, int, []byte) {
-		h := &devHost{mem: mem.New(0), lat: 400 * vclock.Nanosecond}
+		h := &acceltest.Host{Mem: mem.New(0), Lat: 400 * vclock.Nanosecond}
 		dev := mk()
 		switch d := dev.(type) {
 		case *Device:
@@ -111,8 +95,8 @@ func TestDSimIndistinguishableFromRTL(t *testing.T) {
 		descAddr, want, desc := stage(h, 23)
 		done := runTask(t, dev, h, descAddr)
 		out := make([]byte, len(want.Pix))
-		h.mem.ReadAt(desc.Dst, out)
-		return done, h.dmas, out
+		h.Mem.ReadAt(desc.Dst, out)
+		return done, len(h.DMAs), out
 	}
 	dsimDone, dsimDMAs, dsimOut := run(func() accel.Device { return NewDevice(2 * vclock.GHz) })
 	rtlDone, rtlDMAs, rtlOut := run(func() accel.Device { return NewRTLDevice(2 * vclock.GHz) })
@@ -131,7 +115,7 @@ func TestDSimIndistinguishableFromRTL(t *testing.T) {
 }
 
 func TestPipeliningAcrossTasks(t *testing.T) {
-	h := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 
@@ -148,7 +132,7 @@ func TestPipeliningAcrossTasks(t *testing.T) {
 	single := dev.Now()
 
 	// Two tasks back to back on a fresh device.
-	h2 := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h2 := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	dev2 := NewDevice(2 * vclock.GHz)
 	dev2.SetHost(h2)
 	da, _, _ := stage(h2, 31)
@@ -171,14 +155,14 @@ func TestPipeliningAcrossTasks(t *testing.T) {
 }
 
 func TestMalformedBitstream(t *testing.T) {
-	h := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	src := mem.Addr(0x10000)
-	h.mem.WriteAt(src, []byte{0xde, 0xad, 0xbe, 0xef})
+	h.Mem.WriteAt(src, []byte{0xde, 0xad, 0xbe, 0xef})
 	descAddr := mem.Addr(0x1000)
 	b := EncodeDesc(Desc{Src: src, SrcLen: 4, Dst: 0x40000})
-	h.mem.WriteAt(descAddr, b[:])
+	h.Mem.WriteAt(descAddr, b[:])
 	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 	for {
 		at, ok := dev.NextEvent()
@@ -197,7 +181,7 @@ func TestMalformedBitstream(t *testing.T) {
 
 func TestDMALatencyAffectsCompletion(t *testing.T) {
 	run := func(lat vclock.Duration) vclock.Time {
-		h := &devHost{mem: mem.New(0), lat: lat}
+		h := &acceltest.Host{Mem: mem.New(0), Lat: lat}
 		dev := NewDevice(2 * vclock.GHz)
 		dev.SetHost(h)
 		descAddr, _, _ := stage(h, 5)
@@ -211,7 +195,7 @@ func TestDMALatencyAffectsCompletion(t *testing.T) {
 }
 
 func TestDeviceStats(t *testing.T) {
-	h := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	descAddr, want, _ := stage(h, 3)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -29,7 +30,7 @@ func TestNoStaleDecodeAfterStreamWrite(t *testing.T) {
 			m.WriteAt(0x1000, db[:])
 			check := func() {
 				t.Helper()
-				h := &devHost{mem: m, lat: 400 * vclock.Nanosecond}
+				h := &acceltest.Host{Mem: m, Lat: 400 * vclock.Nanosecond}
 				runTask(t, mk(h), h, 0x1000)
 				want, _, err := decodeUncached(data)
 				if err != nil {
@@ -42,7 +43,7 @@ func TestNoStaleDecodeAfterStreamWrite(t *testing.T) {
 				}
 			}
 			check()
-			before := streamKey(&devHost{mem: m}, desc)
+			before := streamKey(&acceltest.Host{Mem: m}, desc)
 
 			dqt := bytes.Index(data, []byte{0xff, 0xdb})
 			if dqt < 0 {
@@ -54,7 +55,7 @@ func TestNoStaleDecodeAfterStreamWrite(t *testing.T) {
 			if st := m.Stats(); st.Unshared != 1 {
 				t.Fatalf("a one-byte write into the mapped stream unshared %d pages, want 1", st.Unshared)
 			}
-			if streamKey(&devHost{mem: m}, desc) == before {
+			if streamKey(&acceltest.Host{Mem: m}, desc) == before {
 				t.Fatal("the decode key did not move with a stream byte")
 			}
 			check()
@@ -71,12 +72,12 @@ func TestStreamKeyIgnoresStagingPath(t *testing.T) {
 	mapped, written := mem.New(0), mem.New(0)
 	mapped.Map(desc.Src, mem.NewBlob(data))
 	written.WriteAt(desc.Src, data)
-	k1, k2 := streamKey(&devHost{mem: mapped}, desc), streamKey(&devHost{mem: written}, desc)
+	k1, k2 := streamKey(&acceltest.Host{Mem: mapped}, desc), streamKey(&acceltest.Host{Mem: written}, desc)
 	if k1 != k2 {
 		t.Fatalf("byte-equal streams key differently: mapped %#x, written %#x", k1, k2)
 	}
 	written.WriteAt(0x30000+8, data)
-	if k3 := streamKey(&devHost{mem: written}, Desc{Src: 0x30000 + 8, SrcLen: desc.SrcLen}); k3 == k1 {
+	if k3 := streamKey(&acceltest.Host{Mem: written}, Desc{Src: 0x30000 + 8, SrcLen: desc.SrcLen}); k3 == k1 {
 		t.Fatal("a stream at another page offset keys like the aligned one")
 	}
 }

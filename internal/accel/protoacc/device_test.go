@@ -6,25 +6,10 @@ import (
 	"testing"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
-
-type devHost struct {
-	mem  *mem.Memory
-	lat  vclock.Duration
-	dmas int
-	irqs []vclock.Time
-}
-
-func (h *devHost) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size int) vclock.Time {
-	h.dmas++
-	return at.Add(h.lat)
-}
-func (h *devHost) ZeroCostRead(addr mem.Addr, p []byte)    { h.mem.ReadAt(addr, p) }
-func (h *devHost) ZeroCostWrite(addr mem.Addr, p []byte)   { h.mem.WriteAt(addr, p) }
-func (h *devHost) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.mem.Sum(addr, n) }
-func (h *devHost) RaiseIRQ(at vclock.Time, v int)          { h.irqs = append(h.irqs, at) }
 
 // protoDevice is the common surface of both models.
 type protoDevice interface {
@@ -32,14 +17,14 @@ type protoDevice interface {
 	RegisterSchema(id uint32, d *MessageDesc)
 }
 
-func stageTask(h *devHost, dev protoDevice) (mem.Addr, *Message, Desc) {
+func stageTask(h *acceltest.Host, dev protoDevice) (mem.Addr, *Message, Desc) {
 	d := testDesc()
 	msg := fillMessage(d)
 	dev.RegisterSchema(1, d)
-	Store(h.mem, 0x10000, msg)
+	Store(h.Mem, 0x10000, msg)
 	desc := Desc{Root: 0x10000, Out: 0x80000, Schema: 1}
 	b := EncodeDesc(desc)
-	h.mem.WriteAt(0x1000, b[:])
+	h.Mem.WriteAt(0x1000, b[:])
 	return 0x1000, msg, desc
 }
 
@@ -54,17 +39,17 @@ func drain(dev accel.Device) {
 	panic("device did not quiesce")
 }
 
-func readWire(h *devHost, out mem.Addr) []byte {
+func readWire(h *acceltest.Host, out mem.Addr) []byte {
 	var lenb [4]byte
-	h.mem.ReadAt(out, lenb[:])
+	h.Mem.ReadAt(out, lenb[:])
 	n := binary.LittleEndian.Uint32(lenb[:])
 	wire := make([]byte, n)
-	h.mem.ReadAt(out+4, wire)
+	h.Mem.ReadAt(out+4, wire)
 	return wire
 }
 
 func TestDSimSerializesCorrectly(t *testing.T) {
-	h := &devHost{mem: mem.New(0), lat: 40 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 40 * vclock.Nanosecond}
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	descAddr, msg, desc := stageTask(h, dev)
@@ -89,7 +74,7 @@ func TestDSimSerializesCorrectly(t *testing.T) {
 }
 
 func TestRTLSerializesCorrectly(t *testing.T) {
-	h := &devHost{mem: mem.New(0), lat: 40 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 40 * vclock.Nanosecond}
 	dev := NewRTLDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	descAddr, msg, desc := stageTask(h, dev)
@@ -104,23 +89,21 @@ func TestRTLSerializesCorrectly(t *testing.T) {
 }
 
 func TestDSimAndRTLAgree(t *testing.T) {
-	run := func(mk func(h *devHost) protoDevice) ([]byte, vclock.Time, int) {
-		h := &devHost{mem: mem.New(0), lat: 40 * vclock.Nanosecond}
+	run := func(mk func(h *acceltest.Host) protoDevice) ([]byte, vclock.Time, int) {
+		h := &acceltest.Host{Mem: mem.New(0), Lat: 40 * vclock.Nanosecond}
 		dev := mk(h)
 		descAddr, _, desc := stageTask(h, dev)
 		dev.RegWrite(0, RegDoorbell, uint32(descAddr))
 		drain(dev)
-		if len(h.irqs) == 0 {
-			// IRQs disabled; use busy time end as completion proxy.
-		}
-		return readWire(h, desc.Out), vclock.Time(int64(dev.Stats().BusyTime)), h.dmas
+		// IRQs are off: the busy time is the completion proxy.
+		return readWire(h, desc.Out), vclock.Time(int64(dev.Stats().BusyTime)), len(h.DMAs)
 	}
-	dsimWire, dsimBusy, dsimDMAs := run(func(h *devHost) protoDevice {
+	dsimWire, dsimBusy, dsimDMAs := run(func(h *acceltest.Host) protoDevice {
 		d := NewDevice(2 * vclock.GHz)
 		d.SetHost(h)
 		return d
 	})
-	rtlWire, rtlBusy, rtlDMAs := run(func(h *devHost) protoDevice {
+	rtlWire, rtlBusy, rtlDMAs := run(func(h *acceltest.Host) protoDevice {
 		d := NewRTLDevice(2 * vclock.GHz)
 		d.SetHost(h)
 		return d
@@ -142,7 +125,7 @@ func TestMemoryLatencySensitivity(t *testing.T) {
 	// memory latency — the mechanism behind the paper's finding that
 	// Protoacc only wins when memory latency < 4ns.
 	run := func(lat vclock.Duration) vclock.Duration {
-		h := &devHost{mem: mem.New(0), lat: lat}
+		h := &acceltest.Host{Mem: mem.New(0), Lat: lat}
 		dev := NewDevice(2 * vclock.GHz)
 		dev.SetHost(h)
 		descAddr, _, _ := stageTask(h, dev)
@@ -158,7 +141,7 @@ func TestMemoryLatencySensitivity(t *testing.T) {
 }
 
 func TestBatchOfTasks(t *testing.T) {
-	h := &devHost{mem: mem.New(0), lat: 20 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 20 * vclock.Nanosecond}
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	d := testDesc()
@@ -167,11 +150,11 @@ func TestBatchOfTasks(t *testing.T) {
 	for i := 0; i < n; i++ {
 		msg := fillMessage(d)
 		base := mem.Addr(0x10000 + i*0x4000)
-		Store(h.mem, base, msg)
+		Store(h.Mem, base, msg)
 		desc := Desc{Root: base, Out: mem.Addr(0x100000 + i*0x1000), Schema: 1}
 		b := EncodeDesc(desc)
 		descAddr := mem.Addr(0x1000 + i*DescSize)
-		h.mem.WriteAt(descAddr, b[:])
+		h.Mem.WriteAt(descAddr, b[:])
 		dev.RegWrite(0, RegDoorbell, uint32(descAddr))
 	}
 	drain(dev)
@@ -204,7 +187,7 @@ func TestBatchRespectsTheRing(t *testing.T) {
 		"rtl":  func() protoDevice { return NewRTLDevice(2 * vclock.GHz) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			h := &devHost{mem: mem.New(0), lat: 20 * vclock.Nanosecond}
+			h := &acceltest.Host{Mem: mem.New(0), Lat: 20 * vclock.Nanosecond}
 			dev := mk()
 			dev.(interface{ SetHost(accel.Host) }).SetHost(h)
 			d := testDesc()
@@ -212,9 +195,9 @@ func TestBatchRespectsTheRing(t *testing.T) {
 			const slots, ringBase = 4, 0x1000
 			for i := 0; i < slots; i++ {
 				base := mem.Addr(0x10000 + i*0x4000)
-				Store(h.mem, base, fillMessage(d))
+				Store(h.Mem, base, fillMessage(d))
 				b := EncodeDesc(Desc{Root: base, Out: mem.Addr(0x100000 + i*0x1000), Schema: 1})
-				h.mem.WriteAt(mem.Addr(ringBase+i*DescSize), b[:])
+				h.Mem.WriteAt(mem.Addr(ringBase+i*DescSize), b[:])
 			}
 
 			dev.RegWrite(0, RegRingBase, ringBase)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -15,19 +16,19 @@ import (
 // descriptor runs again on a fresh device of each model: the key must
 // differ and the wire bytes must be Marshal's for the flipped message.
 func TestNoStalePlanAfterPayloadWrite(t *testing.T) {
-	for name, mk := range map[string]func(h *devHost) protoDevice{
-		"dsim": func(h *devHost) protoDevice { d := NewDevice(2 * vclock.GHz); d.SetHost(h); return d },
-		"rtl":  func(h *devHost) protoDevice { d := NewRTLDevice(2 * vclock.GHz); d.SetHost(h); return d },
+	for name, mk := range map[string]func(h *acceltest.Host) protoDevice{
+		"dsim": func(h *acceltest.Host) protoDevice { d := NewDevice(2 * vclock.GHz); d.SetHost(h); return d },
+		"rtl":  func(h *acceltest.Host) protoDevice { d := NewRTLDevice(2 * vclock.GHz); d.SetHost(h); return d },
 	} {
 		t.Run(name, func(t *testing.T) {
 			schema := testDesc()
 			msg := fillMessage(schema)
 			const root, out = 0x10000, 0x80000
 			img, _ := Image(root, msg)
-			h := &devHost{mem: mem.New(0), lat: 40 * vclock.Nanosecond}
-			h.mem.Map(root, mem.NewBlob(img))
+			h := &acceltest.Host{Mem: mem.New(0), Lat: 40 * vclock.Nanosecond}
+			h.Mem.Map(root, mem.NewBlob(img))
 			db := EncodeDesc(Desc{Root: root, Out: out, Schema: 1})
-			h.mem.WriteAt(0x1000, db[:])
+			h.Mem.WriteAt(0x1000, db[:])
 			run := func() []byte {
 				dev := mk(h)
 				dev.RegisterSchema(1, schema)
@@ -46,8 +47,8 @@ func TestNoStalePlanAfterPayloadWrite(t *testing.T) {
 				t.Fatal("the image does not hold the inner byte array")
 			}
 			inner[len(inner)-1] ^= 0x20
-			h.mem.WriteAt(root+mem.Addr(at+len(inner)-1), inner[len(inner)-1:])
-			if st := h.mem.Stats(); st.Unshared != 1 {
+			h.Mem.WriteAt(root+mem.Addr(at+len(inner)-1), inner[len(inner)-1:])
+			if st := h.Mem.Stats(); st.Unshared != 1 {
 				t.Fatalf("a one-byte write into the mapped image unshared %d pages, want 1", st.Unshared)
 			}
 			if planKey(h, root, schema) == before {
@@ -70,7 +71,7 @@ func TestPlanKeyIgnoresStagingPath(t *testing.T) {
 	mapped, written := mem.New(0), mem.New(0)
 	mapped.Map(root, mem.NewBlob(img))
 	Store(written, root, msg)
-	if k1, k2 := planKey(&devHost{mem: mapped}, root, schema), planKey(&devHost{mem: written}, root, schema); k1 != k2 {
+	if k1, k2 := planKey(&acceltest.Host{Mem: mapped}, root, schema), planKey(&acceltest.Host{Mem: written}, root, schema); k1 != k2 {
 		t.Fatalf("byte-equal images key differently: mapped %#x, written %#x", k1, k2)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -25,7 +26,7 @@ func stagedKey(t *testing.T, m *mem.Memory, task GemmTask) uint64 {
 		t.Fatal(err)
 	}
 	WriteProgram(m, 0x40_0000, prog)
-	key, err := planKey(&devHost{mem: m}, Desc{Prog: 0x40_0000, Count: uint32(len(prog))})
+	key, err := planKey(&acceltest.Host{Mem: m}, Desc{Prog: 0x40_0000, Count: uint32(len(prog))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +52,9 @@ func TestNoStalePlanAfterOperandWrite(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			task, a, b, _ := gemmCase(31, c.m, c.n, c.k, false, true)
-			h := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
-			h.mem.Map(task.A, mem.NewBlob(i8Bytes(a)))
-			h.mem.Map(task.B, mem.NewBlob(i8Bytes(b)))
+			h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
+			h.Mem.Map(task.A, mem.NewBlob(i8Bytes(a)))
+			h.Mem.Map(task.B, mem.NewBlob(i8Bytes(b)))
 			run := func() []int8 {
 				dev := c.mk()
 				dev.(interface{ SetHost(accel.Host) }).SetHost(h)
@@ -68,8 +69,8 @@ func TestNoStalePlanAfterOperandWrite(t *testing.T) {
 				}
 			}
 			check(run())
-			before := stagedKey(t, h.mem, task)
-			if st := h.mem.Stats(); st.Unshared != 0 {
+			before := stagedKey(t, h.Mem, task)
+			if st := h.Mem.Stats(); st.Unshared != 0 {
 				t.Fatalf("%d operand pages were copied by a run that only reads them", st.Unshared)
 			}
 
@@ -77,11 +78,11 @@ func TestNoStalePlanAfterOperandWrite(t *testing.T) {
 			// K-chunk's weight LOAD reaches it.
 			at := len(b) - 1
 			b[at] ^= 0x55
-			h.mem.WriteAt(task.B+mem.Addr(at), []byte{byte(b[at])})
-			if st := h.mem.Stats(); st.Unshared != 1 {
+			h.Mem.WriteAt(task.B+mem.Addr(at), []byte{byte(b[at])})
+			if st := h.Mem.Stats(); st.Unshared != 1 {
 				t.Fatalf("a one-byte write into a mapped operand unshared %d pages, want 1", st.Unshared)
 			}
-			if after := stagedKey(t, h.mem, task); after == before {
+			if after := stagedKey(t, h.Mem, task); after == before {
 				t.Fatal("the plan key did not move with an operand byte")
 			}
 			check(run())
@@ -106,14 +107,14 @@ func TestPlanKeyIgnoresStagingPath(t *testing.T) {
 
 // sumCounter counts what a plan key costs the host.
 type sumCounter struct {
-	devHost
+	acceltest.Host
 	sums, pages int
 }
 
 func (h *sumCounter) ZeroCostSum(addr mem.Addr, n int) uint64 {
 	h.sums++
 	h.pages += int((addr+mem.Addr(n)+mem.PageSize-1)/mem.PageSize - addr/mem.PageSize)
-	return h.mem.Sum(addr, n)
+	return h.Mem.Sum(addr, n)
 }
 
 // benchPlanKey times the memo-hit path of one doorbell for a K-chunked
@@ -121,13 +122,13 @@ func (h *sumCounter) ZeroCostSum(addr mem.Addr, n int) uint64 {
 // and B's 64 pages twelve times over.
 func benchPlanKey(b *testing.B, stage func(m *mem.Memory, task GemmTask, a, bm []int8)) {
 	task, a, bm, _ := gemmCase(33, 96, 64, 4096, false, true)
-	h := &sumCounter{devHost: devHost{mem: mem.New(0)}}
-	stage(h.mem, task, a, bm)
+	h := &sumCounter{Host: acceltest.Host{Mem: mem.New(0)}}
+	stage(h.Mem, task, a, bm)
 	prog, err := Compile(task)
 	if err != nil {
 		b.Fatal(err)
 	}
-	WriteProgram(h.mem, 0x40_0000, prog)
+	WriteProgram(h.Mem, 0x40_0000, prog)
 	desc := Desc{Prog: 0x40_0000, Count: uint32(len(prog))}
 	b.ReportAllocs()
 	b.ResetTimer()

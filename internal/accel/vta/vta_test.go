@@ -4,27 +4,12 @@ import (
 	"testing"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 	"nexsim/internal/xrand"
 )
-
-type devHost struct {
-	mem  *mem.Memory
-	lat  vclock.Duration
-	dmas int
-	irqs []vclock.Time
-}
-
-func (h *devHost) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size int) vclock.Time {
-	h.dmas++
-	return at.Add(h.lat)
-}
-func (h *devHost) ZeroCostRead(addr mem.Addr, p []byte)    { h.mem.ReadAt(addr, p) }
-func (h *devHost) ZeroCostWrite(addr mem.Addr, p []byte)   { h.mem.WriteAt(addr, p) }
-func (h *devHost) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.mem.Sum(addr, n) }
-func (h *devHost) RaiseIRQ(at vclock.Time, v int)          { h.irqs = append(h.irqs, at) }
 
 func TestInstrEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []Instr{
@@ -68,25 +53,25 @@ func randI8(rng *xrand.Stream, n int) []int8 {
 
 // runGemm stages the operands, then compiles and runs a GEMM on the given
 // device, returning C.
-func runGemm(t *testing.T, dev accel.Device, h *devHost, task GemmTask, a, b []int8, bias []int32) []int8 {
+func runGemm(t *testing.T, dev accel.Device, h *acceltest.Host, task GemmTask, a, b []int8, bias []int32) []int8 {
 	t.Helper()
-	StoreOperands(h.mem, task, a, b, bias)
+	StoreOperands(h.Mem, task, a, b, bias)
 	return launchGemm(t, dev, h, task)
 }
 
 // launchGemm compiles and runs a GEMM over whatever operands are staged
-// in h.mem, on a device that has run nothing yet, and returns C.
-func launchGemm(t *testing.T, dev accel.Device, h *devHost, task GemmTask) []int8 {
+// in h.Mem, on a device that has run nothing yet, and returns C.
+func launchGemm(t *testing.T, dev accel.Device, h *acceltest.Host, task GemmTask) []int8 {
 	t.Helper()
 	prog, err := Compile(task)
 	if err != nil {
 		t.Fatal(err)
 	}
 	progAddr := mem.Addr(0x40_0000)
-	WriteProgram(h.mem, progAddr, prog)
+	WriteProgram(h.Mem, progAddr, prog)
 	descAddr := mem.Addr(0x1000)
 	db := EncodeDesc(Desc{Prog: progAddr, Count: uint32(len(prog))})
-	h.mem.WriteAt(descAddr, db[:])
+	h.Mem.WriteAt(descAddr, db[:])
 
 	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 	for i := 0; ; i++ {
@@ -103,7 +88,7 @@ func launchGemm(t *testing.T, dev accel.Device, h *devHost, task GemmTask) []int
 		t.Fatalf("status = %d", got)
 	}
 	out := make([]byte, task.M*task.N)
-	h.mem.ReadAt(task.C, out)
+	h.Mem.ReadAt(task.C, out)
 	res := make([]int8, len(out))
 	for i, v := range out {
 		res[i] = int8(v)
@@ -133,7 +118,7 @@ func gemmCase(seed uint64, m, n, k int, bias, relu bool) (GemmTask, []int8, []in
 
 func TestDSimGemmMatchesReference(t *testing.T) {
 	task, a, b, bias := gemmCase(1, 64, 32, 48, false, true)
-	h := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	got := runGemm(t, dev, h, task, a, b, bias)
@@ -147,7 +132,7 @@ func TestDSimGemmMatchesReference(t *testing.T) {
 
 func TestDSimGemmWithBias(t *testing.T) {
 	task, a, b, bias := gemmCase(2, 32, 24, 40, true, false)
-	h := &devHost{mem: mem.New(0), lat: 50 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 50 * vclock.Nanosecond}
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	got := runGemm(t, dev, h, task, a, b, bias)
@@ -161,7 +146,7 @@ func TestDSimGemmWithBias(t *testing.T) {
 
 func TestRTLGemmMatchesReference(t *testing.T) {
 	task, a, b, bias := gemmCase(3, 64, 32, 48, true, true)
-	h := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	dev := NewRTLDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	got := runGemm(t, dev, h, task, a, b, bias)
@@ -175,22 +160,22 @@ func TestRTLGemmMatchesReference(t *testing.T) {
 
 func TestDSimAndRTLTimingAgree(t *testing.T) {
 	task, a, b, bias := gemmCase(4, 128, 32, 64, false, true)
-	run := func(dev accel.Device, h *devHost) vclock.Duration {
+	run := func(dev accel.Device, h *acceltest.Host) vclock.Duration {
 		runGemm(t, dev, h, task, a, b, bias)
 		return dev.Stats().BusyTime
 	}
-	h1 := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h1 := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	d1 := NewDevice(2 * vclock.GHz)
 	d1.SetHost(h1)
 	dsimBusy := run(d1, h1)
 
-	h2 := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h2 := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	d2 := NewRTLDevice(2 * vclock.GHz)
 	d2.SetHost(h2)
 	rtlBusy := run(d2, h2)
 
-	if h1.dmas != h2.dmas {
-		t.Fatalf("DMA counts differ: %d vs %d", h1.dmas, h2.dmas)
+	if len(h1.DMAs) != len(h2.DMAs) {
+		t.Fatalf("DMA counts differ: %d vs %d", len(h1.DMAs), len(h2.DMAs))
 	}
 	ratio := float64(dsimBusy) / float64(rtlBusy)
 	if ratio < 0.7 || ratio > 1.4 {
@@ -202,7 +187,7 @@ func TestPipelineOverlapsLoadAndCompute(t *testing.T) {
 	// With many tiles, total time should be much less than the sum of
 	// serialized module times (load/compute/store overlap).
 	task, a, b, bias := gemmCase(5, 256, 32, 64, false, false)
-	h := &devHost{mem: mem.New(0), lat: 200 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 200 * vclock.Nanosecond}
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	runGemm(t, dev, h, task, a, b, bias)
@@ -304,7 +289,7 @@ func TestChunkedGemmMatchesReference(t *testing.T) {
 	if nLoads < 2 {
 		t.Fatalf("K=4096 compiled without weight streaming (%d weight loads)", nLoads)
 	}
-	h := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	got := runGemm(t, dev, h, task, a, b, bias)
@@ -318,7 +303,7 @@ func TestChunkedGemmMatchesReference(t *testing.T) {
 
 func TestChunkedGemmWithBiasOnRTL(t *testing.T) {
 	task, a, b, bias := gemmCase(8, 48, 64, 4096, true, false)
-	h := &devHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	dev := NewRTLDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	got := runGemm(t, dev, h, task, a, b, bias)

@@ -23,7 +23,7 @@ import (
 // poison a cache: determinism makes the result self-certifying.
 
 // hotTracker counts per-address submission frequency with exponential
-// decay (halved every decay round, sub-unity counts dropped), so the
+// decay (halved every decay round, counts below 0.5 dropped), so the
 // hot set follows the working set rather than all-time popularity.
 type hotTracker struct {
 	mu     sync.Mutex

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -12,9 +13,9 @@ import (
 // TestIntraByteIdentity is the tentpole's core guarantee: running with
 // IntraParallel N >= 2 produces byte-identical simulation results —
 // simulated time, device statistics, NEX statistics, and the full trace
-// span stream — to the serial schedule, across all four Table-1
-// host/accelerator combinations, the reference host, and multiple
-// device counts.
+// span stream and its Chrome trace JSON — to the serial schedule, across
+// all four Table-1 host/accelerator combinations, the reference host,
+// and multiple device counts.
 func TestIntraByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is slow")
@@ -40,6 +41,7 @@ func TestIntraByteIdentity(t *testing.T) {
 					t.Parallel()
 					var base core.Result
 					var baseSpans []trace.Span
+					var baseChrome []byte
 					for _, intra := range []int{1, 2, 4} {
 						rec := trace.New()
 						cfg := core.Config{
@@ -57,8 +59,12 @@ func TestIntraByteIdentity(t *testing.T) {
 						sys := core.Build(cfg)
 						r := sys.Run(bench.Build(&sys.Ctx))
 						spans := rec.Spans()
+						var chrome bytes.Buffer
+						if err := rec.WriteChromeTrace(&chrome); err != nil {
+							t.Fatal(err)
+						}
 						if intra == 1 {
-							base, baseSpans = r, spans
+							base, baseSpans, baseChrome = r, spans, chrome.Bytes()
 							continue
 						}
 						if want := 1 + min(intra-1, devs); r.Intra != want {
@@ -88,6 +94,9 @@ func TestIntraByteIdentity(t *testing.T) {
 									intra, i, spans[i], baseSpans[i])
 								break
 							}
+						}
+						if !bytes.Equal(chrome.Bytes(), baseChrome) {
+							t.Errorf("intra=%d: Chrome trace JSON differs from serial", intra)
 						}
 					}
 				})

@@ -4,30 +4,13 @@ import (
 	"bytes"
 	"testing"
 
+	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/accel/devkit"
 	"nexsim/internal/lpn"
 	"nexsim/internal/lpnlang"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
-
-// testHost is a minimal accel.Host: fixed-latency DMA over a real memory.
-type testHost struct {
-	mem  *mem.Memory
-	lat  vclock.Duration
-	dmas []vclock.Time // completion times, in issue order
-	irqs []vclock.Time
-}
-
-func (h *testHost) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size int) vclock.Time {
-	done := at.Add(h.lat)
-	h.dmas = append(h.dmas, done)
-	return done
-}
-func (h *testHost) ZeroCostRead(addr mem.Addr, p []byte)    { h.mem.ReadAt(addr, p) }
-func (h *testHost) ZeroCostWrite(addr mem.Addr, p []byte)   { h.mem.WriteAt(addr, p) }
-func (h *testHost) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.mem.Sum(addr, n) }
-func (h *testHost) RaiseIRQ(at vclock.Time, v int)          { h.irqs = append(h.irqs, at) }
 
 // copyDev is a toy DSim accelerator: on doorbell it reads n bytes from
 // src, XORs them with 0x5A, and writes them to dst. The LPN models
@@ -40,7 +23,7 @@ type copyDev struct {
 	storeDone *lpn.Place
 }
 
-func newCopyDev(h *testHost) *copyDev {
+func newCopyDev(h *acceltest.Host) *copyDev {
 	d := &copyDev{}
 	b := lpnlang.NewBuilder("copy", 1*vclock.GHz)
 	d.inTasks = b.Queue("tasks", 0)
@@ -68,7 +51,7 @@ func newCopyDev(h *testHost) *copyDev {
 }
 
 // initOn wires the device to h with completion interrupts (vector 1) on.
-func (d *copyDev) initOn(h *testHost, name string, net *lpn.Net) {
+func (d *copyDev) initOn(h *acceltest.Host, name string, net *lpn.Net) {
 	d.Init(name, 1, d, net)
 	d.SetHost(h)
 	d.RegWrite(0, devkit.RegIRQEnable, 1)
@@ -98,8 +81,8 @@ func (d *copyDev) start(at vclock.Time, t copyTask) {
 	d.Net.Inject(d.inTasks, lpn.Tok(at, int64(t.n)))
 }
 
-func setup(lat vclock.Duration) (*testHost, *copyDev) {
-	h := &testHost{mem: mem.New(0), lat: lat}
+func setup(lat vclock.Duration) (*acceltest.Host, *copyDev) {
+	h := &acceltest.Host{Mem: mem.New(0), Lat: lat}
 	return h, newCopyDev(h)
 }
 
@@ -108,13 +91,13 @@ func TestFunctionalCorrectness(t *testing.T) {
 	src := mem.Addr(0x1000)
 	dst := mem.Addr(0x2000)
 	input := []byte("hello dsim")
-	h.mem.WriteAt(src, input)
+	h.Mem.WriteAt(src, input)
 
 	d.start(0, copyTask{src: src, dst: dst, n: len(input)})
 	d.Advance(vclock.Never - 1)
 
 	got := make([]byte, len(input))
-	h.mem.ReadAt(dst, got)
+	h.Mem.ReadAt(dst, got)
 	want := make([]byte, len(input))
 	for i, v := range input {
 		want[i] = v ^ 0x5A
@@ -132,13 +115,13 @@ func TestTimingDependsOnDMAResponse(t *testing.T) {
 	// response latency (x2: load + store).
 	end := func(lat vclock.Duration) vclock.Time {
 		h, d := setup(lat)
-		h.mem.WriteAt(0x1000, make([]byte, 100))
+		h.Mem.WriteAt(0x1000, make([]byte, 100))
 		d.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 100})
 		d.Advance(vclock.Never - 1)
-		if len(h.irqs) != 1 {
-			t.Fatalf("irqs = %v", h.irqs)
+		if len(h.IRQs) != 1 {
+			t.Fatalf("irqs = %v", h.IRQs)
 		}
-		return h.irqs[0]
+		return h.IRQs[0].At
 	}
 	fast := end(100 * vclock.Nanosecond)
 	slow := end(400 * vclock.Nanosecond)
@@ -149,16 +132,16 @@ func TestTimingDependsOnDMAResponse(t *testing.T) {
 
 func TestProcessingScalesWithSize(t *testing.T) {
 	h, d := setup(10 * vclock.Nanosecond)
-	h.mem.WriteAt(0x1000, make([]byte, 1000))
+	h.Mem.WriteAt(0x1000, make([]byte, 1000))
 	d.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 1000})
 	d.Advance(vclock.Never - 1)
-	big := h.irqs[0]
+	big := h.IRQs[0].At
 
 	h2, d2 := setup(10 * vclock.Nanosecond)
-	h2.mem.WriteAt(0x1000, make([]byte, 100))
+	h2.Mem.WriteAt(0x1000, make([]byte, 100))
 	d2.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 100})
 	d2.Advance(vclock.Never - 1)
-	small := h2.irqs[0]
+	small := h2.IRQs[0].At
 
 	// 2 cycles/byte at 1GHz: 900 extra bytes = 1800ns.
 	if got := big.Sub(small); got != 1800*vclock.Nanosecond {
@@ -170,22 +153,22 @@ func TestPipelinedTasks(t *testing.T) {
 	// Two tasks injected back to back overlap in the pipeline: total
 	// time is less than 2x a single task.
 	h, d := setup(50 * vclock.Nanosecond)
-	h.mem.WriteAt(0x1000, make([]byte, 200))
+	h.Mem.WriteAt(0x1000, make([]byte, 200))
 	single := func() vclock.Time {
 		h2, d2 := setup(50 * vclock.Nanosecond)
-		h2.mem.WriteAt(0x1000, make([]byte, 200))
+		h2.Mem.WriteAt(0x1000, make([]byte, 200))
 		d2.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 200})
 		d2.Advance(vclock.Never - 1)
-		return h2.irqs[0]
+		return h2.IRQs[0].At
 	}()
 
 	d.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 200})
 	d.start(0, copyTask{src: 0x1000, dst: 0x3000, n: 200})
 	d.Advance(vclock.Never - 1)
-	if len(h.irqs) != 2 {
-		t.Fatalf("irqs = %d", len(h.irqs))
+	if len(h.IRQs) != 2 {
+		t.Fatalf("irqs = %d", len(h.IRQs))
 	}
-	both := h.irqs[1]
+	both := h.IRQs[1].At
 	if both >= single*2 {
 		t.Fatalf("no pipelining: 2 tasks took %v, single takes %v", both, single)
 	}
@@ -193,7 +176,7 @@ func TestPipelinedTasks(t *testing.T) {
 
 func TestStatsTrackTasks(t *testing.T) {
 	h, d := setup(10 * vclock.Nanosecond)
-	h.mem.WriteAt(0x1000, make([]byte, 64))
+	h.Mem.WriteAt(0x1000, make([]byte, 64))
 	d.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 64})
 	d.Advance(vclock.Never - 1)
 	s := d.Stats()
@@ -211,7 +194,7 @@ func TestStatsTrackTasks(t *testing.T) {
 func TestTrackMismatchPanics(t *testing.T) {
 	// An LPN that emits a DMA the functional track never recorded must
 	// fail loudly — the indistinguishability invariant is broken.
-	h := &testHost{mem: mem.New(0)}
+	h := &acceltest.Host{Mem: mem.New(0)}
 	d := &copyDev{}
 	b := lpnlang.NewBuilder("bad", 1*vclock.GHz)
 	in := b.Queue("in", 0)
@@ -228,7 +211,7 @@ func TestTrackMismatchPanics(t *testing.T) {
 
 func TestAdvanceClampsStaleTimestamps(t *testing.T) {
 	h, d := setup(10 * vclock.Nanosecond)
-	h.mem.WriteAt(0x1000, make([]byte, 8))
+	h.Mem.WriteAt(0x1000, make([]byte, 8))
 	d.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 8})
 	d.Advance(1000)
 	before := d.Now()
@@ -241,7 +224,7 @@ func TestAdvanceClampsStaleTimestamps(t *testing.T) {
 func TestEmitDMABatch(t *testing.T) {
 	// A stage that replays three recorded DMAs per firing; the response
 	// token carries the last completion.
-	h := &testHost{mem: mem.New(0), lat: 100 * vclock.Nanosecond}
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
 	d := &copyDev{}
 	b := lpnlang.NewBuilder("batch", 1*vclock.GHz)
 	in := b.Queue("in", 0)
@@ -250,22 +233,22 @@ func TestEmitDMABatch(t *testing.T) {
 	d.initOn(h, "batch", b.MustBuild())
 
 	rec := d.Recorder()
-	h.mem.WriteAt(0x100, []byte{1, 2, 3, 4})
+	h.Mem.WriteAt(0x100, []byte{1, 2, 3, 4})
 	rec.ReadDMA("BURST", 0x100, 4)
 	rec.ReadDMA("BURST", 0x200, 4)
 	rec.WriteDMA("BURST", 0x300, []byte{9, 9})
 
 	d.Net.Inject(in, lpn.Tok(0))
 	d.Advance(vclock.Never - 1)
-	if len(h.dmas) != 3 {
-		t.Fatalf("replayed %d DMAs, want 3", len(h.dmas))
+	if len(h.DMAs) != 3 {
+		t.Fatalf("replayed %d DMAs, want 3", len(h.DMAs))
 	}
 	if resp.Len() != 1 {
 		t.Fatalf("resp tokens = %d", resp.Len())
 	}
 	// The write's payload landed.
 	var out [2]byte
-	h.mem.ReadAt(0x300, out[:])
+	h.Mem.ReadAt(0x300, out[:])
 	if out[0] != 9 || out[1] != 9 {
 		t.Fatal("batched write payload missing")
 	}
@@ -275,7 +258,7 @@ func TestEmitDMABatch(t *testing.T) {
 }
 
 func TestPendingCount(t *testing.T) {
-	h := &testHost{mem: mem.New(0)}
+	h := &acceltest.Host{Mem: mem.New(0)}
 	d := &copyDev{}
 	b := lpnlang.NewBuilder("p", 1*vclock.GHz)
 	in := b.Queue("in", 0)

@@ -22,7 +22,7 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 	n := len(input)
 
 	hA, dA := setup(lat)
-	hA.mem.WriteAt(src, input)
+	hA.Mem.WriteAt(src, input)
 	dA.start(0, copyTask{src: src, dst: dst, n: n})
 	dA.start(0, copyTask{src: src, dst: dst + 0x100, n: n})
 	// 150ns: the first LOAD has replayed (its queue head moved), the
@@ -37,8 +37,8 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 	// responsibility; mirror it here.
 	mirror := func(addr mem.Addr) {
 		buf := make([]byte, n)
-		hA.mem.ReadAt(addr, buf)
-		hB.mem.WriteAt(addr, buf)
+		hA.Mem.ReadAt(addr, buf)
+		hB.Mem.WriteAt(addr, buf)
 	}
 	mirror(src)
 	mirror(dst)
@@ -63,8 +63,8 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 			dB.Pending("LOAD"), dA.Pending("LOAD"), dB.Pending("STORE"), dA.Pending("STORE"))
 	}
 
-	preDMAs := len(hA.dmas)
-	preIRQs := len(hA.irqs)
+	preDMAs := len(hA.DMAs)
+	preIRQs := len(hA.IRQs)
 	end := 10 * vclock.Time(vclock.Microsecond)
 	dA.Advance(end)
 	dB.Advance(end)
@@ -75,7 +75,7 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 	dA.Advance(2 * end)
 	dB.Advance(2 * end)
 
-	if got, want := hB.dmas, hA.dmas[preDMAs:]; len(got) != len(want) {
+	if got, want := hB.DMAs, hA.DMAs[preDMAs:]; len(got) != len(want) {
 		t.Fatalf("DMA counts diverged: %d vs %d", len(got), len(want))
 	} else {
 		for i := range got {
@@ -84,7 +84,7 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 			}
 		}
 	}
-	if got, want := hB.irqs, hA.irqs[preIRQs:]; len(got) != len(want) {
+	if got, want := hB.IRQs, hA.IRQs[preIRQs:]; len(got) != len(want) {
 		t.Fatalf("IRQ counts diverged: %d vs %d", len(got), len(want))
 	} else {
 		for i := range got {
@@ -96,8 +96,8 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 	for _, off := range []mem.Addr{0, 0x100, 0x200} {
 		a := make([]byte, n)
 		b := make([]byte, n)
-		hA.mem.ReadAt(dst+off, a)
-		hB.mem.ReadAt(dst+off, b)
+		hA.Mem.ReadAt(dst+off, a)
+		hB.Mem.ReadAt(dst+off, b)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("output at +%#x diverged: %q vs %q", off, a, b)
 		}
@@ -116,7 +116,7 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 func TestSnapshotDropsDrainedQueues(t *testing.T) {
 	src := mem.Addr(0x1000)
 	h1, d1 := setup(0)
-	h1.mem.WriteAt(src, []byte{1, 2, 3, 4})
+	h1.Mem.WriteAt(src, []byte{1, 2, 3, 4})
 
 	// Device 1: one full task drained, then a fresh recording.
 	d1.start(0, copyTask{src: src, dst: 0x2000, n: 4})
@@ -127,7 +127,7 @@ func TestSnapshotDropsDrainedQueues(t *testing.T) {
 	// Device 2: same pending record, no history; align the stats fields
 	// that legitimately differ with history.
 	h2, d2 := setup(0)
-	h2.mem.WriteAt(src, []byte{1, 2, 3, 4})
+	h2.Mem.WriteAt(src, []byte{1, 2, 3, 4})
 	d2r := d2.Recorder()
 	d2r.WriteDMA("STORE", 0x3000, []byte{9, 9})
 	d2.now = d1.now
@@ -159,7 +159,7 @@ func mustDec(t *testing.T, blob []byte) *checkpoint.Decoder {
 
 func TestRestoreRejectsBadBlobs(t *testing.T) {
 	h, d := setup(0)
-	h.mem.WriteAt(0x1000, []byte{1, 2, 3})
+	h.Mem.WriteAt(0x1000, []byte{1, 2, 3})
 	d.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 3})
 	enc := checkpoint.NewEncoder()
 	d.SnapshotTo(enc)

@@ -61,14 +61,6 @@ func SetIntra(n int) {
 // Intra reports the current intra-run worker count.
 func Intra() int { return intra }
 
-// WallSplit attributes an experiment's wall time: Host is the summed
-// wall time of every simulation it executed (the warm-up and both
-// measured runs of a Wall experiment included); Device is the time
-// accelerator stepper lanes spent advancing concurrently with those
-// runs (zero under -intra 1, where devices advance inline on the host
-// goroutine).
-type WallSplit struct{ Host, Device time.Duration }
-
 // Experiment is one regenerable table or figure: the runs it needs, as
 // data, and the table over their results (in Specs order). Wall marks
 // an experiment that prints measured wall times: each of its specs is
@@ -85,15 +77,16 @@ type Experiment struct {
 }
 
 // Run executes the experiment's specs and renders its table to w. It
-// reports where the wall time went, and the first invalid spec as an
-// error before anything runs.
-func (e Experiment) Run(w io.Writer) (WallSplit, error) {
+// returns the summed host wall time of every simulation it executed
+// (the warm-up and both measured runs of a Wall experiment included),
+// and the first invalid spec as an error before anything runs.
+func (e Experiment) Run(w io.Writer) (time.Duration, error) {
 	norm, err := normalizeAll(e.Specs())
 	if err != nil {
-		return WallSplit{}, fmt.Errorf("experiment %s: %w", e.ID, err)
+		return 0, fmt.Errorf("experiment %s: %w", e.ID, err)
 	}
-	res, split := execute(norm, e.Wall)
-	return split, e.Render(w, res)
+	res, host := execute(norm, e.Wall)
+	return host, e.Render(w, res)
 }
 
 // All returns the experiments in paper order.
@@ -116,26 +109,25 @@ func ByID(id string) (Experiment, error) {
 }
 
 // execute runs every normalized spec through the sweep executor and
-// returns the results in spec order, with the wall split summed over
+// returns the results in spec order, with the host wall time summed over
 // every execution. Each job builds its own System, so jobs share no
 // mutable state and any subset may run concurrently. It panics on a run
 // error (injected fault or budget abort): table and sweep specs carry
 // fault-free plans, where executeRun cannot fail.
-func execute(norm []Spec, wall bool) ([]core.Result, WallSplit) {
+func execute(norm []Spec, wall bool) ([]core.Result, time.Duration) {
 	pool := sweep.New(parallelism)
 	if CheckpointsEnabled() {
 		warmPrefixes(pool, norm)
 	}
 	res := make([]core.Result, len(norm))
-	splits := make([]WallSplit, len(norm))
+	hosts := make([]time.Duration, len(norm))
 	sweep.Run(pool, len(norm), func(i int) {
 		run := func() core.Result {
 			r, err := runNormalized(norm[i], 0, 0)
 			if err != nil {
 				panic(err)
 			}
-			splits[i].Host += r.HostWall
-			splits[i].Device += r.DeviceWall
+			hosts[i] += r.HostWall
 			return r
 		}
 		if wall {
@@ -148,12 +140,11 @@ func execute(norm []Spec, wall bool) ([]core.Result, WallSplit) {
 			}
 		}
 	})
-	var split WallSplit
-	for _, s := range splits {
-		split.Host += s.Host
-		split.Device += s.Device
+	var host time.Duration
+	for _, h := range hosts {
+		host += h
 	}
-	return res, split
+	return res, host
 }
 
 // cross enumerates benches × variants, bench-major: every variant (a

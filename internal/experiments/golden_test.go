@@ -48,15 +48,15 @@ func TestTablesGolden(t *testing.T) {
 					continue
 				}
 				fmt.Fprintf(&got, "==== %s ====\n", e.ID)
-				split, err := e.Run(&got)
+				host, err := e.Run(&got)
 				if err != nil {
 					t.Fatalf("%s: %v", e.ID, err)
 				}
 				// Every run goes through the executor, so every experiment
-				// has a wall split (six of these used to build their systems
-				// themselves and reported none).
-				if split.Host <= 0 {
-					t.Errorf("%s: executor reported host wall %v, want > 0", e.ID, split.Host)
+				// reports a host wall (six of these used to build their
+				// systems themselves and reported none).
+				if host <= 0 {
+					t.Errorf("%s: executor reported host wall %v, want > 0", e.ID, host)
 				}
 			}
 			if c.forked && CheckpointStats().Hits == 0 {

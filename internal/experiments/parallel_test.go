@@ -75,7 +75,7 @@ func TestIntraOutputByteIdentical(t *testing.T) {
 				t.Fatalf("intra run: %v", err)
 			}
 			if !bytes.Equal(serial.Bytes(), par.Bytes()) {
-				t.Errorf("output differs between -intra 1 and -intra 3 runs\nserial:\n%s\nintra:\n%s",
+				t.Errorf("output differs between intra 1 and intra 3 runs\nserial:\n%s\nintra:\n%s",
 					serial.String(), par.String())
 			}
 		})

@@ -3,7 +3,7 @@
 //
 // The host engines catch a polling device up lazily: to the earliest
 // virtual time at which the host could next observe it, and whenever it
-// does. With `-intra N` those catch-ups are grants to N-1 stepper
+// does. With IntraParallel N those catch-ups are grants to N-1 stepper
 // goroutines instead of inline Advance calls: the device's stepper
 // advances toward its horizon while the host keeps simulating, and the
 // host joins (waits for the stepper to reach its grant) before every

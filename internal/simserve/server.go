@@ -44,13 +44,6 @@ import (
 type Config struct {
 	// Workers is the worker-pool size (default runtime.GOMAXPROCS(0)).
 	Workers int
-	// Intra is the intra-run worker count applied to every simulation
-	// (core.Config.IntraParallel): the host engine plus up to Intra-1
-	// accelerator stepper goroutines per run. Results stay
-	// byte-identical (conservative schedule, DESIGN.md §10), so cache
-	// entries and content addresses are unaffected. Clamped so
-	// Workers×Intra stays within GOMAXPROCS; <= 1 keeps runs serial.
-	Intra int
 	// Backlog bounds the job queue; a submit finding it full is refused
 	// with 429 (default 64).
 	Backlog int
@@ -213,12 +206,6 @@ func New(cfg Config) *Server {
 // were queued or running when the process died are resubmitted.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Intra > 1 {
-		// Process-wide, like the executor's parallelism: set before any
-		// job runs, never while one is running; clamped so the pool's
-		// workers and each run's stepper lanes share the machine.
-		experiments.SetIntra(sweep.ClampIntra(cfg.Workers, cfg.Intra, 0))
-	}
 	s := &Server{
 		cfg:        cfg,
 		pool:       sweep.NewPool(cfg.Workers, cfg.Backlog),

@@ -157,9 +157,6 @@ func parsePayload(kind byte, payload []byte) (walRecord, bool) {
 type walRecovery struct {
 	results []walRecord        // verified done records
 	pending []experiments.Spec // submits with no done record
-	// dropped counts records discarded during verification (corrupt
-	// tail bytes count as one).
-	dropped int
 }
 
 // openWAL replays (and compacts) the journal at dir/walName and returns
@@ -173,10 +170,7 @@ func openWAL(dir string) (*wal, walRecovery, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, rec, fmt.Errorf("simserve: wal: %w", err)
 	}
-	recs, goodLen := parseRecords(data)
-	if goodLen < len(data) {
-		rec.dropped++
-	}
+	recs, _ := parseRecords(data)
 
 	done := map[string]bool{}
 	var pendingIDs []string
@@ -186,12 +180,10 @@ func openWAL(dir string) (*wal, walRecovery, error) {
 		case walDone:
 			var jr jobapi.JobResult
 			if err := json.Unmarshal(r.result, &jr); err != nil {
-				rec.dropped++
 				continue
 			}
 			id, err := jr.Spec.ID()
 			if err != nil || id != r.id {
-				rec.dropped++
 				continue
 			}
 			if !done[r.id] {
@@ -201,7 +193,6 @@ func openWAL(dir string) (*wal, walRecovery, error) {
 		case walSubmit:
 			var sp experiments.Spec
 			if err := json.Unmarshal(r.spec, &sp); err != nil {
-				rec.dropped++
 				continue
 			}
 			if _, seen := pendingSpec[r.id]; !seen {

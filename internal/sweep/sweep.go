@@ -45,38 +45,6 @@ func New(n int) *Executor {
 // Workers returns the executor's worker count.
 func (x *Executor) Workers() int { return x.workers }
 
-// ClampIntra bounds an intra-run lane request so the combined
-// goroutine load of a sweep stays within a machine budget. A sweep
-// running w inter-run workers, each simulating with IntraParallel = k,
-// keeps up to w*k goroutines runnable at once; beyond the physical
-// core count the two axes just contend with each other. Inter-run
-// workers are the more profitable axis (runs are fully independent,
-// intra-run lanes synchronize at every horizon), so the worker count
-// is preserved and the intra request is shrunk to fit:
-//
-//	intra' = max(1, min(intra, budget/workers))
-//
-// budget <= 0 selects runtime.GOMAXPROCS(0). The clamp never raises a
-// request, so -intra 1 always runs without lanes.
-func ClampIntra(workers, intra, budget int) int {
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if intra < 1 {
-		intra = 1
-	}
-	if fit := budget / workers; intra > fit {
-		intra = fit
-	}
-	if intra < 1 {
-		intra = 1
-	}
-	return intra
-}
-
 // deque is one worker's job queue, holding indices into the job slice.
 // The owner pops from the front; thieves take the back half.
 type deque struct {

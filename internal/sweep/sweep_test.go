@@ -133,26 +133,3 @@ func TestWorkersDefault(t *testing.T) {
 		t.Fatal("New(3) must keep the requested count")
 	}
 }
-
-func TestClampIntra(t *testing.T) {
-	cases := []struct {
-		workers, intra, budget, want int
-	}{
-		{1, 4, 16, 4},  // fits: untouched
-		{4, 4, 16, 4},  // exactly fits
-		{8, 4, 16, 2},  // shrunk to budget/workers
-		{16, 4, 16, 1}, // workers saturate the budget
-		{32, 4, 16, 1}, // oversubscribed workers: still at least 1
-		{4, 1, 16, 1},  // serial request stays serial
-		{0, 0, 16, 1},  // degenerate inputs normalize
-	}
-	for _, c := range cases {
-		if got := ClampIntra(c.workers, c.intra, c.budget); got != c.want {
-			t.Errorf("ClampIntra(%d, %d, %d) = %d, want %d",
-				c.workers, c.intra, c.budget, got, c.want)
-		}
-	}
-	if got := ClampIntra(1, 1, 0); got != 1 {
-		t.Errorf("ClampIntra with default budget must keep serial: got %d", got)
-	}
-}

@@ -27,13 +27,10 @@ STATEDIR="$TMPDIR_SMOKE/state"
 PORTFILE="$TMPDIR_SMOKE/addr"
 
 # start_simd: launch a daemon incarnation and wait for its address.
-# -intra 2 runs each simulation with a device stepper lane (GOMAXPROCS
-# raised past the clamp's single-core budget), proving WAL recovery and
-# byte-identical replay compose with intra-run parallelism.
 start_simd() {
     : >"$PORTFILE"
-    GOMAXPROCS=4 "$TMPDIR_SMOKE/simd" -addr 127.0.0.1:0 -portfile "$PORTFILE" \
-        -state-dir "$STATEDIR" -workers 2 -intra 2 \
+    "$TMPDIR_SMOKE/simd" -addr 127.0.0.1:0 -portfile "$PORTFILE" \
+        -state-dir "$STATEDIR" -workers 2 \
         2>>"$TMPDIR_SMOKE/simd.log" &
     SIMD_PID=$!
     i=0
