@@ -66,11 +66,15 @@ bench-dma:
 # Functional-track micro-benchmarks: ns per page of staging the
 # resnet50-x2 operand set by mapping blobs next to the WriteAt staging it
 # replaced, the cost of one plan key over mapped (page sums looked up)
-# and over written (pages hashed in place) operands, and ns per int8 MAC
+# and over written (pages hashed in place) operands, ns per int8 MAC
 # of vta.Core's GEMM kernel next to the loop it replaced on the five
-# shapes a cold NEX+DSim pass spends the most GEMM time in.
+# shapes a cold NEX+DSim pass spends the most GEMM time in, and ns per
+# pixel of the JPEG corpus synthesizer, encoder and decoder next to the
+# functions they replaced, on the catalog's corpora and on one Div2K-size
+# (2040x1352) image.
 bench-func:
 	go test -run '^$$' -bench 'StageOperands|PlanKey|Gemm' -benchtime 200x -count 3 ./internal/workloads ./internal/accel/vta | grep -E 'Benchmark|^cpu:'
+	go test -p 1 -run '^$$' -bench 'SynthImage|Encode|Decode' -benchtime 5x -count 3 ./internal/workloads ./internal/accel/jpeg | grep -E 'Benchmark|^cpu:'
 
 # Simulated-thread switch cost: ns per engine → thread → engine round
 # trip (one Resume and the Yield that answers it), 0 allocs/op.

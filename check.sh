@@ -92,18 +92,25 @@ go test -run '^$' -bench 'DMAStream|PageTouch' -benchtime 1x ./internal/cachesim
 go test -run '^$' -fuzz FuzzCacheMatchesReference -fuzztime 10s ./internal/cachesim
 go test -count=1 -run TestReleasedSystemsRetainBoundedHeap -bench BuildRelease -benchtime 1x ./internal/core
 
-# Functional-track gates (DESIGN.md §4.3): the staging, plan-key and GEMM
-# benchmarks compile and execute once (PlanKey fails if a key sums its
-# operand pages more than once), ten seconds of fuzzing find no op
-# sequence on which the page-mapped, copy-on-write memory and the flat
-# byte-map reference disagree, ten more find no instruction sequence
-# after which vta.Core's packed GEMM and per-op ALU loops leave other
-# accumulators or another error than the loops they replaced, and
-# mem.Hash stays the accelerators' only content hash (each used to carry
-# its own fnv64).
-go test -run '^$' -bench 'StageOperands|PlanKey|Gemm' -benchtime 1x ./internal/workloads ./internal/accel/vta
+# Functional-track gates (DESIGN.md §4.3): the staging, plan-key, GEMM
+# and codec benchmarks compile and execute once (PlanKey fails if a key
+# sums its operand pages more than once; SynthImage, Encode and Decode
+# time the corpus synthesizer and the JPEG codec next to the functions
+# they replaced, on the catalog's corpora and a Div2K-size image), ten
+# seconds of fuzzing find no op sequence on which the page-mapped,
+# copy-on-write memory and the flat byte-map reference disagree, ten
+# more find no instruction sequence after which vta.Core's packed GEMM
+# and per-op ALU loops leave other accumulators or another error than
+# the loops they replaced, ten each find no bytes on which the JPEG
+# decoder returns another raster, DecodeStats or error than the decoder
+# it replaced and no image the encoder codes differently, and mem.Hash
+# stays the accelerators' only content hash (each used to carry its own
+# fnv64).
+go test -run '^$' -bench 'StageOperands|PlanKey|Gemm|SynthImage|Encode|Decode' -benchtime 1x ./internal/workloads ./internal/accel/vta ./internal/accel/jpeg
 go test -run '^$' -fuzz FuzzMemoryMatchesReference -fuzztime 10s ./internal/mem
 go test -run '^$' -fuzz FuzzGemmMatchesReference -fuzztime 10s ./internal/accel/vta
+go test -run '^$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s ./internal/accel/jpeg
+go test -run '^$' -fuzz FuzzEncodeMatchesReference -fuzztime 10s ./internal/accel/jpeg
 test -z "$(grep -rl '^func fnv64' internal/accel --include='*.go' | grep -v _test.go)"
 
 # Trust-boundary decoders (DESIGN.md §6, §11): ten seconds each of garbage

@@ -42,11 +42,22 @@ type bitReader struct {
 	acc  uint32
 	bits int
 
+	// ahead is how many of the buffered bits loadAhead took from the
+	// stream before fill would have: whole real bytes at the low end of
+	// acc, never padding. The serial path counts only bits-ahead as its
+	// own, so it fills exactly where it always did (DESIGN.md §4.3).
+	ahead int
+
 	// BitsRead counts entropy-coded bits consumed (timing model input).
 	BitsRead int64
 }
 
+// fill buffers bytes until more than 24 bits are buffered, padding with
+// ones at a marker and with zeros at the end of the data. It takes the
+// bytes loaded ahead first, and all of them: loadAhead took each with at
+// most 24 bits buffered, so fill, which counts fewer, would have too.
 func (r *bitReader) fill() error {
+	r.ahead = 0
 	for r.bits <= 24 {
 		if r.pos >= len(r.data) {
 			if r.bits > 0 {
@@ -76,9 +87,31 @@ func (r *bitReader) fill() error {
 	return nil
 }
 
+// loadAhead buffers whole stream bytes, as fill does, until more than 24
+// bits are buffered, but stops short of a marker and of the end of the
+// data instead of padding, so that only fill ever pads.
+//
+//simlint:hotpath before every Huffman symbol with fewer than nine bits buffered
+func (r *bitReader) loadAhead() {
+	for r.bits <= 24 && r.pos < len(r.data) {
+		b := r.data[r.pos]
+		if b == 0xff {
+			if r.pos+1 >= len(r.data) || r.data[r.pos+1] != 0x00 {
+				return // a marker
+			}
+			r.pos += 2 // stuffed byte
+		} else {
+			r.pos++
+		}
+		r.acc = r.acc<<8 | uint32(b)
+		r.bits += 8
+		r.ahead += 8
+	}
+}
+
 // peek returns the next n bits without consuming.
 func (r *bitReader) peek(n int) (uint32, error) {
-	if r.bits < n {
+	if r.bits-r.ahead < n {
 		if err := r.fill(); err != nil {
 			return 0, err
 		}
@@ -97,14 +130,35 @@ func (r *bitReader) take(n int) (uint32, error) {
 	return v, nil
 }
 
+// skip consumes a code of n ≤ r.bits bits the lookahead table decoded.
+// Reading it one bit at a time, the serial path would fill once its own
+// bits (those not loaded ahead) ran out; skip fills at that same bit.
+func (r *bitReader) skip(n int) error {
+	if own := r.bits - r.ahead; n > own {
+		own = max(own, 0)
+		r.bits -= own
+		if err := r.fill(); err != nil {
+			return err
+		}
+		r.bits -= n - own
+	} else {
+		r.bits -= n
+	}
+	r.BitsRead += int64(n)
+	return nil
+}
+
 // syncRestart byte-aligns the reader and consumes an RSTn marker
 // (0xFFD0-0xFFD7) from the underlying stream.
 func (r *bitReader) syncRestart() error {
 	// Discard buffered bits back to the byte boundary; any bits already
 	// pulled into the accumulator belong to the padding before the
-	// marker.
+	// marker. Bytes loaded ahead lie between here and the marker and
+	// hold no 0xFF that a stuffed zero does not follow, so the scan finds
+	// the marker it would have found from where fill stopped.
 	r.acc = 0
 	r.bits = 0
+	r.ahead = 0
 	for r.pos+1 < len(r.data) {
 		if r.data[r.pos] == 0xff && r.data[r.pos+1] >= 0xd0 && r.data[r.pos+1] <= 0xd7 {
 			r.pos += 2
@@ -126,7 +180,14 @@ type huffTable struct {
 	maxCode [17]int32
 	valPtr  [17]int
 	vals    []byte
+	// look maps the next nine bits to length<<8 | symbol of the code of
+	// at most nine bits they start with, exactly as the serial loop
+	// decodes it, or to 0 where that loop reads more bits or fails.
+	look [1 << lookBits]uint16
 }
+
+// lookBits is how many bits one lookahead table probe covers.
+const lookBits = 9
 
 // buildHuff constructs the table from BITS/HUFFVAL per Annex C.
 func buildHuff(bits [16]byte, vals []byte) *huffTable {
@@ -152,11 +213,38 @@ func buildHuff(bits [16]byte, vals []byte) *huffTable {
 		}
 		code <<= 1
 	}
+	// Codes only grow with their length, so the ranges of different
+	// lengths claim disjoint entries, even in a malformed table.
+	for l := 1; l <= lookBits; l++ {
+		if t.maxCode[l] < 0 {
+			continue
+		}
+		span := 1 << (lookBits - l)
+		for c := t.minCode[l]; c <= min(t.maxCode[l], 1<<l-1); c++ {
+			var e uint16 // an index past vals is the serial loop's error
+			if idx := t.valPtr[l] + int(c-t.minCode[l]); idx < len(t.vals) {
+				e = uint16(l)<<8 | uint16(t.vals[idx])
+			}
+			for v := int(c) * span; v < int(c+1)*span; v++ {
+				t.look[v] = e
+			}
+		}
+	}
 	return t
 }
 
-// decode reads one Huffman-coded symbol.
+// decode reads one Huffman-coded symbol: from the lookahead table when
+// nine bits are buffered and begin a code of at most nine bits, else one
+// bit at a time.
 func (t *huffTable) decode(r *bitReader) (byte, error) {
+	if r.bits < lookBits {
+		r.loadAhead()
+	}
+	if r.bits >= lookBits {
+		if e := t.look[r.acc>>uint(r.bits-lookBits)&(1<<lookBits-1)]; e != 0 {
+			return byte(e), r.skip(int(e >> 8))
+		}
+	}
 	code := int32(0)
 	for l := 1; l <= 16; l++ {
 		b, err := r.take(1)
@@ -189,17 +277,4 @@ func receiveExtend(r *bitReader, s int) (int32, error) {
 		x -= 1<<uint(s) - 1
 	}
 	return x, nil
-}
-
-// magnitude categorizes a coefficient per F.1.2.1.
-func magnitude(v int32) int {
-	if v < 0 {
-		v = -v
-	}
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
 }

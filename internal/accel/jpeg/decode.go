@@ -387,42 +387,65 @@ func (d *Decoder) decodeBlock(r *bitReader, c *component, zz *[64]int32) error {
 	return nil
 }
 
-// compose upsamples the component planes and converts to RGB24.
+// compose upsamples the component planes (nearest neighbour) and
+// converts to RGB24, a row at a time: each component's source column for
+// every image column is computed once per image, its source row once per
+// image row.
 func (d *Decoder) compose(hsMax, vsMax int) *Image {
 	img := NewImage(d.w, d.h)
-	y, cb, cr := d.comps[0], d.comps[0], d.comps[0]
+	comps := d.comps[:1]
 	if len(d.comps) >= 3 {
-		cb, cr = d.comps[1], d.comps[2]
+		comps = d.comps[:3]
+	}
+	cols := make([][]int32, len(comps))
+	for k, c := range comps {
+		cols[k] = make([]int32, d.w)
+		for px := range cols[k] {
+			cols[k][px] = int32(min(px*c.hs/hsMax, c.pw-1))
+		}
+	}
+	row := func(c *component, py int) []byte {
+		y := min(py*c.vs/vsMax, c.ph-1)
+		return c.plane[y*c.pw : (y+1)*c.pw]
 	}
 	for py := 0; py < d.h; py++ {
-		for px := 0; px < d.w; px++ {
-			yy := int32(samplePlane(y, px, py, hsMax, vsMax))
-			var cbv, crv int32 = 128, 128
-			if len(d.comps) >= 3 {
-				cbv = int32(samplePlane(cb, px, py, hsMax, vsMax))
-				crv = int32(samplePlane(cr, px, py, hsMax, vsMax))
-			}
-			cbv -= 128
-			crv -= 128
-			i := (py*d.w + px) * 3
-			img.Pix[i] = clamp8(yy + (359*crv)>>8)
-			img.Pix[i+1] = clamp8(yy - ((88*cbv + 183*crv) >> 8))
-			img.Pix[i+2] = clamp8(yy + (454*cbv)>>8)
+		dst := img.Pix[py*d.w*3 : (py+1)*d.w*3]
+		if len(comps) == 1 {
+			composeGrayRow(dst, row(comps[0], py), cols[0])
+		} else {
+			composeRow(dst, row(comps[0], py), row(comps[1], py), row(comps[2], py), cols[0], cols[1], cols[2])
 		}
 	}
 	return img
 }
 
-// samplePlane reads a component plane at image coordinates, applying
-// nearest-neighbour chroma upsampling.
-func samplePlane(c *component, px, py, hsMax, vsMax int) byte {
-	x := px * c.hs / hsMax
-	y := py * c.vs / vsMax
-	if x >= c.pw {
-		x = c.pw - 1
+// composeRow converts one row from YCbCr, sampling each plane row at its
+// source columns.
+//
+//simlint:hotpath once per row of every decoded image
+func composeRow(dst, ys, cbs, crs []byte, xy, xcb, xcr []int32) {
+	dst = dst[:3*len(xy)]
+	xcb, xcr = xcb[:len(xy)], xcr[:len(xy)]
+	for px, x := range xy {
+		yy := int32(ys[x])
+		cbv := int32(cbs[xcb[px]]) - 128
+		crv := int32(crs[xcr[px]]) - 128
+		p := dst[3*px : 3*px+3]
+		p[0] = clamp8(yy + (359*crv)>>8)
+		p[1] = clamp8(yy - ((88*cbv + 183*crv) >> 8))
+		p[2] = clamp8(yy + (454*cbv)>>8)
 	}
-	if y >= c.ph {
-		y = c.ph - 1
+}
+
+// composeGrayRow is composeRow for an image without chroma planes, whose
+// Cb and Cr read as 128: every channel is the luma sample.
+//
+//simlint:hotpath once per row of every decoded greyscale image
+func composeGrayRow(dst, ys []byte, xy []int32) {
+	dst = dst[:3*len(xy)]
+	for px, x := range xy {
+		yy := ys[x]
+		p := dst[3*px : 3*px+3]
+		p[0], p[1], p[2] = yy, yy, yy
 	}
-	return c.plane[y*c.pw+x]
 }

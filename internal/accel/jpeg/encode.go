@@ -1,6 +1,10 @@
 package jpeg
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+)
 
 // Image is an RGB24 raster.
 type Image struct {
@@ -34,10 +38,6 @@ func Encode(img *Image, quality int, sub Subsampling) []byte {
 func EncodeRestart(img *Image, quality int, sub Subsampling, restart int) []byte {
 	lq := scaleQuant(stdLumaQuant, quality)
 	cq := scaleQuant(stdChromaQuant, quality)
-	dcL := buildHuff(stdDCLumaBits, stdDCLumaVals)
-	acL := buildHuff(stdACLumaBits, stdACLumaVals)
-	dcC := buildHuff(stdDCChromaBits, stdDCChromaVals)
-	acC := buildHuff(stdACChromaBits, stdACChromaVals)
 
 	var out []byte
 	emit := func(b ...byte) { out = append(out, b...) }
@@ -115,14 +115,7 @@ func EncodeRestart(img *Image, quality int, sub Subsampling, restart int) []byte
 		var coef [64]float64
 		fdct8x8(block, &coef)
 		var zz [64]int32
-		for i := 0; i < 64; i++ {
-			v := coef[zigzag[i]] / float64(q[zigzag[i]])
-			if v >= 0 {
-				zz[i] = int32(v + 0.5)
-			} else {
-				zz[i] = int32(v - 0.5)
-			}
-		}
+		quantize(&zz, &coef, q)
 		// DC.
 		diff := zz[0] - dcPrev[comp]
 		dcPrev[comp] = zz[0]
@@ -161,31 +154,7 @@ func EncodeRestart(img *Image, quality int, sub Subsampling, restart int) []byte
 		}
 	}
 
-	sampleBlock := func(plane []byte, pw, ph, x0, y0, step int) [64]float64 {
-		var b [64]float64
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				// Average step x step source samples (chroma subsampling).
-				var sum, n int32
-				for dy := 0; dy < step; dy++ {
-					for dx := 0; dx < step; dx++ {
-						sx, sy := x0+(x*step)+dx, y0+(y*step)+dy
-						if sx >= pw {
-							sx = pw - 1
-						}
-						if sy >= ph {
-							sy = ph - 1
-						}
-						sum += int32(plane[sy*pw+sx])
-						n++
-					}
-				}
-				b[y*8+x] = float64(sum)/float64(n) - 128
-			}
-		}
-		return b
-	}
-
+	var b [64]float64
 	mcuIdx := 0
 	rstSeq := 0
 	for my := 0; my < mcusY; my++ {
@@ -203,22 +172,92 @@ func EncodeRestart(img *Image, quality int, sub Subsampling, restart int) []byte
 			// Luma blocks.
 			for by := 0; by < vs; by++ {
 				for bx := 0; bx < hs; bx++ {
-					b := sampleBlock(yP, img.W, img.H, mx*mcuW+bx*8, my*mcuH+by*8, 1)
-					encodeBlock(&b, &lq, dcL, acL, 0)
+					sampleBlock(&b, yP, img.W, img.H, mx*mcuW+bx*8, my*mcuH+by*8, 1)
+					encodeBlock(&b, &lq, stdDCLuma, stdACLuma, 0)
 				}
 			}
 			// Chroma blocks (one each, possibly subsampled).
 			step := hs // 1 for 4:4:4, 2 for 4:2:0
-			cb := sampleBlock(cbP, img.W, img.H, mx*mcuW, my*mcuH, step)
-			encodeBlock(&cb, &cq, dcC, acC, 1)
-			cr := sampleBlock(crP, img.W, img.H, mx*mcuW, my*mcuH, step)
-			encodeBlock(&cr, &cq, dcC, acC, 2)
+			sampleBlock(&b, cbP, img.W, img.H, mx*mcuW, my*mcuH, step)
+			encodeBlock(&b, &cq, stdDCChroma, stdACChroma, 1)
+			sampleBlock(&b, crP, img.W, img.H, mx*mcuW, my*mcuH, step)
+			encodeBlock(&b, &cq, stdDCChroma, stdACChroma, 2)
 		}
 	}
 	w.flush()
 	out = append(out, w.buf...)
 	emit(0xff, 0xd9) // EOI
 	return out
+}
+
+// The encoder's four Huffman tables (Annex K.3), built once.
+var (
+	stdDCLuma   = buildHuff(stdDCLumaBits, stdDCLumaVals)
+	stdACLuma   = buildHuff(stdACLumaBits, stdACLumaVals)
+	stdDCChroma = buildHuff(stdDCChromaBits, stdDCChromaVals)
+	stdACChroma = buildHuff(stdACChromaBits, stdACChromaVals)
+)
+
+// sampleBlock fills b with the level-shifted 8x8 block at (x0, y0) of a
+// pw×ph plane, each sample the mean of step×step source samples
+// (chroma subsampling), edges replicated.
+//
+//simlint:hotpath three or six times per MCU of every encoded image
+func sampleBlock(b *[64]float64, plane []byte, pw, ph, x0, y0, step int) {
+	if step == 1 {
+		// One source sample each: float64(s)/1 is float64(s).
+		for y := 0; y < 8; y++ {
+			row := plane[min(y0+y, ph-1)*pw:][:pw]
+			for x := 0; x < 8; x++ {
+				b[y*8+x] = float64(row[min(x0+x, pw-1)]) - 128
+			}
+		}
+		return
+	}
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			var sum, n int32
+			for dy := 0; dy < step; dy++ {
+				for dx := 0; dx < step; dx++ {
+					sx, sy := x0+(x*step)+dx, y0+(y*step)+dy
+					if sx >= pw {
+						sx = pw - 1
+					}
+					if sy >= ph {
+						sy = ph - 1
+					}
+					sum += int32(plane[sy*pw+sx])
+					n++
+				}
+			}
+			b[y*8+x] = float64(sum)/float64(n) - 128
+		}
+	}
+}
+
+// quantize divides each coefficient by its quantizer and rounds half away
+// from zero into zig-zag order. v + Copysign(0.5, v) is v+0.5 or v-0.5 as
+// v's sign bit says, without a branch; for v = -0 it truncates to 0, as
+// v+0.5 does.
+//
+//simlint:hotpath once per block of every encoded image
+func quantize(zz *[64]int32, coef *[64]float64, q *[64]int32) {
+	for i, z := range zigzag {
+		v := coef[z] / float64(q[z])
+		zz[i] = int32(v + math.Copysign(0.5, v))
+	}
+}
+
+// magnitude categorizes a coefficient per F.1.2.1: the bit length of
+// |v|. MinInt32 has no magnitude in int32 and gets category 0, as the
+// shift loop this replaced gave it.
+//
+//simlint:hotpath twice per nonzero coefficient of every encoded block
+func magnitude(v int32) int {
+	if v < 0 {
+		v = -v
+	}
+	return bits.Len32(uint32(max(v, 0)))
 }
 
 func toYCbCr(img *Image) (y, cb, cr []byte) {

@@ -3,6 +3,7 @@ package vta
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // Core is the functional model of the VTA datapath: the three SRAMs and
@@ -24,6 +25,20 @@ func NewCore() *Core {
 		Weight: make([]int8, WeightBufSize),
 		Acc:    make([]int32, AccBufSize),
 	}
+}
+
+// corePool recycles the functional cores plan builds interpret on: a
+// Core is 448 KB of SRAM, one per interpretation otherwise. A pooled
+// core is in NewCore's state, because putCore clears the SRAMs before
+// pooling it (pack is scratch Gemm writes before it reads).
+var corePool = sync.Pool{New: func() any { return NewCore() }}
+
+// putCore clears c back to NewCore's state and returns it to corePool.
+func putCore(c *Core) {
+	clear(c.Input)
+	clear(c.Weight)
+	clear(c.Acc)
+	corePool.Put(c)
 }
 
 // LoadBytes fills a buffer region from raw DRAM bytes (the data of a

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"nexsim/internal/accel"
@@ -172,12 +173,7 @@ func cachedPlan(host accel.Host, desc Desc) (*vtaPlan, error) {
 		return nil, err
 	}
 	plan := fullPlanMemo.Get(key, func() *vtaPlan {
-		read := func(addr mem.Addr, size int) []byte {
-			buf := make([]byte, size)
-			host.ZeroCostRead(addr, buf)
-			return buf
-		}
-		loads, computes, stores, err := buildPlan(read, desc)
+		loads, computes, stores, err := buildPlan(host.ZeroCostRead, desc)
 		return &vtaPlan{loads: loads, computes: computes, stores: stores, err: err}
 	})
 	return plan, plan.err
@@ -212,21 +208,35 @@ type storePayloads struct {
 	err error
 }
 
+// loadScratch holds one build's LOAD payloads back to back. A plan keeps
+// only the payloads' addresses, so the bytes die with the build and the
+// buffer goes back to the pool for the next one.
+var loadScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // buildPlan decodes and functionally executes an instruction stream,
 // returning per-module op lists. read is the functional memory access
-// (the caller decides whether it is recorded as a DMA trace); it must
-// return a fresh buffer the plan may retain. The functional core is
-// only allocated when the (program, data) pair has not run before.
-func buildPlan(read func(addr mem.Addr, size int) []byte,
+// (the caller decides whether it is recorded as a DMA trace): it fills
+// its buffer from addr, and buildPlan keeps nothing read writes past the
+// build. The functional core is only taken from corePool when the
+// (program, data) pair has not run before.
+func buildPlan(read func(addr mem.Addr, dst []byte),
 	desc Desc) (loads, computes, stores []planOp, err error) {
 
-	progBytes := read(desc.Prog, int(desc.Count)*InstrSize)
+	progBytes := make([]byte, int(desc.Count)*InstrSize)
+	read(desc.Prog, progBytes)
+	scratch := loadScratch.Get().(*[]byte)
+	buf := (*scratch)[:0]
+	defer func() {
+		*scratch = buf[:0]
+		loadScratch.Put(scratch)
+	}()
 
-	// Pass 1: decode, gather LOAD data, and hash (program + inputs).
+	// Pass 1: decode, gather LOAD data into buf, and hash (program +
+	// inputs).
 	type decoded struct {
-		instr Instr
-		data  []byte  // LOAD payload
-		dmas  []dmaOp // LOAD/STORE address plan
+		instr  Instr
+		lo, hi int     // LOAD payload: buf[lo:hi]
+		dmas   []dmaOp // LOAD/STORE address plan
 	}
 	// The store payloads are independent of where operands live in DRAM
 	// (LoadBytes consumes the gathered data; compute reads SRAM offsets
@@ -235,7 +245,7 @@ func buildPlan(read func(addr mem.Addr, size int) []byte,
 	// even though their buffers sit at different arena offsets.
 	key := uint64(0)
 	ins := make([]decoded, desc.Count)
-	sawFinish := false
+	nLoads, nStores, sawFinish := 0, 0, false
 	for idx := 0; idx < int(desc.Count); idx++ {
 		ib := progBytes[idx*InstrSize : (idx+1)*InstrSize]
 		key = mem.Hash(key, ib[:8])
@@ -248,21 +258,25 @@ func buildPlan(read func(addr mem.Addr, size int) []byte,
 		switch i.Op {
 		case OpLoad:
 			rowBytes := loadRowBytes(&i)
-			var data []byte
+			d.lo, d.hi = len(buf), len(buf)+int(i.Rows)*rowBytes
+			buf = slices.Grow(buf, d.hi-d.lo)[:d.hi]
+			data := buf[d.lo:d.hi]
 			if i.Stride == 0 || int(i.Stride) == rowBytes {
-				data = read(mem.Addr(i.DRAM), int(i.Rows)*rowBytes)
+				read(mem.Addr(i.DRAM), data)
 				d.dmas = append(d.dmas, dmaOp{kind: mem.Read,
 					addr: mem.Addr(i.DRAM), size: len(data)})
 			} else {
-				data = make([]byte, int(i.Rows)*rowBytes)
+				d.dmas = make([]dmaOp, 0, i.Rows)
 				for r := 0; r < int(i.Rows); r++ {
 					a := mem.Addr(i.DRAM) + mem.Addr(r*int(i.Stride))
-					copy(data[r*rowBytes:], read(a, rowBytes))
+					read(a, data[r*rowBytes:(r+1)*rowBytes])
 					d.dmas = append(d.dmas, dmaOp{kind: mem.Read, addr: a, size: rowBytes})
 				}
 			}
-			d.data = data
 			key = mem.Hash(key, data)
+			nLoads++
+		case OpStore:
+			nStores++
 		case OpFinish:
 			sawFinish = true
 		}
@@ -276,13 +290,14 @@ func buildPlan(read func(addr mem.Addr, size int) []byte,
 	// (program, data) pair has run before, else by interpreting.
 	payloads := payloadMemo.Get(key, func() *storePayloads {
 		var out [][]byte
-		core := NewCore()
+		core := corePool.Get().(*Core)
+		defer putCore(core)
 		for idx := range ins {
 			i := &ins[idx].instr
 			var err error
 			switch i.Op {
 			case OpLoad:
-				err = core.LoadBytes(i, ins[idx].data)
+				err = core.LoadBytes(i, buf[ins[idx].lo:ins[idx].hi])
 			case OpGemm:
 				err = core.Gemm(i)
 			case OpAlu:
@@ -303,6 +318,9 @@ func buildPlan(read func(addr mem.Addr, size int) []byte,
 	}
 
 	// Assemble per-module op lists.
+	loads = make([]planOp, 0, nLoads)
+	computes = make([]planOp, 0, len(ins)-nLoads-nStores)
+	stores = make([]planOp, 0, nStores)
 	storeIdx := 0
 	for idx := range ins {
 		i := ins[idx].instr
@@ -320,6 +338,7 @@ func buildPlan(read func(addr mem.Addr, size int) []byte,
 				op.dmas = append(op.dmas, dmaOp{kind: mem.Write,
 					addr: mem.Addr(i.DRAM), size: len(out), data: out})
 			} else {
+				op.dmas = make([]dmaOp, 0, i.Rows)
 				for r := 0; r < int(i.Rows); r++ {
 					a := mem.Addr(i.DRAM) + mem.Addr(r*int(i.Stride))
 					op.dmas = append(op.dmas, dmaOp{kind: mem.Write, addr: a,

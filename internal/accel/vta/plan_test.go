@@ -1,6 +1,9 @@
 package vta
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"nexsim/internal/accel"
@@ -160,4 +163,123 @@ func BenchmarkPlanKeyPrivate(b *testing.B) {
 	benchPlanKey(b, func(m *mem.Memory, task GemmTask, a, bm []int8) {
 		StoreOperands(m, task, a, bm, nil)
 	})
+}
+
+// planCase is one program staged in a memory, with the operands it reads.
+type planCase struct {
+	name string
+	host *acceltest.Host
+	desc Desc
+}
+
+// stagePlanCase writes prog at 0x40_0000 into a memory holding task's
+// operands, drawn from seed.
+func stagePlanCase(name string, seed uint64, task GemmTask, prog []Instr) planCase {
+	_, a, b, bias := gemmCase(seed, task.M, task.N, task.K, task.Bias != 0, task.ReLU)
+	h := &acceltest.Host{Mem: mem.New(0)}
+	StoreOperands(h.Mem, task, a, b, bias)
+	WriteProgram(h.Mem, 0x40_0000, prog)
+	return planCase{name, h, Desc{Prog: 0x40_0000, Count: uint32(len(prog))}}
+}
+
+// planCases are compiled GEMMs — weights resident and K-chunked (strided
+// LOADs), with and without a bias (accumulator LOADs) — and programs the
+// build must refuse: no FINISH, an undecodable instruction, a LOAD out
+// of its buffer.
+func planCases(t *testing.T) []planCase {
+	var cases []planCase
+	for i, s := range []struct {
+		m, n, k int
+		bias    bool
+	}{{16, 16, 27, false}, {64, 32, 48, true}, {48, 64, 4096, false}, {32, 63, 4100, true}, {16, 128, 576, true}} {
+		task, _, _, _ := gemmCase(0, s.m, s.n, s.k, s.bias, i%2 == 0)
+		prog, err := Compile(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, stagePlanCase(fmt.Sprintf("%dx%dx%d", s.m, s.n, s.k), uint64(40+i), task, prog))
+	}
+	task, _, _, _ := gemmCase(0, 16, 16, 16, false, false)
+	prog, err := Compile(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noFinish := slices.Clone(prog[:len(prog)-1])
+	cases = append(cases, stagePlanCase("no-finish", 50, task, noFinish))
+	badLoad := slices.Clone(prog)
+	badLoad[0].SRAMBase = WeightBufSize - 1
+	cases = append(cases, stagePlanCase("load-out-of-range", 51, task, badLoad))
+	cases = append(cases, stagePlanCase("store-only", 53, task, []Instr{
+		{Op: OpStore, DRAM: uint64(task.C), Rows: 16, Cols: 16, Stride: 32}, {Op: OpFinish}}))
+	c := stagePlanCase("bad-opcode", 52, task, prog)
+	c.host.Mem.WriteAt(c.desc.Prog+InstrSize, []byte{99})
+	return append(cases, c)
+}
+
+// buildPlan leaves every op list, DMA address plan and store payload, or
+// the error, as the assembly it replaced does — run after run, so that
+// each interpretation after the first takes a recycled core.
+func TestBuildPlanMatchesReference(t *testing.T) {
+	for pass := 0; pass < 2; pass++ {
+		for _, c := range planCases(t) {
+			loads, computes, stores, err := buildPlan(c.host.ZeroCostRead, c.desc)
+			refRead := func(addr mem.Addr, size int) []byte {
+				buf := make([]byte, size)
+				c.host.ZeroCostRead(addr, buf)
+				return buf
+			}
+			wl, wc, ws, werr := refBuildPlan(refRead, c.desc)
+			if fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("%s: error %v, reference %v", c.name, err, werr)
+			}
+			for _, m := range []struct {
+				name      string
+				got, want []planOp
+			}{{"loads", loads, wl}, {"computes", computes, wc}, {"stores", stores, ws}} {
+				if (len(m.got) > 0 || len(m.want) > 0) && !reflect.DeepEqual(m.got, m.want) {
+					t.Fatalf("%s: %s differ from the reference's", c.name, m.name)
+				}
+			}
+			if werr == nil && len(ws) == 0 {
+				t.Fatalf("%s: no stores to compare", c.name)
+			}
+		}
+	}
+}
+
+// A core comes out of corePool in NewCore's state whatever the last
+// interpretation left in it: a program that stores accumulators it never
+// wrote stores zeros right after one that wrote them.
+func TestPooledCoreStartsClean(t *testing.T) {
+	dirty := NewCore()
+	for j := range dirty.Acc {
+		dirty.Input[j%InputBufSize], dirty.Weight[j%WeightBufSize], dirty.Acc[j] = 1, 2, 3
+	}
+	putCore(dirty)
+	if slices.ContainsFunc(dirty.Input, func(v int8) bool { return v != 0 }) ||
+		slices.ContainsFunc(dirty.Weight, func(v int8) bool { return v != 0 }) ||
+		slices.ContainsFunc(dirty.Acc, func(v int32) bool { return v != 0 }) {
+		t.Fatal("putCore pooled a core with live SRAM")
+	}
+
+	task, _, _, _ := gemmCase(0, 16, 64, 64, false, false)
+	prog, err := Compile(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := stagePlanCase("busy", 60, task, prog)
+	if _, _, _, err := buildPlan(busy.host.ZeroCostRead, busy.desc); err != nil {
+		t.Fatal(err)
+	}
+	idle := stagePlanCase("idle", 61, task, []Instr{
+		{Op: OpStore, SRAMBase: 0, DRAM: uint64(task.C), Rows: 16, Cols: 64},
+		{Op: OpFinish},
+	})
+	_, _, stores, err := buildPlan(idle.host.ZeroCostRead, idle.desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := stores[0].dmas[0].data; len(out) != 16*64 || slices.ContainsFunc(out, func(b byte) bool { return b != 0 }) {
+		t.Fatalf("a store of never-written accumulators gave % x", out[:16])
+	}
 }

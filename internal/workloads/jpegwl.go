@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"iter"
 
 	"nexsim/internal/accel/devkit"
 	"nexsim/internal/accel/jpeg"
@@ -151,11 +152,11 @@ func JPEGProgram(cfg JPEGConfig, ctx *core.Ctx) app.Program {
 	}
 }
 
-// corpusMemo memoizes the synthesized + encoded corpora per config:
+// corpusMemo memoizes the synthesized + encoded corpora per corpusKey:
 // corpus generation is deterministic per seed and re-staged by every
 // engine run of the same benchmark (DESIGN.md §1's substrate-cost note).
 // Entries are immutable once stored.
-var corpusMemo = devkit.NewMemo[JPEGConfig](func(entries []corpusEntry) int64 {
+var corpusMemo = devkit.NewMemo[corpusKey](func(entries []corpusEntry) int64 {
 	cost := int64(0)
 	for _, en := range entries {
 		cost += int64(en.stream.Len())
@@ -163,40 +164,95 @@ var corpusMemo = devkit.NewMemo[JPEGConfig](func(entries []corpusEntry) int64 {
 	return cost
 })
 
+// corpusKey is every JPEGConfig field a corpus depends on (after
+// withDefaults); configs that differ only in how the corpus is decoded
+// and post-processed share one.
+type corpusKey struct {
+	images, minSize, maxSize int
+	seed                     uint64
+}
+
 type corpusEntry struct {
 	stream *mem.Blob // the encoded image, mapped by every run that stages it
 	w, h   int
 }
 
-// stageJPEGCorpus synthesizes, encodes and stores the image corpus into
-// the arena; returns the staged entries.
-func stageJPEGCorpus(e app.Env, cfg JPEGConfig, ctx *core.Ctx) []jpegImage {
-	key := cfg
-	key.Compress, key.ProbeRealistic, key.UseIRQ = 0, false, false
-	entries := corpusMemo.Get(key, func() (entries []corpusEntry) {
-		rng := xrand.New(cfg.Seed | 1)
-		for i := 0; i < cfg.Images; i++ {
-			w := cfg.MinSize + rng.Intn(cfg.MaxSize-cfg.MinSize+1)
-			h := cfg.MinSize + rng.Intn(cfg.MaxSize-cfg.MinSize+1)
-			w, h = w&^7, h&^7
-			img := synthImage(w, h, rng.Derive(fmt.Sprintf("img%d", i)))
-			sub := jpeg.Sub420
-			if rng.Intn(3) == 0 {
-				sub = jpeg.Sub444
-			}
-			restart := 0
-			if rng.Intn(4) == 0 {
-				restart = 2 + rng.Intn(6) // some images carry DRI/RSTn markers
-			}
-			data := jpeg.EncodeRestart(img, 75+rng.Intn(18), sub, restart)
-			entries = append(entries, corpusEntry{stream: mem.NewBlob(data), w: w, h: h})
+// jpegCorpus returns cfg's encoded corpus, synthesizing and encoding it
+// on first sight in the process.
+func jpegCorpus(cfg JPEGConfig) []corpusEntry {
+	cfg = cfg.withDefaults()
+	key := corpusKey{images: cfg.Images, minSize: cfg.MinSize, maxSize: cfg.MaxSize, seed: cfg.Seed}
+	return corpusMemo.Get(key, func() (entries []corpusEntry) {
+		for src := range JPEGSources(cfg) {
+			data := jpeg.EncodeRestart(src.Img, src.Quality, src.Sub, src.Restart)
+			entries = append(entries, corpusEntry{stream: mem.NewBlob(data), w: src.Img.W, h: src.Img.H})
 		}
 		return entries
 	})
+}
 
+// JPEGSource is one corpus image before encoding: its raster and the
+// encoder settings the corpus drew for it.
+type JPEGSource struct {
+	Img     *jpeg.Image
+	Quality int
+	Sub     jpeg.Subsampling
+	Restart int // DRI interval in MCUs, 0 for none
+}
+
+// JPEGSources synthesizes cfg's corpus (cfg.Images images with edges in
+// [MinSize, MaxSize] rounded down to whole blocks, drawn from Seed), one
+// image at a time.
+func JPEGSources(cfg JPEGConfig) iter.Seq[JPEGSource] {
+	return func(yield func(JPEGSource) bool) {
+		for _, d := range jpegDraws(cfg) {
+			if !yield(JPEGSource{Img: synthImage(d.w, d.h, d.rng), Quality: d.quality, Sub: d.sub, Restart: d.restart}) {
+				return
+			}
+		}
+	}
+}
+
+// jpegDraw is what a corpus draws for one image: its size, the stream
+// its raster is synthesized from, and its encoder settings.
+type jpegDraw struct {
+	w, h             int
+	rng              *xrand.Stream
+	quality, restart int
+	sub              jpeg.Subsampling
+}
+
+// jpegDraws makes cfg's corpus draws, in order. Synthesis draws only
+// from each image's derived stream, so drawing every image's parameters
+// before synthesizing any leaves them what they were.
+func jpegDraws(cfg JPEGConfig) []jpegDraw {
+	cfg = cfg.withDefaults()
+	rng := xrand.New(cfg.Seed | 1)
+	draws := make([]jpegDraw, cfg.Images)
+	for i := range draws {
+		d := &draws[i]
+		d.w = cfg.MinSize + rng.Intn(cfg.MaxSize-cfg.MinSize+1)
+		d.h = cfg.MinSize + rng.Intn(cfg.MaxSize-cfg.MinSize+1)
+		d.w, d.h = d.w&^7, d.h&^7
+		d.rng = rng.Derive(fmt.Sprintf("img%d", i))
+		d.sub = jpeg.Sub420
+		if rng.Intn(3) == 0 {
+			d.sub = jpeg.Sub444
+		}
+		if rng.Intn(4) == 0 {
+			d.restart = 2 + rng.Intn(6) // some images carry DRI/RSTn markers
+		}
+		d.quality = 75 + rng.Intn(18)
+	}
+	return draws
+}
+
+// stageJPEGCorpus maps the image corpus into the arena; returns the
+// staged entries.
+func stageJPEGCorpus(e app.Env, cfg JPEGConfig, ctx *core.Ctx) []jpegImage {
 	next := ctx.Arena
 	var corpus []jpegImage
-	for _, en := range entries {
+	for _, en := range jpegCorpus(cfg) {
 		src := next
 		next += mem.Addr(en.stream.Len()+4095) &^ 4095
 		e.Mem().Map(src, en.stream)
@@ -208,7 +264,10 @@ func stageJPEGCorpus(e app.Env, cfg JPEGConfig, ctx *core.Ctx) []jpegImage {
 }
 
 // synthImage generates deterministic photo-like content (gradients +
-// soft blobs) so the entropy coder has realistic work.
+// soft blobs) so the entropy coder has realistic work. The gradients come
+// first, from per-column, per-row and per-diagonal tables; then each blob
+// is added over its disc's bounding box, in blob order, so every pixel
+// receives its blob updates in the order a per-pixel loop gives them.
 func synthImage(w, h int, rng *xrand.Stream) *jpeg.Image {
 	img := jpeg.NewImage(w, h)
 	type blob struct{ cx, cy, r, ch, amp int }
@@ -216,25 +275,51 @@ func synthImage(w, h int, rng *xrand.Stream) *jpeg.Image {
 	for i := range blobs {
 		blobs[i] = blob{rng.Intn(w), rng.Intn(h), rng.Intn(w/2 + 1), rng.Intn(3), 40 + rng.Intn(160)}
 	}
+	red, blue := make([]byte, w), make([]byte, w+h-1)
+	for x := range red {
+		red[x] = byte(x * 255 / w)
+	}
+	for s := range blue {
+		blue[s] = byte(s * 255 / (w + h))
+	}
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i := (y*w + x) * 3
-			img.Pix[i] = byte(x * 255 / w)
-			img.Pix[i+1] = byte(y * 255 / h)
-			img.Pix[i+2] = byte((x + y) * 255 / (w + h))
-			for _, b := range blobs {
-				dx, dy := x-b.cx, y-b.cy
-				if d := dx*dx + dy*dy; d < b.r*b.r+1 {
-					v := int(img.Pix[i+b.ch]) + b.amp*(b.r*b.r-d)/(b.r*b.r+1)
-					if v > 255 {
-						v = 255
-					}
-					img.Pix[i+b.ch] = byte(v)
-				}
+		gradientRow(img.Pix[y*w*3:(y+1)*w*3], red, blue[y:y+w], byte(y*255/h))
+	}
+	for _, b := range blobs {
+		addBlob(img.Pix, w, h, b.cx, b.cy, b.r, b.ch, b.amp)
+	}
+	return img
+}
+
+// gradientRow writes one row of the gradient: red by column, green by
+// row, blue by column plus row.
+//
+//simlint:hotpath once per row of every synthesized corpus image
+func gradientRow(dst, red, blue []byte, green byte) {
+	dst = dst[:3*len(red)]
+	blue = blue[:len(red)]
+	for x, r := range red {
+		p := dst[3*x : 3*x+3]
+		p[0], p[1], p[2] = r, green, blue[x]
+	}
+}
+
+// addBlob brightens channel ch of every pixel whose squared distance d
+// from (cx, cy) is at most r² by amp·(r²−d)/(r²+1), saturating at 255.
+//
+//simlint:hotpath eight times per synthesized corpus image, over the blob's bounding box
+func addBlob(pix []byte, w, h, cx, cy, r, ch, amp int) {
+	r2 := r * r
+	for y := max(cy-r, 0); y <= min(cy+r, h-1); y++ {
+		dy := y - cy
+		for x := max(cx-r, 0); x <= min(cx+r, w-1); x++ {
+			dx := x - cx
+			if d := dx*dx + dy*dy; d < r2+1 {
+				i := (y*w+x)*3 + ch
+				pix[i] = byte(min(int(pix[i])+amp*(r2-d)/(r2+1), 255))
 			}
 		}
 	}
-	return img
 }
 
 // postProcess runs matrix_filter_2d, optionally inside the what-if
