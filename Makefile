@@ -9,6 +9,12 @@ lint:
 # check is the full gate; check.sh starts with the same three lint steps.
 check:
 	sh check.sh
+	$(MAKE) golden-386
+
+# The table, spec-ID and device goldens on a 32-bit build: simulated
+# results must not depend on the CPU (DESIGN.md §5). Not part of tier-1.
+golden-386:
+	GOARCH=386 go test -count=1 -run 'TestTablesGolden|TestIDsGolden|TestDevicesGolden' ./internal/experiments
 
 # End-to-end smoke test of the simd daemon: ephemeral port, cheap job
 # submitted twice, 200 + byte-identical cache hit on the resubmit,
@@ -87,4 +93,4 @@ bench-coro:
 bench-serve:
 	go test -run '^$$' -bench RouterSubmit -benchtime 2000x -count 3 ./internal/cluster | grep -E 'Benchmark|^cpu:'
 
-.PHONY: lint check bench bench-cpu bench-dma bench-func bench-coro bench-serve serve-smoke crash-smoke cluster-smoke chaos
+.PHONY: lint check golden-386 bench bench-cpu bench-dma bench-func bench-coro bench-serve serve-smoke crash-smoke cluster-smoke chaos

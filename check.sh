@@ -69,6 +69,29 @@ test -z "$(grep -rlE 'HedgeAfter|hedge-after' internal cmd scripts examples benc
 # needs a clamp between them and the worker count.
 test -z "$(grep -rlE 'SetIntra\(|ClampIntra|"intra"' cmd internal/simserve internal/sweep)"
 
+# A checkpoint is the host's (DESIGN.md §7): among production files only
+# internal/nex (the engine section), internal/core (the blob) and
+# internal/experiments (the prefix store) import internal/checkpoint, and
+# no production file outside internal/nex declares a snapshot encoder or
+# decoder, so no device state grows back into a blob.
+test -z "$(grep -rl '"nexsim/internal/checkpoint"' . --include='*.go' |
+	grep -v -e _test.go -e /testdata/ -e '^\./internal/nex/' -e '^\./internal/core/' -e '^\./internal/experiments/')"
+test -z "$(grep -rlE '^func \(.*\) (SnapshotTo|RestoreFrom)\(' . --include='*.go' |
+	grep -v -e _test.go -e /testdata/ -e '^\./internal/nex/')"
+
+# Results that do not depend on the CPU (DESIGN.md §5): Go may fuse
+# x*y + z into one FMA instruction, which rounds once instead of twice.
+# It does on arm64 and does not on amd64, so an arm64 shard could
+# compute other bytes for the same spec ID. Cross-compile every command
+# for arm64 and fail on any fused instruction outside retryBackoff,
+# which computes only a wall-clock pause; a float64(x*y) conversion is
+# the fix. (`make golden-386` runs the goldens on a 32-bit build.)
+fma="$(mktemp)"
+trap 'rm -f "$fma"' EXIT
+GOARCH=arm64 go build -o /dev/null -gcflags='nexsim/...=-S' ./cmd/... >"$fma" 2>&1
+test -z "$(awk '/^[^ \t]/ { fn = ($2 == "STEXT") ? $1 : "" }
+	/\t(FMADD|FMSUB|FNMADD|FNMSUB)[DS]\t/ && fn != "nexsim/internal/simserve.retryBackoff" { print fn ": " $0 }' "$fma")"
+
 go build ./...
 go test ./...
 

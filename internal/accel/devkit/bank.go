@@ -153,22 +153,3 @@ func (b *Bank) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size int,
 // CountSteps adds n internal simulation steps (LPN firings, compiled
 // ops) to the statistics.
 func (b *Bank) CountSteps(n int64) { b.stats.HostSteps += n }
-
-// Lifecycle is the Bank state a checkpoint carries: the open busy
-// interval and the statistics. (Checkpoints are taken before the first
-// register access, so the register-visible counters are zero then.)
-type Lifecycle struct {
-	BusyStart vclock.Time
-	InFlight  int
-	Stats     accel.DeviceStats
-}
-
-// Lifecycle returns the checkpointable lifecycle state.
-func (b *Bank) Lifecycle() Lifecycle {
-	return Lifecycle{BusyStart: b.busyStart, InFlight: int(b.inFlight), Stats: b.stats}
-}
-
-// SetLifecycle restores it.
-func (b *Bank) SetLifecycle(l Lifecycle) {
-	b.busyStart, b.inFlight, b.stats = l.BusyStart, uint32(l.InFlight), l.Stats
-}

@@ -12,7 +12,7 @@ func CrossOK(in *faults.Injector) {
 // PlanOK schedules against registered sites only.
 func PlanOK() []faults.Fault {
 	return []faults.Fault{
-		{Site: faults.SiteStoreGet},
-		{Site: "store.put"},
+		{Site: faults.SitePoolWorker},
+		{Site: "chan.recv"},
 	}
 }

@@ -5,13 +5,13 @@ import "nexsim/internal/checkpoint"
 // Clean covers every field: two encoded, one annotated transient.
 type Clean struct {
 	ticks uint64
-	data  []byte
+	data  int64
 	tmp   int //simlint:transient recomputed by Seal on restore
 }
 
 func (c *Clean) Snapshot(enc *checkpoint.Encoder) {
 	enc.U64(c.ticks)
-	enc.Bytes8(c.data)
+	enc.I64(c.data)
 }
 
 // NoSnap declares no encoder method, so the contract does not apply.

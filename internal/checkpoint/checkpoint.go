@@ -1,16 +1,16 @@
-// Package checkpoint serializes deterministic engine snapshots to
-// content-addressed blobs and keeps them in a bounded in-memory store.
+// Package checkpoint holds the byte layout and the in-memory store of
+// NEX prefix checkpoints.
 //
-// A checkpoint captures the state a deterministic engine needs to
-// continue a run from a mid-execution halt point: the NEX scheduler
-// state and resume journal (internal/nex), and per-device dynamic state
-// (LPN markings, DSim DMA queues). Because every engine in this
-// repository is deterministic, two runs that execute the same prefix
-// produce byte-identical snapshot blobs — so the SHA-256 of a blob (or
-// of the prefix's normalized spec) is a true content address, and a
-// sweep whose points share a prefix can run it once, snapshot, and fork
-// (the SimBricks checkpointing workflow, and LiveStack's snapshot/fork,
-// on this repository's engines).
+// A checkpoint is the host's: the NEX engine halted at the first device
+// interaction, serialized by nex.(*Engine).SnapshotTo as a configuration
+// fingerprint, the scheduler state and the thread-yield journal that
+// replay turns back into goroutines and memory. No device has done
+// anything by then, so a blob carries no device state; restore rebuilds
+// every device by re-clocking it to the halt time. The engines are
+// deterministic, so two runs of the same prefix produce byte-identical
+// blobs, and a sweep whose points share a prefix runs it once and forks
+// every point from the blob (SimBricks checkpoints its host the same
+// way).
 //
 // The encoding is a fixed little-endian binary layout written through
 // Encoder and read back through Decoder. It deliberately avoids
@@ -20,9 +20,7 @@
 package checkpoint
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -85,18 +83,6 @@ func (e *Encoder) Int(v int) { e.I64(int64(v)) }
 
 // F64 appends a float64 by bit pattern.
 func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Bytes8 appends a length-prefixed byte slice.
-func (e *Encoder) Bytes8(p []byte) {
-	e.U32(uint32(len(p)))
-	e.buf = append(e.buf, p...)
-}
-
-// String appends a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
 
 // Decoder reads the layout back. Errors are sticky: after the first
 // failure every subsequent read returns zero values, and Err reports
@@ -180,21 +166,3 @@ func (d *Decoder) Int() int { return int(d.I64()) }
 
 // F64 reads a float64 by bit pattern.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bytes8 reads a length-prefixed byte slice (a copy-free view into the
-// blob).
-func (d *Decoder) Bytes8() []byte {
-	n := int(d.U32())
-	return d.take(n)
-}
-
-// String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.Bytes8()) }
-
-// Hash returns the blob's content address: the hex SHA-256 of its
-// bytes. Identical prefixes hash identically because the encoding is a
-// pure function of the engine state.
-func Hash(blob []byte) string {
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
-}

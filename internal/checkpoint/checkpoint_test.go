@@ -18,9 +18,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	e.I64(-42)
 	e.Int(123456789)
 	e.F64(3.14159)
-	e.Bytes8([]byte{1, 2, 3})
-	e.String("hello")
-	e.Bytes8(nil)
 
 	d, err := NewDecoder(e.Bytes())
 	if err != nil {
@@ -47,15 +44,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got := d.F64(); got != 3.14159 {
 		t.Errorf("F64 = %v", got)
 	}
-	if got := d.Bytes8(); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Errorf("Bytes8 = %v", got)
-	}
-	if got := d.String(); got != "hello" {
-		t.Errorf("String = %q", got)
-	}
-	if got := d.Bytes8(); len(got) != 0 {
-		t.Errorf("nil Bytes8 = %v", got)
-	}
 	if !d.Done() {
 		t.Errorf("Done = false: err=%v", d.Err())
 	}
@@ -64,7 +52,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestEncodeDeterministic(t *testing.T) {
 	mk := func() []byte {
 		e := NewEncoder()
-		e.String("section")
 		for i := 0; i < 100; i++ {
 			e.I64(int64(i * 31))
 			e.F64(float64(i) / 7)
@@ -74,9 +61,6 @@ func TestEncodeDeterministic(t *testing.T) {
 	a, b := mk(), mk()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("identical encodes differ")
-	}
-	if Hash(a) != Hash(b) {
-		t.Fatalf("identical blobs hash differently")
 	}
 }
 
@@ -109,19 +93,6 @@ func TestDecoderCorrupt(t *testing.T) {
 	_ = d.U32() // reads after error stay safe
 	if d.Done() {
 		t.Errorf("Done = true on failed decode")
-	}
-	// Absurd length prefix must not allocate or panic.
-	e2 := NewEncoder()
-	e2.U32(0xffffffff)
-	d2, err := NewDecoder(e2.Bytes())
-	if err != nil {
-		t.Fatalf("NewDecoder: %v", err)
-	}
-	if got := d2.Bytes8(); got != nil {
-		t.Errorf("oversized Bytes8 returned data")
-	}
-	if d2.Err() == nil {
-		t.Errorf("oversized Bytes8 did not set Err")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // same key block on one producer instead of each re-running the prefix.
 //
 // A key is any stable identifier for the prefix (the planner uses the
-// SHA-256 of the prefix's canonical spec JSON). A stored blob may be
+// bench name and every host-side configuration field). A stored blob may be
 // nil: a nil entry is a *negative* checkpoint recording that the prefix
 // ran to completion without reaching a snapshot point, so future
 // requests skip straight to a full run instead of re-probing.

@@ -99,7 +99,10 @@ func (a *Admission) Allow(tenant string, n int) (ok bool, retryAfterSec int) {
 	defer a.mu.Unlock()
 	w := a.weight(tenant)
 	rate := a.cfg.RatePerSec * w
-	depth := rate * a.cfg.BurstSec
+	// The float64 conversions here and below round each product before
+	// it meets a sum, so the quoted Retry-After is the same on every
+	// architecture (none may fuse them into one FMA).
+	depth := float64(rate * a.cfg.BurstSec)
 	b := a.buckets[tenant]
 	now := a.cfg.Now()
 	if b == nil {
@@ -107,7 +110,7 @@ func (a *Admission) Allow(tenant string, n int) (ok bool, retryAfterSec int) {
 			admitted: a.admitted.With(tenant), rejected: a.rejected.With(tenant)}
 		a.buckets[tenant] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * rate
+	b.tokens += float64(now.Sub(b.last).Seconds() * rate)
 	if b.tokens > depth {
 		b.tokens = depth
 	}

@@ -4,40 +4,18 @@ import (
 	"fmt"
 	"time"
 
-	"nexsim/internal/accel"
 	"nexsim/internal/app"
 	"nexsim/internal/checkpoint"
 )
 
 // Checkpoint/fork support (sweep prefix sharing): a NEX-hosted system
 // can run an application prefix up to the first device interaction,
-// serialize the full engine + device state into a content-addressed
-// blob, and later fork any number of continuations from it — each
-// byte-identical to a straight-through run. The host side is captured
-// by the NEX journal snapshot (thread states regenerate by replay);
-// each device contributes its own section when it knows how to
-// serialize itself, and is otherwise restored to its idle re-clocked
-// state by the engine (sound because the prefix ends strictly before
-// the first interaction with it).
-
-// stateful is implemented by devices that serialize their own dynamic
-// state (dsim.Base and everything embedding it).
-type stateful interface {
-	SnapshotTo(*checkpoint.Encoder)
-	RestoreFrom(*checkpoint.Decoder) error
-}
-
-// unwrap peels channel adapters off a device for state access.
-func unwrap(d accel.Device) accel.Device {
-	type unwrapper interface{ Unwrap() accel.Device }
-	for {
-		u, ok := d.(unwrapper)
-		if !ok {
-			return d
-		}
-		d = u.Unwrap()
-	}
-}
+// serialize the engine into a content-addressed blob, and later fork any
+// number of continuations from it, each byte-identical to a
+// straight-through run. The blob is the NEX engine's section alone
+// (thread states regenerate by journal replay). No device has done
+// anything before the prefix halts, so every device is rebuilt by the
+// engine re-clocking it to the halt time.
 
 // CanCheckpoint reports whether this system supports prefix
 // checkpointing: a NEX host without trace recording.
@@ -63,8 +41,8 @@ func (s *System) RunPrefix(prog app.Program) (Result, bool) {
 }
 
 // Checkpoint serializes the halted system into a blob. Two systems that
-// ran the same prefix produce byte-identical blobs, so the blob's
-// checkpoint.Hash is a content address usable as a sharing key.
+// ran the same prefix produce byte-identical blobs, so the blob is a
+// content address usable as a sharing key.
 func (s *System) Checkpoint() ([]byte, error) {
 	if s.nexEng == nil {
 		return nil, fmt.Errorf("core: checkpointing requires a NEX host")
@@ -75,22 +53,6 @@ func (s *System) Checkpoint() ([]byte, error) {
 	enc := checkpoint.NewEncoder()
 	if err := s.nexEng.SnapshotTo(enc); err != nil {
 		return nil, err
-	}
-	// Device sections are length-framed sub-blobs: a restore target that
-	// cannot consume one (a different accelerator engine bound at the
-	// divergence point) skips it — sound because the prefix ended
-	// strictly before the first interaction with any device, so every
-	// section is the device's idle state and the engine's re-clocking
-	// reproduces it for opaque devices.
-	enc.Int(len(s.binds))
-	for _, d := range s.binds {
-		if st, ok := unwrap(d).(stateful); ok {
-			sub := checkpoint.NewEncoder()
-			st.SnapshotTo(sub)
-			enc.Bytes8(sub.Bytes())
-		} else {
-			enc.Bytes8(nil)
-		}
 	}
 	return enc.Bytes(), nil
 }
@@ -107,38 +69,6 @@ func (s *System) RestoreCheckpoint(blob []byte, prog app.Program) error {
 	}
 	if err := s.nexEng.Restore(dec, prog); err != nil {
 		return err
-	}
-	nd := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if nd != len(s.binds) {
-		return fmt.Errorf("%w: checkpoint has %d devices, system has %d", checkpoint.ErrCorrupt, nd, len(s.binds))
-	}
-	for i, d := range s.binds {
-		section := dec.Bytes8()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if len(section) == 0 {
-			continue
-		}
-		st, ok := unwrap(d).(stateful)
-		if !ok {
-			// Opaque target: the engine already re-clocked it; the
-			// section describes the same idle state, so skip it.
-			continue
-		}
-		sub, err := checkpoint.NewDecoder(section)
-		if err != nil {
-			return fmt.Errorf("device %d (%s): %w", i, d.Name(), err)
-		}
-		if err := st.RestoreFrom(sub); err != nil {
-			return fmt.Errorf("device %d (%s): %w", i, d.Name(), err)
-		}
-		if !sub.Done() {
-			return fmt.Errorf("%w: device %d (%s) section has trailing bytes", checkpoint.ErrCorrupt, i, d.Name())
-		}
 	}
 	if !dec.Done() {
 		return fmt.Errorf("%w: %d trailing bytes after restore", checkpoint.ErrCorrupt, dec.Remaining())

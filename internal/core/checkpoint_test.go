@@ -1,13 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
-	"nexsim/internal/checkpoint"
 	"nexsim/internal/core"
 	"nexsim/internal/interconnect"
+	"nexsim/internal/nex"
 	"nexsim/internal/workloads"
 )
 
@@ -91,14 +92,34 @@ func sameRun(t *testing.T, label string, got, want core.Result) {
 
 // TestCheckpointResumeMatchesRun is the end-to-end fork differential:
 // prefix+checkpoint+restore+resume must equal a straight run on every
-// accelerator family.
+// accelerator family, on a multi-device bench, and under the eager and
+// hybrid sync modes, which advance the idle devices before the halt.
+// The blob carries no device state, so each case also pins that
+// re-clocking freshly built devices to the halt time rebuilds them.
 func TestCheckpointResumeMatchesRun(t *testing.T) {
-	for _, bench := range []string{"jpeg-decode", "vta-resnet18", "protoacc-bench0"} {
-		_, straight, _ := buildSys(t, bench, nil)
-		want := straight()
-		blob := checkpointOf(t, bench, nil)
-		got := resumeFrom(t, blob, bench, nil)
-		sameRun(t, bench, got, want)
+	eager := func(c *core.Config) { c.NEX.Mode = nex.Eager }
+	hybrid := func(c *core.Config) { c.NEX.Mode = nex.Hybrid }
+	for _, tc := range []struct {
+		name, bench string
+		shape       func(*core.Config)
+	}{
+		{"jpeg-decode", "jpeg-decode", nil},
+		{"vta-resnet18", "vta-resnet18", nil},
+		{"protoacc-bench0", "protoacc-bench0", nil},
+		{"jpeg-mt.4", "jpeg-mt.4", nil},
+		{"jpeg-decode/eager", "jpeg-decode", eager},
+		{"vta-resnet18/hybrid", "vta-resnet18", hybrid},
+		{"jpeg-mt.4/eager", "jpeg-mt.4", eager},
+		{"jpeg-mt.4/hybrid", "jpeg-mt.4", hybrid},
+		{"vta-resnet18/rtl-eager", "vta-resnet18", func(c *core.Config) { eager(c); c.Accel = core.AccelRTL }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, straight, _ := buildSys(t, tc.bench, tc.shape)
+			want := straight()
+			blob := checkpointOf(t, tc.bench, tc.shape)
+			got := resumeFrom(t, blob, tc.bench, tc.shape)
+			sameRun(t, tc.name, got, want)
+		})
 	}
 }
 
@@ -128,15 +149,15 @@ func TestCheckpointSharedAcrossLateBinding(t *testing.T) {
 }
 
 // TestCheckpointContentAddressed: the blob is a sharing key — identical
-// prefixes hash identically.
+// prefixes encode identically.
 func TestCheckpointContentAddressed(t *testing.T) {
 	a := checkpointOf(t, "vta-resnet18", nil)
 	b := checkpointOf(t, "vta-resnet18", nil)
-	if checkpoint.Hash(a) != checkpoint.Hash(b) {
-		t.Fatal("identical prefixes produced different checkpoint hashes")
+	if !bytes.Equal(a, b) {
+		t.Fatal("identical prefixes produced different checkpoint blobs")
 	}
 	c := checkpointOf(t, "protoacc-bench0", nil)
-	if checkpoint.Hash(a) == checkpoint.Hash(c) {
+	if bytes.Equal(a, c) {
 		t.Fatal("different prefixes collided")
 	}
 }

@@ -456,6 +456,18 @@ func (s *System) finish(start time.Time, simTime vclock.Duration) (Result, error
 	return r, nil
 }
 
+// unwrap peels channel adapters off a device.
+func unwrap(d accel.Device) accel.Device {
+	type unwrapper interface{ Unwrap() accel.Device }
+	for {
+		u, ok := d.(unwrapper)
+		if !ok {
+			return d
+		}
+		d = u.Unwrap()
+	}
+}
+
 // BudgetExceeded reports whether the engine aborted on its Budget.
 func (s *System) BudgetExceeded() bool { return s.host.BudgetExceeded() }
 

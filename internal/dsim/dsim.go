@@ -53,7 +53,7 @@ type Base struct {
 	queues map[string]*dmaQueue
 	// freeBufs recycles write-payload buffers: a payload is dead once its
 	// DMA is replayed, so WriteDMA reuses it for a later recording.
-	freeBufs [][]byte //simlint:transient recycling pool; contents dead between recordings
+	freeBufs [][]byte
 	now      vclock.Time
 }
 

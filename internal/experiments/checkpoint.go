@@ -50,12 +50,11 @@ func CheckpointStats() checkpoint.StoreStats { return ckptStore.Stats() }
 // ResetCheckpointStore drops every cached prefix (tests).
 func ResetCheckpointStore() { ckptStore = checkpoint.NewStore(256 << 20) }
 
-// chaosSleep implements an OpDelay fault at a host-side site (store
-// access, pool worker pickup), where there is no virtual clock to
-// shift: a wall-clock stall of the fault's DelayPS, clamped to 50ms so
-// a chaotic spec cannot wedge a worker. The stall never feeds
-// simulation state — simulated results are byte-identical with and
-// without it.
+// chaosSleep implements an OpDelay fault at the host-side pool-worker
+// site, where there is no virtual clock to shift: a wall-clock stall of
+// the fault's DelayPS, clamped to 50ms so a chaotic spec cannot wedge a
+// worker. The stall never feeds simulation state — simulated results
+// are byte-identical with and without it.
 func chaosSleep(delayPS int64) {
 	d := time.Duration(delayPS/1000) * time.Nanosecond
 	if d > 50*time.Millisecond {
@@ -90,8 +89,8 @@ func prefixConfig(cfg core.Config) core.Config {
 	// The prefix run itself is never faulted or budgeted: the blob is
 	// shared across specs (and attempts) whose plans differ, so its
 	// content must not depend on them. No engine fault site can fire
-	// before the first device interaction anyway — injection happens at
-	// the wrapping store sites and in the forked continuation.
+	// before the first device interaction anyway — injection happens in
+	// the forked continuation.
 	cfg.Budget = core.Budget{}
 	cfg.Faults = nil
 	return cfg
@@ -119,21 +118,14 @@ func prefixKey(bench string, cfg core.Config) string {
 		cfg.NEX.PhysicalCores, cfg.NEX.Mode, cfg.NEX.SyncInterval)
 }
 
-// warmPrefix runs (or joins) the group's shared prefix and returns its
-// snapshot blob; nil means the program completed without touching a
-// device (cached as a negative entry so the group falls back to
-// straight runs without re-probing).
-func warmPrefix(b workloads.Bench, cfg core.Config) ([]byte, error) {
-	if inj := cfg.Faults.Hit(faults.SiteStorePut); inj != nil {
-		if inj.Op == faults.OpFail {
-			// Publish path down: the group degrades to straight runs —
-			// correctness never depends on the cache.
-			return nil, fmt.Errorf("experiments: prefix publish: %w", inj)
-		}
-		chaosSleep(inj.Delay)
-	}
+// warmPrefix runs (or joins) the group's shared prefix and stores its
+// snapshot blob; a nil blob means the program completed without
+// touching a device (cached as a negative entry so the group falls back
+// to straight runs without re-probing). A failure is not fatal: it is
+// not cached, and the group's runs fall back to straight runs.
+func warmPrefix(b workloads.Bench, cfg core.Config) {
 	key := prefixKey(b.Name, cfg)
-	blob, _, err := ckptStore.GetOrCompute(key, func() ([]byte, error) {
+	_, _, _ = ckptStore.GetOrCompute(key, func() ([]byte, error) {
 		psys := core.Build(prefixConfig(cfg))
 		defer psys.Release()
 		if _, completed := psys.RunPrefix(b.Build(&psys.Ctx)); completed {
@@ -145,7 +137,6 @@ func warmPrefix(b workloads.Bench, cfg core.Config) ([]byte, error) {
 		defer psys.Reap()
 		return psys.Checkpoint()
 	})
-	return blob, err
 }
 
 // warmPrefixes is the sweep planner's warm phase: it runs every
@@ -160,11 +151,8 @@ func warmPrefixes(pool *sweep.Executor, norm []Spec) {
 		}
 	}
 	sweep.Run(pool, len(leaders), func(i int) {
-		// A warm failure is not fatal: the per-spec jobs fall back to
-		// straight runs.
 		if b, cfg, err := Lower(leaders[i]); err == nil {
-			applyRobustness(&cfg, leaders[i], 0, 0)
-			_, _ = warmPrefix(b, cfg)
+			warmPrefix(b, cfg)
 		}
 	})
 }
@@ -209,23 +197,13 @@ func executeRun(b workloads.Bench, cfg core.Config) (res core.Result, err error)
 		}
 	}
 	if checkpointsOn && prefixShareable(b, cfg) {
-		useCache := true
-		if inj := cfg.Faults.Hit(faults.SiteStoreGet); inj != nil {
-			if inj.Op == faults.OpFail {
-				useCache = false // degraded cache: fall back to a straight run
-			} else {
-				chaosSleep(inj.Delay)
+		if blob, ok := ckptStore.Get(prefixKey(b.Name, cfg)); ok && blob != nil {
+			sys = core.Build(cfg)
+			prog := b.Build(&sys.Ctx)
+			if rerr := sys.RestoreCheckpoint(blob, prog); rerr == nil {
+				return finishRun(sys, sys.TryResume)
 			}
-		}
-		if useCache {
-			if blob, ok := ckptStore.Get(prefixKey(b.Name, cfg)); ok && blob != nil {
-				sys = core.Build(cfg)
-				prog := b.Build(&sys.Ctx)
-				if rerr := sys.RestoreCheckpoint(blob, prog); rerr == nil {
-					return finishRun(sys, sys.TryResume)
-				}
-				sys.Release() // fall back to a straight run on a fresh build
-			}
+			sys.Release() // fall back to a straight run on a fresh build
 		}
 	}
 	sys = core.Build(cfg)

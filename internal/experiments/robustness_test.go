@@ -49,19 +49,11 @@ func withFault(base Spec, f FaultSpec) Spec {
 
 // TestFaultMatrix is the chaos acceptance test: every injection site ×
 // {fail, delay}, under fixed seeds. Exact outcomes are asserted per
-// site class — engine-site failures surface as injected errors, store
-// degradation never fails a run, delays keep runs deterministic — and
+// site class — failures surface as injected errors, delays keep runs
+// deterministic, a host-side stall leaves simulated time alone — and
 // the fired counters prove each site actually fired (a silently-skipped
 // site would pass a weaker test).
 func TestFaultMatrix(t *testing.T) {
-	oldCk := CheckpointsEnabled()
-	SetCheckpoints(true)
-	ResetCheckpointStore()
-	defer func() {
-		SetCheckpoints(oldCk)
-		ResetCheckpointStore()
-	}()
-
 	baseline, err := RunSpec(chaosBase)
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +62,6 @@ func TestFaultMatrix(t *testing.T) {
 	for _, site := range faults.Sites() {
 		for _, op := range []string{"fail", "delay"} {
 			t.Run(site+"/"+op, func(t *testing.T) {
-				if site == faults.SiteStorePut {
-					testStorePutFault(t, op, baseline)
-					return
-				}
 				spec := withFault(chaosBase, FaultSpec{Site: site, Op: op})
 				var r1, r2 core.Result
 				var err1, err2 error
@@ -84,39 +72,27 @@ func TestFaultMatrix(t *testing.T) {
 				if d[site] < 2 {
 					t.Fatalf("site %s fired %d times across two runs, want 2", site, d[site])
 				}
-				switch {
-				case op == "fail" && site != faults.SiteStoreGet:
-					// Engine and worker sites: the fault aborts the run
-					// with a structured, classifiable error.
+				if op == "fail" {
+					// The fault aborts the run with a structured,
+					// classifiable error.
 					if !errors.Is(err1, faults.ErrInjected) {
 						t.Fatalf("fail at %s: err = %v, want injected", site, err1)
 					}
 					if err2 == nil || err1.Error() != err2.Error() {
 						t.Fatalf("injected failure not reproducible:\n %v\n %v", err1, err2)
 					}
-				case op == "fail": // store.get
-					// Degraded cache: the run falls back to a straight run
-					// and must produce the fault-free result.
-					if err1 != nil || err2 != nil {
-						t.Fatalf("store.get failure failed the run: %v / %v", err1, err2)
-					}
-					if r1.SimTime != baseline.SimTime {
-						t.Fatalf("degraded-cache run %v != fault-free %v", r1.SimTime, baseline.SimTime)
-					}
-				default: // delay
-					if err1 != nil || err2 != nil {
-						t.Fatalf("delay at %s failed the run: %v / %v", site, err1, err2)
-					}
-					if r1.SimTime != r2.SimTime || r1.NEXStats != r2.NEXStats {
-						t.Fatalf("delayed run not deterministic: %v vs %v", r1.SimTime, r2.SimTime)
-					}
-					if site == faults.SitePoolWorker || site == faults.SiteStoreGet {
-						// Host-side stalls never feed simulation state.
-						if r1.SimTime != baseline.SimTime {
-							t.Fatalf("host-side delay changed simulated time: %v != %v",
-								r1.SimTime, baseline.SimTime)
-						}
-					}
+					return
+				}
+				if err1 != nil || err2 != nil {
+					t.Fatalf("delay at %s failed the run: %v / %v", site, err1, err2)
+				}
+				if r1.SimTime != r2.SimTime || r1.NEXStats != r2.NEXStats {
+					t.Fatalf("delayed run not deterministic: %v vs %v", r1.SimTime, r2.SimTime)
+				}
+				// A host-side stall never feeds simulation state.
+				if site == faults.SitePoolWorker && r1.SimTime != baseline.SimTime {
+					t.Fatalf("host-side delay changed simulated time: %v != %v",
+						r1.SimTime, baseline.SimTime)
 				}
 			})
 		}
@@ -130,40 +106,6 @@ func TestFaultMatrix(t *testing.T) {
 	}
 	if after.SimTime != baseline.SimTime || after.NEXStats != baseline.NEXStats {
 		t.Fatalf("fault-free run changed after chaos: %v vs %v", after.SimTime, baseline.SimTime)
-	}
-}
-
-// testStorePutFault covers the prefix-publish site, which is only
-// crossed by the sweep planner's warm phase — so it needs a batch whose
-// specs share a prefix group (late-binding difference only).
-func testStorePutFault(t *testing.T, op string, baseline core.Result) {
-	ResetCheckpointStore()
-	faulted := withFault(chaosBase, FaultSpec{Site: faults.SiteStorePut, Op: op})
-	variant := chaosBase
-	variant.AccelClockMHz = 2500 // late-binding: same prefix group
-	var results []core.Result
-	var err error
-	d := firedDelta(func() {
-		results, err = RunSpecs([]Spec{faulted, variant})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d[faults.SiteStorePut] < 1 {
-		t.Fatalf("store.put never fired (delta %v)", d)
-	}
-	// Whether the publish failed (group degrades to straight runs) or
-	// was merely delayed (group forks from the late blob), results are
-	// byte-identical to fault-free runs.
-	if results[0].SimTime != baseline.SimTime {
-		t.Fatalf("faulted-group run %v != fault-free %v", results[0].SimTime, baseline.SimTime)
-	}
-	want, err := RunSpec(variant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[1].SimTime != want.SimTime {
-		t.Fatalf("group sibling %v != its solo run %v", results[1].SimTime, want.SimTime)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package faults is the deterministic fault-injection layer: named
 // injection sites threaded through the simulation stack (simbricks
-// channel send/recv, NEX device dispatch, checkpoint store get/put,
-// sweep pool workers) fire scheduled or seeded-probabilistic faults
+// channel send/recv, NEX device dispatch, sweep pool workers) fire scheduled or seeded-probabilistic faults
 // that reproduce byte-identically run to run.
 //
 // Determinism is the whole point. A fault schedule is part of the
@@ -13,7 +12,7 @@
 // firing draws from xrand streams derived from the run's seed and the
 // caller's attempt number.
 //
-// An Injector is created per run attempt. Engines and stores call
+// An Injector is created per run attempt. Engines and the sweep pool call
 // Hit(site) at each site crossing; a nil Injector (the default
 // everywhere) makes every crossing a no-op, so fault-free runs execute
 // the exact instruction path they always did.
@@ -38,10 +37,6 @@ const (
 	// SiteDeviceDispatch: a NEX device-bound trap (MMIO interaction or
 	// tick synchronization point) — the accelerator dispatch path.
 	SiteDeviceDispatch = "device.dispatch"
-	// SiteStoreGet / SiteStorePut: checkpoint prefix-store lookups and
-	// publishes — degraded cache I/O.
-	SiteStoreGet = "store.get"
-	SiteStorePut = "store.put"
 	// SitePoolWorker: the sweep-pool worker picking up a run — a sick
 	// worker (stall or crash) at job start.
 	SitePoolWorker = "pool.worker"
@@ -49,10 +44,7 @@ const (
 
 // Sites returns every known injection site, sorted.
 func Sites() []string {
-	return []string{
-		SiteChanRecv, SiteChanSend, SiteDeviceDispatch,
-		SitePoolWorker, SiteStoreGet, SiteStorePut,
-	}
+	return []string{SiteChanRecv, SiteChanSend, SiteDeviceDispatch, SitePoolWorker}
 }
 
 // KnownSite reports whether name is a registered injection site.
@@ -70,11 +62,11 @@ type Op int
 
 const (
 	// OpFail aborts the operation: engine sites panic with the *Injected
-	// (recovered into an error at the run boundary), store sites degrade
-	// to a cache miss.
+	// (recovered into an error at the run boundary), the pool-worker site
+	// fails the run before it starts.
 	OpFail Op = iota
 	// OpDelay lets the operation proceed late: virtual-time sites shift
-	// time forward by Delay picoseconds, host-side sites stall the
+	// time forward by Delay picoseconds, the pool-worker site stalls the
 	// worker briefly.
 	OpDelay
 )

@@ -36,12 +36,12 @@ func TestScheduledHitFiresExactlyOnce(t *testing.T) {
 }
 
 func TestDefaultHitIsFirstCrossing(t *testing.T) {
-	in := NewInjector(42, 0, []Fault{{Site: SiteStoreGet, Op: OpDelay, Delay: 500}})
-	inj := in.Hit(SiteStoreGet)
+	in := NewInjector(42, 0, []Fault{{Site: SitePoolWorker, Op: OpDelay, Delay: 500}})
+	inj := in.Hit(SitePoolWorker)
 	if inj == nil || inj.HitN != 1 || inj.Delay != 500 {
 		t.Fatalf("first crossing = %+v, want hit 1 delay 500", inj)
 	}
-	if in.Hit(SiteStoreGet) != nil {
+	if in.Hit(SitePoolWorker) != nil {
 		t.Fatal("hit-0 fault fired twice")
 	}
 }
@@ -112,20 +112,20 @@ func TestInjectedErrorClassification(t *testing.T) {
 
 func TestFiredCountersAdvance(t *testing.T) {
 	before := FiredTotal()
-	in := NewInjector(1, 0, []Fault{{Site: SiteStorePut, Op: OpFail, Hit: 1}})
-	in.Hit(SiteStorePut)
+	in := NewInjector(1, 0, []Fault{{Site: SiteChanRecv, Op: OpFail, Hit: 1}})
+	in.Hit(SiteChanRecv)
 	if FiredTotal() != before+1 {
 		t.Fatalf("FiredTotal did not advance: %d -> %d", before, FiredTotal())
 	}
 	sites, counts := FiredBySite()
 	found := false
 	for i, s := range sites {
-		if s == SiteStorePut && counts[i] > 0 {
+		if s == SiteChanRecv && counts[i] > 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("FiredBySite missing store.put")
+		t.Fatal("FiredBySite missing chan.recv")
 	}
 }
 

@@ -246,19 +246,17 @@ type Net struct {
 	transitions []*Transition
 	now         vclock.Time
 
-	// Incremental scheduler state (built by Seal). RestoreFrom unseals
-	// the net and the next engine call rebuilds all of it from the
-	// restored marking, so none of it is snapshot state.
-	sealed  bool         //simlint:transient rebuilt: RestoreFrom unseals, next call re-Seals
-	state   []transState //simlint:transient derived from marking by Seal
-	heap    []int32      //simlint:transient enabled transitions min-keyed by (at, idx); derived by Seal
-	dirty   []int32      //simlint:transient stale-ready worklist; derived by Seal
-	guarded []int32      //simlint:transient guard re-check list; derived by Seal
+	// Incremental scheduler state, derived from the marking by Seal.
+	sealed  bool
+	state   []transState
+	heap    []int32 // enabled transitions min-keyed by (at, idx)
+	dirty   []int32 // stale-ready worklist
+	guarded []int32 // guard re-check list
 
 	// Reusable firing scratch for guard probes and firings.
-	inFire      bool      //simlint:transient only set inside one fire() call
-	scratch     Firing    //simlint:transient per-firing scratch, dead between firings
-	scratchBufs [][]Token //simlint:transient pooled buffers, contents dead between firings
+	inFire      bool      // only set inside one fire() call
+	scratch     Firing    // per-firing scratch, dead between firings
+	scratchBufs [][]Token // pooled buffers, contents dead between firings
 }
 
 // New returns an empty net.

@@ -392,11 +392,12 @@ func (e *Engine) scaledDuration(s *tstate, w isa.Work) vclock.Duration {
 	// Different code behaves differently under preemption: a small
 	// deterministic per-segment component on top of the engine-wide
 	// calibration bias (keyed by the segment's identity, not draw
-	// order, so runs stay reproducible).
+	// order, so runs stay reproducible). The float64 conversion rounds
+	// the product before the sum, so no architecture fuses them.
 	if w.Seed != 0 && e.cfg.CalSigma > 1e-6 {
 		z := w.Seed * 0x9e3779b97f4a7c15
 		z ^= z >> 29
-		f *= 1 + 0.02*(float64(int64(z%2048))-1024)/1024
+		f *= 1 + float64(0.02*(float64(int64(z%2048))-1024)/1024)
 	}
 	// Refill loss: each epoch delivers slightly less useful native
 	// execution than NEX credits, inflating simulated time by e/(e-r).

@@ -184,10 +184,10 @@ func (s Stats) ModeledWall(epoch vclock.Duration) vclock.Duration {
 // Engine is one NEX orchestrator instance.
 type Engine struct {
 	cfg Config
-	mem *mem.Memory       //simlint:transient wiring; memory content is checkpointed by core.System
+	mem *mem.Memory       //simlint:transient wiring; memory content is regenerated by journal replay
 	env hostkit.EnvConfig //simlint:transient wiring shared by every thread's Env, derived from cfg in New
 	// dev is the device complex; of its state only the time it was last
-	// advanced to is snapshotted (each device snapshots its own section).
+	// advanced to is snapshotted (restore re-clocks fresh devices to it).
 	dev *hostkit.Complex
 
 	threads []*coro.Thread

@@ -481,10 +481,9 @@ func (e *Engine) Restore(dec *checkpoint.Decoder, prog app.Program) error {
 	e.now = now
 	// Pre-halt synchronization only moved idle device clocks (the prefix
 	// ends at the *first* device interaction), so re-advancing freshly
-	// built devices reproduces their clocks; any richer device state is
-	// restored by the owner's own checkpoint section afterwards. (A fresh
-	// complex is at time 0 with no lanes, so this advances every device
-	// inline and records devTime.)
+	// built devices reproduces their whole state. (A fresh complex is at
+	// time 0 with no lanes, so this advances every device inline and
+	// records devTime.)
 	e.dev.Advance(devTime)
 	e.finishT = finishT
 	e.nextSync = nextSync

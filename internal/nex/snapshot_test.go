@@ -181,9 +181,6 @@ func TestSnapshotContentAddressed(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical prefixes produced different blobs")
 	}
-	if checkpoint.Hash(a) != checkpoint.Hash(b) {
-		t.Fatal("hash mismatch")
-	}
 }
 
 func TestSnapshotRequiresHalt(t *testing.T) {

@@ -88,9 +88,11 @@ func (s *Stream) NormFloat64() float64 {
 
 // Jitter returns a multiplicative factor 1 + N(0, sigma) truncated to
 // [1-3*sigma, 1+3*sigma]; it is used to model run-to-run timing noise.
+// The float64 conversions round each product before the sum, so no
+// architecture may fuse them into one FMA and compute other bits.
 func (s *Stream) Jitter(sigma float64) float64 {
-	j := 1 + sigma*s.NormFloat64()
-	lo, hi := 1-3*sigma, 1+3*sigma
+	j := 1 + float64(sigma*s.NormFloat64())
+	lo, hi := 1-float64(3*sigma), 1+float64(3*sigma)
 	if j < lo {
 		return lo
 	}
