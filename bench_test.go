@@ -6,7 +6,6 @@
 package nexsim
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
@@ -95,22 +94,6 @@ func BenchmarkFig3_JPEGmt8_Gem5RTL(b *testing.B) {
 func BenchmarkFig3_JPEGmt8_NEXDSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runOnce(b, on("jpeg-mt.8", "nex", "dsim"))
-	}
-}
-
-// BenchmarkExactHostMultiDevice runs the four-device VTA bench on
-// gem5+RTL without and with one stepper lane. The exact host catches
-// polling devices up on the same schedule at both settings, so the
-// ratio of the two is what the lanes buy.
-func BenchmarkExactHostMultiDevice(b *testing.B) {
-	defer experiments.SetIntra(experiments.Intra())
-	for _, intra := range []int{1, 2} {
-		b.Run(fmt.Sprintf("intra%d", intra), func(b *testing.B) {
-			experiments.SetIntra(intra)
-			for i := 0; i < b.N; i++ {
-				runOnce(b, on("vta-resnet18-mp4", "gem5", "rtl"))
-			}
-		})
 	}
 }
 

@@ -6,8 +6,8 @@ set -eux
 
 # Style/determinism gate: gofmt-clean tree, vet-clean, and zero simlint
 # findings (internal/analysis; DESIGN.md §5 — five local checkers plus
-# the whole-program snapshot-drift, fault-site-registry, lane-safety,
-# and hotpath-alloc invariants).
+# the whole-program snapshot-drift, fault-site-registry and
+# hotpath-alloc invariants).
 test -z "$(gofmt -l .)"
 go vet ./...
 go run ./cmd/simlint
@@ -17,18 +17,11 @@ go run ./cmd/simlint
 find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + |
 	awk '$2 != "total" && $1 > 900 { print "over 900 lines:", $2, $1; bad = 1 } END { exit bad }'
 
-# One host kit (DESIGN.md §4): the stepper lanes belong to the device
-# complex, so only internal/hostkit imports parsim; and app.Env has one
-# implementation (a second SlipStream method under internal/ is a second
-# Env growing back in an engine).
-test -z "$(grep -rl '"nexsim/internal/parsim"' internal cmd --include='*.go' |
-	grep -v -e _test.go -e /testdata/ -e '^internal/hostkit/')"
+# One host kit (DESIGN.md §4): app.Env has one implementation (a second
+# SlipStream method under internal/ is a second Env growing back in an
+# engine).
 test "$(grep -rl '^func (.*) SlipStream(fn func())' internal --include='*.go' |
 	grep -v -e _test.go -e /testdata/ | wc -l)" -le 1
-
-# One device schedule (DESIGN.md §10): the exact host's loop does not
-# branch on whether stepper lanes exist, so nothing can ask.
-test -z "$(grep -rn 'func (c \*Complex) Parallel\|dev\.Parallel()' internal --include='*.go' | grep -v _test.go)"
 
 # One device kit (DESIGN.md §4.4): the register switch and the IRQ
 # predicate each exist in exactly one production file (acceltest's
@@ -51,10 +44,9 @@ test -z "$(grep -rl '"nexsim/internal/accel/acceltest"' . --include='*.go' |
 # One run path (DESIGN.md §3): inside internal/experiments a Spec becomes
 # a core.Config in one place (Lower, spec.go), a Config becomes a System
 # in one file (the executor's chokepoint and the prefix warm-up,
-# checkpoint.go), and the intra-run worker count is set once.
+# checkpoint.go).
 test -z "$(grep -l 'core\.Config{' internal/experiments/*.go | grep -v -e _test.go -e '/spec\.go$')"
 test -z "$(grep -l 'core\.Build(' internal/experiments/*.go | grep -v -e _test.go -e '/checkpoint\.go$')"
-test "$(ls internal/experiments/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -c 'IntraParallel')" -eq 1
 
 # One way to serve a job (DESIGN.md §6, §7): checkpoint forking is a
 # library mechanism no command or server switches on, and the router is
@@ -64,10 +56,17 @@ test -z "$(grep -rl 'SetCheckpoints(' cmd internal/simserve)"
 test -z "$(grep -rlE 'HedgeAfter|hedge-after' internal cmd scripts examples bench |
 	grep -v -e '^internal/cluster/' -e '^cmd/simrouter/' -e '^scripts/cluster_smoke\.sh$')"
 
-# One way to run a simulation (DESIGN.md §10): intra-run stepper lanes
-# are a library mechanism no command or server switches on, so nothing
-# needs a clamp between them and the worker count.
-test -z "$(grep -rlE 'SetIntra\(|ClampIntra|"intra"' cmd internal/simserve internal/sweep)"
+# One thread per run (DESIGN.md §10): a simulation runs its host engine
+# and its devices on one goroutine. internal/parsim is gone, and outside
+# bench/ no production file mentions the three stubs bench/ still
+# compiles against (experiments.SetIntra, core.Config.IntraParallel,
+# core.Result.DeviceWall) except where they are declared.
+test ! -e internal/parsim
+test -z "$(grep -rnwE 'SetIntra|IntraParallel|DeviceWall' . --include='*.go' |
+	grep -v -e '_test\.go:' -e '/testdata/' -e '^\./bench/' -e '^[^:]*:[0-9]*:[[:space:]]*//' |
+	grep -v -e '^\./internal/experiments/experiments\.go:[0-9]*:func SetIntra(int) {}$' \
+		-e '^\./internal/core/core\.go:[0-9]*:	IntraParallel int$' \
+		-e '^\./internal/core/core\.go:[0-9]*:	DeviceWall time\.Duration$')"
 
 # A checkpoint is the host's (DESIGN.md §7): among production files only
 # internal/nex (the engine section), internal/core (the blob) and
@@ -83,14 +82,14 @@ test -z "$(grep -rlE '^func \(.*\) (SnapshotTo|RestoreFrom)\(' . --include='*.go
 # x*y + z into one FMA instruction, which rounds once instead of twice.
 # It does on arm64 and does not on amd64, so an arm64 shard could
 # compute other bytes for the same spec ID. Cross-compile every command
-# for arm64 and fail on any fused instruction outside retryBackoff,
-# which computes only a wall-clock pause; a float64(x*y) conversion is
-# the fix. (`make golden-386` runs the goldens on a 32-bit build.)
+# for arm64 and fail on any fused instruction anywhere; a float64(x*y)
+# conversion is the fix. (`make golden-386` runs the goldens on a 32-bit
+# build.)
 fma="$(mktemp)"
 trap 'rm -f "$fma"' EXIT
 GOARCH=arm64 go build -o /dev/null -gcflags='nexsim/...=-S' ./cmd/... >"$fma" 2>&1
 test -z "$(awk '/^[^ \t]/ { fn = ($2 == "STEXT") ? $1 : "" }
-	/\t(FMADD|FMSUB|FNMADD|FNMSUB)[DS]\t/ && fn != "nexsim/internal/simserve.retryBackoff" { print fn ": " $0 }' "$fma")"
+	/\t(FMADD|FMSUB|FNMADD|FNMSUB)[DS]\t/ { print fn ": " $0 }' "$fma")"
 
 go build ./...
 go test ./...
@@ -158,13 +157,12 @@ test -z "$(grep -rn 'func verifyPromotion' internal --include='*.go')"
 go test -run '^$' -bench Switch -benchtime 1x ./internal/coro
 
 # Race-mode pass over the full tree (cmd/ and examples/ included, not
-# just internal/): the sweep executor, the engines' shared memo caches,
-# the simserve worker pool, and now the parsim device-stepper lanes are
-# the intended concurrency; racing everything guards against new
-# goroutines sneaking in past the stray-goroutine checker's allowlist.
-# The deterministic-output tests (TestParallelOutputByteIdentical,
-# TestIntraByteIdentity, TestRepeatedRunByteIdentical) run under race
-# here too.
+# just internal/): the sweep executor, the engines' shared memo caches
+# and the simserve worker pool are the intended concurrency; racing
+# everything guards against new goroutines sneaking in past the
+# stray-goroutine checker's allowlist. The deterministic-output tests
+# (TestParallelOutputByteIdentical, TestRepeatedRunByteIdentical) run
+# under race here too.
 go test -race ./...
 
 # Kit conformance under race (DESIGN.md §4.4): the one table over all six

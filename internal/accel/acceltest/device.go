@@ -38,8 +38,8 @@ func (d *Device) Name() string { return "fake" }
 
 func (d *Device) SetHost(h accel.Host) { d.Host = h }
 
-// MayRaiseIRQ lets parallel hosts run a polling-only device on a
-// stepper lane (parsim.IRQCapable).
+// MayRaiseIRQ tells a host that a polling-only device needs catching up
+// only when the host observes it.
 func (d *Device) MayRaiseIRQ() bool { return d.IRQ != 0 }
 
 func (d *Device) RegRead(at vclock.Time, off mem.Addr) uint32 {

@@ -78,8 +78,9 @@ func (b *Bank) SetHost(h accel.Host) { b.Host = h }
 func (b *Bank) Stats() accel.DeviceStats { return b.stats }
 
 // MayRaiseIRQ reports whether an Advance may deliver an interrupt to the
-// host (parsim's async-grant eligibility predicate): only once the
-// driver has enabled interrupts via the IRQ-enable register.
+// host: only once the driver has enabled interrupts via the IRQ-enable
+// register. The exact host interleaves only such devices' events with
+// its thread events (hostkit's NextInlineEvent).
 func (b *Bank) MayRaiseIRQ() bool { return b.irqEnabled }
 
 // Idle reports whether no task is in flight.

@@ -15,11 +15,11 @@
 // The suite has two kinds of checkers. Local checkers (nondet-time,
 // nondet-rand, map-order, stray-goroutine, unchecked-error) examine one
 // package at a time. Whole-program checkers (snapshot-drift,
-// fault-site-registry, lane-safety, hotpath-alloc) run once over the
-// full module with the call graph (callgraph.go): they encode the
-// cross-module contracts the checkpoint/fork, fault-injection and
-// parallel intra-run subsystems rely on, where the bug is precisely
-// that two far-apart places silently disagree.
+// fault-site-registry, hotpath-alloc) run once over the full module
+// with the call graph (callgraph.go): they encode the cross-module
+// contracts the checkpoint/fork and fault-injection subsystems and the
+// annotated hot paths rely on, where the bug is precisely that two
+// far-apart places silently disagree.
 //
 // Findings can be suppressed at legitimate sites with an inline
 // directive on the offending line or the line above:
@@ -71,7 +71,7 @@ type Checker struct {
 func (c *Checker) Global() bool { return c.RunModule != nil }
 
 // Checkers returns the full suite in stable order: the five local
-// determinism checkers from the original suite, then the four
+// determinism checkers from the original suite, then the three
 // whole-program invariant checkers.
 func Checkers() []*Checker {
 	return []*Checker{
@@ -82,7 +82,6 @@ func Checkers() []*Checker {
 		uncheckedErrorChecker,
 		snapshotDriftChecker,
 		faultSiteChecker,
-		laneSafetyChecker,
 		hotpathAllocChecker,
 	}
 }

@@ -114,7 +114,6 @@ func TestGoldenFindings(t *testing.T) {
 		"uncheckederror": "unchecked-error",
 		"snapshotdrift":  "snapshot-drift",
 		"faultsite":      "fault-site-registry",
-		"lanesafety":     "lane-safety",
 		"hotpathalloc":   "hotpath-alloc",
 	}
 	m := testModule(t)
@@ -313,14 +312,14 @@ func matchesAnyGoFile(t *testing.T, root, prefix string) bool {
 	return found
 }
 
-// TestCheckerRegistry pins the suite composition: nine uniquely named
+// TestCheckerRegistry pins the suite composition: eight uniquely named
 // checkers, resolvable by ID, with unknown names rejected.
 func TestCheckerRegistry(t *testing.T) {
 	cs := Checkers()
 	wantIDs := []string{
 		"nondet-time", "nondet-rand", "map-order", "stray-goroutine",
 		"unchecked-error", "snapshot-drift", "fault-site-registry",
-		"lane-safety", "hotpath-alloc",
+		"hotpath-alloc",
 	}
 	if len(cs) != len(wantIDs) {
 		t.Fatalf("suite has %d checkers, want %d", len(cs), len(wantIDs))

@@ -8,8 +8,7 @@ import (
 )
 
 // The module call graph backs the whole-program checkers: snapshot-drift
-// follows an encoder method into its helpers, lane-safety walks
-// grant/join windows across function boundaries, and hotpath-alloc finds
+// follows an encoder method into its helpers, and hotpath-alloc finds
 // its //simlint:hotpath roots. Nodes are declared functions and methods
 // of loaded module packages; call sites are recorded in source order,
 // with deferred calls appended at the end (where they execute). Function
@@ -24,7 +23,6 @@ type CallSite struct {
 	Pos    token.Pos
 	Call   *ast.CallExpr
 	Callee *types.Func // nil for builtins and non-function callees
-	Defer  bool        // appeared under a defer statement
 }
 
 // FuncInfo is one call-graph node: a declared function or method with
@@ -117,7 +115,7 @@ func collectCalls(pkg *Package, body *ast.BlockStmt) []CallSite {
 				for _, arg := range v.Call.Args {
 					walk(arg, inDefer)
 				}
-				site := CallSite{Pos: v.Call.Pos(), Call: v.Call, Callee: calleeOf(pkg, v.Call), Defer: true}
+				site := CallSite{Pos: v.Call.Pos(), Call: v.Call, Callee: calleeOf(pkg, v.Call)}
 				deferred = append(deferred, site)
 				// A deferred func literal's body also runs at return.
 				if lit, ok := v.Call.Fun.(*ast.FuncLit); ok {

@@ -249,27 +249,16 @@ func TestCheckpointRefusals(t *testing.T) {
 }
 
 // TestResumedRunReportsWallSplit: a run forked from a checkpoint reports
-// the same wall-split fields a straight run does (they were dropped, so
-// every forked run fed the experiments' wall accounting zeros), and with
-// IntraParallel set it reports the stepper lanes ResumeRun started.
+// the wall time of its resumed part the way a straight run reports its
+// whole (it was dropped, so every forked run fed the experiments' wall
+// accounting zeros), and no device wall: devices run on the engine's
+// goroutine.
 func TestResumedRunReportsWallSplit(t *testing.T) {
 	const bench = "jpeg-mt.4"
-	blob := checkpointOf(t, bench, nil)
-
-	serial := resumeFrom(t, blob, bench, nil)
-	if serial.HostWall <= 0 || serial.HostWall != serial.WallTime {
-		t.Errorf("serial resume: HostWall %v, WallTime %v; want equal and > 0", serial.HostWall, serial.WallTime)
+	r := resumeFrom(t, checkpointOf(t, bench, nil), bench, nil)
+	if r.WallTime <= 0 || r.DeviceWall != 0 {
+		t.Errorf("resume: WallTime %v, DeviceWall %v; want > 0 and 0", r.WallTime, r.DeviceWall)
 	}
-	if serial.Intra != 1 || serial.DeviceWall != 0 {
-		t.Errorf("serial resume: Intra %d DeviceWall %v, want 1 and 0", serial.Intra, serial.DeviceWall)
-	}
-
-	par := resumeFrom(t, blob, bench, func(c *core.Config) { c.IntraParallel = 3 })
-	if par.HostWall <= 0 || par.Intra != 3 || par.DeviceWall <= 0 {
-		t.Errorf("intra-3 resume: HostWall %v Intra %d DeviceWall %v, want > 0, 3, > 0",
-			par.HostWall, par.Intra, par.DeviceWall)
-	}
-	sameRun(t, "intra-3 resume vs serial resume", par, serial)
 }
 
 // TestTryResumeBudget: a forked run that blows its Budget aborts under

@@ -127,11 +127,9 @@ type Config struct {
 	// integration (§A.2's comparison).
 	UseChannel bool
 
-	// IntraParallel is the intra-run worker count (DESIGN.md §10): with
-	// N >= 2, the catch-up of polling devices moves onto up to N-1
-	// stepper goroutines while the host engine runs on its own. The
-	// schedule, and so every table, trace and checkpoint, is the same at
-	// every N. 0 or 1 = no lanes (the default).
+	// IntraParallel is ignored: every run executes its host engine and
+	// its devices on one goroutine. The field is kept only because the
+	// benchmark harness under bench/ compiles against it.
 	IntraParallel int
 
 	// Budget bounds the run (watchdog): a run that exceeds it aborts
@@ -201,7 +199,6 @@ type System struct {
 type hostEngine interface {
 	Attach(*hostkit.Binding)
 	HostFor(*hostkit.Binding) accel.Host
-	IntraStats() (lanes int, deviceWall time.Duration)
 	BudgetExceeded() bool
 	Reap()
 }
@@ -215,17 +212,9 @@ type Result struct {
 	NEXStats nex.Stats // populated for NEX hosts
 	Devices  []accel.DeviceStats
 
-	// Intra is the effective intra-run worker count: 1 + the number of
-	// device stepper lanes that ran (1 = fully serial).
-	Intra int
-	// HostWall is the wall time the host engine goroutine spent on the
-	// portion of the run this Result covers (the whole run, or the
-	// resumed part of a run forked from a checkpoint). It equals
-	// WallTime: the time the host spends blocked joining steppers cannot
-	// be told apart from the time it spends simulating. DeviceWall is the
-	// cumulative stepper busy time, which overlaps HostWall when Intra > 1
-	// and is zero when serial (device time is then part of HostWall).
-	HostWall   time.Duration
+	// DeviceWall is always zero: device time is part of WallTime, spent
+	// on the engine's goroutine. The field is kept only because the
+	// benchmark harness under bench/ compiles against it.
 	DeviceWall time.Duration
 
 	// TaskLatency is the first device's per-task latency log when the
@@ -265,16 +254,6 @@ func Build(cfg Config) *System {
 	sys.Ctx.Mem = m
 	sys.Ctx.Clock = cfg.Clock
 
-	intra := cfg.IntraParallel
-	if intra < 1 {
-		intra = 1
-	}
-	if intra > 1 {
-		// Host and stepper goroutines touch disjoint byte ranges of the
-		// functional memory concurrently; arm the page-table lock.
-		m.SetConcurrent()
-	}
-
 	fabricCfg := sys.fabricConfig()
 
 	// Build devices + bindings, then the host engine around them.
@@ -291,11 +270,10 @@ func Build(cfg Config) *System {
 		// private LLC slice and DRAM channel (CAT-style way
 		// partitioning, §6.4's design sweep applies per bank). Host
 		// task accesses never touch this stack (they carry a fixed
-		// TaskAccessCost, and the gem5 CPU model has its own private
-		// hierarchy), so banking keeps single-device runs structurally
-		// identical while making each device's timing state private —
-		// the property parallel intra-run mode (DESIGN.md §10) relies
-		// on for serial↔parallel byte-identity.
+		// cost, and the gem5 CPU model has its own private hierarchy),
+		// so banking keeps single-device runs structurally identical
+		// while making each device's timing state private: a device's
+		// DMAs never see another device's cache or DRAM state.
 		dramCtl := dram.New(dram.DDR4)
 		llc := cachesim.New(cachesim.LLC, dramCtl)
 		sys.caches = append(sys.caches, llc)
@@ -344,7 +322,6 @@ func Build(cfg Config) *System {
 		ncfg.MaxEpochs = cfg.Budget.MaxEpochs
 		ncfg.MaxWall = cfg.Budget.MaxWall
 		ncfg.Faults = cfg.Faults
-		ncfg.Intra = intra
 		eng := nex.New(ncfg)
 		sys.host, sys.nexEng = eng, eng
 		sys.run = func(prog app.Program) vclock.Duration { return eng.Run(prog).SimTime }
@@ -353,7 +330,6 @@ func Build(cfg Config) *System {
 		ecfg := exacthost.Config{
 			Clock: cfg.Clock, Cores: cfg.Cores, Memory: m, Trace: cfg.Trace,
 			MaxSteps: cfg.Budget.MaxEpochs, MaxWall: cfg.Budget.MaxWall,
-			Intra: intra,
 		}
 		if cfg.Host == HostGem5 {
 			sys.gem5CPU = cpu.New(cpu.Config{Clock: cfg.Clock})
@@ -436,9 +412,7 @@ func (s *System) finish(start time.Time, simTime vclock.Duration) (Result, error
 		return Result{}, fmt.Errorf("%s/%s run aborted after %v simulated: %w",
 			s.cfg.Host, s.cfg.Accel, simTime, ErrBudgetExceeded)
 	}
-	lanes, devWall := s.host.IntraStats()
-	r := Result{SimTime: simTime, WallTime: wall, Host: s.cfg.Host, Accel: s.cfg.Accel,
-		Intra: 1 + lanes, HostWall: wall, DeviceWall: devWall}
+	r := Result{SimTime: simTime, WallTime: wall, Host: s.cfg.Host, Accel: s.cfg.Accel}
 	if s.nexEng != nil {
 		r.NEXStats = s.nexEng.Stats
 	}

@@ -45,20 +45,16 @@ func (m NativeModel) Duration(w isa.Work) vclock.Duration {
 	return w.NativeDuration(m.Clock)
 }
 
+// cfsSlice is the CFS scheduling slice when cores are oversubscribed.
+const cfsSlice = 3 * vclock.Millisecond
+
 // Config parameterizes the engine.
 type Config struct {
-	Name    string
 	Clock   vclock.Hz       // host core frequency
 	Cores   int             // physical cores available to application threads
 	Compute ComputeModel    // nil = NativeModel{Clock}
 	Memory  *mem.Memory     // nil = fresh memory
 	Trace   *trace.Recorder // optional
-	// TaskAccessCost is the virtual cost of one task-buffer access
-	// (uncached shared memory); default 90ns.
-	TaskAccessCost vclock.Duration
-	// Slice is the CFS scheduling slice when cores are oversubscribed;
-	// default 3ms.
-	Slice vclock.Duration
 	// MaxSteps aborts the run after this many event-queue steps — the
 	// exact engine's closest analogue of NEX's epoch budget (0 =
 	// unlimited). MaxWall aborts after this much host wall-clock time
@@ -66,10 +62,6 @@ type Config struct {
 	// caller must Reap it.
 	MaxSteps int64
 	MaxWall  time.Duration
-	// Intra >= 2 moves the catch-up of polling devices onto up to
-	// Intra-1 stepper goroutines (DESIGN.md §10). The schedule, the step
-	// count and the results are the same at every Intra.
-	Intra int
 }
 
 // Engine is an exact-time host simulator instance.
@@ -126,12 +118,6 @@ func New(cfg Config) *Engine {
 	if cfg.Memory == nil {
 		cfg.Memory = mem.New(0x1000_0000)
 	}
-	if cfg.TaskAccessCost == 0 {
-		cfg.TaskAccessCost = 90 * vclock.Nanosecond
-	}
-	if cfg.Slice == 0 {
-		cfg.Slice = 3 * vclock.Millisecond
-	}
 	e := &Engine{
 		cfg:     cfg,
 		mem:     cfg.Memory,
@@ -140,7 +126,7 @@ func New(cfg Config) *Engine {
 	}
 	e.dev = hostkit.NewComplex(cfg.Memory, e.RaiseIRQ)
 	e.env = hostkit.EnvConfig{
-		Clock: cfg.Clock, Devices: e.dev, TaskAccessCost: cfg.TaskAccessCost,
+		Clock: cfg.Clock, Devices: e.dev,
 		Now: func(*coro.Thread) vclock.Time { return e.evq.Now() },
 	}
 	return e
@@ -166,8 +152,6 @@ type Result struct {
 // exceeded — check BudgetExceeded and Reap on abort) and returns the
 // simulated time.
 func (e *Engine) Run(prog app.Program) Result {
-	defer e.dev.Stop()
-	e.dev.Start(e.cfg.Intra)
 	main := e.newThread("main", prog.Main)
 	e.wakeAt(main, 0)
 	if e.cfg.MaxWall > 0 {
@@ -175,13 +159,6 @@ func (e *Engine) Run(prog app.Program) Result {
 	}
 	e.loop()
 	return Result{SimTime: e.evq.Now().Sub(0), Threads: e.nextTID}
-}
-
-// IntraStats reports the stepper-lane count of the last Run (0 when it
-// had none) and the cumulative wall time the steppers spent
-// advancing devices.
-func (e *Engine) IntraStats() (lanes int, deviceWall time.Duration) {
-	return e.dev.IntraStats()
 }
 
 // overBudget reports whether the run blew its step or wall budget. The
@@ -296,8 +273,8 @@ func (e *Engine) releaseCore(now vclock.Time) {
 // continueCompute runs (part of) a compute segment on the held core.
 func (e *Engine) continueCompute(th *coro.Thread, now vclock.Time, d vclock.Duration) {
 	chunk := d
-	if len(e.runq) > 0 && chunk > e.cfg.Slice {
-		chunk = e.cfg.Slice
+	if len(e.runq) > 0 && chunk > cfsSlice {
+		chunk = cfsSlice
 	}
 	end := now.Add(chunk)
 	s := st(th)
@@ -465,8 +442,7 @@ func (e *Engine) RaiseIRQ(at vclock.Time, vector int) {
 // interleaved with thread events in exact time order: their Advance can
 // insert thread wakeups. Polling devices are caught up lazily — to the
 // next thread event before it runs, the earliest time the host could
-// observe them (inline at intra 1, on a stepper lane otherwise) — so
-// their internal events never pass through this loop.
+// observe them — so their internal events never pass through this loop.
 func (e *Engine) loop() {
 	for e.live > 0 {
 		if e.overBudget() {

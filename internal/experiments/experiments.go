@@ -38,28 +38,10 @@ func SetParallelism(n int) {
 // Parallelism reports the current worker count.
 func Parallelism() int { return parallelism }
 
-// intra is the intra-run worker count Lower sets on every configuration
-// the experiments launch: 1 (the default) keeps each run
-// single-threaded, >= 2 moves the catch-up of polling devices onto
-// stepper lanes. The schedule and the results are the same at every
-// intra (the conservative-parallel contract, DESIGN.md §10), which is
-// also why intra is deliberately NOT part of Spec: it is an execution
-// knob, not part of a run's identity, so content addresses and cached
-// results are shared across intra settings.
-var intra = 1
-
-// SetIntra sets the intra-run worker count for subsequently launched
-// simulations. n <= 1 runs without stepper lanes. Not safe to call
-// while an experiment is running.
-func SetIntra(n int) {
-	if n < 1 {
-		n = 1
-	}
-	intra = n
-}
-
-// Intra reports the current intra-run worker count.
-func Intra() int { return intra }
+// SetIntra does nothing: every simulation runs its host engine and its
+// devices on one goroutine. It is kept only because the benchmark
+// harness under bench/ compiles against it.
+func SetIntra(int) {}
 
 // Experiment is one regenerable table or figure: the runs it needs, as
 // data, and the table over their results (in Specs order). Wall marks
@@ -77,7 +59,7 @@ type Experiment struct {
 }
 
 // Run executes the experiment's specs and renders its table to w. It
-// returns the summed host wall time of every simulation it executed
+// returns the summed wall time of every simulation it executed
 // (the warm-up and both measured runs of a Wall experiment included),
 // and the first invalid spec as an error before anything runs.
 func (e Experiment) Run(w io.Writer) (time.Duration, error) {
@@ -109,7 +91,7 @@ func ByID(id string) (Experiment, error) {
 }
 
 // execute runs every normalized spec through the sweep executor and
-// returns the results in spec order, with the host wall time summed over
+// returns the results in spec order, with the wall time summed over
 // every execution. Each job builds its own System, so jobs share no
 // mutable state and any subset may run concurrently. It panics on a run
 // error (injected fault or budget abort): table and sweep specs carry
@@ -120,14 +102,14 @@ func execute(norm []Spec, wall bool) ([]core.Result, time.Duration) {
 		warmPrefixes(pool, norm)
 	}
 	res := make([]core.Result, len(norm))
-	hosts := make([]time.Duration, len(norm))
+	walls := make([]time.Duration, len(norm))
 	sweep.Run(pool, len(norm), func(i int) {
 		run := func() core.Result {
 			r, err := runNormalized(norm[i], 0, 0)
 			if err != nil {
 				panic(err)
 			}
-			hosts[i] += r.HostWall
+			walls[i] += r.WallTime
 			return r
 		}
 		if wall {
@@ -140,11 +122,11 @@ func execute(norm []Spec, wall bool) ([]core.Result, time.Duration) {
 			}
 		}
 	})
-	var host time.Duration
-	for _, h := range hosts {
-		host += h
+	var total time.Duration
+	for _, w := range walls {
+		total += w
 	}
-	return res, host
+	return res, total
 }
 
 // cross enumerates benches × variants, bench-major: every variant (a

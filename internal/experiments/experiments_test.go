@@ -77,7 +77,7 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
-// TestWallExecutorSplit: the host wall an experiment reports covers every
+// TestWallExecutorSplit: the wall time an experiment reports covers every
 // execution — one for a plain experiment, the warm-up and both measured
 // runs for a Wall one, whose rendered result is the faster measured run.
 func TestWallExecutorSplit(t *testing.T) {
@@ -85,21 +85,21 @@ func TestWallExecutorSplit(t *testing.T) {
 	e := Experiment{ID: "probe", Title: "probe",
 		Specs:  func() []Spec { return []Spec{{Bench: "npb-cg.8", EpochNS: 1000}} },
 		Render: func(_ io.Writer, r []core.Result) error { res = r; return nil }}
-	host, err := e.Run(io.Discard)
+	wall, err := e.Run(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if host != res[0].HostWall || host <= 0 {
-		t.Errorf("plain run: host wall %v, want the one run's host wall %v", host, res[0].HostWall)
+	if wall != res[0].WallTime || wall <= 0 {
+		t.Errorf("plain run: wall time %v, want the one run's wall time %v", wall, res[0].WallTime)
 	}
 	e.Wall = true
 	plainSim := res[0].SimTime
-	if host, err = e.Run(io.Discard); err != nil {
+	if wall, err = e.Run(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if host <= 2*res[0].WallTime {
-		t.Errorf("wall run: host wall %v does not cover three executions of which the fastest measured took %v",
-			host, res[0].WallTime)
+	if wall <= 2*res[0].WallTime {
+		t.Errorf("wall run: wall time %v does not cover three executions of which the fastest measured took %v",
+			wall, res[0].WallTime)
 	}
 	if res[0].SimTime != plainSim {
 		t.Errorf("wall run simulated %v, plain run %v", res[0].SimTime, plainSim)

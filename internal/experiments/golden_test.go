@@ -21,42 +21,38 @@ var updateGolden = flag.Bool("update-golden", false,
 // a column fails here.
 //
 // The same tables are then produced a second way — sweep points forked
-// from shared prefix checkpoints, with two intra-run lanes — and must
-// match the same golden byte for byte: snapshot/replay drift and lane
-// scheduling both show up as a diff here.
+// from shared prefix checkpoints — and must match the same golden byte
+// for byte: snapshot/replay drift shows up as a diff here.
 func TestTablesGolden(t *testing.T) {
 	defer SetParallelism(Parallelism())
-	defer SetIntra(Intra())
 	defer SetCheckpoints(CheckpointsEnabled())
 	defer ResetCheckpointStore()
 	SetParallelism(2)
 	for _, c := range []struct {
 		name   string
 		forked bool
-		intra  int
 	}{
-		{"straight", false, 1},
-		{"forked-intra2", true, 2},
+		{"straight", false},
+		{"forked", true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ResetCheckpointStore()
 			SetCheckpoints(c.forked)
-			SetIntra(c.intra)
 			var got bytes.Buffer
 			for _, e := range All() {
 				if e.Wall {
 					continue
 				}
 				fmt.Fprintf(&got, "==== %s ====\n", e.ID)
-				host, err := e.Run(&got)
+				wall, err := e.Run(&got)
 				if err != nil {
 					t.Fatalf("%s: %v", e.ID, err)
 				}
 				// Every run goes through the executor, so every experiment
-				// reports a host wall (six of these used to build their
+				// reports a wall time (six of these used to build their
 				// systems themselves and reported none).
-				if host <= 0 {
-					t.Errorf("%s: executor reported host wall %v, want > 0", e.ID, host)
+				if wall <= 0 {
+					t.Errorf("%s: executor reported wall time %v, want > 0", e.ID, wall)
 				}
 			}
 			if c.forked && CheckpointStats().Hits == 0 {

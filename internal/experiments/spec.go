@@ -373,10 +373,6 @@ func Lower(n Spec) (workloads.Bench, core.Config, error) {
 		DMATarget:  dmaTargets[n.DMATarget],
 		NEXNoTick:  n.NoTick,
 		UseChannel: n.UseChannel,
-		// Execution knob, not spec content: intra-parallel runs are
-		// byte-identical to serial, so the content address must not
-		// fragment across intra settings.
-		IntraParallel: intra,
 	}
 	profile := fabricProfiles[n.Fabric]
 	lat := vclock.Duration(n.LinkLatencyNS) * vclock.Nanosecond

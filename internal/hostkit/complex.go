@@ -5,9 +5,8 @@
 //
 //   - the device complex (Complex): the bindings of accelerator
 //     simulators to MMIO windows and DMA fabrics, the accel.Host each
-//     device drives the engine through, the catch-up (Advance) and
-//     fast-forward (NextEvent) calls, and the parallel stepper lanes of
-//     DESIGN.md §10 — this is the only package that imports parsim;
+//     device drives the engine through, and the catch-up (Advance) and
+//     fast-forward (NextEvent, NextInlineEvent) calls;
 //   - the thread environment (NewEnv): the one app.Env implementation
 //     over coro.Thread;
 //   - the time-warp state (Warp) behind CompressT/JumpT/SlipStream.
@@ -18,12 +17,9 @@
 package hostkit
 
 import (
-	"time"
-
 	"nexsim/internal/accel"
 	"nexsim/internal/mem"
 	"nexsim/internal/memsys"
-	"nexsim/internal/parsim"
 	"nexsim/internal/vclock"
 )
 
@@ -40,22 +36,16 @@ type Binding struct {
 	// MMIOWriteCost is the cost of a posted register write (the CPU does
 	// not wait for the device); default 120ns.
 	MMIOWriteCost vclock.Duration
-
-	idx int // position in the complex, set by Attach
 }
 
 // Complex is one engine's set of attached devices, caught up together.
-// All methods run on the engine goroutine.
+// All methods run on the engine goroutine, which is also the goroutine
+// every device runs on.
 type Complex struct {
 	mem   *mem.Memory
 	raise func(at vclock.Time, vector int)
 	binds []*Binding
-	time  vclock.Time // every device has been advanced (or granted) to at least this
-
-	// Stepper-lane state (nil/zero without lanes).
-	crew  *parsim.Crew
-	lanes int
-	wall  time.Duration
+	time  vclock.Time // every device has been advanced to at least this
 }
 
 // NewComplex builds an empty complex over the engine's memory. raise is
@@ -74,7 +64,6 @@ func (c *Complex) Attach(b *Binding) {
 	if b.MMIOWriteCost == 0 {
 		b.MMIOWriteCost = 120 * vclock.Nanosecond
 	}
-	b.idx = len(c.binds)
 	c.binds = append(c.binds, b)
 }
 
@@ -117,44 +106,19 @@ func (c *Complex) Time() vclock.Time { return c.time }
 
 // Advance catches the complex (including the dedicated DMA simulator,
 // which the synchronous fabric models in lock-step) up to time t; a
-// stale t is a no-op. Devices are advanced inline, except that with
-// stepper lanes live a device that cannot raise interrupts is granted
-// the horizon on its lane — the host keeps executing while it catches
-// up — and is only waited for when the host next observes it (Join,
-// NextEvent). IRQ-capable devices stay inline, because their Advance
-// calls the engine's RaiseIRQ policy; they are joined first so the
-// inline Advance cannot race a still-draining grant from before the
-// driver enabled IRQs.
+// stale t is a no-op.
 func (c *Complex) Advance(t vclock.Time) {
 	if t < c.time {
 		return
 	}
 	c.time = t
-	for i, b := range c.binds {
-		if c.crew != nil && !parsim.MayRaiseIRQ(b.Device) {
-			c.crew.Grant(i, t)
-			continue
-		}
-		c.Join(b)
+	for _, b := range c.binds {
 		b.Device.Advance(t)
 	}
 }
 
-// Join quiesces one device's stepper lane before the host observes the
-// device (an MMIO access). No-op without lanes.
-func (c *Complex) Join(b *Binding) {
-	if c.crew != nil {
-		c.crew.Join(b.idx)
-	}
-}
-
 // NextEvent returns the earliest time any device will act on its own.
-// NextEvent on a mid-advance device is a race, so every lane is
-// quiesced first.
 func (c *Complex) NextEvent() (vclock.Time, bool) {
-	if c.crew != nil {
-		c.crew.JoinAll()
-	}
 	best, any := vclock.Never, false
 	for _, b := range c.binds {
 		if at, ok := b.Device.NextEvent(); ok && at < best {
@@ -166,15 +130,14 @@ func (c *Complex) NextEvent() (vclock.Time, bool) {
 
 // NextInlineEvent is NextEvent restricted to the devices that may raise
 // interrupts. Polling devices are skipped: their internal events cannot
-// affect the host before it next observes them, and their steppers may
-// be mid-advance.
+// affect the host before it next observes them, and the host catches
+// them up then.
 func (c *Complex) NextInlineEvent() (vclock.Time, bool) {
 	best, any := vclock.Never, false
 	for _, b := range c.binds {
-		if !parsim.MayRaiseIRQ(b.Device) {
+		if !mayRaiseIRQ(b.Device) {
 			continue
 		}
-		c.Join(b)
 		if at, ok := b.Device.NextEvent(); ok && at < best {
 			best, any = at, true
 		}
@@ -182,35 +145,19 @@ func (c *Complex) NextInlineEvent() (vclock.Time, bool) {
 	return best, any
 }
 
-// Start spawns the stepper lanes: with intra >= 2, the catch-up of
-// polling devices moves onto up to intra-1 goroutines. No-op at intra 1,
-// without devices, or when already started.
-func (c *Complex) Start(intra int) {
-	if intra < 2 || len(c.binds) == 0 || c.crew != nil {
-		return
+// mayRaiseIRQ reports whether dev could raise an interrupt during an
+// advance, unwrapping adapters (a device's optional MayRaiseIRQ method
+// answers). Devices that do not say are treated as interrupt-capable, so
+// the host interleaves their events exactly.
+func mayRaiseIRQ(dev accel.Device) bool {
+	for {
+		if c, ok := dev.(interface{ MayRaiseIRQ() bool }); ok {
+			return c.MayRaiseIRQ()
+		}
+		u, ok := dev.(interface{ Unwrap() accel.Device })
+		if !ok {
+			return true
+		}
+		dev = u.Unwrap()
 	}
-	devs := make([]accel.Device, len(c.binds))
-	for i, b := range c.binds {
-		devs[i] = b.Device
-	}
-	c.crew = parsim.New(devs, intra-1)
-	c.lanes = c.crew.Lanes()
-}
-
-// Stop quiesces and terminates the stepper lanes, folding their busy
-// time into the device-wall statistic. Idempotent.
-func (c *Complex) Stop() {
-	if c.crew == nil {
-		return
-	}
-	c.wall += c.crew.DeviceWall()
-	c.crew.Shutdown()
-	c.crew = nil
-}
-
-// IntraStats reports the stepper-lane count of the last started run (0
-// when it ran serially) and the cumulative wall time the steppers spent
-// advancing devices.
-func (c *Complex) IntraStats() (lanes int, deviceWall time.Duration) {
-	return c.lanes, c.wall
 }

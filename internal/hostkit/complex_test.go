@@ -122,96 +122,55 @@ func TestHostShim(t *testing.T) {
 	}
 }
 
-// script drives a complex through the observation pattern of a host
-// loop: every grant is followed by a joined NextEvent, so stepper lanes
-// cannot coalesce grants and the per-device call sequence is defined.
-func script(r *rig, afterFirstAdvance func()) {
+// TestAdvanceRaisesThroughEnginePolicy drives three devices, one of
+// them interrupt-capable, through the advance/observe pattern of a host
+// loop: every device sees every non-stale advance, and the one interrupt
+// reaches the engine's policy at the time the device raised it.
+func TestAdvanceRaisesThroughEnginePolicy(t *testing.T) {
+	r := newRig(&acceltest.Device{Busy: 5 * us}, &acceltest.Device{Busy: 3 * us, IRQ: 4}, &acceltest.Device{Busy: 9 * us})
 	for _, d := range r.devs {
 		d.RegWrite(0, 0, 1) // launch one task per device
+		d.Calls = nil
 	}
-	for i, t := range []vclock.Time{vclock.Time(2 * us), vclock.Time(1 * us), vclock.Time(6 * us), vclock.Time(20 * us)} {
+	for _, t := range []vclock.Time{vclock.Time(2 * us), vclock.Time(1 * us), vclock.Time(6 * us), vclock.Time(20 * us)} {
 		r.Advance(t)
-		if i == 0 && afterFirstAdvance != nil {
-			afterFirstAdvance()
-		}
 		r.NextEvent()
 	}
-}
-
-func TestSerialAndParallelDriveDevicesIdentically(t *testing.T) {
-	mk := func() *rig {
-		return newRig(&acceltest.Device{Busy: 5 * us}, &acceltest.Device{Busy: 3 * us, IRQ: 4}, &acceltest.Device{Busy: 9 * us})
-	}
-	serial := mk()
-	script(serial, nil)
-	serial.Stop() // never started: no-op
-	if lanes, wall := serial.IntraStats(); lanes != 0 || wall != 0 {
-		t.Errorf("serial IntraStats = %d, %v; want 0, 0", lanes, wall)
-	}
-
-	par := mk()
-	par.Start(1) // intra 1: no lanes
-	if lanes, _ := par.IntraStats(); lanes != 0 {
-		t.Fatalf("Start(1) started %d lanes", lanes)
-	}
-	par.Start(3)
-	par.Start(4) // already started: no-op
-	if lanes, _ := par.IntraStats(); lanes != 2 {
-		t.Fatalf("Start(3) started %d lanes, want 2", lanes)
-	}
-	script(par, func() {
-		// The IRQ-capable device is advanced inline: its Advance has
-		// already happened on this goroutine, no join needed.
-		calls := par.devs[1].Calls
-		if last := calls[len(calls)-1]; last != adv(vclock.Time(2*us)) {
-			t.Errorf("IRQ-capable device not advanced inline: last call %v", last)
+	for i, d := range r.devs {
+		var advances []acceltest.Call
+		for _, c := range d.Calls {
+			if c.Op == 'A' {
+				advances = append(advances, c)
+			}
 		}
-	})
-	par.Stop()
-	lanes, wall := par.IntraStats()
-	if lanes != 2 {
-		t.Errorf("lanes = %d, want 2 (intra 3 = host + 2 steppers)", lanes)
-	}
-	par.Stop() // idempotent: device wall is folded once
-	if l2, w2 := par.IntraStats(); l2 != lanes || w2 != wall {
-		t.Errorf("second Stop changed IntraStats: %d, %v -> %d, %v", lanes, wall, l2, w2)
-	}
-
-	for i := range serial.devs {
-		if !reflect.DeepEqual(par.devs[i].Calls, serial.devs[i].Calls) {
-			t.Errorf("device %d call sequence diverged:\n parallel %v\n serial   %v", i, par.devs[i].Calls, serial.devs[i].Calls)
+		if want := []acceltest.Call{adv(vclock.Time(2 * us)), adv(vclock.Time(6 * us)), adv(vclock.Time(20 * us))}; !reflect.DeepEqual(advances, want) {
+			t.Errorf("device %d advances = %v, want %v", i, advances, want)
 		}
 	}
-	wantIRQ := []irq{{vclock.Time(3 * us), 4}}
-	if !reflect.DeepEqual(serial.irqs, wantIRQ) || !reflect.DeepEqual(par.irqs, wantIRQ) {
-		t.Errorf("raised: serial %v, parallel %v; want %v", serial.irqs, par.irqs, wantIRQ)
+	if want := []irq{{vclock.Time(3 * us), 4}}; !reflect.DeepEqual(r.irqs, want) {
+		t.Errorf("raised %v, want %v", r.irqs, want)
 	}
 }
 
-func TestStartWithoutDevicesStaysSerial(t *testing.T) {
+func TestEmptyComplexHasNoEvents(t *testing.T) {
 	r := newRig()
-	r.Start(4)
-	if lanes, _ := r.IntraStats(); lanes != 0 {
-		t.Fatalf("a complex without devices started %d lanes", lanes)
-	}
 	if _, ok := r.NextEvent(); ok {
 		t.Fatal("an empty complex reported a device event")
 	}
+	if _, ok := r.NextInlineEvent(); ok {
+		t.Fatal("an empty complex reported an interrupt-capable device event")
+	}
 }
 
-func TestNextInlineEventSkipsLaneDevices(t *testing.T) {
-	for _, intra := range []int{1, 2} {
-		r := newRig(&acceltest.Device{Busy: 2 * us}, &acceltest.Device{Busy: 7 * us, IRQ: 4})
-		r.Start(intra)
-		for _, d := range r.devs {
-			d.RegWrite(0, 0, 1)
-		}
-		if at, ok := r.NextInlineEvent(); !ok || at != vclock.Time(7*us) {
-			t.Errorf("intra %d: NextInlineEvent = %v, %v; want the IRQ-capable device's 7us", intra, at, ok)
-		}
-		if at, ok := r.NextEvent(); !ok || at != vclock.Time(2*us) {
-			t.Errorf("intra %d: NextEvent = %v, %v; want the polling device's 2us", intra, at, ok)
-		}
-		r.Stop()
+func TestNextInlineEventSkipsPollingDevices(t *testing.T) {
+	r := newRig(&acceltest.Device{Busy: 2 * us}, &acceltest.Device{Busy: 7 * us, IRQ: 4})
+	for _, d := range r.devs {
+		d.RegWrite(0, 0, 1)
+	}
+	if at, ok := r.NextInlineEvent(); !ok || at != vclock.Time(7*us) {
+		t.Errorf("NextInlineEvent = %v, %v; want the IRQ-capable device's 7us", at, ok)
+	}
+	if at, ok := r.NextEvent(); !ok || at != vclock.Time(2*us) {
+		t.Errorf("NextEvent = %v, %v; want the polling device's 2us", at, ok)
 	}
 }

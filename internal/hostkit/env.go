@@ -10,12 +10,15 @@ import (
 	"nexsim/internal/vclock"
 )
 
+// taskAccessCost is the virtual cost of one task-buffer access
+// (uncached shared memory), the same under every engine.
+const taskAccessCost = 90 * vclock.Nanosecond
+
 // EnvConfig is what every thread Env of one engine shares: the engine's
 // constants and the two things that genuinely differ between engines.
 type EnvConfig struct {
-	Clock          vclock.Hz
-	Devices        *Complex
-	TaskAccessCost vclock.Duration // virtual cost of one task-buffer access
+	Clock   vclock.Hz
+	Devices *Complex
 
 	// LightTasks makes task-buffer accesses non-trapping (NEX tick mode,
 	// §3.2); exact-time engines ignore the distinction.
@@ -58,15 +61,12 @@ func (v *env) ComputeFor(d vclock.Duration) {
 	v.Compute(isa.Segment(d, v.cfg.Clock, isa.DefaultMix, 64<<10, 1.5, seed))
 }
 
-// device resolves the binding an MMIO access at addr targets. In
-// parallel intra-run mode it quiesces that device's stepper lane before
-// the caller observes the device; other devices keep running.
+// device resolves the binding an MMIO access at addr targets.
 func (v *env) device(what string, addr mem.Addr) *Binding {
 	b := v.cfg.Devices.Lookup(addr)
 	if b == nil {
 		panic(fmt.Sprintf("hostkit: MMIO %s of unmapped address %#x", what, uint64(addr)))
 	}
-	v.cfg.Devices.Join(b)
 	return b
 }
 
@@ -101,7 +101,7 @@ func (v *env) task(addr mem.Addr, p []byte, write bool) {
 			} else {
 				v.Mem().ReadFaulting(addr, p)
 			}
-			return v.cfg.TaskAccessCost
+			return taskAccessCost
 		},
 	})
 }

@@ -62,25 +62,19 @@ func (r *Region) Contains(addr Addr, size int) bool {
 	return addr >= r.Base && uint64(addr)+uint64(size) <= uint64(r.Base)+r.Size
 }
 
-// Memory is a sparse simulated physical memory. By default it is not
-// safe for concurrent use (all engines are single-threaded event
-// loops); in parallel intra-run mode SetConcurrent arms a page-table
-// lock so that the host and device stepper goroutines may access
-// *disjoint* byte ranges concurrently. Overlapping concurrent accesses
-// remain a contract violation (the data race they would constitute is
-// exactly the determinism bug, and `go test -race` surfaces it).
+// Memory is a sparse simulated physical memory. It is not safe for
+// concurrent use: a simulation runs its host engine and its devices on
+// one goroutine.
 type Memory struct {
 	pages   map[Addr]entry // keyed by page base
 	owned   [][]byte       // every private page ever mapped, in allocation order, for Release
 	regions []*Region      // sorted by Base
 	next    Addr           // bump allocator for Alloc
-	mu      *sync.RWMutex  // nil unless SetConcurrent was called
 	stats   Stats
 
-	// The page the serial path touched last: DMAs and task-buffer
-	// accesses walk a page at a time, so most lookups skip the map. A
-	// write may use it only when it holds a private page. Unused once mu
-	// is armed.
+	// The page touched last: DMAs and task-buffer accesses walk a page
+	// at a time, so most lookups skip the map. A write may use it only
+	// when it holds a private page.
 	lastBase    Addr
 	last        []byte
 	lastPrivate bool
@@ -105,15 +99,6 @@ type Stats struct {
 
 // Stats returns the page counts.
 func (m *Memory) Stats() Stats { return m.stats }
-
-// SetConcurrent arms the page-table lock for cross-goroutine use. The
-// serial path keeps its zero-overhead lookups when this is never
-// called.
-func (m *Memory) SetConcurrent() {
-	if m.mu == nil {
-		m.mu = new(sync.RWMutex)
-	}
-}
 
 // New returns an empty memory whose allocator starts at base.
 func New(base Addr) *Memory {
@@ -154,33 +139,12 @@ func (m *Memory) RegionAt(addr Addr) *Region {
 	return nil
 }
 
-// lookup reads base's page-table entry, under the read lock when armed.
-func (m *Memory) lookup(base Addr) (entry, bool) {
-	if m.mu != nil {
-		m.mu.RLock()
-	}
-	e, ok := m.pages[base]
-	if m.mu != nil {
-		m.mu.RUnlock()
-	}
-	return e, ok
-}
-
 // page returns the page holding addr: for a read whatever is mapped there,
 // for a write a private page.
 //
 //simlint:hotpath once per page-sized piece of every functional access
 func (m *Memory) page(addr Addr, write bool) []byte {
 	base := addr &^ (PageSize - 1)
-	if m.mu != nil {
-		e, ok := m.lookup(base)
-		if !ok || write && e.blob != nil {
-			m.mu.Lock()
-			e = m.fault(base, write)
-			m.mu.Unlock()
-		}
-		return e.data
-	}
 	if m.last != nil && m.lastBase == base && (m.lastPrivate || !write) {
 		return m.last
 	}
@@ -189,11 +153,10 @@ func (m *Memory) page(addr Addr, write bool) []byte {
 	return e.data
 }
 
-// fault looks base up past the memo and the read lock: an untouched
-// address gets a zeroed private page, and a write to an aliased page
-// replaces it by a private copy (the copy-on-write; the Blob and every
-// other memory mapping it keep the original). Callers hold mu for writing
-// when it is armed.
+// fault looks base up past the memo: an untouched address gets a zeroed
+// private page, and a write to an aliased page replaces it by a private
+// copy (the copy-on-write; the Blob and every other memory mapping it
+// keep the original).
 func (m *Memory) fault(base Addr, write bool) entry {
 	e, ok := m.pages[base]
 	if ok && (e.blob == nil || !write) {
@@ -319,10 +282,6 @@ func (m *Memory) Map(addr Addr, b *Blob) {
 	if addr&(PageSize-1) != 0 {
 		panic(fmt.Sprintf("mem: Map at unaligned address %#x", uint64(addr)))
 	}
-	if m.mu != nil {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
 	pages := len(b.data) / PageSize
 	for i := 0; i < pages; i++ {
 		m.pages[addr+Addr(i*PageSize)] = entry{data: b.data[i*PageSize : (i+1)*PageSize : (i+1)*PageSize], blob: b, idx: i}
@@ -338,13 +297,13 @@ var zeroSum = Hash(0, make([]byte, PageSize))
 // [addr, addr+n): equal page contents give equal sums, however the pages
 // came to hold them. An aliased page answers from its Blob's cached sums
 // and an untouched one from a constant; only a private page is hashed, in
-// place. Like any read, it must not overlap a concurrent write.
+// place.
 //
 //simlint:hotpath once per page of every span a device's plan key covers
 func (m *Memory) Sum(addr Addr, n int) uint64 {
 	var h uint64
 	for base, end := addr&^(PageSize-1), addr+Addr(n); base < end; base += PageSize {
-		e, ok := m.lookup(base)
+		e, ok := m.pages[base]
 		switch {
 		case !ok:
 			h = Mix(h, zeroSum)

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -261,34 +260,6 @@ func TestFreeListBounded(t *testing.T) {
 		if got := freeListLen(); got != maxFreePages {
 			t.Fatalf("free list holds %d pages after a %d-page Release, want the bound %d", got, perRound, maxFreePages)
 		}
-	}
-}
-
-// Under SetConcurrent the last-page memo must stay out of the way: two
-// goroutines ping-ponging between their own pages would otherwise hand
-// each other's page back (and race on the memo; run with -race).
-func TestConcurrentBypassesPageMemo(t *testing.T) {
-	m := New(0)
-	m.SetConcurrent()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			base := Addr(g) * 16 * PageSize
-			for i := 0; i < 2000; i++ {
-				a := base + Addr(i%16)*PageSize + Addr(i)
-				m.WriteU32(a, uint32(g<<16|i))
-				if got := m.ReadU32(a); got != uint32(g<<16|i) {
-					t.Errorf("goroutine %d read %#x at %#x, wrote %#x", g, got, uint64(a), g<<16|i)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if m.last != nil {
-		t.Fatal("the concurrent path used the serial path's page memo")
 	}
 }
 

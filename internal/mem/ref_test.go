@@ -2,7 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"nexsim/internal/xrand"
@@ -274,59 +273,6 @@ func TestReleaseDoesNotPoolBlobPages(t *testing.T) {
 	again.ReadAt(0, got)
 	if !bytes.Equal(got, img) {
 		t.Fatal("the blob changed after a memory that mapped it was released")
-	}
-}
-
-// Map, Sum and copy-on-write under SetConcurrent, from several goroutines
-// on disjoint pages of one memory sharing one blob (run with -race).
-func TestConcurrentMapSumCopyOnWrite(t *testing.T) {
-	const workers, span = 4, 8 * PageSize
-	img := make([]byte, span)
-	for i := range img {
-		img[i] = byte(i*31) | 1
-	}
-	b := NewBlob(img)
-	want := New(0)
-	want.Map(0, b)
-	wantSum := want.Sum(0, span)
-
-	m := New(0)
-	m.SetConcurrent()
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			base := Addr(g) * 4 * span
-			got := make([]byte, span)
-			for i := 0; i < 50; i++ {
-				m.Map(base, b)
-				if s := m.Sum(base, span); s != wantSum {
-					t.Errorf("goroutine %d: a fresh mapping sums to %#x, want %#x", g, s, wantSum)
-					return
-				}
-				at := base + Addr(i%8)*PageSize + Addr(i)
-				m.WriteAt(at, []byte{0})
-				if m.Sum(base, span) == wantSum {
-					t.Errorf("goroutine %d: the sum did not move with a write", g)
-					return
-				}
-				m.ReadAt(base, got)
-				if off := int(at - base); got[off] != 0 || !bytes.Equal(got[:off], img[:off]) || !bytes.Equal(got[off+1:], img[off+1:]) {
-					t.Errorf("goroutine %d: contents after copy-on-write are not the blob's plus the write", g)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	got := make([]byte, span)
-	want.ReadAt(0, got)
-	if !bytes.Equal(got, img) {
-		t.Fatal("concurrent writers changed the blob")
-	}
-	if st := m.Stats(); st.Aliased != workers*50*8 || st.Unshared != workers*50 {
-		t.Fatalf("stats %+v, want %d pages aliased and %d unshared", st, workers*50*8, workers*50)
 	}
 }
 

@@ -75,7 +75,7 @@ func (e *Engine) loop() {
 		}
 		selected := runnable
 		if len(runnable) > e.cfg.VirtualCores {
-			selected = e.cfg.Policy.Select(e.epochIdx, runnable, e.cfg.VirtualCores)
+			selected = e.policy.Select(e.epochIdx, runnable, e.cfg.VirtualCores)
 			if len(selected) > e.cfg.VirtualCores {
 				selected = selected[:e.cfg.VirtualCores]
 			}

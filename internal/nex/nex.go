@@ -71,17 +71,11 @@ func (m SyncMode) String() string {
 	}
 }
 
-// Policy is the complementary scheduling policy (§3.3, §A.1): when more
-// threads are runnable than virtual cores, it picks which run this epoch.
-type Policy interface {
-	// Select returns up to vcores threads from runnable (which is in
-	// thread-creation order) to execute in the coming epoch.
-	Select(epoch int64, runnable []*coro.Thread, vcores int) []*coro.Thread
-}
+// slipEpoch is the epoch duration inside SlipStream regions.
+const slipEpoch = 20 * vclock.Millisecond
 
 // Config parameterizes a NEX engine.
 type Config struct {
-	Name  string
 	Clock vclock.Hz // simulated host core frequency
 
 	// Epoch is the virtual-time epoch duration e (default 1µs, the
@@ -105,14 +99,6 @@ type Config struct {
 	// batched synchronization points via Env.Tick (§3.2).
 	TickMode bool
 
-	// Policy is the complementary scheduling policy; nil selects the
-	// default fair policy of §A.1.
-	Policy Policy
-
-	// SlipEpoch is the epoch duration inside SlipStream regions
-	// (default 20ms).
-	SlipEpoch vclock.Duration
-
 	// Seed drives the deterministic error model (calibration bias,
 	// interference). Same seed, same program → identical results.
 	Seed uint64
@@ -130,18 +116,12 @@ type Config struct {
 	MaxEpochs int64
 	MaxWall   time.Duration
 
-	// Intra >= 2 advances accelerator simulators on up to Intra-1
-	// stepper goroutines under conservative lookahead (DESIGN.md §10);
-	// results stay byte-identical to serial.
-	Intra int
-
 	// Faults is the per-run fault injector (nil = none). Device-bound
 	// traps cross the device.dispatch site.
 	Faults *faults.Injector
 
-	Memory         *mem.Memory
-	Trace          *trace.Recorder
-	TaskAccessCost vclock.Duration
+	Memory *mem.Memory
+	Trace  *trace.Recorder
 }
 
 // Stats counts the engine work that determines NEX's real-world cost.
@@ -189,6 +169,9 @@ type Engine struct {
 	// dev is the device complex; of its state only the time it was last
 	// advanced to is snapshotted (restore re-clocks fresh devices to it).
 	dev *hostkit.Complex
+	// policy is the complementary scheduling policy (§3.3, §A.1): when
+	// more threads are runnable than virtual cores, it picks which run.
+	policy *FairPolicy //simlint:transient rebuilt by New from cfg.Epoch; service counts start afresh on restore
 
 	threads []*coro.Thread
 	live    int
@@ -290,20 +273,8 @@ func New(cfg Config) *Engine {
 	if cfg.SyncInterval == 0 {
 		cfg.SyncInterval = 10 * vclock.Microsecond
 	}
-	if cfg.SlipEpoch == 0 {
-		cfg.SlipEpoch = 20 * vclock.Millisecond
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = NewFairPolicy()
-	}
-	if fp, ok := cfg.Policy.(*FairPolicy); ok {
-		fp.SetEpoch(cfg.Epoch)
-	}
 	if cfg.Memory == nil {
 		cfg.Memory = mem.New(0x1000_0000)
-	}
-	if cfg.TaskAccessCost == 0 {
-		cfg.TaskAccessCost = 90 * vclock.Nanosecond
 	}
 	if cfg.CalSigma == 0 {
 		cfg.CalSigma = 0.025
@@ -315,6 +286,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:     cfg,
 		mem:     cfg.Memory,
+		policy:  NewFairPolicy(cfg.Epoch),
 		irqWait: make(map[int][]*coro.Thread),
 		rng:     rng,
 	}
@@ -327,9 +299,8 @@ func New(cfg Config) *Engine {
 	// virtual time, matching the paper's LD_PRELOAD interposition of
 	// clock_gettime (§3.2).
 	e.env = hostkit.EnvConfig{
-		Clock: cfg.Clock, Devices: e.dev, TaskAccessCost: cfg.TaskAccessCost,
-		LightTasks: cfg.TickMode,
-		Now:        func(th *coro.Thread) vclock.Time { return st(th).cursor },
+		Clock: cfg.Clock, Devices: e.dev, LightTasks: cfg.TickMode,
+		Now: func(th *coro.Thread) vclock.Time { return st(th).cursor },
 	}
 	// Systematic calibration bias: the δ calibration constant is close
 	// but not perfect, so native-time accounting carries a small
@@ -377,18 +348,9 @@ func (e *Engine) Run(prog app.Program) Result {
 	main := e.newThread("main", prog.Main)
 	e.setWake(st(main), 0)
 	e.nextSync = vclock.Time(e.cfg.SyncInterval)
-	defer e.dev.Stop()
-	e.dev.Start(e.cfg.Intra)
 	e.startWatchdog()
 	e.loop()
 	return e.result()
-}
-
-// IntraStats reports the stepper-lane count of the last Run (0 when it
-// ran serially) and the cumulative wall time the steppers spent
-// advancing devices.
-func (e *Engine) IntraStats() (lanes int, deviceWall time.Duration) {
-	return e.dev.IntraStats()
 }
 
 // startWatchdog anchors the wall-clock budget at run (or resume) start.
@@ -535,7 +497,7 @@ func (e *Engine) epochLen(selected []*coro.Thread) vclock.Duration {
 			return e.cfg.Epoch
 		}
 	}
-	return e.cfg.SlipEpoch
+	return slipEpoch
 }
 
 // roundUp returns the first epoch boundary at or after t.

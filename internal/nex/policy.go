@@ -28,15 +28,19 @@ type FairPolicy struct {
 	epoch    vclock.Duration
 }
 
-// NewFairPolicy returns the default policy.
-func NewFairPolicy() *FairPolicy {
+// NewFairPolicy returns the policy of an engine whose epochs last
+// epoch: each selection charges the selected threads one epoch of
+// service.
+func NewFairPolicy(epoch vclock.Duration) *FairPolicy {
 	return &FairPolicy{
 		vr:       make(map[int]vclock.Duration),
 		lastSeen: make(map[int]int64),
+		epoch:    epoch,
 	}
 }
 
-// Select implements Policy.
+// Select returns up to vcores threads from runnable (which is in
+// thread-creation order) to execute in the coming epoch.
 func (p *FairPolicy) Select(epoch int64, runnable []*coro.Thread, vcores int) []*coro.Thread {
 	// A thread that was not runnable in the previous epoch is treated as
 	// freshly woken: reset to the fixed baseline (over-prioritizing it,
@@ -59,18 +63,9 @@ func (p *FairPolicy) Select(epoch int64, runnable []*coro.Thread, vcores int) []
 	if len(picked) > vcores {
 		picked = picked[:vcores]
 	}
-	// Charge one epoch of service to the selected threads. The engine
-	// tells us the epoch duration via SetEpoch; fall back to a relative
-	// unit otherwise.
-	e := p.epoch
-	if e == 0 {
-		e = 1
-	}
+	// Charge one epoch of service to the selected threads.
 	for _, th := range picked {
-		p.vr[th.ID] += e
+		p.vr[th.ID] += p.epoch
 	}
 	return picked
 }
-
-// SetEpoch informs the policy of the engine's epoch duration.
-func (p *FairPolicy) SetEpoch(e vclock.Duration) { p.epoch = e }

@@ -16,8 +16,7 @@ func mkThreads(n int) []*coro.Thread {
 }
 
 func TestFairPolicySelectsLowestVruntime(t *testing.T) {
-	p := NewFairPolicy()
-	p.SetEpoch(vclock.Microsecond)
+	p := NewFairPolicy(vclock.Microsecond)
 	ths := mkThreads(4)
 
 	// Epoch 0: everyone fresh; the first two (by id) run.
@@ -41,8 +40,7 @@ func TestFairPolicyWakeResetsToBaseline(t *testing.T) {
 	// A thread absent for several epochs returns with vruntime reset to
 	// the fixed baseline — the §A.1 simplification that diverges from
 	// CFS (which aligns to the current minimum).
-	p := NewFairPolicy()
-	p.SetEpoch(vclock.Microsecond)
+	p := NewFairPolicy(vclock.Microsecond)
 	ths := mkThreads(3)
 
 	// Run threads 0 and 1 for many epochs while 2 is "asleep".
@@ -58,7 +56,7 @@ func TestFairPolicyWakeResetsToBaseline(t *testing.T) {
 }
 
 func TestFairPolicyAllFitNoTruncation(t *testing.T) {
-	p := NewFairPolicy()
+	p := NewFairPolicy(vclock.Microsecond)
 	ths := mkThreads(3)
 	if got := len(p.Select(0, ths, 8)); got != 3 {
 		t.Fatalf("selected %d of 3", got)

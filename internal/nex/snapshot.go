@@ -98,8 +98,6 @@ func (e *Engine) ResumeRun() Result {
 	e.recording = false
 	e.haltArmed = false
 	e.journal = nil
-	defer e.dev.Stop()
-	e.dev.Start(e.cfg.Intra)
 	e.startWatchdog()
 	if f := e.frame; f != nil {
 		e.frame = nil
@@ -481,9 +479,7 @@ func (e *Engine) Restore(dec *checkpoint.Decoder, prog app.Program) error {
 	e.now = now
 	// Pre-halt synchronization only moved idle device clocks (the prefix
 	// ends at the *first* device interaction), so re-advancing freshly
-	// built devices reproduces their whole state. (A fresh complex is at
-	// time 0 with no lanes, so this advances every device inline and
-	// records devTime.)
+	// built devices reproduces their whole state.
 	e.dev.Advance(devTime)
 	e.finishT = finishT
 	e.nextSync = nextSync

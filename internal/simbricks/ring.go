@@ -9,10 +9,10 @@ import (
 // One goroutine may Push while another Pops: the atomic head/tail
 // counters carry the happens-before edges, so a message's bytes are
 // fully visible to the consumer before it observes the message. This is
-// the shared-memory ring of the SimBricks channel (§5): in parallel
-// intra-run mode the device adapter produces on the stepper goroutine
-// and the host engine consumes after a join, and the ring is the
-// synchronization point.
+// the shared-memory ring of the SimBricks channel (§5), whose two ends
+// are separate simulator processes in SimBricks; here both ends run on
+// the engine's goroutine, but the ring keeps the cross-goroutine
+// contract.
 //
 // Records never straddle the end of the buffer: a producer that cannot
 // fit a record before the end publishes a wrap marker and continues at

@@ -104,9 +104,9 @@ func TestRingOversizePanics(t *testing.T) {
 }
 
 // TestChannelCrossGoroutineHandoff moves a channel between a producer
-// phase on one goroutine and a consumer phase on another, the pattern
-// parallel intra-run mode uses (device marshals on the stepper
-// goroutine, host decodes after a join).
+// on one goroutine and a consumer on another, the way SimBricks' two
+// simulator processes share a queue: the ring's atomic indices carry
+// the happens-before edges.
 func TestChannelCrossGoroutineHandoff(t *testing.T) {
 	ch := NewChannel(0)
 	done := make(chan struct{})

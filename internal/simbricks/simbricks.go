@@ -47,11 +47,9 @@ const (
 const headerSize = 1 + 8 + 8 + 8 + 4 // type | timestamp | addr | aux | len
 
 // Channel is a shared-memory message ring between two simulators,
-// backed by a bounded SPSC Ring safe for cross-goroutine use: in
-// parallel intra-run mode (core.Config.IntraParallel) the device side
-// marshals on its stepper goroutine and the host side decodes after a
-// join, with the ring's atomic indices carrying the happens-before
-// edges. Headers and payloads are marshaled through a grow-once scratch
+// backed by a bounded SPSC Ring. Both sides run on the engine's
+// goroutine: every message is pushed and popped within one roundTrip.
+// Headers and payloads are marshaled through a grow-once scratch
 // buffer, so the steady-state per-message cost is the copy itself —
 // zero heap allocations (TestChannelSteadyStateAllocFree pins this).
 type Channel struct {

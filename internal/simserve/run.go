@@ -83,7 +83,7 @@ func retryBackoff(id string, attempt int, base time.Duration) time.Duration {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(id)) // fnv Write cannot fail
 	st := xrand.New(h.Sum64()).Derive(fmt.Sprintf("backoff-%d", attempt))
-	f := 0.75 + 0.5*st.Float64()
+	f := 0.75 + float64(0.5*st.Float64())
 	return time.Duration(float64(d) * f)
 }
 

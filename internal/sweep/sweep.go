@@ -10,21 +10,20 @@
 // worker, and results are collected into an order-preserving slice so
 // tables and figures render byte-identically to a serial execution.
 //
-// The executor is a work-stealing scheduler: jobs are block-partitioned
-// across per-worker deques; a worker drains its own deque from the front
-// (preserving enumeration locality) and, when empty, steals the back half
-// of the fullest victim's deque. Stealing keeps workers busy under the
-// skewed job costs typical of sweeps (a gem5+RTL run is orders of
-// magnitude slower than a NEX+DSim run of the same benchmark) without any
-// shared run queue to contend on. Deques are mutex-protected: each job is
-// an entire simulation run (micro- to milliseconds at minimum), so queue
-// operations are nowhere near the critical path.
+// The executor is greedy self-scheduling: every worker takes the next
+// job index from one shared atomic counter until the jobs run out. Each
+// job is an entire simulation run (micro- to milliseconds at minimum),
+// so one counter increment per job is nowhere near the critical path,
+// and a worker that finishes early simply takes more jobs — which
+// balances the skewed job costs typical of sweeps (a gem5+RTL run is
+// orders of magnitude slower than a NEX+DSim run of the same benchmark).
 package sweep
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Executor fans independent jobs across a fixed set of workers.
@@ -44,55 +43,6 @@ func New(n int) *Executor {
 
 // Workers returns the executor's worker count.
 func (x *Executor) Workers() int { return x.workers }
-
-// deque is one worker's job queue, holding indices into the job slice.
-// The owner pops from the front; thieves take the back half.
-type deque struct {
-	mu   sync.Mutex
-	jobs []int
-}
-
-// popFront takes the owner's next job, or -1 when empty.
-func (d *deque) popFront() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.jobs) == 0 {
-		return -1
-	}
-	j := d.jobs[0]
-	d.jobs = d.jobs[1:]
-	return j
-}
-
-// stealBack removes and returns the back half of the deque (at least one
-// job), or nil when empty.
-func (d *deque) stealBack() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.jobs)
-	if n == 0 {
-		return nil
-	}
-	take := (n + 1) / 2
-	stolen := make([]int, take)
-	copy(stolen, d.jobs[n-take:])
-	d.jobs = d.jobs[:n-take]
-	return stolen
-}
-
-// size reports the current queue length (victim selection).
-func (d *deque) size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.jobs)
-}
-
-// pushFront returns stolen jobs to the front of a worker's own deque.
-func (d *deque) pushFront(jobs []int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.jobs = append(jobs, d.jobs...)
-}
 
 // Map executes every job and returns their results in job order. Each
 // job runs exactly once on exactly one worker; result i is job i's return
@@ -123,25 +73,15 @@ func Run(x *Executor, n int, fn func(i int)) {
 		w = n
 	}
 
-	// Block-partition job indices across worker deques so each worker
-	// starts on a contiguous slice of the enumeration.
-	deques := make([]*deque, w)
-	for i := range deques {
-		deques[i] = &deque{}
-	}
-	for i := 0; i < n; i++ {
-		d := deques[i*w/n]
-		d.jobs = append(d.jobs, i)
-	}
-
 	var (
+		next  atomic.Int64
 		wg    sync.WaitGroup
 		panMu sync.Mutex
 		pan   any
 	)
 	for wi := 0; wi < w; wi++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -152,35 +92,14 @@ func Run(x *Executor, n int, fn func(i int)) {
 					panMu.Unlock()
 				}
 			}()
-			own := deques[self]
 			for {
-				i := own.popFront()
-				if i < 0 {
-					// Own deque empty: steal the back half of the
-					// fullest victim's deque.
-					victim := -1
-					best := 0
-					for vi, d := range deques {
-						if vi == self {
-							continue
-						}
-						if s := d.size(); s > best {
-							best, victim = s, vi
-						}
-					}
-					if victim < 0 {
-						return
-					}
-					stolen := deques[victim].stealBack()
-					if len(stolen) == 0 {
-						continue // lost the race; rescan victims
-					}
-					own.pushFront(stolen)
-					continue
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
 				fn(i)
 			}
-		}(wi)
+		}()
 	}
 	wg.Wait()
 	if pan != nil {

@@ -46,10 +46,10 @@ func TestEveryJobRunsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestStealingBalancesSkewedJobs gives the first worker's block a long
-// job followed by many short ones; with stealing, the short jobs finish
-// on other workers instead of queueing behind the long one.
-func TestStealingBalancesSkewedJobs(t *testing.T) {
+// TestSelfSchedulingBalancesSkewedJobs gives job 0 a long run and every
+// other job a short one; the short jobs finish on other workers instead
+// of queueing behind the long one.
+func TestSelfSchedulingBalancesSkewedJobs(t *testing.T) {
 	const n = 64
 	var ran int32
 	jobs := make([]func() int, n)
@@ -58,7 +58,7 @@ func TestStealingBalancesSkewedJobs(t *testing.T) {
 		jobs[i] = func() int {
 			if i == 0 {
 				// Long job: spin until every other job has run (they can
-				// only do that if they were stolen onto other workers).
+				// only do that on other workers).
 				deadline := time.Now().Add(5 * time.Second)
 				for atomic.LoadInt32(&ran) < n-1 {
 					if time.Now().After(deadline) {
@@ -74,7 +74,7 @@ func TestStealingBalancesSkewedJobs(t *testing.T) {
 	}
 	got := Map(New(4), jobs)
 	if got[0] == -1 {
-		t.Fatal("short jobs never stolen away from the worker stuck on the long job")
+		t.Fatal("short jobs queued behind the worker stuck on the long job")
 	}
 	for i := 1; i < n; i++ {
 		if got[i] != i {
