@@ -158,11 +158,11 @@ func BenchmarkTightVsChannel_VTAMatmul(b *testing.B) {
 	}
 }
 
-// --- Checkpoint/fork engine: snapshot a halted prefix into a blob and
-// fork fresh systems from it. Snapshot is a pure serialization of the
-// halted engine; Restore rebuilds thread state by journal replay, so its
-// cost is dominated by re-executing the (short) staging prefix. Both
-// report allocations and the blob size. ---
+// --- Checkpoint/fork engine: fingerprint a halted prefix into a blob
+// and fork fresh systems from it. Snapshot times the fingerprint of the
+// halted engine; Restore re-runs the (short) staging prefix on a fresh
+// system and checks it against the blob, so its cost is that prefix.
+// Both report allocations and the blob size. ---
 
 // checkpointPrefix builds a system and runs it up to its first device
 // interaction, leaving it halted and checkpointable.

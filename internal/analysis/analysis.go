@@ -13,11 +13,11 @@
 // positive it).
 //
 // The suite has two kinds of checkers. Local checkers (nondet-time,
-// nondet-rand, map-order, stray-goroutine, unchecked-error) examine one
-// package at a time. Whole-program checkers (snapshot-drift,
-// fault-site-registry, hotpath-alloc) run once over the full module
-// with the call graph (callgraph.go): they encode the cross-module
-// contracts the checkpoint/fork and fault-injection subsystems and the
+// nondet-rand, map-order, stray-goroutine, unchecked-error,
+// unknown-directive) examine one package at a time. Whole-program
+// checkers (fault-site-registry, hotpath-alloc) run once over the full
+// module with the call graph (callgraph.go): they encode the
+// cross-module contracts the fault-injection subsystem and the
 // annotated hot paths rely on, where the bug is precisely that two
 // far-apart places silently disagree.
 //
@@ -30,8 +30,8 @@
 // optional free-form reason. Whole-file allowlists for intrinsically
 // wall-clock code (cmd/paperbench, examples/, internal/experiments/
 // speed.go) live in defaultAllow below. See directives.go for the
-// //simlint:transient and //simlint:hotpath annotations the
-// whole-program checkers consume.
+// //simlint:hotpath annotation hotpath-alloc consumes; any other
+// directive is an unknown-directive finding.
 package analysis
 
 import (
@@ -71,8 +71,8 @@ type Checker struct {
 func (c *Checker) Global() bool { return c.RunModule != nil }
 
 // Checkers returns the full suite in stable order: the five local
-// determinism checkers from the original suite, then the three
-// whole-program invariant checkers.
+// determinism checkers from the original suite, the directive checker,
+// then the two whole-program invariant checkers.
 func Checkers() []*Checker {
 	return []*Checker{
 		nondetTimeChecker,
@@ -80,7 +80,7 @@ func Checkers() []*Checker {
 		mapOrderChecker,
 		strayGoroutineChecker,
 		uncheckedErrorChecker,
-		snapshotDriftChecker,
+		unknownDirectiveChecker,
 		faultSiteChecker,
 		hotpathAllocChecker,
 	}

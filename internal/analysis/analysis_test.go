@@ -107,14 +107,14 @@ func diffSets(t *testing.T, want, got map[string]bool) {
 // asserts the reported findings match the markers exactly.
 func TestGoldenFindings(t *testing.T) {
 	fixtures := map[string]string{
-		"nondettime":     "nondet-time",
-		"nondetrand":     "nondet-rand",
-		"maporder":       "map-order",
-		"straygoroutine": "stray-goroutine",
-		"uncheckederror": "unchecked-error",
-		"snapshotdrift":  "snapshot-drift",
-		"faultsite":      "fault-site-registry",
-		"hotpathalloc":   "hotpath-alloc",
+		"nondettime":       "nondet-time",
+		"nondetrand":       "nondet-rand",
+		"maporder":         "map-order",
+		"straygoroutine":   "stray-goroutine",
+		"uncheckederror":   "unchecked-error",
+		"unknowndirective": "unknown-directive",
+		"faultsite":        "fault-site-registry",
+		"hotpathalloc":     "hotpath-alloc",
 	}
 	m := testModule(t)
 	for dir, checker := range fixtures {
@@ -144,29 +144,6 @@ func TestGoldenFindings(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDeliberateDrift plays out the scenario snapshot-drift exists for:
-// the driftdemo fixture copies a nex-style engine struct with one field
-// added after the encoder was written. The checker must name exactly
-// that field — not the transient scratch buffer, not the encoded state.
-func TestDeliberateDrift(t *testing.T) {
-	m := testModule(t)
-	fixDir := filepath.Join(m.Root, "internal/analysis/testdata/src/driftdemo")
-	pkg, err := m.LoadExtraDir(fixDir, "fixture/driftdemo")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	got := AnalyzePackage(m, pkg, []*Checker{checkerByID("snapshot-drift")})
-	if len(got) != 1 {
-		t.Fatalf("got %d findings, want exactly the drifted field: %v", len(got), got)
-	}
-	f := got[0]
-	if !strings.Contains(f.Message, "debugHits") || !strings.Contains(f.Message, "miniEngine") {
-		t.Errorf("finding does not name the drifted field: %s", f.Message)
-	}
-	want := expectedFindings(t, pkg.Filenames, m.Root)
-	diffSets(t, want, findingKeys(got))
 }
 
 // TestSuppression checks both //simlint:allow forms — trailing on the
@@ -318,7 +295,7 @@ func TestCheckerRegistry(t *testing.T) {
 	cs := Checkers()
 	wantIDs := []string{
 		"nondet-time", "nondet-rand", "map-order", "stray-goroutine",
-		"unchecked-error", "snapshot-drift", "fault-site-registry",
+		"unchecked-error", "unknown-directive", "fault-site-registry",
 		"hotpath-alloc",
 	}
 	if len(cs) != len(wantIDs) {

@@ -7,9 +7,9 @@ import (
 	"sort"
 )
 
-// The module call graph backs the whole-program checkers: snapshot-drift
-// follows an encoder method into its helpers, and hotpath-alloc finds
-// its //simlint:hotpath roots. Nodes are declared functions and methods
+// The module call graph backs the whole-program checkers:
+// fault-site-registry looks up the registry's site list in it, and
+// hotpath-alloc finds its //simlint:hotpath roots. Nodes are declared functions and methods
 // of loaded module packages; call sites are recorded in source order,
 // with deferred calls appended at the end (where they execute). Function
 // literals are inlined into their enclosing declaration at the position

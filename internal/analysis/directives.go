@@ -1,32 +1,42 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
 )
 
-// The suite understands three source directives, all parsed from
+// The suite understands two source directives, both parsed from
 // ordinary comments so they survive gofmt and need no build tags:
 //
 //	//simlint:allow <checker>[,<checker>...] [reason]
 //	    suppress findings of the named checkers on this line and the
 //	    next one (trailing on the offending line, or alone above it).
 //
-//	//simlint:transient [reason]
-//	    on a struct field (trailing, or the line above): the field is
-//	    deliberately absent from the type's checkpoint encoding because
-//	    it is scratch, derived, or regenerated on restore. Consumed by
-//	    the snapshot-drift checker.
-//
 //	//simlint:hotpath [reason]
 //	    on a function declaration (last doc-comment line, or the line
 //	    above): the function is a tuned allocation-free hot path; the
 //	    hotpath-alloc checker flags allocating constructs in its body.
+//
+// Any other //simlint: directive is an unknown-directive finding.
 type fileDirectives struct {
-	allow     map[string]map[int]bool // checker ID -> covered lines
-	transient map[int]bool            // lines covered by //simlint:transient
-	hotpath   map[int]bool            // lines covered by //simlint:hotpath
+	allow   map[string]map[int]bool // checker ID -> covered lines
+	hotpath map[int]bool            // lines covered by //simlint:hotpath
+}
+
+// directive splits a //simlint: comment into the directive's name and
+// its arguments; ok is false for any other comment.
+func directive(comment string) (name string, args []string, ok bool) {
+	text, ok := strings.CutPrefix(comment, "//simlint:")
+	if !ok {
+		return "", nil, false
+	}
+	fields := strings.Fields(text)
+	if len(fields) == 0 {
+		return "", nil, true
+	}
+	return fields[0], fields[1:], true
 }
 
 // parseDirectives scans one file's comments for simlint directives.
@@ -34,34 +44,23 @@ type fileDirectives struct {
 // the trailing-comment and line-above forms work.
 func parseDirectives(fset *token.FileSet, f *ast.File) *fileDirectives {
 	d := &fileDirectives{
-		allow:     map[string]map[int]bool{},
-		transient: map[int]bool{},
-		hotpath:   map[int]bool{},
+		allow:   map[string]map[int]bool{},
+		hotpath: map[int]bool{},
 	}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text, ok := strings.CutPrefix(c.Text, "//simlint:")
-			if !ok {
-				continue
-			}
+			name, args, _ := directive(c.Text)
 			line := fset.Position(c.Pos()).Line
 			switch {
-			case strings.HasPrefix(text, "allow"):
-				fields := strings.Fields(strings.TrimPrefix(text, "allow"))
-				if len(fields) == 0 {
-					continue
-				}
-				for _, id := range strings.Split(fields[0], ",") {
+			case name == "allow" && len(args) > 0:
+				for _, id := range strings.Split(args[0], ",") {
 					if d.allow[id] == nil {
 						d.allow[id] = map[int]bool{}
 					}
 					d.allow[id][line] = true
 					d.allow[id][line+1] = true
 				}
-			case strings.HasPrefix(text, "transient"):
-				d.transient[line] = true
-				d.transient[line+1] = true
-			case strings.HasPrefix(text, "hotpath"):
+			case name == "hotpath":
 				d.hotpath[line] = true
 				d.hotpath[line+1] = true
 			}
@@ -81,7 +80,7 @@ func suppressions(fset *token.FileSet, f *ast.File) map[string]map[int]bool {
 func hotpathFunc(fset *token.FileSet, dirs *fileDirectives, decl *ast.FuncDecl) bool {
 	if decl.Doc != nil {
 		for _, c := range decl.Doc.List {
-			if strings.HasPrefix(c.Text, "//simlint:hotpath") {
+			if name, _, _ := directive(c.Text); name == "hotpath" {
 				return true
 			}
 		}
@@ -89,22 +88,27 @@ func hotpathFunc(fset *token.FileSet, dirs *fileDirectives, decl *ast.FuncDecl) 
 	return dirs.hotpath[fset.Position(decl.Pos()).Line]
 }
 
-// transientField reports whether the struct field at pos carries a
-// //simlint:transient directive (trailing or on the line above).
-func transientField(fset *token.FileSet, dirs *fileDirectives, field *ast.Field) bool {
-	if field.Doc != nil {
-		for _, c := range field.Doc.List {
-			if strings.HasPrefix(c.Text, "//simlint:transient") {
-				return true
+// unknownDirectiveChecker reports every //simlint: directive other than
+// allow and hotpath. The suite ignores a directive it does not know, so
+// a misspelled //simlint:hotpath would switch hotpath-alloc off for its
+// function without a word, and the directive of a deleted checker would
+// linger as a promise nothing keeps.
+var unknownDirectiveChecker = &Checker{
+	ID:  "unknown-directive",
+	Doc: "//simlint: directives other than allow and hotpath",
+	Run: runUnknownDirective,
+}
+
+func runUnknownDirective(p *Pass) {
+	for _, f := range p.Pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				name, _, ok := directive(c.Text)
+				if ok && name != "allow" && name != "hotpath" {
+					p.Report(c.Pos(), fmt.Sprintf("unknown simlint directive %q", name),
+						"spell it //simlint:allow <checker> or //simlint:hotpath, or delete the comment")
+				}
 			}
 		}
 	}
-	if field.Comment != nil {
-		for _, c := range field.Comment.List {
-			if strings.HasPrefix(c.Text, "//simlint:transient") {
-				return true
-			}
-		}
-	}
-	return dirs.transient[fset.Position(field.Pos()).Line]
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // hotpathAllocChecker keeps the simulator's per-event cost flat
-// (DESIGN.md §5.4). The paper's speed claims rest on the inner loop —
+// (DESIGN.md §5.2). The paper's speed claims rest on the inner loop —
 // event pop, device advance, LPN fire, trace append — doing zero
 // steady-state allocation; a single composite literal or fmt call in one
 // of those paths shows up directly in events/second and, worse, creates

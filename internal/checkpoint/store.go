@@ -1,3 +1,13 @@
+// Package checkpoint holds the in-memory store of NEX prefix
+// checkpoints.
+//
+// A checkpoint is the host's: the fingerprint of a NEX engine halted at
+// its first device interaction (nex.(*Engine).Fingerprint). The engines
+// are deterministic, so two runs of the same prefix produce
+// byte-identical blobs, and a sweep whose points share a prefix keys
+// them to one blob; each point then re-runs the prefix and checks it
+// against the blob before it continues (SimBricks checkpoints its host
+// after boot for the same sweeps).
 package checkpoint
 
 import (

@@ -8,94 +8,6 @@ import (
 	"testing"
 )
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	e := NewEncoder()
-	e.U8(7)
-	e.Bool(true)
-	e.Bool(false)
-	e.U32(0xdeadbeef)
-	e.U64(1 << 60)
-	e.I64(-42)
-	e.Int(123456789)
-	e.F64(3.14159)
-
-	d, err := NewDecoder(e.Bytes())
-	if err != nil {
-		t.Fatalf("NewDecoder: %v", err)
-	}
-	if got := d.U8(); got != 7 {
-		t.Errorf("U8 = %d", got)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Errorf("Bool mismatch")
-	}
-	if got := d.U32(); got != 0xdeadbeef {
-		t.Errorf("U32 = %#x", got)
-	}
-	if got := d.U64(); got != 1<<60 {
-		t.Errorf("U64 = %d", got)
-	}
-	if got := d.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := d.Int(); got != 123456789 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := d.F64(); got != 3.14159 {
-		t.Errorf("F64 = %v", got)
-	}
-	if !d.Done() {
-		t.Errorf("Done = false: err=%v", d.Err())
-	}
-}
-
-func TestEncodeDeterministic(t *testing.T) {
-	mk := func() []byte {
-		e := NewEncoder()
-		for i := 0; i < 100; i++ {
-			e.I64(int64(i * 31))
-			e.F64(float64(i) / 7)
-		}
-		return e.Bytes()
-	}
-	a, b := mk(), mk()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("identical encodes differ")
-	}
-}
-
-func TestDecoderCorrupt(t *testing.T) {
-	if _, err := NewDecoder([]byte("BOGUS!")); err == nil {
-		t.Errorf("bad magic accepted")
-	}
-	if _, err := NewDecoder(nil); err == nil {
-		t.Errorf("empty blob accepted")
-	}
-	e := NewEncoder()
-	e.U64(1)
-	blob := e.Bytes()
-	// Wrong version.
-	bad := append([]byte(nil), blob...)
-	bad[len(Magic)] = 99
-	if _, err := NewDecoder(bad); err == nil {
-		t.Errorf("bad version accepted")
-	}
-	// Truncation is a sticky error, not a panic.
-	d, err := NewDecoder(blob)
-	if err != nil {
-		t.Fatalf("NewDecoder: %v", err)
-	}
-	_ = d.U64()
-	_ = d.U64() // past the end
-	if d.Err() == nil {
-		t.Errorf("truncated read did not set Err")
-	}
-	_ = d.U32() // reads after error stay safe
-	if d.Done() {
-		t.Errorf("Done = true on failed decode")
-	}
-}
-
 func TestStoreLRUEviction(t *testing.T) {
 	s := NewStore(100)
 	blob := func(n int) []byte { return make([]byte, n) }

@@ -5,17 +5,15 @@ import (
 	"time"
 
 	"nexsim/internal/app"
-	"nexsim/internal/checkpoint"
 )
 
 // Checkpoint/fork support (sweep prefix sharing): a NEX-hosted system
-// can run an application prefix up to the first device interaction,
-// serialize the engine into a content-addressed blob, and later fork any
-// number of continuations from it, each byte-identical to a
-// straight-through run. The blob is the NEX engine's section alone
-// (thread states regenerate by journal replay). No device has done
-// anything before the prefix halts, so every device is rebuilt by the
-// engine re-clocking it to the halt time.
+// can run an application prefix up to the first device interaction and
+// fork any number of continuations from that point, each byte-identical
+// to a straight-through run. A checkpoint blob is the halted engine's
+// fingerprint (nex.Engine.Fingerprint), a content address rather than
+// saved state: a fork re-runs the prefix on its freshly built system and
+// checks that it halts where the blob says.
 
 // CanCheckpoint reports whether this system supports prefix
 // checkpointing: a NEX host without trace recording.
@@ -40,9 +38,9 @@ func (s *System) RunPrefix(prog app.Program) (Result, bool) {
 	return must(s.finish(start, r.SimTime)), true
 }
 
-// Checkpoint serializes the halted system into a blob. Two systems that
-// ran the same prefix produce byte-identical blobs, so the blob is a
-// content address usable as a sharing key.
+// Checkpoint fingerprints the halted system into a blob. Two systems
+// that ran the same prefix produce byte-identical blobs, so the blob is
+// a content address usable as a sharing key.
 func (s *System) Checkpoint() ([]byte, error) {
 	if s.nexEng == nil {
 		return nil, fmt.Errorf("core: checkpointing requires a NEX host")
@@ -50,35 +48,18 @@ func (s *System) Checkpoint() ([]byte, error) {
 	if s.cfg.Trace != nil {
 		return nil, fmt.Errorf("core: checkpointing is incompatible with trace recording")
 	}
-	enc := checkpoint.NewEncoder()
-	if err := s.nexEng.SnapshotTo(enc); err != nil {
-		return nil, err
-	}
-	return enc.Bytes(), nil
+	return s.nexEng.Fingerprint()
 }
 
-// RestoreCheckpoint rebuilds a checkpointed run into this freshly built
-// system. prog must be the same program the snapshotted system ran.
+// RestoreCheckpoint brings this freshly built system to the halt point
+// blob fingerprints by re-running prog's prefix; prog must be the
+// program the checkpointed system ran. A refused blob leaves the
+// system's threads reaped: Release it and run a fresh one.
 func (s *System) RestoreCheckpoint(blob []byte, prog app.Program) error {
 	if s.nexEng == nil {
 		return fmt.Errorf("core: checkpointing requires a NEX host")
 	}
-	dec, err := checkpoint.NewDecoder(blob)
-	if err != nil {
-		return err
-	}
-	if err := s.nexEng.Restore(dec, prog); err != nil {
-		return err
-	}
-	if !dec.Done() {
-		return fmt.Errorf("%w: %d trailing bytes after restore", checkpoint.ErrCorrupt, dec.Remaining())
-	}
-	// Re-clocking the devices crossed each channel once; that traffic is
-	// the restore's, and the resumed run reports what a straight run does.
-	for _, ch := range s.Channels {
-		ch.Msgs, ch.Bytes = 0, 0
-	}
-	return nil
+	return s.nexEng.Restore(blob, prog)
 }
 
 // ResumeRun continues a halted (prefix-run or restored) system to

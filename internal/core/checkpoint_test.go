@@ -3,17 +3,21 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"nexsim/internal/app"
 	"nexsim/internal/core"
 	"nexsim/internal/interconnect"
 	"nexsim/internal/nex"
 	"nexsim/internal/workloads"
 )
 
-// buildSys assembles a system + program for one bench and config shaper.
-func buildSys(t *testing.T, bench string, shape func(*core.Config)) (*core.System, func() core.Result, string) {
+// newSys builds a system for one bench and config shaper, and the
+// bench's program on it.
+func newSys(t *testing.T, bench string, shape func(*core.Config)) (*core.System, app.Program) {
 	t.Helper()
 	b, err := workloads.ByName(bench)
 	if err != nil {
@@ -25,24 +29,25 @@ func buildSys(t *testing.T, bench string, shape func(*core.Config)) (*core.Syste
 		shape(&cfg)
 	}
 	sys := core.Build(cfg)
-	prog := b.Build(&sys.Ctx)
-	return sys, func() core.Result { return sys.Run(prog) }, bench
+	return sys, b.Build(&sys.Ctx)
 }
 
-// checkpointOf runs the prefix on a fresh system and returns its blob.
+// straightRun runs one bench through on a fresh system.
+func straightRun(t *testing.T, bench string, shape func(*core.Config)) core.Result {
+	t.Helper()
+	sys, prog := newSys(t, bench, shape)
+	return sys.Run(prog)
+}
+
+// checkpointOf runs the prefix on a fresh system and returns its blob,
+// reaping the halted prefix's parked threads.
 func checkpointOf(t *testing.T, bench string, shape func(*core.Config)) []byte {
 	t.Helper()
-	b, _ := workloads.ByName(bench)
-	cfg := core.Config{Host: core.HostNEX, Accel: core.AccelDSim,
-		Model: b.Model, Devices: b.Devices, Cores: 16, Seed: 42}
-	if shape != nil {
-		shape(&cfg)
-	}
-	sys := core.Build(cfg)
-	prog := b.Build(&sys.Ctx)
+	sys, prog := newSys(t, bench, shape)
 	if _, completed := sys.RunPrefix(prog); completed {
 		t.Fatalf("%s: prefix ran to completion", bench)
 	}
+	defer sys.Reap()
 	blob, err := sys.Checkpoint()
 	if err != nil {
 		t.Fatalf("%s: checkpoint: %v", bench, err)
@@ -53,14 +58,7 @@ func checkpointOf(t *testing.T, bench string, shape func(*core.Config)) []byte {
 // resumeFrom restores blob into a fresh system and runs it out.
 func resumeFrom(t *testing.T, blob []byte, bench string, shape func(*core.Config)) core.Result {
 	t.Helper()
-	b, _ := workloads.ByName(bench)
-	cfg := core.Config{Host: core.HostNEX, Accel: core.AccelDSim,
-		Model: b.Model, Devices: b.Devices, Cores: 16, Seed: 42}
-	if shape != nil {
-		shape(&cfg)
-	}
-	sys := core.Build(cfg)
-	prog := b.Build(&sys.Ctx)
+	sys, prog := newSys(t, bench, shape)
 	if err := sys.RestoreCheckpoint(blob, prog); err != nil {
 		t.Fatalf("%s: restore: %v", bench, err)
 	}
@@ -92,13 +90,14 @@ func sameRun(t *testing.T, label string, got, want core.Result) {
 
 // TestCheckpointResumeMatchesRun is the end-to-end fork differential:
 // prefix+checkpoint+restore+resume must equal a straight run on every
-// accelerator family, on a multi-device bench, and under the eager and
-// hybrid sync modes, which advance the idle devices before the halt.
-// The blob carries no device state, so each case also pins that
-// re-clocking freshly built devices to the halt time rebuilds them.
+// accelerator family, on a multi-device bench, under the eager and
+// hybrid sync modes, which advance the idle devices before the halt,
+// and with more runnable threads than virtual cores, where the fair
+// policy's service counts decide who runs.
 func TestCheckpointResumeMatchesRun(t *testing.T) {
 	eager := func(c *core.Config) { c.NEX.Mode = nex.Eager }
 	hybrid := func(c *core.Config) { c.NEX.Mode = nex.Hybrid }
+	oneCore := func(c *core.Config) { c.NEX.VirtualCores, c.NEX.PhysicalCores = 1, 1 }
 	for _, tc := range []struct {
 		name, bench string
 		shape       func(*core.Config)
@@ -112,10 +111,11 @@ func TestCheckpointResumeMatchesRun(t *testing.T) {
 		{"jpeg-mt.4/eager", "jpeg-mt.4", eager},
 		{"jpeg-mt.4/hybrid", "jpeg-mt.4", hybrid},
 		{"vta-resnet18/rtl-eager", "vta-resnet18", func(c *core.Config) { eager(c); c.Accel = core.AccelRTL }},
+		{"vta-resnet18-mp4/vcores1", "vta-resnet18-mp4", oneCore},
+		{"jpeg-mt.4/vcores1", "jpeg-mt.4", oneCore},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, straight, _ := buildSys(t, tc.bench, tc.shape)
-			want := straight()
+			want := straightRun(t, tc.bench, tc.shape)
 			blob := checkpointOf(t, tc.bench, tc.shape)
 			got := resumeFrom(t, blob, tc.bench, tc.shape)
 			sameRun(t, tc.name, got, want)
@@ -141,8 +141,7 @@ func TestCheckpointSharedAcrossLateBinding(t *testing.T) {
 		{"channel", func(c *core.Config) { c.UseChannel = true }},
 	}
 	for _, v := range variants {
-		_, straight, _ := buildSys(t, bench, v.shape)
-		want := straight()
+		want := straightRun(t, bench, v.shape)
 		got := resumeFrom(t, blob, bench, v.shape)
 		sameRun(t, v.name, got, want)
 	}
@@ -162,72 +161,58 @@ func TestCheckpointContentAddressed(t *testing.T) {
 	}
 }
 
-// restoreTarget builds a fresh system + program and returns a closure
-// that attempts to restore a (possibly damaged) blob into it.
-func restoreTarget(t *testing.T, bench string) func([]byte) error {
-	t.Helper()
-	b, _ := workloads.ByName(bench)
-	cfg := core.Config{Host: core.HostNEX, Accel: core.AccelDSim,
-		Model: b.Model, Devices: b.Devices, Cores: 16, Seed: 42}
-	sys := core.Build(cfg)
-	prog := b.Build(&sys.Ctx)
-	return func(blob []byte) error { return sys.RestoreCheckpoint(blob, prog) }
-}
-
-// TestRestoreCorruptBlob: restoring a damaged checkpoint must fail with
-// an error, never panic or silently accept. Truncations, header damage
-// and framing damage must all be detected.
+// TestRestoreCorruptBlob: a blob the re-run prefix does not reproduce —
+// empty, truncated, padded, any single bit flipped, another bench's or
+// another seed's — is refused with an error, never a panic, and the
+// refused re-run's parked threads are reaped.
 func TestRestoreCorruptBlob(t *testing.T) {
-	blob := checkpointOf(t, "vta-resnet18", nil)
+	const bench = "protoacc-bench0"
+	blob := checkpointOf(t, bench, nil)
+	var flips [][]byte
+	for bit := 0; bit < 8*len(blob); bit++ {
+		c := append([]byte(nil), blob...)
+		c[bit/8] ^= 1 << (bit % 8)
+		flips = append(flips, c)
+	}
 	cases := []struct {
-		name   string
-		mangle func([]byte) []byte
+		name  string
+		blobs [][]byte
 	}{
-		{"empty", func(b []byte) []byte { return nil }},
-		{"bad-magic", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			copy(c, "WRONG!")
-			return c
-		}},
-		{"truncated-header", func(b []byte) []byte { return b[:4] }},
-		{"truncated-half", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"truncated-one", func(b []byte) []byte { return b[:len(b)-1] }},
-		{"trailing-garbage", func(b []byte) []byte {
-			return append(append([]byte(nil), b...), 0xDE, 0xAD)
-		}},
+		{"empty", [][]byte{nil}},
+		{"truncated-header", [][]byte{blob[:4]}},
+		{"truncated-half", [][]byte{blob[:len(blob)/2]}},
+		{"truncated-one", [][]byte{blob[:len(blob)-1]}},
+		{"trailing-garbage", [][]byte{append(append([]byte(nil), blob...), 0xDE, 0xAD)}},
+		{"bit-flip", flips},
+		{"other-bench", [][]byte{checkpointOf(t, "vta-resnet18", nil)}},
+		{"other-seed", [][]byte{checkpointOf(t, bench, func(c *core.Config) { c.Seed = 7 })}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			restore := restoreTarget(t, "vta-resnet18")
-			if err := restore(tc.mangle(blob)); err == nil {
-				t.Fatal("corrupt blob restored without error")
+			runtime.GC()
+			before := runtime.NumGoroutine()
+			for i, bad := range tc.blobs {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("blob %d: restore panicked: %v", i, r)
+						}
+					}()
+					sys, prog := newSys(t, bench, nil)
+					defer sys.Release()
+					if err := sys.RestoreCheckpoint(bad, prog); err == nil {
+						t.Fatalf("blob %d: restored without error", i)
+					}
+				}()
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("refused restores leaked goroutines: %d before, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
 			}
 		})
-	}
-}
-
-// TestRestoreBitFlippedBlob sweeps single-bit flips across the blob:
-// every attempt must return normally (error or not) — a panic anywhere
-// fails the test. Flips in payload bytes may decode "successfully" into
-// different-but-well-formed state; that is acceptable (blobs only come
-// from the process's own in-memory store, so integrity is not the
-// decoder's job), crashing is not.
-func TestRestoreBitFlippedBlob(t *testing.T) {
-	blob := checkpointOf(t, "vta-resnet18", nil)
-	// Stride through the blob so the test stays fast on large snapshots.
-	stride := len(blob)/97 + 1
-	for off := 0; off < len(blob); off += stride {
-		c := append([]byte(nil), blob...)
-		c[off] ^= 0x10
-		restore := restoreTarget(t, "vta-resnet18")
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("bit flip at offset %d: restore panicked: %v", off, r)
-				}
-			}()
-			_ = restore(c)
-		}()
 	}
 }
 
@@ -262,25 +247,25 @@ func TestResumedRunReportsWallSplit(t *testing.T) {
 }
 
 // TestTryResumeBudget: a forked run that blows its Budget aborts under
-// TryRun's contract — the same structured error, engine reaped.
+// TryRun's contract — the same structured error, engine reaped — and,
+// since a fork re-runs the prefix under the same budget, at the same
+// simulated time as a straight run.
 func TestTryResumeBudget(t *testing.T) {
 	const bench = "jpeg-decode"
 	budget := func(c *core.Config) { c.Budget.MaxEpochs = 1 }
-	b, _ := workloads.ByName(bench)
 
-	sys, _, _ := buildSys(t, bench, budget)
-	_, straightErr := sys.TryRun(b.Build(&sys.Ctx))
+	sys, prog := newSys(t, bench, budget)
+	_, straightErr := sys.TryRun(prog)
 
-	sys, _, _ = buildSys(t, bench, budget)
-	if err := sys.RestoreCheckpoint(checkpointOf(t, bench, nil), b.Build(&sys.Ctx)); err != nil {
+	sys, prog = newSys(t, bench, budget)
+	if err := sys.RestoreCheckpoint(checkpointOf(t, bench, nil), prog); err != nil {
 		t.Fatal(err)
 	}
 	_, err := sys.TryResume()
 	if !errors.Is(err, core.ErrBudgetExceeded) || !errors.Is(straightErr, core.ErrBudgetExceeded) {
 		t.Fatalf("TryResume err = %v, TryRun err = %v; want both ErrBudgetExceeded", err, straightErr)
 	}
-	const prefix = "nex/dsim run aborted after "
-	if !strings.HasPrefix(err.Error(), prefix) || !strings.HasPrefix(straightErr.Error(), prefix) {
-		t.Errorf("abort messages differ in form:\n resume: %v\n run:    %v", err, straightErr)
+	if !strings.HasPrefix(err.Error(), "nex/dsim run aborted after ") || err.Error() != straightErr.Error() {
+		t.Errorf("abort messages differ:\n resume: %v\n run:    %v", err, straightErr)
 	}
 }

@@ -21,10 +21,11 @@ const defaultHostClock = 3 * vclock.GHz
 // channel integration — while the host-side prefix up to the first
 // device interaction is identical. With checkpoints enabled, the
 // planner groups runs by their normalized prefix, executes each group's
-// prefix once, snapshots the engine at the divergence point, and forks
-// every group member from the blob. Forked runs are byte-identical to
-// straight-through runs (the engine-level differential tests pin this),
-// so enabling checkpoints changes wall-clock time only.
+// prefix once, fingerprints the engine at the divergence point, and
+// forks every group member from the blob: each re-runs the prefix on its
+// own system and checks it against the blob. Forked runs are
+// byte-identical to straight-through runs (the engine-level differential
+// tests pin this), so enabling checkpoints changes wall-clock time only.
 
 // checkpointsOn gates the prefix-sharing planner. No command or server
 // turns it on: it is a library mechanism kept for the sweep planner the
@@ -67,7 +68,7 @@ func chaosSleep(delayPS int64) {
 
 // prefixShareable reports whether a run can fork from a shared prefix:
 // a NEX host driving at least one accelerator, without trace recording
-// (journal replay does not reproduce trace spans).
+// (core refuses to checkpoint a traced system).
 func prefixShareable(b workloads.Bench, cfg core.Config) bool {
 	return cfg.Host == core.HostNEX && cfg.Trace == nil &&
 		cfg.Model != core.AccelNone && b.Model != core.AccelNone
@@ -119,7 +120,7 @@ func prefixKey(bench string, cfg core.Config) string {
 }
 
 // warmPrefix runs (or joins) the group's shared prefix and stores its
-// snapshot blob; a nil blob means the program completed without
+// checkpoint blob; a nil blob means the program completed without
 // touching a device (cached as a negative entry so the group falls back
 // to straight runs without re-probing). A failure is not fatal: it is
 // not cached, and the group's runs fall back to straight runs.
@@ -132,7 +133,7 @@ func warmPrefix(b workloads.Bench, cfg core.Config) {
 			return nil, nil
 		}
 		// The prefix halted mid-program, so its threads are parked, not
-		// finished: reap them once the snapshot is taken, or every cold
+		// finished: reap them once the blob is taken, or every cold
 		// prefix leaks their goroutines and the heap they pin.
 		defer psys.Reap()
 		return psys.Checkpoint()
@@ -140,7 +141,7 @@ func warmPrefix(b workloads.Bench, cfg core.Config) {
 }
 
 // warmPrefixes is the sweep planner's warm phase: it runs every
-// multi-member group's shared prefix first (one snapshot per group,
+// multi-member group's shared prefix first (one blob per group,
 // fanned across the worker pool), so the per-spec jobs all fork from warm
 // blobs instead of racing to produce them.
 func warmPrefixes(pool *sweep.Executor, norm []Spec) {
@@ -161,10 +162,10 @@ func warmPrefixes(pool *sweep.Executor, norm []Spec) {
 // through: fork from the shared prefix when one is already cached, run
 // straight through otherwise. Prefixes are only *computed* by the sweep
 // planner's warm phase (RunSpecs) for groups that actually share one —
-// a solo run never pays for a snapshot nobody will fork. A restore
-// failure (a program whose yield sequence diverges from the cached
-// prefix) falls back to a straight run — correctness never depends on
-// the cache.
+// a solo run never pays for a prefix nobody will fork. A restore
+// failure (a re-run prefix that halts elsewhere than the cached blob
+// says) falls back to a straight run — correctness never depends on the
+// cache.
 //
 // It is also the fault boundary: an OpFail fault firing at an engine
 // site panics with its *faults.Injected, which the deferred recover

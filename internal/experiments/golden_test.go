@@ -22,7 +22,8 @@ var updateGolden = flag.Bool("update-golden", false,
 //
 // The same tables are then produced a second way — sweep points forked
 // from shared prefix checkpoints — and must match the same golden byte
-// for byte: snapshot/replay drift shows up as a diff here.
+// for byte: a fork that resumes from another point than a straight run
+// shows up as a diff here.
 func TestTablesGolden(t *testing.T) {
 	defer SetParallelism(Parallelism())
 	defer SetCheckpoints(CheckpointsEnabled())

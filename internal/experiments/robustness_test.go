@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -220,7 +221,7 @@ func TestBudgetAbortNoGoroutineLeak(t *testing.T) {
 }
 
 // TestWarmPrefixNoGoroutineLeak: a cold prefix-sharing sweep halts its
-// prefix system mid-program to snapshot it; the halted system's parked
+// prefix system mid-program to fingerprint it; the halted system's parked
 // thread goroutines must be reaped, not left behind with the heap they
 // pin, so repeated cold sweeps return to the starting goroutine count.
 func TestWarmPrefixNoGoroutineLeak(t *testing.T) {
@@ -255,5 +256,53 @@ func TestWarmPrefixNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines leaked by cold prefix sweeps: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRefusedForkFallsBack: a cached prefix blob that the fork's re-run
+// does not reproduce (here the fingerprint of another seed's prefix,
+// as a planner bug would file it) is refused, and executeRun answers
+// with a straight run's result instead.
+func TestRefusedForkFallsBack(t *testing.T) {
+	oldCk := CheckpointsEnabled()
+	defer func() {
+		SetCheckpoints(oldCk)
+		ResetCheckpointStore()
+	}()
+	n, err := Spec{Bench: "protoacc-bench0"}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, cfg, err := Lower(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetCheckpoints(false)
+	want, err := executeRun(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	SetCheckpoints(true)
+	ResetCheckpointStore()
+	other := cfg
+	other.Seed++
+	warmPrefix(b, other)
+	blob, ok := ckptStore.Get(prefixKey(b.Name, other))
+	if !ok || blob == nil {
+		t.Fatal("no prefix blob for the other seed")
+	}
+	ckptStore.Put(prefixKey(b.Name, cfg), blob)
+	hits := CheckpointStats().Hits
+	got, err := executeRun(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if CheckpointStats().Hits == hits {
+		t.Fatal("executeRun did not try the cached blob")
+	}
+	want.WallTime, got.WallTime = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fallback run diverged from a straight run:\n got  %+v\n want %+v", got, want)
 	}
 }

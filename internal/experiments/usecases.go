@@ -51,7 +51,7 @@ var vtaSweepPoints = []struct {
 // finally serving DMAs from an L2 instead of the LLC. The design points
 // differ only in late-binding attachment parameters, so with
 // checkpoints enabled the planner runs the shared host prefix once and
-// forks the four points from its snapshot.
+// forks the four points from its checkpoint.
 var VTASweep = Experiment{
 	ID: "vtasweep", Title: "§6.4: interactive VTA design exploration (ResNet-50)",
 	// The CPU-only baseline plus one run per design point.

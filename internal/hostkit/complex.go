@@ -13,7 +13,7 @@
 //
 // The engines (nex, exacthost) keep what is theirs: the scheduler, the
 // interrupt-delivery policy (handed to the complex as a RaiseIRQ
-// function), the budget unit, and NEX's journal snapshot.
+// function), the budget unit, and NEX's prefix halt.
 package hostkit
 
 import (

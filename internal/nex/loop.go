@@ -86,8 +86,8 @@ func (e *Engine) loop() {
 			if e.runThreadEpoch(th, start, end) {
 				// Prefix halt: the request e.frame.req was yielded but not
 				// processed. Freeze the slot-loop position; ResumeRun picks
-				// the epoch back up from here (possibly in another engine,
-				// after Restore). selected aliases scratch, so copy it.
+				// the epoch back up from here. selected aliases scratch, so
+				// copy it.
 				e.frame.selected = append([]*coro.Thread(nil), selected...)
 				e.frame.idx = i
 				e.frame.start = start
@@ -227,9 +227,6 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 
 		s.cursor = cursor
 		r := th.Resume()
-		if e.recording {
-			e.recordYield(th, r)
-		}
 		if e.haltArmed && e.deviceTouch(r) {
 			e.frame = &haltFrame{req: r}
 			return true
@@ -294,11 +291,6 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			nt := e.newThread(r.Name, body)
 			e.setWake(st(nt), end)
 			th.Spawned = nt
-			if e.recording {
-				// Patch the child's ID into the journal entry so replay can
-				// check the recreated thread got the same identity.
-				e.journal[len(e.journal)-1].aux = nt.ID
-			}
 
 		case coro.OpWaitIRQ:
 			s.parked = true

@@ -164,14 +164,12 @@ func (s Stats) ModeledWall(epoch vclock.Duration) vclock.Duration {
 // Engine is one NEX orchestrator instance.
 type Engine struct {
 	cfg Config
-	mem *mem.Memory       //simlint:transient wiring; memory content is regenerated by journal replay
-	env hostkit.EnvConfig //simlint:transient wiring shared by every thread's Env, derived from cfg in New
-	// dev is the device complex; of its state only the time it was last
-	// advanced to is snapshotted (restore re-clocks fresh devices to it).
+	mem *mem.Memory
+	env hostkit.EnvConfig // shared by every thread's Env, derived from cfg in New
 	dev *hostkit.Complex
 	// policy is the complementary scheduling policy (§3.3, §A.1): when
 	// more threads are runnable than virtual cores, it picks which run.
-	policy *FairPolicy //simlint:transient rebuilt by New from cfg.Epoch; service counts start afresh on restore
+	policy *FairPolicy
 
 	threads []*coro.Thread
 	live    int
@@ -186,40 +184,36 @@ type Engine struct {
 	// parked), in creation order. Entries go stale in place when a thread
 	// parks or exits and are swept out once they outnumber the live ones
 	// (amortized O(1)); unparking re-inserts compacted-out threads by ID.
-	active    []*coro.Thread //simlint:transient cache over threads; rebuilt as replay re-creates them
-	inactiveN int            //simlint:transient stale-entry count for the active cache
+	active    []*coro.Thread
+	inactiveN int
 	// wakeMin caches minWake; it is invalidated only when the thread
 	// holding the minimum moves its wake time up.
-	wakeMin   vclock.Time //simlint:transient memo of minWake; recomputed on demand
-	wakeValid bool        //simlint:transient validity bit of the wakeMin memo
+	wakeMin   vclock.Time
+	wakeValid bool
 	// runnableBuf is runnableAt's reusable scratch slice; its contents
 	// are only live until the next epoch's scan.
-	runnableBuf []*coro.Thread //simlint:transient per-epoch scratch, dead between epochs
+	runnableBuf []*coro.Thread
 
 	now      vclock.Time // current epoch start
 	truncate bool        // a SlipStream exit requested epoch truncation
 	finishT  vclock.Time // virtual time of the last thread activity
 	nextSync vclock.Time // next hybrid periodic synchronization boundary
 	epochIdx int64
-	calBias  float64       //simlint:transient derived from cfg.Seed and CalSigma in New
-	interfer float64       //simlint:transient derived from cfg in New (underprovisioning factor)
-	rng      *xrand.Stream //simlint:transient re-seeded from cfg.Seed; journal replay re-walks the stream
+	calBias  float64 // derived from cfg.Seed and CalSigma in New
+	interfer float64 // underprovisioning factor, derived from cfg in New
 
-	// Checkpoint machinery (snapshot.go). While recording, every thread
-	// yield is journaled so a fresh engine can replay the prefix; while
-	// haltArmed, the first device-bound request freezes the engine
-	// mid-epoch into frame instead of being processed.
-	recording bool //simlint:transient snapshot-machinery mode flag, set by RunPrefix itself
-	haltArmed bool //simlint:transient snapshot-machinery mode flag, set by RunPrefix itself
-	journal   []journalEntry
+	// Prefix halt (snapshot.go): while haltArmed, the first device-bound
+	// request freezes the engine mid-epoch into frame instead of being
+	// processed.
+	haltArmed bool
 	frame     *haltFrame
 
 	// Watchdog budget state: loopTicks counts loop iterations (for the
 	// amortized wall check), wallStart anchors MaxWall, exceeded latches
 	// a budget abort.
-	loopTicks int64     //simlint:transient watchdog bookkeeping, never simulation state
-	wallStart time.Time //simlint:transient watchdog wall anchor, never simulation state
-	exceeded  bool      //simlint:transient watchdog latch, never simulation state
+	loopTicks int64
+	wallStart time.Time
+	exceeded  bool
 
 	Stats Stats
 }
@@ -288,7 +282,6 @@ func New(cfg Config) *Engine {
 		mem:     cfg.Memory,
 		policy:  NewFairPolicy(cfg.Epoch),
 		irqWait: make(map[int][]*coro.Thread),
-		rng:     rng,
 	}
 	// Interrupt policy: a raised interrupt stays pending until the next
 	// delivery boundary (deliverIRQs).

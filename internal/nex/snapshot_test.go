@@ -6,7 +6,6 @@ import (
 
 	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/app"
-	"nexsim/internal/checkpoint"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -67,7 +66,7 @@ func TestRunPrefixHaltsBeforeDeviceTouch(t *testing.T) {
 	if completed {
 		t.Fatal("prefix ran to completion despite device interaction")
 	}
-	if !e.Halted() {
+	if _, err := e.Fingerprint(); err != nil {
 		t.Fatal("engine not halted")
 	}
 	if dev.Reads != 0 || dev.Pending {
@@ -116,7 +115,7 @@ func TestPrefixResumeMatchesStraightRun(t *testing.T) {
 }
 
 // TestRestoreMatchesStraightRun is the cross-engine differential: a
-// snapshot restored into a fresh engine must continue byte-identically.
+// fingerprint restored into a fresh engine must continue byte-identically.
 func TestRestoreMatchesStraightRun(t *testing.T) {
 	for _, mode := range []SyncMode{Lazy, Eager, Hybrid} {
 		cfg := snapCfg()
@@ -129,21 +128,15 @@ func TestRestoreMatchesStraightRun(t *testing.T) {
 		if _, completed := eB.RunPrefix(snapProg(bufB, 10)); completed {
 			t.Fatalf("mode %v: prefix completed", mode)
 		}
-		enc := checkpoint.NewEncoder()
-		if err := eB.SnapshotTo(enc); err != nil {
-			t.Fatalf("mode %v: snapshot: %v", mode, err)
+		blob, err := eB.Fingerprint()
+		if err != nil {
+			t.Fatalf("mode %v: fingerprint: %v", mode, err)
 		}
+		eB.Reap()
 
 		eC, devC, bufC := snapRig(cfg)
-		dec, err := checkpoint.NewDecoder(enc.Bytes())
-		if err != nil {
-			t.Fatalf("mode %v: decode: %v", mode, err)
-		}
-		if err := eC.Restore(dec, snapProg(bufC, 10)); err != nil {
+		if err := eC.Restore(blob, snapProg(bufC, 10)); err != nil {
 			t.Fatalf("mode %v: restore: %v", mode, err)
-		}
-		if !dec.Done() {
-			t.Fatalf("mode %v: snapshot bytes left over (err=%v)", mode, dec.Err())
 		}
 		got := eC.ResumeRun()
 
@@ -164,18 +157,20 @@ func TestRestoreMatchesStraightRun(t *testing.T) {
 }
 
 // TestSnapshotContentAddressed: two engines running the same prefix must
-// produce byte-identical blobs (the content hash is the sharing key).
+// produce byte-identical fingerprints (the content hash is the sharing
+// key).
 func TestSnapshotContentAddressed(t *testing.T) {
 	blob := func() []byte {
 		e, _, buf := snapRig(snapCfg())
 		if _, completed := e.RunPrefix(snapProg(buf, 10)); completed {
 			t.Fatal("prefix completed")
 		}
-		enc := checkpoint.NewEncoder()
-		if err := e.SnapshotTo(enc); err != nil {
+		defer e.Reap()
+		blob, err := e.Fingerprint()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return enc.Bytes()
+		return blob
 	}
 	a, b := blob(), blob()
 	if !bytes.Equal(a, b) {
@@ -186,78 +181,49 @@ func TestSnapshotContentAddressed(t *testing.T) {
 func TestSnapshotRequiresHalt(t *testing.T) {
 	e := New(snapCfg())
 	e.Run(app.Program{Main: func(env app.Env) { env.ComputeFor(1 * us) }})
-	if err := e.SnapshotTo(checkpoint.NewEncoder()); err == nil {
-		t.Fatal("snapshot of completed engine succeeded")
+	if _, err := e.Fingerprint(); err == nil {
+		t.Fatal("fingerprint of completed engine succeeded")
 	}
 }
 
-func TestRestoreRejectsConfigMismatch(t *testing.T) {
-	e, _, buf := snapRig(snapCfg())
+// snapBlob runs snapProg's prefix on a fresh engine and returns its
+// fingerprint.
+func snapBlob(t *testing.T, cfg Config) []byte {
+	t.Helper()
+	e, _, buf := snapRig(cfg)
 	if _, completed := e.RunPrefix(snapProg(buf, 10)); completed {
 		t.Fatal("prefix completed")
 	}
-	enc := checkpoint.NewEncoder()
-	if err := e.SnapshotTo(enc); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := snapCfg()
-	cfg.Epoch = 2 * us // host-side parameter differs: not the same prefix
-	e2, _, buf2 := snapRig(cfg)
-	dec, err := checkpoint.NewDecoder(enc.Bytes())
+	defer e.Reap()
+	blob, err := e.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.Restore(dec, snapProg(buf2, 10)); err == nil {
+	return blob
+}
+
+func TestRestoreRejectsConfigMismatch(t *testing.T) {
+	blob := snapBlob(t, snapCfg())
+	cfg := snapCfg()
+	cfg.Epoch = 2 * us // host-side parameter differs: not the same prefix
+	e2, _, buf2 := snapRig(cfg)
+	if err := e2.Restore(blob, snapProg(buf2, 10)); err == nil {
 		t.Fatal("restore accepted mismatched config")
 	}
 }
 
 func TestRestoreRejectsDivergentProgram(t *testing.T) {
-	e, _, buf := snapRig(snapCfg())
-	if _, completed := e.RunPrefix(snapProg(buf, 10)); completed {
-		t.Fatal("prefix completed")
-	}
-	enc := checkpoint.NewEncoder()
-	if err := e.SnapshotTo(enc); err != nil {
-		t.Fatal(err)
-	}
-
+	blob := snapBlob(t, snapCfg())
 	e2, _, buf2 := snapRig(snapCfg())
-	dec, err := checkpoint.NewDecoder(enc.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A different round count changes the yield sequence; replay must
-	// detect the divergence rather than silently corrupt state.
-	if err := e2.Restore(dec, snapProg(buf2, 25)); err == nil {
+	// A different round count moves the halt point; the re-run must
+	// refuse the blob rather than fork from another prefix.
+	if err := e2.Restore(blob, snapProg(buf2, 25)); err == nil {
 		t.Fatal("restore accepted a divergent program")
 	}
 }
 
-func TestRestoreRejectsTruncatedBlob(t *testing.T) {
-	e, _, buf := snapRig(snapCfg())
-	if _, completed := e.RunPrefix(snapProg(buf, 10)); completed {
-		t.Fatal("prefix completed")
-	}
-	enc := checkpoint.NewEncoder()
-	if err := e.SnapshotTo(enc); err != nil {
-		t.Fatal(err)
-	}
-	blob := enc.Bytes()
-
-	e2, _, buf2 := snapRig(snapCfg())
-	dec, err := checkpoint.NewDecoder(blob[:len(blob)-7])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Restore(dec, snapProg(buf2, 10)); err == nil {
-		t.Fatal("restore accepted a truncated blob")
-	}
-}
-
-// TestPrefixRecordingDoesNotPerturbStraightRuns: a run with recording
-// that never halts (no devices) must produce the seed-identical result.
+// TestPrefixRecordingDoesNotPerturbStraightRuns: a prefix run that
+// never halts (no devices) must produce the seed-identical result.
 func TestPrefixRecordingDoesNotPerturbStraightRuns(t *testing.T) {
 	prog := func() app.Program {
 		return app.Program{Main: func(env app.Env) {
@@ -308,17 +274,14 @@ func TestTickModeHalt(t *testing.T) {
 	if _, completed := eB.RunPrefix(mk(eB, bufB)); completed {
 		t.Fatal("tick-mode prefix completed without halting on the tick")
 	}
-	enc := checkpoint.NewEncoder()
-	if err := eB.SnapshotTo(enc); err != nil {
-		t.Fatal(err)
-	}
-
-	eC, _, bufC := snapRig(cfg)
-	dec, err := checkpoint.NewDecoder(enc.Bytes())
+	blob, err := eB.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eC.Restore(dec, mk(eC, bufC)); err != nil {
+	eB.Reap()
+
+	eC, _, bufC := snapRig(cfg)
+	if err := eC.Restore(blob, mk(eC, bufC)); err != nil {
 		t.Fatal(err)
 	}
 	if got := eC.ResumeRun(); got != want {

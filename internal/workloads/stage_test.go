@@ -64,7 +64,7 @@ func TestRandI8MatchesIntnDraws(t *testing.T) {
 
 // benchStageOperands times staging the resnet50-x2 operand set into a
 // fresh memory and releasing it, as every system of a sweep and every
-// journal-replay restore does.
+// forked run's re-run prefix does.
 func benchStageOperands(b *testing.B, stage func(m *mem.Memory)) {
 	stage(mem.New(0)) // fills randI8Memo: generating the operands is not staging them
 	var pages int
