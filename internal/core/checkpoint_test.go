@@ -162,10 +162,37 @@ func TestCheckpointContentAddressed(t *testing.T) {
 }
 
 // TestRestoreCorruptBlob: a blob the re-run prefix does not reproduce —
-// empty, truncated, padded, any single bit flipped, another bench's or
+// empty, truncated, padded, overwritten at the head, another bench's or
 // another seed's — is refused with an error, never a panic, and the
 // refused re-run's parked threads are reaped.
 func TestRestoreCorruptBlob(t *testing.T) {
+	const bench = "protoacc-bench0"
+	blob := checkpointOf(t, bench, nil)
+	badMagic := append([]byte(nil), blob...)
+	copy(badMagic, "WRONG!")
+	cases := []struct {
+		name string
+		blob []byte
+	}{
+		{"empty", nil},
+		{"bad-magic", badMagic},
+		{"truncated-header", blob[:4]},
+		{"truncated-half", blob[:len(blob)/2]},
+		{"truncated-one", blob[:len(blob)-1]},
+		{"trailing-garbage", append(append([]byte(nil), blob...), 0xDE, 0xAD)},
+		{"other-bench", checkpointOf(t, "vta-resnet18", nil)},
+		{"other-seed", checkpointOf(t, bench, func(c *core.Config) { c.Seed = 7 })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			refuseAll(t, bench, [][]byte{tc.blob})
+		})
+	}
+}
+
+// TestRestoreBitFlippedBlob: every single-bit flip of a valid blob is
+// refused, without a panic or a leaked thread.
+func TestRestoreBitFlippedBlob(t *testing.T) {
 	const bench = "protoacc-bench0"
 	blob := checkpointOf(t, bench, nil)
 	var flips [][]byte
@@ -174,45 +201,36 @@ func TestRestoreCorruptBlob(t *testing.T) {
 		c[bit/8] ^= 1 << (bit % 8)
 		flips = append(flips, c)
 	}
-	cases := []struct {
-		name  string
-		blobs [][]byte
-	}{
-		{"empty", [][]byte{nil}},
-		{"truncated-header", [][]byte{blob[:4]}},
-		{"truncated-half", [][]byte{blob[:len(blob)/2]}},
-		{"truncated-one", [][]byte{blob[:len(blob)-1]}},
-		{"trailing-garbage", [][]byte{append(append([]byte(nil), blob...), 0xDE, 0xAD)}},
-		{"bit-flip", flips},
-		{"other-bench", [][]byte{checkpointOf(t, "vta-resnet18", nil)}},
-		{"other-seed", [][]byte{checkpointOf(t, bench, func(c *core.Config) { c.Seed = 7 })}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			runtime.GC()
-			before := runtime.NumGoroutine()
-			for i, bad := range tc.blobs {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Fatalf("blob %d: restore panicked: %v", i, r)
-						}
-					}()
-					sys, prog := newSys(t, bench, nil)
-					defer sys.Release()
-					if err := sys.RestoreCheckpoint(bad, prog); err == nil {
-						t.Fatalf("blob %d: restored without error", i)
-					}
-				}()
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before {
-				if time.Now().After(deadline) {
-					t.Fatalf("refused restores leaked goroutines: %d before, %d after", before, runtime.NumGoroutine())
+	refuseAll(t, bench, flips)
+}
+
+// refuseAll restores each blob onto a fresh bench system, fails unless
+// every restore returns an error without panicking, and fails if the
+// refused re-runs leave goroutines behind.
+func refuseAll(t *testing.T, bench string, blobs [][]byte) {
+	t.Helper()
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	for i, bad := range blobs {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("blob %d: restore panicked: %v", i, r)
 				}
-				time.Sleep(10 * time.Millisecond)
+			}()
+			sys, prog := newSys(t, bench, nil)
+			defer sys.Release()
+			if err := sys.RestoreCheckpoint(bad, prog); err == nil {
+				t.Fatalf("blob %d: restored without error", i)
 			}
-		})
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("refused restores leaked goroutines: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

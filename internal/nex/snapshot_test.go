@@ -222,6 +222,14 @@ func TestRestoreRejectsDivergentProgram(t *testing.T) {
 	}
 }
 
+func TestRestoreRejectsTruncatedBlob(t *testing.T) {
+	blob := snapBlob(t, snapCfg())
+	e2, _, buf2 := snapRig(snapCfg())
+	if err := e2.Restore(blob[:len(blob)-7], snapProg(buf2, 10)); err == nil {
+		t.Fatal("restore accepted a truncated blob")
+	}
+}
+
 // TestPrefixRecordingDoesNotPerturbStraightRuns: a prefix run that
 // never halts (no devices) must produce the seed-identical result.
 func TestPrefixRecordingDoesNotPerturbStraightRuns(t *testing.T) {
