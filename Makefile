@@ -1,6 +1,6 @@
 # lint is the style/determinism gate: gofmt, go vet, and the simlint
-# static-analysis suite (internal/analysis; see DESIGN.md §5). simlint
-# exits nonzero on any finding.
+# static-analysis suite (internal/analysis; see DESIGN.md §5: seven
+# per-package checkers). simlint exits nonzero on any finding.
 lint:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt -l:"; echo "$$fmt"; exit 1; fi
 	go vet ./...

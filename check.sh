@@ -5,8 +5,8 @@
 set -eux
 
 # Style/determinism gate: gofmt-clean tree, vet-clean, and zero simlint
-# findings (internal/analysis; DESIGN.md §5 — six local checkers plus
-# the whole-program fault-site-registry and hotpath-alloc invariants).
+# findings (internal/analysis; DESIGN.md §5 — seven checkers, each run
+# one package at a time).
 test -z "$(gofmt -l .)"
 go vet ./...
 go run ./cmd/simlint

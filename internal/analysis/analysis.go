@@ -12,14 +12,10 @@
 // same-named functions from other packages neither fool it nor false-
 // positive it).
 //
-// The suite has two kinds of checkers. Local checkers (nondet-time,
-// nondet-rand, map-order, stray-goroutine, unchecked-error,
-// unknown-directive) examine one package at a time. Whole-program
-// checkers (fault-site-registry, hotpath-alloc) run once over the full
-// module with the call graph (callgraph.go): they encode the
-// cross-module contracts the fault-injection subsystem and the
-// annotated hot paths rely on, where the bug is precisely that two
-// far-apart places silently disagree.
+// Every checker examines one package at a time, with go/types facts
+// for that package and the packages it imports. Fault injection sites
+// need no checker: a site is a faults.Site constant, so the compiler
+// rejects one that does not exist.
 //
 // Findings can be suppressed at legitimate sites with an inline
 // directive on the offending line or the line above:
@@ -57,22 +53,16 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Checker, f.Message)
 }
 
-// Checker is one named analysis pass. Exactly one of Run (local,
-// per-package) and RunModule (whole-program) is set.
+// Checker is one named analysis pass, run once per package.
 type Checker struct {
-	ID        string
-	Doc       string
-	Run       func(p *Pass)
-	RunModule func(p *ModulePass)
+	ID  string
+	Doc string
+	Run func(p *Pass)
 }
 
-// Global reports whether the checker needs the whole module (call
-// graph, cross-package facts) rather than one package at a time.
-func (c *Checker) Global() bool { return c.RunModule != nil }
-
-// Checkers returns the full suite in stable order: the five local
+// Checkers returns the full suite in stable order: the five
 // determinism checkers from the original suite, the directive checker,
-// then the two whole-program invariant checkers.
+// then hotpath-alloc.
 func Checkers() []*Checker {
 	return []*Checker{
 		nondetTimeChecker,
@@ -81,7 +71,6 @@ func Checkers() []*Checker {
 		strayGoroutineChecker,
 		uncheckedErrorChecker,
 		unknownDirectiveChecker,
-		faultSiteChecker,
 		hotpathAllocChecker,
 	}
 }
@@ -129,45 +118,33 @@ var defaultAllow = map[string][]string{
 	},
 }
 
-// Pass is the per-package context handed to a local checker's Run.
+// Pass is the per-package context handed to a checker's Run.
 type Pass struct {
 	Checker *Checker
 	Module  *Module
 	Pkg     *Package
 
-	suppress map[string]map[int]bool // file -> line -> suppressed for this checker
+	suppress map[string]map[string]map[int]bool // file -> checker ID -> suppressed lines
 	findings *[]Finding
 }
 
 // relFile converts a token.Pos to a module-relative slash path.
-func relFile(m *Module, pos token.Pos) string {
-	file := m.Fset.Position(pos).Filename
-	if rel, err := filepath.Rel(m.Root, file); err == nil {
-		return filepath.ToSlash(rel)
-	}
-	return filepath.ToSlash(file)
-}
-
-func (p *Pass) relFile(pos token.Pos) string { return relFile(p.Module, pos) }
-
-// allowedFile reports whether file (module-relative) is allowlisted for
-// the checker.
-func allowedFile(checkerID, file string) bool {
-	if strings.HasSuffix(file, "_test.go") {
-		return true
-	}
-	for _, prefix := range defaultAllow[checkerID] {
-		if file == prefix || strings.HasPrefix(file, prefix) {
-			return true
-		}
-	}
-	return false
+func (p *Pass) relFile(pos token.Pos) string {
+	return filepath.ToSlash(mustRel(p.Module.Root, p.Module.Fset.Position(pos).Filename))
 }
 
 // allowed reports whether file (module-relative) is allowlisted for the
 // current checker.
 func (p *Pass) allowed(file string) bool {
-	return allowedFile(p.Checker.ID, file)
+	if strings.HasSuffix(file, "_test.go") {
+		return true
+	}
+	for _, prefix := range defaultAllow[p.Checker.ID] {
+		if file == prefix || strings.HasPrefix(file, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // Report records a finding unless the site is allowlisted or carries a
@@ -178,7 +155,7 @@ func (p *Pass) Report(pos token.Pos, msg, fix string) {
 	if p.allowed(file) {
 		return
 	}
-	if lines := p.suppress[file]; lines[position.Line] {
+	if p.suppress[file][p.Checker.ID][position.Line] {
 		return
 	}
 	*p.findings = append(*p.findings, Finding{
@@ -191,104 +168,21 @@ func (p *Pass) Report(pos token.Pos, msg, fix string) {
 	})
 }
 
-// ModulePass is the whole-program context handed to a global checker's
-// RunModule. Scope is the set of packages findings may be reported in
-// (the full module in a simlint run, a single fixture package in the
-// golden tests); the checker may *read* any loaded package — the call
-// graph spans them all — but must anchor findings inside Scope.
-type ModulePass struct {
-	Checker *Checker
-	Module  *Module
-	Scope   []*Package
-
-	inScope  map[*Package]bool
-	suppress map[string]map[int]bool // file -> line -> suppressed
-	findings *[]Finding
-}
-
-// InScope reports whether findings may be anchored in pkg.
-func (p *ModulePass) InScope(pkg *Package) bool { return p.inScope[pkg] }
-
-// Report records a finding if pos lies inside a Scope package's files
-// and the site is neither allowlisted nor suppressed inline.
-func (p *ModulePass) Report(pos token.Pos, msg, fix string) {
-	position := p.Module.Fset.Position(pos)
-	file := relFile(p.Module, pos)
-	if !p.scopeFile(position.Filename) {
-		return
-	}
-	if allowedFile(p.Checker.ID, file) {
-		return
-	}
-	if lines := p.suppress[file]; lines[position.Line] {
-		return
-	}
-	*p.findings = append(*p.findings, Finding{
-		File:    file,
-		Line:    position.Line,
-		Col:     position.Column,
-		Checker: p.Checker.ID,
-		Message: msg,
-		Fix:     fix,
-	})
-}
-
-// scopeFile reports whether the absolute filename belongs to a Scope
-// package.
-func (p *ModulePass) scopeFile(abs string) bool {
-	for _, pkg := range p.Scope {
-		for _, fn := range pkg.Filenames {
-			if fn == abs {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// AnalyzeScope runs the given checkers (all of them when nil) over the
-// scope packages: local checkers per package, whole-program checkers
-// once with the scope as their reporting boundary. Returns sorted
-// findings.
+// AnalyzeScope runs the given checkers (all of them when nil) over
+// each scope package and returns sorted findings.
 func AnalyzeScope(m *Module, scope []*Package, checkers []*Checker) []Finding {
 	if checkers == nil {
 		checkers = Checkers()
 	}
-	// Collect suppressions once per scope file, then slice per checker.
-	perFile := map[string]map[string]map[int]bool{}
+	var findings []Finding
 	for _, pkg := range scope {
+		sup := map[string]map[string]map[int]bool{}
 		for _, f := range pkg.Files {
 			rel := filepath.ToSlash(mustRel(m.Root, m.Fset.Position(f.Pos()).Filename))
-			perFile[rel] = suppressions(m.Fset, f)
+			sup[rel] = suppressions(m.Fset, f)
 		}
-	}
-	sliceSup := func(id string) map[string]map[int]bool {
-		sup := map[string]map[int]bool{}
-		for file, byChecker := range perFile {
-			if lines := byChecker[id]; lines != nil {
-				sup[file] = lines
-			}
-		}
-		return sup
-	}
-
-	var findings []Finding
-	for _, c := range checkers {
-		if c.Global() {
-			inScope := make(map[*Package]bool, len(scope))
-			for _, pkg := range scope {
-				inScope[pkg] = true
-			}
-			p := &ModulePass{
-				Checker: c, Module: m, Scope: scope,
-				inScope: inScope, suppress: sliceSup(c.ID), findings: &findings,
-			}
-			c.RunModule(p)
-			continue
-		}
-		for _, pkg := range scope {
-			pass := &Pass{Checker: c, Module: m, Pkg: pkg, suppress: sliceSup(c.ID), findings: &findings}
-			c.Run(pass)
+		for _, c := range checkers {
+			c.Run(&Pass{Checker: c, Module: m, Pkg: pkg, suppress: sup, findings: &findings})
 		}
 	}
 	sortFindings(findings)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -113,7 +114,6 @@ func TestGoldenFindings(t *testing.T) {
 		"straygoroutine":   "stray-goroutine",
 		"uncheckederror":   "unchecked-error",
 		"unknowndirective": "unknown-directive",
-		"faultsite":        "fault-site-registry",
 		"hotpathalloc":     "hotpath-alloc",
 	}
 	m := testModule(t)
@@ -289,14 +289,18 @@ func matchesAnyGoFile(t *testing.T, root, prefix string) bool {
 	return found
 }
 
-// TestCheckerRegistry pins the suite composition: eight uniquely named
-// checkers, resolvable by ID, with unknown names rejected.
+// TestCheckerRegistry pins the suite composition: seven uniquely named
+// per-package checkers, resolvable by ID and listed in the same order
+// by checkerIDs (the list unknown-directive checks allows against),
+// with unknown names rejected.
 func TestCheckerRegistry(t *testing.T) {
 	cs := Checkers()
 	wantIDs := []string{
 		"nondet-time", "nondet-rand", "map-order", "stray-goroutine",
-		"unchecked-error", "unknown-directive", "fault-site-registry",
-		"hotpath-alloc",
+		"unchecked-error", "unknown-directive", "hotpath-alloc",
+	}
+	if !slices.Equal(checkerIDs, wantIDs) {
+		t.Errorf("checkerIDs = %v, want %v", checkerIDs, wantIDs)
 	}
 	if len(cs) != len(wantIDs) {
 		t.Fatalf("suite has %d checkers, want %d", len(cs), len(wantIDs))
@@ -306,8 +310,8 @@ func TestCheckerRegistry(t *testing.T) {
 		if c.ID != wantIDs[i] {
 			t.Errorf("checker[%d] = %q, want %q", i, c.ID, wantIDs[i])
 		}
-		if (c.Run == nil) == (c.RunModule == nil) {
-			t.Errorf("checker %q must have exactly one of Run/RunModule", c.ID)
+		if c.Run == nil {
+			t.Errorf("checker %q has no Run", c.ID)
 		}
 		if seen[c.ID] {
 			t.Errorf("duplicate checker ID %q", c.ID)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -19,7 +20,8 @@ import (
 //	    above): the function is a tuned allocation-free hot path; the
 //	    hotpath-alloc checker flags allocating constructs in its body.
 //
-// Any other //simlint: directive is an unknown-directive finding.
+// Any other //simlint: directive, and an allow that names a checker the
+// suite does not have, is an unknown-directive finding.
 type fileDirectives struct {
 	allow   map[string]map[int]bool // checker ID -> covered lines
 	hotpath map[int]bool            // lines covered by //simlint:hotpath
@@ -88,14 +90,24 @@ func hotpathFunc(fset *token.FileSet, dirs *fileDirectives, decl *ast.FuncDecl) 
 	return dirs.hotpath[fset.Position(decl.Pos()).Line]
 }
 
+// checkerIDs names every checker in Checkers(), in the same order.
+// unknown-directive reads it to check //simlint:allow; it is a plain
+// list because going through Checkers() from one of its own checkers
+// would be an initialisation cycle.
+var checkerIDs = []string{
+	"nondet-time", "nondet-rand", "map-order", "stray-goroutine",
+	"unchecked-error", "unknown-directive", "hotpath-alloc",
+}
+
 // unknownDirectiveChecker reports every //simlint: directive other than
-// allow and hotpath. The suite ignores a directive it does not know, so
-// a misspelled //simlint:hotpath would switch hotpath-alloc off for its
+// allow and hotpath, and every allow that names no checker or one the
+// suite does not have. The suite ignores what it does not know, so a
+// misspelled //simlint:hotpath would switch hotpath-alloc off for its
 // function without a word, and the directive of a deleted checker would
 // linger as a promise nothing keeps.
 var unknownDirectiveChecker = &Checker{
 	ID:  "unknown-directive",
-	Doc: "//simlint: directives other than allow and hotpath",
+	Doc: "//simlint: directives other than allow and hotpath, and allows of unknown checkers",
 	Run: runUnknownDirective,
 }
 
@@ -103,10 +115,22 @@ func runUnknownDirective(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				name, _, ok := directive(c.Text)
-				if ok && name != "allow" && name != "hotpath" {
+				name, args, ok := directive(c.Text)
+				switch {
+				case !ok || name == "hotpath":
+				case name != "allow":
 					p.Report(c.Pos(), fmt.Sprintf("unknown simlint directive %q", name),
 						"spell it //simlint:allow <checker> or //simlint:hotpath, or delete the comment")
+				case len(args) == 0:
+					p.Report(c.Pos(), "//simlint:allow names no checker",
+						"name the checker it suppresses: //simlint:allow <checker> <reason>")
+				default:
+					for _, id := range strings.Split(args[0], ",") {
+						if !slices.Contains(checkerIDs, id) {
+							p.Report(c.Pos(), fmt.Sprintf("//simlint:allow names unknown checker %q", id),
+								"name a checker simlint -list prints, or delete the suppression")
+						}
+					}
 				}
 			}
 		}

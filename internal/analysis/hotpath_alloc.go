@@ -8,7 +8,7 @@ import (
 )
 
 // hotpathAllocChecker keeps the simulator's per-event cost flat
-// (DESIGN.md §5.2). The paper's speed claims rest on the inner loop —
+// (DESIGN.md §5.1). The paper's speed claims rest on the inner loop —
 // event pop, device advance, LPN fire, trace append — doing zero
 // steady-state allocation; a single composite literal or fmt call in one
 // of those paths shows up directly in events/second and, worse, creates
@@ -34,29 +34,31 @@ import (
 // "none of these constructs, or an explicit //simlint:allow with the
 // amortization argument".
 var hotpathAllocChecker = &Checker{
-	ID:        "hotpath-alloc",
-	Doc:       "allocating constructs inside //simlint:hotpath functions",
-	RunModule: runHotpathAlloc,
+	ID:  "hotpath-alloc",
+	Doc: "allocating constructs inside //simlint:hotpath functions",
+	Run: runHotpathAlloc,
 }
 
-func runHotpathAlloc(p *ModulePass) {
-	for _, fi := range p.Module.Graph().Funcs() {
-		if !fi.Hotpath || !p.InScope(fi.Pkg) {
-			continue
+func runHotpathAlloc(p *Pass) {
+	for _, f := range p.Pkg.Files {
+		dirs := parseDirectives(p.Module.Fset, f)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && hotpathFunc(p.Module.Fset, dirs, fd) {
+				checkHotpathBody(p, fd)
+			}
 		}
-		checkHotpathBody(p, fi)
 	}
 }
 
-func checkHotpathBody(p *ModulePass, fi *FuncInfo) {
-	pkg := fi.Pkg
-	fname := fi.Obj.Name()
+func checkHotpathBody(p *Pass, fd *ast.FuncDecl) {
+	pkg := p.Pkg
+	fname := fd.Name.Name
 
 	// Slices declared in this function with an explicit capacity
 	// (3-arg make); append to these is amortized by construction.
-	capped := cappedLocals(pkg, fi.Decl.Body)
+	capped := cappedLocals(pkg, fd.Body)
 
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.CompositeLit:
 			// Value struct literals are stack values; only slice and map
@@ -93,14 +95,14 @@ func checkHotpathBody(p *ModulePass, fi *FuncInfo) {
 	})
 }
 
-func reportHotpathLit(p *ModulePass, lit *ast.CompositeLit, what, fname string) {
+func reportHotpathLit(p *Pass, lit *ast.CompositeLit, what, fname string) {
 	p.Report(lit.Pos(),
 		fmt.Sprintf("%s allocates inside hotpath function %s", what, fname),
 		"hoist to a struct field or pool, or annotate //simlint:allow hotpath-alloc with the amortization argument")
 }
 
 // reportHotpathCall flags make/new, fmt.*, and uncapped-append calls.
-func reportHotpathCall(p *ModulePass, pkg *Package, fname string, call *ast.CallExpr, capped map[*types.Var]bool) {
+func reportHotpathCall(p *Pass, pkg *Package, fname string, call *ast.CallExpr, capped map[*types.Var]bool) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		switch id.Name {
 		case "make", "new":
@@ -125,6 +127,23 @@ func reportHotpathCall(p *ModulePass, pkg *Package, fname string, call *ast.Call
 			fmt.Sprintf("fmt.%s call inside hotpath function %s (interface boxing allocates)", fn.Name(), fname),
 			"move formatting off the hot path, or annotate //simlint:allow hotpath-alloc if it only runs on error exits")
 	}
+}
+
+// calleeOf resolves a call expression's static callee function or
+// method, through selectors and parenthesization; nil for builtins,
+// conversions and calls of function-typed values.
+func calleeOf(pkg *Package, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
 }
 
 // cappedLocals finds slice variables assigned a 3-arg make in the body.

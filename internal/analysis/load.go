@@ -25,9 +25,6 @@ type Module struct {
 
 	cache map[string]*Package
 	std   types.Importer
-
-	graph      *Graph // lazily built module call graph (callgraph.go)
-	graphStale bool   // a package loaded since the last Graph build
 }
 
 // Package is one type-checked package of the module.
@@ -185,7 +182,6 @@ func (m *Module) load(importPath, dir string) (*Package, error) {
 	}
 	pkg.Types = tpkg
 	m.cache[importPath] = pkg
-	m.graphStale = true
 	return pkg, nil
 }
 

@@ -15,3 +15,18 @@ type engine struct {
 //
 //simlint:allowed nondet-time // WANT unknown-directive
 var _ = engine{}
+
+// An allow must name checkers the suite has: a deleted or misspelled
+// checker's suppression would otherwise linger without a word.
+//
+//simlint:allow no-such-checker fixture: never a checker // WANT unknown-directive
+var _ = engine{}
+
+// One unknown name in a list is enough.
+//
+//simlint:allow nondet-time,nondet-tme fixture: one typo // WANT unknown-directive
+var _ = engine{}
+
+// An allow with no checker suppresses nothing. The directive runs to
+// the end of the line, so this marker sits in the string before it.
+var _ = "// WANT unknown-directive" //simlint:allow

@@ -61,17 +61,18 @@ func TestFaultMatrix(t *testing.T) {
 	}
 
 	for _, site := range faults.Sites() {
+		name := site.String()
 		for _, op := range []string{"fail", "delay"} {
-			t.Run(site+"/"+op, func(t *testing.T) {
-				spec := withFault(chaosBase, FaultSpec{Site: site, Op: op})
+			t.Run(name+"/"+op, func(t *testing.T) {
+				spec := withFault(chaosBase, FaultSpec{Site: name, Op: op})
 				var r1, r2 core.Result
 				var err1, err2 error
 				d := firedDelta(func() {
 					r1, err1 = RunSpec(spec)
 					r2, err2 = RunSpec(spec)
 				})
-				if d[site] < 2 {
-					t.Fatalf("site %s fired %d times across two runs, want 2", site, d[site])
+				if d[name] < 2 {
+					t.Fatalf("site %s fired %d times across two runs, want 2", site, d[name])
 				}
 				if op == "fail" {
 					// The fault aborts the run with a structured,
@@ -118,7 +119,7 @@ func TestFaultAttemptsWindowExpires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := withFault(chaosBase, FaultSpec{Site: faults.SitePoolWorker, Attempts: 1})
+	spec := withFault(chaosBase, FaultSpec{Site: faults.SitePoolWorker.String(), Attempts: 1})
 	if _, err := RunSpecAttempt(spec, 0, 0); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("attempt 0: err = %v, want injected", err)
 	}
@@ -139,25 +140,29 @@ func TestFaultSpecAddressing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := withFault(chaosBase, FaultSpec{Site: faults.SiteChanSend}).ID()
+	faulted, err := withFault(chaosBase, FaultSpec{Site: faults.SiteChanSend.String()}).ID()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain == faulted {
 		t.Fatal("fault plan did not change the content address")
 	}
-	n, err := withFault(chaosBase, FaultSpec{Site: faults.SiteChanSend, Op: "delay"}).Normalized()
+	n, err := withFault(chaosBase, FaultSpec{Site: faults.SiteChanSend.String(), Op: "delay"}).Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n.Faults[0].Hit != 1 || n.Faults[0].DelayPS == 0 {
 		t.Fatalf("fault defaults not normalized: %+v", n.Faults[0])
 	}
+	_, err = withFault(chaosBase, FaultSpec{Site: "no.such.site"}).Normalized()
+	const unknownSite = `experiments: fault 0: unknown site "no.such.site" (want one of [chan.recv chan.send device.dispatch pool.worker])`
+	if err == nil || err.Error() != unknownSite {
+		t.Errorf("unknown site: err = %v, want %s", err, unknownSite)
+	}
 	bad := []Spec{
-		withFault(chaosBase, FaultSpec{Site: "no.such.site"}),
-		withFault(chaosBase, FaultSpec{Site: faults.SiteChanSend, Op: "explode"}),
-		withFault(chaosBase, FaultSpec{Site: faults.SiteChanSend, Rate: 1.5}),
-		withFault(chaosBase, FaultSpec{Site: faults.SiteChanSend, Hit: -1}),
+		withFault(chaosBase, FaultSpec{Site: faults.SiteChanSend.String(), Op: "explode"}),
+		withFault(chaosBase, FaultSpec{Site: faults.SiteChanSend.String(), Rate: 1.5}),
+		withFault(chaosBase, FaultSpec{Site: faults.SiteChanSend.String(), Hit: -1}),
 	}
 	for i, s := range bad {
 		if _, err := s.Normalized(); err == nil {

@@ -216,7 +216,7 @@ func (s Spec) Normalized() (Spec, error) {
 		copy(fs, s.Faults)
 		for i := range fs {
 			f := &fs[i]
-			if !faults.KnownSite(f.Site) {
+			if _, err := faults.ParseSite(f.Site); err != nil {
 				return Spec{}, fmt.Errorf("experiments: fault %d: unknown site %q (want one of %v)", i, f.Site, faults.Sites())
 			}
 			if f.Op == "" {
@@ -253,11 +253,9 @@ func (s Spec) Normalized() (Spec, error) {
 func faultPlan(n Spec) []faults.Fault {
 	plan := make([]faults.Fault, len(n.Faults))
 	for i, f := range n.Faults {
-		op, _ := faults.ParseOp(f.Op) // validated by Normalized
-		// f.Site comes off the wire, so it cannot be a constant; it was
-		// checked against faults.KnownSite by Normalized.
-		plan[i] = faults.Fault{Site: f.Site, //simlint:allow fault-site-registry Site validated by Normalized
-			Op: op, Hit: f.Hit,
+		site, _ := faults.ParseSite(f.Site) // validated by Normalized
+		op, _ := faults.ParseOp(f.Op)
+		plan[i] = faults.Fault{Site: site, Op: op, Hit: f.Hit,
 			Attempts: f.Attempts, Rate: f.Rate, Delay: f.DelayPS}
 	}
 	return plan

@@ -1,7 +1,10 @@
-// Package faults is the deterministic fault-injection layer: named
-// injection sites threaded through the simulation stack (simbricks
-// channel send/recv, NEX device dispatch, sweep pool workers) fire scheduled or seeded-probabilistic faults
-// that reproduce byte-identically run to run.
+// Package faults is the deterministic fault-injection layer: typed
+// injection sites (Site) threaded through the simulation stack
+// (simbricks channel send/recv, NEX device dispatch, sweep pool
+// workers) fire scheduled or seeded-probabilistic faults that reproduce
+// byte-identically run to run. A site is a Site constant, so an engine
+// cannot cross a site that does not exist; the spec names sites by
+// their wire spelling, which ParseSite checks.
 //
 // Determinism is the whole point. A fault schedule is part of the
 // experiment spec (experiments.Spec.Faults), so a failing run is a
@@ -21,40 +24,58 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"nexsim/internal/xrand"
 )
 
-// Injection sites. Each names one chokepoint in the stack; the DESIGN.md
+// Site is one injection site: a chokepoint in the stack. The DESIGN.md
 // fault-model section documents where each is checked.
+type Site uint8
+
+// The sites, in name order.
 const (
-	// SiteChanSend / SiteChanRecv: simbricks channel message encode and
-	// decode — the co-simulation transport (a lost or delayed message).
-	SiteChanSend = "chan.send"
-	SiteChanRecv = "chan.recv"
+	// SiteChanRecv / SiteChanSend: simbricks channel message decode and
+	// encode — the co-simulation transport (a lost or delayed message).
+	SiteChanRecv Site = iota
+	SiteChanSend
 	// SiteDeviceDispatch: a NEX device-bound trap (MMIO interaction or
 	// tick synchronization point) — the accelerator dispatch path.
-	SiteDeviceDispatch = "device.dispatch"
+	SiteDeviceDispatch
 	// SitePoolWorker: the sweep-pool worker picking up a run — a sick
 	// worker (stall or crash) at job start.
-	SitePoolWorker = "pool.worker"
+	SitePoolWorker
+	numSites
 )
 
-// Sites returns every known injection site, sorted.
-func Sites() []string {
-	return []string{SiteChanRecv, SiteChanSend, SiteDeviceDispatch, SitePoolWorker}
+// siteNames is the wire spelling of each site (experiments.FaultSpec,
+// /metrics labels), sorted like the constants.
+var siteNames = [numSites]string{
+	SiteChanRecv:       "chan.recv",
+	SiteChanSend:       "chan.send",
+	SiteDeviceDispatch: "device.dispatch",
+	SitePoolWorker:     "pool.worker",
 }
 
-// KnownSite reports whether name is a registered injection site.
-func KnownSite(name string) bool {
-	for _, s := range Sites() {
-		if s == name {
-			return true
+func (s Site) String() string { return siteNames[s] }
+
+// Sites returns every injection site, sorted by name.
+func Sites() []Site {
+	out := make([]Site, numSites)
+	for i := range out {
+		out[i] = Site(i)
+	}
+	return out
+}
+
+// ParseSite maps the spec's wire spelling onto a Site.
+func ParseSite(name string) (Site, error) {
+	for i, n := range siteNames {
+		if n == name {
+			return Site(i), nil
 		}
 	}
-	return false
+	return 0, fmt.Errorf("faults: unknown site %q (want one of %v)", name, Sites())
 }
 
 // Op is what a firing fault does at its site.
@@ -92,7 +113,7 @@ func ParseOp(s string) (Op, error) {
 
 // Fault is one scheduled (or probabilistic) fault in a run's plan.
 type Fault struct {
-	Site string
+	Site Site
 	Op   Op
 	// Hit fires the fault on the nth crossing of Site (1-based). 0 with
 	// Rate 0 means the first crossing; 0 with Rate > 0 means every
@@ -119,7 +140,7 @@ var ErrInjected = errors.New("injected fault")
 // Injected is the error (and panic value, at engine sites) a firing
 // OpFail fault produces.
 type Injected struct {
-	Site    string
+	Site    Site
 	Op      Op
 	HitN    int64 // which crossing of the site fired (1-based)
 	Attempt int
@@ -149,8 +170,8 @@ type Injector struct {
 	attempt int
 
 	mu     sync.Mutex
-	counts map[string]int64
-	bySite map[string][]plannedFault
+	counts [numSites]int64
+	bySite [numSites][]plannedFault
 }
 
 type plannedFault struct {
@@ -167,11 +188,7 @@ func NewInjector(seed uint64, attempt int, plan []Fault) *Injector {
 		return nil
 	}
 	root := xrand.New(seed ^ (uint64(attempt)+1)*0x9e3779b97f4a7c15)
-	in := &Injector{
-		attempt: attempt,
-		counts:  make(map[string]int64),
-		bySite:  make(map[string][]plannedFault),
-	}
+	in := &Injector{attempt: attempt}
 	for i, f := range plan {
 		in.bySite[f.Site] = append(in.bySite[f.Site],
 			plannedFault{f: f, rng: root.Derive(fmt.Sprintf("fault-%d-%s", i, f.Site))})
@@ -191,7 +208,7 @@ func (in *Injector) Attempt() int {
 // there, or nil. Exactly one fault fires per crossing (plan order wins
 // ties). The per-site hit counter advances on every crossing, fired or
 // not, so schedules stay stable as faults are added.
-func (in *Injector) Hit(site string) *Injected {
+func (in *Injector) Hit(site Site) *Injected {
 	if in == nil {
 		return nil
 	}
@@ -227,10 +244,10 @@ func (in *Injector) Hit(site string) *Injected {
 // monotonic, so readers must diff.
 var (
 	firedMu     sync.Mutex
-	firedBySite = map[string]int64{}
+	firedBySite [numSites]int64
 )
 
-func recordFired(site string) {
+func recordFired(site Site) {
 	firedMu.Lock()
 	firedBySite[site]++
 	firedMu.Unlock()
@@ -247,18 +264,16 @@ func FiredTotal() int64 {
 	return t
 }
 
-// FiredBySite returns a copy of the per-site fired counters with keys
-// sorted (deterministic rendering).
+// FiredBySite returns the names and counts of the sites that have
+// fired, sorted by name (deterministic rendering).
 func FiredBySite() (sites []string, counts []int64) {
 	firedMu.Lock()
 	defer firedMu.Unlock()
-	for s := range firedBySite {
-		sites = append(sites, s)
-	}
-	sort.Strings(sites)
-	counts = make([]int64, len(sites))
-	for i, s := range sites {
-		counts[i] = firedBySite[s]
+	for s, n := range firedBySite {
+		if n > 0 {
+			sites = append(sites, Site(s).String())
+			counts = append(counts, n)
+		}
 	}
 	return sites, counts
 }

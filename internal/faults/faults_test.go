@@ -85,6 +85,12 @@ func TestRateIsDeterministicPerSeedAndAttempt(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed+attempt produced different patterns:\n%s\n%s", a, b)
 	}
+	// The draws derive from the site's name, so giving sites a type
+	// must not move them.
+	const want = ".....XX.X...X........X....X.X....X...XX...X.....X.X..X..X.X.X..."
+	if a != want {
+		t.Fatalf("pattern(123, 0) = %s, want %s", a, want)
+	}
 	if pattern(123, 0) == pattern(123, 1) {
 		t.Fatal("different attempts should draw different rate patterns")
 	}
@@ -97,6 +103,9 @@ func TestInjectedErrorClassification(t *testing.T) {
 	inj := &Injected{Site: SiteChanSend, Op: OpFail, HitN: 2, Attempt: 1}
 	if !errors.Is(inj, ErrInjected) {
 		t.Fatal("Injected must unwrap to ErrInjected")
+	}
+	if got, want := inj.Error(), "faults: fail chan.send at hit 2 (attempt 1)"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
 	}
 	wrapped := fmt.Errorf("run failed: %w", inj)
 	if !IsInjected(wrapped) {
@@ -120,7 +129,7 @@ func TestFiredCountersAdvance(t *testing.T) {
 	sites, counts := FiredBySite()
 	found := false
 	for i, s := range sites {
-		if s == SiteChanRecv && counts[i] > 0 {
+		if s == SiteChanRecv.String() && counts[i] > 0 {
 			found = true
 		}
 	}
@@ -142,12 +151,22 @@ func TestParseOp(t *testing.T) {
 }
 
 func TestKnownSite(t *testing.T) {
-	for _, s := range Sites() {
-		if !KnownSite(s) {
-			t.Fatalf("site %s not known to KnownSite", s)
+	sites := Sites()
+	seen := map[string]bool{}
+	for i, s := range sites {
+		name := s.String()
+		if name == "" || seen[name] {
+			t.Fatalf("site %d: name %q is empty or repeated", s, name)
+		}
+		seen[name] = true
+		if i > 0 && sites[i-1].String() >= name {
+			t.Fatalf("Sites() not sorted by name: %v", sites)
+		}
+		if got, err := ParseSite(name); err != nil || got != s {
+			t.Fatalf("ParseSite(%q) = %v, %v; want %v", name, got, err, s)
 		}
 	}
-	if KnownSite("chan.teleport") {
+	if _, err := ParseSite("chan.teleport"); err == nil {
 		t.Fatal("unknown site accepted")
 	}
 }
