@@ -79,6 +79,11 @@ test -z "$(grep -rl '"nexsim/internal/checkpoint"' . --include='*.go' |
 test -z "$(grep -rlE '^func (\(.*\) )?(SnapshotTo|RestoreFrom|record[Y]ield)\(' . --include='*.go' |
 	grep -v -e _test.go -e /testdata/)"
 
+# RTL models step every busy cycle (DESIGN.md §4.4): no production file
+# declares a NextStep method, the skip-ahead the device clock once took.
+test -z "$(grep -rlE '^func \(.*\) NextStep\(' . --include='*.go' |
+	grep -v -e _test.go -e /testdata/)"
+
 # Results that do not depend on the CPU (DESIGN.md §5): Go may fuse
 # x*y + z into one FMA instruction, which rounds once instead of twice.
 # It does on arm64 and does not on amd64, so an arm64 shard could

@@ -1,8 +1,8 @@
 // Package devkit is the one device kit: everything an accelerator model
 // shares with every other accelerator model, written once. A model embeds
 // a Bank (register map, task lifecycle, statistics, interrupt gating),
-// an RTL-style model also a Clock (cycle counter and the skip-ahead
-// Advance shell); its software driver embeds Driver (descriptor ring,
+// an RTL-style model also a Clock (cycle counter and the per-cycle
+// Advance loop); its software driver embeds Driver (descriptor ring,
 // doorbell, completion waits); and its functional track memoizes through
 // a Memo (one LRU policy, one byte budget). What is left to the model is
 // its descriptor codec, its functional track, its LPN or unit pipeline

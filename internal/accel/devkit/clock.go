@@ -6,16 +6,13 @@ import "nexsim/internal/vclock"
 type Pipeline interface {
 	// Busy reports whether any unit holds or awaits work.
 	Busy() bool
-	// NextStep is the cycle of the next unit event — a completion at a
-	// unit's busy-until cycle, or an idle unit that can issue (the current
-	// cycle or earlier means "now"). Asked only while Busy.
-	NextStep() int64
 	// Step advances every unit by the clock cycle Cycle.
 	Step()
 }
 
 // Clock is an RTL-style model's cycle counter and its Advance: while the
-// pipeline is busy every unit event is an explicit Step.
+// pipeline is busy every clock cycle is an explicit Step, as under
+// Verilator.
 type Clock struct {
 	// Cycle is the current device cycle.
 	Cycle int64
@@ -35,30 +32,14 @@ func (c *Clock) TimeAt(cycle int64) vclock.Time {
 // CyclesAt converts virtual time to device cycles.
 func (c *Clock) CyclesAt(t vclock.Time) int64 { return c.hz.Cycles(t.Sub(0)) }
 
-// Advance implements accel.Device: step the pipeline up to time t.
-//
-// Between unit events Step is a pure no-op: completions fire at a unit's
-// busy-until cycle, an idle unit with issuable work issues in the same
-// step it went idle, and what is issuable only changes at those events.
-// Jumping straight to the model's next unit event is therefore
-// cycle-exact and skips the dead stepping in between.
+// Advance implements accel.Device: step the pipeline once per cycle up
+// to time t, and stop stepping as soon as it goes idle.
 func (c *Clock) Advance(t vclock.Time) {
 	target := c.CyclesAt(t)
-	for c.Cycle <= target {
-		if !c.pipe.Busy() {
-			c.Cycle = target + 1
-			return
-		}
-		if next := c.pipe.NextStep(); next > c.Cycle {
-			if next > target {
-				c.Cycle = target + 1
-				return
-			}
-			c.Cycle = next
-		}
+	for ; c.Cycle <= target && c.pipe.Busy(); c.Cycle++ {
 		c.pipe.Step()
-		c.Cycle++
 	}
+	c.Cycle = max(c.Cycle, target+1)
 }
 
 // Queue is a FIFO popped by head index. Its backing array is reused —

@@ -8,11 +8,11 @@ import (
 
 // RTLDevice is the cycle-level model of the JPEG decoder — the stand-in
 // for Verilator running the core's Verilog (the paper's baseline
-// accelerator simulator). While the accelerator is busy, every unit
-// event is an explicit simulation step, which is why this model is
-// orders of magnitude more expensive to run than the LPN-based DSim
-// model, while being externally indistinguishable from it: same register
-// semantics, same DMA sequence, same bytes in memory.
+// accelerator simulator). While the accelerator is busy, every clock
+// cycle is an explicit simulation step, which is why this model costs
+// more to run than the LPN-based DSim model, while being externally
+// indistinguishable from it: same register semantics, same DMA
+// sequence, same bytes in memory.
 type RTLDevice struct {
 	devkit.Bank
 	devkit.Clock
@@ -77,9 +77,12 @@ func (d *RTLDevice) Busy() bool {
 	return false
 }
 
-// NextStep implements devkit.Pipeline: the earliest unit completion, or
+// NextEvent implements accel.Device: the earliest unit completion, or
 // now if an idle unit can accept new work.
-func (d *RTLDevice) NextStep() int64 {
+func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
+	if !d.Busy() {
+		return vclock.Never, false
+	}
 	next := int64(1 << 62)
 	for i := range d.units {
 		if u := &d.units[i]; u.active {
@@ -88,16 +91,7 @@ func (d *RTLDevice) NextStep() int64 {
 			next = min(next, d.Cycle)
 		}
 	}
-	return next
-}
-
-// NextEvent implements accel.Device: the next externally visible action
-// happens at the next unit event.
-func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
-	if !d.Busy() {
-		return vclock.Never, false
-	}
-	return d.TimeAt(d.NextStep()), true
+	return d.TimeAt(next), true
 }
 
 // Step implements devkit.Pipeline: one clock cycle of the pipeline.

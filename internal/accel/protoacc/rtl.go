@@ -83,49 +83,31 @@ func (d *RTLDevice) Busy() bool {
 	return false
 }
 
-// nextCycle is the cycle of the next unit event: the nearest busy-until,
-// or now if there is queued work — counted, when needIdle is set, only
-// for a unit kind that has an idle unit to take it.
-func (d *RTLDevice) nextCycle(needIdle bool) int64 {
-	next := int64(1 << 62)
-	objIdle, fieldIdle, storeIdle := !needIdle, !needIdle, !needIdle
-	for i := range d.objCur {
-		if d.objCur[i] != nil {
-			next = min(next, d.objBusy[i])
-		} else {
-			objIdle = true
-		}
-	}
-	for i := range d.fieldCur {
-		if d.fieldCur[i] != nil {
-			next = min(next, d.fieldBsy[i])
-		} else {
-			fieldIdle = true
-		}
-	}
-	if d.storeCur != nil {
-		next = min(next, d.storeBsy)
-	} else {
-		storeIdle = true
-	}
-	if objIdle && d.objQ.Len() > 0 || fieldIdle && d.fieldQ.Len() > 0 || storeIdle && d.storeQ.Len() > 0 {
-		next = min(next, d.Cycle)
-	}
-	return next
-}
-
-// NextStep implements devkit.Pipeline: queued work issues only when a
-// unit is idle to take it.
-func (d *RTLDevice) NextStep() int64 { return d.nextCycle(true) }
-
-// NextEvent implements accel.Device. Unlike NextStep it counts queued
-// work as an event now whether or not a unit is idle to take it
+// NextEvent implements accel.Device: the nearest busy-until, or now if
+// there is queued work, whether or not a unit is idle to take it
 // (devices.golden pins the hosts' schedules to that answer).
 func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
 	if !d.Busy() {
 		return vclock.Never, false
 	}
-	return d.TimeAt(max(d.nextCycle(false), d.Cycle)), true
+	if d.objQ.Len() > 0 || d.fieldQ.Len() > 0 || d.storeQ.Len() > 0 {
+		return d.TimeAt(d.Cycle), true
+	}
+	next := int64(1 << 62)
+	for i := range d.objCur {
+		if d.objCur[i] != nil {
+			next = min(next, d.objBusy[i])
+		}
+	}
+	for i := range d.fieldCur {
+		if d.fieldCur[i] != nil {
+			next = min(next, d.fieldBsy[i])
+		}
+	}
+	if d.storeCur != nil {
+		next = min(next, d.storeBsy)
+	}
+	return d.TimeAt(max(next, d.Cycle)), true
 }
 
 // Step implements devkit.Pipeline: all units advance one clock cycle.

@@ -136,33 +136,22 @@ func (d *RTLDevice) Step() {
 	}
 }
 
-// nextCycle is the cycle of the next module event: a completion at a
-// module's busyUntil, or an idle module's head op reaching minStart —
-// counted, when needDeps is set, only if its dependency tokens are there
-// (it unblocks at another module's completion otherwise).
-func (d *RTLDevice) nextCycle(needDeps bool) int64 {
+// NextEvent implements accel.Device: the next module event — a
+// completion at a module's busyUntil, or an idle module's head op
+// reaching minStart. It does not ask whether that op's dependency tokens
+// are there (devices.golden pins the hosts' schedules to that answer).
+func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
+	if !d.Busy() {
+		return vclock.Never, false
+	}
 	next := int64(1 << 62)
 	for m := range d.mods {
 		ms := &d.mods[m]
 		if ms.cur != nil {
 			next = min(next, ms.busyUntil)
-		} else if ms.ops.Len() > 0 && (!needDeps || d.depsAvailable(m, ms.ops.Front())) {
+		} else if ms.ops.Len() > 0 {
 			next = min(next, d.CyclesAt(ms.ops.Front().minStart))
 		}
 	}
-	return next
-}
-
-// NextStep implements devkit.Pipeline: tokens only change at module
-// events, so an op whose tokens are missing cannot issue before one.
-func (d *RTLDevice) NextStep() int64 { return d.nextCycle(true) }
-
-// NextEvent implements accel.Device. Unlike NextStep it does not ask
-// whether a waiting op's dependency tokens are there (devices.golden
-// pins the hosts' schedules to that answer).
-func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
-	if !d.Busy() {
-		return vclock.Never, false
-	}
-	return d.TimeAt(max(d.nextCycle(false), d.Cycle)), true
+	return d.TimeAt(max(next, d.Cycle)), true
 }

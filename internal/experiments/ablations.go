@@ -64,8 +64,9 @@ var AblationSync = Experiment{
 
 // AblationDSim isolates the di-simulation split: DSim (LPN performance
 // track) vs the cycle-stepped RTL-style models, same host engine. The
-// accelerator simulators are indistinguishable in results but orders of
-// magnitude apart in internal steps.
+// accelerator simulators are indistinguishable in results; what they
+// cost is the wall columns, since DSim fires one transition per unit
+// event where RTL steps every busy cycle.
 var AblationDSim = Experiment{
 	ID: "ablation-dsim", Title: "Ablation: DSim LPN vs RTL-style accelerator simulation", Wall: true,
 	Specs: func() []Spec { return cross(familyBenches, nexDSim, nexRTL) },
