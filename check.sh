@@ -84,6 +84,15 @@ test -z "$(grep -rlE '^func (\(.*\) )?(SnapshotTo|RestoreFrom|record[Y]ield)\(' 
 test -z "$(grep -rlE '^func \(.*\) NextStep\(' . --include='*.go' |
 	grep -v -e _test.go -e /testdata/)"
 
+# Mechanisms no run reached stay deleted (DESIGN.md §8): a trap is the
+# engines' OpInteract, not a memory-protection hook, so no production
+# file declares Protect or the faulting accessors; no LPN transition has
+# a guard nor a place a ready-count memo; and no eventq event is
+# cancelled.
+test -z "$(grep -rlE '^func (\(.*\) )?(Protect|ReadFaulting|WriteFaulting|ReadyLen)\(|^type GuardFunc ' . --include='*.go' |
+	grep -v -e _test.go -e /testdata/)"
+test -z "$(grep -rlE '^func (\(.*\) )?Cancel\(' internal/eventq --include='*.go' | grep -v _test.go)"
+
 # Results that do not depend on the CPU (DESIGN.md §5): Go may fuse
 # x*y + z into one FMA instruction, which rounds once instead of twice.
 # It does on arm64 and does not on amd64, so an arm64 shard could

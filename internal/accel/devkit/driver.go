@@ -8,9 +8,10 @@ import (
 
 // Driver is the software side of a kit device, written against app.Env
 // so the same code runs unmodified under every host engine. Per the
-// paper (§3.2), descriptor writes go through the protected task buffer
-// (trapping into the NEX runtime) and doorbells through MMIO. A device's
-// driver embeds it and adds the call that encodes its descriptor.
+// paper (§3.2), descriptor writes go through the task buffer
+// (Env.TaskWrite: a trap into the host engine, unless NEX's tick mode
+// batches them) and doorbells through MMIO. A device's driver embeds it
+// and adds the call that encodes its descriptor.
 type Driver struct {
 	MMIOBase mem.Addr
 	TaskBuf  mem.Addr // base of the descriptor ring

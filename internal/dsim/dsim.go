@@ -169,45 +169,25 @@ func (b *Base) pop(tag string) DMARec {
 	return rec
 }
 
-// replay issues tag's next recorded DMA at time at and returns its
-// completion; a write's payload lands in host memory and its buffer
-// returns to the pool.
-func (b *Base) replay(tag string, at vclock.Time) vclock.Time {
-	rec := b.pop(tag)
-	comp := b.DMA(at, rec.Kind, rec.Addr, rec.Size, rec.Data)
-	b.recycle(rec.Data)
-	return comp
-}
-
 // EmitDMA returns an LPN effect that replays the next recorded DMA of
 // tag when its transition fires. The DMA's timing is simulated by the
-// host (interconnect + caches); if resp is non-nil, a token carrying the
-// completion timestamp is injected there, so downstream transitions can
-// depend on the DMA response (paper §4.3: "The LPN cannot predict the
-// timing of later DMAs that depend on responses to earlier ones").
+// host (interconnect + caches); a write's payload lands in host memory
+// and its buffer returns to the pool. If resp is non-nil, a token
+// carrying the completion timestamp is injected there, so downstream
+// transitions can depend on the DMA response (paper §4.3: "The LPN
+// cannot predict the timing of later DMAs that depend on responses to
+// earlier ones").
 func (b *Base) EmitDMA(tag string, resp *lpn.Place) lpn.EffectFunc {
 	return func(f *lpn.Firing, done vclock.Time) {
-		comp := b.replay(tag, f.Time)
+		rec := b.pop(tag)
+		comp := b.DMA(f.Time, rec.Kind, rec.Addr, rec.Size, rec.Data)
+		b.recycle(rec.Data)
 		if resp != nil {
 			t := lpn.Tok(comp)
 			if len(f.In) > 0 && len(f.In[0]) > 0 {
 				t.Attrs = f.In[0][0].Attrs
 			}
 			b.Net.Inject(resp, t)
-		}
-	}
-}
-
-// EmitDMABatch returns an effect that replays n recorded DMAs per
-// firing (for stages that issue bursts).
-func (b *Base) EmitDMABatch(tag string, n int, resp *lpn.Place) lpn.EffectFunc {
-	return func(f *lpn.Firing, done vclock.Time) {
-		var last vclock.Time
-		for i := 0; i < n; i++ {
-			last = max(last, b.replay(tag, f.Time))
-		}
-		if resp != nil {
-			b.Net.Inject(resp, lpn.Tok(last))
 		}
 	}
 }

@@ -221,42 +221,6 @@ func TestAdvanceClampsStaleTimestamps(t *testing.T) {
 	}
 }
 
-func TestEmitDMABatch(t *testing.T) {
-	// A stage that replays three recorded DMAs per firing; the response
-	// token carries the last completion.
-	h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
-	d := &copyDev{}
-	b := lpnlang.NewBuilder("batch", 1*vclock.GHz)
-	in := b.Queue("in", 0)
-	resp := b.Queue("resp", 0)
-	b.Stage("burst", in, nil, b.Cycles(1), lpnlang.Effect(d.EmitDMABatch("BURST", 3, resp)))
-	d.initOn(h, "batch", b.MustBuild())
-
-	rec := d.Recorder()
-	h.Mem.WriteAt(0x100, []byte{1, 2, 3, 4})
-	rec.ReadDMA("BURST", 0x100, 4)
-	rec.ReadDMA("BURST", 0x200, 4)
-	rec.WriteDMA("BURST", 0x300, []byte{9, 9})
-
-	d.Net.Inject(in, lpn.Tok(0))
-	d.Advance(vclock.Never - 1)
-	if len(h.DMAs) != 3 {
-		t.Fatalf("replayed %d DMAs, want 3", len(h.DMAs))
-	}
-	if resp.Len() != 1 {
-		t.Fatalf("resp tokens = %d", resp.Len())
-	}
-	// The write's payload landed.
-	var out [2]byte
-	h.Mem.ReadAt(0x300, out[:])
-	if out[0] != 9 || out[1] != 9 {
-		t.Fatal("batched write payload missing")
-	}
-	if d.Pending("BURST") != 0 {
-		t.Fatalf("pending = %d after drain", d.Pending("BURST"))
-	}
-}
-
 func TestPendingCount(t *testing.T) {
 	h := &acceltest.Host{Mem: mem.New(0)}
 	d := &copyDev{}

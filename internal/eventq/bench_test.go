@@ -19,8 +19,7 @@ func BenchmarkPushPop(b *testing.B) {
 	}
 }
 
-// BenchmarkLen measures Len with many pending events — O(1) since the
-// live-count field; previously an O(n) scan of the heap.
+// BenchmarkLen measures Len with many pending events: the heap's length.
 func BenchmarkLen(b *testing.B) {
 	var q Queue
 	for i := 0; i < 4096; i++ {
@@ -30,18 +29,6 @@ func BenchmarkLen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if q.Len() != 4096 {
 			b.Fatal("wrong length")
-		}
-	}
-}
-
-// BenchmarkCancel measures schedule+cancel churn (timeout-style usage).
-func BenchmarkCancel(b *testing.B) {
-	var q Queue
-	for i := 0; i < b.N; i++ {
-		h := q.After(vclock.Duration(100), func(vclock.Time) {})
-		h.Cancel()
-		if i%1024 == 1023 {
-			q.dropCancelled()
 		}
 	}
 }

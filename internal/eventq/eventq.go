@@ -1,9 +1,11 @@
 // Package eventq implements the deterministic discrete-event queue that
-// drives every simulator engine in this repository.
+// drives the exact host engine (internal/exacthost).
 //
 // Events scheduled for the same virtual time fire in the order they were
 // scheduled (FIFO per timestamp), which — together with single-threaded
-// engines — makes every simulation run bit-reproducible.
+// engines — makes every simulation run bit-reproducible. A scheduled
+// event always fires: there is no cancellation, so the heap holds only
+// live events and Len is its length.
 package eventq
 
 import (
@@ -15,74 +17,39 @@ import (
 // Event is a callback scheduled at a point in virtual time.
 type Event func(now vclock.Time)
 
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct{ item *item }
-
 type item struct {
-	q      *Queue
-	at     vclock.Time
-	seq    uint64
-	fn     Event
-	index  int // heap index, -1 when removed
-	cancel bool
+	at  vclock.Time
+	seq uint64
+	fn  Event
 }
 
 // Queue is a deterministic min-heap of timed events. The zero value is
 // ready to use.
 type Queue struct {
-	h    itemHeap
-	seq  uint64
-	now  vclock.Time
-	live int // pending (non-cancelled) events; keeps Len O(1)
+	h   itemHeap
+	seq uint64
+	now vclock.Time
 }
 
 // Now returns the time of the most recently dispatched event.
 func (q *Queue) Now() vclock.Time { return q.now }
 
-// Len reports the number of pending (non-cancelled) events in O(1).
-func (q *Queue) Len() int { return q.live }
-
-// Empty reports whether no events are pending.
-func (q *Queue) Empty() bool { return q.live == 0 }
+// Len reports the number of pending events.
+func (q *Queue) Len() int { return len(q.h) }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
 // (before the last dispatched event) panics: it would violate causality.
-func (q *Queue) At(at vclock.Time, fn Event) Handle {
+func (q *Queue) At(at vclock.Time, fn Event) {
 	if at < q.now {
 		panic("eventq: scheduling event in the past")
 	}
 	q.seq++
-	it := &item{q: q, at: at, seq: q.seq, fn: fn}
-	heap.Push(&q.h, it)
-	q.live++
-	return Handle{it}
-}
-
-// After schedules fn to run d after the current time.
-func (q *Queue) After(d vclock.Duration, fn Event) Handle {
-	return q.At(q.now.Add(d), fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (h Handle) Cancel() {
-	it := h.item
-	if it == nil || it.cancel || it.index < 0 {
-		return
-	}
-	it.cancel = true
-	it.q.live--
-}
-
-// Pending reports whether the event is still scheduled.
-func (h Handle) Pending() bool {
-	return h.item != nil && !h.item.cancel && h.item.index >= 0
+	heap.Push(&q.h, &item{at: at, seq: q.seq, fn: fn})
 }
 
 // NextTime returns the time of the earliest pending event, or
 // (vclock.Never, false) if the queue is empty.
 func (q *Queue) NextTime() (vclock.Time, bool) {
-	q.dropCancelled()
 	if len(q.h) == 0 {
 		return vclock.Never, false
 	}
@@ -94,57 +61,18 @@ func (q *Queue) NextTime() (vclock.Time, bool) {
 //
 //simlint:hotpath one call per simulation event
 func (q *Queue) Step() bool {
-	q.dropCancelled()
 	if len(q.h) == 0 {
 		return false
 	}
 	it := heap.Pop(&q.h).(*item)
-	it.index = -1
-	q.live--
 	q.now = it.at
 	it.fn(it.at)
 	return true
 }
 
-// RunUntil dispatches events in order until the next event would be
-// strictly after limit, then sets Now to limit (if limit is beyond Now).
-// Events exactly at limit are dispatched.
-func (q *Queue) RunUntil(limit vclock.Time) {
-	for {
-		next, ok := q.NextTime()
-		if !ok || next > limit {
-			break
-		}
-		q.Step()
-	}
-	if limit > q.now {
-		q.now = limit
-	}
-}
-
 // Run dispatches events until the queue is empty.
 func (q *Queue) Run() {
 	for q.Step() {
-	}
-}
-
-// AdvanceTo moves Now forward to t without dispatching anything. It
-// panics if events earlier than t are still pending, or if t is in the
-// past — both would break causality.
-func (q *Queue) AdvanceTo(t vclock.Time) {
-	if t < q.now {
-		panic("eventq: AdvanceTo into the past")
-	}
-	if next, ok := q.NextTime(); ok && next < t {
-		panic("eventq: AdvanceTo past pending events")
-	}
-	q.now = t
-}
-
-func (q *Queue) dropCancelled() {
-	for len(q.h) > 0 && q.h[0].cancel {
-		it := heap.Pop(&q.h).(*item)
-		it.index = -1
 	}
 }
 
@@ -159,17 +87,9 @@ func (h itemHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h itemHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h itemHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *itemHeap) Push(x any) {
-	it := x.(*item)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
+func (h *itemHeap) Push(x any) { *h = append(*h, x.(*item)) }
 
 func (h *itemHeap) Pop() any {
 	old := *h

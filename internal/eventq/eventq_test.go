@@ -46,23 +46,6 @@ func TestTimeOrdering(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var q Queue
-	fired := false
-	h := q.At(10, func(vclock.Time) { fired = true })
-	if !h.Pending() {
-		t.Fatal("handle not pending after scheduling")
-	}
-	h.Cancel()
-	q.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after run", q.Len())
-	}
-}
-
 func TestScheduleInPastPanics(t *testing.T) {
 	var q Queue
 	q.At(100, func(vclock.Time) {})
@@ -75,26 +58,6 @@ func TestScheduleInPastPanics(t *testing.T) {
 	q.At(50, func(vclock.Time) {})
 }
 
-func TestRunUntil(t *testing.T) {
-	var q Queue
-	var fired []vclock.Time
-	for _, at := range []vclock.Time{10, 20, 30, 40} {
-		at := at
-		q.At(at, func(now vclock.Time) { fired = append(fired, now) })
-	}
-	q.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want events at 10 and 20", fired)
-	}
-	if q.Now() != 25 {
-		t.Fatalf("Now = %v, want 25", q.Now())
-	}
-	q.RunUntil(40) // inclusive boundary
-	if len(fired) != 4 {
-		t.Fatalf("fired %v, want all 4", fired)
-	}
-}
-
 func TestEventsCanScheduleEvents(t *testing.T) {
 	var q Queue
 	count := 0
@@ -102,7 +65,7 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	step = func(now vclock.Time) {
 		count++
 		if count < 5 {
-			q.After(10, step)
+			q.At(now+10, step)
 		}
 	}
 	q.At(0, step)
@@ -115,33 +78,18 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	}
 }
 
-func TestAdvanceTo(t *testing.T) {
-	var q Queue
-	q.AdvanceTo(500)
-	if q.Now() != 500 {
-		t.Fatalf("Now = %v", q.Now())
-	}
-	q.At(600, func(vclock.Time) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic advancing past pending event")
-		}
-	}()
-	q.AdvanceTo(700)
-}
-
 func TestNextTime(t *testing.T) {
 	var q Queue
 	if _, ok := q.NextTime(); ok {
 		t.Fatal("NextTime reported event on empty queue")
 	}
-	h := q.At(42, func(vclock.Time) {})
+	q.At(42, func(vclock.Time) {})
 	if at, ok := q.NextTime(); !ok || at != 42 {
 		t.Fatalf("NextTime = %v,%v", at, ok)
 	}
-	h.Cancel()
+	q.Step()
 	if _, ok := q.NextTime(); ok {
-		t.Fatal("NextTime reported cancelled event")
+		t.Fatal("NextTime reported a dispatched event")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/app"
 	"nexsim/internal/hostkit"
-	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
 
@@ -298,21 +297,6 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a == 0 {
 		t.Fatal("zero sim time")
-	}
-}
-
-func TestTaskBufferProtectionHookFires(t *testing.T) {
-	e := New(Config{Cores: 1})
-	region := e.Mem().Alloc("taskbuf", 4096)
-	hooks := 0
-	e.Mem().Protect(region, func(mem.AccessKind, mem.Addr, int) { hooks++ })
-	e.Run(app.Program{Main: func(env app.Env) {
-		var buf [8]byte
-		env.TaskWrite(region.Base, buf[:])
-		env.TaskRead(region.Base, buf[:])
-	}})
-	if hooks != 2 {
-		t.Fatalf("protection hooks fired %d times, want 2", hooks)
 	}
 }
 

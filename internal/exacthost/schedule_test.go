@@ -6,19 +6,27 @@ import (
 	"nexsim/internal/accel/acceltest"
 	"nexsim/internal/app"
 	"nexsim/internal/hostkit"
+	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
 
 // unitDevice is acceltest.Device as a cycle-level stand-in looks to a
 // host: while its task is in flight it reports an internal event every
-// unit. It counts the host's NextEvent and Advance calls and records the
-// Advance targets.
+// unit. It counts the host's NextEvent and Advance calls, records the
+// Advance targets, and at each register read records the target of the
+// last Advance the read found.
 type unitDevice struct {
 	*acceltest.Device
 	unit     vclock.Duration
 	now      vclock.Time
 	nexts    int
 	advances []vclock.Time
+	readSaw  []vclock.Time
+}
+
+func (d *unitDevice) RegRead(at vclock.Time, off mem.Addr) uint32 {
+	d.readSaw = append(d.readSaw, d.advances[len(d.advances)-1])
+	return d.Device.RegRead(at, off)
 }
 
 func (d *unitDevice) NextEvent() (vclock.Time, bool) {
@@ -97,5 +105,37 @@ func TestDeviceSchedule(t *testing.T) {
 			t.Errorf("polling device saw %d NextEvent and %d Advance calls over %d polls, want <= %d in all",
 				dev.nexts, len(dev.advances), polls, bound)
 		}
+	}
+
+	// A trap catches the device up to its own time before the access: a
+	// register read and a task-buffer access partway into a thread's run
+	// each find the device advanced to exactly their time (the task
+	// access's catch-up is the first Advance after the thread yields; the
+	// end of the access's cost is a thread event with one of its own).
+	e := New(Config{Cores: 1})
+	dev := &unitDevice{Device: &acceltest.Device{}, unit: unit}
+	b := &hostkit.Binding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096}
+	dev.Host = e.HostFor(b)
+	e.Attach(b)
+	region := e.Mem().Alloc("taskbuf", 4096)
+	var readAt, taskAt vclock.Time
+	var taskAdvances []vclock.Time
+	e.Run(app.Program{Main: func(env app.Env) {
+		env.ComputeFor(300 * vclock.Nanosecond)
+		readAt = env.Now()
+		env.MMIORead(0x8000_0000)
+		taskAt = env.Now()
+		before := len(dev.advances)
+		var buf [8]byte
+		env.TaskRead(region.Base, buf[:])
+		taskAdvances = dev.advances[before:]
+	}})
+	if len(dev.readSaw) != 1 || dev.readSaw[0] != readAt || readAt == 0 {
+		t.Errorf("before the register read at %v the device was last advanced to %v, want %v",
+			readAt, dev.readSaw, readAt)
+	}
+	if len(taskAdvances) == 0 || taskAdvances[0] != taskAt || taskAt <= readAt {
+		t.Errorf("the task-buffer access at %v advanced the device to %v, want %v first",
+			taskAt, taskAdvances, taskAt)
 	}
 }

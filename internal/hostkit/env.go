@@ -88,8 +88,9 @@ func (v *env) MMIOWrite(addr mem.Addr, val uint32) {
 	}})
 }
 
-// task yields a task-buffer access: plain shared memory, so it may
-// fault into the engine's protection handler but touches no device.
+// task yields a task-buffer access: plain shared memory, touched at the
+// trap like an MMIO access but without a device register (or, Light in
+// NEX's tick mode, without a trap).
 func (v *env) task(addr mem.Addr, p []byte, write bool) {
 	v.th.Yield(coro.Request{
 		Op:    coro.OpInteract,
@@ -97,9 +98,9 @@ func (v *env) task(addr mem.Addr, p []byte, write bool) {
 		Addr:  uint64(addr),
 		Interact: func(vclock.Time) vclock.Duration {
 			if write {
-				v.Mem().WriteFaulting(addr, p)
+				v.Mem().WriteAt(addr, p)
 			} else {
-				v.Mem().ReadFaulting(addr, p)
+				v.Mem().ReadAt(addr, p)
 			}
 			return taskAccessCost
 		},

@@ -10,22 +10,18 @@ import (
 // benchChain builds a linear pipeline of n transitions. One injected
 // token causes n firings; the rescan engine pays O(n) per firing (O(n²)
 // per traversal) while the incremental engine pays O(log n).
-func benchChain(n int, guardEvery int) (*Net, *Place, *Place) {
+func benchChain(n int) (*Net, *Place, *Place) {
 	net := New(fmt.Sprintf("chain-%d", n))
 	first := net.AddPlace("p0", 0)
 	prev := first
 	for i := 0; i < n; i++ {
 		next := net.AddPlace(fmt.Sprintf("p%d", i+1), 0)
-		tr := &Transition{
+		net.AddTransition(&Transition{
 			Name:  fmt.Sprintf("t%d", i),
 			In:    []Arc{{Place: prev}},
 			Out:   []OutArc{{Place: next}},
 			Delay: Const(3),
-		}
-		if guardEvery > 0 && i%guardEvery == 0 {
-			tr.Guard = func(f *Firing) bool { return f.Tok(0).Attrs[0] >= 0 }
-		}
-		net.AddTransition(tr)
+		})
 		prev = next
 	}
 	return net, first, prev
@@ -39,10 +35,12 @@ func drain(net *Net, in, out *Place, adv func(vclock.Time) int) {
 	out.Pop()
 }
 
-func benchAdvance(b *testing.B, sizes []int, guardEvery int) {
-	for _, size := range sizes {
+// BenchmarkAdvance pushes one token through an n-stage pipeline (n
+// firings per op) on the incremental engine vs the reference rescan.
+func BenchmarkAdvance(b *testing.B) {
+	for _, size := range []int{8, 64, 256} {
 		b.Run(fmt.Sprintf("incremental/%d", size), func(b *testing.B) {
-			net, in, out := benchChain(size, guardEvery)
+			net, in, out := benchChain(size)
 			drain(net, in, out, net.Advance) // warm up scratch + seal
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -51,7 +49,7 @@ func benchAdvance(b *testing.B, sizes []int, guardEvery int) {
 			}
 		})
 		b.Run(fmt.Sprintf("reference/%d", size), func(b *testing.B) {
-			net, in, out := benchChain(size, guardEvery)
+			net, in, out := benchChain(size)
 			drain(net, in, out, net.scanAdvance)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -62,26 +60,12 @@ func benchAdvance(b *testing.B, sizes []int, guardEvery int) {
 	}
 }
 
-// BenchmarkAdvance pushes one token through an n-stage pipeline (n
-// firings per op) on the incremental engine vs the reference rescan.
-func BenchmarkAdvance(b *testing.B) {
-	benchAdvance(b, []int{8, 64, 256}, 0)
-}
-
-// BenchmarkAdvanceGuardHeavy guards every other transition. Guards can
-// observe arbitrary state, so the incremental engine must re-probe all
-// of them on every engine entry and after every firing — the worst case
-// for invalidation-based scheduling.
-func BenchmarkAdvanceGuardHeavy(b *testing.B) {
-	benchAdvance(b, []int{64}, 2)
-}
-
 // BenchmarkNextEvent probes the next firing time of a quiescent-but-loaded
 // 256-stage net: the reference engine rescans all transitions per call,
 // the incremental engine answers from the heap top.
 func BenchmarkNextEvent(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
-		net, in, _ := benchChain(256, 0)
+		net, in, _ := benchChain(256)
 		net.Inject(in, Tok(1<<30, 1)) // future token: net stays loaded
 		net.NextEvent()
 		b.ReportAllocs()
@@ -91,7 +75,7 @@ func BenchmarkNextEvent(b *testing.B) {
 		}
 	})
 	b.Run("reference", func(b *testing.B) {
-		net, in, _ := benchChain(256, 0)
+		net, in, _ := benchChain(256)
 		net.Inject(in, Tok(1<<30, 1))
 		net.scanNextEvent()
 		b.ReportAllocs()

@@ -9,8 +9,8 @@ import (
 )
 
 // The randomized differential test: generate layered random nets —
-// weighted arcs, capacity-bounded places, token-dependent delays and
-// guards, OutFuncs, effects — and drive two structurally identical
+// weighted arcs, capacity-bounded places, token-dependent delays,
+// OutFuncs, effects — and drive two structurally identical
 // instances through the same schedule of injections, Advance bounds and
 // NextEvent probes: one on the incremental enabled-set engine, one on
 // the reference rescan engine. The firing logs (name, fire time, done
@@ -93,10 +93,6 @@ func genNet(seed uint64) (n *Net, places []*Place, log *[]string) {
 			tr.Delay = func(f *Firing) vclock.Duration {
 				return mul * vclock.Duration(f.Tok(0).Attrs[0]%7+1)
 			}
-		}
-		if rng.Intn(4) == 0 {
-			mod := int64(2 + rng.Intn(3))
-			tr.Guard = func(f *Firing) bool { return f.Tok(0).Attrs[0]%mod != 0 }
 		}
 		name := tr.Name
 		tr.Effect = func(f *Firing, done vclock.Time) {

@@ -40,38 +40,6 @@ func TestBackpressureReleaseReenables(t *testing.T) {
 	}
 }
 
-// TestGuardFlippedByExternalInject: a guard reading a place that is NOT
-// one of the transition's input arcs, flipped by an Inject between
-// Advance calls. Guards are re-probed on every engine entry, so the
-// dependency needs no arc.
-func TestGuardFlippedByExternalInject(t *testing.T) {
-	n := New("flip")
-	in := n.AddPlace("in", 0)
-	ctrl := n.AddPlace("ctrl", 0)
-	out := n.AddPlace("out", 0)
-	n.AddTransition(&Transition{
-		Name: "gated", In: []Arc{{Place: in}}, Out: []OutArc{{Place: out}},
-		Guard: func(*Firing) bool { return ctrl.Len() > 0 },
-	})
-	n.Inject(in, Tok(0))
-	n.Advance(100)
-	if out.Len() != 0 {
-		t.Fatal("fired with closed guard")
-	}
-	if at, ok := n.NextEvent(); ok {
-		t.Fatalf("NextEvent = %v with closed guard, want quiescent", at)
-	}
-	n.Inject(ctrl, Tok(0)) // flips the guard without touching the input arc
-	n.Advance(200)
-	if out.Len() != 1 {
-		t.Fatal("guard flip via external Inject not observed")
-	}
-	// The fire time clamps to the clock at the flip's observation.
-	if got := out.peek(0).TS; got != 100 {
-		t.Fatalf("fire time = %v, want 100 (clock when re-enabled)", got)
-	}
-}
-
 // TestWeightedArcIncrementalRefill: a weight-3 join receiving its tokens
 // one Advance call at a time must stay disabled until the third arrives,
 // then fire at the max timestamp of the group.
@@ -148,30 +116,6 @@ func TestSealRebuildAfterStructureChange(t *testing.T) {
 	n.Advance(20)
 	if out.Len() != 1 {
 		t.Fatal("transition added after sealing never fired")
-	}
-}
-
-// TestReadyLenMemo: repeated ReadyLen queries between mutations hit the
-// memo; a push at the queried instant invalidates it.
-func TestReadyLenMemo(t *testing.T) {
-	p := &Place{Name: "m"}
-	p.Push(Token{TS: 5})
-	p.Push(Token{TS: 15})
-	for i := 0; i < 3; i++ {
-		if got := p.ReadyLen(10); got != 1 {
-			t.Fatalf("ReadyLen(10) = %d, want 1", got)
-		}
-	}
-	p.Push(Token{TS: 10})
-	if got := p.ReadyLen(10); got != 2 {
-		t.Fatalf("ReadyLen(10) after push = %d, want 2", got)
-	}
-	p.Pop()
-	if got := p.ReadyLen(10); got != 1 {
-		t.Fatalf("ReadyLen(10) after pop = %d, want 1", got)
-	}
-	if got := p.ReadyLen(20); got != 2 {
-		t.Fatalf("ReadyLen(20) = %d, want 2", got)
 	}
 }
 

@@ -11,9 +11,9 @@
 // data is — functionality lives in the functional track (package dsim).
 //
 // Simulation is event-driven: a transition fires at the earliest time all
-// of its input tokens are available (and its guard holds, and its output
-// places have room), so simulation cost scales with the number of work
-// items, not with clock cycles.
+// of its input tokens are available (and its output places have room), so
+// simulation cost scales with the number of work items, not with clock
+// cycles.
 //
 // # Incremental scheduling
 //
@@ -25,10 +25,9 @@
 // min-heap keyed by (ready time, registration order), so selecting the
 // next firing is O(log T) instead of a full O(transitions × arcs) rescan,
 // and a firing invalidates only the handful of transitions watching the
-// places it touched. Guarded transitions are re-examined on every engine
-// entry and after every firing, because guards may read state outside the
-// net (the old engine re-evaluated them on every scan). The firing fast
-// path is allocation-free: guard probes and firings share a per-net
+// places it touched. A transition's readiness depends on nothing but its
+// arcs' places, so no other state can enable it behind the scheduler's
+// back. The firing fast path is allocation-free: firings share a per-net
 // scratch Firing whose token slices are grown in place. The pre-rework
 // full-rescan engine lives on in ref_test.go (scanAdvance/scanNextEvent),
 // an executable specification that the randomized differential test pins
@@ -44,7 +43,7 @@ import (
 // Token is a work item flowing through the net. TS is the time the token
 // becomes available in its place. Attrs carry up to four scalar
 // attributes (byte counts, block indices, tags...) used by delay
-// functions and guards.
+// functions, output functions and effects.
 type Token struct {
 	TS    vclock.Time
 	Attrs [4]int64
@@ -70,37 +69,11 @@ type Place struct {
 	// is capacity-bounded).
 	net      *Net
 	watchers []int32
-
-	// gen counts mutations; the memo fields amortize ReadyLen for
-	// polling callers that re-ask at the same instant between mutations.
-	gen     uint64
-	memoGen uint64
-	memoNow vclock.Time
-	memoCnt int
 }
 
 // Len reports the number of tokens currently in the place (available or
 // not).
 func (p *Place) Len() int { return len(p.tokens) - p.head }
-
-// ReadyLen reports the number of tokens whose timestamp is at or before
-// now, i.e. completions that are externally visible at that instant.
-// (The engine fires transitions eagerly, so a place can hold tokens with
-// future timestamps.) Repeated queries at the same instant between
-// mutations are O(1) via a ready-count memo.
-func (p *Place) ReadyLen(now vclock.Time) int {
-	if p.memoGen == p.gen && p.memoNow == now && p.gen != 0 {
-		return p.memoCnt
-	}
-	n := 0
-	for i := 0; i < p.Len(); i++ {
-		if p.peek(i).TS <= now {
-			n++
-		}
-	}
-	p.memoGen, p.memoNow, p.memoCnt = p.gen, now, n
-	return n
-}
 
 // Peek returns the i-th token from the front without removing it.
 func (p *Place) Peek(i int) Token { return p.peek(i) }
@@ -134,10 +107,9 @@ func (p *Place) pop() Token {
 	return t
 }
 
-// touched records a mutation and invalidates the cached ready times of
-// every transition adjacent to this place.
+// touched invalidates the cached ready times of every transition
+// adjacent to this place.
 func (p *Place) touched() {
-	p.gen++
 	if p.net != nil && p.net.sealed {
 		for _, w := range p.watchers {
 			p.net.markDirty(w)
@@ -145,8 +117,9 @@ func (p *Place) touched() {
 	}
 }
 
-// Firing is the context passed to delay functions, guards and effects. It
-// exposes the tokens consumed by the transition, in input-arc order.
+// Firing is the context passed to delay functions, output functions and
+// effects. It exposes the tokens consumed by the transition, in input-arc
+// order.
 //
 // The Firing and its In slices are engine-owned scratch, valid only for
 // the duration of the callback; copy tokens out if they must outlive it.
@@ -195,23 +168,17 @@ type OutArc struct {
 // DelayFunc computes the service delay of a firing.
 type DelayFunc func(f *Firing) vclock.Duration
 
-// GuardFunc decides whether a transition may fire given the tokens it
-// would consume. Guards must be side-effect free: the engine probes them
-// an unspecified number of times per firing decision.
-type GuardFunc func(f *Firing) bool
-
 // EffectFunc runs side effects when a transition fires — DSim uses this
 // to emit tagged DMA requests (paper §4.3). done is fire time + delay.
 type EffectFunc func(f *Firing, done vclock.Time)
 
-// Transition is a processing stage. Its structure (arcs, guard, delay,
-// effect) must not change after the net is sealed.
+// Transition is a processing stage. Its structure (arcs, delay, effect)
+// must not change after the net is sealed.
 type Transition struct {
 	Name   string
 	In     []Arc
 	Out    []OutArc
 	Delay  DelayFunc  // nil means zero delay
-	Guard  GuardFunc  // nil means always enabled
 	Effect EffectFunc // optional
 
 	idx   int32
@@ -247,13 +214,12 @@ type Net struct {
 	now         vclock.Time
 
 	// Incremental scheduler state, derived from the marking by Seal.
-	sealed  bool
-	state   []transState
-	heap    []int32 // enabled transitions min-keyed by (at, idx)
-	dirty   []int32 // stale-ready worklist
-	guarded []int32 // guard re-check list
+	sealed bool
+	state  []transState
+	heap   []int32 // enabled transitions min-keyed by (at, idx)
+	dirty  []int32 // stale-ready worklist
 
-	// Reusable firing scratch for guard probes and firings.
+	// Reusable firing scratch.
 	inFire      bool      // only set inside one fire() call
 	scratch     Firing    // per-firing scratch, dead between firings
 	scratchBufs [][]Token // pooled buffers, contents dead between firings
@@ -292,7 +258,7 @@ func (n *Net) Inject(p *Place, t Token) { p.Push(t) }
 // adjacency the incremental scheduler runs on: each place records the
 // transitions that consume from it, plus the transitions that produce
 // into it when it is capacity-bounded (a pop there frees backpressure).
-// Validate calls Seal; Advance, NextEvent and Quiescent seal lazily, so
+// Validate calls Seal; Advance and NextEvent seal lazily, so
 // explicit calls are never required.
 func (n *Net) Seal() {
 	seen := make(map[*Place]bool, len(n.places))
@@ -306,12 +272,8 @@ func (n *Net) Seal() {
 	for _, p := range n.places {
 		reset(p)
 	}
-	n.guarded = n.guarded[:0]
 	for i, tr := range n.transitions {
 		tr.idx = int32(i)
-		if tr.Guard != nil {
-			n.guarded = append(n.guarded, int32(i))
-		}
 		for _, a := range tr.In {
 			reset(a.Place)
 			addWatcher(a.Place, int32(i))
@@ -354,15 +316,6 @@ func (n *Net) markDirty(i int32) {
 	if !st.dirty {
 		st.dirty = true
 		n.dirty = append(n.dirty, i)
-	}
-}
-
-// markGuardedDirty re-queues every guarded transition: guards may read
-// state outside the net, so they are re-probed on every engine entry and
-// after every firing — exactly as often as the rescan engine did.
-func (n *Net) markGuardedDirty() {
-	for _, i := range n.guarded {
-		n.markDirty(i)
 	}
 }
 
@@ -415,11 +368,6 @@ func (n *Net) computeReady(tr *Transition) (vclock.Time, bool) {
 			return vclock.Never, false
 		}
 	}
-	if tr.Guard != nil {
-		if !tr.Guard(n.fillFiring(tr, ready, false)) {
-			return vclock.Never, false
-		}
-	}
 	return ready, true
 }
 
@@ -435,13 +383,7 @@ func (n *Net) minReady() (*Transition, vclock.Time, bool) {
 			return n.transitions[i], st.at, true
 		}
 		// The clock moved past a cached ready time, so the effective
-		// fire time clamps to now. Guarded transitions re-probe (the
-		// guard observes the fire time); plain ones just re-key.
-		if n.transitions[i].Guard != nil {
-			n.markDirty(i)
-			n.flushDirty()
-			continue
-		}
+		// fire time clamps to now: re-key.
 		st.at = n.now
 		n.heapDown(0)
 	}
@@ -452,7 +394,6 @@ func (n *Net) minReady() (*Transition, vclock.Time, bool) {
 // (vclock.Never, false) if the net is quiescent.
 func (n *Net) NextEvent() (vclock.Time, bool) {
 	n.ensureSealed()
-	n.markGuardedDirty()
 	_, at, ok := n.minReady()
 	return at, ok
 }
@@ -469,7 +410,6 @@ func (n *Net) Advance(until vclock.Time) int {
 	for {
 		// Deterministic choice: earliest ready time, tie-broken by
 		// transition registration order.
-		n.markGuardedDirty()
 		tr, at, ok := n.minReady()
 		if !ok || at > until {
 			break
@@ -484,13 +424,12 @@ func (n *Net) Advance(until vclock.Time) int {
 }
 
 // fillFiring assembles the firing context for tr at time at in the
-// per-net scratch, consuming the input tokens when consume is true and
-// peeking them for a guard probe otherwise. Re-entrant engine calls (an
-// effect advancing the net again) fall back to a fresh allocation so the
-// in-flight scratch is left alone.
+// per-net scratch, consuming the input tokens. Re-entrant engine calls
+// (an effect advancing the net again) fall back to a fresh allocation so
+// the in-flight scratch is left alone.
 //
-//simlint:hotpath runs for every guard probe and firing; scratch reuse is the point
-func (n *Net) fillFiring(tr *Transition, at vclock.Time, consume bool) *Firing {
+//simlint:hotpath runs for every firing; scratch reuse is the point
+func (n *Net) fillFiring(tr *Transition, at vclock.Time) *Firing {
 	nIn := len(tr.In)
 	if n.inFire {
 		// Re-entrant path: rare by construction (only effects that
@@ -498,7 +437,7 @@ func (n *Net) fillFiring(tr *Transition, at vclock.Time, consume bool) *Firing {
 		f := &Firing{Time: at, In: make([][]Token, nIn)} //simlint:allow hotpath-alloc re-entrant fallback, not the steady state
 		for i, a := range tr.In {
 			buf := make([]Token, a.weight()) //simlint:allow hotpath-alloc re-entrant fallback, not the steady state
-			fillArc(a.Place, buf, consume)
+			popArc(a.Place, buf)
 			f.In[i] = buf
 		}
 		return f
@@ -519,20 +458,16 @@ func (n *Net) fillFiring(tr *Transition, at vclock.Time, consume bool) *Firing {
 			buf = make([]Token, w) //simlint:allow hotpath-alloc grows to the widest arc once, then reused
 		}
 		buf = buf[:w]
-		fillArc(a.Place, buf, consume)
+		popArc(a.Place, buf)
 		n.scratchBufs[i] = buf
 		f.In[i] = buf
 	}
 	return f
 }
 
-func fillArc(p *Place, buf []Token, consume bool) {
+func popArc(p *Place, buf []Token) {
 	for j := range buf {
-		if consume {
-			buf[j] = p.pop()
-		} else {
-			buf[j] = p.peek(j)
-		}
+		buf[j] = p.pop()
 	}
 }
 
@@ -541,7 +476,7 @@ func (n *Net) fire(tr *Transition, at vclock.Time) {
 	if at > n.now {
 		n.now = at
 	}
-	f := n.fillFiring(tr, at, true)
+	f := n.fillFiring(tr, at)
 	wasInFire := n.inFire
 	n.inFire = true
 	var d vclock.Duration
@@ -643,21 +578,6 @@ func (n *Net) heapRemove(pos int32) {
 	if pos < last {
 		n.heapFix(pos)
 	}
-}
-
-// Quiescent reports whether no transition can currently fire.
-func (n *Net) Quiescent() bool {
-	_, ok := n.NextEvent()
-	return !ok
-}
-
-// TokenCount returns the total number of tokens in the net.
-func (n *Net) TokenCount() int {
-	total := 0
-	for _, p := range n.places {
-		total += p.Len()
-	}
-	return total
 }
 
 // Validate performs structural checks — every transition must have at

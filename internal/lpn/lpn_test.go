@@ -106,27 +106,6 @@ func TestAdvanceRespectsBound(t *testing.T) {
 	}
 }
 
-func TestGuardBlocksFiring(t *testing.T) {
-	n := New("guarded")
-	in := n.AddPlace("in", 0)
-	out := n.AddPlace("out", 0)
-	open := false
-	n.AddTransition(&Transition{
-		Name: "gate", In: []Arc{{Place: in}}, Out: []OutArc{{Place: out}},
-		Guard: func(*Firing) bool { return open },
-	})
-	n.Inject(in, Tok(0))
-	n.Advance(100)
-	if out.Len() != 0 {
-		t.Fatal("guarded transition fired")
-	}
-	open = true
-	n.Advance(200)
-	if out.Len() != 1 {
-		t.Fatal("transition did not fire after guard opened")
-	}
-}
-
 func TestDelayDependsOnAttrs(t *testing.T) {
 	n := New("attr")
 	in := n.AddPlace("in", 0)
@@ -251,7 +230,11 @@ func TestTokenConservationProperty(t *testing.T) {
 			n.Inject(in, Tok(vclock.Time(i)))
 		}
 		n.Advance(vclock.Never - 1)
-		return n.TokenCount() == count+3 // injected tokens + 3 server tokens
+		total := 0
+		for _, p := range n.places {
+			total += p.Len()
+		}
+		return total == count+3 // injected tokens + 3 server tokens
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -3,8 +3,8 @@ package lpn
 import "nexsim/internal/vclock"
 
 // scanAdvance and scanNextEvent are the pre-rework full-rescan engine,
-// kept verbatim (including its per-probe allocations) as an executable
-// specification. The randomized differential test runs identical nets
+// kept verbatim (including its per-firing allocations, less the guard
+// probe that went with guards) as an executable specification. The randomized differential test runs identical nets
 // through both engines and requires identical firing sequences, clocks
 // and final marking; the micro-benchmarks measure the incremental
 // scheduler's speedup against this loop.
@@ -26,19 +26,6 @@ func (n *Net) scanReadyTime(tr *Transition) (vclock.Time, bool) {
 	}
 	for _, o := range tr.Out {
 		if o.Place.Cap > 0 && o.Place.Len() >= o.Place.Cap {
-			return vclock.Never, false
-		}
-	}
-	if tr.Guard != nil {
-		f := &Firing{Time: ready, In: make([][]Token, len(tr.In))}
-		for i, a := range tr.In {
-			toks := make([]Token, a.weight())
-			for j := range toks {
-				toks[j] = a.Place.peek(j)
-			}
-			f.In[i] = toks
-		}
-		if !tr.Guard(f) {
 			return vclock.Never, false
 		}
 	}

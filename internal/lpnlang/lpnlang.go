@@ -6,8 +6,8 @@
 //
 // The central convenience over raw package lpn is the Stage abstraction:
 // a processing unit with k parallel servers (k server tokens on a
-// self-loop), an optional batch size, and a delay that may depend on the
-// token being processed. Credit loops model end-to-end flow control.
+// self-loop) and a delay that may depend on the token being processed.
+// Credit loops model end-to-end flow control.
 package lpnlang
 
 import (
@@ -43,9 +43,7 @@ type StageOpt func(*stageCfg)
 
 type stageCfg struct {
 	servers  int
-	batch    int
 	delay    lpn.DelayFunc
-	guard    lpn.GuardFunc
 	effect   lpn.EffectFunc
 	outFn    lpn.OutFunc
 	extraIn  []lpn.Arc
@@ -55,12 +53,6 @@ type stageCfg struct {
 // Servers sets the number of parallel processing units in the stage
 // (default 1). A stage with k servers can have k items in flight.
 func Servers(k int) StageOpt { return func(c *stageCfg) { c.servers = k } }
-
-// Batch makes the stage consume n tokens per firing (a join).
-func Batch(n int) StageOpt { return func(c *stageCfg) { c.batch = n } }
-
-// Guard attaches a firing guard.
-func Guard(g lpn.GuardFunc) StageOpt { return func(c *stageCfg) { c.guard = g } }
 
 // Effect attaches a side effect (e.g. a DMA emission) to each firing.
 func Effect(e lpn.EffectFunc) StageOpt { return func(c *stageCfg) { c.effect = e } }
@@ -107,7 +99,7 @@ func (b *Builder) CyclesFunc(fn func(f *lpn.Firing) int64) lpn.DelayFunc {
 // (either may be shared with other stages). delay may be nil for a
 // zero-delay stage. It returns the underlying transition.
 func (b *Builder) Stage(name string, from, to *lpn.Place, delay lpn.DelayFunc, opts ...StageOpt) *lpn.Transition {
-	cfg := stageCfg{servers: 1, batch: 1, delay: delay}
+	cfg := stageCfg{servers: 1, delay: delay}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -115,7 +107,7 @@ func (b *Builder) Stage(name string, from, to *lpn.Place, delay lpn.DelayFunc, o
 		b.errs = append(b.errs, fmt.Errorf("stage %s: nil input place", name))
 		return nil
 	}
-	in := []lpn.Arc{{Place: from, Weight: cfg.batch}}
+	in := []lpn.Arc{{Place: from}}
 	var out []lpn.OutArc
 	if to != nil {
 		out = append(out, lpn.OutArc{Place: to, Fn: cfg.outFn})
@@ -135,7 +127,6 @@ func (b *Builder) Stage(name string, from, to *lpn.Place, delay lpn.DelayFunc, o
 		In:     in,
 		Out:    out,
 		Delay:  cfg.delay,
-		Guard:  cfg.guard,
 		Effect: cfg.effect,
 	})
 }

@@ -1,11 +1,10 @@
 // Package mem implements the simulated physical memory shared by the host
 // CPUs and the accelerators.
 //
-// Memory is sparse (allocated in fixed-size pages on first touch) and
-// supports per-region protection hooks: the NEX runtime protects the MMIO
-// and task-buffer regions so that application accesses to them fault into
-// the runtime, mirroring the paper's mprotect()+ptrace trap mechanism
-// (§3.2) on a simulated substrate.
+// Memory is sparse (allocated in fixed-size pages on first touch). It has
+// no protection layer: the paper's mprotect()+ptrace trap (§3.2) is the
+// host engines' OpInteract request, which catches the devices up to the
+// accessing thread's time before the access (DESIGN.md §8).
 //
 // Bulk inputs that many simulated systems share (operand matrices,
 // message images, bitstreams) are staged as immutable Blobs that a
@@ -16,7 +15,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -26,7 +24,8 @@ const PageSize = 4096
 // Addr is a simulated physical address.
 type Addr uint64
 
-// AccessKind distinguishes reads from writes in fault hooks.
+// AccessKind distinguishes reads from writes in timed accesses (DMAs and
+// the memory hierarchy).
 type AccessKind int
 
 const (
@@ -41,36 +40,21 @@ func (k AccessKind) String() string {
 	return "write"
 }
 
-// FaultHandler is invoked when a protected region is accessed through the
-// faulting accessors. The handler runs before the access completes; after
-// it returns, the access proceeds against the backing memory (mirroring
-// how the NEX runtime completes the faulting instruction after resolving
-// the trap).
-type FaultHandler func(kind AccessKind, addr Addr, size int)
-
 // Region is a named span of the physical address space.
 type Region struct {
-	Name  string
-	Base  Addr
-	Size  uint64
-	hook  FaultHandler
-	armed bool
-}
-
-// Contains reports whether [addr, addr+size) lies within the region.
-func (r *Region) Contains(addr Addr, size int) bool {
-	return addr >= r.Base && uint64(addr)+uint64(size) <= uint64(r.Base)+r.Size
+	Name string
+	Base Addr
+	Size uint64
 }
 
 // Memory is a sparse simulated physical memory. It is not safe for
 // concurrent use: a simulation runs its host engine and its devices on
 // one goroutine.
 type Memory struct {
-	pages   map[Addr]entry // keyed by page base
-	owned   [][]byte       // every private page ever mapped, in allocation order, for Release
-	regions []*Region      // sorted by Base
-	next    Addr           // bump allocator for Alloc
-	stats   Stats
+	pages map[Addr]entry // keyed by page base
+	owned [][]byte       // every private page ever mapped, in allocation order, for Release
+	next  Addr           // bump allocator for Alloc
+	stats Stats
 
 	// The page touched last: DMAs and task-buffer accesses walk a page
 	// at a time, so most lookups skip the map. A write may use it only
@@ -114,29 +98,7 @@ func (m *Memory) Alloc(name string, size uint64) *Region {
 	rounded := (size + PageSize - 1) / PageSize * PageSize
 	r := &Region{Name: name, Base: m.next, Size: rounded}
 	m.next += Addr(rounded)
-	m.regions = append(m.regions, r) // next only grows, so regions stays sorted by Base
 	return r
-}
-
-// Protect arms a fault handler on the region. Subsequent ReadFaulting /
-// WriteFaulting calls that touch the region invoke the handler first.
-func (m *Memory) Protect(r *Region, h FaultHandler) {
-	r.hook = h
-	r.armed = true
-}
-
-// Unprotect disarms the region's fault handler.
-func (m *Memory) Unprotect(r *Region) { r.armed = false }
-
-// RegionAt returns the region containing addr, or nil.
-func (m *Memory) RegionAt(addr Addr) *Region {
-	i := sort.Search(len(m.regions), func(i int) bool {
-		return m.regions[i].Base+Addr(m.regions[i].Size) > addr
-	})
-	if i < len(m.regions) && addr >= m.regions[i].Base {
-		return m.regions[i]
-	}
-	return nil
 }
 
 // page returns the page holding addr: for a read whatever is mapped there,
@@ -219,8 +181,8 @@ func (m *Memory) Release() {
 	m.owned, m.last, m.lastPrivate = nil, nil, false
 }
 
-// ReadAt copies len(buf) bytes at addr into buf without triggering
-// protection (a "zero-cost" functional access in DSim terms, §5).
+// ReadAt copies len(buf) bytes at addr into buf (a "zero-cost" functional
+// access in DSim terms, §5).
 func (m *Memory) ReadAt(addr Addr, buf []byte) {
 	for len(buf) > 0 {
 		p := m.page(addr, false)
@@ -231,7 +193,7 @@ func (m *Memory) ReadAt(addr Addr, buf []byte) {
 	}
 }
 
-// WriteAt copies buf to addr without triggering protection.
+// WriteAt copies buf to addr.
 func (m *Memory) WriteAt(addr Addr, buf []byte) {
 	for len(buf) > 0 {
 		p := m.page(addr, true)
@@ -344,84 +306,6 @@ func Hash(h uint64, p []byte) uint64 {
 		h = Mix(h, uint64(c))
 	}
 	return h
-}
-
-// ReadFaulting is ReadAt through the protection layer: if the access
-// touches an armed region, its handler runs first.
-func (m *Memory) ReadFaulting(addr Addr, buf []byte) {
-	m.maybeFault(Read, addr, len(buf))
-	m.ReadAt(addr, buf)
-}
-
-// WriteFaulting is WriteAt through the protection layer.
-func (m *Memory) WriteFaulting(addr Addr, buf []byte) {
-	m.maybeFault(Write, addr, len(buf))
-	m.WriteAt(addr, buf)
-}
-
-func (m *Memory) maybeFault(kind AccessKind, addr Addr, size int) {
-	if r := m.RegionAt(addr); r != nil && r.armed && r.hook != nil {
-		r.hook(kind, addr, size)
-	}
-}
-
-// Convenience fixed-width accessors (little-endian, matching the modeled
-// x86 host).
-
-// ReadU32 reads a 32-bit little-endian value (non-faulting).
-func (m *Memory) ReadU32(addr Addr) uint32 {
-	var b [4]byte
-	m.ReadAt(addr, b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// WriteU32 writes a 32-bit little-endian value (non-faulting).
-func (m *Memory) WriteU32(addr Addr, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	m.WriteAt(addr, b[:])
-}
-
-// ReadU64 reads a 64-bit little-endian value (non-faulting).
-func (m *Memory) ReadU64(addr Addr) uint64 {
-	var b [8]byte
-	m.ReadAt(addr, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// WriteU64 writes a 64-bit little-endian value (non-faulting).
-func (m *Memory) WriteU64(addr Addr, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	m.WriteAt(addr, b[:])
-}
-
-// ReadU32Faulting reads a 32-bit value through the protection layer.
-func (m *Memory) ReadU32Faulting(addr Addr) uint32 {
-	var b [4]byte
-	m.ReadFaulting(addr, b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// WriteU32Faulting writes a 32-bit value through the protection layer.
-func (m *Memory) WriteU32Faulting(addr Addr, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	m.WriteFaulting(addr, b[:])
-}
-
-// ReadU64Faulting reads a 64-bit value through the protection layer.
-func (m *Memory) ReadU64Faulting(addr Addr) uint64 {
-	var b [8]byte
-	m.ReadFaulting(addr, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// WriteU64Faulting writes a 64-bit value through the protection layer.
-func (m *Memory) WriteU64Faulting(addr Addr, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	m.WriteFaulting(addr, b[:])
 }
 
 func (r *Region) String() string {

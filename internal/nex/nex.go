@@ -312,18 +312,7 @@ func New(cfg Config) *Engine {
 func (e *Engine) Mem() *mem.Memory { return e.mem }
 
 // Attach registers a device binding; must precede Run.
-func (e *Engine) Attach(b *hostkit.Binding) {
-	e.dev.Attach(b)
-	// The NEX runtime protects the device's MMIO window so that any
-	// faulting access first catches the accelerator complex up — the
-	// mprotect/ptrace mechanism of §3.2 on the simulated substrate.
-	r := e.mem.RegionAt(b.MMIOBase)
-	if r != nil {
-		e.mem.Protect(r, func(kind mem.AccessKind, addr mem.Addr, size int) {
-			e.dev.Advance(e.now)
-		})
-	}
-}
+func (e *Engine) Attach(b *hostkit.Binding) { e.dev.Attach(b) }
 
 // HostFor returns the accel.Host for a binding.
 func (e *Engine) HostFor(b *hostkit.Binding) accel.Host { return e.dev.HostFor(b) }

@@ -451,3 +451,67 @@ func TestEagerModeMatchesLazyAccuracy(t *testing.T) {
 		t.Fatalf("lazy %v != eager %v (sync mode must not change timing here)", lazy, eager)
 	}
 }
+
+// regLog is the fake device with the host's catch-up observed at each
+// register access: lastAdvance records the target of the Advance the
+// device last received before the access reached it.
+type regLog struct {
+	*acceltest.Device
+	lastAdvance []vclock.Time
+}
+
+func (d *regLog) RegRead(at vclock.Time, off mem.Addr) uint32 {
+	d.lastAdvance = append(d.lastAdvance, lastAdvance(d.Calls))
+	return d.Device.RegRead(at, off)
+}
+
+// lastAdvance returns the target of the last Advance in calls, or
+// vclock.Never if there is none.
+func lastAdvance(calls []acceltest.Call) vclock.Time {
+	for i := len(calls) - 1; i >= 0; i-- {
+		if calls[i].Op == 'A' {
+			return calls[i].At
+		}
+	}
+	return vclock.Never
+}
+
+// TestTrapCatchesDevicesUp: a trap advances the device complex to the
+// trap's own time before the access runs — the thread's cursor partway
+// into its epoch, not the epoch's start — for a register read and for a
+// task-buffer access alike (TickMode off, so the access traps).
+func TestTrapCatchesDevicesUp(t *testing.T) {
+	e := newExact(t, exactCfg())
+	dev := &regLog{Device: &acceltest.Device{}}
+	b := &hostkit.Binding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096}
+	dev.Host = e.HostFor(b)
+	e.Attach(b)
+	region := e.Mem().Alloc("taskbuf", 4096)
+	// Each access comes 300 ns of compute into an epoch; the engine's
+	// clock e.now holds the epoch's start while its threads run.
+	var readAt, readEpoch, taskAt, taskEpoch vclock.Time
+	var taskCalls []acceltest.Call
+	e.Run(app.Program{Main: func(env app.Env) {
+		env.ComputeFor(300 * vclock.Nanosecond)
+		readAt, readEpoch = env.Now(), e.now
+		env.MMIORead(0x8000_0000)
+		env.ComputeFor(300 * vclock.Nanosecond)
+		taskAt, taskEpoch = env.Now(), e.now
+		before := len(dev.Calls)
+		var buf [8]byte
+		env.TaskRead(region.Base, buf[:])
+		taskCalls = dev.Calls[before:]
+	}})
+	if readAt <= readEpoch || taskAt <= taskEpoch {
+		t.Fatalf("accesses at %v and %v are not inside their epochs (starting %v and %v)",
+			readAt, taskAt, readEpoch, taskEpoch)
+	}
+	if len(dev.lastAdvance) != 1 || dev.lastAdvance[0] != readAt {
+		t.Errorf("before the register read at %v the device was last advanced to %v, want %v",
+			readAt, dev.lastAdvance, readAt)
+	}
+	if got := lastAdvance(taskCalls); got != taskAt {
+		t.Errorf("the task-buffer trap at %v advanced the device to %v (calls %v), want %v",
+			taskAt, got, taskCalls, taskAt)
+	}
+}

@@ -79,11 +79,11 @@ func (r *Ring) Push(p []byte) {
 	}
 }
 
-// Pop consumes one message, blocking (spinning with yields) while the
-// ring is empty. The consume callback sees a view into the ring that is
-// only valid for the duration of the call. It must be called from a
-// single consumer goroutine.
-func (r *Ring) Pop(consume func(p []byte)) {
+// next blocks (spinning with yields) until a message is readable,
+// skipping wrap markers, and returns the tail counter of its record and
+// a view of its payload. The message stays in the ring: the consumer
+// frees it with release once it is done reading.
+func (r *Ring) next() (int64, []byte) {
 	for {
 		tail := r.tail.Load()
 		if r.head.Load() == tail {
@@ -96,30 +96,24 @@ func (r *Ring) Pop(consume func(p []byte)) {
 			r.tail.Store(tail + int64(len(r.buf)-pos))
 			continue
 		}
-		consume(r.buf[pos+4 : pos+4+int(n)])
-		r.tail.Store(tail + int64(4+align4(int(n))))
-		return
+		return tail, r.buf[pos+4 : pos+4+int(n)]
 	}
 }
 
-// TryPop is Pop without blocking; it reports whether a message was
-// consumed.
-func (r *Ring) TryPop(consume func(p []byte)) bool {
-	for {
-		tail := r.tail.Load()
-		if r.head.Load() == tail {
-			return false
-		}
-		pos := int(tail % int64(len(r.buf)))
-		n := getLen(r.buf[pos:])
-		if n == ringWrap {
-			r.tail.Store(tail + int64(len(r.buf)-pos))
-			continue
-		}
-		consume(r.buf[pos+4 : pos+4+int(n)])
-		r.tail.Store(tail + int64(4+align4(int(n))))
-		return true
-	}
+// release frees the record at tail whose payload is p for the producer.
+func (r *Ring) release(tail int64, p []byte) {
+	r.tail.Store(tail + int64(4+align4(len(p))))
+}
+
+// Pop consumes one message, blocking (spinning with yields) while the
+// ring is empty. The consume callback sees a view into the ring that is
+// only valid for the duration of the call: the record is released only
+// after consume returns. It must be called from a single consumer
+// goroutine.
+func (r *Ring) Pop(consume func(p []byte)) {
+	tail, p := r.next()
+	consume(p)
+	r.release(tail, p)
 }
 
 // popRaw consumes one message and returns a view into the ring,
@@ -128,21 +122,9 @@ func (r *Ring) TryPop(consume func(p []byte)) bool {
 // ring capacity of further bytes past it — Channel relies on this under
 // its synchronous roundTrip discipline.
 func (r *Ring) popRaw() []byte {
-	for {
-		tail := r.tail.Load()
-		if r.head.Load() == tail {
-			runtime.Gosched()
-			continue
-		}
-		pos := int(tail % int64(len(r.buf)))
-		n := getLen(r.buf[pos:])
-		if n == ringWrap {
-			r.tail.Store(tail + int64(len(r.buf)-pos))
-			continue
-		}
-		r.tail.Store(tail + int64(4+align4(int(n))))
-		return r.buf[pos+4 : pos+4+int(n)]
-	}
+	tail, p := r.next()
+	r.release(tail, p)
+	return p
 }
 
 // Len reports the number of unread payload bytes (including framing).

@@ -77,22 +77,6 @@ func TestRingConcurrentRandomized(t *testing.T) {
 	}
 }
 
-// TestRingTryPop covers the non-blocking consumer path.
-func TestRingTryPop(t *testing.T) {
-	r := NewRing(64)
-	if r.TryPop(func([]byte) {}) {
-		t.Fatal("TryPop on empty ring succeeded")
-	}
-	r.Push([]byte("x"))
-	var got []byte
-	if !r.TryPop(func(p []byte) { got = append(got[:0], p...) }) {
-		t.Fatal("TryPop on non-empty ring failed")
-	}
-	if string(got) != "x" {
-		t.Fatalf("got %q", got)
-	}
-}
-
 // TestRingOversizePanics pins the bounded contract.
 func TestRingOversizePanics(t *testing.T) {
 	defer func() {
