@@ -46,7 +46,7 @@ chaos:
 	go test -count=1 -race -run 'TestFault|TestBudget' ./internal/experiments/
 	go test -count=1 -race -run 'TestTransient|TestRetry|TestBudget|TestWAL' ./internal/simserve/
 
-# Micro-benchmark suite (LPN engine incremental-vs-reference, simbricks
+# Micro-benchmark suite (LPN engine scan-vs-reference, simbricks
 # channel) at a stable sampling time, then a smoke pass over every other
 # registered benchmark. End-to-end performance is `bash bench/run.sh`
 # (BENCHMARK.json), the one baseline.

@@ -93,6 +93,11 @@ test -z "$(grep -rlE '^func (\(.*\) )?(Protect|ReadFaulting|WriteFaulting|ReadyL
 	grep -v -e _test.go -e /testdata/)"
 test -z "$(grep -rlE '^func (\(.*\) )?Cancel\(' internal/eventq --include='*.go' | grep -v _test.go)"
 
+# Schedulers scan what they hold (DESIGN.md §4): no LPN heap, NEX active list, cached wake or tick op.
+test -z "$(grep -rlE '^func (\(.*\) )?(Seal|markDirty|flushDirty|heap[A-Za-z]*)\(' internal/lpn --include='*.go' | grep -v _test.go)"
+test -z "$(grep -rlE '^func (\(.*\) )?(ensureActive|maybeCompact|setWake)\(' internal/nex --include='*.go' | grep -v _test.go)"
+test -z "$(grep -rlE '\bOpTick\b|^func \(.*\) Tick\(\)|^[[:space:]]+Tick\(\)$' . --include='*.go' | grep -v -e _test.go -e /testdata/)"
+
 # Results that do not depend on the CPU (DESIGN.md §5): Go may fuse
 # x*y + z into one FMA instruction, which rounds once instead of twice.
 # It does on arm64 and does not on amd64, so an arm64 shard could

@@ -52,9 +52,9 @@ func (dr *Driver) Post(e app.Env, desc []byte) mem.Addr {
 	return addr
 }
 
-// Doorbell launches the descriptor at addr. No explicit tick precedes
-// it: the doorbell MMIO is itself the synchronization point that flushes
-// the descriptor write.
+// Doorbell launches the descriptor at addr. The doorbell MMIO is the
+// synchronization point that flushes the descriptor write: in NEX tick
+// mode the write does not trap, and the doorbell is the next trap.
 func (dr *Driver) Doorbell(e app.Env, addr mem.Addr) {
 	e.MMIOWrite(dr.MMIOBase+RegDoorbell, uint32(addr))
 }

@@ -95,10 +95,6 @@ type Env interface {
 	// JumpT runs fn outside virtual time entirely: it costs zero virtual
 	// time regardless of the computation inside.
 	JumpT(fn func())
-
-	// Tick is NEX tick mode: a driver-inserted explicit synchronization
-	// point that batches preceding task-buffer writes into one trap.
-	Tick()
 }
 
 // Mutex is a virtual-time mutex. The zero value is unlocked. Not safe

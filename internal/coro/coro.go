@@ -42,8 +42,6 @@ const (
 	OpWaitIRQ
 	// OpWarp: enter/exit a time-warp region (CompressT/SlipStream/JumpT).
 	OpWarp
-	// OpTick: NEX tick mode — a designated batched synchronization point.
-	OpTick
 )
 
 // WarpKind selects a time-warping feature (paper §3.4).

@@ -381,12 +381,6 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 			s.Handle(r)
 			continue
 
-		case coro.OpTick:
-			// Exact engine: tick points are ordinary interaction points
-			// with no extra cost.
-			e.dev.Advance(now)
-			continue
-
 		default:
 			panic(fmt.Sprintf("exacthost: unknown op %v", r.Op))
 		}

@@ -39,8 +39,8 @@ const (
 	// encode — the co-simulation transport (a lost or delayed message).
 	SiteChanRecv Site = iota
 	SiteChanSend
-	// SiteDeviceDispatch: a NEX device-bound trap (MMIO interaction or
-	// tick synchronization point) — the accelerator dispatch path.
+	// SiteDeviceDispatch: a NEX device-bound trap (a trapping MMIO or
+	// task-buffer interaction) — the accelerator dispatch path.
 	SiteDeviceDispatch
 	// SitePoolWorker: the sweep-pool worker picking up a run — a sick
 	// worker (stall or crash) at job start.

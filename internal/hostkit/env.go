@@ -157,5 +157,3 @@ func (v *env) CompressT(factor float64, fn func()) {
 func (v *env) SlipStream(fn func()) { v.warp(coro.SlipStream, 0, fn) }
 
 func (v *env) JumpT(fn func()) { v.warp(coro.JumpT, 0, fn) }
-
-func (v *env) Tick() { v.th.Yield(coro.Request{Op: coro.OpTick}) }

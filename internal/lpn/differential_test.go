@@ -12,8 +12,8 @@ import (
 // weighted arcs, capacity-bounded places, token-dependent delays,
 // OutFuncs, effects — and drive two structurally identical
 // instances through the same schedule of injections, Advance bounds and
-// NextEvent probes: one on the incremental enabled-set engine, one on
-// the reference rescan engine. The firing logs (name, fire time, done
+// NextEvent probes: one on the engine, one on the reference engine in
+// ref_test.go. The firing logs (name, fire time, done
 // time), clocks, NextEvent answers and final markings must agree
 // exactly; determinism of the experiment tables rests on this.
 
@@ -171,14 +171,14 @@ func runDifferential(t *testing.T, seed uint64) int {
 			fi := inc.Advance(o.until)
 			fr := ref.scanAdvance(o.until)
 			if fi != fr {
-				t.Fatalf("seed %d op %d: Advance(%d) fired %d (incremental) vs %d (reference)",
+				t.Fatalf("seed %d op %d: Advance(%d) fired %d (engine) vs %d (reference)",
 					seed, i, o.until, fi, fr)
 			}
 		case 2:
 			ai, oki := inc.NextEvent()
 			ar, okr := ref.scanNextEvent()
 			if ai != ar || oki != okr {
-				t.Fatalf("seed %d op %d: NextEvent %v,%v (incremental) vs %v,%v (reference)",
+				t.Fatalf("seed %d op %d: NextEvent %v,%v (engine) vs %v,%v (reference)",
 					seed, i, ai, oki, ar, okr)
 			}
 		}
@@ -189,7 +189,7 @@ func runDifferential(t *testing.T, seed uint64) int {
 	}
 	li, lr := *incLog, *refLog
 	if len(li) != len(lr) {
-		t.Fatalf("seed %d: %d firings (incremental) vs %d (reference)\ninc: %v\nref: %v",
+		t.Fatalf("seed %d: %d firings (engine) vs %d (reference)\neng: %v\nref: %v",
 			seed, len(li), len(lr), li, lr)
 	}
 	for i := range li {
@@ -213,7 +213,8 @@ func runDifferential(t *testing.T, seed uint64) int {
 }
 
 // TestDifferentialIncrementalVsReference runs the differential check over
-// 1200 generated nets with fixed seeds.
+// 1200 generated nets with fixed seeds. (The name is historical: the
+// engine it checks is now a scan too, with a reused scratch Firing.)
 func TestDifferentialIncrementalVsReference(t *testing.T) {
 	nets := 1200
 	if testing.Short() {

@@ -1,15 +1,15 @@
 package lpn
 
 import (
+	"strings"
 	"testing"
 
 	"nexsim/internal/vclock"
 )
 
 // TestBackpressureReleaseReenables: a producer blocked on a full
-// downstream place must re-enter the enabled set the moment a consumer
-// frees capacity — the invalidation flows through the capped place's
-// watcher list, not through a rescan.
+// downstream place must fire again the moment a consumer frees capacity,
+// within the same Advance call.
 func TestBackpressureReleaseReenables(t *testing.T) {
 	n := New("bp")
 	in := n.AddPlace("in", 0)
@@ -98,9 +98,9 @@ func TestWeightedArcWithBackpressure(t *testing.T) {
 	}
 }
 
-// TestSealRebuildAfterStructureChange: adding a transition after the net
-// has run unseals it; the next Advance re-seals and the new transition
-// participates.
+// TestSealRebuildAfterStructureChange: a transition added after the net
+// has run takes part in the next Advance. (The name is historical: the
+// net has no sealed state to rebuild.)
 func TestSealRebuildAfterStructureChange(t *testing.T) {
 	n := New("reseal")
 	in := n.AddPlace("in", 0)
@@ -147,5 +147,38 @@ func TestFiringScratchReuse(t *testing.T) {
 	}
 	if out.Len() <= base {
 		t.Fatal("warm loop did not fire")
+	}
+}
+
+// TestEffectReentryPanics: an Effect that advances its own net would fire
+// into the scratch Firing its caller still holds; the engine refuses with
+// a panic naming the net, before the inner firing consumes a token.
+func TestEffectReentryPanics(t *testing.T) {
+	n := New("reenter")
+	in := n.AddPlace("in", 0)
+	side := n.AddPlace("side", 0)
+	n.AddTransition(&Transition{Name: "drain", In: []Arc{{Place: side}}})
+	var got any
+	sideLeft := -1
+	n.AddTransition(&Transition{
+		Name: "outer",
+		In:   []Arc{{Place: in}},
+		Effect: func(f *Firing, done vclock.Time) {
+			defer func() {
+				got = recover()
+				sideLeft = side.Len()
+			}()
+			n.Inject(side, Tok(f.Time))
+			n.Advance(done)
+		},
+	})
+	n.Inject(in, Tok(0))
+	n.Advance(10)
+	msg, ok := got.(string)
+	if !ok || !strings.Contains(msg, "reenter") {
+		t.Fatalf("re-entrant Advance recovered %v, want a panic naming net \"reenter\"", got)
+	}
+	if sideLeft != 1 {
+		t.Fatalf("inner firing consumed its token before refusing (side holds %d)", sideLeft)
 	}
 }

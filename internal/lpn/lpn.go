@@ -15,23 +15,21 @@
 // simulation cost scales with the number of work items, not with clock
 // cycles.
 //
-// # Incremental scheduling
+// # Scheduling
 //
-// The engine is an incremental enabled-set scheduler. Seal (run by
-// Validate, or lazily on first use) builds a place→transition adjacency;
-// afterwards each transition's ready time is cached and recomputed only
-// when an adjacent place changes — a token push or pop, capacity freed by
-// a downstream pop, or an external Inject. Enabled transitions sit in a
-// min-heap keyed by (ready time, registration order), so selecting the
-// next firing is O(log T) instead of a full O(transitions × arcs) rescan,
-// and a firing invalidates only the handful of transitions watching the
-// places it touched. A transition's readiness depends on nothing but its
-// arcs' places, so no other state can enable it behind the scheduler's
-// back. The firing fast path is allocation-free: firings share a per-net
-// scratch Firing whose token slices are grown in place. The pre-rework
-// full-rescan engine lives on in ref_test.go (scanAdvance/scanNextEvent),
-// an executable specification that the randomized differential test pins
-// this scheduler against, firing for firing.
+// The engine picks each firing by scanning the transitions for the least
+// (ready time, registration order), recomputing every ready time from its
+// arcs' places. The nets are small and closed: a Spec must name a catalog
+// benchmark, and the largest net any of them builds has 8 transitions
+// (protoacc; JPEG has 7, the sketch example 6), so the scan is a few
+// dozen loads and no index has to be kept in step with the marking. A
+// model that builds a net of hundreds of transitions should bring an
+// enabled-set index back with its own measurement. The firing path is
+// allocation-free: firings share a per-net scratch Firing whose token
+// slices are grown in place. ref_test.go keeps the original engine
+// (scanAdvance/scanNextEvent, fresh allocations per firing) as an
+// executable specification that the randomized differential test pins
+// this one against, firing for firing.
 package lpn
 
 import (
@@ -63,12 +61,6 @@ type Place struct {
 
 	tokens []Token
 	head   int
-
-	// Set by Seal: the owning net and the transitions whose readiness
-	// depends on this place (consumers, plus producers into it when it
-	// is capacity-bounded).
-	net      *Net
-	watchers []int32
 }
 
 // Len reports the number of tokens currently in the place (available or
@@ -89,7 +81,6 @@ func (p *Place) Push(t Token) {
 		panic("lpn: push into full place " + p.Name)
 	}
 	p.tokens = append(p.tokens, t)
-	p.touched()
 }
 
 // peek returns the i-th token from the front without removing it.
@@ -103,18 +94,7 @@ func (p *Place) pop() Token {
 		p.tokens = p.tokens[:n]
 		p.head = 0
 	}
-	p.touched()
 	return t
-}
-
-// touched invalidates the cached ready times of every transition
-// adjacent to this place.
-func (p *Place) touched() {
-	if p.net != nil && p.net.sealed {
-		for _, w := range p.watchers {
-			p.net.markDirty(w)
-		}
-	}
 }
 
 // Firing is the context passed to delay functions, output functions and
@@ -172,8 +152,8 @@ type DelayFunc func(f *Firing) vclock.Duration
 // to emit tagged DMA requests (paper §4.3). done is fire time + delay.
 type EffectFunc func(f *Firing, done vclock.Time)
 
-// Transition is a processing stage. Its structure (arcs, delay, effect)
-// must not change after the net is sealed.
+// Transition is a processing stage. An Effect must not call back into
+// its own net's Advance: the engine panics on that re-entry.
 type Transition struct {
 	Name   string
 	In     []Arc
@@ -181,7 +161,6 @@ type Transition struct {
 	Delay  DelayFunc  // nil means zero delay
 	Effect EffectFunc // optional
 
-	idx   int32
 	fires int64
 }
 
@@ -199,25 +178,12 @@ func PerCycle(clk vclock.Hz, n int64) DelayFunc {
 	return func(*Firing) vclock.Duration { return d }
 }
 
-// transState is the scheduler's cached view of one transition.
-type transState struct {
-	at    vclock.Time // cached ready time (valid when pos >= 0)
-	pos   int32       // position in the enabled heap, -1 if absent
-	dirty bool        // ready time must be recomputed
-}
-
 // Net is a complete Latency Petri Net.
 type Net struct {
 	Name        string
 	places      []*Place
 	transitions []*Transition
 	now         vclock.Time
-
-	// Incremental scheduler state, derived from the marking by Seal.
-	sealed bool
-	state  []transState
-	heap   []int32 // enabled transitions min-keyed by (at, idx)
-	dirty  []int32 // stale-ready worklist
 
 	// Reusable firing scratch.
 	inFire      bool      // only set inside one fire() call
@@ -228,21 +194,17 @@ type Net struct {
 // New returns an empty net.
 func New(name string) *Net { return &Net{Name: name} }
 
-// AddPlace registers and returns a new place. Adding to a sealed net
-// unseals it; the next engine call re-seals.
+// AddPlace registers and returns a new place.
 func (n *Net) AddPlace(name string, capacity int) *Place {
 	p := &Place{Name: name, Cap: capacity}
 	n.places = append(n.places, p)
-	n.sealed = false
 	return p
 }
 
 // AddTransition registers a transition. Transitions are examined in
-// registration order, which makes simulation deterministic. Adding to a
-// sealed net unseals it; the next engine call re-seals.
+// registration order, which makes simulation deterministic.
 func (n *Net) AddTransition(t *Transition) *Transition {
 	n.transitions = append(n.transitions, t)
-	n.sealed = false
 	return t
 }
 
@@ -250,104 +212,12 @@ func (n *Net) AddTransition(t *Transition) *Transition {
 func (n *Net) Now() vclock.Time { return n.now }
 
 // Inject places a token directly (used for task arrival and for external
-// responses such as DMA completions). On a sealed net the push
-// invalidates exactly the transitions watching p.
+// responses such as DMA completions).
 func (n *Net) Inject(p *Place, t Token) { p.Push(t) }
 
-// Seal freezes the net's structure and builds the place→transition
-// adjacency the incremental scheduler runs on: each place records the
-// transitions that consume from it, plus the transitions that produce
-// into it when it is capacity-bounded (a pop there frees backpressure).
-// Validate calls Seal; Advance and NextEvent seal lazily, so
-// explicit calls are never required.
-func (n *Net) Seal() {
-	seen := make(map[*Place]bool, len(n.places))
-	reset := func(p *Place) {
-		if !seen[p] {
-			seen[p] = true
-			p.net = n
-			p.watchers = p.watchers[:0]
-		}
-	}
-	for _, p := range n.places {
-		reset(p)
-	}
-	for i, tr := range n.transitions {
-		tr.idx = int32(i)
-		for _, a := range tr.In {
-			reset(a.Place)
-			addWatcher(a.Place, int32(i))
-		}
-		for _, o := range tr.Out {
-			reset(o.Place)
-			if o.Place.Cap > 0 {
-				addWatcher(o.Place, int32(i))
-			}
-		}
-	}
-	n.state = make([]transState, len(n.transitions))
-	n.heap = n.heap[:0]
-	n.dirty = n.dirty[:0]
-	for i := range n.state {
-		n.state[i] = transState{pos: -1, dirty: true}
-		n.dirty = append(n.dirty, int32(i))
-	}
-	n.sealed = true
-}
-
-func addWatcher(p *Place, idx int32) {
-	for _, w := range p.watchers {
-		if w == idx {
-			return
-		}
-	}
-	p.watchers = append(p.watchers, idx)
-}
-
-func (n *Net) ensureSealed() {
-	if !n.sealed {
-		n.Seal()
-	}
-}
-
-// markDirty queues transition i for a ready-time recompute.
-func (n *Net) markDirty(i int32) {
-	st := &n.state[i]
-	if !st.dirty {
-		st.dirty = true
-		n.dirty = append(n.dirty, i)
-	}
-}
-
-// flushDirty recomputes every queued transition and restores the heap
-// invariant: enabled transitions are in the heap keyed by their current
-// ready time, disabled ones are out.
-func (n *Net) flushDirty() {
-	for len(n.dirty) > 0 {
-		i := n.dirty[len(n.dirty)-1]
-		n.dirty = n.dirty[:len(n.dirty)-1]
-		st := &n.state[i]
-		if !st.dirty {
-			continue
-		}
-		st.dirty = false
-		at, ok := n.computeReady(n.transitions[i])
-		if ok {
-			st.at = at
-			if st.pos >= 0 {
-				n.heapFix(st.pos)
-			} else {
-				n.heapPush(i)
-			}
-		} else if st.pos >= 0 {
-			n.heapRemove(st.pos)
-		}
-	}
-}
-
-// computeReady computes the earliest time tr could fire, or
+// readyTime computes the earliest time tr could fire, clamped to now, or
 // (Never, false) if it cannot fire with the tokens currently present.
-func (n *Net) computeReady(tr *Transition) (vclock.Time, bool) {
+func (n *Net) readyTime(tr *Transition) (vclock.Time, bool) {
 	ready := n.now
 	for _, a := range tr.In {
 		w := a.weight()
@@ -371,30 +241,26 @@ func (n *Net) computeReady(tr *Transition) (vclock.Time, bool) {
 	return ready, true
 }
 
-// minReady returns the transition minimizing (ready time clamped to now,
-// registration order) — the same deterministic choice the rescan engine
-// makes — or ok=false if the net is quiescent.
-func (n *Net) minReady() (*Transition, vclock.Time, bool) {
-	n.flushDirty()
-	for len(n.heap) > 0 {
-		i := n.heap[0]
-		st := &n.state[i]
-		if st.at >= n.now {
-			return n.transitions[i], st.at, true
+// next returns the transition minimizing (ready time, registration
+// order) — the same deterministic choice the reference engine makes — or
+// ok=false if the net is quiescent.
+//
+//simlint:hotpath scanned once per firing; every catalog net has at most 8 transitions
+func (n *Net) next() (*Transition, vclock.Time, bool) {
+	var best *Transition
+	bestAt := vclock.Never
+	for _, tr := range n.transitions {
+		if at, ok := n.readyTime(tr); ok && at < bestAt {
+			best, bestAt = tr, at
 		}
-		// The clock moved past a cached ready time, so the effective
-		// fire time clamps to now: re-key.
-		st.at = n.now
-		n.heapDown(0)
 	}
-	return nil, vclock.Never, false
+	return best, bestAt, best != nil
 }
 
 // NextEvent returns the earliest time any transition can fire, or
 // (vclock.Never, false) if the net is quiescent.
 func (n *Net) NextEvent() (vclock.Time, bool) {
-	n.ensureSealed()
-	_, at, ok := n.minReady()
+	_, at, ok := n.next()
 	return at, ok
 }
 
@@ -405,12 +271,9 @@ func (n *Net) NextEvent() (vclock.Time, bool) {
 //
 //simlint:hotpath the per-work-item engine entry; cost scales with firings
 func (n *Net) Advance(until vclock.Time) int {
-	n.ensureSealed()
 	fired := 0
 	for {
-		// Deterministic choice: earliest ready time, tie-broken by
-		// transition registration order.
-		tr, at, ok := n.minReady()
+		tr, at, ok := n.next()
 		if !ok || at > until {
 			break
 		}
@@ -424,24 +287,18 @@ func (n *Net) Advance(until vclock.Time) int {
 }
 
 // fillFiring assembles the firing context for tr at time at in the
-// per-net scratch, consuming the input tokens. Re-entrant engine calls
-// (an effect advancing the net again) fall back to a fresh allocation so
-// the in-flight scratch is left alone.
+// per-net scratch, consuming the input tokens. A firing from inside a
+// firing's callbacks (an Effect advancing its own net) would overwrite
+// the scratch the outer callbacks still hold, so it panics instead; no
+// model's Effect does more than issue DMAs, inject tokens or complete a
+// task.
 //
 //simlint:hotpath runs for every firing; scratch reuse is the point
 func (n *Net) fillFiring(tr *Transition, at vclock.Time) *Firing {
-	nIn := len(tr.In)
 	if n.inFire {
-		// Re-entrant path: rare by construction (only effects that
-		// advance the net again), so a fresh context is fine.
-		f := &Firing{Time: at, In: make([][]Token, nIn)} //simlint:allow hotpath-alloc re-entrant fallback, not the steady state
-		for i, a := range tr.In {
-			buf := make([]Token, a.weight()) //simlint:allow hotpath-alloc re-entrant fallback, not the steady state
-			popArc(a.Place, buf)
-			f.In[i] = buf
-		}
-		return f
+		panic("lpn " + n.Name + ": transition " + tr.Name + " fired from inside a firing (an Effect re-entered Advance)")
 	}
+	nIn := len(tr.In)
 	f := &n.scratch
 	f.Time = at
 	if cap(f.In) < nIn {
@@ -458,17 +315,13 @@ func (n *Net) fillFiring(tr *Transition, at vclock.Time) *Firing {
 			buf = make([]Token, w) //simlint:allow hotpath-alloc grows to the widest arc once, then reused
 		}
 		buf = buf[:w]
-		popArc(a.Place, buf)
+		for j := range buf {
+			buf[j] = a.Place.pop()
+		}
 		n.scratchBufs[i] = buf
 		f.In[i] = buf
 	}
 	return f
-}
-
-func popArc(p *Place, buf []Token) {
-	for j := range buf {
-		buf[j] = p.pop()
-	}
 }
 
 //simlint:hotpath fires once per work item per stage; Token values stay on the stack
@@ -477,7 +330,6 @@ func (n *Net) fire(tr *Transition, at vclock.Time) {
 		n.now = at
 	}
 	f := n.fillFiring(tr, at)
-	wasInFire := n.inFire
 	n.inFire = true
 	var d vclock.Duration
 	if tr.Delay != nil {
@@ -504,86 +356,13 @@ func (n *Net) fire(tr *Transition, at vclock.Time) {
 	if tr.Effect != nil {
 		tr.Effect(f, done)
 	}
-	n.inFire = wasInFire
+	n.inFire = false
 	tr.fires++
-}
-
-// ---- Enabled-set heap (min by cached ready time, ties by registration
-// order, positions tracked for O(log n) updates) ------------------------
-
-func (n *Net) heapLess(a, b int32) bool {
-	sa, sb := &n.state[a], &n.state[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return a < b
-}
-
-func (n *Net) heapSwap(i, j int32) {
-	h := n.heap
-	h[i], h[j] = h[j], h[i]
-	n.state[h[i]].pos = i
-	n.state[h[j]].pos = j
-}
-
-func (n *Net) heapPush(i int32) {
-	n.state[i].pos = int32(len(n.heap))
-	n.heap = append(n.heap, i)
-	n.heapUp(n.state[i].pos)
-}
-
-func (n *Net) heapUp(i int32) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !n.heapLess(n.heap[i], n.heap[parent]) {
-			break
-		}
-		n.heapSwap(i, parent)
-		i = parent
-	}
-}
-
-func (n *Net) heapDown(i int32) {
-	size := int32(len(n.heap))
-	for {
-		l := 2*i + 1
-		if l >= size {
-			return
-		}
-		min := l
-		if r := l + 1; r < size && n.heapLess(n.heap[r], n.heap[l]) {
-			min = r
-		}
-		if !n.heapLess(n.heap[min], n.heap[i]) {
-			return
-		}
-		n.heapSwap(i, min)
-		i = min
-	}
-}
-
-func (n *Net) heapFix(pos int32) {
-	n.heapUp(pos)
-	n.heapDown(pos)
-}
-
-func (n *Net) heapRemove(pos int32) {
-	last := int32(len(n.heap)) - 1
-	idx := n.heap[pos]
-	if pos != last {
-		n.heapSwap(pos, last)
-	}
-	n.heap = n.heap[:last]
-	n.state[idx].pos = -1
-	if pos < last {
-		n.heapFix(pos)
-	}
 }
 
 // Validate performs structural checks — every transition must have at
 // least one input arc, all arcs must reference places registered in this
-// net, and names must be unique — then seals the net for the incremental
-// scheduler.
+// net, and names must be unique.
 func (n *Net) Validate() error {
 	known := make(map[*Place]bool, len(n.places))
 	names := make(map[string]bool)
@@ -614,6 +393,5 @@ func (n *Net) Validate() error {
 			}
 		}
 	}
-	n.Seal()
 	return nil
 }

@@ -2,12 +2,12 @@ package lpn
 
 import "nexsim/internal/vclock"
 
-// scanAdvance and scanNextEvent are the pre-rework full-rescan engine,
-// kept verbatim (including its per-firing allocations, less the guard
-// probe that went with guards) as an executable specification. The randomized differential test runs identical nets
-// through both engines and requires identical firing sequences, clocks
-// and final marking; the micro-benchmarks measure the incremental
-// scheduler's speedup against this loop.
+// scanAdvance and scanNextEvent are the original full-rescan engine, kept
+// verbatim (including its per-firing allocations, less the guard probe
+// that went with guards) as an executable specification. The randomized
+// differential test runs identical nets through both engines and
+// requires identical firing sequences, clocks and final marking; the
+// micro-benchmarks measure what the scratch Firing saves against it.
 
 // scanReadyTime computes the earliest time tr could fire by examining its
 // arcs from scratch.

@@ -148,9 +148,8 @@ func ReturnCredit(f *lpn.Firing, done vclock.Time) []lpn.Token {
 	return []lpn.Token{lpn.Tok(done)}
 }
 
-// Build validates the net, seals it for the incremental enabled-set
-// scheduler (lpn.Validate builds the place→transition adjacency), and
-// returns it ready to simulate.
+// Build validates the net's structure (lpn.Validate) and returns it
+// ready to simulate.
 func (b *Builder) Build() (*lpn.Net, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
@@ -162,9 +161,7 @@ func (b *Builder) Build() (*lpn.Net, error) {
 }
 
 // MustBuild is Build, panicking on error; accelerator models use it at
-// construction time since their structure is static. The returned net is
-// sealed: adding further places or transitions would unseal it and force
-// a re-seal on the next engine call.
+// construction time since their structure is static.
 func (b *Builder) MustBuild() *lpn.Net {
 	n, err := b.Build()
 	if err != nil {

@@ -118,10 +118,10 @@ func (e *Engine) endEpoch(selected []*coro.Thread, start, end vclock.Time) {
 			}
 		}
 		if newEnd < end {
-			for _, th := range e.active {
+			for _, th := range e.threads {
 				s := st(th)
 				if !s.exited && !s.parked && s.wakeAt == end {
-					e.setWake(s, newEnd)
+					s.wakeAt = newEnd
 				}
 			}
 			end = newEnd
@@ -159,36 +159,29 @@ func (e *Engine) endEpoch(selected []*coro.Thread, start, end vclock.Time) {
 	}
 }
 
-// minWake returns the earliest wake time among live threads. The value
-// is cached across epochs (setWake maintains it), so the scan over the
-// active list only happens after the minimum-holding thread moved later.
+// minWake returns the earliest wake time among live threads. Like
+// runnableAt it scans every thread the run has created: the largest
+// catalog run has 17 (npb-*.16 plus main), so the scan costs less than
+// an index kept in step with every yield would.
 //
-//simlint:hotpath queried twice per epoch; the cache keeps it O(1)
+//simlint:hotpath scanned once per epoch
 func (e *Engine) minWake() vclock.Time {
-	if !e.wakeValid {
-		min := vclock.Never
-		for _, th := range e.active {
-			s := st(th)
-			if s.exited || s.parked {
-				continue
-			}
-			if s.wakeAt < min {
-				min = s.wakeAt
-			}
+	min := vclock.Never
+	for _, th := range e.threads {
+		s := st(th)
+		if !s.exited && !s.parked && s.wakeAt < min {
+			min = s.wakeAt
 		}
-		e.wakeMin = min
-		e.wakeValid = true
 	}
-	return e.wakeMin
+	return min
 }
 
 // runnableAt lists threads eligible to run in the epoch starting at t,
-// in thread-creation order (deterministic). It scans only the active
-// list (parked/exited threads are skipped wholesale) and reuses a
-// scratch slice; callers must not retain the result past the next call.
+// in thread-creation order (deterministic). It reuses a scratch slice;
+// callers must not retain the result past the next call.
 func (e *Engine) runnableAt(t vclock.Time) []*coro.Thread {
 	out := e.runnableBuf[:0]
-	for _, th := range e.active {
+	for _, th := range e.threads {
 		s := st(th)
 		if !s.exited && !s.parked && s.wakeAt <= t {
 			out = append(out, th)
@@ -218,7 +211,7 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			if s.deficit > 0 {
 				// Epoch exhausted mid-segment; continue next epoch.
 				e.traceSpan(th.Name, trace.Compute, segStart, cursor)
-				e.setWake(s, end)
+				s.wakeAt = end
 				s.cursor = cursor
 				return false
 			}
@@ -234,8 +227,7 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 		switch r.Op {
 		case coro.OpExit:
 			s.exited = true
-			e.setWake(s, vclock.Never)
-			e.markInactive()
+			s.wakeAt = vclock.Never
 			e.live--
 			if cursor > e.finishT {
 				e.finishT = cursor
@@ -263,8 +255,7 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 				continue
 			}
 			s.parked = true
-			e.setWake(s, vclock.Never)
-			e.markInactive()
+			s.wakeAt = vclock.Never
 			e.traceSpan(th.Name, trace.Compute, segStart, cursor)
 			return false
 
@@ -272,14 +263,13 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			t2 := st(r.Target)
 			if t2.parked {
 				t2.parked = false
-				e.setWake(t2, end) // runnable from the next epoch: EBS skew
-				e.ensureActive(t2)
+				t2.wakeAt = end // runnable from the next epoch: EBS skew
 			} else {
 				t2.pending = true
 			}
 
 		case coro.OpSleep:
-			e.setWake(s, cursor.Add(r.Dur))
+			s.wakeAt = cursor.Add(r.Dur)
 			e.traceSpan(th.Name, trace.Blocked, cursor, s.wakeAt)
 			return false
 
@@ -289,13 +279,12 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 				panic("nex: spawn body is not an app.ThreadFunc")
 			}
 			nt := e.newThread(r.Name, body)
-			e.setWake(st(nt), end)
+			st(nt).wakeAt = end
 			th.Spawned = nt
 
 		case coro.OpWaitIRQ:
 			s.parked = true
-			e.setWake(s, vclock.Never)
-			e.markInactive()
+			s.wakeAt = vclock.Never
 			e.irqWait[r.Vector] = append(e.irqWait[r.Vector], th)
 			return false
 
@@ -306,42 +295,30 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 				// Exiting SlipStream resets the epoch duration and forces
 				// an immediate reschedule (§3.4): end this thread's slot
 				// and truncate the (large) epoch at its cursor.
-				e.setWake(s, cursor)
+				s.wakeAt = cursor
 				s.cursor = cursor
 				e.truncate = true
 				return false
 			}
-
-		case coro.OpTick:
-			e.trap(th, cursor, end, r)
-			return false
 		}
 	}
 	// Used the whole epoch (e.g. finished a segment exactly at the
 	// boundary): continue next epoch.
-	e.setWake(s, end)
+	s.wakeAt = end
 	s.cursor = end
 	return false
 }
 
 // deviceTouch reports whether a yielded request is the accelerator-bound
 // kind a prefix halt stops on: a trapping interaction addressed inside a
-// device MMIO window, or a tick synchronization point with devices
-// attached. Task-buffer traps (plain memory) don't qualify — they leave
-// device state untouched.
+// device MMIO window. Task-buffer traps (plain memory) don't qualify —
+// they leave device state untouched.
 func (e *Engine) deviceTouch(r coro.Request) bool {
-	switch r.Op {
-	case coro.OpTick:
-		return e.dev.Len() > 0
-	case coro.OpInteract:
-		return !r.Light && e.dev.Lookup(mem.Addr(r.Addr)) != nil
-	}
-	return false
+	return r.Op == coro.OpInteract && !r.Light && e.dev.Lookup(mem.Addr(r.Addr)) != nil
 }
 
-// trap resolves a device-bound trap — a trapping interaction or a tick
-// synchronization point (see deviceTouch) — at its exact virtual time
-// and ends the thread's slot: the trapping thread resumes at the epoch
+// trap resolves a trapping interaction at its exact virtual time and
+// ends the thread's slot: the trapping thread resumes at the epoch
 // boundary, or when the interaction completes, if later — the paper's
 // mid-epoch trap inaccuracy (§3.2). ResumeRun completes the halt-point
 // request of a prefix halt through the same path.
@@ -349,12 +326,10 @@ func (e *Engine) trap(th *coro.Thread, cursor, end vclock.Time, r coro.Request) 
 	e.Stats.Traps++
 	cursor = e.dispatchFault(cursor)
 	e.dev.Advance(cursor)
-	if r.Op == coro.OpInteract {
-		cost := r.Interact(cursor)
-		e.traceSpan(th.Name, trace.MMIO, cursor, cursor.Add(cost))
-		cursor = cursor.Add(cost)
-	}
-	e.setWake(st(th), max(end, cursor))
+	cost := r.Interact(cursor)
+	e.traceSpan(th.Name, trace.MMIO, cursor, cursor.Add(cost))
+	cursor = cursor.Add(cost)
+	st(th).wakeAt = max(end, cursor)
 }
 
 // dispatchFault crosses the device.dispatch injection site at a
@@ -424,8 +399,7 @@ func (e *Engine) deliverIRQs(boundary vclock.Time) {
 		if p.at > wake {
 			wake = p.at
 		}
-		e.setWake(s, wake)
-		e.ensureActive(s)
+		s.wakeAt = wake
 		e.Stats.IRQs++
 	}
 	e.pending = remaining

@@ -29,7 +29,6 @@ package nex
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"nexsim/internal/accel"
@@ -95,8 +94,9 @@ type Config struct {
 	Mode         SyncMode
 	SyncInterval vclock.Duration
 
-	// TickMode makes task-buffer accesses non-trapping; drivers signal
-	// batched synchronization points via Env.Tick (§3.2).
+	// TickMode makes task-buffer accesses non-trapping (§3.2): they are
+	// charged in-epoch, and the next trapping MMIO access — the driver's
+	// doorbell — is the batched synchronization point.
 	TickMode bool
 
 	// Seed drives the deterministic error model (calibration bias,
@@ -129,7 +129,7 @@ type Stats struct {
 	Epochs       int64 // epochs in which application threads executed
 	ThreadEpochs int64 // thread×epoch execution slots
 	Rounds       int64 // physical-core rounds (≥ ThreadEpochs/PhysicalCores)
-	Traps        int64 // MMIO/task-buffer/tick traps
+	Traps        int64 // MMIO and task-buffer traps
 	Syncs        int64 // accelerator synchronization events
 	IRQs         int64 // interrupts delivered
 	IdleJumps    int64 // multi-epoch jumps while all threads were idle
@@ -176,20 +176,6 @@ type Engine struct {
 	nextTID int
 	irqWait map[int][]*coro.Thread
 	pending []pendingIRQ
-
-	// Scheduler hot-path state: the loop would otherwise rescan every
-	// thread ever created, twice per epoch (minWake + runnableAt).
-	//
-	// active holds the threads that may be runnable (neither exited nor
-	// parked), in creation order. Entries go stale in place when a thread
-	// parks or exits and are swept out once they outnumber the live ones
-	// (amortized O(1)); unparking re-inserts compacted-out threads by ID.
-	active    []*coro.Thread
-	inactiveN int
-	// wakeMin caches minWake; it is invalidated only when the thread
-	// holding the minimum moves its wake time up.
-	wakeMin   vclock.Time
-	wakeValid bool
 	// runnableBuf is runnableAt's reusable scratch slice; its contents
 	// are only live until the next epoch's scan.
 	runnableBuf []*coro.Thread
@@ -243,9 +229,8 @@ type tstate struct {
 	deficit  vclock.Duration // remaining virtual time of current segment
 	vruntime vclock.Duration
 	hostkit.Warp
-	exited   bool
-	inActive bool        // present in Engine.active (possibly stale)
-	cursor   vclock.Time // thread-local virtual time (for Env.Now)
+	exited bool
+	cursor vclock.Time // thread-local virtual time (for Env.Now)
 }
 
 func st(t *coro.Thread) *tstate { return t.Data.(*tstate) }
@@ -327,8 +312,7 @@ type Result struct {
 // Run executes the program to completion (or until its budget is
 // exceeded — check BudgetExceeded and Reap on abort).
 func (e *Engine) Run(prog app.Program) Result {
-	main := e.newThread("main", prog.Main)
-	e.setWake(st(main), 0)
+	st(e.newThread("main", prog.Main)).wakeAt = 0
 	e.nextSync = vclock.Time(e.cfg.SyncInterval)
 	e.startWatchdog()
 	e.loop()
@@ -388,83 +372,15 @@ func (e *Engine) lastActivity() vclock.Time {
 func (e *Engine) newThread(name string, fn app.ThreadFunc) *coro.Thread {
 	id := e.nextTID
 	e.nextTID++
-	s := &tstate{wakeAt: vclock.Never, inActive: true}
+	s := &tstate{wakeAt: vclock.Never}
 	th := coro.NewThread(id, fmt.Sprintf("%s#%d", name, id), func() {
 		fn(hostkit.NewEnv(&e.env, s.th, &s.Warp))
 	})
 	s.th = th
 	th.Data = s
 	e.threads = append(e.threads, th)
-	// New threads have the highest ID so far, so appending keeps the
-	// active list in creation order.
-	e.active = append(e.active, th)
 	e.live++
 	return th
-}
-
-// setWake is the single mutation point for a thread's wake time; it
-// maintains the cached minimum so minWake rarely rescans.
-//
-//simlint:hotpath runs on every thread yield and wake
-func (e *Engine) setWake(s *tstate, t vclock.Time) {
-	old := s.wakeAt
-	if t == old {
-		return
-	}
-	s.wakeAt = t
-	if !e.wakeValid {
-		return
-	}
-	if t < e.wakeMin {
-		e.wakeMin = t
-		return
-	}
-	if old == e.wakeMin {
-		// The thread holding the minimum moved later; the new minimum is
-		// unknown until the next minWake.
-		e.wakeValid = false
-	}
-}
-
-// markInactive records that a thread on the active list parked or
-// exited; the entry is swept lazily by maybeCompact.
-func (e *Engine) markInactive() {
-	e.inactiveN++
-	e.maybeCompact()
-}
-
-// ensureActive puts an unparked thread back on the active list (or just
-// rebalances the stale count if its entry was never swept).
-func (e *Engine) ensureActive(s *tstate) {
-	if s.inActive {
-		if e.inactiveN > 0 {
-			e.inactiveN--
-		}
-		return
-	}
-	i := sort.Search(len(e.active), func(j int) bool { return e.active[j].ID > s.th.ID })
-	e.active = append(e.active, nil)
-	copy(e.active[i+1:], e.active[i:])
-	e.active[i] = s.th
-	s.inActive = true
-}
-
-// maybeCompact sweeps stale entries once they outnumber live ones.
-func (e *Engine) maybeCompact() {
-	if e.inactiveN < 32 || e.inactiveN*2 < len(e.active) {
-		return
-	}
-	kept := e.active[:0]
-	for _, th := range e.active {
-		s := st(th)
-		if s.exited || s.parked {
-			s.inActive = false
-			continue
-		}
-		kept = append(kept, th)
-	}
-	e.active = kept
-	e.inactiveN = 0
 }
 
 // epochLen returns the duration of the epoch the selected threads are

@@ -312,13 +312,14 @@ func TestTickModeReducesTraps(t *testing.T) {
 	run := func(tick bool) int64 {
 		e := newExact(t, Config{Epoch: 1 * us, TickMode: tick, CalSigma: -1, RefillLoss: -1})
 		e.calBias = 1.0
+		attach(e, &acceltest.Device{Busy: us})
 		region := e.Mem().Alloc("taskbuf", 4096)
 		return e.Run(app.Program{Main: func(env app.Env) {
 			var buf [8]byte
 			for i := 0; i < 16; i++ {
 				env.TaskWrite(region.Base+mem.Addr(i*8), buf[:])
 			}
-			env.Tick()
+			env.MMIOWrite(0x8000_0000, 1) // the doorbell is the sync point
 		}}).Stats.Traps
 	}
 	noTick, withTick := run(false), run(true)
@@ -326,7 +327,7 @@ func TestTickModeReducesTraps(t *testing.T) {
 		t.Fatalf("tick mode traps = %d, want 1", withTick)
 	}
 	if noTick != 17 {
-		t.Fatalf("non-tick traps = %d, want 17 (16 writes + tick)", noTick)
+		t.Fatalf("non-tick traps = %d, want 17 (16 writes + doorbell)", noTick)
 	}
 }
 

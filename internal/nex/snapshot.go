@@ -13,7 +13,8 @@ import (
 // checkpoint orchestration).
 //
 // RunPrefix arms a halt on the first device-bound request (deviceTouch):
-// a trapping MMIO access or a tick synchronization point. Everything
+// a trapping MMIO access. (In tick mode task-buffer accesses stay light,
+// so the halt lands on the driver's doorbell write.) Everything
 // before it is independent of the accelerator's parameters, so every
 // normalized sweep spec that shares the host-side configuration runs an
 // identical prefix and halts at the same point.
@@ -33,8 +34,7 @@ import (
 // the program finishes without touching a device (or aborts on its
 // budget) it returns the final result with completed=true.
 func (e *Engine) RunPrefix(prog app.Program) (res Result, completed bool) {
-	main := e.newThread("main", prog.Main)
-	e.setWake(st(main), 0)
+	st(e.newThread("main", prog.Main)).wakeAt = 0
 	e.nextSync = vclock.Time(e.cfg.SyncInterval)
 	e.haltArmed = e.dev.Len() > 0
 	e.startWatchdog()

@@ -258,8 +258,9 @@ func TestPrefixRecordingDoesNotPerturbStraightRuns(t *testing.T) {
 	}
 }
 
-// TestTickModeHalt: in tick mode the first synchronization point is the
-// halt boundary (task-buffer writes stay light and prefix-safe).
+// TestTickModeHalt: in tick mode the first synchronization point — the
+// doorbell MMIO write — is the halt boundary (task-buffer writes stay
+// light and prefix-safe).
 func TestTickModeHalt(t *testing.T) {
 	cfg := snapCfg()
 	cfg.TickMode = true
@@ -270,7 +271,7 @@ func TestTickModeHalt(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				env.TaskWrite(taskbuf+mem.Addr(i*8), buf[:])
 			}
-			env.Tick()
+			env.MMIOWrite(0x8000_0000, 1)
 			env.ComputeFor(4 * us)
 		}}
 	}
@@ -280,7 +281,7 @@ func TestTickModeHalt(t *testing.T) {
 
 	eB, _, bufB := snapRig(cfg)
 	if _, completed := eB.RunPrefix(mk(eB, bufB)); completed {
-		t.Fatal("tick-mode prefix completed without halting on the tick")
+		t.Fatal("tick-mode prefix completed without halting on the doorbell")
 	}
 	blob, err := eB.Fingerprint()
 	if err != nil {
