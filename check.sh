@@ -155,14 +155,23 @@ go test -run '^$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s ./internal/acce
 go test -run '^$' -fuzz FuzzEncodeMatchesReference -fuzztime 10s ./internal/accel/jpeg
 test -z "$(grep -rl '^func fnv64' internal/accel --include='*.go' | grep -v _test.go)"
 
-# Trust-boundary decoders (DESIGN.md §6, §11): ten seconds each of garbage
-# at the job API's submit decoder, at the hot-set promotion path and at
-# the router's edge-cache admission (both behind the one
-# jobapi.VerifyResult) must produce errors, never a panic or an accepted
-# entry its content address does not vouch for.
+# Trust-boundary decoders (DESIGN.md §6, §11): two remain, the job API's
+# submit decoder and the router's edge-cache admission, which sits behind
+# jobapi.VerifyResult. Ten seconds each of garbage must produce errors,
+# never a panic or an accepted entry its content address does not vouch
+# for.
 go test -run '^$' -fuzz FuzzDecodeSubmit -fuzztime 10s ./internal/jobapi
-go test -run '^$' -fuzz FuzzPromote -fuzztime 10s ./internal/simserve
 go test -run '^$' -fuzz FuzzEdgeAdmit -fuzztime 10s ./internal/cluster
+# The former hot-set route stays shut: ten seconds of garbage POSTed to it
+# are refused and reach no shard's cache.
+go test -run '^$' -fuzz FuzzPromote -fuzztime 10s ./internal/simserve
+
+# Two cache tiers (DESIGN.md §11): the router's edge cache and the
+# shards' result caches. No production file registers the hot-set push
+# route, declares the shard's Promote or the push's wire type, or
+# configures a push (RouterConfig.HotSetK, simrouter's hotset-k flag).
+test -z "$(grep -rnE '/cluster/hotset|^func \(s \*Server\) Promote\(|HotsetPush|HotSetK|"hotset-k"' . --include='*.go' |
+	grep -v -e '_test\.go:' -e '/testdata/')"
 
 # Serving-path gates (DESIGN.md §11): the router-submit benchmark compiles
 # and executes once on both paths (answered from the edge cache,

@@ -2,9 +2,9 @@
 // cluster router (see internal/cluster and the README's "Running a
 // cluster" section): consistent-hash placement of content-addressed
 // specs with bounded loads, health-probe-driven membership, hedged
-// retries that double as cross-node determinism probes, replicated
-// hot-set caching, a verified edge cache that answers hot results at the
-// router, and per-tenant admission control.
+// retries that double as cross-node determinism probes, a verified edge
+// cache that answers hot results at the router, and per-tenant admission
+// control.
 //
 // Usage:
 //
@@ -53,10 +53,9 @@ func main() {
 			"consecutive probe failures before a shard is marked down")
 		readmitOKs = flag.Int("readmit-oks", 2,
 			"consecutive probe successes before a down shard is re-admitted")
-		hotsetK = flag.Int("hotset-k", 8,
-			"hottest content addresses replicated to every shard each interval (0 = default of 8)")
-		hotsetInterval = flag.Duration("hotset-interval", 5*time.Second,
-			"period of the hot-set digest exchange")
+		decayInterval = flag.Duration("decay-interval", 5*time.Second,
+			"period after which the hot tracker halves every count; the edge cache\n"+
+				"admits an address seen twice inside one period")
 		tenantRate = flag.Float64("tenant-rate", 0,
 			"admission tokens (specs) per second per unit tenant weight (0 = no gate)")
 		tenantBurst = flag.Float64("tenant-burst", 0,
@@ -90,8 +89,7 @@ func main() {
 		ProbeInterval:  *probeInterval,
 		FailThreshold:  *failThreshold,
 		ReadmitOKs:     *readmitOKs,
-		HotSetK:        *hotsetK,
-		HotSetInterval: *hotsetInterval,
+		DecayInterval:  *decayInterval,
 		Admission: cluster.AdmissionConfig{
 			RatePerSec: *tenantRate,
 			BurstSec:   *tenantBurst,

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -126,7 +127,7 @@ func TestRoutedSweepMatchesDirectAndHitsCache(t *testing.T) {
 	}
 	want := decodeResults(t, body)
 
-	lc, err := NewLocal(3, simserve.Config{}, RouterConfig{HotSetInterval: time.Hour})
+	lc, err := NewLocal(3, simserve.Config{}, RouterConfig{DecayInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +178,11 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 		return core.Result{SimTime: vclock.Duration(s.Seed) * vclock.Microsecond}, nil
 	}
 	lc, err := NewLocal(3, simserve.Config{Runner: slowRunner}, RouterConfig{
-		HedgeAfter:     40 * time.Millisecond,
-		ProbeInterval:  25 * time.Millisecond,
-		FailThreshold:  2,
-		ReadmitOKs:     2,
-		HotSetInterval: time.Hour,
+		HedgeAfter:    40 * time.Millisecond,
+		ProbeInterval: 25 * time.Millisecond,
+		FailThreshold: 2,
+		ReadmitOKs:    2,
+		DecayInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +281,8 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 // with a Retry-After while another tenant's bucket is untouched.
 func TestTenantAdmissionIsolatesTenants(t *testing.T) {
 	lc, err := NewLocal(1, simserve.Config{}, RouterConfig{
-		HotSetInterval: time.Hour,
-		Admission:      AdmissionConfig{RatePerSec: 1, BurstSec: 1}, // depth 1
+		DecayInterval: time.Hour,
+		Admission:     AdmissionConfig{RatePerSec: 1, BurstSec: 1}, // depth 1
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,58 +308,86 @@ func TestTenantAdmissionIsolatesTenants(t *testing.T) {
 	}
 }
 
-// Hot-set replication: after one routed run and one digest exchange,
-// every shard serves the spec from its own cache.
-func TestHotsetReplicationWarmsEveryShard(t *testing.T) {
-	lc, err := NewLocal(3, simserve.Config{}, RouterConfig{
-		HotSetK:        4,
-		HotSetInterval: time.Hour, // driven manually below
+// The hot tracker decays on its own ticker and the router replicates
+// nothing to the shards: with a 10 ms DecayInterval, an address
+// submitted twice is decayed away over several ticks, while the shard —
+// which answers a poll with the finished result — sees no POST but the
+// two forwarded submits.
+func TestHotTrackerDecaysWithoutPush(t *testing.T) {
+	id, result := mkResult(t, 1)
+	var mu sync.Mutex
+	var seen []string
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		mu.Lock()
+		seen = append(seen, req.Method+" "+req.URL.Path)
+		mu.Unlock()
+		switch {
+		case req.Method == http.MethodPost && req.URL.Path == "/jobs":
+			jobapi.WriteJSON(w, http.StatusAccepted, jobapi.Accepted{Jobs: []jobapi.JobStatus{{ID: id, Status: jobapi.StatusQueued}}})
+		case req.Method == http.MethodGet && req.URL.Path == "/jobs/"+id:
+			jobapi.WriteJSON(w, http.StatusOK, jobapi.JobPoll{ID: id, Status: jobapi.StatusDone, Result: result})
+		default:
+			http.NotFound(w, req)
+		}
+	}))
+	defer shard.Close()
+
+	r, err := NewRouter(RouterConfig{
+		Shards:        []string{strings.TrimPrefix(shard.URL, "http://")},
+		DecayInterval: 10 * time.Millisecond,
+		ProbeInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lc.Close()
-
-	specs := []experiments.Spec{{Bench: "npb-ep.8", Seed: 21}}
-	code, _, body := postJobs(t, lc.RouterAddr, "", specs, true)
-	if code != http.StatusOK {
-		t.Fatalf("routed run: HTTP %d: %s", code, body)
-	}
-	want := decodeResults(t, body)[0]
-
-	lc.Router.PushHotSet()
-
-	// The two non-home shards promoted the pushed result; the home shard
-	// counted it as a duplicate of its own cache entry.
-	if promoted := scrapeCounter(t, "simserve_hotset_promoted", shardAddrs(lc)...); promoted != 2 {
-		t.Fatalf("hotset_promoted across shards = %d, want 2", promoted)
-	}
-	if dups := scrapeCounter(t, "simserve_hotset_duplicates", shardAddrs(lc)...); dups != 1 {
-		t.Fatalf("hotset_duplicates across shards = %d, want 1", dups)
-	}
-
-	// Every shard now answers directly from cache, byte-identically.
-	submitted := scrapeCounter(t, "simserve_jobs_submitted", shardAddrs(lc)...)
-	for _, addr := range shardAddrs(lc) {
-		code, _, body := postJobs(t, addr, "", specs, true)
-		if code != http.StatusOK {
-			t.Fatalf("shard %s: HTTP %d: %s", addr, code, body)
-		}
-		if got := decodeResults(t, body)[0]; !bytes.Equal(want, got) {
-			t.Fatalf("shard %s served different bytes for the replicated result", addr)
+	r.Start()
+	defer r.Close()
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs",
+			strings.NewReader(`{"specs":[{"bench":"npb-ep.8","seed":1}]}`)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: HTTP %d: %s", i, rec.Code, rec.Body)
 		}
 	}
-	if after := scrapeCounter(t, "simserve_jobs_submitted", shardAddrs(lc)...); after != submitted {
-		t.Fatalf("direct re-serves ran %d fresh jobs, want 0", after-submitted)
+
+	// 2 → 1 → 0.5 → dropped: the count is gone after three ticks.
+	tracked := func() bool {
+		r.hot.mu.Lock()
+		defer r.hot.mu.Unlock()
+		_, ok := r.hot.counts[id]
+		return ok
+	}
+	for deadline := time.Now().Add(5 * time.Second); tracked(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the hot tracker never decayed the address")
+		}
+	}
+	if got := r.hot.Note(id); got != 1 {
+		t.Fatalf("count after decay and one more sighting = %v, want 1", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	posts := 0
+	for _, req := range seen {
+		if strings.HasPrefix(req, "POST ") {
+			if req != "POST /jobs" {
+				t.Errorf("shard saw %q; the router may only forward submits", req)
+			}
+			posts++
+		}
+	}
+	if posts != 2 {
+		t.Fatalf("shard saw %d POSTs, want the 2 submits (requests: %q)", posts, seen)
 	}
 }
 
 // A router over a fully dead shard set refuses cleanly.
 func TestRouterNoLiveShards(t *testing.T) {
 	lc, err := NewLocal(1, simserve.Config{}, RouterConfig{
-		ProbeInterval:  time.Hour, // no background probes; driven by traffic
-		FailThreshold:  1,
-		HotSetInterval: time.Hour,
+		ProbeInterval: time.Hour, // no background probes; driven by traffic
+		FailThreshold: 1,
+		DecayInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +412,7 @@ func TestRouterNoLiveShards(t *testing.T) {
 // The router's metrics page renders the core counters (smoke, and a
 // regression guard for the sorted render helpers).
 func TestRouterMetricsRender(t *testing.T) {
-	lc, err := NewLocal(2, simserve.Config{}, RouterConfig{HotSetInterval: time.Hour})
+	lc, err := NewLocal(2, simserve.Config{}, RouterConfig{DecayInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,23 +469,16 @@ func TestRouterMetricsPageGolden(t *testing.T) {
 	}
 }
 
-// A shard that refuses (429) or fails (500) a forward, or acknowledges a
-// hot-set push, answered on a healthy keep-alive connection; the router
-// must read the answer to EOF so net/http returns that connection to the
-// pool. Closing it unread costs one fresh TCP dial per refusal — exactly
-// when the cluster is overloaded.
+// A shard that refuses (429) or fails (500) a forward answered on a
+// healthy keep-alive connection; the router must read the answer to EOF
+// so net/http returns that connection to the pool. Closing it unread
+// costs one fresh TCP dial per refusal — exactly when the cluster is
+// overloaded.
 func TestRefusedForwardsReuseConnection(t *testing.T) {
 	var newConns, submitStatus atomic.Int64
 	submitStatus.Store(http.StatusTooManyRequests)
 	shard := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		switch {
-		case req.URL.Path == "/jobs":
-			jobapi.WriteError(w, int(submitStatus.Load()), "spec 0: job queue full (accepted 0 of 1 specs; resubmit the rest)")
-		case req.Method == http.MethodGet: // GET /jobs/{id}: a finished result to replicate
-			jobapi.WriteJSON(w, http.StatusOK, jobapi.JobPoll{ID: "hot", Status: jobapi.StatusDone, Result: json.RawMessage(`{"id":"hot"}`)})
-		default: // POST /cluster/hotset
-			jobapi.WriteJSON(w, http.StatusOK, map[string]int{"promoted": 1, "rejected": 0})
-		}
+		jobapi.WriteError(w, int(submitStatus.Load()), "spec 0: job queue full (accepted 0 of 1 specs; resubmit the rest)")
 	}))
 	shard.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 		if st == http.StateNew {
@@ -489,15 +511,7 @@ func TestRefusedForwardsReuseConnection(t *testing.T) {
 			t.Fatalf("round %d: outcome %+v, want a hard failure", i, out)
 		}
 	}
-	r.hot.Note("hot")
-	for i := 0; i < rounds; i++ {
-		r.PushHotSet()
-	}
-	if got := r.m.hotsetPushes.Load(); got != rounds {
-		t.Fatalf("hotset pushes = %d, want %d", got, rounds)
-	}
 	if got := newConns.Load(); got != 1 {
-		t.Fatalf("%d refused forwards and %d hot-set rounds opened %d connections, want 1 (keep-alive reuse)",
-			2*rounds, rounds, got)
+		t.Fatalf("%d refused forwards opened %d connections, want 1 (keep-alive reuse)", 2*rounds, got)
 	}
 }

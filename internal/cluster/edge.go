@@ -10,18 +10,17 @@ import (
 )
 
 // The edge cache: answer at the first tier that knows. Results are
-// content-addressed, immutable and self-certifying, which is why the
-// router already replicates the hot set to every shard; the same
-// property lets the router keep the hot results itself and answer them
-// without crossing a tier at all (DESIGN.md §11: 95 % of a
-// routed cache hit is the two crossings around a 30 µs shard lookup).
+// content-addressed, immutable and self-certifying, which lets the
+// router keep the hot results itself and answer them without crossing a
+// tier at all (DESIGN.md §11: 95 % of a routed cache hit is the two
+// crossings around a 30 µs shard lookup).
 //
 // An entry enters only when the hot tracker has counted its address at
 // least edgeMinSeen times — one-off cold specs never cost memory — and
-// it passes jobapi.VerifyResult, the verification a shard applies to a
-// pushed hot entry. The count is the tracker's decayed one (halved every
-// HotSetInterval), so admission needs two sightings inside one decay
-// interval: an address resubmitted about once per interval reads 1, 1.5,
+// it passes jobapi.VerifyResult, which re-derives the content address
+// from the result bytes. The count is the tracker's decayed one (halved
+// every DecayInterval), so admission needs two sightings inside one
+// decay interval: an address resubmitted about once per interval reads 1, 1.5,
 // 1.75, … and stays forwarded. Nothing invalidates an entry, because a
 // content address cannot change its answer; a determinism-probe mismatch
 // flushes everything, because the router cannot know which side was
@@ -98,14 +97,6 @@ func (c *edgeCache) get(id string) (edgeEntry, bool) {
 		c.hits.Inc()
 	}
 	return e, ok
-}
-
-// peek looks id up for the router's own use (the hot-set exchange):
-// neither counted as a lookup nor a refresh of the LRU position.
-func (c *edgeCache) peek(id string) (edgeEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Peek(id)
 }
 
 // generation names the current flush epoch. A caller reads it before it

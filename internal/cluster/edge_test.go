@@ -143,7 +143,7 @@ func TestEdgeRoutedDirectCachedBytesIdentical(t *testing.T) {
 	}
 	want := decodeResults(t, body)
 
-	lc, err := NewLocal(3, simserve.Config{}, RouterConfig{HotSetInterval: time.Hour})
+	lc, err := NewLocal(3, simserve.Config{}, RouterConfig{DecayInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestEdgeRoutedDirectCachedBytesIdentical(t *testing.T) {
 // A partly cached sweep returns results in spec order and forwards
 // exactly the uncached items.
 func TestEdgePartlyCachedSweepForwardsOnlyUncached(t *testing.T) {
-	lc, err := NewLocal(3, simserve.Config{Runner: seedRunner}, RouterConfig{HotSetInterval: time.Hour})
+	lc, err := NewLocal(3, simserve.Config{Runner: seedRunner}, RouterConfig{DecayInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestEdgePartlyCachedSweepForwardsOnlyUncached(t *testing.T) {
 // third is answered without a forward. The tracker's count is decayed,
 // so two sightings a long time apart do not add up.
 func TestEdgeAdmissionNeedsSecondSighting(t *testing.T) {
-	lc, err := NewLocal(2, simserve.Config{Runner: seedRunner}, RouterConfig{HotSetInterval: time.Hour})
+	lc, err := NewLocal(2, simserve.Config{Runner: seedRunner}, RouterConfig{DecayInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestEdgeTransientNeverCachedStaysPollable(t *testing.T) {
 		Runner: func(experiments.Spec, int) (core.Result, error) {
 			return core.Result{}, fmt.Errorf("chaos: %w", faults.ErrInjected)
 		},
-	}, RouterConfig{HotSetInterval: time.Hour})
+	}, RouterConfig{DecayInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,8 +412,8 @@ func TestEdgeRejectsForgedResults(t *testing.T) {
 // know which side was wrong — and the next request is forwarded.
 func TestEdgeProbeMismatchFlushes(t *testing.T) {
 	lc, err := NewLocal(3, simserve.Config{Runner: seedRunner}, RouterConfig{
-		HotSetInterval: time.Hour,
-		ProbeInterval:  time.Hour, // the quarantined shard stays out for the test
+		DecayInterval: time.Hour,
+		ProbeInterval: time.Hour, // the quarantined shard stays out for the test
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -512,7 +512,7 @@ func TestEdgeFlushDuringForwardDropsAnswer(t *testing.T) {
 // 64 concurrent submitters of one hot id — racing the admission of its
 // result — all read one body, and the cache holds it once.
 func TestEdgeConcurrentSubmittersOneBody(t *testing.T) {
-	lc, err := NewLocal(3, simserve.Config{Runner: seedRunner}, RouterConfig{HotSetInterval: time.Hour})
+	lc, err := NewLocal(3, simserve.Config{Runner: seedRunner}, RouterConfig{DecayInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,8 +558,8 @@ func TestEdgeConcurrentSubmittersOneBody(t *testing.T) {
 // and cached its spec is.
 func TestEdgeAdmissionGateComesFirst(t *testing.T) {
 	lc, err := NewLocal(1, simserve.Config{Runner: seedRunner}, RouterConfig{
-		HotSetInterval: time.Hour,
-		Admission:      AdmissionConfig{RatePerSec: 0.001, BurstSec: 3000}, // depth 3, no refill to speak of
+		DecayInterval: time.Hour,
+		Admission:     AdmissionConfig{RatePerSec: 0.001, BurstSec: 3000}, // depth 3, no refill to speak of
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -583,14 +583,13 @@ func TestEdgeAdmissionGateComesFirst(t *testing.T) {
 	}
 }
 
-// With its home shard dead a cached id is still answered — by submit, by
-// poll and to the hot-set exchange — byte-identically and without a
-// failover; an uncached id fails over and is answered too. The hot-set
-// exchange's lookup is the router's own: it is not a counted request.
+// With its home shard dead a cached id is still answered — by submit and
+// by poll — byte-identically and without a failover; an uncached id fails
+// over and is answered too.
 func TestEdgeAnswersWithHomeShardDead(t *testing.T) {
 	lc, err := NewLocal(3, simserve.Config{Runner: seedRunner}, RouterConfig{
-		HotSetInterval: time.Hour,
-		ProbeInterval:  time.Hour,
+		DecayInterval: time.Hour,
+		ProbeInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -622,13 +621,6 @@ func TestEdgeAnswersWithHomeShardDead(t *testing.T) {
 	if _, got := getBody(t, "http://"+lc.RouterAddr+"/jobs/"+hotID); !bytes.Equal(got, wantPoll) {
 		t.Fatalf("poll of the cached id with its home shard dead: %s, want %s", got, wantPoll)
 	}
-	lookups, hits := lc.Router.edge.lookups.Load(), lc.Router.edge.hits.Load()
-	if e, ok := lc.Router.fetchResult(hotID); !ok || !bytes.Equal(e.Result, want) || e.Failed {
-		t.Fatalf("hot-set fetch of the cached id: %+v, %v", e, ok)
-	}
-	if l, h := lc.Router.edge.lookups.Load(), lc.Router.edge.hits.Load(); l != lookups || h != hits {
-		t.Fatalf("hot-set fetch moved the client counters: lookups %d→%d, hits %d→%d", lookups, l, hits, h)
-	}
 	if n := lc.Router.m.failovers.Load(); n != 0 {
 		t.Fatalf("failovers = %d after answering from the cache, want 0", n)
 	}
@@ -647,7 +639,7 @@ func TestEdgeAnswersWithHomeShardDead(t *testing.T) {
 // would hold a read and a write goroutine here and a serving goroutine
 // on the shard).
 func TestRouterCloseReleasesConnections(t *testing.T) {
-	lc, err := NewLocal(2, simserve.Config{Runner: seedRunner}, RouterConfig{HotSetInterval: time.Hour, ProbeInterval: time.Hour})
+	lc, err := NewLocal(2, simserve.Config{Runner: seedRunner}, RouterConfig{DecayInterval: time.Hour, ProbeInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +659,7 @@ func TestRouterCloseReleasesConnections(t *testing.T) {
 	}
 	// What stays once the test client's connections have unwound (the
 	// count has not moved for 50 ms): the listeners, worker pools, probe
-	// and hot-set loops of lc.
+	// and decay loops of lc.
 	baseline, same := runtime.NumGoroutine(), 0
 	for same < 10 {
 		time.Sleep(5 * time.Millisecond)
@@ -688,7 +680,7 @@ func TestRouterCloseReleasesConnections(t *testing.T) {
 	}
 	const routers = 8
 	for i := 0; i < routers; i++ {
-		r, err := NewRouter(RouterConfig{Shards: shardAddrs(lc), ProbeInterval: time.Hour, HotSetInterval: time.Hour})
+		r, err := NewRouter(RouterConfig{Shards: shardAddrs(lc), ProbeInterval: time.Hour, DecayInterval: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}

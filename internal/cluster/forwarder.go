@@ -42,11 +42,10 @@ type RouterConfig struct {
 	ReadmitOKs    int
 	Probe         func(shard string) bool // test override
 
-	// HotSetK is the number of hottest content addresses replicated to
-	// every shard each HotSetInterval (0 = default of 8).
-	HotSetK int
-	// HotSetInterval is the digest-exchange period (default 5s).
-	HotSetInterval time.Duration
+	// DecayInterval is the period after which the hot tracker halves
+	// every count (default 5s); edge admission needs two sightings of
+	// an address inside one interval.
+	DecayInterval time.Duration
 
 	// Admission is the per-tenant token-bucket gate (zero RatePerSec
 	// admits everything).
@@ -63,11 +62,8 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 5 * time.Minute
 	}
-	if c.HotSetK <= 0 {
-		c.HotSetK = 8
-	}
-	if c.HotSetInterval <= 0 {
-		c.HotSetInterval = 5 * time.Second
+	if c.DecayInterval <= 0 {
+		c.DecayInterval = 5 * time.Second
 	}
 	return c
 }
@@ -98,7 +94,7 @@ type Router struct {
 }
 
 // NewRouter builds a router over the static shard list. Call Start to
-// launch the health-probe and hot-set loops, Close to stop them.
+// launch the health-probe and decay loops, Close to stop them.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
@@ -136,10 +132,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 }
 
 // Start launches the background loops: periodic /healthz probing and
-// the hot-set digest exchange.
+// the hot tracker's decay.
 func (r *Router) Start() {
 	r.mem.Start()
-	go r.hotsetLoop()
+	go r.decayLoop()
 }
 
 // Close stops the background loops and drops the pooled keep-alive
@@ -345,8 +341,7 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 
 // replicaAnswers polls GET /jobs/{id} on id's live replicas in ring
 // preference order and yields every well-formed answer (status code,
-// JSON body) except "unknown job" — the one walk behind client polls
-// and the hot-set fetch.
+// JSON body) except "unknown job" — the walk behind client polls.
 func (r *Router) replicaAnswers(id string) iter.Seq2[int, json.RawMessage] {
 	return func(yield func(int, json.RawMessage) bool) {
 		for _, shard := range r.ring.Order(id) {

@@ -25,10 +25,6 @@ type routerMetrics struct {
 
 	admissionRejects *metrics.Counter // requests refused by the tenant gate
 
-	hotsetRounds  *metrics.Counter // digest exchanges that pushed at least one entry
-	hotsetEntries *metrics.Counter // results included across all exchanges
-	hotsetPushes  *metrics.Counter // successful per-shard pushes
-
 	forwards      *metrics.CounterVec // sub-batches sent, by shard
 	forwardErrors *metrics.CounterVec // transport/5xx failures, by shard
 	inflight      *metrics.CounterVec // outstanding sub-batches, by shard (gauge; also the bounded-load signal)
@@ -52,9 +48,6 @@ func newRouterMetrics(r *Router) *routerMetrics {
 		probeCompares:    reg.Counter("simrouter_probe_compares"),
 		probeMismatches:  reg.Counter("simrouter_probe_mismatches"),
 		admissionRejects: reg.Counter("simrouter_admission_rejects"),
-		hotsetRounds:     reg.Counter("simrouter_hotset_rounds"),
-		hotsetEntries:    reg.Counter("simrouter_hotset_entries"),
-		hotsetPushes:     reg.Counter("simrouter_hotset_pushes"),
 	}
 	reg.Register(r.mem.marksDown, r.mem.readmits, r.mem.quarantines)
 	reg.Func(func(e *metrics.Encoder) {

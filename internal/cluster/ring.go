@@ -14,8 +14,9 @@
 //
 // The package splits along the router's concerns: ring.go (placement),
 // membership.go (liveness), forwarder.go (request routing),
-// hedger.go (retry/hedge races), hotset.go (hot-result replication),
-// admission.go (per-tenant fair admission), metrics.go (/metrics).
+// hedger.go (retry/hedge races), hotset.go (the hot tracker's decayed
+// counts), edge.go (the router's verified result cache), admission.go
+// (per-tenant fair admission), metrics.go (/metrics).
 package cluster
 
 import (

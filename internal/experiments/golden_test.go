@@ -68,8 +68,8 @@ func TestTablesGolden(t *testing.T) {
 
 // TestIDsGolden pins the content address of every spec the catalog could
 // name when testdata/ids.golden was written (each bench under nex+dsim
-// and gem5+rtl): a cached result, a WAL record and a hot-set entry are
-// all keyed by these, so a Spec field added without omitempty, a moved
+// and gem5+rtl): a cached result, a WAL record and an edge-cache entry
+// are all keyed by these, so a Spec field added without omitempty, a moved
 // default or a renamed bench fails here. Benches catalogued later are
 // not listed; -update-golden rewrites the file over the whole catalog.
 func TestIDsGolden(t *testing.T) {

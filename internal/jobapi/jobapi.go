@@ -1,11 +1,11 @@
-// Package jobapi is the job API's wire format: the request, response
-// and hot-set bodies, the limits and error strings of request decoding,
-// the response encoders, and the Retry-After derivation that simd
-// (internal/simserve) serves and simrouter (internal/cluster) both
-// serves and speaks to its shards. Both tiers import it, so a routed
-// answer is indistinguishable from a direct one by construction rather
-// than by two copies kept in step. Daemon (daemon.go) is the process
-// skeleton the two binaries share.
+// Package jobapi is the job API's wire format: the request and response
+// bodies, the limits and error strings of request decoding, the
+// response encoders, the result verifier, and the Retry-After
+// derivation that simd (internal/simserve) serves and simrouter
+// (internal/cluster) both serves and speaks to its shards. Both tiers
+// import it, so a routed answer is indistinguishable from a direct one
+// by construction rather than by two copies kept in step. Daemon
+// (daemon.go) is the process skeleton the two binaries share.
 package jobapi
 
 import (
@@ -64,28 +64,12 @@ const (
 	StatusCanceled = "canceled"
 )
 
-// HotsetPush is the POST /cluster/hotset body (the router's hot-set
-// replication protocol).
-type HotsetPush struct {
-	Entries []HotEntry `json:"entries"`
-}
-
-// HotEntry is one pushed result. Result is a full JobResult; the
-// receiving shard re-derives the content address from it, so ID and
-// Failed are claims to verify, not facts to trust.
-type HotEntry struct {
-	ID     string          `json:"id"`
-	Failed bool            `json:"failed"`
-	Result json.RawMessage `json:"result"`
-}
-
 // Request limits.
 const (
 	// MaxBatch bounds specs per submit; bigger sweeps should batch.
 	MaxBatch = 4096
-	// MaxSubmitBody and MaxHotsetBody bound the request bodies read.
+	// MaxSubmitBody bounds the request body read.
 	MaxSubmitBody = 1 << 20
-	MaxHotsetBody = 8 << 20
 )
 
 // DecodeSubmit reads and validates a POST /jobs body: at most

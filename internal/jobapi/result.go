@@ -39,12 +39,11 @@ const (
 )
 
 // VerifyResult decides whether result may enter, under id, a cache that
-// did not compute it — a shard's LRU on a hot-set push, the router's
-// edge cache on a forwarded answer. The bytes must decode, the embedded
-// spec must hash to id (determinism makes a result self-certifying: its
-// content address vouches for it, whoever sent it), the failure must not
-// be transient (those are answers, not facts), and the failed flag must
-// match the result. Both tiers call this and nothing else.
+// did not compute it — the router's edge cache on a forwarded answer.
+// The bytes must decode, the embedded spec must hash to id (determinism
+// makes a result self-certifying: its content address vouches for it,
+// whoever sent it), the failure must not be transient (those are
+// answers, not facts), and the failed flag must match the result.
 func VerifyResult(id string, failed bool, result []byte) error {
 	var jr JobResult
 	if err := json.Unmarshal(result, &jr); err != nil {

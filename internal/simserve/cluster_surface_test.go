@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -204,176 +205,35 @@ func TestRetryAfterJitterDeterministic(t *testing.T) {
 	}
 }
 
-// Promote only accepts results that verify against their content
-// address — the hot-set protocol's poisoning defense.
-func TestPromoteVerifiesContentAddress(t *testing.T) {
-	runner := func(s experiments.Spec, attempt int) (core.Result, error) {
-		return core.Result{SimTime: vclock.Duration(s.Seed) * vclock.Microsecond}, nil
-	}
-	src, ts := newTestServer(t, Config{Workers: 1, Backlog: 4, Runner: runner})
-	spec := experiments.Spec{Bench: "npb-ep.8", Seed: 5}
-	id, err := spec.ID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, _ := post(t, ts, `{"specs":[{"bench":"npb-ep.8","seed":5}],"wait":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("source run: HTTP %d", code)
-	}
-	_, result, ok := src.lookup(id)
-	if !ok || len(result) == 0 {
-		t.Fatal("source result missing")
-	}
-
-	dst := New(Config{Workers: 1, Backlog: 4, Runner: runner})
-	defer dst.Close()
-
-	// Valid push: verified, cached, then served byte-identically.
-	if err := dst.Promote(id, false, result); err != nil {
-		t.Fatalf("valid promote rejected: %v", err)
-	}
-	if st, got, ok := dst.lookup(id); !ok || st != jobapi.StatusDone || !bytes.Equal(got, result) {
-		t.Fatalf("promoted result not served: ok=%v status=%s identical=%v", ok, st, bytes.Equal(got, result))
-	}
-	// Re-push of a cached entry is a duplicate, not an error.
-	if err := dst.Promote(id, false, result); err != nil {
-		t.Fatalf("duplicate promote errored: %v", err)
-	}
-
-	// Wrong address: rejected.
-	if err := dst.Promote("deadbeef", false, result); err == nil {
-		t.Fatal("promote accepted a result under the wrong content address")
-	}
-	// Tampered bytes: the claimed id no longer matches the embedded spec.
-	var jr jobapi.JobResult
-	if err := json.Unmarshal(result, &jr); err != nil {
-		t.Fatal(err)
-	}
-	jr.Spec.Seed = 6
-	tampered, err := json.Marshal(jr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Promote(id, false, tampered); err == nil {
-		t.Fatal("promote accepted tampered result bytes")
-	}
-	// Transient failures are never cacheable.
-	jr.Spec.Seed = 5
-	jr.Error = "injected"
-	jr.ErrorKind = jobapi.ErrorKindTransient
-	transient, err := json.Marshal(jr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Promote(id, true, transient); err == nil {
-		t.Fatal("promote accepted a transient failure")
-	}
-	// Failed flag must agree with the result.
-	if err := dst.Promote(id, true, result); err == nil {
-		t.Fatal("promote accepted a failed flag contradicting the result")
-	}
-
-	promoted, dups, rejected := dst.m.hotsetPromoted.Load(), dst.m.hotsetDuplicates.Load(), dst.m.hotsetRejected.Load()
-	if promoted != 1 || dups != 1 || rejected != 4 {
-		t.Fatalf("hotset counters = %d/%d/%d, want 1 promoted, 1 duplicate, 4 rejected", promoted, dups, rejected)
-	}
-}
-
-// FuzzPromote: a hot-set push is bytes from a peer. Whatever they are,
-// Promote answers with an error or a verified promotion — never a panic
-// — and what it accepts is exactly what the content address vouches
-// for: the result served afterwards is byte-identical to the push.
+// FuzzPromote: a shard takes results from nobody but its own runs.
+// Whatever bytes a peer POSTs to the former hot-set route — raw, or
+// wrapped as a push entry under any address and failed flag — the shard
+// refuses them (404/405), its cache stays empty, and it still serves.
 func FuzzPromote(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id string, failed bool, result []byte) {
 		srv := New(Config{Workers: 1, Backlog: 1, CacheEntries: 4})
 		defer srv.Close()
-		if err := srv.Promote(id, failed, result); err != nil {
-			return
+		h := srv.Handler()
+		push := fmt.Sprintf(`{"entries":[{"id":%q,"failed":%t,"result":%s}]}`, id, failed, result)
+		for _, body := range [][]byte{result, []byte(push)} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster/hotset", bytes.NewReader(body)))
+			if rec.Code != http.StatusNotFound && rec.Code != http.StatusMethodNotAllowed {
+				t.Fatalf("POST /cluster/hotset: status %d (want 404 or 405), resp %s", rec.Code, rec.Body)
+			}
 		}
-		var jr jobapi.JobResult
-		if err := json.Unmarshal(result, &jr); err != nil {
-			t.Fatalf("accepted undecodable bytes: %v", err)
+		srv.mu.Lock()
+		entries := srv.cache.Len()
+		srv.mu.Unlock()
+		if _, _, ok := srv.lookup(id); ok || entries != 0 {
+			t.Fatalf("after the refusals the cache holds %d entries (pushed id known: %v), want none", entries, ok)
 		}
-		if specID, err := jr.Spec.ID(); err != nil || specID != id {
-			t.Fatalf("accepted %q under address %q (%v)", specID, id, err)
-		}
-		if jr.ErrorKind == jobapi.ErrorKindTransient || failed != (jr.Error != "") {
-			t.Fatalf("accepted failed=%v for result %s", failed, result)
-		}
-		st, got, ok := srv.lookup(id)
-		if !ok || !bytes.Equal(got, result) || (st == jobapi.StatusFailed) != failed {
-			t.Fatalf("promoted entry served as ok=%v status=%q identical=%v", ok, st, bytes.Equal(got, result))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /healthz after the refusals: status %d", rec.Code)
 		}
 	})
-}
-
-// The POST /cluster/hotset endpoint promotes good entries and rejects
-// bad ones individually.
-func TestHotsetEndpoint(t *testing.T) {
-	runner := func(s experiments.Spec, attempt int) (core.Result, error) {
-		return core.Result{SimTime: vclock.Duration(s.Seed) * vclock.Microsecond}, nil
-	}
-	src, srcTS := newTestServer(t, Config{Workers: 1, Backlog: 4, Runner: runner})
-	spec := experiments.Spec{Bench: "npb-ep.8", Seed: 8}
-	id, err := spec.ID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := post(t, srcTS, `{"specs":[{"bench":"npb-ep.8","seed":8}],"wait":true}`); code != http.StatusOK {
-		t.Fatalf("source run: HTTP %d", code)
-	}
-	_, result, _ := src.lookup(id)
-
-	_, dstTS := newTestServer(t, Config{Workers: 1, Backlog: 4, Runner: runner})
-	push, err := json.Marshal(struct {
-		Entries []jobapi.HotEntry `json:"entries"`
-	}{[]jobapi.HotEntry{
-		{ID: id, Failed: false, Result: result},
-		{ID: "bogus", Failed: false, Result: result},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, body := post2(t, dstTS.URL+"/cluster/hotset", push)
-	if code != http.StatusOK {
-		t.Fatalf("hotset push: HTTP %d: %s", code, body)
-	}
-	var summary struct{ Promoted, Rejected int }
-	if err := json.Unmarshal(body, &summary); err != nil {
-		t.Fatal(err)
-	}
-	if summary.Promoted != 1 || summary.Rejected != 1 {
-		t.Fatalf("push summary = %+v, want 1 promoted 1 rejected", summary)
-	}
-	// The receiving shard now serves the result from cache.
-	code, got := post(t, dstTS, `{"specs":[{"bench":"npb-ep.8","seed":8}],"wait":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("warm serve: HTTP %d", code)
-	}
-	var env struct {
-		Results []json.RawMessage `json:"results"`
-	}
-	if err := json.Unmarshal(got, &env); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(env.Results[0], result) {
-		t.Fatal("promoted result served with different bytes")
-	}
-}
-
-// post2 POSTs raw bytes to a full URL.
-func post2(t *testing.T, url string, body []byte) (int, []byte) {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, buf.Bytes()
 }
 
 // WAL replay racing fresh submits: a state dir with pending jobs is

@@ -19,32 +19,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics", s.m.reg)
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
-	mux.HandleFunc("POST /cluster/hotset", s.handleHotset)
 	return mux
-}
-
-// handleHotset accepts a hot-set push: each entry is verified against
-// its content address and promoted into the result cache. Bad entries
-// are rejected individually — one corrupt entry must not block the
-// rest of the batch.
-func (s *Server) handleHotset(w http.ResponseWriter, r *http.Request) {
-	var req jobapi.HotsetPush
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, jobapi.MaxHotsetBody)).Decode(&req); err != nil {
-		jobapi.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	promoted, rejected := 0, 0
-	for _, e := range req.Entries {
-		if err := s.Promote(e.ID, e.Failed, e.Result); err != nil {
-			rejected++
-			continue
-		}
-		promoted++
-	}
-	jobapi.WriteJSON(w, http.StatusOK, struct {
-		Promoted int `json:"promoted"`
-		Rejected int `json:"rejected"`
-	}{promoted, rejected})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -29,11 +29,6 @@ type serverMetrics struct {
 	transientFailures *metrics.Counter // jobs answered with a transient failure (retries exhausted)
 	budgetAborts      *metrics.Counter // attempts aborted by core.ErrBudgetExceeded
 
-	// Cluster hot-set counters (POST /cluster/hotset).
-	hotsetPromoted   *metrics.Counter // pushed results verified and cached
-	hotsetDuplicates *metrics.Counter // pushes for results already cached here
-	hotsetRejected   *metrics.Counter // pushes failing content-address verification
-
 	// Crash-safety counters (StateDir servers).
 	walRecoveredResults *metrics.Counter // done records replayed into the cache at Open
 	walRecoveredPending *metrics.Counter // interrupted jobs resubmitted at Open
@@ -78,9 +73,6 @@ func newMetrics(s *Server) *serverMetrics {
 	m.retriesTotal = reg.Counter("simserve_retries_total")
 	m.transientFailures = reg.Counter("simserve_transient_failures")
 	m.budgetAborts = reg.Counter("simserve_budget_aborts")
-	m.hotsetPromoted = reg.Counter("simserve_hotset_promoted")
-	m.hotsetDuplicates = reg.Counter("simserve_hotset_duplicates")
-	m.hotsetRejected = reg.Counter("simserve_hotset_rejected")
 	m.walRecoveredResults = reg.Counter("simserve_wal_recovered_results")
 	m.walRecoveredPending = reg.Counter("simserve_wal_recovered_pending")
 	m.walPendingDropped = reg.Counter("simserve_wal_pending_dropped")

@@ -351,34 +351,6 @@ func (s *Server) keepJobs(jobs []*job) {
 	}
 }
 
-// Promote installs an externally produced result into the cache — the
-// receiving half of the cluster hot-set protocol. The entry is only
-// accepted after re-verification against its content address
-// (jr.Spec.ID() == id), so a corrupt or hostile pusher cannot poison
-// the cache: determinism makes every result self-certifying. Transient
-// failures are rejected like everywhere else — they are answers, not
-// facts. With StateDir set the promotion journals like a local run, so
-// a restarted shard keeps its pushed hot set.
-func (s *Server) Promote(id string, failed bool, result []byte) error {
-	if err := jobapi.VerifyResult(id, failed, result); err != nil {
-		s.m.hotsetRejected.Inc()
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.cache.Get(id); ok {
-		// Already warm here; the get refreshed its LRU position.
-		s.m.hotsetDuplicates.Inc()
-		return nil
-	}
-	s.cache.Put(id, cacheEntry{result: result, failed: failed}, 1)
-	s.m.hotsetPromoted.Inc()
-	if werr := s.wal.appendDone(id, failed, result); werr != nil {
-		s.m.walAppendErrors.Inc()
-	}
-	return nil
-}
-
 // lookup finds a job's current status and (when finished) result.
 func (s *Server) lookup(id string) (status string, result []byte, ok bool) {
 	s.mu.Lock()

@@ -34,11 +34,17 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func post(t *testing.T, ts *httptest.Server, body string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	return post2(t, ts.URL+"/jobs", []byte(body))
+}
+
+// post2 POSTs raw bytes to a full URL.
+func post2(t *testing.T, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	defer func() { _ = resp.Body.Close() }()
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
@@ -464,10 +470,13 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
-// TestBadRequests pins the 400 surface.
+// TestBadRequests pins the refusal surface: malformed or invalid
+// submits answer 400, and the hot-set push route a shard no longer
+// serves answers 404 or 405 — even to a result that verifies against its
+// content address, which the shard must not cache.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Backlog: 4})
-	cases := []string{
+	srv, ts := newTestServer(t, Config{Workers: 1, Backlog: 4})
+	for _, body := range []string{
 		``,
 		`{"specs":[]}`,
 		`{"specs":[{"bench":"no-such-bench"}]}`,
@@ -476,10 +485,36 @@ func TestBadRequests(t *testing.T) {
 		`{"specs":[{"bench":"vta-matmul","devices":200}],"wait":true}`,
 		`{"specs":[{"bench":"vta-matmul","devices":1073741824}]}`,
 		`{"specs":[{"bench":"npb-ep.8","virtual_cores":100000}]}`,
-	}
-	for _, body := range cases {
+	} {
 		if code, resp := post(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("body %q: status %d (want 400), resp %s", body, code, resp)
 		}
+	}
+
+	spec, err := experiments.Spec{Bench: "npb-ep.8", Seed: 5}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := spec.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := json.Marshal(jobapi.JobResult{ID: id, Spec: spec, SimTimePS: 5e6, SimTime: "5us"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jobapi.VerifyResult(id, false, result); err != nil {
+		t.Fatalf("pushed entry does not verify: %v", err)
+	}
+	push := fmt.Sprintf(`{"entries":[{"id":%q,"failed":false,"result":%s}]}`, id, result)
+	code, resp := post2(t, ts.URL+"/cluster/hotset", []byte(push))
+	if code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /cluster/hotset: status %d (want 404 or 405), resp %s", code, resp)
+	}
+	srv.mu.Lock()
+	entries := srv.cache.Len()
+	srv.mu.Unlock()
+	if _, _, ok := srv.lookup(id); ok || entries != 0 {
+		t.Fatalf("after the refusals the cache holds %d entries (pushed id known: %v), want none", entries, ok)
 	}
 }

@@ -88,12 +88,13 @@ ADDR2="$(cat "$TMPDIR_SMOKE/s2.addr")"
 
 # Aggressive probe/hedge timings so mark-down and re-admit are visible
 # within the smoke's patience instead of the production defaults. The
-# hot-set interval is long instead: the edge cache admits on the hot
-# tracker's decayed count, so a decay tick between a seed's two sightings
-# would leave it forwarded, and step 3 counts on both passes admitting.
+# decay interval is long instead: the edge cache admits on the hot
+# tracker's count, which halves every interval, so a decay tick between
+# a seed's two sightings would leave it forwarded, and step 3 counts on
+# both passes admitting.
 "$TMPDIR_SMOKE/simrouter" -addr 127.0.0.1:0 \
     -shards "$ADDR0,$ADDR1,$ADDR2" \
-    -hedge-after 100ms -probe-interval 200ms -hotset-interval 1h \
+    -hedge-after 100ms -probe-interval 200ms -decay-interval 1h \
     -fail-threshold 2 -readmit-oks 2 \
     -portfile "$TMPDIR_SMOKE/router.addr" 2>"$TMPDIR_SMOKE/router.log" &
 ROUTER_PID=$!
