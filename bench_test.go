@@ -17,7 +17,7 @@ import (
 // runOnce executes one spec and reports its simulated time.
 func runOnce(b *testing.B, spec experiments.Spec) {
 	b.Helper()
-	res, err := experiments.RunSpec(spec)
+	res, err := experiments.RunSpecAttempt(spec, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

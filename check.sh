@@ -5,8 +5,9 @@
 set -eux
 
 # Style/determinism gate: gofmt-clean tree, vet-clean, and zero simlint
-# findings (internal/analysis; DESIGN.md §5 — seven checkers, each run
-# one package at a time).
+# findings (internal/analysis; DESIGN.md §5 — eight checkers, seven run
+# one package at a time and test-only-export reads one module-wide
+# index of references).
 test -z "$(gofmt -l .)"
 go vet ./...
 go run ./cmd/simlint

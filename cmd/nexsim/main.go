@@ -106,7 +106,8 @@ func main() {
 	}
 
 	// The traced run attaches a recorder to the configuration the spec
-	// lowers to, so it builds its system here rather than through RunSpec.
+	// lowers to, so it builds its system here rather than through
+	// RunSpecAttempt.
 	b, cfg, err := experiments.Lower(n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -62,7 +62,7 @@ func TestExitStatus(t *testing.T) {
 	root := t.TempDir()
 	writeFile(t, filepath.Join(root, "go.mod"), "module tinymod\n\ngo 1.21\n")
 	aGo := filepath.Join(root, "a.go")
-	writeFile(t, aGo, "package tinymod\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n")
+	writeFile(t, aGo, "package tinymod\n\nimport \"time\"\n\nfunc stamp() int64 { return time.Now().UnixNano() }\n")
 
 	out, code := simlint(t, root)
 	if code != 1 {
@@ -72,7 +72,7 @@ func TestExitStatus(t *testing.T) {
 		t.Errorf("module with a finding: stdout lacks the a.go:5 nondet-time line:\n%s", out)
 	}
 
-	writeFile(t, aGo, "package tinymod\n\nfunc Stamp() int64 { return 42 }\n")
+	writeFile(t, aGo, "package tinymod\n\nfunc stamp() int64 { return 42 }\n")
 	out, code = simlint(t, root, "-json")
 	if code != 0 || strings.TrimSpace(out) != "[]" {
 		t.Errorf("clean module -json: exit %d, stdout %q; want 0 and []", code, out)

@@ -64,9 +64,6 @@ func (dr *Driver) Completed(e app.Env) uint32 {
 	return e.MMIORead(dr.MMIOBase + RegStatus)
 }
 
-// Submitted reports how many tasks this driver has issued.
-func (dr *Driver) Submitted() uint32 { return dr.submitted }
-
 // WaitAll polls the status register until every submitted task has
 // completed, sleeping poll between checks; poll <= 0 spins on the
 // register (the common driver behaviour), each read costing the MMIO

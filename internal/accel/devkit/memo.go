@@ -51,10 +51,3 @@ func (m *Memo[K, V]) Get(key K, build func() V) V {
 	m.c.Put(key, built, cost)
 	return built
 }
-
-// Bytes reports the summed cost of the memoized values.
-func (m *Memo[K, V]) Bytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.c.Used()
-}

@@ -53,8 +53,8 @@ func TestMemoBudgetEvictsLRU(t *testing.T) {
 	}
 	get(0) // 1 is now the least recently used
 	get(4)
-	if m.Bytes() > MemoBudget {
-		t.Fatalf("memo holds %d bytes, budget %d", m.Bytes(), MemoBudget)
+	if m.c.Used() > MemoBudget {
+		t.Fatalf("memo holds %d bytes, budget %d", m.c.Used(), MemoBudget)
 	}
 	for _, k := range []int{0, 2, 3, 4} {
 		if get(k); builds[k] != 1 {
@@ -64,7 +64,7 @@ func TestMemoBudgetEvictsLRU(t *testing.T) {
 	if v := get(1); v != 1 || builds[1] != 2 {
 		t.Fatalf("evicted key 1: value %d after %d builds, want 1 after a rebuild", v, builds[1])
 	}
-	if m.Bytes() != MemoBudget {
-		t.Fatalf("memo holds %d bytes, want a full budget of %d", m.Bytes(), MemoBudget)
+	if m.c.Used() != MemoBudget {
+		t.Fatalf("memo holds %d bytes, want a full budget of %d", m.c.Used(), MemoBudget)
 	}
 }

@@ -64,6 +64,8 @@ type decodeResult struct {
 // Decode parses and decodes a baseline JFIF bitstream. Results are
 // memoized per bitstream; callers must treat the returned image and
 // stats as immutable.
+//
+//simlint:allow test-only-export the decode oracle jpeg's and core's tests compare device output against
 func Decode(data []byte) (*Image, *DecodeStats, error) {
 	return decodeKeyed(mem.Hash(uint64(len(data)), data), func() []byte { return data })
 }

@@ -12,16 +12,12 @@ import (
 	"nexsim/internal/vclock"
 )
 
-// Register map (byte offsets): the device kit's four, then the
+// Register map (byte offsets) past the device kit's four: the
 // descriptor ring's.
 const (
-	RegDoorbell  = devkit.RegDoorbell
-	RegStatus    = devkit.RegStatus
-	RegBusy      = devkit.RegBusy
-	RegIRQEnable = devkit.RegIRQEnable
-	RegRingBase  = 0x10 // W: descriptor ring base address
-	RegRingSize  = 0x14 // W: descriptor ring capacity (slots)
-	RegBatch     = 0x18 // W: launch the next N ring descriptors
+	RegRingBase = 0x10 // W: descriptor ring base address
+	RegRingSize = 0x14 // W: descriptor ring capacity (slots)
+	RegBatch    = 0x18 // W: launch the next N ring descriptors
 )
 
 // IRQVector is the completion interrupt vector.

@@ -7,6 +7,7 @@ import (
 
 	"nexsim/internal/accel"
 	"nexsim/internal/accel/acceltest"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -53,10 +54,10 @@ func TestDSimSerializesCorrectly(t *testing.T) {
 	dev := NewDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	descAddr, msg, desc := stageTask(h, dev)
-	dev.RegWrite(0, RegDoorbell, uint32(descAddr))
+	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 	drain(dev)
 
-	if got := dev.RegRead(dev.Now(), RegStatus); got != 1 {
+	if got := dev.RegRead(dev.Now(), devkit.RegStatus); got != 1 {
 		t.Fatalf("status = %d", got)
 	}
 	wire := readWire(h, desc.Out)
@@ -78,9 +79,9 @@ func TestRTLSerializesCorrectly(t *testing.T) {
 	dev := NewRTLDevice(2 * vclock.GHz)
 	dev.SetHost(h)
 	descAddr, msg, desc := stageTask(h, dev)
-	dev.RegWrite(0, RegDoorbell, uint32(descAddr))
+	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 	drain(dev)
-	if got := dev.RegRead(vclock.Time(1)<<40, RegStatus); got != 1 {
+	if got := dev.RegRead(vclock.Time(1)<<40, devkit.RegStatus); got != 1 {
 		t.Fatalf("status = %d", got)
 	}
 	if !bytes.Equal(readWire(h, desc.Out), Marshal(msg)) {
@@ -93,7 +94,7 @@ func TestDSimAndRTLAgree(t *testing.T) {
 		h := &acceltest.Host{Mem: mem.New(0), Lat: 40 * vclock.Nanosecond}
 		dev := mk(h)
 		descAddr, _, desc := stageTask(h, dev)
-		dev.RegWrite(0, RegDoorbell, uint32(descAddr))
+		dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 		drain(dev)
 		// IRQs are off: the busy time is the completion proxy.
 		return readWire(h, desc.Out), vclock.Time(int64(dev.Stats().BusyTime)), len(h.DMAs)
@@ -129,7 +130,7 @@ func TestMemoryLatencySensitivity(t *testing.T) {
 		dev := NewDevice(2 * vclock.GHz)
 		dev.SetHost(h)
 		descAddr, _, _ := stageTask(h, dev)
-		dev.RegWrite(0, RegDoorbell, uint32(descAddr))
+		dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 		drain(dev)
 		return dev.Stats().BusyTime
 	}
@@ -155,10 +156,10 @@ func TestBatchOfTasks(t *testing.T) {
 		b := EncodeDesc(desc)
 		descAddr := mem.Addr(0x1000 + i*DescSize)
 		h.Mem.WriteAt(descAddr, b[:])
-		dev.RegWrite(0, RegDoorbell, uint32(descAddr))
+		dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 	}
 	drain(dev)
-	if got := dev.RegRead(dev.Now(), RegStatus); got != n {
+	if got := dev.RegRead(dev.Now(), devkit.RegStatus); got != n {
 		t.Fatalf("completed = %d, want %d", got, n)
 	}
 	if len(dev.TaskLatency) != n {
@@ -212,7 +213,7 @@ func TestBatchRespectsTheRing(t *testing.T) {
 				t.Fatalf("a batch of %d on a ring of %d started %d tasks", slots+3, slots, s.TasksStarted)
 			}
 			drain(dev)
-			if got := dev.RegRead(vclock.Time(1)<<40, RegStatus); got != slots {
+			if got := dev.RegRead(vclock.Time(1)<<40, devkit.RegStatus); got != slots {
 				t.Fatalf("completed = %d, want %d", got, slots)
 			}
 		})

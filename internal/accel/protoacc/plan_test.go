@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nexsim/internal/accel/acceltest"
+	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -32,7 +33,7 @@ func TestNoStalePlanAfterPayloadWrite(t *testing.T) {
 			run := func() []byte {
 				dev := mk(h)
 				dev.RegisterSchema(1, schema)
-				dev.RegWrite(0, RegDoorbell, 0x1000)
+				dev.RegWrite(0, devkit.RegDoorbell, 0x1000)
 				drain(dev)
 				return readWire(h, out)
 			}

@@ -2,12 +2,88 @@ package protoacc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"nexsim/internal/mem"
 	"nexsim/internal/xrand"
 )
+
+// Unmarshal parses wire-format data against a descriptor, so tests can
+// check the serializer end to end.
+func Unmarshal(d *MessageDesc, data []byte) (*Message, error) {
+	m := NewMessage(d)
+	pos := 0
+	for pos < len(data) {
+		key, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			return nil, fmt.Errorf("protoacc: bad key at %d", pos)
+		}
+		pos += n
+		num := int(key >> 3)
+		wire := WireType(key & 7)
+		idx := -1
+		for i, f := range d.Fields {
+			if f.Number == num {
+				idx = i
+				break
+			}
+		}
+		if idx < 0 {
+			return nil, fmt.Errorf("protoacc: unknown field %d", num)
+		}
+		f := d.Fields[idx]
+		v := &m.Values[idx]
+		v.Set = true
+		switch wire {
+		case WireVarint:
+			x, n := binary.Uvarint(data[pos:])
+			if n <= 0 {
+				return nil, fmt.Errorf("protoacc: bad varint")
+			}
+			pos += n
+			if f.Kind == KindSint64 {
+				v.Int = uint64(int64(x>>1) ^ -int64(x&1))
+			} else {
+				v.Int = x
+			}
+		case WireI64:
+			if pos+8 > len(data) {
+				return nil, fmt.Errorf("protoacc: short fixed64")
+			}
+			v.Int = binary.LittleEndian.Uint64(data[pos:])
+			pos += 8
+		case WireI32:
+			if pos+4 > len(data) {
+				return nil, fmt.Errorf("protoacc: short fixed32")
+			}
+			v.Int = uint64(binary.LittleEndian.Uint32(data[pos:]))
+			pos += 4
+		case WireBytes:
+			l, n := binary.Uvarint(data[pos:])
+			if n <= 0 || pos+n+int(l) > len(data) {
+				return nil, fmt.Errorf("protoacc: bad length")
+			}
+			pos += n
+			payload := data[pos : pos+int(l)]
+			pos += int(l)
+			if f.Kind == KindMessage {
+				sub, err := Unmarshal(f.Sub, payload)
+				if err != nil {
+					return nil, err
+				}
+				v.Msg = sub
+			} else {
+				v.Bytes = append([]byte(nil), payload...)
+			}
+		default:
+			return nil, fmt.Errorf("protoacc: wire type %d unsupported", wire)
+		}
+	}
+	return m, nil
+}
 
 func testDesc() *MessageDesc {
 	inner := &MessageDesc{

@@ -238,6 +238,8 @@ func compileChunked(t GemmTask, kc, chunks int) ([]Instr, error) {
 
 // StoreOperands writes A, B (and bias) into simulated memory in the
 // layout Compile expects. bias may be nil.
+//
+//simlint:allow test-only-export the stager core's and devkit's tests lay operands out with
 func StoreOperands(m *mem.Memory, t GemmTask, a, b []int8, bias []int32) {
 	writeI8 := func(addr mem.Addr, v []int8) {
 		buf := make([]byte, len(v))
@@ -267,8 +269,10 @@ func StoreOperands(m *mem.Memory, t GemmTask, a, b []int8, bias []int32) {
 	}
 }
 
-// ReferenceGemm computes the expected C for a GemmTask on the CPU — the
-// software fallback and the test oracle.
+// ReferenceGemm computes the expected C for a GemmTask on the CPU: the
+// test oracle.
+//
+//simlint:allow test-only-export the GEMM oracle vta's and core's tests compare device output against
 func ReferenceGemm(t GemmTask, a, b []int8, bias []int32) []int8 {
 	out := make([]int8, t.M*t.N)
 	for mi := 0; mi < t.M; mi++ {

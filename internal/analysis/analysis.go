@@ -12,10 +12,12 @@
 // same-named functions from other packages neither fool it nor false-
 // positive it).
 //
-// Every checker examines one package at a time, with go/types facts
-// for that package and the packages it imports. Fault injection sites
-// need no checker: a site is a faults.Site constant, so the compiler
-// rejects one that does not exist.
+// The suite has eight checkers. Seven examine one package at a time,
+// with go/types facts for that package and the packages it imports;
+// test-only-export also reads one module-wide index of references,
+// built once. Fault injection sites need no checker: a site is a
+// faults.Site constant, so the compiler rejects one that does not
+// exist.
 //
 // Findings can be suppressed at legitimate sites with an inline
 // directive on the offending line or the line above:
@@ -60,9 +62,10 @@ type Checker struct {
 	Run func(p *Pass)
 }
 
-// Checkers returns the full suite in stable order: the five
+// Checkers returns the full suite of eight in stable order: the five
 // determinism checkers from the original suite, the directive checker,
-// then hotpath-alloc.
+// hotpath-alloc, then test-only-export, the one that reads a
+// module-wide index (Module.refs) instead of one package's facts.
 func Checkers() []*Checker {
 	return []*Checker{
 		nondetTimeChecker,
@@ -72,6 +75,7 @@ func Checkers() []*Checker {
 		uncheckedErrorChecker,
 		unknownDirectiveChecker,
 		hotpathAllocChecker,
+		testOnlyExportChecker,
 	}
 }
 
@@ -88,15 +92,16 @@ func checkerByID(id string) *Checker {
 // defaultAllow maps a checker ID to module-relative path prefixes (or
 // exact files) that are exempt wholesale. These are the sites whose job
 // is the thing the checker forbids: wall-clock speed reporting for
-// nondet-time, the parallel sweep executor for stray-goroutine, and the
+// nondet-time, the parallel sweep executor for stray-goroutine, the
 // serving layer (internal/simserve, internal/cluster, the daemon loop in
 // internal/jobapi/daemon.go), which measures wall time and juggles
 // goroutines around the engines without feeding either back into
-// simulation state. The serving stack's other leaf packages
-// (internal/jobapi's wire format, internal/metrics, internal/lru) and
-// the cmd/simd and cmd/simrouter mains need no exemption. Test
-// files (*_test.go) are exempt from every checker and are not analyzed
-// at all.
+// simulation state, and, for test-only-export, internal/accel/acceltest,
+// shared test scaffolding that imports testing. The serving stack's
+// other leaf packages (internal/jobapi's wire format, internal/metrics,
+// internal/lru) and the cmd/simd and cmd/simrouter mains need no
+// exemption. Test files (*_test.go) are exempt from every checker and
+// are not analyzed at all.
 var defaultAllow = map[string][]string{
 	"nondet-time": {
 		"cmd/paperbench/",               // reports measured wall time per experiment
@@ -115,6 +120,9 @@ var defaultAllow = map[string][]string{
 		"internal/simserve/",        // request handling + waiting on pool jobs
 		"internal/cluster/",         // concurrent forwarding, probe + hot-set loops
 		"internal/jobapi/daemon.go", // simd/simrouter HTTP serve loop + signal-driven shutdown
+	},
+	"test-only-export": {
+		"internal/accel/acceltest/", // shared test scaffolding: it imports testing, so only tests can call it
 	},
 }
 
@@ -187,12 +195,6 @@ func AnalyzeScope(m *Module, scope []*Package, checkers []*Checker) []Finding {
 	}
 	sortFindings(findings)
 	return findings
-}
-
-// AnalyzePackage runs the given checkers (all of them when nil) over one
-// package and returns sorted findings.
-func AnalyzePackage(m *Module, pkg *Package, checkers []*Checker) []Finding {
-	return AnalyzeScope(m, []*Package{pkg}, checkers)
 }
 
 // AnalyzeModule loads the module rooted at root and runs the named

@@ -115,6 +115,7 @@ func TestGoldenFindings(t *testing.T) {
 		"uncheckederror":   "unchecked-error",
 		"unknowndirective": "unknown-directive",
 		"hotpathalloc":     "hotpath-alloc",
+		"testonlyexport":   "test-only-export",
 	}
 	m := testModule(t)
 	for dir, checker := range fixtures {
@@ -125,7 +126,7 @@ func TestGoldenFindings(t *testing.T) {
 				t.Fatalf("unknown checker %q", checker)
 			}
 			fixDir := filepath.Join(m.Root, "internal/analysis/testdata/src", dir)
-			pkg, err := m.LoadExtraDir(fixDir, "fixture/"+dir)
+			pkg, err := m.load("fixture/"+dir, fixDir)
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
@@ -133,7 +134,7 @@ func TestGoldenFindings(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("fixture %s has no WANT markers", dir)
 			}
-			got := findingKeys(AnalyzePackage(m, pkg, []*Checker{c}))
+			got := findingKeys(AnalyzeScope(m, []*Package{pkg}, []*Checker{c}))
 			diffSets(t, want, got)
 
 			// The negative file must contribute nothing.
@@ -152,12 +153,12 @@ func TestGoldenFindings(t *testing.T) {
 func TestSuppression(t *testing.T) {
 	m := testModule(t)
 	fixDir := filepath.Join(m.Root, "internal/analysis/testdata/src/suppress")
-	pkg, err := m.LoadExtraDir(fixDir, "fixture/suppress")
+	pkg, err := m.load("fixture/suppress", fixDir)
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
 	checkers := []*Checker{checkerByID("nondet-time"), checkerByID("nondet-rand")}
-	got := AnalyzePackage(m, pkg, checkers)
+	got := AnalyzeScope(m, []*Package{pkg}, checkers)
 	want := expectedFindings(t, pkg.Filenames, m.Root)
 	diffSets(t, want, findingKeys(got))
 	if len(got) != 1 {
@@ -199,6 +200,9 @@ func TestAllowlistScope(t *testing.T) {
 			"internal/cluster/",
 			"internal/jobapi/daemon.go",
 		},
+		"test-only-export": {
+			"internal/accel/acceltest/",
+		},
 	}
 	if len(defaultAllow) != len(want) {
 		t.Fatalf("defaultAllow covers %d checkers, want %d", len(defaultAllow), len(want))
@@ -239,6 +243,8 @@ func TestAllowlistScope(t *testing.T) {
 		{"map-order", "internal/simserve/metrics.go", false}, // no map-order exemptions anywhere
 		{"unchecked-error", "internal/simserve/server.go", false},
 		{"nondet-time", "internal/simserve/simserve_test.go", true}, // test files always exempt
+		{"test-only-export", "internal/accel/acceltest/kit.go", true},
+		{"test-only-export", "internal/accel/devkit/driver.go", false}, // the kit itself is production
 	}
 	for _, c := range cases {
 		p := &Pass{Checker: checkerByID(c.checker)}
@@ -289,8 +295,8 @@ func matchesAnyGoFile(t *testing.T, root, prefix string) bool {
 	return found
 }
 
-// TestCheckerRegistry pins the suite composition: seven uniquely named
-// per-package checkers, resolvable by ID and listed in the same order
+// TestCheckerRegistry pins the suite composition: eight uniquely named
+// checkers, resolvable by ID and listed in the same order
 // by checkerIDs (the list unknown-directive checks allows against),
 // with unknown names rejected.
 func TestCheckerRegistry(t *testing.T) {
@@ -298,6 +304,7 @@ func TestCheckerRegistry(t *testing.T) {
 	wantIDs := []string{
 		"nondet-time", "nondet-rand", "map-order", "stray-goroutine",
 		"unchecked-error", "unknown-directive", "hotpath-alloc",
+		"test-only-export",
 	}
 	if !slices.Equal(checkerIDs, wantIDs) {
 		t.Errorf("checkerIDs = %v, want %v", checkerIDs, wantIDs)

@@ -97,6 +97,7 @@ func hotpathFunc(fset *token.FileSet, dirs *fileDirectives, decl *ast.FuncDecl) 
 var checkerIDs = []string{
 	"nondet-time", "nondet-rand", "map-order", "stray-goroutine",
 	"unchecked-error", "unknown-directive", "hotpath-alloc",
+	"test-only-export",
 }
 
 // unknownDirectiveChecker reports every //simlint: directive other than

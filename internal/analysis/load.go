@@ -25,6 +25,9 @@ type Module struct {
 
 	cache map[string]*Package
 	std   types.Importer
+
+	uses    map[types.Object][]token.Pos // see refs
+	indexed map[*Package]bool
 }
 
 // Package is one type-checked package of the module.
@@ -112,17 +115,6 @@ func LoadModule(root string) (*Module, error) {
 		m.Pkgs = append(m.Pkgs, pkg)
 	}
 	return m, nil
-}
-
-// LoadExtraDir type-checks one package directory outside the normal
-// module walk (used for the testdata fixture corpus). The package may
-// import module packages by their real import paths.
-func (m *Module) LoadExtraDir(dir, importPath string) (*Package, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return m.load(importPath, dir)
 }
 
 // Import implements types.Importer: module-internal paths are loaded from

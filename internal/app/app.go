@@ -36,9 +36,6 @@ type Env interface {
 	// gettimeofday(), which NEX interposes via LD_PRELOAD in the paper).
 	Now() vclock.Time
 
-	// Clock returns the simulated host core frequency.
-	Clock() vclock.Hz
-
 	// Compute consumes CPU time described by w.
 	Compute(w isa.Work)
 
@@ -52,9 +49,8 @@ type Env interface {
 	MMIORead(addr mem.Addr) uint32
 	MMIOWrite(addr mem.Addr, v uint32)
 
-	// TaskRead / TaskWrite access shared task-buffer memory; like MMIO
-	// they are interception points, but they cost only a memory access.
-	TaskRead(addr mem.Addr, p []byte)
+	// TaskWrite writes shared task-buffer memory; like MMIO it is an
+	// interception point, but it costs only a memory access.
 	TaskWrite(addr mem.Addr, p []byte)
 
 	// Mem exposes the simulated physical memory for data buffers, whose
@@ -202,9 +198,6 @@ func (q *Queue) Pop(e Env) (any, bool) {
 	q.items = q.items[1:]
 	return v, true
 }
-
-// Len reports the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
 
 func (q *Queue) wakeOne(e Env) {
 	if len(q.waiters) > 0 {

@@ -39,8 +39,8 @@ type Config struct {
 // other in host memory — a streaming DMA walks the plane sequentially,
 // four simulated lines per host cache line. fill[s] counts the live ways
 // of set s, and those are always the prefix [0,fill[s]): a miss fills
-// the first dead way before it ever evicts, and Flush and Recycle — the
-// only invalidations — empty whole sets. So a lookup scans fill[s] ways
+// the first dead way before it ever evicts, and Recycle — the only
+// invalidation — empties every set. So a lookup scans fill[s] ways
 // and a cold miss writes its way without reading it.
 //
 // The plane holds only as many ways as the deepest set has needed: it
@@ -269,33 +269,6 @@ func (c *Cache) grow() {
 	c.plane = plane
 }
 
-// MissRate returns misses/(hits+misses), or 0 with no traffic.
-func (c *Cache) MissRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(total)
-}
-
-// Flush invalidates all lines, writing back dirty ones at time at; it
-// returns the completion time of the last writeback.
-func (c *Cache) Flush(at vclock.Time) vclock.Time {
-	done := at
-	for set, n := range c.fill {
-		for i := mem.Addr(set); n > 0; n, i = n-1, i+c.stride {
-			if tag := c.plane[i].tag; tag&lineDirty != 0 {
-				c.Writebacks++
-				if d := c.parent.Access(at, mem.Write, tag&^lineDirty<<c.lineBits, c.cfg.LineSize); d > done {
-					done = d
-				}
-			}
-		}
-		c.fill[set] = 0
-	}
-	return done
-}
-
 // pool holds recycled caches per configuration. Building a hierarchy for
 // every sweep point allocates (and zeroes) megabytes of plane; a recycled
 // cache reuses the plane it grew, made cold again by clearing the fill
@@ -352,7 +325,6 @@ func (c *Cache) Recycle() {
 // Typical level configurations used across the evaluation, loosely
 // modeled on the paper's Xeon Gold 6248R host.
 var (
-	L1D = Config{Name: "L1D", Size: 32 << 10, LineSize: 64, Assoc: 8, HitLatency: 1333 * vclock.Picosecond}   // ~4 cycles @3GHz
 	L2  = Config{Name: "L2", Size: 1 << 20, LineSize: 64, Assoc: 16, HitLatency: 4666 * vclock.Picosecond}    // ~14 cycles
 	LLC = Config{Name: "LLC", Size: 32 << 20, LineSize: 64, Assoc: 16, HitLatency: 16666 * vclock.Picosecond} // ~50 cycles
 )

@@ -100,9 +100,6 @@ func runDiff(t testing.TB, ops []byte) (evictions, writebacks int64) {
 		var g, w vclock.Time
 		var what string
 		switch sel := o[0] & 0x07; {
-		case o[0] == 0xff:
-			what = "Flush"
-			g, w = got.Flush(at), want.Flush(at)
 		case o[0] == 0xfe:
 			what = "Recycle+New"
 			evictions, writebacks = evictions+got.Evictions, writebacks+got.Writebacks
@@ -148,8 +145,8 @@ func runDiff(t testing.TB, ops []byte) (evictions, writebacks int64) {
 
 // TestCacheMatchesReference is the differential test of the way-major
 // layout: long random operation sequences on every geometry — single
-// lines, multi-line requests, the Hit probe with its AccessOne fallback,
-// flushes, and recycling through the pool — must leave Cache and the
+// lines, multi-line requests, the Hit probe with its AccessOne fallback
+// and recycling through the pool — must leave Cache and the
 // set-major refCache indistinguishable after every operation. Every
 // other round starts from a cache that has yet to grow.
 func TestCacheMatchesReference(t *testing.T) {
@@ -162,9 +159,9 @@ func TestCacheMatchesReference(t *testing.T) {
 			}
 			ops[0] = byte(g | round%2<<7)
 			for i := 1; i < len(ops); i += 4 {
-				// Flush and Recycle once in a few thousand operations, not
-				// once in 128: sets must get the time to fill up.
-				if ops[i] >= 0xfe && r.Intn(32) != 0 {
+				// Recycle once in a few thousand operations, not once in
+				// 256: sets must get the time to fill up.
+				if ops[i] == 0xfe && r.Intn(32) != 0 {
 					ops[i] &= 0x7f
 				}
 			}

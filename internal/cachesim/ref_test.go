@@ -165,23 +165,6 @@ func (c *refCache) accessLine(at vclock.Time, kind mem.AccessKind, lineAddr mem.
 	return done
 }
 
-func (c *refCache) Flush(at vclock.Time) vclock.Time {
-	done := at
-	for _, lines := range c.sets {
-		for li := range lines {
-			l := &lines[li]
-			if c.live(l) && l.dirty() {
-				c.Writebacks++
-				if d := c.parent.Access(at, mem.Write, l.tag()<<c.lineBits, c.cfg.LineSize); d > done {
-					done = d
-				}
-			}
-			l.tagbits = 0
-		}
-	}
-	return done
-}
-
 // recycle is the old Recycle: an epoch bump makes every line dead. (The
 // fuzzer does reach the 2^16th generation of one pooled cache.)
 func (c *refCache) recycle(p refPool) {

@@ -238,15 +238,15 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 	// The dead shard is marked down (by traffic and/or probes)...
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if !lc.Router.Membership().Live(home) {
+		if !lc.Router.mem.Live(home) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("dead shard %s never marked down (state %s)", home, lc.Router.Membership().State(home))
+			t.Fatalf("dead shard %s never marked down (state %s)", home, lc.Router.mem.State(home))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	marksDown := lc.Router.Membership().marksDown.Load()
+	marksDown := lc.Router.mem.marksDown.Load()
 	if marksDown < 1 {
 		t.Fatalf("marksDown = %d, want >= 1", marksDown)
 	}
@@ -263,15 +263,15 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 	}
 	deadline = time.Now().Add(3 * time.Second)
 	for {
-		if lc.Router.Membership().Live(home) {
+		if lc.Router.mem.Live(home) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("restarted shard %s never re-admitted (state %s)", home, lc.Router.Membership().State(home))
+			t.Fatalf("restarted shard %s never re-admitted (state %s)", home, lc.Router.mem.State(home))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	readmits := lc.Router.Membership().readmits.Load()
+	readmits := lc.Router.mem.readmits.Load()
 	if readmits < 1 {
 		t.Fatalf("readmits = %d, want >= 1", readmits)
 	}
@@ -407,6 +407,28 @@ func TestRouterNoLiveShards(t *testing.T) {
 	if !strings.Contains(string(body), "no live shards") {
 		t.Fatalf("dead cluster error = %s, want no-live-shards", body)
 	}
+}
+
+// A shard listed twice would sit on the ring as two members: Ring.Order
+// would offer it as its own replica, the load ceiling would count it as
+// two candidates and /metrics would print its series twice. NewRouter
+// refuses the list and names the shard.
+func TestNewRouterRejectsDuplicateShard(t *testing.T) {
+	for _, shards := range [][]string{{"a:1", "a:1"}, {"a:1", "b:2", "a:1"}} {
+		r, err := NewRouter(RouterConfig{Shards: shards})
+		if err == nil {
+			r.Close()
+			t.Fatalf("NewRouter(%q) accepted a duplicate shard", shards)
+		}
+		if !strings.Contains(err.Error(), `"a:1"`) {
+			t.Errorf("NewRouter(%q) error %q does not name the duplicate", shards, err)
+		}
+	}
+	r, err := NewRouter(RouterConfig{Shards: []string{"a:1", "b:2"}})
+	if err != nil {
+		t.Fatalf("distinct shards refused: %v", err)
+	}
+	r.Close()
 }
 
 // The router's metrics page renders the core counters (smoke, and a

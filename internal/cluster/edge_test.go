@@ -435,7 +435,7 @@ func TestEdgeProbeMismatchFlushes(t *testing.T) {
 	if n, fl, mm := lc.Router.edgeEntries(), lc.Router.edge.flushes.Load(), lc.Router.m.probeMismatches.Load(); n != 0 || fl != 1 || mm != 1 {
 		t.Fatalf("after a mismatch: entries=%d flushes=%d mismatches=%d, want 0/1/1", n, fl, mm)
 	}
-	if lc.Router.Membership().Live(loser) {
+	if lc.Router.mem.Live(loser) {
 		t.Fatal("losing shard not quarantined")
 	}
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"iter"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -93,12 +94,18 @@ type Router struct {
 	stop chan struct{}
 }
 
-// NewRouter builds a router over the static shard list. Call Start to
-// launch the health-probe and decay loops, Close to stop them.
+// NewRouter builds a router over the static shard list, which must name
+// each shard once. Call Start to launch the health-probe and decay
+// loops, Close to stop them.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: at least one shard required")
+	}
+	for i, s := range cfg.Shards {
+		if slices.Contains(cfg.Shards[:i], s) {
+			return nil, fmt.Errorf("cluster: shard %q listed twice", s)
+		}
 	}
 	r := &Router{
 		cfg:  cfg,
@@ -153,9 +160,6 @@ func (r *Router) Close() {
 		c.CloseIdleConnections()
 	}
 }
-
-// Membership exposes the liveness tracker (smoke tooling and tests).
-func (r *Router) Membership() *Membership { return r.mem }
 
 // client returns the shard's pooled HTTP client. The map is immutable
 // after NewRouter, so reads need no lock.

@@ -168,26 +168,18 @@ func TestProtoaccBatchOutOfOrderSizes(t *testing.T) {
 		drv.WaitAll(e, 0)
 	}})
 
-	checkWire := func(addr mem.Addr, desc *protoacc.MessageDesc) *protoacc.Message {
+	checkWire := func(what string, addr mem.Addr, want *protoacc.Message) {
 		var lenb [4]byte
 		sys.Ctx.Mem.ReadAt(addr, lenb[:])
 		n := uint32(lenb[0]) | uint32(lenb[1])<<8 | uint32(lenb[2])<<16 | uint32(lenb[3])<<24
 		wire := make([]byte, n)
 		sys.Ctx.Mem.ReadAt(addr+4, wire)
-		m, err := protoacc.Unmarshal(desc, wire)
-		if err != nil {
-			t.Fatalf("output at %#x invalid: %v", uint64(addr), err)
+		if !bytes.Equal(wire, protoacc.Marshal(want)) {
+			t.Fatalf("%s task's output at %#x is not its message's wire form", what, uint64(addr))
 		}
-		return m
 	}
-	gotBig := checkWire(outBig, big)
-	if !bytes.Equal(gotBig.Values[0].Bytes, payload) {
-		t.Fatal("big task's payload corrupted")
-	}
-	gotSmall := checkWire(outSmall, small)
-	if gotSmall.Values[0].Int != 777 {
-		t.Fatal("small task's value corrupted")
-	}
+	checkWire("big", outBig, bigMsg)
+	checkWire("small", outSmall, smallMsg)
 }
 
 // TestTraceRecordsAccelAndThreads checks the coarse-grained trace output

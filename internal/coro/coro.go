@@ -190,7 +190,4 @@ func (t *Thread) Kill() {
 	t.exited = true
 }
 
-// Exited reports whether the thread function has returned.
-func (t *Thread) Exited() bool { return t.exited }
-
 func (t *Thread) String() string { return fmt.Sprintf("thread(%d,%s)", t.ID, t.Name) }

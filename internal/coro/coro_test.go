@@ -32,7 +32,7 @@ func TestHandshake(t *testing.T) {
 			t.Fatalf("order = %v", order)
 		}
 	}
-	if !th.Exited() {
+	if !th.exited {
 		t.Fatal("thread not marked exited")
 	}
 }
@@ -120,7 +120,7 @@ func TestKillParkedThreadUnwinds(t *testing.T) {
 		t.Fatalf("expected park, got %v", r.Op)
 	}
 	th.Kill()
-	if !th.Exited() {
+	if !th.exited {
 		t.Fatal("killed thread not marked exited")
 	}
 	if !deferred {
@@ -136,7 +136,7 @@ var th2ref *Thread
 func TestKillNeverStartedThread(t *testing.T) {
 	th := NewThread(0, "unborn", func() { t.Fatal("must never run") })
 	th.Kill()
-	if !th.Exited() {
+	if !th.exited {
 		t.Fatal("never-started thread not exited after kill")
 	}
 	th.Kill() // idempotent
@@ -148,7 +148,7 @@ func TestKillExitedThreadIsNoOp(t *testing.T) {
 		t.Fatalf("expected exit, got %v", r.Op)
 	}
 	th.Kill()
-	if !th.Exited() {
+	if !th.exited {
 		t.Fatal("exited flag lost")
 	}
 }
@@ -168,7 +168,7 @@ func TestKillThreadWhoseDeferYields(t *testing.T) {
 		t.Fatalf("expected park, got %v", r.Op)
 	}
 	th.Kill()
-	if !th.Exited() {
+	if !th.exited {
 		t.Fatal("thread with yielding defer not killed")
 	}
 }
@@ -228,7 +228,7 @@ func TestBodyPanicSurfacesAtResume(t *testing.T) {
 		th.Resume()
 		t.Fatal("Resume returned from a panicking body")
 	}()
-	if !th.Exited() {
+	if !th.exited {
 		t.Fatal("thread whose body panicked is not exited")
 	}
 	th.Kill() // what an engine's Reap does next: must be a no-op
@@ -291,7 +291,7 @@ func TestResumeFromAnotherGoroutine(t *testing.T) {
 	if got[0].Dur != 1 || got[1].Dur != 2 || got[2].Op != OpExit {
 		t.Fatalf("requests seen from the second goroutine = %+v", got)
 	}
-	if steps != 3 || !th.Exited() {
-		t.Fatalf("steps = %d, exited = %v", steps, th.Exited())
+	if steps != 3 || !th.exited {
+		t.Fatalf("steps = %d, exited = %v", steps, th.exited)
 	}
 }

@@ -169,9 +169,6 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// Clock returns the modeled core frequency.
-func (m *Model) Clock() vclock.Hz { return m.cfg.Clock }
-
 // L1 exposes the modeled L1 data cache (for tests and stats).
 func (m *Model) L1() *cachesim.Cache { return m.l1 }
 
@@ -406,14 +403,3 @@ func (m *Model) retire(k *kernel, n int) {
 	}
 	k.front, k.maxRetire = front, maxRetire
 }
-
-// IPC reports the cumulative modeled instructions per cycle.
-func (m *Model) IPC() float64 {
-	if m.Cycles == 0 {
-		return 0
-	}
-	return float64(m.Instructions) / float64(m.Cycles)
-}
-
-// L1Misses reports the modeled L1 miss count.
-func (m *Model) L1Misses() int64 { return m.l1.Misses }

@@ -52,7 +52,7 @@ func TestDeterministic(t *testing.T) {
 func TestIPCInPlausibleRange(t *testing.T) {
 	m := New(Config{})
 	m.Duration(work(500_000, isa.DefaultMix, 256<<10))
-	ipc := m.IPC()
+	ipc := float64(m.Instructions) / float64(m.Cycles)
 	if ipc < 0.4 || ipc > 4 {
 		t.Fatalf("modeled IPC = %.2f implausible", ipc)
 	}
@@ -85,8 +85,8 @@ func TestStatsAccumulate(t *testing.T) {
 	if m.Instructions != 100_000 {
 		t.Fatalf("Instructions = %d", m.Instructions)
 	}
-	if m.L1Misses() == 0 || m.Mispredicts == 0 {
-		t.Fatalf("no misses/mispredicts recorded: %d/%d", m.L1Misses(), m.Mispredicts)
+	if m.l1.Misses == 0 || m.Mispredicts == 0 {
+		t.Fatalf("no misses/mispredicts recorded: %d/%d", m.l1.Misses, m.Mispredicts)
 	}
 }
 

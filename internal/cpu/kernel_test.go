@@ -61,7 +61,7 @@ func randomWork(r *xrand.Stream) isa.Work {
 		return r.Float64() * scale
 	}
 	instr := int64(1) << r.Intn(19)
-	instr += r.Int63n(instr)
+	instr += int64(r.Uint64() % uint64(instr))
 	if instr > 300_000 {
 		instr = 300_000
 	}
@@ -69,7 +69,7 @@ func randomWork(r *xrand.Stream) isa.Work {
 		instr = int64(blockLen*(1+r.Intn(4)) + r.Intn(3) - 1)
 	}
 	ws := int64(64) << r.Intn(21)
-	ws += r.Int63n(ws)
+	ws += int64(r.Uint64() % uint64(ws))
 	return isa.Work{
 		Instr:      instr,
 		Mix:        isa.Mix{Load: frac(0.5), Store: frac(0.3), Branch: frac(0.3), MulDiv: frac(0.2)},

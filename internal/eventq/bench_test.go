@@ -18,17 +18,3 @@ func BenchmarkPushPop(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkLen measures Len with many pending events: the heap's length.
-func BenchmarkLen(b *testing.B) {
-	var q Queue
-	for i := 0; i < 4096; i++ {
-		q.At(vclock.Time(i), func(vclock.Time) {})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if q.Len() != 4096 {
-			b.Fatal("wrong length")
-		}
-	}
-}

@@ -34,9 +34,6 @@ type Queue struct {
 // Now returns the time of the most recently dispatched event.
 func (q *Queue) Now() vclock.Time { return q.now }
 
-// Len reports the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
-
 // At schedules fn to run at absolute time at. Scheduling in the past
 // (before the last dispatched event) panics: it would violate causality.
 func (q *Queue) At(at vclock.Time, fn Event) {
@@ -68,12 +65,6 @@ func (q *Queue) Step() bool {
 	q.now = it.at
 	it.fn(it.at)
 	return true
-}
-
-// Run dispatches events until the queue is empty.
-func (q *Queue) Run() {
-	for q.Step() {
-	}
 }
 
 type itemHeap []*item

@@ -16,7 +16,7 @@ func TestFIFOAtSameTime(t *testing.T) {
 		i := i
 		q.At(100, func(vclock.Time) { order = append(order, i) })
 	}
-	q.Run()
+	drain(&q)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order = %v, want ascending", order)
@@ -37,7 +37,7 @@ func TestTimeOrdering(t *testing.T) {
 			fired = append(fired, now)
 		})
 	}
-	q.Run()
+	drain(&q)
 	if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
 		t.Fatalf("events out of order: %v", fired)
 	}
@@ -49,7 +49,7 @@ func TestTimeOrdering(t *testing.T) {
 func TestScheduleInPastPanics(t *testing.T) {
 	var q Queue
 	q.At(100, func(vclock.Time) {})
-	q.Run()
+	drain(&q)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -69,7 +69,7 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 		}
 	}
 	q.At(0, step)
-	q.Run()
+	drain(&q)
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
 	}
@@ -110,7 +110,7 @@ func TestDispatchOrderProperty(t *testing.T) {
 			q.At(at, func(now vclock.Time) { fired = append(fired, rec{now, i}) })
 		}
 		sort.SliceStable(scheduled, func(i, j int) bool { return scheduled[i].at < scheduled[j].at })
-		q.Run()
+		drain(&q)
 		if len(fired) != len(scheduled) {
 			return false
 		}
@@ -123,5 +123,11 @@ func TestDispatchOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// drain dispatches events until the queue is empty.
+func drain(q *Queue) {
+	for q.Step() {
 	}
 }

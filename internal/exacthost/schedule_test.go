@@ -127,7 +127,7 @@ func TestDeviceSchedule(t *testing.T) {
 		taskAt = env.Now()
 		before := len(dev.advances)
 		var buf [8]byte
-		env.TaskRead(region.Base, buf[:])
+		env.TaskWrite(region.Base, buf[:])
 		taskAdvances = dev.advances[before:]
 	}})
 	if len(dev.readSaw) != 1 || dev.readSaw[0] != readAt || readAt == 0 {

@@ -22,7 +22,7 @@ var updateDevicesGolden = flag.Bool("update-devices-golden", false,
 // register banks, so a port that moves a timestamp, a DMA byte or a step
 // count fails here.
 func TestDevicesGolden(t *testing.T) {
-	defer SetParallelism(Parallelism())
+	defer SetParallelism(parallelism)
 	SetParallelism(2)
 	var specs []Spec
 	for _, b := range workloads.Catalog() {

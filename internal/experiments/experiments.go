@@ -35,9 +35,6 @@ func SetParallelism(n int) {
 	parallelism = n
 }
 
-// Parallelism reports the current worker count.
-func Parallelism() int { return parallelism }
-
 // SetIntra does nothing: every simulation runs its host engine and its
 // devices on one goroutine. It is kept only because the benchmark
 // harness under bench/ compiles against it.

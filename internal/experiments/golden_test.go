@@ -25,7 +25,7 @@ var updateGolden = flag.Bool("update-golden", false,
 // for byte: a fork that resumes from another point than a straight run
 // shows up as a diff here.
 func TestTablesGolden(t *testing.T) {
-	defer SetParallelism(Parallelism())
+	defer SetParallelism(parallelism)
 	defer SetCheckpoints(CheckpointsEnabled())
 	defer ResetCheckpointStore()
 	SetParallelism(2)

@@ -55,7 +55,7 @@ func withFault(base Spec, f FaultSpec) Spec {
 // the fired counters prove each site actually fired (a silently-skipped
 // site would pass a weaker test).
 func TestFaultMatrix(t *testing.T) {
-	baseline, err := RunSpec(chaosBase)
+	baseline, err := RunSpecAttempt(chaosBase, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestFaultMatrix(t *testing.T) {
 				var r1, r2 core.Result
 				var err1, err2 error
 				d := firedDelta(func() {
-					r1, err1 = RunSpec(spec)
-					r2, err2 = RunSpec(spec)
+					r1, err1 = RunSpecAttempt(spec, 0, 0)
+					r2, err2 = RunSpecAttempt(spec, 0, 0)
 				})
 				if d[name] < 2 {
 					t.Fatalf("site %s fired %d times across two runs, want 2", site, d[name])
@@ -102,7 +102,7 @@ func TestFaultMatrix(t *testing.T) {
 
 	// Faults off again: the chaos above must not have perturbed the
 	// fault-free path (byte-identical tables).
-	after, err := RunSpec(chaosBase)
+	after, err := RunSpecAttempt(chaosBase, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFaultMatrix(t *testing.T) {
 // fault armed only for attempt 0 fails the first attempt and lets the
 // retry succeed with the fault-free result.
 func TestFaultAttemptsWindowExpires(t *testing.T) {
-	baseline, err := RunSpec(chaosBase)
+	baseline, err := RunSpecAttempt(chaosBase, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +201,13 @@ func TestBudgetAbortNoGoroutineLeak(t *testing.T) {
 	spec := Spec{Bench: "jpeg-decode", EpochNS: 1000, MaxEpochs: 1}
 	// One warm-up abort so any lazily-started machinery is resident
 	// before the leak baseline is taken.
-	if _, err := RunSpec(spec); !errors.Is(err, core.ErrBudgetExceeded) {
+	if _, err := RunSpecAttempt(spec, 0, 0); !errors.Is(err, core.ErrBudgetExceeded) {
 		t.Fatal("warm-up run did not abort on budget")
 	}
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
-		if _, err := RunSpec(spec); !errors.Is(err, core.ErrBudgetExceeded) {
+		if _, err := RunSpecAttempt(spec, 0, 0); !errors.Is(err, core.ErrBudgetExceeded) {
 			t.Fatalf("run %d: no budget abort", i)
 		}
 	}

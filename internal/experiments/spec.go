@@ -134,7 +134,7 @@ const (
 )
 
 // Normalized validates s and returns a copy with every defaulted field
-// made explicit — the canonical form that ID() hashes and RunSpec
+// made explicit — the canonical form that ID() hashes and RunSpecAttempt
 // executes. The zero-valued and the explicit-default spelling of the
 // same run normalize identically.
 func (s Spec) Normalized() (Spec, error) {
@@ -296,17 +296,14 @@ func (s Spec) ID() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// RunSpec executes one spec to completion and returns the engine
-// result. The daemon submits Specs over HTTP, experiments enumerate
-// them in code, and both execute through this one path.
-func RunSpec(s Spec) (core.Result, error) { return RunSpecAttempt(s, 0, 0) }
-
-// RunSpecAttempt executes one spec as run attempt number attempt, under
-// an optional per-run wall budget. The attempt number feeds the fault
-// injector: Attempts-windowed faults expire on later attempts (the
-// self-healing retry path) and Rate draws differ per attempt. A
-// fault-free spec ignores attempt entirely, so retrying a deterministic
-// run cannot change its result.
+// RunSpecAttempt executes one spec to completion as run attempt number
+// attempt, under an optional per-run wall budget (0: none), and returns
+// the engine result. The daemon submits Specs over HTTP, experiments
+// enumerate them in code, and both execute through this one path. The
+// attempt number feeds the fault injector: Attempts-windowed faults
+// expire on later attempts (the self-healing retry path) and Rate draws
+// differ per attempt. A fault-free spec ignores attempt entirely, so
+// retrying a deterministic run cannot change its result.
 func RunSpecAttempt(s Spec, attempt int, wall time.Duration) (core.Result, error) {
 	n, err := s.Normalized()
 	if err != nil {

@@ -53,8 +53,8 @@ func TestSpecValidation(t *testing.T) {
 		if _, err := s.Normalized(); err == nil {
 			t.Errorf("spec %+v validated, want error", s)
 		}
-		if _, err := RunSpec(s); err == nil {
-			t.Errorf("RunSpec accepted invalid spec %+v", s)
+		if _, err := RunSpecAttempt(s, 0, 0); err == nil {
+			t.Errorf("RunSpecAttempt accepted invalid spec %+v", s)
 		}
 	}
 	if _, err := RunSpecs([]Spec{{Bench: "jpeg-decode"}, {Bench: "nope"}}); err == nil {
@@ -145,16 +145,16 @@ func TestSpecIOTLBEntries(t *testing.T) {
 // same result.
 func TestRunSpecDeterministic(t *testing.T) {
 	spec := Spec{Bench: "npb-cg.8", EpochNS: 1000}
-	r1, err := RunSpec(spec)
+	r1, err := RunSpecAttempt(spec, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunSpec(spec)
+	r2, err := RunSpecAttempt(spec, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.SimTime != r2.SimTime || r1.NEXStats != r2.NEXStats {
-		t.Fatalf("RunSpec not deterministic: %v/%v vs %v/%v",
+		t.Fatalf("RunSpecAttempt not deterministic: %v/%v vs %v/%v",
 			r1.SimTime, r1.NEXStats, r2.SimTime, r2.NEXStats)
 	}
 }
@@ -171,7 +171,7 @@ func TestRunSpecsOrderAndParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := Parallelism()
+	old := parallelism
 	SetParallelism(4)
 	defer SetParallelism(old)
 	par, err := RunSpecs(specs)

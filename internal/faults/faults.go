@@ -196,14 +196,6 @@ func NewInjector(seed uint64, attempt int, plan []Fault) *Injector {
 	return in
 }
 
-// Attempt reports which run attempt this injector belongs to.
-func (in *Injector) Attempt() int {
-	if in == nil {
-		return 0
-	}
-	return in.attempt
-}
-
 // Hit records one crossing of site and returns the fault that fires
 // there, or nil. Exactly one fault fires per crossing (plan order wins
 // ties). The per-site hit counter advances on every crossing, fired or

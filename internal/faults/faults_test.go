@@ -11,9 +11,6 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	if got := in.Hit(SiteChanSend); got != nil {
 		t.Fatalf("nil injector fired %v", got)
 	}
-	if in.Attempt() != 0 {
-		t.Fatalf("nil injector attempt = %d", in.Attempt())
-	}
 	if NewInjector(1, 0, nil) != nil {
 		t.Fatal("empty plan should build a nil injector")
 	}

@@ -46,8 +46,6 @@ func NewEnv(cfg *EnvConfig, th *coro.Thread, w *Warp) app.Env {
 
 func (v *env) Now() vclock.Time { return v.cfg.Now(v.th) }
 
-func (v *env) Clock() vclock.Hz { return v.cfg.Clock }
-
 func (v *env) Compute(w isa.Work) {
 	v.th.Yield(coro.Request{Op: coro.OpAdvance, Work: w})
 }
@@ -88,28 +86,20 @@ func (v *env) MMIOWrite(addr mem.Addr, val uint32) {
 	}})
 }
 
-// task yields a task-buffer access: plain shared memory, touched at the
-// trap like an MMIO access but without a device register (or, Light in
-// NEX's tick mode, without a trap).
-func (v *env) task(addr mem.Addr, p []byte, write bool) {
+// TaskWrite yields a task-buffer write: plain shared memory, touched at
+// the trap like an MMIO access but without a device register (or, Light
+// in NEX's tick mode, without a trap).
+func (v *env) TaskWrite(addr mem.Addr, p []byte) {
 	v.th.Yield(coro.Request{
 		Op:    coro.OpInteract,
 		Light: v.cfg.LightTasks,
 		Addr:  uint64(addr),
 		Interact: func(vclock.Time) vclock.Duration {
-			if write {
-				v.Mem().WriteAt(addr, p)
-			} else {
-				v.Mem().ReadAt(addr, p)
-			}
+			v.Mem().WriteAt(addr, p)
 			return taskAccessCost
 		},
 	})
 }
-
-func (v *env) TaskRead(addr mem.Addr, p []byte) { v.task(addr, p, false) }
-
-func (v *env) TaskWrite(addr mem.Addr, p []byte) { v.task(addr, p, true) }
 
 func (v *env) Mem() *mem.Memory { return v.cfg.Devices.mem }
 

@@ -91,9 +91,6 @@ func New(cfg Config, target memsys.Port) *Fabric {
 	return f
 }
 
-// Config returns the fabric's configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // Access implements memsys.Port: a DMA issued by the accelerator at time
 // at, returning when the response (read) or acknowledgement (write)
 // arrives back at the accelerator.

@@ -125,7 +125,7 @@ func TestIOTLBHitAndMiss(t *testing.T) {
 	if coldLat-warmLat < 150*vclock.Nanosecond {
 		t.Fatalf("walk penalty too small: %v", coldLat-warmLat)
 	}
-	hits, misses := f.IOTLBStats()
+	hits, misses := f.tlb.Hits, f.tlb.Misses
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
@@ -139,7 +139,7 @@ func TestIOTLBEviction(t *testing.T) {
 	f.Access(0, mem.Read, 0x2000, 8)
 	f.Access(0, mem.Read, 0x3000, 8)
 	f.Access(0, mem.Read, 0x1000, 8) // must miss again
-	_, misses := f.IOTLBStats()
+	misses := f.tlb.Misses
 	if misses != 4 {
 		t.Fatalf("misses = %d, want 4 (LRU eviction)", misses)
 	}
@@ -150,7 +150,7 @@ func TestIOTLBSpanningPages(t *testing.T) {
 	f.EnableIOTLB(IOTLBConfig{Entries: 16})
 	// 8KB DMA covers two pages: two translations.
 	f.Access(0, mem.Read, 0x0, 8192)
-	hits, misses := f.IOTLBStats()
+	hits, misses := f.tlb.Hits, f.tlb.Misses
 	if hits+misses != 2 || misses != 2 {
 		t.Fatalf("hits=%d misses=%d, want 2 cold pages", hits, misses)
 	}
@@ -158,7 +158,7 @@ func TestIOTLBSpanningPages(t *testing.T) {
 
 func TestNoIOTLBByDefault(t *testing.T) {
 	f := New(Config{Name: "t"}, memsys.Fixed{})
-	if h, m := f.IOTLBStats(); h != 0 || m != 0 {
-		t.Fatal("stats without a TLB")
+	if f.tlb != nil {
+		t.Fatal("a TLB without EnableIOTLB")
 	}
 }

@@ -102,17 +102,7 @@ func (t *iotlb) translate(f *Fabric, at vclock.Time, addr mem.Addr, size int) vc
 }
 
 // EnableIOTLB attaches an I/O TLB to the fabric: subsequent DMAs are
-// translated before they traverse the link. Returns nothing; stats are
-// exposed via IOTLBStats.
+// translated before they traverse the link.
 func (f *Fabric) EnableIOTLB(cfg IOTLBConfig) {
 	f.tlb = newIOTLB(cfg)
-}
-
-// IOTLBStats reports (hits, misses) of the fabric's IOTLB, or zeros if
-// none is attached.
-func (f *Fabric) IOTLBStats() (hits, misses int64) {
-	if f.tlb == nil {
-		return 0, 0
-	}
-	return f.tlb.Hits, f.tlb.Misses
 }

@@ -16,17 +16,6 @@ import (
 	"nexsim/internal/vclock"
 )
 
-// Class is an instruction timing class.
-type Class uint8
-
-const (
-	ALU Class = iota
-	Load
-	Store
-	Branch
-	MulDiv
-)
-
 // Mix gives the fraction of each non-ALU class in a stream; the
 // remainder is plain ALU.
 type Mix struct {
@@ -74,15 +63,6 @@ func (w Work) NativeDuration(clk vclock.Hz) vclock.Duration {
 	}
 	cycles := float64(w.Instr) / ipc
 	return vclock.Duration(cycles * float64(clk.Period()))
-}
-
-// Scale returns a copy of w with the instruction count (and proportional
-// working set) scaled by f; used by workload generators.
-func (w Work) Scale(f float64) Work {
-	w.Instr = int64(float64(w.Instr) * f)
-	w.WorkingSet = int64(float64(w.WorkingSet) * f)
-	w.NativeDur = vclock.Duration(float64(w.NativeDur) * f)
-	return w
 }
 
 // Segment is a convenience constructor: a segment that takes d of native

@@ -40,17 +40,6 @@ func TestSegmentRoundTrips(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	w := Work{Instr: 1000, WorkingSet: 4096, NativeDur: vclock.Microsecond}
-	s := w.Scale(0.5)
-	if s.Instr != 500 || s.WorkingSet != 2048 || s.NativeDur != 500*vclock.Nanosecond {
-		t.Fatalf("scaled = %+v", s)
-	}
-	if w.Instr != 1000 {
-		t.Fatal("Scale mutated receiver")
-	}
-}
-
 func TestMixesSumBelowOne(t *testing.T) {
 	for _, m := range []Mix{DefaultMix, MemHeavyMix, ComputeMix} {
 		if s := m.Load + m.Store + m.Branch + m.MulDiv; s >= 1 {

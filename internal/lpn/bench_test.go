@@ -22,7 +22,7 @@ func benchChain(n int) (*Net, *Place, *Place) {
 			Name:  fmt.Sprintf("t%d", i),
 			In:    []Arc{{Place: prev}},
 			Out:   []OutArc{{Place: next}},
-			Delay: Const(3),
+			Delay: constDelay(3),
 		})
 		prev = next
 	}
@@ -32,9 +32,9 @@ func benchChain(n int) (*Net, *Place, *Place) {
 // drain pushes one token through the whole chain and removes it at the
 // end, so repeated calls run against steady-state place sizes.
 func drain(net *Net, in, out *Place, adv func(vclock.Time) int) {
-	net.Inject(in, Tok(net.Now(), 1))
-	adv(net.Now() + vclock.Time(1<<40))
-	out.Pop()
+	net.Inject(in, Tok(net.now, 1))
+	adv(net.now + vclock.Time(1<<40))
+	out.pop()
 }
 
 // BenchmarkAdvance pushes one token through an n-stage pipeline (n

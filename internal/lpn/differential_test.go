@@ -87,7 +87,7 @@ func genNet(seed uint64) (n *Net, places []*Place, log *[]string) {
 		tr := &Transition{Name: fmt.Sprintf("t%d", t), In: in, Out: out}
 		switch rng.Intn(3) {
 		case 0:
-			tr.Delay = Const(vclock.Duration(1 + rng.Intn(50)))
+			tr.Delay = constDelay(vclock.Duration(1 + rng.Intn(50)))
 		case 1:
 			mul := vclock.Duration(1 + rng.Intn(5))
 			tr.Delay = func(f *Firing) vclock.Duration {
@@ -184,8 +184,8 @@ func runDifferential(t *testing.T, seed uint64) int {
 		}
 	}
 
-	if inc.Now() != ref.Now() {
-		t.Fatalf("seed %d: clock %v vs %v", seed, inc.Now(), ref.Now())
+	if inc.now != ref.now {
+		t.Fatalf("seed %d: clock %v vs %v", seed, inc.now, ref.now)
 	}
 	li, lr := *incLog, *refLog
 	if len(li) != len(lr) {

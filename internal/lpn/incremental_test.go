@@ -130,16 +130,16 @@ func TestFiringScratchReuse(t *testing.T) {
 	q1 := n.AddPlace("q1", 0)
 	q2 := n.AddPlace("q2", 0)
 	out := n.AddPlace("out", 0)
-	n.AddTransition(&Transition{Name: "t1", In: []Arc{{Place: in}}, Out: []OutArc{{Place: q1}}, Delay: Const(3)})
-	n.AddTransition(&Transition{Name: "t2", In: []Arc{{Place: q1}}, Out: []OutArc{{Place: q2}}, Delay: Const(5)})
-	n.AddTransition(&Transition{Name: "t3", In: []Arc{{Place: q2}}, Out: []OutArc{{Place: out}}, Delay: Const(7)})
+	n.AddTransition(&Transition{Name: "t1", In: []Arc{{Place: in}}, Out: []OutArc{{Place: q1}}, Delay: constDelay(3)})
+	n.AddTransition(&Transition{Name: "t2", In: []Arc{{Place: q1}}, Out: []OutArc{{Place: q2}}, Delay: constDelay(5)})
+	n.AddTransition(&Transition{Name: "t3", In: []Arc{{Place: q2}}, Out: []OutArc{{Place: out}}, Delay: constDelay(7)})
 	// Warm up: sizes the scratch and the place backing arrays.
 	n.Inject(in, Tok(0))
 	n.Advance(1000)
 	base := out.Len()
 	avg := testing.AllocsPerRun(50, func() {
-		n.Inject(in, Tok(n.Now()))
-		n.Advance(n.Now() + 1000)
+		n.Inject(in, Tok(n.now))
+		n.Advance(n.now + 1000)
 	})
 	// Token-slice growth inside places is amortized; allow a fraction.
 	if avg > 1 {

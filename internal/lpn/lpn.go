@@ -67,12 +67,6 @@ type Place struct {
 // not).
 func (p *Place) Len() int { return len(p.tokens) - p.head }
 
-// Peek returns the i-th token from the front without removing it.
-func (p *Place) Peek(i int) Token { return p.peek(i) }
-
-// Pop removes and returns the front token. It panics on an empty place.
-func (p *Place) Pop() Token { return p.pop() }
-
 // Push appends a token. It panics if the place is at capacity — the
 // engine's responsibility is to never fire a transition into a full
 // place.
@@ -167,11 +161,6 @@ type Transition struct {
 // Fires reports how many times the transition has fired.
 func (t *Transition) Fires() int64 { return t.fires }
 
-// Const returns a DelayFunc with a fixed delay.
-func Const(d vclock.Duration) DelayFunc {
-	return func(*Firing) vclock.Duration { return d }
-}
-
 // PerCycle returns a DelayFunc of n cycles at frequency clk.
 func PerCycle(clk vclock.Hz, n int64) DelayFunc {
 	d := clk.CyclesDur(n)
@@ -207,9 +196,6 @@ func (n *Net) AddTransition(t *Transition) *Transition {
 	n.transitions = append(n.transitions, t)
 	return t
 }
-
-// Now returns the net's local virtual time.
-func (n *Net) Now() vclock.Time { return n.now }
 
 // Inject places a token directly (used for task arrival and for external
 // responses such as DMA completions).

@@ -1,12 +1,16 @@
 package lpn
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"nexsim/internal/vclock"
 )
+
+// constDelay returns a DelayFunc with a fixed delay.
+func constDelay(d vclock.Duration) DelayFunc {
+	return func(*Firing) vclock.Duration { return d }
+}
 
 // buildPipeline builds a 3-stage pipeline: in -> s1 -> s2 -> out, with
 // per-stage delays d1, d2, d3 and stage-2 queue capacity cap2. Each stage
@@ -31,7 +35,7 @@ func buildPipeline(d1, d2, d3 vclock.Duration, cap2 int) (*Net, *Place, *Place) 
 					return []Token{Tok(done)}
 				}},
 			},
-			Delay: Const(d),
+			Delay: constDelay(d),
 		})
 	}
 	stage("stage1", in, q1, d1)
@@ -97,8 +101,8 @@ func TestAdvanceRespectsBound(t *testing.T) {
 	if out.Len() != 0 {
 		t.Fatal("token completed before its time")
 	}
-	if n.Now() != 15 {
-		t.Fatalf("Now = %v, want 15", n.Now())
+	if n.now != 15 {
+		t.Fatalf("Now = %v, want 15", n.now)
 	}
 	n.Advance(100)
 	if out.Len() != 1 {
@@ -154,7 +158,7 @@ func TestEffectSeesFireAndDoneTimes(t *testing.T) {
 	var fireAt, doneAt vclock.Time
 	n.AddTransition(&Transition{
 		Name: "dma", In: []Arc{{Place: in}}, Out: []OutArc{{Place: out}},
-		Delay: Const(50),
+		Delay: constDelay(50),
 		Effect: func(f *Firing, done vclock.Time) {
 			fireAt, doneAt = f.Time, done
 		},
@@ -277,26 +281,5 @@ func TestFiresCounter(t *testing.T) {
 	n.Advance(10)
 	if tr.Fires() != 5 {
 		t.Fatalf("Fires = %d, want 5", tr.Fires())
-	}
-}
-
-func TestDotExport(t *testing.T) {
-	n, _, _ := buildPipeline(1, 2, 3, 4)
-	dot := n.Dot()
-	for _, want := range []string{"digraph", "stage1", "stage2", "stage3", "->", "cap 4"} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("dot output missing %q:\n%s", want, dot)
-		}
-	}
-}
-
-func TestNameIntrospection(t *testing.T) {
-	n, _, _ := buildPipeline(1, 1, 1, 0)
-	if got := len(n.PlaceNames()); got != 7 { // 4 queues + 3 server places
-		t.Fatalf("PlaceNames = %d", got)
-	}
-	tr := n.TransitionNames()
-	if len(tr) != 3 || tr[0] != "stage1" {
-		t.Fatalf("TransitionNames = %v", tr)
 	}
 }

@@ -30,9 +30,6 @@ func NewBuilder(name string, clk vclock.Hz) *Builder {
 	return &Builder{net: lpn.New(name), clk: clk}
 }
 
-// Clock returns the builder's clock frequency.
-func (b *Builder) Clock() vclock.Hz { return b.clk }
-
 // Queue declares a FIFO place with the given capacity (0 = unbounded).
 func (b *Builder) Queue(name string, capacity int) *lpn.Place {
 	return b.net.AddPlace(name, capacity)

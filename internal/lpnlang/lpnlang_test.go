@@ -23,15 +23,13 @@ func TestStageThroughput(t *testing.T) {
 	}
 }
 
-// readyLen counts the tokens in p that are available by now.
-func readyLen(p *lpn.Place, now vclock.Time) int {
-	n := 0
-	for i := 0; i < p.Len(); i++ {
-		if p.Peek(i).TS <= now {
-			n++
-		}
-	}
-	return n
+// drain adds a zero-delay transition that consumes p's tokens as they
+// become available, and returns the times it consumed them at.
+func drain(n *lpn.Net, p *lpn.Place) *[]vclock.Time {
+	var at []vclock.Time
+	n.AddTransition(&lpn.Transition{Name: "drain", In: []lpn.Arc{{Place: p}},
+		Effect: func(_ *lpn.Firing, done vclock.Time) { at = append(at, done) }})
+	return &at
 }
 
 func TestParallelServers(t *testing.T) {
@@ -42,6 +40,7 @@ func TestParallelServers(t *testing.T) {
 	out := b.Queue("out", 0)
 	b.Stage("s", in, out, b.Cycles(100), Servers(4))
 	n := b.MustBuild()
+	done := drain(n, out)
 	for i := 0; i < 8; i++ {
 		n.Inject(in, lpn.Tok(0))
 	}
@@ -49,11 +48,11 @@ func TestParallelServers(t *testing.T) {
 	t100 := vclock.Time(100 * vclock.Nanosecond)
 	t200 := vclock.Time(200 * vclock.Nanosecond)
 	n.Advance(t100)
-	if got := readyLen(out, t100); got != 4 {
+	if got := len(*done); got != 4 {
 		t.Fatalf("after 100ns ready completions = %d, want 4", got)
 	}
 	n.Advance(t200)
-	if got := readyLen(out, t200); got != 8 {
+	if got := len(*done); got != 8 {
 		t.Fatalf("after 200ns ready completions = %d, want 8", got)
 	}
 }
@@ -89,14 +88,13 @@ func TestCyclesAttrDelay(t *testing.T) {
 	out := b.Queue("out", 0)
 	b.Stage("s", in, out, b.CyclesAttr(10, 2, 0)) // 10 + 2*bytes cycles
 	n := b.MustBuild()
+	done := drain(n, out)
 	n.Inject(in, lpn.Tok(0, 45)) // 10+90 = 100 cycles = 50ns
 	n.Advance(vclock.Never - 1)
 	want := vclock.Time(50 * vclock.Nanosecond)
-	if got := n.Now(); out.Len() != 1 {
-		t.Fatalf("no output (now=%v)", got)
+	if len(*done) != 1 || (*done)[0] != want {
+		t.Fatalf("completions at %v, want one at %v", *done, want)
 	}
-	// The completion time is checked via the net reaching quiescence at 50ns.
-	_ = want
 }
 
 func TestBuildRejectsNilInput(t *testing.T) {

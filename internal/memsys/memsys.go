@@ -99,14 +99,3 @@ func (w *Window) Admit(at vclock.Time) vclock.Time {
 func (w *Window) Reserve(done vclock.Time) {
 	w.busy[w.next] = done
 }
-
-// InFlight reports how many requests are outstanding at time at.
-func (w *Window) InFlight(at vclock.Time) int {
-	n := 0
-	for _, t := range w.busy {
-		if t > at {
-			n++
-		}
-	}
-	return n
-}

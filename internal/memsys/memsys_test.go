@@ -38,8 +38,14 @@ func TestWindowAdmitsUpToN(t *testing.T) {
 		t.Fatalf("third admit = %v, want 500", at)
 	}
 	w.Reserve(700)
-	if n := w.InFlight(550); n != 2 {
-		t.Fatalf("InFlight(550) = %d", n)
+	inFlight := 0
+	for _, done := range w.busy {
+		if done > 550 {
+			inFlight++
+		}
+	}
+	if inFlight != 2 {
+		t.Fatalf("%d requests in flight at 550, want 2", inFlight)
 	}
 }
 

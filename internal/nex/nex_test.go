@@ -500,7 +500,7 @@ func TestTrapCatchesDevicesUp(t *testing.T) {
 		taskAt, taskEpoch = env.Now(), e.now
 		before := len(dev.Calls)
 		var buf [8]byte
-		env.TaskRead(region.Base, buf[:])
+		env.TaskWrite(region.Base, buf[:])
 		taskCalls = dev.Calls[before:]
 	}})
 	if readAt <= readEpoch || taskAt <= taskEpoch {

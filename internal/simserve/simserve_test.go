@@ -81,7 +81,7 @@ func metricValue(t *testing.T, page []byte, name string) int64 {
 
 // TestEndToEnd drives the real engine over HTTP: submit a batch
 // asynchronously, poll each job to completion, then fetch results and
-// check them against a direct RunSpec call.
+// check them against a direct RunSpecAttempt call.
 func TestEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, Backlog: 16})
 
@@ -156,7 +156,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// Results must match a direct engine run (determinism over HTTP).
 	for i, spec := range specs {
-		want, err := experiments.RunSpec(spec)
+		want, err := experiments.RunSpecAttempt(spec, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

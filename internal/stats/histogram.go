@@ -75,34 +75,3 @@ func (h *Histogram) Cumulative() []int64 {
 	}
 	return out
 }
-
-// Quantile estimates the q-th quantile (0..1) from the buckets,
-// returning the upper bound of the bucket containing it (the last
-// finite bound when the quantile lands in the +Inf bucket). Zero when
-// empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(h.n))
-	if target < 1 {
-		target = 1
-	}
-	var acc int64
-	for i, c := range h.counts {
-		acc += c
-		if acc >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}

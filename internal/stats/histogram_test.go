@@ -26,23 +26,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(1, 2, 4, 8)
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1.5) // all in the (1,2] bucket
-	}
-	if q := h.Quantile(0.5); q != 2 {
-		t.Errorf("Quantile(0.5) = %v, want bucket bound 2", q)
-	}
-	h.Observe(100) // +Inf bucket
-	if q := h.Quantile(1); q != 8 {
-		t.Errorf("Quantile(1) = %v, want last finite bound 8", q)
-	}
-}
-
 func TestGeometricBounds(t *testing.T) {
 	b := GeometricBounds(0.5, 2, 4)
 	want := []float64{0.5, 1, 2, 4}

@@ -84,14 +84,6 @@ func (r *Recorder) Add(s Span) {
 	r.n++
 }
 
-// Len reports the number of recorded spans.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return r.n
-}
-
 // Spans returns all recorded spans ordered by start time.
 func (r *Recorder) Spans() []Span {
 	if r == nil {

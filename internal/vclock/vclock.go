@@ -7,10 +7,7 @@
 // a 2 GHz accelerator (500 ps) or a 3 GHz CPU (~333 ps) exactly.
 package vclock
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point on the virtual timeline, in picoseconds since the start
 // of the simulation. The zero value is the simulation start.
@@ -34,38 +31,11 @@ const Never Time = 1<<63 - 1
 // Add returns t shifted forward by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
-// SatAdd returns t shifted forward by d, saturating at Never. Horizon
-// arithmetic uses it so that an idle neighbor (Never) plus a link
-// latency stays Never instead of wrapping negative.
-func (t Time) SatAdd(d Duration) Time {
-	if t == Never || d >= Duration(Never-t) {
-		return Never
-	}
-	return t + Time(d)
-}
-
-// MinTime returns the earlier of two times. With Never as the identity
-// it folds conservative horizons: min over neighbors of (time + link
-// latency).
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // Nanoseconds reports t as a float64 count of nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
-// Std converts a virtual duration to a time.Duration, saturating on
-// overflow. Sub-nanosecond precision is truncated.
-func (d Duration) Std() time.Duration { return time.Duration(d / Nanosecond) }
-
-// FromStd converts a time.Duration to a virtual Duration.
-func FromStd(d time.Duration) Duration { return Duration(d) * Nanosecond }
 
 // Seconds reports d as a float64 count of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }

@@ -3,7 +3,6 @@ package vclock
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestAddSub(t *testing.T) {
@@ -83,47 +82,11 @@ func TestDurationString(t *testing.T) {
 	}
 }
 
-func TestStdConversion(t *testing.T) {
-	if got := (3 * Millisecond).Std(); got != 3*time.Millisecond {
-		t.Errorf("Std = %v", got)
-	}
-	if got := FromStd(2 * time.Microsecond); got != 2*Microsecond {
-		t.Errorf("FromStd = %v", got)
-	}
-}
-
 func TestHzString(t *testing.T) {
 	if got := (2 * GHz).String(); got != "2GHz" {
 		t.Errorf("got %q", got)
 	}
 	if got := (160 * MHz).String(); got != "160MHz" {
 		t.Errorf("got %q", got)
-	}
-}
-
-func TestSatAdd(t *testing.T) {
-	if got := Time(100).SatAdd(50); got != Time(150) {
-		t.Errorf("SatAdd = %v", got)
-	}
-	if got := Never.SatAdd(Nanosecond); got != Never {
-		t.Errorf("Never.SatAdd = %v, want Never", got)
-	}
-	if got := Time(Never - 1).SatAdd(Microsecond); got != Never {
-		t.Errorf("near-Never SatAdd = %v, want Never", got)
-	}
-	if got := Time(0).SatAdd(Duration(Never)); got != Never {
-		t.Errorf("SatAdd(Never-width) = %v, want Never", got)
-	}
-}
-
-func TestMinTime(t *testing.T) {
-	if got := MinTime(Time(3), Time(7)); got != Time(3) {
-		t.Errorf("MinTime = %v", got)
-	}
-	if got := MinTime(Never, Time(7)); got != Time(7) {
-		t.Errorf("MinTime(Never, 7) = %v", got)
-	}
-	if got := MinTime(Never, Never); got != Never {
-		t.Errorf("MinTime(Never, Never) = %v", got)
 	}
 }

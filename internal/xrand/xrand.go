@@ -61,14 +61,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63n returns a value in [0, n). It panics if n <= 0.
-func (s *Stream) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n with non-positive n")
-	}
-	return int64(s.Uint64() % uint64(n))
-}
-
 // Float64 returns a value in [0, 1).
 func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
