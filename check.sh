@@ -19,9 +19,14 @@ find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + |
 
 # One host kit (DESIGN.md §4): app.Env has one implementation (a second
 # SlipStream method under internal/ is a second Env growing back in an
-# engine).
+# engine), and so has the engine shell: one production file creates
+# threads (hostkit.Shell.Spawn, the only coro.NewThread call), and no
+# engine package declares a Reap of its own instead of the shell's.
 test "$(grep -rl '^func (.*) SlipStream(fn func())' internal --include='*.go' |
 	grep -v -e _test.go -e /testdata/ | wc -l)" -le 1
+test "$(grep -rl 'coro\.NewThread(' internal --include='*.go' |
+	grep -v -e _test.go -e /testdata/ | wc -l)" -le 1
+test -z "$(grep -rlE '^func \(.*\) Reap\(' internal/nex internal/exacthost --include='*.go' | grep -v _test.go)"
 
 # One device kit (DESIGN.md §4.4): the register switch and the IRQ
 # predicate each exist in exactly one production file (acceltest's

@@ -12,7 +12,8 @@
 //
 // -seeds N runs the benchmark under N consecutive seeds (a quick
 // robustness sweep); -parallel fans those independent runs across
-// workers via the internal/sweep executor.
+// workers via the internal/sweep executor. A sweep records no trace, so
+// -seeds N with -trace or -chrome-trace exits 2.
 package main
 
 import (
@@ -58,6 +59,10 @@ func main() {
 	}
 	if *benchName == "" {
 		fmt.Fprintln(os.Stderr, "nexsim: -bench is required (try -list)")
+		os.Exit(2)
+	}
+	if *seeds > 1 && (*showTrace || *chrome != "") {
+		fmt.Fprintln(os.Stderr, "nexsim: -seeds cannot be combined with -trace or -chrome-trace: a seed sweep records no trace")
 		os.Exit(2)
 	}
 	spec := experiments.Spec{Bench: *benchName, Host: *hostName, Accel: *accName,

@@ -31,11 +31,11 @@ func (s *System) RunPrefix(prog app.Program) (Result, bool) {
 		return s.Run(prog), true
 	}
 	start := time.Now() //simlint:allow nondet-time Result.WallTime is speed reporting, never simulation state
-	r, completed := s.nexEng.RunPrefix(prog)
+	simTime, completed := s.nexEng.RunPrefix(prog)
 	if !completed {
 		return Result{}, false
 	}
-	return must(s.finish(start, r.SimTime)), true
+	return must(s.finish(start, simTime)), true
 }
 
 // Checkpoint fingerprints the halted system into a blob. Two systems
@@ -74,5 +74,5 @@ func (s *System) ResumeRun() Result { return must(s.TryResume()) }
 // ErrBudgetExceeded.
 func (s *System) TryResume() (Result, error) {
 	start := time.Now() //simlint:allow nondet-time Result.WallTime is speed reporting, never simulation state
-	return s.finish(start, s.nexEng.ResumeRun().SimTime)
+	return s.finish(start, s.nexEng.ResumeRun())
 }

@@ -270,7 +270,7 @@ func TestResumedRunReportsWallSplit(t *testing.T) {
 // simulated time as a straight run.
 func TestTryResumeBudget(t *testing.T) {
 	const bench = "jpeg-decode"
-	budget := func(c *core.Config) { c.Budget.MaxEpochs = 1 }
+	budget := func(c *core.Config) { c.Budget.MaxSteps = 1 }
 
 	sys, prog := newSys(t, bench, budget)
 	_, straightErr := sys.TryRun(prog)

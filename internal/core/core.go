@@ -148,14 +148,10 @@ type Config struct {
 	Seed uint64
 }
 
-// Budget is a per-run watchdog: MaxEpochs caps NEX scheduler epochs
-// (the exact-time hosts apply it to event-queue steps, their closest
-// analogue), MaxWall caps host wall-clock time. Zero fields are
-// unlimited.
-type Budget struct {
-	MaxEpochs int64
-	MaxWall   time.Duration
-}
+// Budget is a per-run watchdog: MaxSteps caps the host engine's budget
+// unit (NEX scheduler epochs, the exact-time hosts' event-queue steps),
+// MaxWall caps host wall-clock time. Zero fields are unlimited.
+type Budget = hostkit.Budget
 
 // ErrBudgetExceeded reports a run aborted by its Budget. The abort is
 // cooperative and structured: the engine stops within one epoch (or
@@ -187,20 +183,20 @@ type System struct {
 	// Channels holds the SimBricks channels when UseChannel is set.
 	Channels []*simbricks.Channel
 	host     hostEngine
-	run      func(prog app.Program) vclock.Duration // host.Run, reduced to the simulated time
-	nexEng   *nex.Engine                            // == host under HostNEX, else nil
+	nexEng   *nex.Engine // == host under HostNEX, else nil
 	gem5CPU  *cpu.Model
 	caches   []*cachesim.Cache
 }
 
 // hostEngine is what a System needs of its host engine once it is
-// constructed; nex.Engine and exacthost.Engine both provide it. (Run is
-// not part of it only because the engines' Result types differ.)
+// constructed; nex.Engine and exacthost.Engine both provide it, the
+// first four methods through their embedded hostkit.Shell.
 type hostEngine interface {
 	Attach(*hostkit.Binding)
 	HostFor(*hostkit.Binding) accel.Host
 	BudgetExceeded() bool
 	Reap()
+	Run(app.Program) vclock.Duration
 }
 
 // Result reports one completed run.
@@ -319,25 +315,21 @@ func Build(cfg Config) *System {
 		ncfg.Memory = m
 		ncfg.Trace = cfg.Trace
 		ncfg.Seed = cfg.Seed
-		ncfg.MaxEpochs = cfg.Budget.MaxEpochs
-		ncfg.MaxWall = cfg.Budget.MaxWall
+		ncfg.Budget = cfg.Budget
 		ncfg.Faults = cfg.Faults
 		eng := nex.New(ncfg)
 		sys.host, sys.nexEng = eng, eng
-		sys.run = func(prog app.Program) vclock.Duration { return eng.Run(prog).SimTime }
 
 	case HostReference, HostGem5:
 		ecfg := exacthost.Config{
 			Clock: cfg.Clock, Cores: cfg.Cores, Memory: m, Trace: cfg.Trace,
-			MaxSteps: cfg.Budget.MaxEpochs, MaxWall: cfg.Budget.MaxWall,
+			Budget: cfg.Budget,
 		}
 		if cfg.Host == HostGem5 {
 			sys.gem5CPU = cpu.New(cpu.Config{Clock: cfg.Clock})
 			ecfg.Compute = sys.gem5CPU
 		}
-		eng := exacthost.New(ecfg)
-		sys.host = eng
-		sys.run = func(prog app.Program) vclock.Duration { return eng.Run(prog).SimTime }
+		sys.host = exacthost.New(ecfg)
 	}
 
 	for _, b := range binds {
@@ -398,7 +390,7 @@ func must(r Result, err error) Result {
 // (nothing leaks) and the partial Result is discarded.
 func (s *System) TryRun(prog app.Program) (Result, error) {
 	start := time.Now() //simlint:allow nondet-time Result.WallTime is speed reporting, never simulation state
-	return s.finish(start, s.run(prog))
+	return s.finish(start, s.host.Run(prog))
 }
 
 // finish turns one completed engine entry point (Run, RunPrefix run to

@@ -15,9 +15,7 @@ package exacthost
 
 import (
 	"fmt"
-	"time"
 
-	"nexsim/internal/accel"
 	"nexsim/internal/app"
 	"nexsim/internal/coro"
 	"nexsim/internal/eventq"
@@ -55,37 +53,25 @@ type Config struct {
 	Compute ComputeModel    // nil = NativeModel{Clock}
 	Memory  *mem.Memory     // nil = fresh memory
 	Trace   *trace.Recorder // optional
-	// MaxSteps aborts the run after this many event-queue steps — the
-	// exact engine's closest analogue of NEX's epoch budget (0 =
-	// unlimited). MaxWall aborts after this much host wall-clock time
-	// (0 = unlimited). An aborted engine sets BudgetExceeded; the
-	// caller must Reap it.
-	MaxSteps int64
-	MaxWall  time.Duration
+	// Budget aborts the run after MaxSteps event-queue steps — the exact
+	// engine's closest analogue of NEX's epochs — or MaxWall of host
+	// wall-clock time (zero fields = unlimited). An aborted engine sets
+	// BudgetExceeded; the caller must Reap it.
+	Budget hostkit.Budget
 }
 
 // Engine is an exact-time host simulator instance.
 type Engine struct {
+	hostkit.Shell
 	cfg     Config
-	mem     *mem.Memory
 	evq     eventq.Queue
-	env     hostkit.EnvConfig // shared by every thread's Env
-	dev     *hostkit.Complex
-	live    int
-	irqWait map[int][]*coro.Thread // vector -> waiters
-	irqPend map[int]int            // vector -> undelivered (sticky) interrupts
-	nextTID int
+	irqPend map[int]int // vector -> undelivered (sticky) interrupts
+	steps   int64       // event-queue steps taken (the budget unit)
 
 	// CFS state.
 	runq    []*tstate // runnable, waiting for a core, sorted by vruntime
 	running int       // threads currently holding cores
 	minvr   vclock.Duration
-
-	// Watchdog budget state.
-	threads   []*coro.Thread // every thread ever created (for Reap)
-	steps     int64          // event-queue steps taken
-	wallStart time.Time
-	exceeded  bool
 
 	// Statistics.
 	Interactions int64
@@ -118,90 +104,28 @@ func New(cfg Config) *Engine {
 	if cfg.Memory == nil {
 		cfg.Memory = mem.New(0x1000_0000)
 	}
-	e := &Engine{
-		cfg:     cfg,
-		mem:     cfg.Memory,
-		irqWait: make(map[int][]*coro.Thread),
-		irqPend: make(map[int]int),
-	}
-	e.dev = hostkit.NewComplex(cfg.Memory, e.RaiseIRQ)
-	e.env = hostkit.EnvConfig{
-		Clock: cfg.Clock, Devices: e.dev,
-		Now: func(*coro.Thread) vclock.Time { return e.evq.Now() },
-	}
+	e := &Engine{cfg: cfg, irqPend: make(map[int]int)}
+	e.Init(cfg.Memory, e.RaiseIRQ, hostkit.EnvConfig{
+		Clock: cfg.Clock,
+		Now:   func(*coro.Thread) vclock.Time { return e.evq.Now() },
+	}, cfg.Budget, cfg.Trace)
 	return e
-}
-
-// Mem returns the engine's simulated physical memory.
-func (e *Engine) Mem() *mem.Memory { return e.mem }
-
-// Attach registers a device binding. Must be called before Run.
-func (e *Engine) Attach(b *hostkit.Binding) { e.dev.Attach(b) }
-
-// HostFor returns the accel.Host through which a device bound by b
-// reaches this engine's memory system.
-func (e *Engine) HostFor(b *hostkit.Binding) accel.Host { return e.dev.HostFor(b) }
-
-// Result summarizes a completed run.
-type Result struct {
-	SimTime vclock.Duration
-	Threads int
 }
 
 // Run executes the program to completion (or until its budget is
 // exceeded — check BudgetExceeded and Reap on abort) and returns the
 // simulated time.
-func (e *Engine) Run(prog app.Program) Result {
-	main := e.newThread("main", prog.Main)
-	e.wakeAt(main, 0)
-	if e.cfg.MaxWall > 0 {
-		e.wallStart = time.Now() //simlint:allow nondet-time watchdog wall budget, never simulation state
-	}
+func (e *Engine) Run(prog app.Program) vclock.Duration {
+	s := &tstate{}
+	s.th = e.Spawn("main", prog.Main, s, &s.Warp)
+	e.wakeAt(s.th, 0)
+	e.StartWatchdog()
 	e.loop()
-	return Result{SimTime: e.evq.Now().Sub(0), Threads: e.nextTID}
-}
-
-// overBudget reports whether the run blew its step or wall budget. The
-// step bound is exact; the wall bound is amortized over 1024 steps.
-func (e *Engine) overBudget() bool {
-	e.steps++
-	if e.cfg.MaxSteps > 0 && e.steps > e.cfg.MaxSteps {
-		return true
-	}
-	if e.cfg.MaxWall > 0 && e.steps&1023 == 0 && time.Since(e.wallStart) > e.cfg.MaxWall { //simlint:allow nondet-time watchdog wall budget, never simulation state
-		return true
-	}
-	return false
-}
-
-// BudgetExceeded reports whether the last Run aborted on its budget.
-func (e *Engine) BudgetExceeded() bool { return e.exceeded }
-
-// Reap force-terminates every live thread goroutine of an abandoned run
-// (see coro.Kill). The engine must not be used afterwards.
-func (e *Engine) Reap() {
-	for _, th := range e.threads {
-		th.Kill()
-	}
-	e.live = 0
+	return e.evq.Now().Sub(0)
 }
 
 // Now returns current virtual time.
 func (e *Engine) Now() vclock.Time { return e.evq.Now() }
-
-func (e *Engine) newThread(name string, fn app.ThreadFunc) *coro.Thread {
-	id := e.nextTID
-	e.nextTID++
-	s := &tstate{}
-	th := coro.NewThread(id, fmt.Sprintf("%s#%d", name, id), func() {
-		fn(hostkit.NewEnv(&e.env, s.th, &s.Warp))
-	})
-	s.th = th
-	th.Data = s
-	e.threads = append(e.threads, th)
-	e.live++
-	return th
-}
 
 // wakeAt schedules th to contend for a core at time at.
 func (e *Engine) wakeAt(th *coro.Thread, at vclock.Time) {
@@ -279,7 +203,7 @@ func (e *Engine) continueCompute(th *coro.Thread, now vclock.Time, d vclock.Dura
 	end := now.Add(chunk)
 	s := st(th)
 	s.vruntime += chunk
-	e.traceSpan(th.Name, trace.Compute, now, end)
+	e.TraceSpan(th.Name, trace.Compute, now, end)
 	rem := d - chunk
 	e.evq.At(end, func(tn vclock.Time) {
 		if rem == 0 && len(e.runq) == 0 {
@@ -308,7 +232,7 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 		s := st(th)
 		switch r.Op {
 		case coro.OpExit:
-			e.live--
+			e.Live--
 			e.releaseCore(now)
 			return
 
@@ -322,13 +246,13 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 
 		case coro.OpInteract:
 			e.Interactions++
-			e.dev.Advance(now)
+			e.Dev.Advance(now)
 			cost := r.Interact(now)
 			if cost > 0 {
 				// The thread stalls on the interaction, holding its core
 				// (an MMIO read stalls the CPU).
 				end := now.Add(cost)
-				e.traceSpan(th.Name, trace.MMIO, now, end)
+				e.TraceSpan(th.Name, trace.MMIO, now, end)
 				s.vruntime += cost
 				e.evq.At(end, func(tn vclock.Time) { e.runThread(th, tn) })
 				return
@@ -349,7 +273,7 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 			continue
 
 		case coro.OpSleep:
-			e.traceSpan(th.Name, trace.Blocked, now, now.Add(r.Dur))
+			e.TraceSpan(th.Name, trace.Blocked, now, now.Add(r.Dur))
 			e.releaseCore(now)
 			e.wakeAt(th, now.Add(r.Dur))
 			return
@@ -359,9 +283,10 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 			if !ok {
 				panic("exacthost: spawn body is not an app.ThreadFunc")
 			}
-			nt := e.newThread(r.Name, body)
-			th.Spawned = nt
-			e.wakeAt(nt, now)
+			ns := &tstate{}
+			ns.th = e.Spawn(r.Name, body, ns, &ns.Warp)
+			th.Spawned = ns.th
+			e.wakeAt(ns.th, now)
 			continue
 
 		case coro.OpWaitIRQ:
@@ -373,7 +298,7 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 				continue
 			}
 			s.parked = true
-			e.irqWait[r.Vector] = append(e.irqWait[r.Vector], th)
+			e.WaitIRQ(r.Vector, th)
 			e.releaseCore(now)
 			return
 
@@ -417,13 +342,11 @@ func (e *Engine) unpark(target *coro.Thread, now vclock.Time) {
 // raise time (or now, if the raise time already passed).
 func (e *Engine) RaiseIRQ(at vclock.Time, vector int) {
 	e.IRQs++
-	waiters := e.irqWait[vector]
-	if len(waiters) == 0 {
+	th := e.Waiter(vector)
+	if th == nil {
 		e.irqPend[vector]++ // latch until someone waits
 		return
 	}
-	e.irqWait[vector] = waiters[1:]
-	th := waiters[0]
 	st(th).parked = false
 	wake := at
 	if now := e.evq.Now(); wake < now {
@@ -438,33 +361,29 @@ func (e *Engine) RaiseIRQ(at vclock.Time, vector int) {
 // next thread event before it runs, the earliest time the host could
 // observe them — so their internal events never pass through this loop.
 func (e *Engine) loop() {
-	for e.live > 0 {
-		if e.overBudget() {
-			e.exceeded = true
+	for e.Live > 0 {
+		if e.OverBudget(e.steps) {
 			return
 		}
+		e.steps++
 		tNext, okT := e.evq.NextTime()
-		dNext, okD := e.dev.NextInlineEvent()
+		dNext, okD := e.Dev.NextInlineEvent()
 		if okD && (!okT || dNext < tNext) {
-			e.dev.Advance(dNext)
+			e.Dev.Advance(dNext)
 			continue
 		}
 		if okT {
-			e.dev.Advance(tNext)
+			e.Dev.Advance(tNext)
 			e.evq.Step()
 			continue
 		}
 		// No thread events, no interrupt-capable device events: only a
 		// polling device can still act. Advance through its next event,
 		// or the run is deadlocked.
-		dNext, okD = e.dev.NextEvent()
+		dNext, okD = e.Dev.NextEvent()
 		if !okD {
 			panic("exacthost: deadlock — live threads but no pending events or device activity")
 		}
-		e.dev.Advance(dNext)
+		e.Dev.Advance(dNext)
 	}
-}
-
-func (e *Engine) traceSpan(comp string, k trace.Kind, a, b vclock.Time) {
-	e.cfg.Trace.Add(trace.Span{Component: comp, Kind: k, Start: a, End: b})
 }

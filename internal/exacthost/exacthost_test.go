@@ -11,7 +11,7 @@ import (
 
 const ms = vclock.Millisecond
 
-func run(t *testing.T, cores int, main app.ThreadFunc) Result {
+func run(t *testing.T, cores int, main app.ThreadFunc) vclock.Duration {
 	t.Helper()
 	e := New(Config{Cores: cores})
 	return e.Run(app.Program{Name: "test", Main: main})
@@ -22,8 +22,8 @@ func TestSingleThreadCompute(t *testing.T) {
 		e.ComputeFor(5 * ms)
 		e.ComputeFor(3 * ms)
 	})
-	if res.SimTime != 8*ms {
-		t.Fatalf("SimTime = %v, want 8ms", res.SimTime)
+	if res != 8*ms {
+		t.Fatalf("SimTime = %v, want 8ms", res)
 	}
 }
 
@@ -39,8 +39,8 @@ func TestParallelThreadsOverlap(t *testing.T) {
 		}
 		wg.Wait(e)
 	})
-	if res.SimTime != 10*ms {
-		t.Fatalf("SimTime = %v, want 10ms (parallel)", res.SimTime)
+	if res != 10*ms {
+		t.Fatalf("SimTime = %v, want 10ms (parallel)", res)
 	}
 }
 
@@ -56,8 +56,8 @@ func TestOversubscribedSerializes(t *testing.T) {
 		}
 		wg.Wait(e)
 	})
-	if res.SimTime != 20*ms {
-		t.Fatalf("SimTime = %v, want 20ms (1 core, 2 threads)", res.SimTime)
+	if res != 20*ms {
+		t.Fatalf("SimTime = %v, want 20ms (1 core, 2 threads)", res)
 	}
 }
 
@@ -77,8 +77,8 @@ func TestCFSSharesFairly(t *testing.T) {
 		}
 		wg.Wait(e)
 	})
-	if res.SimTime != 20*ms {
-		t.Fatalf("SimTime = %v, want 20ms", res.SimTime)
+	if res != 20*ms {
+		t.Fatalf("SimTime = %v, want 20ms", res)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestSleep(t *testing.T) {
 	res := run(t, 4, func(e app.Env) {
 		e.Sleep(7 * ms)
 	})
-	if res.SimTime != 7*ms {
-		t.Fatalf("SimTime = %v", res.SimTime)
+	if res != 7*ms {
+		t.Fatalf("SimTime = %v", res)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestMutexSerializes(t *testing.T) {
 		}
 		wg.Wait(e)
 	})
-	if res.SimTime != 10*ms {
-		t.Fatalf("SimTime = %v, want 10ms (critical sections serialized)", res.SimTime)
+	if res != 10*ms {
+		t.Fatalf("SimTime = %v, want 10ms (critical sections serialized)", res)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestBarrierSynchronizes(t *testing.T) {
 	if maxAfter != vclock.Time(3*ms) {
 		t.Fatalf("barrier released at %v, want 3ms", maxAfter)
 	}
-	if res.SimTime != 3*ms {
-		t.Fatalf("SimTime = %v", res.SimTime)
+	if res != 3*ms {
+		t.Fatalf("SimTime = %v", res)
 	}
 }
 
@@ -183,8 +183,8 @@ func TestJumpTCostsNothing(t *testing.T) {
 		})
 		e.ComputeFor(3 * ms)
 	})
-	if res.SimTime != 5*ms {
-		t.Fatalf("SimTime = %v, want 5ms", res.SimTime)
+	if res != 5*ms {
+		t.Fatalf("SimTime = %v, want 5ms", res)
 	}
 }
 
@@ -194,8 +194,8 @@ func TestCompressTScales(t *testing.T) {
 			e.ComputeFor(50 * ms)
 		})
 	})
-	if res.SimTime != 5*ms {
-		t.Fatalf("SimTime = %v, want 5ms (10x compression)", res.SimTime)
+	if res != 5*ms {
+		t.Fatalf("SimTime = %v, want 5ms (10x compression)", res)
 	}
 }
 
@@ -207,8 +207,8 @@ func TestNestedCompressT(t *testing.T) {
 			})
 		})
 	})
-	if res.SimTime != 10*ms {
-		t.Fatalf("SimTime = %v, want 10ms (2*5 compression)", res.SimTime)
+	if res != 10*ms {
+		t.Fatalf("SimTime = %v, want 10ms (2*5 compression)", res)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestDevicePolling(t *testing.T) {
 	}})
 	// Doorbell at 1us (after MMIO cost... write completes at 1us), device
 	// busy 10ms; polling discovers it on the poll after 10ms.
-	if res.SimTime < 10*ms || res.SimTime > 12*ms {
-		t.Fatalf("SimTime = %v, want ~10-12ms", res.SimTime)
+	if res < 10*ms || res > 12*ms {
+		t.Fatalf("SimTime = %v, want ~10-12ms", res)
 	}
 	if dev.Started != 1 {
 		t.Fatalf("device started %d tasks", dev.Started)
@@ -255,8 +255,8 @@ func TestDeviceIRQ(t *testing.T) {
 	// (t=0); the device is busy 10ms; the IRQ wakes the thread at 10ms,
 	// and the final status read adds one MMIO cost.
 	want := vclock.Duration(10*ms + 1*vclock.Microsecond)
-	if res.SimTime != want {
-		t.Fatalf("SimTime = %v, want %v", res.SimTime, want)
+	if res != want {
+		t.Fatalf("SimTime = %v, want %v", res, want)
 	}
 	if e.IRQs != 1 {
 		t.Fatalf("IRQs = %d", e.IRQs)
@@ -289,7 +289,7 @@ func TestDeterminism(t *testing.T) {
 				wg.Done(we)
 			})
 			wg.Wait(env)
-		}}).SimTime
+		}})
 	}
 	a, b := runOnce(), runOnce()
 	if a != b {

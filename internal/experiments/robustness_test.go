@@ -173,7 +173,7 @@ func TestFaultSpecAddressing(t *testing.T) {
 
 // TestBudgetExceeded pins the watchdog on both host engines: an
 // over-budget run returns a structured core.ErrBudgetExceeded instead
-// of wedging, on the epoch budget and on the wall budget.
+// of wedging, on the step budget and on the wall budget of each.
 func TestBudgetExceeded(t *testing.T) {
 	cases := []struct {
 		name string
@@ -183,6 +183,9 @@ func TestBudgetExceeded(t *testing.T) {
 		{"nex-epochs", Spec{Bench: "jpeg-decode", EpochNS: 1000, MaxEpochs: 1}, 0},
 		{"reference-steps", Spec{Bench: "npb-ep.8", Host: "reference", MaxEpochs: 1}, 0},
 		{"nex-wall", Spec{Bench: "jpeg-decode", EpochNS: 1000}, time.Nanosecond},
+		// The watchdog reads the wall clock once every 64 event-queue
+		// steps; npb-cg.4 takes about 1,400, so the check is reached.
+		{"reference-wall", Spec{Bench: "npb-cg.4", Host: "reference"}, time.Nanosecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

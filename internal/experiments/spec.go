@@ -267,7 +267,7 @@ func faultPlan(n Spec) []faults.Fault {
 // seed derives from the spec seed, so the same spec re-fires the same
 // schedule; attempt distinguishes retries.
 func applyRobustness(cfg *core.Config, n Spec, attempt int, wall time.Duration) {
-	cfg.Budget.MaxEpochs = n.MaxEpochs
+	cfg.Budget.MaxSteps = n.MaxEpochs
 	cfg.Budget.MaxWall = wall
 	if len(n.Faults) > 0 {
 		cfg.Faults = faults.NewInjector(n.Seed, attempt, faultPlan(n))

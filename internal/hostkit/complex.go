@@ -9,11 +9,15 @@
 //     fast-forward (NextEvent, NextInlineEvent) calls;
 //   - the thread environment (NewEnv): the one app.Env implementation
 //     over coro.Thread;
-//   - the time-warp state (Warp) behind CompressT/JumpT/SlipStream.
+//   - the time-warp state (Warp) behind CompressT/JumpT/SlipStream;
+//   - the engine shell (Shell), which both engines embed: the thread
+//     table with Spawn and Reap, the interrupt wait lists, the budget
+//     watchdog (Budget, OverBudget, BudgetExceeded) and the trace guard.
 //
 // The engines (nex, exacthost) keep what is theirs: the scheduler, the
 // interrupt-delivery policy (handed to the complex as a RaiseIRQ
-// function), the budget unit, and NEX's prefix halt.
+// function), what counts as a budget step (NEX epochs, event-queue
+// steps), and NEX's prefix halt.
 package hostkit
 
 import (

@@ -1,0 +1,141 @@
+package hostkit
+
+import (
+	"fmt"
+	"time"
+
+	"nexsim/internal/accel"
+	"nexsim/internal/app"
+	"nexsim/internal/coro"
+	"nexsim/internal/mem"
+	"nexsim/internal/trace"
+	"nexsim/internal/vclock"
+)
+
+// Budget is a per-run watchdog. MaxSteps caps the engine's budget unit
+// (NEX scheduler epochs, exact-host event-queue steps), MaxWall caps
+// host wall-clock time. Zero fields are unlimited.
+type Budget struct {
+	MaxSteps int64
+	MaxWall  time.Duration
+}
+
+// Shell is the part of a host engine that does not depend on how it
+// schedules: the device complex, the thread table, the interrupt wait
+// lists and the budget watchdog. nex.Engine and exacthost.Engine embed
+// it and add their scheduler. All methods run on the engine goroutine.
+type Shell struct {
+	Dev     *Complex
+	Threads []*coro.Thread // every thread created, in creation order; a thread's ID is its index
+	Live    int            // threads that have not exited
+
+	env     EnvConfig
+	irqWait map[int][]*coro.Thread // vector -> threads parked in WaitIRQ, oldest first
+	trace   *trace.Recorder
+
+	budget    Budget
+	ticks     int64 // OverBudget calls under a wall budget
+	wallStart time.Time
+	exceeded  bool
+}
+
+// Init sets the shell up over the engine's memory. raise is the
+// engine's interrupt-delivery policy (see NewComplex); env is what
+// every thread's Env shares, its Devices filled in here.
+func (k *Shell) Init(m *mem.Memory, raise func(at vclock.Time, vector int), env EnvConfig, b Budget, tr *trace.Recorder) {
+	k.Dev = NewComplex(m, raise)
+	env.Devices = k.Dev
+	k.env, k.budget, k.trace = env, b, tr
+	k.irqWait = make(map[int][]*coro.Thread)
+}
+
+// Mem returns the engine's simulated physical memory.
+func (k *Shell) Mem() *mem.Memory { return k.Dev.mem }
+
+// Attach registers a device binding; must precede the run.
+func (k *Shell) Attach(b *Binding) { k.Dev.Attach(b) }
+
+// HostFor returns the accel.Host through which the device bound by b
+// reaches the engine.
+func (k *Shell) HostFor(b *Binding) accel.Host { return k.Dev.HostFor(b) }
+
+// Spawn creates a live thread running fn, named "name#id". data is the
+// engine's per-thread state (coro.Thread.Data) and w the warp state
+// embedded in it.
+func (k *Shell) Spawn(name string, fn app.ThreadFunc, data any, w *Warp) *coro.Thread {
+	id := len(k.Threads)
+	var th *coro.Thread
+	th = coro.NewThread(id, fmt.Sprintf("%s#%d", name, id), func() {
+		fn(NewEnv(&k.env, th, w))
+	})
+	th.Data = data
+	k.Threads = append(k.Threads, th)
+	k.Live++
+	return th
+}
+
+// WaitIRQ queues th, parked, on vector's wait list.
+func (k *Shell) WaitIRQ(vector int, th *coro.Thread) {
+	k.irqWait[vector] = append(k.irqWait[vector], th)
+}
+
+// Waiter dequeues the longest-waiting thread on vector, or returns nil.
+func (k *Shell) Waiter(vector int) *coro.Thread {
+	w := k.irqWait[vector]
+	if len(w) == 0 {
+		return nil
+	}
+	k.irqWait[vector] = w[1:]
+	return w[0]
+}
+
+// StartWatchdog anchors the wall budget at run (or resume) start.
+func (k *Shell) StartWatchdog() {
+	if k.budget.MaxWall > 0 {
+		k.wallStart = time.Now() //simlint:allow nondet-time watchdog wall budget, never simulation state
+	}
+}
+
+// OverBudget reports whether the run has spent its budget, latching
+// BudgetExceeded when it has. steps, the budget units the engine has
+// taken so far, is checked exactly; the wall clock is read once every
+// 64 calls, keeping the engine loop syscall-free.
+func (k *Shell) OverBudget(steps int64) bool {
+	if k.budget.MaxSteps > 0 && steps >= k.budget.MaxSteps {
+		k.exceeded = true
+	} else if k.budget.MaxWall > 0 {
+		k.ticks++
+		k.exceeded = k.ticks&63 == 0 && time.Since(k.wallStart) > k.budget.MaxWall //simlint:allow nondet-time watchdog wall budget, never simulation state
+	}
+	return k.exceeded
+}
+
+// BudgetExceeded reports whether the last run aborted on its budget. An
+// exceeded engine holds live parked thread goroutines until Reap.
+func (k *Shell) BudgetExceeded() bool { return k.exceeded }
+
+// Reap force-terminates every live thread goroutine of an abandoned run
+// (see coro.Kill). The engine must not be used afterwards.
+func (k *Shell) Reap() {
+	for _, th := range k.Threads {
+		th.Kill()
+	}
+	k.Live = 0
+}
+
+// TraceSpan records one span on a traced run. The nil test comes before
+// the Span is built: an untraced run otherwise pays for constructing the
+// value at every compute chunk only for Add to drop it.
+func (k *Shell) TraceSpan(comp string, kind trace.Kind, a, b vclock.Time) {
+	if k.trace != nil {
+		k.addSpan(comp, kind, a, b)
+	}
+}
+
+// addSpan is kept out of line so that TraceSpan — the guard — stays
+// inside the inliner's budget at the engines' call sites.
+//
+//go:noinline
+func (k *Shell) addSpan(comp string, kind trace.Kind, a, b vclock.Time) {
+	k.trace.Add(trace.Span{Component: comp, Kind: kind, Start: a, End: b})
+}

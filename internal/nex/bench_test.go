@@ -49,7 +49,7 @@ func benchEpochLoop(b *testing.B, threads int) {
 	for i := 0; i < b.N; i++ {
 		eng := New(Config{VirtualCores: 16, Seed: 42})
 		r := eng.Run(benchProgram(threads, 64))
-		if r.SimTime <= 0 {
+		if r <= 0 {
 			b.Fatal("no simulated time")
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkEpochLoop_MostlyParked(b *testing.B) {
 				wg.Wait(e)
 			},
 		}
-		if r := eng.Run(prog); r.SimTime <= 0 {
+		if r := eng.Run(prog); r <= 0 {
 			b.Fatal("no simulated time")
 		}
 	}

@@ -14,11 +14,10 @@ import (
 // when a checkpoint halt is armed — until the prefix boundary freezes
 // the engine mid-epoch (e.frame set; see snapshot.go).
 func (e *Engine) loop() {
-	for e.live > 0 {
-		if e.overBudget() {
+	for e.Live > 0 {
+		if e.OverBudget(e.epochIdx) {
 			// Structured abort: within one epoch of the bound (the epoch
 			// check is exact), leaving threads parked for Reap.
-			e.exceeded = true
 			return
 		}
 		minWake := e.minWake()
@@ -33,11 +32,11 @@ func (e *Engine) loop() {
 				e.deliverIRQs(e.roundUp(e.now))
 				continue
 			}
-			devNext, okD := e.dev.NextEvent()
+			devNext, okD := e.Dev.NextEvent()
 			if !okD {
 				panic("nex: deadlock — live threads, no wakes, idle devices")
 			}
-			e.dev.Advance(devNext)
+			e.Dev.Advance(devNext)
 			e.deliverIRQs(e.roundUp(devNext))
 			continue
 		}
@@ -57,7 +56,7 @@ func (e *Engine) loop() {
 			// their interval boundaries inside the gap.
 			if e.cfg.Mode == Hybrid {
 				for e.nextSync < start {
-					e.dev.Advance(e.nextSync)
+					e.Dev.Advance(e.nextSync)
 					e.Stats.Syncs++
 					e.deliverIRQs(e.nextSync)
 					e.nextSync += vclock.Time(e.cfg.SyncInterval)
@@ -76,9 +75,6 @@ func (e *Engine) loop() {
 		selected := runnable
 		if len(runnable) > e.cfg.VirtualCores {
 			selected = e.policy.Select(e.epochIdx, runnable, e.cfg.VirtualCores)
-			if len(selected) > e.cfg.VirtualCores {
-				selected = selected[:e.cfg.VirtualCores]
-			}
 		}
 		end := start.Add(e.epochLen(selected))
 
@@ -94,7 +90,7 @@ func (e *Engine) loop() {
 				e.frame.end = end
 				return
 			}
-			if e.live == 0 {
+			if e.Live == 0 {
 				break
 			}
 		}
@@ -118,7 +114,7 @@ func (e *Engine) endEpoch(selected []*coro.Thread, start, end vclock.Time) {
 			}
 		}
 		if newEnd < end {
-			for _, th := range e.threads {
+			for _, th := range e.Threads {
 				s := st(th)
 				if !s.exited && !s.parked && s.wakeAt == end {
 					s.wakeAt = newEnd
@@ -137,12 +133,12 @@ func (e *Engine) endEpoch(selected []*coro.Thread, start, end vclock.Time) {
 	// Epoch-boundary synchronization per mode (§3.1).
 	switch e.cfg.Mode {
 	case Eager:
-		e.dev.Advance(end)
+		e.Dev.Advance(end)
 		e.Stats.Syncs++
 		e.deliverIRQs(end)
 	case Hybrid:
 		if end >= e.nextSync {
-			e.dev.Advance(end)
+			e.Dev.Advance(end)
 			e.Stats.Syncs++
 			e.deliverIRQs(end)
 			for e.nextSync <= end {
@@ -167,7 +163,7 @@ func (e *Engine) endEpoch(selected []*coro.Thread, start, end vclock.Time) {
 //simlint:hotpath scanned once per epoch
 func (e *Engine) minWake() vclock.Time {
 	min := vclock.Never
-	for _, th := range e.threads {
+	for _, th := range e.Threads {
 		s := st(th)
 		if !s.exited && !s.parked && s.wakeAt < min {
 			min = s.wakeAt
@@ -181,7 +177,7 @@ func (e *Engine) minWake() vclock.Time {
 // callers must not retain the result past the next call.
 func (e *Engine) runnableAt(t vclock.Time) []*coro.Thread {
 	out := e.runnableBuf[:0]
-	for _, th := range e.threads {
+	for _, th := range e.Threads {
 		s := st(th)
 		if !s.exited && !s.parked && s.wakeAt <= t {
 			out = append(out, th)
@@ -210,7 +206,7 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			s.vruntime += step
 			if s.deficit > 0 {
 				// Epoch exhausted mid-segment; continue next epoch.
-				e.traceSpan(th.Name, trace.Compute, segStart, cursor)
+				e.TraceSpan(th.Name, trace.Compute, segStart, cursor)
 				s.wakeAt = end
 				s.cursor = cursor
 				return false
@@ -228,11 +224,11 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 		case coro.OpExit:
 			s.exited = true
 			s.wakeAt = vclock.Never
-			e.live--
+			e.Live--
 			if cursor > e.finishT {
 				e.finishT = cursor
 			}
-			e.traceSpan(th.Name, trace.Compute, segStart, cursor)
+			e.TraceSpan(th.Name, trace.Compute, segStart, cursor)
 			return false
 
 		case coro.OpAdvance:
@@ -256,7 +252,7 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			}
 			s.parked = true
 			s.wakeAt = vclock.Never
-			e.traceSpan(th.Name, trace.Compute, segStart, cursor)
+			e.TraceSpan(th.Name, trace.Compute, segStart, cursor)
 			return false
 
 		case coro.OpUnpark:
@@ -270,7 +266,7 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 
 		case coro.OpSleep:
 			s.wakeAt = cursor.Add(r.Dur)
-			e.traceSpan(th.Name, trace.Blocked, cursor, s.wakeAt)
+			e.TraceSpan(th.Name, trace.Blocked, cursor, s.wakeAt)
 			return false
 
 		case coro.OpSpawn:
@@ -278,14 +274,13 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			if !ok {
 				panic("nex: spawn body is not an app.ThreadFunc")
 			}
-			nt := e.newThread(r.Name, body)
-			st(nt).wakeAt = end
-			th.Spawned = nt
+			ns := &tstate{wakeAt: end}
+			th.Spawned = e.Spawn(r.Name, body, ns, &ns.Warp)
 
 		case coro.OpWaitIRQ:
 			s.parked = true
 			s.wakeAt = vclock.Never
-			e.irqWait[r.Vector] = append(e.irqWait[r.Vector], th)
+			e.WaitIRQ(r.Vector, th)
 			return false
 
 		case coro.OpWarp:
@@ -314,7 +309,7 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 // device MMIO window. Task-buffer traps (plain memory) don't qualify —
 // they leave device state untouched.
 func (e *Engine) deviceTouch(r coro.Request) bool {
-	return r.Op == coro.OpInteract && !r.Light && e.dev.Lookup(mem.Addr(r.Addr)) != nil
+	return r.Op == coro.OpInteract && !r.Light && e.Dev.Lookup(mem.Addr(r.Addr)) != nil
 }
 
 // trap resolves a trapping interaction at its exact virtual time and
@@ -325,9 +320,9 @@ func (e *Engine) deviceTouch(r coro.Request) bool {
 func (e *Engine) trap(th *coro.Thread, cursor, end vclock.Time, r coro.Request) {
 	e.Stats.Traps++
 	cursor = e.dispatchFault(cursor)
-	e.dev.Advance(cursor)
+	e.Dev.Advance(cursor)
 	cost := r.Interact(cursor)
-	e.traceSpan(th.Name, trace.MMIO, cursor, cursor.Add(cost))
+	e.TraceSpan(th.Name, trace.MMIO, cursor, cursor.Add(cost))
 	cursor = cursor.Add(cost)
 	st(th).wakeAt = max(end, cursor)
 }
@@ -383,16 +378,14 @@ func (e *Engine) deliverIRQs(boundary vclock.Time) {
 	}
 	remaining := e.pending[:0]
 	for _, p := range e.pending {
-		waiters := e.irqWait[p.vector]
-		if len(waiters) == 0 {
+		th := e.Waiter(p.vector)
+		if th == nil {
 			// No waiter yet: keep the interrupt pending (drivers would
 			// otherwise lose the wakeup between checking the status
 			// register and blocking).
 			remaining = append(remaining, p)
 			continue
 		}
-		th := waiters[0]
-		e.irqWait[p.vector] = waiters[1:]
 		s := st(th)
 		s.parked = false
 		wake := boundary
@@ -403,21 +396,4 @@ func (e *Engine) deliverIRQs(boundary vclock.Time) {
 		e.Stats.IRQs++
 	}
 	e.pending = remaining
-}
-
-// traceSpan records one span on a traced run. The nil test comes before
-// the Span is built: an untraced run otherwise pays for constructing the
-// value once per thread-epoch only for Add to drop it.
-func (e *Engine) traceSpan(comp string, k trace.Kind, a, b vclock.Time) {
-	if e.cfg.Trace != nil {
-		e.addSpan(comp, k, a, b)
-	}
-}
-
-// addSpan is kept out of line so that traceSpan — the guard — stays
-// inside the inliner's budget at its once-per-thread-epoch call sites.
-//
-//go:noinline
-func (e *Engine) addSpan(comp string, k trace.Kind, a, b vclock.Time) {
-	e.cfg.Trace.Add(trace.Span{Component: comp, Kind: k, Start: a, End: b})
 }

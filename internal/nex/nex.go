@@ -28,10 +28,6 @@
 package nex
 
 import (
-	"fmt"
-	"time"
-
-	"nexsim/internal/accel"
 	"nexsim/internal/app"
 	"nexsim/internal/coro"
 	"nexsim/internal/faults"
@@ -109,12 +105,10 @@ type Config struct {
 	CalSigma   float64
 	RefillLoss vclock.Duration
 
-	// MaxEpochs aborts the run after this many scheduler epochs (0 =
-	// unlimited). MaxWall aborts after this much host wall-clock time,
-	// checked every few loop iterations (0 = unlimited). An aborted
+	// Budget aborts the run after MaxSteps scheduler epochs or MaxWall
+	// of host wall-clock time (zero fields = unlimited). An aborted
 	// engine sets BudgetExceeded; the caller must Reap it.
-	MaxEpochs int64
-	MaxWall   time.Duration
+	Budget hostkit.Budget
 
 	// Faults is the per-run fault injector (nil = none). Device-bound
 	// traps cross the device.dispatch site.
@@ -163,18 +157,12 @@ func (s Stats) ModeledWall(epoch vclock.Duration) vclock.Duration {
 
 // Engine is one NEX orchestrator instance.
 type Engine struct {
+	hostkit.Shell
 	cfg Config
-	mem *mem.Memory
-	env hostkit.EnvConfig // shared by every thread's Env, derived from cfg in New
-	dev *hostkit.Complex
 	// policy is the complementary scheduling policy (§3.3, §A.1): when
 	// more threads are runnable than virtual cores, it picks which run.
 	policy *FairPolicy
 
-	threads []*coro.Thread
-	live    int
-	nextTID int
-	irqWait map[int][]*coro.Thread
 	pending []pendingIRQ
 	// runnableBuf is runnableAt's reusable scratch slice; its contents
 	// are only live until the next epoch's scan.
@@ -193,13 +181,6 @@ type Engine struct {
 	// processed.
 	haltArmed bool
 	frame     *haltFrame
-
-	// Watchdog budget state: loopTicks counts loop iterations (for the
-	// amortized wall check), wallStart anchors MaxWall, exceeded latches
-	// a budget abort.
-	loopTicks int64
-	wallStart time.Time
-	exceeded  bool
 
 	Stats Stats
 }
@@ -222,7 +203,6 @@ type pendingIRQ struct {
 
 // tstate is NEX's per-thread state.
 type tstate struct {
-	th       *coro.Thread
 	wakeAt   vclock.Time // earliest epoch start the thread may run at
 	parked   bool
 	pending  bool
@@ -262,24 +242,17 @@ func New(cfg Config) *Engine {
 		cfg.RefillLoss = 12 * vclock.Nanosecond
 	}
 	rng := xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
-	e := &Engine{
-		cfg:     cfg,
-		mem:     cfg.Memory,
-		policy:  NewFairPolicy(cfg.Epoch),
-		irqWait: make(map[int][]*coro.Thread),
-	}
+	e := &Engine{cfg: cfg, policy: NewFairPolicy(cfg.Epoch)}
 	// Interrupt policy: a raised interrupt stays pending until the next
-	// delivery boundary (deliverIRQs).
-	e.dev = hostkit.NewComplex(cfg.Memory, func(at vclock.Time, vector int) {
+	// delivery boundary (deliverIRQs). gettimeofday-style queries return
+	// the thread's epoch-relative virtual time, matching the paper's
+	// LD_PRELOAD interposition of clock_gettime (§3.2).
+	e.Init(cfg.Memory, func(at vclock.Time, vector int) {
 		e.pending = append(e.pending, pendingIRQ{at: at, vector: vector})
-	})
-	// gettimeofday-style queries return the thread's epoch-relative
-	// virtual time, matching the paper's LD_PRELOAD interposition of
-	// clock_gettime (§3.2).
-	e.env = hostkit.EnvConfig{
-		Clock: cfg.Clock, Devices: e.dev, LightTasks: cfg.TickMode,
+	}, hostkit.EnvConfig{
+		Clock: cfg.Clock, LightTasks: cfg.TickMode,
 		Now: func(th *coro.Thread) vclock.Time { return st(th).cursor },
-	}
+	}, cfg.Budget, cfg.Trace)
 	// Systematic calibration bias: the δ calibration constant is close
 	// but not perfect, so native-time accounting carries a small
 	// engine-wide multiplicative error.
@@ -293,94 +266,31 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Mem returns the simulated physical memory.
-func (e *Engine) Mem() *mem.Memory { return e.mem }
-
-// Attach registers a device binding; must precede Run.
-func (e *Engine) Attach(b *hostkit.Binding) { e.dev.Attach(b) }
-
-// HostFor returns the accel.Host for a binding.
-func (e *Engine) HostFor(b *hostkit.Binding) accel.Host { return e.dev.HostFor(b) }
-
-// Result summarizes a run.
-type Result struct {
-	SimTime vclock.Duration
-	Threads int
-	Stats   Stats
-}
-
 // Run executes the program to completion (or until its budget is
-// exceeded — check BudgetExceeded and Reap on abort).
-func (e *Engine) Run(prog app.Program) Result {
-	st(e.newThread("main", prog.Main)).wakeAt = 0
-	e.nextSync = vclock.Time(e.cfg.SyncInterval)
-	e.startWatchdog()
+// exceeded — check BudgetExceeded and Reap on abort) and returns the
+// simulated time.
+func (e *Engine) Run(prog app.Program) vclock.Duration {
+	e.start(prog)
 	e.loop()
-	return e.result()
+	return e.simTime()
 }
 
-// startWatchdog anchors the wall-clock budget at run (or resume) start.
-func (e *Engine) startWatchdog() {
-	if e.cfg.MaxWall > 0 {
-		e.wallStart = time.Now() //simlint:allow nondet-time watchdog wall budget, never simulation state
-	}
+// start spawns prog's main thread, runnable at time zero, and anchors
+// the watchdog.
+func (e *Engine) start(prog app.Program) {
+	s := &tstate{}
+	e.Spawn("main", prog.Main, s, &s.Warp)
+	e.nextSync = vclock.Time(e.cfg.SyncInterval)
+	e.StartWatchdog()
 }
 
-// overBudget reports whether the run blew its epoch or wall budget. The
-// epoch bound is exact (checked at every loop turn); the wall bound is
-// amortized over 64 loop iterations to keep the hot path syscall-free.
-func (e *Engine) overBudget() bool {
-	if e.cfg.MaxEpochs > 0 && e.epochIdx >= e.cfg.MaxEpochs {
-		return true
-	}
-	if e.cfg.MaxWall > 0 {
-		e.loopTicks++
-		if e.loopTicks&63 == 0 && time.Since(e.wallStart) > e.cfg.MaxWall { //simlint:allow nondet-time watchdog wall budget, never simulation state
-			return true
-		}
-	}
-	return false
-}
-
-// BudgetExceeded reports whether the last Run/ResumeRun aborted on its
-// budget. An exceeded engine holds live parked thread goroutines until
-// Reap is called.
-func (e *Engine) BudgetExceeded() bool { return e.exceeded }
-
-// Reap force-terminates every live thread goroutine of an abandoned run
-// (see coro.Kill). The engine must not be used afterwards.
-func (e *Engine) Reap() {
-	for _, th := range e.threads {
-		th.Kill()
-	}
-	e.live = 0
-}
-
-func (e *Engine) result() Result {
-	return Result{SimTime: vclock.Duration(e.lastActivity()), Threads: e.nextTID, Stats: e.Stats}
-}
-
-// lastActivity returns the virtual time of the last thread activity; the
+// simTime returns the virtual time of the last thread activity; the
 // engine's `now` may have been rounded up to an epoch boundary past it.
-func (e *Engine) lastActivity() vclock.Time {
+func (e *Engine) simTime() vclock.Duration {
 	if e.finishT > 0 {
-		return e.finishT
+		return vclock.Duration(e.finishT)
 	}
-	return e.now
-}
-
-func (e *Engine) newThread(name string, fn app.ThreadFunc) *coro.Thread {
-	id := e.nextTID
-	e.nextTID++
-	s := &tstate{wakeAt: vclock.Never}
-	th := coro.NewThread(id, fmt.Sprintf("%s#%d", name, id), func() {
-		fn(hostkit.NewEnv(&e.env, s.th, &s.Warp))
-	})
-	s.th = th
-	th.Data = s
-	e.threads = append(e.threads, th)
-	e.live++
-	return th
+	return vclock.Duration(e.now)
 }
 
 // epochLen returns the duration of the epoch the selected threads are

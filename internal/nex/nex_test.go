@@ -45,12 +45,12 @@ func TestSingleThreadComputeEpochAccounting(t *testing.T) {
 		env.ComputeFor(10 * us)
 	}})
 	// 10us of compute at 1us epochs: exactly 10us (epochs tile segments).
-	if res.SimTime < 10*us || res.SimTime > 10*us+us/100 {
-		t.Fatalf("SimTime = %v, want ~10us", res.SimTime)
+	if res < 10*us || res > 10*us+us/100 {
+		t.Fatalf("SimTime = %v, want ~10us", res)
 	}
 	// 10 compute epochs plus the epoch in which the exit is observed.
-	if res.Stats.Epochs != 11 {
-		t.Fatalf("Epochs = %d, want 11", res.Stats.Epochs)
+	if e.Stats.Epochs != 11 {
+		t.Fatalf("Epochs = %d, want 11", e.Stats.Epochs)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestErrorModelProducesSmallBias(t *testing.T) {
 	res := e.Run(app.Program{Main: func(env app.Env) {
 		env.ComputeFor(10 * ms)
 	}})
-	err := math.Abs(res.SimTime.Seconds()-(10*ms).Seconds()) / (10 * ms).Seconds()
+	err := math.Abs(res.Seconds()-(10*ms).Seconds()) / (10 * ms).Seconds()
 	if err == 0 {
 		t.Fatal("error model inert")
 	}
@@ -75,7 +75,7 @@ func TestErrorModelDeterministicPerSeed(t *testing.T) {
 		e := New(Config{Epoch: 1 * us, Seed: seed})
 		return e.Run(app.Program{Main: func(env app.Env) {
 			env.ComputeFor(1 * ms)
-		}}).SimTime
+		}})
 	}
 	if run(1) != run(1) {
 		t.Fatal("same seed differs")
@@ -166,7 +166,7 @@ func TestEpochDurationSpeedAccuracyTradeoff(t *testing.T) {
 			}
 			wg.Wait(env)
 		}})
-		return res.SimTime, res.Stats.Epochs
+		return res, e.Stats.Epochs
 	}
 	t1, e1 := barrierHeavy(1 * us)
 	t4, e4 := barrierHeavy(4 * us)
@@ -193,8 +193,8 @@ func TestOversubscriptionUsesPolicy(t *testing.T) {
 		wg.Wait(env)
 	}})
 	// 4 threads, 2 virtual cores, 100us each: ~200us total.
-	if res.SimTime < 195*us || res.SimTime > 215*us {
-		t.Fatalf("SimTime = %v, want ~200us", res.SimTime)
+	if res < 195*us || res > 215*us {
+		t.Fatalf("SimTime = %v, want ~200us", res)
 	}
 }
 
@@ -205,8 +205,8 @@ func TestJumpTZeroVirtualCost(t *testing.T) {
 		env.JumpT(func() { env.ComputeFor(100 * ms) })
 		env.ComputeFor(5 * us)
 	}})
-	if res.SimTime > 11*us {
-		t.Fatalf("SimTime = %v; JumpT leaked virtual time", res.SimTime)
+	if res > 11*us {
+		t.Fatalf("SimTime = %v; JumpT leaked virtual time", res)
 	}
 }
 
@@ -215,22 +215,23 @@ func TestCompressT(t *testing.T) {
 	res := e.Run(app.Program{Main: func(env app.Env) {
 		env.CompressT(10, func() { env.ComputeFor(100 * us) })
 	}})
-	if res.SimTime < 10*us || res.SimTime > 11*us {
-		t.Fatalf("SimTime = %v, want ~10us", res.SimTime)
+	if res < 10*us || res > 11*us {
+		t.Fatalf("SimTime = %v, want ~10us", res)
 	}
 }
 
 func TestSlipStreamReducesEpochs(t *testing.T) {
 	run := func(slip bool) int64 {
 		e := newExact(t, exactCfg())
-		return e.Run(app.Program{Main: func(env app.Env) {
+		e.Run(app.Program{Main: func(env app.Env) {
 			body := func() { env.ComputeFor(5 * ms) }
 			if slip {
 				env.SlipStream(body)
 			} else {
 				body()
 			}
-		}}).Stats.Epochs
+		}})
+		return e.Stats.Epochs
 	}
 	normal, slipped := run(false), run(true)
 	if slipped >= normal/100 {
@@ -257,17 +258,17 @@ func TestTrapQuantization(t *testing.T) {
 			env.Sleep(2 * us)
 		}
 	}})
-	if res.Stats.Traps == 0 {
+	if e.Stats.Traps == 0 {
 		t.Fatal("no traps recorded")
 	}
 	// Polling loop: ~20us busy / 2us polls => ~7+ traps, and the total
 	// time exceeds the exact 20us because every trap burns epoch
 	// remainder + MMIO cost.
-	if res.SimTime < 20*us {
-		t.Fatalf("SimTime = %v < busy time", res.SimTime)
+	if res < 20*us {
+		t.Fatalf("SimTime = %v < busy time", res)
 	}
-	if res.SimTime > 45*us {
-		t.Fatalf("SimTime = %v, trap overhead implausible", res.SimTime)
+	if res > 45*us {
+		t.Fatalf("SimTime = %v, trap overhead implausible", res)
 	}
 }
 
@@ -283,13 +284,13 @@ func TestHybridDeliversIRQs(t *testing.T) {
 	}})
 	// Doorbell ~t=0, busy 33us, IRQ raised at ~33us, delivered at the
 	// next 10us interval boundary: 40us.
-	if res.SimTime < 33*us || res.SimTime > 52*us {
-		t.Fatalf("SimTime = %v, want IRQ delivered at interval boundary after 33us", res.SimTime)
+	if res < 33*us || res > 52*us {
+		t.Fatalf("SimTime = %v, want IRQ delivered at interval boundary after 33us", res)
 	}
-	if res.Stats.IRQs != 1 {
-		t.Fatalf("IRQs = %d", res.Stats.IRQs)
+	if e.Stats.IRQs != 1 {
+		t.Fatalf("IRQs = %d", e.Stats.IRQs)
 	}
-	if res.Stats.Syncs == 0 {
+	if e.Stats.Syncs == 0 {
 		t.Fatal("hybrid mode performed no periodic syncs")
 	}
 }
@@ -302,8 +303,8 @@ func TestEagerSyncsEveryEpoch(t *testing.T) {
 	res := e.Run(app.Program{Main: func(env app.Env) {
 		env.ComputeFor(10 * us)
 	}})
-	if res.Stats.Syncs < 9 {
-		t.Fatalf("Syncs = %d, want one per epoch", res.Stats.Syncs)
+	if e.Stats.Syncs < 9 {
+		t.Fatalf("Syncs = %d, want one per epoch", e.Stats.Syncs)
 	}
 	_ = res
 }
@@ -314,13 +315,14 @@ func TestTickModeReducesTraps(t *testing.T) {
 		e.calBias = 1.0
 		attach(e, &acceltest.Device{Busy: us})
 		region := e.Mem().Alloc("taskbuf", 4096)
-		return e.Run(app.Program{Main: func(env app.Env) {
+		e.Run(app.Program{Main: func(env app.Env) {
 			var buf [8]byte
 			for i := 0; i < 16; i++ {
 				env.TaskWrite(region.Base+mem.Addr(i*8), buf[:])
 			}
 			env.MMIOWrite(0x8000_0000, 1) // the doorbell is the sync point
-		}}).Stats.Traps
+		}})
+		return e.Stats.Traps
 	}
 	noTick, withTick := run(false), run(true)
 	if withTick != 1 {
@@ -344,7 +346,7 @@ func TestUnderprovisioningAddsError(t *testing.T) {
 				})
 			}
 			wg.Wait(env)
-		}}).SimTime
+		}})
 	}
 	full, under := run(16), run(1)
 	errFull := math.Abs(full.Seconds()-0.001) / 0.001
@@ -373,7 +375,7 @@ func TestDeterminism(t *testing.T) {
 				})
 			}
 			wg.Wait(env)
-		}}).SimTime
+		}})
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
@@ -388,10 +390,10 @@ func TestSleepQuantization(t *testing.T) {
 	}})
 	// Sleep wakes at 2.5us; the next epoch starts there (idle jump), so
 	// total ~3.5us.
-	if res.SimTime < 3*us || res.SimTime > 4*us {
-		t.Fatalf("SimTime = %v", res.SimTime)
+	if res < 3*us || res > 4*us {
+		t.Fatalf("SimTime = %v", res)
 	}
-	if res.Stats.IdleJumps == 0 {
+	if e.Stats.IdleJumps == 0 {
 		t.Fatal("sleep did not use the idle-jump path")
 	}
 }
@@ -404,8 +406,8 @@ func TestSlipStreamExitTruncatesEpoch(t *testing.T) {
 		env.SlipStream(func() { env.ComputeFor(100 * us) })
 		env.ComputeFor(5 * us)
 	}})
-	if res.SimTime > 110*us {
-		t.Fatalf("SimTime = %v; slip epoch leaked into post-region time", res.SimTime)
+	if res > 110*us {
+		t.Fatalf("SimTime = %v; slip epoch leaked into post-region time", res)
 	}
 }
 
@@ -445,7 +447,7 @@ func TestEagerModeMatchesLazyAccuracy(t *testing.T) {
 			for env.MMIORead(0x8000_0000) == 0 {
 				env.Sleep(2 * us)
 			}
-		}}).SimTime
+		}})
 	}
 	lazy, eager := run(Lazy), run(Eager)
 	if lazy != eager {

@@ -33,34 +33,32 @@ import (
 // identify the halt point and/or ResumeRun to continue this engine. If
 // the program finishes without touching a device (or aborts on its
 // budget) it returns the final result with completed=true.
-func (e *Engine) RunPrefix(prog app.Program) (res Result, completed bool) {
-	st(e.newThread("main", prog.Main)).wakeAt = 0
-	e.nextSync = vclock.Time(e.cfg.SyncInterval)
-	e.haltArmed = e.dev.Len() > 0
-	e.startWatchdog()
+func (e *Engine) RunPrefix(prog app.Program) (simTime vclock.Duration, completed bool) {
+	e.start(prog)
+	e.haltArmed = e.Dev.Len() > 0
 	e.loop()
 	if e.frame != nil {
-		return Result{}, false
+		return 0, false
 	}
-	return e.result(), true
+	return e.simTime(), true
 }
 
 // ResumeRun continues a halted engine (after RunPrefix or Restore) to
 // completion: it processes the stashed halt request, finishes the
 // interrupted epoch, and re-enters the main loop. An engine whose
 // restored prefix aborted on its budget stays aborted.
-func (e *Engine) ResumeRun() Result {
-	if e.exceeded {
-		return e.result()
+func (e *Engine) ResumeRun() vclock.Duration {
+	if e.BudgetExceeded() {
+		return e.simTime()
 	}
 	e.haltArmed = false
-	e.startWatchdog()
+	e.StartWatchdog()
 	if f := e.frame; f != nil {
 		e.frame = nil
 		halted := f.selected[f.idx]
 		e.trap(halted, st(halted).cursor, f.end, f.req)
 		for i := f.idx + 1; i < len(f.selected); i++ {
-			if e.live == 0 {
+			if e.Live == 0 {
 				break
 			}
 			e.runThreadEpoch(f.selected[i], f.start, f.end)
@@ -68,7 +66,7 @@ func (e *Engine) ResumeRun() Result {
 		e.endEpoch(f.selected, f.start, f.end)
 	}
 	e.loop()
-	return e.result()
+	return e.simTime()
 }
 
 // Fingerprint identifies a prefix-halted engine: the configuration
@@ -85,12 +83,15 @@ func (e *Engine) Fingerprint() ([]byte, error) {
 	if e.cfg.TickMode {
 		tick = 1
 	}
+	// The thread census is written twice (it once was two counters, the
+	// thread list's length and the next ID), so blobs keep their bytes.
+	threads := int64(len(e.Threads))
 	v := []int64{
 		int64(e.cfg.Clock), int64(e.cfg.Epoch), int64(e.cfg.VirtualCores),
 		int64(e.cfg.PhysicalCores), int64(e.cfg.Mode), int64(e.cfg.SyncInterval),
 		tick, int64(e.cfg.Seed),
-		int64(e.now), int64(e.dev.Time()), int64(e.nextSync), e.epochIdx,
-		int64(len(e.threads)), int64(e.nextTID), int64(f.idx), int64(len(f.selected)),
+		int64(e.now), int64(e.Dev.Time()), int64(e.nextSync), e.epochIdx,
+		threads, threads, int64(f.idx), int64(len(f.selected)),
 	}
 	for _, th := range f.selected {
 		v = append(v, int64(th.ID))
@@ -108,11 +109,11 @@ func (e *Engine) Fingerprint() ([]byte, error) {
 // engine's budget is not refused: ResumeRun reports the abort, as Run
 // would have.
 func (e *Engine) Restore(blob []byte, prog app.Program) error {
-	if len(e.threads) != 0 {
+	if len(e.Threads) != 0 {
 		return errors.New("nex: restore into a used engine")
 	}
 	if _, completed := e.RunPrefix(prog); completed {
-		if e.exceeded {
+		if e.BudgetExceeded() {
 			return nil
 		}
 		return errors.New("nex: restore: the program finished without reaching the checkpoint")

@@ -76,14 +76,14 @@ func TestRunPrefixHaltsBeforeDeviceTouch(t *testing.T) {
 
 func TestRunPrefixCompletesWithoutDevices(t *testing.T) {
 	e := New(snapCfg())
-	res, completed := e.RunPrefix(app.Program{Main: func(env app.Env) {
+	simTime, completed := e.RunPrefix(app.Program{Main: func(env app.Env) {
 		env.ComputeFor(10 * us)
 	}})
 	if !completed {
 		t.Fatal("device-free program did not complete")
 	}
-	if res.SimTime < 10*us {
-		t.Fatalf("SimTime = %v", res.SimTime)
+	if simTime < 10*us {
+		t.Fatalf("SimTime = %v", simTime)
 	}
 }
 
@@ -96,14 +96,14 @@ func TestPrefixResumeMatchesStraightRun(t *testing.T) {
 		cfg.Mode = mode
 
 		eA, devA, bufA := snapRig(cfg)
-		want := eA.Run(snapProg(bufA, 10))
+		want := outcomeOf(eA, eA.Run(snapProg(bufA, 10)))
 
 		eB, devB, bufB := snapRig(cfg)
 		_, completed := eB.RunPrefix(snapProg(bufB, 10))
 		if completed {
 			t.Fatalf("mode %v: prefix completed", mode)
 		}
-		got := eB.ResumeRun()
+		got := outcomeOf(eB, eB.ResumeRun())
 
 		if got != want {
 			t.Errorf("mode %v: resumed run diverged:\n got  %+v\n want %+v", mode, got, want)
@@ -122,7 +122,7 @@ func TestRestoreMatchesStraightRun(t *testing.T) {
 		cfg.Mode = mode
 
 		eA, devA, bufA := snapRig(cfg)
-		want := eA.Run(snapProg(bufA, 10))
+		want := outcomeOf(eA, eA.Run(snapProg(bufA, 10)))
 
 		eB, _, bufB := snapRig(cfg)
 		if _, completed := eB.RunPrefix(snapProg(bufB, 10)); completed {
@@ -138,7 +138,7 @@ func TestRestoreMatchesStraightRun(t *testing.T) {
 		if err := eC.Restore(blob, snapProg(bufC, 10)); err != nil {
 			t.Fatalf("mode %v: restore: %v", mode, err)
 		}
-		got := eC.ResumeRun()
+		got := outcomeOf(eC, eC.ResumeRun())
 
 		if got != want {
 			t.Errorf("mode %v: restored run diverged:\n got  %+v\n want %+v", mode, got, want)
@@ -247,13 +247,13 @@ func TestPrefixRecordingDoesNotPerturbStraightRuns(t *testing.T) {
 		}}
 	}
 	eA := New(snapCfg())
-	want := eA.Run(prog())
+	want := outcomeOf(eA, eA.Run(prog()))
 	eB := New(snapCfg())
-	got, completed := eB.RunPrefix(prog())
+	simTime, completed := eB.RunPrefix(prog())
 	if !completed {
 		t.Fatal("device-free prefix halted")
 	}
-	if got != want {
+	if got := outcomeOf(eB, simTime); got != want {
 		t.Fatalf("RunPrefix-completed result diverged:\n got  %+v\n want %+v", got, want)
 	}
 }
@@ -277,7 +277,7 @@ func TestTickModeHalt(t *testing.T) {
 	}
 
 	eA, _, bufA := snapRig(cfg)
-	want := eA.Run(mk(eA, bufA))
+	want := outcomeOf(eA, eA.Run(mk(eA, bufA)))
 
 	eB, _, bufB := snapRig(cfg)
 	if _, completed := eB.RunPrefix(mk(eB, bufB)); completed {
@@ -293,7 +293,20 @@ func TestTickModeHalt(t *testing.T) {
 	if err := eC.Restore(blob, mk(eC, bufC)); err != nil {
 		t.Fatal(err)
 	}
-	if got := eC.ResumeRun(); got != want {
+	if got := outcomeOf(eC, eC.ResumeRun()); got != want {
 		t.Fatalf("tick-mode restore diverged:\n got  %+v\n want %+v", got, want)
 	}
+}
+
+// outcome is what a finished run leaves behind: its simulated time, the
+// number of threads it created and the engine's statistics. A forked or
+// restored run must match the straight run's outcome field for field.
+type outcome struct {
+	SimTime vclock.Duration
+	Threads int
+	Stats   Stats
+}
+
+func outcomeOf(e *Engine, simTime vclock.Duration) outcome {
+	return outcome{SimTime: simTime, Threads: len(e.Threads), Stats: e.Stats}
 }

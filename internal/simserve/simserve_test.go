@@ -518,3 +518,72 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("after the refusals the cache holds %d entries (pushed id known: %v), want none", entries, ok)
 	}
 }
+
+// TestWaitTimeoutFallsBackToPolling: a wait=true submit that outlives
+// WaitTimeout answers 202 with the job IDs instead of results, and pins
+// its jobs (keepJobs): the second job, still queued behind the held
+// first when the client stops waiting, must run anyway. After release,
+// each job polls done with the bytes a direct run encodes.
+func TestWaitTimeoutFallsBackToPolling(t *testing.T) {
+	release := make(chan struct{})
+	_, ts := newTestServer(t, Config{
+		Workers: 1, Backlog: 4, WaitTimeout: 50 * time.Millisecond,
+		Runner: func(s experiments.Spec, attempt int) (core.Result, error) {
+			<-release
+			return experiments.RunSpecAttempt(s, attempt, 0)
+		},
+	})
+	specs := []experiments.Spec{cheapSpec, {Bench: "npb-ep.8", Host: "reference"}}
+	body, err := json.Marshal(jobapi.SubmitRequest{Specs: specs, Wait: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, resp := post(t, ts, string(body))
+	if code != http.StatusAccepted {
+		close(release)
+		t.Fatalf("timed-out wait: status %d, body %s; want 202", code, resp)
+	}
+	var env jobapi.Accepted
+	if err := json.Unmarshal(resp, &env); err != nil || len(env.Jobs) != len(specs) {
+		close(release)
+		t.Fatalf("bad 202 envelope %s: %v", resp, err)
+	}
+	close(release)
+
+	for i, spec := range specs {
+		n, err := spec.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := n.ID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Jobs[i].ID != id {
+			t.Fatalf("job %d id %s, want %s", i, env.Jobs[i].ID, id)
+		}
+		res, err := experiments.RunSpecAttempt(spec, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(jobapi.JobResult{ID: id, Spec: n, SimTimePS: int64(res.SimTime),
+			SimTime: res.SimTime.String(), NEXStats: res.NEXStats, Devices: res.Devices})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var poll jobapi.JobPoll
+		waitFor(t, 30*time.Second, func() bool {
+			code, out := get(t, ts, "/jobs/"+id)
+			if code != http.StatusOK {
+				t.Fatalf("poll job %d: status %d, body %s (abandoned instead of kept?)", i, code, out)
+			}
+			if err := json.Unmarshal(out, &poll); err != nil {
+				t.Fatal(err)
+			}
+			return poll.Status == jobapi.StatusDone || poll.Status == jobapi.StatusFailed
+		}, "job never finished")
+		if poll.Status != jobapi.StatusDone || !bytes.Equal(poll.Result, want) {
+			t.Errorf("job %d: status %s, result\n%s\nwant\n%s", i, poll.Status, poll.Result, want)
+		}
+	}
+}
