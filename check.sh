@@ -104,6 +104,14 @@ test -z "$(grep -rlE '^func (\(.*\) )?(Seal|markDirty|flushDirty|heap[A-Za-z]*)\
 test -z "$(grep -rlE '^func (\(.*\) )?(ensureActive|maybeCompact|setWake)\(' internal/nex --include='*.go' | grep -v _test.go)"
 test -z "$(grep -rlE '\bOpTick\b|^func \(.*\) Tick\(\)|^[[:space:]]+Tick\(\)$' . --include='*.go' | grep -v -e _test.go -e /testdata/)"
 
+# Thread state has one writer (DESIGN.md §4): a time warp writes the
+# thread's own hostkit.Warp, so no production file mentions a warp
+# request or its kinds or declares an engine-side Warp.Handle, and NEX's
+# fair policy keeps its counts in the thread records, not in a policy
+# type with maps keyed by thread ID.
+test -z "$(grep -rlE '\b(OpWarp|WarpKind)\b|^func \(w \*Warp\) Handle\(' . --include='*.go' | grep -v -e _test.go -e /testdata/)"
+test -z "$(grep -rlE '^type FairPolicy |^func NewFairPolicy\(' internal/nex --include='*.go' | grep -v _test.go)"
+
 # Results that do not depend on the CPU (DESIGN.md §5): Go may fuse
 # x*y + z into one FMA instruction, which rounds once instead of twice.
 # It does on arm64 and does not on amd64, so an arm64 shard could

@@ -38,10 +38,6 @@ func main() {
 			"listen address (use port 0 for an ephemeral port)")
 		shardsFlag = flag.String("shards", "",
 			"comma-separated simd shard addresses (host:port), required")
-		vnodes = flag.Int("vnodes", 0,
-			"virtual nodes per shard on the hash ring (0 = default of 64)")
-		loadFactor = flag.Float64("load-factor", 0,
-			"bounded-load ceiling factor c (0 = default of 1.25; <= 1 disables bounding)")
 		hedgeAfter = flag.Duration("hedge-after", 0,
 			"duplicate a wait=true sub-batch on the next replica after this long;\n"+
 				"the first answer wins and the loser is byte-compared (0 = off)")
@@ -82,8 +78,6 @@ func main() {
 
 	router, err := cluster.NewRouter(cluster.RouterConfig{
 		Shards:         shards,
-		VNodes:         *vnodes,
-		LoadFactor:     *loadFactor,
 		HedgeAfter:     *hedgeAfter,
 		ForwardTimeout: *forwardTimeout,
 		ProbeInterval:  *probeInterval,

@@ -35,25 +35,11 @@ const (
 	edgeBudget = 32 << 20
 )
 
-// edgeEntry is one cached result: canonical JobResult bytes and whether
-// they record a (deterministic) failure.
-type edgeEntry struct {
-	result json.RawMessage
-	failed bool
-}
-
-func (e edgeEntry) status() string {
-	if e.failed {
-		return jobapi.StatusFailed
-	}
-	return jobapi.StatusDone
-}
-
 // edgeCache is a byte-bounded LRU of verified results keyed by content
 // address.
 type edgeCache struct {
 	mu  sync.Mutex
-	lru *lru.Cache[string, edgeEntry]
+	lru *lru.Cache[string, jobapi.Finished]
 	gen uint64 // bumped by every flush; see admit
 
 	lookups  *metrics.Counter // addresses looked up
@@ -65,7 +51,7 @@ type edgeCache struct {
 // newEdgeCache returns a cache bounded to budget result bytes.
 func newEdgeCache(budget int64) *edgeCache {
 	return &edgeCache{
-		lru:      lru.New[string, edgeEntry](budget),
+		lru:      lru.New[string, jobapi.Finished](budget),
 		lookups:  metrics.NewCounter("simrouter_edge_lookups"),
 		hits:     metrics.NewCounter("simrouter_edge_hits"),
 		rejected: metrics.NewCounter("simrouter_edge_rejected"),
@@ -88,7 +74,7 @@ func (c *edgeCache) register(reg *metrics.Registry) {
 
 // get answers a client request for id: counted, and a hit refreshes the
 // entry's LRU position.
-func (c *edgeCache) get(id string) (edgeEntry, bool) {
+func (c *edgeCache) get(id string) (jobapi.Finished, bool) {
 	c.lookups.Inc()
 	c.mu.Lock()
 	e, ok := c.lru.Get(id)
@@ -128,7 +114,7 @@ func (c *edgeCache) admit(id string, seen float64, failed bool, result json.RawM
 	}
 	c.mu.Lock()
 	if c.gen == gen {
-		c.lru.Put(id, edgeEntry{result: result, failed: failed}, int64(len(result)))
+		c.lru.Put(id, jobapi.Finished{Result: result, Failed: failed}, int64(len(result)))
 	}
 	c.mu.Unlock()
 }

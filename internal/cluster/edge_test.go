@@ -380,7 +380,7 @@ func TestEdgeRejectsForgedResults(t *testing.T) {
 		t.Fatal("a result seen once was admitted or counted as rejected")
 	}
 	e.admit(id, 2, true, failed, 0)
-	if got, ok := e.get(id); !ok || !got.failed || got.status() != jobapi.StatusFailed || !bytes.Equal(got.result, failed) {
+	if got, ok := e.get(id); !ok || !got.Failed || got.Status() != jobapi.StatusFailed || !bytes.Equal(got.Result, failed) {
 		t.Fatalf("deterministic failure not cached as a failure: %+v, %v", got, ok)
 	}
 
@@ -714,17 +714,17 @@ func FuzzEdgeAdmit(f *testing.F) {
 			t.Fatalf("used %d bytes of a %d-byte budget", used, budget)
 		}
 		got, ok := e.get(id)
-		if !ok || id == goodID && bytes.Equal(got.result, good) {
+		if !ok || id == goodID && bytes.Equal(got.Result, good) {
 			return
 		}
 		if !(seen >= edgeMinSeen) {
 			t.Fatalf("admitted at seen-count %v", seen)
 		}
-		if !bytes.Equal(got.result, result) || got.failed != failed {
-			t.Fatalf("cache serves failed=%v %s for an offer of failed=%v %s", got.failed, got.result, failed, result)
+		if !bytes.Equal(got.Result, result) || got.Failed != failed {
+			t.Fatalf("cache serves failed=%v %s for an offer of failed=%v %s", got.Failed, got.Result, failed, result)
 		}
 		var jr jobapi.JobResult
-		if err := json.Unmarshal(got.result, &jr); err != nil {
+		if err := json.Unmarshal(got.Result, &jr); err != nil {
 			t.Fatalf("admitted undecodable bytes: %v", err)
 		}
 		if specID, err := jr.Spec.ID(); err != nil || specID != id {

@@ -20,13 +20,6 @@ import (
 type RouterConfig struct {
 	// Shards is the static simd shard list (host:port).
 	Shards []string
-	// VNodes is the virtual-node count per shard (default 64).
-	VNodes int
-	// LoadFactor is the bounded-load ceiling factor c (default 1.25): a
-	// key skips its home shard while that shard carries more than
-	// c×⌈(inflight+1)/liveShards⌉ in-flight sub-batches. <= 1 disables
-	// load bounding (pure consistent hashing).
-	LoadFactor float64
 	// HedgeAfter launches a duplicate sub-batch on the next replica for
 	// any wait=true forward still unanswered after this long; the first
 	// answer wins and the loser is byte-compared as a determinism probe.
@@ -38,7 +31,6 @@ type RouterConfig struct {
 
 	// Membership knobs (see MembershipConfig).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	FailThreshold int
 	ReadmitOKs    int
 	Probe         func(shard string) bool // test override
@@ -54,12 +46,6 @@ type RouterConfig struct {
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.VNodes <= 0 {
-		c.VNodes = defaultVNodes
-	}
-	if c.LoadFactor == 0 {
-		c.LoadFactor = 1.25
-	}
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 5 * time.Minute
 	}
@@ -109,11 +95,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r := &Router{
 		cfg:  cfg,
-		ring: NewRing(cfg.Shards, cfg.VNodes),
+		ring: NewRing(cfg.Shards, defaultVNodes),
 		mem: NewMembership(MembershipConfig{
 			Shards:        cfg.Shards,
 			ProbeInterval: cfg.ProbeInterval,
-			ProbeTimeout:  cfg.ProbeTimeout,
 			FailThreshold: cfg.FailThreshold,
 			ReadmitOKs:    cfg.ReadmitOKs,
 			Probe:         cfg.Probe,
@@ -309,7 +294,7 @@ func (r *Router) edgeFill(items []specItem, results []itemResult) []specItem {
 	var rest []specItem
 	for _, it := range items {
 		if e, ok := r.edge.get(it.id); ok {
-			results[it.idx] = itemResult{id: it.id, status: e.status(), result: e.result}
+			results[it.idx] = itemResult{id: it.id, status: e.Status(), result: e.Result}
 		} else {
 			rest = append(rest, it)
 		}
@@ -333,7 +318,7 @@ func allFinished(results []itemResult) bool {
 func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	if e, ok := r.edge.get(id); ok {
-		jobapi.WriteJSON(w, http.StatusOK, jobapi.JobPoll{ID: id, Status: e.status(), Result: e.result})
+		jobapi.WriteJSON(w, http.StatusOK, jobapi.JobPoll{ID: id, Status: e.Status(), Result: e.Result})
 		return
 	}
 	for code, body := range r.replicaAnswers(id) {
@@ -395,7 +380,7 @@ func (r *Router) groupByShard(items []specItem, exclude map[string]bool) (map[st
 	load := func(s string) int { return int(r.m.inflight.With(s).Load()) }
 	groups := map[string][]specItem{}
 	for _, it := range items {
-		shard, ok := r.ring.BoundedPick(it.id, r.cfg.LoadFactor, live, load)
+		shard, ok := r.ring.BoundedPick(it.id, loadFactor, live, load)
 		if !ok {
 			if r.mem.LiveCount() == 0 {
 				return nil, errNoLiveShards

@@ -26,8 +26,6 @@ type MembershipConfig struct {
 	Shards []string
 	// ProbeInterval is the /healthz polling period (default 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout caps one probe (default ProbeInterval, at most 2s).
-	ProbeTimeout time.Duration
 	// FailThreshold is the consecutive-failure count that marks a shard
 	// down (default 3). Forwarding errors count toward it too, so a dead
 	// shard is usually marked down by the traffic that discovers it
@@ -44,12 +42,6 @@ type MembershipConfig struct {
 func (c MembershipConfig) withDefaults() MembershipConfig {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
-		if c.ProbeTimeout > 2*time.Second {
-			c.ProbeTimeout = 2 * time.Second
-		}
 	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3
@@ -92,7 +84,8 @@ func NewMembership(cfg MembershipConfig) *Membership {
 	m := &Membership{
 		cfg:    cfg,
 		health: make(map[string]*shardHealth, len(cfg.Shards)),
-		client: &http.Client{Timeout: cfg.ProbeTimeout},
+		// One probe waits at most one interval, and never over 2s.
+		client: &http.Client{Timeout: min(cfg.ProbeInterval, 2*time.Second)},
 
 		marksDown:   metrics.NewCounter("simrouter_marks_down"),
 		readmits:    metrics.NewCounter("simrouter_readmits"),

@@ -31,6 +31,11 @@ import (
 // clusters while the ring stays tiny (a 16-shard ring is 1024 points).
 const defaultVNodes = 64
 
+// loadFactor is the router's bounded-load ceiling factor c (see
+// BoundedPick): a key skips its home shard while that shard carries
+// more than c×⌈(inflight+1)/liveShards⌉ in-flight sub-batches.
+const loadFactor = 1.25
+
 // ringPoint is one virtual node: a position on the hash circle owned by
 // a shard.
 type ringPoint struct {

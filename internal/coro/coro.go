@@ -40,29 +40,11 @@ const (
 	OpSpawn
 	// OpWaitIRQ: block until interrupt Vector is delivered.
 	OpWaitIRQ
-	// OpWarp: enter/exit a time-warp region (CompressT/SlipStream/JumpT).
-	OpWarp
+	// OpSlipExit: the thread left SlipStream mode (§3.4). Threads write
+	// their own time-warp state; this is the one warp event an engine
+	// sees, because NEX reschedules at it.
+	OpSlipExit
 )
-
-// WarpKind selects a time-warping feature (paper §3.4).
-type WarpKind int
-
-const (
-	CompressT WarpKind = iota
-	SlipStream
-	JumpT
-)
-
-func (w WarpKind) String() string {
-	switch w {
-	case CompressT:
-		return "CompressT"
-	case SlipStream:
-		return "SlipStream"
-	default:
-		return "JumpT"
-	}
-}
 
 // Request is what a yielding thread hands to its engine.
 type Request struct {
@@ -74,9 +56,6 @@ type Request struct {
 	Name     string                               // OpSpawn
 	Body     any                                  // OpSpawn: the engine's thread-body type
 	Vector   int                                  // OpWaitIRQ
-	Warp     WarpKind                             // OpWarp
-	Factor   float64                              // OpWarp (CompressT)
-	Enter    bool                                 // OpWarp: true=enter region
 	Light    bool                                 // OpInteract: non-trapping (tick-mode batched access)
 	Addr     uint64                               // OpInteract: target address (engines classify device vs memory accesses)
 }

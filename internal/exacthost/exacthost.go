@@ -74,8 +74,7 @@ type Engine struct {
 	minvr   vclock.Duration
 
 	// Statistics.
-	Interactions int64
-	IRQs         int64
+	IRQs int64
 }
 
 // tstate is engine-private per-thread state.
@@ -245,7 +244,6 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 			return
 
 		case coro.OpInteract:
-			e.Interactions++
 			e.Dev.Advance(now)
 			cost := r.Interact(now)
 			if cost > 0 {
@@ -302,8 +300,8 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 			e.releaseCore(now)
 			return
 
-		case coro.OpWarp:
-			s.Handle(r)
+		case coro.OpSlipExit:
+			// Exact time has no epoch to end at a SlipStream exit.
 			continue
 
 		default:

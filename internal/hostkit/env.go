@@ -29,10 +29,12 @@ type EnvConfig struct {
 	Now func(th *coro.Thread) vclock.Time
 }
 
-// env implements app.Env for one simulated thread by yielding requests
-// to the engine. Methods run on the thread's coroutine; the engine is
-// blocked in Resume while they execute, so reads of engine state are
-// safe.
+// env implements app.Env for one simulated thread. The scheduling
+// methods yield requests to the engine; the time warps write the
+// thread's Warp, which engines only read, and unwind it in a deferred
+// call even when fn panics and an outer frame recovers. Methods run on
+// the thread's coroutine; the engine is blocked in Resume while they
+// execute, so reads of engine state are safe.
 type env struct {
 	cfg *EnvConfig
 	th  *coro.Thread
@@ -129,21 +131,31 @@ func (v *env) WaitIRQ(vec int) {
 	v.th.Yield(coro.Request{Op: coro.OpWaitIRQ, Vector: vec})
 }
 
-// warp runs fn inside a time-warp region; the deferred exit unwinds the
-// region even when fn panics and an outer frame recovers.
-func (v *env) warp(kind coro.WarpKind, factor float64, fn func()) {
-	v.th.Yield(coro.Request{Op: coro.OpWarp, Warp: kind, Factor: factor, Enter: true})
-	defer v.th.Yield(coro.Request{Op: coro.OpWarp, Warp: kind, Enter: false})
-	fn()
-}
-
 func (v *env) CompressT(factor float64, fn func()) {
 	if factor <= 0 {
 		panic("hostkit: CompressT factor must be positive")
 	}
-	v.warp(coro.CompressT, factor, fn)
+	v.w.Compress = append(v.w.Compress, factor)
+	defer func() { v.w.Compress = v.w.Compress[:len(v.w.Compress)-1] }()
+	fn()
 }
 
-func (v *env) SlipStream(fn func()) { v.warp(coro.SlipStream, 0, fn) }
+// SlipStream yields OpSlipExit when it leaves slip mode: NEX ends the
+// epoch there (§3.4). Regions do not stack; the first exit ends slip
+// mode, so a nested region yields once.
+func (v *env) SlipStream(fn func()) {
+	v.w.Slip = true
+	defer func() {
+		if v.w.Slip {
+			v.w.Slip = false
+			v.th.Yield(coro.Request{Op: coro.OpSlipExit})
+		}
+	}()
+	fn()
+}
 
-func (v *env) JumpT(fn func()) { v.warp(coro.JumpT, 0, fn) }
+func (v *env) JumpT(fn func()) {
+	v.w.JumpT++
+	defer func() { v.w.JumpT-- }()
+	fn()
+}

@@ -1,0 +1,69 @@
+package hostkit_test
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"nexsim/internal/app"
+	"nexsim/internal/coro"
+	"nexsim/internal/hostkit"
+	"nexsim/internal/isa"
+)
+
+// handoff is one request a thread handed its engine, with the thread's
+// Warp as the engine reads it at that point.
+type handoff struct {
+	op       coro.Op
+	compress string
+	jumpT    int
+	slip     bool
+}
+
+// drive runs body on a bare thread, resuming it until it exits, and
+// records every request it yields.
+func drive(body app.ThreadFunc) []handoff {
+	var w hostkit.Warp
+	var env app.Env
+	th := coro.NewThread(0, "t", func() { body(env) })
+	env = hostkit.NewEnv(&hostkit.EnvConfig{}, th, &w)
+	var out []handoff
+	for {
+		r := th.Resume()
+		out = append(out, handoff{r.Op, fmt.Sprint(w.Compress), w.JumpT, w.Slip})
+		if r.Op == coro.OpExit {
+			return out
+		}
+	}
+}
+
+// TestWarpsWriteTheThreadsWarp: a warp region hands the engine only its
+// body's requests (plus one OpSlipExit on leaving slip mode), and the
+// Warp shows the region while the body runs and is clear after it.
+func TestWarpsWriteTheThreadsWarp(t *testing.T) {
+	compute := func(e app.Env) func() { return func() { e.Compute(isa.Work{}) } }
+	exit := handoff{op: coro.OpExit, compress: "[]"}
+	cases := []struct {
+		name string
+		body app.ThreadFunc
+		want []handoff
+	}{
+		{"CompressT", func(e app.Env) { e.CompressT(2, compute(e)) },
+			[]handoff{{op: coro.OpAdvance, compress: "[2]"}, exit}},
+		{"nested CompressT", func(e app.Env) { e.CompressT(2, func() { e.CompressT(4, compute(e)) }) },
+			[]handoff{{op: coro.OpAdvance, compress: "[2 4]"}, exit}},
+		{"JumpT", func(e app.Env) { e.JumpT(compute(e)) },
+			[]handoff{{op: coro.OpAdvance, compress: "[]", jumpT: 1}, exit}},
+		{"SlipStream", func(e app.Env) { e.SlipStream(compute(e)) },
+			[]handoff{{op: coro.OpAdvance, compress: "[]", slip: true}, {op: coro.OpSlipExit, compress: "[]"}, exit}},
+		// Regions do not stack: the inner exit ends slip mode and is the
+		// only one the engine sees.
+		{"nested SlipStream", func(e app.Env) { e.SlipStream(func() { e.SlipStream(compute(e)) }) },
+			[]handoff{{op: coro.OpAdvance, compress: "[]", slip: true}, {op: coro.OpSlipExit, compress: "[]"}, exit}},
+	}
+	for _, c := range cases {
+		if got := drive(c.body); !slices.Equal(got, c.want) {
+			t.Errorf("%s: handed %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}

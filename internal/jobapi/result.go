@@ -32,6 +32,22 @@ type JobResult struct {
 	Attempt int `json:"attempt,omitempty"`
 }
 
+// Finished is one finished job's answer as a cache holds it: the
+// canonical JobResult bytes and whether they record a failure. The
+// shards' result caches and the router's edge cache both store it.
+type Finished struct {
+	Result []byte // canonical JobResult JSON
+	Failed bool
+}
+
+// Status is the job state a finished answer reports.
+func (f Finished) Status() string {
+	if f.Failed {
+		return StatusFailed
+	}
+	return StatusDone
+}
+
 // ErrorKind values.
 const (
 	ErrorKindDeterministic = "deterministic"

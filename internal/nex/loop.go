@@ -74,7 +74,8 @@ func (e *Engine) loop() {
 		}
 		selected := runnable
 		if len(runnable) > e.cfg.VirtualCores {
-			selected = e.policy.Select(e.epochIdx, runnable, e.cfg.VirtualCores)
+			// The complementary policy (§3.3, §A.1) picks which run.
+			selected = selectFair(e.epochIdx, runnable, e.cfg.VirtualCores, e.cfg.Epoch)
 		}
 		end := start.Add(e.epochLen(selected))
 
@@ -116,7 +117,7 @@ func (e *Engine) endEpoch(selected []*coro.Thread, start, end vclock.Time) {
 		if newEnd < end {
 			for _, th := range e.Threads {
 				s := st(th)
-				if !s.exited && !s.parked && s.wakeAt == end {
+				if s.wakeAt == end {
 					s.wakeAt = newEnd
 				}
 			}
@@ -165,7 +166,7 @@ func (e *Engine) minWake() vclock.Time {
 	min := vclock.Never
 	for _, th := range e.Threads {
 		s := st(th)
-		if !s.exited && !s.parked && s.wakeAt < min {
+		if s.wakeAt < min {
 			min = s.wakeAt
 		}
 	}
@@ -179,7 +180,7 @@ func (e *Engine) runnableAt(t vclock.Time) []*coro.Thread {
 	out := e.runnableBuf[:0]
 	for _, th := range e.Threads {
 		s := st(th)
-		if !s.exited && !s.parked && s.wakeAt <= t {
+		if s.wakeAt <= t {
 			out = append(out, th)
 		}
 	}
@@ -203,7 +204,6 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			}
 			s.deficit -= step
 			cursor = cursor.Add(step)
-			s.vruntime += step
 			if s.deficit > 0 {
 				// Epoch exhausted mid-segment; continue next epoch.
 				e.TraceSpan(th.Name, trace.Compute, segStart, cursor)
@@ -222,7 +222,6 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 		}
 		switch r.Op {
 		case coro.OpExit:
-			s.exited = true
 			s.wakeAt = vclock.Never
 			e.Live--
 			if cursor > e.finishT {
@@ -239,7 +238,6 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 				// Tick-mode task-buffer access: charged in-epoch, no trap.
 				cost := r.Interact(cursor)
 				cursor = cursor.Add(cost)
-				s.vruntime += cost
 				continue
 			}
 			e.trap(th, cursor, end, r)
@@ -283,18 +281,14 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			e.WaitIRQ(r.Vector, th)
 			return false
 
-		case coro.OpWarp:
-			wasSlip := s.Slip
-			s.Handle(r)
-			if wasSlip && !s.Slip {
-				// Exiting SlipStream resets the epoch duration and forces
-				// an immediate reschedule (§3.4): end this thread's slot
-				// and truncate the (large) epoch at its cursor.
-				s.wakeAt = cursor
-				s.cursor = cursor
-				e.truncate = true
-				return false
-			}
+		case coro.OpSlipExit:
+			// Exiting SlipStream resets the epoch duration and forces an
+			// immediate reschedule (§3.4): end this thread's slot and
+			// truncate the (large) epoch at its cursor.
+			s.wakeAt = cursor
+			s.cursor = cursor
+			e.truncate = true
+			return false
 		}
 	}
 	// Used the whole epoch (e.g. finished a segment exactly at the

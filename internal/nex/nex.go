@@ -159,9 +159,6 @@ func (s Stats) ModeledWall(epoch vclock.Duration) vclock.Duration {
 type Engine struct {
 	hostkit.Shell
 	cfg Config
-	// policy is the complementary scheduling policy (§3.3, §A.1): when
-	// more threads are runnable than virtual cores, it picks which run.
-	policy *FairPolicy
 
 	pending []pendingIRQ
 	// runnableBuf is runnableAt's reusable scratch slice; its contents
@@ -201,16 +198,22 @@ type pendingIRQ struct {
 	vector int
 }
 
-// tstate is NEX's per-thread state.
+// tstate is NEX's per-thread state. A thread is schedulable when its
+// wakeAt is: parked and exited threads always carry wakeAt == Never, so
+// the scans in loop.go test wakeAt alone.
 type tstate struct {
-	wakeAt   vclock.Time // earliest epoch start the thread may run at
-	parked   bool
-	pending  bool
-	deficit  vclock.Duration // remaining virtual time of current segment
-	vruntime vclock.Duration
+	wakeAt  vclock.Time // earliest epoch start the thread may run at
+	parked  bool
+	pending bool
+	deficit vclock.Duration // remaining virtual time of current segment
 	hostkit.Warp
-	exited bool
 	cursor vclock.Time // thread-local virtual time (for Env.Now)
+
+	// The complementary policy's record (selectFair): the service it
+	// charged since the thread last became runnable, and the last epoch
+	// in which it saw the thread runnable.
+	vruntime     vclock.Duration
+	lastRunnable int64
 }
 
 func st(t *coro.Thread) *tstate { return t.Data.(*tstate) }
@@ -242,7 +245,7 @@ func New(cfg Config) *Engine {
 		cfg.RefillLoss = 12 * vclock.Nanosecond
 	}
 	rng := xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
-	e := &Engine{cfg: cfg, policy: NewFairPolicy(cfg.Epoch)}
+	e := &Engine{cfg: cfg}
 	// Interrupt policy: a raised interrupt stays pending until the next
 	// delivery boundary (deliverIRQs). gettimeofday-style queries return
 	// the thread's epoch-relative virtual time, matching the paper's

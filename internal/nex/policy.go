@@ -1,15 +1,18 @@
 package nex
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"nexsim/internal/coro"
 	"nexsim/internal/vclock"
 )
 
-// FairPolicy is the default complementary scheduling policy of §A.1: a
-// simplified CFS that tracks per-task vruntime and runs the
-// least-serviced threads each epoch.
+// selectFair is the default complementary scheduling policy of §A.1: a
+// simplified CFS that picks the vcores least-serviced of the runnable
+// threads to run in the coming epoch. A thread's service is its
+// tstate.vruntime, and each pick is charged epochLen. selectFair
+// reorders runnable in place and returns its first vcores entries.
 //
 // It deliberately simplifies CFS the way the paper describes — and
 // therefore diverges from the reference engine's CFS in the same ways:
@@ -22,50 +25,24 @@ import (
 //
 // These differences are what make barrier-heavy workloads (SP, LU)
 // diverge from native Linux in §6.6/§A.1.
-type FairPolicy struct {
-	vr       map[int]vclock.Duration // thread id -> vruntime
-	lastSeen map[int]int64           // thread id -> last epoch observed runnable
-	epoch    vclock.Duration
-}
-
-// NewFairPolicy returns the policy of an engine whose epochs last
-// epoch: each selection charges the selected threads one epoch of
-// service.
-func NewFairPolicy(epoch vclock.Duration) *FairPolicy {
-	return &FairPolicy{
-		vr:       make(map[int]vclock.Duration),
-		lastSeen: make(map[int]int64),
-		epoch:    epoch,
-	}
-}
-
-// Select returns up to vcores threads from runnable (which is in
-// thread-creation order) to execute in the coming epoch.
-func (p *FairPolicy) Select(epoch int64, runnable []*coro.Thread, vcores int) []*coro.Thread {
+func selectFair(epoch int64, runnable []*coro.Thread, vcores int, epochLen vclock.Duration) []*coro.Thread {
 	// A thread that was not runnable in the previous epoch is treated as
 	// freshly woken: reset to the fixed baseline (over-prioritizing it,
-	// unlike CFS's min-alignment).
+	// unlike CFS's min-alignment). A thread never seen has a zero record,
+	// which is that baseline already.
 	for _, th := range runnable {
-		if last, ok := p.lastSeen[th.ID]; !ok || last < epoch-1 {
-			p.vr[th.ID] = 0
+		s := st(th)
+		if s.lastRunnable < epoch-1 {
+			s.vruntime = 0
 		}
-		p.lastSeen[th.ID] = epoch
+		s.lastRunnable = epoch
 	}
-	picked := make([]*coro.Thread, len(runnable))
-	copy(picked, runnable)
-	sort.SliceStable(picked, func(i, j int) bool {
-		vi, vj := p.vr[picked[i].ID], p.vr[picked[j].ID]
-		if vi != vj {
-			return vi < vj
-		}
-		return picked[i].ID < picked[j].ID
+	slices.SortFunc(runnable, func(a, b *coro.Thread) int {
+		return cmp.Or(cmp.Compare(st(a).vruntime, st(b).vruntime), cmp.Compare(a.ID, b.ID))
 	})
-	if len(picked) > vcores {
-		picked = picked[:vcores]
-	}
-	// Charge one epoch of service to the selected threads.
+	picked := runnable[:min(len(runnable), vcores)]
 	for _, th := range picked {
-		p.vr[th.ID] += p.epoch
+		st(th).vruntime += epochLen
 	}
 	return picked
 }

@@ -122,9 +122,8 @@ func (s *Server) marshalResult(j *job, res core.Result, err error, attempt int) 
 func (s *Server) publish(j *job, data []byte, failed, transient bool, wallMS float64) {
 	s.mu.Lock()
 	j.result = data
-	j.failed = failed
-	e := cacheEntry{result: data, failed: failed}
-	j.status = e.status()
+	e := jobapi.Finished{Result: data, Failed: failed}
+	j.status = e.Status()
 	if failed {
 		s.m.jobsFailed.Inc()
 	} else {

@@ -137,7 +137,6 @@ type job struct {
 	done   chan struct{}
 	status string
 	result []byte
-	failed bool
 	// keep pins the job to completion regardless of waiters: async
 	// submits (the client holds the id and will poll) and WAL-recovered
 	// work. waiters counts wait=true requests currently blocked on the
@@ -160,34 +159,21 @@ type Server struct {
 	cfg  Config
 	pool *sweep.Pool
 
-	mu    sync.Mutex
-	jobs  map[string]*job // in-flight, by content address
-	cache *lru.Cache[string, cacheEntry]
+	mu   sync.Mutex
+	jobs map[string]*job // in-flight, by content address
+	// cache holds completed jobs' answers by the spec's content address.
+	// Failed results are cached too: failures are as deterministic as
+	// successes (same spec, same panic), so retrying them would burn a
+	// worker to learn nothing new.
+	cache *lru.Cache[string, jobapi.Finished]
 	// transients holds the final answers of transiently-failed jobs so a
 	// client that was told to poll (async submit, wait timeout) can still
 	// collect them. They are answers, not facts: submit never reads them,
 	// and a fresh run of the same spec drops the stale one.
-	transients *lru.Cache[string, cacheEntry]
+	transients *lru.Cache[string, jobapi.Finished]
 	m          *serverMetrics
 	wal        *wal // nil without StateDir
 	closed     bool
-}
-
-// cacheEntry is one completed job's canonical result, keyed by the
-// spec's content address. failed results are cached too: failures are
-// as deterministic as successes (same spec, same panic), so retrying
-// them would burn a worker to learn nothing new.
-type cacheEntry struct {
-	result []byte // canonical JobResult JSON
-	failed bool
-}
-
-// status is the job state a finished entry reports.
-func (e cacheEntry) status() string {
-	if e.failed {
-		return jobapi.StatusFailed
-	}
-	return jobapi.StatusDone
 }
 
 // New starts a server (its worker pool runs until Close). It panics on
@@ -210,8 +196,8 @@ func Open(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		pool:       sweep.NewPool(cfg.Workers, cfg.Backlog),
 		jobs:       map[string]*job{},
-		cache:      lru.New[string, cacheEntry](int64(cfg.CacheEntries)),
-		transients: lru.New[string, cacheEntry](int64(cfg.CacheEntries)),
+		cache:      lru.New[string, jobapi.Finished](int64(cfg.CacheEntries)),
+		transients: lru.New[string, jobapi.Finished](int64(cfg.CacheEntries)),
 	}
 	s.m = newMetrics(s)
 	if cfg.StateDir == "" {
@@ -233,7 +219,7 @@ func Open(cfg Config) (*Server, error) {
 			// replay too.
 			continue
 		}
-		s.cache.Put(r.id, cacheEntry{result: r.result, failed: r.failed}, 1)
+		s.cache.Put(r.id, jobapi.Finished{Result: r.result, Failed: r.failed}, 1)
 		s.m.walRecoveredResults.Inc()
 	}
 	s.wal = w
@@ -286,8 +272,7 @@ func (s *Server) submit(raw experiments.Spec, waiter bool) (*job, error) {
 	defer s.mu.Unlock()
 	if e, ok := s.cache.Get(id); ok {
 		s.m.cacheHits.Inc()
-		return &job{id: id, spec: n, done: closedDone, status: e.status(),
-			result: e.result, failed: e.failed}, nil
+		return &job{id: id, spec: n, done: closedDone, status: e.Status(), result: e.Result}, nil
 	}
 	if j, ok := s.jobs[id]; ok {
 		s.m.jobsDeduped.Inc()
@@ -365,5 +350,5 @@ func (s *Server) lookup(id string) (status string, result []byte, ok bool) {
 	if !found {
 		return "", nil, false
 	}
-	return e.status(), e.result, true
+	return e.Status(), e.Result, true
 }

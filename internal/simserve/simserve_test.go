@@ -452,13 +452,13 @@ func TestFailedJobCachedDeterministically(t *testing.T) {
 
 // TestLRUCacheEviction pins the cache bound.
 func TestLRUCacheEviction(t *testing.T) {
-	c := lru.New[string, cacheEntry](2)
-	c.Put("a", cacheEntry{result: []byte("1")}, 1)
-	c.Put("b", cacheEntry{result: []byte("2")}, 1)
+	c := lru.New[string, jobapi.Finished](2)
+	c.Put("a", jobapi.Finished{Result: []byte("1")}, 1)
+	c.Put("b", jobapi.Finished{Result: []byte("2")}, 1)
 	if _, ok := c.Get("a"); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", cacheEntry{result: []byte("3")}, 1)
+	c.Put("c", jobapi.Finished{Result: []byte("3")}, 1)
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}

@@ -51,8 +51,7 @@ const walName = "results.wal"
 // wal is an append-only journal handle. Appends are serialized by the
 // server's lock.
 type wal struct {
-	f    *os.File
-	path string
+	f *os.File
 }
 
 // walRecord is one replayed journal record.
@@ -251,7 +250,7 @@ func openWAL(dir string) (*wal, walRecovery, error) {
 	if err != nil {
 		return nil, rec, fmt.Errorf("simserve: wal: %w", err)
 	}
-	return &wal{f: f, path: path}, rec, nil
+	return &wal{f: f}, rec, nil
 }
 
 // appendSubmit journals one accepted job. Nil-receiver safe (stateless
