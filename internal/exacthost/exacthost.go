@@ -72,9 +72,6 @@ type Engine struct {
 	runq    []*tstate // runnable, waiting for a core, sorted by vruntime
 	running int       // threads currently holding cores
 	minvr   vclock.Duration
-
-	// Statistics.
-	IRQs int64
 }
 
 // tstate is engine-private per-thread state.
@@ -315,7 +312,7 @@ func (e *Engine) computeDuration(s *tstate, w isa.Work) vclock.Duration {
 		return 0 // JumpT: outside virtual time
 	}
 	var d vclock.Duration
-	if s.Slip {
+	if s.Slip > 0 {
 		// SlipStream: fast-forward the segment without detailed
 		// simulation, the way gem5 users checkpoint past setup phases
 		// with the KVM CPU (§8) — native-time accounting only.
@@ -339,7 +336,6 @@ func (e *Engine) unpark(target *coro.Thread, now vclock.Time) {
 // RaiseIRQ delivers a device interrupt: exact engines deliver at the
 // raise time (or now, if the raise time already passed).
 func (e *Engine) RaiseIRQ(at vclock.Time, vector int) {
-	e.IRQs++
 	th := e.Waiter(vector)
 	if th == nil {
 		e.irqPend[vector]++ // latch until someone waits

@@ -258,9 +258,6 @@ func TestDeviceIRQ(t *testing.T) {
 	if res != want {
 		t.Fatalf("SimTime = %v, want %v", res, want)
 	}
-	if e.IRQs != 1 {
-		t.Fatalf("IRQs = %d", e.IRQs)
-	}
 }
 
 func TestDeterminism(t *testing.T) {

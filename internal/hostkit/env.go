@@ -141,13 +141,12 @@ func (v *env) CompressT(factor float64, fn func()) {
 }
 
 // SlipStream yields OpSlipExit when it leaves slip mode: NEX ends the
-// epoch there (§3.4). Regions do not stack; the first exit ends slip
-// mode, so a nested region yields once.
+// epoch there (§3.4). Regions stack like JumpT's: only the outermost
+// exit leaves slip mode and yields.
 func (v *env) SlipStream(fn func()) {
-	v.w.Slip = true
+	v.w.Slip++
 	defer func() {
-		if v.w.Slip {
-			v.w.Slip = false
+		if v.w.Slip--; v.w.Slip == 0 {
 			v.th.Yield(coro.Request{Op: coro.OpSlipExit})
 		}
 	}()

@@ -8,7 +8,7 @@ import "nexsim/internal/vclock"
 type Warp struct {
 	Compress []float64 // stack of active CompressT factors
 	JumpT    int       // JumpT nesting depth; > 0 means outside virtual time
-	Slip     bool      // inside a SlipStream region
+	Slip     int       // SlipStream nesting depth; > 0 means in slip mode
 	SeedCtr  uint64    // ComputeFor's per-thread segment counter
 }
 

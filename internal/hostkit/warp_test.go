@@ -17,7 +17,7 @@ type handoff struct {
 	op       coro.Op
 	compress string
 	jumpT    int
-	slip     bool
+	slip     int
 }
 
 // drive runs body on a bare thread, resuming it until it exits, and
@@ -55,11 +55,15 @@ func TestWarpsWriteTheThreadsWarp(t *testing.T) {
 		{"JumpT", func(e app.Env) { e.JumpT(compute(e)) },
 			[]handoff{{op: coro.OpAdvance, compress: "[]", jumpT: 1}, exit}},
 		{"SlipStream", func(e app.Env) { e.SlipStream(compute(e)) },
-			[]handoff{{op: coro.OpAdvance, compress: "[]", slip: true}, {op: coro.OpSlipExit, compress: "[]"}, exit}},
-		// Regions do not stack: the inner exit ends slip mode and is the
-		// only one the engine sees.
+			[]handoff{{op: coro.OpAdvance, compress: "[]", slip: 1}, {op: coro.OpSlipExit, compress: "[]"}, exit}},
+		// Regions stack: the inner exit leaves the thread in slip mode,
+		// and only the outer exit, which ends it, reaches the engine.
 		{"nested SlipStream", func(e app.Env) { e.SlipStream(func() { e.SlipStream(compute(e)) }) },
-			[]handoff{{op: coro.OpAdvance, compress: "[]", slip: true}, {op: coro.OpSlipExit, compress: "[]"}, exit}},
+			[]handoff{{op: coro.OpAdvance, compress: "[]", slip: 2}, {op: coro.OpSlipExit, compress: "[]"}, exit}},
+		{"compute after a nested SlipStream", func(e app.Env) {
+			e.SlipStream(func() { e.SlipStream(compute(e)); compute(e)() })
+		}, []handoff{{op: coro.OpAdvance, compress: "[]", slip: 2}, {op: coro.OpAdvance, compress: "[]", slip: 1},
+			{op: coro.OpSlipExit, compress: "[]"}, exit}},
 	}
 	for _, c := range cases {
 		if got := drive(c.body); !slices.Equal(got, c.want) {

@@ -304,7 +304,7 @@ func (e *Engine) epochLen(selected []*coro.Thread) vclock.Duration {
 		return e.cfg.Epoch
 	}
 	for _, th := range selected {
-		if !st(th).Slip {
+		if st(th).Slip == 0 {
 			return e.cfg.Epoch
 		}
 	}
