@@ -128,6 +128,11 @@ test -z "$(awk '/^[^ \t]/ { fn = ($2 == "STEXT") ? $1 : "" }
 go build ./...
 go test ./...
 
+# README's first command: the quickstart runs end to end and leaves
+# decoded pixels in simulated memory (a count of 0 means the program,
+# the driver or the device stopped writing them).
+go run ./examples/quickstart | grep -Eq '^decoded pixels in memory: +[1-9][0-9]*/'
+
 # CPU-model kernel gates (DESIGN.md §4.1): the kernel and cachesim
 # benchmarks compile and execute once, the L1-hit probe is still inlined
 # into the memory pass (it sits at the edge of the inliner's budget, and

@@ -1,6 +1,6 @@
 // sketch-accel demonstrates the paper's second development use case
-// (§6.4, "Sketching accelerator design with DSim"): after the
-// jpeg-pipeline what-if analysis suggested a matrix_filter_2d
+// (§6.4, "Sketching accelerator design with DSim"): after the what-if
+// analysis (`paperbench -exp whatif`) suggested a matrix_filter_2d
 // accelerator is worth building, the developer sketches its
 // microarchitecture as a Latency Petri Net — no RTL — writes a trivial
 // functional model, couples the two with dsim.Base, and simulates the
@@ -195,7 +195,7 @@ func main() {
 	)
 
 	// Baseline: the filter on the CPU (~8 MACs/cycle), as in the
-	// jpeg-pipeline what-if.
+	// what-if analysis (paperbench -exp whatif).
 	macs := int64(imgW) * imgH * 3 * 9
 	cpuPerImage := (3 * vclock.GHz).CyclesDur(macs / 8)
 
@@ -251,6 +251,6 @@ func main() {
 	fmt.Println("\nEach iteration is one LPN edit plus a sub-second full-stack")
 	fmt.Println("simulation: the interactive co-design loop of §6.4, with DMA")
 	fmt.Println("traffic, driver overhead and pipeline queueing actually modeled —")
-	fmt.Println("no RTL written. The jpeg-pipeline example's JumpT probe supplies")
+	fmt.Println("no RTL written. The JumpT probe of paperbench -exp whatif supplies")
 	fmt.Println("the upper bound these sketches are measured against.")
 }

@@ -84,8 +84,9 @@ func (d *RTLDevice) Busy() bool {
 }
 
 // NextEvent implements accel.Device: the nearest busy-until, or now if
-// there is queued work, whether or not a unit is idle to take it
-// (devices.golden pins the hosts' schedules to that answer).
+// there is queued work, whether or not a unit is idle to take it. Hosts
+// ask it only for an interrupt-enabled device or when every thread is
+// parked; acceltest.KitConformance pins the answer.
 func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
 	if !d.Busy() {
 		return vclock.Never, false

@@ -139,7 +139,8 @@ func (d *RTLDevice) Step() {
 // NextEvent implements accel.Device: the next module event — a
 // completion at a module's busyUntil, or an idle module's head op
 // reaching minStart. It does not ask whether that op's dependency tokens
-// are there (devices.golden pins the hosts' schedules to that answer).
+// are there. Hosts ask it only for an interrupt-enabled device or when
+// every thread is parked; acceltest.KitConformance pins the answer.
 func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
 	if !d.Busy() {
 		return vclock.Never, false

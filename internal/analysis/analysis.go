@@ -118,7 +118,7 @@ var defaultAllow = map[string][]string{
 	"stray-goroutine": {
 		"internal/sweep/",           // the one sanctioned home of parallelism
 		"internal/simserve/",        // request handling + waiting on pool jobs
-		"internal/cluster/",         // concurrent forwarding, probe + hot-set loops
+		"internal/cluster/",         // concurrent forwarding, probe + decay loops
 		"internal/jobapi/daemon.go", // simd/simrouter HTTP serve loop + signal-driven shutdown
 	},
 	"test-only-export": {

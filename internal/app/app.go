@@ -97,7 +97,6 @@ type Env interface {
 // for use from multiple engines.
 type Mutex struct {
 	held    bool
-	owner   *coro.Thread
 	waiters []*coro.Thread
 }
 
@@ -108,7 +107,6 @@ func (m *Mutex) Lock(e Env) {
 		e.Park()
 	}
 	m.held = true
-	m.owner = e.Self()
 }
 
 // Unlock releases the mutex and wakes one waiter (FIFO).
@@ -117,7 +115,6 @@ func (m *Mutex) Unlock(e Env) {
 		panic("app: unlock of unlocked mutex")
 	}
 	m.held = false
-	m.owner = nil
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
 		m.waiters = m.waiters[1:]

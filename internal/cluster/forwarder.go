@@ -33,7 +33,6 @@ type RouterConfig struct {
 	ProbeInterval time.Duration
 	FailThreshold int
 	ReadmitOKs    int
-	Probe         func(shard string) bool // test override
 
 	// DecayInterval is the period after which the hot tracker halves
 	// every count (default 5s); edge admission needs two sightings of
@@ -101,7 +100,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			ProbeInterval: cfg.ProbeInterval,
 			FailThreshold: cfg.FailThreshold,
 			ReadmitOKs:    cfg.ReadmitOKs,
-			Probe:         cfg.Probe,
 		}),
 		adm:     NewAdmission(cfg.Admission),
 		hot:     newHotTracker(),

@@ -10,6 +10,7 @@ import (
 	"nexsim/internal/app"
 	"nexsim/internal/core"
 	"nexsim/internal/mem"
+	"nexsim/internal/nex"
 	"nexsim/internal/trace"
 	"nexsim/internal/vclock"
 	"nexsim/internal/workloads"
@@ -55,31 +56,72 @@ func TestJPEGDriverEndToEnd(t *testing.T) {
 	}
 }
 
-// TestJPEGDriverIRQ exercises the interrupt path end to end under NEX
-// hybrid synchronization.
+// TestJPEGDriverIRQ exercises the interrupt path end to end through the
+// JPEG kit device under every host engine and NEX sync mode: an
+// IRQ-driven run must complete and leave the same decoded pixels in
+// memory as a polling run of the same image under the same engine.
 func TestJPEGDriverIRQ(t *testing.T) {
 	img := jpeg.NewImage(32, 32)
+	rng := xrand.New(5)
+	for i := range img.Pix {
+		img.Pix[i] = byte(rng.Intn(256))
+	}
 	data := jpeg.Encode(img, 80, jpeg.Sub420)
 
-	cfg := core.Config{
-		Host: core.HostNEX, Accel: core.AccelDSim, Model: core.AccelJPEG,
-		Cores: 4, Seed: 1,
+	nexCfg := func(mode nex.SyncMode) core.Config {
+		cfg := core.Config{Host: core.HostNEX}
+		cfg.NEX.Mode = mode
+		cfg.NEX.SyncInterval = 10 * vclock.Microsecond
+		return cfg
 	}
-	cfg.NEX.Mode = 2 // hybrid
-	cfg.NEX.SyncInterval = 10 * vclock.Microsecond
-	sys := core.Build(cfg)
-	src := sys.Ctx.Arena
-	done := false
-	sys.Run(app.Program{Main: func(e app.Env) {
-		e.Mem().WriteAt(src, data)
-		drv := jpeg.NewDriver(sys.Ctx.MMIO[0], sys.Ctx.TaskBufs[0], 4)
-		drv.EnableIRQ(e)
-		drv.Submit(e, jpeg.Desc{Src: src, SrcLen: uint32(len(data)), Dst: src + 1<<20})
-		drv.WaitAllIRQ(e)
-		done = true
-	}})
-	if !done {
-		t.Fatal("IRQ wait never completed")
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"reference", core.Config{Host: core.HostReference}},
+		{"gem5", core.Config{Host: core.HostGem5}},
+		{"nex-lazy", nexCfg(nex.Lazy)},
+		{"nex-eager", nexCfg(nex.Eager)},
+		{"nex-hybrid", nexCfg(nex.Hybrid)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			decode := func(irq bool) []byte {
+				cfg := tc.cfg
+				cfg.Accel, cfg.Model, cfg.Cores, cfg.Seed = core.AccelDSim, core.AccelJPEG, 4, 1
+				sys := core.Build(cfg)
+				defer sys.Release()
+				src := sys.Ctx.Arena
+				dst := sys.Ctx.Arena + 1<<20
+				done := false
+				sys.Run(app.Program{Main: func(e app.Env) {
+					e.Mem().WriteAt(src, data)
+					drv := jpeg.NewDriver(sys.Ctx.MMIO[0], sys.Ctx.TaskBufs[0], 4)
+					if irq {
+						drv.EnableIRQ(e)
+					}
+					drv.Submit(e, jpeg.Desc{Src: src, SrcLen: uint32(len(data)), Dst: dst})
+					if irq {
+						drv.WaitAllIRQ(e)
+					} else {
+						drv.WaitAll(e, 0)
+					}
+					done = true
+				}})
+				if !done {
+					t.Fatalf("irq=%v: wait never completed", irq)
+				}
+				got := make([]byte, len(img.Pix))
+				sys.Ctx.Mem.ReadAt(dst, got)
+				return got
+			}
+			polled, got := decode(false), decode(true)
+			if bytes.Equal(polled, make([]byte, len(polled))) {
+				t.Fatal("polling run decoded nothing")
+			}
+			if !bytes.Equal(got, polled) {
+				t.Fatal("IRQ run's decoded pixels differ from the polling run's")
+			}
+		})
 	}
 }
 

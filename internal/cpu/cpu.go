@@ -26,7 +26,6 @@ import (
 
 // Config describes the modeled core.
 type Config struct {
-	Name  string
 	Clock vclock.Hz
 
 	// IssueWidth is the superscalar width (default 4).

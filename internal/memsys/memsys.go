@@ -37,8 +37,8 @@ func (f Fixed) Access(at vclock.Time, _ mem.AccessKind, _ mem.Addr, _ int) vcloc
 	return at.Add(f.Latency)
 }
 
-// Counter wraps a Port and counts accesses by kind; engines use it to
-// attribute traffic in coarse-grained traces.
+// Counter wraps a Port and counts accesses by kind; the cachesim tests
+// put it behind a cache to see the traffic the cache sends on.
 type Counter struct {
 	Inner  Port
 	Reads  int64

@@ -18,7 +18,7 @@ func CPUOnlyBenches() []Bench {
 	out = append(out, Bench{
 		Name: "cpu-jpeg-decode", Model: core.AccelNone, Threads: 1,
 		Build: func(ctx *core.Ctx) app.Program {
-			return CPUJPEGProgram(JPEGConfig{Images: 20, Seed: 101}.withDefaults(), ctx)
+			return cpuJPEGProgram(JPEGConfig{Images: 20, Seed: 101}.withDefaults(), ctx)
 		},
 	})
 	for _, netname := range []string{"resnet18", "resnet50"} {
@@ -26,7 +26,7 @@ func CPUOnlyBenches() []Bench {
 		out = append(out, Bench{
 			Name: "cpu-vta-" + netname, Model: core.AccelNone, Threads: 1,
 			Build: func(ctx *core.Ctx) app.Program {
-				return CPUInferenceProgram(VTAConfig{Network: netname, Seed: 11}, ctx)
+				return cpuInferenceProgram(vtaConfig{Network: netname, Seed: 11}, ctx)
 			},
 		})
 	}
@@ -35,17 +35,17 @@ func CPUOnlyBenches() []Bench {
 		out = append(out, Bench{
 			Name: "cpu-" + pb.name, Model: core.AccelNone, Threads: 1,
 			Build: func(ctx *core.Ctx) app.Program {
-				return CPUSerializeProgram(pb, ctx)
+				return cpuSerializeProgram(pb, ctx)
 			},
 		})
 	}
 	return out
 }
 
-// CPUJPEGProgram decodes and filters the image corpus entirely on the
+// cpuJPEGProgram decodes and filters the image corpus entirely on the
 // CPU: entropy decoding at ~2 cycles/bit plus IDCT/color at ~45
 // cycles/pixel, then the same matrix_filter_2d post-processing.
-func CPUJPEGProgram(cfg JPEGConfig, ctx *core.Ctx) app.Program {
+func cpuJPEGProgram(cfg JPEGConfig, ctx *core.Ctx) app.Program {
 	return app.Program{
 		Name: "cpu-jpeg",
 		Main: func(e app.Env) {

@@ -60,7 +60,7 @@ func JPEGBenches() []Bench {
 			Model:   core.AccelJPEG,
 			Devices: cfg.Threads,
 			Threads: cfg.Threads,
-			Build:   func(ctx *core.Ctx) app.Program { return JPEGProgram(cfg, ctx) },
+			Build:   func(ctx *core.Ctx) app.Program { return jpegProgram(cfg, ctx) },
 		}
 	}
 	filter := JPEGConfig{Images: 32, Threads: 8, FilterPasses: 16, Seed: 777}
@@ -89,10 +89,10 @@ type jpegImage struct {
 	w, h   int
 }
 
-// JPEGProgram builds the decode + post-process application: threads
+// jpegProgram builds the decode + post-process application: threads
 // repeatedly fetch image tasks from a shared queue (paper §6.1), decode
 // on their accelerator, and run matrix_filter_2d on the CPU.
-func JPEGProgram(cfg JPEGConfig, ctx *core.Ctx) app.Program {
+func jpegProgram(cfg JPEGConfig, ctx *core.Ctx) app.Program {
 	cfg = cfg.withDefaults()
 	return app.Program{
 		Name: fmt.Sprintf("jpeg.%dx%d", cfg.Images, cfg.Threads),

@@ -38,8 +38,8 @@ var npbKernels = []npbKernel{
 	{name: "lu", seg: 14900 * vclock.Nanosecond, iters: 150, barriers: 1, skew: 0.10, pipeline: true},
 }
 
-// NPBBenches returns the NPB-style kernels at the given thread count.
-func NPBBenches(threads int) []Bench {
+// npbBenches returns the NPB-style kernels at the given thread count.
+func npbBenches(threads int) []Bench {
 	var out []Bench
 	for _, k := range npbKernels {
 		k := k
@@ -48,16 +48,15 @@ func NPBBenches(threads int) []Bench {
 			Model:   core.AccelNone,
 			Threads: threads,
 			Build: func(ctx *core.Ctx) app.Program {
-				return NPBProgram(k.name, threads, ctx.Clock)
+				return npbProgram(k.name, threads, ctx.Clock)
 			},
 		})
 	}
 	return out
 }
 
-// NPBProgram builds one kernel at a thread count (exported for the
-// epoch/oversubscription studies that sweep thread counts directly).
-func NPBProgram(kernel string, threads int, clk vclock.Hz) app.Program {
+// npbProgram builds one kernel at a thread count.
+func npbProgram(kernel string, threads int, clk vclock.Hz) app.Program {
 	var k npbKernel
 	found := false
 	for _, c := range npbKernels {

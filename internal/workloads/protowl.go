@@ -36,8 +36,8 @@ var protoBenches = []protoBench{
 	{name: "protoacc-bench5", messages: 160, fields: 30, strFields: 6, strLen: 96, depth: 1, seed: 206},
 }
 
-// ProtoaccBenches returns the serialization benchmarks.
-func ProtoaccBenches() []Bench {
+// protoaccBenches returns the serialization benchmarks.
+func protoaccBenches() []Bench {
 	var out []Bench
 	for _, pb := range protoBenches {
 		pb := pb
@@ -46,7 +46,7 @@ func ProtoaccBenches() []Bench {
 			Model:   core.AccelProtoacc,
 			Devices: 1,
 			Threads: 1,
-			Build:   func(ctx *core.Ctx) app.Program { return ProtoaccProgram(pb, ctx) },
+			Build:   func(ctx *core.Ctx) app.Program { return protoaccProgram(pb, ctx) },
 		})
 	}
 	return out
@@ -156,10 +156,10 @@ func fillRandom(d *protoacc.MessageDesc, rng *xrand.Stream, strLen int) *protoac
 	return m
 }
 
-// ProtoaccProgram builds the asynchronous serialization application: the
+// protoaccProgram builds the asynchronous serialization application: the
 // CPU creates and fills messages (the costly part the paper points at),
 // launches the batch, then waits for completion.
-func ProtoaccProgram(pb protoBench, ctx *core.Ctx) app.Program {
+func protoaccProgram(pb protoBench, ctx *core.Ctx) app.Program {
 	return app.Program{
 		Name: pb.name,
 		Main: func(e app.Env) {
@@ -210,9 +210,9 @@ func ProtoaccProgram(pb protoBench, ctx *core.Ctx) app.Program {
 	}
 }
 
-// CPUSerializeProgram is the CPU-only baseline: Marshal on the host at
+// cpuSerializeProgram is the CPU-only baseline: Marshal on the host at
 // its native serialization rate (~1.3 GB/s plus per-field overhead).
-func CPUSerializeProgram(pb protoBench, ctx *core.Ctx) app.Program {
+func cpuSerializeProgram(pb protoBench, ctx *core.Ctx) app.Program {
 	return app.Program{
 		Name: pb.name + "-cpu",
 		Main: func(e app.Env) {
@@ -246,15 +246,4 @@ func countFields(m *protoacc.Message) int {
 		}
 	}
 	return n
-}
-
-// ProtoBenchByName returns the bench parameters (for the tail-latency
-// and sweep experiments).
-func ProtoBenchByName(name string) (protoBench, bool) {
-	for _, pb := range protoBenches {
-		if pb.name == name {
-			return pb, true
-		}
-	}
-	return protoBench{}, false
 }

@@ -13,68 +13,68 @@ import (
 	"nexsim/internal/xrand"
 )
 
-// Layer is one convolution layer of a network: Cin x H x W input,
+// layer is one convolution layer of a network: Cin x H x W input,
 // Cout filters of KxK, given stride.
-type Layer struct {
+type layer struct {
 	Cin, H, W, Cout, K, Stride int
 }
 
 // outDims returns the output spatial dims (same padding).
-func (l Layer) outDims() (int, int) { return l.H / l.Stride, l.W / l.Stride }
+func (l layer) outDims() (int, int) { return l.H / l.Stride, l.W / l.Stride }
 
-// Network is a named layer stack.
-type Network struct {
+// network is a named layer stack.
+type network struct {
 	Name   string
 	Input  int // input image edge
-	Layers []Layer
+	Layers []layer
 }
 
 // repeatLayer appends n copies of a residual-style 3x3 block.
-func repeatLayer(ls []Layer, n, c, hw int) []Layer {
+func repeatLayer(ls []layer, n, c, hw int) []layer {
 	for i := 0; i < n; i++ {
-		ls = append(ls, Layer{Cin: c, H: hw, W: hw, Cout: c, K: 3, Stride: 1})
+		ls = append(ls, layer{Cin: c, H: hw, W: hw, Cout: c, K: 3, Stride: 1})
 	}
 	return ls
 }
 
-// Networks returns the model zoo of the evaluation (full-size layer
-// tables; scaling happens in VTAProgram).
-func Networks() []Network {
-	resnet18 := Network{Name: "resnet18", Input: 224}
-	ls := []Layer{{Cin: 3, H: 224, W: 224, Cout: 64, K: 7, Stride: 2}}
+// networks returns the model zoo of the evaluation (full-size layer
+// tables; scaling happens in vtaProgram).
+func networks() []network {
+	resnet18 := network{Name: "resnet18", Input: 224}
+	ls := []layer{{Cin: 3, H: 224, W: 224, Cout: 64, K: 7, Stride: 2}}
 	ls = repeatLayer(ls, 4, 64, 56)
-	ls = append(ls, Layer{Cin: 64, H: 56, W: 56, Cout: 128, K: 3, Stride: 2})
+	ls = append(ls, layer{Cin: 64, H: 56, W: 56, Cout: 128, K: 3, Stride: 2})
 	ls = repeatLayer(ls, 3, 128, 28)
-	ls = append(ls, Layer{Cin: 128, H: 28, W: 28, Cout: 256, K: 3, Stride: 2})
+	ls = append(ls, layer{Cin: 128, H: 28, W: 28, Cout: 256, K: 3, Stride: 2})
 	ls = repeatLayer(ls, 3, 256, 14)
-	ls = append(ls, Layer{Cin: 256, H: 14, W: 14, Cout: 512, K: 3, Stride: 2})
+	ls = append(ls, layer{Cin: 256, H: 14, W: 14, Cout: 512, K: 3, Stride: 2})
 	ls = repeatLayer(ls, 3, 512, 7)
 	resnet18.Layers = ls
 
-	resnet34 := Network{Name: "resnet34", Input: 224}
-	ls = []Layer{{Cin: 3, H: 224, W: 224, Cout: 64, K: 7, Stride: 2}}
+	resnet34 := network{Name: "resnet34", Input: 224}
+	ls = []layer{{Cin: 3, H: 224, W: 224, Cout: 64, K: 7, Stride: 2}}
 	ls = repeatLayer(ls, 6, 64, 56)
-	ls = append(ls, Layer{Cin: 64, H: 56, W: 56, Cout: 128, K: 3, Stride: 2})
+	ls = append(ls, layer{Cin: 64, H: 56, W: 56, Cout: 128, K: 3, Stride: 2})
 	ls = repeatLayer(ls, 7, 128, 28)
-	ls = append(ls, Layer{Cin: 128, H: 28, W: 28, Cout: 256, K: 3, Stride: 2})
+	ls = append(ls, layer{Cin: 128, H: 28, W: 28, Cout: 256, K: 3, Stride: 2})
 	ls = repeatLayer(ls, 11, 256, 14)
-	ls = append(ls, Layer{Cin: 256, H: 14, W: 14, Cout: 512, K: 3, Stride: 2})
+	ls = append(ls, layer{Cin: 256, H: 14, W: 14, Cout: 512, K: 3, Stride: 2})
 	ls = repeatLayer(ls, 5, 512, 7)
 	resnet34.Layers = ls
 
 	// ResNet-50 bottlenecks: 1x1 reduce, 3x3, 1x1 expand per block.
-	resnet50 := Network{Name: "resnet50", Input: 224}
-	ls = []Layer{{Cin: 3, H: 224, W: 224, Cout: 64, K: 7, Stride: 2}}
-	bottleneck := func(ls []Layer, n, cin, mid, hw, stride int) []Layer {
+	resnet50 := network{Name: "resnet50", Input: 224}
+	ls = []layer{{Cin: 3, H: 224, W: 224, Cout: 64, K: 7, Stride: 2}}
+	bottleneck := func(ls []layer, n, cin, mid, hw, stride int) []layer {
 		for i := 0; i < n; i++ {
 			s := 1
 			if i == 0 {
 				s = stride
 			}
 			ls = append(ls,
-				Layer{Cin: cin, H: hw, W: hw, Cout: mid, K: 1, Stride: s},
-				Layer{Cin: mid, H: hw / s, W: hw / s, Cout: mid, K: 3, Stride: 1},
-				Layer{Cin: mid, H: hw / s, W: hw / s, Cout: mid * 4, K: 1, Stride: 1},
+				layer{Cin: cin, H: hw, W: hw, Cout: mid, K: 1, Stride: s},
+				layer{Cin: mid, H: hw / s, W: hw / s, Cout: mid, K: 3, Stride: 1},
+				layer{Cin: mid, H: hw / s, W: hw / s, Cout: mid * 4, K: 1, Stride: 1},
 			)
 			cin = mid * 4
 		}
@@ -86,8 +86,8 @@ func Networks() []Network {
 	ls = bottleneck(ls, 3, 1024, 512, 14, 2)
 	resnet50.Layers = ls
 
-	yolo := Network{Name: "yolov3-tiny", Input: 416}
-	yolo.Layers = []Layer{
+	yolo := network{Name: "yolov3-tiny", Input: 416}
+	yolo.Layers = []layer{
 		{Cin: 3, H: 416, W: 416, Cout: 16, K: 3, Stride: 1},
 		{Cin: 16, H: 208, W: 208, Cout: 32, K: 3, Stride: 1},
 		{Cin: 32, H: 104, W: 104, Cout: 64, K: 3, Stride: 1},
@@ -102,11 +102,11 @@ func Networks() []Network {
 		{Cin: 384, H: 26, W: 26, Cout: 256, K: 3, Stride: 1},
 		{Cin: 256, H: 26, W: 26, Cout: 255, K: 1, Stride: 1},
 	}
-	return []Network{resnet18, resnet34, resnet50, yolo}
+	return []network{resnet18, resnet34, resnet50, yolo}
 }
 
-// VTAConfig parameterizes an inference run.
-type VTAConfig struct {
+// vtaConfig parameterizes an inference run.
+type vtaConfig struct {
 	Network string
 	// SpatialScale and ChannelScale shrink the network so the gem5+RTL
 	// baseline stays tractable (documented in EXPERIMENTS.md).
@@ -116,7 +116,7 @@ type VTAConfig struct {
 	Seed         uint64
 }
 
-func (c VTAConfig) withDefaults() VTAConfig {
+func (c vtaConfig) withDefaults() vtaConfig {
 	if c.SpatialScale == 0 {
 		c.SpatialScale = 4
 	}
@@ -129,35 +129,35 @@ func (c VTAConfig) withDefaults() VTAConfig {
 	return c
 }
 
-// VTABenches returns the deep-learning benchmarks.
-func VTABenches() []Bench {
-	mk := func(name string, cfg VTAConfig) Bench {
+// vtaBenches returns the deep-learning benchmarks.
+func vtaBenches() []Bench {
+	mk := func(name string, cfg vtaConfig) Bench {
 		cfg = cfg.withDefaults()
 		return Bench{
 			Name:    name,
 			Model:   core.AccelVTA,
 			Devices: cfg.Processes,
 			Threads: cfg.Processes,
-			Build:   func(ctx *core.Ctx) app.Program { return VTAProgram(cfg, ctx) },
+			Build:   func(ctx *core.Ctx) app.Program { return vtaProgram(cfg, ctx) },
 		}
 	}
 	return []Bench{
-		mk("vta-resnet18", VTAConfig{Network: "resnet18", Seed: 11}),
-		mk("vta-resnet34", VTAConfig{Network: "resnet34", Seed: 12}),
-		mk("vta-resnet50", VTAConfig{Network: "resnet50", Seed: 13}),
+		mk("vta-resnet18", vtaConfig{Network: "resnet18", Seed: 11}),
+		mk("vta-resnet34", vtaConfig{Network: "resnet34", Seed: 12}),
+		mk("vta-resnet50", vtaConfig{Network: "resnet50", Seed: 13}),
 		// The x2 variant halves channels instead of quartering them, so
 		// the compute:offload ratio resembles the real network's — the
 		// §6.4 design-sweep workload (see EXPERIMENTS.md).
-		mk("vta-resnet50-x2", VTAConfig{Network: "resnet50", Seed: 13, ChannelScale: 2}),
-		mk("vta-yolov3-tiny", VTAConfig{Network: "yolov3-tiny", Seed: 14}),
-		mk("vta-matmul", VTAConfig{Network: "matmul", Seed: 15}),
-		mk("vta-resnet18-mp4", VTAConfig{Network: "resnet18", Processes: 4, Seed: 16}),
-		mk("vta-resnet18-mp8", VTAConfig{Network: "resnet18", Processes: 8, Seed: 17}),
+		mk("vta-resnet50-x2", vtaConfig{Network: "resnet50", Seed: 13, ChannelScale: 2}),
+		mk("vta-yolov3-tiny", vtaConfig{Network: "yolov3-tiny", Seed: 14}),
+		mk("vta-matmul", vtaConfig{Network: "matmul", Seed: 15}),
+		mk("vta-resnet18-mp4", vtaConfig{Network: "resnet18", Processes: 4, Seed: 16}),
+		mk("vta-resnet18-mp8", vtaConfig{Network: "resnet18", Processes: 8, Seed: 17}),
 	}
 }
 
 // gemmOf lowers a (scaled) layer to a GEMM shape (im2col).
-func gemmOf(l Layer, spatial, chans int) (m, n, k int) {
+func gemmOf(l layer, spatial, chans int) (m, n, k int) {
 	oh, ow := l.outDims()
 	oh, ow = max1(oh/spatial), max1(ow/spatial)
 	cin := max16(l.Cin / chans)
@@ -190,17 +190,17 @@ func max16(v int) int {
 }
 func roundUp16(v int) int { return (v + 15) &^ 15 }
 
-// VTAProgram builds the inference application: for each layer, the CPU
+// vtaProgram builds the inference application: for each layer, the CPU
 // does im2col (charged compute), launches the GEMM on VTA, and waits.
-func VTAProgram(cfg VTAConfig, ctx *core.Ctx) app.Program {
+func vtaProgram(cfg vtaConfig, ctx *core.Ctx) app.Program {
 	cfg = cfg.withDefaults()
-	var layers []Layer
+	var layers []layer
 	if cfg.Network == "matmul" {
 		// A single large GEMM benchmark (Fig. 4's accelerator-bound case).
 		layers = nil
 	} else {
 		found := false
-		for _, n := range Networks() {
+		for _, n := range networks() {
 			if n.Name == cfg.Network {
 				layers, found = n.Layers, true
 				break
@@ -228,7 +228,7 @@ func VTAProgram(cfg VTAConfig, ctx *core.Ctx) app.Program {
 	}
 }
 
-func runInference(e app.Env, cfg VTAConfig, ctx *core.Ctx, proc int, layers []Layer) {
+func runInference(e app.Env, cfg vtaConfig, ctx *core.Ctx, proc int, layers []layer) {
 	rng := xrand.New(cfg.Seed ^ uint64(proc)<<16)
 	// Per-process arena slice.
 	arena := ctx.Arena + mem.Addr(proc)*(8<<20)
@@ -265,7 +265,7 @@ func runInference(e app.Env, cfg VTAConfig, ctx *core.Ctx, proc int, layers []La
 // gemmTasks lowers the network (or the single large GEMM of the matmul
 // benchmark, Fig. 4's accelerator-bound case) to the tasks one inference
 // launches; stageOperands gives them their buffers.
-func gemmTasks(cfg VTAConfig, layers []Layer) []vta.GemmTask {
+func gemmTasks(cfg vtaConfig, layers []layer) []vta.GemmTask {
 	if cfg.Network == "matmul" {
 		return []vta.GemmTask{{M: 192, N: 128, K: 384, Shift: 7}}
 	}
@@ -326,13 +326,13 @@ func randI8(rng *xrand.Stream, n int) *mem.Blob {
 	})
 }
 
-// CPUInferenceProgram is the CPU-only fallback (the paper's Q1/Q2
+// cpuInferenceProgram is the CPU-only fallback (the paper's Q1/Q2
 // comparison: ResNet-50 on the Xeon vs on VTA). The conv work is charged
 // at the CPU's native int8 GEMM rate.
-func CPUInferenceProgram(cfg VTAConfig, ctx *core.Ctx) app.Program {
+func cpuInferenceProgram(cfg vtaConfig, ctx *core.Ctx) app.Program {
 	cfg = cfg.withDefaults()
-	var layers []Layer
-	for _, n := range Networks() {
+	var layers []layer
+	for _, n := range networks() {
 		if n.Name == cfg.Network {
 			layers = n.Layers
 		}

@@ -39,13 +39,13 @@ type Bench struct {
 // never changes after start-up.
 var catalog = sync.OnceValues(func() ([]Bench, map[string]Bench) {
 	var all []Bench
-	all = append(all, VTABenches()...)
-	all = append(all, ProtoaccBenches()...)
+	all = append(all, vtaBenches()...)
+	all = append(all, protoaccBenches()...)
 	all = append(all, JPEGBenches()...)
 	// The thread counts the NEX configuration studies sweep (Table 4,
 	// §6.6): a count is part of the name, not a spec axis.
 	for _, threads := range []int{1, 2, 4, 8, 16} {
-		all = append(all, NPBBenches(threads)...)
+		all = append(all, npbBenches(threads)...)
 	}
 	all = append(all, CPUOnlyBenches()...)
 	all = append(all, Bench{
@@ -54,7 +54,7 @@ var catalog = sync.OnceValues(func() ([]Bench, map[string]Bench) {
 		// original benchmark set).
 		Name: "cpu-vta-resnet50-x2", Model: core.AccelNone, Threads: 1,
 		Build: func(ctx *core.Ctx) app.Program {
-			return CPUInferenceProgram(VTAConfig{Network: "resnet50", Seed: 13, ChannelScale: 2}, ctx)
+			return cpuInferenceProgram(vtaConfig{Network: "resnet50", Seed: 13, ChannelScale: 2}, ctx)
 		},
 	})
 	byName := make(map[string]Bench, len(all))

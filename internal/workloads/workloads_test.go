@@ -62,7 +62,7 @@ func TestByNameUnknown(t *testing.T) {
 }
 
 func TestNetworkShapes(t *testing.T) {
-	for _, n := range Networks() {
+	for _, n := range networks() {
 		if len(n.Layers) == 0 {
 			t.Fatalf("%s has no layers", n.Name)
 		}
@@ -80,7 +80,7 @@ func TestNetworkShapes(t *testing.T) {
 	}
 	// Depth ordering: resnet50 > resnet34 > resnet18 in layer count.
 	byName := map[string]int{}
-	for _, n := range Networks() {
+	for _, n := range networks() {
 		byName[n.Name] = len(n.Layers)
 	}
 	if !(byName["resnet50"] > byName["resnet34"] && byName["resnet34"] > byName["resnet18"]) {
@@ -89,7 +89,7 @@ func TestNetworkShapes(t *testing.T) {
 }
 
 func TestGemmOfRespectsAccBound(t *testing.T) {
-	for _, n := range Networks() {
+	for _, n := range networks() {
 		for _, l := range n.Layers {
 			m, nn, k := gemmOf(l, 4, 4)
 			if m%16 != 0 {
@@ -111,7 +111,7 @@ func TestNPBProgramUnknownKernelPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NPBProgram("nope", 4, 3*vclock.GHz)
+	npbProgram("nope", 4, 3*vclock.GHz)
 }
 
 func TestCPUOnlyBenchesHaveNoDevices(t *testing.T) {
@@ -119,15 +119,6 @@ func TestCPUOnlyBenchesHaveNoDevices(t *testing.T) {
 		if b.Model != core.AccelNone {
 			t.Fatalf("%s declares an accelerator", b.Name)
 		}
-	}
-}
-
-func TestProtoBenchLookup(t *testing.T) {
-	if _, ok := ProtoBenchByName("protoacc-bench0"); !ok {
-		t.Fatal("bench0 missing")
-	}
-	if _, ok := ProtoBenchByName("protoacc-bench9"); ok {
-		t.Fatal("phantom bench")
 	}
 }
 
@@ -156,7 +147,7 @@ func TestCorpusCacheDeterministic(t *testing.T) {
 			Host: core.HostReference, Accel: core.AccelDSim,
 			Model: core.AccelJPEG, Devices: 1, Cores: 8, Seed: 42,
 		})
-		return sys.Run(JPEGProgram(cfg, &sys.Ctx)).SimTime
+		return sys.Run(jpegProgram(cfg, &sys.Ctx)).SimTime
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("corpus-cached runs differ: %v vs %v", a, b)
