@@ -41,6 +41,12 @@ test -z "$(grep -rl 'sync\.Mutex' internal/accel/jpeg internal/accel/vta interna
 test -z "$(grep -rl '"nexsim/internal/accel/devkit"' . --include='*.go' |
 	grep -v -e '^\./internal/accel/' -e '^\./internal/dsim/' -e '^\./internal/workloads/' -e '^\./examples/')"
 
+# One DSim mechanism (DESIGN.md §4): a device model's Advance is the
+# kit's, devkit.Clock's for an RTL-style model and dsim.Base's for an
+# LPN model, so no model schedules its performance track by hand.
+test -z "$(grep -rlE '^func \(.*\) Advance\(' internal/accel internal/dsim examples --include='*.go' |
+	grep -v -e _test.go -e /acceltest/ -e '^internal/accel/devkit/clock\.go$' -e '^internal/dsim/dsim\.go$')"
+
 # Test scaffolding stays out of production: acceltest imports testing, so
 # only _test.go files and examples/ may import it.
 test -z "$(grep -rl '"nexsim/internal/accel/acceltest"' . --include='*.go' |

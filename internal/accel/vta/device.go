@@ -2,6 +2,9 @@ package vta
 
 import (
 	"nexsim/internal/accel/devkit"
+	"nexsim/internal/dsim"
+	"nexsim/internal/lpn"
+	"nexsim/internal/lpnlang"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
@@ -9,47 +12,120 @@ import (
 // IRQVector is the completion interrupt vector.
 const IRQVector = 11
 
-// Device is the DSim model of VTA. Its performance track is the
-// compiled form of the accelerator's LPN: the three module timelines
-// (load, compute, store) advance op by op, joining on dependency-queue
-// tokens exactly as the LPN transitions would — the paper's lpnlang
-// similarly compiles LPNs into specialized C++ simulators (§4.1).
+// An op token's attributes: the op's two dependency pops, which set the
+// weights of its stage's dependency arcs, and where the op sits in the
+// device's task plans.
+const (
+	attrPopPrev = iota
+	attrPopNext
+	attrTask
+	attrOp
+)
+
+// Device is the DSim model of VTA. Its performance track is an LPN with
+// one single-server stage per module (load, compute, store). Each stage
+// takes one op token per firing from its op place, and takes a token
+// from a dependency place (ld2cmp, cmp2ld, cmp2st, st2cmp) only when
+// the op pops that queue. A firing is one op: it issues the op's DMAs at
+// its start, lasts until the later of the op's cycles and those DMAs'
+// completions, and pushes a completion-time token for each dependency
+// the op pushes. The functionality track is the memoized plan
+// (plan.go).
 type Device struct {
-	devkit.Bank
+	dsim.Base
 	clk vclock.Hz
-	now vclock.Time
 
-	mods [3]modState // load, compute, store
-
-	// Dependency queues carry completion timestamps.
-	ld2cmp, cmp2ld, cmp2st, st2cmp devkit.Queue[vclock.Time]
-}
-
-type modState struct {
-	ops  devkit.Queue[planOp]
-	free vclock.Time // module available from
+	opQ   [3]*lpn.Place
+	tasks [][3][]planOp // each rung task's plan, indexed by attrTask
+	cur   *planOp       // the firing op, for the OutFuncs and the Effect
+	dep   [1]lpn.Token  // scratch for the dependency OutFuncs
 }
 
 // NewDevice builds the DSim VTA at clock clk.
 func NewDevice(clk vclock.Hz) *Device {
 	d := &Device{clk: clk}
-	d.Init("vta", IRQVector, d)
+	b := lpnlang.NewBuilder("vta", clk)
+	for m, name := range [3]string{"loads", "computes", "stores"} {
+		d.opQ[m] = b.Queue(name, 0)
+	}
+	ld2cmp, cmp2ld := b.Queue("ld2cmp", 0), b.Queue("cmp2ld", 0)
+	cmp2st, st2cmp := b.Queue("cmp2st", 0), b.Queue("st2cmp", 0)
+
+	// Registration order is the tie-break: at equal ready times the
+	// lowest module goes first.
+	b.Stage("load", d.opQ[0], nil, d.run(0),
+		lpnlang.AlsoConsumeBy(cmp2ld, attrPopNext),
+		lpnlang.AlsoProduce(ld2cmp, d.push(true)))
+	b.Stage("compute", d.opQ[1], nil, d.run(1),
+		lpnlang.AlsoConsumeBy(ld2cmp, attrPopPrev),
+		lpnlang.AlsoConsumeBy(st2cmp, attrPopNext),
+		lpnlang.AlsoProduce(cmp2ld, d.push(false)),
+		lpnlang.AlsoProduce(cmp2st, d.push(true)),
+		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
+			if d.cur.finish {
+				d.Complete(done)
+			}
+		}))
+	b.Stage("store", d.opQ[2], nil, d.run(2),
+		lpnlang.AlsoConsumeBy(cmp2st, attrPopPrev),
+		lpnlang.AlsoProduce(st2cmp, d.push(false)))
+
+	d.Init("vta", IRQVector, d, b.MustBuild())
 	return d
 }
 
-// Now returns the device-local time.
-func (d *Device) Now() vclock.Time { return d.now }
+// run is module m's delay: the firing issues its op's DMAs at its start
+// and lasts until the later of the op's cycles and their completions. A
+// firing's delay runs before its outputs and its Effect, so it leaves
+// the op in d.cur for them.
+func (d *Device) run(m int) lpn.DelayFunc {
+	return func(f *lpn.Firing) vclock.Duration {
+		tok := &f.In[0][0]
+		op := &d.tasks[tok.Attrs[attrTask]][m][tok.Attrs[attrOp]]
+		d.cur = op
+		finish := f.Time.Add(d.clk.CyclesDur(op.cycles))
+		for _, dma := range op.dmas {
+			finish = max(finish, d.DMA(f.Time, dma.kind, dma.addr, dma.size, dma.data))
+		}
+		return finish.Sub(f.Time)
+	}
+}
 
-// Doorbell implements devkit.Model.
+// push is an OutFunc depositing one completion-time dependency token
+// when the firing op pushes to its next (or previous) module, and none
+// otherwise.
+func (d *Device) push(next bool) lpn.OutFunc {
+	return func(f *lpn.Firing, done vclock.Time) []lpn.Token {
+		i := &d.cur.instr
+		if next && !i.PushNext || !next && !i.PushPrev {
+			return nil
+		}
+		d.dep[0] = lpn.Tok(done)
+		return d.dep[:]
+	}
+}
+
+// Doorbell implements devkit.Model: the task's ops enter the op places
+// as tokens available once the instruction fetch completes.
 func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
-	startTask(&d.Bank, at, descAddr, &d.mods[0].ops, &d.mods[1].ops, &d.mods[2].ops)
+	plan, fetchDone := startTask(&d.Bank, at, descAddr)
+	task := int64(len(d.tasks))
+	mods := [3][]planOp{plan.loads, plan.computes, plan.stores}
+	d.tasks = append(d.tasks, mods)
+	for m, ops := range mods {
+		for i := range ops {
+			in := &ops[i].instr
+			d.Net.Inject(d.opQ[m], lpn.Token{TS: fetchDone,
+				Attrs: [4]int64{flag(in.PopPrev), flag(in.PopNext), task, int64(i)}})
+		}
+	}
 }
 
 // startTask is a doorbell on either model: the timed fetch of the
-// descriptor and the instruction stream, then the memoized master plan's
-// ops appended to the three module queues, each copy gated on the fetch
-// response.
-func startTask(b *devkit.Bank, at vclock.Time, descAddr mem.Addr, loads, computes, stores *devkit.Queue[planOp]) {
+// descriptor and the instruction stream. It returns the memoized master
+// plan, which the caller must not modify, and the fetch's completion,
+// which gates every op of the task.
+func startTask(b *devkit.Bank, at vclock.Time, descAddr mem.Addr) (*vtaPlan, vclock.Time) {
 	b.Start(at)
 	var descB [DescSize]byte
 	b.Host.ZeroCostRead(descAddr, descB[:])
@@ -62,145 +138,12 @@ func startTask(b *devkit.Bank, at vclock.Time, descAddr mem.Addr, loads, compute
 	if err != nil {
 		panic(b.Name() + ": " + err.Error())
 	}
-	appendGated(loads, plan.loads, fetchDone)
-	appendGated(computes, plan.computes, fetchDone)
-	appendGated(stores, plan.stores, fetchDone)
+	return plan, fetchDone
 }
 
-// depsReady returns the earliest time the op's dependency pops are
-// satisfied, or (Never, false) if a required token has not been pushed.
-func (d *Device) depsReady(module int, op *planOp) (vclock.Time, bool) {
-	t := op.minStart
-	need := func(q *devkit.Queue[vclock.Time]) bool {
-		if q.Len() == 0 {
-			return false
-		}
-		if pushed := *q.Front(); pushed > t {
-			t = pushed
-		}
-		return true
+func flag(b bool) int64 {
+	if b {
+		return 1
 	}
-	i := &op.instr
-	switch module {
-	case 0: // load: next = compute
-		if i.PopNext && !need(&d.cmp2ld) {
-			return vclock.Never, false
-		}
-	case 1: // compute: prev = load, next = store
-		if i.PopPrev && !need(&d.ld2cmp) {
-			return vclock.Never, false
-		}
-		if i.PopNext && !need(&d.st2cmp) {
-			return vclock.Never, false
-		}
-	case 2: // store: prev = compute
-		if i.PopPrev && !need(&d.cmp2st) {
-			return vclock.Never, false
-		}
-	}
-	return t, true
-}
-
-// nextStart computes when module m's next op could start.
-func (d *Device) nextStart(m int) (vclock.Time, bool) {
-	ms := &d.mods[m]
-	if ms.ops.Len() == 0 {
-		return vclock.Never, false
-	}
-	t, ok := d.depsReady(m, ms.ops.Front())
-	if !ok {
-		return vclock.Never, false
-	}
-	if ms.free > t {
-		t = ms.free
-	}
-	return t, true
-}
-
-// execute runs module m's next op starting at time start.
-func (d *Device) execute(m int, start vclock.Time) {
-	ms := &d.mods[m]
-	op := *ms.ops.Front()
-	ms.ops.Pop()
-	i := &op.instr
-
-	// Consume dependency tokens.
-	switch m {
-	case 0:
-		if i.PopNext {
-			d.cmp2ld.Pop()
-		}
-	case 1:
-		if i.PopPrev {
-			d.ld2cmp.Pop()
-		}
-		if i.PopNext {
-			d.st2cmp.Pop()
-		}
-	case 2:
-		if i.PopPrev {
-			d.cmp2st.Pop()
-		}
-	}
-
-	finish := start.Add(d.clk.CyclesDur(op.cycles))
-	for _, dma := range op.dmas {
-		finish = max(finish, d.DMA(start, dma.kind, dma.addr, dma.size, dma.data))
-	}
-	ms.free = finish
-	d.CountSteps(1)
-
-	// Push dependency tokens.
-	switch m {
-	case 0:
-		if i.PushNext {
-			d.ld2cmp.Push(finish)
-		}
-	case 1:
-		if i.PushPrev {
-			d.cmp2ld.Push(finish)
-		}
-		if i.PushNext {
-			d.cmp2st.Push(finish)
-		}
-	case 2:
-		if i.PushPrev {
-			d.st2cmp.Push(finish)
-		}
-	}
-
-	if op.finish {
-		d.Complete(finish)
-	}
-}
-
-// Advance implements accel.Device: run module ops whose start times fall
-// at or before t, in global start-time order.
-func (d *Device) Advance(t vclock.Time) {
-	if t > d.now {
-		d.now = t
-	}
-	for {
-		best, bestM := vclock.Never, -1
-		for m := 0; m < 3; m++ {
-			if s, ok := d.nextStart(m); ok && s < best {
-				best, bestM = s, m
-			}
-		}
-		if bestM < 0 || best > t {
-			return
-		}
-		d.execute(bestM, best)
-	}
-}
-
-// NextEvent implements accel.Device.
-func (d *Device) NextEvent() (vclock.Time, bool) {
-	best, any := vclock.Never, false
-	for m := 0; m < 3; m++ {
-		if s, ok := d.nextStart(m); ok && s < best {
-			best, any = s, true
-		}
-	}
-	return best, any
+	return 0
 }

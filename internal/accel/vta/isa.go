@@ -2,8 +2,8 @@
 // paper's evaluation (§6.1, modeled on the Apache Versatile Tensor
 // Accelerator [6]): a tensor ISA with explicit dependency queues between
 // the load, compute and store modules, a functional interpreter, an
-// event-driven DSim performance model (the compiled-LPN form: module
-// timelines with dependency-token joins), an RTL-style cycle model, and
+// event-driven DSim performance model (an lpnlang net: one stage per
+// module joining on dependency-place tokens), an RTL-style cycle model, and
 // a TVM-like driver/compiler that lowers GEMM and convolution layers to
 // instruction streams.
 package vta

@@ -5,12 +5,14 @@ import (
 
 	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
+	"nexsim/internal/vclock"
 )
 
 // refGemm and refAlu are the loops Core.Gemm and Core.Alu replaced, kept
 // verbatim: the kernels in func.go must leave Acc and return errors
 // exactly as these do (DESIGN.md §4.3, "functional kernels"). Below them,
-// refBuildPlan is the plan assembly buildPlan replaced.
+// refBuildPlan is the plan assembly buildPlan replaced, and refDevice is
+// the hand-compiled scheduler Device's LPN replaced.
 
 // refGemm executes acc[M][N] += in[M][K] * wgt[N][K].
 func refGemm(c *Core, i *Instr) error {
@@ -216,4 +218,179 @@ func refBuildPlan(read func(addr mem.Addr, size int) []byte,
 		}
 	}
 	return loads, computes, stores, nil
+}
+
+// refDevice is the DSim VTA as it was before its performance track
+// became an lpnlang net, kept verbatim but for its name and its
+// doorbell, which appends the task's ops to its module queues itself. It
+// is the compiled form of the accelerator's LPN: the three module
+// timelines (load, compute, store) advance op by op, joining on
+// dependency-queue tokens exactly as the LPN transitions would.
+// device_test.go runs it next to Device and requires the same DMAs,
+// interrupts, statistics and results.
+type refDevice struct {
+	devkit.Bank
+	clk vclock.Hz
+	now vclock.Time
+
+	mods [3]refModState // load, compute, store
+
+	// Dependency queues carry completion timestamps.
+	ld2cmp, cmp2ld, cmp2st, st2cmp devkit.Queue[vclock.Time]
+}
+
+type refModState struct {
+	ops  devkit.Queue[planOp]
+	free vclock.Time // module available from
+}
+
+func newRefDevice(clk vclock.Hz) *refDevice {
+	d := &refDevice{clk: clk}
+	d.Init("vta", IRQVector, d)
+	return d
+}
+
+func (d *refDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
+	plan, fetchDone := startTask(&d.Bank, at, descAddr)
+	appendGated(&d.mods[0].ops, plan.loads, fetchDone)
+	appendGated(&d.mods[1].ops, plan.computes, fetchDone)
+	appendGated(&d.mods[2].ops, plan.stores, fetchDone)
+}
+
+// depsReady returns the earliest time the op's dependency pops are
+// satisfied, or (Never, false) if a required token has not been pushed.
+func (d *refDevice) depsReady(module int, op *planOp) (vclock.Time, bool) {
+	t := op.minStart
+	need := func(q *devkit.Queue[vclock.Time]) bool {
+		if q.Len() == 0 {
+			return false
+		}
+		if pushed := *q.Front(); pushed > t {
+			t = pushed
+		}
+		return true
+	}
+	i := &op.instr
+	switch module {
+	case 0: // load: next = compute
+		if i.PopNext && !need(&d.cmp2ld) {
+			return vclock.Never, false
+		}
+	case 1: // compute: prev = load, next = store
+		if i.PopPrev && !need(&d.ld2cmp) {
+			return vclock.Never, false
+		}
+		if i.PopNext && !need(&d.st2cmp) {
+			return vclock.Never, false
+		}
+	case 2: // store: prev = compute
+		if i.PopPrev && !need(&d.cmp2st) {
+			return vclock.Never, false
+		}
+	}
+	return t, true
+}
+
+// nextStart computes when module m's next op could start.
+func (d *refDevice) nextStart(m int) (vclock.Time, bool) {
+	ms := &d.mods[m]
+	if ms.ops.Len() == 0 {
+		return vclock.Never, false
+	}
+	t, ok := d.depsReady(m, ms.ops.Front())
+	if !ok {
+		return vclock.Never, false
+	}
+	if ms.free > t {
+		t = ms.free
+	}
+	return t, true
+}
+
+// execute runs module m's next op starting at time start.
+func (d *refDevice) execute(m int, start vclock.Time) {
+	ms := &d.mods[m]
+	op := *ms.ops.Front()
+	ms.ops.Pop()
+	i := &op.instr
+
+	// Consume dependency tokens.
+	switch m {
+	case 0:
+		if i.PopNext {
+			d.cmp2ld.Pop()
+		}
+	case 1:
+		if i.PopPrev {
+			d.ld2cmp.Pop()
+		}
+		if i.PopNext {
+			d.st2cmp.Pop()
+		}
+	case 2:
+		if i.PopPrev {
+			d.cmp2st.Pop()
+		}
+	}
+
+	finish := start.Add(d.clk.CyclesDur(op.cycles))
+	for _, dma := range op.dmas {
+		finish = max(finish, d.DMA(start, dma.kind, dma.addr, dma.size, dma.data))
+	}
+	ms.free = finish
+	d.CountSteps(1)
+
+	// Push dependency tokens.
+	switch m {
+	case 0:
+		if i.PushNext {
+			d.ld2cmp.Push(finish)
+		}
+	case 1:
+		if i.PushPrev {
+			d.cmp2ld.Push(finish)
+		}
+		if i.PushNext {
+			d.cmp2st.Push(finish)
+		}
+	case 2:
+		if i.PushPrev {
+			d.st2cmp.Push(finish)
+		}
+	}
+
+	if op.finish {
+		d.Complete(finish)
+	}
+}
+
+// Advance implements accel.Device: run module ops whose start times fall
+// at or before t, in global start-time order.
+func (d *refDevice) Advance(t vclock.Time) {
+	if t > d.now {
+		d.now = t
+	}
+	for {
+		best, bestM := vclock.Never, -1
+		for m := 0; m < 3; m++ {
+			if s, ok := d.nextStart(m); ok && s < best {
+				best, bestM = s, m
+			}
+		}
+		if bestM < 0 || best > t {
+			return
+		}
+		d.execute(bestM, best)
+	}
+}
+
+// NextEvent implements accel.Device.
+func (d *refDevice) NextEvent() (vclock.Time, bool) {
+	best, any := vclock.Never, false
+	for m := 0; m < 3; m++ {
+		if s, ok := d.nextStart(m); ok && s < best {
+			best, any = s, true
+		}
+	}
+	return best, any
 }

@@ -46,7 +46,10 @@ func (d *RTLDevice) Busy() bool {
 
 // Doorbell implements devkit.Model.
 func (d *RTLDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
-	startTask(&d.Bank, at, descAddr, &d.mods[0].ops, &d.mods[1].ops, &d.mods[2].ops)
+	plan, fetchDone := startTask(&d.Bank, at, descAddr)
+	appendGated(&d.mods[0].ops, plan.loads, fetchDone)
+	appendGated(&d.mods[1].ops, plan.computes, fetchDone)
+	appendGated(&d.mods[2].ops, plan.stores, fetchDone)
 }
 
 // depsAvailable reports whether module m's next op can pop its tokens.

@@ -9,13 +9,14 @@ import (
 )
 
 // The randomized differential test: generate layered random nets —
-// weighted arcs, capacity-bounded places, token-dependent delays,
-// OutFuncs, effects — and drive two structurally identical
-// instances through the same schedule of injections, Advance bounds and
-// NextEvent probes: one on the engine, one on the reference engine in
-// ref_test.go. The firing logs (name, fire time, done
-// time), clocks, NextEvent answers and final markings must agree
-// exactly; determinism of the experiment tables rests on this.
+// weighted arcs, per-firing (By) weights of 0, 1 or 2, capacity-bounded
+// places, token-dependent delays, OutFuncs, effects — and drive two
+// structurally identical instances through the same schedule of
+// injections, Advance bounds and NextEvent probes: one on the engine,
+// one on the reference engine in ref_test.go. The firing logs (name,
+// fire time, done time), clocks, NextEvent answers and final markings
+// must agree exactly; determinism of the experiment tables rests on
+// this.
 
 // genNet builds a random layered net from seed. Transitions consume from
 // lower layers and produce into higher ones, so every run quiesces. The
@@ -55,7 +56,12 @@ func genNet(seed uint64) (n *Net, places []*Place, log *[]string) {
 			if pi > maxIn {
 				maxIn = pi
 			}
-			in = append(in, Arc{Place: places[pi], Weight: 1 + rng.Intn(2)})
+			arc := Arc{Place: places[pi], Weight: 1 + rng.Intn(2)}
+			if len(in) > 0 && rng.Intn(3) == 0 {
+				// Per-firing weight 0, 1 or 2 from the first arc's token.
+				arc.By = 3
+			}
+			in = append(in, arc)
 		}
 		var out []OutArc
 		nOut := rng.Intn(3)
@@ -121,7 +127,7 @@ func genSchedule(seed uint64, nPlaces int) []op {
 			ops = append(ops, op{
 				kind:  0,
 				place: rng.Intn(nPlaces),
-				tok:   Tok(t+vclock.Time(rng.Intn(40)), int64(rng.Intn(9)), int64(rng.Intn(100))),
+				tok:   Tok(t+vclock.Time(rng.Intn(40)), int64(rng.Intn(9)), int64(rng.Intn(100)), int64(rng.Intn(3))),
 			})
 		case 3:
 			t += vclock.Time(rng.Intn(120))

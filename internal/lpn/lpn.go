@@ -21,8 +21,8 @@
 // (ready time, registration order), recomputing every ready time from its
 // arcs' places. The nets are small and closed: a Spec must name a catalog
 // benchmark, and the largest net any of them builds has 8 transitions
-// (protoacc; JPEG has 7, the sketch example 6), so the scan is a few
-// dozen loads and no index has to be kept in step with the marking. A
+// (protoacc; JPEG has 7, the sketch example 6, VTA 3), so the scan is a
+// few dozen loads and no index has to be kept in step with the marking. A
 // model that builds a net of hundreds of transitions should bring an
 // enabled-set index back with its own measurement. The firing path is
 // allocation-free: firings share a per-net scratch Firing whose token
@@ -83,7 +83,9 @@ func (p *Place) peek(i int) Token { return p.tokens[p.head+i] }
 func (p *Place) pop() Token {
 	t := p.tokens[p.head]
 	p.head++
-	if p.head > 64 && p.head*2 >= len(p.tokens) {
+	if p.head == len(p.tokens) {
+		p.tokens, p.head = p.tokens[:0], 0
+	} else if p.head > 64 && p.head*2 >= len(p.tokens) {
 		n := copy(p.tokens, p.tokens[p.head:])
 		p.tokens = p.tokens[:n]
 		p.head = 0
@@ -108,13 +110,21 @@ type Firing struct {
 func (f *Firing) Tok(i int) Token { return f.In[i][0] }
 
 // Arc connects a place to a transition, consuming Weight tokens per
-// firing (Weight 0 means 1).
+// firing (Weight 0 means 1). By > 0 sets the weight per firing instead:
+// it is Attrs[By-1] of the token at the head of the transition's first
+// arc, and a weight of 0 takes nothing from the place.
 type Arc struct {
 	Place  *Place
 	Weight int
+	By     int
 }
 
-func (a Arc) weight() int {
+// weight returns the arc's weight for a firing whose first-arc token is
+// head.
+func (a Arc) weight(head *Token) int {
+	if a.By > 0 {
+		return int(head.Attrs[a.By-1])
+	}
 	if a.Weight <= 0 {
 		return 1
 	}
@@ -205,10 +215,14 @@ func (n *Net) Inject(p *Place, t Token) { p.Push(t) }
 // (Never, false) if it cannot fire with the tokens currently present.
 func (n *Net) readyTime(tr *Transition) (vclock.Time, bool) {
 	ready := n.now
+	var head *Token
 	for _, a := range tr.In {
-		w := a.weight()
+		w := a.weight(head)
 		if a.Place.Len() < w {
 			return vclock.Never, false
+		}
+		if head == nil {
+			head = &a.Place.tokens[a.Place.head]
 		}
 		for i := 0; i < w; i++ {
 			if ts := a.Place.peek(i).TS; ts > ready {
@@ -231,7 +245,7 @@ func (n *Net) readyTime(tr *Transition) (vclock.Time, bool) {
 // order) — the same deterministic choice the reference engine makes — or
 // ok=false if the net is quiescent.
 //
-//simlint:hotpath scanned once per firing; every catalog net has at most 8 transitions
+//simlint:hotpath scanned once per firing; every catalog net has at most 8 transitions (protoacc 8, JPEG 7, VTA 3)
 func (n *Net) next() (*Transition, vclock.Time, bool) {
 	var best *Transition
 	bestAt := vclock.Never
@@ -295,7 +309,11 @@ func (n *Net) fillFiring(tr *Transition, at vclock.Time) *Firing {
 	}
 	f.In = f.In[:nIn]
 	for i, a := range tr.In {
-		w := a.weight()
+		var head *Token
+		if i > 0 {
+			head = &f.In[0][0]
+		}
+		w := a.weight(head)
 		buf := n.scratchBufs[i]
 		if cap(buf) < w {
 			buf = make([]Token, w) //simlint:allow hotpath-alloc grows to the widest arc once, then reused
@@ -367,6 +385,9 @@ func (n *Net) Validate() error {
 		tnames[tr.Name] = true
 		if len(tr.In) == 0 {
 			return fmt.Errorf("lpn %s: transition %q has no input arcs (would fire forever)", n.Name, tr.Name)
+		}
+		if tr.In[0].By > 0 {
+			return fmt.Errorf("lpn %s: transition %q takes its first arc's weight from its own token", n.Name, tr.Name)
 		}
 		for _, a := range tr.In {
 			if !known[a.Place] {

@@ -216,6 +216,13 @@ func TestValidate(t *testing.T) {
 		t.Fatal("foreign place accepted")
 	}
 
+	n5 := New("by-first")
+	q := n5.AddPlace("q", 0)
+	n5.AddTransition(&Transition{Name: "t", In: []Arc{{Place: q, By: 1}}})
+	if err := n5.Validate(); err == nil {
+		t.Fatal("By weight on a first arc accepted")
+	}
+
 	n4 := New("dup")
 	n4.AddPlace("p", 0)
 	n4.AddPlace("p", 0)

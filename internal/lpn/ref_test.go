@@ -4,7 +4,8 @@ import "nexsim/internal/vclock"
 
 // scanAdvance and scanNextEvent are the original full-rescan engine, kept
 // verbatim (including its per-firing allocations, less the guard probe
-// that went with guards) as an executable specification. The randomized
+// that went with guards, plus the per-firing By weight of an arc) as an
+// executable specification. The randomized
 // differential test runs identical nets through both engines and
 // requires identical firing sequences, clocks and final marking; the
 // micro-benchmarks measure what the scratch Firing saves against it.
@@ -14,7 +15,13 @@ import "nexsim/internal/vclock"
 func (n *Net) scanReadyTime(tr *Transition) (vclock.Time, bool) {
 	ready := n.now
 	for _, a := range tr.In {
-		w := a.weight()
+		w := a.Weight
+		if w <= 0 {
+			w = 1
+		}
+		if a.By > 0 {
+			w = int(tr.In[0].Place.peek(0).Attrs[a.By-1])
+		}
 		if a.Place.Len() < w {
 			return vclock.Never, false
 		}
@@ -74,7 +81,13 @@ func (n *Net) scanFire(tr *Transition, at vclock.Time) {
 	}
 	f := &Firing{Time: at, In: make([][]Token, len(tr.In))}
 	for i, a := range tr.In {
-		w := a.weight()
+		w := a.Weight
+		if w <= 0 {
+			w = 1
+		}
+		if a.By > 0 {
+			w = int(f.In[0][0].Attrs[a.By-1])
+		}
 		toks := make([]Token, w)
 		for j := 0; j < w; j++ {
 			toks[j] = a.Place.pop()

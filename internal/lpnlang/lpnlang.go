@@ -62,6 +62,13 @@ func AlsoConsume(p *lpn.Place, weight int) StageOpt {
 	return func(c *stageCfg) { c.extraIn = append(c.extraIn, lpn.Arc{Place: p, Weight: weight}) }
 }
 
+// AlsoConsumeBy adds an extra input arc whose weight per firing is
+// attribute attr of the token the stage takes from its input place (a
+// dependency taken only when the work item asks for it).
+func AlsoConsumeBy(p *lpn.Place, attr int) StageOpt {
+	return func(c *stageCfg) { c.extraIn = append(c.extraIn, lpn.Arc{Place: p, By: attr + 1}) }
+}
+
 // AlsoProduce adds an extra output arc (e.g. returning a credit).
 func AlsoProduce(p *lpn.Place, fn lpn.OutFunc) StageOpt {
 	return func(c *stageCfg) { c.extraOut = append(c.extraOut, lpn.OutArc{Place: p, Fn: fn}) }

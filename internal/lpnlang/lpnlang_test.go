@@ -147,3 +147,27 @@ func TestMustBuildPanics(t *testing.T) {
 	b.Stage("s", nil, nil, nil)
 	b.MustBuild()
 }
+
+func TestAlsoConsumeByJoinsOnlyWhenAsked(t *testing.T) {
+	// Attribute 0 of an item says whether it takes a dependency token:
+	// the first item does not and runs at once, the second waits for the
+	// token that arrives at 50ns, and the token is gone after it.
+	b := NewBuilder("m", 1*vclock.GHz)
+	in := b.Queue("in", 0)
+	dep := b.Queue("dep", 0)
+	out := b.Queue("out", 0)
+	b.Stage("s", in, out, b.Cycles(10), AlsoConsumeBy(dep, 0))
+	n := b.MustBuild()
+	done := drain(n, out)
+	n.Inject(in, lpn.Tok(0, 0))
+	n.Inject(in, lpn.Tok(0, 1))
+	n.Advance(40 * vclock.Time(vclock.Nanosecond))
+	if len(*done) != 1 || (*done)[0] != vclock.Time(10*vclock.Nanosecond) {
+		t.Fatalf("before the token: completions %v, want [10ns]", *done)
+	}
+	n.Inject(dep, lpn.Tok(vclock.Time(50*vclock.Nanosecond)))
+	n.Advance(vclock.Never - 1)
+	if len(*done) != 2 || (*done)[1] != vclock.Time(60*vclock.Nanosecond) || dep.Len() != 0 {
+		t.Fatalf("after the token: completions %v and %d dep tokens left, want [10ns 60ns] and 0", *done, dep.Len())
+	}
+}

@@ -21,12 +21,12 @@ func CPUOnlyBenches() []Bench {
 			return cpuJPEGProgram(JPEGConfig{Images: 20, Seed: 101}.withDefaults(), ctx)
 		},
 	})
-	for _, netname := range []string{"resnet18", "resnet50"} {
-		netname := netname
+	resnet18, _, resnet50, _ := networks()
+	for _, net := range []network{resnet18, resnet50} {
 		out = append(out, Bench{
-			Name: "cpu-vta-" + netname, Model: core.AccelNone, Threads: 1,
+			Name: "cpu-vta-" + net.Name, Model: core.AccelNone, Threads: 1,
 			Build: func(ctx *core.Ctx) app.Program {
-				return cpuInferenceProgram(vtaConfig{Network: netname, Seed: 11}, ctx)
+				return cpuInferenceProgram(vtaConfig{Net: net, Seed: 11}, ctx)
 			},
 		})
 	}

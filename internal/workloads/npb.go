@@ -48,7 +48,7 @@ func npbBenches(threads int) []Bench {
 			Model:   core.AccelNone,
 			Threads: threads,
 			Build: func(ctx *core.Ctx) app.Program {
-				return npbProgram(k.name, threads, ctx.Clock)
+				return npbProgram(k, threads, ctx.Clock)
 			},
 		})
 	}
@@ -56,20 +56,9 @@ func npbBenches(threads int) []Bench {
 }
 
 // npbProgram builds one kernel at a thread count.
-func npbProgram(kernel string, threads int, clk vclock.Hz) app.Program {
-	var k npbKernel
-	found := false
-	for _, c := range npbKernels {
-		if c.name == kernel {
-			k, found = c, true
-			break
-		}
-	}
-	if !found {
-		panic("workloads: unknown NPB kernel " + kernel)
-	}
+func npbProgram(k npbKernel, threads int, clk vclock.Hz) app.Program {
 	return app.Program{
-		Name: fmt.Sprintf("npb-%s.%d", kernel, threads),
+		Name: fmt.Sprintf("npb-%s.%d", k.name, threads),
 		Main: func(e app.Env) {
 			bar := &app.Barrier{N: threads}
 			var wg app.WaitGroup
@@ -80,7 +69,7 @@ func npbProgram(kernel string, threads int, clk vclock.Hz) app.Program {
 			}
 			for i := 0; i < threads; i++ {
 				i := i
-				e.Spawn(kernel, func(we app.Env) {
+				e.Spawn(k.name, func(we app.Env) {
 					rng := xrand.New(uint64(i)<<32 ^ 0xdb)
 					mix := isa.ComputeMix
 					ws := int64(256 << 10)

@@ -11,13 +11,8 @@ import (
 // resnet50x2Tasks is the operand set of the design-sweep workload
 // (vta-resnet50-x2): 49 layers, 7.4 MB of A and B matrices.
 func resnet50x2Tasks() []vta.GemmTask {
-	cfg := vtaConfig{Network: "resnet50", Seed: 13, ChannelScale: 2}.withDefaults()
-	for _, n := range networks() {
-		if n.Name == cfg.Network {
-			return gemmTasks(cfg, n.Layers)
-		}
-	}
-	panic("no resnet50 in the model zoo")
+	_, _, resnet50, _ := networks()
+	return gemmTasks(vtaConfig{Net: resnet50, Seed: 13, ChannelScale: 2}.withDefaults())
 }
 
 // The staged layout is what the device reads: every operand page is

@@ -25,7 +25,6 @@ func (l layer) outDims() (int, int) { return l.H / l.Stride, l.W / l.Stride }
 // network is a named layer stack.
 type network struct {
 	Name   string
-	Input  int // input image edge
 	Layers []layer
 }
 
@@ -38,9 +37,9 @@ func repeatLayer(ls []layer, n, c, hw int) []layer {
 }
 
 // networks returns the model zoo of the evaluation (full-size layer
-// tables; scaling happens in vtaProgram).
-func networks() []network {
-	resnet18 := network{Name: "resnet18", Input: 224}
+// tables; scaling happens in gemmOf).
+func networks() (resnet18, resnet34, resnet50, yolo network) {
+	resnet18 = network{Name: "resnet18"}
 	ls := []layer{{Cin: 3, H: 224, W: 224, Cout: 64, K: 7, Stride: 2}}
 	ls = repeatLayer(ls, 4, 64, 56)
 	ls = append(ls, layer{Cin: 64, H: 56, W: 56, Cout: 128, K: 3, Stride: 2})
@@ -51,7 +50,7 @@ func networks() []network {
 	ls = repeatLayer(ls, 3, 512, 7)
 	resnet18.Layers = ls
 
-	resnet34 := network{Name: "resnet34", Input: 224}
+	resnet34 = network{Name: "resnet34"}
 	ls = []layer{{Cin: 3, H: 224, W: 224, Cout: 64, K: 7, Stride: 2}}
 	ls = repeatLayer(ls, 6, 64, 56)
 	ls = append(ls, layer{Cin: 64, H: 56, W: 56, Cout: 128, K: 3, Stride: 2})
@@ -63,7 +62,7 @@ func networks() []network {
 	resnet34.Layers = ls
 
 	// ResNet-50 bottlenecks: 1x1 reduce, 3x3, 1x1 expand per block.
-	resnet50 := network{Name: "resnet50", Input: 224}
+	resnet50 = network{Name: "resnet50"}
 	ls = []layer{{Cin: 3, H: 224, W: 224, Cout: 64, K: 7, Stride: 2}}
 	bottleneck := func(ls []layer, n, cin, mid, hw, stride int) []layer {
 		for i := 0; i < n; i++ {
@@ -86,7 +85,7 @@ func networks() []network {
 	ls = bottleneck(ls, 3, 1024, 512, 14, 2)
 	resnet50.Layers = ls
 
-	yolo := network{Name: "yolov3-tiny", Input: 416}
+	yolo = network{Name: "yolov3-tiny"}
 	yolo.Layers = []layer{
 		{Cin: 3, H: 416, W: 416, Cout: 16, K: 3, Stride: 1},
 		{Cin: 16, H: 208, W: 208, Cout: 32, K: 3, Stride: 1},
@@ -102,12 +101,16 @@ func networks() []network {
 		{Cin: 384, H: 26, W: 26, Cout: 256, K: 3, Stride: 1},
 		{Cin: 256, H: 26, W: 26, Cout: 255, K: 1, Stride: 1},
 	}
-	return []network{resnet18, resnet34, resnet50, yolo}
+	return resnet18, resnet34, resnet50, yolo
 }
+
+// matmul is the single large GEMM benchmark (Fig. 4's
+// accelerator-bound case), which has no layer table.
+var matmul = network{Name: "matmul"}
 
 // vtaConfig parameterizes an inference run.
 type vtaConfig struct {
-	Network string
+	Net network
 	// SpatialScale and ChannelScale shrink the network so the gem5+RTL
 	// baseline stays tractable (documented in EXPERIMENTS.md).
 	SpatialScale int // divide H,W (default 4)
@@ -141,18 +144,19 @@ func vtaBenches() []Bench {
 			Build:   func(ctx *core.Ctx) app.Program { return vtaProgram(cfg, ctx) },
 		}
 	}
+	resnet18, resnet34, resnet50, yolo := networks()
 	return []Bench{
-		mk("vta-resnet18", vtaConfig{Network: "resnet18", Seed: 11}),
-		mk("vta-resnet34", vtaConfig{Network: "resnet34", Seed: 12}),
-		mk("vta-resnet50", vtaConfig{Network: "resnet50", Seed: 13}),
+		mk("vta-resnet18", vtaConfig{Net: resnet18, Seed: 11}),
+		mk("vta-resnet34", vtaConfig{Net: resnet34, Seed: 12}),
+		mk("vta-resnet50", vtaConfig{Net: resnet50, Seed: 13}),
 		// The x2 variant halves channels instead of quartering them, so
 		// the compute:offload ratio resembles the real network's — the
 		// §6.4 design-sweep workload (see EXPERIMENTS.md).
-		mk("vta-resnet50-x2", vtaConfig{Network: "resnet50", Seed: 13, ChannelScale: 2}),
-		mk("vta-yolov3-tiny", vtaConfig{Network: "yolov3-tiny", Seed: 14}),
-		mk("vta-matmul", vtaConfig{Network: "matmul", Seed: 15}),
-		mk("vta-resnet18-mp4", vtaConfig{Network: "resnet18", Processes: 4, Seed: 16}),
-		mk("vta-resnet18-mp8", vtaConfig{Network: "resnet18", Processes: 8, Seed: 17}),
+		mk("vta-resnet50-x2", vtaConfig{Net: resnet50, Seed: 13, ChannelScale: 2}),
+		mk("vta-yolov3-tiny", vtaConfig{Net: yolo, Seed: 14}),
+		mk("vta-matmul", vtaConfig{Net: matmul, Seed: 15}),
+		mk("vta-resnet18-mp4", vtaConfig{Net: resnet18, Processes: 4, Seed: 16}),
+		mk("vta-resnet18-mp8", vtaConfig{Net: resnet18, Processes: 8, Seed: 17}),
 	}
 }
 
@@ -194,32 +198,15 @@ func roundUp16(v int) int { return (v + 15) &^ 15 }
 // does im2col (charged compute), launches the GEMM on VTA, and waits.
 func vtaProgram(cfg vtaConfig, ctx *core.Ctx) app.Program {
 	cfg = cfg.withDefaults()
-	var layers []layer
-	if cfg.Network == "matmul" {
-		// A single large GEMM benchmark (Fig. 4's accelerator-bound case).
-		layers = nil
-	} else {
-		found := false
-		for _, n := range networks() {
-			if n.Name == cfg.Network {
-				layers, found = n.Layers, true
-				break
-			}
-		}
-		if !found {
-			panic("workloads: unknown network " + cfg.Network)
-		}
-	}
-
 	return app.Program{
-		Name: "vta-" + cfg.Network,
+		Name: "vta-" + cfg.Net.Name,
 		Main: func(e app.Env) {
 			var wg app.WaitGroup
 			wg.Add(cfg.Processes)
 			for p := 0; p < cfg.Processes; p++ {
 				p := p
 				e.Spawn("inference", func(we app.Env) {
-					runInference(we, cfg, ctx, p, layers)
+					runInference(we, cfg, ctx, p)
 					wg.Done(we)
 				})
 			}
@@ -228,7 +215,7 @@ func vtaProgram(cfg vtaConfig, ctx *core.Ctx) app.Program {
 	}
 }
 
-func runInference(e app.Env, cfg vtaConfig, ctx *core.Ctx, proc int, layers []layer) {
+func runInference(e app.Env, cfg vtaConfig, ctx *core.Ctx, proc int) {
 	rng := xrand.New(cfg.Seed ^ uint64(proc)<<16)
 	// Per-process arena slice.
 	arena := ctx.Arena + mem.Addr(proc)*(8<<20)
@@ -238,7 +225,7 @@ func runInference(e app.Env, cfg vtaConfig, ctx *core.Ctx, proc int, layers []la
 	drv.ProgArena = progArena
 	dataBase := arena
 
-	tasks := gemmTasks(cfg, layers)
+	tasks := gemmTasks(cfg)
 
 	// Setup: stage operands (fast-forwarded, as with gem5 checkpoints).
 	e.SlipStream(func() { stageOperands(e.Mem(), rng, dataBase, tasks) })
@@ -263,14 +250,14 @@ func runInference(e app.Env, cfg vtaConfig, ctx *core.Ctx, proc int, layers []la
 }
 
 // gemmTasks lowers the network (or the single large GEMM of the matmul
-// benchmark, Fig. 4's accelerator-bound case) to the tasks one inference
-// launches; stageOperands gives them their buffers.
-func gemmTasks(cfg vtaConfig, layers []layer) []vta.GemmTask {
-	if cfg.Network == "matmul" {
+// benchmark) to the tasks one inference launches; stageOperands gives
+// them their buffers.
+func gemmTasks(cfg vtaConfig) []vta.GemmTask {
+	if cfg.Net.Name == matmul.Name {
 		return []vta.GemmTask{{M: 192, N: 128, K: 384, Shift: 7}}
 	}
-	tasks := make([]vta.GemmTask, 0, len(layers))
-	for _, l := range layers {
+	tasks := make([]vta.GemmTask, 0, len(cfg.Net.Layers))
+	for _, l := range cfg.Net.Layers {
 		m, n, k := gemmOf(l, cfg.SpatialScale, cfg.ChannelScale)
 		tasks = append(tasks, vta.GemmTask{M: m, N: n, K: k, Shift: 7, ReLU: true})
 	}
@@ -331,17 +318,11 @@ func randI8(rng *xrand.Stream, n int) *mem.Blob {
 // at the CPU's native int8 GEMM rate.
 func cpuInferenceProgram(cfg vtaConfig, ctx *core.Ctx) app.Program {
 	cfg = cfg.withDefaults()
-	var layers []layer
-	for _, n := range networks() {
-		if n.Name == cfg.Network {
-			layers = n.Layers
-		}
-	}
 	return app.Program{
-		Name: "cpu-" + cfg.Network,
+		Name: "cpu-" + cfg.Net.Name,
 		Main: func(e app.Env) {
 			for p := 0; p < cfg.Processes; p++ {
-				for i, l := range layers {
+				for i, l := range cfg.Net.Layers {
 					m, n, k := gemmOf(l, cfg.SpatialScale, cfg.ChannelScale)
 					macs := int64(m) * int64(n) * int64(k)
 					// ~20 int8 MACs/cycle with VNNI on the native host.

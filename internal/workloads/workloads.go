@@ -48,13 +48,14 @@ var catalog = sync.OnceValues(func() ([]Bench, map[string]Bench) {
 		all = append(all, npbBenches(threads)...)
 	}
 	all = append(all, CPUOnlyBenches()...)
+	_, _, resnet50, _ := networks()
 	all = append(all, Bench{
 		// CPU companion of vta-resnet50-x2: the §6.4 sweep's baseline
 		// (not part of CPUOnlyBenches — the §6.5 error study keeps its
 		// original benchmark set).
 		Name: "cpu-vta-resnet50-x2", Model: core.AccelNone, Threads: 1,
 		Build: func(ctx *core.Ctx) app.Program {
-			return cpuInferenceProgram(vtaConfig{Network: "resnet50", Seed: 13, ChannelScale: 2}, ctx)
+			return cpuInferenceProgram(vtaConfig{Net: resnet50, Seed: 13, ChannelScale: 2}, ctx)
 		},
 	})
 	byName := make(map[string]Bench, len(all))

@@ -61,8 +61,14 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// zoo is every network of the model zoo.
+func zoo() []network {
+	resnet18, resnet34, resnet50, yolo := networks()
+	return []network{resnet18, resnet34, resnet50, yolo}
+}
+
 func TestNetworkShapes(t *testing.T) {
-	for _, n := range networks() {
+	for _, n := range zoo() {
 		if len(n.Layers) == 0 {
 			t.Fatalf("%s has no layers", n.Name)
 		}
@@ -80,7 +86,7 @@ func TestNetworkShapes(t *testing.T) {
 	}
 	// Depth ordering: resnet50 > resnet34 > resnet18 in layer count.
 	byName := map[string]int{}
-	for _, n := range networks() {
+	for _, n := range zoo() {
 		byName[n.Name] = len(n.Layers)
 	}
 	if !(byName["resnet50"] > byName["resnet34"] && byName["resnet34"] > byName["resnet18"]) {
@@ -89,7 +95,7 @@ func TestNetworkShapes(t *testing.T) {
 }
 
 func TestGemmOfRespectsAccBound(t *testing.T) {
-	for _, n := range networks() {
+	for _, n := range zoo() {
 		for _, l := range n.Layers {
 			m, nn, k := gemmOf(l, 4, 4)
 			if m%16 != 0 {
@@ -103,15 +109,6 @@ func TestGemmOfRespectsAccBound(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestNPBProgramUnknownKernelPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	npbProgram("nope", 4, 3*vclock.GHz)
 }
 
 func TestCPUOnlyBenchesHaveNoDevices(t *testing.T) {
