@@ -47,6 +47,17 @@ test -z "$(grep -rl '"nexsim/internal/accel/devkit"' . --include='*.go' |
 test -z "$(grep -rlE '^func \(.*\) Advance\(' internal/accel internal/dsim examples --include='*.go' |
 	grep -v -e _test.go -e /acceltest/ -e '^internal/accel/devkit/clock\.go$' -e '^internal/dsim/dsim\.go$')"
 
+# One device contract (DESIGN.md §4.4): the host complex is the only
+# owner of catch-up, so no device model, kit type or example calls a
+# device's Advance (the one .Advance( left is dsim.Base running its LPN),
+# and what a host calls on a device is accel.Device itself, so no
+# production file finds SetHost or MayRaiseIRQ by an anonymous-interface
+# assertion or unwraps a channel adapter.
+test -z "$(grep -rn '\.Advance(' internal/accel internal/dsim examples --include='*.go' |
+	grep -v -e '_test\.go:' -e /acceltest/ -e '^internal/dsim/dsim\.go:[0-9]*:.*b\.Net\.Advance(t)')"
+test -z "$(grep -rnE 'interface\{ ?(MayRaiseIRQ|SetHost)|Unwrap\(\) accel\.Device' . --include='*.go' |
+	grep -v -e '_test\.go:' -e /testdata/)"
+
 # Test scaffolding stays out of production: acceltest imports testing, so
 # only _test.go files and examples/ may import it.
 test -z "$(grep -rl '"nexsim/internal/accel/acceltest"' . --include='*.go' |

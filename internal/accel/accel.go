@@ -5,7 +5,10 @@
 // The contract mirrors the paper's adapter design (§5, §A.2): the host
 // drives the device with register reads/writes and AdvanceUntil-style
 // catch-up calls; the device drives the host with timed DMAs, zero-cost
-// (functional) DMAs, and interrupts.
+// (functional) DMAs, and interrupts. Catch-up is the host's alone: before
+// a register access at time at, the host has advanced the device to at
+// least at (hostkit.Complex does it for every engine), so no device
+// advances itself.
 package accel
 
 import (
@@ -15,23 +18,28 @@ import (
 
 // Device is an accelerator simulator as seen by a host engine.
 //
-// All methods are called from the host's single-threaded event loop. The
-// host guarantees that `at` arguments are non-decreasing per device.
+// All methods are called from the host's single-threaded event loop.
 type Device interface {
 	// Name identifies the device in traces.
 	Name() string
 
+	// SetHost wires the device to the Host its DMAs and interrupts go
+	// through. Called once, before the run.
+	SetHost(h Host)
+
 	// RegRead reads a control register at byte offset off, at virtual
-	// time `at`. The device must first internally catch up to `at`.
+	// time at. The host has advanced the device to at least at.
 	RegRead(at vclock.Time, off mem.Addr) uint32
 
-	// RegWrite writes a control register. Doorbell registers launch
-	// tasks.
+	// RegWrite writes a control register at virtual time at; doorbell
+	// registers launch tasks. The host has advanced the device to at
+	// least at.
 	RegWrite(at vclock.Time, off mem.Addr, v uint32)
 
 	// Advance runs the device up to time t (the host's AdvanceUntil).
 	// During the call the device may issue DMAs and raise interrupts
-	// through its Host, all timestamped <= t.
+	// through its Host, all timestamped <= t. A t below a previous
+	// target is stale and moves nothing back.
 	Advance(t vclock.Time)
 
 	// NextEvent returns the earliest future time at which the device will
@@ -40,6 +48,11 @@ type Device interface {
 	// idle devices (the FastForward primitive of §A.2) and to advance
 	// time when all CPU threads are blocked.
 	NextEvent() (vclock.Time, bool)
+
+	// MayRaiseIRQ reports whether an Advance may raise an interrupt now.
+	// A host interleaves only such devices' events with its own and
+	// catches the others up when it next observes them.
+	MayRaiseIRQ() bool
 
 	// Stats returns cumulative device statistics.
 	Stats() DeviceStats
@@ -51,7 +64,7 @@ type DeviceStats struct {
 	TasksCompleted int64
 	BusyTime       vclock.Duration // time with >=1 task in flight
 	DMABytes       int64
-	HostSteps      int64 // internal simulation steps (cycles or LPN firings)
+	HostSteps      int64 // LPN firings of a DSim model; RTL models report 0
 }
 
 // Host is the environment a host engine provides to a device.

@@ -9,15 +9,18 @@ import (
 	"nexsim/internal/vclock"
 )
 
-// Call is one Advance ('A') or NextEvent ('N') call the device received.
+// Call is one call the device received: Advance ('A'), NextEvent ('N'),
+// RegRead ('R') or RegWrite ('W').
 type Call struct {
 	Op byte
-	At vclock.Time // Advance target; zero for NextEvent
+	At vclock.Time // Advance target or access time; zero for NextEvent
 }
 
 // Device processes one task per register write: optionally a timed DMA
 // read, then Busy of work, then the status register (every offset reads
-// it) flips to 1 and, with IRQ set, the interrupt is raised.
+// it) flips to 1 and, with IRQ set, the interrupt is raised. Like every
+// device it leaves catch-up to its host: a register access at at runs on
+// the clock the host's last Advance set, which Calls lets a test check.
 type Device struct {
 	Busy vclock.Duration
 	IRQ  int // vector raised on completion; 0 = polling only
@@ -43,17 +46,17 @@ func (d *Device) SetHost(h accel.Host) { d.Host = h }
 func (d *Device) MayRaiseIRQ() bool { return d.IRQ != 0 }
 
 func (d *Device) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.Advance(at)
+	d.Calls = append(d.Calls, Call{Op: 'R', At: at})
 	d.Reads++
 	return d.status
 }
 
 func (d *Device) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
-	d.Advance(at)
+	d.Calls = append(d.Calls, Call{Op: 'W', At: at})
 	d.Started++
 	d.status = 0
 	d.Pending = true
-	start := d.now // >= at: the host may have synchronized past the trap
+	start := d.now // >= at: the host has advanced the device to at least at
 	if d.DMA > 0 {
 		start = d.Host.DMA(start, mem.Read, 0, d.DMA)
 	}

@@ -27,25 +27,24 @@ const (
 
 // Model is the part of a device its Bank calls back into.
 type Model interface {
-	// Advance is accel.Device's catch-up; every register access runs it
-	// first.
-	Advance(t vclock.Time)
-	// Doorbell launches the task whose descriptor sits at desc. The model
-	// calls Start(at) for it, and Complete once it finishes.
+	// Doorbell launches the task whose descriptor sits at desc, written
+	// at time at. The model calls Start(at) for it, and Complete once it
+	// finishes.
 	Doorbell(at vclock.Time, desc mem.Addr)
 }
 
 // ExtraRegs is implemented by a model with registers beyond the four
 // (protoacc's descriptor ring): it receives the writes the Bank does not
-// handle, already advanced to at.
+// handle.
 type ExtraRegs interface {
 	WriteReg(at vclock.Time, off mem.Addr, v uint32)
 }
 
 // Bank is a device's register bank and task lifecycle. Embedded in a
 // model it supplies Name, SetHost, Stats, RegRead, RegWrite and
-// MayRaiseIRQ of the device surface; the model adds Advance and
-// NextEvent.
+// MayRaiseIRQ of accel.Device; the model adds Advance and NextEvent.
+// A register access never advances the model: the host has advanced the
+// device to the access time already (accel.Device).
 type Bank struct {
 	// Host is the owning engine's side of the device, wired by SetHost.
 	Host accel.Host
@@ -71,16 +70,15 @@ func (b *Bank) Init(name string, vector int, m Model) {
 // Name implements accel.Device.
 func (b *Bank) Name() string { return b.name }
 
-// SetHost wires the device to its host engine.
+// SetHost implements accel.Device.
 func (b *Bank) SetHost(h accel.Host) { b.Host = h }
 
 // Stats implements accel.Device.
 func (b *Bank) Stats() accel.DeviceStats { return b.stats }
 
-// MayRaiseIRQ reports whether an Advance may deliver an interrupt to the
-// host: only once the driver has enabled interrupts via the IRQ-enable
-// register. The exact host interleaves only such devices' events with
-// its thread events (hostkit's NextInlineEvent).
+// MayRaiseIRQ implements accel.Device: an Advance may deliver an
+// interrupt only once the driver has enabled interrupts via the
+// IRQ-enable register.
 func (b *Bank) MayRaiseIRQ() bool { return b.irqEnabled }
 
 // Idle reports whether no task is in flight.
@@ -88,7 +86,6 @@ func (b *Bank) Idle() bool { return b.inFlight == 0 }
 
 // RegRead implements accel.Device.
 func (b *Bank) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	b.model.Advance(at)
 	switch off {
 	case RegStatus:
 		return b.completed
@@ -101,7 +98,6 @@ func (b *Bank) RegRead(at vclock.Time, off mem.Addr) uint32 {
 
 // RegWrite implements accel.Device.
 func (b *Bank) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
-	b.model.Advance(at)
 	switch off {
 	case RegDoorbell:
 		b.model.Doorbell(at, mem.Addr(v))
@@ -151,6 +147,5 @@ func (b *Bank) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size int,
 	return done
 }
 
-// CountSteps adds n internal simulation steps (LPN firings, compiled
-// ops) to the statistics.
+// CountSteps adds n LPN firings to the statistics' HostSteps.
 func (b *Bank) CountSteps(n int64) { b.stats.HostSteps += n }

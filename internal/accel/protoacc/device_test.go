@@ -190,7 +190,7 @@ func TestBatchRespectsTheRing(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			h := &acceltest.Host{Mem: mem.New(0), Lat: 20 * vclock.Nanosecond}
 			dev := mk()
-			dev.(interface{ SetHost(accel.Host) }).SetHost(h)
+			dev.SetHost(h)
 			d := testDesc()
 			dev.RegisterSchema(1, d)
 			const slots, ringBase = 4, 0x1000

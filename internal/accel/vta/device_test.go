@@ -93,16 +93,19 @@ func stage(t testing.TB, s diffScenario) *diffHost {
 	return h
 }
 
-// drive wires dev to h and runs s's tasks on it to completion. It asks
-// NextEvent before every step and returns the answers.
+// drive wires dev to h and runs s's tasks on it to completion, advancing
+// it to each doorbell's time first, as a host does. It asks NextEvent
+// before every step and returns the answers.
 func drive(t testing.TB, s diffScenario, h *diffHost, dev accel.Device) (events []vclock.Time) {
-	dev.(interface{ SetHost(accel.Host) }).SetHost(h)
+	dev.SetHost(h)
 	if s.irq {
 		dev.RegWrite(0, devkit.RegIRQEnable, 1)
 	}
 	next, now := 0, vclock.Time(0)
 	ring := func() {
-		dev.RegWrite(s.tasks[next].at, devkit.RegDoorbell, uint32(s.tasks[next].descA))
+		at := s.tasks[next].at
+		dev.Advance(at)
+		dev.RegWrite(at, devkit.RegDoorbell, uint32(s.tasks[next].descA))
 		next++
 	}
 	for i := 0; ; i++ {

@@ -60,7 +60,7 @@ func TestNoStalePlanAfterOperandWrite(t *testing.T) {
 			h.Mem.Map(task.B, mem.NewBlob(i8Bytes(b)))
 			run := func() []int8 {
 				dev := c.mk()
-				dev.(interface{ SetHost(accel.Host) }).SetHost(h)
+				dev.SetHost(h)
 				return launchGemm(t, dev, h, task)
 			}
 			check := func(got []int8) {

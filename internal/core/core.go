@@ -168,8 +168,10 @@ type Ctx struct {
 	// Arena is a large scratch region for workload data (program
 	// streams, images, message graphs).
 	Arena mem.Addr
-	// Devices are the constructed accelerator simulators (for schema
-	// registration etc.).
+	// Devices are the accelerator models as built, one per instance and
+	// never a channel adapter around one: what a workload reaches for a
+	// model-specific call (protoacc's RegisterSchema) and what
+	// Result.Devices is read from.
 	Devices []accel.Device
 	// Clock is the host clock.
 	Clock vclock.Hz
@@ -177,9 +179,8 @@ type Ctx struct {
 
 // System is a fully assembled simulation.
 type System struct {
-	cfg   Config
-	Ctx   Ctx
-	binds []accel.Device
+	cfg Config
+	Ctx Ctx
 	// Channels holds the SimBricks channels when UseChannel is set.
 	Channels []*simbricks.Channel
 	host     hostEngine
@@ -283,20 +284,20 @@ func Build(cfg Config) *System {
 		if cfg.IOTLB != nil {
 			fabric.EnableIOTLB(*cfg.IOTLB)
 		}
-		dev := newDevice(cfg.Model, cfg.Accel, cfg.AccelClock)
+		model := newDevice(cfg.Model, cfg.Accel, cfg.AccelClock)
+		dev := model
 		if cfg.UseChannel {
 			ch := simbricks.NewChannel(0)
 			ch.SetFaults(cfg.Faults)
 			sys.Channels = append(sys.Channels, ch)
-			dev = simbricks.WrapDevice(dev, ch)
+			dev = simbricks.WrapDevice(model, ch)
 		}
 		binds = append(binds, &hostkit.Binding{Device: dev, MMIOBase: mmio,
 			MMIOSize: 0x1_0000, DMAPort: fabric,
 			MMIOCost: mmioReadCost, MMIOWriteCost: mmioWriteCost})
-		sys.binds = append(sys.binds, dev)
 		sys.Ctx.MMIO = append(sys.Ctx.MMIO, mmio)
 		sys.Ctx.TaskBufs = append(sys.Ctx.TaskBufs, tb.Base)
-		sys.Ctx.Devices = append(sys.Ctx.Devices, dev)
+		sys.Ctx.Devices = append(sys.Ctx.Devices, model)
 	}
 	arena := m.Alloc("arena", 64<<20)
 	sys.Ctx.Arena = arena.Base
@@ -333,7 +334,7 @@ func Build(cfg Config) *System {
 	}
 
 	for _, b := range binds {
-		setHost(b.Device, sys.host.HostFor(b))
+		b.Device.SetHost(sys.host.HostFor(b))
 		sys.host.Attach(b)
 	}
 	return sys
@@ -408,11 +409,11 @@ func (s *System) finish(start time.Time, simTime vclock.Duration) (Result, error
 	if s.nexEng != nil {
 		r.NEXStats = s.nexEng.Stats
 	}
-	for _, d := range s.binds {
+	for _, d := range s.Ctx.Devices {
 		r.Devices = append(r.Devices, d.Stats())
 	}
-	if len(s.binds) > 0 {
-		if l, ok := unwrap(s.binds[0]).(interface{ Latencies() []protoacc.TaskSpan }); ok {
+	if len(s.Ctx.Devices) > 0 {
+		if l, ok := s.Ctx.Devices[0].(interface{ Latencies() []protoacc.TaskSpan }); ok {
 			r.TaskLatency = l.Latencies()
 		}
 	}
@@ -420,18 +421,6 @@ func (s *System) finish(start time.Time, simTime vclock.Duration) (Result, error
 		r.ChannelMsgs += ch.Msgs
 	}
 	return r, nil
-}
-
-// unwrap peels channel adapters off a device.
-func unwrap(d accel.Device) accel.Device {
-	type unwrapper interface{ Unwrap() accel.Device }
-	for {
-		u, ok := d.(unwrapper)
-		if !ok {
-			return d
-		}
-		d = u.Unwrap()
-	}
 }
 
 // BudgetExceeded reports whether the engine aborted on its Budget.
@@ -462,9 +451,4 @@ func newDevice(model AccelModel, kind AccelKind, clk vclock.Hz) accel.Device {
 	default:
 		panic("core: unknown accelerator model " + string(model))
 	}
-}
-
-func setHost(d accel.Device, h accel.Host) {
-	type hostSetter interface{ SetHost(accel.Host) }
-	d.(hostSetter).SetHost(h)
 }

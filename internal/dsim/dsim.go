@@ -54,7 +54,6 @@ type Base struct {
 	// freeBufs recycles write-payload buffers: a payload is dead once its
 	// DMA is replayed, so WriteDMA reuses it for a later recording.
 	freeBufs [][]byte
-	now      vclock.Time
 }
 
 // Init prepares the base: the device's name and completion vector, the
@@ -95,16 +94,13 @@ func (b *Base) recycle(buf []byte) {
 	}
 }
 
-// Now returns the device's local virtual time.
-func (b *Base) Now() vclock.Time { return b.now }
+// Now returns the device's local virtual time, the LPN's clock.
+func (b *Base) Now() vclock.Time { return b.Net.Now() }
 
-// Advance implements accel.Device: runs the LPN up to t. Host engines may
-// call it with stale timestamps (EBS intra-epoch skew); it clamps.
+// Advance implements accel.Device: runs the LPN up to t and counts its
+// firings. A stale t fires nothing: the LPN fires no transition before
+// its clock.
 func (b *Base) Advance(t vclock.Time) {
-	if t < b.now {
-		return
-	}
-	b.now = t
 	b.CountSteps(int64(b.Net.Advance(t)))
 }
 

@@ -6,7 +6,9 @@
 //   - the device complex (Complex): the bindings of accelerator
 //     simulators to MMIO windows and DMA fabrics, the accel.Host each
 //     device drives the engine through, and the catch-up (Advance) and
-//     fast-forward (NextEvent, NextInlineEvent) calls;
+//     fast-forward (NextEvent, NextInlineEvent) calls. The complex is the
+//     one owner of catch-up: engines advance it before every register
+//     access, so no device advances itself;
 //   - the thread environment (NewEnv): the one app.Env implementation
 //     over coro.Thread;
 //   - the time-warp state (Warp) behind CompressT/JumpT/SlipStream;
@@ -139,7 +141,7 @@ func (c *Complex) NextEvent() (vclock.Time, bool) {
 func (c *Complex) NextInlineEvent() (vclock.Time, bool) {
 	best, any := vclock.Never, false
 	for _, b := range c.binds {
-		if !mayRaiseIRQ(b.Device) {
+		if !b.Device.MayRaiseIRQ() {
 			continue
 		}
 		if at, ok := b.Device.NextEvent(); ok && at < best {
@@ -147,21 +149,4 @@ func (c *Complex) NextInlineEvent() (vclock.Time, bool) {
 		}
 	}
 	return best, any
-}
-
-// mayRaiseIRQ reports whether dev could raise an interrupt during an
-// advance, unwrapping adapters (a device's optional MayRaiseIRQ method
-// answers). Devices that do not say are treated as interrupt-capable, so
-// the host interleaves their events exactly.
-func mayRaiseIRQ(dev accel.Device) bool {
-	for {
-		if c, ok := dev.(interface{ MayRaiseIRQ() bool }); ok {
-			return c.MayRaiseIRQ()
-		}
-		u, ok := dev.(interface{ Unwrap() accel.Device })
-		if !ok {
-			return true
-		}
-		dev = u.Unwrap()
-	}
 }

@@ -54,12 +54,11 @@ var hosts = []struct {
 	}},
 }
 
-// runOn runs main on a fresh engine with one interrupt-raising fake
-// device at mmioBase and returns whatever panicked out of Run (nil when
-// the run completed). Threads a panic left parked are reaped.
-func runOn(build func() (host, func(app.Program)), main app.ThreadFunc) (panicked any) {
+// runOn runs main on a fresh engine with dev attached at mmioBase and
+// returns whatever panicked out of Run (nil when the run completed).
+// Threads a panic left parked are reaped.
+func runOn(build func() (host, func(app.Program)), dev *acceltest.Device, main app.ThreadFunc) (panicked any) {
 	eng, run := build()
-	dev := &acceltest.Device{Busy: 1 * us, IRQ: irqVec}
 	b := &hostkit.Binding{Device: dev, MMIOBase: mmioBase, MMIOSize: 0x1000}
 	dev.Host = eng.HostFor(b)
 	eng.Attach(b)
@@ -80,6 +79,7 @@ func elapsed(env app.Env, fn func()) vclock.Duration {
 }
 
 func TestEngineConformance(t *testing.T) {
+	var dev *acceltest.Device // the device of the run in progress
 	cases := []struct {
 		name string
 		// wantPanic, when set, must appear in the value Run panics with;
@@ -158,12 +158,48 @@ func TestEngineConformance(t *testing.T) {
 					t.Errorf("WaitIRQ on an already-raised interrupt took %v", d)
 				}
 			}},
+
+		{"every register access finds the device advanced to its time", "",
+			func(t *testing.T, env app.Env) {
+				var wg app.WaitGroup
+				wg.Add(1)
+				env.Spawn("poller", func(ce app.Env) {
+					for i := 1; i <= 4; i++ {
+						ce.ComputeFor(vclock.Duration(i) * 700 * vclock.Nanosecond)
+						ce.MMIORead(mmioBase)
+					}
+					wg.Done(ce)
+				})
+				for i := 1; i <= 4; i++ {
+					env.MMIOWrite(mmioBase, 1)
+					env.ComputeFor(vclock.Duration(i) * 300 * vclock.Nanosecond)
+					env.MMIORead(mmioBase)
+				}
+				wg.Wait(env)
+
+				accesses, advanced, upTo := 0, false, vclock.Time(0)
+				for _, c := range dev.Calls {
+					switch c.Op {
+					case 'A':
+						advanced, upTo = true, max(upTo, c.At)
+					case 'R', 'W':
+						accesses++
+						if !advanced || upTo < c.At {
+							t.Errorf("%c at %v found the device advanced to %v (advanced at all: %v)", c.Op, c.At, upTo, advanced)
+						}
+					}
+				}
+				if accesses != 12 {
+					t.Errorf("the device saw %d register accesses, want 12", accesses)
+				}
+			}},
 	}
 	for _, h := range hosts {
 		for _, tc := range cases {
 			t.Run(h.name+"/"+tc.name, func(t *testing.T) {
 				finished := false
-				p := runOn(h.build, func(env app.Env) {
+				dev = &acceltest.Device{Busy: 1 * us, IRQ: irqVec}
+				p := runOn(h.build, dev, func(env app.Env) {
 					tc.main(t, env)
 					finished = true
 				})

@@ -264,9 +264,13 @@ func (n *Net) NextEvent() (vclock.Time, bool) {
 	return at, ok
 }
 
+// Now returns the net's clock: the latest Advance target or firing.
+func (n *Net) Now() vclock.Time { return n.now }
+
 // Advance fires transitions in timestamp order until no transition can
-// fire at or before `until`, then sets the net's clock to `until`. It
-// returns the number of firings. External injections (DMA completions)
+// fire at or before `until`, then moves the net's clock up to `until`. It
+// returns the number of firings; a stale `until` fires nothing, since no
+// transition fires before the clock. External injections (DMA completions)
 // between Advance calls can re-enable transitions.
 //
 //simlint:hotpath the per-work-item engine entry; cost scales with firings

@@ -142,45 +142,53 @@ func (c *Channel) roundTrip(typ byte, ts vclock.Time, addr, aux uint64, payload 
 	return rts, raddr, raux, rp
 }
 
-// DeviceAdapter presents a Device across the channel.
+// DeviceAdapter presents a Device across the channel. Stats and
+// MayRaiseIRQ are the inner device's, read without a message.
 type DeviceAdapter struct {
-	dev accel.Device
-	ch  *Channel
+	accel.Device
+	ch *Channel
 }
 
 // WrapDevice returns the device as seen by the host through the channel.
 func WrapDevice(d accel.Device, ch *Channel) *DeviceAdapter {
-	return &DeviceAdapter{dev: d, ch: ch}
+	return &DeviceAdapter{Device: d, ch: ch}
 }
 
 // Name implements accel.Device.
-func (a *DeviceAdapter) Name() string { return a.dev.Name() + "+chan" }
+func (a *DeviceAdapter) Name() string { return a.Device.Name() + "+chan" }
 
-// Unwrap exposes the inner device (for model-specific control paths like
-// schema registration).
-func (a *DeviceAdapter) Unwrap() accel.Device { return a.dev }
+// catchUp keeps the contract across the channel. The host advanced the
+// device to at before the access; a delay on the channel delivers it at
+// a later ts, so the inner device is advanced to ts first. This is the
+// adapter's own call, not a message.
+func (a *DeviceAdapter) catchUp(at, ts vclock.Time) {
+	if ts > at {
+		a.Device.Advance(ts)
+	}
+}
 
 // RegRead implements accel.Device: request and response each cross the
 // channel.
 func (a *DeviceAdapter) RegRead(at vclock.Time, off mem.Addr) uint32 {
 	ts, addr, _, _ := a.ch.roundTrip(msgRegRead, at, uint64(off), 0, nil)
-	v := a.dev.RegRead(ts, mem.Addr(addr))
-	rts, _, aux, _ := a.ch.roundTrip(msgRegReadResp, ts, 0, uint64(v), nil)
-	_ = rts
+	a.catchUp(at, ts)
+	v := a.Device.RegRead(ts, mem.Addr(addr))
+	_, _, aux, _ := a.ch.roundTrip(msgRegReadResp, ts, 0, uint64(v), nil)
 	return uint32(aux)
 }
 
 // RegWrite implements accel.Device.
 func (a *DeviceAdapter) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
 	ts, addr, aux, _ := a.ch.roundTrip(msgRegWrite, at, uint64(off), uint64(v), nil)
-	a.dev.RegWrite(ts, mem.Addr(addr), uint32(aux))
+	a.catchUp(at, ts)
+	a.Device.RegWrite(ts, mem.Addr(addr), uint32(aux))
 }
 
 // Advance implements accel.Device (the AdvanceUntil primitive carried as
 // a sync message).
 func (a *DeviceAdapter) Advance(t vclock.Time) {
 	ts, _, _, _ := a.ch.roundTrip(msgAdvance, t, 0, 0, nil)
-	a.dev.Advance(ts)
+	a.Device.Advance(ts)
 }
 
 // NextEvent implements accel.Device; with the FastForward extension an
@@ -188,7 +196,7 @@ func (a *DeviceAdapter) Advance(t vclock.Time) {
 // device clock instead of synchronizing every epoch.
 func (a *DeviceAdapter) NextEvent() (vclock.Time, bool) {
 	a.ch.roundTrip(msgNextEvent, 0, 0, 0, nil)
-	at, ok := a.dev.NextEvent()
+	at, ok := a.Device.NextEvent()
 	aux := uint64(0)
 	if ok {
 		aux = 1
@@ -197,14 +205,10 @@ func (a *DeviceAdapter) NextEvent() (vclock.Time, bool) {
 	return rts, raux != 0
 }
 
-// Stats implements accel.Device.
-func (a *DeviceAdapter) Stats() accel.DeviceStats { return a.dev.Stats() }
-
-// SetHost wires through to the inner device, wrapping the host side of
-// the channel too (DMAs, zero-cost DMAs and IRQs are messages as well).
+// SetHost implements accel.Device: the inner device gets the host side
+// of the channel (DMAs, zero-cost DMAs and IRQs are messages as well).
 func (a *DeviceAdapter) SetHost(h accel.Host) {
-	type hostSetter interface{ SetHost(accel.Host) }
-	a.dev.(hostSetter).SetHost(&hostAdapter{h: h, ch: a.ch})
+	a.Device.SetHost(&hostAdapter{h: h, ch: a.ch})
 }
 
 // hostAdapter is the device's view of the host across the channel.

@@ -5,22 +5,28 @@ import (
 	"testing"
 
 	"nexsim/internal/accel"
+	"nexsim/internal/faults"
 	"nexsim/internal/mem"
 	"nexsim/internal/vclock"
 )
 
-// echoDevice is a trivial device for channel-transparency tests.
+// echoDevice is a trivial device for channel-transparency tests. It logs
+// the clock each register access finds it at, and counts its advances.
 type echoDevice struct {
-	host accel.Host
-	regs map[mem.Addr]uint32
-	now  vclock.Time
+	host     accel.Host
+	regs     map[mem.Addr]uint32
+	now      vclock.Time
+	advances int
+	found    []vclock.Time
 }
 
 func (d *echoDevice) Name() string { return "echo" }
 func (d *echoDevice) RegRead(at vclock.Time, off mem.Addr) uint32 {
+	d.found = append(d.found, d.now)
 	return d.regs[off]
 }
 func (d *echoDevice) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
+	d.found = append(d.found, d.now)
 	d.regs[off] = v
 	if off == 0x100 {
 		// Exercise the host path: DMA + zero-cost + IRQ.
@@ -32,6 +38,7 @@ func (d *echoDevice) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
 	}
 }
 func (d *echoDevice) Advance(t vclock.Time) {
+	d.advances++
 	if t > d.now {
 		d.now = t
 	}
@@ -39,6 +46,7 @@ func (d *echoDevice) Advance(t vclock.Time) {
 func (d *echoDevice) NextEvent() (vclock.Time, bool) { return vclock.Never, false }
 func (d *echoDevice) Stats() accel.DeviceStats       { return accel.DeviceStats{} }
 func (d *echoDevice) SetHost(h accel.Host)           { d.host = h }
+func (d *echoDevice) MayRaiseIRQ() bool              { return true }
 
 type recHost struct {
 	mem  *mem.Memory
@@ -101,6 +109,40 @@ func TestChannelCountsMessages(t *testing.T) {
 	dev.RegRead(0, 0x4)
 	if ch.Msgs != before+3 {
 		t.Fatalf("RegRead produced %d messages", ch.Msgs-before-1)
+	}
+}
+
+// A delay on the channel delivers a register access later than the host
+// made it. The adapter advances the inner device to the delivered time
+// before the access, by a call rather than a message; an undelayed access
+// finds the device where the host left it and costs no extra advance.
+func TestAdapterCatchesUpDelayedAccess(t *testing.T) {
+	const delay = 500
+	inner := &echoDevice{regs: make(map[mem.Addr]uint32)}
+	ch := NewChannel(0)
+	// The second received message is the RegWrite's request (the first is
+	// the Advance's).
+	ch.SetFaults(faults.NewInjector(1, 0, []faults.Fault{{Site: faults.SiteChanRecv, Op: faults.OpDelay, Hit: 2, Delay: delay}}))
+	dev := WrapDevice(inner, ch)
+	dev.SetHost(&recHost{mem: mem.New(0)})
+
+	dev.Advance(10)
+	msgs, advances := ch.Msgs, inner.advances
+	dev.RegWrite(10, 0x4, 1)
+	if want := vclock.Time(10 + delay); inner.found[0] != want {
+		t.Fatalf("the write delayed to %v found the device at %v", want, inner.found[0])
+	}
+	if ch.Msgs != msgs+1 || inner.advances != advances+1 {
+		t.Fatalf("the delayed write took %d messages and %d advances, want 1 and 1",
+			ch.Msgs-msgs, inner.advances-advances)
+	}
+
+	dev.Advance(2000)
+	advances = inner.advances
+	dev.RegRead(2000, 0x4)
+	if inner.found[1] != 2000 || inner.advances != advances {
+		t.Fatalf("an undelayed read found the device at %v after %d extra advances, want 2000 and 0",
+			inner.found[1], inner.advances-advances)
 	}
 }
 

@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 
-	"nexsim/internal/accel"
 	"nexsim/internal/accel/devkit"
 	"nexsim/internal/accel/protoacc"
 	"nexsim/internal/app"
@@ -163,11 +162,7 @@ func protoaccProgram(pb protoBench, ctx *core.Ctx) app.Program {
 	return app.Program{
 		Name: pb.name,
 		Main: func(e app.Env) {
-			raw := ctx.Devices[0]
-			if u, ok := raw.(interface{ Unwrap() accel.Device }); ok {
-				raw = u.Unwrap()
-			}
-			dev := raw.(interface {
+			dev := ctx.Devices[0].(interface {
 				RegisterSchema(uint32, *protoacc.MessageDesc)
 			})
 			schema := buildSchema(pb)
