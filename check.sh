@@ -47,6 +47,14 @@ test -z "$(grep -rl '"nexsim/internal/accel/devkit"' . --include='*.go' |
 test -z "$(grep -rlE '^func \(.*\) Advance\(' internal/accel internal/dsim examples --include='*.go' |
 	grep -v -e _test.go -e /acceltest/ -e '^internal/accel/devkit/clock\.go$' -e '^internal/dsim/dsim\.go$')"
 
+# One DSim DMA path (DESIGN.md §4): every DSim model replays the DMAs of
+# its own memoized plan from its LPN's stages, so no production file
+# declares the per-tag DMA FIFOs that used to be a second way, their
+# recorder, or their emitter. (trace.Recorder, the span recorder, is
+# another type.)
+test -z "$(grep -rnE '^(type|func( \([^)]*\))?) (Recorder|EmitDMA|ReadDMA|WriteDMA|DMARec)\b' internal examples --include='*.go' |
+	grep -v -e '_test\.go:' -e '/testdata/' -e '^internal/trace/trace\.go:[0-9]*:type Recorder struct')"
+
 # One device contract (DESIGN.md §4.4): the host complex is the only
 # owner of catch-up, so no device model, kit type or example calls a
 # device's Advance (the one .Advance( left is dsim.Base running its LPN),

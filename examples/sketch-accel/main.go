@@ -62,26 +62,24 @@ type filterDevice struct {
 	dsim.Base
 
 	taskQ      *lpn.Place
-	rowPlans   devkit.Queue[rowPlan]
+	rows       []filterRow // in-flight tasks' row plans; row tokens index it
 	tokScratch []lpn.Token // reused by dispatch; consumed synchronously
 }
 
-type rowPlan struct {
-	rows     int
-	rowBytes int64
+// filterRow is the functional track's plan for one image row: the DMAs
+// the LPN replays for it.
+type filterRow struct {
+	src, dst mem.Addr
+	out      []byte // the row's filtered pixels
+	last     bool   // final row of its task
 }
-
-// rowTag labels the per-row DMA queues.
-const (
-	tagDesc = "DESC"
-	tagIn   = "ROWS_IN"
-	tagOut  = "ROWS_OUT"
-)
 
 func newFilterDevice(clk vclock.Hz, lanes int64) *filterDevice {
 	d := &filterDevice{}
 	b := lpnlang.NewBuilder("filter2d", clk)
 
+	// Token attributes: [first row, row count, descriptor address] for a
+	// task, [rows index] for a row.
 	d.taskQ = b.Queue("tasks", 0)
 	descResp := b.Queue("descResp", 0)
 	rowQ := b.Queue("rows", 0)
@@ -91,42 +89,45 @@ func newFilterDevice(clk vclock.Hz, lanes int64) *filterDevice {
 
 	// Descriptor fetch.
 	b.Stage("desc", d.taskQ, nil, b.Cycles(8),
-		lpnlang.Effect(d.EmitDMA(tagDesc, descResp)))
+		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
+			d.pass(descResp, f, d.DMA(f.Time, mem.Read, mem.Addr(f.Tok(0).Attrs[2]), filterDescSize, nil))
+		}))
 
-	// Dispatch one token per image row (attrs: [rowBytes, lastRow]).
+	// Dispatch one token per image row.
 	b.Stage("dispatch", descResp, rowQ, b.Cycles(2),
 		lpnlang.OutTokens(func(f *lpn.Firing, done vclock.Time) []lpn.Token {
-			plan := *d.rowPlans.Front()
-			d.rowPlans.Pop()
+			t := f.Tok(0)
 			out := d.tokScratch[:0]
-			for i := 0; i < plan.rows; i++ {
-				last := int64(0)
-				if i == plan.rows-1 {
-					last = 1
-				}
-				out = append(out, lpn.Tok(done, plan.rowBytes, last))
+			for i := t.Attrs[0]; i < t.Attrs[0]+t.Attrs[1]; i++ {
+				out = append(out, lpn.Tok(done, i))
 			}
 			d.tokScratch = out
 			return out
 		}))
 
-	// Line-buffer loader: one DMA per row, 16 bytes/cycle fill.
-	b.Stage("load", rowQ, nil, b.CyclesAttr(4, 0, 0),
-		lpnlang.Effect(d.EmitDMA(tagIn, fetched)))
+	// Line-buffer loader: one DMA per row.
+	b.Stage("load", rowQ, nil, b.Cycles(4),
+		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
+			r := d.rowOf(f)
+			d.pass(fetched, f, d.DMA(f.Time, mem.Read, r.src, len(r.out), nil))
+		}))
 
 	// Convolution: `lanes` parallel MAC lanes, 9 MACs per output byte.
 	b.Stage("conv", fetched, convolved, b.CyclesFunc(func(f *lpn.Firing) int64 {
-		return 8 + f.Tok(0).Attrs[0]*9/lanes
+		return 8 + int64(len(d.rowOf(f).out))*9/lanes
 	}))
 
-	// Writeback.
-	b.Stage("store", convolved, nil, b.CyclesAttr(4, 0, 0),
-		lpnlang.Effect(d.EmitDMA(tagOut, stored)))
+	// Writeback: the row's pixels land in memory with its DMA.
+	b.Stage("store", convolved, nil, b.Cycles(4),
+		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
+			r := d.rowOf(f)
+			d.pass(stored, f, d.DMA(f.Time, mem.Write, r.dst, len(r.out), r.out))
+		}))
 
 	// Completion: the last row of a task completes it.
 	b.Stage("finish", stored, nil, nil,
 		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
-			if f.Tok(0).Attrs[1] == 1 {
+			if d.rowOf(f).last {
 				d.Complete(f.Time)
 			}
 		}))
@@ -135,24 +136,39 @@ func newFilterDevice(clk vclock.Hz, lanes int64) *filterDevice {
 	return d
 }
 
-// Doorbell implements devkit.Model: the functional track of one task.
+// rowOf returns the plan entry the firing's row token names.
+func (d *filterDevice) rowOf(f *lpn.Firing) *filterRow { return &d.rows[f.Tok(0).Attrs[0]] }
+
+// pass hands the firing's token on to p once its DMA completes at comp,
+// so the next stage waits for the response.
+func (d *filterDevice) pass(p *lpn.Place, f *lpn.Firing, comp vclock.Time) {
+	d.Net.Inject(p, lpn.Token{TS: comp, Attrs: f.Tok(0).Attrs})
+}
+
+// Doorbell implements devkit.Model: the functional track of one task,
+// which plans the rows whose DMAs the LPN replays.
 func (d *filterDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
+	if d.Idle() {
+		// No in-flight token names a row; reuse the table.
+		d.rows = d.rows[:0]
+	}
 	d.Start(at)
-	rec := d.Recorder()
-	descBytes := rec.ReadDMA(tagDesc, descAddr, filterDescSize)
+	var descBytes [filterDescSize]byte
+	d.Host.ZeroCostRead(descAddr, descBytes[:])
 	src := mem.Addr(binary.LittleEndian.Uint64(descBytes[0:]))
 	dst := mem.Addr(binary.LittleEndian.Uint64(descBytes[8:]))
 	w := int(binary.LittleEndian.Uint32(descBytes[16:]))
 	h := int(binary.LittleEndian.Uint32(descBytes[20:]))
 
-	// Functionality track: 3x3 box-ish convolution over RGB, row by row,
-	// recording the DMA trace for the LPN to replay.
+	// Functionality track: 3x3 box-ish convolution over RGB, row by row.
 	rowBytes := w * 3
 	img := make([][]byte, h)
 	for y := 0; y < h; y++ {
-		img[y] = rec.ReadDMA(tagIn, src+mem.Addr(y*rowBytes), rowBytes)
+		img[y] = make([]byte, rowBytes)
+		d.Host.ZeroCostRead(src+mem.Addr(y*rowBytes), img[y])
 	}
 	kernel := [3][3]int32{{1, 2, 1}, {2, 4, 2}, {1, 2, 1}} // /16
+	first := len(d.rows)
 	for y := 0; y < h; y++ {
 		out := make([]byte, rowBytes)
 		for x := 0; x < w; x++ {
@@ -179,11 +195,12 @@ func (d *filterDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
 				out[x*3+c] = byte(sum / 16)
 			}
 		}
-		rec.WriteDMA(tagOut, dst+mem.Addr(y*rowBytes), out)
+		d.rows = append(d.rows, filterRow{
+			src: src + mem.Addr(y*rowBytes), dst: dst + mem.Addr(y*rowBytes),
+			out: out, last: y == h-1,
+		})
 	}
-
-	d.rowPlans.Push(rowPlan{rows: h, rowBytes: int64(rowBytes)})
-	d.Net.Inject(d.taskQ, lpn.Tok(at, int64(h)))
+	d.Net.Inject(d.taskQ, lpn.Tok(at, int64(first), int64(h), int64(descAddr)))
 }
 
 // ---- The experiment ------------------------------------------------------

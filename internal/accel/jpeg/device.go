@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"nexsim/internal/accel"
-	"nexsim/internal/accel/devkit"
 	"nexsim/internal/dsim"
 	"nexsim/internal/lpn"
 	"nexsim/internal/lpnlang"
@@ -73,11 +72,11 @@ const (
 type Device struct {
 	dsim.Base
 
-	taskQ    *lpn.Place
-	descResp *lpn.Place
+	taskQ *lpn.Place
 
-	planned  devkit.Queue[[]row] // planned tasks, consumed by the dispatch stage
-	rowsLeft devkit.Queue[int]   // rows remaining per in-flight task
+	// rows is the in-flight tasks' row plans, in doorbell order; a row
+	// token's attribute 0 indexes it.
+	rows []row
 
 	// tokScratch is reused by the dispatch stage's OutFunc; the engine
 	// consumes the returned slice synchronously.
@@ -93,8 +92,11 @@ func NewDevice(clk vclock.Hz) *Device {
 	d := &Device{}
 	b := lpnlang.NewBuilder("jpegdec", clk)
 
+	// Token attribute layouts:
+	//   tasks/descResp: [first row, row count, descriptor address]
+	//   rows onward:    [rows index]
 	d.taskQ = b.Queue("tasks", 0)
-	d.descResp = b.Queue("descResp", 0)
+	descResp := b.Queue("descResp", 0)
 	rowQ := b.Queue("rows", 0)
 	fetched := b.Queue("fetched", 0)
 	huffed := b.Queue("huffed", 0)
@@ -104,84 +106,90 @@ func NewDevice(clk vclock.Hz) *Device {
 	// Descriptor fetch.
 	b.Stage("desc", d.taskQ, nil, b.Cycles(descFetchCycles),
 		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
-			d.EmitDMA("DESC", d.descResp)(f, done)
+			d.pass(descResp, f, d.DMA(f.Time, mem.Read, mem.Addr(f.Tok(0).Attrs[2]), DescSize, nil))
 		}))
 
 	// Dispatch: expand the task into per-row tokens.
-	b.Stage("dispatch", d.descResp, rowQ, b.Cycles(4),
+	b.Stage("dispatch", descResp, rowQ, b.Cycles(4),
 		lpnlang.OutTokens(func(f *lpn.Firing, done vclock.Time) []lpn.Token {
-			rows := *d.planned.Front()
-			d.planned.Pop()
+			t := f.Tok(0)
 			out := d.tokScratch[:0]
-			for _, r := range rows {
-				out = append(out, lpn.Tok(done, r.bits, r.blocks, r.outBytes, r.inBytes))
+			for i := t.Attrs[0]; i < t.Attrs[0]+t.Attrs[1]; i++ {
+				out = append(out, lpn.Tok(done, i))
 			}
 			d.tokScratch = out
 			return out
 		}))
 
 	// Bitstream fetch: one LOAD DMA per row; downstream waits for the
-	// DMA response (attrs ride along on the injected token).
+	// DMA response.
 	b.Stage("fetch", rowQ, nil, b.CyclesFunc(func(f *lpn.Firing) int64 {
-		return 4 + f.Tok(0).Attrs[3]/busBytesPerCycle
-	}), lpnlang.Effect(d.EmitDMA("BITS", fetched)))
+		return 4 + d.rowOf(f).inBytes/busBytesPerCycle
+	}), lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
+		r := d.rowOf(f)
+		d.pass(fetched, f, d.DMA(f.Time, mem.Read, r.src, int(r.inBytes), nil))
+	}))
 
 	// Huffman decode: bit-serial, content-dependent.
 	b.Stage("huffman", fetched, huffed, b.CyclesFunc(func(f *lpn.Firing) int64 {
-		return f.Tok(0).Attrs[0] / huffBitsPerCycle
+		return d.rowOf(f).bits / huffBitsPerCycle
 	}))
 
 	// IDCT: two parallel block engines.
 	b.Stage("idct", huffed, idcted, b.CyclesFunc(func(f *lpn.Firing) int64 {
-		return f.Tok(0).Attrs[1] * idctCyclesBlock / idctUnits
+		return d.rowOf(f).blocks * idctCyclesBlock / idctUnits
 	}), lpnlang.Servers(idctUnits))
 
-	// Output writeback: one STORE DMA per row.
+	// Output writeback: one STORE DMA per row, carrying its pixels.
 	b.Stage("store", idcted, nil, b.CyclesFunc(func(f *lpn.Firing) int64 {
-		return f.Tok(0).Attrs[2] / busBytesPerCycle
-	}), lpnlang.Effect(d.EmitDMA("OUT", stored)))
+		return d.rowOf(f).outBytes / busBytesPerCycle
+	}), lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
+		r := d.rowOf(f)
+		d.pass(stored, f, d.DMA(f.Time, mem.Write, r.dst, len(r.outData), r.outData))
+	}))
 
 	// Row completion; the last row of a task completes it.
 	b.Stage("finish", stored, nil, nil,
 		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
-			d.rowDone(f.Time)
+			if d.rowOf(f).last {
+				d.Complete(f.Time)
+			}
 		}))
 
 	d.Init("jpeg", IRQVector, d, b.MustBuild())
 	return d
 }
 
-func (d *Device) rowDone(at vclock.Time) {
-	left := d.rowsLeft.Front()
-	if *left--; *left > 0 {
-		return
-	}
-	d.rowsLeft.Pop()
-	d.Complete(at)
+// rowOf returns the plan entry the firing's row token names.
+func (d *Device) rowOf(f *lpn.Firing) *row { return &d.rows[f.Tok(0).Attrs[0]] }
+
+// pass hands the firing's token on to p once its DMA completes at comp,
+// so the stage after a DMA waits for the response (paper §4.3).
+func (d *Device) pass(p *lpn.Place, f *lpn.Firing, comp vclock.Time) {
+	d.Net.Inject(p, lpn.Token{TS: comp, Attrs: f.Tok(0).Attrs})
 }
 
 // Doorbell implements devkit.Model: it runs the functionality track for
 // the task and plans the performance track's tokens (paper §4.3:
-// functional-first with zero-cost DMA, then LPN replay).
+// functional-first with zero-cost DMA, then LPN replay of the plan's
+// DMAs).
 func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
+	if d.Idle() {
+		// No in-flight token names a row when the device is idle;
+		// truncate in place so the table does not grow across tasks.
+		d.rows = d.rows[:0]
+	}
 	d.Start(at)
-	rec := d.Recorder()
 
-	// Descriptor fetch (recorded under DESC; replayed by the desc stage).
-	desc := decodeDesc(rec.ReadDMA("DESC", descAddr, DescSize))
-	rows, ok := taskRows(d.Host, desc)
+	var descB [DescSize]byte
+	d.Host.ZeroCostRead(descAddr, descB[:])
+	rows, ok := taskRows(d.Host, decodeDesc(descB[:]))
 	if !ok {
 		d.DecodeErrors++
 	}
-	// Record the rows' DMAs in pipeline order.
-	for i := range rows {
-		rec.ReadDMA("BITS", rows[i].src, int(rows[i].inBytes))
-		rec.WriteDMA("OUT", rows[i].dst, rows[i].outData)
-	}
-
-	d.planned.Push(rows)
-	d.rowsLeft.Push(len(rows))
-	d.Net.Inject(d.taskQ, lpn.Tok(at, int64(len(rows))))
+	first := len(d.rows)
+	d.rows = append(d.rows, rows...)
+	d.Net.Inject(d.taskQ, lpn.Tok(at, int64(first), int64(len(rows)), int64(descAddr)))
 }
 
 // taskRows is both models' functional track: the memoized decode of the

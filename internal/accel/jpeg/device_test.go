@@ -14,20 +14,34 @@ import (
 // stage writes a test image's bitstream + descriptor into memory and
 // returns the descriptor address and expected pixels.
 func stage(h *acceltest.Host, seed uint64) (mem.Addr, *Image, Desc) {
-	img := synthImage(48, 32, seed)
+	return stageImage(h, 48, 32, seed, 0x1000, 0x10000, 0x40000)
+}
+
+// stageImage is stage for a w x hgt image whose descriptor, bitstream and
+// raster sit at descAddr, src and dst.
+func stageImage(h *acceltest.Host, w, hgt int, seed uint64, descAddr, src, dst mem.Addr) (mem.Addr, *Image, Desc) {
+	img := synthImage(w, hgt, seed)
 	data := Encode(img, 85, Sub420)
 	want, _, err := Decode(data)
 	if err != nil {
 		panic(err)
 	}
-	src := mem.Addr(0x10000)
-	dst := mem.Addr(0x40000)
-	descAddr := mem.Addr(0x1000)
 	h.Mem.WriteAt(src, data)
 	desc := Desc{Src: src, SrcLen: uint32(len(data)), Dst: dst}
 	b := EncodeDesc(desc)
 	h.Mem.WriteAt(descAddr, b[:])
 	return descAddr, want, desc
+}
+
+// drain advances dev through every event it has.
+func drain(dev accel.Device) {
+	for {
+		at, ok := dev.NextEvent()
+		if !ok {
+			return
+		}
+		dev.Advance(at)
+	}
 }
 
 func runTask(t *testing.T, dev accel.Device, h *acceltest.Host, descAddr mem.Addr) vclock.Time {
@@ -122,13 +136,7 @@ func TestPipeliningAcrossTasks(t *testing.T) {
 	// One task alone.
 	descAddr, _, _ := stage(h, 31)
 	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
-	for {
-		at, ok := dev.NextEvent()
-		if !ok {
-			break
-		}
-		dev.Advance(at)
-	}
+	drain(dev)
 	single := dev.Now()
 
 	// Two tasks back to back on a fresh device.
@@ -138,13 +146,7 @@ func TestPipeliningAcrossTasks(t *testing.T) {
 	da, _, _ := stage(h2, 31)
 	dev2.RegWrite(0, devkit.RegDoorbell, uint32(da))
 	dev2.RegWrite(0, devkit.RegDoorbell, uint32(da))
-	for {
-		at, ok := dev2.NextEvent()
-		if !ok {
-			break
-		}
-		dev2.Advance(at)
-	}
+	drain(dev2)
 	both := dev2.Now()
 	if both >= single*2 {
 		t.Fatalf("no pipelining: 2 tasks %v vs single %v", both, single)
@@ -164,13 +166,7 @@ func TestMalformedBitstream(t *testing.T) {
 	b := EncodeDesc(Desc{Src: src, SrcLen: 4, Dst: 0x40000})
 	h.Mem.WriteAt(descAddr, b[:])
 	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
-	for {
-		at, ok := dev.NextEvent()
-		if !ok {
-			break
-		}
-		dev.Advance(at)
-	}
+	drain(dev)
 	if dev.DecodeErrors != 1 {
 		t.Fatalf("DecodeErrors = %d", dev.DecodeErrors)
 	}
@@ -209,5 +205,75 @@ func TestDeviceStats(t *testing.T) {
 	}
 	if s.BusyTime <= 0 {
 		t.Fatal("no busy time")
+	}
+}
+
+// TestRowTableAcrossTasks: two images of different row counts in flight
+// on one DSim device at once, then a third after the device went idle
+// (which resets its row table). Every raster decodes, every task raises
+// its interrupt, and the device moves exactly the bytes the three tasks
+// move on their own.
+func TestRowTableAcrossTasks(t *testing.T) {
+	type image struct {
+		w, h int
+		seed uint64
+		src  mem.Addr
+	}
+	images := []image{{48, 32, 41, 0x10000}, {64, 64, 42, 0x20000}, {32, 48, 43, 0x30000}}
+	stageNth := func(h *acceltest.Host, i int) (mem.Addr, *Image, Desc) {
+		im := images[i]
+		return stageImage(h, im.w, im.h, im.seed, mem.Addr(0x1000+0x100*i), im.src, mem.Addr(0x100000*(i+1)))
+	}
+
+	var single int64
+	for i := range images {
+		h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
+		dev := NewDevice(2 * vclock.GHz)
+		dev.SetHost(h)
+		descAddr, _, _ := stageNth(h, i)
+		runTask(t, dev, h, descAddr)
+		single += dev.Stats().DMABytes
+	}
+
+	h := &acceltest.Host{Mem: mem.New(0), Lat: 100 * vclock.Nanosecond}
+	dev := NewDevice(2 * vclock.GHz)
+	dev.SetHost(h)
+	dev.RegWrite(0, devkit.RegIRQEnable, 1)
+	var wants []*Image
+	var descs []Desc
+	ring := func(i int) {
+		descAddr, want, desc := stageNth(h, i)
+		wants, descs = append(wants, want), append(descs, desc)
+		dev.RegWrite(dev.Now(), devkit.RegDoorbell, uint32(descAddr))
+	}
+	// A 4:2:0 MCU row is 16 pixels high.
+	rowsOf := func(i int) int { return intCeil(images[i].h, 16) }
+	ring(0)
+	ring(1)
+	if got, want := len(dev.rows), rowsOf(0)+rowsOf(1); got != want {
+		t.Fatalf("two tasks in flight plan %d rows, want %d", got, want)
+	}
+	drain(dev)
+	if !dev.Idle() {
+		t.Fatal("device busy after its two tasks drained")
+	}
+	ring(2)
+	if got, want := len(dev.rows), rowsOf(2); got != want {
+		t.Fatalf("a doorbell on the idle device left %d rows in the table, want its own %d", got, want)
+	}
+	drain(dev)
+
+	for i, want := range wants {
+		got := make([]byte, len(want.Pix))
+		h.Mem.ReadAt(descs[i].Dst, got)
+		if !bytes.Equal(got, want.Pix) {
+			t.Errorf("image %d: raster differs from the functional decode", i)
+		}
+	}
+	if len(h.IRQs) != 3 {
+		t.Errorf("irqs = %d, want 3", len(h.IRQs))
+	}
+	if got := dev.Stats().DMABytes; got != single {
+		t.Errorf("DMABytes = %d, want %d, the sum of the single-task runs", got, single)
 	}
 }

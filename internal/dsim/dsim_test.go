@@ -14,10 +14,12 @@ import (
 
 // copyDev is a toy DSim accelerator: on doorbell it reads n bytes from
 // src, XORs them with 0x5A, and writes them to dst. The LPN models
-// load -> process -> store with a DMA-response dependency on the load.
+// load -> process -> store with a DMA-response dependency on the load,
+// and replays each task's DMAs from its plan.
 type copyDev struct {
 	Base
 	doneReg   uint32
+	tasks     []copyTask // task tokens' attribute 0 indexes it
 	inTasks   *lpn.Place
 	loadResp  *lpn.Place
 	storeDone *lpn.Place
@@ -33,52 +35,61 @@ func newCopyDev(h *acceltest.Host) *copyDev {
 
 	// Load: issue the input DMA; processing waits for its response.
 	b.Stage("load", d.inTasks, nil, b.Cycles(4),
-		lpnlang.Effect(d.EmitDMA("LOAD", d.loadResp)))
-	// Process: 2 cycles per byte (attr 0 carries the byte count).
-	b.Stage("process", d.loadResp, procQ, b.CyclesAttr(10, 2, 0))
+		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
+			t := d.taskOf(f)
+			d.pass(d.loadResp, f, d.DMA(f.Time, mem.Read, t.src, t.n, nil))
+		}))
+	// Process: 2 cycles per byte.
+	b.Stage("process", d.loadResp, procQ, b.CyclesFunc(func(f *lpn.Firing) int64 {
+		return 10 + 2*int64(d.taskOf(f).n)
+	}))
 	// Store: issue the output DMA; completion fires the done register.
 	b.Stage("store", procQ, nil, b.Cycles(4),
 		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
-			d.EmitDMA("STORE", d.storeDone)(f, done)
+			t := d.taskOf(f)
+			d.pass(d.storeDone, f, d.DMA(f.Time, mem.Write, t.dst, t.n, t.out))
 		}))
 	b.Stage("finish", d.storeDone, nil, nil,
 		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
 			d.doneReg = 1
 			d.Complete(f.Time)
 		}))
-	d.initOn(h, "copydev", b.MustBuild())
-	return d
-}
-
-// initOn wires the device to h with completion interrupts (vector 1) on.
-func (d *copyDev) initOn(h *acceltest.Host, name string, net *lpn.Net) {
-	d.Init(name, 1, d, net)
+	d.Init("copydev", 1, d, b.MustBuild())
 	d.SetHost(h)
 	d.RegWrite(0, devkit.RegIRQEnable, 1)
+	return d
 }
 
 // Doorbell implements devkit.Model; the tests launch tasks through start,
 // which takes the task a descriptor would name.
 func (d *copyDev) Doorbell(at vclock.Time, desc mem.Addr) {}
 
+// copyTask is one task and its plan: the output the store DMA carries.
 type copyTask struct {
 	src, dst mem.Addr
 	n        int
+	out      []byte
+}
+
+func (d *copyDev) taskOf(f *lpn.Firing) *copyTask { return &d.tasks[f.Tok(0).Attrs[0]] }
+
+func (d *copyDev) pass(p *lpn.Place, f *lpn.Firing, comp vclock.Time) {
+	d.Net.Inject(p, lpn.Token{TS: comp, Attrs: f.Tok(0).Attrs})
 }
 
 func (d *copyDev) start(at vclock.Time, t copyTask) {
 	d.Start(at)
 	d.doneReg = 0
-	// Functional track first: compute results, record DMAs.
-	rec := d.Recorder()
-	in := rec.ReadDMA("LOAD", t.src, t.n)
-	out := make([]byte, t.n)
+	// Functional track first: compute the results into the task's plan.
+	in := make([]byte, t.n)
+	d.Host.ZeroCostRead(t.src, in)
+	t.out = make([]byte, t.n)
 	for i, v := range in {
-		out[i] = v ^ 0x5A
+		t.out[i] = v ^ 0x5A
 	}
-	rec.WriteDMA("STORE", t.dst, out)
-	// Then hand the task to the performance track.
-	d.Net.Inject(d.inTasks, lpn.Tok(at, int64(t.n)))
+	d.tasks = append(d.tasks, t)
+	// Then hand the task to the performance track, which replays its DMAs.
+	d.Net.Inject(d.inTasks, lpn.Tok(at, int64(len(d.tasks)-1)))
 }
 
 func setup(lat vclock.Duration) (*acceltest.Host, *copyDev) {
@@ -191,24 +202,6 @@ func TestStatsTrackTasks(t *testing.T) {
 	}
 }
 
-func TestTrackMismatchPanics(t *testing.T) {
-	// An LPN that emits a DMA the functional track never recorded must
-	// fail loudly — the indistinguishability invariant is broken.
-	h := &acceltest.Host{Mem: mem.New(0)}
-	d := &copyDev{}
-	b := lpnlang.NewBuilder("bad", 1*vclock.GHz)
-	in := b.Queue("in", 0)
-	b.Stage("rogue", in, nil, b.Cycles(1), lpnlang.Effect(d.EmitDMA("GHOST", nil)))
-	d.initOn(h, "bad", b.MustBuild())
-	d.Net.Inject(in, lpn.Tok(0))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on track mismatch")
-		}
-	}()
-	d.Advance(vclock.Never - 1)
-}
-
 func TestAdvanceClampsStaleTimestamps(t *testing.T) {
 	h, d := setup(10 * vclock.Nanosecond)
 	h.Mem.WriteAt(0x1000, make([]byte, 8))
@@ -218,25 +211,5 @@ func TestAdvanceClampsStaleTimestamps(t *testing.T) {
 	d.Advance(500) // stale
 	if d.Now() != before {
 		t.Fatal("stale Advance moved time backwards")
-	}
-}
-
-func TestPendingCount(t *testing.T) {
-	h := &acceltest.Host{Mem: mem.New(0)}
-	d := &copyDev{}
-	b := lpnlang.NewBuilder("p", 1*vclock.GHz)
-	in := b.Queue("in", 0)
-	b.Stage("s", in, nil, b.Cycles(1), lpnlang.Effect(d.EmitDMA("T", nil)))
-	d.initOn(h, "p", b.MustBuild())
-	rec := d.Recorder()
-	rec.ReadDMA("T", 0, 8)
-	rec.ReadDMA("T", 8, 8)
-	if d.Pending("T") != 2 {
-		t.Fatalf("Pending = %d", d.Pending("T"))
-	}
-	d.Net.Inject(in, lpn.Tok(0))
-	d.Advance(vclock.Never - 1)
-	if d.Pending("T") != 1 {
-		t.Fatalf("Pending after one replay = %d", d.Pending("T"))
 	}
 }

@@ -241,7 +241,6 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 			return
 
 		case coro.OpInteract:
-			e.Dev.Advance(now)
 			cost := r.Interact(now)
 			if cost > 0 {
 				// The thread stalls on the interaction, holding its core

@@ -152,8 +152,10 @@ type OutArc struct {
 // DelayFunc computes the service delay of a firing.
 type DelayFunc func(f *Firing) vclock.Duration
 
-// EffectFunc runs side effects when a transition fires — DSim uses this
-// to emit tagged DMA requests (paper §4.3). done is fire time + delay.
+// EffectFunc runs side effects when a transition fires — DSim models use
+// it to issue the DMAs their plans list, inject a token that waits for a
+// DMA response, or complete a task (paper §4.3). done is fire time +
+// delay.
 type EffectFunc func(f *Firing, done vclock.Time)
 
 // Transition is a processing stage. An Effect must not call back into
