@@ -47,6 +47,13 @@ test -z "$(grep -rl '"nexsim/internal/accel/devkit"' . --include='*.go' |
 test -z "$(grep -rlE '^func \(.*\) Advance\(' internal/accel internal/dsim examples --include='*.go' |
 	grep -v -e _test.go -e /acceltest/ -e '^internal/accel/devkit/clock\.go$' -e '^internal/dsim/dsim\.go$')"
 
+# One RTL mechanism (DESIGN.md §4.4): an RTL-style model's units are
+# devkit.Units its Clock owns, so the kit answers Busy and NextEvent —
+# devkit.Clock for an RTL-style model, dsim.Base for an LPN model — and
+# a model writes only its Step.
+test -z "$(grep -rlE '^func \(.*\) (Busy|NextEvent)\(' internal/accel internal/dsim examples --include='*.go' |
+	grep -v -e _test.go -e /acceltest/ -e '^internal/accel/devkit/clock\.go$' -e '^internal/dsim/dsim\.go$')"
+
 # One DSim DMA path (DESIGN.md §4): every DSim model replays the DMAs of
 # its own memoized plan from its LPN's stages, so no production file
 # declares the per-tag DMA FIFOs that used to be a second way, their

@@ -1,13 +1,14 @@
 // Package devkit is the one device kit: everything an accelerator model
 // shares with every other accelerator model, written once. A model embeds
 // a Bank (register map, task lifecycle, statistics, interrupt gating),
-// an RTL-style model also a Clock (cycle counter and the per-cycle
-// Advance loop); its software driver embeds Driver (descriptor ring,
-// doorbell, completion waits); and its functional track memoizes through
-// a Memo (one LRU policy, one byte budget). What is left to the model is
-// its descriptor codec, its functional track, its LPN or unit pipeline
-// and its next-event question (DESIGN.md §4.4). The kit knows no device:
-// it imports neither dsim nor any model.
+// an RTL-style model also a Clock (cycle counter, the per-cycle Advance
+// loop, and Busy and NextEvent answered from the Units it owns); its
+// software driver embeds Driver (descriptor ring, doorbell, completion
+// waits); and its functional track memoizes through a Memo (one LRU
+// policy, one byte budget). What is left to the model is its descriptor
+// codec, its functional track, and its LPN or the Step of its unit
+// pipeline (DESIGN.md §4.4). The kit knows no device: it imports neither
+// dsim nor any model.
 package devkit
 
 import (
@@ -42,7 +43,8 @@ type ExtraRegs interface {
 
 // Bank is a device's register bank and task lifecycle. Embedded in a
 // model it supplies Name, SetHost, Stats, RegRead, RegWrite and
-// MayRaiseIRQ of accel.Device; the model adds Advance and NextEvent.
+// MayRaiseIRQ of accel.Device; a Clock or dsim.Base adds Advance and
+// NextEvent.
 // A register access never advances the model: the host has advanced the
 // device to the access time already (accel.Device).
 type Bank struct {

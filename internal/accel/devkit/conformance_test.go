@@ -57,12 +57,16 @@ func stageVTA(m *mem.Memory, i int) mem.Addr {
 	return descAddr
 }
 
+// protoSchema has three byte fields, so that the root blocks of a few
+// tasks in flight release more fields than the four field units take.
 var protoSchema = &protoacc.MessageDesc{Name: "Outer", Fields: []protoacc.FieldDesc{
 	{Number: 1, Kind: protoacc.KindInt64},
 	{Number: 2, Kind: protoacc.KindBytes},
 	{Number: 3, Kind: protoacc.KindMessage, Sub: &protoacc.MessageDesc{Name: "Inner", Fields: []protoacc.FieldDesc{
 		{Number: 1, Kind: protoacc.KindFixed32},
 	}}},
+	{Number: 4, Kind: protoacc.KindBytes},
+	{Number: 5, Kind: protoacc.KindBytes},
 }}
 
 func stageProto(m *mem.Memory, i int) mem.Addr {
@@ -72,6 +76,8 @@ func stageProto(m *mem.Memory, i int) mem.Addr {
 	sub := protoacc.NewMessage(protoSchema.Fields[2].Sub)
 	sub.Values[0] = protoacc.Value{Int: uint64(i), Set: true}
 	msg.Values[2] = protoacc.Value{Msg: sub, Set: true}
+	msg.Values[3] = protoacc.Value{Bytes: []byte("a second payload"), Set: true}
+	msg.Values[4] = protoacc.Value{Bytes: []byte("and a third"), Set: true}
 	descAddr, base := taskBase(i)
 	protoacc.Store(m, base, msg)
 	d := protoacc.EncodeDesc(protoacc.Desc{Root: base, Out: base + 0x8_0000, Schema: 1})

@@ -17,46 +17,11 @@ type RTLDevice struct {
 	devkit.Bank
 	devkit.Clock
 
-	units [3]unit
+	// The pipeline's units, in row order; idct also stores the row.
+	fetch, huff, idct devkit.Unit[row]
 
 	// DecodeErrors counts malformed bitstreams.
 	DecodeErrors int64
-}
-
-// The pipeline's units, in row order.
-const (
-	fetchUnit = iota
-	huffUnit
-	idctUnit // IDCT + store
-)
-
-// unit is one pipeline unit: the rows waiting for it and the row it is
-// busy with until a given cycle.
-type unit struct {
-	q         devkit.Queue[row]
-	cur       row
-	active    bool
-	busyUntil int64
-}
-
-// finish returns the unit's row if it completes at cycle, freeing the
-// unit; the pointer is good until the unit's next take.
-func (u *unit) finish(cycle int64) *row {
-	if !u.active || cycle < u.busyUntil {
-		return nil
-	}
-	u.active = false
-	return &u.cur
-}
-
-// take moves the next waiting row into the unit if it is idle.
-func (u *unit) take() *row {
-	if u.active || u.q.Len() == 0 {
-		return nil
-	}
-	u.cur, u.active = *u.q.Front(), true
-	u.q.Pop()
-	return &u.cur
 }
 
 // NewRTLDevice builds the cycle-level decoder model.
@@ -64,67 +29,42 @@ func NewRTLDevice(clk vclock.Hz) *RTLDevice {
 	d := &RTLDevice{}
 	d.Bank.Init("jpeg-rtl", IRQVector, d)
 	d.Clock.Init(clk, d)
+	for _, u := range []*devkit.Unit[row]{&d.fetch, &d.huff, &d.idct} {
+		u.Init(&d.Clock, 1)
+	}
 	return d
-}
-
-// Busy implements devkit.Pipeline.
-func (d *RTLDevice) Busy() bool {
-	for i := range d.units {
-		if d.units[i].active || d.units[i].q.Len() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// NextEvent implements accel.Device: the earliest unit completion, or
-// now if an idle unit can accept new work.
-func (d *RTLDevice) NextEvent() (vclock.Time, bool) {
-	if !d.Busy() {
-		return vclock.Never, false
-	}
-	next := int64(1 << 62)
-	for i := range d.units {
-		if u := &d.units[i]; u.active {
-			next = min(next, u.busyUntil)
-		} else if u.q.Len() > 0 {
-			next = min(next, d.Cycle)
-		}
-	}
-	return d.TimeAt(next), true
 }
 
 // Step implements devkit.Pipeline: one clock cycle of the pipeline.
 func (d *RTLDevice) Step() {
 	now := d.TimeAt(d.Cycle)
-	fetch, huff, idct := &d.units[fetchUnit], &d.units[huffUnit], &d.units[idctUnit]
 
 	// IDCT + store unit: the output DMA issues at completion.
-	if r := idct.finish(d.Cycle); r != nil {
+	if r := d.idct.Done(0); r != nil {
 		done := d.DMA(now, mem.Write, r.dst, len(r.outData), r.outData)
 		if r.last {
 			d.Complete(done)
 		}
 	}
-	if r := idct.take(); r != nil {
-		idct.busyUntil = d.Cycle + r.blocks*idctCyclesBlock/idctUnits + r.outBytes/busBytesPerCycle
+	if r := d.idct.Next(0); r != nil {
+		d.idct.Start(0, d.Cycle+r.blocks*idctCyclesBlock/idctUnits+r.outBytes/busBytesPerCycle)
 	}
 
 	// Huffman unit.
-	if r := huff.finish(d.Cycle); r != nil {
-		idct.q.Push(*r)
+	if r := d.huff.Done(0); r != nil {
+		d.idct.Push(*r)
 	}
-	if r := huff.take(); r != nil {
-		huff.busyUntil = d.Cycle + r.bits/huffBitsPerCycle
+	if r := d.huff.Next(0); r != nil {
+		d.huff.Start(0, d.Cycle+r.bits/huffBitsPerCycle)
 	}
 
 	// Fetch unit.
-	if r := fetch.finish(d.Cycle); r != nil {
-		huff.q.Push(*r)
+	if r := d.fetch.Done(0); r != nil {
+		d.huff.Push(*r)
 	}
-	if r := fetch.take(); r != nil {
+	if r := d.fetch.Next(0); r != nil {
 		comp := d.DMA(now, mem.Read, r.src, int(r.inBytes), nil)
-		fetch.busyUntil = max(d.Cycle+4+r.inBytes/busBytesPerCycle, d.CyclesAt(comp))
+		d.fetch.Start(0, max(d.Cycle+4+r.inBytes/busBytesPerCycle, d.CyclesAt(comp)))
 	}
 }
 
@@ -145,5 +85,5 @@ func (d *RTLDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
 	if !ok {
 		d.DecodeErrors++
 	}
-	d.units[fetchUnit].q.Push(rows...)
+	d.fetch.Push(rows...)
 }

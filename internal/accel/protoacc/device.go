@@ -89,8 +89,8 @@ func (r *ring) write(off mem.Addr, v uint32, launch func(desc mem.Addr)) {
 }
 
 // frontend is what both models keep in front of their pipelines: the
-// registered schemas, the descriptor ring, task numbering and the
-// per-task latency log.
+// registered schemas, the descriptor ring, task numbering, the per-task
+// latency log and the task table their performance tracks read.
 type frontend struct {
 	schemas  map[uint32]*MessageDesc
 	ring     ring
@@ -100,10 +100,19 @@ type frontend struct {
 	// latency analysis (§6.8).
 	TaskLatency []TaskSpan
 	submitTime  map[int64]vclock.Time
+
+	nodeTab   []nodeRec
+	outTab    map[int64]outRec
+	remaining map[int64]int64 // taskID -> outstanding nodes+fields
 }
 
 func newFrontend() frontend {
-	return frontend{schemas: make(map[uint32]*MessageDesc), submitTime: make(map[int64]vclock.Time)}
+	return frontend{
+		schemas:    make(map[uint32]*MessageDesc),
+		submitTime: make(map[int64]vclock.Time),
+		outTab:     make(map[int64]outRec),
+		remaining:  make(map[int64]int64),
+	}
 }
 
 // TaskSpan is one task's lifetime.
@@ -119,9 +128,17 @@ func (f *frontend) RegisterSchema(id uint32, desc *MessageDesc) { f.schemas[id] 
 func (f *frontend) Latencies() []TaskSpan { return f.TaskLatency }
 
 // begin starts the task whose descriptor sits at descAddr on device b:
-// it numbers the task, logs its submit time and runs the functionality
-// track — the memoized plan of the object graph walk and its wire bytes.
-func (f *frontend) begin(b *devkit.Bank, at vclock.Time, descAddr mem.Addr) (task int64, desc Desc, plan *taskPlan) {
+// it numbers the task, logs its submit time, runs the functionality
+// track — the memoized plan of the object graph walk and its wire
+// bytes — and enters the plan in the task table. It returns the task and
+// the nodeTab index of its descriptor pseudo-node, the one block
+// fetchable at first: every other is discovered by chasing pointers.
+func (f *frontend) begin(b *devkit.Bank, at vclock.Time, descAddr mem.Addr) (task int64, first int) {
+	if b.Idle() {
+		// No in-flight work references the table when the device is
+		// idle; truncate in place so it does not grow across tasks.
+		f.nodeTab = f.nodeTab[:0]
+	}
 	b.Start(at)
 	task = f.nextTask
 	f.nextTask++
@@ -129,12 +146,42 @@ func (f *frontend) begin(b *devkit.Bank, at vclock.Time, descAddr mem.Addr) (tas
 
 	var descBytes [DescSize]byte
 	b.Host.ZeroCostRead(descAddr, descBytes[:])
-	desc = decodeDesc(descBytes[:])
+	desc := decodeDesc(descBytes[:])
 	schema := f.schemas[desc.Schema]
 	if schema == nil {
 		panic(fmt.Sprintf("%s: unregistered schema %d", b.Name(), desc.Schema))
 	}
-	return task, desc, cachedPlan(b.Host, desc.Root, desc.Out, schema)
+	plan := cachedPlan(b.Host, desc.Root, desc.Out, schema)
+
+	// The descriptor pseudo-node chains to the root message node;
+	// message nodes chain to their submessages.
+	first = len(f.nodeTab)
+	f.nodeTab = append(f.nodeTab, nodeRec{
+		task: task, addr: descAddr, size: DescSize, children: []int{first + 1},
+	})
+	total := int64(1) // the descriptor node itself
+	for _, n := range plan.nodes {
+		rec := nodeRec{task: task, addr: n.addr, size: n.size, fields: n.fields}
+		for _, c := range n.children {
+			rec.children = append(rec.children, first+1+c)
+		}
+		f.nodeTab = append(f.nodeTab, rec)
+		total += 1 + int64(len(n.fields))
+	}
+	f.remaining[task] = total
+	f.outTab[task] = outRec{addr: desc.Out, data: plan.out}
+	return task, first
+}
+
+// workDone counts one node or field of task done and reports whether it
+// was the task's last, so that the task's output store may start.
+func (f *frontend) workDone(task int64) bool {
+	f.remaining[task]--
+	if f.remaining[task] > 0 {
+		return false
+	}
+	delete(f.remaining, task)
+	return true
 }
 
 // finish logs task's latency and completes it on device b.
@@ -144,9 +191,9 @@ func (f *frontend) finish(b *devkit.Bank, task int64, at vclock.Time) {
 	b.Complete(at)
 }
 
-// nodeRec is one memory block in the device's fetch table (a task
-// descriptor or a message block). Node-token attribute 0 indexes this
-// table.
+// nodeRec is one memory block in the task table (a task descriptor or a
+// message block). The DSim model's node tokens and the RTL model's
+// object fetch items index nodeTab.
 type nodeRec struct {
 	task     int64
 	addr     mem.Addr
@@ -172,20 +219,11 @@ type Device struct {
 
 	nodeQ  *lpn.Place
 	storeQ *lpn.Place
-
-	nodeTab   []nodeRec
-	outTab    map[int64]outRec
-	remaining map[int64]int64 // taskID -> outstanding nodes+fields
 }
 
 // NewDevice builds the DSim Protoacc model at clock clk.
 func NewDevice(clk vclock.Hz) *Device {
-	d := &Device{
-		frontend:  newFrontend(),
-		clk:       clk,
-		outTab:    make(map[int64]outRec),
-		remaining: make(map[int64]int64),
-	}
+	d := &Device{frontend: newFrontend(), clk: clk}
 	b := lpnlang.NewBuilder("protoacc", clk)
 
 	// Token attribute layouts:
@@ -236,7 +274,7 @@ func NewDevice(clk vclock.Hz) *Device {
 			for _, c := range rec.children {
 				d.Net.Inject(d.nodeQ, lpn.Tok(done, int64(c), 0, 0, rec.task))
 			}
-			d.workDone(rec.task, f.Time)
+			d.storeWhenDone(rec.task, f.Time)
 		}))
 
 	// Shared pool of field-serialization units.
@@ -275,7 +313,7 @@ func NewDevice(clk vclock.Hz) *Device {
 	// Field completion accounting.
 	b.Stage("account", fieldDone, nil, nil,
 		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
-			d.workDone(f.Tok(0).Attrs[3], f.Time)
+			d.storeWhenDone(f.Tok(0).Attrs[3], f.Time)
 		}))
 
 	// Output writer: the task's assembled wire bytes stream to memory.
@@ -302,15 +340,12 @@ func NewDevice(clk vclock.Hz) *Device {
 	return d
 }
 
-// workDone decrements a task's outstanding node+field count; at zero the
-// output store is scheduled.
-func (d *Device) workDone(task int64, at vclock.Time) {
-	d.remaining[task]--
-	if d.remaining[task] > 0 {
-		return
+// storeWhenDone counts one node or field of task done; after its last
+// the output store is scheduled.
+func (d *Device) storeWhenDone(task int64, at vclock.Time) {
+	if d.workDone(task) {
+		d.Net.Inject(d.storeQ, lpn.Tok(at, int64(len(d.outTab[task].data)), 0, 0, task))
 	}
-	delete(d.remaining, task)
-	d.Net.Inject(d.storeQ, lpn.Tok(at, int64(len(d.outTab[task].data)), 0, 0, task))
 }
 
 // WriteReg implements devkit.ExtraRegs: the descriptor ring.
@@ -322,32 +357,6 @@ func (d *Device) WriteReg(at vclock.Time, off mem.Addr, v uint32) {
 // (walk the object graph, serialize) and plans the performance track's
 // addressed DMA chain.
 func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
-	if d.Idle() {
-		// No in-flight tokens reference the fetch table when the device
-		// is idle; truncate in place so it does not grow across tasks.
-		d.nodeTab = d.nodeTab[:0]
-	}
-	task, desc, plan := d.begin(&d.Bank, at, descAddr)
-
-	// Table entries: the descriptor pseudo-node chains to the root
-	// message node; message nodes chain to their submessages.
-	base := len(d.nodeTab) + 1 // message nodes start after the desc node
-	d.nodeTab = append(d.nodeTab, nodeRec{
-		task: task, addr: descAddr, size: DescSize, children: []int{base},
-	})
-	total := int64(1) // the descriptor node itself
-	for _, n := range plan.nodes {
-		rec := nodeRec{task: task, addr: n.addr, size: n.size, fields: n.fields}
-		for _, c := range n.children {
-			rec.children = append(rec.children, base+c)
-		}
-		d.nodeTab = append(d.nodeTab, rec)
-		total += 1 + int64(len(n.fields))
-	}
-	d.remaining[task] = total
-	d.outTab[task] = outRec{addr: desc.Out, data: plan.out}
-
-	// Only the descriptor fetch is initially runnable; everything else
-	// is discovered by chasing pointers.
-	d.Net.Inject(d.nodeQ, lpn.Tok(at, int64(base-1), 0, 0, task))
+	task, first := d.begin(&d.Bank, at, descAddr)
+	d.Net.Inject(d.nodeQ, lpn.Tok(at, int64(first), 0, 0, task))
 }

@@ -11,7 +11,6 @@ import (
 	"nexsim/internal/accel"
 	"nexsim/internal/accel/devkit"
 	"nexsim/internal/mem"
-	"nexsim/internal/vclock"
 )
 
 // Timing parameters of the modeled VTA (per device clock cycle): a
@@ -60,11 +59,10 @@ type dmaOp struct {
 // planOp is one instruction's work, precomputed by the functionality
 // track.
 type planOp struct {
-	instr    Instr
-	cycles   int64
-	dmas     []dmaOp
-	finish   bool        // OpFinish: completes the task
-	minStart vclock.Time // earliest start (instruction fetch completion)
+	instr  Instr
+	cycles int64
+	dmas   []dmaOp
+	finish bool // OpFinish: completes the task
 }
 
 // instrCycles computes an instruction's occupancy in device cycles.
@@ -92,9 +90,8 @@ func instrCycles(i *Instr) int64 {
 // vtaPlan is a memoized master copy of the per-module op lists for one
 // (program bytes, input data) pair — program bytes include the DRAM
 // placement, so the DMA address plan is pinned by the key — or the error
-// that pair fails to decode or execute with. Masters carry no fetch
-// gate; callers append value copies and gate those (appendGated), never
-// the master.
+// that pair fails to decode or execute with. Masters are shared
+// read-only; a model queues value copies.
 type vtaPlan struct {
 	loads, computes, stores []planOp
 	err                     error
@@ -177,14 +174,6 @@ func cachedPlan(host accel.Host, desc Desc) (*vtaPlan, error) {
 		return &vtaPlan{loads: loads, computes: computes, stores: stores, err: err}
 	})
 	return plan, plan.err
-}
-
-// appendGated copies master ops onto q, gating each copy on the
-// instruction-fetch completion time.
-func appendGated(q *devkit.Queue[planOp], ops []planOp, fetchDone vclock.Time) {
-	for i, queued := 0, q.Push(ops...); i < len(queued); i++ {
-		queued[i].minStart = max(queued[i].minStart, fetchDone)
-	}
 }
 
 // payloadMemo memoizes the functionality track's store payloads per

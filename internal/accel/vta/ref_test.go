@@ -240,8 +240,15 @@ type refDevice struct {
 }
 
 type refModState struct {
-	ops  devkit.Queue[planOp]
+	ops  devkit.Queue[refOp]
 	free vclock.Time // module available from
+}
+
+// refOp is a queued copy of a plan op and its task's instruction-fetch
+// completion, before which it may not start.
+type refOp struct {
+	planOp
+	minStart vclock.Time
 }
 
 func newRefDevice(clk vclock.Hz) *refDevice {
@@ -252,14 +259,16 @@ func newRefDevice(clk vclock.Hz) *refDevice {
 
 func (d *refDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
 	plan, fetchDone := startTask(&d.Bank, at, descAddr)
-	appendGated(&d.mods[0].ops, plan.loads, fetchDone)
-	appendGated(&d.mods[1].ops, plan.computes, fetchDone)
-	appendGated(&d.mods[2].ops, plan.stores, fetchDone)
+	for m, ops := range [][]planOp{plan.loads, plan.computes, plan.stores} {
+		for _, op := range ops {
+			d.mods[m].ops.Push(refOp{op, fetchDone})
+		}
+	}
 }
 
 // depsReady returns the earliest time the op's dependency pops are
 // satisfied, or (Never, false) if a required token has not been pushed.
-func (d *refDevice) depsReady(module int, op *planOp) (vclock.Time, bool) {
+func (d *refDevice) depsReady(module int, op *refOp) (vclock.Time, bool) {
 	t := op.minStart
 	need := func(q *devkit.Queue[vclock.Time]) bool {
 		if q.Len() == 0 {

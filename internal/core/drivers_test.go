@@ -57,9 +57,11 @@ func TestJPEGDriverEndToEnd(t *testing.T) {
 }
 
 // TestJPEGDriverIRQ exercises the interrupt path end to end through the
-// JPEG kit device under every host engine and NEX sync mode: an
-// IRQ-driven run must complete and leave the same decoded pixels in
-// memory as a polling run of the same image under the same engine.
+// JPEG kit device under every host engine and NEX sync mode, and through
+// the RTL device under the reference, gem5 and lazy NEX hosts, which
+// then ask an RTL clock for its next event: an IRQ-driven run must
+// complete and leave the same decoded pixels in memory as a polling run
+// of the same image under the same engine and device.
 func TestJPEGDriverIRQ(t *testing.T) {
 	img := jpeg.NewImage(32, 32)
 	rng := xrand.New(5)
@@ -74,6 +76,10 @@ func TestJPEGDriverIRQ(t *testing.T) {
 		cfg.NEX.SyncInterval = 10 * vclock.Microsecond
 		return cfg
 	}
+	rtl := func(cfg core.Config) core.Config {
+		cfg.Accel = core.AccelRTL
+		return cfg
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
@@ -83,11 +89,14 @@ func TestJPEGDriverIRQ(t *testing.T) {
 		{"nex-lazy", nexCfg(nex.Lazy)},
 		{"nex-eager", nexCfg(nex.Eager)},
 		{"nex-hybrid", nexCfg(nex.Hybrid)},
+		{"reference-rtl", rtl(core.Config{Host: core.HostReference})},
+		{"gem5-rtl", rtl(core.Config{Host: core.HostGem5})},
+		{"nex-lazy-rtl", rtl(nexCfg(nex.Lazy))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			decode := func(irq bool) []byte {
 				cfg := tc.cfg
-				cfg.Accel, cfg.Model, cfg.Cores, cfg.Seed = core.AccelDSim, core.AccelJPEG, 4, 1
+				cfg.Model, cfg.Cores, cfg.Seed = core.AccelJPEG, 4, 1
 				sys := core.Build(cfg)
 				defer sys.Release()
 				src := sys.Ctx.Arena

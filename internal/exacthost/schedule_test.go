@@ -14,7 +14,7 @@ import (
 // host: while its task is in flight it reports an internal event every
 // unit. It counts the host's NextEvent and Advance calls, records the
 // Advance targets, and at each register read records the target of the
-// last Advance the read found.
+// last Advance the read found, or noAdvance before the first.
 type unitDevice struct {
 	*acceltest.Device
 	unit     vclock.Duration
@@ -24,8 +24,18 @@ type unitDevice struct {
 	readSaw  []vclock.Time
 }
 
+// noAdvance is what lastAdvance reports before the first Advance call.
+const noAdvance vclock.Time = -1
+
+func (d *unitDevice) lastAdvance() vclock.Time {
+	if len(d.advances) == 0 {
+		return noAdvance
+	}
+	return d.advances[len(d.advances)-1]
+}
+
 func (d *unitDevice) RegRead(at vclock.Time, off mem.Addr) uint32 {
-	d.readSaw = append(d.readSaw, d.advances[len(d.advances)-1])
+	d.readSaw = append(d.readSaw, d.lastAdvance())
 	return d.Device.RegRead(at, off)
 }
 
@@ -46,10 +56,14 @@ func (d *unitDevice) Advance(t vclock.Time) {
 	d.Device.Advance(t)
 }
 
+// maxPolls bounds runSchedule's polling loop, so that a host that never
+// catches the device up fails the test instead of polling forever.
+const maxPolls = 1000
+
 // runSchedule launches one task of busy device time, split into
 // busy/unit internal events, on a two-core host and waits for it by
-// interrupt or by polling every millisecond. It returns the device and
-// the number of polls.
+// interrupt or by polling every millisecond, at most maxPolls times. It
+// returns the device and the number of polls.
 func runSchedule(irq bool, busy, unit vclock.Duration) (*unitDevice, int) {
 	e := New(Config{Cores: 2})
 	inner := &acceltest.Device{Busy: busy}
@@ -66,7 +80,7 @@ func runSchedule(irq bool, busy, unit vclock.Duration) (*unitDevice, int) {
 		if irq {
 			env.WaitIRQ(5)
 		}
-		for {
+		for polls < maxPolls {
 			polls++
 			if env.MMIORead(0x8000_0000) != 0 {
 				return
@@ -86,6 +100,9 @@ func TestDeviceSchedule(t *testing.T) {
 	events := int(busy / unit)
 	for _, irq := range []bool{false, true} {
 		dev, polls := runSchedule(irq, busy, unit)
+		if polls == maxPolls {
+			t.Errorf("irq=%v: the task was not done after %d polls", irq, polls)
+		}
 		for i := 1; i < len(dev.advances); i++ {
 			if dev.advances[i] < dev.advances[i-1] {
 				t.Fatalf("irq=%v: Advance targets decrease at call %d: %v after %v",
@@ -124,16 +141,16 @@ func TestDeviceSchedule(t *testing.T) {
 		readAt = env.Now()
 		env.MMIORead(0x8000_0000)
 		taskAt = env.Now()
-		taskSaw = dev.advances[len(dev.advances)-1]
+		taskSaw = dev.lastAdvance()
 		var buf [8]byte
 		env.TaskWrite(region.Base, buf[:])
 	}})
 	if len(dev.readSaw) != 1 || dev.readSaw[0] != readAt || readAt == 0 {
-		t.Errorf("before the register read at %v the device was last advanced to %v, want %v",
-			readAt, dev.readSaw, readAt)
+		t.Errorf("before the register read at %v the device was last advanced to %v (%v: never), want %v",
+			readAt, dev.readSaw, noAdvance, readAt)
 	}
 	if taskSaw != taskAt || taskAt <= readAt {
-		t.Errorf("at the task-buffer access at %v the device was last advanced to %v, want %v",
-			taskAt, taskSaw, taskAt)
+		t.Errorf("at the task-buffer access at %v the device was last advanced to %v (%v: never), want %v",
+			taskAt, taskSaw, noAdvance, taskAt)
 	}
 }

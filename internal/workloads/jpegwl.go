@@ -22,7 +22,6 @@ type JPEGConfig struct {
 	MaxSize      int // largest image edge
 	FilterPasses int // matrix_filter_2d passes per image (§6.4 uses heavier post-processing)
 	Seed         uint64
-	UseIRQ       bool
 
 	// Compress wraps matrix_filter_2d in a CompressT block with the
 	// given hypothetical acceleration factor (§6.4's what-if analysis).
@@ -125,9 +124,6 @@ func jpegProgram(cfg JPEGConfig, ctx *core.Ctx) app.Program {
 				t := t
 				e.Spawn("jpegworker", func(we app.Env) {
 					drv := jpeg.NewDriver(ctx.MMIO[t], ctx.TaskBufs[t], 16)
-					if cfg.UseIRQ {
-						drv.EnableIRQ(we)
-					}
 					for {
 						v, ok := queue.Pop(we)
 						if !ok {
@@ -137,11 +133,7 @@ func jpegProgram(cfg JPEGConfig, ctx *core.Ctx) app.Program {
 						drv.Submit(we, jpeg.Desc{
 							Src: im.src, SrcLen: uint32(im.srcLen), Dst: im.dst,
 						})
-						if cfg.UseIRQ {
-							drv.WaitAllIRQ(we)
-						} else {
-							drv.WaitAll(we, 0)
-						}
+						drv.WaitAll(we, 0)
 						postProcess(we, ctx.Clock, cfg, im.w, im.h)
 					}
 					wg.Done(we)

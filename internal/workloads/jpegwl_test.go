@@ -62,7 +62,7 @@ func TestSynthImageMatchesReference(t *testing.T) {
 func TestCorpusMemoKeysOnCorpusFields(t *testing.T) {
 	base := JPEGConfig{Images: 3, MinSize: 16, MaxSize: 40, Seed: 9}
 	other := base
-	other.Threads, other.FilterPasses, other.UseIRQ, other.Compress, other.ProbeRealistic = 8, 16, true, 10, true
+	other.Threads, other.FilterPasses, other.Compress, other.ProbeRealistic = 8, 16, 10, true
 	a, b := jpegCorpus(base), jpegCorpus(other)
 	if len(a) != 3 || len(b) != 3 {
 		t.Fatalf("corpora of %d and %d images, want 3", len(a), len(b))
