@@ -137,12 +137,26 @@ test -z "$(grep -rlE '^func (\(.*\) )?(ensureActive|maybeCompact|setWake)\(' int
 test -z "$(grep -rlE '\bOpTick\b|^func \(.*\) Tick\(\)|^[[:space:]]+Tick\(\)$' . --include='*.go' | grep -v -e _test.go -e /testdata/)"
 
 # Thread state has one writer (DESIGN.md §4): a time warp writes the
-# thread's own hostkit.Warp, so no production file mentions a warp
+# thread's own hostkit.ThreadState, so no production file mentions a warp
 # request or its kinds or declares an engine-side Warp.Handle, and NEX's
 # fair policy keeps its counts in the thread records, not in a policy
 # type with maps keyed by thread ID.
 test -z "$(grep -rlE '\b(OpWarp|WarpKind)\b|^func \(w \*Warp\) Handle\(' . --include='*.go' | grep -v -e _test.go -e /testdata/)"
 test -z "$(grep -rlE '^type FairPolicy |^func NewFairPolicy\(' internal/nex --include='*.go' | grep -v _test.go)"
+
+# One thread protocol (DESIGN.md §4): what Park, Unpark and Spawn mean is
+# hostkit's, and an engine keeps only its wake rule. No production file
+# mentions the Unpark and Spawn requests or the spawn handshake field
+# they needed, and outside internal/hostkit no code line writes a
+# thread's parked or pending flag. Two slices are called pending too,
+# NEX's interrupt list and a WAL record's specs; their writes are exempt
+# by line.
+test -z "$(grep -rlwE 'OpUnpark|OpSpawn|Spawned' . --include='*.go' | grep -v -e _test.go -e /testdata/)"
+test -z "$(grep -rnE '\.(parked|pending)[[:space:]]*=[^=]' internal cmd examples --include='*.go' |
+	grep -v -e '_test\.go:' -e /testdata/ -e '^internal/hostkit/' -e '^[^:]*:[0-9]*:[[:space:]]*//' |
+	grep -v -e '^internal/nex/nex\.go:[0-9]*:[[:space:]]*e\.pending = append(e\.pending, ' \
+		-e '^internal/nex/loop\.go:[0-9]*:[[:space:]]*e\.pending = remaining$' \
+		-e '^internal/simserve/wal\.go:[0-9]*:[[:space:]]*rec\.pending = append(rec\.pending, ')"
 
 # Results that do not depend on the CPU (DESIGN.md §5): Go may fuse
 # x*y + z into one FMA instruction, which rounds once instead of twice.

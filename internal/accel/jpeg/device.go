@@ -81,9 +81,6 @@ type Device struct {
 	// tokScratch is reused by the dispatch stage's OutFunc; the engine
 	// consumes the returned slice synchronously.
 	tokScratch []lpn.Token
-
-	// DecodeErrors counts tasks whose bitstream failed to decode.
-	DecodeErrors int64
 }
 
 // NewDevice builds a DSim JPEG decoder clocked at clk (the paper runs
@@ -183,24 +180,21 @@ func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
 
 	var descB [DescSize]byte
 	d.Host.ZeroCostRead(descAddr, descB[:])
-	rows, ok := taskRows(d.Host, decodeDesc(descB[:]))
-	if !ok {
-		d.DecodeErrors++
-	}
+	rows := taskRows(d.Host, decodeDesc(descB[:]))
 	first := len(d.rows)
 	d.rows = append(d.rows, rows...)
 	d.Net.Inject(d.taskQ, lpn.Tok(at, int64(first), int64(len(rows)), int64(descAddr)))
 }
 
 // taskRows is both models' functional track: the memoized decode of the
-// bitstream desc names, split into MCU-row work items. ok is false for a
-// malformed bitstream, which the hardware signals completion for with no
-// output after scanning the input once.
-func taskRows(h accel.Host, desc Desc) (rows []row, ok bool) {
+// bitstream desc names, split into MCU-row work items. A malformed
+// bitstream is one row, which the hardware signals completion for with
+// no output after scanning the input once.
+func taskRows(h accel.Host, desc Desc) (rows []row) {
 	img, stats, err := decodeAt(h, desc)
 	if err != nil {
 		return []row{{bits: int64(desc.SrcLen) * 8, blocks: 1, inBytes: int64(desc.SrcLen), outBytes: 1,
-			src: desc.Src, dst: desc.Dst, last: true}}, false
+			src: desc.Src, dst: desc.Dst, last: true}}
 	}
 
 	// Derive MCU geometry from the stats.
@@ -249,7 +243,7 @@ func taskRows(h accel.Host, desc Desc) (rows []row, ok bool) {
 		srcOff += inBytes
 		dstOff += outBytes
 	}
-	return rows, true
+	return rows
 }
 
 func intCeil(a, b int) int { return (a + b - 1) / b }

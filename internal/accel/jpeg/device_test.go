@@ -163,15 +163,22 @@ func TestMalformedBitstream(t *testing.T) {
 	src := mem.Addr(0x10000)
 	h.Mem.WriteAt(src, []byte{0xde, 0xad, 0xbe, 0xef})
 	descAddr := mem.Addr(0x1000)
-	b := EncodeDesc(Desc{Src: src, SrcLen: 4, Dst: 0x40000})
+	dst := mem.Addr(0x40000)
+	b := EncodeDesc(Desc{Src: src, SrcLen: 4, Dst: dst})
 	h.Mem.WriteAt(descAddr, b[:])
 	dev.RegWrite(0, devkit.RegDoorbell, uint32(descAddr))
 	drain(dev)
-	if dev.DecodeErrors != 1 {
-		t.Fatalf("DecodeErrors = %d", dev.DecodeErrors)
-	}
 	if dev.RegRead(dev.Now(), devkit.RegStatus) != 1 {
 		t.Fatal("malformed task did not complete")
+	}
+	// The descriptor, one scan of the input, and an empty store.
+	if got, want := dev.Stats().DMABytes, int64(DescSize+4); got != want {
+		t.Errorf("DMABytes = %d, want %d", got, want)
+	}
+	out := make([]byte, 64)
+	h.Mem.ReadAt(dst, out)
+	if !bytes.Equal(out, make([]byte, len(out))) {
+		t.Errorf("malformed task wrote output: % x", out)
 	}
 }
 

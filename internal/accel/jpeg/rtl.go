@@ -19,9 +19,6 @@ type RTLDevice struct {
 
 	// The pipeline's units, in row order; idct also stores the row.
 	fetch, huff, idct devkit.Unit[row]
-
-	// DecodeErrors counts malformed bitstreams.
-	DecodeErrors int64
 }
 
 // NewRTLDevice builds the cycle-level decoder model.
@@ -81,9 +78,5 @@ func (d *RTLDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
 	d.Host.DMA(at, mem.Read, descAddr, DescSize)
 	d.Host.ZeroCostRead(descAddr, descBytes[:])
 
-	rows, ok := taskRows(d.Host, decodeDesc(descBytes[:]))
-	if !ok {
-		d.DecodeErrors++
-	}
-	d.fetch.Push(rows...)
+	d.fetch.Push(taskRows(d.Host, decodeDesc(descBytes[:]))...)
 }

@@ -12,21 +12,21 @@ import (
 type Driver struct {
 	devkit.Driver
 
-	// ProgArena is the DRAM region instruction streams are written to.
-	ProgArena mem.Addr
+	// progArena is the DRAM region instruction streams are written to.
+	progArena mem.Addr
 	progOff   mem.Addr
 }
 
 // NewDriver builds a driver; progArena must be large enough for all
 // instruction streams launched.
 func NewDriver(mmio, taskBuf, progArena mem.Addr, slots int) *Driver {
-	return &Driver{Driver: devkit.NewDriver(mmio, taskBuf, slots, DescSize, IRQVector), ProgArena: progArena}
+	return &Driver{Driver: devkit.NewDriver(mmio, taskBuf, slots, DescSize, IRQVector), progArena: progArena}
 }
 
 // Launch writes a compiled program into the arena and rings the
 // doorbell. The caller has already placed operands in memory.
 func (dr *Driver) Launch(e app.Env, prog []Instr) {
-	progAddr := dr.ProgArena + dr.progOff
+	progAddr := dr.progArena + dr.progOff
 	dr.progOff += mem.Addr(len(prog) * InstrSize)
 	WriteProgram(e.Mem(), progAddr, prog)
 

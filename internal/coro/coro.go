@@ -7,6 +7,11 @@
 // at a time, on the same OS thread, without passing through the Go
 // scheduler. The result is a single logical thread of control, so
 // simulations are deterministic regardless of GOMAXPROCS.
+//
+// A thread talks to its engine in seven requests (Op): it yields only
+// to take virtual time or to block. What blocking means — Park, Unpark,
+// Spawn and the park handshake — is the thread environment's
+// (internal/hostkit), not the protocol's.
 package coro
 
 import (
@@ -17,7 +22,12 @@ import (
 	"nexsim/internal/vclock"
 )
 
-// Op identifies what a thread is asking its engine to do.
+// Op identifies what a thread is asking its engine to do. There are
+// seven: an exit, compute and interactions that take virtual time, and
+// the three ways a thread blocks (Park, Sleep, WaitIRQ), plus the one
+// warp event. Unblocking another thread and creating one do not yield:
+// the thread environment does them inline, on the thread's coroutine,
+// while the engine waits in Resume.
 type Op int
 
 const (
@@ -30,14 +40,11 @@ const (
 	// virtual time (MMIO, task-buffer access). The returned duration is
 	// charged to the thread as interaction latency.
 	OpInteract
-	// OpPark: block until another thread (or the engine) unparks us.
+	// OpPark: block until another thread unparks us. The thread
+	// environment has already marked the thread parked.
 	OpPark
-	// OpUnpark: make Target runnable (the current thread keeps running).
-	OpUnpark
 	// OpSleep: block for Dur of virtual time.
 	OpSleep
-	// OpSpawn: create a new thread running Fn; reply carries the Thread.
-	OpSpawn
 	// OpWaitIRQ: block until interrupt Vector is delivered.
 	OpWaitIRQ
 	// OpSlipExit: the thread left SlipStream mode (§3.4). Threads write
@@ -52,9 +59,6 @@ type Request struct {
 	Work     isa.Work                             // OpAdvance
 	Interact func(at vclock.Time) vclock.Duration // OpInteract
 	Dur      vclock.Duration                      // OpSleep
-	Target   *Thread                              // OpUnpark
-	Name     string                               // OpSpawn
-	Body     any                                  // OpSpawn: the engine's thread-body type
 	Vector   int                                  // OpWaitIRQ
 	Light    bool                                 // OpInteract: non-trapping (tick-mode batched access)
 	Addr     uint64                               // OpInteract: target address (engines classify device vs memory accesses)
@@ -78,10 +82,6 @@ type Thread struct {
 	// itself moves no data.
 	req    Request
 	exited bool
-
-	// Spawn handshake: the engine places the new thread here before
-	// resuming the spawner.
-	Spawned *Thread
 }
 
 // NewThread creates a thread that will run fn when first resumed. The

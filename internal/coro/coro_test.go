@@ -158,7 +158,7 @@ func TestKillThreadWhoseDeferYields(t *testing.T) {
 	// keep unwinding, not deadlock the engine.
 	th := NewThread(0, "yield-in-defer", func() {
 		defer func() {
-			th3ref.Yield(Request{Op: OpUnpark})
+			th3ref.Yield(Request{Op: OpSleep})
 			t.Fatal("yield during kill unwind must not return")
 		}()
 		th3ref.Yield(Request{Op: OpPark})

@@ -78,10 +78,8 @@ type Engine struct {
 type tstate struct {
 	th        *coro.Thread
 	vruntime  vclock.Duration
-	pending   bool // pending unpark
-	parked    bool
 	remaining vclock.Duration // unfinished compute (sliced out)
-	hostkit.Warp
+	hostkit.ThreadState
 }
 
 func st(t *coro.Thread) *tstate { return t.Data.(*tstate) }
@@ -104,6 +102,12 @@ func New(cfg Config) *Engine {
 	e.Init(cfg.Memory, e.RaiseIRQ, hostkit.EnvConfig{
 		Clock: cfg.Clock,
 		Now:   func(*coro.Thread) vclock.Time { return e.evq.Now() },
+		New: func(th *coro.Thread) (any, *hostkit.ThreadState) {
+			s := &tstate{th: th}
+			return s, &s.ThreadState
+		},
+		// Exact time: a woken or new thread contends for a core now.
+		Wake: func(th *coro.Thread) { e.wakeAt(th, e.evq.Now()) },
 	}, cfg.Budget, cfg.Trace)
 	return e
 }
@@ -112,9 +116,7 @@ func New(cfg Config) *Engine {
 // exceeded — check BudgetExceeded and Reap on abort) and returns the
 // simulated time.
 func (e *Engine) Run(prog app.Program) vclock.Duration {
-	s := &tstate{}
-	s.th = e.Spawn("main", prog.Main, s, &s.Warp)
-	e.wakeAt(s.th, 0)
+	e.wakeAt(e.Spawn("main", prog.Main), 0)
 	e.StartWatchdog()
 	e.loop()
 	return e.evq.Now().Sub(0)
@@ -254,34 +256,14 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 			continue
 
 		case coro.OpPark:
-			if s.pending {
-				s.pending = false
-				continue
-			}
-			s.parked = true
 			e.releaseCore(now)
 			return
-
-		case coro.OpUnpark:
-			e.unpark(r.Target, now)
-			continue
 
 		case coro.OpSleep:
 			e.TraceSpan(th.Name, trace.Blocked, now, now.Add(r.Dur))
 			e.releaseCore(now)
 			e.wakeAt(th, now.Add(r.Dur))
 			return
-
-		case coro.OpSpawn:
-			body, ok := r.Body.(app.ThreadFunc)
-			if !ok {
-				panic("exacthost: spawn body is not an app.ThreadFunc")
-			}
-			ns := &tstate{}
-			ns.th = e.Spawn(r.Name, body, ns, &ns.Warp)
-			th.Spawned = ns.th
-			e.wakeAt(ns.th, now)
-			continue
 
 		case coro.OpWaitIRQ:
 			if e.irqPend[r.Vector] > 0 {
@@ -291,7 +273,6 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 				e.irqPend[r.Vector]--
 				continue
 			}
-			s.parked = true
 			e.WaitIRQ(r.Vector, th)
 			e.releaseCore(now)
 			return
@@ -322,16 +303,6 @@ func (e *Engine) computeDuration(s *tstate, w isa.Work) vclock.Duration {
 	return s.Scale(d)
 }
 
-func (e *Engine) unpark(target *coro.Thread, now vclock.Time) {
-	s := st(target)
-	if !s.parked {
-		s.pending = true
-		return
-	}
-	s.parked = false
-	e.wakeAt(target, now)
-}
-
 // RaiseIRQ delivers a device interrupt: exact engines deliver at the
 // raise time (or now, if the raise time already passed).
 func (e *Engine) RaiseIRQ(at vclock.Time, vector int) {
@@ -340,7 +311,6 @@ func (e *Engine) RaiseIRQ(at vclock.Time, vector int) {
 		e.irqPend[vector]++ // latch until someone waits
 		return
 	}
-	st(th).parked = false
 	wake := at
 	if now := e.evq.Now(); wake < now {
 		wake = now

@@ -9,15 +9,20 @@
 //     fast-forward (NextEvent, NextInlineEvent) calls. The complex is the
 //     one owner of catch-up: engines advance it before every register
 //     access, so no device advances itself;
-//   - the thread environment (NewEnv): the one app.Env implementation
-//     over coro.Thread;
-//   - the time-warp state (Warp) behind CompressT/JumpT/SlipStream;
+//   - the thread environment: the one app.Env implementation over
+//     coro.Thread, with the application blocking semantics. Park
+//     consumes a pending wake without yielding, and Unpark and Spawn
+//     run inline on the calling thread;
+//   - the per-thread record (ThreadState): the time-warp state behind
+//     CompressT/JumpT/SlipStream and the parked/pending flags;
 //   - the engine shell (Shell), which both engines embed: the thread
-//     table with Spawn and Reap, the interrupt wait lists, the budget
-//     watchdog (Budget, OverBudget, BudgetExceeded) and the trace guard.
+//     table with Spawn and Reap, the interrupt wait lists (WaitIRQ
+//     parks a thread, Waiter unparks it), the budget watchdog (Budget,
+//     OverBudget, BudgetExceeded) and the trace guard.
 //
-// The engines (nex, exacthost) keep what is theirs: the scheduler, the
-// interrupt-delivery policy (handed to the complex as a RaiseIRQ
+// The engines (nex, exacthost) keep what is theirs: the scheduler and
+// its wake rule (EnvConfig.Wake: when a woken or new thread may run),
+// the interrupt-delivery policy (handed to the complex as a RaiseIRQ
 // function), what counts as a budget step (NEX epochs, event-queue
 // steps), and NEX's prefix halt.
 package hostkit

@@ -104,7 +104,32 @@ func TestEngineConformance(t *testing.T) {
 				}
 			}},
 
-		{"Spawn returns the child and clears Thread.Spawned", "",
+		{"two Unparks before a Park leave one pending wake", "",
+			func(t *testing.T, env app.Env) {
+				self := env.Self()
+				env.Unpark(self)
+				env.Unpark(self)
+				env.Park() // consumes the one pending wake
+				env.Spawn("waker", func(ce app.Env) {
+					ce.Sleep(10 * us)
+					ce.Unpark(self)
+				})
+				if d := elapsed(env, env.Park); d < 10*us {
+					t.Errorf("the second Park returned after %v, before the waker's Unpark 10us later", d)
+				}
+			}},
+
+		{"a thread woken by its interrupt is not parked", "",
+			func(t *testing.T, env app.Env) {
+				env.MMIOWrite(mmioBase, 1) // task completes (and interrupts) 1us from now
+				env.WaitIRQ(irqVec)
+				env.Unpark(env.Self())
+				if d := elapsed(env, env.Park); d != 0 {
+					t.Errorf("Park after a self-Unpark took %v", d)
+				}
+			}},
+
+		{"Spawn returns the child", "",
 			func(t *testing.T, env app.Env) {
 				var self *coro.Thread
 				var wg app.WaitGroup
@@ -113,9 +138,6 @@ func TestEngineConformance(t *testing.T) {
 					self = ce.Self()
 					wg.Done(ce)
 				})
-				if env.Self().Spawned != nil {
-					t.Error("Spawn left Thread.Spawned set")
-				}
 				wg.Wait(env)
 				if child == nil || child != self || child == env.Self() {
 					t.Errorf("Spawn returned %v, child saw itself as %v", child, self)

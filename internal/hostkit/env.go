@@ -15,10 +15,12 @@ import (
 const taskAccessCost = 90 * vclock.Nanosecond
 
 // EnvConfig is what every thread Env of one engine shares: the engine's
-// constants and the two things that genuinely differ between engines.
+// constants and the things that genuinely differ between engines. The
+// shell owns Spawn and the park handshake (Park, Unpark, WaitIRQ and
+// interrupt delivery set and clear ThreadState's flags); the engine
+// supplies its view of time, its per-thread state and its wake rule.
 type EnvConfig struct {
-	Clock   vclock.Hz
-	Devices *Complex
+	Clock vclock.Hz
 
 	// LightTasks makes task-buffer accesses non-trapping (NEX tick mode,
 	// §3.2); exact-time engines ignore the distinction.
@@ -27,26 +29,31 @@ type EnvConfig struct {
 	// epoch-relative cursor (the paper's clock_gettime interposition),
 	// exact-time threads see the global event time.
 	Now func(th *coro.Thread) vclock.Time
+	// New returns the engine's per-thread state for th, a thread being
+	// created (it becomes th.Data), and the ThreadState embedded in it.
+	New func(th *coro.Thread) (data any, ts *ThreadState)
+	// Wake is the engine's wake rule: make th, a thread the running
+	// thread just spawned or unparked, runnable. Exact-time engines
+	// dispatch it at the current event time, NEX from the end of the
+	// running epoch (the cross-epoch synchronization skew of §3.3, §6.6).
+	Wake func(th *coro.Thread)
 }
 
-// env implements app.Env for one simulated thread. The scheduling
-// methods yield requests to the engine; the time warps write the
-// thread's Warp, which engines only read, and unwind it in a deferred
-// call even when fn panics and an outer frame recovers. Methods run on
-// the thread's coroutine; the engine is blocked in Resume while they
-// execute, so reads of engine state are safe.
+// env implements app.Env for one simulated thread. Compute, interactions,
+// Park, Sleep and WaitIRQ yield requests to the engine; Unpark and Spawn
+// run inline and hand the woken or new thread to the engine's wake rule.
+// The time warps write the thread's ThreadState, which engines only
+// read, and unwind it in a deferred call even when fn panics and an
+// outer frame recovers. Methods run on the thread's coroutine; the
+// engine is blocked in Resume while they execute, so reads and writes
+// of engine state are safe.
 type env struct {
-	cfg *EnvConfig
-	th  *coro.Thread
-	w   *Warp
+	k  *Shell
+	th *coro.Thread
+	w  *ThreadState
 }
 
-// NewEnv returns the Env of thread th, whose warp state is w.
-func NewEnv(cfg *EnvConfig, th *coro.Thread, w *Warp) app.Env {
-	return &env{cfg: cfg, th: th, w: w}
-}
-
-func (v *env) Now() vclock.Time { return v.cfg.Now(v.th) }
+func (v *env) Now() vclock.Time { return v.k.env.Now(v.th) }
 
 func (v *env) Compute(w isa.Work) {
 	v.th.Yield(coro.Request{Op: coro.OpAdvance, Work: w})
@@ -58,12 +65,12 @@ func (v *env) ComputeFor(d vclock.Duration) {
 	}
 	v.w.SeedCtr++
 	seed := uint64(v.th.ID)<<32 ^ v.w.SeedCtr
-	v.Compute(isa.Segment(d, v.cfg.Clock, isa.DefaultMix, 64<<10, 1.5, seed))
+	v.Compute(isa.Segment(d, v.k.env.Clock, isa.DefaultMix, 64<<10, 1.5, seed))
 }
 
 // device resolves the binding an MMIO access at addr targets.
 func (v *env) device(what string, addr mem.Addr) *Binding {
-	b := v.cfg.Devices.Lookup(addr)
+	b := v.k.Dev.Lookup(addr)
 	if b == nil {
 		panic(fmt.Sprintf("hostkit: MMIO %s of unmapped address %#x", what, uint64(addr)))
 	}
@@ -94,7 +101,7 @@ func (v *env) MMIOWrite(addr mem.Addr, val uint32) {
 func (v *env) TaskWrite(addr mem.Addr, p []byte) {
 	v.th.Yield(coro.Request{
 		Op:    coro.OpInteract,
-		Light: v.cfg.LightTasks,
+		Light: v.k.env.LightTasks,
 		Addr:  uint64(addr),
 		Interact: func(vclock.Time) vclock.Duration {
 			v.Mem().WriteAt(addr, p)
@@ -103,21 +110,35 @@ func (v *env) TaskWrite(addr mem.Addr, p []byte) {
 	})
 }
 
-func (v *env) Mem() *mem.Memory { return v.cfg.Devices.mem }
+func (v *env) Mem() *mem.Memory { return v.k.Mem() }
 
 func (v *env) Self() *coro.Thread { return v.th }
 
-func (v *env) Park() { v.th.Yield(coro.Request{Op: coro.OpPark}) }
+// Park consumes a pending wake without yielding; otherwise the thread
+// parks until an Unpark hands it to the engine's wake rule.
+func (v *env) Park() {
+	if v.w.pending {
+		v.w.pending = false
+		return
+	}
+	v.w.parked = true
+	v.th.Yield(coro.Request{Op: coro.OpPark})
+}
 
 func (v *env) Unpark(t *coro.Thread) {
-	v.th.Yield(coro.Request{Op: coro.OpUnpark, Target: t})
+	ts := v.k.states[t.ID]
+	if !ts.parked {
+		ts.pending = true
+		return
+	}
+	ts.parked = false
+	v.k.env.Wake(t)
 }
 
 func (v *env) Spawn(name string, fn app.ThreadFunc) *coro.Thread {
-	v.th.Yield(coro.Request{Op: coro.OpSpawn, Name: name, Body: fn})
-	nt := v.th.Spawned
-	v.th.Spawned = nil
-	return nt
+	t := v.k.Spawn(name, fn)
+	v.k.env.Wake(t)
+	return t
 }
 
 func (v *env) Sleep(d vclock.Duration) {

@@ -30,6 +30,7 @@ type Shell struct {
 	Live    int            // threads that have not exited
 
 	env     EnvConfig
+	states  []*ThreadState         // each thread's record, indexed like Threads
 	irqWait map[int][]*coro.Thread // vector -> threads parked in WaitIRQ, oldest first
 	trace   *trace.Recorder
 
@@ -41,10 +42,9 @@ type Shell struct {
 
 // Init sets the shell up over the engine's memory. raise is the
 // engine's interrupt-delivery policy (see NewComplex); env is what
-// every thread's Env shares, its Devices filled in here.
+// every thread's Env shares.
 func (k *Shell) Init(m *mem.Memory, raise func(at vclock.Time, vector int), env EnvConfig, b Budget, tr *trace.Recorder) {
 	k.Dev = NewComplex(m, raise)
-	env.Devices = k.Dev
 	k.env, k.budget, k.trace = env, b, tr
 	k.irqWait = make(map[int][]*coro.Thread)
 }
@@ -59,33 +59,38 @@ func (k *Shell) Attach(b *Binding) { k.Dev.Attach(b) }
 // reaches the engine.
 func (k *Shell) HostFor(b *Binding) accel.Host { return k.Dev.HostFor(b) }
 
-// Spawn creates a live thread running fn, named "name#id". data is the
-// engine's per-thread state (coro.Thread.Data) and w the warp state
-// embedded in it.
-func (k *Shell) Spawn(name string, fn app.ThreadFunc, data any, w *Warp) *coro.Thread {
+// Spawn creates a live thread running fn, named "name#id", with the
+// engine's per-thread state from EnvConfig.New. The caller makes it
+// runnable: the engine its main thread, Env.Spawn through the wake rule.
+func (k *Shell) Spawn(name string, fn app.ThreadFunc) *coro.Thread {
 	id := len(k.Threads)
 	var th *coro.Thread
+	var ts *ThreadState
 	th = coro.NewThread(id, fmt.Sprintf("%s#%d", name, id), func() {
-		fn(NewEnv(&k.env, th, w))
+		fn(&env{k: k, th: th, w: ts})
 	})
-	th.Data = data
+	th.Data, ts = k.env.New(th)
 	k.Threads = append(k.Threads, th)
+	k.states = append(k.states, ts)
 	k.Live++
 	return th
 }
 
-// WaitIRQ queues th, parked, on vector's wait list.
+// WaitIRQ parks th on vector's wait list.
 func (k *Shell) WaitIRQ(vector int, th *coro.Thread) {
+	k.states[th.ID].parked = true
 	k.irqWait[vector] = append(k.irqWait[vector], th)
 }
 
-// Waiter dequeues the longest-waiting thread on vector, or returns nil.
+// Waiter dequeues the longest-waiting thread on vector, no longer
+// parked, or returns nil. The engine makes it runnable.
 func (k *Shell) Waiter(vector int) *coro.Thread {
 	w := k.irqWait[vector]
 	if len(w) == 0 {
 		return nil
 	}
 	k.irqWait[vector] = w[1:]
+	k.states[w[0].ID].parked = false
 	return w[0]
 }
 

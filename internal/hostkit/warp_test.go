@@ -12,7 +12,7 @@ import (
 )
 
 // handoff is one request a thread handed its engine, with the thread's
-// Warp as the engine reads it at that point.
+// warps as the engine reads them at that point.
 type handoff struct {
 	op       coro.Op
 	compress string
@@ -20,13 +20,16 @@ type handoff struct {
 	slip     int
 }
 
-// drive runs body on a bare thread, resuming it until it exits, and
-// records every request it yields.
+// drive runs body on a shell's thread with no scheduler around it,
+// resuming it until it exits, and records every request it yields.
 func drive(body app.ThreadFunc) []handoff {
-	var w hostkit.Warp
-	var env app.Env
-	th := coro.NewThread(0, "t", func() { body(env) })
-	env = hostkit.NewEnv(&hostkit.EnvConfig{}, th, &w)
+	var k hostkit.Shell
+	var w *hostkit.ThreadState
+	k.Init(nil, nil, hostkit.EnvConfig{New: func(*coro.Thread) (any, *hostkit.ThreadState) {
+		w = new(hostkit.ThreadState)
+		return w, w
+	}}, hostkit.Budget{}, nil)
+	th := k.Spawn("t", body)
 	var out []handoff
 	for {
 		r := th.Resume()
@@ -39,7 +42,8 @@ func drive(body app.ThreadFunc) []handoff {
 
 // TestWarpsWriteTheThreadsWarp: a warp region hands the engine only its
 // body's requests (plus one OpSlipExit on leaving slip mode), and the
-// Warp shows the region while the body runs and is clear after it.
+// thread's ThreadState shows the region while the body runs and is
+// clear after it.
 func TestWarpsWriteTheThreadsWarp(t *testing.T) {
 	compute := func(e app.Env) func() { return func() { e.Compute(isa.Work{}) } }
 	exit := handoff{op: coro.OpExit, compress: "[]"}

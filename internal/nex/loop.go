@@ -1,7 +1,6 @@
 package nex
 
 import (
-	"nexsim/internal/app"
 	"nexsim/internal/coro"
 	"nexsim/internal/faults"
 	"nexsim/internal/isa"
@@ -193,6 +192,7 @@ func (e *Engine) runnableAt(t vclock.Time) []*coro.Thread {
 // request while haltArmed): the request is stashed un-processed in
 // e.frame and the slot is left incomplete.
 func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
+	e.slotEnd = end
 	s := st(th)
 	cursor := start
 	segStart := cursor
@@ -244,39 +244,16 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			return false
 
 		case coro.OpPark:
-			if s.pending {
-				s.pending = false
-				continue
-			}
-			s.parked = true
 			s.wakeAt = vclock.Never
 			e.TraceSpan(th.Name, trace.Compute, segStart, cursor)
 			return false
-
-		case coro.OpUnpark:
-			t2 := st(r.Target)
-			if t2.parked {
-				t2.parked = false
-				t2.wakeAt = end // runnable from the next epoch: EBS skew
-			} else {
-				t2.pending = true
-			}
 
 		case coro.OpSleep:
 			s.wakeAt = cursor.Add(r.Dur)
 			e.TraceSpan(th.Name, trace.Blocked, cursor, s.wakeAt)
 			return false
 
-		case coro.OpSpawn:
-			body, ok := r.Body.(app.ThreadFunc)
-			if !ok {
-				panic("nex: spawn body is not an app.ThreadFunc")
-			}
-			ns := &tstate{wakeAt: end}
-			th.Spawned = e.Spawn(r.Name, body, ns, &ns.Warp)
-
 		case coro.OpWaitIRQ:
-			s.parked = true
 			s.wakeAt = vclock.Never
 			e.WaitIRQ(r.Vector, th)
 			return false
@@ -380,13 +357,11 @@ func (e *Engine) deliverIRQs(boundary vclock.Time) {
 			remaining = append(remaining, p)
 			continue
 		}
-		s := st(th)
-		s.parked = false
 		wake := boundary
 		if p.at > wake {
 			wake = p.at
 		}
-		s.wakeAt = wake
+		st(th).wakeAt = wake
 		e.Stats.IRQs++
 	}
 	e.pending = remaining

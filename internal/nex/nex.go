@@ -166,6 +166,7 @@ type Engine struct {
 	runnableBuf []*coro.Thread
 
 	now      vclock.Time // current epoch start
+	slotEnd  vclock.Time // end of the epoch the running thread's slot is in (the wake rule's time)
 	truncate bool        // a SlipStream exit requested epoch truncation
 	finishT  vclock.Time // virtual time of the last thread activity
 	nextSync vclock.Time // next hybrid periodic synchronization boundary
@@ -202,11 +203,9 @@ type pendingIRQ struct {
 // wakeAt is: parked and exited threads always carry wakeAt == Never, so
 // the scans in loop.go test wakeAt alone.
 type tstate struct {
-	wakeAt  vclock.Time // earliest epoch start the thread may run at
-	parked  bool
-	pending bool
+	wakeAt  vclock.Time     // earliest epoch start the thread may run at
 	deficit vclock.Duration // remaining virtual time of current segment
-	hostkit.Warp
+	hostkit.ThreadState
 	cursor vclock.Time // thread-local virtual time (for Env.Now)
 
 	// The complementary policy's record (selectFair): the service it
@@ -255,6 +254,13 @@ func New(cfg Config) *Engine {
 	}, hostkit.EnvConfig{
 		Clock: cfg.Clock, LightTasks: cfg.TickMode,
 		Now: func(th *coro.Thread) vclock.Time { return st(th).cursor },
+		New: func(*coro.Thread) (any, *hostkit.ThreadState) {
+			s := &tstate{}
+			return s, &s.ThreadState
+		},
+		// EBS: a woken or new thread is runnable from the next epoch,
+		// the cross-epoch synchronization skew (§3.3, §6.6).
+		Wake: func(th *coro.Thread) { st(th).wakeAt = e.slotEnd },
 	}, cfg.Budget, cfg.Trace)
 	// Systematic calibration bias: the δ calibration constant is close
 	// but not perfect, so native-time accounting carries a small
@@ -278,11 +284,10 @@ func (e *Engine) Run(prog app.Program) vclock.Duration {
 	return e.simTime()
 }
 
-// start spawns prog's main thread, runnable at time zero, and anchors
-// the watchdog.
+// start spawns prog's main thread, runnable at time zero (a new
+// tstate's wakeAt), and anchors the watchdog.
 func (e *Engine) start(prog app.Program) {
-	s := &tstate{}
-	e.Spawn("main", prog.Main, s, &s.Warp)
+	e.Spawn("main", prog.Main)
 	e.nextSync = vclock.Time(e.cfg.SyncInterval)
 	e.StartWatchdog()
 }

@@ -219,10 +219,7 @@ func runInference(e app.Env, cfg vtaConfig, ctx *core.Ctx, proc int) {
 	rng := xrand.New(cfg.Seed ^ uint64(proc)<<16)
 	// Per-process arena slice.
 	arena := ctx.Arena + mem.Addr(proc)*(8<<20)
-	drv := vta.NewDriver(ctx.MMIO[proc], ctx.TaskBufs[proc], arena, 16)
-	progArena := arena + 4<<20
-
-	drv.ProgArena = progArena
+	drv := vta.NewDriver(ctx.MMIO[proc], ctx.TaskBufs[proc], arena+4<<20, 16)
 	dataBase := arena
 
 	tasks := gemmTasks(cfg)
