@@ -148,15 +148,25 @@ test -z "$(grep -rlE '^type FairPolicy |^func NewFairPolicy\(' internal/nex --in
 # hostkit's, and an engine keeps only its wake rule. No production file
 # mentions the Unpark and Spawn requests or the spawn handshake field
 # they needed, and outside internal/hostkit no code line writes a
-# thread's parked or pending flag. Two slices are called pending too,
-# NEX's interrupt list and a WAL record's specs; their writes are exempt
-# by line.
+# thread's parked or pending flag. A WAL record's specs slice is called
+# pending too; its write is exempt by line.
 test -z "$(grep -rlwE 'OpUnpark|OpSpawn|Spawned' . --include='*.go' | grep -v -e _test.go -e /testdata/)"
 test -z "$(grep -rnE '\.(parked|pending)[[:space:]]*=[^=]' internal cmd examples --include='*.go' |
 	grep -v -e '_test\.go:' -e /testdata/ -e '^internal/hostkit/' -e '^[^:]*:[0-9]*:[[:space:]]*//' |
-	grep -v -e '^internal/nex/nex\.go:[0-9]*:[[:space:]]*e\.pending = append(e\.pending, ' \
-		-e '^internal/nex/loop\.go:[0-9]*:[[:space:]]*e\.pending = remaining$' \
-		-e '^internal/simserve/wal\.go:[0-9]*:[[:space:]]*rec\.pending = append(rec\.pending, ')"
+	grep -v -e '^internal/simserve/wal\.go:[0-9]*:[[:space:]]*rec\.pending = append(rec\.pending, ')"
+
+# One interrupt path (DESIGN.md §4): hostkit latches, delivers and waits
+# on a device's interrupt, which the host names by the device's binding,
+# and an engine keeps only when it delivers and its wake rule. No
+# production file mentions the interrupt-wait request, a vector constant
+# or the engines' former latches and delivery loops, and outside
+# internal/hostkit no code line declares a slice, map or counter named
+# for interrupts (NEX's Stats.IRQs, which reads the shell's count, is
+# exempt by line; acceltest is test scaffolding).
+test -z "$(grep -rlwE 'OpWaitIRQ|irqPend|pendingIRQ|deliverIRQs|IRQVector' . --include='*.go' | grep -v -e _test.go -e /testdata/)"
+test -z "$(grep -rnE '^[[:space:]]*(var[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]+(\[\]|map\[)[^/]*([Ii]rq|IRQ)|^[[:space:]]*(var[[:space:]]+)?[A-Za-z_]*([Ii]rq|IRQ)[A-Za-z0-9_]*[[:space:]]+(\[\]|map\[|u?int)' internal cmd examples --include='*.go' |
+	grep -v -e '_test\.go:' -e /testdata/ -e /acceltest/ -e '^internal/hostkit/' |
+	grep -v -e '^internal/nex/nex\.go:[0-9]*:[[:space:]]*IRQs[[:space:]]*int64 // interrupts delivered$')"
 
 # Results that do not depend on the CPU (DESIGN.md §5): Go may fuse
 # x*y + z into one FMA instruction, which rounds once instead of twice.

@@ -53,9 +53,6 @@ func encodeFilterDesc(src, dst mem.Addr, w, h int) [filterDescSize]byte {
 	return desc
 }
 
-// filterIRQ is the completion vector (unused here: the driver polls).
-const filterIRQ = 13
-
 // filterDevice is a DSim model sketched entirely with lpnlang: it
 // convolves an RGB raster with a fixed 3x3 kernel.
 type filterDevice struct {
@@ -132,7 +129,7 @@ func newFilterDevice(clk vclock.Hz, lanes int64) *filterDevice {
 			}
 		}))
 
-	d.Init("filter2d", filterIRQ, d, b.MustBuild())
+	d.Init("filter2d", d, b.MustBuild())
 	return d
 }
 
@@ -228,7 +225,7 @@ func main() {
 		dev.SetHost(eng.HostFor(db))
 		eng.Attach(db)
 
-		drv := devkit.NewDriver(mmio, tb.Base, 1, filterDescSize, filterIRQ)
+		drv := devkit.NewDriver(mmio, tb.Base, 1, filterDescSize)
 		start := time.Now()
 		res := sys.Run(app.Program{Main: func(e app.Env) {
 			rng := xrand.New(1)

@@ -14,9 +14,8 @@ import (
 // models (internal/accel/devkit's TestKitConformance).
 func TestKitConformance(t *testing.T) {
 	acceltest.KitConformance(t, acceltest.KitModel{
-		Name:   "filter2d",
-		Vector: filterIRQ,
-		New:    func() accel.Device { return newFilterDevice(2*vclock.GHz, 4) },
+		Name: "filter2d",
+		New:  func() accel.Device { return newFilterDevice(2*vclock.GHz, 4) },
 		Stage: func(m *mem.Memory, i int) mem.Addr {
 			const w, h = 16, 8
 			descAddr, base := mem.Addr(0x100*(i+1)), mem.Addr(0x10_0000*(i+1))

@@ -88,8 +88,9 @@ type Host interface {
 	// so that a memo hit reads none of them (DESIGN.md §4.3).
 	ZeroCostSum(addr mem.Addr, n int) uint64
 
-	// RaiseIRQ delivers an interrupt from the device at virtual time at.
-	// Delivery timing at the software level is host-policy (e.g. NEX
-	// hybrid synchronization delivers at interval boundaries).
-	RaiseIRQ(at vclock.Time, vector int)
+	// RaiseIRQ raises the device's interrupt at virtual time at. The
+	// host knows which device raised it; when software sees it is the
+	// host's delivery rule (e.g. NEX hybrid synchronization delivers at
+	// interval boundaries).
+	RaiseIRQ(at vclock.Time)
 }

@@ -23,8 +23,8 @@ type Call struct {
 // the clock the host's last Advance set, which Calls lets a test check.
 type Device struct {
 	Busy vclock.Duration
-	IRQ  int // vector raised on completion; 0 = polling only
-	DMA  int // bytes DMA-read from address 0 at task start; 0 = none
+	IRQ  bool // raise the interrupt on completion; false = polling only
+	DMA  int  // bytes DMA-read from address 0 at task start; 0 = none
 	Host accel.Host
 
 	Reads   int   // register reads
@@ -43,7 +43,7 @@ func (d *Device) SetHost(h accel.Host) { d.Host = h }
 
 // MayRaiseIRQ tells a host that a polling-only device needs catching up
 // only when the host observes it.
-func (d *Device) MayRaiseIRQ() bool { return d.IRQ != 0 }
+func (d *Device) MayRaiseIRQ() bool { return d.IRQ }
 
 func (d *Device) RegRead(at vclock.Time, off mem.Addr) uint32 {
 	d.Calls = append(d.Calls, Call{Op: 'R', At: at})
@@ -71,8 +71,8 @@ func (d *Device) Advance(t vclock.Time) {
 	if d.Pending && d.now >= d.doneAt {
 		d.Pending = false
 		d.status = 1
-		if d.IRQ != 0 {
-			d.Host.RaiseIRQ(d.doneAt, d.IRQ)
+		if d.IRQ {
+			d.Host.RaiseIRQ(d.doneAt)
 		}
 	}
 }

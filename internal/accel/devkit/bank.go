@@ -23,7 +23,7 @@ const (
 	RegDoorbell  = 0x00 // W: physical address of a task descriptor
 	RegStatus    = 0x04 // R: count of completed tasks (monotonic)
 	RegBusy      = 0x08 // R: tasks in flight
-	RegIRQEnable = 0x0c // W: nonzero = raise the device's vector on completion
+	RegIRQEnable = 0x0c // W: nonzero = raise the device's interrupt on completion
 )
 
 // Model is the part of a device its Bank calls back into.
@@ -51,9 +51,8 @@ type Bank struct {
 	// Host is the owning engine's side of the device, wired by SetHost.
 	Host accel.Host
 
-	name   string
-	vector int
-	model  Model
+	name  string
+	model Model
 
 	completed  uint32
 	inFlight   uint32
@@ -63,10 +62,10 @@ type Bank struct {
 	busyStart vclock.Time
 }
 
-// Init names the device, fixes the interrupt vector Complete raises and
-// binds the model the registers drive. Call once, before first use.
-func (b *Bank) Init(name string, vector int, m Model) {
-	b.name, b.vector, b.model = name, vector, m
+// Init names the device and binds the model the registers drive. Call
+// once, before first use.
+func (b *Bank) Init(name string, m Model) {
+	b.name, b.model = name, m
 }
 
 // Name implements accel.Device.
@@ -124,7 +123,7 @@ func (b *Bank) Start(at vclock.Time) {
 
 // Complete is end-of-task bookkeeping; at is the model's completion
 // timestamp. The busy interval closes with the last task in flight, and
-// the device's vector is raised iff the driver enabled interrupts.
+// the device's interrupt is raised iff the driver enabled it.
 func (b *Bank) Complete(at vclock.Time) {
 	b.completed++
 	b.inFlight--
@@ -133,7 +132,7 @@ func (b *Bank) Complete(at vclock.Time) {
 		b.stats.BusyTime += at.Sub(b.busyStart)
 	}
 	if b.irqEnabled {
-		b.Host.RaiseIRQ(at, b.vector)
+		b.Host.RaiseIRQ(at)
 	}
 }
 

@@ -97,16 +97,16 @@ func withSchema[D interface {
 // models pairs each accelerator's DSim model with its RTL model.
 var models = [][2]acceltest.KitModel{
 	{
-		{Name: "jpeg", Vector: jpeg.IRQVector, Stage: stageJPEG, New: func() accel.Device { return jpeg.NewDevice(clk) }},
-		{Name: "jpeg-rtl", Vector: jpeg.IRQVector, Stage: stageJPEG, New: func() accel.Device { return jpeg.NewRTLDevice(clk) }},
+		{Name: "jpeg", Stage: stageJPEG, New: func() accel.Device { return jpeg.NewDevice(clk) }},
+		{Name: "jpeg-rtl", Stage: stageJPEG, New: func() accel.Device { return jpeg.NewRTLDevice(clk) }},
 	},
 	{
-		{Name: "vta", Vector: vta.IRQVector, Stage: stageVTA, New: func() accel.Device { return vta.NewDevice(clk) }},
-		{Name: "vta-rtl", Vector: vta.IRQVector, Stage: stageVTA, New: func() accel.Device { return vta.NewRTLDevice(clk) }},
+		{Name: "vta", Stage: stageVTA, New: func() accel.Device { return vta.NewDevice(clk) }},
+		{Name: "vta-rtl", Stage: stageVTA, New: func() accel.Device { return vta.NewRTLDevice(clk) }},
 	},
 	{
-		{Name: "protoacc", Vector: protoacc.IRQVector, Stage: stageProto, New: func() accel.Device { return withSchema(protoacc.NewDevice(clk)) }},
-		{Name: "protoacc-rtl", Vector: protoacc.IRQVector, Stage: stageProto, New: func() accel.Device { return withSchema(protoacc.NewRTLDevice(clk)) }},
+		{Name: "protoacc", Stage: stageProto, New: func() accel.Device { return withSchema(protoacc.NewDevice(clk)) }},
+		{Name: "protoacc-rtl", Stage: stageProto, New: func() accel.Device { return withSchema(protoacc.NewRTLDevice(clk)) }},
 	},
 }
 

@@ -22,19 +22,18 @@ type Driver struct {
 	OnWait func(app.Env)
 
 	descSize  int
-	vector    int
 	slot      int
 	submitted uint32
 }
 
 // NewDriver builds a driver over a device's MMIO window and a task
 // buffer region holding slots descriptors (default 16) of descSize
-// bytes; vector is the device's completion interrupt.
-func NewDriver(mmio, taskBuf mem.Addr, slots, descSize, vector int) Driver {
+// bytes.
+func NewDriver(mmio, taskBuf mem.Addr, slots, descSize int) Driver {
 	if slots <= 0 {
 		slots = 16
 	}
-	return Driver{MMIOBase: mmio, TaskBuf: taskBuf, Slots: slots, descSize: descSize, vector: vector}
+	return Driver{MMIOBase: mmio, TaskBuf: taskBuf, Slots: slots, descSize: descSize}
 }
 
 // EnableIRQ turns on completion interrupts.
@@ -77,12 +76,12 @@ func (dr *Driver) WaitAll(e app.Env, poll vclock.Duration) {
 	}
 }
 
-// WaitAllIRQ blocks on completion interrupts until every submitted task
-// has completed. The device must have IRQs enabled.
+// WaitAllIRQ blocks on the device's completion interrupt until every
+// submitted task has completed. The device must have IRQs enabled.
 func (dr *Driver) WaitAllIRQ(e app.Env) {
 	dr.beforeWait(e)
 	for dr.Completed(e) < dr.submitted {
-		e.WaitIRQ(dr.vector)
+		e.WaitIRQ(dr.MMIOBase)
 	}
 }
 

@@ -11,9 +11,6 @@ import (
 	"nexsim/internal/vclock"
 )
 
-// IRQVector is the interrupt vector the decoder raises on completion.
-const IRQVector = 7
-
 // DescSize is the size of a task descriptor in the task buffer:
 // src (8) | srcLen (4) | dst (8) | pad (4).
 const DescSize = 24
@@ -153,7 +150,7 @@ func NewDevice(clk vclock.Hz) *Device {
 			}
 		}))
 
-	d.Init("jpeg", IRQVector, d, b.MustBuild())
+	d.Init("jpeg", d, b.MustBuild())
 	return d
 }
 

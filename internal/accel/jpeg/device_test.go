@@ -62,7 +62,7 @@ func runTask(t *testing.T, dev accel.Device, h *acceltest.Host, descAddr mem.Add
 	if len(h.IRQs) != 1 {
 		t.Fatalf("irqs = %d", len(h.IRQs))
 	}
-	return h.IRQs[0].At
+	return h.IRQs[0]
 }
 
 func TestDSimDeviceDecodesCorrectly(t *testing.T) {

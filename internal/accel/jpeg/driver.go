@@ -13,7 +13,7 @@ type Driver struct{ devkit.Driver }
 // NewDriver builds a driver over a device's MMIO window and a task
 // buffer region.
 func NewDriver(mmio mem.Addr, taskBuf mem.Addr, slots int) *Driver {
-	return &Driver{devkit.NewDriver(mmio, taskBuf, slots, DescSize, IRQVector)}
+	return &Driver{devkit.NewDriver(mmio, taskBuf, slots, DescSize)}
 }
 
 // Submit writes a descriptor into the next ring slot and rings the

@@ -24,7 +24,7 @@ type RTLDevice struct {
 // NewRTLDevice builds the cycle-level decoder model.
 func NewRTLDevice(clk vclock.Hz) *RTLDevice {
 	d := &RTLDevice{}
-	d.Bank.Init("jpeg-rtl", IRQVector, d)
+	d.Bank.Init("jpeg-rtl", d)
 	d.Clock.Init(clk, d)
 	for _, u := range []*devkit.Unit[row]{&d.fetch, &d.huff, &d.idct} {
 		u.Init(&d.Clock, 1)

@@ -20,9 +20,6 @@ const (
 	RegBatch    = 0x18 // W: launch the next N ring descriptors
 )
 
-// IRQVector is the completion interrupt vector.
-const IRQVector = 9
-
 // DescSize is the task-descriptor size: root (8) | out (8) | schema (4) |
 // pad (4).
 const DescSize = 24
@@ -336,7 +333,7 @@ func NewDevice(clk vclock.Hz) *Device {
 			d.finish(&d.Bank, f.Tok(0).Attrs[3], f.Time)
 		}))
 
-	d.Init("protoacc", IRQVector, d, b.MustBuild())
+	d.Init("protoacc", d, b.MustBuild())
 	return d
 }
 

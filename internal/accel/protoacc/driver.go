@@ -30,7 +30,7 @@ func NewDriver(mmio mem.Addr, taskBuf mem.Addr, slots int) *Driver {
 	if slots <= 0 {
 		slots = 64
 	}
-	dr := &Driver{Driver: devkit.NewDriver(mmio, taskBuf, slots, DescSize, IRQVector), BatchSize: 8}
+	dr := &Driver{Driver: devkit.NewDriver(mmio, taskBuf, slots, DescSize), BatchSize: 8}
 	dr.OnWait = dr.Flush
 	return dr
 }

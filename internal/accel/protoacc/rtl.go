@@ -29,7 +29,7 @@ type fieldRef struct{ node, field int }
 // NewRTLDevice builds the cycle-level serializer model.
 func NewRTLDevice(clk vclock.Hz) *RTLDevice {
 	d := &RTLDevice{frontend: newFrontend()}
-	d.Bank.Init("protoacc-rtl", IRQVector, d)
+	d.Bank.Init("protoacc-rtl", d)
 	d.Clock.Init(clk, d)
 	d.objs.Init(&d.Clock, objFetchUnits)
 	d.fields.Init(&d.Clock, fieldUnits)

@@ -9,9 +9,6 @@ import (
 	"nexsim/internal/vclock"
 )
 
-// IRQVector is the completion interrupt vector.
-const IRQVector = 11
-
 // An op token's attributes: the op's two dependency pops, which set the
 // weights of its stage's dependency arcs, and where the op sits in the
 // device's task plans.
@@ -70,7 +67,7 @@ func NewDevice(clk vclock.Hz) *Device {
 		lpnlang.AlsoConsumeBy(cmp2st, attrPopPrev),
 		lpnlang.AlsoProduce(st2cmp, d.push(false)))
 
-	d.Init("vta", IRQVector, d, b.MustBuild())
+	d.Init("vta", d, b.MustBuild())
 	return d
 }
 

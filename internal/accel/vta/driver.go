@@ -20,7 +20,7 @@ type Driver struct {
 // NewDriver builds a driver; progArena must be large enough for all
 // instruction streams launched.
 func NewDriver(mmio, taskBuf, progArena mem.Addr, slots int) *Driver {
-	return &Driver{Driver: devkit.NewDriver(mmio, taskBuf, slots, DescSize, IRQVector), progArena: progArena}
+	return &Driver{Driver: devkit.NewDriver(mmio, taskBuf, slots, DescSize), progArena: progArena}
 }
 
 // Launch writes a compiled program into the arena and rings the

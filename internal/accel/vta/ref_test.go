@@ -253,7 +253,7 @@ type refOp struct {
 
 func newRefDevice(clk vclock.Hz) *refDevice {
 	d := &refDevice{clk: clk}
-	d.Init("vta", IRQVector, d)
+	d.Init("vta", d)
 	return d
 }
 

@@ -24,7 +24,7 @@ type RTLDevice struct {
 // NewRTLDevice builds the cycle-level VTA model.
 func NewRTLDevice(clk vclock.Hz) *RTLDevice {
 	d := &RTLDevice{}
-	d.Bank.Init("vta-rtl", IRQVector, d)
+	d.Bank.Init("vta-rtl", d)
 	d.Clock.Init(clk, d)
 	for m := range d.mods {
 		d.mods[m].Init(&d.Clock, 1)

@@ -77,8 +77,12 @@ type Env interface {
 	// Sleep blocks for d of virtual time.
 	Sleep(d vclock.Duration)
 
-	// WaitIRQ blocks until the engine delivers interrupt vector v.
-	WaitIRQ(v int)
+	// WaitIRQ blocks until the engine delivers an interrupt of the
+	// device whose MMIO window holds dev (a driver passes its base). An
+	// interrupt delivered while no thread waited on the device is
+	// latched, and the next WaitIRQ consumes it without blocking. An
+	// Unpark also ends the wait.
+	WaitIRQ(dev mem.Addr)
 
 	// CompressT runs fn with its compute time divided by factor — the
 	// what-if accelerator analysis of §3.4.

@@ -61,14 +61,21 @@ func TestJPEGDriverEndToEnd(t *testing.T) {
 // the RTL device under the reference, gem5 and lazy NEX hosts, which
 // then ask an RTL clock for its next event: an IRQ-driven run must
 // complete and leave the same decoded pixels in memory as a polling run
-// of the same image under the same engine and device.
+// of the same images under the same engine and device. Each host runs
+// one device, then two with an interrupt-driven thread each: the first
+// thread to wait decodes the larger image, so the interrupts come in
+// the opposite order to the waits, and each must wake its own device's
+// waiter.
 func TestJPEGDriverIRQ(t *testing.T) {
-	img := jpeg.NewImage(32, 32)
-	rng := xrand.New(5)
-	for i := range img.Pix {
-		img.Pix[i] = byte(rng.Intn(256))
+	image := func(w, h int) []byte {
+		img := jpeg.NewImage(w, h)
+		rng := xrand.New(5)
+		for i := range img.Pix {
+			img.Pix[i] = byte(rng.Intn(256))
+		}
+		return jpeg.Encode(img, 80, jpeg.Sub420)
 	}
-	data := jpeg.Encode(img, 80, jpeg.Sub420)
+	small, large := image(32, 32), image(64, 64)
 
 	nexCfg := func(mode nex.SyncMode) core.Config {
 		cfg := core.Config{Host: core.HostNEX}
@@ -93,43 +100,70 @@ func TestJPEGDriverIRQ(t *testing.T) {
 		{"gem5-rtl", rtl(core.Config{Host: core.HostGem5})},
 		{"nex-lazy-rtl", rtl(nexCfg(nex.Lazy))},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			decode := func(irq bool) []byte {
-				cfg := tc.cfg
-				cfg.Model, cfg.Cores, cfg.Seed = core.AccelJPEG, 4, 1
-				sys := core.Build(cfg)
-				defer sys.Release()
-				src := sys.Ctx.Arena
-				dst := sys.Ctx.Arena + 1<<20
-				done := false
-				sys.Run(app.Program{Main: func(e app.Env) {
-					e.Mem().WriteAt(src, data)
-					drv := jpeg.NewDriver(sys.Ctx.MMIO[0], sys.Ctx.TaskBufs[0], 4)
-					if irq {
-						drv.EnableIRQ(e)
-					}
-					drv.Submit(e, jpeg.Desc{Src: src, SrcLen: uint32(len(data)), Dst: dst})
-					if irq {
-						drv.WaitAllIRQ(e)
-					} else {
-						drv.WaitAll(e, 0)
-					}
-					done = true
-				}})
-				if !done {
-					t.Fatalf("irq=%v: wait never completed", irq)
+		// decode runs one thread per bitstream, thread i driving device
+		// i, and returns the decoded pixels of all of them and the
+		// order in which the threads finished.
+		decode := func(t *testing.T, irq bool, streams [][]byte) (pix []byte, finished []int) {
+			cfg := tc.cfg
+			cfg.Model, cfg.Devices, cfg.Cores, cfg.Seed = core.AccelJPEG, len(streams), 4, 1
+			sys := core.Build(cfg)
+			defer sys.Release()
+			dst := func(i int) mem.Addr { return sys.Ctx.Arena + mem.Addr(2*i+1)<<20 }
+			sys.Run(app.Program{Main: func(e app.Env) {
+				var wg app.WaitGroup
+				wg.Add(len(streams))
+				for i, data := range streams {
+					e.Spawn("decode", func(we app.Env) {
+						src := sys.Ctx.Arena + mem.Addr(2*i)<<20
+						we.Mem().WriteAt(src, data)
+						drv := jpeg.NewDriver(sys.Ctx.MMIO[i], sys.Ctx.TaskBufs[i], 4)
+						if irq {
+							drv.EnableIRQ(we)
+						}
+						drv.Submit(we, jpeg.Desc{Src: src, SrcLen: uint32(len(data)), Dst: dst(i)})
+						if irq {
+							drv.WaitAllIRQ(we)
+						} else {
+							drv.WaitAll(we, 0)
+						}
+						finished = append(finished, i)
+						wg.Done(we)
+					})
+				}
+				wg.Wait(e)
+			}})
+			if len(finished) != len(streams) {
+				t.Fatalf("irq=%v: %d of %d waits completed", irq, len(finished), len(streams))
+			}
+			for i, data := range streams {
+				img, _, err := jpeg.Decode(data)
+				if err != nil {
+					t.Fatal(err)
 				}
 				got := make([]byte, len(img.Pix))
-				sys.Ctx.Mem.ReadAt(dst, got)
-				return got
+				sys.Ctx.Mem.ReadAt(dst(i), got)
+				pix = append(pix, got...)
 			}
-			polled, got := decode(false), decode(true)
+			return pix, finished
+		}
+		check := func(t *testing.T, streams ...[]byte) []int {
+			polled, _ := decode(t, false, streams)
+			got, finished := decode(t, true, streams)
 			if bytes.Equal(polled, make([]byte, len(polled))) {
 				t.Fatal("polling run decoded nothing")
 			}
 			if !bytes.Equal(got, polled) {
 				t.Fatal("IRQ run's decoded pixels differ from the polling run's")
 			}
+			return finished
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			check(t, small)
+			t.Run("two-devices", func(t *testing.T) {
+				if finished := check(t, large, small); finished[0] != 1 {
+					t.Fatalf("threads finished in order %v; the small image's thread must finish first", finished)
+				}
+			})
 		})
 	}
 }

@@ -8,10 +8,10 @@
 // scheduler. The result is a single logical thread of control, so
 // simulations are deterministic regardless of GOMAXPROCS.
 //
-// A thread talks to its engine in seven requests (Op): it yields only
-// to take virtual time or to block. What blocking means — Park, Unpark,
-// Spawn and the park handshake — is the thread environment's
-// (internal/hostkit), not the protocol's.
+// A thread talks to its engine in six requests (Op): it yields only to
+// take virtual time or to block. What blocking means — Park, Unpark,
+// Spawn, waiting on a device's interrupt and the park handshake — is
+// the thread environment's (internal/hostkit), not the protocol's.
 package coro
 
 import (
@@ -23,11 +23,11 @@ import (
 )
 
 // Op identifies what a thread is asking its engine to do. There are
-// seven: an exit, compute and interactions that take virtual time, and
-// the three ways a thread blocks (Park, Sleep, WaitIRQ), plus the one
-// warp event. Unblocking another thread and creating one do not yield:
-// the thread environment does them inline, on the thread's coroutine,
-// while the engine waits in Resume.
+// six: an exit, compute and interactions that take virtual time, the
+// two ways a thread blocks (Park, Sleep; an interrupt wait is a Park),
+// and the one warp event. Unblocking another thread and creating one do
+// not yield: the thread environment does them inline, on the thread's
+// coroutine, while the engine waits in Resume.
 type Op int
 
 const (
@@ -40,13 +40,12 @@ const (
 	// virtual time (MMIO, task-buffer access). The returned duration is
 	// charged to the thread as interaction latency.
 	OpInteract
-	// OpPark: block until another thread unparks us. The thread
-	// environment has already marked the thread parked.
+	// OpPark: block until another thread unparks us or, in an interrupt
+	// wait, the device's interrupt is delivered. The thread environment
+	// has already marked the thread parked.
 	OpPark
 	// OpSleep: block for Dur of virtual time.
 	OpSleep
-	// OpWaitIRQ: block until interrupt Vector is delivered.
-	OpWaitIRQ
 	// OpSlipExit: the thread left SlipStream mode (§3.4). Threads write
 	// their own time-warp state; this is the one warp event an engine
 	// sees, because NEX reschedules at it.
@@ -59,7 +58,6 @@ type Request struct {
 	Work     isa.Work                             // OpAdvance
 	Interact func(at vclock.Time) vclock.Duration // OpInteract
 	Dur      vclock.Duration                      // OpSleep
-	Vector   int                                  // OpWaitIRQ
 	Light    bool                                 // OpInteract: non-trapping (tick-mode batched access)
 	Addr     uint64                               // OpInteract: target address (engines classify device vs memory accesses)
 }

@@ -32,11 +32,11 @@ type Base struct {
 	Net *lpn.Net
 }
 
-// Init prepares the base: the device's name and completion vector, the
-// model whose Doorbell the registers drive (the device embedding this
-// Base), and its LPN. Call once after the LPN is built.
-func (b *Base) Init(name string, vector int, model devkit.Model, net *lpn.Net) {
-	b.Bank.Init(name, vector, model)
+// Init prepares the base: the device's name, the model whose Doorbell
+// the registers drive (the device embedding this Base), and its LPN.
+// Call once after the LPN is built.
+func (b *Base) Init(name string, model devkit.Model, net *lpn.Net) {
+	b.Bank.Init(name, model)
 	b.Net = net
 }
 

@@ -54,7 +54,7 @@ func newCopyDev(h *acceltest.Host) *copyDev {
 			d.doneReg = 1
 			d.Complete(f.Time)
 		}))
-	d.Init("copydev", 1, d, b.MustBuild())
+	d.Init("copydev", d, b.MustBuild())
 	d.SetHost(h)
 	d.RegWrite(0, devkit.RegIRQEnable, 1)
 	return d
@@ -132,7 +132,7 @@ func TestTimingDependsOnDMAResponse(t *testing.T) {
 		if len(h.IRQs) != 1 {
 			t.Fatalf("irqs = %v", h.IRQs)
 		}
-		return h.IRQs[0].At
+		return h.IRQs[0]
 	}
 	fast := end(100 * vclock.Nanosecond)
 	slow := end(400 * vclock.Nanosecond)
@@ -146,13 +146,13 @@ func TestProcessingScalesWithSize(t *testing.T) {
 	h.Mem.WriteAt(0x1000, make([]byte, 1000))
 	d.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 1000})
 	d.Advance(vclock.Never - 1)
-	big := h.IRQs[0].At
+	big := h.IRQs[0]
 
 	h2, d2 := setup(10 * vclock.Nanosecond)
 	h2.Mem.WriteAt(0x1000, make([]byte, 100))
 	d2.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 100})
 	d2.Advance(vclock.Never - 1)
-	small := h2.IRQs[0].At
+	small := h2.IRQs[0]
 
 	// 2 cycles/byte at 1GHz: 900 extra bytes = 1800ns.
 	if got := big.Sub(small); got != 1800*vclock.Nanosecond {
@@ -170,7 +170,7 @@ func TestPipelinedTasks(t *testing.T) {
 		h2.Mem.WriteAt(0x1000, make([]byte, 200))
 		d2.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 200})
 		d2.Advance(vclock.Never - 1)
-		return h2.IRQs[0].At
+		return h2.IRQs[0]
 	}()
 
 	d.start(0, copyTask{src: 0x1000, dst: 0x2000, n: 200})
@@ -179,7 +179,7 @@ func TestPipelinedTasks(t *testing.T) {
 	if len(h.IRQs) != 2 {
 		t.Fatalf("irqs = %d", len(h.IRQs))
 	}
-	both := h.IRQs[1].At
+	both := h.IRQs[1]
 	if both >= single*2 {
 		t.Fatalf("no pipelining: 2 tasks took %v, single takes %v", both, single)
 	}

@@ -63,10 +63,9 @@ type Config struct {
 // Engine is an exact-time host simulator instance.
 type Engine struct {
 	hostkit.Shell
-	cfg     Config
-	evq     eventq.Queue
-	irqPend map[int]int // vector -> undelivered (sticky) interrupts
-	steps   int64       // event-queue steps taken (the budget unit)
+	cfg   Config
+	evq   eventq.Queue
+	steps int64 // event-queue steps taken (the budget unit)
 
 	// CFS state.
 	runq    []*tstate // runnable, waiting for a core, sorted by vruntime
@@ -98,16 +97,18 @@ func New(cfg Config) *Engine {
 	if cfg.Memory == nil {
 		cfg.Memory = mem.New(0x1000_0000)
 	}
-	e := &Engine{cfg: cfg, irqPend: make(map[int]int)}
-	e.Init(cfg.Memory, e.RaiseIRQ, hostkit.EnvConfig{
+	e := &Engine{cfg: cfg}
+	// Exact time delivers a raised interrupt at once: at its raise time,
+	// or now if that already passed.
+	e.Init(cfg.Memory, func() { e.Deliver(e.evq.Now()) }, hostkit.EnvConfig{
 		Clock: cfg.Clock,
 		Now:   func(*coro.Thread) vclock.Time { return e.evq.Now() },
 		New: func(th *coro.Thread) (any, *hostkit.ThreadState) {
 			s := &tstate{th: th}
 			return s, &s.ThreadState
 		},
-		// Exact time: a woken or new thread contends for a core now.
-		Wake: func(th *coro.Thread) { e.wakeAt(th, e.evq.Now()) },
+		// Exact time: a woken or new thread contends for a core at once.
+		Wake: e.wakeAt,
 	}, cfg.Budget, cfg.Trace)
 	return e
 }
@@ -265,18 +266,6 @@ func (e *Engine) runThread(th *coro.Thread, now vclock.Time) {
 			e.wakeAt(th, now.Add(r.Dur))
 			return
 
-		case coro.OpWaitIRQ:
-			if e.irqPend[r.Vector] > 0 {
-				// A previously raised interrupt is still pending: consume
-				// it without blocking (avoids the lost-wakeup race
-				// between a status check and the wait).
-				e.irqPend[r.Vector]--
-				continue
-			}
-			e.WaitIRQ(r.Vector, th)
-			e.releaseCore(now)
-			return
-
 		case coro.OpSlipExit:
 			// Exact time has no epoch to end at a SlipStream exit.
 			continue
@@ -301,21 +290,6 @@ func (e *Engine) computeDuration(s *tstate, w isa.Work) vclock.Duration {
 		d = e.cfg.Compute.Duration(w)
 	}
 	return s.Scale(d)
-}
-
-// RaiseIRQ delivers a device interrupt: exact engines deliver at the
-// raise time (or now, if the raise time already passed).
-func (e *Engine) RaiseIRQ(at vclock.Time, vector int) {
-	th := e.Waiter(vector)
-	if th == nil {
-		e.irqPend[vector]++ // latch until someone waits
-		return
-	}
-	wake := at
-	if now := e.evq.Now(); wake < now {
-		wake = now
-	}
-	e.wakeAt(th, wake)
 }
 
 // loop is the main event loop. Devices that may raise interrupts are

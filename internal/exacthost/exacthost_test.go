@@ -238,7 +238,7 @@ func TestDevicePolling(t *testing.T) {
 
 func TestDeviceIRQ(t *testing.T) {
 	e := New(Config{Cores: 4})
-	dev := &acceltest.Device{Busy: 10 * ms, IRQ: 5}
+	dev := &acceltest.Device{Busy: 10 * ms, IRQ: true}
 	b := &hostkit.Binding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096,
 		MMIOCost: 1 * vclock.Microsecond}
 	dev.Host = e.HostFor(b)
@@ -246,7 +246,7 @@ func TestDeviceIRQ(t *testing.T) {
 
 	res := e.Run(app.Program{Main: func(env app.Env) {
 		env.MMIOWrite(0x8000_0000, 1)
-		env.WaitIRQ(5)
+		env.WaitIRQ(0x8000_0000)
 		if env.MMIORead(0x8000_0000) != 1 {
 			t.Error("status not set at IRQ time")
 		}
@@ -336,7 +336,7 @@ func TestCFSWakePlacement(t *testing.T) {
 func TestStickyIRQExact(t *testing.T) {
 	// An interrupt raised before anyone waits must be latched.
 	e := New(Config{Cores: 2})
-	dev := &acceltest.Device{Busy: 1 * vclock.Microsecond, IRQ: 5}
+	dev := &acceltest.Device{Busy: 1 * vclock.Microsecond, IRQ: true}
 	b := &hostkit.Binding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096,
 		MMIOCost: 1 * vclock.Microsecond}
 	dev.Host = e.HostFor(b)
@@ -345,7 +345,7 @@ func TestStickyIRQExact(t *testing.T) {
 	e.Run(app.Program{Main: func(env app.Env) {
 		env.MMIOWrite(0x8000_0000, 1)
 		env.ComputeFor(10 * vclock.Microsecond) // IRQ fires while running
-		env.WaitIRQ(5)                          // must consume the latch
+		env.WaitIRQ(0x8000_0000)                // must consume the latch
 		completed = true
 	}})
 	if !completed {

@@ -66,10 +66,7 @@ const maxPolls = 1000
 // returns the device and the number of polls.
 func runSchedule(irq bool, busy, unit vclock.Duration) (*unitDevice, int) {
 	e := New(Config{Cores: 2})
-	inner := &acceltest.Device{Busy: busy}
-	if irq {
-		inner.IRQ = 5
-	}
+	inner := &acceltest.Device{Busy: busy, IRQ: irq}
 	dev := &unitDevice{Device: inner, unit: unit}
 	b := &hostkit.Binding{Device: dev, MMIOBase: 0x8000_0000, MMIOSize: 4096, MMIOCost: vclock.Microsecond}
 	inner.Host = e.HostFor(b)
@@ -78,7 +75,7 @@ func runSchedule(irq bool, busy, unit vclock.Duration) (*unitDevice, int) {
 	e.Run(app.Program{Main: func(env app.Env) {
 		env.MMIOWrite(0x8000_0000, 1)
 		if irq {
-			env.WaitIRQ(5)
+			env.WaitIRQ(0x8000_0000)
 		}
 		for polls < maxPolls {
 			polls++

@@ -11,24 +11,27 @@
 //     access, so no device advances itself;
 //   - the thread environment: the one app.Env implementation over
 //     coro.Thread, with the application blocking semantics. Park
-//     consumes a pending wake without yielding, and Unpark and Spawn
-//     run inline on the calling thread;
+//     consumes a pending wake without yielding, WaitIRQ is a Park on a
+//     device's interrupt that consumes a latched interrupt the same way,
+//     and Unpark and Spawn run inline on the calling thread;
 //   - the per-thread record (ThreadState): the time-warp state behind
-//     CompressT/JumpT/SlipStream and the parked/pending flags;
+//     CompressT/JumpT/SlipStream and the park handshake;
 //   - the engine shell (Shell), which both engines embed: the thread
-//     table with Spawn and Reap, the interrupt wait lists (WaitIRQ
-//     parks a thread, Waiter unparks it), the budget watchdog (Budget,
-//     OverBudget, BudgetExceeded) and the trace guard.
+//     table with Spawn and Reap, the interrupt path (the interrupts
+//     devices raised, each device's wait list and latch, Deliver and the
+//     delivered count), the budget watchdog (Budget, OverBudget,
+//     BudgetExceeded) and the trace guard.
 //
 // The engines (nex, exacthost) keep what is theirs: the scheduler and
-// its wake rule (EnvConfig.Wake: when a woken or new thread may run),
-// the interrupt-delivery policy (handed to the complex as a RaiseIRQ
-// function), what counts as a budget step (NEX epochs, event-queue
+// its wake rule (EnvConfig.Wake: from when a woken or new thread may
+// run), when a raised interrupt is delivered (the time each passes
+// Deliver), what counts as a budget step (NEX epochs, event-queue
 // steps), and NEX's prefix halt.
 package hostkit
 
 import (
 	"nexsim/internal/accel"
+	"nexsim/internal/coro"
 	"nexsim/internal/mem"
 	"nexsim/internal/memsys"
 	"nexsim/internal/vclock"
@@ -47,6 +50,12 @@ type Binding struct {
 	// MMIOWriteCost is the cost of a posted register write (the CPU does
 	// not wait for the device); default 120ns.
 	MMIOWriteCost vclock.Duration
+
+	// The device's interrupt, kept by the Shell: the threads blocked in
+	// WaitIRQ on it, oldest first, and the interrupts delivered while
+	// none waited, each consumed by a later WaitIRQ.
+	waiters []*coro.Thread
+	latched int
 }
 
 // Complex is one engine's set of attached devices, caught up together.
@@ -54,15 +63,15 @@ type Binding struct {
 // every device runs on.
 type Complex struct {
 	mem   *mem.Memory
-	raise func(at vclock.Time, vector int)
+	raise func(at vclock.Time, b *Binding)
 	binds []*Binding
 	time  vclock.Time // every device has been advanced to at least this
 }
 
-// NewComplex builds an empty complex over the engine's memory. raise is
-// the engine's interrupt-delivery policy: devices' RaiseIRQ calls land
-// there, on the engine goroutine.
-func NewComplex(m *mem.Memory, raise func(at vclock.Time, vector int)) *Complex {
+// NewComplex builds an empty complex over the engine's memory. A
+// device's RaiseIRQ lands in raise, on the engine goroutine, with the
+// binding of the device that raised it.
+func NewComplex(m *mem.Memory, raise func(at vclock.Time, b *Binding)) *Complex {
 	return &Complex{mem: m, raise: raise}
 }
 
@@ -92,7 +101,7 @@ func (c *Complex) Lookup(addr mem.Addr) *Binding {
 }
 
 // HostFor returns the accel.Host through which the device bound by b
-// reaches the engine's memory system and interrupt policy.
+// reaches the engine's memory system and raises its interrupt.
 func (c *Complex) HostFor(b *Binding) accel.Host { return &hostShim{c: c, b: b} }
 
 type hostShim struct {
@@ -110,7 +119,7 @@ func (h *hostShim) DMA(at vclock.Time, kind mem.AccessKind, addr mem.Addr, size 
 func (h *hostShim) ZeroCostRead(addr mem.Addr, p []byte)    { h.c.mem.ReadAt(addr, p) }
 func (h *hostShim) ZeroCostWrite(addr mem.Addr, p []byte)   { h.c.mem.WriteAt(addr, p) }
 func (h *hostShim) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.c.mem.Sum(addr, n) }
-func (h *hostShim) RaiseIRQ(at vclock.Time, vector int)     { h.c.raise(at, vector) }
+func (h *hostShim) RaiseIRQ(at vclock.Time)                 { h.c.raise(at, h.b) }
 
 // Time returns the time the complex was last advanced to.
 func (c *Complex) Time() vclock.Time { return c.time }

@@ -19,8 +19,8 @@ const (
 func adv(t vclock.Time) acceltest.Call { return acceltest.Call{Op: 'A', At: t} }
 
 type irq struct {
-	at     vclock.Time
-	vector int
+	at vclock.Time
+	b  *hostkit.Binding
 }
 
 // rig is a complex over fake devices, one 4KB MMIO window each from
@@ -35,8 +35,8 @@ type rig struct {
 
 func newRig(devs ...*acceltest.Device) *rig {
 	r := &rig{mem: mem.New(0x1000_0000), devs: devs}
-	r.Complex = hostkit.NewComplex(r.mem, func(at vclock.Time, vector int) {
-		r.irqs = append(r.irqs, irq{at, vector})
+	r.Complex = hostkit.NewComplex(r.mem, func(at vclock.Time, b *hostkit.Binding) {
+		r.irqs = append(r.irqs, irq{at, b})
 	})
 	for i, d := range devs {
 		b := &hostkit.Binding{Device: d, MMIOBase: mem.Addr(0x8000_0000 + i*0x1000), MMIOSize: 0x1000}
@@ -100,7 +100,7 @@ func TestAdvanceIsMonotone(t *testing.T) {
 }
 
 func TestHostShim(t *testing.T) {
-	r := newRig(&acceltest.Device{IRQ: 9})
+	r := newRig(&acceltest.Device{IRQ: true})
 	h := r.devs[0].Host
 	if got := h.DMA(100, mem.Read, 0, 64); got != 100 {
 		t.Errorf("DMA without a port completes at %v, want 100 (instantly)", got)
@@ -116,18 +116,18 @@ func TestHostShim(t *testing.T) {
 	if !reflect.DeepEqual(got, []byte{1, 2, 3}) {
 		t.Errorf("zero-cost round trip = %v", got)
 	}
-	h.RaiseIRQ(55, 9)
-	if !reflect.DeepEqual(r.irqs, []irq{{55, 9}}) {
-		t.Errorf("raised = %v, want the engine policy to see {55 9}", r.irqs)
+	h.RaiseIRQ(55)
+	if !reflect.DeepEqual(r.irqs, []irq{{55, r.binds[0]}}) {
+		t.Errorf("raised = %v, want the engine to see the raise at 55 from the device's binding", r.irqs)
 	}
 }
 
 // TestAdvanceRaisesThroughEnginePolicy drives three devices, one of
 // them interrupt-capable, through the advance/observe pattern of a host
 // loop: every device sees every non-stale advance, and the one interrupt
-// reaches the engine's policy at the time the device raised it.
+// reaches the engine at the time the device raised it, with its binding.
 func TestAdvanceRaisesThroughEnginePolicy(t *testing.T) {
-	r := newRig(&acceltest.Device{Busy: 5 * us}, &acceltest.Device{Busy: 3 * us, IRQ: 4}, &acceltest.Device{Busy: 9 * us})
+	r := newRig(&acceltest.Device{Busy: 5 * us}, &acceltest.Device{Busy: 3 * us, IRQ: true}, &acceltest.Device{Busy: 9 * us})
 	for _, d := range r.devs {
 		d.RegWrite(0, 0, 1) // launch one task per device
 		d.Calls = nil
@@ -147,7 +147,7 @@ func TestAdvanceRaisesThroughEnginePolicy(t *testing.T) {
 			t.Errorf("device %d advances = %v, want %v", i, advances, want)
 		}
 	}
-	if want := []irq{{vclock.Time(3 * us), 4}}; !reflect.DeepEqual(r.irqs, want) {
+	if want := []irq{{vclock.Time(3 * us), r.binds[1]}}; !reflect.DeepEqual(r.irqs, want) {
 		t.Errorf("raised %v, want %v", r.irqs, want)
 	}
 }
@@ -163,7 +163,7 @@ func TestEmptyComplexHasNoEvents(t *testing.T) {
 }
 
 func TestNextInlineEventSkipsPollingDevices(t *testing.T) {
-	r := newRig(&acceltest.Device{Busy: 2 * us}, &acceltest.Device{Busy: 7 * us, IRQ: 4})
+	r := newRig(&acceltest.Device{Busy: 2 * us}, &acceltest.Device{Busy: 7 * us, IRQ: true})
 	for _, d := range r.devs {
 		d.RegWrite(0, 0, 1)
 	}

@@ -25,7 +25,6 @@ import (
 const (
 	mmioBase = 0x8000_0000
 	unmapped = 0x7000_0000
-	irqVec   = 6
 )
 
 // host is one engine under test.
@@ -122,10 +121,36 @@ func TestEngineConformance(t *testing.T) {
 		{"a thread woken by its interrupt is not parked", "",
 			func(t *testing.T, env app.Env) {
 				env.MMIOWrite(mmioBase, 1) // task completes (and interrupts) 1us from now
-				env.WaitIRQ(irqVec)
+				env.WaitIRQ(mmioBase)
 				env.Unpark(env.Self())
 				if d := elapsed(env, env.Park); d != 0 {
 					t.Errorf("Park after a self-Unpark took %v", d)
+				}
+			}},
+
+		{"an Unpark takes a thread off the interrupt wait list", "",
+			func(t *testing.T, env app.Env) {
+				var woke vclock.Time
+				var wg app.WaitGroup
+				wg.Add(1)
+				w := env.Spawn("waiter", func(ce app.Env) {
+					ce.WaitIRQ(mmioBase) // ended by main's first Unpark
+					ce.Park()            // must sleep through the interrupt
+					woke = ce.Now()
+					wg.Done(ce)
+				})
+				env.Sleep(10 * us)
+				env.Unpark(w)
+				env.Sleep(10 * us)
+				env.MMIOWrite(mmioBase, 1) // task completes (and interrupts) 1us from now
+				env.ComputeFor(20 * us)
+				env.MMIORead(mmioBase) // every engine has delivered the interrupt by the next boundary
+				env.ComputeFor(20 * us)
+				unparked := env.Now()
+				env.Unpark(w)
+				wg.Wait(env)
+				if woke < unparked {
+					t.Errorf("the waiter left its Park at %v, before main's Unpark at %v", woke, unparked)
 				}
 			}},
 
@@ -173,10 +198,10 @@ func TestEngineConformance(t *testing.T) {
 				if env.MMIORead(mmioBase) != 1 { // every engine has caught the device up by now
 					t.Error("task not complete after 10x its busy time")
 				}
-				// The interrupt found no waiter. NEX delivers at the next
-				// epoch boundary, the exact engines consume the latch in
-				// place; neither may wait for a second interrupt.
-				if d := elapsed(env, func() { env.WaitIRQ(irqVec) }); d > 2*us {
+				// The interrupt found no waiter, so it is latched: NEX
+				// delivered it at the read's epoch boundary, the exact
+				// engines at once. The wait consumes it in place.
+				if d := elapsed(env, func() { env.WaitIRQ(mmioBase) }); d != 0 {
 					t.Errorf("WaitIRQ on an already-raised interrupt took %v", d)
 				}
 			}},
@@ -220,7 +245,7 @@ func TestEngineConformance(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(h.name+"/"+tc.name, func(t *testing.T) {
 				finished := false
-				dev = &acceltest.Device{Busy: 1 * us, IRQ: irqVec}
+				dev = &acceltest.Device{Busy: 1 * us, IRQ: true}
 				p := runOn(h.build, dev, func(env app.Env) {
 					tc.main(t, env)
 					finished = true

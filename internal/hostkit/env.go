@@ -17,8 +17,9 @@ const taskAccessCost = 90 * vclock.Nanosecond
 // EnvConfig is what every thread Env of one engine shares: the engine's
 // constants and the things that genuinely differ between engines. The
 // shell owns Spawn and the park handshake (Park, Unpark, WaitIRQ and
-// interrupt delivery set and clear ThreadState's flags); the engine
-// supplies its view of time, its per-thread state and its wake rule.
+// interrupt delivery set and clear ThreadState's flags and the devices'
+// wait lists); the engine supplies its view of time, its per-thread
+// state and its wake rule.
 type EnvConfig struct {
 	Clock vclock.Hz
 
@@ -32,11 +33,13 @@ type EnvConfig struct {
 	// New returns the engine's per-thread state for th, a thread being
 	// created (it becomes th.Data), and the ThreadState embedded in it.
 	New func(th *coro.Thread) (data any, ts *ThreadState)
-	// Wake is the engine's wake rule: make th, a thread the running
-	// thread just spawned or unparked, runnable. Exact-time engines
-	// dispatch it at the current event time, NEX from the end of the
-	// running epoch (the cross-epoch synchronization skew of §3.3, §6.6).
-	Wake func(th *coro.Thread)
+	// Wake is the engine's wake rule: make th runnable, no earlier than
+	// at. th is a thread the running thread just spawned or unparked (at
+	// is then that thread's Now) or one an interrupt delivered at at
+	// woke. Exact-time engines dispatch it at at, NEX from the end of
+	// the running epoch if that is later (the cross-epoch
+	// synchronization skew of §3.3, §6.6).
+	Wake func(th *coro.Thread, at vclock.Time)
 }
 
 // env implements app.Env for one simulated thread. Compute, interactions,
@@ -125,19 +128,19 @@ func (v *env) Park() {
 	v.th.Yield(coro.Request{Op: coro.OpPark})
 }
 
+// Unpark wakes t, also out of a WaitIRQ, whose wait list it leaves.
 func (v *env) Unpark(t *coro.Thread) {
 	ts := v.k.states[t.ID]
 	if !ts.parked {
 		ts.pending = true
 		return
 	}
-	ts.parked = false
-	v.k.env.Wake(t)
+	v.k.wake(t, v.Now())
 }
 
 func (v *env) Spawn(name string, fn app.ThreadFunc) *coro.Thread {
 	t := v.k.Spawn(name, fn)
-	v.k.env.Wake(t)
+	v.k.env.Wake(t, v.Now())
 	return t
 }
 
@@ -148,8 +151,19 @@ func (v *env) Sleep(d vclock.Duration) {
 	v.th.Yield(coro.Request{Op: coro.OpSleep, Dur: d})
 }
 
-func (v *env) WaitIRQ(vec int) {
-	v.th.Yield(coro.Request{Op: coro.OpWaitIRQ, Vector: vec})
+// WaitIRQ is a Park on the interrupt of the device mapped at dev: it
+// consumes an interrupt latched there without yielding; otherwise the
+// thread parks on the device's wait list until a delivery (or an
+// Unpark) wakes it.
+func (v *env) WaitIRQ(dev mem.Addr) {
+	b := v.device("interrupt wait", dev)
+	if b.latched > 0 {
+		b.latched--
+		return
+	}
+	v.w.parked, v.w.irq = true, b
+	b.waiters = append(b.waiters, v.th)
+	v.th.Yield(coro.Request{Op: coro.OpPark})
 }
 
 func (v *env) CompressT(factor float64, fn func()) {

@@ -2,6 +2,7 @@ package hostkit
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"nexsim/internal/accel"
@@ -21,18 +22,22 @@ type Budget struct {
 }
 
 // Shell is the part of a host engine that does not depend on how it
-// schedules: the device complex, the thread table, the interrupt wait
-// lists and the budget watchdog. nex.Engine and exacthost.Engine embed
-// it and add their scheduler. All methods run on the engine goroutine.
+// schedules: the device complex, the thread table, the interrupt path
+// and the budget watchdog. nex.Engine and exacthost.Engine embed it and
+// add their scheduler. All methods run on the engine goroutine.
 type Shell struct {
 	Dev     *Complex
 	Threads []*coro.Thread // every thread created, in creation order; a thread's ID is its index
 	Live    int            // threads that have not exited
 
-	env     EnvConfig
-	states  []*ThreadState         // each thread's record, indexed like Threads
-	irqWait map[int][]*coro.Thread // vector -> threads parked in WaitIRQ, oldest first
-	trace   *trace.Recorder
+	env    EnvConfig
+	states []*ThreadState // each thread's record, indexed like Threads
+	trace  *trace.Recorder
+
+	// The interrupt path: the interrupts devices raised that await
+	// Deliver, in raise order, and the count delivered.
+	raised []raisedIRQ
+	irqs   int64
 
 	budget    Budget
 	ticks     int64 // OverBudget calls under a wall budget
@@ -40,13 +45,25 @@ type Shell struct {
 	exceeded  bool
 }
 
-// Init sets the shell up over the engine's memory. raise is the
-// engine's interrupt-delivery policy (see NewComplex); env is what
-// every thread's Env shares.
-func (k *Shell) Init(m *mem.Memory, raise func(at vclock.Time, vector int), env EnvConfig, b Budget, tr *trace.Recorder) {
-	k.Dev = NewComplex(m, raise)
+// raisedIRQ is one interrupt a device raised at at, not yet delivered.
+type raisedIRQ struct {
+	at vclock.Time
+	b  *Binding
+}
+
+// Init sets the shell up over the engine's memory. onRaise, when set,
+// runs after each interrupt a device raises: the engine's rule for
+// delivering at once (exacthost calls Deliver there); an engine that
+// passes nil delivers at its own boundaries. env is what every thread's
+// Env shares.
+func (k *Shell) Init(m *mem.Memory, onRaise func(), env EnvConfig, b Budget, tr *trace.Recorder) {
+	k.Dev = NewComplex(m, func(at vclock.Time, b *Binding) {
+		k.raised = append(k.raised, raisedIRQ{at, b})
+		if onRaise != nil {
+			onRaise()
+		}
+	})
 	k.env, k.budget, k.trace = env, b, tr
-	k.irqWait = make(map[int][]*coro.Thread)
 }
 
 // Mem returns the engine's simulated physical memory.
@@ -76,22 +93,41 @@ func (k *Shell) Spawn(name string, fn app.ThreadFunc) *coro.Thread {
 	return th
 }
 
-// WaitIRQ parks th on vector's wait list.
-func (k *Shell) WaitIRQ(vector int, th *coro.Thread) {
-	k.states[th.ID].parked = true
-	k.irqWait[vector] = append(k.irqWait[vector], th)
+// Raised reports whether a raised interrupt awaits Deliver.
+func (k *Shell) Raised() bool { return len(k.raised) > 0 }
+
+// Deliver delivers every raised interrupt at boundary, or at its raise
+// time if that is later: each wakes its device's longest-waiting thread
+// through the engine's wake rule, or is latched for the device's next
+// WaitIRQ. When an engine calls Deliver is its delivery rule.
+func (k *Shell) Deliver(boundary vclock.Time) {
+	for _, r := range k.raised {
+		k.irqs++
+		if len(r.b.waiters) == 0 {
+			r.b.latched++
+			continue
+		}
+		k.wake(r.b.waiters[0], max(boundary, r.at))
+	}
+	k.raised = k.raised[:0]
 }
 
-// Waiter dequeues the longest-waiting thread on vector, no longer
-// parked, or returns nil. The engine makes it runnable.
-func (k *Shell) Waiter(vector int) *coro.Thread {
-	w := k.irqWait[vector]
-	if len(w) == 0 {
-		return nil
+// IRQs returns the number of interrupts delivered, latched ones
+// included.
+func (k *Shell) IRQs() int64 { return k.irqs }
+
+// wake makes th, a parked thread, runnable from at through the engine's
+// wake rule, and takes it off the wait list of the device it waited on
+// in WaitIRQ, if any.
+func (k *Shell) wake(th *coro.Thread, at vclock.Time) {
+	ts := k.states[th.ID]
+	if b := ts.irq; b != nil {
+		i := slices.Index(b.waiters, th)
+		b.waiters = slices.Delete(b.waiters, i, i+1)
+		ts.irq = nil
 	}
-	k.irqWait[vector] = w[1:]
-	k.states[w[0].ID].parked = false
-	return w[0]
+	ts.parked = false
+	k.env.Wake(th, at)
 }
 
 // StartWatchdog anchors the wall budget at run (or resume) start.

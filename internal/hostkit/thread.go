@@ -15,8 +15,11 @@ type ThreadState struct {
 	// parked: the thread is blocked in Park or WaitIRQ, so an Unpark
 	// hands it to the engine's wake rule. pending: an Unpark found it
 	// running, so its next Park returns at once. One pending wake is
-	// kept, however many Unparks found the thread running.
+	// kept, however many Unparks found the thread running. irq: the
+	// device whose wait list holds the thread while it blocks in
+	// WaitIRQ, nil otherwise.
 	parked, pending bool
+	irq             *Binding
 }
 
 // Scale divides a compute duration by every active CompressT factor.

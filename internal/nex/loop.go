@@ -27,8 +27,8 @@ func (e *Engine) loop() {
 			// activity before a thread wake needs no handling in the
 			// normal path: hybrid/eager deliver it via the periodic
 			// synchronization below, and lazy defers it by definition.)
-			if len(e.pending) > 0 {
-				e.deliverIRQs(e.roundUp(e.now))
+			if e.Raised() {
+				e.deliver(e.roundUp(e.now))
 				continue
 			}
 			devNext, okD := e.Dev.NextEvent()
@@ -36,7 +36,7 @@ func (e *Engine) loop() {
 				panic("nex: deadlock — live threads, no wakes, idle devices")
 			}
 			e.Dev.Advance(devNext)
-			e.deliverIRQs(e.roundUp(devNext))
+			e.deliver(e.roundUp(devNext))
 			continue
 		}
 
@@ -57,7 +57,7 @@ func (e *Engine) loop() {
 				for e.nextSync < start {
 					e.Dev.Advance(e.nextSync)
 					e.Stats.Syncs++
-					e.deliverIRQs(e.nextSync)
+					e.deliver(e.nextSync)
 					e.nextSync += vclock.Time(e.cfg.SyncInterval)
 				}
 			}
@@ -120,7 +120,8 @@ func (e *Engine) endEpoch(selected []*coro.Thread, start, end vclock.Time) {
 					s.wakeAt = newEnd
 				}
 			}
-			end = newEnd
+			// An interrupt delivered at the truncated end wakes there.
+			end, e.slotEnd = newEnd, newEnd
 		}
 	}
 
@@ -135,12 +136,12 @@ func (e *Engine) endEpoch(selected []*coro.Thread, start, end vclock.Time) {
 	case Eager:
 		e.Dev.Advance(end)
 		e.Stats.Syncs++
-		e.deliverIRQs(end)
+		e.deliver(end)
 	case Hybrid:
 		if end >= e.nextSync {
 			e.Dev.Advance(end)
 			e.Stats.Syncs++
-			e.deliverIRQs(end)
+			e.deliver(end)
 			for e.nextSync <= end {
 				e.nextSync += vclock.Time(e.cfg.SyncInterval)
 			}
@@ -149,8 +150,8 @@ func (e *Engine) endEpoch(selected []*coro.Thread, start, end vclock.Time) {
 		// Interrupts discovered during trap-driven catch-ups are
 		// delivered at the epoch boundary; lazy mode never advances
 		// devices on its own.
-		if len(e.pending) > 0 {
-			e.deliverIRQs(end)
+		if e.Raised() {
+			e.deliver(end)
 		}
 	}
 }
@@ -253,11 +254,6 @@ func (e *Engine) runThreadEpoch(th *coro.Thread, start, end vclock.Time) bool {
 			e.TraceSpan(th.Name, trace.Blocked, cursor, s.wakeAt)
 			return false
 
-		case coro.OpWaitIRQ:
-			s.wakeAt = vclock.Never
-			e.WaitIRQ(r.Vector, th)
-			return false
-
 		case coro.OpSlipExit:
 			// Exiting SlipStream resets the epoch duration and forces an
 			// immediate reschedule (§3.4): end this thread's slot and
@@ -341,28 +337,9 @@ func (e *Engine) scaledDuration(s *tstate, w isa.Work) vclock.Duration {
 	return s.Scale(vclock.Duration(float64(d) * f))
 }
 
-// deliverIRQs wakes WaitIRQ threads for pending interrupts; they become
-// runnable at the boundary time.
-func (e *Engine) deliverIRQs(boundary vclock.Time) {
-	if len(e.pending) == 0 {
-		return
-	}
-	remaining := e.pending[:0]
-	for _, p := range e.pending {
-		th := e.Waiter(p.vector)
-		if th == nil {
-			// No waiter yet: keep the interrupt pending (drivers would
-			// otherwise lose the wakeup between checking the status
-			// register and blocking).
-			remaining = append(remaining, p)
-			continue
-		}
-		wake := boundary
-		if p.at > wake {
-			wake = p.at
-		}
-		st(th).wakeAt = wake
-		e.Stats.IRQs++
-	}
-	e.pending = remaining
+// deliver delivers the raised interrupts at a boundary of the sync
+// mode (hostkit.Shell.Deliver) and keeps Stats.IRQs the shell's count.
+func (e *Engine) deliver(boundary vclock.Time) {
+	e.Deliver(boundary)
+	e.Stats.IRQs = e.IRQs()
 }

@@ -160,13 +160,12 @@ type Engine struct {
 	hostkit.Shell
 	cfg Config
 
-	pending []pendingIRQ
 	// runnableBuf is runnableAt's reusable scratch slice; its contents
 	// are only live until the next epoch's scan.
 	runnableBuf []*coro.Thread
 
 	now      vclock.Time // current epoch start
-	slotEnd  vclock.Time // end of the epoch the running thread's slot is in (the wake rule's time)
+	slotEnd  vclock.Time // end of the running (or last, truncated) epoch: the wake rule's time
 	truncate bool        // a SlipStream exit requested epoch truncation
 	finishT  vclock.Time // virtual time of the last thread activity
 	nextSync vclock.Time // next hybrid periodic synchronization boundary
@@ -192,11 +191,6 @@ type haltFrame struct {
 	start    vclock.Time
 	end      vclock.Time
 	req      coro.Request
-}
-
-type pendingIRQ struct {
-	at     vclock.Time
-	vector int
 }
 
 // tstate is NEX's per-thread state. A thread is schedulable when its
@@ -245,13 +239,11 @@ func New(cfg Config) *Engine {
 	}
 	rng := xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	e := &Engine{cfg: cfg}
-	// Interrupt policy: a raised interrupt stays pending until the next
-	// delivery boundary (deliverIRQs). gettimeofday-style queries return
-	// the thread's epoch-relative virtual time, matching the paper's
+	// A raised interrupt waits for the next delivery boundary of the
+	// sync mode (deliver). gettimeofday-style queries return the
+	// thread's epoch-relative virtual time, matching the paper's
 	// LD_PRELOAD interposition of clock_gettime (§3.2).
-	e.Init(cfg.Memory, func(at vclock.Time, vector int) {
-		e.pending = append(e.pending, pendingIRQ{at: at, vector: vector})
-	}, hostkit.EnvConfig{
+	e.Init(cfg.Memory, nil, hostkit.EnvConfig{
 		Clock: cfg.Clock, LightTasks: cfg.TickMode,
 		Now: func(th *coro.Thread) vclock.Time { return st(th).cursor },
 		New: func(*coro.Thread) (any, *hostkit.ThreadState) {
@@ -260,7 +252,7 @@ func New(cfg Config) *Engine {
 		},
 		// EBS: a woken or new thread is runnable from the next epoch,
 		// the cross-epoch synchronization skew (§3.3, §6.6).
-		Wake: func(th *coro.Thread) { st(th).wakeAt = e.slotEnd },
+		Wake: func(th *coro.Thread, at vclock.Time) { st(th).wakeAt = max(at, e.slotEnd) },
 	}, cfg.Budget, cfg.Trace)
 	// Systematic calibration bias: the δ calibration constant is close
 	// but not perfect, so native-time accounting carries a small

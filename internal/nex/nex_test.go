@@ -276,11 +276,11 @@ func TestHybridDeliversIRQs(t *testing.T) {
 	e := newExact(t, Config{Epoch: 1 * us, Mode: Hybrid, SyncInterval: 10 * us,
 		CalSigma: -1, RefillLoss: -1})
 	e.calBias = 1.0
-	dev := &acceltest.Device{Busy: 33 * us, IRQ: 3}
+	dev := &acceltest.Device{Busy: 33 * us, IRQ: true}
 	attach(e, dev)
 	res := e.Run(app.Program{Main: func(env app.Env) {
 		env.MMIOWrite(0x8000_0000, 1)
-		env.WaitIRQ(3)
+		env.WaitIRQ(0x8000_0000)
 	}})
 	// Doorbell ~t=0, busy 33us, IRQ raised at ~33us, delivered at the
 	// next 10us interval boundary: 40us.
@@ -411,13 +411,50 @@ func TestSlipStreamExitTruncatesEpoch(t *testing.T) {
 	}
 }
 
+func TestIRQAtTruncatedEpochEndWakesThere(t *testing.T) {
+	// Two threads run a 20ms slip epoch. One reads the device inside its
+	// region (the interrupt is raised at that trap), the other leaves
+	// slip mode, which truncates the epoch at a few µs. The interrupt is
+	// delivered at the truncated end, and its waiter must wake there,
+	// not at the end of the untruncated epoch.
+	e := newExact(t, exactCfg())
+	dev := &acceltest.Device{Busy: 2 * us, IRQ: true}
+	attach(e, dev)
+	var woke vclock.Time
+	e.Run(app.Program{Main: func(env app.Env) {
+		var wg app.WaitGroup
+		wg.Add(2)
+		env.Spawn("waiter", func(ce app.Env) {
+			ce.WaitIRQ(0x8000_0000)
+			woke = ce.Now()
+			wg.Done(ce)
+		})
+		env.Spawn("reader", func(ce app.Env) {
+			ce.SlipStream(func() {
+				ce.ComputeFor(3 * us)
+				ce.MMIORead(0x8000_0000)
+			})
+			wg.Done(ce)
+		})
+		env.MMIOWrite(0x8000_0000, 1)
+		env.SlipStream(func() { env.ComputeFor(6 * us) })
+		wg.Wait(env)
+	}})
+	if e.Stats.IRQs != 1 {
+		t.Fatalf("IRQs = %d, want 1", e.Stats.IRQs)
+	}
+	if woke == 0 || woke > vclock.Time(20*us) {
+		t.Fatalf("the waiter woke at %v, want the truncated epoch's end, a few µs in", woke)
+	}
+}
+
 func TestStickyIRQNoLostWakeup(t *testing.T) {
 	// The interrupt fires while the thread is between its status check
 	// and WaitIRQ; the latched interrupt must still wake it.
 	e := newExact(t, Config{Epoch: 1 * us, Mode: Hybrid, SyncInterval: 5 * us,
 		CalSigma: -1, RefillLoss: -1})
 	e.calBias = 1.0
-	dev := &acceltest.Device{Busy: 3 * us, IRQ: 3}
+	dev := &acceltest.Device{Busy: 3 * us, IRQ: true}
 	attach(e, dev)
 	completed := false
 	e.Run(app.Program{Main: func(env app.Env) {
@@ -428,11 +465,14 @@ func TestStickyIRQNoLostWakeup(t *testing.T) {
 		if env.MMIORead(0x8000_0000) != 1 {
 			t.Error("device not done")
 		}
-		env.WaitIRQ(3) // must consume the latched interrupt, not hang
+		env.WaitIRQ(0x8000_0000) // must consume the latched interrupt, not hang
 		completed = true
 	}})
 	if !completed {
 		t.Fatal("WaitIRQ hung on a latched interrupt")
+	}
+	if e.Stats.IRQs != 1 {
+		t.Fatalf("IRQs = %d, want the latched interrupt counted once", e.Stats.IRQs)
 	}
 }
 

@@ -267,8 +267,9 @@ func (a *hostAdapter) ZeroCostSum(addr mem.Addr, n int) uint64 {
 	return rsum
 }
 
-// RaiseIRQ implements accel.Host (MSI-X issue message).
-func (a *hostAdapter) RaiseIRQ(at vclock.Time, vector int) {
-	ts, _, aux, _ := a.ch.roundTrip(msgIRQ, at, 0, uint64(vector), nil)
-	a.h.RaiseIRQ(ts, int(aux))
+// RaiseIRQ implements accel.Host (MSI-X issue message). The message
+// names no vector: the host knows which device's channel it came over.
+func (a *hostAdapter) RaiseIRQ(at vclock.Time) {
+	ts, _, _, _ := a.ch.roundTrip(msgIRQ, at, 0, 0, nil)
+	a.h.RaiseIRQ(ts)
 }

@@ -34,7 +34,7 @@ func (d *echoDevice) RegWrite(at vclock.Time, off mem.Addr, v uint32) {
 		d.host.ZeroCostRead(mem.Addr(v), buf[:])
 		d.host.ZeroCostWrite(mem.Addr(v)+0x1000, buf[:])
 		d.host.DMA(at, mem.Read, mem.Addr(v), 8)
-		d.host.RaiseIRQ(at, 3)
+		d.host.RaiseIRQ(at)
 	}
 }
 func (d *echoDevice) Advance(t vclock.Time) {
@@ -61,7 +61,7 @@ func (h *recHost) DMA(at vclock.Time, k mem.AccessKind, a mem.Addr, s int) vcloc
 func (h *recHost) ZeroCostRead(a mem.Addr, p []byte)       { h.mem.ReadAt(a, p) }
 func (h *recHost) ZeroCostWrite(a mem.Addr, p []byte)      { h.mem.WriteAt(a, p) }
 func (h *recHost) ZeroCostSum(addr mem.Addr, n int) uint64 { return h.mem.Sum(addr, n) }
-func (h *recHost) RaiseIRQ(at vclock.Time, v int)          { h.irqs++ }
+func (h *recHost) RaiseIRQ(at vclock.Time)                 { h.irqs++ }
 
 func TestChannelTransparency(t *testing.T) {
 	inner := &echoDevice{regs: make(map[mem.Addr]uint32)}
