@@ -54,6 +54,14 @@ test -z "$(grep -rlE '^func \(.*\) Advance\(' internal/accel internal/dsim examp
 test -z "$(grep -rlE '^func \(.*\) (Busy|NextEvent)\(' internal/accel internal/dsim examples --include='*.go' |
 	grep -v -e _test.go -e /acceltest/ -e '^internal/accel/devkit/clock\.go$' -e '^internal/dsim/dsim\.go$')"
 
+# One timing table per family (DESIGN.md §4.4): a work item's cycles are
+# computed once, by its family's plan (jpeg's taskRows, protoacc's
+# buildPlan), and both the LPN and the RTL model read them, so outside
+# the plan file no production file of either family names a per-item
+# timing constant.
+test -z "$(grep -rlwE 'huffBitsPerCycle|idctCyclesBlock|busBytesPerCycle|scalarBaseCycles|dataCopyBytesCyc|outWriteBytesCyc' internal/accel/jpeg internal/accel/protoacc --include='*.go' |
+	grep -v -e _test.go -e '^internal/accel/jpeg/plan\.go$' -e '^internal/accel/protoacc/plan\.go$')"
+
 # One DSim DMA path (DESIGN.md §4): every DSim model replays the DMAs of
 # its own memoized plan from its LPN's stages, so no production file
 # declares the per-tag DMA FIFOs that used to be a second way, their

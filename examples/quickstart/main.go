@@ -55,7 +55,6 @@ func main() {
 
 	// The simulated application: driver + polling + CPU post-processing.
 	prog := app.Program{
-		Name: "quickstart",
 		Main: func(e app.Env) {
 			e.Mem().WriteAt(srcAddr, bitstream)
 

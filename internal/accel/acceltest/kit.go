@@ -37,6 +37,11 @@ type KitModel struct {
 	// Stage writes task i — operands and descriptor — into m and returns
 	// the descriptor's address. Distinct tasks do not overlap.
 	Stage func(m *mem.Memory, i int) mem.Addr
+	// Alone, if set, is an RTL model's timing oracle: when the task
+	// whose descriptor Stage wrote at desc completes, rung alone at time
+	// at on h. A family computes it from its plan's cycle table and
+	// h.Lat, without the device kit's units.
+	Alone func(h *Host, desc mem.Addr, at vclock.Time) vclock.Time
 }
 
 // rig is one device under test on a fresh host.
@@ -94,12 +99,15 @@ const us = vclock.Time(vclock.Microsecond)
 
 // KitConformance runs the device-kit conformance table over one model:
 // the register, lifecycle, statistics and interrupt contract every kit
-// device shares, whatever its functional and performance tracks do.
+// device shares, whatever its functional and performance tracks do, and
+// for a model with a timing oracle (KitModel.Alone) a task's completion
+// time.
 func KitConformance(t *testing.T, km KitModel) {
-	cases := []struct {
+	type kitCase struct {
 		name string
 		run  func(t *testing.T, r *rig)
-	}{
+	}
+	cases := []kitCase{
 		{"doorbell, busy, completion, status", func(t *testing.T, r *rig) {
 			if busy, done := r.read(0, devkit.RegBusy), r.read(0, devkit.RegStatus); busy != 0 || done != 0 {
 				t.Fatalf("fresh device reads busy %d, status %d", busy, done)
@@ -206,6 +214,18 @@ func KitConformance(t *testing.T, km KitModel) {
 				t.Fatalf("writes to unknown offsets had an effect: stats %+v", r.dev.Stats())
 			}
 		}},
+	}
+	if km.Alone != nil {
+		cases = append(cases, kitCase{"a task rung alone completes when the timing oracle says", func(t *testing.T, r *rig) {
+			r.write(0, devkit.RegIRQEnable, 1)
+			desc := km.Stage(r.host.Mem, 0)
+			want := km.Alone(r.host, desc, us)
+			r.write(us, devkit.RegDoorbell, uint32(desc))
+			r.drain()
+			if !slices.Equal(r.host.IRQs, []vclock.Time{want}) {
+				t.Fatalf("completions at %v, want one at %v", r.host.IRQs, want)
+			}
+		}})
 	}
 	for _, tc := range cases {
 		t.Run(km.Name+"/"+tc.name, func(t *testing.T) { tc.run(t, newRig(t, km)) })

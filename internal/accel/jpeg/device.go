@@ -3,7 +3,6 @@ package jpeg
 import (
 	"encoding/binary"
 
-	"nexsim/internal/accel"
 	"nexsim/internal/dsim"
 	"nexsim/internal/lpn"
 	"nexsim/internal/lpnlang"
@@ -38,32 +37,6 @@ func decodeDesc(b []byte) Desc {
 		Dst:    mem.Addr(binary.LittleEndian.Uint64(b[12:])),
 	}
 }
-
-// row is the per-MCU-row work item shared by both performance models:
-// how much work the row is, and where its bytes live.
-type row struct {
-	bits     int64 // entropy-coded bits in this row of MCUs
-	blocks   int64 // 8x8 blocks
-	inBytes  int64 // bitstream bytes fetched
-	outBytes int64 // decoded RGB bytes written
-
-	src     mem.Addr // bitstream span
-	dst     mem.Addr // output span
-	outData []byte   // decoded pixels (nil for a malformed stream)
-	last    bool     // final row of its task
-}
-
-// Timing parameters of the modeled decoder core (at the device clock):
-// derived from the Ultra-Embedded core's structure — a bit-serial
-// Huffman unit (~2 bits/cycle), two parallel IDCT engines (~42
-// cycles/block), and an 8-byte/cycle memory interface.
-const (
-	huffBitsPerCycle = 2
-	idctCyclesBlock  = 42
-	idctUnits        = 2
-	busBytesPerCycle = 8
-	descFetchCycles  = 16
-)
 
 // Device is the DSim model of the JPEG decoder.
 type Device struct {
@@ -118,7 +91,7 @@ func NewDevice(clk vclock.Hz) *Device {
 	// Bitstream fetch: one LOAD DMA per row; downstream waits for the
 	// DMA response.
 	b.Stage("fetch", rowQ, nil, b.CyclesFunc(func(f *lpn.Firing) int64 {
-		return 4 + d.rowOf(f).inBytes/busBytesPerCycle
+		return d.rowOf(f).fetch
 	}), lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
 		r := d.rowOf(f)
 		d.pass(fetched, f, d.DMA(f.Time, mem.Read, r.src, int(r.inBytes), nil))
@@ -126,17 +99,17 @@ func NewDevice(clk vclock.Hz) *Device {
 
 	// Huffman decode: bit-serial, content-dependent.
 	b.Stage("huffman", fetched, huffed, b.CyclesFunc(func(f *lpn.Firing) int64 {
-		return d.rowOf(f).bits / huffBitsPerCycle
+		return d.rowOf(f).huff
 	}))
 
 	// IDCT: two parallel block engines.
 	b.Stage("idct", huffed, idcted, b.CyclesFunc(func(f *lpn.Firing) int64 {
-		return d.rowOf(f).blocks * idctCyclesBlock / idctUnits
+		return d.rowOf(f).idct
 	}), lpnlang.Servers(idctUnits))
 
 	// Output writeback: one STORE DMA per row, carrying its pixels.
 	b.Stage("store", idcted, nil, b.CyclesFunc(func(f *lpn.Firing) int64 {
-		return d.rowOf(f).outBytes / busBytesPerCycle
+		return d.rowOf(f).store
 	}), lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
 		r := d.rowOf(f)
 		d.pass(stored, f, d.DMA(f.Time, mem.Write, r.dst, len(r.outData), r.outData))
@@ -174,73 +147,8 @@ func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
 		d.rows = d.rows[:0]
 	}
 	d.Start(at)
-
-	var descB [DescSize]byte
-	d.Host.ZeroCostRead(descAddr, descB[:])
-	rows := taskRows(d.Host, decodeDesc(descB[:]))
+	rows := taskRows(d.Host, descAddr)
 	first := len(d.rows)
 	d.rows = append(d.rows, rows...)
 	d.Net.Inject(d.taskQ, lpn.Tok(at, int64(first), int64(len(rows)), int64(descAddr)))
 }
-
-// taskRows is both models' functional track: the memoized decode of the
-// bitstream desc names, split into MCU-row work items. A malformed
-// bitstream is one row, which the hardware signals completion for with
-// no output after scanning the input once.
-func taskRows(h accel.Host, desc Desc) (rows []row) {
-	img, stats, err := decodeAt(h, desc)
-	if err != nil {
-		return []row{{bits: int64(desc.SrcLen) * 8, blocks: 1, inBytes: int64(desc.SrcLen), outBytes: 1,
-			src: desc.Src, dst: desc.Dst, last: true}}
-	}
-
-	// Derive MCU geometry from the stats.
-	mcuPx := 8 // 4:2:0 and 4:4:4 MCUs are square
-	if stats.BlocksPerMCU >= 6 {
-		mcuPx = 16
-	}
-	mcusX := intCeil(stats.Width, mcuPx)
-	mcusY := intCeil(stats.Height, mcuPx)
-
-	// The bitstream region is fetched in per-row spans proportional to
-	// each row's bit count (header bytes ride with the first row).
-	total := int64(desc.SrcLen)
-	srcOff := int64(0)
-	dstOff := int64(0)
-	for ry := 0; ry < mcusY; ry++ {
-		var bits int64
-		for mx := 0; mx < mcusX; mx++ {
-			idx := ry*mcusX + mx
-			if idx < len(stats.MCUBits) {
-				bits += stats.MCUBits[idx]
-			}
-		}
-		inBytes := bits / 8
-		if ry == mcusY-1 {
-			inBytes = total - srcOff // remainder, including headers/EOI
-		}
-		if inBytes <= 0 {
-			inBytes = 1
-		}
-		rowPxH := mcuPx
-		if (ry+1)*mcuPx > stats.Height {
-			rowPxH = stats.Height - ry*mcuPx
-		}
-		outBytes := int64(stats.Width * rowPxH * 3)
-		rows = append(rows, row{
-			bits:     bits,
-			blocks:   int64(mcusX * stats.BlocksPerMCU),
-			inBytes:  inBytes,
-			outBytes: outBytes,
-			src:      desc.Src + mem.Addr(srcOff),
-			dst:      desc.Dst + mem.Addr(dstOff),
-			outData:  img.Pix[dstOff : dstOff+outBytes],
-			last:     ry == mcusY-1,
-		})
-		srcOff += inBytes
-		dstOff += outBytes
-	}
-	return rows
-}
-
-func intCeil(a, b int) int { return (a + b - 1) / b }

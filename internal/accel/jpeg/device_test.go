@@ -284,3 +284,38 @@ func TestRowTableAcrossTasks(t *testing.T) {
 		t.Errorf("DMABytes = %d, want %d, the sum of the single-task runs", got, single)
 	}
 }
+
+// TestRTLTimingOracle runs the kit conformance table over the RTL model
+// with a timing oracle that reads the plan's row cycles and not the
+// kit's units.
+func TestRTLTimingOracle(t *testing.T) {
+	acceltest.KitConformance(t, acceltest.KitModel{
+		Name: "jpeg-rtl",
+		New:  func() accel.Device { return NewRTLDevice(2 * vclock.GHz) },
+		Stage: func(m *mem.Memory, i int) mem.Addr {
+			base := mem.Addr(i+1) << 20
+			desc, _, _ := stageImage(&acceltest.Host{Mem: m}, 48, 40, uint64(i), base, base+0x1_0000, base+0x8_0000)
+			return desc
+		},
+		Alone: rtlAlone,
+	})
+}
+
+// rtlAlone is when the RTL model completes the task at descAddr rung
+// alone at time at on h. The clock first steps the cycle after the
+// doorbell's. Each unit takes a row once it is free and the unit before
+// let the row go on an earlier cycle, and holds it for the row's cycles,
+// at least one; the fetch unit also waits for its DMA. The task
+// completes with its last row's store DMA.
+func rtlAlone(h *acceltest.Host, descAddr mem.Addr, at vclock.Time) vclock.Time {
+	clk := 2 * vclock.GHz
+	lat := clk.Cycles(h.Lat)
+	fetch := clk.Cycles(at.Sub(0)) + 1
+	var huff, idct int64 // the cycles the two units let their last row go
+	for _, r := range taskRows(h, descAddr) {
+		fetch += max(r.fetch, lat)
+		huff = max(fetch+1, huff) + max(r.huff, 1)
+		idct = max(huff+1, idct) + max(r.idct+r.store, 1)
+	}
+	return vclock.Time(clk.CyclesDur(idct)).Add(h.Lat)
+}

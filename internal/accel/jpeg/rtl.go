@@ -44,7 +44,7 @@ func (d *RTLDevice) Step() {
 		}
 	}
 	if r := d.idct.Next(0); r != nil {
-		d.idct.Start(0, d.Cycle+r.blocks*idctCyclesBlock/idctUnits+r.outBytes/busBytesPerCycle)
+		d.idct.Start(0, d.Cycle+r.idct+r.store)
 	}
 
 	// Huffman unit.
@@ -52,7 +52,7 @@ func (d *RTLDevice) Step() {
 		d.idct.Push(*r)
 	}
 	if r := d.huff.Next(0); r != nil {
-		d.huff.Start(0, d.Cycle+r.bits/huffBitsPerCycle)
+		d.huff.Start(0, d.Cycle+r.huff)
 	}
 
 	// Fetch unit.
@@ -61,7 +61,7 @@ func (d *RTLDevice) Step() {
 	}
 	if r := d.fetch.Next(0); r != nil {
 		comp := d.DMA(now, mem.Read, r.src, int(r.inBytes), nil)
-		d.fetch.Start(0, max(d.Cycle+4+r.inBytes/busBytesPerCycle, d.CyclesAt(comp)))
+		d.fetch.Start(0, max(d.Cycle+r.fetch, d.CyclesAt(comp)))
 	}
 }
 
@@ -74,9 +74,6 @@ func (d *RTLDevice) Doorbell(at vclock.Time, descAddr mem.Addr) {
 
 	// The descriptor fetch is timed but, unlike the DSim model's, not
 	// counted in DMABytes (devices.golden pins both).
-	var descBytes [DescSize]byte
 	d.Host.DMA(at, mem.Read, descAddr, DescSize)
-	d.Host.ZeroCostRead(descAddr, descBytes[:])
-
-	d.fetch.Push(taskRows(d.Host, decodeDesc(descBytes[:]))...)
+	d.fetch.Push(taskRows(d.Host, descAddr)...)
 }

@@ -48,19 +48,6 @@ func decodeDesc(b []byte) Desc {
 	}
 }
 
-// Timing parameters of the modeled serializer (Protoacc-like): several
-// parallel field-serialization units, a memory unit for object and data
-// fetches, and a streaming output writer.
-const (
-	fieldUnits       = 4
-	objFetchUnits    = 2
-	scalarBaseCycles = 6  // key + varint encode
-	dataCopyBytesCyc = 8  // streaming copy bytes/cycle
-	outWriteBytesCyc = 16 // output writer bytes/cycle
-	descFetchCycles  = 8
-	dispatchCycles   = 2
-)
-
 // ring is the descriptor ring behind both models' three ring registers.
 type ring struct {
 	base      mem.Addr
@@ -166,7 +153,7 @@ func (f *frontend) begin(b *devkit.Bank, at vclock.Time, descAddr mem.Addr) (tas
 		total += 1 + int64(len(n.fields))
 	}
 	f.remaining[task] = total
-	f.outTab[task] = outRec{addr: desc.Out, data: plan.out}
+	f.outTab[task] = outRec{addr: desc.Out, data: plan.out, cycles: plan.storeCycles}
 	return task, first
 }
 
@@ -199,10 +186,11 @@ type nodeRec struct {
 	children []int
 }
 
-// outRec is a task's pending output store.
+// outRec is a task's pending output store and its writer cycles.
 type outRec struct {
-	addr mem.Addr
-	data []byte
+	addr   mem.Addr
+	data   []byte
+	cycles int64
 }
 
 // Device is the DSim model of the Protoacc serializer. Its LPN chains
@@ -225,9 +213,9 @@ func NewDevice(clk vclock.Hz) *Device {
 
 	// Token attribute layouts:
 	//   nodeQ/objResp:  [nodeTab index, 0, 0, task]
-	//   fieldQ:         [encBytes, 0, 0, task]
-	//   dataQ/dataResp: [encBytes, dataBytes, dataAddr, task]
-	//   storeQ/done:    [outBytes, 0, 0, task]
+	//   fieldQ:         [cycles, 0, 0, task]
+	//   dataQ/dataResp: [cycles, dataBytes, dataAddr, task]
+	//   storeQ/done:    [cycles, 0, 0, task]
 	d.nodeQ = b.Queue("nodes", 0)
 	objResp := b.Queue("objResp", 0)
 	fieldQ := b.Queue("fields", 0)
@@ -262,10 +250,10 @@ func NewDevice(clk vclock.Hz) *Device {
 			rec := d.nodeTab[t.Attrs[0]]
 			for _, fi := range rec.fields {
 				if fi.dataBytes > 0 {
-					d.Net.Inject(dataQ, lpn.Tok(done, fi.encBytes, fi.dataBytes,
+					d.Net.Inject(dataQ, lpn.Tok(done, fi.cycles, fi.dataBytes,
 						int64(fi.dataAddr), rec.task))
 				} else {
-					d.Net.Inject(fieldQ, lpn.Tok(done, fi.encBytes, 0, 0, rec.task))
+					d.Net.Inject(fieldQ, lpn.Tok(done, fi.cycles, 0, 0, rec.task))
 				}
 			}
 			for _, c := range rec.children {
@@ -274,14 +262,13 @@ func NewDevice(clk vclock.Hz) *Device {
 			d.storeWhenDone(rec.task, f.Time)
 		}))
 
-	// Shared pool of field-serialization units.
+	// Shared pool of field-serialization units. A field or store token
+	// carries its plan cycles.
 	pool := b.Credits("fieldUnits", fieldUnits)
+	tokCycles := b.CyclesFunc(func(f *lpn.Firing) int64 { return f.Tok(0).Attrs[0] })
 
 	// Scalar fields: encode immediately.
-	b.Stage("serialize", fieldQ, fieldDone,
-		b.CyclesFunc(func(f *lpn.Firing) int64 {
-			return scalarBaseCycles + f.Tok(0).Attrs[0]
-		}),
+	b.Stage("serialize", fieldQ, fieldDone, tokCycles,
 		lpnlang.Servers(0),
 		lpnlang.AlsoConsume(pool, 1),
 		lpnlang.AlsoRelease(pool))
@@ -299,10 +286,7 @@ func NewDevice(clk vclock.Hz) *Device {
 			t := f.Tok(0)
 			d.Net.Inject(dataResp, lpn.Tok(done, t.Attrs[0], t.Attrs[1], t.Attrs[2], t.Attrs[3]))
 		}))
-	b.Stage("serializeData", dataResp, fieldDone,
-		b.CyclesFunc(func(f *lpn.Firing) int64 {
-			return scalarBaseCycles + f.Tok(0).Attrs[1]/dataCopyBytesCyc
-		}),
+	b.Stage("serializeData", dataResp, fieldDone, tokCycles,
 		lpnlang.Servers(0),
 		lpnlang.AlsoConsume(pool, 1),
 		lpnlang.AlsoRelease(pool))
@@ -314,10 +298,7 @@ func NewDevice(clk vclock.Hz) *Device {
 		}))
 
 	// Output writer: the task's assembled wire bytes stream to memory.
-	b.Stage("store", d.storeQ, nil,
-		b.CyclesFunc(func(f *lpn.Firing) int64 {
-			return 4 + f.Tok(0).Attrs[0]/outWriteBytesCyc
-		}),
+	b.Stage("store", d.storeQ, nil, tokCycles,
 		lpnlang.Effect(func(f *lpn.Firing, done vclock.Time) {
 			t := f.Tok(0)
 			task := t.Attrs[3]
@@ -341,7 +322,7 @@ func NewDevice(clk vclock.Hz) *Device {
 // the output store is scheduled.
 func (d *Device) storeWhenDone(task int64, at vclock.Time) {
 	if d.workDone(task) {
-		d.Net.Inject(d.storeQ, lpn.Tok(at, int64(len(d.outTab[task].data)), 0, 0, task))
+		d.Net.Inject(d.storeQ, lpn.Tok(at, d.outTab[task].cycles, 0, 0, task))
 	}
 }
 

@@ -3,6 +3,7 @@ package protoacc
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"nexsim/internal/accel"
@@ -250,4 +251,75 @@ func BenchmarkRTLStep(b *testing.B) {
 	if got := dev.RegRead(now, devkit.RegStatus); got != uint32(n*b.N) {
 		b.Fatalf("completed %d tasks, want %d", got, n*b.N)
 	}
+}
+
+// flatSchema has five fields and no submessage: the first four take the
+// four field units at once, the fifth the unit that frees first.
+var flatSchema = &MessageDesc{Name: "Flat", Fields: []FieldDesc{
+	{Number: 1, Kind: KindInt64},
+	{Number: 2, Kind: KindInt64},
+	{Number: 3, Kind: KindInt64},
+	{Number: 4, Kind: KindInt64},
+	{Number: 5, Kind: KindBytes},
+}}
+
+// TestRTLTimingOracle runs the kit conformance table over the RTL model
+// with a timing oracle that reads the plan's field and store cycles and
+// not the kit's units.
+func TestRTLTimingOracle(t *testing.T) {
+	acceltest.KitConformance(t, acceltest.KitModel{
+		Name: "protoacc-rtl",
+		New: func() accel.Device {
+			d := NewRTLDevice(2 * vclock.GHz)
+			d.RegisterSchema(1, flatSchema)
+			return d
+		},
+		Stage: func(m *mem.Memory, i int) mem.Addr {
+			msg := NewMessage(flatSchema)
+			for f, v := range []uint64{1, 300, 70_000, 1 << 62} {
+				msg.Values[f] = Value{Int: v + uint64(i), Set: true}
+			}
+			msg.Values[4] = Value{Bytes: []byte("a payload the fifth field copies"), Set: true}
+			base := mem.Addr(i+1) << 20
+			Store(m, base, msg)
+			d := EncodeDesc(Desc{Root: base, Out: base + 0x8_0000, Schema: 1})
+			m.WriteAt(base+0x7_0000, d[:])
+			return base + 0x7_0000
+		},
+		Alone: rtlAlone,
+	})
+}
+
+// rtlAlone is when the RTL model completes the flatSchema task at
+// descAddr rung alone at time at on h. The clock first steps the cycle
+// after the doorbell's. An object fetcher takes the descriptor, and the
+// root block on the cycle the descriptor arrives; each holds it for
+// descFetchCycles or until its DMA completes. From the next cycle the
+// root's fields go to the field units in block order, each to the unit
+// that frees first (the lowest on a tie), which holds it for the field's
+// cycles and, for a data field, until its payload DMA completes. The
+// output writer starts the cycle after the last field ends, and the task
+// completes with its DMA.
+func rtlAlone(h *acceltest.Host, descAddr mem.Addr, at vclock.Time) vclock.Time {
+	clk := 2 * vclock.GHz
+	lat := clk.Cycles(h.Lat)
+	var db [DescSize]byte
+	h.ZeroCostRead(descAddr, db[:])
+	desc := decodeDesc(db[:])
+	plan := cachedPlan(h, desc.Root, desc.Out, flatSchema)
+	root := clk.Cycles(at.Sub(0)) + 1 + 2*max(descFetchCycles, lat) // the cycle the root block arrives
+	var units [fieldUnits]int64
+	for u := range units {
+		units[u] = root + 1
+	}
+	last := root
+	for _, f := range plan.nodes[0].fields {
+		u := slices.Index(units[:], slices.Min(units[:]))
+		end := units[u] + f.cycles
+		if f.dataBytes > 0 {
+			end = max(end, units[u]+lat)
+		}
+		units[u], last = end, max(last, end)
+	}
+	return vclock.Time(clk.CyclesDur(last + 1 + plan.storeCycles)).Add(h.Lat)
 }

@@ -9,6 +9,22 @@ import (
 	"nexsim/internal/mem"
 )
 
+// Timing parameters of the modeled serializer (Protoacc-like): several
+// parallel field-serialization units, a memory unit for object and data
+// fetches, and a streaming output writer. The models read the unit
+// counts and per-stage constants; only the plan (buildPlan) turns the
+// per-item parameters into cycles, and the models read each field's and
+// task's.
+const (
+	fieldUnits       = 4
+	objFetchUnits    = 2
+	scalarBaseCycles = 6  // key + varint encode
+	dataCopyBytesCyc = 8  // streaming copy bytes/cycle
+	outWriteBytesCyc = 16 // output writer bytes/cycle
+	descFetchCycles  = 8
+	dispatchCycles   = 2
+)
+
 // planMemo memoizes the entire task plan per (root address, schema,
 // object graph content) hash. The node table and the wire output are
 // pure functions of those inputs — the blocks embed every submessage and
@@ -52,9 +68,10 @@ type planNode struct {
 	children []int
 }
 
-// planField is one set field's work.
+// planField is one set field's work: its field unit's cycles and, for a
+// data field, the payload it fetches first.
 type planField struct {
-	encBytes  int64
+	cycles    int64
 	dataBytes int64
 	dataAddr  mem.Addr
 }
@@ -62,8 +79,9 @@ type planField struct {
 // taskPlan is everything both performance models need to execute one
 // serialization task.
 type taskPlan struct {
-	nodes []planNode
-	out   []byte // u32 length + wire bytes
+	nodes       []planNode
+	out         []byte // u32 length + wire bytes
+	storeCycles int64  // the output writer's cycles for out
 }
 
 // cachedPlan returns the (shared, read-only) plan for the layout rooted
@@ -146,6 +164,7 @@ func buildPlan(readObj, readData func(addr mem.Addr, size int) []byte,
 			v := &msg.Values[i]
 			v.Set = true
 			fi := planField{}
+			var encBytes int
 			switch f.Kind {
 			case KindBytes:
 				ptr := mem.Addr(val & (1<<40 - 1))
@@ -153,13 +172,18 @@ func buildPlan(readObj, readData func(addr mem.Addr, size int) []byte,
 				v.Bytes = readData(ptr, length)
 				fi.dataBytes = int64(length)
 				fi.dataAddr = ptr
-				fi.encBytes = int64(varintLen(uint64(length)) + length + 1)
+				encBytes = varintLen(uint64(length)) + length + 1
 			case KindMessage:
 				subs = append(subs, subref{i, mem.Addr(val)})
 				continue // submessages are their own nodes
 			default:
 				v.Int = val
-				fi.encBytes = int64(varintLen(val) + 1)
+				encBytes = varintLen(val) + 1
+			}
+			fi.cycles = scalarBaseCycles + int64(encBytes)
+			if fi.dataBytes > 0 {
+				// A data field streams its payload instead.
+				fi.cycles = scalarBaseCycles + fi.dataBytes/dataCopyBytesCyc
 			}
 			node.fields = append(node.fields, fi)
 		}
@@ -178,5 +202,5 @@ func buildPlan(readObj, readData func(addr mem.Addr, size int) []byte,
 	out := make([]byte, 4+len(wire))
 	binary.LittleEndian.PutUint32(out, uint32(len(wire)))
 	copy(out[4:], wire)
-	return taskPlan{nodes: nodes, out: out}
+	return taskPlan{nodes: nodes, out: out, storeCycles: 4 + int64(len(out))/outWriteBytesCyc}
 }

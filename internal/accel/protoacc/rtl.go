@@ -48,7 +48,7 @@ func (d *RTLDevice) Step() {
 		d.finish(&d.Bank, *task, d.DMA(now, mem.Write, out.addr, len(out.data), out.data))
 	}
 	if task := d.stores.Next(0); task != nil {
-		d.stores.Start(0, d.Cycle+4+int64(len(d.outTab[*task].data))/outWriteBytesCyc)
+		d.stores.Start(0, d.Cycle+d.outTab[*task].cycles)
 	}
 
 	// Field units.
@@ -58,10 +58,10 @@ func (d *RTLDevice) Step() {
 		}
 		if f := d.fields.Next(i); f != nil {
 			fi := &d.nodeTab[f.node].fields[f.field]
-			busy := d.Cycle + scalarBaseCycles + fi.encBytes
+			busy := d.Cycle + fi.cycles
 			if fi.dataBytes > 0 {
 				comp := d.DMA(now, mem.Read, fi.dataAddr, int(fi.dataBytes), nil)
-				busy = max(d.Cycle+scalarBaseCycles+fi.dataBytes/dataCopyBytesCyc, d.CyclesAt(comp))
+				busy = max(busy, d.CyclesAt(comp))
 			}
 			d.fields.Start(i, busy)
 		}

@@ -33,7 +33,7 @@ type Device struct {
 	clk vclock.Hz
 
 	opQ   [3]*lpn.Place
-	tasks [][3][]planOp // each rung task's plan, indexed by attrTask
+	tasks [][3][]planOp // the in-flight tasks' plans, indexed by attrTask
 	cur   *planOp       // the firing op, for the OutFuncs and the Effect
 	dep   [1]lpn.Token  // scratch for the dependency OutFuncs
 }
@@ -105,6 +105,11 @@ func (d *Device) push(next bool) lpn.OutFunc {
 // Doorbell implements devkit.Model: the task's ops enter the op places
 // as tokens available once the instruction fetch completes.
 func (d *Device) Doorbell(at vclock.Time, descAddr mem.Addr) {
+	if d.Idle() {
+		// No op token names a task when the device is idle; truncate
+		// in place so the table does not grow across tasks.
+		d.tasks = d.tasks[:0]
+	}
 	plan, fetchDone := startTask(&d.Bank, at, descAddr)
 	task := int64(len(d.tasks))
 	mods := [3][]planOp{plan.loads, plan.computes, plan.stores}

@@ -64,33 +64,48 @@ func genScenario(seed uint64) diffScenario {
 		if rng.Intn(8) == 0 {
 			m, n, k = 16, 512, 512 // K-chunked: 2*512*512 B exceed the weight SRAM
 		}
-		base := mem.Addr(i+1) << 22
-		g, a, b, bias := gemmCase(rng.Uint64(), m, n, k, rng.Intn(2) == 0, rng.Intn(2) == 0)
-		g.A, g.B, g.C = base, base+0x10_0000, base+0x28_0000
-		if g.Bias != 0 {
-			g.Bias = base + 0x20_0000
-		}
+		task := windowTask(i, rng.Uint64(), m, n, k, rng.Intn(2) == 0, rng.Intn(2) == 0)
 		at += vclock.Time(rng.Intn(3000)) * vclock.Time(vclock.Nanosecond)
-		s.tasks = append(s.tasks, diffTask{at: at, gemm: g, a: a, b: b, bias: bias, descA: base + 0x3f_0000})
+		task.at = at
+		s.tasks = append(s.tasks, task)
 	}
 	return s
+}
+
+// windowTask is GEMM case seed, m x n x k, placed in task window i.
+func windowTask(i int, seed uint64, m, n, k int, bias, relu bool) diffTask {
+	base := mem.Addr(i+1) << 22
+	g, a, b, bs := gemmCase(seed, m, n, k, bias, relu)
+	g.A, g.B, g.C = base, base+0x10_0000, base+0x28_0000
+	if g.Bias != 0 {
+		g.Bias = base + 0x20_0000
+	}
+	return diffTask{gemm: g, a: a, b: b, bias: bs, descA: base + 0x3f_0000}
 }
 
 // stage writes s's operands, programs and descriptors into a fresh host.
 func stage(t testing.TB, s diffScenario) *diffHost {
 	h := &diffHost{Host: acceltest.Host{Mem: mem.New(0), Lat: s.lat}, link: s.link}
 	for _, task := range s.tasks {
-		StoreOperands(h.Mem, task.gemm, task.a, task.b, task.bias)
-		prog, err := Compile(task.gemm)
-		if err != nil {
+		if err := stageTask(h.Mem, task); err != nil {
 			t.Fatal(err)
 		}
-		progAddr := task.descA - 0x8_0000
-		WriteProgram(h.Mem, progAddr, prog)
-		db := EncodeDesc(Desc{Prog: progAddr, Count: uint32(len(prog))})
-		h.Mem.WriteAt(task.descA, db[:])
 	}
 	return h
+}
+
+// stageTask writes task's operands, program and descriptor into m.
+func stageTask(m *mem.Memory, task diffTask) error {
+	StoreOperands(m, task.gemm, task.a, task.b, task.bias)
+	prog, err := Compile(task.gemm)
+	if err != nil {
+		return err
+	}
+	progAddr := task.descA - 0x8_0000
+	WriteProgram(m, progAddr, prog)
+	db := EncodeDesc(Desc{Prog: progAddr, Count: uint32(len(prog))})
+	m.WriteAt(task.descA, db[:])
+	return nil
 }
 
 // drive wires dev to h and runs s's tasks on it to completion, advancing
@@ -219,6 +234,44 @@ func TestDeviceMatchesReference(t *testing.T) {
 	t.Logf("%d scenarios, %d ops agreed", scenarios, steps)
 }
 
+// TestTaskTableAcrossIdleGaps: three tasks, each rung after the one
+// before it completed, leave the DSim model's task table holding only
+// the in-flight task's entry, and each still computes its GEMM.
+func TestTaskTableAcrossIdleGaps(t *testing.T) {
+	s := diffScenario{lat: 100 * vclock.Nanosecond}
+	for i := 0; i < 3; i++ {
+		task := windowTask(i, uint64(i), 16, 32, 48, false, false)
+		task.at = vclock.Time(i) * vclock.Time(100*vclock.Microsecond)
+		s.tasks = append(s.tasks, task)
+	}
+	h := stage(t, s)
+	dev := NewDevice(2 * vclock.GHz)
+	dev.SetHost(h)
+	for i, task := range s.tasks {
+		dev.Advance(task.at)
+		if !dev.Idle() {
+			t.Fatalf("device busy at task %d's doorbell", i)
+		}
+		dev.RegWrite(task.at, devkit.RegDoorbell, uint32(task.descA))
+		if len(dev.tasks) != 1 {
+			t.Fatalf("task %d rung on the idle device: the table holds %d entries, want 1", i, len(dev.tasks))
+		}
+		for at, ok := dev.NextEvent(); ok; at, ok = dev.NextEvent() {
+			dev.Advance(at)
+		}
+	}
+	for i, task := range s.tasks {
+		out := make([]byte, task.gemm.M*task.gemm.N)
+		h.Mem.ReadAt(task.gemm.C, out)
+		if w := ReferenceGemm(task.gemm, task.a, task.b, task.bias); !slices.Equal(out, i8Bytes(w)) {
+			t.Fatalf("task %d's result is not the GEMM's", i)
+		}
+	}
+	if got := dev.Stats().TasksCompleted; got != 3 {
+		t.Fatalf("%d tasks completed, want 3", got)
+	}
+}
+
 // BenchmarkDevice runs one 64x64x64 GEMM task on a fresh device over a
 // 1 ns host: the scheduling cost of a task's ops, on the net and on the
 // hand-compiled reference, with the plan memoized.
@@ -241,4 +294,98 @@ func BenchmarkDevice(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestRTLTimingOracle runs the kit conformance table over the RTL model
+// with a timing oracle that reads the plan's op cycles and not the kit's
+// units.
+func TestRTLTimingOracle(t *testing.T) {
+	acceltest.KitConformance(t, acceltest.KitModel{
+		Name: "vta-rtl",
+		New:  func() accel.Device { return NewRTLDevice(2 * vclock.GHz) },
+		Stage: func(m *mem.Memory, i int) mem.Addr {
+			task := windowTask(i, uint64(i), 32, 16, 48, true, true)
+			if err := stageTask(m, task); err != nil {
+				panic(err)
+			}
+			return task.descA
+		},
+		Alone: rtlAlone,
+	})
+}
+
+// rtlAlone is when the RTL model completes the task at descAddr rung
+// alone at time at on h. The clock first steps the cycle after the
+// doorbell's, and no op starts before the instruction fetch's DMA
+// completes. Each module runs its ops in program order: an op starts
+// once its module is free and the tokens it pops were pushed, on the
+// same cycle by a module the clock steps before it (load, compute,
+// store), on an earlier one by a module after it. It holds its module
+// for its cycles and, if it moves data, until its DMAs complete, and
+// pushes its tokens when it ends. The task completes when its FINISH
+// ends.
+func rtlAlone(h *acceltest.Host, descAddr mem.Addr, at vclock.Time) vclock.Time {
+	clk := 2 * vclock.GHz
+	lat := clk.Cycles(h.Lat)
+	var db [DescSize]byte
+	h.ZeroCostRead(descAddr, db[:])
+	plan, err := cachedPlan(h, decodeDesc(db[:]))
+	if err != nil {
+		panic(err)
+	}
+	mods := [3][]planOp{plan.loads, plan.computes, plan.stores}
+
+	type queue struct{ from, to int }
+	pushed := map[queue][]int64{} // the cycle each token may be popped
+	popped := map[queue]int{}
+	fetched := clk.Cycles(at.Add(h.Lat).Sub(0))
+	first := clk.Cycles(at.Sub(0)) + 1
+	free := [3]int64{first, first, first}
+	var next [3]int
+	var done int64
+	for progress := true; progress; {
+		progress = false
+		for m, ops := range mods {
+			if next[m] == len(ops) {
+				continue
+			}
+			op := &ops[next[m]]
+			var pops []queue
+			if op.instr.PopPrev {
+				pops = append(pops, queue{m - 1, m})
+			}
+			if op.instr.PopNext {
+				pops = append(pops, queue{m + 1, m})
+			}
+			start := max(free[m], fetched)
+			for _, q := range pops {
+				if popped[q] == len(pushed[q]) {
+					start = -1 // its token is not pushed yet
+					break
+				}
+				start = max(start, pushed[q][popped[q]])
+			}
+			if start < 0 {
+				continue
+			}
+			for _, q := range pops {
+				popped[q]++
+			}
+			end := start + op.cycles
+			if len(op.dmas) > 0 {
+				end = max(end, start+lat)
+			}
+			if op.instr.PushPrev {
+				pushed[queue{m, m - 1}] = append(pushed[queue{m, m - 1}], end+1)
+			}
+			if op.instr.PushNext {
+				pushed[queue{m, m + 1}] = append(pushed[queue{m, m + 1}], end)
+			}
+			if op.finish {
+				done = end
+			}
+			free[m], next[m], progress = end, next[m]+1, true
+		}
+	}
+	return vclock.Time(clk.CyclesDur(done))
 }

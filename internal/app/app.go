@@ -24,7 +24,6 @@ type ThreadFunc func(e Env)
 
 // Program is a complete simulated application.
 type Program struct {
-	Name string
 	// Main is the initial thread; it may spawn others.
 	Main ThreadFunc
 }

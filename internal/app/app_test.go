@@ -12,7 +12,7 @@ import (
 func run(t *testing.T, cores int, main app.ThreadFunc) vclock.Duration {
 	t.Helper()
 	e := exacthost.New(exacthost.Config{Cores: cores})
-	return e.Run(app.Program{Name: "t", Main: main})
+	return e.Run(app.Program{Main: main})
 }
 
 func TestBarrierReuseAcrossGenerations(t *testing.T) {

@@ -167,7 +167,7 @@ func TestThreadPanicPropagatesAndReaps(t *testing.T) {
 		}
 		sys := core.Build(core.Config{Host: host, Accel: core.AccelDSim, Model: core.AccelJPEG, Seed: 1})
 		fault := &faults.Injected{Site: faults.SiteDeviceDispatch, Op: faults.OpFail}
-		prog := app.Program{Name: "faulty", Main: func(e app.Env) {
+		prog := app.Program{Main: func(e app.Env) {
 			e.Spawn("sleeper", func(e app.Env) { e.Park() })
 			e.Spawn("faulty", func(e app.Env) {
 				e.ComputeFor(vclock.Microsecond)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"nexsim/internal/vclock"
 )
@@ -237,8 +238,26 @@ func TestBodyPanicSurfacesAtResume(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns runtime.NumGoroutine once it has read the
+// same count several times in a row: a goroutine an earlier test started
+// (TestResumeFromAnotherGoroutine's resumer, under -count) may still be
+// exiting when the next test begins.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for i := 0; i < 1000 && same < 5; i++ {
+		time.Sleep(100 * time.Microsecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
 func TestKillManyParkedThreadsLeavesNoGoroutine(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	unwound := 0
 	threads := make([]*Thread, 64)
 	for i := range threads {

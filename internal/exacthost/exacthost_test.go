@@ -14,7 +14,7 @@ const ms = vclock.Millisecond
 func run(t *testing.T, cores int, main app.ThreadFunc) vclock.Duration {
 	t.Helper()
 	e := New(Config{Cores: cores})
-	return e.Run(app.Program{Name: "test", Main: main})
+	return e.Run(app.Program{Main: main})
 }
 
 func TestSingleThreadCompute(t *testing.T) {

@@ -66,7 +66,7 @@ func runOn(build func() (host, func(app.Program)), dev *acceltest.Device, main a
 			eng.Reap()
 		}
 	}()
-	run(app.Program{Name: "conformance", Main: main})
+	run(app.Program{Main: main})
 	return nil
 }
 

@@ -13,7 +13,6 @@ import (
 // sleeps that spread the wake times, and mutex park/unpark pairs.
 func benchProgram(threads, iters int) app.Program {
 	return app.Program{
-		Name: "epoch-loop-bench",
 		Main: func(e app.Env) {
 			var wg app.WaitGroup
 			var mu app.Mutex
@@ -71,7 +70,6 @@ func BenchmarkEpochLoop_MostlyParked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := New(Config{VirtualCores: 16, Seed: 42})
 		prog := app.Program{
-			Name: "mostly-parked",
 			Main: func(e app.Env) {
 				const parked = 512
 				var wg app.WaitGroup

@@ -32,12 +32,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			tid = len(track) + 1
 			track[s.Component] = tid
 		}
-		name := s.Kind.String()
-		if s.Label != "" {
-			name += ":" + s.Label
-		}
 		events = append(events, chromeEvent{
-			Name: name,
+			Name: s.Kind.String(),
 			Cat:  s.Component,
 			Ph:   "X",
 			TS:   s.Start.Nanoseconds() / 1e3,

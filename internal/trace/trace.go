@@ -16,31 +16,18 @@ import (
 type Kind int
 
 const (
-	Compute   Kind = iota // CPU thread executing
-	Blocked               // CPU thread parked (lock, queue, IRQ wait)
-	MMIO                  // CPU thread interacting with an accelerator
-	AccelBusy             // accelerator processing a task
-	DMASpan               // DMA transfer in flight
-	WarpSpan              // CompressT/SlipStream/JumpT region
+	Compute Kind = iota // CPU thread executing
+	Blocked             // CPU thread parked (lock, queue, IRQ wait)
+	MMIO                // CPU thread interacting with an accelerator
 )
 
+var kindNames = [...]string{Compute: "compute", Blocked: "blocked", MMIO: "mmio"}
+
 func (k Kind) String() string {
-	switch k {
-	case Compute:
-		return "compute"
-	case Blocked:
-		return "blocked"
-	case MMIO:
-		return "mmio"
-	case AccelBusy:
-		return "accel"
-	case DMASpan:
-		return "dma"
-	case WarpSpan:
-		return "warp"
-	default:
+	if k < 0 || int(k) >= len(kindNames) {
 		return "?"
 	}
+	return kindNames[k]
 }
 
 // Span is one attributed interval of virtual time.
@@ -49,7 +36,6 @@ type Span struct {
 	Kind      Kind
 	Start     vclock.Time
 	End       vclock.Time
-	Label     string // optional detail (e.g. task id)
 }
 
 // chunkSize is the span capacity of one storage chunk. Chunked storage
@@ -127,7 +113,7 @@ func (r *Recorder) Dump(w io.Writer) {
 	for _, c := range comps {
 		fmt.Fprintf(w, "%-24s", c)
 		kinds := totals[c]
-		for k := Compute; k <= WarpSpan; k++ {
+		for k := Compute; k <= MMIO; k++ {
 			if d, ok := kinds[k]; ok {
 				fmt.Fprintf(w, " %s=%v", k, d)
 			}

@@ -44,7 +44,7 @@ func TestTotalsAggregate(t *testing.T) {
 	r.Add(Span{Component: "t0", Kind: Compute, Start: 0, End: 10})
 	r.Add(Span{Component: "t0", Kind: Compute, Start: 20, End: 25})
 	r.Add(Span{Component: "t0", Kind: Blocked, Start: 10, End: 20})
-	r.Add(Span{Component: "acc", Kind: AccelBusy, Start: 0, End: 40})
+	r.Add(Span{Component: "t1", Kind: MMIO, Start: 0, End: 40})
 	tot := r.Totals()
 	if tot["t0"][Compute] != 15 {
 		t.Fatalf("compute total = %v", tot["t0"][Compute])
@@ -52,8 +52,8 @@ func TestTotalsAggregate(t *testing.T) {
 	if tot["t0"][Blocked] != 10 {
 		t.Fatalf("blocked total = %v", tot["t0"][Blocked])
 	}
-	if tot["acc"][AccelBusy] != 40 {
-		t.Fatalf("accel total = %v", tot["acc"][AccelBusy])
+	if tot["t1"][MMIO] != 40 {
+		t.Fatalf("mmio total = %v", tot["t1"][MMIO])
 	}
 }
 
@@ -70,8 +70,7 @@ func TestDumpFormat(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
-		Compute: "compute", Blocked: "blocked", MMIO: "mmio",
-		AccelBusy: "accel", DMASpan: "dma", WarpSpan: "warp", Kind(99): "?",
+		Compute: "compute", Blocked: "blocked", MMIO: "mmio", Kind(3): "?", Kind(99): "?",
 	} {
 		if k.String() != want {
 			t.Fatalf("%d.String() = %q", k, k.String())
@@ -82,7 +81,7 @@ func TestKindStrings(t *testing.T) {
 func TestChromeTraceExport(t *testing.T) {
 	r := New()
 	r.Add(Span{Component: "main#0", Kind: Compute, Start: 0, End: vclock.Time(vclock.Microsecond)})
-	r.Add(Span{Component: "jpeg", Kind: AccelBusy, Start: 500, End: 1500, Label: "task0"})
+	r.Add(Span{Component: "main#1", Kind: MMIO, Start: 500, End: 1500})
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestChromeTraceExport(t *testing.T) {
 	if events[0]["ph"] != "X" || events[0]["name"] != "compute" {
 		t.Fatalf("event 0 = %v", events[0])
 	}
-	if events[1]["name"] != "accel:task0" {
+	if events[1]["name"] != "mmio" || events[1]["tid"] != 2.0 {
 		t.Fatalf("event 1 name = %v", events[1]["name"])
 	}
 }

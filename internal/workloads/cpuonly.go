@@ -47,7 +47,6 @@ func CPUOnlyBenches() []Bench {
 // cycles/pixel, then the same matrix_filter_2d post-processing.
 func cpuJPEGProgram(cfg JPEGConfig, ctx *core.Ctx) app.Program {
 	return app.Program{
-		Name: "cpu-jpeg",
 		Main: func(e app.Env) {
 			rng := xrand.New(cfg.Seed | 1)
 			type imgJob struct {

@@ -94,7 +94,6 @@ type jpegImage struct {
 func jpegProgram(cfg JPEGConfig, ctx *core.Ctx) app.Program {
 	cfg = cfg.withDefaults()
 	return app.Program{
-		Name: fmt.Sprintf("jpeg.%dx%d", cfg.Images, cfg.Threads),
 		Main: func(e app.Env) {
 			var corpus []jpegImage
 			// Setup: generate and stage the corpus. SlipStream-ed, as the

@@ -58,7 +58,6 @@ func npbBenches(threads int) []Bench {
 // npbProgram builds one kernel at a thread count.
 func npbProgram(k npbKernel, threads int, clk vclock.Hz) app.Program {
 	return app.Program{
-		Name: fmt.Sprintf("npb-%s.%d", k.name, threads),
 		Main: func(e app.Env) {
 			bar := &app.Barrier{N: threads}
 			var wg app.WaitGroup

@@ -160,7 +160,6 @@ func fillRandom(d *protoacc.MessageDesc, rng *xrand.Stream, strLen int) *protoac
 // launches the batch, then waits for completion.
 func protoaccProgram(pb protoBench, ctx *core.Ctx) app.Program {
 	return app.Program{
-		Name: pb.name,
 		Main: func(e app.Env) {
 			dev := ctx.Devices[0].(interface {
 				RegisterSchema(uint32, *protoacc.MessageDesc)
@@ -209,7 +208,6 @@ func protoaccProgram(pb protoBench, ctx *core.Ctx) app.Program {
 // its native serialization rate (~1.3 GB/s plus per-field overhead).
 func cpuSerializeProgram(pb protoBench, ctx *core.Ctx) app.Program {
 	return app.Program{
-		Name: pb.name + "-cpu",
 		Main: func(e app.Env) {
 			schema := buildSchema(pb)
 			rng := xrand.New(pb.seed)

@@ -199,7 +199,6 @@ func roundUp16(v int) int { return (v + 15) &^ 15 }
 func vtaProgram(cfg vtaConfig, ctx *core.Ctx) app.Program {
 	cfg = cfg.withDefaults()
 	return app.Program{
-		Name: "vta-" + cfg.Net.Name,
 		Main: func(e app.Env) {
 			var wg app.WaitGroup
 			wg.Add(cfg.Processes)
@@ -316,7 +315,6 @@ func randI8(rng *xrand.Stream, n int) *mem.Blob {
 func cpuInferenceProgram(cfg vtaConfig, ctx *core.Ctx) app.Program {
 	cfg = cfg.withDefaults()
 	return app.Program{
-		Name: "cpu-" + cfg.Net.Name,
 		Main: func(e app.Env) {
 			for p := 0; p < cfg.Processes; p++ {
 				for i, l := range cfg.Net.Layers {
